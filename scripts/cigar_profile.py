@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from finsler_solitons import finsler, fixtures, randers, solitons
+from finsler_solitons import finsler, fixtures, solitons
 from finsler_solitons.jets import FlagPoint
 from finsler_solitons.sampling import unit_direction
 
@@ -25,14 +25,14 @@ def main():
     rng = np.random.default_rng(args.seed)
     print(f"{'t':>6} {'K fit':>12} {'2/cosh^2 t':>12} {'|diff|':>10} "
           f"{'Ric_inf/F^2':>12} {'S_BH':>10}")
-    bh = randers.bh_measure(fx.rd)
     for t in np.linspace(0.2, 2.0, args.points):
         p = FlagPoint([t, rng.uniform(0, 2 * math.pi)], unit_direction(rng, 2))
-        fit = finsler.flag_curvature_fit(fx.metric, p)
+        ev = finsler.evaluate_flag(fx.metric, fx.measure, p)
+        fit = ev.flag_curvature
         law = 2.0 / math.cosh(t) ** 2
-        ric_inf = finsler.weighted_ricci(fx.metric, fx.measure, p)
-        ratio = ric_inf / fx.metric.value(p.x, p.y) ** 2
-        s_bh = finsler.s_curvature(fx.metric, bh, p)
+        ratio = ev.ric_inf / fx.metric.value(p.x, p.y) ** 2
+        # the measure is e^{-f} dm_BH, so S = S_BH + df(y)
+        s_bh = ev.S - float(fx.f.table(p.x, order=1)[1] @ p.y)
         print(f"{t:6.3f} {fit.value:12.8f} {law:12.8f} {abs(fit.value - law):10.2e} "
               f"{ratio:12.3e} {s_bh:10.2e}")
     kappas, anis = solitons.fit_kappa(fx.metric, fx.measure,

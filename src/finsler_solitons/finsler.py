@@ -6,6 +6,12 @@ R^i_k, Ricci and weighted Ricci curvatures, distortion, S-curvature and its
 rate of change along the geodesic flow, Lie derivatives of F^2, and a
 least-squares scalar flag-curvature fit.
 
+`evaluate_flag` is the one evaluation per flag: a single fourth-order
+expansion of F^2 yields Ric, S, S-dot, Ric_inf and the flag-curvature fit
+together, and the x-only log-density table can be shared across the
+directions at one point.  The single-quantity functions (`ricci`, `s_dot`,
+`weighted_ricci`, `flag_curvature_fit`) read the same evaluation in jet mode.
+
 Curvature comes exclusively from the spray,
 
     G^i = 1/4 g^il { [F^2]_{x^m y^l} y^m - [F^2]_{x^l} },
@@ -20,8 +26,10 @@ total degree 4 even though the public jet lift is capped at 3.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,10 +87,6 @@ class Measure:
         return riemann.scalar_table(lambda xs: jets.log(self._fn(xs)), x, order)
 
     @classmethod
-    def from_density(cls, fn, name="") -> "Measure":
-        return cls(fn, name)
-
-    @classmethod
     def riemannian(cls, h: RiemannMetric) -> "Measure":
         return cls(h.sqrt_det, name=f"vol({h.name or 'h'})")
 
@@ -108,38 +112,43 @@ def _f2_jet(metric: FinslerMetric, x, y, order: int) -> Jet:
     return F * F
 
 
+# (x-degree, y-degree) of the partial tables an expansion of the given order adds.
+_Q_TABLES = {1: ((1, 0), (0, 1)), 2: ((1, 1), (0, 2)), 3: ((1, 2), (0, 3)),
+             4: ((2, 0), (2, 1), (2, 2), (1, 3), (0, 4))}
+
+
+@lru_cache(maxsize=None)
+def _f2_index(n: int, order: int) -> dict:
+    """Coefficient positions of every Q table of an (n, order) F^2 expansion.
+
+    Q{a}{b}[k1..ka, i1..ib] is d^a/dx^k d^b/dy^i of F^2, so each table is one
+    gather from the jet's coefficient vector times its factorials.
+    """
+    space = jets.jet_space(2 * n, order)
+    index = {}
+    for level in range(1, order + 1):
+        for a, b in _Q_TABLES[level]:
+            pos = np.empty((n,) * (a + b), dtype=np.intp)
+            for t in itertools.product(range(n), repeat=a + b):
+                m = [0] * (2 * n)
+                for k in t[:a]:
+                    m[k] += 1
+                for i in t[a:]:
+                    m[n + i] += 1
+                pos[t] = space.index[tuple(m)]
+            pos.setflags(write=False)       # shared by every caller of the cache
+            index[f"Q{a}{b}"] = pos
+    return index
+
+
 def _f2_tables(metric: FinslerMetric, x, y, order: int) -> dict:
     """Partial derivatives of F^2 at (x, y), grouped by (x-degree, y-degree)."""
     n = metric.dim
     f2 = _f2_jet(metric, x, y, order)
-
-    def P(xind, yind):
-        m = [0] * (2 * n)
-        for k in xind:
-            m[k] += 1
-        for i in yind:
-            m[n + i] += 1
-        return f2.partial(tuple(m))
-
-    rng = range(n)
+    partials = f2.coeffs * f2.space.factorials
     T = {"n": n, "F2": f2.value, "F": math.sqrt(f2.value)}
-    T["Q10"] = np.array([P((k,), ()) for k in rng])
-    T["Q01"] = np.array([P((), (i,)) for i in rng])
-    if order >= 2:
-        T["Q11"] = np.array([[P((k,), (i,)) for i in rng] for k in rng])
-        T["Q02"] = np.array([[P((), (i, j)) for j in rng] for i in rng])
-    if order >= 3:
-        T["Q12"] = np.array([[[P((k,), (i, j)) for j in rng] for i in rng] for k in rng])
-        T["Q03"] = np.array([[[P((), (i, j, k)) for k in rng] for j in rng] for i in rng])
-    if order >= 4:
-        T["Q20"] = np.array([[P((k, l), ()) for l in rng] for k in rng])
-        T["Q21"] = np.array([[[P((k, l), (i,)) for i in rng] for l in rng] for k in rng])
-        T["Q22"] = np.array([[[[P((k, l), (i, j)) for j in rng] for i in rng]
-                              for l in rng] for k in rng])
-        T["Q13"] = np.array([[[[P((k,), (i, j, p)) for p in rng] for j in rng]
-                              for i in rng] for k in rng])
-        T["Q04"] = np.array([[[[P((), (i, j, p, q)) for q in rng] for p in rng]
-                              for j in rng] for i in rng])
+    for name, pos in _f2_index(n, order).items():
+        T[name] = partials[pos]
     return T
 
 
@@ -213,14 +222,19 @@ def _spray_derivatives(T, y, order: int):
 
 @dataclass
 class CurvatureBundle:
-    """All spray-level data of one flag; indices follow dG_dx[k, i] = dG^i/dx^k."""
+    """All spray-level data of one flag; indices follow dG_dx[k, i] = dG^i/dx^k.
+
+    `dF2_dy` is the y-gradient of F^2.  `cartan` is None on the
+    finite-difference path, which never expands F^2 to third order.
+    """
 
     x: np.ndarray
     y: np.ndarray
     F: float
+    dF2_dy: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
-    cartan: np.ndarray
+    cartan: np.ndarray | None
     spray: np.ndarray
     dG_dx: np.ndarray
     dG_dy: np.ndarray
@@ -257,7 +271,8 @@ def curvature_bundle(metric: FinslerMetric, p: FlagPoint, mode: str = "jet") -> 
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
     return CurvatureBundle(x=np.asarray(x, float), y=np.asarray(y, float),
-                           F=T["F"], g=D["g"], ginv=D["ginv"], cartan=0.25 * T["Q03"],
+                           F=T["F"], dF2_dy=T["Q01"], g=D["g"], ginv=D["ginv"],
+                           cartan=0.25 * T["Q03"],
                            spray=D["G"], dG_dx=D["dG_dx"], dG_dy=D["dG_dy"],
                            d2G_dxdy=D["d2G_dxdy"], d2G_dydy=D["d2G_dydy"],
                            riemann=R, ricci=float(np.trace(R)))
@@ -307,8 +322,8 @@ def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint,
                           for q in range(n)] for pp in range(n)])
 
     R = _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy)
-    return CurvatureBundle(x=x, y=y, F=T["F"], g=g, ginv=ginv,
-                           cartan=np.zeros((n, n, n)), spray=G,
+    return CurvatureBundle(x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=g, ginv=ginv,
+                           cartan=None, spray=G,
                            dG_dx=dG_dx, dG_dy=dG_dy, d2G_dxdy=d2G_dxdy,
                            d2G_dydy=d2G_dydy, riemann=R, ricci=float(np.trace(R)))
 
@@ -353,32 +368,29 @@ def distortion(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
     return 0.5 * math.log(det) - math.log(sigma)
 
 
-def _s_parts(metric: FinslerMetric, measure: Measure, x, y, order: int):
-    """S and, at order 4, its coordinate derivatives."""
+def _s_value(dG_dy, y, logs) -> float:
+    """S = dG^i/dy^i - y^i d_i log sigma, from the spray's y-derivative."""
+    return float(np.trace(dG_dy) - np.dot(y, logs[1]))
+
+
+def _s_order3(metric: FinslerMetric, measure: Measure, x, y) -> float:
+    """S alone, from a third-order expansion of F^2."""
     y = np.asarray(y, float)
-    T = _f2_tables(metric, x, y, order=order)
-    D = _spray_derivatives(T, y, order=order)
-    logs = measure.log_density_table(x, order=2)
-    S = float(np.trace(D["dG_dy"]) - np.dot(y, logs[1]))
-    if order < 4:
-        return S, None, None, D["G"]
-    dS_dx = np.einsum("kii->k", D["d2G_dxdy"]) - np.einsum("i,ki->k", y, logs[2])
-    dS_dy = np.einsum("kii->k", D["d2G_dydy"]) - logs[1]
-    return S, dS_dx, dS_dy, D["G"]
+    T = _f2_tables(metric, x, y, order=3)
+    D = _spray_derivatives(T, y, order=3)
+    return _s_value(D["dG_dy"], y, measure.log_density_table(x, order=2))
 
 
 def s_curvature(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
     """S(x, y) = dG^i/dy^i - y^i d_i log sigma."""
-    S, _, _, _ = _s_parts(metric, measure, p.x, p.y, order=3)
-    return S
+    return _s_order3(metric, measure, p.x, p.y)
 
 
 def s_dot(metric: FinslerMetric, measure: Measure, p: FlagPoint, mode="jet") -> float:
     """Rate of change of S along the geodesic flow: y.dS/dx - 2G.dS/dy."""
     if mode == "fd":
         return _s_dot_fd(metric, measure, p)
-    S, dS_dx, dS_dy, G = _s_parts(metric, measure, p.x, p.y, order=4)
-    return float(np.dot(p.y, dS_dx) - 2.0 * np.dot(G, dS_dy))
+    return evaluate_flag(metric, measure, p).s_dot
 
 
 def _s_dot_fd(metric: FinslerMetric, measure: Measure, p: FlagPoint,
@@ -388,7 +400,7 @@ def _s_dot_fd(metric: FinslerMetric, measure: Measure, p: FlagPoint,
     scale = max(1.0, float(np.max(np.abs(z0))))
 
     def S_fn(*z):
-        return _s_parts(metric, measure, z[:n], z[n:], order=3)[0]
+        return _s_order3(metric, measure, z[:n], z[n:])
 
     G = spray(metric, p)
     dS = np.array([fd_derivative(S_fn, z0, tuple(1 if i == k else 0 for i in range(2 * n)),
@@ -402,12 +414,13 @@ def weighted_ricci(metric: FinslerMetric, measure: Measure, p: FlagPoint,
     n = metric.dim
     if N <= n:
         raise ParameterError(f"effective dimension N must exceed n = {n}")
-    ric = ricci(metric, p, mode=mode)
-    sdot = s_dot(metric, measure, p, mode=mode)
-    if math.isinf(N):
-        return ric + sdot
-    S = s_curvature(metric, measure, p)
-    return ric + sdot - S * S / (N - n)
+    if mode == "jet":
+        ev = evaluate_flag(metric, measure, p)
+        ric_inf, S = ev.ric_inf, ev.S
+    else:
+        ric_inf = ricci(metric, p, mode=mode) + s_dot(metric, measure, p, mode=mode)
+        S = s_curvature(metric, measure, p) if math.isfinite(N) else 0.0
+    return ric_inf if math.isinf(N) else ric_inf - S * S / (N - n)
 
 
 def lie_scalar(fn2n, v: VectorField, p: FlagPoint) -> float:
@@ -438,17 +451,14 @@ class FlagCurvature:
     flat: bool
 
 
-def flag_curvature_fit(metric: FinslerMetric, p: FlagPoint, mode="jet") -> FlagCurvature:
+def _flag_curvature(b: CurvatureBundle) -> FlagCurvature:
     """Least-squares K with R^i_k ~ K (F^2 delta^i_k - F F_{y^k} y^i).
 
     The residual is the Frobenius misfit relative to |R|; a vanishing R is
     reported as flat with K = 0 and residual 0.
     """
-    b = curvature_bundle(metric, p, mode=mode)
-    T = _f2_tables(metric, p.x, p.y, order=1)
-    n = metric.dim
-    F2 = b.F * b.F
-    A = F2 * np.eye(n) - 0.5 * np.outer(p.y, T["Q01"])
+    F2 = b.F2
+    A = F2 * np.eye(b.y.size) - 0.5 * np.outer(b.y, b.dF2_dy)
     R = b.riemann
     normR = float(np.linalg.norm(R))
     if normR <= 1e-11 * F2 * F2 + 1e-300:
@@ -456,3 +466,43 @@ def flag_curvature_fit(metric: FinslerMetric, p: FlagPoint, mode="jet") -> FlagC
     K = float(np.sum(R * A) / np.sum(A * A))
     residual = float(np.linalg.norm(R - K * A) / normR)
     return FlagCurvature(K, residual, False)
+
+
+def flag_curvature_fit(metric: FinslerMetric, p: FlagPoint, mode="jet") -> FlagCurvature:
+    """Scalar flag-curvature fit at one flag (see `_flag_curvature`)."""
+    return _flag_curvature(curvature_bundle(metric, p, mode=mode))
+
+
+# -- one evaluation per flag ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FlagEvaluation:
+    """Every per-flag quantity of the soliton laws, from one order-4 expansion."""
+
+    bundle: CurvatureBundle
+    S: float
+    dS_dx: np.ndarray
+    dS_dy: np.ndarray
+    s_dot: float
+    ric_inf: float
+    flag_curvature: FlagCurvature
+
+
+def evaluate_flag(metric: FinslerMetric, measure: Measure, p: FlagPoint,
+                  logs=None) -> FlagEvaluation:
+    """Bundle, S, its derivatives, S-dot, Ric_inf and the K-fit at one flag.
+
+    `logs` is `measure.log_density_table(p.x, order=2)`; it depends on x
+    only, so callers sweeping directions at one point pass it in.
+    """
+    b = curvature_bundle(metric, p)
+    if logs is None:
+        logs = measure.log_density_table(p.x, order=2)
+    y = b.y
+    S = _s_value(b.dG_dy, y, logs)
+    dS_dx = np.einsum("kii->k", b.d2G_dxdy) - np.einsum("i,ki->k", y, logs[2])
+    dS_dy = np.einsum("kii->k", b.d2G_dydy) - logs[1]
+    sdot = float(np.dot(y, dS_dx) - 2.0 * np.dot(b.spray, dS_dy))
+    return FlagEvaluation(bundle=b, S=S, dS_dx=dS_dx, dS_dy=dS_dy, s_dot=sdot,
+                          ric_inf=b.ricci + sdot, flag_curvature=_flag_curvature(b))

@@ -162,11 +162,3 @@ def conformal_euclidean_navigation(rng, dim, scale=0.15):
 
 def sample_box_point(rng, dim, radius=BOX) -> np.ndarray:
     return rng.uniform(-radius, radius, size=dim)
-
-
-def unit_direction(rng, dim) -> np.ndarray:
-    while True:
-        v = rng.normal(size=dim)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            return v / norm

@@ -302,14 +302,39 @@ def _cos_derivs(u0, K, name):
     return [cycle[k % 4] for k in range(K + 1)]
 
 
+def _with_tail(head, K, series):
+    """Closed-form derivatives `head`, continued to order K.
+
+    series(K) returns the Taylor coefficients a_0..a_K of the primitive at
+    the point, from a recurrence that holds at every order; derivative k is
+    k! a_k.  The closed forms are kept where they exist (through order 4,
+    the engine's working order), so its reports do not depend on the
+    recurrences.
+    """
+    if K < len(head):
+        return head[: K + 1]
+    a = series(K)
+    return head + [math.factorial(k) * a[k] for k in range(len(head), K + 1)]
+
+
+def _tangent_series(t, K, sign):
+    """Taylor coefficients of tan (sign +1) or tanh (sign -1) where it equals t,
+    from u' = 1 + sign u^2: (k + 1) a_{k+1} = [k == 0] + sign sum_j a_j a_{k-j}."""
+    a = [t]
+    for k in range(K):
+        conv = sum(a[j] * a[k - j] for j in range(k + 1))
+        a.append(((1.0 if k == 0 else 0.0) + sign * conv) / (k + 1))
+    return a
+
+
 def _tan_derivs(u0, K, name):
     c = math.cos(u0)
     if abs(c) < 1e-300:
         raise EvaluationError("tan at a pole of the tangent")
     t = math.tan(u0)
-    derivs = [t, 1 + t * t, 2 * t * (1 + t * t), 2 * (1 + t * t) * (1 + 3 * t * t),
-              8 * t * (1 + t * t) * (2 + 3 * t * t)]
-    return derivs[: K + 1]
+    head = [t, 1 + t * t, 2 * t * (1 + t * t), 2 * (1 + t * t) * (1 + 3 * t * t),
+            8 * t * (1 + t * t) * (2 + 3 * t * t)]
+    return _with_tail(head, K, lambda K: _tangent_series(t, K, 1.0))
 
 
 def _sinh_derivs(u0, K, name):
@@ -324,16 +349,28 @@ def _cosh_derivs(u0, K, name):
 
 def _tanh_derivs(u0, K, name):
     t = math.tanh(u0)
-    derivs = [t, 1 - t * t, -2 * t * (1 - t * t), -2 * (1 - t * t) * (1 - 3 * t * t),
-              8 * t * (1 - t * t) * (2 - 3 * t * t)]
-    return derivs[: K + 1]
+    head = [t, 1 - t * t, -2 * t * (1 - t * t), -2 * (1 - t * t) * (1 - 3 * t * t),
+            8 * t * (1 - t * t) * (2 - 3 * t * t)]
+    return _with_tail(head, K, lambda K: _tangent_series(t, K, -1.0))
+
+
+def _arcsinh_series(u0, K):
+    """Taylor coefficients of asinh at u0.  Its derivative r = w^(-1/2), with
+    w = 1 + (u0 + s)^2, solves 2 w r' + w' r = 0, so
+    r_{k+1} = -((2k + 1) 2 u0 r_k + 2k r_{k-1}) / (2 (k + 1) w(u0))."""
+    w0 = 1.0 + u0 * u0
+    r = [w0 ** -0.5]
+    for k in range(K - 1):
+        prev = r[k - 1] if k else 0.0
+        r.append(-((2 * k + 1) * 2.0 * u0 * r[k] + 2 * k * prev) / (2.0 * (k + 1) * w0))
+    return [math.asinh(u0)] + [r[k] / (k + 1) for k in range(K)]
 
 
 def _arcsinh_derivs(u0, K, name):
     w = 1.0 + u0 * u0
-    derivs = [math.asinh(u0), w ** -0.5, -u0 * w ** -1.5, (2 * u0 * u0 - 1) * w ** -2.5,
-              3 * u0 * (3 - 2 * u0 * u0) * w ** -3.5]
-    return derivs[: K + 1]
+    head = [math.asinh(u0), w ** -0.5, -u0 * w ** -1.5, (2 * u0 * u0 - 1) * w ** -2.5,
+            3 * u0 * (3 - 2 * u0 * u0) * w ** -3.5]
+    return _with_tail(head, K, lambda K: _arcsinh_series(u0, K))
 
 
 sqrt = _jet_fn("sqrt", math.sqrt, _sqrt_derivs)

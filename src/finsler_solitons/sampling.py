@@ -38,7 +38,3 @@ def sample_flags(fixture, count, rng, max_tries=50) -> list[FlagPoint]:
             continue
         flags.append(FlagPoint(x, y, chart=fixture.name))
     return flags
-
-
-def sample_points(fixture, count, rng) -> list[np.ndarray]:
-    return [fixture.sample_x(rng) for _ in range(count)]

@@ -59,7 +59,7 @@ def almost_soliton_residual(metric: FinslerMetric, v: VectorField, kappa,
 
 def gradient_soliton_residual(metric: FinslerMetric, measure: Measure, kappa,
                               p: FlagPoint, mode="jet") -> float:
-    """(Ric_inf - kappa F^2) / F^2 at one flag."""
+    """(Ric_inf - kappa F^2) / F^2 at one flag (jet mode: one `evaluate_flag`)."""
     kappa = as_scalar_field(kappa)
     ric_inf = finsler.weighted_ricci(metric, measure, p, N=math.inf, mode=mode)
     F2 = metric.value(p.x, p.y) ** 2
@@ -104,7 +104,8 @@ def fit_kappa(metric: FinslerMetric, measure: Measure, xs, directions=None):
 
     Returns (kappa array over xs, anisotropy), where anisotropy is the largest
     spread of Ric_inf/F^2 over the direction set at a single x; it must vanish
-    for a true gradient soliton because kappa depends on x only.
+    for a true gradient soliton because kappa depends on x only.  Each point
+    builds its log-density table once and shares it across the directions.
     """
     dirs = directions if directions is not None else _directions(metric.dim)
     if len(dirs) < 2:
@@ -112,10 +113,11 @@ def fit_kappa(metric: FinslerMetric, measure: Measure, xs, directions=None):
     kappas = []
     anisotropy = 0.0
     for x in xs:
+        logs = measure.log_density_table(np.asarray(x, float), order=2)
         vals = []
         for d in dirs:
             p = FlagPoint(x, d)
-            ric_inf = finsler.weighted_ricci(metric, measure, p, N=math.inf)
+            ric_inf = finsler.evaluate_flag(metric, measure, p, logs=logs).ric_inf
             vals.append(ric_inf / metric.value(p.x, p.y) ** 2)
         vals = np.array(vals)
         kappas.append(float(np.mean(vals)))

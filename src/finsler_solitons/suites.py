@@ -8,6 +8,11 @@ other on random seeded data: closed-form vs spray Ricci, jet vs finite
 difference, Christoffel vs spray, both sides of the Lie-derivative and
 curvature-transfer identities, and the navigation algebra.
 
+Each fixture flag is evaluated once (`finsler.evaluate_flag`): one
+fourth-order expansion of F^2 feeds the Ricci law, infinity-Ricci and flag
+curvature rows, and the kappa fit shares one log-density table per point
+across its direction sweep.
+
 Heavy per-flag rows can fan out over processes; the worker count comes from
 the FINSLER_SOLITONS_WORKERS environment variable unless a caller overrides
 it.  Results are order-preserving, so reports stay byte-identical for a
@@ -41,19 +46,29 @@ def default_workers() -> int:
 
 
 def _flag_rows(fixture, flags, mode):
-    """Pointwise law residuals at each flag: returns a list of row dicts."""
+    """Pointwise law residuals at each flag: returns a list of row dicts.
+
+    In jet mode every row of a flag reads one `finsler.evaluate_flag`; the
+    fd mode keeps its separate finite-difference evaluations.
+    """
     out = []
     for p in flags:
         row = {}
         F2 = fixture.metric.value(p.x, p.y) ** 2
-        ric_inf = finsler.weighted_ricci(fixture.metric, fixture.measure, p, mode=mode)
+        ev = None
+        if mode == "jet":
+            ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p)
+            ric_inf = ev.ric_inf
+        else:
+            ric_inf = finsler.weighted_ricci(fixture.metric, fixture.measure, p, mode=mode)
         kap = float(riemann.scalar_value(fixture.kappa(list(p.x))))
         row["infinity-ricci"] = (ric_inf - kap * F2) / F2
         if fixture.ricci_law is not None:
-            ric = finsler.ricci(fixture.metric, p, mode=mode)
+            ric = ev.bundle.ricci if ev else finsler.ricci(fixture.metric, p, mode=mode)
             row["ricci-law"] = ric / F2 - float(fixture.ricci_law(p.x))
         if fixture.flag_curvature_law is not None:
-            fit = finsler.flag_curvature_fit(fixture.metric, p, mode=mode)
+            fit = (ev.flag_curvature if ev
+                   else finsler.flag_curvature_fit(fixture.metric, p, mode=mode))
             row["flag-curvature-law"] = fit.value - float(fixture.flag_curvature_law(p.x))
             row["flag-curvature-misfit"] = fit.residual
         out.append(row)

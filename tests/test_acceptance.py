@@ -166,7 +166,7 @@ def test_criterion_10_characterization_bundles_and_negative_controls():
         all_ok &= _line(10, f"{name} characterization bundles at declared scalars",
                         worst, tol, passed=all_passed(rows))
     for name in fixtures.FIXTURE_NAMES:
-        for ingredient in ("f", "W", "kappa", "mu"):
+        for ingredient in ("f", "W", "kappa", "mu", "sigma"):
             fx = fixtures.get_fixture(name).perturbed(ingredient, 1e-2)
             rows = suites.run_fixture_suite(fx, samples=12, seed=110, tol=tol)
             worst = max(r.max_abs for r in rows)

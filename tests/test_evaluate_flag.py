@@ -1,0 +1,166 @@
+"""One evaluation per flag: `finsler.evaluate_flag` against the separate
+per-quantity formulas, and counters on the F^2 expansions and density tables
+the suites make."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from finsler_solitons import finsler, fixtures, solitons, suites
+from finsler_solitons.jets import FlagPoint
+from finsler_solitons.sampling import sample_flags
+
+
+def _flags(fx, count=3, seed=5):
+    return sample_flags(fx, count, np.random.default_rng(seed))
+
+
+def _separate_formulas(metric, measure, p, N):
+    """Each quantity from its own expansion, as the engine computed them
+    before `evaluate_flag` existed."""
+    y = np.asarray(p.y, float)
+    T = finsler._f2_tables(metric, p.x, y, order=4)
+    D = finsler._spray_derivatives(T, y, order=4)
+    R = finsler._assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"],
+                                  D["d2G_dydy"])
+    ric = float(np.trace(R))
+    logs = measure.log_density_table(p.x, order=2)
+    dS_dx = np.einsum("kii->k", D["d2G_dxdy"]) - np.einsum("i,ki->k", y, logs[2])
+    dS_dy = np.einsum("kii->k", D["d2G_dydy"]) - logs[1]
+    sdot = float(np.dot(p.y, dS_dx) - 2.0 * np.dot(D["G"], dS_dy))
+
+    T3 = finsler._f2_tables(metric, p.x, y, order=3)
+    D3 = finsler._spray_derivatives(T3, y, order=3)
+    S = float(np.trace(D3["dG_dy"]) - np.dot(y, logs[1]))
+
+    T1 = finsler._f2_tables(metric, p.x, p.y, order=1)
+    F2 = T["F"] * T["F"]
+    A = F2 * np.eye(metric.dim) - 0.5 * np.outer(p.y, T1["Q01"])
+    normR = float(np.linalg.norm(R))
+    if normR <= 1e-11 * F2 * F2 + 1e-300:
+        fit = finsler.FlagCurvature(0.0, 0.0, True)
+    else:
+        K = float(np.sum(R * A) / np.sum(A * A))
+        fit = finsler.FlagCurvature(K, float(np.linalg.norm(R - K * A) / normR), False)
+    n = metric.dim
+    return {"ricci": ric, "S": S, "dS_dx": dS_dx, "dS_dy": dS_dy, "s_dot": sdot,
+            "ric_inf": ric + sdot, "ric_N": ric + sdot - S * S / (N - n), "fit": fit}
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_evaluate_flag_equals_the_separate_formulas(name):
+    fx = fixtures.get_fixture(name)
+    N = fx.dim + 2.5
+    for p in _flags(fx):
+        want = _separate_formulas(fx.metric, fx.measure, p, N)
+        ev = finsler.evaluate_flag(fx.metric, fx.measure, p)
+        assert ev.bundle.ricci == want["ricci"]
+        assert ev.S == want["S"]
+        assert np.array_equal(ev.dS_dx, want["dS_dx"])
+        assert np.array_equal(ev.dS_dy, want["dS_dy"])
+        assert ev.s_dot == want["s_dot"]
+        assert ev.ric_inf == want["ric_inf"]
+        assert ev.flag_curvature == want["fit"]
+        # the public single-quantity functions read the same evaluation
+        assert finsler.ricci(fx.metric, p) == want["ricci"]
+        assert finsler.s_curvature(fx.metric, fx.measure, p) == want["S"]
+        assert finsler.s_dot(fx.metric, fx.measure, p) == want["s_dot"]
+        assert finsler.weighted_ricci(fx.metric, fx.measure, p) == want["ric_inf"]
+        assert finsler.weighted_ricci(fx.metric, fx.measure, p, N=N) == want["ric_N"]
+        assert finsler.flag_curvature_fit(fx.metric, p) == want["fit"]
+
+
+def test_evaluate_flag_reuses_a_passed_density_table():
+    fx = fixtures.get_fixture("cigar")
+    p = _flags(fx, count=1)[0]
+    logs = fx.measure.log_density_table(p.x, order=2)
+    a = finsler.evaluate_flag(fx.metric, fx.measure, p)
+    b = finsler.evaluate_flag(fx.metric, fx.measure, p, logs=logs)
+    assert (a.S, a.s_dot, a.ric_inf) == (b.S, b.s_dot, b.ric_inf)
+
+
+@pytest.mark.parametrize("name,order", [("cigar", 4), ("shrinking", 4), ("cigar", 2),
+                                        ("gaussian", 3), ("shrinking", 1)])
+def test_f2_tables_gather_equals_partials(name, order):
+    fx = fixtures.get_fixture(name)
+    p = _flags(fx, count=1)[0]
+    n = fx.dim
+    T = finsler._f2_tables(fx.metric, p.x, p.y, order)
+    f2 = finsler._f2_jet(fx.metric, p.x, p.y, order)
+    names = [k for k in T if k.startswith("Q")]
+    assert names == [f"Q{a}{b}" for lvl in range(1, order + 1)
+                     for a, b in finsler._Q_TABLES[lvl]]
+    for key in names:
+        a, b = int(key[1]), int(key[2])
+        assert T[key].shape == (n,) * (a + b)
+        for t in itertools.product(range(n), repeat=a + b):
+            m = [0] * (2 * n)
+            for k in t[:a]:
+                m[k] += 1
+            for i in t[a:]:
+                m[n + i] += 1
+            assert T[key][t] == f2.partial(tuple(m))
+
+
+class _Counter:
+    def __init__(self, monkeypatch):
+        self.orders = []
+        self.density_tables = 0
+        tables = finsler._f2_tables
+        density = finsler.Measure.log_density_table
+
+        def count_tables(metric, x, y, order):
+            self.orders.append(order)
+            return tables(metric, x, y, order)
+
+        def count_density(measure, x, order=2):
+            self.density_tables += 1
+            return density(measure, x, order)
+
+        monkeypatch.setattr(finsler, "_f2_tables", count_tables)
+        monkeypatch.setattr(finsler.Measure, "log_density_table", count_density)
+
+
+@pytest.mark.parametrize("name", ["cigar", "shrinking"])
+def test_flag_rows_expand_f2_once_per_flag(name, monkeypatch):
+    fx = fixtures.get_fixture(name)
+    flags = _flags(fx, count=3)
+    counter = _Counter(monkeypatch)
+    rows = suites._flag_rows(fx, flags, "jet")
+    assert len(rows) == 3
+    if fx.ricci_law is not None:
+        assert {"ricci-law", "flag-curvature-law"} <= set(rows[0])
+    assert counter.orders == [4] * len(flags)
+    assert counter.density_tables == len(flags)
+
+
+def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monkeypatch):
+    fx = fixtures.get_fixture("cigar")
+    xs = [f.x for f in _flags(fx, count=2)]
+    dirs = solitons._directions(fx.dim)
+    counter = _Counter(monkeypatch)
+    solitons.fit_kappa(fx.metric, fx.measure, xs)
+    assert counter.orders == [4] * (len(xs) * len(dirs))
+    assert counter.density_tables == len(xs)
+
+
+def test_gradient_soliton_residual_expands_f2_once(monkeypatch):
+    fx = fixtures.get_fixture("cigar")
+    p = _flags(fx, count=1)[0]
+    counter = _Counter(monkeypatch)
+    res = solitons.gradient_soliton_residual(fx.metric, fx.measure, fx.kappa, p)
+    assert abs(res) < 1e-9
+    assert counter.orders == [4]
+
+
+def test_fd_bundle_reports_no_cartan_tensor():
+    fx = fixtures.get_fixture("cigar")
+    p = FlagPoint([1.0, 0.3], [0.4, -0.7])
+    fd = finsler.curvature_bundle(fx.metric, p, mode="fd")
+    assert fd.cartan is None
+    jet = finsler.curvature_bundle(fx.metric, p)
+    assert jet.cartan is not None and jet.cartan.shape == (2, 2, 2)
+    np.testing.assert_array_equal(fd.dF2_dy, jet.dF2_dy)
+    assert math.isclose(fd.ricci, jet.ricci, rel_tol=1e-6)

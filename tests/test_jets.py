@@ -117,6 +117,32 @@ def test_transcendental_vs_symbolic():
             assert jet.partial(m) == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
+_PRIMITIVES = ("sqrt", "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh",
+               "arcsinh", "power")
+
+
+@pytest.mark.parametrize("name", _PRIMITIVES)
+@pytest.mark.parametrize("order", range(1, 7))
+def test_every_primitive_exact_to_its_order_vs_symbolic(name, order):
+    # Each primitive composed with a quadratic inner map, so both the
+    # primitive's own derivatives and the truncated composition are checked
+    # at every degree up to the jet order (no silent zeros above order 4).
+    sympy = pytest.importorskip("sympy")
+    v = sympy.Symbol("v")
+    inner = sympy.Rational(7, 10) + sympy.Rational(3, 5) * v + sympy.Rational(1, 5) * v ** 2
+    if name == "power":
+        expr, fn = inner ** sympy.Rational(7, 3), lambda u: jets.power(u, 7 / 3)
+    else:
+        expr = getattr(sympy, "asinh" if name == "arcsinh" else name)(inner)
+        fn = getattr(jets, name)
+    v0 = sympy.Rational(1, 4)
+    u = Jet.variables([0.25], order)[0]
+    jet = fn(0.7 + 0.6 * u + 0.2 * u * u)
+    for k in range(order + 1):
+        want = float(sympy.diff(expr, v, k).subs(v, v0))
+        assert jet.partial((k,)) == pytest.approx(want, rel=1e-11, abs=1e-11), (name, k)
+
+
 def test_jets_vs_fd_on_random_compositions():
     """100 random transcendental compositions: jet partials and Richardson
     central differences agree within 1e-4 relative."""
