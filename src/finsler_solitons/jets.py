@@ -427,7 +427,6 @@ class FlagPoint:
 
     x: np.ndarray
     y: np.ndarray
-    chart: str = "default"
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -442,7 +441,7 @@ class FlagPoint:
         return self.x.size
 
     def scaled(self, lam: float) -> "FlagPoint":
-        return FlagPoint(self.x, lam * self.y, self.chart)
+        return FlagPoint(self.x, lam * self.y)
 
 
 # -- lifting and finite differences ---------------------------------------

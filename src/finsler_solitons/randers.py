@@ -12,6 +12,10 @@ Conventions (all indices raised/lowered with a_ij unless noted):
 and on the navigation side (indices via h_ij):
 
     R_ij = (W_{i:j} + W_{j:i})/2      S_ij = (W_{i:j} - W_{j:i})/2
+
+The Levi-Civita data of alpha and h (Christoffel symbols, their derivatives,
+the Ricci contraction, W_{i:j}) come from the table-level builders in
+`riemann`; this module writes only the Randers-specific contractions.
 """
 
 from __future__ import annotations
@@ -34,10 +38,6 @@ class RandersDomainError(ArithmeticError):
 
 class NavigationDomainError(ArithmeticError):
     """||W||_h >= 1 at an evaluated point (lambda <= 0)."""
-
-
-def _float_matrix(rows):
-    return np.array([[scalar_value(v) for v in row] for row in rows], float)
 
 
 @dataclass
@@ -209,8 +209,7 @@ def eval_F_nav(nav: NavigationData, p: FlagPoint) -> float:
 def navigation_xi(nav: NavigationData, p: FlagPoint) -> np.ndarray:
     """xi = y - F(x, y) W(x); satisfies h(x, xi) = F(x, y)."""
     F = eval_F_nav(nav, p)
-    w = np.array([scalar_value(c) for c in nav.W.components(list(p.x))], float)
-    return p.y - F * w
+    return p.y - F * nav.W.at(p.x)
 
 
 # -- Busemann-Hausdorff measure ---------------------------------------------------
@@ -281,16 +280,8 @@ def beta_tables(rd: RandersData, x) -> BetaTables:
     n = rd.dim
     x = np.asarray(x, float)
     a0, da, d2a = rd.alpha.tables(x, order=2)
-    riemann.check_positive_definite(a0, "alpha")
+    ainv, gamma, dainv, dgamma = riemann.levi_civita(a0, da, d2a, "alpha")
     b0, db, d2b = rd.beta.table(x, order=2)
-    ainv = np.linalg.inv(a0)
-    dainv = -np.einsum("ia,kab,bj->kij", ainv, da, ainv)
-
-    bracket = np.einsum("ijl->lij", da) + np.einsum("jil->lij", da) - da
-    gamma = 0.5 * np.einsum("kl,lij->kij", ainv, bracket)
-    dbracket = (np.einsum("mijl->mlij", d2a) + np.einsum("mjil->mlij", d2a) - d2a)
-    dgamma = 0.5 * (np.einsum("mkl,lij->mkij", dainv, bracket)
-                    + np.einsum("kl,mlij->mkij", ainv, dbracket))
 
     b2 = float(b0 @ ainv @ b0)
     if b2 >= 1.0:
@@ -346,19 +337,13 @@ def beta_tables(rd: RandersData, x) -> BetaTables:
                                                              + np.einsum("i,kij->kj", b_up, dr))
     div_r_up = float(np.einsum("kk->", dr_up) + np.einsum("iip,p->", gamma, r_up))
 
-    term1 = np.einsum("iijk->jk", dgamma)
-    term2 = np.einsum("jiik->jk", dgamma)
-    term3 = np.einsum("iip,pjk->jk", gamma, gamma)
-    term4 = np.einsum("ijp,pik->jk", gamma, gamma)
-    alpha_ricci = term1 - term2 + term3 - term4
-
     return BetaTables(x=x, a=a0, ainv=ainv, b_low=b0, b_up=b_up, b2=b2, gamma=gamma,
                       bcov=bcov, r=r, s=s, s_mixed=s_mixed, s_low=s_low, s_up=s_up,
                       r_low=r_low, r_up=r_up, r_scalar=r_scalar, t=t, t_mixed=t_mixed,
                       t_low=t_low, t_trace=t_trace, q=q, e=e, s_cov=s_cov, r_cov=r_cov,
                       div_mixed_s=div_mixed_s, div_mixed_r=div_mixed_r,
                       d_rtrace=d_rtrace, div_s_up=div_s_up, div_r_up=div_r_up,
-                      alpha_ricci=alpha_ricci)
+                      alpha_ricci=riemann.ricci_contraction(gamma, dgamma))
 
 
 @dataclass
@@ -401,6 +386,13 @@ def beta_derivatives(rd: RandersData, p: FlagPoint, tables: BetaTables | None = 
 
 
 # -- isotropic S fitting and closed-form Ricci ---------------------------------------
+
+
+def field_sigma_terms(sigma, x, y, v):
+    """(sigma, sigma_0 = sigma_i y^i, sigma_i v^i, d sigma) of a sigma field at x."""
+    sigma = as_scalar_field(sigma)
+    sval, dsig = sigma.table(x, order=1)[:2]
+    return float(sval), float(dsig @ np.asarray(y, float)), float(dsig @ v), dsig
 
 
 def fit_sigma_isotropic_S(rd: RandersData, x, y_samples):
@@ -456,15 +448,11 @@ def isotropic_s_identity_residuals(rd: RandersData, p: FlagPoint, sigma,
     Keys are identity names; values are absolute residuals, with 2-homogeneous
     scalars normalized by alpha^2 and 1-homogeneous ones by alpha.
     """
-    sigma = as_scalar_field(sigma)
     n = rd.dim
     bd = beta_derivatives(rd, p, tables=tables)
     T = bd.tables
     y = bd.y
-    sig, dsig = sigma.table(T.x, order=1)[:2]
-    sig = float(sig)
-    sigma0 = float(dsig @ y)
-    sigma_b = float(dsig @ T.b_up)
+    sig, sigma0, sigma_b, _ = field_sigma_terms(sigma, T.x, y, T.b_up)
     alpha, beta, b2 = bd.alpha, bd.beta, T.b2
     alpha2 = alpha * alpha
     a_scale = max(1.0, float(np.max(np.abs(T.a))))
@@ -528,21 +516,16 @@ def nav_tensors(nav: NavigationData, x) -> NavTensors:
     n = nav.dim
     x = np.asarray(x, float)
     h0, dh = nav.h.tables(x, order=1)
-    riemann.check_positive_definite(h0, "h")
-    hinv = np.linalg.inv(h0)
+    hinv, gamma = riemann.levi_civita(h0, dh, None, "h")
     w0, dw = nav.W.table(x, order=1)
     lam = 1.0 - float(w0 @ h0 @ w0)
     if lam <= 0.0:
         raise NavigationDomainError(f"lambda = {lam:.6f} <= 0 at {x.tolist()}")
-    bracket = np.einsum("ijl->lij", dh) + np.einsum("jil->lij", dh) - dh
-    gamma = 0.5 * np.einsum("kl,lij->kij", hinv, bracket)
-    w_low = h0 @ w0
-    dwl = np.einsum("jik,k->ij", dh, w0) + np.einsum("ik,kj->ij", h0, dw)
-    wcov = dwl - np.einsum("kij,k->ij", gamma, w_low)
+    wcov = riemann.lowered_covariant_derivative(h0, dh, gamma, w0, dw)
     r_sym = 0.5 * (wcov + wcov.T)
     s_asym = 0.5 * (wcov - wcov.T)
     s_low = w0 @ s_asym
-    return NavTensors(x=x, h=h0, hinv=hinv, w_up=w0, w_low=w_low, lam=lam,
+    return NavTensors(x=x, h=h0, hinv=hinv, w_up=w0, w_low=h0 @ w0, lam=lam,
                       wcov=wcov, r_sym=r_sym, s_asym=s_asym,
                       s_mixed=hinv @ s_asym, s_low=s_low, s_up=hinv @ s_low,
                       r_low=w0 @ r_sym, r_scalar=float(w0 @ r_sym @ w0))
@@ -595,9 +578,8 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint):
     htilde = math.sqrt(float(xi @ T.h @ xi))
     wt0 = float(T.w_low @ xi)
     vcov = riemann.vector_covariant_lowered(nav.h, v, p.x)
-    v_up = np.array([scalar_value(c) for c in v.components(list(p.x))], float)
     v00 = float(xi @ vcov @ xi)
-    mixed = float((vcov @ T.w_up - T.wcov @ v_up) @ xi)
+    mixed = float((vcov @ T.w_up - T.wcov @ v.at(p.x)) @ xi)
     rhs = 2.0 / (htilde + wt0) * (htilde * v00 + htilde * htilde * mixed)
     return lhs, rhs
 
@@ -612,15 +594,10 @@ def ricci_transfer_sides(nav: NavigationData, sigma, mu_tilde: float, p: FlagPoi
     """
     from .finsler import ricci as generic_ricci
 
-    sigma = as_scalar_field(sigma)
     n = nav.dim
     metric = finsler_from_navigation(nav)
     F = metric.value(p.x, p.y)
-    sval, dsig = sigma.table(p.x, order=1)[:2]
-    sval = float(sval)
-    sigma0 = float(dsig @ p.y)
-    w_up = np.array([scalar_value(c) for c in nav.W.components(list(p.x))], float)
-    sigw = float(dsig @ w_up)
+    sval, sigma0, sigw, _ = field_sigma_terms(sigma, p.x, p.y, nav.W.at(p.x))
     ric = generic_ricci(metric, p)
     lhs = ric - (n - 1) * (3.0 * sigma0 / F + mu_tilde - sval ** 2 - 2.0 * sigw) * F * F
     xi = navigation_xi(nav, p)

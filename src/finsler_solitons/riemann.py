@@ -4,6 +4,11 @@ Everything here runs off plain partial-derivative tables extracted from one
 jet evaluation of the metric / field components, so the module stays fully
 independent of the spray-based Finsler engine.  On Riemannian inputs the two
 paths must agree, which gives the main cross-validation oracle.
+
+The connection formulas live here once and take tables, not metrics:
+`levi_civita` (inverse metric, Christoffel symbols and their derivatives),
+`ricci_contraction` and `lowered_covariant_derivative`.  The `randers` layer
+builds its (alpha, beta) and navigation tensors from the same three.
 """
 
 from __future__ import annotations
@@ -130,6 +135,10 @@ class VectorField:
     def components(self, x):
         return list(self._fn(x))
 
+    def at(self, x) -> np.ndarray:
+        """The components at x as floats."""
+        return np.array([scalar_value(c) for c in self.components(list(x))], float)
+
     def table(self, x, order=1):
         return vector_table(self._fn, x, order)
 
@@ -153,11 +162,6 @@ class TableVectorField(VectorField):
         if len(out) < order + 1:
             raise ValueError(f"{self.name or 'table field'} has no order-{order} data")
         return out[: order + 1]
-
-
-def constant_vector_field(values) -> VectorField:
-    vals = [float(v) for v in values]
-    return VectorField(lambda x: list(vals), name="const")
 
 
 class RiemannMetric:
@@ -264,39 +268,55 @@ def matrix_table(fn, x, n, order=2):
 # -- connection and curvature ------------------------------------------------
 
 
+def levi_civita(h0, dh, d2h, what):
+    """Levi-Civita data at one point from the partial-derivative tables of h.
+
+    h0[i,j] = h_ij, dh[k,i,j] = d_k h_ij and d2h[m,k,i,j] = d_m d_k h_ij (or
+    None).  Returns (hinv, Gamma) with Gamma[k,i,j] = Gamma^k_ij; when d2h is
+    given, also dhinv[m,k,l] = d_m h^kl and dGamma[m,k,i,j] = d_m Gamma^k_ij.
+    `what` names the metric in domain errors and warnings.
+    """
+    check_positive_definite(h0, what)
+    hinv = _inv_with_guard(h0, what)
+    # Gamma^k_ij = 1/2 h^kl (d_i h_jl + d_j h_il - d_l h_ij)
+    bracket = np.einsum("ijl->lij", dh) + np.einsum("jil->lij", dh) - dh
+    gamma = 0.5 * np.einsum("kl,lij->kij", hinv, bracket)
+    if d2h is None:
+        return hinv, gamma
+    dhinv = -np.einsum("ka,mab,bl->mkl", hinv, dh, hinv)
+    dbracket = np.einsum("mijl->mlij", d2h) + np.einsum("mjil->mlij", d2h) - d2h
+    dgamma = 0.5 * (np.einsum("mkl,lij->mkij", dhinv, bracket)
+                    + np.einsum("kl,mlij->mkij", hinv, dbracket))
+    return hinv, gamma, dhinv, dgamma
+
+
+def ricci_contraction(gamma, dgamma) -> np.ndarray:
+    """Ric_jk = d_i Gamma^i_jk - d_j Gamma^i_ik + Gamma^i_ip Gamma^p_jk - Gamma^i_jp Gamma^p_ik."""
+    return (np.einsum("iijk->jk", dgamma) - np.einsum("jiik->jk", dgamma)
+            + np.einsum("iip,pjk->jk", gamma, gamma) - np.einsum("ijp,pik->jk", gamma, gamma))
+
+
+def lowered_covariant_derivative(h0, dh, gamma, w0, dw) -> np.ndarray:
+    """W_{i:j} = d_j (h_ik W^k) - Gamma^k_ij h_kl W^l from the tables of h and W."""
+    dwl = np.einsum("jik,k->ij", dh, w0) + np.einsum("ik,kj->ij", h0, dw)
+    return dwl - np.einsum("kij,k->ij", gamma, h0 @ w0)
+
+
 def christoffel(h: RiemannMetric, x) -> np.ndarray:
     """Gamma[k,i,j] = Gamma^k_ij of the Levi-Civita connection at x."""
     h0, dh = h.tables(x, order=1)
-    check_positive_definite(h0, h.name or "metric")
-    hinv = _inv_with_guard(h0, h.name or "metric")
-    # Gamma^k_ij = 1/2 h^kl (d_i h_jl + d_j h_il - d_l h_ij)
-    bracket = np.einsum("ijl->lij", dh) + np.einsum("jil->lij", dh) - dh
-    return 0.5 * np.einsum("kl,lij->kij", hinv, bracket)
+    return levi_civita(h0, dh, None, h.name or "metric")[1]
 
 
 def christoffel_derivative(h: RiemannMetric, x):
     """(Gamma[k,i,j], dGamma[m,k,i,j] = d_m Gamma^k_ij) at x."""
-    h0, dh, d2h = h.tables(x, order=2)
-    check_positive_definite(h0, h.name or "metric")
-    hinv = _inv_with_guard(h0, h.name or "metric")
-    bracket = np.einsum("ijl->lij", dh) + np.einsum("jil->lij", dh) - dh
-    gamma = 0.5 * np.einsum("kl,lij->kij", hinv, bracket)
-    dhinv = -np.einsum("ka,mab,bl->mkl", hinv, dh, hinv)
-    dbracket = (np.einsum("mijl->mlij", d2h) + np.einsum("mjil->mlij", d2h)
-                - np.einsum("mlij->mlij", d2h))
-    dgamma = 0.5 * (np.einsum("mkl,lij->mkij", dhinv, bracket)
-                    + np.einsum("kl,mlij->mkij", hinv, dbracket))
+    _, gamma, _, dgamma = levi_civita(*h.tables(x, order=2), h.name or "metric")
     return gamma, dgamma
 
 
 def ricci_tensor(h: RiemannMetric, x) -> np.ndarray:
     """Ric_jk of h at x (trace of the curvature operator)."""
-    gamma, dgamma = christoffel_derivative(h, x)
-    term1 = np.einsum("iijk->jk", dgamma)
-    term2 = np.einsum("jiik->jk", dgamma)
-    term3 = np.einsum("iip,pjk->jk", gamma, gamma)
-    term4 = np.einsum("ijp,pik->jk", gamma, gamma)
-    return term1 - term2 + term3 - term4
+    return ricci_contraction(*christoffel_derivative(h, x))
 
 
 def riemann_ricci(h: RiemannMetric, x, y) -> float:
@@ -319,10 +339,8 @@ def vector_covariant_lowered(h: RiemannMetric, w: VectorField, x) -> np.ndarray:
     """W_{i:j} for contravariant components W^i (lower first, then differentiate)."""
     h0, dh = h.tables(x, order=1)
     w0, dw = w.table(x, order=1)
-    gamma = christoffel(h, x)
-    wl = h0 @ w0
-    dwl = np.einsum("jik,k->ij", dh, w0) + np.einsum("ik,kj->ij", h0, dw)
-    return dwl - np.einsum("kij,k->ij", gamma, wl)
+    gamma = levi_civita(h0, dh, None, h.name or "metric")[1]
+    return lowered_covariant_derivative(h0, dh, gamma, w0, dw)
 
 
 def hessian_tensor(h: RiemannMetric, f, x) -> np.ndarray:
@@ -369,9 +387,8 @@ def lie_W0(h: RiemannMetric, w: VectorField, v: VectorField, x, y) -> float:
     y = np.asarray(y, float)
     wcov = vector_covariant_lowered(h, w, x)
     vcov = vector_covariant_lowered(h, v, x)
-    v0 = np.array([scalar_value(c) for c in v.components(list(x))], float)
-    w0 = np.array([scalar_value(c) for c in w.components(list(x))], float)
-    return float(np.einsum("k,jk,j->", v0, wcov, y) + np.einsum("k,kj,j->", w0, vcov, y))
+    return float(np.einsum("k,jk,j->", v.at(x), wcov, y)
+                 + np.einsum("k,kj,j->", w.at(x), vcov, y))
 
 
 def lie_1form(h: RiemannMetric, b: VectorField, v: VectorField, x, y) -> float:
@@ -381,10 +398,9 @@ def lie_1form(h: RiemannMetric, b: VectorField, v: VectorField, x, y) -> float:
     hinv = _inv_with_guard(h0, h.name or "metric")
     bcov = covariant_derivative_1form(h, b, x)
     vcov = vector_covariant_lowered(h, v, x)
-    v0 = np.array([scalar_value(c) for c in v.components(list(x))], float)
-    b0 = np.array([scalar_value(c) for c in b.components(list(x))], float)
-    bup = hinv @ b0
-    return float(np.einsum("k,jk,j->", v0, bcov, y) + np.einsum("k,kj,j->", bup, vcov, y))
+    bup = hinv @ b.at(x)
+    return float(np.einsum("k,jk,j->", v.at(x), bcov, y)
+                 + np.einsum("k,kj,j->", bup, vcov, y))
 
 
 def conformal_residual(h: RiemannMetric, v: VectorField, c, x) -> np.ndarray:
@@ -398,6 +414,6 @@ def conformal_residual(h: RiemannMetric, v: VectorField, c, x) -> np.ndarray:
 def metric_compatibility_residual(h: RiemannMetric, x) -> np.ndarray:
     """h_{ij;k}, which must vanish for the Levi-Civita connection."""
     h0, dh = h.tables(x, order=1)
-    gamma = christoffel(h, x)
+    gamma = levi_civita(h0, dh, None, h.name or "metric")[1]
     return (dh - np.einsum("mik,mj->kij", gamma, h0)
             - np.einsum("mjk,im->kij", gamma, h0))

@@ -36,5 +36,5 @@ def sample_flags(fixture, count, rng, max_tries=50) -> list[FlagPoint]:
                 continue
         except (EvaluationError, ArithmeticError):
             continue
-        flags.append(FlagPoint(x, y, chart=fixture.name))
+        flags.append(FlagPoint(x, y))
     return flags

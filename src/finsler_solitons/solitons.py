@@ -70,33 +70,30 @@ def gradient_soliton_residual(metric: FinslerMetric, measure: Measure, kappa,
 # -- least-squares scalar fits ------------------------------------------------------
 
 
+def _trace_fit(h, tensor, x):
+    """(mu, residual) for tensor_ij = mu h_ij at x: mu = tr(h^-1 tensor)/n, and
+    the largest entry of tensor - mu h relative to max(1, max |h_ij|)."""
+    h0 = h.matrix_at(x)
+    mu = float(np.trace(np.linalg.inv(h0) @ tensor)) / h.dim
+    resid = float(np.max(np.abs(tensor - mu * h0))) / max(1.0, float(np.max(np.abs(h0))))
+    return mu, resid
+
+
 def fit_conformal_factor(h, v: VectorField, x):
     """(c, residual): least-squares c in V_{i:j} + V_{j:i} = 4 c h_ij."""
     vcov = riemann.vector_covariant_lowered(h, v, x)
-    sym = vcov + vcov.T
-    h0 = h.matrix_at(x)
-    n = h.dim
-    c = float(np.trace(np.linalg.inv(h0) @ sym)) / (4.0 * n)
-    resid = float(np.max(np.abs(sym - 4.0 * c * h0))) / max(1.0, float(np.max(np.abs(h0))))
-    return c, resid
+    mu, resid = _trace_fit(h, vcov + vcov.T, x)
+    return mu / 4.0, resid
 
 
 def fit_einstein_scalar(h, x):
     """(mu, residual): least-squares mu in Ric_h = mu h^2."""
-    ric = riemann.ricci_tensor(h, x)
-    h0 = h.matrix_at(x)
-    mu = float(np.trace(np.linalg.inv(h0) @ ric)) / h.dim
-    resid = float(np.max(np.abs(ric - mu * h0))) / max(1.0, float(np.max(np.abs(h0))))
-    return mu, resid
+    return _trace_fit(h, riemann.ricci_tensor(h, x), x)
 
 
 def fit_riemann_soliton_scalar(h, f, x):
     """(mu, residual): least-squares mu in Ric_h + Hess_h(f) = mu h^2."""
-    ric = riemann.ricci_tensor(h, x) + riemann.hessian_tensor(h, f, x)
-    h0 = h.matrix_at(x)
-    mu = float(np.trace(np.linalg.inv(h0) @ ric)) / h.dim
-    resid = float(np.max(np.abs(ric - mu * h0))) / max(1.0, float(np.max(np.abs(h0))))
-    return mu, resid
+    return _trace_fit(h, riemann.ricci_tensor(h, x) + riemann.hessian_tensor(h, f, x), x)
 
 
 def fit_kappa(metric: FinslerMetric, measure: Measure, xs, directions=None):
@@ -139,15 +136,6 @@ def fit_sigma(rd: RandersData, xs):
 # -- characterization bundles ---------------------------------------------------------
 
 
-def _field_sigma_terms(sigma, x, y, w_up=None):
-    sigma = as_scalar_field(sigma)
-    sval, dsig = sigma.table(x, order=1)[:2]
-    sval = float(sval)
-    sigma0 = float(dsig @ np.asarray(y, float))
-    sigw = float(dsig @ w_up) if w_up is not None else 0.0
-    return sval, sigma0, sigw, dsig
-
-
 def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, flags,
                              tol: float, c=None, sigma=None) -> list[ResidualReport]:
     """(alpha, beta) residuals for the vector-field soliton characterization:
@@ -182,7 +170,7 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, flags,
             sigma0 = 0.0
             fitted.append(("sigma", sval, sres))
         else:
-            sval, sigma0, _, _ = _field_sigma_terms(sigma, p.x, p.y)
+            sval, sigma0, _, _ = randers.field_sigma_terms(sigma, p.x, p.y, T.b_up)
         kap = float(riemann.scalar_value(kappa(x)))
         a2 = bd.alpha ** 2
         beta = bd.beta
@@ -235,8 +223,8 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, flags,
             fitted.append(("mu", mval, mres))
         else:
             mval = float(riemann.scalar_value(as_scalar_field(mu)(x)))
-        sval, sigma0, sigw, _ = _field_sigma_terms(sigma if sigma is not None else 0.0,
-                                                   p.x, p.y, w_up=T.w_up)
+        sval, sigma0, sigw, _ = randers.field_sigma_terms(
+            sigma if sigma is not None else 0.0, p.x, p.y, T.w_up)
         kap = float(riemann.scalar_value(kappa(x)))
         cval = kap - mval + (n - 1) * sval ** 2 + 2.0 * (n - 1) * sigw
 
@@ -283,7 +271,7 @@ def gradient_soliton_checks_ab(rd: RandersData, f, kappa, flags, tol: float,
             sigma0 = 0.0
             fitted.append(("sigma", sval, sres))
         else:
-            sval, sigma0, _, _ = _field_sigma_terms(sigma, p.x, p.y)
+            sval, sigma0, _, _ = randers.field_sigma_terms(sigma, p.x, p.y, T.b_up)
         kap = float(riemann.scalar_value(kappa(x)))
         _, df, hess_f = f.table(p.x, order=2)
         f0 = float(df @ p.y)
@@ -341,8 +329,8 @@ def gradient_soliton_checks_nav(nav: NavigationData, f, kappa, flags, tol: float
             fitted.append(("mu", mval, mres))
         else:
             mval = float(riemann.scalar_value(as_scalar_field(mu)(x)))
-        sval, sigma0, sigw, dsig = _field_sigma_terms(sigma if sigma is not None else 0.0,
-                                                      p.x, p.y, w_up=T.w_up)
+        sval, sigma0, sigw, dsig = randers.field_sigma_terms(
+            sigma if sigma is not None else 0.0, p.x, p.y, T.w_up)
         kap = float(riemann.scalar_value(kappa(x)))
         _, df, _ = f.table(p.x, order=2)
         hess_h = riemann.hessian_tensor(nav.h, f, p.x)
@@ -379,7 +367,7 @@ def s_dot_closed_form_nav(nav: NavigationData, f, sigma, p: FlagPoint) -> float:
     n = nav.dim
     T = randers.nav_tensors(nav, p.x)
     F = randers.eval_F_nav(nav, p)
-    sval, sigma0, _, _ = _field_sigma_terms(sigma, p.x, p.y, w_up=T.w_up)
+    sval, sigma0, _, _ = randers.field_sigma_terms(sigma, p.x, p.y, T.w_up)
     _, df, _ = f.table(p.x, order=2)
     f0 = float(df @ p.y)
     fS0 = float(df @ T.s_mixed @ p.y)

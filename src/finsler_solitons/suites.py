@@ -9,9 +9,9 @@ difference, Christoffel vs spray, both sides of the Lie-derivative and
 curvature-transfer identities, and the navigation algebra.
 
 Each fixture flag is evaluated once (`finsler.evaluate_flag`): one
-fourth-order expansion of F^2 feeds the Ricci law, infinity-Ricci and flag
-curvature rows, and the kappa fit shares one log-density table per point
-across its direction sweep.
+fourth-order expansion of F^2 (one finite-difference bundle in fd mode)
+feeds the Ricci law, infinity-Ricci and flag curvature rows, and the kappa
+fit shares one log-density table per point across its direction sweep.
 
 Heavy per-flag rows can fan out over processes; the worker count comes from
 the FINSLER_SOLITONS_WORKERS environment variable unless a caller overrides
@@ -48,27 +48,26 @@ def default_workers() -> int:
 def _flag_rows(fixture, flags, mode):
     """Pointwise law residuals at each flag: returns a list of row dicts.
 
-    In jet mode every row of a flag reads one `finsler.evaluate_flag`; the
-    fd mode keeps its separate finite-difference evaluations.
+    Every row of a flag reads one curvature bundle: in jet mode the one
+    `finsler.evaluate_flag`, in fd mode one finite-difference bundle plus
+    the finite-difference S-dot.
     """
     out = []
     for p in flags:
         row = {}
         F2 = fixture.metric.value(p.x, p.y) ** 2
-        ev = None
         if mode == "jet":
             ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p)
-            ric_inf = ev.ric_inf
+            ric, ric_inf, fit = ev.bundle.ricci, ev.ric_inf, ev.flag_curvature
         else:
-            ric_inf = finsler.weighted_ricci(fixture.metric, fixture.measure, p, mode=mode)
+            b = finsler.curvature_bundle(fixture.metric, p, mode=mode)
+            ric, fit = b.ricci, finsler._flag_curvature(b)
+            ric_inf = ric + finsler.s_dot(fixture.metric, fixture.measure, p, mode=mode)
         kap = float(riemann.scalar_value(fixture.kappa(list(p.x))))
         row["infinity-ricci"] = (ric_inf - kap * F2) / F2
         if fixture.ricci_law is not None:
-            ric = ev.bundle.ricci if ev else finsler.ricci(fixture.metric, p, mode=mode)
             row["ricci-law"] = ric / F2 - float(fixture.ricci_law(p.x))
         if fixture.flag_curvature_law is not None:
-            fit = (ev.flag_curvature if ev
-                   else finsler.flag_curvature_fit(fixture.metric, p, mode=mode))
             row["flag-curvature-law"] = fit.value - float(fixture.flag_curvature_law(p.x))
             row["flag-curvature-misfit"] = fit.residual
         out.append(row)
@@ -243,17 +242,13 @@ def crosscheck_navigation(count=1000, seed=7, tol=1e-10, points_per_metric=20):
             if randers_first:
                 a1 = rd.alpha.matrix_at(x)
                 a2 = rd2.alpha.matrix_at(x)
-                b1 = np.array([riemann.scalar_value(c) for c in rd.beta.components(list(x))])
-                b2 = np.array([riemann.scalar_value(c) for c in rd2.beta.components(list(x))])
                 roundtrip.append(max(float(np.max(np.abs(a1 - a2))),
-                                     float(np.max(np.abs(b1 - b2)))))
+                                     float(np.max(np.abs(rd.beta.at(x) - rd2.beta.at(x))))))
             else:
                 h1 = nav.h.matrix_at(x)
-                w1 = np.array([riemann.scalar_value(c) for c in nav.W.components(list(x))])
                 h2m = nav2.h.matrix_at(x)
-                w2 = np.array([riemann.scalar_value(c) for c in nav2.W.components(list(x))])
                 roundtrip.append(max(float(np.max(np.abs(h1 - h2m))),
-                                     float(np.max(np.abs(w1 - w2)))))
+                                     float(np.max(np.abs(nav.W.at(x) - nav2.W.at(x))))))
             T = randers.nav_tensors(nav, x)
             F = randers.eval_F_nav(nav, p)
             h2 = float(y @ T.h @ y)

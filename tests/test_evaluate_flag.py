@@ -136,6 +136,38 @@ def test_flag_rows_expand_f2_once_per_flag(name, monkeypatch):
     assert counter.density_tables == len(flags)
 
 
+@pytest.mark.parametrize("name", ["gaussian-riemannian", "cigar"])
+def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
+    fx = fixtures.get_fixture(name)
+    flags = _flags(fx, count=2)
+    expected = []
+    for p in flags:
+        F2 = fx.metric.value(p.x, p.y) ** 2
+        kap = float(fx.kappa(list(p.x)))
+        row = {"infinity-ricci": (finsler.weighted_ricci(fx.metric, fx.measure, p, mode="fd")
+                                  - kap * F2) / F2}
+        if fx.ricci_law is not None:
+            row["ricci-law"] = (finsler.ricci(fx.metric, p, mode="fd") / F2
+                                - float(fx.ricci_law(p.x)))
+        if fx.flag_curvature_law is not None:
+            fit = finsler.flag_curvature_fit(fx.metric, p, mode="fd")
+            row["flag-curvature-law"] = fit.value - float(fx.flag_curvature_law(p.x))
+            row["flag-curvature-misfit"] = fit.residual
+        expected.append(row)
+
+    calls = []
+    bundle_fd = finsler._curvature_bundle_fd
+
+    def count_fd(metric, p):
+        calls.append(p)
+        return bundle_fd(metric, p)
+
+    monkeypatch.setattr(finsler, "_curvature_bundle_fd", count_fd)
+    rows = suites._flag_rows(fx, flags, "fd")
+    assert len(calls) == len(flags)
+    assert rows == expected
+
+
 def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monkeypatch):
     fx = fixtures.get_fixture("cigar")
     xs = [f.x for f in _flags(fx, count=2)]

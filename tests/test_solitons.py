@@ -190,6 +190,16 @@ def test_fit_einstein_scalar_sphere():
     assert res <= 1e-10
 
 
+@pytest.mark.parametrize("name, mu", [("cigar", 0.0), ("shrinking", 2.0), ("expanding", -2.0)])
+def test_fit_riemann_soliton_scalar_fixtures(name, mu):
+    fx = fixtures.get_fixture(name)
+    for p in flags_of(fx, 3):
+        fitted, res = solitons.fit_riemann_soliton_scalar(fx.nav.h, fx.f, p.x)
+        assert fitted == pytest.approx(mu, abs=1e-12)
+        assert float(fx.mu_soliton(list(p.x))) == mu
+        assert res <= 1e-12
+
+
 # -- negative controls --------------------------------------------------------------------
 
 
@@ -202,6 +212,18 @@ def test_negative_controls_cigar(ingredient):
     worst = max(r.max_abs for r in rows)
     assert worst >= 1e-3, f"perturbing {ingredient} left all residuals below 1e-3"
     assert not all_passed(rows)
+
+
+@pytest.mark.parametrize("perturb", [None, ("f", 1e-2)])
+def test_two_worker_fan_out_equals_one_worker(perturb):
+    from finsler_solitons.suites import run_fixture_suite
+
+    fx = fixtures.get_fixture("cigar", perturb=perturb)
+    assert fx.factory is not None       # the workers rebuild the fixture from it
+    serial = run_fixture_suite(fx, samples=8, seed=3, workers=1)
+    fanned = run_fixture_suite(fx, samples=8, seed=3, workers=2)
+    assert [r.to_dict() for r in fanned] == [r.to_dict() for r in serial]
+    assert all_passed(serial) == (perturb is None)
 
 
 def test_perturbed_unknown_ingredient_raises():
