@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Compare the CLI reports of two source trees on a fixed set of invocations.
+
+Usage:  python3 scripts/compare_reports.py OLD_SRC NEW_SRC
+
+Each SRC is a directory that holds the `finsler_solitons` package (the `src/`
+of a checkout).  Every invocation in INVOCATIONS runs
+`python3 -m finsler_solitons.cli` once against each tree.  The script prints,
+per invocation, whether the outputs are byte-identical ("same"), differ only
+in residuals ("near") or differ otherwise ("DIFF"), and the largest absolute
+drift of each residual field (`max_abs`, `mean_abs`, `max_rel`); at the end,
+the overall largest drift and its ratio to the bound max(1e-12, 1e-12 |old|).
+
+It exits 1 if any invocation differs in anything but those residuals: exit
+code, report header, check name, sample count, verdict, tol or detail.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+FIXTURES = ("gaussian", "gaussian-riemannian", "cigar", "shrinking", "expanding")
+SUITES = ("isotropic-s", "jets-vs-fd", "lie-identity", "navigation",
+          "randers-ricci", "riemann-reduction")
+RESIDUAL_FIELDS = ("max_abs", "mean_abs", "max_rel")
+
+INVOCATIONS = (
+    tuple(("verify", "--fixture", name, "--seed", str(seed))
+          for seed in (0, 42) for name in FIXTURES)
+    + (("verify", "--fixture", "cigar", "--perturb", "f:1e-2"),)
+    + tuple(("verify", "--fixture", name, "--diff-mode", "fd", "--samples", "3",
+             "--seed", "3") for name in ("gaussian-riemannian", "cigar", "shrinking"))
+    + tuple(("crosscheck", "--suite", name) for name in SUITES)
+)
+
+
+def run_cli(src, args):
+    """(exit code, parsed JSON report or None, raw stdout) of one CLI call."""
+    env = {k: v for k, v in os.environ.items() if k != "FINSLER_SOLITONS_WORKERS"}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.run([sys.executable, "-m", "finsler_solitons.cli", *args],
+                          env=env, capture_output=True, text=True)
+    try:
+        report = json.loads(proc.stdout)
+    except ValueError:
+        report = None
+    return proc.returncode, report, proc.stdout
+
+
+def compare_one(old, new):
+    """(list of discrete differences, {field: (largest drift, its bound ratio)})."""
+    (code_a, rep_a, out_a), (code_b, rep_b, out_b) = old, new
+    diffs = []
+    if code_a != code_b:
+        diffs.append(f"exit code {code_a} != {code_b}")
+    if rep_a is None or rep_b is None:
+        if out_a != out_b:
+            diffs.append("non-JSON output differs")
+        return diffs, {}
+    head_a = {k: v for k, v in rep_a.items() if k != "checks"}
+    head_b = {k: v for k, v in rep_b.items() if k != "checks"}
+    if head_a != head_b:
+        diffs.append(f"report header {head_a} != {head_b}")
+    checks_a, checks_b = rep_a.get("checks", []), rep_b.get("checks", [])
+    if len(checks_a) != len(checks_b):
+        diffs.append(f"{len(checks_a)} checks != {len(checks_b)}")
+    drift = {f: (0.0, 0.0) for f in RESIDUAL_FIELDS}
+    for ca, cb in zip(checks_a, checks_b):
+        for key in sorted(set(ca) | set(cb)):
+            if key in RESIDUAL_FIELDS:
+                d = abs(cb[key] - ca[key])
+                ratio = d / max(1e-12, 1e-12 * abs(ca[key]))
+                drift[key] = (max(drift[key][0], d), max(drift[key][1], ratio))
+            elif ca.get(key) != cb.get(key):
+                diffs.append(f"{ca.get('name')}: {key} {ca.get(key)!r} != {cb.get(key)!r}")
+    return diffs, drift
+
+
+def compare(old_src, new_src, invocations):
+    """Run and compare every invocation.
+
+    Returns (discrete fields all equal, number of byte-identical outputs,
+    largest residual drift, its largest ratio to the bound).
+    """
+    ok, identical, worst, worst_ratio = True, 0, 0.0, 0.0
+    for args in invocations:
+        old, new = run_cli(old_src, args), run_cli(new_src, args)
+        diffs, drift = compare_one(old, new)
+        same_bytes = old[0] == new[0] and old[2] == new[2]
+        status = "DIFF" if diffs else "same" if same_bytes else "near"
+        cells = "  ".join(f"{f} {d:.1e}" for f, (d, _) in drift.items())
+        print(f"{status}  {' '.join(args):62s} {cells}")
+        for line in diffs:
+            print(f"      {line}")
+        ok = ok and not diffs
+        identical += same_bytes
+        worst = max([worst] + [d for d, _ in drift.values()])
+        worst_ratio = max([worst_ratio] + [r for _, r in drift.values()])
+    return ok, identical, worst, worst_ratio
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    ok, identical, worst, ratio = compare(argv[0], argv[1], INVOCATIONS)
+    print(f"{len(INVOCATIONS)} invocations, {identical} byte-identical; discrete fields "
+          f"{'identical' if ok else 'DIFFER'}; largest residual drift {worst:.2e} "
+          f"({ratio:.3g} x the bound max(1e-12, 1e-12 |old|))")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,6 +22,11 @@ so the Riemannian module's Christoffel path stays an independent oracle.
 The second spray derivatives consume mixed fourth-order coefficients of F^2
 (x-degree <= 2, y-degree <= 4), hence the engine expands F^2 internally to
 total degree 4 even though the public jet lift is capped at 3.
+
+A metric's F(x, y) receives x as jets over the n x-variables and y as jets
+over all 2n flag coordinates; jet arithmetic prefix-embeds the x-only
+intermediate results where they meet y (see `jets`), so fields of x alone
+cost n-variable products, and F^2 comes out over all 2n.
 """
 
 from __future__ import annotations
@@ -102,13 +107,18 @@ class Measure:
 
 
 def _f2_jet(metric: FinslerMetric, x, y, order: int) -> Jet:
+    """F^2 as a jet over the 2n flag coordinates (x first, then y); the
+    metric receives x over the n x-variables alone (see the module notes)."""
     n = metric.dim
-    zs = Jet.variables(list(map(float, x)) + list(map(float, y)), order)
-    F = metric.F(zs[:n], zs[n:])
+    flag_space = jets.jet_space(2 * n, order)
+    xs = Jet.variables([float(v) for v in x], order)
+    ys = [Jet.variable(float(v), n + k, flag_space) for k, v in enumerate(y)]
+    F = metric.F(xs, ys)
     if not isinstance(F, Jet):
         raise FlagDomainError("metric does not depend on the flag coordinates")
     if F.value <= 0.0:
         raise FlagDomainError(f"F = {F.value!r} <= 0 at the requested flag")
+    F = F.embedded(flag_space)
     return F * F
 
 
@@ -162,11 +172,14 @@ def _fundamental(T):
 
 
 def _d2_inverse(ginv, first, second, mixed):
-    """d_p d_k of g^{-1} given dg along the two directions and the mixed d2g."""
-    t0 = -np.einsum("ia,kpab,bj->kpij", ginv, mixed, ginv)
-    t1 = np.einsum("ia,kab,bc,pcd,dj->kpij", ginv, first, ginv, second, ginv)
-    t2 = np.einsum("ia,pab,bc,kcd,dj->kpij", ginv, second, ginv, first, ginv)
-    return t0 + t1 + t2
+    """d_p d_k of g^{-1} given dg along the two directions and the mixed d2g:
+
+        [k, p] = -g^-1 d2g[k, p] g^-1 + (A_k B_p + B_p A_k) g^-1,
+        A_k = g^-1 first[k],  B_p = g^-1 second[p].
+    """
+    a = (ginv @ first)[:, None]
+    b = (ginv @ second)[None, :]
+    return -(ginv @ mixed @ ginv) + (a @ b + b @ a) @ ginv
 
 
 def _spray_derivatives(T, y, order: int):

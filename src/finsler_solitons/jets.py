@@ -6,6 +6,15 @@ coefficients of such a function at one point up to a fixed total degree, and
 arithmetic on Jets propagates those coefficients exactly, so derivatives come
 out with no truncation error beyond float rounding.  A central-difference
 fallback (`fd_derivative`) provides an independent cross-check.
+
+Jets of one order combine across spaces by prefix embedding: a jet over
+(k, order) is read as a jet over the first k variables of (m, order), m > k,
+whose coefficients on the other variables vanish.  So a field that depends
+on x only can be expanded in the n x-variables and meet jets in all 2n flag
+coordinates.  The result is exact: graded-lex order keeps the embedded
+positions increasing, so every coefficient of a mixed product sums the same
+nonzero products in the same order as the all-2n computation.  Jets of
+different orders never combine.
 """
 
 from __future__ import annotations
@@ -88,6 +97,26 @@ def jet_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
 
 
+@lru_cache(maxsize=None)
+def _prefix_positions(small: JetSpace, big: JetSpace) -> np.ndarray:
+    """Position in `big` of each multi-index of `small`, padded with zeros."""
+    pad = (0,) * (big.nvars - small.nvars)
+    pos = np.array([big.index[m + pad] for m in small.multis], dtype=np.intp)
+    pos.setflags(write=False)           # shared by every caller of the cache
+    return pos
+
+
+def _common(a: "Jet", b: "Jet"):
+    """(a, b) over one space: the jet over fewer variables is prefix-embedded."""
+    if a.space is b.space:
+        return a, b
+    if a.space.order != b.space.order:
+        raise ValueError("jets of different orders cannot be combined")
+    if a.space.nvars < b.space.nvars:
+        return a.embedded(b.space), b
+    return a, b.embedded(a.space)
+
+
 def _is_scalar(v):
     return isinstance(v, (numbers.Real, np.floating, np.integer))
 
@@ -159,22 +188,32 @@ class Jet:
     def __repr__(self):
         return f"Jet(value={self.value!r}, nvars={self.dim}, order={self.order})"
 
+    def embedded(self, space: JetSpace) -> "Jet":
+        """This jet as a jet over the first `self.dim` variables of `space`."""
+        if space is self.space:
+            return self
+        if space.order != self.order or space.nvars < self.dim:
+            raise ValueError(f"cannot embed {self.space} into {space}")
+        c = np.zeros(space.nterms)
+        c[_prefix_positions(self.space, space)] = self.coeffs
+        return Jet(space, c)
+
     # -- ring operations ----------------------------------------------
 
-    def _coerce(self, other):
+    def _operands(self, other):
+        """(self, other) as jets over one space, or None for a foreign type."""
         if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise ValueError("jets from different spaces cannot be combined")
-            return other
+            return _common(self, other)
         if _is_scalar(other):
-            return Jet.constant(float(other), self.space)
-        return NotImplemented
+            return self, Jet.constant(float(other), self.space)
+        return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.space, self.coeffs + o.coeffs)
+        ops = self._operands(other)
+        if ops is None:
+            return NotImplemented
+        a, b = ops
+        return Jet(a.space, a.coeffs + b.coeffs)
 
     __radd__ = __add__
 
@@ -182,26 +221,27 @@ class Jet:
         return Jet(self.space, -self.coeffs)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.space, self.coeffs - o.coeffs)
+        ops = self._operands(other)
+        if ops is None:
+            return NotImplemented
+        a, b = ops
+        return Jet(a.space, a.coeffs - b.coeffs)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.space, o.coeffs - self.coeffs)
+        ops = self._operands(other)
+        if ops is None:
+            return NotImplemented
+        a, b = ops
+        return Jet(a.space, b.coeffs - a.coeffs)
 
     def __mul__(self, other):
         if _is_scalar(other):
             return Jet(self.space, self.coeffs * float(other))
         if not isinstance(other, Jet):
             return NotImplemented
-        if other.space is not self.space:
-            raise ValueError("jets from different spaces cannot be combined")
-        sp = self.space
-        prod = self.coeffs[sp.mul_ia] * other.coeffs[sp.mul_ib]
+        a, b = _common(self, other)
+        sp = a.space
+        prod = a.coeffs[sp.mul_ia] * b.coeffs[sp.mul_ib]
         return Jet(sp, np.bincount(sp.mul_ic, weights=prod, minlength=sp.nterms))
 
     __rmul__ = __mul__

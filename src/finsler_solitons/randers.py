@@ -69,6 +69,16 @@ class RandersData:
             raise RandersDomainError(f"||beta||_alpha = {math.sqrt(b2):.6f} >= 1 at {list(x)}")
 
 
+def _lam(rows, w):
+    """lambda = 1 - h_ij W^i W^j from the rows of h and the components of W."""
+    n = len(w)
+    norm2 = 0.0
+    for i in range(n):
+        for j in range(n):
+            norm2 = norm2 + rows[i][j] * w[i] * w[j]
+    return 1.0 - norm2
+
+
 @dataclass
 class NavigationData:
     """Navigation pair (h, W) with ||W||_h < 1."""
@@ -83,13 +93,7 @@ class NavigationData:
 
     def lam(self, x):
         """lambda = 1 - ||W||^2_h, evaluable on Jets."""
-        rows = self.h.matrix(x)
-        w = self.W.components(x)
-        norm2 = 0.0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                norm2 = norm2 + rows[i][j] * w[i] * w[j]
-        return 1.0 - norm2
+        return _lam(self.h.matrix(x), self.W.components(x))
 
     def check_valid(self, x):
         lam = scalar_value(self.lam([float(v) for v in x]))
@@ -107,7 +111,7 @@ def from_navigation(nav: NavigationData) -> RandersData:
     def a_fn(x):
         rows = nav.h.matrix(x)
         w = nav.W.components(x)
-        lam = nav.lam(x)
+        lam = _lam(rows, w)
         if scalar_value(lam) <= 0.0:
             raise NavigationDomainError("lambda <= 0 while converting navigation data")
         wl = [sum(rows[i][j] * w[j] for j in range(n)) for i in range(n)]
@@ -117,7 +121,7 @@ def from_navigation(nav: NavigationData) -> RandersData:
     def b_fn(x):
         rows = nav.h.matrix(x)
         w = nav.W.components(x)
-        lam = nav.lam(x)
+        lam = _lam(rows, w)
         if scalar_value(lam) <= 0.0:
             raise NavigationDomainError("lambda <= 0 while converting navigation data")
         return [-sum(rows[i][j] * w[j] for j in range(n)) / lam for i in range(n)]
@@ -182,7 +186,7 @@ def finsler_from_navigation(nav: NavigationData) -> FinslerMetric:
     def fn(x, y):
         rows = nav.h.matrix(x)
         w = nav.W.components(x)
-        lam = nav.lam(x)
+        lam = _lam(rows, w)
         if scalar_value(lam) <= 0.0:
             raise NavigationDomainError("||W||_h >= 1 at evaluated point")
         h2 = 0.0

@@ -134,28 +134,28 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6, mode="jet",
 
     bundle_flags = flags[:max(2, min(len(flags), 32))]
     for bundle in fixture.bundles:
-        if bundle == "gradient-ab":
-            rows_b = solitons.gradient_soliton_checks_ab(
-                fixture.rd, fixture.f, fixture.kappa, bundle_flags, tol,
-                sigma=fixture.sigma)
-        elif bundle == "gradient-nav":
-            rows_b = solitons.gradient_soliton_checks_nav(
-                fixture.nav, fixture.f, fixture.kappa, bundle_flags, tol,
-                mu=fixture.mu_soliton, sigma=fixture.sigma)
-        elif bundle == "vector-ab":
-            rows_b = solitons.vector_soliton_checks_ab(
-                fixture.rd, fixture.zero_field, fixture.einstein_kappa, bundle_flags,
-                tol, c=0.0, sigma=fixture.sigma)
-        elif bundle == "vector-nav":
-            rows_b = solitons.vector_soliton_checks_nav(
-                fixture.nav, fixture.zero_field, fixture.einstein_kappa, bundle_flags,
-                tol, mu=fixture.mu_einstein_h, sigma=fixture.sigma)
-        else:
+        if bundle not in BUNDLES:
             raise ValueError(f"unknown bundle {bundle!r} on fixture {fixture.name!r}")
-        for r in rows_b:
+        for r in BUNDLES[bundle](fixture, bundle_flags, tol):
             r.name = f"{bundle}/{r.name}"
             reports.append(r)
     return reports
+
+
+# Each characterization bundle a fixture can declare: its checker, called on
+# the fixture's data.  The checker is looked up in `solitons` at call time, so
+# a wrapper installed there (a tracer, a counter) sees every call.
+BUNDLES = {
+    "gradient-ab": lambda fx, flags, tol: solitons.gradient_soliton_checks_ab(
+        fx.rd, fx.f, fx.kappa, flags, tol, sigma=fx.sigma),
+    "gradient-nav": lambda fx, flags, tol: solitons.gradient_soliton_checks_nav(
+        fx.nav, fx.f, fx.kappa, flags, tol, mu=fx.mu_soliton, sigma=fx.sigma),
+    "vector-ab": lambda fx, flags, tol: solitons.vector_soliton_checks_ab(
+        fx.rd, fx.zero_field, fx.einstein_kappa, flags, tol, c=0.0, sigma=fx.sigma),
+    "vector-nav": lambda fx, flags, tol: solitons.vector_soliton_checks_nav(
+        fx.nav, fx.zero_field, fx.einstein_kappa, flags, tol, mu=fx.mu_einstein_h,
+        sigma=fx.sigma),
+}
 
 
 # -- crosscheck suites ----------------------------------------------------------------

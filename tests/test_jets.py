@@ -159,6 +159,68 @@ def test_jets_vs_fd_on_random_compositions():
         assert est == pytest.approx(exact, rel=1e-4, abs=1e-4)
 
 
+# -- prefix embedding: jets over the first k of m variables ------------------------
+
+
+_ELEMENTARY = ("sqrt", "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh",
+               "arcsinh")
+
+
+def _x_field(xs):
+    """A field of x alone, built the same way in either space."""
+    return 0.9 + 0.3 * xs[0] - 0.2 * xs[0] * xs[1] + 0.1 * xs[1] * xs[1] * xs[0]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_prefix_embedded_arithmetic_equals_the_all_variable_arithmetic(order):
+    # The same x-only field built over (2, order) and over (4, order); each
+    # operation meeting a y-jet must give the bitwise same coefficients.
+    x0, y0 = [0.3, -0.6], [0.8, 0.45]
+    small = Jet.variables(x0, order)
+    full = Jet.variables(x0 + y0, order)
+    big_x, ys = full[:2], full[2:]
+    a_small, a_big = _x_field(small), _x_field(big_x)
+    assert a_small.dim == 2 and a_big.dim == 4
+    np.testing.assert_array_equal(a_small.embedded(a_big.space).coeffs, a_big.coeffs)
+    b = 1.1 + ys[0] * ys[1] - 0.4 * ys[1] + big_x[1] * ys[0]
+
+    unary = {name: getattr(jets, name) for name in _ELEMENTARY}
+    unary["identity"] = lambda u: u
+    unary["power 3"] = lambda u: jets.power(u, 3)
+    unary["power -2"] = lambda u: jets.power(u, -2)
+    unary["power 2.5"] = lambda u: jets.power(u, 2.5)
+    unary["** 1.5"] = lambda u: u ** 1.5
+    binary = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
+              "*": lambda u, v: u * v, "/": lambda u, v: u / v}
+    for uname, fn in unary.items():
+        f_small, f_big = fn(a_small), fn(a_big)
+        assert f_small.dim == 2
+        np.testing.assert_array_equal(f_small.embedded(f_big.space).coeffs, f_big.coeffs,
+                                      err_msg=uname)
+        for bname, op in binary.items():
+            for left, right, want in ((f_small, b, op(f_big, b)), (b, f_small, op(b, f_big))):
+                got = op(left, right)
+                assert got.space is want.space, (uname, bname)
+                np.testing.assert_array_equal(got.coeffs, want.coeffs,
+                                              err_msg=f"{uname} {bname}")
+    # Scalars keep a jet in its own space.
+    assert (2.0 - a_small).space is a_small.space
+    assert (a_small / 3.0 + 1).space is a_small.space
+
+
+def test_jets_of_different_orders_do_not_combine():
+    low = Jet.variables([0.3, -0.6], 3)[0]
+    high = Jet.variables([0.3, -0.6, 0.8, 0.45], 4)[2]
+    for op in (lambda u, v: u + v, lambda u, v: u - v,
+               lambda u, v: u * v, lambda u, v: u / v):
+        with pytest.raises(ValueError, match="orders"):
+            op(low, high)
+        with pytest.raises(ValueError, match="orders"):
+            op(high, low)
+    with pytest.raises(ValueError):
+        high.embedded(low.space)
+
+
 # -- product and chain rules (property tests) --------------------------------------
 
 

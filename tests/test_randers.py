@@ -115,6 +115,32 @@ def test_eval_F_cigar_closed_form_value():
     assert want == pytest.approx(0.4323323583816938, rel=1e-12)
 
 
+def _counting_h(nav):
+    """nav with an h whose `matrix` calls are counted in the returned list."""
+    calls = []
+
+    def fn(x):
+        calls.append(1)
+        return nav.h.matrix(x)
+
+    return NavigationData(RiemannMetric(nav.dim, fn), nav.W, name=nav.name), calls
+
+
+def test_navigation_closures_evaluate_h_once_per_call():
+    nav, calls = _counting_h(cigar_navigation())
+    x, y = [1.0, 0.4], [0.3, -0.8]
+    want_F = finsler_from_navigation(cigar_navigation()).value(x, y)
+    assert finsler_from_navigation(nav).value(x, y) == want_F
+    assert len(calls) == 1
+    rd, want = from_navigation(nav), from_navigation(cigar_navigation())
+    calls.clear()
+    assert rd.alpha.matrix(x) == want.alpha.matrix(x)
+    assert len(calls) == 1
+    calls.clear()
+    assert rd.beta.components(x) == want.beta.components(x)
+    assert len(calls) == 1
+
+
 def test_norm_identity_and_xi_transfer():
     nav = generators.random_navigation(RNG, 3)
     T_fn = nav.h.matrix_at

@@ -226,6 +226,35 @@ def test_two_worker_fan_out_equals_one_worker(perturb):
     assert all_passed(serial) == (perturb is None)
 
 
+def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
+    # The table looks each checker up at call time, so a wrapper on
+    # `solitons` sees every bundle call with that bundle's arguments.
+    from finsler_solitons import suites
+
+    fx = fixtures.get_fixture("cigar")
+    seen = []
+    checkers = {"gradient-ab": "gradient_soliton_checks_ab",
+                "gradient-nav": "gradient_soliton_checks_nav",
+                "vector-ab": "vector_soliton_checks_ab",
+                "vector-nav": "vector_soliton_checks_nav"}
+    assert set(checkers) == set(suites.BUNDLES) == set(fx.bundles)
+    for bundle, attr in checkers.items():
+        def wrapped(*args, _fn=getattr(solitons, attr), _attr=attr, **kwargs):
+            seen.append((_attr, args[:3], sorted(kwargs.items())))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(solitons, attr, wrapped)
+    reports = suites.run_fixture_suite(fx, samples=2, seed=3)
+    assert [a for a, _, _ in seen] == [checkers[b] for b in fx.bundles]
+    assert seen[0][1] == (fx.rd, fx.f, fx.kappa)
+    assert seen[1][1] == (fx.nav, fx.f, fx.kappa)
+    assert seen[2][1] == (fx.rd, fx.zero_field, fx.einstein_kappa)
+    assert ("c", 0.0) in seen[2][2]
+    assert seen[3][1] == (fx.nav, fx.zero_field, fx.einstein_kappa)
+    assert ("mu", fx.mu_einstein_h) in seen[3][2]
+    for bundle in fx.bundles:
+        assert any(r.name.startswith(f"{bundle}/") for r in reports)
+
+
 def test_perturbed_unknown_ingredient_raises():
     fx = fixtures.get_fixture("cigar")
     with pytest.raises(fixtures.ConstructionError):

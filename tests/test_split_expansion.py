@@ -1,0 +1,91 @@
+"""The per-flag F^2 path against the code it replaced: the split expansion
+(x-only fields in n variables, y in 2n) against the all-2n expansion, and the
+matrix-product second inverse-metric derivative against the 5-operand
+einsum."""
+
+import collections
+
+import numpy as np
+import pytest
+
+from finsler_solitons import finsler, fixtures
+from finsler_solitons.jets import Jet
+from finsler_solitons.sampling import sample_flags
+
+
+def _flags(fx, count, seed=5):
+    return sample_flags(fx, count, np.random.default_rng(seed))
+
+
+def _f2_jet_all_2n(metric, x, y, order):
+    """The earlier expansion: every variable, x included, over all 2n."""
+    n = metric.dim
+    zs = Jet.variables(list(map(float, x)) + list(map(float, y)), order)
+    F = metric.F(zs[:n], zs[n:])
+    return F * F
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_split_f2_expansion_equals_the_all_2n_expansion(name, monkeypatch):
+    fx = fixtures.get_fixture(name)
+    for p in _flags(fx, count=2, seed=11):
+        for order in (2, 3, 4):
+            split = finsler._f2_jet(fx.metric, p.x, p.y, order)
+            full = _f2_jet_all_2n(fx.metric, p.x, p.y, order)
+            assert split.space is full.space
+            np.testing.assert_array_equal(split.coeffs, full.coeffs)
+            tables = finsler._f2_tables(fx.metric, p.x, p.y, order)
+            with monkeypatch.context() as m:
+                m.setattr(finsler, "_f2_jet", _f2_jet_all_2n)
+                reference = finsler._f2_tables(fx.metric, p.x, p.y, order)
+            assert tables.keys() == reference.keys()
+            for key, value in reference.items():
+                np.testing.assert_array_equal(tables[key], value, err_msg=f"{name} {key}")
+
+
+def test_shrinking_f2_expansion_runs_few_products_in_the_flag_space(monkeypatch):
+    fx = fixtures.get_fixture("shrinking")
+    p = _flags(fx, count=1)[0]
+    counts = collections.Counter()
+    mul = Jet.__mul__
+
+    def counting_mul(self, other):
+        out = mul(self, other)
+        if isinstance(other, Jet):
+            counts[out.dim] += 1
+        return out
+
+    monkeypatch.setattr(Jet, "__mul__", counting_mul)
+    finsler._f2_jet(fx.metric, p.x, p.y, 4)
+    assert set(counts) == {4, 8}
+    assert counts[8] <= 60
+    assert counts[4] > counts[8]
+
+
+def _d2_inverse_einsum(ginv, first, second, mixed):
+    """The earlier 5-operand einsum form of `finsler._d2_inverse`."""
+    t0 = -np.einsum("ia,kpab,bj->kpij", ginv, mixed, ginv)
+    t1 = np.einsum("ia,kab,bc,pcd,dj->kpij", ginv, first, ginv, second, ginv)
+    t2 = np.einsum("ia,pab,bc,kcd,dj->kpij", ginv, second, ginv, first, ginv)
+    return t0 + t1 + t2
+
+
+def _symmetric_in_last_two(rng, shape):
+    a = rng.normal(size=shape)
+    return a + np.swapaxes(a, -1, -2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_d2_inverse_matches_the_einsum(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(20):
+        m = rng.normal(size=(n, n))
+        g = m @ m.T + n * np.eye(n)
+        ginv = np.linalg.inv(g)
+        first = _symmetric_in_last_two(rng, (n, n, n))
+        second = _symmetric_in_last_two(rng, (n, n, n))
+        mixed = _symmetric_in_last_two(rng, (n, n, n, n))
+        ref = _d2_inverse_einsum(ginv, first, second, mixed)
+        got = finsler._d2_inverse(ginv, first, second, mixed)
+        assert got.shape == ref.shape == (n, n, n, n)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
