@@ -144,6 +144,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    if (args.count is not None and args.count < 1) or (args.tol is not None and args.tol <= 0):
+        print("need count >= 1 and tol > 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         checks = suites.run_crosscheck_suite(args.suite, count=args.count,
                                              seed=args.seed, tol=args.tol)

@@ -229,10 +229,11 @@ def _sphere_rows(mu, x, jets_mod):
     for v in x:
         x2 = x2 + v * v
     D = 1.0 + mu * x2
+    D2 = D * D
     rows = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            val = -mu * x[i] * x[j] / (D * D)
+            val = -mu * x[i] * x[j] / D2
             if i == j:
                 val = val + 1.0 / D
             rows[i][j] = val

@@ -11,10 +11,15 @@ Jets of one order combine across spaces by prefix embedding: a jet over
 (k, order) is read as a jet over the first k variables of (m, order), m > k,
 whose coefficients on the other variables vanish.  So a field that depends
 on x only can be expanded in the n x-variables and meet jets in all 2n flag
-coordinates.  The result is exact: graded-lex order keeps the embedded
-positions increasing, so every coefficient of a mixed product sums the same
-nonzero products in the same order as the all-2n computation.  Jets of
-different orders never combine.
+coordinates.  Sums embed the smaller jet.  Products never build the padded
+jet: they run the sub-table of the (m, order) product table whose pairs take
+their small-side coefficient from the embedded positions, kept in the big
+table's order, and read the small jet in place (`_mul_table`).  The result
+is exact: graded-lex order keeps the embedded positions increasing, so every
+coefficient of a mixed product sums the same nonzero products in the same
+order as the all-2n computation, bit for bit (each pair left out multiplies
+a padded zero, which changes no finite sum).  Jets of different orders never
+combine.
 """
 
 from __future__ import annotations
@@ -106,6 +111,33 @@ def _prefix_positions(small: JetSpace, big: JetSpace) -> np.ndarray:
     return pos
 
 
+@lru_cache(maxsize=None)
+def _mul_table(sa: JetSpace, sb: JetSpace):
+    """(ia, ib, ic, space) of the product of a jet over `sa` with one over `sb`.
+
+    Pair p multiplies coefficient ia[p] of the `sa` jet with coefficient
+    ib[p] of the `sb` jet into coefficient ic[p] of the product over
+    `space`.  For one space this is its own table.  Across spaces it is the
+    larger space's table, in its order, restricted to the pairs whose
+    smaller-side position lies in the prefix embedding, with that position
+    mapped back into the smaller space.
+    """
+    if sa is sb:
+        return sa.mul_ia, sa.mul_ib, sa.mul_ic, sa
+    if sa.order != sb.order:
+        raise ValueError("jets of different orders cannot be combined")
+    big, small = (sa, sb) if sa.nvars >= sb.nvars else (sb, sa)
+    back = np.full(big.nterms, -1, dtype=np.intp)
+    back[_prefix_positions(small, big)] = np.arange(small.nterms)
+    ia = back[big.mul_ia] if small is sa else big.mul_ia
+    ib = back[big.mul_ib] if small is sb else big.mul_ib
+    keep = (ia >= 0) & (ib >= 0)
+    table = (ia[keep], ib[keep], big.mul_ic[keep])
+    for arr in table:
+        arr.setflags(write=False)       # shared by every caller of the cache
+    return table + (big,)
+
+
 def _common(a: "Jet", b: "Jet"):
     """(a, b) over one space: the jet over fewer variables is prefix-embedded."""
     if a.space is b.space:
@@ -126,14 +158,19 @@ class Jet:
 
     The coefficient stored for multi-index m is the Taylor coefficient
     (1/m!) d^m f, so `partial` multiplies the factorial back in.  Jets are
-    immutable after construction and safe to share between workers.
+    immutable after construction and safe to share between workers; the
+    reciprocal is therefore computed once per jet and kept (`_reciprocal`),
+    so repeated division by one jet composes once.  A product of jets over
+    different spaces of one order runs the cross-space table of the module
+    notes and lands in the larger space.
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "coeffs", "_recip")
 
     def __init__(self, space: JetSpace, coeffs):
         self.space = space
         self.coeffs = np.asarray(coeffs, dtype=float)
+        self._recip = None
 
     # -- constructors -------------------------------------------------
 
@@ -235,14 +272,13 @@ class Jet:
         return Jet(a.space, b.coeffs - a.coeffs)
 
     def __mul__(self, other):
+        if isinstance(other, Jet):
+            ia, ib, ic, sp = _mul_table(self.space, other.space)
+            prod = self.coeffs[ia] * other.coeffs[ib]
+            return Jet(sp, np.bincount(ic, weights=prod, minlength=sp.nterms))
         if _is_scalar(other):
             return Jet(self.space, self.coeffs * float(other))
-        if not isinstance(other, Jet):
-            return NotImplemented
-        a, b = _common(self, other)
-        sp = a.space
-        prod = a.coeffs[sp.mul_ia] * b.coeffs[sp.mul_ib]
-        return Jet(sp, np.bincount(sp.mul_ic, weights=prod, minlength=sp.nterms))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -256,10 +292,9 @@ class Jet:
         return self * other._reciprocal()
 
     def __rtruediv__(self, other):
-        rec = self._reciprocal()
-        if _is_scalar(other):
-            return rec * float(other)
-        return NotImplemented
+        if not _is_scalar(other):
+            return NotImplemented
+        return self._reciprocal() * float(other)
 
     def __pow__(self, p):
         return power(self, p)
@@ -277,12 +312,15 @@ class Jet:
         return acc
 
     def _reciprocal(self):
-        u0 = self.value
-        if u0 == 0.0:
-            raise EvaluationError("division by a jet with zero value")
-        K = self.space.order
-        derivs = [((-1.0) ** k) * math.factorial(k) / u0 ** (k + 1) for k in range(K + 1)]
-        return self._compose(derivs)
+        """1/self, composed on the first call and kept (jets are immutable)."""
+        if self._recip is None:
+            u0 = self.value
+            if u0 == 0.0:
+                raise EvaluationError("division by a jet with zero value")
+            K = self.space.order
+            derivs = [((-1.0) ** k) * math.factorial(k) / u0 ** (k + 1) for k in range(K + 1)]
+            self._recip = self._compose(derivs)
+        return self._recip
 
 
 # -- elementary functions, dispatching on Jet vs plain scalar -----------

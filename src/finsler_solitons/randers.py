@@ -54,19 +54,22 @@ class RandersData:
 
     def b2(self, x):
         """||beta||^2_alpha = a^ij b_i b_j, evaluable on Jets."""
-        rows = self.alpha.matrix(x)
-        binv = generic_inverse(rows)
-        b = self.beta.components(x)
-        out = 0.0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out = out + binv[i][j] * b[i] * b[j]
-        return out
+        return _b2(generic_inverse(self.alpha.matrix(x)), self.beta.components(x))
 
     def check_valid(self, x):
         b2 = scalar_value(self.b2([float(v) for v in x]))
         if b2 >= 1.0:
             raise RandersDomainError(f"||beta||_alpha = {math.sqrt(b2):.6f} >= 1 at {list(x)}")
+
+
+def _b2(ainv, b):
+    """||beta||^2_alpha = a^ij b_i b_j from the inverse rows of a and the b_i."""
+    n = len(b)
+    out = 0.0
+    for i in range(n):
+        for j in range(n):
+            out = out + ainv[i][j] * b[i] * b[j]
+    return out
 
 
 def _lam(rows, w):
@@ -115,7 +118,8 @@ def from_navigation(nav: NavigationData) -> RandersData:
         if scalar_value(lam) <= 0.0:
             raise NavigationDomainError("lambda <= 0 while converting navigation data")
         wl = [sum(rows[i][j] * w[j] for j in range(n)) for i in range(n)]
-        return [[rows[i][j] / lam + wl[i] * wl[j] / (lam * lam) for j in range(n)]
+        lam2 = lam * lam
+        return [[rows[i][j] / lam + wl[i] * wl[j] / lam2 for j in range(n)]
                 for i in range(n)]
 
     def b_fn(x):
@@ -138,7 +142,7 @@ def to_navigation(rd: RandersData) -> NavigationData:
     def h_fn(x):
         rows = rd.alpha.matrix(x)
         b = rd.beta.components(x)
-        lam = 1.0 - rd.b2(x)
+        lam = 1.0 - _b2(generic_inverse(rows), b)
         if scalar_value(lam) <= 0.0:
             raise RandersDomainError("||beta||_alpha >= 1 while converting Randers data")
         return [[lam * (rows[i][j] - b[i] * b[j]) for j in range(n)] for i in range(n)]
@@ -147,7 +151,7 @@ def to_navigation(rd: RandersData) -> NavigationData:
         rows = rd.alpha.matrix(x)
         ainv = generic_inverse(rows)
         b = rd.beta.components(x)
-        lam = 1.0 - rd.b2(x)
+        lam = 1.0 - _b2(ainv, b)
         if scalar_value(lam) <= 0.0:
             raise RandersDomainError("||beta||_alpha >= 1 while converting Randers data")
         bup = [sum(ainv[i][j] * b[j] for j in range(n)) for i in range(n)]
@@ -166,9 +170,9 @@ def finsler_from_randers(rd: RandersData) -> FinslerMetric:
 
     def fn(x, y):
         rows = rd.alpha.matrix(x)
-        if scalar_value(rd.b2(x)) >= 1.0:
-            raise RandersDomainError("||beta||_alpha >= 1 at evaluated point")
         b = rd.beta.components(x)
+        if scalar_value(_b2(generic_inverse(rows), b)) >= 1.0:
+            raise RandersDomainError("||beta||_alpha >= 1 at evaluated point")
         quad = 0.0
         lin = 0.0
         for i in range(n):
@@ -224,10 +228,11 @@ def bh_density_fn(rd: RandersData):
     n = rd.dim
 
     def fn(x):
-        b2 = rd.b2(x)
+        rows = rd.alpha.matrix(x)
+        b2 = _b2(generic_inverse(rows), rd.beta.components(x))
         if scalar_value(b2) >= 1.0:
             raise RandersDomainError("||beta||_alpha >= 1 in Busemann-Hausdorff density")
-        det = generic_det(rd.alpha.matrix(x))
+        det = generic_det(rows)
         return jets.power(1.0 - b2, 0.5 * (n + 1)) * jets.sqrt(det)
 
     return fn

@@ -108,6 +108,17 @@ def test_crosscheck_unknown_suite(capsys):
     assert run_cli("crosscheck", "--suite", "nosuch") == 2
 
 
+def test_crosscheck_bad_count_or_tol_exit_two(capsys):
+    for extra in (["--suite", "randers-ricci", "--count", "0"],
+                  ["--suite", "navigation", "--count", "-3"],
+                  ["--suite", "navigation", "--tol", "0"],
+                  ["--suite", "jets-vs-fd", "--tol", "-0.5"]):
+        assert run_cli("crosscheck", *extra) == 2, extra
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "count >= 1" in out.err
+
+
 def test_evaluation_error_exit_three(capsys):
     # a wind perturbation of 50 pushes ||W|| past 1 on the whole domain, so
     # every sampled flag trips the navigation guard

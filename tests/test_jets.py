@@ -207,6 +207,59 @@ def test_prefix_embedded_arithmetic_equals_the_all_variable_arithmetic(order):
     assert (2.0 - a_small).space is a_small.space
     assert (a_small / 3.0 + 1).space is a_small.space
 
+    # Random (n, 2n) jets with exact zeros of either sign, in both operand
+    # orders: the cross-space product equals the padded product bit for bit.
+    rng = np.random.default_rng(60 + order)
+    for n in (2, 3, 4):
+        small_sp, big_sp = jet_space(n, order), jet_space(2 * n, order)
+        for _ in range(4):
+            u, v = _signed_zero_jet(rng, small_sp), _signed_zero_jet(rng, big_sp)
+            for left, right in ((u, v), (v, u)):
+                got = left * right
+                want = _padded_product(left, right)
+                assert got.space is big_sp
+                assert np.array_equal(got.coeffs, want), (n, order)
+                assert np.array_equal(np.signbit(got.coeffs), np.signbit(want)), (n, order)
+
+
+def _signed_zero_jet(rng, space):
+    """A random jet whose coefficients are about one third 0.0, one third -0.0."""
+    c = rng.normal(size=space.nterms)
+    pick = rng.integers(0, 3, size=space.nterms)
+    c[pick == 1] = 0.0
+    c[pick == 2] = -0.0
+    return Jet(space, c)
+
+
+def _padded_product(a, b):
+    """Coefficients of a * b the padded way: embed the jet over fewer
+    variables into the larger space, then run that space's product table."""
+    sp = a.space if a.dim >= b.dim else b.space
+    a, b = a.embedded(sp), b.embedded(sp)
+    prod = a.coeffs[sp.mul_ia] * b.coeffs[sp.mul_ib]
+    return np.bincount(sp.mul_ic, weights=prod, minlength=sp.nterms)
+
+
+def test_division_by_one_jet_composes_its_reciprocal_once(monkeypatch):
+    x = Jet.variables([0.3, -0.6, 0.8, 0.45], 4)
+    d = 1.3 + x[0] * x[1] - 0.5 * x[2] + x[3] * x[3]
+    numerators = [x[k % 4] * (k + 1) + 0.1 * k for k in range(16)]
+    want = [u / Jet(d.space, d.coeffs.copy()) for u in numerators]
+    calls = []
+    compose = Jet._compose
+
+    def counting_compose(self, derivs):
+        calls.append(1)
+        return compose(self, derivs)
+
+    monkeypatch.setattr(Jet, "_compose", counting_compose)
+    got = [u / d for u in numerators]
+    assert len(calls) == 1
+    for g, w in zip(got, want):
+        assert np.array_equal(g.coeffs, w.coeffs)
+    assert np.array_equal((2.0 / d).coeffs, (d._reciprocal() * 2.0).coeffs)
+    assert len(calls) == 1
+
 
 def test_jets_of_different_orders_do_not_combine():
     low = Jet.variables([0.3, -0.6], 3)[0]

@@ -141,6 +141,27 @@ def test_navigation_closures_evaluate_h_once_per_call():
     assert len(calls) == 1
 
 
+def test_randers_closures_evaluate_alpha_once_per_call():
+    rd0 = from_navigation(cigar_navigation())
+    calls = []
+
+    def fn(x):
+        calls.append(1)
+        return rd0.alpha.matrix(x)
+
+    rd = RandersData(RiemannMetric(rd0.dim, fn), rd0.beta, name=rd0.name)
+    nav, want_nav = to_navigation(rd), to_navigation(rd0)
+    x, y = [1.0, 0.4], [0.3, -0.8]
+    for got, want in ((lambda: finsler_from_randers(rd).value(x, y),
+                       lambda: finsler_from_randers(rd0).value(x, y)),
+                      (lambda: bh_density(rd, x), lambda: bh_density(rd0, x)),
+                      (lambda: nav.h.matrix(x), lambda: want_nav.h.matrix(x)),
+                      (lambda: nav.W.components(x), lambda: want_nav.W.components(x))):
+        calls.clear()
+        assert got() == want()
+        assert len(calls) == 1
+
+
 def test_norm_identity_and_xi_transfer():
     nav = generators.random_navigation(RNG, 3)
     T_fn = nav.h.matrix_at

@@ -62,6 +62,27 @@ def test_shrinking_f2_expansion_runs_few_products_in_the_flag_space(monkeypatch)
     assert counts[4] > counts[8]
 
 
+def test_shrinking_expansions_compose_each_divisor_once(monkeypatch):
+    # Each jet's reciprocal is kept, so repeated division by lambda or by
+    # D^2 composes once: 11 compositions per F^2 and 131 per log-density
+    # table when every division composed again.
+    fx = fixtures.get_fixture("shrinking")
+    p = _flags(fx, count=1)[0]
+    calls = []
+    compose = Jet._compose
+
+    def counting_compose(self, derivs):
+        calls.append(1)
+        return compose(self, derivs)
+
+    monkeypatch.setattr(Jet, "_compose", counting_compose)
+    finsler._f2_jet(fx.metric, p.x, p.y, 4)
+    assert len(calls) <= 4
+    calls.clear()
+    fx.measure.log_density_table(p.x, order=2)
+    assert len(calls) <= 19
+
+
 def _d2_inverse_einsum(ginv, first, second, mixed):
     """The earlier 5-operand einsum form of `finsler._d2_inverse`."""
     t0 = -np.einsum("ia,kpab,bj->kpij", ginv, mixed, ginv)
