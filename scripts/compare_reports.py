@@ -39,8 +39,7 @@ INVOCATIONS = (
 
 def run_cli(src, args):
     """(exit code, parsed JSON report or None, raw stdout) of one CLI call."""
-    env = {k: v for k, v in os.environ.items() if k != "FINSLER_SOLITONS_WORKERS"}
-    env["PYTHONPATH"] = os.path.abspath(src)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-m", "finsler_solitons.cli", *args],
                           env=env, capture_output=True, text=True)
     try:

@@ -5,8 +5,7 @@ Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error,
 3 evaluation error (a domain guard tripped while computing).
 
 Reports are deterministic: the same fixture, seed, sample count and tolerance
-produce byte-identical JSON, so reports can be diffed in CI.  The default
-worker count for sample fan-out comes from FINSLER_SOLITONS_WORKERS.
+produce byte-identical JSON, so reports can be diffed in CI.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="differentiation backend for the pointwise laws")
     pv.add_argument("--perturb", default=None, metavar="INGREDIENT:EPS",
                     help="negative control, e.g. f:1e-2 (f, W, kappa, mu, sigma)")
-    pv.add_argument("--workers", type=int, default=None,
-                    help=f"sample fan-out processes (default ${suites.WORKERS_ENV} or 1)")
     pv.add_argument("--output", default=None, help="report file (default stdout)")
     pv.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
@@ -123,8 +120,7 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         checks = suites.run_fixture_suite(fixture, samples=args.samples, seed=args.seed,
-                                          tol=args.tol, mode=args.diff_mode,
-                                          workers=args.workers)
+                                          tol=args.tol, mode=args.diff_mode)
     except (ArithmeticError, RuntimeError) as exc:
         print(f"evaluation error on fixture {args.fixture!r}: {exc}", file=sys.stderr)
         return EXIT_EVAL

@@ -47,19 +47,7 @@ class Fixture:
     sample_x: object = None             # callable rng -> chart point
     bundles: tuple = ()
     constraints: dict = field(default_factory=dict)
-    perturbable: tuple = ()
-    factory: object = None
-    factory_kwargs: dict = field(default_factory=dict)
-    perturb: tuple | None = None
     notes: str = ""
-
-    def perturbed(self, ingredient: str, eps: float) -> "Fixture":
-        """Rebuild the fixture with one ingredient nudged by eps (negative control)."""
-        if ingredient not in self.perturbable:
-            raise ConstructionError(
-                f"fixture {self.name!r} has no perturbable ingredient {ingredient!r}")
-        fx = self.factory(**self.factory_kwargs, perturb=(ingredient, eps))
-        return fx
 
 
 def _ball_sampler(dim, radius, offset=None):
@@ -95,8 +83,7 @@ def _bump_w(w: VectorField, eps):
 
 def _assemble(name, nav, f, kappa, sigma, mu_soliton, bundles, sample_x,
               perturb=None, einstein_kappa=None, mu_einstein_h=None,
-              ricci_law=None, flag_curvature_law=None, constraints=None,
-              factory=None, factory_kwargs=None, notes=""):
+              ricci_law=None, flag_curvature_law=None, constraints=None, notes=""):
     kappa = kappa if isinstance(kappa, ScalarField) else ScalarField(kappa)
     sigma = sigma if isinstance(sigma, ScalarField) else ScalarField(sigma)
     mu_soliton = mu_soliton if isinstance(mu_soliton, ScalarField) else ScalarField(mu_soliton)
@@ -127,10 +114,7 @@ def _assemble(name, nav, f, kappa, sigma, mu_soliton, bundles, sample_x,
                    einstein_kappa=einstein_kappa, mu_einstein_h=mu_einstein_h,
                    ricci_law=ricci_law, flag_curvature_law=flag_curvature_law,
                    sample_x=sample_x, bundles=tuple(bundles),
-                   constraints=constraints or {},
-                   perturbable=("f", "W", "kappa", "mu", "sigma"),
-                   factory=factory, factory_kwargs=factory_kwargs or {},
-                   perturb=perturb, notes=notes)
+                   constraints=constraints or {}, notes=notes)
 
 
 # -- flat Gaussian-type fixtures -------------------------------------------------------
@@ -173,8 +157,6 @@ def gaussian(rho=1.0, Q=None, C=None, n=2, radius=0.9, perturb=None) -> Fixture:
         bundles=bundles, sample_x=_ball_sampler(n, radius), perturb=perturb,
         einstein_kappa=ScalarField(0.0), mu_einstein_h=ScalarField(0.0),
         ricci_law=lambda x: 0.0, flag_curvature_law=lambda x: 0.0,
-        factory=gaussian, factory_kwargs={"rho": rho, "Q": Q, "C": C, "n": n,
-                                          "radius": radius},
         notes="flat navigation data; gradient shrinker for rho > 0")
 
 
@@ -215,7 +197,6 @@ def cigar(t_range=(0.2, 2.0), perturb=None) -> Fixture:
         einstein_kappa=ScalarField(law, name="2/cosh^2 t"),
         mu_einstein_h=ScalarField(law, name="2/cosh^2 t"),
         ricci_law=law, flag_curvature_law=law,
-        factory=cigar, factory_kwargs={"t_range": t_range},
         notes="steady gradient soliton; K = 2/cosh^2 t")
 
 
@@ -349,8 +330,7 @@ def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None, t_range=(-1.2, 1.2),
     return _assemble(
         name="shrinking", nav=nav, f=f, kappa=kap, sigma=0.0, mu_soliton=kap,
         bundles=("gradient-ab", "gradient-nav"), sample_x=sample_x, perturb=perturb,
-        constraints=checks, factory=shrinking_cylinder,
-        factory_kwargs={"m": m, "mu": mu, "Q": Q, "d": d, "t_range": t_range},
+        constraints=checks,
         notes="gradient shrinker with soliton constant 2(m-1)mu")
 
 
@@ -400,8 +380,7 @@ def expanding_cylinder(m=2, Q=None, d=None, t_range=(0.21, 0.89), perturb=None) 
     return _assemble(
         name="expanding", nav=nav, f=f, kappa=kap, sigma=0.0, mu_soliton=kap,
         bundles=("gradient-ab", "gradient-nav"), sample_x=sample_x, perturb=perturb,
-        constraints=checks, factory=expanding_cylinder,
-        factory_kwargs={"m": m, "Q": Q, "d": d, "t_range": t_range},
+        constraints=checks,
         notes="gradient expander with soliton constant -2(m-1)")
 
 

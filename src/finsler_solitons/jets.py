@@ -158,11 +158,10 @@ class Jet:
 
     The coefficient stored for multi-index m is the Taylor coefficient
     (1/m!) d^m f, so `partial` multiplies the factorial back in.  Jets are
-    immutable after construction and safe to share between workers; the
-    reciprocal is therefore computed once per jet and kept (`_reciprocal`),
-    so repeated division by one jet composes once.  A product of jets over
-    different spaces of one order runs the cross-space table of the module
-    notes and lands in the larger space.
+    immutable after construction, so the reciprocal is computed once per jet
+    and kept (`_reciprocal`), and repeated division by one jet composes once.
+    A product of jets over different spaces of one order runs the
+    cross-space table of the module notes and lands in the larger space.
     """
 
     __slots__ = ("space", "coeffs", "_recip")
@@ -517,9 +516,6 @@ class FlagPoint:
     @property
     def dim(self) -> int:
         return self.x.size
-
-    def scaled(self, lam: float) -> "FlagPoint":
-        return FlagPoint(self.x, lam * self.y)
 
 
 # -- lifting and finite differences ---------------------------------------

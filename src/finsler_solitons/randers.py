@@ -13,9 +13,9 @@ and on the navigation side (indices via h_ij):
 
     R_ij = (W_{i:j} + W_{j:i})/2      S_ij = (W_{i:j} - W_{j:i})/2
 
-The Levi-Civita data of alpha and h (Christoffel symbols, their derivatives,
-the Ricci contraction, W_{i:j}) come from the table-level builders in
-`riemann`; this module writes only the Randers-specific contractions.
+The tensors of one point read the `riemann.PointRecord` of alpha or h there
+(one jet pass each, with the Christoffel symbols, their derivatives and the
+Ricci tensor); this module writes only the Randers-specific contractions.
 """
 
 from __future__ import annotations
@@ -285,11 +285,10 @@ class BetaTables:
     alpha_ricci: np.ndarray    # Ricci tensor of alpha
 
 
-def beta_tables(rd: RandersData, x) -> BetaTables:
-    n = rd.dim
-    x = np.asarray(x, float)
-    a0, da, d2a = rd.alpha.tables(x, order=2)
-    ainv, gamma, dainv, dgamma = riemann.levi_civita(a0, da, d2a, "alpha")
+def beta_tables(rd: RandersData, A: riemann.PointRecord) -> BetaTables:
+    """The beta tensors at the point of A, the order-2 record of rd.alpha there."""
+    x = A.x
+    a0, ainv, gamma, dainv, dgamma = A.h0, A.hinv, A.gamma, A.dhinv, A.dgamma
     b0, db, d2b = rd.beta.table(x, order=2)
 
     b2 = float(b0 @ ainv @ b0)
@@ -352,7 +351,7 @@ def beta_tables(rd: RandersData, x) -> BetaTables:
                       t_low=t_low, t_trace=t_trace, q=q, e=e, s_cov=s_cov, r_cov=r_cov,
                       div_mixed_s=div_mixed_s, div_mixed_r=div_mixed_r,
                       d_rtrace=d_rtrace, div_s_up=div_s_up, div_r_up=div_r_up,
-                      alpha_ricci=riemann.ricci_contraction(gamma, dgamma))
+                      alpha_ricci=A.ricci)
 
 
 @dataclass
@@ -379,7 +378,8 @@ class BetaDerivatives:
 
 
 def beta_derivatives(rd: RandersData, p: FlagPoint, tables: BetaTables | None = None) -> BetaDerivatives:
-    T = tables if tables is not None else beta_tables(rd, p.x)
+    T = tables if tables is not None else beta_tables(
+        rd, riemann.point_record(rd.alpha, p.x, 2))
     y = np.asarray(p.y, float)
     alpha2 = float(y @ T.a @ y)
     alpha = math.sqrt(alpha2)
@@ -404,13 +404,14 @@ def field_sigma_terms(sigma, x, y, v):
     return float(sval), float(dsig @ np.asarray(y, float)), float(dsig @ v), dsig
 
 
-def fit_sigma_isotropic_S(rd: RandersData, x, y_samples):
-    """Least-squares sigma in e_00 = 2 sigma (alpha^2 - beta^2) over the y samples.
+def fit_sigma_isotropic_S(T: BetaTables, y_samples):
+    """Least-squares sigma in e_00 = 2 sigma (alpha^2 - beta^2) over the y samples
+    at the point of the beta tables T.
 
     Returns (sigma, residual) where residual is the rms misfit relative to the
     rms of 2(alpha^2 - beta^2).
     """
-    T = beta_tables(rd, x)
+    n = T.x.size
     lhs, rhs = [], []
     for y in y_samples:
         y = np.asarray(y, float)
@@ -420,7 +421,7 @@ def fit_sigma_isotropic_S(rd: RandersData, x, y_samples):
         rhs.append(2.0 * (alpha2 - beta * beta))
     lhs, rhs = np.array(lhs), np.array(rhs)
     denom = float(rhs @ rhs)
-    if denom <= 0.0 or len(lhs) < rd.dim * (rd.dim + 1) // 2:
+    if denom <= 0.0 or len(lhs) < n * (n + 1) // 2:
         raise ValueError("degenerate y-sample set for sigma fit")
     sigma = float(lhs @ rhs) / denom
     residual = float(np.sqrt(np.mean((lhs - sigma * rhs) ** 2) / np.mean(rhs ** 2)))
@@ -521,16 +522,14 @@ class NavTensors:
     r_scalar: float           # R = W^j R_j
 
 
-def nav_tensors(nav: NavigationData, x) -> NavTensors:
-    n = nav.dim
-    x = np.asarray(x, float)
-    h0, dh = nav.h.tables(x, order=1)
-    hinv, gamma = riemann.levi_civita(h0, dh, None, "h")
+def nav_tensors(nav: NavigationData, H: riemann.PointRecord) -> NavTensors:
+    """The W tensors at the point of H, a record of nav.h there (any order)."""
+    x, h0, hinv = H.x, H.h0, H.hinv
     w0, dw = nav.W.table(x, order=1)
     lam = 1.0 - float(w0 @ h0 @ w0)
     if lam <= 0.0:
         raise NavigationDomainError(f"lambda = {lam:.6f} <= 0 at {x.tolist()}")
-    wcov = riemann.lowered_covariant_derivative(h0, dh, gamma, w0, dw)
+    wcov = riemann.lowered_covariant_derivative(h0, H.dh, H.gamma, w0, dw)
     r_sym = 0.5 * (wcov + wcov.T)
     s_asym = 0.5 * (wcov - wcov.T)
     s_low = w0 @ s_asym
@@ -546,7 +545,7 @@ def spray_correction(nav: NavigationData, sigma: float, x, y) -> np.ndarray:
         zeta^i = (S_0 - 2 sigma W_0)/lam y^i - (lam h^2 + 2 W_0^2)/(2 lam^2) S^i
                  + W_0/lam S^i_0
     """
-    T = nav_tensors(nav, x)
+    T = nav_tensors(nav, riemann.point_record(nav.h, x, 1))
     y = np.asarray(y, float)
     h2 = float(y @ T.h @ y)
     w0 = float(T.w_low @ y)
@@ -582,11 +581,12 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint):
 
     lhs = lie_scalar(phi, v, p)
 
-    T = nav_tensors(nav, p.x)
+    H = riemann.point_record(nav.h, p.x, 1)
+    T = nav_tensors(nav, H)
     xi = navigation_xi(nav, p)
     htilde = math.sqrt(float(xi @ T.h @ xi))
     wt0 = float(T.w_low @ xi)
-    vcov = riemann.vector_covariant_lowered(nav.h, v, p.x)
+    vcov = riemann.vector_covariant_lowered(H, v)
     v00 = float(xi @ vcov @ xi)
     mixed = float((vcov @ T.w_up - T.wcov @ v.at(p.x)) @ xi)
     rhs = 2.0 / (htilde + wt0) * (htilde * v00 + htilde * htilde * mixed)
@@ -610,6 +610,6 @@ def ricci_transfer_sides(nav: NavigationData, sigma, mu_tilde: float, p: FlagPoi
     ric = generic_ricci(metric, p)
     lhs = ric - (n - 1) * (3.0 * sigma0 / F + mu_tilde - sval ** 2 - 2.0 * sigw) * F * F
     xi = navigation_xi(nav, p)
-    hric = riemann.ricci_tensor(nav.h, p.x)
+    hric = riemann.point_record(nav.h, p.x, 2).ricci
     rhs = float(xi @ hric @ xi) - (n - 1) * mu_tilde * F * F
     return lhs, rhs

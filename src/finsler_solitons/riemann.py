@@ -5,16 +5,20 @@ jet evaluation of the metric / field components, so the module stays fully
 independent of the spray-based Finsler engine.  On Riemannian inputs the two
 paths must agree, which gives the main cross-validation oracle.
 
-The connection formulas live here once and take tables, not metrics:
-`levi_civita` (inverse metric, Christoffel symbols and their derivatives),
-`ricci_contraction` and `lowered_covariant_derivative`.  The `randers` layer
-builds its (alpha, beta) and navigation tensors from the same three.
+One jet pass of a metric at a point gives its `PointRecord` (`point_record`):
+the partial-derivative tables of h and the Levi-Civita data built from them
+by the table formulas `christoffel`, `christoffel_derivative` and
+`ricci_contraction`, which live here once.  Everything that reads the metric
+at that point takes the record: covariant derivatives, Hessians, Lie
+derivatives, conformal residuals, and the (alpha, beta) and navigation
+tensors of `randers`.  A caller that needs several of them pays one pass.
 """
 
 from __future__ import annotations
 
 import numbers
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,26 +272,22 @@ def matrix_table(fn, x, n, order=2):
 # -- connection and curvature ------------------------------------------------
 
 
-def levi_civita(h0, dh, d2h, what):
-    """Levi-Civita data at one point from the partial-derivative tables of h.
+def _bracket(dh):
+    """d_i h_jl + d_j h_il - d_l h_ij as [..., l, i, j]; leading axes pass through."""
+    return np.einsum("...ijl->...lij", dh) + np.einsum("...jil->...lij", dh) - dh
 
-    h0[i,j] = h_ij, dh[k,i,j] = d_k h_ij and d2h[m,k,i,j] = d_m d_k h_ij (or
-    None).  Returns (hinv, Gamma) with Gamma[k,i,j] = Gamma^k_ij; when d2h is
-    given, also dhinv[m,k,l] = d_m h^kl and dGamma[m,k,i,j] = d_m Gamma^k_ij.
-    `what` names the metric in domain errors and warnings.
-    """
-    check_positive_definite(h0, what)
-    hinv = _inv_with_guard(h0, what)
-    # Gamma^k_ij = 1/2 h^kl (d_i h_jl + d_j h_il - d_l h_ij)
-    bracket = np.einsum("ijl->lij", dh) + np.einsum("jil->lij", dh) - dh
-    gamma = 0.5 * np.einsum("kl,lij->kij", hinv, bracket)
-    if d2h is None:
-        return hinv, gamma
-    dhinv = -np.einsum("ka,mab,bl->mkl", hinv, dh, hinv)
-    dbracket = np.einsum("mijl->mlij", d2h) + np.einsum("mjil->mlij", d2h) - d2h
-    dgamma = 0.5 * (np.einsum("mkl,lij->mkij", dhinv, bracket)
-                    + np.einsum("kl,mlij->mkij", hinv, dbracket))
-    return hinv, gamma, dhinv, dgamma
+
+def christoffel(hinv, dh) -> np.ndarray:
+    """Gamma[k,i,j] = Gamma^k_ij = 1/2 h^kl (d_i h_jl + d_j h_il - d_l h_ij)
+    from h^-1 and dh[k,i,j] = d_k h_ij."""
+    return 0.5 * np.einsum("kl,lij->kij", hinv, _bracket(dh))
+
+
+def christoffel_derivative(hinv, dhinv, dh, d2h) -> np.ndarray:
+    """dGamma[m,k,i,j] = d_m Gamma^k_ij from h^-1, dhinv[m,k,l] = d_m h^kl, dh
+    and d2h[m,k,i,j] = d_m d_k h_ij."""
+    return 0.5 * (np.einsum("mkl,lij->mkij", dhinv, _bracket(dh))
+                  + np.einsum("kl,mlij->mkij", hinv, _bracket(d2h)))
 
 
 def ricci_contraction(gamma, dgamma) -> np.ndarray:
@@ -296,64 +296,87 @@ def ricci_contraction(gamma, dgamma) -> np.ndarray:
             + np.einsum("iip,pjk->jk", gamma, gamma) - np.einsum("ijp,pik->jk", gamma, gamma))
 
 
+@dataclass
+class PointRecord:
+    """One jet pass of a metric at x and the Levi-Civita data it determines.
+
+    At every order: h0[i,j] = h_ij, dh[k,i,j] = d_k h_ij, hinv = h^-1,
+    dhinv[m,k,l] = d_m h^kl and gamma[k,i,j] = Gamma^k_ij.  At order 2 also
+    d2h[m,k,i,j] = d_m d_k h_ij, dgamma[m,k,i,j] = d_m Gamma^k_ij and the
+    Ricci tensor ricci[j,k]; at order 1 these three are None.
+    """
+
+    metric: RiemannMetric
+    x: np.ndarray
+    h0: np.ndarray
+    dh: np.ndarray
+    hinv: np.ndarray
+    dhinv: np.ndarray
+    gamma: np.ndarray
+    d2h: np.ndarray | None
+    dgamma: np.ndarray | None
+    ricci: np.ndarray | None
+
+
+def point_record(h: RiemannMetric, x, order: int) -> PointRecord:
+    """The point record of h at x from one jet pass of the given order (1 or 2).
+
+    Build one per (metric, point) and hand it to every function below that
+    reads the metric there; only the Ricci tensor needs order 2.
+    """
+    x = np.asarray(x, float)
+    tables = h.tables(x, order=order)
+    h0, dh = tables[0], tables[1]
+    what = h.name or "metric"
+    check_positive_definite(h0, what)
+    hinv = _inv_with_guard(h0, what)
+    dhinv = -np.einsum("ka,mab,bl->mkl", hinv, dh, hinv)
+    gamma = christoffel(hinv, dh)
+    d2h = dgamma = ricci = None
+    if order >= 2:
+        d2h = tables[2]
+        dgamma = christoffel_derivative(hinv, dhinv, dh, d2h)
+        ricci = ricci_contraction(gamma, dgamma)
+    return PointRecord(h, x, h0, dh, hinv, dhinv, gamma, d2h, dgamma, ricci)
+
+
 def lowered_covariant_derivative(h0, dh, gamma, w0, dw) -> np.ndarray:
     """W_{i:j} = d_j (h_ik W^k) - Gamma^k_ij h_kl W^l from the tables of h and W."""
     dwl = np.einsum("jik,k->ij", dh, w0) + np.einsum("ik,kj->ij", h0, dw)
     return dwl - np.einsum("kij,k->ij", gamma, h0 @ w0)
 
 
-def christoffel(h: RiemannMetric, x) -> np.ndarray:
-    """Gamma[k,i,j] = Gamma^k_ij of the Levi-Civita connection at x."""
-    h0, dh = h.tables(x, order=1)
-    return levi_civita(h0, dh, None, h.name or "metric")[1]
-
-
-def christoffel_derivative(h: RiemannMetric, x):
-    """(Gamma[k,i,j], dGamma[m,k,i,j] = d_m Gamma^k_ij) at x."""
-    _, gamma, _, dgamma = levi_civita(*h.tables(x, order=2), h.name or "metric")
-    return gamma, dgamma
-
-
-def ricci_tensor(h: RiemannMetric, x) -> np.ndarray:
-    """Ric_jk of h at x (trace of the curvature operator)."""
-    return ricci_contraction(*christoffel_derivative(h, x))
-
-
-def riemann_ricci(h: RiemannMetric, x, y) -> float:
-    """Ricci tensor of h contracted twice with y."""
+def riemann_ricci(rec: PointRecord, y) -> float:
+    """Ricci tensor of an order-2 record contracted twice with y."""
     y = np.asarray(y, float)
-    return float(np.einsum("jk,j,k->", ricci_tensor(h, x), y, y))
+    return float(np.einsum("jk,j,k->", rec.ricci, y, y))
 
 
 # -- covariant derivatives ----------------------------------------------------
 
 
-def covariant_derivative_1form(h: RiemannMetric, b: VectorField, x) -> np.ndarray:
+def covariant_derivative_1form(rec: PointRecord, b: VectorField) -> np.ndarray:
     """b_{i;j} = d_j b_i - Gamma^k_ij b_k for covariant components b_i."""
-    b0, db = b.table(x, order=1)
-    gamma = christoffel(h, x)
-    return db - np.einsum("kij,k->ij", gamma, b0)
+    b0, db = b.table(rec.x, order=1)
+    return db - np.einsum("kij,k->ij", rec.gamma, b0)
 
 
-def vector_covariant_lowered(h: RiemannMetric, w: VectorField, x) -> np.ndarray:
+def vector_covariant_lowered(rec: PointRecord, w: VectorField) -> np.ndarray:
     """W_{i:j} for contravariant components W^i (lower first, then differentiate)."""
-    h0, dh = h.tables(x, order=1)
-    w0, dw = w.table(x, order=1)
-    gamma = levi_civita(h0, dh, None, h.name or "metric")[1]
-    return lowered_covariant_derivative(h0, dh, gamma, w0, dw)
+    w0, dw = w.table(rec.x, order=1)
+    return lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, w0, dw)
 
 
-def hessian_tensor(h: RiemannMetric, f, x) -> np.ndarray:
-    """Covariant Hessian f_{:ij} = d_i d_j f - Gamma^k_ij f_k."""
-    f = as_scalar_field(f)
-    _, grad, hess = f.table(x, order=2)
-    gamma = christoffel(h, x)
-    return hess - np.einsum("kij,k->ij", gamma, grad)
+def hessian_tensor(rec: PointRecord, ftab) -> np.ndarray:
+    """Covariant Hessian f_{:ij} = d_i d_j f - Gamma^k_ij f_k from f's order-2
+    table (value, gradient, hessian) at the record's point."""
+    _, grad, hess = ftab
+    return hess - np.einsum("kij,k->ij", rec.gamma, grad)
 
 
-def hessian(h: RiemannMetric, f, x, y) -> float:
+def hessian(rec: PointRecord, ftab, y) -> float:
     y = np.asarray(y, float)
-    return float(np.einsum("ij,i,j->", hessian_tensor(h, f, x), y, y))
+    return float(np.einsum("ij,i,j->", hessian_tensor(rec, ftab), y, y))
 
 
 def gradient_table(h: RiemannMetric, f):
@@ -361,59 +384,57 @@ def gradient_table(h: RiemannMetric, f):
     f = as_scalar_field(f)
 
     def tables(x):
-        h0, dh = h.tables(x, order=1)
+        rec = point_record(h, x, 1)
         _, grad, hess = f.table(x, order=2)
-        hinv = _inv_with_guard(h0, h.name or "metric")
-        dhinv = -np.einsum("ka,mab,bl->mkl", hinv, dh, hinv)
-        v = hinv @ grad
-        dv = np.einsum("jik,k->ij", dhinv, grad) + np.einsum("ik,kj->ij", hinv, hess)
+        v = rec.hinv @ grad
+        dv = np.einsum("jik,k->ij", rec.dhinv, grad) + np.einsum("ik,kj->ij", rec.hinv, hess)
         return v, dv
 
     return TableVectorField(tables, name=f"grad({f.name})")
 
 
 # -- Lie derivatives and conformal residuals ----------------------------------
+#
+# The point values of h and of the fields below (`matrix_at`, `at`) are float
+# evaluations, not the record's jet values: the two can differ in the last bit.
 
 
-def lie_h2(h: RiemannMetric, v: VectorField, x, y) -> float:
+def lie_h2(rec: PointRecord, v: VectorField, y) -> float:
     """Lie derivative of h^2 along the complete lift: 2 V_{i:j} y^i y^j."""
     y = np.asarray(y, float)
-    vcov = vector_covariant_lowered(h, v, x)
+    vcov = vector_covariant_lowered(rec, v)
     return float(2.0 * np.einsum("ij,i,j->", vcov, y, y))
 
 
-def lie_W0(h: RiemannMetric, w: VectorField, v: VectorField, x, y) -> float:
+def lie_W0(rec: PointRecord, w: VectorField, v: VectorField, y) -> float:
     """Lie derivative of W_0 = W_i y^i: (V^k W_{j:k} + W^k V_{k:j}) y^j."""
     y = np.asarray(y, float)
-    wcov = vector_covariant_lowered(h, w, x)
-    vcov = vector_covariant_lowered(h, v, x)
-    return float(np.einsum("k,jk,j->", v.at(x), wcov, y)
-                 + np.einsum("k,kj,j->", w.at(x), vcov, y))
+    wcov = vector_covariant_lowered(rec, w)
+    vcov = vector_covariant_lowered(rec, v)
+    return float(np.einsum("k,jk,j->", v.at(rec.x), wcov, y)
+                 + np.einsum("k,kj,j->", w.at(rec.x), vcov, y))
 
 
-def lie_1form(h: RiemannMetric, b: VectorField, v: VectorField, x, y) -> float:
+def lie_1form(rec: PointRecord, b: VectorField, v: VectorField, y) -> float:
     """Lie derivative of the 1-form b_i y^i: (V^k b_{j;k} + b^k V_{k;j}) y^j."""
     y = np.asarray(y, float)
-    h0 = h.matrix_at(x)
-    hinv = _inv_with_guard(h0, h.name or "metric")
-    bcov = covariant_derivative_1form(h, b, x)
-    vcov = vector_covariant_lowered(h, v, x)
-    bup = hinv @ b.at(x)
-    return float(np.einsum("k,jk,j->", v.at(x), bcov, y)
+    hinv = _inv_with_guard(rec.metric.matrix_at(rec.x), rec.metric.name or "metric")
+    bcov = covariant_derivative_1form(rec, b)
+    vcov = vector_covariant_lowered(rec, v)
+    bup = hinv @ b.at(rec.x)
+    return float(np.einsum("k,jk,j->", v.at(rec.x), bcov, y)
                  + np.einsum("k,kj,j->", bup, vcov, y))
 
 
-def conformal_residual(h: RiemannMetric, v: VectorField, c, x) -> np.ndarray:
+def conformal_residual(rec: PointRecord, v: VectorField, c) -> np.ndarray:
     """V_{i:j} + V_{j:i} - 4 c h_ij; the zero matrix iff V is conformal with factor c."""
     c = as_scalar_field(c)
-    vcov = vector_covariant_lowered(h, v, x)
-    h0 = h.matrix_at(x)
-    return vcov + vcov.T - 4.0 * float(scalar_value(c(x))) * h0
+    vcov = vector_covariant_lowered(rec, v)
+    h0 = rec.metric.matrix_at(rec.x)
+    return vcov + vcov.T - 4.0 * float(scalar_value(c(rec.x))) * h0
 
 
-def metric_compatibility_residual(h: RiemannMetric, x) -> np.ndarray:
+def metric_compatibility_residual(rec: PointRecord) -> np.ndarray:
     """h_{ij;k}, which must vanish for the Levi-Civita connection."""
-    h0, dh = h.tables(x, order=1)
-    gamma = levi_civita(h0, dh, None, h.name or "metric")[1]
-    return (dh - np.einsum("mik,mj->kij", gamma, h0)
-            - np.einsum("mjk,im->kij", gamma, h0))
+    return (rec.dh - np.einsum("mik,mj->kij", rec.gamma, rec.h0)
+            - np.einsum("mjk,im->kij", rec.gamma, rec.h0))

@@ -10,15 +10,18 @@ Four equivalent descriptions are implemented and cross-checked:
   * navigation characterizations: V-form (`vector_soliton_checks_nav`) and
     gradient form (`gradient_soliton_checks_nav`).
 
-All 2-homogeneous residuals are normalized by F^2 (or h^2) and 1-homogeneous
-ones by F (or h), so tolerances are scale-free.  Scalars kappa, sigma, c, mu
-may be supplied as fields or fitted by least squares; fitted runs report the
-fit residual in the check detail.
+The four bundles read their point data from `BundlePoint`s
+(`bundle_points`): one jet pass each of alpha, h and f per flag, shared by
+all four.  All 2-homogeneous residuals are normalized by F^2 (or h^2) and
+1-homogeneous ones by F (or h), so tolerances are scale-free.  Scalars kappa,
+sigma, c, mu may be supplied as fields or fitted by least squares; fitted
+runs report the fit residual in the check detail.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,30 +73,32 @@ def gradient_soliton_residual(metric: FinslerMetric, measure: Measure, kappa,
 # -- least-squares scalar fits ------------------------------------------------------
 
 
-def _trace_fit(h, tensor, x):
-    """(mu, residual) for tensor_ij = mu h_ij at x: mu = tr(h^-1 tensor)/n, and
-    the largest entry of tensor - mu h relative to max(1, max |h_ij|)."""
-    h0 = h.matrix_at(x)
-    mu = float(np.trace(np.linalg.inv(h0) @ tensor)) / h.dim
+def _trace_fit(rec, tensor):
+    """(mu, residual) for tensor_ij = mu h_ij at the record's point: mu =
+    tr(h^-1 tensor)/n, and the largest entry of tensor - mu h relative to
+    max(1, max |h_ij|), with h evaluated in floats."""
+    h0 = rec.metric.matrix_at(rec.x)
+    mu = float(np.trace(np.linalg.inv(h0) @ tensor)) / rec.metric.dim
     resid = float(np.max(np.abs(tensor - mu * h0))) / max(1.0, float(np.max(np.abs(h0))))
     return mu, resid
 
 
-def fit_conformal_factor(h, v: VectorField, x):
+def fit_conformal_factor(rec, v: VectorField):
     """(c, residual): least-squares c in V_{i:j} + V_{j:i} = 4 c h_ij."""
-    vcov = riemann.vector_covariant_lowered(h, v, x)
-    mu, resid = _trace_fit(h, vcov + vcov.T, x)
+    vcov = riemann.vector_covariant_lowered(rec, v)
+    mu, resid = _trace_fit(rec, vcov + vcov.T)
     return mu / 4.0, resid
 
 
-def fit_einstein_scalar(h, x):
-    """(mu, residual): least-squares mu in Ric_h = mu h^2."""
-    return _trace_fit(h, riemann.ricci_tensor(h, x), x)
+def fit_einstein_scalar(rec):
+    """(mu, residual): least-squares mu in Ric_h = mu h^2 (an order-2 record)."""
+    return _trace_fit(rec, rec.ricci)
 
 
-def fit_riemann_soliton_scalar(h, f, x):
-    """(mu, residual): least-squares mu in Ric_h + Hess_h(f) = mu h^2."""
-    return _trace_fit(h, riemann.ricci_tensor(h, x) + riemann.hessian_tensor(h, f, x), x)
+def fit_riemann_soliton_scalar(rec, ftab):
+    """(mu, residual): least-squares mu in Ric_h + Hess_h(f) = mu h^2, from an
+    order-2 record and f's order-2 table."""
+    return _trace_fit(rec, rec.ricci + riemann.hessian_tensor(rec, ftab))
 
 
 def fit_kappa(metric: FinslerMetric, measure: Measure, xs, directions=None):
@@ -122,12 +127,12 @@ def fit_kappa(metric: FinslerMetric, measure: Measure, xs, directions=None):
     return np.array(kappas), anisotropy
 
 
-def fit_sigma(rd: RandersData, xs):
-    """Pointwise isotropic-S sigma over the sample points; returns (sigmas, worst fit)."""
-    dirs = _directions(rd.dim)
+def fit_sigma(tables):
+    """Pointwise isotropic-S sigma at the points of a list of beta tables;
+    returns (sigmas, worst fit)."""
     sigmas, worst = [], 0.0
-    for x in xs:
-        s, r = randers.fit_sigma_isotropic_S(rd, x, dirs)
+    for T in tables:
+        s, r = randers.fit_sigma_isotropic_S(T, _directions(T.x.size))
         sigmas.append(s)
         worst = max(worst, r)
     return np.array(sigmas), worst
@@ -136,8 +141,42 @@ def fit_sigma(rd: RandersData, xs):
 # -- characterization bundles ---------------------------------------------------------
 
 
-def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, flags,
-                             tol: float, c=None, sigma=None) -> list[ResidualReport]:
+@dataclass
+class BundlePoint:
+    """One flag with everything the four characterization bundles read there:
+    one order-2 record each of alpha and h, the beta tensors of alpha, the W
+    tensors of h, and the order-2 table (value, gradient, hessian) of f."""
+
+    p: FlagPoint
+    alpha: riemann.PointRecord
+    beta: randers.BetaTables
+    h: riemann.PointRecord
+    nav: randers.NavTensors
+    f: tuple
+
+
+def bundle_points(rd: RandersData, nav: NavigationData, f, flags) -> list[BundlePoint]:
+    """The bundle data at each flag: one jet pass of alpha, h and f per point."""
+    f = as_scalar_field(f)
+    out = []
+    for p in flags:
+        alpha = riemann.point_record(rd.alpha, p.x, 2)
+        h = riemann.point_record(nav.h, p.x, 2)
+        out.append(BundlePoint(p, alpha, randers.beta_tables(rd, alpha), h,
+                               randers.nav_tensors(nav, h), f.table(p.x, order=2)))
+    return out
+
+
+def _bundle_reports(rows, fitted, shown, tol, applicable):
+    """One report per row; the detail names the first `shown` fitted scalars."""
+    detail = "; ".join(f"fitted {k}={val:.3e} (resid {res:.1e})"
+                       for k, val, res in fitted[:shown])
+    return [report_from_values(name, vals, tol, detail=detail, applicable=applicable)
+            for name, vals in rows.items()]
+
+
+def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, points, tol: float,
+                             c=None, sigma=None) -> list[ResidualReport]:
     """(alpha, beta) residuals for the vector-field soliton characterization:
 
       (i)   V_{i;j} + V_{j;i} = 4 c a_ij
@@ -146,6 +185,8 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, flags,
               - (n-1) sigma^2 (3 alpha^2 - beta^2) + 2(n-1) sigma_0 beta
               - (n-1)(s_0^2 + s_{0;0})
       (iv)  3(n-1) sigma_0 = 2 c beta - L_V(beta)
+
+    at each `BundlePoint` of rd.
     """
     kappa = as_scalar_field(kappa)
     n = rd.dim
@@ -153,20 +194,20 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, flags,
                             "sigma-lie-balance")}
     fitted = []
     applicable = True
-    for p in flags:
+    for bp in points:
+        p, T = bp.p, bp.beta
         x = list(p.x)
-        T = randers.beta_tables(rd, p.x)
         if float(np.max(np.abs(T.b_low))) < 1e-14:
             applicable = False
             break
         bd = randers.beta_derivatives(rd, p, tables=T)
         if c is None:
-            cval, cres = fit_conformal_factor(rd.alpha, v, p.x)
+            cval, cres = fit_conformal_factor(bp.alpha, v)
             fitted.append(("c", cval, cres))
         else:
             cval = float(riemann.scalar_value(as_scalar_field(c)(x)))
         if sigma is None:
-            sval, sres = randers.fit_sigma_isotropic_S(rd, p.x, _directions(n))
+            sval, sres = randers.fit_sigma_isotropic_S(T, _directions(n))
             sigma0 = 0.0
             fitted.append(("sigma", sval, sres))
         else:
@@ -175,7 +216,7 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, flags,
         a2 = bd.alpha ** 2
         beta = bd.beta
 
-        res_conf = riemann.conformal_residual(rd.alpha, v, cval, p.x)
+        res_conf = riemann.conformal_residual(bp.alpha, v, cval)
         rows["conformal-v"].append(np.max(np.abs(res_conf))
                                    / max(1.0, float(np.max(np.abs(T.a)))))
         rows["isotropic-s"].append((bd.e00 - 2.0 * sval * (a2 - beta ** 2)) / a2)
@@ -185,15 +226,13 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, flags,
                + 2.0 * (n - 1) * sigma0 * beta
                - (n - 1) * (bd.s0 ** 2 + bd.s00))
         rows["alpha-ricci-balance"].append((aric - rhs) / a2)
-        lie_beta = riemann.lie_1form(rd.alpha, rd.beta, v, p.x, p.y)
+        lie_beta = riemann.lie_1form(bp.alpha, rd.beta, v, p.y)
         rows["sigma-lie-balance"].append(
             (3.0 * (n - 1) * sigma0 - (2.0 * cval * beta - lie_beta)) / bd.alpha)
-    detail = "; ".join(f"fitted {k}={val:.3e} (resid {res:.1e})" for k, val, res in fitted[:2])
-    return [report_from_values(name, vals, tol, detail=detail, applicable=applicable)
-            for name, vals in rows.items()]
+    return _bundle_reports(rows, fitted, 2, tol, applicable)
 
 
-def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, flags,
+def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, points,
                               tol: float, mu=None, sigma=None) -> list[ResidualReport]:
     """Navigation residuals for the vector-field soliton characterization:
 
@@ -202,7 +241,8 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, flags,
       (iii) L_V(h^2) = 2 c h^2 - 6(n-1){ (sigma_i W^i) h^2 + sigma_0 W_0 }
       (iv)  L_V(W_0) = c W_0 - 3(n-1){ 2 (sigma_i W^i) W_0 - lam sigma_0 }
 
-    with c = kappa - mu + (n-1) sigma^2 + 2(n-1) sigma_i W^i.
+    with c = kappa - mu + (n-1) sigma^2 + 2(n-1) sigma_i W^i, at each
+    `BundlePoint` of nav.
     """
     kappa = as_scalar_field(kappa)
     n = nav.dim
@@ -210,16 +250,16 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, flags,
                             "lie-w0-balance")}
     fitted = []
     applicable = True
-    for p in flags:
+    for bp in points:
+        p, T = bp.p, bp.nav
         x = list(p.x)
-        T = randers.nav_tensors(nav, p.x)
         if float(np.max(np.abs(T.w_up))) < 1e-14:
             applicable = False
             break
         h2 = float(p.y @ T.h @ p.y)
         w0 = float(T.w_low @ p.y)
         if mu is None:
-            mval, mres = fit_einstein_scalar(nav.h, p.x)
+            mval, mres = fit_einstein_scalar(bp.h)
             fitted.append(("mu", mval, mres))
         else:
             mval = float(riemann.scalar_value(as_scalar_field(mu)(x)))
@@ -228,23 +268,20 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, flags,
         kap = float(riemann.scalar_value(kappa(x)))
         cval = kap - mval + (n - 1) * sval ** 2 + 2.0 * (n - 1) * sigw
 
-        hric = riemann.ricci_tensor(nav.h, p.x)
-        rows["einstein-h"].append((float(p.y @ hric @ p.y) - mval * h2) / h2)
+        rows["einstein-h"].append((float(p.y @ bp.h.ricci @ p.y) - mval * h2) / h2)
         res_conf = T.wcov + T.wcov.T + 4.0 * sval * T.h
         rows["conformal-w"].append(np.max(np.abs(res_conf))
                                    / max(1.0, float(np.max(np.abs(T.h)))))
-        lie_h2 = riemann.lie_h2(nav.h, v, p.x, p.y)
+        lie_h2 = riemann.lie_h2(bp.h, v, p.y)
         rhs3 = 2.0 * cval * h2 - 6.0 * (n - 1) * (sigw * h2 + sigma0 * w0)
         rows["lie-h2-balance"].append((lie_h2 - rhs3) / h2)
-        lie_w0 = riemann.lie_W0(nav.h, nav.W, v, p.x, p.y)
+        lie_w0 = riemann.lie_W0(bp.h, nav.W, v, p.y)
         rhs4 = cval * w0 - 3.0 * (n - 1) * (2.0 * sigw * w0 - T.lam * sigma0)
         rows["lie-w0-balance"].append((lie_w0 - rhs4) / math.sqrt(h2))
-    detail = "; ".join(f"fitted {k}={val:.3e} (resid {res:.1e})" for k, val, res in fitted[:2])
-    return [report_from_values(name, vals, tol, detail=detail, applicable=applicable)
-            for name, vals in rows.items()]
+    return _bundle_reports(rows, fitted, 2, tol, applicable)
 
 
-def gradient_soliton_checks_ab(rd: RandersData, f, kappa, flags, tol: float,
+def gradient_soliton_checks_ab(rd: RandersData, kappa, points, tol: float,
                                sigma=None) -> list[ResidualReport]:
     """(alpha, beta) residuals for the gradient soliton characterization:
 
@@ -255,28 +292,29 @@ def gradient_soliton_checks_ab(rd: RandersData, f, kappa, flags, tol: float,
       (iii) (2n-1)(1-b^2) sigma_0 = sigma (1+b^2) f_0 + f_i (s^i_0 - s^i beta)
               + f_{;0j} b^j + (s_0 + 2 sigma beta)(f_i b^i)
       (iv)  the right side of (iii) alone; sigma is constant when it vanishes
+
+    at each `BundlePoint` of rd, whose f table gives the weight f.
     """
-    f = as_scalar_field(f)
     kappa = as_scalar_field(kappa)
     n = rd.dim
     rows = {k: [] for k in ("isotropic-s", "alpha-ricci-balance",
                             "sigma-gradient-balance", "sigma-constancy")}
     fitted = []
-    for p in flags:
+    for bp in points:
+        p, T = bp.p, bp.beta
         x = list(p.x)
-        T = randers.beta_tables(rd, p.x)
         bd = randers.beta_derivatives(rd, p, tables=T)
         if sigma is None:
-            sval, sres = randers.fit_sigma_isotropic_S(rd, p.x, _directions(n))
+            sval, sres = randers.fit_sigma_isotropic_S(T, _directions(n))
             sigma0 = 0.0
             fitted.append(("sigma", sval, sres))
         else:
             sval, sigma0, _, _ = randers.field_sigma_terms(sigma, p.x, p.y, T.b_up)
         kap = float(riemann.scalar_value(kappa(x)))
-        _, df, hess_f = f.table(p.x, order=2)
+        df = bp.f[1]
         f0 = float(df @ p.y)
         fb = float(df @ T.b_up)
-        hess_a = riemann.hessian_tensor(rd.alpha, f, p.x)
+        hess_a = riemann.hessian_tensor(bp.alpha, bp.f)
         a2 = bd.alpha ** 2
         beta = bd.beta
         b2 = T.b2
@@ -298,11 +336,10 @@ def gradient_soliton_checks_ab(rd: RandersData, f, kappa, flags, tol: float,
         rows["sigma-gradient-balance"].append(
             ((2.0 * n - 1.0) * (1.0 - b2) * sigma0 - grad_terms) / bd.alpha)
         rows["sigma-constancy"].append(grad_terms / bd.alpha)
-    detail = "; ".join(f"fitted {k}={val:.3e} (resid {res:.1e})" for k, val, res in fitted[:1])
-    return [report_from_values(name, vals, tol, detail=detail) for name, vals in rows.items()]
+    return _bundle_reports(rows, fitted, 1, tol, True)
 
 
-def gradient_soliton_checks_nav(nav: NavigationData, f, kappa, flags, tol: float,
+def gradient_soliton_checks_nav(nav: NavigationData, kappa, points, tol: float,
                                 mu=None, sigma=None) -> list[ResidualReport]:
     """Navigation residuals for the gradient soliton characterization:
 
@@ -311,34 +348,34 @@ def gradient_soliton_checks_nav(nav: NavigationData, f, kappa, flags, tol: float
       (iii) (2n-1) sigma_0 = sigma f_0 - f_k S^k_0 - f_{:0j} W^j
       (iv)  (sigma_i - sigma f_i) W^i = kappa - mu + (n-1) sigma^2
       (v)   sigma f_0 - f_k S^k_0 - f_{:0j} W^j alone; sigma is constant when 0
+
+    at each `BundlePoint` of nav, whose f table gives the weight f.
     """
-    f = as_scalar_field(f)
     kappa = as_scalar_field(kappa)
     n = nav.dim
     rows = {k: [] for k in ("riemannian-soliton", "conformal-w",
                             "sigma-gradient-balance", "scalar-compatibility",
                             "sigma-constancy")}
     fitted = []
-    for p in flags:
+    for bp in points:
+        p, T = bp.p, bp.nav
         x = list(p.x)
-        T = randers.nav_tensors(nav, p.x)
         h2 = float(p.y @ T.h @ p.y)
         hnorm = math.sqrt(h2)
         if mu is None:
-            mval, mres = fit_riemann_soliton_scalar(nav.h, f, p.x)
+            mval, mres = fit_riemann_soliton_scalar(bp.h, bp.f)
             fitted.append(("mu", mval, mres))
         else:
             mval = float(riemann.scalar_value(as_scalar_field(mu)(x)))
         sval, sigma0, sigw, dsig = randers.field_sigma_terms(
             sigma if sigma is not None else 0.0, p.x, p.y, T.w_up)
         kap = float(riemann.scalar_value(kappa(x)))
-        _, df, _ = f.table(p.x, order=2)
-        hess_h = riemann.hessian_tensor(nav.h, f, p.x)
+        df = bp.f[1]
+        hess_h = riemann.hessian_tensor(bp.h, bp.f)
         f0 = float(df @ p.y)
 
-        hric = riemann.ricci_tensor(nav.h, p.x)
         rows["riemannian-soliton"].append(
-            (float(p.y @ (hric + hess_h) @ p.y) - mval * h2) / h2)
+            (float(p.y @ (bp.h.ricci + hess_h) @ p.y) - mval * h2) / h2)
         res_conf = T.wcov + T.wcov.T + 4.0 * sval * T.h
         rows["conformal-w"].append(np.max(np.abs(res_conf))
                                    / max(1.0, float(np.max(np.abs(T.h)))))
@@ -350,8 +387,7 @@ def gradient_soliton_checks_nav(nav: NavigationData, f, kappa, flags, tol: float
         rows["scalar-compatibility"].append(
             float((dsig - sval * df) @ T.w_up) - (kap - mval + (n - 1) * sval ** 2))
         rows["sigma-constancy"].append(compat / hnorm)
-    detail = "; ".join(f"fitted {k}={val:.3e} (resid {res:.1e})" for k, val, res in fitted[:1])
-    return [report_from_values(name, vals, tol, detail=detail) for name, vals in rows.items()]
+    return _bundle_reports(rows, fitted, 1, tol, True)
 
 
 # -- navigation closed form for the S-curvature rate -----------------------------------
@@ -365,13 +401,15 @@ def s_dot_closed_form_nav(nav: NavigationData, f, sigma, p: FlagPoint) -> float:
     """
     f = as_scalar_field(f)
     n = nav.dim
-    T = randers.nav_tensors(nav, p.x)
+    H = riemann.point_record(nav.h, p.x, 1)
+    T = randers.nav_tensors(nav, H)
     F = randers.eval_F_nav(nav, p)
     sval, sigma0, _, _ = randers.field_sigma_terms(sigma, p.x, p.y, T.w_up)
-    _, df, _ = f.table(p.x, order=2)
+    ftab = f.table(p.x, order=2)
+    df = ftab[1]
     f0 = float(df @ p.y)
     fS0 = float(df @ T.s_mixed @ p.y)
     fS = float(df @ T.s_up)
-    hess = riemann.hessian(nav.h, f, p.x, p.y)
+    hess = riemann.hessian(H, ftab, p.y)
     return ((n + 1) * sigma0 * F - 2.0 * sval * f0 * F + 2.0 * fS0 * F
             + fS * F * F + hess)

@@ -13,16 +13,14 @@ fourth-order expansion of F^2 (one finite-difference bundle in fd mode)
 feeds the Ricci law, infinity-Ricci and flag curvature rows, and the kappa
 fit shares one log-density table per point across its direction sweep.
 
-Heavy per-flag rows can fan out over processes; the worker count comes from
-the FINSLER_SOLITONS_WORKERS environment variable unless a caller overrides
-it.  Results are order-preserving, so reports stay byte-identical for a
-given seed regardless of the worker count.
+The characterization bundles share one `solitons.BundlePoint` per bundle
+flag (one jet pass each of alpha, h and f), and the sigma fit reads the beta
+tables of the first of them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -32,17 +30,7 @@ from .jets import FlagPoint, fd_derivative, lift
 from .reports import ResidualReport, report_from_values
 from .sampling import sample_flags, unit_direction
 
-WORKERS_ENV = "FINSLER_SOLITONS_WORKERS"
-
-
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-# -- per-flag heavy rows (parallelizable) ------------------------------------------
+# -- per-flag rows -----------------------------------------------------------------
 
 
 def _flag_rows(fixture, flags, mode):
@@ -74,38 +62,13 @@ def _flag_rows(fixture, flags, mode):
     return out
 
 
-def _flag_worker(args):
-    factory, kwargs, perturb, mode, xs, ys = args
-    fixture = factory(**kwargs, perturb=perturb)
-    flags = [FlagPoint(x, y) for x, y in zip(xs, ys)]
-    return _flag_rows(fixture, flags, mode)
-
-
-def _flag_rows_parallel(fixture, flags, mode, workers):
-    if workers <= 1 or fixture.factory is None or len(flags) < 2 * workers:
-        return _flag_rows(fixture, flags, mode)
-    import multiprocessing as mp
-
-    chunks = np.array_split(np.arange(len(flags)), workers)
-    tasks = []
-    for idx in chunks:
-        if idx.size == 0:
-            continue
-        tasks.append((fixture.factory, fixture.factory_kwargs, fixture.perturb, mode,
-                      [flags[i].x for i in idx], [flags[i].y for i in idx]))
-    with mp.Pool(processes=len(tasks)) as pool:
-        parts = pool.map(_flag_worker, tasks)
-    return [row for part in parts for row in part]
-
-
 # -- fixture suite ------------------------------------------------------------------
 
 
-def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6, mode="jet",
-                      workers=None) -> list[ResidualReport]:
+def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
+                      mode="jet") -> list[ResidualReport]:
     """Every applicable check of one fixture at the given sample count."""
     rng = np.random.default_rng(seed)
-    workers = default_workers() if workers is None else max(1, int(workers))
     flags = sample_flags(fixture, samples, rng)
     fit_points = [f.x for f in flags[:max(2, min(8, samples))]]
     reports: list[ResidualReport] = []
@@ -114,13 +77,16 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6, mode="jet",
         reports.append(report_from_values(f"constraint/{cname}", [value], tol=0.0,
                                           detail="structural identity, exact"))
 
-    rows = _flag_rows_parallel(fixture, flags, mode, workers)
+    rows = _flag_rows(fixture, flags, mode)
     names = sorted({k for row in rows for k in row})
     for name in names:
         vals = [row[name] for row in rows if name in row]
         reports.append(report_from_values(name, vals, tol))
 
-    sigmas, fitres = solitons.fit_sigma(fixture.rd, fit_points)
+    # the fit points are the first bundle flags
+    points = solitons.bundle_points(fixture.rd, fixture.nav, fixture.f,
+                                    flags[:max(2, min(len(flags), 32))])
+    sigmas, fitres = solitons.fit_sigma([bp.beta for bp in points[:len(fit_points)]])
     sig_expected = [float(riemann.scalar_value(fixture.sigma(list(x)))) for x in fit_points]
     reports.append(report_from_values(
         "sigma-fit", np.abs(sigmas - np.array(sig_expected)), tol,
@@ -132,28 +98,28 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6, mode="jet",
     reports.append(report_from_values("kappa-fit", np.abs(kappas - np.array(kap_expected)), tol))
     reports.append(report_from_values("kappa-anisotropy", [anis], tol))
 
-    bundle_flags = flags[:max(2, min(len(flags), 32))]
     for bundle in fixture.bundles:
         if bundle not in BUNDLES:
             raise ValueError(f"unknown bundle {bundle!r} on fixture {fixture.name!r}")
-        for r in BUNDLES[bundle](fixture, bundle_flags, tol):
+        for r in BUNDLES[bundle](fixture, points, tol):
             r.name = f"{bundle}/{r.name}"
             reports.append(r)
     return reports
 
 
 # Each characterization bundle a fixture can declare: its checker, called on
-# the fixture's data.  The checker is looked up in `solitons` at call time, so
-# a wrapper installed there (a tracer, a counter) sees every call.
+# the fixture's data and the shared bundle points.  The checker is looked up
+# in `solitons` at call time, so a wrapper installed there (a tracer, a
+# counter) sees every call.
 BUNDLES = {
-    "gradient-ab": lambda fx, flags, tol: solitons.gradient_soliton_checks_ab(
-        fx.rd, fx.f, fx.kappa, flags, tol, sigma=fx.sigma),
-    "gradient-nav": lambda fx, flags, tol: solitons.gradient_soliton_checks_nav(
-        fx.nav, fx.f, fx.kappa, flags, tol, mu=fx.mu_soliton, sigma=fx.sigma),
-    "vector-ab": lambda fx, flags, tol: solitons.vector_soliton_checks_ab(
-        fx.rd, fx.zero_field, fx.einstein_kappa, flags, tol, c=0.0, sigma=fx.sigma),
-    "vector-nav": lambda fx, flags, tol: solitons.vector_soliton_checks_nav(
-        fx.nav, fx.zero_field, fx.einstein_kappa, flags, tol, mu=fx.mu_einstein_h,
+    "gradient-ab": lambda fx, points, tol: solitons.gradient_soliton_checks_ab(
+        fx.rd, fx.kappa, points, tol, sigma=fx.sigma),
+    "gradient-nav": lambda fx, points, tol: solitons.gradient_soliton_checks_nav(
+        fx.nav, fx.kappa, points, tol, mu=fx.mu_soliton, sigma=fx.sigma),
+    "vector-ab": lambda fx, points, tol: solitons.vector_soliton_checks_ab(
+        fx.rd, fx.zero_field, fx.einstein_kappa, points, tol, c=0.0, sigma=fx.sigma),
+    "vector-nav": lambda fx, points, tol: solitons.vector_soliton_checks_nav(
+        fx.nav, fx.zero_field, fx.einstein_kappa, points, tol, mu=fx.mu_einstein_h,
         sigma=fx.sigma),
 }
 
@@ -194,10 +160,10 @@ def crosscheck_lie_identities(count=200, seed=7, tol=1e-9):
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
         lhs = finsler.lie_F2(metric, v, p)
         F = metric.value(p.x, p.y)
-        T = randers.beta_tables(rd, p.x)
-        alpha = math.sqrt(float(p.y @ T.a @ p.y))
-        la2 = riemann.lie_h2(rd.alpha, v, p.x, p.y)
-        lb = riemann.lie_1form(rd.alpha, rd.beta, v, p.x, p.y)
+        A = riemann.point_record(rd.alpha, p.x, 1)
+        alpha = math.sqrt(float(p.y @ A.h0 @ p.y))
+        la2 = riemann.lie_h2(A, v, p.y)
+        lb = riemann.lie_1form(A, rd.beta, v, p.y)
         rhs = F / alpha * la2 + 2.0 * F * lb
         split.append((lhs - rhs) / (F * F))
 
@@ -249,7 +215,7 @@ def crosscheck_navigation(count=1000, seed=7, tol=1e-10, points_per_metric=20):
                 h2m = nav2.h.matrix_at(x)
                 roundtrip.append(max(float(np.max(np.abs(h1 - h2m))),
                                      float(np.max(np.abs(nav.W.at(x) - nav2.W.at(x))))))
-            T = randers.nav_tensors(nav, x)
+            T = randers.nav_tensors(nav, riemann.point_record(nav.h, x, 1))
             F = randers.eval_F_nav(nav, p)
             h2 = float(y @ T.h @ y)
             w0 = float(T.w_low @ y)
@@ -271,7 +237,7 @@ def crosscheck_riemann_reduction(count=60, seed=7, tol=1e-9):
         metric = FinslerMetric.from_riemannian(h)
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
         spray_ric = finsler.ricci(metric, p)
-        chris_ric = riemann.riemann_ricci(h, p.x, p.y)
+        chris_ric = riemann.riemann_ricci(riemann.point_record(h, p.x, 2), p.y)
         h2 = float(p.y @ h.matrix_at(p.x) @ p.y)
         rel.append((spray_ric - chris_ric) / max(abs(chris_ric), h2))
     return [report_from_values("spray-vs-christoffel-ricci", rel, tol)]
@@ -350,7 +316,8 @@ def crosscheck_isotropic_s(count=40, seed=7, tol=1e-8):
         y = unit_direction(rng, dim)
         p = FlagPoint(x, y)
 
-        fitted, _res = randers.fit_sigma_isotropic_S(rd, x, solitons._directions(dim))
+        T = randers.beta_tables(rd, riemann.point_record(rd.alpha, x, 2))
+        fitted, _res = randers.fit_sigma_isotropic_S(T, solitons._directions(dim))
         sig_fit.append(fitted - float(riemann.scalar_value(sigma(list(x)))))
 
         mu_t = float(rng.uniform(-1.0, 1.0))
@@ -358,8 +325,7 @@ def crosscheck_isotropic_s(count=40, seed=7, tol=1e-8):
         F2 = metric.value(x, y) ** 2
         transfer.append((lhs - rhs) / F2)
 
-        T = randers.beta_tables(rd, x)
-        N = randers.nav_tensors(nav, x)
+        N = randers.nav_tensors(nav, riemann.point_record(nav.h, x, 1))
         s0_row.append(float(T.s_low @ y) - float(N.s_low @ y) / N.lam)
         smix = -N.s_mixed + np.outer(N.s_up, N.w_low) / N.lam
         smix_row.append(float(np.max(np.abs(T.s_mixed - smix))))

@@ -42,7 +42,8 @@ def test_criterion_02_cigar_steady_soliton():
                                                        fx.kappa, p))
                 for p in flags)
     ok1 = _line(2, "cigar |Ric_inf / F^2| (steady, kappa = 0)", worst, 1e-7)
-    sigmas, _ = solitons.fit_sigma(fx.rd, [f.x for f in flags[:8]])
+    sigmas, _ = solitons.fit_sigma([bp.beta for bp in solitons.bundle_points(
+        fx.rd, fx.nav, fx.f, flags[:8])])
     worst_sigma = float(np.max(np.abs(sigmas)))
     ok2 = _line(2, "cigar fitted isotropic-S sigma", worst_sigma, 1e-8)
     assert ok1 and ok2
@@ -71,7 +72,7 @@ def test_criterion_04_shrinking_cylinder():
     ok1 = _line(4, "shrinking cylinder |Ric_inf / F^2 - 2| over 256 flags", worst, 1e-6)
     killing = 0.0
     for p in flags[:16]:
-        T = randers.nav_tensors(fx.nav, p.x)
+        T = randers.nav_tensors(fx.nav, riemann.point_record(fx.nav.h, p.x, 1))
         killing = max(killing, float(np.max(np.abs(T.wcov + T.wcov.T)))
                       / max(1.0, float(np.max(np.abs(T.h)))))
     ok2 = _line(4, "shrinking cylinder Killing residual of W", killing, 1e-9)
@@ -90,9 +91,11 @@ def test_criterion_05_expanding_cylinder():
     ok1 = _line(5, "expanding cylinder |Ric_inf / F^2 + 2| over 256 flags", worst, 1e-6)
     fcond = 0.0
     for p in flags[:32]:
-        T = randers.nav_tensors(fx.nav, p.x)
-        hess = riemann.hessian_tensor(fx.nav.h, fx.f, p.x)
-        _, df, _ = fx.f.table(p.x, order=2)
+        H = riemann.point_record(fx.nav.h, p.x, 1)
+        T = randers.nav_tensors(fx.nav, H)
+        ftab = fx.f.table(p.x, order=2)
+        hess = riemann.hessian_tensor(H, ftab)
+        df = ftab[1]
         val = float(df @ T.s_mixed @ p.y) + float(p.y @ hess @ T.w_up)
         fcond = max(fcond, abs(val) / math.sqrt(float(p.y @ T.h @ p.y)))
     ok2 = _line(5, "expanding cylinder f-compatibility residual", fcond, 1e-8)
@@ -149,17 +152,18 @@ def test_criterion_10_characterization_bundles_and_negative_controls():
     for name in fixtures.FIXTURE_NAMES:
         fx = fixtures.get_fixture(name)
         flags = sample_flags(fx, 48, np.random.default_rng(110))
-        rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.f, fx.kappa, flags, tol,
+        points = solitons.bundle_points(fx.rd, fx.nav, fx.f, flags)
+        rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.kappa, points, tol,
                                                    sigma=fx.sigma)
-        rows += solitons.gradient_soliton_checks_nav(fx.nav, fx.f, fx.kappa, flags,
+        rows += solitons.gradient_soliton_checks_nav(fx.nav, fx.kappa, points,
                                                      tol, mu=fx.mu_soliton,
                                                      sigma=fx.sigma)
         if "vector-ab" in fx.bundles:
             rows += solitons.vector_soliton_checks_ab(fx.rd, fx.zero_field,
-                                                      fx.einstein_kappa, flags, tol,
+                                                      fx.einstein_kappa, points, tol,
                                                       c=0.0, sigma=fx.sigma)
             rows += solitons.vector_soliton_checks_nav(fx.nav, fx.zero_field,
-                                                       fx.einstein_kappa, flags, tol,
+                                                       fx.einstein_kappa, points, tol,
                                                        mu=fx.mu_einstein_h,
                                                        sigma=fx.sigma)
         worst = max(r.max_abs for r in rows)
@@ -167,7 +171,7 @@ def test_criterion_10_characterization_bundles_and_negative_controls():
                         worst, tol, passed=all_passed(rows))
     for name in fixtures.FIXTURE_NAMES:
         for ingredient in ("f", "W", "kappa", "mu", "sigma"):
-            fx = fixtures.get_fixture(name).perturbed(ingredient, 1e-2)
+            fx = fixtures.get_fixture(name, perturb=(ingredient, 1e-2))
             rows = suites.run_fixture_suite(fx, samples=12, seed=110, tol=tol)
             worst = max(r.max_abs for r in rows)
             ok = worst >= 1e-3

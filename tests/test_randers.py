@@ -26,6 +26,10 @@ from finsler_solitons.riemann import (RiemannMetric, VectorField,
 RNG = np.random.default_rng(31)
 
 
+def tables_at(rd, x):
+    return beta_tables(rd, riemann.point_record(rd.alpha, x, 2))
+
+
 def cigar_navigation():
     h = RiemannMetric(2, lambda x: [[1.0, 0.0], [0.0, jets.tanh(x[0]) ** 2]],
                       name="cigar-h")
@@ -94,7 +98,7 @@ def test_navigation_domain_error():
 def test_randers_domain_error():
     rd = RandersData(alpha=euclidean_metric(2), beta=VectorField(lambda x: [1.1, 0.0]))
     with pytest.raises(RandersDomainError):
-        beta_tables(rd, [0.0, 0.0])
+        tables_at(rd, [0.0, 0.0])
 
 
 # -- metric evaluation ------------------------------------------------------------------
@@ -224,9 +228,10 @@ def test_closed_form_beta_has_no_curl():
     rd = RandersData(alpha=a, beta=VectorField(
         lambda x: [0.3 * c for c in df.components(x)]))
     x = generators.sample_box_point(RNG, 2)
-    T = beta_tables(rd, x)
+    T = tables_at(rd, x)
     assert np.max(np.abs(T.s)) <= 1e-13
-    np.testing.assert_allclose(T.r, 0.3 * riemann.hessian_tensor(a, f, x), atol=1e-12)
+    hess = riemann.hessian_tensor(riemann.point_record(a, x, 1), f.table(x, order=2))
+    np.testing.assert_allclose(T.r, 0.3 * hess, atol=1e-12)
 
 
 def test_cigar_e00_vanishes():
@@ -242,8 +247,8 @@ def test_navigation_s_tensor_transfer():
     rd = from_navigation(nav)
     x = generators.sample_box_point(RNG, 3)
     y = RNG.normal(size=3)
-    T = beta_tables(rd, x)
-    N = nav_tensors(nav, x)
+    T = tables_at(rd, x)
+    N = nav_tensors(nav, riemann.point_record(nav.h, x, 1))
     assert float(T.s_low @ y) == pytest.approx(float(N.s_low @ y) / N.lam,
                                                rel=1e-10, abs=1e-12)
     want = -N.s_mixed + np.outer(N.s_up, N.w_low) / N.lam
@@ -254,7 +259,7 @@ def test_s_orthogonality_identity():
     # s_j b^j = 0 holds identically
     rd = generators.random_randers(RNG, 3)
     for _ in range(5):
-        T = beta_tables(rd, generators.sample_box_point(RNG, 3))
+        T = tables_at(rd, generators.sample_box_point(RNG, 3))
         assert abs(float(T.s_low @ T.b_up)) <= 1e-13
 
 
@@ -263,7 +268,7 @@ def test_s_orthogonality_identity():
 
 def test_fit_sigma_cigar_zero():
     rd = from_navigation(cigar_navigation())
-    sig, res = fit_sigma_isotropic_S(rd, [0.9, 0.3], _directions(2))
+    sig, res = fit_sigma_isotropic_S(tables_at(rd, [0.9, 0.3]), _directions(2))
     assert abs(sig) <= 1e-9
     assert res <= 1e-9
 
@@ -277,7 +282,7 @@ def test_fit_sigma_flat_family_recovers_sigma():
                                for i in range(2)])
     nav = NavigationData(euclidean_metric(2), w)
     rd = from_navigation(nav)
-    sig, res = fit_sigma_isotropic_S(rd, [0.2, -0.1], _directions(2))
+    sig, res = fit_sigma_isotropic_S(tables_at(rd, [0.2, -0.1]), _directions(2))
     assert sig == pytest.approx(sigma0, rel=1e-9)
     assert res <= 1e-9
 
@@ -287,14 +292,14 @@ def test_fit_sigma_nonconformal_has_residual():
     w = VectorField(lambda x: [0.4 * x[0], -0.1 * x[1]])
     nav = NavigationData(euclidean_metric(2), w)
     rd = from_navigation(nav)
-    sig, res = fit_sigma_isotropic_S(rd, [0.3, 0.2], _directions(2, count=12))
+    sig, res = fit_sigma_isotropic_S(tables_at(rd, [0.3, 0.2]), _directions(2, count=12))
     assert res > 1e-2
 
 
 def test_fit_sigma_rejects_degenerate_samples():
-    rd = generators.random_randers(RNG, 3)
+    T = tables_at(generators.random_randers(RNG, 3), [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        fit_sigma_isotropic_S(rd, [0.0, 0.0, 0.0], [np.array([1.0, 0.0, 0.0])])
+        fit_sigma_isotropic_S(T, [np.array([1.0, 0.0, 0.0])])
 
 
 # -- closed-form Ricci --------------------------------------------------------------------
@@ -305,7 +310,7 @@ def test_closed_form_reduces_to_alpha_ricci():
     rd = RandersData(alpha=a, beta=VectorField(lambda x: [0.0] * 3))
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
     assert randers_ricci_closed_form(rd, p) == pytest.approx(
-        riemann.riemann_ricci(a, p.x, p.y), rel=1e-10, abs=1e-12)
+        riemann.riemann_ricci(riemann.point_record(a, p.x, 2), p.y), rel=1e-10, abs=1e-12)
 
 
 def test_closed_form_cigar_law():
@@ -381,7 +386,7 @@ def test_sigma_equals_minus_conformal_factor():
     nav, sigma, c = generators.conformal_euclidean_navigation(RNG, 2)
     rd = from_navigation(nav)
     x = generators.sample_box_point(RNG, 2)
-    fitted, res = fit_sigma_isotropic_S(rd, x, _directions(2))
+    fitted, res = fit_sigma_isotropic_S(tables_at(rd, x), _directions(2))
     assert res <= 1e-10
     assert fitted == pytest.approx(-float(c(list(x))), rel=1e-10, abs=1e-12)
 

@@ -7,17 +7,29 @@ import pytest
 
 from finsler_solitons import generators, jets, riemann
 from finsler_solitons.riemann import (MetricDomainError, RiemannMetric,
-                                      ScalarField, VectorField,
-                                      christoffel, conformal_residual,
+                                      ScalarField, VectorField, as_scalar_field,
+                                      conformal_residual,
                                       covariant_derivative_1form,
                                       euclidean_metric, gradient_table,
-                                      hessian, hessian_tensor, lie_1form,
+                                      hessian_tensor, lie_1form,
                                       lie_h2, lie_W0,
                                       metric_compatibility_residual,
-                                      ricci_tensor, riemann_ricci,
+                                      point_record, riemann_ricci,
                                       vector_covariant_lowered)
 
 RNG = np.random.default_rng(11)
+
+
+def christoffel(h, x):
+    return point_record(h, x, 1).gamma
+
+
+def ricci(h, x, y):
+    return riemann_ricci(point_record(h, x, 2), y)
+
+
+def hessian(h, f, x, y):
+    return riemann.hessian(point_record(h, x, 1), as_scalar_field(f).table(x, order=2), y)
 
 
 def cigar_metric():
@@ -91,7 +103,7 @@ def test_singular_metric_raises():
 
 def test_ricci_euclidean_zero():
     y = RNG.normal(size=3)
-    assert riemann_ricci(euclidean_metric(3), [0.1, 0.2, 0.3], y) == 0.0
+    assert ricci(euclidean_metric(3), [0.1, 0.2, 0.3], y) == 0.0
 
 
 def test_ricci_sphere_constant_curvature():
@@ -101,7 +113,7 @@ def test_ricci_sphere_constant_curvature():
     x = RNG.uniform(-0.6, 0.6, size=3)
     y = RNG.normal(size=3)
     h2 = float(y @ h.matrix_at(x) @ y)
-    assert riemann_ricci(h, x, y) == pytest.approx(2.0 * mu * h2, rel=1e-10)
+    assert ricci(h, x, y) == pytest.approx(2.0 * mu * h2, rel=1e-10)
 
 
 def test_ricci_cigar_law():
@@ -110,7 +122,7 @@ def test_ricci_cigar_law():
         x = [t, 0.2]
         y = RNG.normal(size=2)
         h2 = float(y @ h.matrix_at(x) @ y)
-        assert riemann_ricci(h, x, y) == pytest.approx(2.0 / math.cosh(t) ** 2 * h2,
+        assert ricci(h, x, y) == pytest.approx(2.0 / math.cosh(t) ** 2 * h2,
                                                        rel=1e-10)
 
 
@@ -118,9 +130,9 @@ def test_ricci_quadratic_in_y():
     h = generators.random_riemann_metric(RNG, 3)
     x = generators.sample_box_point(RNG, 3)
     y = RNG.normal(size=3)
-    base = riemann_ricci(h, x, y)
+    base = ricci(h, x, y)
     for lam in (0.3, 2.7):
-        assert riemann_ricci(h, x, lam * y) == pytest.approx(lam * lam * base,
+        assert ricci(h, x, lam * y) == pytest.approx(lam * lam * base,
                                                              rel=1e-12)
 
 
@@ -129,7 +141,7 @@ def test_ricci_quadratic_in_y():
 
 def test_covariant_derivative_constant_form_flat():
     b = VectorField(lambda x: [0.3, -0.4, 0.1])
-    out = covariant_derivative_1form(euclidean_metric(3), b, [0.0, 1.0, 2.0])
+    out = covariant_derivative_1form(point_record(euclidean_metric(3), [0.0, 1.0, 2.0], 1), b)
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -139,9 +151,10 @@ def test_gradient_form_covariant_derivative_is_symmetric():
     df = VectorField(lambda x: [jets.cos(x[0]) * x[1], jets.sin(x[0]),
                                 0.3 * jets.exp(0.3 * x[2])])
     x = generators.sample_box_point(RNG, 3)
-    bcov = covariant_derivative_1form(h, df, x)
+    rec = point_record(h, x, 1)
+    bcov = covariant_derivative_1form(rec, df)
     np.testing.assert_allclose(bcov, bcov.T, atol=1e-12)
-    np.testing.assert_allclose(bcov, hessian_tensor(h, f, x), atol=1e-12)
+    np.testing.assert_allclose(bcov, hessian_tensor(rec, f.table(x, order=2)), atol=1e-12)
 
 
 def test_killing_field_covariant_derivative_antisymmetric():
@@ -157,9 +170,10 @@ def test_killing_field_covariant_derivative_antisymmetric():
                 for i in range(3)]
 
     x = RNG.uniform(-0.5, 0.5, size=3)
-    wcov = vector_covariant_lowered(h, VectorField(w_fn), x)
+    rec = point_record(h, x, 1)
+    wcov = vector_covariant_lowered(rec, VectorField(w_fn))
     np.testing.assert_allclose(wcov, -wcov.T, atol=1e-12)
-    np.testing.assert_allclose(conformal_residual(h, VectorField(w_fn), 0.0, x),
+    np.testing.assert_allclose(conformal_residual(rec, VectorField(w_fn), 0.0),
                                np.zeros((3, 3)), atol=1e-12)
 
 
@@ -207,8 +221,9 @@ def test_lie_zero_field():
     zero = VectorField(lambda x: [0.0, 0.0])
     x = generators.sample_box_point(RNG, 2)
     y = RNG.normal(size=2)
-    assert lie_h2(h, zero, x, y) == 0.0
-    assert lie_W0(h, generators.random_vector_field(RNG, 2), zero, x, y) == 0.0
+    rec = point_record(h, x, 1)
+    assert lie_h2(rec, zero, y) == 0.0
+    assert lie_W0(rec, generators.random_vector_field(RNG, 2), zero, y) == 0.0
 
 
 def test_lie_killing_rotation_flat():
@@ -217,7 +232,7 @@ def test_lie_killing_rotation_flat():
     for _ in range(5):
         x = generators.sample_box_point(RNG, 2)
         y = RNG.normal(size=2)
-        assert lie_h2(h, v, x, y) == pytest.approx(0.0, abs=1e-14)
+        assert lie_h2(point_record(h, x, 1), v, y) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_lie_radial_homothety_flat():
@@ -225,7 +240,8 @@ def test_lie_radial_homothety_flat():
     v = VectorField(lambda x: [x[0], x[1]])
     x = generators.sample_box_point(RNG, 2)
     y = RNG.normal(size=2)
-    assert lie_h2(h, v, x, y) == pytest.approx(2.0 * float(y @ y), rel=1e-13)
+    assert lie_h2(point_record(h, x, 1), v, y) == pytest.approx(2.0 * float(y @ y),
+                                                                rel=1e-13)
 
 
 def test_lie_h2_of_gradient_is_twice_hessian():
@@ -235,7 +251,7 @@ def test_lie_h2_of_gradient_is_twice_hessian():
     for _ in range(5):
         x = generators.sample_box_point(RNG, 3)
         y = RNG.normal(size=3)
-        assert lie_h2(h, grad, x, y) == pytest.approx(2.0 * hessian(h, f, x, y),
+        assert lie_h2(point_record(h, x, 1), grad, y) == pytest.approx(2.0 * hessian(h, f, x, y),
                                                       rel=1e-10, abs=1e-10)
 
 
@@ -250,13 +266,13 @@ def test_conformal_residual_flat_family():
     w = VectorField(lambda x: [-2.0 * sigma * x[i] + Q[i, 0] * x[0] + Q[i, 1] * x[1] + C[i]
                                for i in range(2)])
     x = generators.sample_box_point(RNG, 2)
-    res = conformal_residual(euclidean_metric(2), w, -sigma, x)
+    res = conformal_residual(point_record(euclidean_metric(2), x, 1), w, -sigma)
     np.testing.assert_allclose(res, np.zeros((2, 2)), atol=1e-13)
 
 
 def test_conformal_residual_zero_field_unit_factor():
-    res = conformal_residual(euclidean_metric(3), VectorField(lambda x: [0.0] * 3),
-                             1.0, [0.1, 0.2, 0.3])
+    res = conformal_residual(point_record(euclidean_metric(3), [0.1, 0.2, 0.3], 1),
+                             VectorField(lambda x: [0.0] * 3), 1.0)
     np.testing.assert_allclose(res, -4.0 * np.eye(3), atol=0.0)
 
 
@@ -268,7 +284,7 @@ def test_metric_compatibility():
         h = generators.random_riemann_metric(RNG, dim)
         for _ in range(5):
             x = generators.sample_box_point(RNG, dim)
-            res = metric_compatibility_residual(h, x)
+            res = metric_compatibility_residual(point_record(h, x, 1))
             assert np.max(np.abs(res)) <= 1e-10
 
 
@@ -279,7 +295,7 @@ def test_lie_1form_matches_direct_lift():
     v = generators.random_vector_field(RNG, 2)
     x = generators.sample_box_point(RNG, 2)
     y = RNG.normal(size=2)
-    got = lie_1form(h, b, v, x, y)
+    got = lie_1form(point_record(h, x, 1), b, v, y)
     b0, db = b.table(x, order=1)
     v0, dv = v.table(x, order=1)
     # direct lift: V^k d_k(b_j) y^j + b_i dV^i/dx^j y^j

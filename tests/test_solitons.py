@@ -1,6 +1,8 @@
 """Soliton residual checkers: pointwise laws, characterization bundles,
 scalar fitting, and falsifiability via negative controls."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,11 @@ TOL = 1e-7
 
 def flags_of(fx, n=12, seed=5):
     return sample_flags(fx, n, np.random.default_rng(seed))
+
+
+def points_of(fx, n=12, seed=5, f=None):
+    return solitons.bundle_points(fx.rd, fx.nav, fx.f if f is None else f,
+                                  flags_of(fx, n, seed))
 
 
 # -- pointwise residuals -----------------------------------------------------------
@@ -66,10 +73,10 @@ def test_gradient_residual_affine_in_kappa():
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
 def test_gradient_bundles_pass(name):
     fx = fixtures.get_fixture(name)
-    flags = flags_of(fx, 10)
-    rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.f, fx.kappa, flags, TOL,
+    points = points_of(fx, 10)
+    rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.kappa, points, TOL,
                                                sigma=fx.sigma)
-    rows += solitons.gradient_soliton_checks_nav(fx.nav, fx.f, fx.kappa, flags, TOL,
+    rows += solitons.gradient_soliton_checks_nav(fx.nav, fx.kappa, points, TOL,
                                                  mu=fx.mu_soliton, sigma=fx.sigma)
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
 
@@ -77,31 +84,31 @@ def test_gradient_bundles_pass(name):
 @pytest.mark.parametrize("name", ("cigar", "gaussian"))
 def test_vector_bundles_pass_on_einstein_fixtures(name):
     fx = fixtures.get_fixture(name)
-    flags = flags_of(fx, 10)
+    points = points_of(fx, 10)
     rows = solitons.vector_soliton_checks_ab(fx.rd, fx.zero_field, fx.einstein_kappa,
-                                             flags, TOL, c=0.0, sigma=fx.sigma)
+                                             points, TOL, c=0.0, sigma=fx.sigma)
     rows += solitons.vector_soliton_checks_nav(fx.nav, fx.zero_field, fx.einstein_kappa,
-                                               flags, TOL, mu=fx.mu_einstein_h,
+                                               points, TOL, mu=fx.mu_einstein_h,
                                                sigma=fx.sigma)
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
 
 
 def test_vector_bundles_not_applicable_on_riemannian_data():
     fx = fixtures.get_fixture("gaussian-riemannian")
-    flags = flags_of(fx, 4)
-    rows = solitons.vector_soliton_checks_ab(fx.rd, fx.zero_field, 0.0, flags, TOL)
+    points = points_of(fx, 4)
+    rows = solitons.vector_soliton_checks_ab(fx.rd, fx.zero_field, 0.0, points, TOL)
     assert all(r.verdict == "not-applicable" for r in rows)
-    rows = solitons.vector_soliton_checks_nav(fx.nav, fx.zero_field, 0.0, flags, TOL)
+    rows = solitons.vector_soliton_checks_nav(fx.nav, fx.zero_field, 0.0, points, TOL)
     assert all(r.verdict == "not-applicable" for r in rows)
 
 
 def test_fitted_scalars_match_declared():
     fx = fixtures.get_fixture("cigar")
-    flags = flags_of(fx, 6)
+    points = points_of(fx, 6)
     # run the gradient bundles in fitted mode (no sigma/mu supplied)
-    rows = solitons.gradient_soliton_checks_nav(fx.nav, fx.f, fx.kappa, flags, TOL)
+    rows = solitons.gradient_soliton_checks_nav(fx.nav, fx.kappa, points, TOL)
     assert all_passed(rows)
-    rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.f, fx.kappa, flags, TOL)
+    rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.kappa, points, TOL)
     assert all_passed(rows)
 
 
@@ -109,15 +116,15 @@ def test_constant_weight_reduces_to_einstein_check():
     # f constant: the measure is Busemann-Hausdorff and the gradient bundles
     # must hold with kappa equal to the Einstein scalar of F
     fx = fixtures.get_fixture("cigar")
-    flags = flags_of(fx, 8)
-    rows = solitons.gradient_soliton_checks_ab(fx.rd, 0.0, fx.einstein_kappa, flags,
+    points = points_of(fx, 8, f=0.0)
+    rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.einstein_kappa, points,
                                                TOL, sigma=fx.sigma)
-    rows += solitons.gradient_soliton_checks_nav(fx.nav, 0.0, fx.einstein_kappa, flags,
+    rows += solitons.gradient_soliton_checks_nav(fx.nav, fx.einstein_kappa, points,
                                                  TOL, mu=fx.mu_einstein_h,
                                                  sigma=fx.sigma)
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
     m_bh = randers.bh_measure(fx.rd)
-    for p in flags[:4]:
+    for p in [bp.p for bp in points[:4]]:
         res = solitons.gradient_soliton_residual(fx.metric, m_bh, fx.einstein_kappa, p)
         assert abs(res) <= 1e-9
 
@@ -131,7 +138,7 @@ def test_third_balance_equation_consistency():
         fx = fixtures.get_fixture(name)
         n = fx.dim
         for p in flags_of(fx, 6):
-            T = randers.beta_tables(fx.rd, p.x)
+            T = randers.beta_tables(fx.rd, riemann.point_record(fx.rd.alpha, p.x, 2))
             bd = randers.beta_derivatives(fx.rd, p, tables=T)
             kap = float(riemann.scalar_value(fx.einstein_kappa(list(p.x))))
             want = kap * bd.beta + (n - 1) * bd.t0
@@ -178,14 +185,16 @@ def test_fit_kappa_needs_two_directions():
 
 def test_fit_conformal_factor_flat_homothety():
     v = VectorField(lambda x: [0.7 * x[0], 0.7 * x[1]])
-    c, res = solitons.fit_conformal_factor(euclidean_metric(2), v, [0.2, 0.1])
+    rec = riemann.point_record(euclidean_metric(2), [0.2, 0.1], 1)
+    c, res = solitons.fit_conformal_factor(rec, v)
     assert c == pytest.approx(0.35, rel=1e-12)
     assert res <= 1e-13
 
 
 def test_fit_einstein_scalar_sphere():
     h = fixtures.sphere_metric(1.0, 3)
-    mu, res = solitons.fit_einstein_scalar(h, RNG.uniform(-0.4, 0.4, size=3))
+    rec = riemann.point_record(h, RNG.uniform(-0.4, 0.4, size=3), 2)
+    mu, res = solitons.fit_einstein_scalar(rec)
     assert mu == pytest.approx(2.0, rel=1e-10)
     assert res <= 1e-10
 
@@ -194,7 +203,8 @@ def test_fit_einstein_scalar_sphere():
 def test_fit_riemann_soliton_scalar_fixtures(name, mu):
     fx = fixtures.get_fixture(name)
     for p in flags_of(fx, 3):
-        fitted, res = solitons.fit_riemann_soliton_scalar(fx.nav.h, fx.f, p.x)
+        fitted, res = solitons.fit_riemann_soliton_scalar(
+            riemann.point_record(fx.nav.h, p.x, 2), fx.f.table(p.x, order=2))
         assert fitted == pytest.approx(mu, abs=1e-12)
         assert float(fx.mu_soliton(list(p.x))) == mu
         assert res <= 1e-12
@@ -207,23 +217,11 @@ def test_fit_riemann_soliton_scalar_fixtures(name, mu):
 def test_negative_controls_cigar(ingredient):
     from finsler_solitons.suites import run_fixture_suite
 
-    fx = fixtures.get_fixture("cigar").perturbed(ingredient, 1e-2)
+    fx = fixtures.get_fixture("cigar", perturb=(ingredient, 1e-2))
     rows = run_fixture_suite(fx, samples=12, seed=5, tol=1e-6)
     worst = max(r.max_abs for r in rows)
     assert worst >= 1e-3, f"perturbing {ingredient} left all residuals below 1e-3"
     assert not all_passed(rows)
-
-
-@pytest.mark.parametrize("perturb", [None, ("f", 1e-2)])
-def test_two_worker_fan_out_equals_one_worker(perturb):
-    from finsler_solitons.suites import run_fixture_suite
-
-    fx = fixtures.get_fixture("cigar", perturb=perturb)
-    assert fx.factory is not None       # the workers rebuild the fixture from it
-    serial = run_fixture_suite(fx, samples=8, seed=3, workers=1)
-    fanned = run_fixture_suite(fx, samples=8, seed=3, workers=2)
-    assert [r.to_dict() for r in fanned] == [r.to_dict() for r in serial]
-    assert all_passed(serial) == (perturb is None)
 
 
 def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
@@ -240,25 +238,54 @@ def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
     assert set(checkers) == set(suites.BUNDLES) == set(fx.bundles)
     for bundle, attr in checkers.items():
         def wrapped(*args, _fn=getattr(solitons, attr), _attr=attr, **kwargs):
-            seen.append((_attr, args[:3], sorted(kwargs.items())))
+            seen.append((_attr, args, sorted(kwargs.items())))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(solitons, attr, wrapped)
     reports = suites.run_fixture_suite(fx, samples=2, seed=3)
     assert [a for a, _, _ in seen] == [checkers[b] for b in fx.bundles]
-    assert seen[0][1] == (fx.rd, fx.f, fx.kappa)
-    assert seen[1][1] == (fx.nav, fx.f, fx.kappa)
-    assert seen[2][1] == (fx.rd, fx.zero_field, fx.einstein_kappa)
+    assert seen[0][1][:2] == (fx.rd, fx.kappa)
+    assert seen[1][1][:2] == (fx.nav, fx.kappa)
+    assert seen[2][1][:3] == (fx.rd, fx.zero_field, fx.einstein_kappa)
     assert ("c", 0.0) in seen[2][2]
-    assert seen[3][1] == (fx.nav, fx.zero_field, fx.einstein_kappa)
+    assert seen[3][1][:3] == (fx.nav, fx.zero_field, fx.einstein_kappa)
     assert ("mu", fx.mu_einstein_h) in seen[3][2]
+    # all four read one list of bundle points
+    points = seen[0][1][2]
+    assert seen[1][1][2] is points and seen[2][1][3] is points and seen[3][1][3] is points
     for bundle in fx.bundles:
         assert any(r.name.startswith(f"{bundle}/") for r in reports)
 
 
+@pytest.mark.parametrize("name", ("cigar", "shrinking"))
+def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name, monkeypatch):
+    # one matrix_table pass per metric, one f table, one beta_tables and one
+    # nav_tensors per bundle flag, across all bundles and the sigma fit
+    from finsler_solitons import suites
+
+    fx = fixtures.get_fixture(name)
+    counts = collections.Counter()
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key(*args)] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    metrics = {fx.rd.alpha._fn: "alpha", fx.nav.h._fn: "h"}
+    monkeypatch.setattr(riemann, "matrix_table",
+                        counting(lambda fn, *a: metrics.get(fn, "other"), riemann.matrix_table))
+    monkeypatch.setattr(fx.f, "table", counting(lambda *a: "f", fx.f.table))
+    monkeypatch.setattr(randers, "beta_tables", counting(lambda *a: "beta", randers.beta_tables))
+    monkeypatch.setattr(randers, "nav_tensors", counting(lambda *a: "nav", randers.nav_tensors))
+    samples = 5
+    suites.run_fixture_suite(fx, samples=samples, seed=3)
+    assert counts == {"alpha": samples, "h": samples, "f": samples, "beta": samples,
+                      "nav": samples}
+
+
 def test_perturbed_unknown_ingredient_raises():
-    fx = fixtures.get_fixture("cigar")
     with pytest.raises(fixtures.ConstructionError):
-        fx.perturbed("nonsense", 1e-2)
+        fixtures.get_fixture("cigar", perturb=("nonsense", 1e-2))
 
 
 # -- equivalence chain ----------------------------------------------------------------------
@@ -271,23 +298,24 @@ def test_characterizations_consistent_on_fixtures():
     for name in fixtures.FIXTURE_NAMES:
         fx = fixtures.get_fixture(name)
         flags = flags_of(fx, 8)
+        points = solitons.bundle_points(fx.rd, fx.nav, fx.f, flags)
         for p in flags[:4]:
             assert abs(solitons.gradient_soliton_residual(
                 fx.metric, fx.measure, fx.kappa, p)) <= 1e-7
         rows = solitons.gradient_soliton_checks_ab(
-            fx.rd, fx.f, fx.kappa, flags, 1e-7, sigma=fx.sigma)
+            fx.rd, fx.kappa, points, 1e-7, sigma=fx.sigma)
         rows += solitons.gradient_soliton_checks_nav(
-            fx.nav, fx.f, fx.kappa, flags, 1e-7, mu=fx.mu_soliton, sigma=fx.sigma)
+            fx.nav, fx.kappa, points, 1e-7, mu=fx.mu_soliton, sigma=fx.sigma)
         if fx.einstein_kappa is not None:
             for p in flags[:4]:
                 assert abs(solitons.almost_soliton_residual(
                     fx.metric, fx.zero_field, fx.einstein_kappa, p)) <= 1e-7
         if "vector-ab" in fx.bundles:
             rows += solitons.vector_soliton_checks_ab(
-                fx.rd, fx.zero_field, fx.einstein_kappa, flags, 1e-7,
+                fx.rd, fx.zero_field, fx.einstein_kappa, points, 1e-7,
                 c=0.0, sigma=fx.sigma)
             rows += solitons.vector_soliton_checks_nav(
-                fx.nav, fx.zero_field, fx.einstein_kappa, flags, 1e-7,
+                fx.nav, fx.zero_field, fx.einstein_kappa, points, 1e-7,
                 mu=fx.mu_einstein_h, sigma=fx.sigma)
         assert all_passed(rows), (name, [(r.name, r.max_abs)
                                          for r in rows if not r.passed])
