@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import randers
+from .finsler import FinslerMetric, Measure
 from .randers import NavigationData, RandersData
 from .riemann import RiemannMetric, ScalarField, VectorField, euclidean_metric
 
@@ -47,7 +48,6 @@ class Fixture:
     sample_x: object = None             # callable rng -> chart point
     bundles: tuple = ()
     constraints: dict = field(default_factory=dict)
-    notes: str = ""
 
 
 def _ball_sampler(dim, radius, offset=None):
@@ -83,7 +83,7 @@ def _bump_w(w: VectorField, eps):
 
 def _assemble(name, nav, f, kappa, sigma, mu_soliton, bundles, sample_x,
               perturb=None, einstein_kappa=None, mu_einstein_h=None,
-              ricci_law=None, flag_curvature_law=None, constraints=None, notes=""):
+              ricci_law=None, flag_curvature_law=None, constraints=None):
     kappa = kappa if isinstance(kappa, ScalarField) else ScalarField(kappa)
     sigma = sigma if isinstance(sigma, ScalarField) else ScalarField(sigma)
     mu_soliton = mu_soliton if isinstance(mu_soliton, ScalarField) else ScalarField(mu_soliton)
@@ -114,7 +114,7 @@ def _assemble(name, nav, f, kappa, sigma, mu_soliton, bundles, sample_x,
                    einstein_kappa=einstein_kappa, mu_einstein_h=mu_einstein_h,
                    ricci_law=ricci_law, flag_curvature_law=flag_curvature_law,
                    sample_x=sample_x, bundles=tuple(bundles),
-                   constraints=constraints or {}, notes=notes)
+                   constraints=constraints or {})
 
 
 # -- flat Gaussian-type fixtures -------------------------------------------------------
@@ -156,8 +156,7 @@ def gaussian(rho=1.0, Q=None, C=None, n=2, radius=0.9, perturb=None) -> Fixture:
         name=name, nav=nav, f=f, kappa=float(rho), sigma=0.0, mu_soliton=float(rho),
         bundles=bundles, sample_x=_ball_sampler(n, radius), perturb=perturb,
         einstein_kappa=ScalarField(0.0), mu_einstein_h=ScalarField(0.0),
-        ricci_law=lambda x: 0.0, flag_curvature_law=lambda x: 0.0,
-        notes="flat navigation data; gradient shrinker for rho > 0")
+        ricci_law=lambda x: 0.0, flag_curvature_law=lambda x: 0.0)
 
 
 def _default_rotation(n, scale=0.5):
@@ -196,14 +195,13 @@ def cigar(t_range=(0.2, 2.0), perturb=None) -> Fixture:
         sample_x=sample_x, perturb=perturb,
         einstein_kappa=ScalarField(law, name="2/cosh^2 t"),
         mu_einstein_h=ScalarField(law, name="2/cosh^2 t"),
-        ricci_law=law, flag_curvature_law=law,
-        notes="steady gradient soliton; K = 2/cosh^2 t")
+        ricci_law=law, flag_curvature_law=law)
 
 
 # -- cylinders over odd spheres ----------------------------------------------------------
 
 
-def _sphere_rows(mu, x, jets_mod):
+def _sphere_rows(mu, x):
     """Projective-chart sphere metric rows: delta/D - mu x x^T / D^2, D = 1 + mu |x|^2."""
     k = len(x)
     x2 = 0.0
@@ -224,9 +222,7 @@ def _sphere_rows(mu, x, jets_mod):
 
 def sphere_metric(mu: float, k: int) -> RiemannMetric:
     """Round metric of curvature mu on the upper-hemisphere projective chart of S^k."""
-    from . import jets as jets_mod
-
-    return RiemannMetric(k, lambda x: _sphere_rows(mu, x, jets_mod),
+    return RiemannMetric(k, lambda x: _sphere_rows(mu, x),
                          name=f"sphere(mu={mu})")
 
 
@@ -301,11 +297,10 @@ def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None, t_range=(-1.2, 1.2),
         Q, d = _default_cylinder_qd(m, mu)
     Q, d, checks = _validate_cylinder_data(Q, d, mu)
     k = 2 * m - 1
-    from . import jets as jets_mod
 
     def h_fn(z):
         x = z[1:]
-        hat = _sphere_rows(mu, x, jets_mod)
+        hat = _sphere_rows(mu, x)
         rows = [[0.0] * (k + 1) for _ in range(k + 1)]
         rows[0][0] = 1.0
         for i in range(k):
@@ -330,8 +325,7 @@ def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None, t_range=(-1.2, 1.2),
     return _assemble(
         name="shrinking", nav=nav, f=f, kappa=kap, sigma=0.0, mu_soliton=kap,
         bundles=("gradient-ab", "gradient-nav"), sample_x=sample_x, perturb=perturb,
-        constraints=checks,
-        notes="gradient shrinker with soliton constant 2(m-1)mu")
+        constraints=checks)
 
 
 def expanding_cylinder(m=2, Q=None, d=None, t_range=(0.21, 0.89), perturb=None) -> Fixture:
@@ -350,11 +344,10 @@ def expanding_cylinder(m=2, Q=None, d=None, t_range=(0.21, 0.89), perturb=None) 
     if t_range[0] <= 0.0 or t_range[1] >= 1.0:
         raise ConstructionError("t-range must stay inside (0, 1)")
     k = 2 * m - 1
-    from . import jets as jets_mod
 
     def h_fn(z):
         t, x = z[0], z[1:]
-        hat = _sphere_rows(mu, x, jets_mod)
+        hat = _sphere_rows(mu, x)
         rows = [[0.0] * (k + 1) for _ in range(k + 1)]
         rows[0][0] = 1.0
         t2 = t * t
@@ -380,8 +373,7 @@ def expanding_cylinder(m=2, Q=None, d=None, t_range=(0.21, 0.89), perturb=None) 
     return _assemble(
         name="expanding", nav=nav, f=f, kappa=kap, sigma=0.0, mu_soliton=kap,
         bundles=("gradient-ab", "gradient-nav"), sample_x=sample_x, perturb=perturb,
-        constraints=checks,
-        notes="gradient expander with soliton constant -2(m-1)")
+        constraints=checks)
 
 
 # -- registry ---------------------------------------------------------------------------

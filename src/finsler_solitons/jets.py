@@ -206,9 +206,6 @@ class Jet:
     def order(self) -> int:
         return self.space.order
 
-    def coefficient(self, multi) -> float:
-        return float(self.coeffs[self.space.index[tuple(multi)]])
-
     def partial(self, multi) -> float:
         """d^multi f at the expansion point (coefficient times multi!)."""
         idx = self.space.index[tuple(multi)]

@@ -56,11 +56,6 @@ class RandersData:
         """||beta||^2_alpha = a^ij b_i b_j, evaluable on Jets."""
         return _b2(generic_inverse(self.alpha.matrix(x)), self.beta.components(x))
 
-    def check_valid(self, x):
-        b2 = scalar_value(self.b2([float(v) for v in x]))
-        if b2 >= 1.0:
-            raise RandersDomainError(f"||beta||_alpha = {math.sqrt(b2):.6f} >= 1 at {list(x)}")
-
 
 def _b2(ainv, b):
     """||beta||^2_alpha = a^ij b_i b_j from the inverse rows of a and the b_i."""
@@ -97,11 +92,6 @@ class NavigationData:
     def lam(self, x):
         """lambda = 1 - ||W||^2_h, evaluable on Jets."""
         return _lam(self.h.matrix(x), self.W.components(x))
-
-    def check_valid(self, x):
-        lam = scalar_value(self.lam([float(v) for v in x]))
-        if lam <= 0.0:
-            raise NavigationDomainError(f"lambda = {lam:.6f} <= 0 at {list(x)}")
 
 
 # -- conversions ---------------------------------------------------------------
@@ -278,7 +268,6 @@ class BetaTables:
     s_cov: np.ndarray          # (s_j)_{;k}
     r_cov: np.ndarray          # r_{ij;k}
     div_mixed_s: np.ndarray    # (s^i_j)_{;i} as a covector in j
-    div_mixed_r: np.ndarray    # (r^i_j)_{;i}
     d_rtrace: np.ndarray       # d_k (r^i_i)
     div_s_up: float            # s^i_{;i}
     div_r_up: float            # r^i_{;i}
@@ -296,7 +285,7 @@ def beta_tables(rd: RandersData, A: riemann.PointRecord) -> BetaTables:
         raise RandersDomainError(f"||beta||_alpha^2 = {b2:.6f} >= 1 at {x.tolist()}")
     b_up = ainv @ b0
 
-    bcov = db - np.einsum("kij,k->ij", gamma, b0)
+    bcov = riemann.covariant_1form(gamma, b0, db)
     dbcov = (np.einsum("ijm->mij", d2b)
              - np.einsum("mkij,k->mij", dgamma, b0)
              - np.einsum("kij,km->mij", gamma, db))
@@ -321,8 +310,7 @@ def beta_tables(rd: RandersData, A: riemann.PointRecord) -> BetaTables:
 
     db_up = np.einsum("kij,j->ik", dainv, b0) + np.einsum("ij,jk->ik", ainv, db)
     ds_low = np.einsum("ik,ij->kj", db_up, s) + np.einsum("i,kij->kj", b_up, ds)
-    s_cov = ds_low.T.copy()
-    s_cov -= np.einsum("pjk,p->jk", gamma, s_low)
+    s_cov = riemann.covariant_1form(gamma, s_low, ds_low.T)
 
     r_cov = dr.transpose(1, 2, 0) - np.einsum("pik,pj->ijk", gamma, r) \
         - np.einsum("pjk,ip->ijk", gamma, r)
@@ -331,10 +319,6 @@ def beta_tables(rd: RandersData, A: riemann.PointRecord) -> BetaTables:
     div_mixed_s = (np.einsum("iij->j", ds_mixed)
                    + np.einsum("iip,pj->j", gamma, s_mixed)
                    - np.einsum("pji,ip->j", gamma, s_mixed))
-    dr_mixed = np.einsum("kip,pj->kij", dainv, r) + np.einsum("ip,kpj->kij", ainv, dr)
-    div_mixed_r = (np.einsum("iij->j", dr_mixed)
-                   + np.einsum("iip,pj->j", gamma, ainv @ r)
-                   - np.einsum("pji,ip->j", gamma, ainv @ r))
 
     d_rtrace = np.einsum("kij,ji->k", dainv, r) + np.einsum("ij,kji->k", ainv, dr)
 
@@ -349,7 +333,7 @@ def beta_tables(rd: RandersData, A: riemann.PointRecord) -> BetaTables:
                       bcov=bcov, r=r, s=s, s_mixed=s_mixed, s_low=s_low, s_up=s_up,
                       r_low=r_low, r_up=r_up, r_scalar=r_scalar, t=t, t_mixed=t_mixed,
                       t_low=t_low, t_trace=t_trace, q=q, e=e, s_cov=s_cov, r_cov=r_cov,
-                      div_mixed_s=div_mixed_s, div_mixed_r=div_mixed_r,
+                      div_mixed_s=div_mixed_s,
                       d_rtrace=d_rtrace, div_s_up=div_s_up, div_r_up=div_r_up,
                       alpha_ricci=A.ricci)
 
@@ -372,9 +356,7 @@ class BetaDerivatives:
     s00: float        # (s_0)_{;0} = (s_j)_{;k} y^j y^k
     r000: float       # r_{00;0}
     si0i: float       # (s^i_0)_{;i}
-    ri0i: float       # (r^i_0)_{;i}
     rtrace0: float    # (r^i_i)_{;0}
-    r0: float         # r_j y^j
 
 
 def beta_derivatives(rd: RandersData, p: FlagPoint, tables: BetaTables | None = None) -> BetaDerivatives:
@@ -390,8 +372,7 @@ def beta_derivatives(rd: RandersData, p: FlagPoint, tables: BetaTables | None = 
         t00=float(y @ T.t @ y), t0=float(T.t_low @ y), q00=float(y @ T.q @ y),
         s00=float(np.einsum("jk,j,k->", T.s_cov, y, y)),
         r000=float(np.einsum("ijk,i,j,k->", T.r_cov, y, y, y)),
-        si0i=float(T.div_mixed_s @ y), ri0i=float(T.div_mixed_r @ y),
-        rtrace0=float(T.d_rtrace @ y), r0=float(T.r_low @ y))
+        si0i=float(T.div_mixed_s @ y), rtrace0=float(T.d_rtrace @ y))
 
 
 # -- isotropic S fitting and closed-form Ricci ---------------------------------------
@@ -586,9 +567,10 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint):
     xi = navigation_xi(nav, p)
     htilde = math.sqrt(float(xi @ T.h @ xi))
     wt0 = float(T.w_low @ xi)
-    vcov = riemann.vector_covariant_lowered(H, v)
+    v0, dv = v.table(p.x, order=1)
+    vcov = riemann.lowered_covariant_derivative(H.h0, H.dh, H.gamma, v0, dv)
     v00 = float(xi @ vcov @ xi)
-    mixed = float((vcov @ T.w_up - T.wcov @ v.at(p.x)) @ xi)
+    mixed = float((vcov @ T.w_up - T.wcov @ v0) @ xi)
     rhs = 2.0 / (htilde + wt0) * (htilde * v00 + htilde * htilde * mixed)
     return lhs, rhs
 

@@ -9,9 +9,15 @@ One jet pass of a metric at a point gives its `PointRecord` (`point_record`):
 the partial-derivative tables of h and the Levi-Civita data built from them
 by the table formulas `christoffel`, `christoffel_derivative` and
 `ricci_contraction`, which live here once.  Everything that reads the metric
-at that point takes the record: covariant derivatives, Hessians, Lie
-derivatives, conformal residuals, and the (alpha, beta) and navigation
-tensors of `randers`.  A caller that needs several of them pays one pass.
+at that point takes the record: Hessians, conformal residuals and fits, and
+the (alpha, beta) and navigation tensors of `randers`.  A caller that needs
+several of them pays one pass.
+
+Fields enter as their tables at the record's point, never as closures:
+`covariant_1form` (b_{i;j}, the one place of d b - Gamma b) and
+`lowered_covariant_derivative` (W_{i:j}) turn a table into a covariant
+derivative, and the Lie derivatives `lie_h2` and `lie_1form` contract those
+tensors with the field values.  A caller tables each field once per point.
 """
 
 from __future__ import annotations
@@ -340,12 +346,6 @@ def point_record(h: RiemannMetric, x, order: int) -> PointRecord:
     return PointRecord(h, x, h0, dh, hinv, dhinv, gamma, d2h, dgamma, ricci)
 
 
-def lowered_covariant_derivative(h0, dh, gamma, w0, dw) -> np.ndarray:
-    """W_{i:j} = d_j (h_ik W^k) - Gamma^k_ij h_kl W^l from the tables of h and W."""
-    dwl = np.einsum("jik,k->ij", dh, w0) + np.einsum("ik,kj->ij", h0, dw)
-    return dwl - np.einsum("kij,k->ij", gamma, h0 @ w0)
-
-
 def riemann_ricci(rec: PointRecord, y) -> float:
     """Ricci tensor of an order-2 record contracted twice with y."""
     y = np.asarray(y, float)
@@ -355,23 +355,23 @@ def riemann_ricci(rec: PointRecord, y) -> float:
 # -- covariant derivatives ----------------------------------------------------
 
 
-def covariant_derivative_1form(rec: PointRecord, b: VectorField) -> np.ndarray:
-    """b_{i;j} = d_j b_i - Gamma^k_ij b_k for covariant components b_i."""
-    b0, db = b.table(rec.x, order=1)
-    return db - np.einsum("kij,k->ij", rec.gamma, b0)
+def covariant_1form(gamma, b0, db) -> np.ndarray:
+    """b_{i;j} = d_j b_i - Gamma^k_ij b_k from the values b0[i] = b_i and the
+    derivatives db[i,j] = d_j b_i of a 1-form."""
+    return db - np.einsum("kij,k->ij", gamma, b0)
 
 
-def vector_covariant_lowered(rec: PointRecord, w: VectorField) -> np.ndarray:
-    """W_{i:j} for contravariant components W^i (lower first, then differentiate)."""
-    w0, dw = w.table(rec.x, order=1)
-    return lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, w0, dw)
+def lowered_covariant_derivative(h0, dh, gamma, w0, dw) -> np.ndarray:
+    """W_{i:j} = d_j (h_ik W^k) - Gamma^k_ij h_kl W^l from the tables of h and W."""
+    dwl = np.einsum("jik,k->ij", dh, w0) + np.einsum("ik,kj->ij", h0, dw)
+    return covariant_1form(gamma, h0 @ w0, dwl)
 
 
 def hessian_tensor(rec: PointRecord, ftab) -> np.ndarray:
     """Covariant Hessian f_{:ij} = d_i d_j f - Gamma^k_ij f_k from f's order-2
     table (value, gradient, hessian) at the record's point."""
     _, grad, hess = ftab
-    return hess - np.einsum("kij,k->ij", rec.gamma, grad)
+    return covariant_1form(rec.gamma, grad, hess)
 
 
 def hessian(rec: PointRecord, ftab, y) -> float:
@@ -395,43 +395,27 @@ def gradient_table(h: RiemannMetric, f):
 
 # -- Lie derivatives and conformal residuals ----------------------------------
 #
-# The point values of h and of the fields below (`matrix_at`, `at`) are float
-# evaluations, not the record's jet values: the two can differ in the last bit.
+# V enters through vcov[i,j] = V_{i:j}, the lowered covariant derivative of
+# its table at the record's point (`lowered_covariant_derivative`).
 
 
-def lie_h2(rec: PointRecord, v: VectorField, y) -> float:
+def lie_h2(vcov, y) -> float:
     """Lie derivative of h^2 along the complete lift: 2 V_{i:j} y^i y^j."""
     y = np.asarray(y, float)
-    vcov = vector_covariant_lowered(rec, v)
     return float(2.0 * np.einsum("ij,i,j->", vcov, y, y))
 
 
-def lie_W0(rec: PointRecord, w: VectorField, v: VectorField, y) -> float:
-    """Lie derivative of W_0 = W_i y^i: (V^k W_{j:k} + W^k V_{k:j}) y^j."""
+def lie_1form(v0, vcov, x_up, xcov, y) -> float:
+    """Lie derivative of the 1-form X_i y^i: (V^k X_{j;k} + X^k V_{k;j}) y^j,
+    from V^k, V_{k:j}, X^k and xcov[j,k] = X_{j;k}.  X is beta (its b^k and
+    b_{j;k}) or, for L_V(W_0), the lowered W (its W^k and W_{j:k})."""
     y = np.asarray(y, float)
-    wcov = vector_covariant_lowered(rec, w)
-    vcov = vector_covariant_lowered(rec, v)
-    return float(np.einsum("k,jk,j->", v.at(rec.x), wcov, y)
-                 + np.einsum("k,kj,j->", w.at(rec.x), vcov, y))
+    return float(np.einsum("k,jk,j->", v0, xcov, y) + np.einsum("k,kj,j->", x_up, vcov, y))
 
 
-def lie_1form(rec: PointRecord, b: VectorField, v: VectorField, y) -> float:
-    """Lie derivative of the 1-form b_i y^i: (V^k b_{j;k} + b^k V_{k;j}) y^j."""
-    y = np.asarray(y, float)
-    hinv = _inv_with_guard(rec.metric.matrix_at(rec.x), rec.metric.name or "metric")
-    bcov = covariant_derivative_1form(rec, b)
-    vcov = vector_covariant_lowered(rec, v)
-    bup = hinv @ b.at(rec.x)
-    return float(np.einsum("k,jk,j->", v.at(rec.x), bcov, y)
-                 + np.einsum("k,kj,j->", bup, vcov, y))
-
-
-def conformal_residual(rec: PointRecord, v: VectorField, c) -> np.ndarray:
+def conformal_residual(rec: PointRecord, vcov, c: float) -> np.ndarray:
     """V_{i:j} + V_{j:i} - 4 c h_ij; the zero matrix iff V is conformal with factor c."""
-    c = as_scalar_field(c)
-    vcov = vector_covariant_lowered(rec, v)
-    h0 = rec.metric.matrix_at(rec.x)
-    return vcov + vcov.T - 4.0 * float(scalar_value(c(rec.x))) * h0
+    return vcov + vcov.T - 4.0 * c * rec.h0
 
 
 def metric_compatibility_residual(rec: PointRecord) -> np.ndarray:

@@ -11,11 +11,16 @@ Four equivalent descriptions are implemented and cross-checked:
     gradient form (`gradient_soliton_checks_nav`).
 
 The four bundles read their point data from `BundlePoint`s
-(`bundle_points`): one jet pass each of alpha, h and f per flag, shared by
-all four.  All 2-homogeneous residuals are normalized by F^2 (or h^2) and
-1-homogeneous ones by F (or h), so tolerances are scale-free.  Scalars kappa,
-sigma, c, mu may be supplied as fields or fitted by least squares; fitted
-runs report the fit residual in the check detail.
+(`bundle_points`): one jet pass each of alpha, beta, h, W and f per flag,
+and one `beta_derivatives` contraction, shared by all four.  The vector
+bundles table V once per flag and feed its covariant derivative to the
+table formulas of `riemann` (Lie derivatives, conformal residual) and to
+the trace fits, which read h and h^-1 from the point record.
+
+All 2-homogeneous residuals are normalized by F^2 (or h^2) and 1-homogeneous
+ones by F (or h), so tolerances are scale-free.  Scalars kappa, sigma, c, mu
+may be supplied as fields or fitted by least squares; fitted runs report the
+fit residual in the check detail.
 """
 
 from __future__ import annotations
@@ -76,16 +81,16 @@ def gradient_soliton_residual(metric: FinslerMetric, measure: Measure, kappa,
 def _trace_fit(rec, tensor):
     """(mu, residual) for tensor_ij = mu h_ij at the record's point: mu =
     tr(h^-1 tensor)/n, and the largest entry of tensor - mu h relative to
-    max(1, max |h_ij|), with h evaluated in floats."""
-    h0 = rec.metric.matrix_at(rec.x)
-    mu = float(np.trace(np.linalg.inv(h0) @ tensor)) / rec.metric.dim
+    max(1, max |h_ij|), with the record's h and h^-1."""
+    h0 = rec.h0
+    mu = float(np.trace(rec.hinv @ tensor)) / rec.metric.dim
     resid = float(np.max(np.abs(tensor - mu * h0))) / max(1.0, float(np.max(np.abs(h0))))
     return mu, resid
 
 
-def fit_conformal_factor(rec, v: VectorField):
-    """(c, residual): least-squares c in V_{i:j} + V_{j:i} = 4 c h_ij."""
-    vcov = riemann.vector_covariant_lowered(rec, v)
+def fit_conformal_factor(rec, vcov):
+    """(c, residual): least-squares c in V_{i:j} + V_{j:i} = 4 c h_ij, from
+    vcov[i,j] = V_{i:j} at the record's point."""
     mu, resid = _trace_fit(rec, vcov + vcov.T)
     return mu / 4.0, resid
 
@@ -144,12 +149,14 @@ def fit_sigma(tables):
 @dataclass
 class BundlePoint:
     """One flag with everything the four characterization bundles read there:
-    one order-2 record each of alpha and h, the beta tensors of alpha, the W
-    tensors of h, and the order-2 table (value, gradient, hessian) of f."""
+    one order-2 record each of alpha and h, the beta tensors of alpha and
+    their contractions with y, the W tensors of h, and the order-2 table
+    (value, gradient, hessian) of f."""
 
     p: FlagPoint
     alpha: riemann.PointRecord
     beta: randers.BetaTables
+    bd: randers.BetaDerivatives
     h: riemann.PointRecord
     nav: randers.NavTensors
     f: tuple
@@ -162,7 +169,8 @@ def bundle_points(rd: RandersData, nav: NavigationData, f, flags) -> list[Bundle
     for p in flags:
         alpha = riemann.point_record(rd.alpha, p.x, 2)
         h = riemann.point_record(nav.h, p.x, 2)
-        out.append(BundlePoint(p, alpha, randers.beta_tables(rd, alpha), h,
+        T = randers.beta_tables(rd, alpha)
+        out.append(BundlePoint(p, alpha, T, randers.beta_derivatives(rd, p, tables=T), h,
                                randers.nav_tensors(nav, h), f.table(p.x, order=2)))
     return out
 
@@ -186,7 +194,7 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, points, tol
               - (n-1)(s_0^2 + s_{0;0})
       (iv)  3(n-1) sigma_0 = 2 c beta - L_V(beta)
 
-    at each `BundlePoint` of rd.
+    at each `BundlePoint` of rd, with V tabled once per point.
     """
     kappa = as_scalar_field(kappa)
     n = rd.dim
@@ -195,14 +203,15 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, points, tol
     fitted = []
     applicable = True
     for bp in points:
-        p, T = bp.p, bp.beta
+        p, T, bd, A = bp.p, bp.beta, bp.bd, bp.alpha
         x = list(p.x)
         if float(np.max(np.abs(T.b_low))) < 1e-14:
             applicable = False
             break
-        bd = randers.beta_derivatives(rd, p, tables=T)
+        v0, dv = v.table(p.x, order=1)
+        vcov = riemann.lowered_covariant_derivative(A.h0, A.dh, A.gamma, v0, dv)
         if c is None:
-            cval, cres = fit_conformal_factor(bp.alpha, v)
+            cval, cres = fit_conformal_factor(A, vcov)
             fitted.append(("c", cval, cres))
         else:
             cval = float(riemann.scalar_value(as_scalar_field(c)(x)))
@@ -216,7 +225,7 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, points, tol
         a2 = bd.alpha ** 2
         beta = bd.beta
 
-        res_conf = riemann.conformal_residual(bp.alpha, v, cval)
+        res_conf = riemann.conformal_residual(A, vcov, cval)
         rows["conformal-v"].append(np.max(np.abs(res_conf))
                                    / max(1.0, float(np.max(np.abs(T.a)))))
         rows["isotropic-s"].append((bd.e00 - 2.0 * sval * (a2 - beta ** 2)) / a2)
@@ -226,7 +235,7 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, points, tol
                + 2.0 * (n - 1) * sigma0 * beta
                - (n - 1) * (bd.s0 ** 2 + bd.s00))
         rows["alpha-ricci-balance"].append((aric - rhs) / a2)
-        lie_beta = riemann.lie_1form(bp.alpha, rd.beta, v, p.y)
+        lie_beta = riemann.lie_1form(v0, vcov, T.b_up, T.bcov, p.y)
         rows["sigma-lie-balance"].append(
             (3.0 * (n - 1) * sigma0 - (2.0 * cval * beta - lie_beta)) / bd.alpha)
     return _bundle_reports(rows, fitted, 2, tol, applicable)
@@ -242,7 +251,7 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, points
       (iv)  L_V(W_0) = c W_0 - 3(n-1){ 2 (sigma_i W^i) W_0 - lam sigma_0 }
 
     with c = kappa - mu + (n-1) sigma^2 + 2(n-1) sigma_i W^i, at each
-    `BundlePoint` of nav.
+    `BundlePoint` of nav, with V tabled once per point.
     """
     kappa = as_scalar_field(kappa)
     n = nav.dim
@@ -258,6 +267,8 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, points
             break
         h2 = float(p.y @ T.h @ p.y)
         w0 = float(T.w_low @ p.y)
+        v0, dv = v.table(p.x, order=1)
+        vcov = riemann.lowered_covariant_derivative(bp.h.h0, bp.h.dh, bp.h.gamma, v0, dv)
         if mu is None:
             mval, mres = fit_einstein_scalar(bp.h)
             fitted.append(("mu", mval, mres))
@@ -272,10 +283,10 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, points
         res_conf = T.wcov + T.wcov.T + 4.0 * sval * T.h
         rows["conformal-w"].append(np.max(np.abs(res_conf))
                                    / max(1.0, float(np.max(np.abs(T.h)))))
-        lie_h2 = riemann.lie_h2(bp.h, v, p.y)
+        lie_h2 = riemann.lie_h2(vcov, p.y)
         rhs3 = 2.0 * cval * h2 - 6.0 * (n - 1) * (sigw * h2 + sigma0 * w0)
         rows["lie-h2-balance"].append((lie_h2 - rhs3) / h2)
-        lie_w0 = riemann.lie_W0(bp.h, nav.W, v, p.y)
+        lie_w0 = riemann.lie_1form(v0, vcov, T.w_up, T.wcov, p.y)
         rhs4 = cval * w0 - 3.0 * (n - 1) * (2.0 * sigw * w0 - T.lam * sigma0)
         rows["lie-w0-balance"].append((lie_w0 - rhs4) / math.sqrt(h2))
     return _bundle_reports(rows, fitted, 2, tol, applicable)
@@ -301,9 +312,8 @@ def gradient_soliton_checks_ab(rd: RandersData, kappa, points, tol: float,
                             "sigma-gradient-balance", "sigma-constancy")}
     fitted = []
     for bp in points:
-        p, T = bp.p, bp.beta
+        p, T, bd = bp.p, bp.beta, bp.bd
         x = list(p.x)
-        bd = randers.beta_derivatives(rd, p, tables=T)
         if sigma is None:
             sval, sres = randers.fit_sigma_isotropic_S(T, _directions(n))
             sigma0 = 0.0

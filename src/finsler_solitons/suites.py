@@ -162,8 +162,12 @@ def crosscheck_lie_identities(count=200, seed=7, tol=1e-9):
         F = metric.value(p.x, p.y)
         A = riemann.point_record(rd.alpha, p.x, 1)
         alpha = math.sqrt(float(p.y @ A.h0 @ p.y))
-        la2 = riemann.lie_h2(A, v, p.y)
-        lb = riemann.lie_1form(A, rd.beta, v, p.y)
+        v0, dv = v.table(p.x, order=1)
+        b0, db = rd.beta.table(p.x, order=1)
+        vcov = riemann.lowered_covariant_derivative(A.h0, A.dh, A.gamma, v0, dv)
+        la2 = riemann.lie_h2(vcov, p.y)
+        lb = riemann.lie_1form(v0, vcov, A.hinv @ b0, riemann.covariant_1form(A.gamma, b0, db),
+                               p.y)
         rhs = F / alpha * la2 + 2.0 * F * lb
         split.append((lhs - rhs) / (F * F))
 

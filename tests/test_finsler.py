@@ -302,8 +302,12 @@ def test_lie_F2_randers_split():
     Fv = F.value(p.x, p.y)
     alpha = math.sqrt(float(p.y @ rd.alpha.matrix_at(p.x) @ p.y))
     A = riemann.point_record(rd.alpha, p.x, 1)
-    rhs = (Fv / alpha * riemann.lie_h2(A, v, p.y)
-           + 2.0 * Fv * riemann.lie_1form(A, rd.beta, v, p.y))
+    v0, dv = v.table(p.x, order=1)
+    b0, db = rd.beta.table(p.x, order=1)
+    vcov = riemann.lowered_covariant_derivative(A.h0, A.dh, A.gamma, v0, dv)
+    bcov = riemann.covariant_1form(A.gamma, b0, db)
+    rhs = (Fv / alpha * riemann.lie_h2(vcov, p.y)
+           + 2.0 * Fv * riemann.lie_1form(v0, vcov, A.hinv @ b0, bcov, p.y))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 

@@ -1,11 +1,12 @@
 """Fixture registry: domain guards, structural constraints, chart identities."""
 
 import math
+import typing
 
 import numpy as np
 import pytest
 
-from finsler_solitons import fixtures, jets, randers, riemann
+from finsler_solitons import finsler, fixtures, jets, randers, riemann
 from finsler_solitons.fixtures import (ConstructionError, cigar,
                                        expanding_cylinder, gaussian,
                                        get_fixture, shrinking_cylinder,
@@ -20,6 +21,12 @@ def test_registry_names():
         assert name in fixtures.FIXTURE_NAMES
     with pytest.raises(KeyError):
         get_fixture("nosuch")
+
+
+def test_fixture_annotations_resolve():
+    hints = typing.get_type_hints(fixtures.Fixture)
+    assert hints["metric"] is finsler.FinslerMetric
+    assert hints["measure"] is finsler.Measure
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)

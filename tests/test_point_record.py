@@ -1,10 +1,12 @@
 """The record-based Riemannian functions against the code they replaced.
 
 Each reference below is the earlier formula, which made its own jet pass of
-the metric (and of each field) at every call.  The record-based functions
-must give the same floats, sign bits included, from one record per
-(metric, point): at order 2, as the characterization bundles build it, and
-at order 1, as the crosscheck suites do.
+the metric (and of each field) at every call; point values of the metric and
+of the fields are the jet values of those passes.  The record-based
+functions must give the same floats, sign bits included, from one record per
+(metric, point) and one table per field: at order 2, as the
+characterization bundles build it, and at order 1, as the crosscheck suites
+do.
 """
 
 import numpy as np
@@ -79,22 +81,22 @@ def _lie_h2(h, v, x, y):
 def _lie_W0(h, w, v, x, y):
     wcov = _vector_covariant_lowered(h, w, x)
     vcov = _vector_covariant_lowered(h, v, x)
-    return float(np.einsum("k,jk,j->", v.at(x), wcov, y)
-                 + np.einsum("k,kj,j->", w.at(x), vcov, y))
+    return float(np.einsum("k,jk,j->", v.table(x, 1)[0], wcov, y)
+                 + np.einsum("k,kj,j->", w.table(x, 1)[0], vcov, y))
 
 
 def _lie_1form(h, b, v, x, y):
-    hinv = _inv_with_guard(h.matrix_at(x), h.name or "metric")
+    hinv = _inv_with_guard(h.tables(x, 1)[0], h.name or "metric")
     bcov = _covariant_derivative_1form(h, b, x)
     vcov = _vector_covariant_lowered(h, v, x)
-    bup = hinv @ b.at(x)
-    return float(np.einsum("k,jk,j->", v.at(x), bcov, y)
+    bup = hinv @ b.table(x, 1)[0]
+    return float(np.einsum("k,jk,j->", v.table(x, 1)[0], bcov, y)
                  + np.einsum("k,kj,j->", bup, vcov, y))
 
 
 def _conformal_residual(h, v, c, x):
     vcov = _vector_covariant_lowered(h, v, x)
-    return vcov + vcov.T - 4.0 * c * h.matrix_at(x)
+    return vcov + vcov.T - 4.0 * c * h.tables(x, 1)[0]
 
 
 def _metric_compatibility_residual(h, x):
@@ -105,7 +107,7 @@ def _metric_compatibility_residual(h, x):
 
 
 def _trace_fit(h, tensor, x):
-    h0 = h.matrix_at(x)
+    h0 = h.tables(x, 1)[0]
     mu = float(np.trace(np.linalg.inv(h0) @ tensor)) / h.dim
     resid = float(np.max(np.abs(tensor - mu * h0))) / max(1.0, float(np.max(np.abs(h0))))
     return mu, resid
@@ -138,7 +140,6 @@ def _beta_tables(rd, x):
     r_cov = dr.transpose(1, 2, 0) - np.einsum("pik,pj->ijk", gamma, r) \
         - np.einsum("pjk,ip->ijk", gamma, r)
     ds_mixed = np.einsum("kip,pj->kij", dainv, s) + np.einsum("ip,kpj->kij", ainv, ds)
-    dr_mixed = np.einsum("kip,pj->kij", dainv, r) + np.einsum("ip,kpj->kij", ainv, dr)
     ds_up = np.einsum("kij,j->ki", dainv, s_low) + np.einsum("ij,kj->ki", ainv, ds_low)
     dr_up = np.einsum("kij,j->ki", dainv, r_low) + np.einsum(
         "ij,kj->ki", ainv, np.einsum("ik,ij->kj", db_up, r) + np.einsum("i,kij->kj", b_up, dr))
@@ -150,8 +151,6 @@ def _beta_tables(rd, x):
         e=r + np.outer(b0, s_low) + np.outer(s_low, b0), s_cov=s_cov, r_cov=r_cov,
         div_mixed_s=(np.einsum("iij->j", ds_mixed) + np.einsum("iip,pj->j", gamma, s_mixed)
                      - np.einsum("pji,ip->j", gamma, s_mixed)),
-        div_mixed_r=(np.einsum("iij->j", dr_mixed) + np.einsum("iip,pj->j", gamma, ainv @ r)
-                     - np.einsum("pji,ip->j", gamma, ainv @ r)),
         d_rtrace=np.einsum("kij,ji->k", dainv, r) + np.einsum("ij,kji->k", ainv, dr),
         div_s_up=float(np.einsum("kk->", ds_up) + np.einsum("iip,p->", gamma, s_up)),
         div_r_up=float(np.einsum("kk->", dr_up) + np.einsum("iip,p->", gamma, r_up)),
@@ -227,6 +226,7 @@ def test_record_covariant_calculus_equals_the_per_call_passes(name):
     fields = {"beta": fx.rd.beta, "W": fx.nav.W, "V": v}
     for p in flags:
         ftab = fx.f.table(p.x, order=2)
+        v0, dv = v.table(p.x, order=1)
         for h in (fx.rd.alpha, fx.nav.h):
             grad = riemann.gradient_table(h, fx.f).table(p.x)
             for got, want in zip(grad, _gradient_tables(h, fx.f, p.x)):
@@ -239,22 +239,25 @@ def test_record_covariant_calculus_equals_the_per_call_passes(name):
                 _same(riemann.hessian(rec, ftab, p.y),
                       float(np.einsum("ij,i,j->", _hessian_tensor(h, fx.f, p.x), p.y, p.y)),
                       f"{what} hessian")
+                vcov = riemann.lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, v0, dv)
                 for fname, w in fields.items():
-                    _same(riemann.covariant_derivative_1form(rec, w),
-                          _covariant_derivative_1form(h, w, p.x), f"{what} {fname};")
-                    _same(riemann.vector_covariant_lowered(rec, w),
-                          _vector_covariant_lowered(h, w, p.x), f"{what} {fname}:")
-                    _same(riemann.lie_h2(rec, w, p.y), _lie_h2(h, w, p.x, p.y),
+                    w0, dw = w.table(p.x, order=1)
+                    bcov = riemann.covariant_1form(rec.gamma, w0, dw)
+                    wcov = riemann.lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma,
+                                                                w0, dw)
+                    _same(bcov, _covariant_derivative_1form(h, w, p.x), f"{what} {fname};")
+                    _same(wcov, _vector_covariant_lowered(h, w, p.x), f"{what} {fname}:")
+                    _same(riemann.lie_h2(wcov, p.y), _lie_h2(h, w, p.x, p.y),
                           f"{what} lie_h2 {fname}")
-                    _same(riemann.conformal_residual(rec, w, 0.3),
+                    _same(riemann.conformal_residual(rec, wcov, 0.3),
                           _conformal_residual(h, w, 0.3, p.x), f"{what} conformal {fname}")
-                    _same(riemann.lie_W0(rec, w, v, p.y), _lie_W0(h, w, v, p.x, p.y),
-                          f"{what} lie_W0 {fname}")
-                    _same(riemann.lie_1form(rec, w, v, p.y), _lie_1form(h, w, v, p.x, p.y),
-                          f"{what} lie_1form {fname}")
-                    fitted = solitons.fit_conformal_factor(rec, w)
-                    vcov = _vector_covariant_lowered(h, w, p.x)
-                    mu, resid = _trace_fit(h, vcov + vcov.T, p.x)
+                    _same(riemann.lie_1form(v0, vcov, w0, wcov, p.y),
+                          _lie_W0(h, w, v, p.x, p.y), f"{what} lie_1form of {fname}_0")
+                    _same(riemann.lie_1form(v0, vcov, rec.hinv @ w0, bcov, p.y),
+                          _lie_1form(h, w, v, p.x, p.y), f"{what} lie_1form {fname}")
+                    fitted = solitons.fit_conformal_factor(rec, wcov)
+                    want = _vector_covariant_lowered(h, w, p.x)
+                    mu, resid = _trace_fit(h, want + want.T, p.x)
                     _same(fitted, (mu / 4.0, resid), f"{what} fit_conformal_factor {fname}")
             rec = riemann.point_record(h, p.x, 2)
             _same(solitons.fit_einstein_scalar(rec),
@@ -285,3 +288,24 @@ def test_record_randers_tensors_equal_the_per_call_passes(name):
     want = [_fit_sigma_isotropic_S(fx.rd, p.x, dirs) for p in flags]
     _same(sigmas, [s for s, _ in want], "fit_sigma sigmas")
     assert worst == max(0.0, *[r for _, r in want])
+
+
+def test_conformal_formulas_read_the_record_where_the_float_metric_differs():
+    # On navigation-derived alpha the jet value of a/b is a * (1/b), which can
+    # differ in the last bit from the float a/b; the conformal residual and
+    # fit read h and h^-1 from the record alone.
+    fx = fixtures.get_fixture("gaussian")
+    for p in sample_flags(fx, 32, np.random.default_rng(17)):
+        rec = riemann.point_record(fx.rd.alpha, p.x, 2)
+        if not np.array_equal(fx.rd.alpha.matrix_at(p.x), rec.h0):
+            break
+    else:
+        pytest.fail("no sampled point where the float and jet values of alpha differ")
+    v0, dv = generators.random_vector_field(np.random.default_rng(3), fx.dim).table(p.x, 1)
+    vcov = riemann.lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, v0, dv)
+    _same(riemann.conformal_residual(rec, vcov, 0.3), vcov + vcov.T - 4.0 * 0.3 * rec.h0,
+          "conformal_residual")
+    sym = vcov + vcov.T
+    mu = float(np.trace(rec.hinv @ sym)) / fx.dim
+    resid = float(np.max(np.abs(sym - mu * rec.h0))) / max(1.0, float(np.max(np.abs(rec.h0))))
+    _same(solitons.fit_conformal_factor(rec, vcov), (mu / 4.0, resid), "fit_conformal_factor")

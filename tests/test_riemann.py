@@ -8,14 +8,12 @@ import pytest
 from finsler_solitons import generators, jets, riemann
 from finsler_solitons.riemann import (MetricDomainError, RiemannMetric,
                                       ScalarField, VectorField, as_scalar_field,
-                                      conformal_residual,
-                                      covariant_derivative_1form,
+                                      conformal_residual, covariant_1form,
                                       euclidean_metric, gradient_table,
-                                      hessian_tensor, lie_1form,
-                                      lie_h2, lie_W0,
+                                      hessian_tensor, lie_1form, lie_h2,
+                                      lowered_covariant_derivative,
                                       metric_compatibility_residual,
-                                      point_record, riemann_ricci,
-                                      vector_covariant_lowered)
+                                      point_record, riemann_ricci)
 
 RNG = np.random.default_rng(11)
 
@@ -30,6 +28,12 @@ def ricci(h, x, y):
 
 def hessian(h, f, x, y):
     return riemann.hessian(point_record(h, x, 1), as_scalar_field(f).table(x, order=2), y)
+
+
+def vcov_of(rec, v):
+    """(V^k, V_{i:j}) at the record's point from one table of v."""
+    v0, dv = v.table(rec.x, order=1)
+    return v0, lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, v0, dv)
 
 
 def cigar_metric():
@@ -141,7 +145,8 @@ def test_ricci_quadratic_in_y():
 
 def test_covariant_derivative_constant_form_flat():
     b = VectorField(lambda x: [0.3, -0.4, 0.1])
-    out = covariant_derivative_1form(point_record(euclidean_metric(3), [0.0, 1.0, 2.0], 1), b)
+    rec = point_record(euclidean_metric(3), [0.0, 1.0, 2.0], 1)
+    out = covariant_1form(rec.gamma, *b.table(rec.x, order=1))
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -152,7 +157,7 @@ def test_gradient_form_covariant_derivative_is_symmetric():
                                 0.3 * jets.exp(0.3 * x[2])])
     x = generators.sample_box_point(RNG, 3)
     rec = point_record(h, x, 1)
-    bcov = covariant_derivative_1form(rec, df)
+    bcov = covariant_1form(rec.gamma, *df.table(x, order=1))
     np.testing.assert_allclose(bcov, bcov.T, atol=1e-12)
     np.testing.assert_allclose(bcov, hessian_tensor(rec, f.table(x, order=2)), atol=1e-12)
 
@@ -171,9 +176,9 @@ def test_killing_field_covariant_derivative_antisymmetric():
 
     x = RNG.uniform(-0.5, 0.5, size=3)
     rec = point_record(h, x, 1)
-    wcov = vector_covariant_lowered(rec, VectorField(w_fn))
+    wcov = vcov_of(rec, VectorField(w_fn))[1]
     np.testing.assert_allclose(wcov, -wcov.T, atol=1e-12)
-    np.testing.assert_allclose(conformal_residual(rec, VectorField(w_fn), 0.0),
+    np.testing.assert_allclose(conformal_residual(rec, wcov, 0.0),
                                np.zeros((3, 3)), atol=1e-12)
 
 
@@ -222,8 +227,10 @@ def test_lie_zero_field():
     x = generators.sample_box_point(RNG, 2)
     y = RNG.normal(size=2)
     rec = point_record(h, x, 1)
-    assert lie_h2(rec, zero, y) == 0.0
-    assert lie_W0(rec, generators.random_vector_field(RNG, 2), zero, y) == 0.0
+    z0, zcov = vcov_of(rec, zero)
+    assert lie_h2(zcov, y) == 0.0
+    w0, wcov = vcov_of(rec, generators.random_vector_field(RNG, 2))
+    assert lie_1form(z0, zcov, w0, wcov, y) == 0.0
 
 
 def test_lie_killing_rotation_flat():
@@ -232,7 +239,7 @@ def test_lie_killing_rotation_flat():
     for _ in range(5):
         x = generators.sample_box_point(RNG, 2)
         y = RNG.normal(size=2)
-        assert lie_h2(point_record(h, x, 1), v, y) == pytest.approx(0.0, abs=1e-14)
+        assert lie_h2(vcov_of(point_record(h, x, 1), v)[1], y) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_lie_radial_homothety_flat():
@@ -240,8 +247,8 @@ def test_lie_radial_homothety_flat():
     v = VectorField(lambda x: [x[0], x[1]])
     x = generators.sample_box_point(RNG, 2)
     y = RNG.normal(size=2)
-    assert lie_h2(point_record(h, x, 1), v, y) == pytest.approx(2.0 * float(y @ y),
-                                                                rel=1e-13)
+    assert lie_h2(vcov_of(point_record(h, x, 1), v)[1], y) == pytest.approx(2.0 * float(y @ y),
+                                                                         rel=1e-13)
 
 
 def test_lie_h2_of_gradient_is_twice_hessian():
@@ -251,8 +258,8 @@ def test_lie_h2_of_gradient_is_twice_hessian():
     for _ in range(5):
         x = generators.sample_box_point(RNG, 3)
         y = RNG.normal(size=3)
-        assert lie_h2(point_record(h, x, 1), grad, y) == pytest.approx(2.0 * hessian(h, f, x, y),
-                                                      rel=1e-10, abs=1e-10)
+        vcov = vcov_of(point_record(h, x, 1), grad)[1]
+        assert lie_h2(vcov, y) == pytest.approx(2.0 * hessian(h, f, x, y), rel=1e-10, abs=1e-10)
 
 
 # -- conformal residuals ----------------------------------------------------------------
@@ -266,13 +273,14 @@ def test_conformal_residual_flat_family():
     w = VectorField(lambda x: [-2.0 * sigma * x[i] + Q[i, 0] * x[0] + Q[i, 1] * x[1] + C[i]
                                for i in range(2)])
     x = generators.sample_box_point(RNG, 2)
-    res = conformal_residual(point_record(euclidean_metric(2), x, 1), w, -sigma)
+    rec = point_record(euclidean_metric(2), x, 1)
+    res = conformal_residual(rec, vcov_of(rec, w)[1], -sigma)
     np.testing.assert_allclose(res, np.zeros((2, 2)), atol=1e-13)
 
 
 def test_conformal_residual_zero_field_unit_factor():
-    res = conformal_residual(point_record(euclidean_metric(3), [0.1, 0.2, 0.3], 1),
-                             VectorField(lambda x: [0.0] * 3), 1.0)
+    rec = point_record(euclidean_metric(3), [0.1, 0.2, 0.3], 1)
+    res = conformal_residual(rec, vcov_of(rec, VectorField(lambda x: [0.0] * 3))[1], 1.0)
     np.testing.assert_allclose(res, -4.0 * np.eye(3), atol=0.0)
 
 
@@ -295,9 +303,11 @@ def test_lie_1form_matches_direct_lift():
     v = generators.random_vector_field(RNG, 2)
     x = generators.sample_box_point(RNG, 2)
     y = RNG.normal(size=2)
-    got = lie_1form(point_record(h, x, 1), b, v, y)
+    rec = point_record(h, x, 1)
     b0, db = b.table(x, order=1)
-    v0, dv = v.table(x, order=1)
+    v0, vcov = vcov_of(rec, v)
+    got = lie_1form(v0, vcov, rec.hinv @ b0, covariant_1form(rec.gamma, b0, db), y)
+    dv = v.table(x, order=1)[1]
     # direct lift: V^k d_k(b_j) y^j + b_i dV^i/dx^j y^j
     want = float(np.einsum("k,jk,j->", v0, db, y) + np.einsum("i,ij,j->", b0, dv, y))
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)

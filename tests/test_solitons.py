@@ -186,7 +186,9 @@ def test_fit_kappa_needs_two_directions():
 def test_fit_conformal_factor_flat_homothety():
     v = VectorField(lambda x: [0.7 * x[0], 0.7 * x[1]])
     rec = riemann.point_record(euclidean_metric(2), [0.2, 0.1], 1)
-    c, res = solitons.fit_conformal_factor(rec, v)
+    v0, dv = v.table(rec.x, order=1)
+    vcov = riemann.lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, v0, dv)
+    c, res = solitons.fit_conformal_factor(rec, vcov)
     assert c == pytest.approx(0.35, rel=1e-12)
     assert res <= 1e-13
 
@@ -258,8 +260,10 @@ def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
 
 @pytest.mark.parametrize("name", ("cigar", "shrinking"))
 def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name, monkeypatch):
-    # one matrix_table pass per metric, one f table, one beta_tables and one
-    # nav_tensors per bundle flag, across all bundles and the sigma fit
+    # one matrix_table pass per metric, one f table, one beta_tables, one
+    # beta_derivatives and one nav_tensors per bundle flag, across all bundles
+    # and the sigma fit; one vector_table each of beta and W, plus one of V in
+    # each vector bundle; and no float evaluation of a metric or a field
     from finsler_solitons import suites
 
     fx = fixtures.get_fixture(name)
@@ -277,10 +281,20 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     monkeypatch.setattr(fx.f, "table", counting(lambda *a: "f", fx.f.table))
     monkeypatch.setattr(randers, "beta_tables", counting(lambda *a: "beta", randers.beta_tables))
     monkeypatch.setattr(randers, "nav_tensors", counting(lambda *a: "nav", randers.nav_tensors))
+    monkeypatch.setattr(randers, "beta_derivatives",
+                        counting(lambda *a: "bd", randers.beta_derivatives))
+    monkeypatch.setattr(riemann, "vector_table",
+                        counting(lambda *a: "vector_table", riemann.vector_table))
+    monkeypatch.setattr(riemann.RiemannMetric, "matrix_at",
+                        counting(lambda *a: "matrix_at", riemann.RiemannMetric.matrix_at))
+    monkeypatch.setattr(riemann.VectorField, "at",
+                        counting(lambda *a: "at", riemann.VectorField.at))
     samples = 5
     suites.run_fixture_suite(fx, samples=samples, seed=3)
+    fields = 2 + sum(b.startswith("vector-") for b in fx.bundles)
+    assert counts["matrix_at"] + counts["at"] == 0
     assert counts == {"alpha": samples, "h": samples, "f": samples, "beta": samples,
-                      "nav": samples}
+                      "bd": samples, "nav": samples, "vector_table": fields * samples}
 
 
 def test_perturbed_unknown_ingredient_raises():
