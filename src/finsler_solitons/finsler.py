@@ -21,12 +21,15 @@ Curvature comes exclusively from the spray,
 so the Riemannian module's Christoffel path stays an independent oracle.
 The second spray derivatives consume mixed fourth-order coefficients of F^2
 (x-degree <= 2, y-degree <= 4), hence the engine expands F^2 internally to
-total degree 4 even though the public jet lift is capped at 3.
+total degree 4 even though the public jet lift is capped at 3.  No formula
+reads a coefficient of x-degree above 2, so F^2 is expanded only to x-degree
+<= 2 and total degree <= 4 (`jets.flag_space`); the monomials cut off form
+an ideal, so the kept coefficients are exact.
 
-A metric's F(x, y) receives x as jets over the n x-variables and y as jets
-over all 2n flag coordinates; jet arithmetic prefix-embeds the x-only
-intermediate results where they meet y (see `jets`), so fields of x alone
-cost n-variable products, and F^2 comes out over all 2n.
+A metric's F(x, y) receives x as order-2 jets over the n x-variables and y
+as jets over the 2n flag coordinates; jet arithmetic prefix-embeds the
+x-only intermediate results where they meet y (see `jets`), so fields of x
+alone cost n-variable products at order 2, and F^2 comes out over all 2n.
 """
 
 from __future__ import annotations
@@ -107,11 +110,12 @@ class Measure:
 
 
 def _f2_jet(metric: FinslerMetric, x, y, order: int) -> Jet:
-    """F^2 as a jet over the 2n flag coordinates (x first, then y); the
-    metric receives x over the n x-variables alone (see the module notes)."""
+    """F^2 as a jet over `jets.flag_space(n, order)`; the metric receives x
+    as jets of order min(order, 2) over the n x-variables alone (see the
+    module notes)."""
     n = metric.dim
-    flag_space = jets.jet_space(2 * n, order)
-    xs = Jet.variables([float(v) for v in x], order)
+    flag_space = jets.flag_space(n, order)
+    xs = Jet.variables([float(v) for v in x], min(order, 2))
     ys = [Jet.variable(float(v), n + k, flag_space) for k, v in enumerate(y)]
     F = metric.F(xs, ys)
     if not isinstance(F, Jet):
@@ -134,7 +138,7 @@ def _f2_index(n: int, order: int) -> dict:
     Q{a}{b}[k1..ka, i1..ib] is d^a/dx^k d^b/dy^i of F^2, so each table is one
     gather from the jet's coefficient vector times its factorials.
     """
-    space = jets.jet_space(2 * n, order)
+    space = jets.flag_space(n, order)
     index = {}
     for level in range(1, order + 1):
         for a, b in _Q_TABLES[level]:

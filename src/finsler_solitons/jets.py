@@ -7,19 +7,26 @@ arithmetic on Jets propagates those coefficients exactly, so derivatives come
 out with no truncation error beyond float rounding.  A central-difference
 fallback (`fd_derivative`) provides an independent cross-check.
 
-Jets of one order combine across spaces by prefix embedding: a jet over
-(k, order) is read as a jet over the first k variables of (m, order), m > k,
-whose coefficients on the other variables vanish.  So a field that depends
-on x only can be expanded in the n x-variables and meet jets in all 2n flag
-coordinates.  Sums embed the smaller jet.  Products never build the padded
-jet: they run the sub-table of the (m, order) product table whose pairs take
-their small-side coefficient from the embedded positions, kept in the big
-table's order, and read the small jet in place (`_mul_table`).  The result
-is exact: graded-lex order keeps the embedded positions increasing, so every
-coefficient of a mixed product sums the same nonzero products in the same
-order as the all-2n computation, bit for bit (each pair left out multiplies
-a padded zero, which changes no finite sum).  Jets of different orders never
-combine.
+A space holds a downward-closed set of monomials: total degree <= order,
+and degree <= x_order in its first x_vars variables (`flag_space` builds the
+bigraded set of F^2; `jet_space` the plain one).  The monomials cut off form
+an ideal, so products and Taylor composition are exact on the kept ones.
+
+Jets combine across spaces by prefix embedding: a jet over a space of k
+variables is read as a jet over the first k variables of a larger space,
+with vanishing coefficients on the others.  A space embeds into a larger
+one when its padded monomials are exactly the larger space's monomials over
+its variables, so (k, order) embeds into (m, order), and (n, 2) into the
+flag space `flag_space(n, order)`; any other pair raises ValueError.  So a
+field that depends on x only can be expanded in the n x-variables and meet
+jets in all 2n flag coordinates.  Sums embed the smaller jet.  Products
+never build the padded jet: they run the sub-table of the larger product
+table whose pairs take their small-side coefficient from the embedded
+positions, kept in the big table's order, and read the small jet in place
+(`_mul_table`).  The result is exact: graded-lex order keeps the embedded
+positions increasing, so every coefficient of a mixed product sums the same
+nonzero products in the same order as the all-2n computation, bit for bit
+(each pair left out multiplies a padded zero, which changes no finite sum).
 """
 
 from __future__ import annotations
@@ -58,27 +65,42 @@ def _multi_factorial(multi):
 
 
 class JetSpace:
-    """Multi-index bookkeeping shared by all jets of a given (nvars, order).
+    """Multi-index bookkeeping shared by all jets of one monomial set.
 
-    Storage is dense: one coefficient per multi-index of total degree
-    <= order, graded by degree.  The multiplication table (ia, ib, ic) lists
-    every coefficient pair whose degrees still fit inside the truncation.
+    The set is every multi-index of total degree <= order whose degree in
+    the first `x_vars` variables is <= `x_order` (by default no such bound).
+    Storage is dense: one coefficient per kept multi-index, graded by degree.
+    The multiplication table (ia, ib, ic) lists every coefficient pair whose
+    product is kept.  A bigraded set restricts the plain (nvars, order)
+    table, in its order, to the pairs whose output is kept: the kept
+    multi-indices are a graded-lex subsequence, so every kept coefficient
+    sums the same products in the same order as in the plain space.
     """
 
-    def __init__(self, nvars: int, order: int):
+    def __init__(self, nvars: int, order: int, x_vars: int = 0, x_order: int | None = None):
         if nvars < 1:
             raise ValueError("need at least one variable")
         if order < 0:
             raise ValueError("order must be nonnegative")
+        if not 0 <= x_vars <= nvars or (x_order is not None and x_order < 0):
+            raise ValueError("need 0 <= x_vars <= nvars and x_order >= 0")
+        if x_vars == 0 or x_order is None or x_order >= order:
+            x_vars, x_order = 0, order
         self.nvars = nvars
         self.order = order
-        multis = []
-        for deg in range(order + 1):
-            multis.extend(_multis_of_degree(nvars, deg))
-        self.multis = tuple(multis)
-        self.index = {m: i for i, m in enumerate(self.multis)}
-        self.nterms = len(self.multis)
-        self.factorials = np.array([_multi_factorial(m) for m in self.multis], float)
+        self.x_vars = x_vars
+        self.x_order = x_order
+        if x_vars:
+            plain = jet_space(nvars, order)
+            keep = np.array([sum(m[:x_vars]) <= x_order for m in plain.multis])
+            self._set_multis(m for m, k in zip(plain.multis, keep) if k)
+            back = np.full(plain.nterms, -1, dtype=np.intp)
+            back[keep] = np.arange(self.nterms)
+            pairs = keep[plain.mul_ic]
+            self.mul_ia, self.mul_ib, self.mul_ic = (
+                back[t[pairs]] for t in (plain.mul_ia, plain.mul_ib, plain.mul_ic))
+            return
+        self._set_multis(m for deg in range(order + 1) for m in _multis_of_degree(nvars, deg))
         ia, ib, ic = [], [], []
         degs = [sum(m) for m in self.multis]
         for i, ma in enumerate(self.multis):
@@ -93,8 +115,15 @@ class JetSpace:
         self.mul_ib = np.asarray(ib, dtype=np.intp)
         self.mul_ic = np.asarray(ic, dtype=np.intp)
 
+    def _set_multis(self, multis):
+        self.multis = tuple(multis)
+        self.index = {m: i for i, m in enumerate(self.multis)}
+        self.nterms = len(self.multis)
+        self.factorials = np.array([_multi_factorial(m) for m in self.multis], float)
+
     def __repr__(self):
-        return f"JetSpace(nvars={self.nvars}, order={self.order})"
+        bound = f", x_vars={self.x_vars}, x_order={self.x_order}" if self.x_vars else ""
+        return f"JetSpace(nvars={self.nvars}, order={self.order}{bound})"
 
 
 @lru_cache(maxsize=None)
@@ -103,10 +132,29 @@ def jet_space(nvars: int, order: int) -> JetSpace:
 
 
 @lru_cache(maxsize=None)
+def flag_space(n: int, order: int) -> JetSpace:
+    """The space of F^2 at a flag: 2n variables (x first, then y), total
+    degree <= order and x-degree <= 2, the most any spray formula reads.
+    Up to order 2 that is the plain (2n, order) space."""
+    if order <= 2:
+        return jet_space(2 * n, order)
+    return JetSpace(2 * n, order, x_vars=n, x_order=2)
+
+
+@lru_cache(maxsize=None)
 def _prefix_positions(small: JetSpace, big: JetSpace) -> np.ndarray:
-    """Position in `big` of each multi-index of `small`, padded with zeros."""
+    """Position in `big` of each multi-index of `small`, padded with zeros.
+
+    `small` embeds into `big` when its padded multi-indices are exactly the
+    multi-indices of `big` over its variables; any other pair raises.
+    """
     pad = (0,) * (big.nvars - small.nvars)
-    pos = np.array([big.index[m + pad] for m in small.multis], dtype=np.intp)
+    pos = [big.index.get(m + pad) for m in small.multis]
+    over = sum(1 for m in big.multis if not any(m[small.nvars:]))
+    if big.nvars < small.nvars or None in pos or over != small.nterms:
+        raise ValueError(f"jets over {small} and {big} cannot be combined: "
+                         "their orders differ")
+    pos = np.array(pos, dtype=np.intp)
     pos.setflags(write=False)           # shared by every caller of the cache
     return pos
 
@@ -124,8 +172,6 @@ def _mul_table(sa: JetSpace, sb: JetSpace):
     """
     if sa is sb:
         return sa.mul_ia, sa.mul_ib, sa.mul_ic, sa
-    if sa.order != sb.order:
-        raise ValueError("jets of different orders cannot be combined")
     big, small = (sa, sb) if sa.nvars >= sb.nvars else (sb, sa)
     back = np.full(big.nterms, -1, dtype=np.intp)
     back[_prefix_positions(small, big)] = np.arange(small.nterms)
@@ -142,8 +188,6 @@ def _common(a: "Jet", b: "Jet"):
     """(a, b) over one space: the jet over fewer variables is prefix-embedded."""
     if a.space is b.space:
         return a, b
-    if a.space.order != b.space.order:
-        raise ValueError("jets of different orders cannot be combined")
     if a.space.nvars < b.space.nvars:
         return a.embedded(b.space), b
     return a, b.embedded(a.space)
@@ -154,13 +198,14 @@ def _is_scalar(v):
 
 
 class Jet:
-    """Taylor coefficients of a scalar function at a point, total degree <= order.
+    """Taylor coefficients of a scalar function at a point, one per monomial
+    of its space.
 
     The coefficient stored for multi-index m is the Taylor coefficient
     (1/m!) d^m f, so `partial` multiplies the factorial back in.  Jets are
     immutable after construction, so the reciprocal is computed once per jet
     and kept (`_reciprocal`), and repeated division by one jet composes once.
-    A product of jets over different spaces of one order runs the
+    A product of jets over two spaces, one embedding in the other, runs the
     cross-space table of the module notes and lands in the larger space.
     """
 
@@ -225,8 +270,6 @@ class Jet:
         """This jet as a jet over the first `self.dim` variables of `space`."""
         if space is self.space:
             return self
-        if space.order != self.order or space.nvars < self.dim:
-            raise ValueError(f"cannot embed {self.space} into {space}")
         c = np.zeros(space.nterms)
         c[_prefix_positions(self.space, space)] = self.coeffs
         return Jet(space, c)

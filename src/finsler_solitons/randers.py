@@ -204,10 +204,14 @@ def eval_F_nav(nav: NavigationData, p: FlagPoint) -> float:
     return finsler_from_navigation(nav).value(p.x, p.y)
 
 
-def navigation_xi(nav: NavigationData, p: FlagPoint) -> np.ndarray:
-    """xi = y - F(x, y) W(x); satisfies h(x, xi) = F(x, y)."""
+def navigation_xi(nav: NavigationData, p: FlagPoint, w_up) -> np.ndarray:
+    """xi = y - F(x, y) W(x); satisfies h(x, xi) = F(x, y).
+
+    `w_up` is W^i at p.x as the caller tabled it (`NavTensors.w_up`), so xi
+    uses the same value of W as the tensors it meets.
+    """
     F = eval_F_nav(nav, p)
-    return p.y - F * nav.W.at(p.x)
+    return p.y - F * w_up
 
 
 # -- Busemann-Hausdorff measure ---------------------------------------------------
@@ -564,7 +568,7 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint):
 
     H = riemann.point_record(nav.h, p.x, 1)
     T = nav_tensors(nav, H)
-    xi = navigation_xi(nav, p)
+    xi = navigation_xi(nav, p, T.w_up)
     htilde = math.sqrt(float(xi @ T.h @ xi))
     wt0 = float(T.w_low @ xi)
     v0, dv = v.table(p.x, order=1)
@@ -588,10 +592,11 @@ def ricci_transfer_sides(nav: NavigationData, sigma, mu_tilde: float, p: FlagPoi
     n = nav.dim
     metric = finsler_from_navigation(nav)
     F = metric.value(p.x, p.y)
-    sval, sigma0, sigw, _ = field_sigma_terms(sigma, p.x, p.y, nav.W.at(p.x))
+    w_up = nav.W.table(p.x, order=1)[0]
+    sval, sigma0, sigw, _ = field_sigma_terms(sigma, p.x, p.y, w_up)
     ric = generic_ricci(metric, p)
     lhs = ric - (n - 1) * (3.0 * sigma0 / F + mu_tilde - sval ** 2 - 2.0 * sigw) * F * F
-    xi = navigation_xi(nav, p)
+    xi = navigation_xi(nav, p, w_up)
     hric = riemann.point_record(nav.h, p.x, 2).ricci
     rhs = float(xi @ hric @ xi) - (n - 1) * mu_tilde * F * F
     return lhs, rhs

@@ -224,7 +224,7 @@ def crosscheck_navigation(count=1000, seed=7, tol=1e-10, points_per_metric=20):
             h2 = float(y @ T.h @ y)
             w0 = float(T.w_low @ y)
             norm_identity.append((h2 - 2.0 * F * w0 - T.lam * F * F) / (F * F))
-            xi = randers.navigation_xi(nav, p)
+            xi = randers.navigation_xi(nav, p, T.w_up)
             transfer.append((math.sqrt(float(xi @ T.h @ xi)) - F) / F)
     return [report_from_values("roundtrip", roundtrip, 1e-12),
             report_from_values("norm-identity", norm_identity, tol),

@@ -274,6 +274,87 @@ def test_jets_of_different_orders_do_not_combine():
         high.embedded(low.space)
 
 
+# -- bigraded flag spaces: x-degree <= 2, total degree <= order ---------------------
+
+
+def _flag_pair(rng, n, value):
+    """A random jet over flag_space(n, 4) with signed zeros, and the plain
+    (2n, 4) jet that has its coefficients at the kept monomials and random
+    ones at the monomials cut off (they reach no kept coefficient)."""
+    flag, plain = jets.flag_space(n, 4), jet_space(2 * n, 4)
+    small = _signed_zero_jet(rng, flag)
+    small.coeffs[0] = value
+    c = rng.normal(size=plain.nterms)
+    c[_kept(flag, plain)] = small.coeffs
+    return small, Jet(plain, c)
+
+
+def _kept(flag, plain):
+    return [plain.index[m] for m in flag.multis]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flag_space_arithmetic_equals_the_plain_arithmetic_at_the_kept_monomials(n):
+    rng = np.random.default_rng(80 + n)
+    flag, plain = jets.flag_space(n, 4), jet_space(2 * n, 4)
+    assert flag.nvars == 2 * n and flag.order == 4
+    assert all(sum(m[:n]) <= 2 for m in flag.multis)
+    assert [m for m in plain.multis if sum(m[:n]) <= 2] == list(flag.multis)
+    ops = {"*": lambda u, v: u * v, "+": lambda u, v: u + v,
+           "-": lambda u, v: u - v, "/": lambda u, v: u / v,
+           "sqrt": lambda u, v: jets.sqrt(u), "exp": lambda u, v: jets.exp(u),
+           "log": lambda u, v: jets.log(u), "tanh": lambda u, v: jets.tanh(u),
+           "power 2.5": lambda u, v: jets.power(u, 2.5)}
+    for _ in range(3):
+        u_flag, u_plain = _flag_pair(rng, n, 1.3)
+        v_flag, v_plain = _flag_pair(rng, n, -0.7)
+        for name, op in ops.items():
+            got, want = op(u_flag, v_flag), op(u_plain, v_plain)
+            assert got.space is flag and want.space is plain
+            want = want.coeffs[_kept(flag, plain)]
+            assert np.array_equal(got.coeffs, want), (n, name)
+            assert np.array_equal(np.signbit(got.coeffs), np.signbit(want)), (n, name)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_order_2_x_jets_embed_into_the_flag_space(n):
+    rng = np.random.default_rng(90 + n)
+    flag = jets.flag_space(n, 4)
+    x_jet = _signed_zero_jet(rng, jet_space(n, 2))
+    f = _signed_zero_jet(rng, flag)
+    assert x_jet.embedded(flag).space is flag
+    for left, right in ((x_jet, f), (f, x_jet)):
+        got = left * right
+        want = _padded_product(left, right)
+        assert got.space is flag
+        assert np.array_equal(got.coeffs, want)
+        assert np.array_equal(np.signbit(got.coeffs), np.signbit(want))
+        assert np.array_equal((left + right).coeffs,
+                              left.embedded(flag).coeffs + right.embedded(flag).coeffs)
+    for order in (3, 4):
+        u = Jet.variables([0.3] * n, order)[0]
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(ValueError, match="orders"):
+                op(u, f)
+            with pytest.raises(ValueError, match="orders"):
+                op(f, u)
+        with pytest.raises(ValueError, match="orders"):
+            u.embedded(flag)
+
+
+@pytest.mark.parametrize("n, flag_terms, flag_pairs, x_terms, x_pairs, cross_pairs", [
+    (2, 53, 360, 6, 15, 115), (3, 155, 1302, 10, 28, 365), (4, 360, 3435, 15, 45, 890)])
+def test_flag_and_x_space_table_sizes(n, flag_terms, flag_pairs, x_terms, x_pairs,
+                                      cross_pairs):
+    flag, x_space = jets.flag_space(n, 4), jet_space(n, 2)
+    assert (flag.nterms, flag.mul_ia.size) == (flag_terms, flag_pairs)
+    assert (x_space.nterms, x_space.mul_ia.size) == (x_terms, x_pairs)
+    assert jets._mul_table(x_space, flag)[0].size == cross_pairs
+    assert jets._mul_table(flag, x_space)[0].size == cross_pairs
+    # Up to order 2 the x-degree bound cuts nothing: the flag space is plain.
+    assert jets.flag_space(n, 2) is jet_space(2 * n, 2)
+
+
 # -- product and chain rules (property tests) --------------------------------------
 
 

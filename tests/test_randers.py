@@ -180,7 +180,7 @@ def test_norm_identity_and_xi_transfer():
         h2 = float(y @ hm @ y)
         w0 = float((hm @ w) @ y)
         assert h2 - 2.0 * F * w0 == pytest.approx(lam * F * F, rel=1e-10)
-        xi = navigation_xi(nav, p)
+        xi = navigation_xi(nav, p, w)
         assert math.sqrt(float(xi @ hm @ xi)) == pytest.approx(F, rel=1e-10)
 
 
@@ -389,6 +389,42 @@ def test_sigma_equals_minus_conformal_factor():
     fitted, res = fit_sigma_isotropic_S(tables_at(rd, x), _directions(2))
     assert res <= 1e-10
     assert fitted == pytest.approx(-float(c(list(x))), rel=1e-10, abs=1e-12)
+
+
+def _point_where_w_values_differ(dim=2):
+    """A to_navigation pair and a flag where the float W.at(x) and the jet
+    value W.table(x, 1)[0] differ (W^i = -b^i/lam is a jet division)."""
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        nav = to_navigation(generators.random_randers(rng, dim))
+        for _ in range(20):
+            x = generators.sample_box_point(rng, dim)
+            if not np.array_equal(nav.W.at(x), nav.W.table(x, order=1)[0]):
+                return nav, FlagPoint(x, rng.normal(size=dim))
+    raise AssertionError("no point where the two values of W differ")
+
+
+def test_navigation_xi_uses_the_tabled_value_of_w(monkeypatch):
+    nav, p = _point_where_w_values_differ()
+    T = nav_tensors(nav, riemann.point_record(nav.h, p.x, 1))
+    F = eval_F_nav(nav, p)
+    xi = navigation_xi(nav, p, T.w_up)
+    assert np.array_equal(xi, p.y - F * T.w_up)
+    assert not np.array_equal(T.w_up, nav.W.at(p.x))
+    # Both identities built on xi pass the jet value of W, never the float one.
+    passed = []
+    xi_of = randers.navigation_xi
+
+    def recording(nav, p, w_up):
+        passed.append(np.array(w_up))
+        return xi_of(nav, p, w_up)
+
+    monkeypatch.setattr(randers, "navigation_xi", recording)
+    lie_nav_h2_sides(nav, generators.random_vector_field(RNG, 2), p)
+    ricci_transfer_sides(nav, 0.3, 0.0, p)
+    assert len(passed) == 2
+    for w in passed:
+        assert np.array_equal(w, T.w_up)
 
 
 def test_curvature_transfer_identity():

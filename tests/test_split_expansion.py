@@ -1,14 +1,14 @@
 """The per-flag F^2 path against the code it replaced: the split expansion
-(x-only fields in n variables, y in 2n) against the all-2n expansion, and the
-matrix-product second inverse-metric derivative against the 5-operand
-einsum."""
+(x-only fields at order 2 in n variables, y in the bigraded flag space of
+x-degree <= 2) against the all-2n expansion, and the matrix-product second
+inverse-metric derivative against the 5-operand einsum."""
 
 import collections
 
 import numpy as np
 import pytest
 
-from finsler_solitons import finsler, fixtures
+from finsler_solitons import finsler, fixtures, jets
 from finsler_solitons.jets import Jet
 from finsler_solitons.sampling import sample_flags
 
@@ -25,6 +25,16 @@ def _f2_jet_all_2n(metric, x, y, order):
     return F * F
 
 
+_F2_INDEX = finsler._f2_index.__wrapped__
+
+
+def _f2_index_all_2n(n, order):
+    """The Q-table positions in the all-2n space (x-degree unbounded)."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jets, "flag_space", lambda n, order: jets.jet_space(2 * n, order))
+        return _F2_INDEX(n, order)
+
+
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
 def test_split_f2_expansion_equals_the_all_2n_expansion(name, monkeypatch):
     fx = fixtures.get_fixture(name)
@@ -32,11 +42,17 @@ def test_split_f2_expansion_equals_the_all_2n_expansion(name, monkeypatch):
         for order in (2, 3, 4):
             split = finsler._f2_jet(fx.metric, p.x, p.y, order)
             full = _f2_jet_all_2n(fx.metric, p.x, p.y, order)
-            assert split.space is full.space
-            np.testing.assert_array_equal(split.coeffs, full.coeffs)
+            assert split.space is jets.flag_space(fx.metric.dim, order)
+            # The all-2n coefficients at the kept monomials, bit for bit: no
+            # sign bit moves, not even at a zero coefficient.
+            want = full.coeffs[[full.space.index[m] for m in split.space.multis]]
+            assert np.array_equal(split.coeffs, want), (name, order)
+            moved = np.flatnonzero(np.signbit(split.coeffs) != np.signbit(want))
+            assert moved.size == 0, [split.space.multis[i] for i in moved]
             tables = finsler._f2_tables(fx.metric, p.x, p.y, order)
             with monkeypatch.context() as m:
                 m.setattr(finsler, "_f2_jet", _f2_jet_all_2n)
+                m.setattr(finsler, "_f2_index", _f2_index_all_2n)
                 reference = finsler._f2_tables(fx.metric, p.x, p.y, order)
             assert tables.keys() == reference.keys()
             for key, value in reference.items():
@@ -52,14 +68,15 @@ def test_shrinking_f2_expansion_runs_few_products_in_the_flag_space(monkeypatch)
     def counting_mul(self, other):
         out = mul(self, other)
         if isinstance(other, Jet):
-            counts[out.dim] += 1
+            counts[out.space] += 1
         return out
 
     monkeypatch.setattr(Jet, "__mul__", counting_mul)
     finsler._f2_jet(fx.metric, p.x, p.y, 4)
-    assert set(counts) == {4, 8}
-    assert counts[8] <= 60
-    assert counts[4] > counts[8]
+    x_space, flag_space = jets.jet_space(4, 2), jets.flag_space(4, 4)
+    assert set(counts) == {x_space, flag_space}
+    assert counts[flag_space] <= 60
+    assert counts[x_space] > counts[flag_space]
 
 
 def test_shrinking_expansions_compose_each_divisor_once(monkeypatch):
