@@ -35,8 +35,8 @@ def main():
         s_bh = ev.S - float(fx.f.table(p.x, order=1)[1] @ p.y)
         print(f"{t:6.3f} {fit.value:12.8f} {law:12.8f} {abs(fit.value - law):10.2e} "
               f"{ratio:12.3e} {s_bh:10.2e}")
-    kappas, anis = solitons.fit_kappa(fx.metric, fx.measure,
-                                      [[t, 0.0] for t in (0.3, 1.0, 1.8)])
+    bases = [finsler.base_point(fx.metric, fx.measure, [t, 0.0]) for t in (0.3, 1.0, 1.8)]
+    kappas, anis = solitons.fit_kappa(fx.metric, fx.measure, bases)
     print(f"\nfitted soliton scalar kappa(x): {kappas}  (anisotropy {anis:.2e})")
 
 

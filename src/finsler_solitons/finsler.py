@@ -8,9 +8,11 @@ least-squares scalar flag-curvature fit.
 
 `evaluate_flag` is the one evaluation per flag: a single fourth-order
 expansion of F^2 yields Ric, S, S-dot, Ric_inf and the flag-curvature fit
-together, and the x-only log-density table can be shared across the
-directions at one point.  The single-quantity functions (`ricci`, `s_dot`,
-`weighted_ricci`, `flag_curvature_fit`) read the same evaluation in jet mode.
+together.  Its x-only work is a `BasePoint` (`base_point`): the metric's
+stage at x and the log-density table, built once per sample point and shared
+by every direction evaluated there.  The single-quantity functions (`ricci`,
+`s_dot`, `weighted_ricci`, `flag_curvature_fit`) read the same evaluation in
+jet mode.
 
 Curvature comes exclusively from the spray,
 
@@ -26,10 +28,12 @@ reads a coefficient of x-degree above 2, so F^2 is expanded only to x-degree
 <= 2 and total degree <= 4 (`jets.flag_space`); the monomials cut off form
 an ideal, so the kept coefficients are exact.
 
-A metric's F(x, y) receives x as order-2 jets over the n x-variables and y
-as jets over the 2n flag coordinates; jet arithmetic prefix-embeds the
-x-only intermediate results where they meet y (see `jets`), so fields of x
-alone cost n-variable products at order 2, and F^2 comes out over all 2n.
+A metric is staged: `FinslerMetric.at(x)` does the x-only work and returns
+F(x, .) as a function of y.  The engine passes x as order-2 jets over the n
+x-variables and y as jets over the 2n flag coordinates; jet arithmetic
+prefix-embeds the x-only intermediate results where they meet y (see
+`jets`), so fields of x alone cost n-variable products at order 2, once per
+stage, and F^2 comes out over all 2n.
 """
 
 from __future__ import annotations
@@ -55,30 +59,53 @@ class ParameterError(ValueError):
 
 
 class FinslerMetric:
-    """A Finsler norm F(x, y), jet-evaluable in all 2n coordinates."""
+    """A Finsler norm F(x, y), jet-evaluable in all 2n coordinates.
+
+    `at(x)` is the metric's point stage: F(x, .) as a function of y alone.
+    A metric built with `from_stage` does its x-only work (fields, guards,
+    products of x-only factors) once per stage, so every direction at one
+    point shares it; `FinslerMetric(dim, fn)` with `fn(x, y)` stages as
+    `lambda y: fn(x, y)`.  `F` and `value` both go through the stage.
+    """
 
     def __init__(self, dim: int, fn, name=""):
         self.dim = dim
-        self._fn = fn
+        self._at = lambda x: lambda y: fn(x, y)
         self.name = name
 
+    @classmethod
+    def from_stage(cls, dim: int, at, name="") -> "FinslerMetric":
+        """The metric whose stage at x is `at(x)`, a function of y."""
+        metric = cls(dim, None, name)
+        metric._at = at
+        return metric
+
+    def at(self, x):
+        return self._at(x)
+
     def F(self, x, y):
-        return self._fn(x, y)
+        return self.at(x)(y)
 
     def value(self, x, y) -> float:
-        return float(scalar_value(self._fn(list(x), list(y))))
+        return float(scalar_value(self.at(list(x))(list(y))))
 
     @classmethod
     def from_riemannian(cls, h: RiemannMetric, name="") -> "FinslerMetric":
-        def fn(x, y):
-            rows = h.matrix(x)
-            quad = 0.0
-            for i in range(h.dim):
-                for j in range(h.dim):
-                    quad = quad + rows[i][j] * y[i] * y[j]
-            return jets.sqrt(quad)
+        n = h.dim
 
-        return cls(h.dim, fn, name or f"riemannian({h.name or 'h'})")
+        def at(x):
+            rows = h.matrix(x)
+
+            def F(y):
+                quad = 0.0
+                for i in range(n):
+                    for j in range(n):
+                        quad = quad + rows[i][j] * y[i] * y[j]
+                return jets.sqrt(quad)
+
+            return F
+
+        return cls.from_stage(n, at, name or f"riemannian({h.name or 'h'})")
 
 
 class Measure:
@@ -109,15 +136,19 @@ class Measure:
 # -- F^2 partial tables -------------------------------------------------------
 
 
-def _f2_jet(metric: FinslerMetric, x, y, order: int) -> Jet:
-    """F^2 as a jet over `jets.flag_space(n, order)`; the metric receives x
-    as jets of order min(order, 2) over the n x-variables alone (see the
-    module notes)."""
-    n = metric.dim
+def _stage(metric: FinslerMetric, x, order: int):
+    """The metric's stage at x for an order-`order` expansion: x enters as
+    jets of order min(order, 2) over the n x-variables (see the module notes)."""
+    return metric.at(Jet.variables([float(v) for v in x], min(order, 2)))
+
+
+def _f2_jet(stage, y, order: int) -> Jet:
+    """F^2 as a jet over `jets.flag_space(n, order)` from the stage at x
+    (`_stage` at this order, or a `BasePoint`'s for orders 2 to 4)."""
+    n = len(y)
     flag_space = jets.flag_space(n, order)
-    xs = Jet.variables([float(v) for v in x], min(order, 2))
     ys = [Jet.variable(float(v), n + k, flag_space) for k, v in enumerate(y)]
-    F = metric.F(xs, ys)
+    F = stage(ys)
     if not isinstance(F, Jet):
         raise FlagDomainError("metric does not depend on the flag coordinates")
     if F.value <= 0.0:
@@ -155,10 +186,11 @@ def _f2_index(n: int, order: int) -> dict:
     return index
 
 
-def _f2_tables(metric: FinslerMetric, x, y, order: int) -> dict:
-    """Partial derivatives of F^2 at (x, y), grouped by (x-degree, y-degree)."""
-    n = metric.dim
-    f2 = _f2_jet(metric, x, y, order)
+def _f2_tables(stage, y, order: int) -> dict:
+    """Partial derivatives of F^2 at (x, y), grouped by (x-degree, y-degree),
+    from the stage at x (see `_f2_jet`)."""
+    n = len(y)
+    f2 = _f2_jet(stage, y, order)
     partials = f2.coeffs * f2.space.factorials
     T = {"n": n, "F2": f2.value, "F": math.sqrt(f2.value)}
     for name, pos in _f2_index(n, order).items():
@@ -272,19 +304,24 @@ def _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy):
             - np.einsum("ji,kj->ik", dG_dy, dG_dy))
 
 
-def curvature_bundle(metric: FinslerMetric, p: FlagPoint, mode: str = "jet") -> CurvatureBundle:
+def curvature_bundle(metric: FinslerMetric, p: FlagPoint, mode: str = "jet",
+                     stage=None) -> CurvatureBundle:
     """Spray, curvature operator and Ricci at one flag.
 
-    mode="jet" assembles everything from one fourth-order expansion of F^2;
-    mode="fd" recomputes the outer spray derivatives by Richardson central
-    differences of the pointwise spray map, as an independent cross-check.
+    mode="jet" assembles everything from one fourth-order expansion of F^2,
+    from `stage`, the metric's stage at p.x (a `BasePoint`'s), or one built
+    here; mode="fd" recomputes the outer spray derivatives by Richardson
+    central differences of the pointwise spray map, as an independent
+    cross-check.
     """
     if mode == "fd":
         return _curvature_bundle_fd(metric, p)
     if mode != "jet":
         raise ParameterError(f"unknown differentiation mode {mode!r}")
+    if stage is None:
+        stage = _stage(metric, p.x, 4)
     x, y = p.x, p.y
-    T = _f2_tables(metric, x, y, order=4)
+    T = _f2_tables(stage, y, order=4)
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
     return CurvatureBundle(x=np.asarray(x, float), y=np.asarray(y, float),
@@ -302,7 +339,7 @@ def _pointwise_spray(metric: FinslerMetric):
     n = metric.dim
 
     def G_fn(z):
-        T = _f2_tables(metric, z[:n], z[n:], order=2)
+        T = _f2_tables(_stage(metric, z[:n], 2), z[n:], order=2)
         D = _spray_derivatives(T, np.asarray(z[n:], float), order=2)
         return D["G"]
 
@@ -317,7 +354,7 @@ def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint,
     scale = max(1.0, float(np.max(np.abs(z0))))
     G_fn = _pointwise_spray(metric)
 
-    T = _f2_tables(metric, x, y, order=2)
+    T = _f2_tables(_stage(metric, x, 2), y, order=2)
     g, ginv = _fundamental(T)
     G = G_fn(z0)
 
@@ -349,18 +386,18 @@ def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint,
 
 
 def fundamental_tensor(metric: FinslerMetric, p: FlagPoint) -> np.ndarray:
-    T = _f2_tables(metric, p.x, p.y, order=2)
+    T = _f2_tables(_stage(metric, p.x, 2), p.y, order=2)
     g, _ = _fundamental(T)
     return g
 
 
 def cartan_tensor(metric: FinslerMetric, p: FlagPoint) -> np.ndarray:
-    T = _f2_tables(metric, p.x, p.y, order=3)
+    T = _f2_tables(_stage(metric, p.x, 3), p.y, order=3)
     return 0.25 * T["Q03"]
 
 
 def spray(metric: FinslerMetric, p: FlagPoint) -> np.ndarray:
-    T = _f2_tables(metric, p.x, p.y, order=2)
+    T = _f2_tables(_stage(metric, p.x, 2), p.y, order=2)
     return _spray_derivatives(T, p.y, order=2)["G"]
 
 
@@ -374,7 +411,7 @@ def ricci(metric: FinslerMetric, p: FlagPoint, mode="jet") -> float:
 
 def distortion(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
     """tau = log( sqrt(det g(x, y)) / sigma(x) )."""
-    T = _f2_tables(metric, p.x, p.y, order=2)
+    T = _f2_tables(_stage(metric, p.x, 2), p.y, order=2)
     g, _ = _fundamental(T)
     det = float(np.linalg.det(g))
     if det <= 0.0:
@@ -393,9 +430,10 @@ def _s_value(dG_dy, y, logs) -> float:
 def _s_order3(metric: FinslerMetric, measure: Measure, x, y) -> float:
     """S alone, from a third-order expansion of F^2."""
     y = np.asarray(y, float)
-    T = _f2_tables(metric, x, y, order=3)
+    base = base_point(metric, measure, x)
+    T = _f2_tables(base.stage, y, order=3)
     D = _spray_derivatives(T, y, order=3)
-    return _s_value(D["dG_dy"], y, measure.log_density_table(x, order=2))
+    return _s_value(D["dG_dy"], y, base.logs)
 
 
 def s_curvature(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
@@ -494,6 +532,23 @@ def flag_curvature_fit(metric: FinslerMetric, p: FlagPoint, mode="jet") -> FlagC
 
 
 @dataclass(frozen=True)
+class BasePoint:
+    """The x-only work at one sample point, shared by every flag there: the
+    metric's stage at x as order-2 jets (serves expansions of order 2 to 4)
+    and the order-2 log-density table of the measure."""
+
+    x: np.ndarray
+    stage: object
+    logs: tuple
+
+
+def base_point(metric: FinslerMetric, measure: Measure, x) -> BasePoint:
+    """The base point of (metric, measure) at x."""
+    return BasePoint(x=np.asarray(x, float), stage=_stage(metric, x, 4),
+                     logs=measure.log_density_table(x, order=2))
+
+
+@dataclass(frozen=True)
 class FlagEvaluation:
     """Every per-flag quantity of the soliton laws, from one order-4 expansion."""
 
@@ -507,15 +562,19 @@ class FlagEvaluation:
 
 
 def evaluate_flag(metric: FinslerMetric, measure: Measure, p: FlagPoint,
-                  logs=None) -> FlagEvaluation:
+                  base: BasePoint | None = None) -> FlagEvaluation:
     """Bundle, S, its derivatives, S-dot, Ric_inf and the K-fit at one flag.
 
-    `logs` is `measure.log_density_table(p.x, order=2)`; it depends on x
-    only, so callers sweeping directions at one point pass it in.
+    `base` is `base_point(metric, measure, p.x)`; it depends on x only, so
+    callers evaluating several flags at one point build it once and pass it
+    in.  Without it, the flag builds its own.
     """
-    b = curvature_bundle(metric, p)
-    if logs is None:
-        logs = measure.log_density_table(p.x, order=2)
+    if base is None:
+        base = base_point(metric, measure, p.x)
+    elif not np.array_equal(base.x, p.x):
+        raise ValueError("base point and flag are at different x")
+    b = curvature_bundle(metric, p, stage=base.stage)
+    logs = base.logs
     y = b.y
     S = _s_value(b.dG_dy, y, logs)
     dS_dx = np.einsum("kii->k", b.d2G_dxdy) - np.einsum("i,ki->k", y, logs[2])

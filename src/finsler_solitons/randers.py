@@ -158,42 +158,52 @@ def to_navigation(rd: RandersData) -> NavigationData:
 def finsler_from_randers(rd: RandersData) -> FinslerMetric:
     n = rd.dim
 
-    def fn(x, y):
+    def at(x):
         rows = rd.alpha.matrix(x)
         b = rd.beta.components(x)
         if scalar_value(_b2(generic_inverse(rows), b)) >= 1.0:
             raise RandersDomainError("||beta||_alpha >= 1 at evaluated point")
-        quad = 0.0
-        lin = 0.0
-        for i in range(n):
-            lin = lin + b[i] * y[i]
-            for j in range(n):
-                quad = quad + rows[i][j] * y[i] * y[j]
-        return jets.sqrt(quad) + lin
 
-    return FinslerMetric(n, fn, name=rd.name or "randers")
+        def F(y):
+            quad = 0.0
+            lin = 0.0
+            for i in range(n):
+                lin = lin + b[i] * y[i]
+                for j in range(n):
+                    quad = quad + rows[i][j] * y[i] * y[j]
+            return jets.sqrt(quad) + lin
+
+        return F
+
+    return FinslerMetric.from_stage(n, at, name=rd.name or "randers")
 
 
 def finsler_from_navigation(nav: NavigationData) -> FinslerMetric:
     n = nav.dim
 
-    def fn(x, y):
+    def at(x):
         rows = nav.h.matrix(x)
         w = nav.W.components(x)
         lam = _lam(rows, w)
         if scalar_value(lam) <= 0.0:
             raise NavigationDomainError("||W||_h >= 1 at evaluated point")
-        h2 = 0.0
-        for i in range(n):
-            for j in range(n):
-                h2 = h2 + rows[i][j] * y[i] * y[j]
-        w0 = 0.0
-        for i in range(n):
-            for j in range(n):
-                w0 = w0 + rows[i][j] * w[j] * y[i]
-        return (jets.sqrt(lam * h2 + w0 * w0) - w0) / lam
+        # h_ij W^j, kept per (i, j): W_0 sums (h_ij W^j) y^i in that order
+        hw = [[rows[i][j] * w[j] for j in range(n)] for i in range(n)]
 
-    return FinslerMetric(n, fn, name=nav.name or "navigation")
+        def F(y):
+            h2 = 0.0
+            for i in range(n):
+                for j in range(n):
+                    h2 = h2 + rows[i][j] * y[i] * y[j]
+            w0 = 0.0
+            for i in range(n):
+                for j in range(n):
+                    w0 = w0 + hw[i][j] * y[i]
+            return (jets.sqrt(lam * h2 + w0 * w0) - w0) / lam
+
+        return F
+
+    return FinslerMetric.from_stage(n, at, name=nav.name or "navigation")
 
 
 def eval_F(rd: RandersData, p: FlagPoint) -> float:

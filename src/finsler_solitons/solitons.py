@@ -106,25 +106,26 @@ def fit_riemann_soliton_scalar(rec, ftab):
     return _trace_fit(rec, rec.ricci + riemann.hessian_tensor(rec, ftab))
 
 
-def fit_kappa(metric: FinslerMetric, measure: Measure, xs, directions=None):
-    """Pointwise least-squares kappa(x) from Ric_inf = kappa F^2.
+def fit_kappa(metric: FinslerMetric, measure: Measure, bases, directions=None):
+    """Pointwise least-squares kappa(x) from Ric_inf = kappa F^2 at each of
+    the `finsler.BasePoint`s `bases` of (metric, measure).
 
-    Returns (kappa array over xs, anisotropy), where anisotropy is the largest
-    spread of Ric_inf/F^2 over the direction set at a single x; it must vanish
-    for a true gradient soliton because kappa depends on x only.  Each point
-    builds its log-density table once and shares it across the directions.
+    Returns (kappa array over the points, anisotropy), where anisotropy is
+    the largest spread of Ric_inf/F^2 over the direction set at a single x; it
+    must vanish for a true gradient soliton because kappa depends on x only.
+    Every direction at a point reads the point's stage and density table, so
+    the fit builds neither.
     """
     dirs = directions if directions is not None else _directions(metric.dim)
     if len(dirs) < 2:
         raise ValueError("need at least two directions per point to fit kappa")
     kappas = []
     anisotropy = 0.0
-    for x in xs:
-        logs = measure.log_density_table(np.asarray(x, float), order=2)
+    for base in bases:
         vals = []
         for d in dirs:
-            p = FlagPoint(x, d)
-            ric_inf = finsler.evaluate_flag(metric, measure, p, logs=logs).ric_inf
+            p = FlagPoint(base.x, d)
+            ric_inf = finsler.evaluate_flag(metric, measure, p, base=base).ric_inf
             vals.append(ric_inf / metric.value(p.x, p.y) ** 2)
         vals = np.array(vals)
         kappas.append(float(np.mean(vals)))

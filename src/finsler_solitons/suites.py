@@ -10,8 +10,11 @@ curvature-transfer identities, and the navigation algebra.
 
 Each fixture flag is evaluated once (`finsler.evaluate_flag`): one
 fourth-order expansion of F^2 (one finite-difference bundle in fd mode)
-feeds the Ricci law, infinity-Ricci and flag curvature rows, and the kappa
-fit shares one log-density table per point across its direction sweep.
+feeds the Ricci law, infinity-Ricci and flag curvature rows.  Each sample
+point's x-only work runs once: in jet mode the flag rows build one
+`finsler.BasePoint` per flag (the metric's stage and the log-density table
+at x), and the kappa fit, whose points are the first flags' x, sweeps its
+directions on those same base points.
 
 The characterization bundles share one `solitons.BundlePoint` per bundle
 flag (one jet pass each of alpha, h and f), and the sigma fit reads the beta
@@ -34,18 +37,21 @@ from .sampling import sample_flags, unit_direction
 
 
 def _flag_rows(fixture, flags, mode):
-    """Pointwise law residuals at each flag: returns a list of row dicts.
+    """Pointwise law residuals at each flag: returns (row dicts, base points).
 
     Every row of a flag reads one curvature bundle: in jet mode the one
-    `finsler.evaluate_flag`, in fd mode one finite-difference bundle plus
-    the finite-difference S-dot.
+    `finsler.evaluate_flag`, on the flag's `finsler.BasePoint`, which is
+    returned for the kappa fit; in fd mode one finite-difference bundle plus
+    the finite-difference S-dot, and no base points.
     """
-    out = []
+    out, bases = [], []
     for p in flags:
         row = {}
         F2 = fixture.metric.value(p.x, p.y) ** 2
         if mode == "jet":
-            ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p)
+            base = finsler.base_point(fixture.metric, fixture.measure, p.x)
+            bases.append(base)
+            ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p, base=base)
             ric, ric_inf, fit = ev.bundle.ricci, ev.ric_inf, ev.flag_curvature
         else:
             b = finsler.curvature_bundle(fixture.metric, p, mode=mode)
@@ -59,7 +65,7 @@ def _flag_rows(fixture, flags, mode):
             row["flag-curvature-law"] = fit.value - float(fixture.flag_curvature_law(p.x))
             row["flag-curvature-misfit"] = fit.residual
         out.append(row)
-    return out
+    return out, bases
 
 
 # -- fixture suite ------------------------------------------------------------------
@@ -77,7 +83,7 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
         reports.append(report_from_values(f"constraint/{cname}", [value], tol=0.0,
                                           detail="structural identity, exact"))
 
-    rows = _flag_rows(fixture, flags, mode)
+    rows, bases = _flag_rows(fixture, flags, mode)
     names = sorted({k for row in rows for k in row})
     for name in names:
         vals = [row[name] for row in rows if name in row]
@@ -92,8 +98,11 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
         "sigma-fit", np.abs(sigmas - np.array(sig_expected)), tol,
         rel_values=[fitres], detail=f"isotropy fit residual {fitres:.2e}"))
 
+    # the kappa points are the first flags' x, whose base points the jet rows built
     kap_points = fit_points[:4]
-    kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure, kap_points)
+    kap_bases = bases[:len(kap_points)] if mode == "jet" else [
+        finsler.base_point(fixture.metric, fixture.measure, x) for x in kap_points]
+    kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure, kap_bases)
     kap_expected = [float(riemann.scalar_value(fixture.kappa(list(x)))) for x in kap_points]
     reports.append(report_from_values("kappa-fit", np.abs(kappas - np.array(kap_expected)), tol))
     reports.append(report_from_values("kappa-anisotropy", [anis], tol))

@@ -2,14 +2,15 @@
 per-quantity formulas, and counters on the F^2 expansions and density tables
 the suites make."""
 
+import collections
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from finsler_solitons import finsler, fixtures, solitons, suites
-from finsler_solitons.jets import FlagPoint
+from finsler_solitons import finsler, fixtures, jets, solitons, suites
+from finsler_solitons.jets import FlagPoint, Jet
 from finsler_solitons.sampling import sample_flags
 
 
@@ -21,7 +22,7 @@ def _separate_formulas(metric, measure, p, N):
     """Each quantity from its own expansion, as the engine computed them
     before `evaluate_flag` existed."""
     y = np.asarray(p.y, float)
-    T = finsler._f2_tables(metric, p.x, y, order=4)
+    T = finsler._f2_tables(finsler._stage(metric, p.x, 4), y, order=4)
     D = finsler._spray_derivatives(T, y, order=4)
     R = finsler._assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"],
                                   D["d2G_dydy"])
@@ -31,11 +32,11 @@ def _separate_formulas(metric, measure, p, N):
     dS_dy = np.einsum("kii->k", D["d2G_dydy"]) - logs[1]
     sdot = float(np.dot(p.y, dS_dx) - 2.0 * np.dot(D["G"], dS_dy))
 
-    T3 = finsler._f2_tables(metric, p.x, y, order=3)
+    T3 = finsler._f2_tables(finsler._stage(metric, p.x, 3), y, order=3)
     D3 = finsler._spray_derivatives(T3, y, order=3)
     S = float(np.trace(D3["dG_dy"]) - np.dot(y, logs[1]))
 
-    T1 = finsler._f2_tables(metric, p.x, p.y, order=1)
+    T1 = finsler._f2_tables(finsler._stage(metric, p.x, 1), p.y, order=1)
     F2 = T["F"] * T["F"]
     A = F2 * np.eye(metric.dim) - 0.5 * np.outer(p.y, T1["Q01"])
     normR = float(np.linalg.norm(R))
@@ -72,12 +73,15 @@ def test_evaluate_flag_equals_the_separate_formulas(name):
         assert finsler.flag_curvature_fit(fx.metric, p) == want["fit"]
 
 
-def test_evaluate_flag_reuses_a_passed_density_table():
+def test_evaluate_flag_reuses_a_passed_density_table(monkeypatch):
+    # The base point's density table and stage: the flag builds neither.
     fx = fixtures.get_fixture("cigar")
     p = _flags(fx, count=1)[0]
-    logs = fx.measure.log_density_table(p.x, order=2)
+    base = finsler.base_point(fx.metric, fx.measure, p.x)
     a = finsler.evaluate_flag(fx.metric, fx.measure, p)
-    b = finsler.evaluate_flag(fx.metric, fx.measure, p, logs=logs)
+    counter = _Counter(monkeypatch)
+    b = finsler.evaluate_flag(fx.metric, fx.measure, p, base=base)
+    assert (counter.orders, counter.density_tables, counter.stages) == ([4], 0, 0)
     assert (a.S, a.s_dot, a.ric_inf) == (b.S, b.s_dot, b.ric_inf)
 
 
@@ -87,8 +91,9 @@ def test_f2_tables_gather_equals_partials(name, order):
     fx = fixtures.get_fixture(name)
     p = _flags(fx, count=1)[0]
     n = fx.dim
-    T = finsler._f2_tables(fx.metric, p.x, p.y, order)
-    f2 = finsler._f2_jet(fx.metric, p.x, p.y, order)
+    stage = finsler._stage(fx.metric, p.x, order)
+    T = finsler._f2_tables(stage, p.y, order)
+    f2 = finsler._f2_jet(stage, p.y, order)
     names = [k for k in T if k.startswith("Q")]
     assert names == [f"Q{a}{b}" for lvl in range(1, order + 1)
                      for a, b in finsler._Q_TABLES[lvl]]
@@ -105,22 +110,40 @@ def test_f2_tables_gather_equals_partials(name, order):
 
 
 class _Counter:
+    """Counts F^2 expansions (by order), log-density tables and metric stages.
+
+    `stages` counts `FinslerMetric.at` at jet x: the x-only work an expansion
+    reads.  `value` stages at float x (`float_stages`); it stays a float
+    evaluation, so the F^2 normalisers keep the bits of the float formula.
+    """
+
     def __init__(self, monkeypatch):
         self.orders = []
         self.density_tables = 0
+        self.stages = 0
+        self.float_stages = 0
         tables = finsler._f2_tables
         density = finsler.Measure.log_density_table
+        at = finsler.FinslerMetric.at
 
-        def count_tables(metric, x, y, order):
+        def count_tables(stage, y, order):
             self.orders.append(order)
-            return tables(metric, x, y, order)
+            return tables(stage, y, order)
 
         def count_density(measure, x, order=2):
             self.density_tables += 1
             return density(measure, x, order)
 
+        def count_at(metric, x):
+            if isinstance(x[0], Jet):
+                self.stages += 1
+            else:
+                self.float_stages += 1
+            return at(metric, x)
+
         monkeypatch.setattr(finsler, "_f2_tables", count_tables)
         monkeypatch.setattr(finsler.Measure, "log_density_table", count_density)
+        monkeypatch.setattr(finsler.FinslerMetric, "at", count_at)
 
 
 @pytest.mark.parametrize("name", ["cigar", "shrinking"])
@@ -128,12 +151,38 @@ def test_flag_rows_expand_f2_once_per_flag(name, monkeypatch):
     fx = fixtures.get_fixture(name)
     flags = _flags(fx, count=3)
     counter = _Counter(monkeypatch)
-    rows = suites._flag_rows(fx, flags, "jet")
+    rows, bases = suites._flag_rows(fx, flags, "jet")
     assert len(rows) == 3
     if fx.ricci_law is not None:
         assert {"ricci-law", "flag-curvature-law"} <= set(rows[0])
     assert counter.orders == [4] * len(flags)
-    assert counter.density_tables == len(flags)
+    assert counter.density_tables == counter.stages == len(flags)
+    assert all(np.array_equal(b.x, p.x) for b, p in zip(bases, flags, strict=True))
+
+
+@pytest.mark.parametrize("name", ["cigar", "shrinking"])
+def test_fixture_suite_stages_each_flag_once_and_fits_kappa_on_its_base_points(
+        name, monkeypatch):
+    fx = fixtures.get_fixture(name)
+    samples = 3
+    fitted = []
+    fit_kappa = solitons.fit_kappa
+
+    def record_fit(metric, measure, bases, directions=None):
+        fitted.extend(bases)
+        return fit_kappa(metric, measure, bases, directions)
+
+    monkeypatch.setattr(solitons, "fit_kappa", record_fit)
+    counter = _Counter(monkeypatch)
+    reports = suites.run_fixture_suite(fx, samples=samples, seed=5)
+    assert {r.name for r in reports} >= {"infinity-ricci", "kappa-fit", "kappa-anisotropy"}
+    # one stage and one density table per flag; the kappa fit adds neither
+    assert counter.stages == counter.density_tables == samples
+    dirs = solitons._directions(fx.dim)
+    assert counter.orders == [4] * (samples + len(fitted) * len(dirs))
+    flags = _flags(fx, count=samples)
+    assert len(fitted) == samples
+    assert all(np.array_equal(b.x, p.x) for b, p in zip(fitted, flags, strict=True))
 
 
 @pytest.mark.parametrize("name", ["gaussian-riemannian", "cigar"])
@@ -163,9 +212,10 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
         return bundle_fd(metric, p)
 
     monkeypatch.setattr(finsler, "_curvature_bundle_fd", count_fd)
-    rows = suites._flag_rows(fx, flags, "fd")
+    rows, bases = suites._flag_rows(fx, flags, "fd")
     assert len(calls) == len(flags)
     assert rows == expected
+    assert bases == []
 
 
 def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monkeypatch):
@@ -173,9 +223,40 @@ def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monke
     xs = [f.x for f in _flags(fx, count=2)]
     dirs = solitons._directions(fx.dim)
     counter = _Counter(monkeypatch)
-    solitons.fit_kappa(fx.metric, fx.measure, xs)
+    bases = [finsler.base_point(fx.metric, fx.measure, x) for x in xs]
+    assert (counter.stages, counter.density_tables) == (len(xs), len(xs))
+    solitons.fit_kappa(fx.metric, fx.measure, bases)
+    # the fit builds no stage at jet x and no density table of its own
+    assert (counter.stages, counter.density_tables) == (len(xs), len(xs))
     assert counter.orders == [4] * (len(xs) * len(dirs))
-    assert counter.density_tables == len(xs)
+    assert counter.float_stages == len(xs) * len(dirs)      # the F^2 normalisers
+
+
+def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(monkeypatch):
+    fx = fixtures.get_fixture("shrinking")
+    p = _flags(fx, count=1)[0]
+    dirs = solitons._directions(fx.dim)
+    assert len(dirs) == 16
+    logs = fx.measure.log_density_table(p.x, order=2)
+    counts = collections.Counter()
+    mul = Jet.__mul__
+
+    def counting_mul(self, other):
+        out = mul(self, other)
+        if isinstance(other, Jet):
+            counts[out.space] += 1
+        return out
+
+    monkeypatch.setattr(Jet, "__mul__", counting_mul)
+    finsler._f2_jet(finsler._stage(fx.metric, p.x, 4), p.y, 4)
+    one = dict(counts)
+    counts.clear()
+    base = finsler.BasePoint(x=p.x, stage=finsler._stage(fx.metric, p.x, 4), logs=logs)
+    solitons.fit_kappa(fx.metric, fx.measure, [base], dirs)
+    x_space, flag_space = jets.jet_space(4, 2), jets.flag_space(4, 4)
+    assert set(counts) == set(one) == {x_space, flag_space}
+    assert 0 < counts[x_space] <= one[x_space]
+    assert counts[flag_space] == len(dirs) * one[flag_space]
 
 
 def test_gradient_soliton_residual_expands_f2_once(monkeypatch):

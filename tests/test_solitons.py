@@ -148,10 +148,14 @@ def test_third_balance_equation_consistency():
 # -- scalar fits ------------------------------------------------------------------------
 
 
+def _bases(metric, measure, xs):
+    return [finsler.base_point(metric, measure, x) for x in xs]
+
+
 def test_fit_kappa_cigar():
     fx = fixtures.get_fixture("cigar")
     xs = [fx.sample_x(RNG) for _ in range(3)]
-    kappas, anis = solitons.fit_kappa(fx.metric, fx.measure, xs)
+    kappas, anis = solitons.fit_kappa(fx.metric, fx.measure, _bases(fx.metric, fx.measure, xs))
     assert np.max(np.abs(kappas)) <= 1e-8
     assert anis <= 1e-8
 
@@ -159,7 +163,7 @@ def test_fit_kappa_cigar():
 def test_fit_kappa_shrinking():
     fx = fixtures.get_fixture("shrinking")
     xs = [fx.sample_x(RNG) for _ in range(2)]
-    kappas, anis = solitons.fit_kappa(fx.metric, fx.measure, xs)
+    kappas, anis = solitons.fit_kappa(fx.metric, fx.measure, _bases(fx.metric, fx.measure, xs))
     np.testing.assert_allclose(kappas, 2.0, atol=1e-8)
     assert anis <= 1e-8
 
@@ -171,7 +175,7 @@ def test_fit_kappa_einstein_sphere_trivial_soliton():
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
     xs = [RNG.uniform(-0.5, 0.5, size=3) for _ in range(2)]
-    kappas, anis = solitons.fit_kappa(F, m, xs)
+    kappas, anis = solitons.fit_kappa(F, m, _bases(F, m, xs))
     np.testing.assert_allclose(kappas, 2.0 * mu, atol=1e-9)
     assert anis <= 1e-9
 
@@ -179,7 +183,8 @@ def test_fit_kappa_einstein_sphere_trivial_soliton():
 def test_fit_kappa_needs_two_directions():
     fx = fixtures.get_fixture("cigar")
     with pytest.raises(ValueError):
-        solitons.fit_kappa(fx.metric, fx.measure, [np.array([1.0, 0.0])],
+        solitons.fit_kappa(fx.metric, fx.measure,
+                           _bases(fx.metric, fx.measure, [np.array([1.0, 0.0])]),
                            directions=[np.array([1.0, 0.0])])
 
 

@@ -40,7 +40,8 @@ def test_split_f2_expansion_equals_the_all_2n_expansion(name, monkeypatch):
     fx = fixtures.get_fixture(name)
     for p in _flags(fx, count=2, seed=11):
         for order in (2, 3, 4):
-            split = finsler._f2_jet(fx.metric, p.x, p.y, order)
+            stage = finsler._stage(fx.metric, p.x, order)
+            split = finsler._f2_jet(stage, p.y, order)
             full = _f2_jet_all_2n(fx.metric, p.x, p.y, order)
             assert split.space is jets.flag_space(fx.metric.dim, order)
             # The all-2n coefficients at the kept monomials, bit for bit: no
@@ -49,11 +50,12 @@ def test_split_f2_expansion_equals_the_all_2n_expansion(name, monkeypatch):
             assert np.array_equal(split.coeffs, want), (name, order)
             moved = np.flatnonzero(np.signbit(split.coeffs) != np.signbit(want))
             assert moved.size == 0, [split.space.multis[i] for i in moved]
-            tables = finsler._f2_tables(fx.metric, p.x, p.y, order)
+            tables = finsler._f2_tables(stage, p.y, order)
             with monkeypatch.context() as m:
-                m.setattr(finsler, "_f2_jet", _f2_jet_all_2n)
+                m.setattr(finsler, "_f2_jet", lambda _stage, y, order, p=p:
+                          _f2_jet_all_2n(fx.metric, p.x, y, order))
                 m.setattr(finsler, "_f2_index", _f2_index_all_2n)
-                reference = finsler._f2_tables(fx.metric, p.x, p.y, order)
+                reference = finsler._f2_tables(stage, p.y, order)
             assert tables.keys() == reference.keys()
             for key, value in reference.items():
                 np.testing.assert_array_equal(tables[key], value, err_msg=f"{name} {key}")
@@ -72,7 +74,7 @@ def test_shrinking_f2_expansion_runs_few_products_in_the_flag_space(monkeypatch)
         return out
 
     monkeypatch.setattr(Jet, "__mul__", counting_mul)
-    finsler._f2_jet(fx.metric, p.x, p.y, 4)
+    finsler._f2_jet(finsler._stage(fx.metric, p.x, 4), p.y, 4)
     x_space, flag_space = jets.jet_space(4, 2), jets.flag_space(4, 4)
     assert set(counts) == {x_space, flag_space}
     assert counts[flag_space] <= 60
@@ -93,7 +95,7 @@ def test_shrinking_expansions_compose_each_divisor_once(monkeypatch):
         return compose(self, derivs)
 
     monkeypatch.setattr(Jet, "_compose", counting_compose)
-    finsler._f2_jet(fx.metric, p.x, p.y, 4)
+    finsler._f2_jet(finsler._stage(fx.metric, p.x, 4), p.y, 4)
     assert len(calls) <= 4
     calls.clear()
     fx.measure.log_density_table(p.x, order=2)
