@@ -38,7 +38,6 @@ stage, and F^2 comes out over all 2n.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -166,24 +165,14 @@ _Q_TABLES = {1: ((1, 0), (0, 1)), 2: ((1, 1), (0, 2)), 3: ((1, 2), (0, 3)),
 def _f2_index(n: int, order: int) -> dict:
     """Coefficient positions of every Q table of an (n, order) F^2 expansion.
 
-    Q{a}{b}[k1..ka, i1..ib] is d^a/dx^k d^b/dy^i of F^2, so each table is one
-    gather from the jet's coefficient vector times its factorials.
+    Q{a}{b}[k1..ka, i1..ib] is d^a/dx^k d^b/dy^i of F^2: its first a axes
+    range over the x variables and its last b over the y variables, at
+    offset n (`jets.tensor_index`), so each table is one gather from the
+    jet's coefficient vector times its factorials.
     """
     space = jets.flag_space(n, order)
-    index = {}
-    for level in range(1, order + 1):
-        for a, b in _Q_TABLES[level]:
-            pos = np.empty((n,) * (a + b), dtype=np.intp)
-            for t in itertools.product(range(n), repeat=a + b):
-                m = [0] * (2 * n)
-                for k in t[:a]:
-                    m[k] += 1
-                for i in t[a:]:
-                    m[n + i] += 1
-                pos[t] = space.index[tuple(m)]
-            pos.setflags(write=False)       # shared by every caller of the cache
-            index[f"Q{a}{b}"] = pos
-    return index
+    return {f"Q{a}{b}": jets.tensor_index(space, a + b, n, (0,) * a + (n,) * b)
+            for level in range(1, order + 1) for a, b in _Q_TABLES[level]}
 
 
 def _f2_tables(stage, y, order: int) -> dict:

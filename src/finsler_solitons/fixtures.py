@@ -51,12 +51,13 @@ class Fixture:
 
 
 def _ball_sampler(dim, radius, offset=None):
+    """Uniform points of the ball; `offset(rng)`, drawn first, is prepended."""
     def sample(rng):
+        head = [] if offset is None else [offset(rng)]
         u = rng.normal(size=dim)
         u /= np.linalg.norm(u)
         r = radius * rng.uniform() ** (1.0 / dim)
-        pt = r * u
-        return pt if offset is None else np.concatenate([[offset(rng)], pt])
+        return np.concatenate([head, r * u])
 
     return sample
 
@@ -282,6 +283,41 @@ def _default_cylinder_qd(m, mu, l=0.5):
     return Q, d
 
 
+def _cylinder(name, h_name, m, mu, Q, d, t_range, radius, warp, f, kap, perturb):
+    """The cylinder R x S^{2m-1} (or its warped t-range) with h^2 = dt^2 +
+    warp(t) hat-h^2 (warp None: the product), W the sphere Killing field of
+    (Q, d), samples t in t_range and the sphere point in a ball of `radius`."""
+    if m < 2:
+        raise ConstructionError("need m >= 2 (sphere dimension 2m-1 >= 3)")
+    if Q is None or d is None:
+        Q, d = _default_cylinder_qd(m, mu)
+    Q, d, checks = _validate_cylinder_data(Q, d, mu)
+    k = 2 * m - 1
+
+    def h_fn(z):
+        hat = _sphere_rows(mu, z[1:])
+        rows = [[0.0] * (k + 1) for _ in range(k + 1)]
+        rows[0][0] = 1.0
+        t2 = None if warp is None else warp(z[0])
+        for i in range(k):
+            for j in range(k):
+                rows[i + 1][j + 1] = hat[i][j] if t2 is None else t2 * hat[i][j]
+        return rows
+
+    what = _killing_sphere_field(Q, d, mu)
+
+    def w_fn(z):
+        return [0.0] + list(what.components(list(z[1:])))
+
+    nav = NavigationData(h=RiemannMetric(k + 1, h_fn, name=h_name),
+                         W=VectorField(w_fn, name="(0,What)"), name=name)
+    sample_x = _ball_sampler(k, radius, offset=lambda rng: rng.uniform(*t_range))
+    return _assemble(
+        name=name, nav=nav, f=f, kappa=kap, sigma=0.0, mu_soliton=kap,
+        bundles=("gradient-ab", "gradient-nav"), sample_x=sample_x, perturb=perturb,
+        constraints=checks)
+
+
 def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None, t_range=(-1.2, 1.2),
                        perturb=None) -> Fixture:
     """Product cylinder over an odd sphere of curvature mu: a gradient shrinker.
@@ -291,41 +327,10 @@ def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None, t_range=(-1.2, 1.2),
     Q^T Q + mu d d^T = mu |d|^2 E and Q d = 0, and f = (m-1) mu t^2, giving
     soliton constant 2 (m-1) mu.
     """
-    if m < 2:
-        raise ConstructionError("need m >= 2 (sphere dimension 2m-1 >= 3)")
-    if Q is None or d is None:
-        Q, d = _default_cylinder_qd(m, mu)
-    Q, d, checks = _validate_cylinder_data(Q, d, mu)
-    k = 2 * m - 1
-
-    def h_fn(z):
-        x = z[1:]
-        hat = _sphere_rows(mu, x)
-        rows = [[0.0] * (k + 1) for _ in range(k + 1)]
-        rows[0][0] = 1.0
-        for i in range(k):
-            for j in range(k):
-                rows[i + 1][j + 1] = hat[i][j]
-        return rows
-
-    what = _killing_sphere_field(Q, d, mu)
-
-    def w_fn(z):
-        return [0.0] + list(what.components(list(z[1:])))
-
-    nav = NavigationData(h=RiemannMetric(k + 1, h_fn, name="cylinder-h"),
-                         W=VectorField(w_fn, name="(0,What)"), name="shrinking")
     f = ScalarField(lambda z: (m - 1) * mu * z[0] * z[0], name="(m-1) mu t^2")
-    kap = 2.0 * (m - 1) * mu
-    ball = _ball_sampler(k, 2.0 / math.sqrt(mu))
-
-    def sample_x(rng):
-        return np.concatenate([[rng.uniform(*t_range)], ball(rng)])
-
-    return _assemble(
-        name="shrinking", nav=nav, f=f, kappa=kap, sigma=0.0, mu_soliton=kap,
-        bundles=("gradient-ab", "gradient-nav"), sample_x=sample_x, perturb=perturb,
-        constraints=checks)
+    return _cylinder("shrinking", "cylinder-h", m, mu, Q, d, t_range,
+                     radius=2.0 / math.sqrt(mu), warp=None, f=f,
+                     kap=2.0 * (m - 1) * mu, perturb=perturb)
 
 
 def expanding_cylinder(m=2, Q=None, d=None, t_range=(0.21, 0.89), perturb=None) -> Fixture:
@@ -336,44 +341,12 @@ def expanding_cylinder(m=2, Q=None, d=None, t_range=(0.21, 0.89), perturb=None) 
     from the cone point.
     """
     mu = 1.0
-    if m < 2:
-        raise ConstructionError("need m >= 2 (sphere dimension 2m-1 >= 3)")
-    if Q is None or d is None:
-        Q, d = _default_cylinder_qd(m, mu)
-    Q, d, checks = _validate_cylinder_data(Q, d, mu)
     if t_range[0] <= 0.0 or t_range[1] >= 1.0:
         raise ConstructionError("t-range must stay inside (0, 1)")
-    k = 2 * m - 1
-
-    def h_fn(z):
-        t, x = z[0], z[1:]
-        hat = _sphere_rows(mu, x)
-        rows = [[0.0] * (k + 1) for _ in range(k + 1)]
-        rows[0][0] = 1.0
-        t2 = t * t
-        for i in range(k):
-            for j in range(k):
-                rows[i + 1][j + 1] = t2 * hat[i][j]
-        return rows
-
-    what = _killing_sphere_field(Q, d, mu)
-
-    def w_fn(z):
-        return [0.0] + list(what.components(list(z[1:])))
-
-    nav = NavigationData(h=RiemannMetric(k + 1, h_fn, name="warped-cylinder-h"),
-                         W=VectorField(w_fn, name="(0,What)"), name="expanding")
     f = ScalarField(lambda z: -(m - 1) * mu * z[0] * z[0], name="-(m-1) t^2")
-    kap = -2.0 * (m - 1)
-    ball = _ball_sampler(k, 2.0)
-
-    def sample_x(rng):
-        return np.concatenate([[rng.uniform(*t_range)], ball(rng)])
-
-    return _assemble(
-        name="expanding", nav=nav, f=f, kappa=kap, sigma=0.0, mu_soliton=kap,
-        bundles=("gradient-ab", "gradient-nav"), sample_x=sample_x, perturb=perturb,
-        constraints=checks)
+    return _cylinder("expanding", "warped-cylinder-h", m, mu, Q, d, t_range,
+                     radius=2.0, warp=lambda t: t * t, f=f, kap=-2.0 * (m - 1),
+                     perturb=perturb)
 
 
 # -- registry ---------------------------------------------------------------------------

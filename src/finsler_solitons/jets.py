@@ -27,10 +27,16 @@ positions, kept in the big table's order, and read the small jet in place
 positions increasing, so every coefficient of a mixed product sums the same
 nonzero products in the same order as the all-2n computation, bit for bit
 (each pair left out multiplies a padded zero, which changes no finite sum).
+
+Derivative tensors come from one place: d^m f is the coefficient of m times
+m! (Griewank-Utke-Walther), so a tensor of k-th partials is one gather from
+the positions `tensor_index` caches per index tuple (`derivative_tensors`).
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 import numbers
 import warnings
@@ -160,6 +166,33 @@ def _prefix_positions(small: JetSpace, big: JetSpace) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def tensor_index(space: JetSpace, degree: int, n: int | None = None,
+                 offsets: tuple = ()) -> np.ndarray:
+    """pos[t1..tk] = position in `space` of the monomial x_t1 ... x_tk, k = degree.
+
+    Axis a ranges over the variables offsets[a] ... offsets[a] + n - 1 (by
+    default all variables).  Builds no space; the array is shared (read-only).
+    """
+    n = space.nvars if n is None else n
+    offsets = offsets or (0,) * degree
+    pos = np.empty((n,) * degree, dtype=np.intp)
+    for t in itertools.product(range(n), repeat=degree):
+        m = collections.Counter(off + k for off, k in zip(offsets, t))
+        pos[t] = space.index[tuple(m[v] for v in range(space.nvars))]
+    pos.setflags(write=False)
+    return pos
+
+
+def derivative_tensors(coeffs, space: JetSpace, order: int) -> list:
+    """[values, d, ..., d^order] of coefficient rows coeffs[..., :] over `space`:
+    d^k[..., t1..tk] = d^k / dx_t1 ... dx_tk, every array C-contiguous."""
+    partials = coeffs * space.factorials
+    return [coeffs[..., 0].copy()] + [
+        np.ascontiguousarray(partials[..., tensor_index(space, k)])
+        for k in range(1, order + 1)]
+
+
+@lru_cache(maxsize=None)
 def _mul_table(sa: JetSpace, sb: JetSpace):
     """(ia, ib, ic, space) of the product of a jet over `sa` with one over `sb`.
 
@@ -228,8 +261,7 @@ class Jet:
     def variable(value: float, position: int, space: JetSpace) -> "Jet":
         c = np.zeros(space.nterms)
         c[0] = value
-        unit = tuple(1 if k == position else 0 for k in range(space.nvars))
-        c[space.index[unit]] = 1.0
+        c[tensor_index(space, 1)[position]] = 1.0
         return Jet(space, c)
 
     @staticmethod
@@ -257,11 +289,7 @@ class Jet:
         return float(self.coeffs[idx] * self.space.factorials[idx])
 
     def gradient(self) -> np.ndarray:
-        n = self.space.nvars
-        out = np.empty(n)
-        for k in range(n):
-            out[k] = self.partial(tuple(1 if i == k else 0 for i in range(n)))
-        return out
+        return derivative_tensors(self.coeffs, self.space, 1)[1]
 
     def __repr__(self):
         return f"Jet(value={self.value!r}, nvars={self.dim}, order={self.order})"

@@ -97,28 +97,46 @@ class NavigationData:
 # -- conversions ---------------------------------------------------------------
 
 
+def _navigation_point(nav: NavigationData, x,
+                      message="lambda <= 0 while converting navigation data"):
+    """(rows of h, lambda, h_ij W^j per (i, j)) at x, guarded: the data of
+    alpha, beta and F; W_i = h_ij W^j is the sum of row i of the last."""
+    rows = nav.h.matrix(x)
+    w = nav.W.components(x)
+    lam = _lam(rows, w)
+    if scalar_value(lam) <= 0.0:
+        raise NavigationDomainError(message)
+    n = len(w)
+    return rows, lam, [[rows[i][j] * w[j] for j in range(n)] for i in range(n)]
+
+
+def _randers_point(rd: RandersData, x,
+                   message="||beta||_alpha >= 1 while converting Randers data"):
+    """(rows of a, a^-1 rows, b_i, lambda = 1 - b^2) at x, guarded: the data
+    of h, W, sigma_BH and F = alpha + beta."""
+    rows = rd.alpha.matrix(x)
+    ainv = generic_inverse(rows)
+    b = rd.beta.components(x)
+    lam = 1.0 - _b2(ainv, b)
+    if scalar_value(lam) <= 0.0:
+        raise RandersDomainError(message)
+    return rows, ainv, b, lam
+
+
 def from_navigation(nav: NavigationData) -> RandersData:
     """(a_ij, b_i) with a_ij = h_ij/lam + W_i W_j/lam^2 and b_i = -W_i/lam."""
     n = nav.dim
 
     def a_fn(x):
-        rows = nav.h.matrix(x)
-        w = nav.W.components(x)
-        lam = _lam(rows, w)
-        if scalar_value(lam) <= 0.0:
-            raise NavigationDomainError("lambda <= 0 while converting navigation data")
-        wl = [sum(rows[i][j] * w[j] for j in range(n)) for i in range(n)]
+        rows, lam, hw = _navigation_point(nav, x)
+        wl = [sum(row) for row in hw]
         lam2 = lam * lam
         return [[rows[i][j] / lam + wl[i] * wl[j] / lam2 for j in range(n)]
                 for i in range(n)]
 
     def b_fn(x):
-        rows = nav.h.matrix(x)
-        w = nav.W.components(x)
-        lam = _lam(rows, w)
-        if scalar_value(lam) <= 0.0:
-            raise NavigationDomainError("lambda <= 0 while converting navigation data")
-        return [-sum(rows[i][j] * w[j] for j in range(n)) / lam for i in range(n)]
+        _, lam, hw = _navigation_point(nav, x)
+        return [-sum(row) / lam for row in hw]
 
     return RandersData(alpha=RiemannMetric(n, a_fn, name=f"alpha({nav.name})"),
                        beta=VectorField(b_fn, name=f"beta({nav.name})"),
@@ -130,20 +148,11 @@ def to_navigation(rd: RandersData) -> NavigationData:
     n = rd.dim
 
     def h_fn(x):
-        rows = rd.alpha.matrix(x)
-        b = rd.beta.components(x)
-        lam = 1.0 - _b2(generic_inverse(rows), b)
-        if scalar_value(lam) <= 0.0:
-            raise RandersDomainError("||beta||_alpha >= 1 while converting Randers data")
+        rows, _, b, lam = _randers_point(rd, x)
         return [[lam * (rows[i][j] - b[i] * b[j]) for j in range(n)] for i in range(n)]
 
     def w_fn(x):
-        rows = rd.alpha.matrix(x)
-        ainv = generic_inverse(rows)
-        b = rd.beta.components(x)
-        lam = 1.0 - _b2(ainv, b)
-        if scalar_value(lam) <= 0.0:
-            raise RandersDomainError("||beta||_alpha >= 1 while converting Randers data")
+        _, ainv, b, lam = _randers_point(rd, x)
         bup = [sum(ainv[i][j] * b[j] for j in range(n)) for i in range(n)]
         return [-bup[i] / lam for i in range(n)]
 
@@ -159,10 +168,7 @@ def finsler_from_randers(rd: RandersData) -> FinslerMetric:
     n = rd.dim
 
     def at(x):
-        rows = rd.alpha.matrix(x)
-        b = rd.beta.components(x)
-        if scalar_value(_b2(generic_inverse(rows), b)) >= 1.0:
-            raise RandersDomainError("||beta||_alpha >= 1 at evaluated point")
+        rows, _, b, _ = _randers_point(rd, x, "||beta||_alpha >= 1 at evaluated point")
 
         def F(y):
             quad = 0.0
@@ -182,13 +188,8 @@ def finsler_from_navigation(nav: NavigationData) -> FinslerMetric:
     n = nav.dim
 
     def at(x):
-        rows = nav.h.matrix(x)
-        w = nav.W.components(x)
-        lam = _lam(rows, w)
-        if scalar_value(lam) <= 0.0:
-            raise NavigationDomainError("||W||_h >= 1 at evaluated point")
         # h_ij W^j, kept per (i, j): W_0 sums (h_ij W^j) y^i in that order
-        hw = [[rows[i][j] * w[j] for j in range(n)] for i in range(n)]
+        rows, lam, hw = _navigation_point(nav, x, "||W||_h >= 1 at evaluated point")
 
         def F(y):
             h2 = 0.0
@@ -232,12 +233,9 @@ def bh_density_fn(rd: RandersData):
     n = rd.dim
 
     def fn(x):
-        rows = rd.alpha.matrix(x)
-        b2 = _b2(generic_inverse(rows), rd.beta.components(x))
-        if scalar_value(b2) >= 1.0:
-            raise RandersDomainError("||beta||_alpha >= 1 in Busemann-Hausdorff density")
-        det = generic_det(rows)
-        return jets.power(1.0 - b2, 0.5 * (n + 1)) * jets.sqrt(det)
+        rows, _, _, lam = _randers_point(
+            rd, x, "||beta||_alpha >= 1 in Busemann-Hausdorff density")
+        return jets.power(lam, 0.5 * (n + 1)) * jets.sqrt(generic_det(rows))
 
     return fn
 

@@ -1,9 +1,11 @@
 """Riemannian backend: Christoffel symbols, curvature, covariant calculus.
 
-Everything here runs off plain partial-derivative tables extracted from one
-jet evaluation of the metric / field components, so the module stays fully
-independent of the spray-based Finsler engine.  On Riemannian inputs the two
-paths must agree, which gives the main cross-validation oracle.
+Everything here runs off plain partial-derivative tables, each from one jet
+evaluation of the metric / field components and one gather of their
+coefficients (`jets.derivative_tensors`; a float entry enters as a constant
+jet), so the module stays fully independent of the spray-based Finsler
+engine.  On Riemannian inputs the two paths must agree, which gives the main
+cross-validation oracle.
 
 One jet pass of a metric at a point gives its `PointRecord` (`point_record`):
 the partial-derivative tables of h and the Levi-Civita data built from them
@@ -206,73 +208,33 @@ def euclidean_metric(dim: int) -> RiemannMetric:
 # -- partial-derivative tables ----------------------------------------------
 
 
-def _entry_parts(v, space, order):
-    """(value, grad, hess, third) of one scalar-or-Jet entry."""
-    n = space.nvars
-    if not isinstance(v, Jet):
-        out = [float(v), np.zeros(n)]
-        if order >= 2:
-            out.append(np.zeros((n, n)))
-        if order >= 3:
-            out.append(np.zeros((n, n, n)))
-        return out
-    e = lambda *idx: tuple(sum(1 for i in idx if i == k) for k in range(n))
-    out = [v.value, np.array([v.partial(e(i)) for i in range(n)])]
-    if order >= 2:
-        h = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                h[i, j] = h[j, i] = v.partial(e(i, j))
-        out.append(h)
-    if order >= 3:
-        t = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    val = v.partial(e(i, j, k))
-                    for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                        t[perm] = val
-        out.append(t)
-    return out
+def _tables(fn, x, order, entries, shape=()):
+    """One jet pass of fn at x and one gather: `entries` lists the scalar-or-Jet
+    entries of fn's output (a float enters as a constant jet), `shape` arranges them."""
+    xs = Jet.variables([float(v) for v in x], order)
+    space = xs[0].space
+    coeffs = np.array([v.coeffs if isinstance(v, Jet) else Jet.constant(float(v), space).coeffs
+                       for v in entries(fn(xs))])
+    return jets.derivative_tensors(coeffs.reshape(shape + (space.nterms,)), space, order)
 
 
 def scalar_table(fn, x, order=2):
-    xs = Jet.variables([float(v) for v in x], order)
-    return tuple(_entry_parts(fn(xs), xs[0].space, order))
+    """(value, grad, hess, ...) up to `order` from one jet pass."""
+    value, *derivs = _tables(fn, x, order, lambda v: [v])
+    return (float(value), *derivs)
 
 
 def vector_table(fn, x, order=1):
     """(v[i], dv[i,j]=d_j v^i, d2v[i,j,k]=d_j d_k v^i, ...) from one jet pass."""
-    xs = Jet.variables([float(v) for v in x], order)
-    comps = list(fn(xs))
-    n = len(x)
-    parts = [_entry_parts(c, xs[0].space, order) for c in comps]
-    out = [np.array([p[0] for p in parts])]
-    for level in range(1, order + 1):
-        out.append(np.stack([p[level] for p in parts]))
-    return tuple(out)
+    return tuple(_tables(fn, x, order, list, (-1,)))
 
 
 def matrix_table(fn, x, n, order=2):
     """(m[i,j], dm[k,i,j]=d_k m_ij, d2m[k,l,i,j]) from one jet pass."""
-    xs = Jet.variables([float(v) for v in x], order)
-    rows = fn(xs)
-    parts = [[_entry_parts(rows[i][j], xs[0].space, order) for j in range(n)] for i in range(n)]
-    value = np.array([[parts[i][j][0] for j in range(n)] for i in range(n)])
-    out = [value]
-    if order >= 1:
-        dm = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                dm[:, i, j] = parts[i][j][1]
-        out.append(dm)
-    if order >= 2:
-        d2m = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                d2m[:, :, i, j] = parts[i][j][2]
-        out.append(d2m)
-    return tuple(out)
+    value, *derivs = _tables(fn, x, order, lambda rows: [rows[i][j] for i in range(n)
+                                                         for j in range(n)], (n, n))
+    # the gather puts the derivative axes last; the layout puts them first
+    return (value, *(np.ascontiguousarray(np.moveaxis(d, (0, 1), (-2, -1))) for d in derivs))
 
 
 # -- connection and curvature ------------------------------------------------
