@@ -30,7 +30,9 @@ RESIDUAL_FIELDS = ("max_abs", "mean_abs", "max_rel")
 INVOCATIONS = (
     tuple(("verify", "--fixture", name, "--seed", str(seed))
           for seed in (0, 42) for name in FIXTURES)
-    + (("verify", "--fixture", "cigar", "--perturb", "f:1e-2"),)
+    + (("verify", "--fixture", "cigar", "--perturb", "f:1e-2"),
+       ("verify", "--fixture", "cigar", "--perturb", "W:1e-2"),
+       ("verify", "--fixture", "shrinking", "--samples", "1"))
     + tuple(("verify", "--fixture", name, "--diff-mode", "fd", "--samples", "3",
              "--seed", "3") for name in ("gaussian-riemannian", "cigar", "shrinking"))
     + tuple(("crosscheck", "--suite", name) for name in SUITES)

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import fixtures, suites
@@ -62,10 +63,13 @@ def _parse_perturb(text):
         return None
     try:
         ingredient, eps = text.split(":", 1)
-        return ingredient.strip(), float(eps)
+        eps = float(eps)
+        if not math.isfinite(eps):
+            raise ValueError(eps)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"bad --perturb {text!r}; expected INGREDIENT:EPS like f:1e-2")
+            f"bad --perturb {text!r}; expected INGREDIENT:EPS like f:1e-2, EPS finite")
+    return ingredient.strip(), eps
 
 
 def _render(report, fmt) -> str:
@@ -115,8 +119,8 @@ def _cmd_verify(args) -> int:
     except fixtures.ConstructionError as exc:
         print(f"bad fixture configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.samples < 1 or args.tol <= 0:
-        print("need samples >= 1 and tol > 0", file=sys.stderr)
+    if args.samples < 1 or not 0 < args.tol < math.inf:
+        print("need samples >= 1 and a finite tol > 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         checks = suites.run_fixture_suite(fixture, samples=args.samples, seed=args.seed,
@@ -140,8 +144,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    if (args.count is not None and args.count < 1) or (args.tol is not None and args.tol <= 0):
-        print("need count >= 1 and tol > 0", file=sys.stderr)
+    if (args.count is not None and args.count < 1) or (args.tol is not None
+                                                       and not 0 < args.tol < math.inf):
+        print("need count >= 1 and a finite tol > 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         checks = suites.run_crosscheck_suite(args.suite, count=args.count,

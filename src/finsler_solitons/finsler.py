@@ -8,11 +8,11 @@ least-squares scalar flag-curvature fit.
 
 `evaluate_flag` is the one evaluation per flag: a single fourth-order
 expansion of F^2 yields Ric, S, S-dot, Ric_inf and the flag-curvature fit
-together.  Its x-only work is a `BasePoint` (`base_point`): the metric's
-stage at x and the log-density table, built once per sample point and shared
-by every direction evaluated there.  The single-quantity functions (`ricci`,
-`s_dot`, `weighted_ricci`, `flag_curvature_fit`) read the same evaluation in
-jet mode.
+together.  Its x-only work is a `BasePoint`: the metric's stage at x and
+the log-density table, built once per sample point (`base_point`, or a
+fixture's `solitons.sample_point`) and shared by every direction evaluated
+there.  The single-quantity functions (`ricci`, `s_dot`, `weighted_ricci`,
+`flag_curvature_fit`) read the same evaluation in jet mode.
 
 Curvature comes exclusively from the spray,
 
@@ -128,8 +128,13 @@ class Measure:
         """The measure e^{-f} dm relative to this one."""
         f = as_scalar_field(f)
         base = self._fn
-        return Measure(lambda x: jets.exp(-f(x)) * base(x),
+        return Measure(lambda x: weighted_density(f(x), base(x)),
                        name=f"e^-{f.name or 'f'} {self.name}")
+
+
+def weighted_density(f_value, density):
+    """e^{-f} sigma: the density of e^{-f} dm from f and the density of dm."""
+    return jets.exp(-f_value) * density
 
 
 # -- F^2 partial tables -------------------------------------------------------

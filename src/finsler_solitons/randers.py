@@ -13,9 +13,10 @@ and on the navigation side (indices via h_ij):
 
     R_ij = (W_{i:j} + W_{j:i})/2      S_ij = (W_{i:j} - W_{j:i})/2
 
-The tensors of one point read the `riemann.PointRecord` of alpha or h there
-(one jet pass each, with the Christoffel symbols, their derivatives and the
-Ricci tensor); this module writes only the Randers-specific contractions.
+The alpha rows, b, the stage of F and sigma_BH(a rows, b) are each one
+function of a guarded `_navigation_point` (h rows, W, lambda, h W); the
+closures and `solitons.sample_point` all call them.  The tensors of one
+point read a `riemann.PointRecord` of alpha or h and the table of beta or W.
 """
 
 from __future__ import annotations
@@ -97,50 +98,68 @@ class NavigationData:
 # -- conversions ---------------------------------------------------------------
 
 
-def _navigation_point(nav: NavigationData, x,
-                      message="lambda <= 0 while converting navigation data"):
-    """(rows of h, lambda, h_ij W^j per (i, j)) at x, guarded: the data of
+def _navigation_point(nav: NavigationData, x):
+    """(rows of h, W^i, lambda, h_ij W^j per (i, j)) at x, guarded: the data of
     alpha, beta and F; W_i = h_ij W^j is the sum of row i of the last."""
     rows = nav.h.matrix(x)
     w = nav.W.components(x)
     lam = _lam(rows, w)
     if scalar_value(lam) <= 0.0:
-        raise NavigationDomainError(message)
+        raise NavigationDomainError("||W||_h >= 1 at evaluated point")
     n = len(w)
-    return rows, lam, [[rows[i][j] * w[j] for j in range(n)] for i in range(n)]
+    return rows, w, lam, [[rows[i][j] * w[j] for j in range(n)] for i in range(n)]
 
 
-def _randers_point(rd: RandersData, x,
-                   message="||beta||_alpha >= 1 while converting Randers data"):
-    """(rows of a, a^-1 rows, b_i, lambda = 1 - b^2) at x, guarded: the data
-    of h, W, sigma_BH and F = alpha + beta."""
-    rows = rd.alpha.matrix(x)
+def _alpha_rows(point):
+    """a_ij = h_ij/lam + W_i W_j/lam^2 from a `_navigation_point`."""
+    rows, _, lam, hw = point
+    n = len(rows)
+    wl = [sum(row) for row in hw]
+    lam2 = lam * lam
+    return [[rows[i][j] / lam + wl[i] * wl[j] / lam2 for j in range(n)] for i in range(n)]
+
+
+def _beta_low(point):
+    """b_i = -W_i/lam from a `_navigation_point`."""
+    _, _, lam, hw = point
+    return [-sum(row) / lam for row in hw]
+
+
+def _navigation_stage(point):
+    """F(x, .) = (sqrt(lam h^2 + W_0^2) - W_0)/lam from a `_navigation_point`
+    at x; W_0 sums (h_ij W^j) y^i in that order."""
+    rows, _, lam, hw = point
+    n = len(rows)
+
+    def F(y):
+        h2 = w0 = 0.0
+        for i in range(n):
+            for j in range(n):
+                h2 = h2 + rows[i][j] * y[i] * y[j]
+                w0 = w0 + hw[i][j] * y[i]
+        return (jets.sqrt(lam * h2 + w0 * w0) - w0) / lam
+
+    return F
+
+
+def _randers_point(rows, b, message="||beta||_alpha >= 1 while converting Randers data"):
+    """(a^-1 rows, lambda = 1 - b^2) from the rows of a and the b_i at one
+    point, guarded: with them, the data of h, W, sigma_BH and F = alpha + beta."""
     ainv = generic_inverse(rows)
-    b = rd.beta.components(x)
     lam = 1.0 - _b2(ainv, b)
     if scalar_value(lam) <= 0.0:
         raise RandersDomainError(message)
-    return rows, ainv, b, lam
+    return ainv, lam
 
 
 def from_navigation(nav: NavigationData) -> RandersData:
     """(a_ij, b_i) with a_ij = h_ij/lam + W_i W_j/lam^2 and b_i = -W_i/lam."""
-    n = nav.dim
-
-    def a_fn(x):
-        rows, lam, hw = _navigation_point(nav, x)
-        wl = [sum(row) for row in hw]
-        lam2 = lam * lam
-        return [[rows[i][j] / lam + wl[i] * wl[j] / lam2 for j in range(n)]
-                for i in range(n)]
-
-    def b_fn(x):
-        _, lam, hw = _navigation_point(nav, x)
-        return [-sum(row) / lam for row in hw]
-
-    return RandersData(alpha=RiemannMetric(n, a_fn, name=f"alpha({nav.name})"),
-                       beta=VectorField(b_fn, name=f"beta({nav.name})"),
-                       name=nav.name)
+    return RandersData(
+        alpha=RiemannMetric(nav.dim, lambda x: _alpha_rows(_navigation_point(nav, x)),
+                            name=f"alpha({nav.name})"),
+        beta=VectorField(lambda x: _beta_low(_navigation_point(nav, x)),
+                         name=f"beta({nav.name})"),
+        name=nav.name)
 
 
 def to_navigation(rd: RandersData) -> NavigationData:
@@ -148,11 +167,13 @@ def to_navigation(rd: RandersData) -> NavigationData:
     n = rd.dim
 
     def h_fn(x):
-        rows, _, b, lam = _randers_point(rd, x)
+        rows, b = rd.alpha.matrix(x), rd.beta.components(x)
+        lam = _randers_point(rows, b)[1]
         return [[lam * (rows[i][j] - b[i] * b[j]) for j in range(n)] for i in range(n)]
 
     def w_fn(x):
-        _, ainv, b, lam = _randers_point(rd, x)
+        b = rd.beta.components(x)
+        ainv, lam = _randers_point(rd.alpha.matrix(x), b)
         bup = [sum(ainv[i][j] * b[j] for j in range(n)) for i in range(n)]
         return [-bup[i] / lam for i in range(n)]
 
@@ -168,7 +189,8 @@ def finsler_from_randers(rd: RandersData) -> FinslerMetric:
     n = rd.dim
 
     def at(x):
-        rows, _, b, _ = _randers_point(rd, x, "||beta||_alpha >= 1 at evaluated point")
+        rows, b = rd.alpha.matrix(x), rd.beta.components(x)
+        _randers_point(rows, b, "||beta||_alpha >= 1 at evaluated point")
 
         def F(y):
             quad = 0.0
@@ -185,26 +207,8 @@ def finsler_from_randers(rd: RandersData) -> FinslerMetric:
 
 
 def finsler_from_navigation(nav: NavigationData) -> FinslerMetric:
-    n = nav.dim
-
-    def at(x):
-        # h_ij W^j, kept per (i, j): W_0 sums (h_ij W^j) y^i in that order
-        rows, lam, hw = _navigation_point(nav, x, "||W||_h >= 1 at evaluated point")
-
-        def F(y):
-            h2 = 0.0
-            for i in range(n):
-                for j in range(n):
-                    h2 = h2 + rows[i][j] * y[i] * y[j]
-            w0 = 0.0
-            for i in range(n):
-                for j in range(n):
-                    w0 = w0 + hw[i][j] * y[i]
-            return (jets.sqrt(lam * h2 + w0 * w0) - w0) / lam
-
-        return F
-
-    return FinslerMetric.from_stage(n, at, name=nav.name or "navigation")
+    return FinslerMetric.from_stage(nav.dim, lambda x: _navigation_stage(_navigation_point(nav, x)),
+                                    name=nav.name or "navigation")
 
 
 def eval_F(rd: RandersData, p: FlagPoint) -> float:
@@ -228,16 +232,15 @@ def navigation_xi(nav: NavigationData, p: FlagPoint, w_up) -> np.ndarray:
 # -- Busemann-Hausdorff measure ---------------------------------------------------
 
 
+def _bh_density(rows, b):
+    """sigma_BH = (1 - b^2)^{(n+1)/2} sqrt(det a) from the rows of a and the b_i."""
+    lam = _randers_point(rows, b, "||beta||_alpha >= 1 in Busemann-Hausdorff density")[1]
+    return jets.power(lam, 0.5 * (len(b) + 1)) * jets.sqrt(generic_det(rows))
+
+
 def bh_density_fn(rd: RandersData):
-    """sigma_BH(x) = (1 - b^2)^{(n+1)/2} sqrt(det a), evaluable on Jets."""
-    n = rd.dim
-
-    def fn(x):
-        rows, _, _, lam = _randers_point(
-            rd, x, "||beta||_alpha >= 1 in Busemann-Hausdorff density")
-        return jets.power(lam, 0.5 * (n + 1)) * jets.sqrt(generic_det(rows))
-
-    return fn
+    """sigma_BH(x), evaluable on Jets (`_bh_density` of rd at x)."""
+    return lambda x: _bh_density(rd.alpha.matrix(x), rd.beta.components(x))
 
 
 def bh_density(rd: RandersData, x) -> float:
@@ -286,11 +289,12 @@ class BetaTables:
     alpha_ricci: np.ndarray    # Ricci tensor of alpha
 
 
-def beta_tables(rd: RandersData, A: riemann.PointRecord) -> BetaTables:
-    """The beta tensors at the point of A, the order-2 record of rd.alpha there."""
+def beta_tables(A: riemann.PointRecord, btab) -> BetaTables:
+    """The beta tensors at the point of A, an order-2 record of alpha, from
+    beta's order-2 table (b_i, d_j b_i, d_j d_k b_i) there."""
     x = A.x
     a0, ainv, gamma, dainv, dgamma = A.h0, A.hinv, A.gamma, A.dhinv, A.dgamma
-    b0, db, d2b = rd.beta.table(x, order=2)
+    b0, db, d2b = btab
 
     b2 = float(b0 @ ainv @ b0)
     if b2 >= 1.0:
@@ -373,7 +377,7 @@ class BetaDerivatives:
 
 def beta_derivatives(rd: RandersData, p: FlagPoint, tables: BetaTables | None = None) -> BetaDerivatives:
     T = tables if tables is not None else beta_tables(
-        rd, riemann.point_record(rd.alpha, p.x, 2))
+        riemann.point_record(rd.alpha, p.x, 2), rd.beta.table(p.x, order=2))
     y = np.asarray(p.y, float)
     alpha2 = float(y @ T.a @ y)
     alpha = math.sqrt(alpha2)
@@ -515,10 +519,11 @@ class NavTensors:
     r_scalar: float           # R = W^j R_j
 
 
-def nav_tensors(nav: NavigationData, H: riemann.PointRecord) -> NavTensors:
-    """The W tensors at the point of H, a record of nav.h there (any order)."""
+def nav_tensors(H: riemann.PointRecord, wtab) -> NavTensors:
+    """The W tensors at the point of H, a record of h (any order), from W's
+    order-1 table (W^i, d_j W^i) there."""
     x, h0, hinv = H.x, H.h0, H.hinv
-    w0, dw = nav.W.table(x, order=1)
+    w0, dw = wtab
     lam = 1.0 - float(w0 @ h0 @ w0)
     if lam <= 0.0:
         raise NavigationDomainError(f"lambda = {lam:.6f} <= 0 at {x.tolist()}")
@@ -538,7 +543,7 @@ def spray_correction(nav: NavigationData, sigma: float, x, y) -> np.ndarray:
         zeta^i = (S_0 - 2 sigma W_0)/lam y^i - (lam h^2 + 2 W_0^2)/(2 lam^2) S^i
                  + W_0/lam S^i_0
     """
-    T = nav_tensors(nav, riemann.point_record(nav.h, x, 1))
+    T = nav_tensors(riemann.point_record(nav.h, x, 1), nav.W.table(x, order=1))
     y = np.asarray(y, float)
     h2 = float(y @ T.h @ y)
     w0 = float(T.w_low @ y)
@@ -575,7 +580,7 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint):
     lhs = lie_scalar(phi, v, p)
 
     H = riemann.point_record(nav.h, p.x, 1)
-    T = nav_tensors(nav, H)
+    T = nav_tensors(H, nav.W.table(p.x, order=1))
     xi = navigation_xi(nav, p, T.w_up)
     htilde = math.sqrt(float(xi @ T.h @ xi))
     wt0 = float(T.w_low @ xi)

@@ -1,19 +1,20 @@
 """Riemannian backend: Christoffel symbols, curvature, covariant calculus.
 
-Everything here runs off plain partial-derivative tables, each from one jet
-evaluation of the metric / field components and one gather of their
-coefficients (`jets.derivative_tensors`; a float entry enters as a constant
-jet), so the module stays fully independent of the spray-based Finsler
-engine.  On Riemannian inputs the two paths must agree, which gives the main
+Everything here runs off plain partial-derivative tables, each one gather
+(`jets.derivative_tensors`; a float entry enters as a constant jet) of a jet
+evaluation of the metric / field components: the `*_table` functions make
+their own, the `*_gather` functions take one made by the caller.  So the
+module stays fully independent of the spray-based Finsler engine.  On
+Riemannian inputs the two paths must agree, which gives the main
 cross-validation oracle.
 
-One jet pass of a metric at a point gives its `PointRecord` (`point_record`):
-the partial-derivative tables of h and the Levi-Civita data built from them
-by the table formulas `christoffel`, `christoffel_derivative` and
-`ricci_contraction`, which live here once.  Everything that reads the metric
-at that point takes the record: Hessians, conformal residuals and fits, and
-the (alpha, beta) and navigation tensors of `randers`.  A caller that needs
-several of them pays one pass.
+One jet pass of a metric at a point gives its `PointRecord` (`point_record`,
+or `record_from_tables` on gathered tables): the tables of h and the
+Levi-Civita data built from them by the table formulas `christoffel`,
+`christoffel_derivative` and `ricci_contraction`, which live here once.
+Everything that reads the metric at that point takes the record: Hessians,
+conformal residuals and fits, and the (alpha, beta) and navigation tensors
+of `randers`.  A caller that needs several of them pays one pass.
 
 Fields enter as their tables at the record's point, never as closures:
 `covariant_1form` (b_{i;j}, the one place of d b - Gamma b) and
@@ -155,27 +156,6 @@ class VectorField:
         return vector_table(self._fn, x, order)
 
 
-class TableVectorField(VectorField):
-    """Vector field given by precomputed value/derivative tables at any x.
-
-    Used for derived fields (like metric gradients) whose components are
-    assembled analytically instead of via jet evaluation of a closure.
-    """
-
-    def __init__(self, table_fn, name=""):
-        self._table_fn = table_fn
-        self.name = name
-
-    def components(self, x):
-        return list(self._table_fn(x)[0])
-
-    def table(self, x, order=1):
-        out = self._table_fn(x)
-        if len(out) < order + 1:
-            raise ValueError(f"{self.name or 'table field'} has no order-{order} data")
-        return out[: order + 1]
-
-
 class RiemannMetric:
     """Positive definite symmetric matrix field h_ij(x), jet-evaluable."""
 
@@ -208,33 +188,48 @@ def euclidean_metric(dim: int) -> RiemannMetric:
 # -- partial-derivative tables ----------------------------------------------
 
 
-def _tables(fn, x, order, entries, shape=()):
-    """One jet pass of fn at x and one gather: `entries` lists the scalar-or-Jet
-    entries of fn's output (a float enters as a constant jet), `shape` arranges them."""
+def vector_gather(v, space, order):
+    """(v[i], dv[i,j]=d_j v^i, d2v[i,j,k]=d_j d_k v^i, ...) of scalar-or-Jet
+    components over `space`, one gather (a float enters as a constant jet)."""
+    coeffs = np.array([c.coeffs if isinstance(c, Jet) else Jet.constant(float(c), space).coeffs
+                       for c in v])
+    return tuple(jets.derivative_tensors(coeffs, space, order))
+
+
+def scalar_gather(v, space, order):
+    """(value, grad, hess, ...) up to `order` of a scalar-or-Jet over `space`."""
+    value, *derivs = vector_gather([v], space, order)
+    return (float(value[0]), *(d[0] for d in derivs))
+
+
+def matrix_gather(rows, space, order):
+    """(m[i,j], dm[k,i,j]=d_k m_ij, d2m[k,l,i,j]) of matrix rows over `space`."""
+    n = len(rows)
+    value, *derivs = vector_gather([v for row in rows for v in row], space, order)
+    # the gather puts the derivative axes last; the layout puts them first
+    return (value.reshape(n, n), *(np.ascontiguousarray(
+        np.moveaxis(d.reshape(n, n, *d.shape[1:]), (0, 1), (-2, -1))) for d in derivs))
+
+
+def _jet_pass(fn, x, order):
+    """(fn at x as order-`order` jets, their space, order): one jet pass."""
     xs = Jet.variables([float(v) for v in x], order)
-    space = xs[0].space
-    coeffs = np.array([v.coeffs if isinstance(v, Jet) else Jet.constant(float(v), space).coeffs
-                       for v in entries(fn(xs))])
-    return jets.derivative_tensors(coeffs.reshape(shape + (space.nterms,)), space, order)
+    return fn(xs), xs[0].space, order
 
 
 def scalar_table(fn, x, order=2):
-    """(value, grad, hess, ...) up to `order` from one jet pass."""
-    value, *derivs = _tables(fn, x, order, lambda v: [v])
-    return (float(value), *derivs)
+    """`scalar_gather` of one jet pass of fn at x."""
+    return scalar_gather(*_jet_pass(fn, x, order))
 
 
 def vector_table(fn, x, order=1):
-    """(v[i], dv[i,j]=d_j v^i, d2v[i,j,k]=d_j d_k v^i, ...) from one jet pass."""
-    return tuple(_tables(fn, x, order, list, (-1,)))
+    """`vector_gather` of one jet pass of fn at x."""
+    return vector_gather(*_jet_pass(fn, x, order))
 
 
 def matrix_table(fn, x, n, order=2):
-    """(m[i,j], dm[k,i,j]=d_k m_ij, d2m[k,l,i,j]) from one jet pass."""
-    value, *derivs = _tables(fn, x, order, lambda rows: [rows[i][j] for i in range(n)
-                                                         for j in range(n)], (n, n))
-    # the gather puts the derivative axes last; the layout puts them first
-    return (value, *(np.ascontiguousarray(np.moveaxis(d, (0, 1), (-2, -1))) for d in derivs))
+    """`matrix_gather` of one jet pass of fn (n x n rows) at x."""
+    return matrix_gather(*_jet_pass(fn, x, order))
 
 
 # -- connection and curvature ------------------------------------------------
@@ -293,7 +288,11 @@ def point_record(h: RiemannMetric, x, order: int) -> PointRecord:
     reads the metric there; only the Ricci tensor needs order 2.
     """
     x = np.asarray(x, float)
-    tables = h.tables(x, order=order)
+    return record_from_tables(h, x, h.tables(x, order=order))
+
+
+def record_from_tables(h: RiemannMetric, x, tables) -> PointRecord:
+    """The record of h at x from its tables there, (h, dh) or (h, dh, d2h)."""
     h0, dh = tables[0], tables[1]
     what = h.name or "metric"
     check_positive_definite(h0, what)
@@ -301,7 +300,7 @@ def point_record(h: RiemannMetric, x, order: int) -> PointRecord:
     dhinv = -np.einsum("ka,mab,bl->mkl", hinv, dh, hinv)
     gamma = christoffel(hinv, dh)
     d2h = dgamma = ricci = None
-    if order >= 2:
+    if len(tables) > 2:
         d2h = tables[2]
         dgamma = christoffel_derivative(hinv, dhinv, dh, d2h)
         ricci = ricci_contraction(gamma, dgamma)
@@ -341,20 +340,6 @@ def hessian(rec: PointRecord, ftab, y) -> float:
     return float(np.einsum("ij,i,j->", hessian_tensor(rec, ftab), y, y))
 
 
-def gradient_table(h: RiemannMetric, f):
-    """Metric gradient of f as a TableVectorField (components h^ij f_j)."""
-    f = as_scalar_field(f)
-
-    def tables(x):
-        rec = point_record(h, x, 1)
-        _, grad, hess = f.table(x, order=2)
-        v = rec.hinv @ grad
-        dv = np.einsum("jik,k->ij", rec.dhinv, grad) + np.einsum("ik,kj->ij", rec.hinv, hess)
-        return v, dv
-
-    return TableVectorField(tables, name=f"grad({f.name})")
-
-
 # -- Lie derivatives and conformal residuals ----------------------------------
 #
 # V enters through vcov[i,j] = V_{i:j}, the lowered covariant derivative of
@@ -379,8 +364,3 @@ def conformal_residual(rec: PointRecord, vcov, c: float) -> np.ndarray:
     """V_{i:j} + V_{j:i} - 4 c h_ij; the zero matrix iff V is conformal with factor c."""
     return vcov + vcov.T - 4.0 * c * rec.h0
 
-
-def metric_compatibility_residual(rec: PointRecord) -> np.ndarray:
-    """h_{ij;k}, which must vanish for the Levi-Civita connection."""
-    return (rec.dh - np.einsum("mik,mj->kij", rec.gamma, rec.h0)
-            - np.einsum("mjk,im->kij", rec.gamma, rec.h0))

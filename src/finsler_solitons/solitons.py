@@ -10,12 +10,12 @@ Four equivalent descriptions are implemented and cross-checked:
   * navigation characterizations: V-form (`vector_soliton_checks_nav`) and
     gradient form (`gradient_soliton_checks_nav`).
 
-The four bundles read their point data from `BundlePoint`s
-(`bundle_points`): one jet pass each of alpha, beta, h, W and f per flag,
-and one `beta_derivatives` contraction, shared by all four.  The vector
-bundles table V once per flag and feed its covariant derivative to the
-table formulas of `riemann` (Lie derivatives, conformal residual) and to
-the trace fits, which read h and h^-1 from the point record.
+Each sample flag of a fixture (navigation data and a weight f) is one
+`SamplePoint`, gathered from one jet evaluation of h, W and f at x; the
+flag rows, the fits and the four bundles read it.  The vector bundles table
+V once per flag and feed its covariant derivative to the table formulas of
+`riemann` (Lie derivatives, conformal residual) and to the trace fits,
+which read h and h^-1 from the point record.
 
 All 2-homogeneous residuals are normalized by F^2 (or h^2) and 1-homogeneous
 ones by F (or h), so tolerances are scale-free.  Scalars kappa, sigma, c, mu
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import finsler, randers, riemann
+from . import finsler, jets, randers, riemann
 from .finsler import FinslerMetric, Measure
-from .jets import FlagPoint
+from .jets import FlagPoint, Jet, scalar_value
 from .randers import NavigationData, RandersData
 from .reports import ResidualReport, report_from_values
 from .riemann import VectorField, as_scalar_field
@@ -114,7 +114,7 @@ def fit_kappa(metric: FinslerMetric, measure: Measure, bases, directions=None):
     the largest spread of Ric_inf/F^2 over the direction set at a single x; it
     must vanish for a true gradient soliton because kappa depends on x only.
     Every direction at a point reads the point's stage and density table, so
-    the fit builds neither.
+    the fit builds neither, and the F^2 normalisers one float stage.
     """
     dirs = directions if directions is not None else _directions(metric.dim)
     if len(dirs) < 2:
@@ -122,11 +122,12 @@ def fit_kappa(metric: FinslerMetric, measure: Measure, bases, directions=None):
     kappas = []
     anisotropy = 0.0
     for base in bases:
+        at = metric.at(list(base.x))
         vals = []
         for d in dirs:
             p = FlagPoint(base.x, d)
             ric_inf = finsler.evaluate_flag(metric, measure, p, base=base).ric_inf
-            vals.append(ric_inf / metric.value(p.x, p.y) ** 2)
+            vals.append(ric_inf / float(scalar_value(at(list(p.y)))) ** 2)
         vals = np.array(vals)
         kappas.append(float(np.mean(vals)))
         anisotropy = max(anisotropy, float(np.max(vals) - np.min(vals)))
@@ -148,32 +149,42 @@ def fit_sigma(tables):
 
 
 @dataclass
-class BundlePoint:
-    """One flag with everything the four characterization bundles read there:
-    one order-2 record each of alpha and h, the beta tensors of alpha and
-    their contractions with y, the W tensors of h, and the order-2 table
-    (value, gradient, hessian) of f."""
+class SamplePoint:
+    """A sample flag p and what every check reads there: `base`, the stage of
+    F and the log-density table of e^{-f} dm_BH at x; at a bundle flag (else
+    None) also the order-2 records of alpha and h, the beta tensors and their
+    y-contractions, the W tensors and f's order-2 table (value, grad, hess)."""
 
     p: FlagPoint
-    alpha: riemann.PointRecord
-    beta: randers.BetaTables
-    bd: randers.BetaDerivatives
-    h: riemann.PointRecord
-    nav: randers.NavTensors
-    f: tuple
+    base: finsler.BasePoint
+    alpha: riemann.PointRecord | None
+    beta: randers.BetaTables | None
+    bd: randers.BetaDerivatives | None
+    h: riemann.PointRecord | None
+    nav: randers.NavTensors | None
+    f: tuple | None
 
 
-def bundle_points(rd: RandersData, nav: NavigationData, f, flags) -> list[BundlePoint]:
-    """The bundle data at each flag: one jet pass of alpha, h and f per point."""
-    f = as_scalar_field(f)
-    out = []
-    for p in flags:
-        alpha = riemann.point_record(rd.alpha, p.x, 2)
-        h = riemann.point_record(nav.h, p.x, 2)
-        T = randers.beta_tables(rd, alpha)
-        out.append(BundlePoint(p, alpha, T, randers.beta_derivatives(rd, p, tables=T), h,
-                               randers.nav_tensors(nav, h), f.table(p.x, order=2)))
-    return out
+def sample_point(rd: RandersData, nav: NavigationData, f, p, bundle) -> SamplePoint:
+    """The sample point at p of nav, rd = from_navigation(nav) and f (bundle
+    data if `bundle`): every table is gathered (W's to order 1) from one
+    guarded evaluation of h rows, W, lambda, h W and f at order-2 x jets."""
+    xs = Jet.variables([float(v) for v in p.x], 2)
+    space = xs[0].space
+    point = randers._navigation_point(nav, xs)
+    fval = as_scalar_field(f)(xs)
+    a_rows, b = randers._alpha_rows(point), randers._beta_low(point)
+    density = finsler.weighted_density(fval, randers._bh_density(a_rows, b))
+    base = finsler.BasePoint(p.x, randers._navigation_stage(point),
+                             riemann.scalar_gather(jets.log(density), space, 2))
+    if not bundle:
+        return SamplePoint(p, base, None, None, None, None, None, None)
+    A = riemann.record_from_tables(rd.alpha, p.x, riemann.matrix_gather(a_rows, space, 2))
+    H = riemann.record_from_tables(nav.h, p.x, riemann.matrix_gather(point[0], space, 2))
+    T = randers.beta_tables(A, riemann.vector_gather(b, space, 2))
+    return SamplePoint(p, base, A, T, randers.beta_derivatives(rd, p, tables=T), H,
+                       randers.nav_tensors(H, riemann.vector_gather(point[1], space, 1)),
+                       riemann.scalar_gather(fval, space, 2))
 
 
 def _bundle_reports(rows, fitted, shown, tol, applicable):
@@ -195,7 +206,7 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, points, tol
               - (n-1)(s_0^2 + s_{0;0})
       (iv)  3(n-1) sigma_0 = 2 c beta - L_V(beta)
 
-    at each `BundlePoint` of rd, with V tabled once per point.
+    at each `SamplePoint` of rd, with V tabled once per point.
     """
     kappa = as_scalar_field(kappa)
     n = rd.dim
@@ -252,7 +263,7 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, points
       (iv)  L_V(W_0) = c W_0 - 3(n-1){ 2 (sigma_i W^i) W_0 - lam sigma_0 }
 
     with c = kappa - mu + (n-1) sigma^2 + 2(n-1) sigma_i W^i, at each
-    `BundlePoint` of nav, with V tabled once per point.
+    `SamplePoint` of nav, with V tabled once per point.
     """
     kappa = as_scalar_field(kappa)
     n = nav.dim
@@ -305,7 +316,7 @@ def gradient_soliton_checks_ab(rd: RandersData, kappa, points, tol: float,
               + f_{;0j} b^j + (s_0 + 2 sigma beta)(f_i b^i)
       (iv)  the right side of (iii) alone; sigma is constant when it vanishes
 
-    at each `BundlePoint` of rd, whose f table gives the weight f.
+    at each `SamplePoint` of rd, whose f table gives the weight f.
     """
     kappa = as_scalar_field(kappa)
     n = rd.dim
@@ -360,7 +371,7 @@ def gradient_soliton_checks_nav(nav: NavigationData, kappa, points, tol: float,
       (iv)  (sigma_i - sigma f_i) W^i = kappa - mu + (n-1) sigma^2
       (v)   sigma f_0 - f_k S^k_0 - f_{:0j} W^j alone; sigma is constant when 0
 
-    at each `BundlePoint` of nav, whose f table gives the weight f.
+    at each `SamplePoint` of nav, whose f table gives the weight f.
     """
     kappa = as_scalar_field(kappa)
     n = nav.dim
@@ -413,7 +424,7 @@ def s_dot_closed_form_nav(nav: NavigationData, f, sigma, p: FlagPoint) -> float:
     f = as_scalar_field(f)
     n = nav.dim
     H = riemann.point_record(nav.h, p.x, 1)
-    T = randers.nav_tensors(nav, H)
+    T = randers.nav_tensors(H, nav.W.table(p.x, order=1))
     F = randers.eval_F_nav(nav, p)
     sval, sigma0, _, _ = randers.field_sigma_terms(sigma, p.x, p.y, T.w_up)
     ftab = f.table(p.x, order=2)

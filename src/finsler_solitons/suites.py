@@ -11,14 +11,9 @@ curvature-transfer identities, and the navigation algebra.
 Each fixture flag is evaluated once (`finsler.evaluate_flag`): one
 fourth-order expansion of F^2 (one finite-difference bundle in fd mode)
 feeds the Ricci law, infinity-Ricci and flag curvature rows.  Each sample
-point's x-only work runs once: in jet mode the flag rows build one
-`finsler.BasePoint` per flag (the metric's stage and the log-density table
-at x), and the kappa fit, whose points are the first flags' x, sweeps its
-directions on those same base points.
-
-The characterization bundles share one `solitons.BundlePoint` per bundle
-flag (one jet pass each of alpha, h and f), and the sigma fit reads the beta
-tables of the first of them.
+flag's x-only work runs once, in its `solitons.SamplePoint`: the flag rows
+and the kappa fit (on the first flags) read its base point, and the
+bundles and the sigma fit the bundle data of the first (at most 32) flags.
 """
 
 from __future__ import annotations
@@ -37,21 +32,16 @@ from .sampling import sample_flags, unit_direction
 
 
 def _flag_rows(fixture, flags, mode):
-    """Pointwise law residuals at each flag: returns (row dicts, base points).
-
-    Every row of a flag reads one curvature bundle: in jet mode the one
-    `finsler.evaluate_flag`, on the flag's `finsler.BasePoint`, which is
-    returned for the kappa fit; in fd mode one finite-difference bundle plus
-    the finite-difference S-dot, and no base points.
-    """
-    out, bases = [], []
-    for p in flags:
-        row = {}
+    """Pointwise law residuals at each flag (a `solitons.SamplePoint`): one
+    row dict per flag, read off one curvature bundle: in jet mode the one
+    `finsler.evaluate_flag` on the flag's base point, in fd mode one
+    finite-difference bundle plus the finite-difference S-dot."""
+    out = []
+    for sp in flags:
+        p, row = sp.p, {}
         F2 = fixture.metric.value(p.x, p.y) ** 2
         if mode == "jet":
-            base = finsler.base_point(fixture.metric, fixture.measure, p.x)
-            bases.append(base)
-            ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p, base=base)
+            ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p, base=sp.base)
             ric, ric_inf, fit = ev.bundle.ricci, ev.ric_inf, ev.flag_curvature
         else:
             b = finsler.curvature_bundle(fixture.metric, p, mode=mode)
@@ -65,7 +55,7 @@ def _flag_rows(fixture, flags, mode):
             row["flag-curvature-law"] = fit.value - float(fixture.flag_curvature_law(p.x))
             row["flag-curvature-misfit"] = fit.residual
         out.append(row)
-    return out, bases
+    return out
 
 
 # -- fixture suite ------------------------------------------------------------------
@@ -83,26 +73,28 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
         reports.append(report_from_values(f"constraint/{cname}", [value], tol=0.0,
                                           detail="structural identity, exact"))
 
-    rows, bases = _flag_rows(fixture, flags, mode)
+    # one sample point per flag; the first (at most 32) are the bundle flags
+    bundled = min(len(flags), 32)
+    points = [solitons.sample_point(fixture.rd, fixture.nav, fixture.f, p, k < bundled)
+              for k, p in enumerate(flags)]
+    bundle_points = points[:bundled]
+    rows = _flag_rows(fixture, points, mode)
     names = sorted({k for row in rows for k in row})
     for name in names:
         vals = [row[name] for row in rows if name in row]
         reports.append(report_from_values(name, vals, tol))
 
     # the fit points are the first bundle flags
-    points = solitons.bundle_points(fixture.rd, fixture.nav, fixture.f,
-                                    flags[:max(2, min(len(flags), 32))])
-    sigmas, fitres = solitons.fit_sigma([bp.beta for bp in points[:len(fit_points)]])
+    sigmas, fitres = solitons.fit_sigma([sp.beta for sp in points[:len(fit_points)]])
     sig_expected = [float(riemann.scalar_value(fixture.sigma(list(x)))) for x in fit_points]
     reports.append(report_from_values(
         "sigma-fit", np.abs(sigmas - np.array(sig_expected)), tol,
         rel_values=[fitres], detail=f"isotropy fit residual {fitres:.2e}"))
 
-    # the kappa points are the first flags' x, whose base points the jet rows built
+    # the kappa points are the first flags' x, read on those flags' base points
     kap_points = fit_points[:4]
-    kap_bases = bases[:len(kap_points)] if mode == "jet" else [
-        finsler.base_point(fixture.metric, fixture.measure, x) for x in kap_points]
-    kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure, kap_bases)
+    kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure,
+                                      [sp.base for sp in points[:len(kap_points)]])
     kap_expected = [float(riemann.scalar_value(fixture.kappa(list(x)))) for x in kap_points]
     reports.append(report_from_values("kappa-fit", np.abs(kappas - np.array(kap_expected)), tol))
     reports.append(report_from_values("kappa-anisotropy", [anis], tol))
@@ -110,16 +102,16 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
     for bundle in fixture.bundles:
         if bundle not in BUNDLES:
             raise ValueError(f"unknown bundle {bundle!r} on fixture {fixture.name!r}")
-        for r in BUNDLES[bundle](fixture, points, tol):
+        for r in BUNDLES[bundle](fixture, bundle_points, tol):
             r.name = f"{bundle}/{r.name}"
             reports.append(r)
     return reports
 
 
 # Each characterization bundle a fixture can declare: its checker, called on
-# the fixture's data and the shared bundle points.  The checker is looked up
-# in `solitons` at call time, so a wrapper installed there (a tracer, a
-# counter) sees every call.
+# the fixture's data and the bundle flags' sample points.  The checker is
+# looked up in `solitons` at call time, so a wrapper installed there (a
+# tracer, a counter) sees every call.
 BUNDLES = {
     "gradient-ab": lambda fx, points, tol: solitons.gradient_soliton_checks_ab(
         fx.rd, fx.kappa, points, tol, sigma=fx.sigma),
@@ -228,7 +220,7 @@ def crosscheck_navigation(count=1000, seed=7, tol=1e-10, points_per_metric=20):
                 h2m = nav2.h.matrix_at(x)
                 roundtrip.append(max(float(np.max(np.abs(h1 - h2m))),
                                      float(np.max(np.abs(nav.W.at(x) - nav2.W.at(x))))))
-            T = randers.nav_tensors(nav, riemann.point_record(nav.h, x, 1))
+            T = randers.nav_tensors(riemann.point_record(nav.h, x, 1), nav.W.table(x, order=1))
             F = randers.eval_F_nav(nav, p)
             h2 = float(y @ T.h @ y)
             w0 = float(T.w_low @ y)
@@ -329,7 +321,7 @@ def crosscheck_isotropic_s(count=40, seed=7, tol=1e-8):
         y = unit_direction(rng, dim)
         p = FlagPoint(x, y)
 
-        T = randers.beta_tables(rd, riemann.point_record(rd.alpha, x, 2))
+        T = randers.beta_tables(riemann.point_record(rd.alpha, x, 2), rd.beta.table(x, order=2))
         fitted, _res = randers.fit_sigma_isotropic_S(T, solitons._directions(dim))
         sig_fit.append(fitted - float(riemann.scalar_value(sigma(list(x)))))
 
@@ -338,7 +330,7 @@ def crosscheck_isotropic_s(count=40, seed=7, tol=1e-8):
         F2 = metric.value(x, y) ** 2
         transfer.append((lhs - rhs) / F2)
 
-        N = randers.nav_tensors(nav, riemann.point_record(nav.h, x, 1))
+        N = randers.nav_tensors(riemann.point_record(nav.h, x, 1), nav.W.table(x, order=1))
         s0_row.append(float(T.s_low @ y) - float(N.s_low @ y) / N.lam)
         smix = -N.s_mixed + np.outer(N.s_up, N.w_low) / N.lam
         smix_row.append(float(np.max(np.abs(T.s_mixed - smix))))

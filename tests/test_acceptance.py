@@ -42,8 +42,8 @@ def test_criterion_02_cigar_steady_soliton():
                                                        fx.kappa, p))
                 for p in flags)
     ok1 = _line(2, "cigar |Ric_inf / F^2| (steady, kappa = 0)", worst, 1e-7)
-    sigmas, _ = solitons.fit_sigma([bp.beta for bp in solitons.bundle_points(
-        fx.rd, fx.nav, fx.f, flags[:8])])
+    sigmas, _ = solitons.fit_sigma([solitons.sample_point(fx.rd, fx.nav, fx.f, p, True).beta
+                                    for p in flags[:8]])
     worst_sigma = float(np.max(np.abs(sigmas)))
     ok2 = _line(2, "cigar fitted isotropic-S sigma", worst_sigma, 1e-8)
     assert ok1 and ok2
@@ -72,7 +72,8 @@ def test_criterion_04_shrinking_cylinder():
     ok1 = _line(4, "shrinking cylinder |Ric_inf / F^2 - 2| over 256 flags", worst, 1e-6)
     killing = 0.0
     for p in flags[:16]:
-        T = randers.nav_tensors(fx.nav, riemann.point_record(fx.nav.h, p.x, 1))
+        T = randers.nav_tensors(riemann.point_record(fx.nav.h, p.x, 1),
+                                fx.nav.W.table(p.x, order=1))
         killing = max(killing, float(np.max(np.abs(T.wcov + T.wcov.T)))
                       / max(1.0, float(np.max(np.abs(T.h)))))
     ok2 = _line(4, "shrinking cylinder Killing residual of W", killing, 1e-9)
@@ -92,7 +93,7 @@ def test_criterion_05_expanding_cylinder():
     fcond = 0.0
     for p in flags[:32]:
         H = riemann.point_record(fx.nav.h, p.x, 1)
-        T = randers.nav_tensors(fx.nav, H)
+        T = randers.nav_tensors(H, fx.nav.W.table(p.x, order=1))
         ftab = fx.f.table(p.x, order=2)
         hess = riemann.hessian_tensor(H, ftab)
         df = ftab[1]
@@ -152,7 +153,7 @@ def test_criterion_10_characterization_bundles_and_negative_controls():
     for name in fixtures.FIXTURE_NAMES:
         fx = fixtures.get_fixture(name)
         flags = sample_flags(fx, 48, np.random.default_rng(110))
-        points = solitons.bundle_points(fx.rd, fx.nav, fx.f, flags)
+        points = [solitons.sample_point(fx.rd, fx.nav, fx.f, p, True) for p in flags]
         rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.kappa, points, tol,
                                                    sigma=fx.sigma)
         rows += solitons.gradient_soliton_checks_nav(fx.nav, fx.kappa, points,

@@ -123,6 +123,20 @@ def test_crosscheck_bad_count_or_tol_exit_two(capsys):
         assert "count >= 1" in out.err
 
 
+def test_non_finite_tol_or_perturbation_exit_two(capsys):
+    # a NaN tolerance would run the whole suite and fail every check
+    for argv in (["verify", "--fixture", "gaussian", "--tol", "nan"],
+                 ["verify", "--fixture", "gaussian", "--tol", "inf"],
+                 ["verify", "--fixture", "cigar", "--perturb", "f:nan"],
+                 ["verify", "--fixture", "cigar", "--perturb", "W:-inf"],
+                 ["crosscheck", "--suite", "navigation", "--tol", "nan"],
+                 ["crosscheck", "--suite", "riemann-reduction", "--tol", "inf"]):
+        assert run_cli(*argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "finite" in out.err, argv
+
+
 def test_evaluation_error_exit_three(capsys):
     # a wind perturbation of 50 pushes ||W|| past 1 on the whole domain, so
     # every sampled flag trips the navigation guard

@@ -9,13 +9,17 @@ import math
 import numpy as np
 import pytest
 
-from finsler_solitons import finsler, fixtures, jets, solitons, suites
+from finsler_solitons import finsler, fixtures, jets, randers, solitons, suites
 from finsler_solitons.jets import FlagPoint, Jet
 from finsler_solitons.sampling import sample_flags
 
 
 def _flags(fx, count=3, seed=5):
     return sample_flags(fx, count, np.random.default_rng(seed))
+
+
+def _points(fx, flags):
+    return [solitons.sample_point(fx.rd, fx.nav, fx.f, p, False) for p in flags]
 
 
 def _separate_formulas(metric, measure, p, N):
@@ -110,11 +114,15 @@ def test_f2_tables_gather_equals_partials(name, order):
 
 
 class _Counter:
-    """Counts F^2 expansions (by order), log-density tables and metric stages.
+    """Counts F^2 expansions (by order), log-density tables, metric stages
+    and navigation points.
 
     `stages` counts `FinslerMetric.at` at jet x: the x-only work an expansion
     reads.  `value` stages at float x (`float_stages`); it stays a float
     evaluation, so the F^2 normalisers keep the bits of the float formula.
+    `nav_points` counts `randers._navigation_point` at jet x: a sample
+    point's one evaluation of the navigation data, from which it gathers its
+    stage and density table without `FinslerMetric.at` or `log_density_table`.
     """
 
     def __init__(self, monkeypatch):
@@ -122,9 +130,11 @@ class _Counter:
         self.density_tables = 0
         self.stages = 0
         self.float_stages = 0
+        self.nav_points = 0
         tables = finsler._f2_tables
         density = finsler.Measure.log_density_table
         at = finsler.FinslerMetric.at
+        nav_point = randers._navigation_point
 
         def count_tables(stage, y, order):
             self.orders.append(order)
@@ -141,6 +151,11 @@ class _Counter:
                 self.float_stages += 1
             return at(metric, x)
 
+        def count_nav_point(nav, x, *args):
+            self.nav_points += isinstance(x[0], Jet)
+            return nav_point(nav, x, *args)
+
+        monkeypatch.setattr(randers, "_navigation_point", count_nav_point)
         monkeypatch.setattr(finsler, "_f2_tables", count_tables)
         monkeypatch.setattr(finsler.Measure, "log_density_table", count_density)
         monkeypatch.setattr(finsler.FinslerMetric, "at", count_at)
@@ -149,15 +164,15 @@ class _Counter:
 @pytest.mark.parametrize("name", ["cigar", "shrinking"])
 def test_flag_rows_expand_f2_once_per_flag(name, monkeypatch):
     fx = fixtures.get_fixture(name)
-    flags = _flags(fx, count=3)
+    points = _points(fx, _flags(fx, count=3))
     counter = _Counter(monkeypatch)
-    rows, bases = suites._flag_rows(fx, flags, "jet")
+    rows = suites._flag_rows(fx, points, "jet")
     assert len(rows) == 3
     if fx.ricci_law is not None:
         assert {"ricci-law", "flag-curvature-law"} <= set(rows[0])
-    assert counter.orders == [4] * len(flags)
-    assert counter.density_tables == counter.stages == len(flags)
-    assert all(np.array_equal(b.x, p.x) for b, p in zip(bases, flags, strict=True))
+    assert counter.orders == [4] * len(points)
+    # every row reads its sample point's stage and density table
+    assert counter.density_tables == counter.stages == counter.nav_points == 0
 
 
 @pytest.mark.parametrize("name", ["cigar", "shrinking"])
@@ -176,8 +191,10 @@ def test_fixture_suite_stages_each_flag_once_and_fits_kappa_on_its_base_points(
     counter = _Counter(monkeypatch)
     reports = suites.run_fixture_suite(fx, samples=samples, seed=5)
     assert {r.name for r in reports} >= {"infinity-ricci", "kappa-fit", "kappa-anisotropy"}
-    # one stage and one density table per flag; the kappa fit adds neither
-    assert counter.stages == counter.density_tables == samples
+    # one navigation point per flag gives its stage and density table; the
+    # kappa fit adds none, and nothing stages or tables the density again
+    assert counter.nav_points == samples
+    assert counter.stages == counter.density_tables == 0
     dirs = solitons._directions(fx.dim)
     assert counter.orders == [4] * (samples + len(fitted) * len(dirs))
     flags = _flags(fx, count=samples)
@@ -212,10 +229,9 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
         return bundle_fd(metric, p)
 
     monkeypatch.setattr(finsler, "_curvature_bundle_fd", count_fd)
-    rows, bases = suites._flag_rows(fx, flags, "fd")
+    rows = suites._flag_rows(fx, _points(fx, flags), "fd")
     assert len(calls) == len(flags)
     assert rows == expected
-    assert bases == []
 
 
 def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monkeypatch):
@@ -229,7 +245,7 @@ def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monke
     # the fit builds no stage at jet x and no density table of its own
     assert (counter.stages, counter.density_tables) == (len(xs), len(xs))
     assert counter.orders == [4] * (len(xs) * len(dirs))
-    assert counter.float_stages == len(xs) * len(dirs)      # the F^2 normalisers
+    assert counter.float_stages == len(xs)      # the F^2 normalisers: one per point
 
 
 def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(monkeypatch):

@@ -61,7 +61,7 @@ def test_cylinder_f_condition(name):
     fx = get_fixture(name)
     for p in sample_flags(fx, 12, RNG):
         H = riemann.point_record(fx.nav.h, p.x, 1)
-        T = randers.nav_tensors(fx.nav, H)
+        T = randers.nav_tensors(H, fx.nav.W.table(p.x, order=1))
         ftab = fx.f.table(p.x, order=2)
         hess = riemann.hessian_tensor(H, ftab)
         df = ftab[1]
@@ -85,7 +85,7 @@ def test_shrinking_parameter_family():
     fx = shrinking_cylinder(m=2, mu=mu, Q=Q, d=d)
     assert fx.kappa([0.0] * 4) == 2.0
     p = sample_flags(fx, 2, RNG)[0]
-    T = randers.nav_tensors(fx.nav, riemann.point_record(fx.nav.h, p.x, 1))
+    T = randers.nav_tensors(riemann.point_record(fx.nav.h, p.x, 1), fx.nav.W.table(p.x, order=1))
     assert np.max(np.abs(T.wcov + T.wcov.T)) <= 1e-12
 
 
@@ -138,7 +138,7 @@ def test_expanding_lowered_wind_scales_with_t2():
     fx = get_fixture("expanding")
     x = fx.sample_x(RNG)
     t = x[0]
-    T = randers.nav_tensors(fx.nav, riemann.point_record(fx.nav.h, x, 1))
+    T = randers.nav_tensors(riemann.point_record(fx.nav.h, x, 1), fx.nav.W.table(x, order=1))
     hat = sphere_metric(1.0, 3).matrix_at(x[1:])
     what = np.array(fx.nav.W.components(list(x)))[1:]
     np.testing.assert_allclose(T.w_low[1:], t * t * (hat @ what), atol=1e-12)

@@ -27,7 +27,7 @@ RNG = np.random.default_rng(31)
 
 
 def tables_at(rd, x):
-    return beta_tables(rd, riemann.point_record(rd.alpha, x, 2))
+    return beta_tables(riemann.point_record(rd.alpha, x, 2), rd.beta.table(x, order=2))
 
 
 def cigar_navigation():
@@ -248,7 +248,7 @@ def test_navigation_s_tensor_transfer():
     x = generators.sample_box_point(RNG, 3)
     y = RNG.normal(size=3)
     T = tables_at(rd, x)
-    N = nav_tensors(nav, riemann.point_record(nav.h, x, 1))
+    N = nav_tensors(riemann.point_record(nav.h, x, 1), nav.W.table(x, order=1))
     assert float(T.s_low @ y) == pytest.approx(float(N.s_low @ y) / N.lam,
                                                rel=1e-10, abs=1e-12)
     want = -N.s_mixed + np.outer(N.s_up, N.w_low) / N.lam
@@ -406,7 +406,7 @@ def _point_where_w_values_differ(dim=2):
 
 def test_navigation_xi_uses_the_tabled_value_of_w(monkeypatch):
     nav, p = _point_where_w_values_differ()
-    T = nav_tensors(nav, riemann.point_record(nav.h, p.x, 1))
+    T = nav_tensors(riemann.point_record(nav.h, p.x, 1), nav.W.table(p.x, order=1))
     F = eval_F_nav(nav, p)
     xi = navigation_xi(nav, p, T.w_up)
     assert np.array_equal(xi, p.y - F * T.w_up)

@@ -22,8 +22,8 @@ def flags_of(fx, n=12, seed=5):
 
 
 def points_of(fx, n=12, seed=5, f=None):
-    return solitons.bundle_points(fx.rd, fx.nav, fx.f if f is None else f,
-                                  flags_of(fx, n, seed))
+    return [solitons.sample_point(fx.rd, fx.nav, fx.f if f is None else f, p, True)
+            for p in flags_of(fx, n, seed)]
 
 
 # -- pointwise residuals -----------------------------------------------------------
@@ -138,7 +138,8 @@ def test_third_balance_equation_consistency():
         fx = fixtures.get_fixture(name)
         n = fx.dim
         for p in flags_of(fx, 6):
-            T = randers.beta_tables(fx.rd, riemann.point_record(fx.rd.alpha, p.x, 2))
+            T = randers.beta_tables(riemann.point_record(fx.rd.alpha, p.x, 2),
+                                    fx.rd.beta.table(p.x, order=2))
             bd = randers.beta_derivatives(fx.rd, p, tables=T)
             kap = float(riemann.scalar_value(fx.einstein_kappa(list(p.x))))
             want = kap * bd.beta + (n - 1) * bd.t0
@@ -265,11 +266,14 @@ def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
 
 @pytest.mark.parametrize("name", ("cigar", "shrinking"))
 def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name, monkeypatch):
-    # one matrix_table pass per metric, one f table, one beta_tables, one
-    # beta_derivatives and one nav_tensors per bundle flag, across all bundles
-    # and the sigma fit; one vector_table each of beta and W, plus one of V in
-    # each vector bundle; and no float evaluation of a metric or a field
+    # h, W and f are evaluated at jet x once per flag (the sample point) and
+    # the alpha and beta closures never; the records of alpha and h, the beta
+    # and W tensors are built once per bundle flag from that evaluation; the
+    # only jet passes of table functions are V's vector_table in each vector
+    # bundle and the sigma table in each bundle; and no float evaluation of a
+    # metric or a field
     from finsler_solitons import suites
+    from finsler_solitons.jets import Jet
 
     fx = fixtures.get_fixture(name)
     counts = collections.Counter()
@@ -280,26 +284,30 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
             return fn(*args, **kwargs)
         return wrapped
 
-    metrics = {fx.rd.alpha._fn: "alpha", fx.nav.h._fn: "h"}
-    monkeypatch.setattr(riemann, "matrix_table",
-                        counting(lambda fn, *a: metrics.get(fn, "other"), riemann.matrix_table))
-    monkeypatch.setattr(fx.f, "table", counting(lambda *a: "f", fx.f.table))
-    monkeypatch.setattr(randers, "beta_tables", counting(lambda *a: "beta", randers.beta_tables))
-    monkeypatch.setattr(randers, "nav_tensors", counting(lambda *a: "nav", randers.nav_tensors))
-    monkeypatch.setattr(randers, "beta_derivatives",
-                        counting(lambda *a: "bd", randers.beta_derivatives))
-    monkeypatch.setattr(riemann, "vector_table",
-                        counting(lambda *a: "vector_table", riemann.vector_table))
+    def at_jet_x(key):
+        return lambda x: key if isinstance(x[0], Jet) else "float x"
+
+    for field, key in ((fx.nav.h, "h"), (fx.nav.W, "W"), (fx.f, "f"),
+                       (fx.rd.alpha, "alpha"), (fx.rd.beta, "beta closure")):
+        monkeypatch.setattr(field, "_fn", counting(at_jet_x(key), field._fn))
+    for module, attr in ((riemann, "record_from_tables"), (riemann, "matrix_table"),
+                         (riemann, "vector_table"), (riemann, "scalar_table"),
+                         (randers, "beta_tables"), (randers, "nav_tensors"),
+                         (randers, "beta_derivatives")):
+        monkeypatch.setattr(module, attr, counting(lambda *a, _k=attr: _k,
+                                                   getattr(module, attr)))
     monkeypatch.setattr(riemann.RiemannMetric, "matrix_at",
                         counting(lambda *a: "matrix_at", riemann.RiemannMetric.matrix_at))
     monkeypatch.setattr(riemann.VectorField, "at",
                         counting(lambda *a: "at", riemann.VectorField.at))
     samples = 5
     suites.run_fixture_suite(fx, samples=samples, seed=3)
-    fields = 2 + sum(b.startswith("vector-") for b in fx.bundles)
-    assert counts["matrix_at"] + counts["at"] == 0
-    assert counts == {"alpha": samples, "h": samples, "f": samples, "beta": samples,
-                      "bd": samples, "nav": samples, "vector_table": fields * samples}
+    del counts["float x"]       # the float F^2 normalisers and the sampler
+    vector_bundles = sum(b.startswith("vector-") for b in fx.bundles)
+    assert counts == collections.Counter(
+        {"h": samples, "W": samples, "f": samples, "record_from_tables": 2 * samples,
+         "beta_tables": samples, "nav_tensors": samples, "beta_derivatives": samples,
+         "vector_table": vector_bundles * samples, "scalar_table": len(fx.bundles) * samples})
 
 
 def test_perturbed_unknown_ingredient_raises():
@@ -317,7 +325,7 @@ def test_characterizations_consistent_on_fixtures():
     for name in fixtures.FIXTURE_NAMES:
         fx = fixtures.get_fixture(name)
         flags = flags_of(fx, 8)
-        points = solitons.bundle_points(fx.rd, fx.nav, fx.f, flags)
+        points = [solitons.sample_point(fx.rd, fx.nav, fx.f, p, True) for p in flags]
         for p in flags[:4]:
             assert abs(solitons.gradient_soliton_residual(
                 fx.metric, fx.measure, fx.kappa, p)) <= 1e-7
