@@ -34,7 +34,8 @@ INVOCATIONS = (
        ("verify", "--fixture", "cigar", "--perturb", "W:1e-2"),
        ("verify", "--fixture", "shrinking", "--samples", "1"))
     + tuple(("verify", "--fixture", name, "--diff-mode", "fd", "--samples", "3",
-             "--seed", "3") for name in ("gaussian-riemannian", "cigar", "shrinking"))
+             "--seed", "3") for name in ("gaussian", "gaussian-riemannian", "cigar",
+                                          "shrinking"))
     + tuple(("crosscheck", "--suite", name) for name in SUITES)
 )
 

@@ -38,6 +38,7 @@ stage, and F^2 comes out over all 2n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jets, riemann
-from .jets import FlagPoint, Jet, fd_derivative, scalar_value
+from .jets import FlagPoint, Jet, fd_derivative, fd_estimate, scalar_value
 from .riemann import RiemannMetric, VectorField, as_scalar_field
 
 
@@ -269,6 +270,9 @@ class CurvatureBundle:
 
     `dF2_dy` is the y-gradient of F^2.  `cartan` is None on the
     finite-difference path, which never expands F^2 to third order.
+    `r_error` estimates the error of `riemann` (Frobenius norm): 0 on the
+    jet path, which is exact to rounding, and on the finite-difference path
+    the Richardson error estimates carried through `_assemble_riemann`.
     """
 
     x: np.ndarray
@@ -285,6 +289,7 @@ class CurvatureBundle:
     d2G_dydy: np.ndarray
     riemann: np.ndarray
     ricci: float
+    r_error: float = 0.0
 
     @property
     def F2(self) -> float:
@@ -340,40 +345,66 @@ def _pointwise_spray(metric: FinslerMetric):
     return G_fn
 
 
+def _riemann_error(y, G, dG_dy, errors):
+    """A first-order bound on the error of `_assemble_riemann` from the
+    error estimates (nonnegative) of the four spray derivative arrays
+    (G exact)."""
+    e_dx, e_dy, e_dxdy, e_dydy = errors
+    d_dy = np.abs(dG_dy)
+    return (2.0 * e_dx.T
+            + np.einsum("jki,j->ik", e_dxdy, np.abs(y))
+            + 2.0 * np.einsum("j,jki->ik", np.abs(G), e_dydy)
+            + np.einsum("ji,kj->ik", e_dy, d_dy) + np.einsum("ji,kj->ik", d_dy, e_dy))
+
+
 def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint,
                          step1: float = 1e-5, step2: float = 3e-4) -> CurvatureBundle:
+    """The finite-difference bundle: the spray derivatives are Richardson
+    central differences of the pointwise spray, all components of G at
+    once, and G is computed once per distinct stencil point (a point's
+    spray depends on its coordinates alone).  `r_error` is the Frobenius
+    norm of `_riemann_error` on the derivatives' `fd_estimate` errors."""
     n = metric.dim
     x, y = np.asarray(p.x, float), np.asarray(p.y, float)
     z0 = np.concatenate([x, y])
     scale = max(1.0, float(np.max(np.abs(z0))))
     G_fn = _pointwise_spray(metric)
+    sprays = {}                 # stencil point (its float64 bytes) -> G there
+
+    def G_at(*z):
+        z = np.asarray(z, float)
+        key = z.tobytes()
+        if key not in sprays:
+            sprays[key] = G_fn(z)
+        return sprays[key]
 
     T = _f2_tables(_stage(metric, x, 2), y, order=2)
     g, ginv = _fundamental(T)
-    G = G_fn(z0)
+    G = G_at(*z0)
 
-    def dcomp(i, multi, step):
-        return fd_derivative(lambda *z: G_fn(np.asarray(z))[i], z0, multi, step=step)
+    def table(*axes, step):
+        """(values, error estimates) of d G / dz_t1 .. dz_tk for each index
+        tuple (t1, .., tk) of the axes' product, shaped [t1, .., tk, i]."""
+        est = []
+        for t in itertools.product(*axes):
+            multi = tuple(t.count(v) for v in range(2 * n))
+            est.append(fd_estimate(G_at, z0, multi, step=step * scale))
+        shape = tuple(len(a) for a in axes) + (n,)
+        return tuple(np.array([e[k] for e in est]).reshape(shape) for k in (0, 1))
 
-    def unit(a, b=None):
-        m = [0] * (2 * n)
-        m[a] += 1
-        if b is not None:
-            m[b] += 1
-        return tuple(m)
-
-    dG_dx = np.array([[dcomp(i, unit(k), step1 * scale) for i in range(n)] for k in range(n)])
-    dG_dy = np.array([[dcomp(i, unit(n + k), step1 * scale) for i in range(n)] for k in range(n)])
-    d2G_dxdy = np.array([[[dcomp(i, unit(k, n + q), step2 * scale) for i in range(n)]
-                          for q in range(n)] for k in range(n)])
-    d2G_dydy = np.array([[[dcomp(i, unit(n + pp, n + q), step2 * scale) for i in range(n)]
-                          for q in range(n)] for pp in range(n)])
+    xs, ys = range(n), range(n, 2 * n)
+    dG_dx, e_dx = table(xs, step=step1)
+    dG_dy, e_dy = table(ys, step=step1)
+    d2G_dxdy, e_dxdy = table(xs, ys, step=step2)
+    d2G_dydy, e_dydy = table(ys, ys, step=step2)
 
     R = _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy)
+    r_error = float(np.linalg.norm(_riemann_error(y, G, dG_dy, (e_dx, e_dy, e_dxdy, e_dydy))))
     return CurvatureBundle(x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=g, ginv=ginv,
                            cartan=None, spray=G,
                            dG_dx=dG_dx, dG_dy=dG_dy, d2G_dxdy=d2G_dxdy,
-                           d2G_dydy=d2G_dydy, riemann=R, ricci=float(np.trace(R)))
+                           d2G_dydy=d2G_dydy, riemann=R, ricci=float(np.trace(R)),
+                           r_error=r_error)
 
 
 # -- single-quantity operations ----------------------------------------------
@@ -421,10 +452,9 @@ def _s_value(dG_dy, y, logs) -> float:
     return float(np.trace(dG_dy) - np.dot(y, logs[1]))
 
 
-def _s_order3(metric: FinslerMetric, measure: Measure, x, y) -> float:
-    """S alone, from a third-order expansion of F^2."""
+def _s_order3(base: BasePoint, y) -> float:
+    """S alone at (base.x, y), from a third-order expansion of F^2."""
     y = np.asarray(y, float)
-    base = base_point(metric, measure, x)
     T = _f2_tables(base.stage, y, order=3)
     D = _spray_derivatives(T, y, order=3)
     return _s_value(D["dG_dy"], y, base.logs)
@@ -432,7 +462,7 @@ def _s_order3(metric: FinslerMetric, measure: Measure, x, y) -> float:
 
 def s_curvature(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
     """S(x, y) = dG^i/dy^i - y^i d_i log sigma."""
-    return _s_order3(metric, measure, p.x, p.y)
+    return _s_order3(base_point(metric, measure, p.x), p.y)
 
 
 def s_dot(metric: FinslerMetric, measure: Measure, p: FlagPoint, mode="jet") -> float:
@@ -444,12 +474,19 @@ def s_dot(metric: FinslerMetric, measure: Measure, p: FlagPoint, mode="jet") -> 
 
 def _s_dot_fd(metric: FinslerMetric, measure: Measure, p: FlagPoint,
               step: float = 1e-5) -> float:
+    """S-dot from central differences of S; the stencil points that share an
+    x (all those along y) share its base point."""
     n = metric.dim
     z0 = np.concatenate([np.asarray(p.x, float), np.asarray(p.y, float)])
     scale = max(1.0, float(np.max(np.abs(z0))))
+    bases = {}                  # stencil x (its float64 bytes) -> base point there
 
     def S_fn(*z):
-        return _s_order3(metric, measure, z[:n], z[n:])
+        x = np.asarray(z[:n], float)
+        key = x.tobytes()
+        if key not in bases:
+            bases[key] = base_point(metric, measure, x)
+        return _s_order3(bases[key], z[n:])
 
     G = spray(metric, p)
     dS = np.array([fd_derivative(S_fn, z0, tuple(1 if i == k else 0 for i in range(2 * n)),
@@ -498,13 +535,16 @@ class FlagCurvature:
     value: float
     residual: float
     flat: bool
+    within_error: bool = False      # flat only because |R| <= the bundle's r_error
 
 
 def _flag_curvature(b: CurvatureBundle) -> FlagCurvature:
     """Least-squares K with R^i_k ~ K (F^2 delta^i_k - F F_{y^k} y^i).
 
     The residual is the Frobenius misfit relative to |R|; a vanishing R is
-    reported as flat with K = 0 and residual 0.
+    reported as flat with K = 0 and residual 0, and so is an R no larger
+    than the bundle's error estimate `r_error` (a finite-difference R that
+    is noise), marked `within_error`.
     """
     F2 = b.F2
     A = F2 * np.eye(b.y.size) - 0.5 * np.outer(b.y, b.dF2_dy)
@@ -512,6 +552,8 @@ def _flag_curvature(b: CurvatureBundle) -> FlagCurvature:
     normR = float(np.linalg.norm(R))
     if normR <= 1e-11 * F2 * F2 + 1e-300:
         return FlagCurvature(0.0, 0.0, True)
+    if normR <= b.r_error:
+        return FlagCurvature(0.0, 0.0, True, within_error=True)
     K = float(np.sum(R * A) / np.sum(A * A))
     residual = float(np.linalg.norm(R - K * A) / normR)
     return FlagCurvature(K, residual, False)

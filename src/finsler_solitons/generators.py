@@ -13,6 +13,8 @@ import itertools
 
 import numpy as np
 
+from . import jets
+from .jets import Jet
 from .randers import NavigationData, RandersData
 from .riemann import RiemannMetric, ScalarField, VectorField, euclidean_metric
 
@@ -20,15 +22,37 @@ BOX = 0.5  # random fields are calibrated for x in [-BOX, BOX]^dim
 
 
 def _poly2(coeffs, x):
-    """c0 + c1.x + x.c2.x with scalar-or-Jet coordinates."""
+    """Entries c0[e] + c1[e].x + x.c2[e].x of stacked coefficients at x.
+
+    Each entry adds its terms in one order: c0, then for each k the term
+    c1[k] x[k] followed by the terms (c2[k, l] x[k]) x[l] for each l.  With
+    x jets over one space, all entries are computed at once, and all E n^2
+    jet products run through one `jets.mul_rows`; each entry is bit-equal
+    to that scalar loop over its own jets.  Anything else (floats, arrays of
+    floats, mixed) runs the scalar loop per entry.
+    """
     c0, c1, c2 = coeffs
-    out = c0
     n = len(x)
-    for k in range(n):
-        out = out + c1[k] * x[k]
-        for l in range(n):
-            out = out + c2[k, l] * x[k] * x[l]
-    return out
+    space = x[0].space if isinstance(x[0], Jet) else None
+    if space is not None and all(isinstance(v, Jet) and v.space is space for v in x):
+        X = np.array([v.coeffs for v in x])                     # [k, coefficient]
+        prods = jets.mul_rows(c2[..., None] * X[None, :, None, :], X, space)
+        out = np.zeros((c0.size, space.nterms))
+        out[:, 0] = c0
+        for k in range(n):
+            out = out + c1[:, k, None] * X[k]
+            for l in range(n):
+                out = out + prods[:, k, l]
+        return [Jet(space, row) for row in out]
+    entries = []
+    for e in range(c0.size):
+        out = c0[e]
+        for k in range(n):
+            out = out + c1[e, k] * x[k]
+            for l in range(n):
+                out = out + c2[e, k, l] * x[k] * x[l]
+        entries.append(out)
+    return entries
 
 
 def _draw_poly2(rng, dim, amp):
@@ -37,63 +61,65 @@ def _draw_poly2(rng, dim, amp):
             rng.uniform(-amp, amp, size=(dim, dim)))
 
 
+def _draw_stacked(rng, dim, amp, entries):
+    """`entries` polynomial draws, in order, stacked for `_poly2`."""
+    draws = [_draw_poly2(rng, dim, amp) for _ in range(entries)]
+    return tuple(np.array([d[k] for d in draws]) for k in range(3))
+
+
 def _box_grid(dim, per_axis=5):
+    """The calibration grid as one array per coordinate (points in
+    `itertools.product` order)."""
     axes = [np.linspace(-BOX, BOX, per_axis)] * dim
-    return list(itertools.product(*axes))
+    return list(np.array(list(itertools.product(*axes))).T)
+
+
+def _at(values, g):
+    """Grid point g of matrix rows or a vector of per-point arrays, as floats."""
+    return np.array([[v[g] for v in row] if isinstance(row, list) else row[g]
+                     for row in values], float)
 
 
 def random_riemann_metric(rng, dim, amp=0.1, name="random-h") -> RiemannMetric:
     """Identity plus a symmetric quadratic-polynomial perturbation."""
-    coeffs = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            coeffs[(i, j)] = _draw_poly2(rng, dim, amp / (dim * dim))
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    coeffs = _draw_stacked(rng, dim, amp / (dim * dim), len(pairs))
 
     def fn(x):
         rows = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i, dim):
-                pert = _poly2(coeffs[(i, j)], x)
-                val = pert + 1.0 if i == j else pert
-                rows[i][j] = val
-                if i != j:
-                    rows[j][i] = val
+        for (i, j), pert in zip(pairs, _poly2(coeffs, x)):
+            rows[i][j] = rows[j][i] = pert + 1.0 if i == j else pert
         return rows
 
     return RiemannMetric(dim, fn, name=name)
 
 
 def random_vector_field(rng, dim, amp=0.2, name="random-v") -> VectorField:
-    coeffs = [_draw_poly2(rng, dim, amp) for _ in range(dim)]
-
-    def fn(x):
-        return [_poly2(c, x) for c in coeffs]
-
-    return VectorField(fn, name=name)
+    coeffs = _draw_stacked(rng, dim, amp, dim)
+    return VectorField(lambda x: _poly2(coeffs, x), name=name)
 
 
 def random_scalar_field(rng, dim, amp=0.2, name="random-f") -> ScalarField:
-    coeffs = _draw_poly2(rng, dim, amp)
-    return ScalarField(lambda x: _poly2(coeffs, x), name=name)
+    coeffs = _draw_stacked(rng, dim, amp, 1)
+    return ScalarField(lambda x: _poly2(coeffs, x)[0], name=name)
 
 
 def random_randers(rng, dim, amp=0.1, max_b=0.45, name="random-randers") -> RandersData:
     """Random valid Randers data on the box: b is rescaled below max_b."""
     alpha = random_riemann_metric(rng, dim, amp=amp, name=f"alpha({name})")
-    raw = [_draw_poly2(rng, dim, 0.3) for _ in range(dim)]
+    raw = _draw_stacked(rng, dim, 0.3, dim)
 
-    def raw_fn(x):
-        return [_poly2(c, x) for c in raw]
-
+    # the fields at every grid point at once (arrays through the scalar loop)
+    grid = _box_grid(dim)
+    rows, bs = alpha.matrix(grid), _poly2(raw, grid)
     worst = 0.0
-    for pt in _box_grid(dim):
-        a = np.array([[v for v in row] for row in alpha.matrix(list(pt))], float)
-        b = np.array(raw_fn(list(pt)), float)
-        worst = max(worst, float(b @ np.linalg.inv(a) @ b))
+    for g in range(grid[0].size):
+        b = _at(bs, g)
+        worst = max(worst, float(b @ np.linalg.inv(_at(rows, g)) @ b))
     scale = max_b / max(np.sqrt(worst), 1e-9)
 
     def b_fn(x):
-        return [scale * v for v in raw_fn(x)]
+        return [scale * v for v in _poly2(raw, x)]
 
     return RandersData(alpha=alpha, beta=VectorField(b_fn, name=f"beta({name})"), name=name)
 
@@ -101,20 +127,18 @@ def random_randers(rng, dim, amp=0.1, max_b=0.45, name="random-randers") -> Rand
 def random_navigation(rng, dim, amp=0.1, max_w=0.5, name="random-nav") -> NavigationData:
     """Random valid navigation data: ||W||_h is rescaled below max_w on the box."""
     h = random_riemann_metric(rng, dim, amp=amp, name=f"h({name})")
-    raw = [_draw_poly2(rng, dim, 0.3) for _ in range(dim)]
+    raw = _draw_stacked(rng, dim, 0.3, dim)
 
-    def raw_fn(x):
-        return [_poly2(c, x) for c in raw]
-
+    grid = _box_grid(dim)
+    rows, ws = h.matrix(grid), _poly2(raw, grid)
     worst = 0.0
-    for pt in _box_grid(dim):
-        hm = np.array([[v for v in row] for row in h.matrix(list(pt))], float)
-        w = np.array(raw_fn(list(pt)), float)
-        worst = max(worst, float(w @ hm @ w))
+    for g in range(grid[0].size):
+        w = _at(ws, g)
+        worst = max(worst, float(w @ _at(rows, g) @ w))
     scale = max_w / max(np.sqrt(worst), 1e-9)
 
     def w_fn(x):
-        return [scale * v for v in raw_fn(x)]
+        return [scale * v for v in _poly2(raw, x)]
 
     return NavigationData(h=h, W=VectorField(w_fn, name=f"W({name})"), name=name)
 

@@ -217,6 +217,31 @@ def _mul_table(sa: JetSpace, sb: JetSpace):
     return table + (big,)
 
 
+@lru_cache(maxsize=None)
+def _lane_bins(space: JetSpace, lanes: int) -> np.ndarray:
+    """The output bins of `lanes` stacked products over `space`: lane j's
+    table `ic` offset by j * nterms, flattened lane-major (read-only)."""
+    ic = _mul_table(space, space)[2]
+    bins = (ic + space.nterms * np.arange(lanes, dtype=np.intp)[:, None]).ravel()
+    bins.setflags(write=False)
+    return bins
+
+
+def mul_rows(a, b, space: JetSpace) -> np.ndarray:
+    """Lane-wise products of jets over `space` given as coefficient rows:
+    out[..., :] is the product of a[..., :] with b[..., :] (the lane axes
+    broadcast), all in one `bincount`.  Lanes never share a bin and each
+    bin sums its lane's pairs in table order, so every row is bit-equal to
+    `Jet.__mul__` of the two rows."""
+    ia, ib, _, _ = _mul_table(space, space)
+    prod = a[..., ia] * b[..., ib]
+    lanes = prod.shape[:-1]
+    count = math.prod(lanes)
+    out = np.bincount(_lane_bins(space, count), weights=prod.reshape(-1),
+                      minlength=count * space.nterms)
+    return out.reshape(*lanes, space.nterms)
+
+
 def _common(a: "Jet", b: "Jet"):
     """(a, b) over one space: the jet over fewer variables is prefix-embedded."""
     if a.space is b.space:
@@ -645,7 +670,19 @@ def fd_derivative(f, point, multi_index, step: float | None = None) -> float:
     Composes per-variable central stencils (each with O(h^2) truncation) and
     applies one Richardson level, so the returned estimate is O(h^4) accurate
     in the step h.  Derivative order per variable and in total is capped at 3.
+    f may return an array: the estimate is then taken entry by entry, each
+    entry bit-equal to the estimate of that entry alone.
     """
+    return fd_estimate(f, point, multi_index, step)[0]
+
+
+def fd_estimate(f, point, multi_index, step: float | None = None):
+    """(`fd_derivative`, an estimate of its error) from the two stencil
+    estimates it combines, coarse (step h) and fine (h/2).  The value is
+    fine + (fine - coarse)/3, and the error of the fine estimate is taken
+    as |fine - coarse| (two estimates differ by at least the error of the
+    better one), so the value's error is estimated as 4/3 |fine - coarse|;
+    0 for the zeroth derivative."""
     point = [float(p) for p in point]
     multi_index = tuple(int(k) for k in multi_index)
     if len(multi_index) != len(point):
@@ -660,9 +697,9 @@ def fd_derivative(f, point, multi_index, step: float | None = None) -> float:
     involved = [p for p, k in zip(point, multi_index) if k > 0]
     if any(p + h == p for p in involved):
         warnings.warn("finite-difference step underflows the coordinate magnitude",
-                      FdStepWarning, stacklevel=2)
+                      FdStepWarning, stacklevel=3)      # the caller of fd_derivative
     if total == 0:
-        return f(*point)
+        return f(*point), 0.0
     coarse = _stencil_estimate(f, point, multi_index, h)
     fine = _stencil_estimate(f, point, multi_index, h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) * (4.0 / 3.0)

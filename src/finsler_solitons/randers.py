@@ -394,11 +394,16 @@ def beta_derivatives(rd: RandersData, p: FlagPoint, tables: BetaTables | None = 
 # -- isotropic S fitting and closed-form Ricci ---------------------------------------
 
 
-def field_sigma_terms(sigma, x, y, v):
-    """(sigma, sigma_0 = sigma_i y^i, sigma_i v^i, d sigma) of a sigma field at x."""
-    sigma = as_scalar_field(sigma)
-    sval, dsig = sigma.table(x, order=1)[:2]
+def sigma_terms(stab, y, v):
+    """(sigma, sigma_0 = sigma_i y^i, sigma_i v^i, d sigma) from the order-1
+    table (value, gradient) of a sigma field at a point."""
+    sval, dsig = stab
     return float(sval), float(dsig @ np.asarray(y, float)), float(dsig @ v), dsig
+
+
+def field_sigma_terms(sigma, x, y, v):
+    """`sigma_terms` of a sigma field at x."""
+    return sigma_terms(as_scalar_field(sigma).table(x, order=1)[:2], y, v)
 
 
 def fit_sigma_isotropic_S(T: BetaTables, y_samples):

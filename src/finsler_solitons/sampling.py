@@ -7,6 +7,8 @@ trip a domain guard or land on a nearly degenerate F are rejected and redrawn.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .jets import EvaluationError, FlagPoint
@@ -22,7 +24,15 @@ def unit_direction(rng, dim) -> np.ndarray:
             return v / norm
 
 
-def sample_flags(fixture, count, rng, max_tries=50) -> list[FlagPoint]:
+@dataclass(frozen=True, eq=False)
+class SampledFlag(FlagPoint):
+    """A sampled flag and the float F(x, y) of the fixture's metric that
+    accepted it, kept for the suites' F^2 normalisers."""
+
+    F: float
+
+
+def sample_flags(fixture, count, rng, max_tries=50) -> list[SampledFlag]:
     flags = []
     tries = 0
     while len(flags) < count:
@@ -32,9 +42,10 @@ def sample_flags(fixture, count, rng, max_tries=50) -> list[FlagPoint]:
         x = fixture.sample_x(rng)
         y = unit_direction(rng, fixture.dim)
         try:
-            if fixture.metric.value(x, y) < MIN_F:
-                continue
+            F = fixture.metric.value(x, y)
         except (EvaluationError, ArithmeticError):
             continue
-        flags.append(FlagPoint(x, y))
+        if F < MIN_F:
+            continue
+        flags.append(SampledFlag(x, y, F))
     return flags

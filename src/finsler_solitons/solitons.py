@@ -26,7 +26,7 @@ fit residual in the check detail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,7 +153,9 @@ class SamplePoint:
     """A sample flag p and what every check reads there: `base`, the stage of
     F and the log-density table of e^{-f} dm_BH at x; at a bundle flag (else
     None) also the order-2 records of alpha and h, the beta tensors and their
-    y-contractions, the W tensors and f's order-2 table (value, grad, hess)."""
+    y-contractions, the W tensors and f's order-2 table (value, grad, hess).
+    The bundles read a sigma field's order-1 table through `sigma_table`,
+    which tables it once per point."""
 
     p: FlagPoint
     base: finsler.BasePoint
@@ -163,6 +165,14 @@ class SamplePoint:
     h: riemann.PointRecord | None
     nav: randers.NavTensors | None
     f: tuple | None
+    _sigma: tuple | None = field(default=None, repr=False)     # (field, its table)
+
+    def sigma_table(self, sigma):
+        """(value, gradient) of the sigma field `sigma` at x: one jet pass
+        per point, kept for the next caller with the same field object."""
+        if self._sigma is None or self._sigma[0] is not sigma:
+            self._sigma = (sigma, as_scalar_field(sigma).table(self.p.x, order=1)[:2])
+        return self._sigma[1]
 
 
 def sample_point(rd: RandersData, nav: NavigationData, f, p, bundle) -> SamplePoint:
@@ -232,7 +242,7 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, points, tol
             sigma0 = 0.0
             fitted.append(("sigma", sval, sres))
         else:
-            sval, sigma0, _, _ = randers.field_sigma_terms(sigma, p.x, p.y, T.b_up)
+            sval, sigma0, _, _ = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.b_up)
         kap = float(riemann.scalar_value(kappa(x)))
         a2 = bd.alpha ** 2
         beta = bd.beta
@@ -286,8 +296,8 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, points
             fitted.append(("mu", mval, mres))
         else:
             mval = float(riemann.scalar_value(as_scalar_field(mu)(x)))
-        sval, sigma0, sigw, _ = randers.field_sigma_terms(
-            sigma if sigma is not None else 0.0, p.x, p.y, T.w_up)
+        sval, sigma0, sigw, _ = randers.sigma_terms(
+            bp.sigma_table(sigma if sigma is not None else 0.0), p.y, T.w_up)
         kap = float(riemann.scalar_value(kappa(x)))
         cval = kap - mval + (n - 1) * sval ** 2 + 2.0 * (n - 1) * sigw
 
@@ -331,7 +341,7 @@ def gradient_soliton_checks_ab(rd: RandersData, kappa, points, tol: float,
             sigma0 = 0.0
             fitted.append(("sigma", sval, sres))
         else:
-            sval, sigma0, _, _ = randers.field_sigma_terms(sigma, p.x, p.y, T.b_up)
+            sval, sigma0, _, _ = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.b_up)
         kap = float(riemann.scalar_value(kappa(x)))
         df = bp.f[1]
         f0 = float(df @ p.y)
@@ -389,8 +399,8 @@ def gradient_soliton_checks_nav(nav: NavigationData, kappa, points, tol: float,
             fitted.append(("mu", mval, mres))
         else:
             mval = float(riemann.scalar_value(as_scalar_field(mu)(x)))
-        sval, sigma0, sigw, dsig = randers.field_sigma_terms(
-            sigma if sigma is not None else 0.0, p.x, p.y, T.w_up)
+        sval, sigma0, sigw, dsig = randers.sigma_terms(
+            bp.sigma_table(sigma if sigma is not None else 0.0), p.y, T.w_up)
         kap = float(riemann.scalar_value(kappa(x)))
         df = bp.f[1]
         hess_h = riemann.hessian_tensor(bp.h, bp.f)

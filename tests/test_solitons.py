@@ -270,8 +270,8 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     # the alpha and beta closures never; the records of alpha and h, the beta
     # and W tensors are built once per bundle flag from that evaluation; the
     # only jet passes of table functions are V's vector_table in each vector
-    # bundle and the sigma table in each bundle; and no float evaluation of a
-    # metric or a field
+    # bundle and one sigma table per flag, which every bundle reads; and no
+    # float evaluation of a metric or a field
     from finsler_solitons import suites
     from finsler_solitons.jets import Jet
 
@@ -307,7 +307,7 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     assert counts == collections.Counter(
         {"h": samples, "W": samples, "f": samples, "record_from_tables": 2 * samples,
          "beta_tables": samples, "nav_tensors": samples, "beta_derivatives": samples,
-         "vector_table": vector_bundles * samples, "scalar_table": len(fx.bundles) * samples})
+         "vector_table": vector_bundles * samples, "scalar_table": samples})
 
 
 def test_perturbed_unknown_ingredient_raises():
