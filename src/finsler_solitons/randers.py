@@ -16,7 +16,9 @@ and on the navigation side (indices via h_ij):
 The alpha rows, b, the stage of F and sigma_BH(a rows, b) are each one
 function of a guarded `_navigation_point` (h rows, W, lambda, h W); the
 closures and `solitons.sample_point` all call them.  The tensors of one
-point read a `riemann.PointRecord` of alpha or h and the table of beta or W.
+point read a `riemann.PointRecord` of alpha or h and the table of beta or W,
+and the navigation identities read those tensors and the flag's F from the
+caller, with xi = y - F W on the tabled W (`NavTensors.w_up`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, riemann
-from .finsler import FinslerMetric, Measure
+from .finsler import FinslerMetric, Measure, lie_scalar
 from .jets import FlagPoint, scalar_value
 from .riemann import (RiemannMetric, VectorField, as_scalar_field, generic_det,
                       generic_inverse)
@@ -209,24 +211,6 @@ def finsler_from_randers(rd: RandersData) -> FinslerMetric:
 def finsler_from_navigation(nav: NavigationData) -> FinslerMetric:
     return FinslerMetric.from_stage(nav.dim, lambda x: _navigation_stage(_navigation_point(nav, x)),
                                     name=nav.name or "navigation")
-
-
-def eval_F(rd: RandersData, p: FlagPoint) -> float:
-    return finsler_from_randers(rd).value(p.x, p.y)
-
-
-def eval_F_nav(nav: NavigationData, p: FlagPoint) -> float:
-    return finsler_from_navigation(nav).value(p.x, p.y)
-
-
-def navigation_xi(nav: NavigationData, p: FlagPoint, w_up) -> np.ndarray:
-    """xi = y - F(x, y) W(x); satisfies h(x, xi) = F(x, y).
-
-    `w_up` is W^i at p.x as the caller tabled it (`NavTensors.w_up`), so xi
-    uses the same value of W as the tensors it meets.
-    """
-    F = eval_F_nav(nav, p)
-    return p.y - F * w_up
 
 
 # -- Busemann-Hausdorff measure ---------------------------------------------------
@@ -430,8 +414,7 @@ def fit_sigma_isotropic_S(T: BetaTables, y_samples):
     return sigma, residual
 
 
-def randers_ricci_closed_form(rd: RandersData, p: FlagPoint,
-                              tables: BetaTables | None = None) -> float:
+def randers_ricci_closed_form(rd: RandersData, p: FlagPoint) -> float:
     """Ricci curvature of F = alpha + beta assembled term by term:
 
         Ric = aRic + 2 alpha s^i_{0;i} - 2 t_00 - alpha^2 t^i_i + (n-1) Xi,
@@ -439,7 +422,7 @@ def randers_ricci_closed_form(rd: RandersData, p: FlagPoint,
               - 1/(2F) (r_{00;0} - 2 alpha s_{0;0}).
     """
     n = rd.dim
-    bd = beta_derivatives(rd, p, tables=tables)
+    bd = beta_derivatives(rd, p)
     T = bd.tables
     y = bd.y
     aric = float(np.einsum("jk,j,k->", T.alpha_ricci, y, y))
@@ -453,15 +436,14 @@ def randers_ricci_closed_form(rd: RandersData, p: FlagPoint,
         + (n - 1) * xi
 
 
-def isotropic_s_identity_residuals(rd: RandersData, p: FlagPoint, sigma,
-                                   tables: BetaTables | None = None) -> dict:
+def isotropic_s_identity_residuals(rd: RandersData, p: FlagPoint, sigma) -> dict:
     """Residuals of the tensor identities implied by e_00 = 2 sigma (alpha^2 - beta^2).
 
     Keys are identity names; values are absolute residuals, with 2-homogeneous
     scalars normalized by alpha^2 and 1-homogeneous ones by alpha.
     """
     n = rd.dim
-    bd = beta_derivatives(rd, p, tables=tables)
+    bd = beta_derivatives(rd, p)
     T = bd.tables
     y = bd.y
     sig, sigma0, sigma_b, _ = field_sigma_terms(sigma, T.x, y, T.b_up)
@@ -542,13 +524,13 @@ def nav_tensors(H: riemann.PointRecord, wtab) -> NavTensors:
                       r_low=w0 @ r_sym, r_scalar=float(w0 @ r_sym @ w0))
 
 
-def spray_correction(nav: NavigationData, sigma: float, x, y) -> np.ndarray:
-    """zeta^i with G_alpha = G_h + zeta under isotropic S-curvature sigma:
+def spray_correction(T: NavTensors, sigma: float, y) -> np.ndarray:
+    """zeta^i with G_alpha = G_h + zeta under isotropic S-curvature sigma, from
+    the W tensors T at the flag's point:
 
         zeta^i = (S_0 - 2 sigma W_0)/lam y^i - (lam h^2 + 2 W_0^2)/(2 lam^2) S^i
                  + W_0/lam S^i_0
     """
-    T = nav_tensors(riemann.point_record(nav.h, x, 1), nav.W.table(x, order=1))
     y = np.asarray(y, float)
     h2 = float(y @ T.h @ y)
     w0 = float(T.w_low @ y)
@@ -558,23 +540,22 @@ def spray_correction(nav: NavigationData, sigma: float, x, y) -> np.ndarray:
             + w0 / T.lam * (T.s_mixed @ y))
 
 
-def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint):
+def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint, F: float):
     """Both sides of the navigation Lie-derivative identity
 
         L_V(htilde^2) = 2/(htilde + Wtilde_0) { htilde Vtilde_{0:0}
                           + htilde^2 (V_{j:k} W^k - W_{j:k} V^k) xi^j },
 
-    where htilde(x, xi) = F(x, y) and xi = y - F W.  Returns (lhs, rhs).
+    where htilde(x, xi) = F(x, y) and xi = y - F W, with F the float F(x, y)
+    of the flag.  The jet side reads h, W and the stage from one
+    `_navigation_point` per pass.  Returns (lhs, rhs).
     """
-    from .finsler import lie_scalar
-
     n = nav.dim
-    metric = finsler_from_navigation(nav)
 
     def phi(xs, ys):
-        Fv = metric.F(xs, ys)
-        w = nav.W.components(xs)
-        rows = nav.h.matrix(xs)
+        point = _navigation_point(nav, xs)
+        rows, w = point[0], point[1]
+        Fv = _navigation_stage(point)(ys)
         xi = [ys[i] - Fv * w[i] for i in range(n)]
         out = 0.0
         for i in range(n):
@@ -586,7 +567,7 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint):
 
     H = riemann.point_record(nav.h, p.x, 1)
     T = nav_tensors(H, nav.W.table(p.x, order=1))
-    xi = navigation_xi(nav, p, T.w_up)
+    xi = p.y - F * T.w_up
     htilde = math.sqrt(float(xi @ T.h @ xi))
     wt0 = float(T.w_low @ xi)
     v0, dv = v.table(p.x, order=1)
@@ -597,24 +578,20 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint):
     return lhs, rhs
 
 
-def ricci_transfer_sides(nav: NavigationData, sigma, mu_tilde: float, p: FlagPoint):
+def ricci_transfer_sides(ric: float, F: float, H: riemann.PointRecord, T: NavTensors,
+                         sigma_terms, mu_tilde: float, y):
     """Both sides of the isotropic-S curvature transfer identity
 
         Ric - (n-1)(3 sigma_0/F + mu - sigma^2 - 2 sigma_i W^i) F^2
-            = hRic_ij xi^i xi^j - (n-1) mu F^2
+            = hRic_ij xi^i xi^j - (n-1) mu F^2,    xi = y - F W,
 
-    for an arbitrary test scalar mu.  Returns (lhs, rhs).
+    for an arbitrary test scalar mu, from the flag's Ricci curvature and F,
+    an order-2 record H of h and the W tensors T at its point, and the
+    `sigma_terms` of sigma there against W.  Returns (lhs, rhs).
     """
-    from .finsler import ricci as generic_ricci
-
-    n = nav.dim
-    metric = finsler_from_navigation(nav)
-    F = metric.value(p.x, p.y)
-    w_up = nav.W.table(p.x, order=1)[0]
-    sval, sigma0, sigw, _ = field_sigma_terms(sigma, p.x, p.y, w_up)
-    ric = generic_ricci(metric, p)
+    n = T.x.size
+    sval, sigma0, sigw, _ = sigma_terms
     lhs = ric - (n - 1) * (3.0 * sigma0 / F + mu_tilde - sval ** 2 - 2.0 * sigw) * F * F
-    xi = navigation_xi(nav, p, w_up)
-    hric = riemann.point_record(nav.h, p.x, 2).ricci
-    rhs = float(xi @ hric @ xi) - (n - 1) * mu_tilde * F * F
+    xi = y - F * T.w_up
+    rhs = float(xi @ H.ricci @ xi) - (n - 1) * mu_tilde * F * F
     return lhs, rhs

@@ -425,23 +425,23 @@ def gradient_soliton_checks_nav(nav: NavigationData, kappa, points, tol: float,
 # -- navigation closed form for the S-curvature rate -----------------------------------
 
 
-def s_dot_closed_form_nav(nav: NavigationData, f, sigma, p: FlagPoint) -> float:
+def s_dot_closed_form_nav(H: riemann.PointRecord, T: randers.NavTensors, F: float,
+                          sigma_terms, ftab, y) -> float:
     """S-dot of (F, e^{-f} dm_BH) under isotropic S-curvature sigma:
 
         S-dot = (n+1) sigma_0 F - 2 sigma f_0 F + 2 (f_k S^k_0) F
                 + (f_k S^k) F^2 + Hess_h(f)(y)
+
+    at the flag (x, y) with float F(x, y), from a record H of h and the W
+    tensors T at x, the `sigma_terms` of sigma there against W and f's
+    order-2 table.
     """
-    f = as_scalar_field(f)
-    n = nav.dim
-    H = riemann.point_record(nav.h, p.x, 1)
-    T = randers.nav_tensors(H, nav.W.table(p.x, order=1))
-    F = randers.eval_F_nav(nav, p)
-    sval, sigma0, _, _ = randers.field_sigma_terms(sigma, p.x, p.y, T.w_up)
-    ftab = f.table(p.x, order=2)
+    n = T.x.size
+    sval, sigma0, _, _ = sigma_terms
     df = ftab[1]
-    f0 = float(df @ p.y)
-    fS0 = float(df @ T.s_mixed @ p.y)
+    f0 = float(df @ y)
+    fS0 = float(df @ T.s_mixed @ y)
     fS = float(df @ T.s_up)
-    hess = riemann.hessian(H, ftab, p.y)
+    hess = riemann.hessian(H, ftab, y)
     return ((n + 1) * sigma0 * F - 2.0 * sval * f0 * F + 2.0 * fS0 * F
             + fS * F * F + hess)

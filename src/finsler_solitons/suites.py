@@ -183,8 +183,8 @@ def crosscheck_lie_identities(count=200, seed=7, tol=1e-9):
 
         nav = generators.random_navigation(rng, dim)
         pn = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
-        l2, r2 = randers.lie_nav_h2_sides(nav, v, pn)
-        Fn = randers.eval_F_nav(nav, pn)
+        Fn = randers.finsler_from_navigation(nav).value(pn.x, pn.y)
+        l2, r2 = randers.lie_nav_h2_sides(nav, v, pn, Fn)
         lifted.append((l2 - r2) / (Fn * Fn))
     return [report_from_values("randers-f2-split", split, tol),
             report_from_values("navigation-h2-lift", lifted, tol)]
@@ -213,12 +213,12 @@ def crosscheck_navigation(count=1000, seed=7, tol=1e-10, points_per_metric=20):
             nav = generators.random_navigation(rng, dim)
             rd2 = randers.from_navigation(nav)
             nav2 = randers.to_navigation(rd2)
+        metric = randers.finsler_from_navigation(nav)
         block += 1
         for _ in range(min(points_per_metric, count - taken)):
             taken += 1
             x = generators.sample_box_point(rng, dim)
             y = unit_direction(rng, dim)
-            p = FlagPoint(x, y)
             if randers_first:
                 a1 = rd.alpha.matrix_at(x)
                 a2 = rd2.alpha.matrix_at(x)
@@ -230,11 +230,11 @@ def crosscheck_navigation(count=1000, seed=7, tol=1e-10, points_per_metric=20):
                 roundtrip.append(max(float(np.max(np.abs(h1 - h2m))),
                                      float(np.max(np.abs(nav.W.at(x) - nav2.W.at(x))))))
             T = randers.nav_tensors(riemann.point_record(nav.h, x, 1), nav.W.table(x, order=1))
-            F = randers.eval_F_nav(nav, p)
+            F = metric.value(x, y)
             h2 = float(y @ T.h @ y)
             w0 = float(T.w_low @ y)
             norm_identity.append((h2 - 2.0 * F * w0 - T.lam * F * F) / (F * F))
-            xi = randers.navigation_xi(nav, p, T.w_up)
+            xi = y - F * T.w_up
             transfer.append((math.sqrt(float(xi @ T.h @ xi)) - F) / F)
     return [report_from_values("roundtrip", roundtrip, 1e-12),
             report_from_values("norm-identity", norm_identity, tol),
@@ -320,6 +320,9 @@ def crosscheck_isotropic_s(count=40, seed=7, tol=1e-8):
     fitted sigma against the conformal factor, the curvature-transfer
     identity, the beta/navigation s-tensor transfers s_0 = S_0/lam and
     s^i_j = -S^i_j + S^i W_j / lam, and the closed form for S-dot.
+
+    Each point reads one `solitons.SamplePoint`, one `evaluate_flag` (Ric
+    and S-dot) on its base point and one float F.
     """
     rng = np.random.default_rng(seed)
     sig_fit, transfer, s0_row, smix_row, sdot_row = [], [], [], [], []
@@ -334,23 +337,25 @@ def crosscheck_isotropic_s(count=40, seed=7, tol=1e-8):
         y = unit_direction(rng, dim)
         p = FlagPoint(x, y)
 
-        T = randers.beta_tables(riemann.point_record(rd.alpha, x, 2), rd.beta.table(x, order=2))
+        sp = solitons.sample_point(rd, nav, f, p, True)
+        T, N = sp.beta, sp.nav
+
         fitted, _res = randers.fit_sigma_isotropic_S(T, solitons._directions(dim))
         sig_fit.append(fitted - float(riemann.scalar_value(sigma(list(x)))))
 
         mu_t = float(rng.uniform(-1.0, 1.0))
-        lhs, rhs = randers.ricci_transfer_sides(nav, sigma, mu_t, p)
-        F2 = metric.value(x, y) ** 2
-        transfer.append((lhs - rhs) / F2)
+        ev = finsler.evaluate_flag(metric, measure, p, base=sp.base)
+        F = metric.value(x, y)
+        sig = randers.sigma_terms(sp.sigma_table(sigma), y, N.w_up)
+        lhs, rhs = randers.ricci_transfer_sides(ev.bundle.ricci, F, sp.h, N, sig, mu_t, y)
+        transfer.append((lhs - rhs) / F ** 2)
 
-        N = randers.nav_tensors(riemann.point_record(nav.h, x, 1), nav.W.table(x, order=1))
         s0_row.append(float(T.s_low @ y) - float(N.s_low @ y) / N.lam)
         smix = -N.s_mixed + np.outer(N.s_up, N.w_low) / N.lam
         smix_row.append(float(np.max(np.abs(T.s_mixed - smix))))
 
-        sd_engine = finsler.s_dot(metric, measure, p)
-        sd_closed = solitons.s_dot_closed_form_nav(nav, f, sigma, p)
-        sdot_row.append((sd_engine - sd_closed) / max(1.0, abs(sd_engine)))
+        sd_closed = solitons.s_dot_closed_form_nav(sp.h, N, F, sig, sp.f, y)
+        sdot_row.append((ev.s_dot - sd_closed) / max(1.0, abs(ev.s_dot)))
     return [report_from_values("sigma-vs-conformal-factor", sig_fit, tol),
             report_from_values("curvature-transfer", transfer, tol),
             report_from_values("s-covector-transfer", s0_row, tol),

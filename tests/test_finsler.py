@@ -109,7 +109,8 @@ def test_spray_navigation_correction():
     p = FlagPoint([0.8, 0.4], RNG.normal(size=2))
     Ga = spray(FinslerMetric.from_riemannian(rd.alpha), p)
     Gh = spray(FinslerMetric.from_riemannian(nav.h), p)
-    zeta = randers.spray_correction(nav, 0.0, p.x, p.y)
+    T = randers.nav_tensors(riemann.point_record(nav.h, p.x, 1), nav.W.table(p.x, order=1))
+    zeta = randers.spray_correction(T, 0.0, p.y)
     np.testing.assert_allclose(Ga, Gh + zeta, rtol=1e-9, atol=1e-11)
 
 
@@ -241,8 +242,12 @@ def test_s_dot_navigation_closed_form():
     F = randers.finsler_from_navigation(nav)
     m = randers.bh_measure(rd).weighted(f)
     p = FlagPoint(generators.sample_box_point(RNG, 2), RNG.normal(size=2))
-    assert s_dot(F, m, p) == pytest.approx(s_dot_closed_form_nav(nav, f, sigma, p),
-                                           rel=1e-8, abs=1e-10)
+    H = riemann.point_record(nav.h, p.x, 1)
+    T = randers.nav_tensors(H, nav.W.table(p.x, order=1))
+    closed = s_dot_closed_form_nav(H, T, F.value(p.x, p.y),
+                                   randers.field_sigma_terms(sigma, p.x, p.y, T.w_up),
+                                   f.table(p.x, order=2), p.y)
+    assert s_dot(F, m, p) == pytest.approx(closed, rel=1e-8, abs=1e-10)
 
 
 # -- weighted Ricci --------------------------------------------------------------------

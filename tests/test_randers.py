@@ -11,13 +11,12 @@ from finsler_solitons.jets import FlagPoint
 from finsler_solitons.randers import (NavigationData, NavigationDomainError,
                                       RandersData, RandersDomainError,
                                       beta_derivatives, beta_tables,
-                                      bh_density, bh_measure, eval_F,
-                                      eval_F_nav, finsler_from_navigation,
+                                      bh_density, bh_measure,
+                                      finsler_from_navigation,
                                       finsler_from_randers,
                                       fit_sigma_isotropic_S, from_navigation,
                                       isotropic_s_identity_residuals,
                                       lie_nav_h2_sides, nav_tensors,
-                                      navigation_xi,
                                       randers_ricci_closed_form,
                                       ricci_transfer_sides, to_navigation)
 from finsler_solitons.riemann import (RiemannMetric, VectorField,
@@ -108,14 +107,15 @@ def test_eval_F_matches_both_paths():
     nav = cigar_navigation()
     rd = from_navigation(nav)
     p = FlagPoint([1.0, 0.4], RNG.normal(size=2))
-    assert eval_F_nav(nav, p) == pytest.approx(eval_F(rd, p), rel=1e-12)
+    assert finsler_from_navigation(nav).value(p.x, p.y) == pytest.approx(
+        finsler_from_randers(rd).value(p.x, p.y), rel=1e-12)
 
 
 def test_eval_F_cigar_closed_form_value():
     nav = cigar_navigation()
     p = FlagPoint([1.0, 0.0], [0.0, 1.0])
     want = math.cosh(1.0) * math.sinh(1.0) - math.sinh(1.0) ** 2
-    assert eval_F_nav(nav, p) == pytest.approx(want, rel=1e-14)
+    assert finsler_from_navigation(nav).value(p.x, p.y) == pytest.approx(want, rel=1e-14)
     assert want == pytest.approx(0.4323323583816938, rel=1e-12)
 
 
@@ -168,19 +168,19 @@ def test_randers_closures_evaluate_alpha_once_per_call():
 
 def test_norm_identity_and_xi_transfer():
     nav = generators.random_navigation(RNG, 3)
+    metric = finsler_from_navigation(nav)
     T_fn = nav.h.matrix_at
     for _ in range(10):
         x = generators.sample_box_point(RNG, 3)
         y = RNG.normal(size=3)
-        p = FlagPoint(x, y)
-        F = eval_F_nav(nav, p)
+        F = metric.value(x, y)
         hm = T_fn(x)
         w = np.array([jets.scalar_value(c) for c in nav.W.components(list(x))])
         lam = 1.0 - float(w @ hm @ w)
         h2 = float(y @ hm @ y)
         w0 = float((hm @ w) @ y)
         assert h2 - 2.0 * F * w0 == pytest.approx(lam * F * F, rel=1e-10)
-        xi = navigation_xi(nav, p, w)
+        xi = y - F * w
         assert math.sqrt(float(xi @ hm @ xi)) == pytest.approx(F, rel=1e-10)
 
 
@@ -318,7 +318,7 @@ def test_closed_form_cigar_law():
     rd = from_navigation(nav)
     t = 1.4
     p = FlagPoint([t, 0.2], RNG.normal(size=2))
-    F = eval_F_nav(nav, p)
+    F = finsler_from_navigation(nav).value(p.x, p.y)
     assert randers_ricci_closed_form(rd, p) == pytest.approx(
         2.0 / math.cosh(t) ** 2 * F * F, rel=1e-8)
 
@@ -377,8 +377,8 @@ def test_lifted_lie_identity_random():
         nav = generators.random_navigation(RNG, 2)
         v = generators.random_vector_field(RNG, 2)
         p = FlagPoint(generators.sample_box_point(RNG, 2), RNG.normal(size=2))
-        lhs, rhs = lie_nav_h2_sides(nav, v, p)
-        F = eval_F_nav(nav, p)
+        F = finsler_from_navigation(nav).value(p.x, p.y)
+        lhs, rhs = lie_nav_h2_sides(nav, v, p, F)
         assert abs(lhs - rhs) / (F * F) <= 1e-9
 
 
@@ -391,8 +391,8 @@ def test_sigma_equals_minus_conformal_factor():
     assert fitted == pytest.approx(-float(c(list(x))), rel=1e-10, abs=1e-12)
 
 
-def _point_where_w_values_differ(dim=2):
-    """A to_navigation pair and a flag where the float W.at(x) and the jet
+def _points_where_w_values_differ(dim=2):
+    """to_navigation pairs and flags where the float W.at(x) and the jet
     value W.table(x, 1)[0] differ (W^i = -b^i/lam is a jet division)."""
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -400,37 +400,58 @@ def _point_where_w_values_differ(dim=2):
         for _ in range(20):
             x = generators.sample_box_point(rng, dim)
             if not np.array_equal(nav.W.at(x), nav.W.table(x, order=1)[0]):
-                return nav, FlagPoint(x, rng.normal(size=dim))
-    raise AssertionError("no point where the two values of W differ")
+                yield nav, FlagPoint(x, rng.normal(size=dim))
 
 
-def test_navigation_xi_uses_the_tabled_value_of_w(monkeypatch):
-    nav, p = _point_where_w_values_differ()
-    T = nav_tensors(riemann.point_record(nav.h, p.x, 1), nav.W.table(p.x, order=1))
-    F = eval_F_nav(nav, p)
-    xi = navigation_xi(nav, p, T.w_up)
-    assert np.array_equal(xi, p.y - F * T.w_up)
-    assert not np.array_equal(T.w_up, nav.W.at(p.x))
-    # Both identities built on xi pass the jet value of W, never the float one.
-    passed = []
-    xi_of = randers.navigation_xi
+def _lie_rhs(nav, v, p, F, w):
+    """The table side of the lifted Lie identity with xi = y - F w."""
+    H = riemann.point_record(nav.h, p.x, 1)
+    T = nav_tensors(H, nav.W.table(p.x, order=1))
+    xi = p.y - F * w
+    htilde = math.sqrt(float(xi @ T.h @ xi))
+    v0, dv = v.table(p.x, order=1)
+    vcov = riemann.lowered_covariant_derivative(H.h0, H.dh, H.gamma, v0, dv)
+    mixed = float((vcov @ T.w_up - T.wcov @ v0) @ xi)
+    return 2.0 / (htilde + float(T.w_low @ xi)) * (htilde * float(xi @ vcov @ xi)
+                                                   + htilde * htilde * mixed)
 
-    def recording(nav, p, w_up):
-        passed.append(np.array(w_up))
-        return xi_of(nav, p, w_up)
 
-    monkeypatch.setattr(randers, "navigation_xi", recording)
-    lie_nav_h2_sides(nav, generators.random_vector_field(RNG, 2), p)
-    ricci_transfer_sides(nav, 0.3, 0.0, p)
-    assert len(passed) == 2
-    for w in passed:
-        assert np.array_equal(w, T.w_up)
+def _transfer_rhs(H, p, F, w, mu_t):
+    """The right side of the curvature transfer with xi = y - F w."""
+    xi = p.y - F * w
+    return float(xi @ H.ricci @ xi) - (p.dim - 1) * mu_t * F * F
+
+
+def test_navigation_xi_uses_the_tabled_value_of_w():
+    # A point where the float value of W would change both right sides.
+    v = generators.random_vector_field(RNG, 2)
+    for nav, p in _points_where_w_values_differ():
+        H = riemann.point_record(nav.h, p.x, 2)
+        T = nav_tensors(H, nav.W.table(p.x, order=1))
+        metric = finsler_from_navigation(nav)
+        F = metric.value(p.x, p.y)
+        w_float = nav.W.at(p.x)
+        if (_lie_rhs(nav, v, p, F, T.w_up) != _lie_rhs(nav, v, p, F, w_float)
+                and _transfer_rhs(H, p, F, T.w_up, 0.0) != _transfer_rhs(H, p, F, w_float, 0.0)):
+            break
+    else:
+        raise AssertionError("no point where the two values of W reach both right sides")
+    # Both identities build xi on the jet value of W, never the float one.
+    assert lie_nav_h2_sides(nav, v, p, F)[1] == _lie_rhs(nav, v, p, F, T.w_up)
+    sig = randers.field_sigma_terms(0.3, p.x, p.y, T.w_up)
+    rhs = ricci_transfer_sides(finsler.ricci(metric, p), F, H, T, sig, 0.0, p.y)[1]
+    assert rhs == _transfer_rhs(H, p, F, T.w_up, 0.0)
 
 
 def test_curvature_transfer_identity():
     nav, sigma, _ = generators.conformal_euclidean_navigation(RNG, 3)
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
-    F = eval_F_nav(nav, p)
+    metric = finsler_from_navigation(nav)
+    F = metric.value(p.x, p.y)
+    H = riemann.point_record(nav.h, p.x, 2)
+    T = nav_tensors(H, nav.W.table(p.x, order=1))
+    sig = randers.field_sigma_terms(sigma, p.x, p.y, T.w_up)
+    ric = finsler.ricci(metric, p)
     for mu_t in (0.0, -0.6, 1.4):
-        lhs, rhs = ricci_transfer_sides(nav, sigma, mu_t, p)
+        lhs, rhs = ricci_transfer_sides(ric, F, H, T, sig, mu_t, p.y)
         assert abs(lhs - rhs) / (F * F) <= 1e-8
