@@ -36,6 +36,8 @@ INVOCATIONS = (
     + tuple(("verify", "--fixture", name, "--diff-mode", "fd", "--samples", "3",
              "--seed", "3") for name in ("gaussian", "gaussian-riemannian", "cigar",
                                           "shrinking"))
+    + (("verify", "--fixture", "expanding", "--diff-mode", "fd", "--samples", "3",
+        "--seed", "3"),)
     + tuple(("crosscheck", "--suite", name) for name in SUITES)
 )
 

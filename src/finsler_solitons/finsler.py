@@ -30,10 +30,13 @@ an ideal, so the kept coefficients are exact.
 
 A metric is staged: `FinslerMetric.at(x)` does the x-only work and returns
 F(x, .) as a function of y.  The engine passes x as order-2 jets over the n
-x-variables and y as jets over the 2n flag coordinates; jet arithmetic
-prefix-embeds the x-only intermediate results where they meet y (see
-`jets`), so fields of x alone cost n-variable products at order 2, once per
-stage, and F^2 comes out over all 2n.
+x-variables and y as the variables n..2n-1 of the flag space; jet
+arithmetic prefix-embeds the x-only intermediate results where they meet y
+(see `jets`), so fields of x alone cost n-variable products at order 2, once
+per stage, and F^2 comes out over all 2n.  The library stages form their
+quadratic and linear forms in y with `jets.YForms`, which for these y
+scatters closed-form terms instead of running n^2 jet products; an order-4
+F^2 of a navigation metric then takes 8 jet products per flag.
 """
 
 from __future__ import annotations
@@ -94,16 +97,8 @@ class FinslerMetric:
         n = h.dim
 
         def at(x):
-            rows = h.matrix(x)
-
-            def F(y):
-                quad = 0.0
-                for i in range(n):
-                    for j in range(n):
-                        quad = quad + rows[i][j] * y[i] * y[j]
-                return jets.sqrt(quad)
-
-            return F
+            forms = jets.YForms(h.matrix(x))
+            return lambda y: jets.sqrt(forms(y)[0])
 
         return cls.from_stage(n, at, name or f"riemannian({h.name or 'h'})")
 

@@ -74,10 +74,11 @@ def _box_grid(dim, per_axis=5):
     return list(np.array(list(itertools.product(*axes))).T)
 
 
-def _at(values, g):
-    """Grid point g of matrix rows or a vector of per-point arrays, as floats."""
-    return np.array([[v[g] for v in row] if isinstance(row, list) else row[g]
-                     for row in values], float)
+def _grid_stack(values):
+    """Matrix rows or a vector of per-point arrays as one C-contiguous (G, ...)
+    float stack, grid point first: each point's slice then runs the same
+    products as an array built for that point alone (a strided slice need not)."""
+    return np.ascontiguousarray(np.moveaxis(np.array(values, float), -1, 0))
 
 
 def random_riemann_metric(rng, dim, amp=0.1, name="random-h") -> RiemannMetric:
@@ -109,13 +110,14 @@ def random_randers(rng, dim, amp=0.1, max_b=0.45, name="random-randers") -> Rand
     alpha = random_riemann_metric(rng, dim, amp=amp, name=f"alpha({name})")
     raw = _draw_stacked(rng, dim, 0.3, dim)
 
-    # the fields at every grid point at once (arrays through the scalar loop)
+    # the fields at every grid point at once (arrays through the scalar loop);
+    # a stacked inverse is bit-equal to the per-point ones
     grid = _box_grid(dim)
-    rows, bs = alpha.matrix(grid), _poly2(raw, grid)
+    bs = _grid_stack(_poly2(raw, grid))
+    ainvs = np.linalg.inv(_grid_stack(alpha.matrix(grid)))
     worst = 0.0
-    for g in range(grid[0].size):
-        b = _at(bs, g)
-        worst = max(worst, float(b @ np.linalg.inv(_at(rows, g)) @ b))
+    for b, ainv in zip(bs, ainvs):
+        worst = max(worst, float(b @ ainv @ b))
     scale = max_b / max(np.sqrt(worst), 1e-9)
 
     def b_fn(x):
@@ -130,11 +132,9 @@ def random_navigation(rng, dim, amp=0.1, max_w=0.5, name="random-nav") -> Naviga
     raw = _draw_stacked(rng, dim, 0.3, dim)
 
     grid = _box_grid(dim)
-    rows, ws = h.matrix(grid), _poly2(raw, grid)
     worst = 0.0
-    for g in range(grid[0].size):
-        w = _at(ws, g)
-        worst = max(worst, float(w @ _at(rows, g) @ w))
+    for w, rows in zip(_grid_stack(_poly2(raw, grid)), _grid_stack(h.matrix(grid))):
+        worst = max(worst, float(w @ rows @ w))
     scale = max_w / max(np.sqrt(worst), 1e-9)
 
     def w_fn(x):

@@ -31,6 +31,23 @@ nonzero products in the same order as the all-2n computation, bit for bit
 Derivative tensors come from one place: d^m f is the coefficient of m times
 m! (Griewank-Utke-Walther), so a tensor of k-th partials is one gather from
 the positions `tensor_index` caches per index tuple (`derivative_tensors`).
+
+The metric stages' forms in y, sum_ij r_ij y_i y_j and sum_i sum_k c_ik y_i,
+come from one kernel, `YForms`.  When the y are the variables n..2n-1 of
+their space and the coefficients x-jets (or floats, as constant jets), every
+coefficient of a term (r_ij y_i) y_j is known: at x^a it is (r_a y0_i) y0_j,
+at x^a dy_i r_a y0_j, at x^a dy_j r_a y0_i (twice that when i = j), at
+x^a dy_i dy_j r_a, and at every other monomial zero; a term c_ik y_i has
+c_a y0_i at x^a and c_a at x^a dy_i.  A plan cached per (x space, flag
+space) (`_form_plan`) maps each of these slots to its position, or to a sink
+for a monomial the space cuts off, and one `bincount` adds them.  For
+finite coefficients this is bit-equal to the jet loop, signs of zero
+included: each coefficient of a term's products sums one nonzero product
+(two equal ones at x^a dy_i, i = j, whose sum doubles exactly) and zeros,
+from +0.0; the loop then adds the terms to 0.0 in loop order, and the
+`bincount`, fed term by term, adds each position's slots in the same order
+from +0.0, while the zero slots it never sees change nothing (a sum that
+starts at +0.0 is never -0.0).  Other y run the loop.
 """
 
 from __future__ import annotations
@@ -583,6 +600,143 @@ def power(v, p):
 def scalar_value(v) -> float:
     """Value part of a Jet, or the number itself."""
     return v.value if isinstance(v, Jet) else float(v)
+
+
+# -- quadratic and linear forms in y ---------------------------------------
+
+
+class YForms:
+    """sum_ij quad[i][j] y_i y_j and sum_i sum_k lin[i][k] y_i (0.0 without
+    `lin`) as a function of y, bit-equal to the loop that adds the terms
+    (quad[i][j] * y_i) * y_j and lin[i][k] * y_i to 0.0 in loop order.
+
+    The coefficients are a stage's x-only data, fixed once.  When the y are
+    the variables n..2n-1 of their space and every coefficient is a float or
+    a jet over one space of the n x-variables, the forms are one scatter of
+    closed-form terms (see the module notes), whose coefficient rows are
+    stacked on the first such call and kept; other y, such as floats or
+    functions of all 2n variables, run the loop itself.
+    """
+
+    __slots__ = ("quad", "lin", "_rows")
+
+    def __init__(self, quad, lin=None):
+        self.quad = quad
+        self.lin = [()] * len(quad) if lin is None else lin
+        self._rows = None               # (x space, width, slot rows), or False
+
+    def __call__(self, y):
+        flag = _flag_values(y, len(self.quad))
+        if flag is not None:
+            if self._rows is None:
+                self._rows = _slot_rows(self.quad, self.lin) or False
+            if self._rows:
+                return _scatter(*flag, *self._rows)
+        n = len(y)
+        q = l = 0.0
+        for i in range(n):
+            for k in range(len(self.lin[i])):
+                l = l + self.lin[i][k] * y[i]
+            for j in range(n):
+                q = q + self.quad[i][j] * y[i] * y[j]
+        return q, l
+
+
+def _flag_values(y, n):
+    """(values y_k, space) when y are the n variables n..2n-1 of one space."""
+    space = getattr(y[0], "space", None) if n and len(y) == n else None
+    if (space is None or space.nvars != 2 * n
+            or not all(isinstance(v, Jet) and v.space is space for v in y)):
+        return None
+    coeffs = np.array([v.coeffs for v in y])
+    coeffs[np.arange(n), tensor_index(space, 1)[n:]] -= 1.0
+    if coeffs[:, 1:].any():                     # a unit other than 1, or a term more
+        return None
+    return coeffs[:, 0], space
+
+
+def _slot_rows(quad, lin):
+    """(x space, width, rows) of the coefficients when they are floats (as
+    constant rows) and jets over one space of n variables, in an n x n quad
+    and an n x width lin: each term's row once per slot of the scatter
+    (`_form_plan`).  None otherwise; floats alone take the constant space
+    `jet_space(n, 0)`."""
+    n = len(quad)
+    width = len(lin[0]) if n and len(lin) == n else -1
+    if any(len(row) != n for row in quad) or any(len(row) != width for row in lin):
+        return None
+    entries = [e for row in quad for e in row] + [e for row in lin for e in row]
+    spaces = {e.space for e in entries if isinstance(e, Jet)}
+    if len(spaces) > 1:
+        return None
+    space = spaces.pop() if spaces else jet_space(n, 0)
+    if space.nvars != n:
+        return None
+    rows = np.zeros((len(entries), space.nterms))
+    for k, e in enumerate(entries):
+        if isinstance(e, Jet):
+            rows[k] = e.coeffs
+        elif _is_scalar(e):
+            rows[k, 0] = float(e)
+        else:
+            return None
+    return space, width, np.repeat(rows, [4] * (n * n) + [2] * (n * width), axis=0)
+
+
+@lru_cache(maxsize=None)
+def _form_plan(xspace: JetSpace, flag: JetSpace, width: int):
+    """(bins, u, v) of the `YForms` scatter over `flag` of coefficient rows
+    over `xspace`, `width` linear coefficients per y_i (read-only).
+
+    With f = (1, 2, y0_0, ..., y0_{n-1}), the value of a slot at x^a is
+    (r_a f[u]) f[v] (u and v one per slot), and the slots of the quadratic
+    term (i, j) are
+
+        x^a: (r_a y_i) y_j     x^a dy_i: r_a y_j (twice that when i = j)
+        x^a dy_j: r_a y_i      x^a dy_i dy_j: r_a,
+
+    those of the linear term (i, k) x^a: c_a y_i and x^a dy_i: c_a, offset
+    by nterms + 1; terms in loop order, then slots, then a.  A monomial the
+    flag space cuts off, and x^a dy_j when i = j, go to the sink bin nterms
+    of its form.
+    """
+    if xspace.order:
+        _prefix_positions(xspace, flag)         # raises where the products would
+    n, sink = xspace.nvars, flag.nterms
+
+    def at(*dy, offset=0):
+        out = []
+        for m in xspace.multis:
+            key = list(m) + [0] * n
+            for i in dy:
+                key[n + i] += 1
+            out.append(flag.index.get(tuple(key), sink) + offset)
+        return out
+
+    one, two, ys = 0, 1, range(2, n + 2)       # the positions of 1, 2 and y0 in f
+    none = [sink] * xspace.nterms
+    slots = []                                  # (bins over a, u, v)
+    for i in range(n):
+        for j in range(n):
+            slots += [(at(), ys[i], ys[j]), (at(i), ys[j], two if i == j else one),
+                      (at(j) if i != j else none, ys[i], one), (at(i, j), one, one)]
+    for i in range(n):
+        slots += [(at(offset=sink + 1), ys[i], one), (at(i, offset=sink + 1), one, one)] * width
+    plan = (np.array([b for s in slots for b in s[0]], dtype=np.intp),
+            np.array([s[1] for s in slots], dtype=np.intp)[:, None],
+            np.array([s[2] for s in slots], dtype=np.intp)[:, None])
+    for arr in plan:
+        arr.setflags(write=False)               # shared by every caller of the cache
+    return plan
+
+
+def _scatter(y0, flag, xspace, width, rows):
+    """The forms of `YForms` from its slot rows at flag variables of values y0."""
+    bins, u, v = _form_plan(xspace, flag, width)
+    f = np.concatenate(([1.0, 2.0], y0))
+    sink = flag.nterms
+    out = np.bincount(bins, weights=((rows * f[u]) * f[v]).ravel(), minlength=2 * sink + 2)
+    return Jet(flag, out[:sink]), Jet(flag, out[sink + 1:-1]) if width else 0.0
 
 
 # -- flags ---------------------------------------------------------------

@@ -62,22 +62,12 @@ class RandersData:
 
 def _b2(ainv, b):
     """||beta||^2_alpha = a^ij b_i b_j from the inverse rows of a and the b_i."""
-    n = len(b)
-    out = 0.0
-    for i in range(n):
-        for j in range(n):
-            out = out + ainv[i][j] * b[i] * b[j]
-    return out
+    return jets.YForms(ainv)(b)[0]
 
 
 def _lam(rows, w):
     """lambda = 1 - h_ij W^i W^j from the rows of h and the components of W."""
-    n = len(w)
-    norm2 = 0.0
-    for i in range(n):
-        for j in range(n):
-            norm2 = norm2 + rows[i][j] * w[i] * w[j]
-    return 1.0 - norm2
+    return 1.0 - jets.YForms(rows)(w)[0]
 
 
 @dataclass
@@ -129,16 +119,12 @@ def _beta_low(point):
 
 def _navigation_stage(point):
     """F(x, .) = (sqrt(lam h^2 + W_0^2) - W_0)/lam from a `_navigation_point`
-    at x; W_0 sums (h_ij W^j) y^i in that order."""
+    at x; W_0 sums (h_ij W^j) y^i in that order (`jets.YForms`)."""
     rows, _, lam, hw = point
-    n = len(rows)
+    forms = jets.YForms(rows, hw)
 
     def F(y):
-        h2 = w0 = 0.0
-        for i in range(n):
-            for j in range(n):
-                h2 = h2 + rows[i][j] * y[i] * y[j]
-                w0 = w0 + hw[i][j] * y[i]
+        h2, w0 = forms(y)
         return (jets.sqrt(lam * h2 + w0 * w0) - w0) / lam
 
     return F
@@ -193,14 +179,10 @@ def finsler_from_randers(rd: RandersData) -> FinslerMetric:
     def at(x):
         rows, b = rd.alpha.matrix(x), rd.beta.components(x)
         _randers_point(rows, b, "||beta||_alpha >= 1 at evaluated point")
+        forms = jets.YForms(rows, [[v] for v in b])
 
         def F(y):
-            quad = 0.0
-            lin = 0.0
-            for i in range(n):
-                lin = lin + b[i] * y[i]
-                for j in range(n):
-                    quad = quad + rows[i][j] * y[i] * y[j]
+            quad, lin = forms(y)
             return jets.sqrt(quad) + lin
 
         return F
@@ -556,12 +538,7 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint, F: float
         point = _navigation_point(nav, xs)
         rows, w = point[0], point[1]
         Fv = _navigation_stage(point)(ys)
-        xi = [ys[i] - Fv * w[i] for i in range(n)]
-        out = 0.0
-        for i in range(n):
-            for j in range(n):
-                out = out + rows[i][j] * xi[i] * xi[j]
-        return out
+        return jets.YForms(rows)([ys[i] - Fv * w[i] for i in range(n)])[0]
 
     lhs = lie_scalar(phi, v, p)
 

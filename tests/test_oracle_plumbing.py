@@ -136,7 +136,7 @@ def test_random_fields_equal_the_scalar_fields(dim):
         _assert_same(f(x), _scalar_poly2(f_ref, x))
 
 
-@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("dim", (2, 3, 4))
 def test_calibration_over_the_grid_equals_the_per_point_loop(dim):
     for seed in range(3):
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
