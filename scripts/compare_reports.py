@@ -37,8 +37,11 @@ INVOCATIONS = (
              "--seed", "3") for name in ("gaussian", "gaussian-riemannian", "cigar",
                                           "shrinking"))
     + (("verify", "--fixture", "expanding", "--diff-mode", "fd", "--samples", "3",
-        "--seed", "3"),)
+        "--seed", "3"),
+       ("verify", "--fixture", "cigar", "--diff-mode", "fd", "--samples", "2",
+        "--perturb", "f:1e-2"))
     + tuple(("crosscheck", "--suite", name) for name in SUITES)
+    + (("crosscheck", "--suite", "jets-vs-fd", "--count", "5", "--seed", "11"),)
 )
 
 

@@ -95,13 +95,19 @@ def _render(report, fmt) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report, fmt, output):
+def _emit(report, fmt, output) -> int:
+    """Write the report; its exit code, or EXIT_USAGE if `output` is unwritable."""
     text = _render(report, fmt)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
+    if not output:
         sys.stdout.write(text)
+    else:
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write report to {output!r}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
+    return EXIT_PASS if report["passed"] else EXIT_FAIL
 
 
 def _cmd_verify(args) -> int:
@@ -139,8 +145,7 @@ def _cmd_verify(args) -> int:
         "checks": [r.to_dict() for r in checks],
         "passed": all_passed(checks),
     }
-    _emit(report, args.format, args.output)
-    return EXIT_PASS if report["passed"] else EXIT_FAIL
+    return _emit(report, args.format, args.output)
 
 
 def _cmd_crosscheck(args) -> int:
@@ -166,8 +171,7 @@ def _cmd_crosscheck(args) -> int:
         "checks": [r.to_dict() for r in checks],
         "passed": all_passed(checks),
     }
-    _emit(report, args.format, args.output)
-    return EXIT_PASS if report["passed"] else EXIT_FAIL
+    return _emit(report, args.format, args.output)
 
 
 def _cmd_list(args) -> int:

@@ -12,7 +12,15 @@ together.  Its x-only work is a `BasePoint`: the metric's stage at x and
 the log-density table, built once per sample point (`base_point`, or a
 fixture's `solitons.sample_point`) and shared by every direction evaluated
 there.  The single-quantity functions (`ricci`, `s_dot`, `weighted_ricci`,
-`flag_curvature_fit`) read the same evaluation in jet mode.
+`flag_curvature_fit`) read the same evaluation.
+
+`evaluate_flag` is also the one place a flag evaluation chooses jet or
+finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are
+written there once for both.  The fd oracle differentiates G (the fd bundle)
+and the order-3 S by Richardson central differences.  Both stencils read one
+memo of stages (`_memo`), one per distinct stencil x and seeded with the
+base point's at p.x, so an fd flag on a passed base point builds 8n stages
+and 4n log-density tables.
 
 Curvature comes exclusively from the spray,
 
@@ -49,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jets, riemann
-from .jets import FlagPoint, Jet, fd_derivative, fd_estimate, scalar_value
+from .jets import FlagPoint, Jet, fd_estimate, scalar_value
 from .riemann import RiemannMetric, VectorField, as_scalar_field
 
 
@@ -299,23 +307,23 @@ def _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy):
 
 
 def curvature_bundle(metric: FinslerMetric, p: FlagPoint, mode: str = "jet",
-                     stage=None) -> CurvatureBundle:
+                     stage_at=None) -> CurvatureBundle:
     """Spray, curvature operator and Ricci at one flag.
 
-    mode="jet" assembles everything from one fourth-order expansion of F^2,
-    from `stage`, the metric's stage at p.x (a `BasePoint`'s), or one built
-    here; mode="fd" recomputes the outer spray derivatives by Richardson
-    central differences of the pointwise spray map, as an independent
-    cross-check.
+    `stage_at(x)` is the metric's stage at x (an `_memo` of `_stage`; by
+    default one built here), read at p.x and, in fd mode, at every stencil x.
+    mode="jet" assembles everything from one fourth-order expansion of F^2;
+    mode="fd" recomputes the outer spray derivatives by Richardson central
+    differences of the pointwise spray, as an independent cross-check.
     """
+    if stage_at is None:
+        stage_at = _memo(lambda x: _stage(metric, x, 4))
     if mode == "fd":
-        return _curvature_bundle_fd(metric, p)
+        return _curvature_bundle_fd(metric, p, stage_at)
     if mode != "jet":
         raise ParameterError(f"unknown differentiation mode {mode!r}")
-    if stage is None:
-        stage = _stage(metric, p.x, 4)
     x, y = p.x, p.y
-    T = _f2_tables(stage, y, order=4)
+    T = _f2_tables(stage_at(x), y, order=4)
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
     return CurvatureBundle(x=np.asarray(x, float), y=np.asarray(y, float),
@@ -328,16 +336,36 @@ def curvature_bundle(metric: FinslerMetric, p: FlagPoint, mode: str = "jet",
 
 # -- finite-difference cross-check path --------------------------------------
 
+# Richardson steps of the fd path, times max(1, |z|): the first derivatives
+# of G and of S, and the second derivatives of G.  The first-derivative
+# stencils of G and S step x alike, so they share their stencil x.
+FD_STEP1, FD_STEP2 = 1e-5, 3e-4
 
-def _pointwise_spray(metric: FinslerMetric):
-    n = metric.dim
 
-    def G_fn(z):
-        T = _f2_tables(_stage(metric, z[:n], 2), z[n:], order=2)
-        D = _spray_derivatives(T, np.asarray(z[n:], float), order=2)
-        return D["G"]
+def _memo(build, *seeds):
+    """x -> build(x), built once per distinct x (by its float64 bytes) and
+    seeded with the (x, value) pairs `seeds`."""
+    table = {np.asarray(x, float).tobytes(): v for x, v in seeds}
 
-    return G_fn
+    def at(x):
+        x = np.asarray(x, float)
+        key = x.tobytes()
+        if key not in table:
+            table[key] = build(x)
+        return table[key]
+
+    return at
+
+
+def _fd_table(f, z0, *axes, step):
+    """(values, error estimates) of d f / dz_t1 .. dz_tk at z0 for each index
+    tuple (t1, .., tk) of the axes' product, by `fd_estimate` at `step` times
+    max(1, |z0|), shaped [t1, .., tk] followed by the shape of f's value."""
+    h = step * max(1.0, float(np.max(np.abs(z0))))
+    est = [fd_estimate(f, z0, tuple(t.count(v) for v in range(z0.size)), step=h)
+           for t in itertools.product(*axes)]
+    shape = tuple(len(a) for a in axes) + np.shape(est[0][0])
+    return tuple(np.array([e[k] for e in est]).reshape(shape) for k in (0, 1))
 
 
 def _riemann_error(y, G, dG_dy, errors):
@@ -352,50 +380,34 @@ def _riemann_error(y, G, dG_dy, errors):
             + np.einsum("ji,kj->ik", e_dy, d_dy) + np.einsum("ji,kj->ik", d_dy, e_dy))
 
 
-def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint,
-                         step1: float = 1e-5, step2: float = 3e-4) -> CurvatureBundle:
-    """The finite-difference bundle: the spray derivatives are Richardson
-    central differences of the pointwise spray, all components of G at
-    once, and G is computed once per distinct stencil point (a point's
-    spray depends on its coordinates alone).  `r_error` is the Frobenius
-    norm of `_riemann_error` on the derivatives' `fd_estimate` errors."""
+def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint, stage_at) -> CurvatureBundle:
+    """The finite-difference bundle: G and g from the order-2 expansion at p,
+    the spray derivatives Richardson central differences of the pointwise
+    spray, all components at once, with G once per distinct stencil point.
+    `r_error` is the Frobenius norm of `_riemann_error` on the derivatives'
+    `fd_estimate` errors."""
     n = metric.dim
     x, y = np.asarray(p.x, float), np.asarray(p.y, float)
     z0 = np.concatenate([x, y])
-    scale = max(1.0, float(np.max(np.abs(z0))))
-    G_fn = _pointwise_spray(metric)
-    sprays = {}                 # stencil point (its float64 bytes) -> G there
+    T = _f2_tables(stage_at(x), y, order=2)
+    D = _spray_derivatives(T, y, order=2)
+    G = D["G"]
 
-    def G_at(*z):
-        z = np.asarray(z, float)
-        key = z.tobytes()
-        if key not in sprays:
-            sprays[key] = G_fn(z)
-        return sprays[key]
+    def spray_at(z):
+        return _spray_derivatives(_f2_tables(stage_at(z[:n]), z[n:], order=2),
+                                  z[n:], order=2)["G"]
 
-    T = _f2_tables(_stage(metric, x, 2), y, order=2)
-    g, ginv = _fundamental(T)
-    G = G_at(*z0)
-
-    def table(*axes, step):
-        """(values, error estimates) of d G / dz_t1 .. dz_tk for each index
-        tuple (t1, .., tk) of the axes' product, shaped [t1, .., tk, i]."""
-        est = []
-        for t in itertools.product(*axes):
-            multi = tuple(t.count(v) for v in range(2 * n))
-            est.append(fd_estimate(G_at, z0, multi, step=step * scale))
-        shape = tuple(len(a) for a in axes) + (n,)
-        return tuple(np.array([e[k] for e in est]).reshape(shape) for k in (0, 1))
-
+    G_at = _memo(spray_at, (z0, G))
+    G_fn = lambda *z: G_at(z)
     xs, ys = range(n), range(n, 2 * n)
-    dG_dx, e_dx = table(xs, step=step1)
-    dG_dy, e_dy = table(ys, step=step1)
-    d2G_dxdy, e_dxdy = table(xs, ys, step=step2)
-    d2G_dydy, e_dydy = table(ys, ys, step=step2)
+    dG_dx, e_dx = _fd_table(G_fn, z0, xs, step=FD_STEP1)
+    dG_dy, e_dy = _fd_table(G_fn, z0, ys, step=FD_STEP1)
+    d2G_dxdy, e_dxdy = _fd_table(G_fn, z0, xs, ys, step=FD_STEP2)
+    d2G_dydy, e_dydy = _fd_table(G_fn, z0, ys, ys, step=FD_STEP2)
 
     R = _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy)
     r_error = float(np.linalg.norm(_riemann_error(y, G, dG_dy, (e_dx, e_dy, e_dxdy, e_dydy))))
-    return CurvatureBundle(x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=g, ginv=ginv,
+    return CurvatureBundle(x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=D["g"], ginv=D["ginv"],
                            cartan=None, spray=G,
                            dG_dx=dG_dx, dG_dy=dG_dy, d2G_dxdy=d2G_dxdy,
                            d2G_dydy=d2G_dydy, riemann=R, ricci=float(np.trace(R)),
@@ -421,12 +433,12 @@ def spray(metric: FinslerMetric, p: FlagPoint) -> np.ndarray:
     return _spray_derivatives(T, p.y, order=2)["G"]
 
 
-def riemann_curvature(metric: FinslerMetric, p: FlagPoint, mode="jet") -> np.ndarray:
-    return curvature_bundle(metric, p, mode=mode).riemann
+def riemann_curvature(metric: FinslerMetric, p: FlagPoint) -> np.ndarray:
+    return curvature_bundle(metric, p).riemann
 
 
-def ricci(metric: FinslerMetric, p: FlagPoint, mode="jet") -> float:
-    return curvature_bundle(metric, p, mode=mode).ricci
+def ricci(metric: FinslerMetric, p: FlagPoint) -> float:
+    return curvature_bundle(metric, p).ricci
 
 
 def distortion(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
@@ -447,61 +459,34 @@ def _s_value(dG_dy, y, logs) -> float:
     return float(np.trace(dG_dy) - np.dot(y, logs[1]))
 
 
-def _s_order3(base: BasePoint, y) -> float:
-    """S alone at (base.x, y), from a third-order expansion of F^2."""
+def _s_order3(stage, logs, y) -> float:
+    """S alone at (x, y) from the stage and log-density table at x, by a
+    third-order expansion of F^2."""
     y = np.asarray(y, float)
-    T = _f2_tables(base.stage, y, order=3)
+    T = _f2_tables(stage, y, order=3)
     D = _spray_derivatives(T, y, order=3)
-    return _s_value(D["dG_dy"], y, base.logs)
+    return _s_value(D["dG_dy"], y, logs)
 
 
 def s_curvature(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
     """S(x, y) = dG^i/dy^i - y^i d_i log sigma."""
-    return _s_order3(base_point(metric, measure, p.x), p.y)
+    base = base_point(metric, measure, p.x)
+    return _s_order3(base.stage, base.logs, p.y)
 
 
-def s_dot(metric: FinslerMetric, measure: Measure, p: FlagPoint, mode="jet") -> float:
+def s_dot(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
     """Rate of change of S along the geodesic flow: y.dS/dx - 2G.dS/dy."""
-    if mode == "fd":
-        return _s_dot_fd(metric, measure, p)
     return evaluate_flag(metric, measure, p).s_dot
 
 
-def _s_dot_fd(metric: FinslerMetric, measure: Measure, p: FlagPoint,
-              step: float = 1e-5) -> float:
-    """S-dot from central differences of S; the stencil points that share an
-    x (all those along y) share its base point."""
-    n = metric.dim
-    z0 = np.concatenate([np.asarray(p.x, float), np.asarray(p.y, float)])
-    scale = max(1.0, float(np.max(np.abs(z0))))
-    bases = {}                  # stencil x (its float64 bytes) -> base point there
-
-    def S_fn(*z):
-        x = np.asarray(z[:n], float)
-        key = x.tobytes()
-        if key not in bases:
-            bases[key] = base_point(metric, measure, x)
-        return _s_order3(bases[key], z[n:])
-
-    G = spray(metric, p)
-    dS = np.array([fd_derivative(S_fn, z0, tuple(1 if i == k else 0 for i in range(2 * n)),
-                                 step=step * scale) for k in range(2 * n)])
-    return float(np.dot(p.y, dS[:n]) - 2.0 * np.dot(G, dS[n:]))
-
-
 def weighted_ricci(metric: FinslerMetric, measure: Measure, p: FlagPoint,
-                   N: float = math.inf, mode="jet") -> float:
+                   N: float = math.inf) -> float:
     """Ric_N = Ric + S-dot - S^2/(N - n); Ric_inf drops the last term."""
     n = metric.dim
     if N <= n:
         raise ParameterError(f"effective dimension N must exceed n = {n}")
-    if mode == "jet":
-        ev = evaluate_flag(metric, measure, p)
-        ric_inf, S = ev.ric_inf, ev.S
-    else:
-        ric_inf = ricci(metric, p, mode=mode) + s_dot(metric, measure, p, mode=mode)
-        S = s_curvature(metric, measure, p) if math.isfinite(N) else 0.0
-    return ric_inf if math.isinf(N) else ric_inf - S * S / (N - n)
+    ev = evaluate_flag(metric, measure, p)
+    return ev.ric_inf if math.isinf(N) else ev.ric_inf - ev.S * ev.S / (N - n)
 
 
 def lie_scalar(fn2n, v: VectorField, p: FlagPoint) -> float:
@@ -554,9 +539,9 @@ def _flag_curvature(b: CurvatureBundle) -> FlagCurvature:
     return FlagCurvature(K, residual, False)
 
 
-def flag_curvature_fit(metric: FinslerMetric, p: FlagPoint, mode="jet") -> FlagCurvature:
+def flag_curvature_fit(metric: FinslerMetric, p: FlagPoint) -> FlagCurvature:
     """Scalar flag-curvature fit at one flag (see `_flag_curvature`)."""
-    return _flag_curvature(curvature_bundle(metric, p, mode=mode))
+    return _flag_curvature(curvature_bundle(metric, p))
 
 
 # -- one evaluation per flag ------------------------------------------------------
@@ -581,7 +566,8 @@ def base_point(metric: FinslerMetric, measure: Measure, x) -> BasePoint:
 
 @dataclass(frozen=True)
 class FlagEvaluation:
-    """Every per-flag quantity of the soliton laws, from one order-4 expansion."""
+    """Every per-flag quantity of the soliton laws: in jet mode from one
+    order-4 expansion, in fd mode from the fd bundle and the fd S."""
 
     bundle: CurvatureBundle
     S: float
@@ -593,8 +579,13 @@ class FlagEvaluation:
 
 
 def evaluate_flag(metric: FinslerMetric, measure: Measure, p: FlagPoint,
-                  base: BasePoint | None = None) -> FlagEvaluation:
+                  base: BasePoint | None = None, mode: str = "jet") -> FlagEvaluation:
     """Bundle, S, its derivatives, S-dot, Ric_inf and the K-fit at one flag.
+
+    mode="jet" reads them all off one order-4 expansion of F^2.  mode="fd"
+    takes the fd bundle, S from an order-3 expansion, and dS by central
+    differences of that S; every x the two fd stencils visit is staged once,
+    and tabled once where S reads its density (see the module notes).
 
     `base` is `base_point(metric, measure, p.x)`; it depends on x only, so
     callers evaluating several flags at one point build it once and pass it
@@ -604,12 +595,20 @@ def evaluate_flag(metric: FinslerMetric, measure: Measure, p: FlagPoint,
         base = base_point(metric, measure, p.x)
     elif not np.array_equal(base.x, p.x):
         raise ValueError("base point and flag are at different x")
-    b = curvature_bundle(metric, p, stage=base.stage)
-    logs = base.logs
+    stage_at = _memo(lambda x: _stage(metric, x, 4), (p.x, base.stage))
+    b = curvature_bundle(metric, p, mode, stage_at)
     y = b.y
-    S = _s_value(b.dG_dy, y, logs)
-    dS_dx = np.einsum("kii->k", b.d2G_dxdy) - np.einsum("i,ki->k", y, logs[2])
-    dS_dy = np.einsum("kii->k", b.d2G_dydy) - logs[1]
+    if mode == "jet":
+        S = _s_value(b.dG_dy, y, base.logs)
+        dS_dx = np.einsum("kii->k", b.d2G_dxdy) - np.einsum("i,ki->k", y, base.logs[2])
+        dS_dy = np.einsum("kii->k", b.d2G_dydy) - base.logs[1]
+    else:
+        n = metric.dim
+        logs_at = _memo(lambda x: measure.log_density_table(x, order=2), (p.x, base.logs))
+        S = _s_order3(base.stage, base.logs, y)
+        dS = _fd_table(lambda *z: _s_order3(stage_at(z[:n]), logs_at(z[:n]), z[n:]),
+                       np.concatenate([b.x, y]), range(2 * n), step=FD_STEP1)[0]
+        dS_dx, dS_dy = dS[:n], dS[n:]
     sdot = float(np.dot(y, dS_dx) - 2.0 * np.dot(b.spray, dS_dy))
     return FlagEvaluation(bundle=b, S=S, dS_dx=dS_dx, dS_dy=dS_dy, s_dot=sdot,
                           ric_inf=b.ricci + sdot, flag_curvature=_flag_curvature(b))

@@ -173,7 +173,7 @@ class RiemannMetric:
         return m
 
     def tables(self, x, order=2):
-        return matrix_table(self._fn, x, self.dim, order)
+        return matrix_table(self._fn, x, order)
 
     def sqrt_det(self, x):
         """sqrt(det h) at x, usable on Jets (the Riemannian volume density)."""
@@ -227,7 +227,7 @@ def vector_table(fn, x, order=1):
     return vector_gather(*_jet_pass(fn, x, order))
 
 
-def matrix_table(fn, x, n, order=2):
+def matrix_table(fn, x, order=2):
     """`matrix_gather` of one jet pass of fn (n x n rows) at x."""
     return matrix_gather(*_jet_pass(fn, x, order))
 

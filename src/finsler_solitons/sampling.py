@@ -14,6 +14,7 @@ import numpy as np
 from .jets import EvaluationError, FlagPoint
 
 MIN_F = 1e-6
+MAX_TRIES = 50          # draws per requested flag before sampling gives up
 
 
 def unit_direction(rng, dim) -> np.ndarray:
@@ -32,11 +33,11 @@ class SampledFlag(FlagPoint):
     F: float
 
 
-def sample_flags(fixture, count, rng, max_tries=50) -> list[SampledFlag]:
+def sample_flags(fixture, count, rng) -> list[SampledFlag]:
     flags = []
     tries = 0
     while len(flags) < count:
-        if tries > max_tries * count:
+        if tries > MAX_TRIES * count:
             raise RuntimeError(f"flag sampling failed on fixture {fixture.name!r}")
         tries += 1
         x = fixture.sample_x(rng)

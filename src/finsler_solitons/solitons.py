@@ -66,10 +66,10 @@ def almost_soliton_residual(metric: FinslerMetric, v: VectorField, kappa,
 
 
 def gradient_soliton_residual(metric: FinslerMetric, measure: Measure, kappa,
-                              p: FlagPoint, mode="jet") -> float:
-    """(Ric_inf - kappa F^2) / F^2 at one flag (jet mode: one `evaluate_flag`)."""
+                              p: FlagPoint) -> float:
+    """(Ric_inf - kappa F^2) / F^2 at one flag (one `evaluate_flag`)."""
     kappa = as_scalar_field(kappa)
-    ric_inf = finsler.weighted_ricci(metric, measure, p, N=math.inf, mode=mode)
+    ric_inf = finsler.weighted_ricci(metric, measure, p)
     F2 = metric.value(p.x, p.y) ** 2
     kap = float(riemann.scalar_value(kappa(list(p.x))))
     return (ric_inf - kap * F2) / F2

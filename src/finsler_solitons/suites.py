@@ -8,12 +8,13 @@ other on random seeded data: closed-form vs spray Ricci, jet vs finite
 difference, Christoffel vs spray, both sides of the Lie-derivative and
 curvature-transfer identities, and the navigation algebra.
 
-Each fixture flag is evaluated once (`finsler.evaluate_flag`): one
-fourth-order expansion of F^2 (one finite-difference bundle in fd mode)
-feeds the Ricci law, infinity-Ricci and flag curvature rows.  Each sample
-flag's x-only work runs once, in its `solitons.SamplePoint`: the flag rows
-and the kappa fit (on the first flags) read its base point, and the
-bundles and the sigma fit the bundle data of the first (at most 32) flags.
+Each fixture flag is evaluated once (`finsler.evaluate_flag`, which picks
+the jet or fd differentiation mode): one fourth-order expansion of F^2 (one
+finite-difference bundle and S-dot in fd mode) feeds the Ricci law,
+infinity-Ricci and flag curvature rows.  Each sample flag's x-only work runs
+once, in its `solitons.SamplePoint`: the flag rows and the kappa fit (on the
+first flags) read its base point, and the bundles and the sigma fit the
+bundle data of the first (at most 32) flags.
 """
 
 from __future__ import annotations
@@ -36,21 +37,15 @@ FD_FLAT = "fd-flat"     # row key: R is flat within the fd bundle's error estima
 def _flag_rows(fixture, flags, mode):
     """Pointwise law residuals at each flag (a `solitons.SamplePoint` of a
     `sampling.SampledFlag`, whose F normalises): one row dict per flag, read
-    off one curvature bundle: in jet mode the one `finsler.evaluate_flag` on
-    the flag's base point, in fd mode one finite-difference bundle plus the
-    finite-difference S-dot.  A flag whose fd R is flat only within the
-    bundle's error estimate also carries the key `FD_FLAT`."""
+    off the one `finsler.evaluate_flag` in `mode` on the flag's base point.
+    A flag whose fd R is flat only within the bundle's error estimate also
+    carries the key `FD_FLAT`."""
     out = []
     for sp in flags:
         p, row = sp.p, {}
         F2 = p.F ** 2
-        if mode == "jet":
-            ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p, base=sp.base)
-            ric, ric_inf, fit = ev.bundle.ricci, ev.ric_inf, ev.flag_curvature
-        else:
-            b = finsler.curvature_bundle(fixture.metric, p, mode=mode)
-            ric, fit = b.ricci, finsler._flag_curvature(b)
-            ric_inf = ric + finsler.s_dot(fixture.metric, fixture.measure, p, mode=mode)
+        ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p, base=sp.base, mode=mode)
+        ric, ric_inf, fit = ev.bundle.ricci, ev.ric_inf, ev.flag_curvature
         kap = float(riemann.scalar_value(fixture.kappa(list(p.x))))
         row["infinity-ricci"] = (ric_inf - kap * F2) / F2
         if fixture.ricci_law is not None:
@@ -137,10 +132,11 @@ BUNDLES = {
 # -- crosscheck suites ----------------------------------------------------------------
 
 
-def crosscheck_randers_ricci(count=100, seed=7, tol=1e-8, flags_per=16, dim=3):
+def crosscheck_randers_ricci(count=100, seed=7, tol=1e-8):
     """Closed-form Randers Ricci against the generic spray-trace Ricci."""
     rng = np.random.default_rng(seed)
     rel = []
+    flags_per, dim = 16, 3
     for _ in range(count):
         rd = generators.random_randers(rng, dim)
         metric = randers.finsler_from_randers(rd)
@@ -190,15 +186,16 @@ def crosscheck_lie_identities(count=200, seed=7, tol=1e-9):
             report_from_values("navigation-h2-lift", lifted, tol)]
 
 
-def crosscheck_navigation(count=1000, seed=7, tol=1e-10, points_per_metric=20):
+def crosscheck_navigation(count=1000, seed=7, tol=1e-10):
     """Navigation algebra at `count` random sample flags: round trips and
 
         h^2 - 2 F W_0 = lam F^2      and      h(x, y - F W) = F(x, y),
 
-    with a fresh random metric every `points_per_metric` samples, alternating
-    between Randers-first and navigation-first round trips.
+    with a fresh random metric every 20 samples, alternating between
+    Randers-first and navigation-first round trips.
     """
     rng = np.random.default_rng(seed)
+    points_per_metric = 20
     roundtrip, norm_identity, transfer = [], [], []
     taken = 0
     block = 0
@@ -261,9 +258,8 @@ def crosscheck_jets_vs_fd(count=50, seed=7, tol=1e-4):
     """Jet-mode curvature pipeline against the finite-difference mode, plus
     plain jet partials against fd_derivative on transcendental compositions.
 
-    Each pipeline flag makes one `finsler.evaluate_flag` (jet Ric, S-dot and
-    Ric_inf) and one finite-difference bundle and S-dot; the fd Ric_inf is
-    their sum, as `weighted_ricci(mode="fd")` computes it."""
+    Each pipeline flag makes one `finsler.evaluate_flag` per mode (Ric,
+    S-dot and Ric_inf), both on one base point."""
     rng = np.random.default_rng(seed)
     plain = []
     from . import jets as J
@@ -299,15 +295,13 @@ def crosscheck_jets_vs_fd(count=50, seed=7, tol=1e-4):
                 generators.random_scalar_field(rng, dim))
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
         F2 = metric.value(p.x, p.y) ** 2
-        # one evaluation per side: Ric, S-dot and Ric_inf = Ric + S-dot
-        ev = finsler.evaluate_flag(metric, measure, p)
-        r_j, s_j, w_j = ev.bundle.ricci, ev.s_dot, ev.ric_inf
-        r_f = finsler.curvature_bundle(metric, p, mode="fd").ricci
-        s_f = finsler.s_dot(metric, measure, p, mode="fd")
-        w_f = r_f + s_f
-        pipe_ric.append((r_j - r_f) / max(abs(r_j), F2))
-        pipe_sdot.append((s_j - s_f) / max(abs(s_j), F2))
-        pipe_winf.append((w_j - w_f) / max(abs(w_j), F2))
+        base = finsler.base_point(metric, measure, p.x)
+        jet = finsler.evaluate_flag(metric, measure, p, base=base)
+        fd = finsler.evaluate_flag(metric, measure, p, base=base, mode="fd")
+        for rows, j, f in ((pipe_ric, jet.bundle.ricci, fd.bundle.ricci),
+                           (pipe_sdot, jet.s_dot, fd.s_dot),
+                           (pipe_winf, jet.ric_inf, fd.ric_inf)):
+            rows.append((j - f) / max(abs(j), F2))
     return [report_from_values("plain-derivatives", plain, tol),
             report_from_values("pipeline-ricci", pipe_ric, tol),
             report_from_values("pipeline-s-dot", pipe_sdot, tol),

@@ -145,6 +145,19 @@ def test_evaluation_error_exit_three(capsys):
     assert "evaluation error" in capsys.readouterr().err
 
 
+def test_unwritable_output_exit_two(tmp_path, capsys):
+    # the suite runs, but its report cannot be written: a usage error, not a
+    # failed check, with one line on stderr and no traceback
+    out = tmp_path / "no-such-dir" / "r.json"
+    for argv in (["verify", "--fixture", "gaussian", "--samples", "1"],
+                 ["crosscheck", "--suite", "riemann-reduction", "--count", "2"]):
+        assert run_cli(*argv, "--output", str(out)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "cannot write report" in captured.err
+        assert not out.exists()
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-c",
                            "from finsler_solitons.cli import main; import sys; "

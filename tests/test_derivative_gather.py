@@ -127,7 +127,7 @@ def test_tables_equal_the_per_entry_partials(key, inputs):
     for x in points:
         for order in (1, 2):
             for name, h in matrices.items():
-                _assert_same(riemann.matrix_table(h.matrix, x, n, order),
+                _assert_same(riemann.matrix_table(h.matrix, x, order),
                              _ref_matrix_table(h.matrix, x, n, order), (name, order))
             for name, v in vectors.items():
                 _assert_same(riemann.vector_table(v.components, x, order),
@@ -143,7 +143,7 @@ def test_float_entries_give_positive_zero_derivatives():
     # the cigar's h has the constant entries 1.0 and 0.0, its W is [0.0, 1.0]
     fx = fixtures.get_fixture("cigar")
     x = [1.0, 0.3]
-    h0, dh, d2h = riemann.matrix_table(fx.nav.h.matrix, x, 2, order=2)
+    h0, dh, d2h = riemann.matrix_table(fx.nav.h.matrix, x, order=2)
     for d in (dh, d2h):
         for i, j in ((0, 0), (0, 1), (1, 0)):
             entry = d[..., i, j]

@@ -210,28 +210,47 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
     for p in flags:
         F2 = fx.metric.value(p.x, p.y) ** 2
         kap = float(fx.kappa(list(p.x)))
-        row = {"infinity-ricci": (finsler.weighted_ricci(fx.metric, fx.measure, p, mode="fd")
+        row = {"infinity-ricci": (finsler.evaluate_flag(fx.metric, fx.measure, p,
+                                                        mode="fd").ric_inf
                                   - kap * F2) / F2}
         if fx.ricci_law is not None:
-            row["ricci-law"] = (finsler.ricci(fx.metric, p, mode="fd") / F2
+            row["ricci-law"] = (finsler.curvature_bundle(fx.metric, p, mode="fd").ricci / F2
                                 - float(fx.ricci_law(p.x)))
         if fx.flag_curvature_law is not None:
-            fit = finsler.flag_curvature_fit(fx.metric, p, mode="fd")
+            fit = finsler._flag_curvature(finsler.curvature_bundle(fx.metric, p, mode="fd"))
             row["flag-curvature-law"] = fit.value - float(fx.flag_curvature_law(p.x))
             row["flag-curvature-misfit"] = fit.residual
         expected.append(row)
 
     calls = []
-    bundle_fd = finsler._curvature_bundle_fd
+    bundle = finsler.curvature_bundle
 
-    def count_fd(metric, p):
-        calls.append(p)
-        return bundle_fd(metric, p)
+    def count_bundle(metric, p, mode="jet", stage_at=None):
+        calls.append(mode)
+        return bundle(metric, p, mode, stage_at)
 
-    monkeypatch.setattr(finsler, "_curvature_bundle_fd", count_fd)
+    monkeypatch.setattr(finsler, "curvature_bundle", count_bundle)
     rows = suites._flag_rows(fx, _points(fx, flags), "fd")
-    assert len(calls) == len(flags)
+    assert calls == ["fd"] * len(flags)
     assert rows == expected
+
+
+@pytest.mark.parametrize("name", ["cigar", "shrinking"])
+def test_fd_flag_on_its_sample_point_stages_each_stencil_x_once(name, monkeypatch):
+    # The spray stencil steps x by 4n points at each of its two step sizes,
+    # the S stencil by the 4n of the first; both read one stage per x, and
+    # the sample point's base at p.x.
+    fx = fixtures.get_fixture(name)
+    n = fx.dim
+    p = _flags(fx, count=1)[0]
+    sp = _points(fx, [p])[0]
+    counter = _Counter(monkeypatch)
+    finsler.evaluate_flag(fx.metric, fx.measure, p, base=sp.base, mode="fd")
+    assert counter.stages == 8 * n
+    assert counter.density_tables == 4 * n
+    # order 2: the flag and the other spray stencil points; order 3: S at the
+    # flag and its stencil points
+    assert collections.Counter(counter.orders) == {2: 1 + 8 * n + 12 * n * n, 3: 1 + 8 * n}
 
 
 def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monkeypatch):

@@ -367,8 +367,8 @@ def test_fd_mode_matches_jet_mode():
     rd = generators.random_randers(RNG, 2)
     F = randers.finsler_from_randers(rd)
     p = euclid_flag(2)
-    r_jet = ricci(F, p, mode="jet")
-    r_fd = ricci(F, p, mode="fd")
+    r_jet = curvature_bundle(F, p, mode="jet").ricci
+    r_fd = curvature_bundle(F, p, mode="fd").ricci
     F2 = F.value(p.x, p.y) ** 2
     assert abs(r_jet - r_fd) / max(abs(r_jet), F2) <= 1e-5
 

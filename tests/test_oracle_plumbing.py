@@ -6,17 +6,21 @@ replaced, bit for bit:
   `random_randers` / `random_navigation` against the per-point loop;
 * the finite-difference bundle, which computes the spray once per distinct
   stencil point for all components, against the per-component path;
+* the fd `evaluate_flag`, whose two stencils share one stage per distinct
+  stencil x, against the fd bundle and fd S-dot as separate oracles with a
+  stage per stencil point;
 * `crosscheck_jets_vs_fd`, which makes one evaluation per flag on each side;
 * the fd flat test (`r_error`) and the sampled F that `_flag_rows` reads.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from finsler_solitons import finsler, fixtures, generators, jets, randers, suites
+from finsler_solitons import finsler, fixtures, generators, jets, randers, solitons, suites
 from finsler_solitons.jets import FlagPoint, Jet, fd_derivative
 from finsler_solitons.sampling import sample_flags, unit_direction
 
@@ -158,6 +162,14 @@ def test_calibration_over_the_grid_equals_the_per_point_loop(dim):
 # -- the finite-difference bundle ---------------------------------------------------------
 
 
+def _pointwise_spray(metric, z):
+    """G at the point z = (x, y), from a stage of the metric at x of its own."""
+    n = metric.dim
+    y = np.asarray(z[n:], float)
+    T = finsler._f2_tables(finsler._stage(metric, z[:n], 2), y, order=2)
+    return finsler._spray_derivatives(T, y, order=2)["G"]
+
+
 def _per_component_bundle(metric, p, step1=1e-5, step2=3e-4):
     """The fd spray derivatives one component at a time, each stencil point's
     spray recomputed for each; returns the arrays and the points visited."""
@@ -165,12 +177,11 @@ def _per_component_bundle(metric, p, step1=1e-5, step2=3e-4):
     x, y = np.asarray(p.x, float), np.asarray(p.y, float)
     z0 = np.concatenate([x, y])
     scale = max(1.0, float(np.max(np.abs(z0))))
-    spray = finsler._pointwise_spray(metric)
     visited = []
 
     def G_fn(z):
         visited.append(np.asarray(z, float).tobytes())
-        return spray(z)
+        return _pointwise_spray(metric, z)
 
     G = G_fn(z0)
 
@@ -211,21 +222,25 @@ def test_fd_estimate_bounds_the_richardson_error_and_works_entrywise():
 
 
 def _recording_sprays(monkeypatch):
-    """Record the stencil point of every pointwise spray computed from now on."""
-    calls = []
-    make = finsler._pointwise_spray
+    """Record, from now on, the x of every stage built and the point (x, y)
+    of every order-2 expansion of F^2 (a spray at that point)."""
+    sprays, stages, at = [], [], {}
+    stage, tables = finsler._stage, finsler._f2_tables
 
-    def recording(metric):
-        G_fn = make(metric)
+    def recording_stage(metric, x, order):
+        out = stage(metric, x, order)
+        at[id(out)] = np.asarray(x, float).tobytes()
+        stages.append(at[id(out)])
+        return out
 
-        def G(z):
-            calls.append(np.asarray(z, float).tobytes())
-            return G_fn(z)
+    def recording_tables(st, y, order):
+        if order == 2:
+            sprays.append(at[id(st)] + np.asarray(y, float).tobytes())
+        return tables(st, y, order)
 
-        return G
-
-    monkeypatch.setattr(finsler, "_pointwise_spray", recording)
-    return calls
+    monkeypatch.setattr(finsler, "_stage", recording_stage)
+    monkeypatch.setattr(finsler, "_f2_tables", recording_tables)
+    return sprays, stages
 
 
 @pytest.mark.parametrize("name,count", [("gaussian", 2), ("cigar", 2), ("shrinking", 1)])
@@ -233,14 +248,18 @@ def test_fd_bundle_computes_one_spray_per_distinct_stencil_point(name, count, mo
     fx = fixtures.get_fixture(name)
     flags = sample_flags(fx, count, np.random.default_rng(11))
     refs = [_per_component_bundle(fx.metric, p) for p in flags]
-    calls = _recording_sprays(monkeypatch)
+    calls, stages = _recording_sprays(monkeypatch)
     n = fx.dim
     for p, (want, visited) in zip(flags, refs):
-        del calls[:]
+        del calls[:], stages[:]
         b = finsler.curvature_bundle(fx.metric, p, mode="fd")
+        # G at p is read off the flag's own order-2 table, which the second
+        # y-derivatives' stencils visit again
         assert len(calls) == len(set(calls)) == 1 + 8 * n + 12 * n * n
         assert set(calls) == set(visited)
         assert len(visited) == 1 + n * (16 * n * n + 6 * n)     # 153 at n = 2
+        # one stage per distinct stencil x: p.x and 4n steps of each step size
+        assert len(stages) == len(set(stages)) == 1 + 8 * n
         got = (b.spray, b.dG_dx, b.dG_dy, b.d2G_dxdy, b.d2G_dydy, b.riemann)
         for g, w in zip(got, want, strict=True):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
@@ -271,17 +290,22 @@ def test_fd_s_dot_builds_one_base_point_per_stencil_x(name, monkeypatch):
     fx = fixtures.get_fixture(name)
     p = sample_flags(fx, 1, np.random.default_rng(13))[0]
     want = _s_dot_fd_per_point(fx.metric, fx.measure, p)
-    xs = []
-    base_point = finsler.base_point
+    _calls, stages = _recording_sprays(monkeypatch)
+    tables = []
+    density = finsler.Measure.log_density_table
 
-    def recording(metric, measure, x):
-        xs.append(np.asarray(x, float).tobytes())
-        return base_point(metric, measure, x)
+    def recording(measure, x, order=2):
+        tables.append(np.asarray(x, float).tobytes())
+        return density(measure, x, order)
 
-    monkeypatch.setattr(finsler, "base_point", recording)
-    assert finsler.s_dot(fx.metric, fx.measure, p, mode="fd") == want
-    # the 4n points along y share the flag's x; each step along x has its own
-    assert len(xs) == len(set(xs)) == 1 + 4 * fx.dim
+    monkeypatch.setattr(finsler.Measure, "log_density_table", recording)
+    assert finsler.evaluate_flag(fx.metric, fx.measure, p, mode="fd").s_dot == want
+    # the 4n points along y share the flag's x; each step along x has its own,
+    # and the spray stencil steps x by the same first-derivative steps
+    n = fx.dim
+    assert len(tables) == len(set(tables)) == 1 + 4 * n
+    assert len(stages) == len(set(stages)) == 1 + 8 * n
+    assert set(tables) <= set(stages)
 
 
 def test_fd_weighted_ricci_is_the_sum_of_fd_ricci_and_fd_s_dot():
@@ -293,9 +317,91 @@ def test_fd_weighted_ricci_is_the_sum_of_fd_ricci_and_fd_s_dot():
     fx = fixtures.get_fixture("cigar")
     cases.append((fx.metric, fx.measure, FlagPoint([1.0, 0.3], [0.4, -0.7])))
     for metric, measure, p in cases:
-        w = finsler.weighted_ricci(metric, measure, p, mode="fd")
-        assert w == (finsler.ricci(metric, p, mode="fd")
-                     + finsler.s_dot(metric, measure, p, mode="fd"))
+        ev = finsler.evaluate_flag(metric, measure, p, mode="fd")
+        assert ev.bundle.ricci == finsler.curvature_bundle(metric, p, mode="fd").ricci
+        assert ev.s_dot == _s_dot_fd_per_point(metric, measure, p)
+        assert ev.ric_inf == ev.bundle.ricci + ev.s_dot
+
+
+# -- the fd evaluation: one stage per distinct stencil x --------------------------------
+
+
+def _separate_fd_oracles(metric, measure, p, step1=1e-5, step2=3e-4):
+    """The fd bundle and the fd S-dot as two separate oracles: the spray at
+    each stencil point (p included) from a stage of its own, g and F from
+    one more order-2 expansion at p, a base point per stencil x of S, and
+    S-dot from `finsler.spray`.  Returns the bundle's fields and S-dot."""
+    n = metric.dim
+    x, y = np.asarray(p.x, float), np.asarray(p.y, float)
+    z0 = np.concatenate([x, y])
+    scale = max(1.0, float(np.max(np.abs(z0))))
+    sprays = {}
+
+    def G_at(*z):
+        z = np.asarray(z, float)
+        if z.tobytes() not in sprays:
+            sprays[z.tobytes()] = _pointwise_spray(metric, z)
+        return sprays[z.tobytes()]
+
+    def table(*axes, step):
+        est = [jets.fd_estimate(G_at, z0, tuple(t.count(v) for v in range(2 * n)),
+                                step=step * scale) for t in itertools.product(*axes)]
+        shape = tuple(len(a) for a in axes) + (n,)
+        return tuple(np.array([e[k] for e in est]).reshape(shape) for k in (0, 1))
+
+    T = finsler._f2_tables(finsler._stage(metric, x, 2), y, order=2)
+    g, ginv = finsler._fundamental(T)
+    G = G_at(*z0)
+    xs, ys = range(n), range(n, 2 * n)
+    (dx, e_dx), (dy, e_dy) = table(xs, step=step1), table(ys, step=step1)
+    (dxdy, e_dxdy), (dydy, e_dydy) = table(xs, ys, step=step2), table(ys, ys, step=step2)
+    R = finsler._assemble_riemann(y, G, dx, dy, dxdy, dydy)
+    err = finsler._riemann_error(y, G, dy, (e_dx, e_dy, e_dxdy, e_dydy))
+    bundle = finsler.CurvatureBundle(
+        x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=g, ginv=ginv, cartan=None, spray=G,
+        dG_dx=dx, dG_dy=dy, d2G_dxdy=dxdy, d2G_dydy=dydy, riemann=R,
+        ricci=float(np.trace(R)), r_error=float(np.linalg.norm(err)))
+    return bundle, _s_dot_fd_per_point(metric, measure, p, step=step1)
+
+
+def _fd_cases():
+    """(metric, measure, flags, base of each flag or None) on three fixtures
+    (their sample points' bases) and a random Randers metric with a weighted
+    Busemann-Hausdorff measure (no base)."""
+    for name, count in (("gaussian", 2), ("cigar", 2), ("shrinking", 1)):
+        fx = fixtures.get_fixture(name)
+        flags = sample_flags(fx, count, np.random.default_rng(17))
+        yield name, fx.metric, fx.measure, flags, [
+            solitons.sample_point(fx.rd, fx.nav, fx.f, p, False).base for p in flags]
+    rng = np.random.default_rng(19)
+    rd = generators.random_randers(rng, 2)
+    measure = randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))
+    flags = [FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
+             for _ in range(2)]
+    yield "randers", randers.finsler_from_randers(rd), measure, flags, [None, None]
+
+
+@pytest.mark.parametrize("case", list(_fd_cases()), ids=lambda c: c[0])
+def test_fd_evaluation_equals_the_separate_fd_oracles(case):
+    name, metric, measure, flags, bases = case
+    for p, base in zip(flags, bases, strict=True):
+        want, want_sdot = _separate_fd_oracles(metric, measure, p)
+        ev = finsler.evaluate_flag(metric, measure, p, base=base, mode="fd")
+        for f in dataclasses.fields(want):
+            got, w = getattr(ev.bundle, f.name), getattr(want, f.name)
+            assert got == w if np.isscalar(w) or w is None else np.array_equal(got, w), (
+                name, f.name)
+        assert ev.S == finsler.s_curvature(metric, measure, p)
+        assert ev.s_dot == want_sdot
+        assert ev.ric_inf == want.ricci + want_sdot
+        assert ev.flag_curvature == finsler._flag_curvature(want)
+
+
+def test_evaluate_flag_refuses_an_unknown_mode():
+    fx = fixtures.get_fixture("cigar")
+    with pytest.raises(finsler.ParameterError, match="bogus"):
+        finsler.evaluate_flag(fx.metric, fx.measure, FlagPoint([1.0, 0.3], [0.4, -0.7]),
+                              mode="bogus")
 
 
 # -- jets-vs-fd: one evaluation per flag on each side -------------------------------------
@@ -320,9 +426,9 @@ def _pipeline_reference(count, seed):
         p = FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
         F2 = metric.value(p.x, p.y) ** 2
         for out, fn in zip(rows, (
-                lambda mode: finsler.ricci(metric, p, mode=mode),
-                lambda mode: finsler.s_dot(metric, measure, p, mode=mode),
-                lambda mode: finsler.weighted_ricci(metric, measure, p, mode=mode))):
+                lambda mode: finsler.curvature_bundle(metric, p, mode=mode).ricci,
+                lambda mode: finsler.evaluate_flag(metric, measure, p, mode=mode).s_dot,
+                lambda mode: finsler.evaluate_flag(metric, measure, p, mode=mode).ric_inf)):
             j, f = fn("jet"), fn("fd")
             out.append((j - f) / max(abs(j), F2))
     return rows
@@ -331,19 +437,27 @@ def _pipeline_reference(count, seed):
 def test_jets_vs_fd_evaluates_each_flag_once_per_side(monkeypatch):
     count, seed = 3, 5
     want = _pipeline_reference(count, seed)
-    calls = {"evaluate_flag": 0, "_curvature_bundle_fd": 0, "_s_dot_fd": 0}
-    for attr in calls:
-        fn = getattr(finsler, attr)
+    modes = {"evaluate_flag": [], "curvature_bundle": []}
+    evaluate, bundle, base_point = (finsler.evaluate_flag, finsler.curvature_bundle,
+                                    finsler.base_point)
 
-        def counted(*args, _fn=fn, _attr=attr, **kwargs):
-            calls[_attr] += 1
-            return _fn(*args, **kwargs)
+    def counted_evaluate(metric, measure, p, base=None, mode="jet"):
+        modes["evaluate_flag"].append(mode)
+        return evaluate(metric, measure, p, base, mode)
 
-        monkeypatch.setattr(finsler, attr, counted)
-    sprays = _recording_sprays(monkeypatch)
+    def counted_bundle(metric, p, mode="jet", stage_at=None):
+        modes["curvature_bundle"].append(mode)
+        return bundle(metric, p, mode, stage_at)
+
+    bases = []
+    monkeypatch.setattr(finsler, "evaluate_flag", counted_evaluate)
+    monkeypatch.setattr(finsler, "curvature_bundle", counted_bundle)
+    monkeypatch.setattr(finsler, "base_point", lambda *a: bases.append(1) or base_point(*a))
+    sprays, _stages = _recording_sprays(monkeypatch)
     reports = {r.name: r for r in suites.crosscheck_jets_vs_fd(count=count, seed=seed)}
-    assert calls == {"evaluate_flag": count, "_curvature_bundle_fd": count,
-                     "_s_dot_fd": count}
+    for calls in modes.values():
+        assert calls == ["jet", "fd"] * count
+    assert len(bases) == count         # one base point per flag, shared by both sides
     assert len(sprays) == count * (1 + 8 * 2 + 12 * 2 * 2) <= 198
     for name, rows in zip(("pipeline-ricci", "pipeline-s-dot", "pipeline-infinity-ricci"),
                           want):

@@ -102,31 +102,32 @@ def test_a_sample_point_raises_the_navigation_guard_of_its_point():
 def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
         name, mode, samples, monkeypatch):
     # every navigation evaluation at jet x outside the finite-difference
-    # oracle (which stages the metric at its own stencil points) is a sample
-    # point's, at that flag's x, in flag order
+    # oracle (which stages the metric at its own stencil x) is a sample
+    # point's, at that flag's x, in flag order; the oracle reads the sample
+    # point's base at the flag's own x
     fx = fixtures.get_fixture(name)
-    xs = []
+    xs, fd_xs = [], []
     inside_fd = [0]
     nav_point = randers._navigation_point
+    evaluate = finsler.evaluate_flag
 
     def count(nav, x, *args):
-        if isinstance(x[0], Jet) and not inside_fd[0]:
-            xs.append([v.value for v in x])
+        if isinstance(x[0], Jet):
+            (fd_xs if inside_fd[0] else xs).append([v.value for v in x])
         return nav_point(nav, x, *args)
 
-    def oracle(fn):
-        def wrapped(*args, **kwargs):
-            inside_fd[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                inside_fd[0] -= 1
-        return wrapped
+    def evaluate_flag(metric, measure, p, base=None, mode="jet"):
+        inside_fd[0] += mode == "fd"
+        try:
+            return evaluate(metric, measure, p, base, mode)
+        finally:
+            inside_fd[0] -= mode == "fd"
 
     monkeypatch.setattr(randers, "_navigation_point", count)
-    monkeypatch.setattr(finsler, "_curvature_bundle_fd", oracle(finsler._curvature_bundle_fd))
-    monkeypatch.setattr(finsler, "_s_dot_fd", oracle(finsler._s_dot_fd))
+    monkeypatch.setattr(finsler, "evaluate_flag", evaluate_flag)
     reports = suites.run_fixture_suite(fx, samples=samples, seed=5, mode=mode)
     assert any(r.name == "kappa-fit" for r in reports)
     flags = sample_flags(fx, samples, np.random.default_rng(5))
     assert np.array_equal(np.array(xs), np.array([p.x for p in flags]))
+    assert bool(fd_xs) == (mode == "fd")
+    assert not any(np.array_equal(x, p.x) for x in fd_xs for p in flags)
