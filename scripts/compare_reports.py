@@ -42,6 +42,8 @@ INVOCATIONS = (
         "--perturb", "f:1e-2"))
     + tuple(("crosscheck", "--suite", name) for name in SUITES)
     + (("crosscheck", "--suite", "jets-vs-fd", "--count", "5", "--seed", "11"),)
+    + tuple(("verify", "--fixture", name, "--samples", "2", "--perturb", f"{ing}:1e-2")
+            for ing in ("kappa", "mu", "sigma") for name in FIXTURES)
 )
 
 

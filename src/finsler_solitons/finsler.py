@@ -417,26 +417,6 @@ def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint, stage_at) -> Curva
 # -- single-quantity operations ----------------------------------------------
 
 
-def fundamental_tensor(metric: FinslerMetric, p: FlagPoint) -> np.ndarray:
-    T = _f2_tables(_stage(metric, p.x, 2), p.y, order=2)
-    g, _ = _fundamental(T)
-    return g
-
-
-def cartan_tensor(metric: FinslerMetric, p: FlagPoint) -> np.ndarray:
-    T = _f2_tables(_stage(metric, p.x, 3), p.y, order=3)
-    return 0.25 * T["Q03"]
-
-
-def spray(metric: FinslerMetric, p: FlagPoint) -> np.ndarray:
-    T = _f2_tables(_stage(metric, p.x, 2), p.y, order=2)
-    return _spray_derivatives(T, p.y, order=2)["G"]
-
-
-def riemann_curvature(metric: FinslerMetric, p: FlagPoint) -> np.ndarray:
-    return curvature_bundle(metric, p).riemann
-
-
 def ricci(metric: FinslerMetric, p: FlagPoint) -> float:
     return curvature_bundle(metric, p).ricci
 

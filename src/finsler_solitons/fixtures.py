@@ -1,53 +1,117 @@
 """Built-in soliton fixtures: flat Gaussian-type data, the rotationally
 symmetric steady soliton on the plane, and shrinking/expanding cylinders over
-odd spheres, each packaged as navigation data + measure + expected scalars.
+odd spheres.
 
-Every fixture is a gradient soliton for the measure e^{-f} dm_BH; the plane
-and Gaussian fixtures are additionally Einstein, so the vector-field
-characterizations apply to them with V = 0.  Sample domains avoid chart
-singularities (the t > 0 axis on the plane, the cone point of the warped
-cylinder, the hemisphere chart boundary).
+Every fixture is one navigation construction (Bao-Robles-Shen 2004): a
+Riemannian gradient soliton (h, f, kappa), Ric_h + Hess_h f = kappa h, and a
+Killing field W of h with W(f) = 0 and |W|_h < 1 on the sample domain give
+the Randers metric F of (h, W), which with the measure e^{-f} dm_BH is a
+gradient soliton with the same kappa and isotropic S-curvature sigma = 0;
+F is Einstein exactly when h is, with the same Einstein scalar.  A fixture
+declares (h, W, f, kappa), a sampler and, where they hold, the Einstein
+scalar and the flag curvature; `navigation_soliton` derives the rest.  To add
+a fixture, build those and call `navigation_soliton`, then add it to
+`_registry`.  Sample domains avoid chart singularities (the t > 0 axis on the
+plane, the cone point of the warped cylinder, the hemisphere chart boundary).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import randers
 from .finsler import FinslerMetric, Measure
 from .randers import NavigationData, RandersData
-from .riemann import RiemannMetric, ScalarField, VectorField, euclidean_metric
+from .riemann import (RiemannMetric, ScalarField, VectorField, as_scalar_field,
+                      euclidean_metric)
 
 
 class ConstructionError(ValueError):
     """Fixture parameters violate a structural identity."""
 
 
+# The vector field 0: the wind of a fixture declared with W=None, and the V of
+# the vector-field bundles.  Its components are x - x, zeros of x's own type,
+# so at jet x a stage's x-only data stay jets over x's space (float data alone
+# would expand the stage's forms over a constant space of their own).
+ZERO_FIELD = VectorField(lambda x: [v - v for v in x], name="zero")
+
+
 @dataclass
 class Fixture:
-    """A metric + measure + expected-scalar package for the check suites."""
+    """A navigation soliton declaration and what it fixes, for the check suites."""
 
     name: str
-    dim: int
     nav: NavigationData
     rd: RandersData
     metric: FinslerMetric
-    measure: Measure
+    measure: Measure                    # e^{-f} dm_BH
     f: ScalarField
     kappa: ScalarField                  # soliton scalar of (F, measure)
-    sigma: ScalarField                  # isotropic S-curvature value
-    mu_soliton: ScalarField             # soliton scalar of the Riemannian pair (h, f)
-    zero_field: VectorField
-    einstein_kappa: ScalarField | None = None   # Einstein scalar of F, when F is Einstein
-    mu_einstein_h: ScalarField | None = None    # Einstein scalar of h, when h is Einstein
-    ricci_law: object = None            # callable x -> expected Ric/F^2
-    flag_curvature_law: object = None   # callable x -> expected K
-    sample_x: object = None             # callable rng -> chart point
-    bundles: tuple = ()
-    constraints: dict = field(default_factory=dict)
+    mu: ScalarField                     # soliton scalar of the Riemannian pair (h, f)
+    sigma: ScalarField                  # isotropic S-curvature
+    einstein: ScalarField | None        # Einstein scalar of F, when F is Einstein
+    einstein_h: ScalarField | None      # Einstein scalar of h, when h is Einstein
+    flag_curvature: ScalarField | None  # the flag curvature K, when it is scalar
+    sample_x: object                    # callable rng -> chart point
+    bundles: tuple
+    constraints: dict                   # structural identity -> its float residual
+
+    @property
+    def dim(self) -> int:
+        return self.nav.dim
+
+
+def navigation_soliton(name, h: RiemannMetric, W: VectorField | None, f: ScalarField,
+                       kappa, sample_x, *, einstein=None, flag_curvature=None,
+                       constraints=None, perturb=None) -> Fixture:
+    """The fixture of a navigation soliton: F from (h, W) (W=None: no wind),
+    the measure e^{-f} dm_BH and the soliton scalar kappa of (h, f).
+
+    It fixes sigma = 0 and mu = kappa; `einstein`, when h (and so F) is
+    Einstein, is the Einstein scalar of both.  `flag_curvature` is declared
+    apart: an Einstein F of dim >= 3 need not have scalar flag curvature.
+    Every fixture gets the two gradient bundles, and an Einstein one with
+    wind the two vector bundles (with V = 0).  `perturb` = (ingredient, eps)
+    bumps f or W, or shifts kappa, mu (with einstein_h) or sigma by eps.
+    """
+    bundles = ("gradient-ab", "gradient-nav")
+    if einstein is not None and W is not None:
+        bundles += ("vector-ab", "vector-nav")
+    W = ZERO_FIELD if W is None else W
+    kappa = mu = as_scalar_field(kappa)
+    sigma = ScalarField(0.0)
+    einstein = einstein_h = None if einstein is None else as_scalar_field(einstein)
+    if flag_curvature is not None:
+        flag_curvature = as_scalar_field(flag_curvature)
+    if perturb is not None:
+        ingredient, eps = perturb
+        if ingredient == "f":
+            f = _bump_f(f, eps)
+        elif ingredient == "W":
+            W = _bump_w(W, eps)
+        elif ingredient == "kappa":
+            kappa = _shift(kappa, eps)
+        elif ingredient == "mu":
+            mu = _shift(mu, eps)
+            if einstein_h is not None:
+                einstein_h = _shift(einstein_h, eps)
+        elif ingredient == "sigma":
+            sigma = _shift(sigma, eps)
+        else:
+            raise ConstructionError(f"unknown perturbation ingredient {ingredient!r}")
+    nav = NavigationData(h, W, name=name)
+    rd = randers.from_navigation(nav)
+    metric = randers.finsler_from_navigation(nav)
+    metric.name = name
+    return Fixture(name=name, nav=nav, rd=rd, metric=metric,
+                   measure=randers.bh_measure(rd).weighted(f), f=f, kappa=kappa, mu=mu,
+                   sigma=sigma, einstein=einstein, einstein_h=einstein_h,
+                   flag_curvature=flag_curvature, sample_x=sample_x, bundles=bundles,
+                   constraints=constraints or {})
 
 
 def _ball_sampler(dim, radius, offset=None):
@@ -62,11 +126,8 @@ def _ball_sampler(dim, radius, offset=None):
     return sample
 
 
-def _shift(field_or_const, eps):
-    f = field_or_const
-    if isinstance(f, ScalarField):
-        return ScalarField(lambda x, _f=f: _f(x) + eps, name=f"{f.name}+{eps}")
-    return ScalarField(float(f) + eps)
+def _shift(f: ScalarField, eps):
+    return ScalarField(lambda x, _f=f: _f(x) + eps, name=f"{f.name}+{eps}")
 
 
 def _bump_f(f: ScalarField, eps):
@@ -80,42 +141,6 @@ def _bump_w(w: VectorField, eps):
         return comps
 
     return VectorField(fn, name=f"{w.name}+bump")
-
-
-def _assemble(name, nav, f, kappa, sigma, mu_soliton, bundles, sample_x,
-              perturb=None, einstein_kappa=None, mu_einstein_h=None,
-              ricci_law=None, flag_curvature_law=None, constraints=None):
-    kappa = kappa if isinstance(kappa, ScalarField) else ScalarField(kappa)
-    sigma = sigma if isinstance(sigma, ScalarField) else ScalarField(sigma)
-    mu_soliton = mu_soliton if isinstance(mu_soliton, ScalarField) else ScalarField(mu_soliton)
-    if perturb is not None:
-        ingredient, eps = perturb
-        if ingredient == "f":
-            f = _bump_f(f, eps)
-        elif ingredient == "W":
-            nav = NavigationData(nav.h, _bump_w(nav.W, eps), name=nav.name)
-        elif ingredient == "kappa":
-            kappa = _shift(kappa, eps)
-        elif ingredient == "mu":
-            mu_soliton = _shift(mu_soliton, eps)
-            if mu_einstein_h is not None:
-                mu_einstein_h = _shift(mu_einstein_h, eps)
-        elif ingredient == "sigma":
-            sigma = _shift(sigma, eps)
-        else:
-            raise ConstructionError(f"unknown perturbation ingredient {ingredient!r}")
-    rd = randers.from_navigation(nav)
-    metric = randers.finsler_from_navigation(nav)
-    metric.name = name
-    measure = randers.bh_measure(rd).weighted(f)
-    return Fixture(name=name, dim=nav.dim, nav=nav, rd=rd, metric=metric,
-                   measure=measure, f=f, kappa=kappa, sigma=sigma,
-                   mu_soliton=mu_soliton,
-                   zero_field=VectorField(lambda x, _n=nav.dim: [0.0] * _n, name="zero"),
-                   einstein_kappa=einstein_kappa, mu_einstein_h=mu_einstein_h,
-                   ricci_law=ricci_law, flag_curvature_law=flag_curvature_law,
-                   sample_x=sample_x, bundles=tuple(bundles),
-                   constraints=constraints or {})
 
 
 # -- flat Gaussian-type fixtures -------------------------------------------------------
@@ -142,22 +167,16 @@ def gaussian(rho=1.0, Q=None, C=None, n=2, radius=0.9, perturb=None) -> Fixture:
         raise ConstructionError(
             f"||W|| reaches {wmax:.3f} >= 1 on the sample ball; shrink Q, C or radius")
 
+    wind = bool(Q.any() or C.any())
+
     def w_fn(x):
         return [sum(Q[i, j] * x[j] for j in range(n)) + C[i] for i in range(n)]
 
-    nav = NavigationData(h=euclidean_metric(n), W=VectorField(w_fn, name="Qx+C"),
-                         name="gaussian")
     f = ScalarField(lambda x: 0.5 * rho * sum(v * v for v in x), name="rho|x|^2/2")
-    randers_like = float(np.max(np.abs(Q))) > 0.0 or float(np.max(np.abs(C))) > 0.0
-    bundles = ["gradient-ab", "gradient-nav"]
-    if randers_like:
-        bundles += ["vector-ab", "vector-nav"]
-    name = "gaussian" if randers_like else "gaussian-riemannian"
-    return _assemble(
-        name=name, nav=nav, f=f, kappa=float(rho), sigma=0.0, mu_soliton=float(rho),
-        bundles=bundles, sample_x=_ball_sampler(n, radius), perturb=perturb,
-        einstein_kappa=ScalarField(0.0), mu_einstein_h=ScalarField(0.0),
-        ricci_law=lambda x: 0.0, flag_curvature_law=lambda x: 0.0)
+    return navigation_soliton(
+        "gaussian" if wind else "gaussian-riemannian", euclidean_metric(n),
+        VectorField(w_fn, name="Qx+C") if wind else None, f, float(rho),
+        _ball_sampler(n, radius), einstein=0.0, flag_curvature=0.0, perturb=perturb)
 
 
 def _default_rotation(n, scale=0.5):
@@ -173,30 +192,24 @@ def cigar(t_range=(0.2, 2.0), perturb=None) -> Fixture:
     """Rotationally symmetric steady gradient soliton on the (t, theta) half plane.
 
     h = dt^2 + tanh^2(t) dtheta^2, W = d/dtheta, f = -2 log cosh t.  The
-    metric is Einstein with scalar 2/cosh^2 t, which doubles as the Ricci and
-    flag-curvature law used by the acceptance suite.
+    metric is Einstein with scalar 2/cosh^2 t, which in dimension 2 is also
+    its flag curvature.
     """
     from . import jets
 
     def h_fn(x):
         return [[1.0, 0.0], [0.0, jets.tanh(x[0]) ** 2]]
 
-    nav = NavigationData(h=RiemannMetric(2, h_fn, name="cigar-h"),
-                         W=VectorField(lambda x: [0.0, 1.0], name="dtheta"),
-                         name="cigar")
     f = ScalarField(lambda x: -2.0 * jets.log(jets.cosh(x[0])), name="-2 log cosh t")
-    law = lambda x: 2.0 / math.cosh(float(x[0])) ** 2
+    law = ScalarField(lambda x: 2.0 / math.cosh(float(x[0])) ** 2, name="2/cosh^2 t")
 
     def sample_x(rng):
         return np.array([rng.uniform(*t_range), rng.uniform(0.0, 2.0 * math.pi)])
 
-    return _assemble(
-        name="cigar", nav=nav, f=f, kappa=0.0, sigma=0.0, mu_soliton=0.0,
-        bundles=("gradient-ab", "gradient-nav", "vector-ab", "vector-nav"),
-        sample_x=sample_x, perturb=perturb,
-        einstein_kappa=ScalarField(law, name="2/cosh^2 t"),
-        mu_einstein_h=ScalarField(law, name="2/cosh^2 t"),
-        ricci_law=law, flag_curvature_law=law)
+    return navigation_soliton(
+        "cigar", RiemannMetric(2, h_fn, name="cigar-h"),
+        VectorField(lambda x: [0.0, 1.0], name="dtheta"), f, 0.0, sample_x,
+        einstein=law, flag_curvature=law, perturb=perturb)
 
 
 # -- cylinders over odd spheres ----------------------------------------------------------
@@ -309,13 +322,10 @@ def _cylinder(name, h_name, m, mu, Q, d, t_range, radius, warp, f, kap, perturb)
     def w_fn(z):
         return [0.0] + list(what.components(list(z[1:])))
 
-    nav = NavigationData(h=RiemannMetric(k + 1, h_fn, name=h_name),
-                         W=VectorField(w_fn, name="(0,What)"), name=name)
     sample_x = _ball_sampler(k, radius, offset=lambda rng: rng.uniform(*t_range))
-    return _assemble(
-        name=name, nav=nav, f=f, kappa=kap, sigma=0.0, mu_soliton=kap,
-        bundles=("gradient-ab", "gradient-nav"), sample_x=sample_x, perturb=perturb,
-        constraints=checks)
+    return navigation_soliton(
+        name, RiemannMetric(k + 1, h_fn, name=h_name), VectorField(w_fn, name="(0,What)"),
+        f, kap, sample_x, constraints=checks, perturb=perturb)
 
 
 def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None, t_range=(-1.2, 1.2),

@@ -55,10 +55,6 @@ class RandersData:
     def dim(self) -> int:
         return self.alpha.dim
 
-    def b2(self, x):
-        """||beta||^2_alpha = a^ij b_i b_j, evaluable on Jets."""
-        return _b2(generic_inverse(self.alpha.matrix(x)), self.beta.components(x))
-
 
 def _b2(ainv, b):
     """||beta||^2_alpha = a^ij b_i b_j from the inverse rows of a and the b_i."""
@@ -81,10 +77,6 @@ class NavigationData:
     @property
     def dim(self) -> int:
         return self.h.dim
-
-    def lam(self, x):
-        """lambda = 1 - ||W||^2_h, evaluable on Jets."""
-        return _lam(self.h.matrix(x), self.W.components(x))
 
 
 # -- conversions ---------------------------------------------------------------
@@ -178,7 +170,9 @@ def finsler_from_randers(rd: RandersData) -> FinslerMetric:
 
     def at(x):
         rows, b = rd.alpha.matrix(x), rd.beta.components(x)
-        _randers_point(rows, b, "||beta||_alpha >= 1 at evaluated point")
+        # the guard reads values only: a float inverse, not one of x jets
+        _randers_point([[scalar_value(v) for v in row] for row in rows],
+                       [scalar_value(v) for v in b], "||beta||_alpha >= 1 at evaluated point")
         forms = jets.YForms(rows, [[v] for v in b])
 
         def F(y):
@@ -209,10 +203,6 @@ def bh_density_fn(rd: RandersData):
     return lambda x: _bh_density(rd.alpha.matrix(x), rd.beta.components(x))
 
 
-def bh_density(rd: RandersData, x) -> float:
-    return float(scalar_value(bh_density_fn(rd)([float(v) for v in x])))
-
-
 def bh_measure(rd: RandersData) -> Measure:
     return Measure(bh_density_fn(rd), name=f"BH({rd.name or 'randers'})")
 
@@ -238,7 +228,6 @@ class BetaTables:
     s_low: np.ndarray          # s_j
     s_up: np.ndarray           # s^j
     r_low: np.ndarray          # r_j
-    r_up: np.ndarray
     r_scalar: float            # r = b^j r_j
     t: np.ndarray              # t_ij
     t_mixed: np.ndarray
@@ -313,7 +302,7 @@ def beta_tables(A: riemann.PointRecord, btab) -> BetaTables:
 
     return BetaTables(x=x, a=a0, ainv=ainv, b_low=b0, b_up=b_up, b2=b2, gamma=gamma,
                       bcov=bcov, r=r, s=s, s_mixed=s_mixed, s_low=s_low, s_up=s_up,
-                      r_low=r_low, r_up=r_up, r_scalar=r_scalar, t=t, t_mixed=t_mixed,
+                      r_low=r_low, r_scalar=r_scalar, t=t, t_mixed=t_mixed,
                       t_low=t_low, t_trace=t_trace, q=q, e=e, s_cov=s_cov, r_cov=r_cov,
                       div_mixed_s=div_mixed_s,
                       d_rtrace=d_rtrace, div_s_up=div_s_up, div_r_up=div_r_up,
@@ -484,8 +473,6 @@ class NavTensors:
     s_mixed: np.ndarray       # h^ik S_kj
     s_low: np.ndarray         # S_j = W^i S_ij
     s_up: np.ndarray          # h^ij S_j
-    r_low: np.ndarray         # R_j = W^i R_ij
-    r_scalar: float           # R = W^j R_j
 
 
 def nav_tensors(H: riemann.PointRecord, wtab) -> NavTensors:
@@ -502,8 +489,7 @@ def nav_tensors(H: riemann.PointRecord, wtab) -> NavTensors:
     s_low = w0 @ s_asym
     return NavTensors(x=x, h=h0, hinv=hinv, w_up=w0, w_low=h0 @ w0, lam=lam,
                       wcov=wcov, r_sym=r_sym, s_asym=s_asym,
-                      s_mixed=hinv @ s_asym, s_low=s_low, s_up=hinv @ s_low,
-                      r_low=w0 @ r_sym, r_scalar=float(w0 @ r_sym @ w0))
+                      s_mixed=hinv @ s_asym, s_low=s_low, s_up=hinv @ s_low)
 
 
 def spray_correction(T: NavTensors, sigma: float, y) -> np.ndarray:

@@ -205,7 +205,7 @@ def _bundle_reports(rows, fitted, shown, tol, applicable):
             for name, vals in rows.items()]
 
 
-def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, points, tol: float,
+def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float,
                              c=None, sigma=None) -> list[ResidualReport]:
     """(alpha, beta) residuals for the vector-field soliton characterization:
 
@@ -216,17 +216,17 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, points, tol
               - (n-1)(s_0^2 + s_{0;0})
       (iv)  3(n-1) sigma_0 = 2 c beta - L_V(beta)
 
-    at each `SamplePoint` of rd, with V tabled once per point.
+    at each `SamplePoint` (bundle data of alpha, beta), with V tabled once
+    per point.
     """
     kappa = as_scalar_field(kappa)
-    n = rd.dim
     rows = {k: [] for k in ("conformal-v", "isotropic-s", "alpha-ricci-balance",
                             "sigma-lie-balance")}
     fitted = []
     applicable = True
     for bp in points:
         p, T, bd, A = bp.p, bp.beta, bp.bd, bp.alpha
-        x = list(p.x)
+        x, n = list(p.x), p.dim
         if float(np.max(np.abs(T.b_low))) < 1e-14:
             applicable = False
             break
@@ -263,8 +263,8 @@ def vector_soliton_checks_ab(rd: RandersData, v: VectorField, kappa, points, tol
     return _bundle_reports(rows, fitted, 2, tol, applicable)
 
 
-def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, points,
-                              tol: float, mu=None, sigma=None) -> list[ResidualReport]:
+def vector_soliton_checks_nav(v: VectorField, kappa, points, tol: float,
+                              mu=None, sigma=None) -> list[ResidualReport]:
     """Navigation residuals for the vector-field soliton characterization:
 
       (i)   hRic = mu h^2                       (h Einstein)
@@ -273,17 +273,16 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, points
       (iv)  L_V(W_0) = c W_0 - 3(n-1){ 2 (sigma_i W^i) W_0 - lam sigma_0 }
 
     with c = kappa - mu + (n-1) sigma^2 + 2(n-1) sigma_i W^i, at each
-    `SamplePoint` of nav, with V tabled once per point.
+    `SamplePoint` (bundle data of h, W), with V tabled once per point.
     """
     kappa = as_scalar_field(kappa)
-    n = nav.dim
     rows = {k: [] for k in ("einstein-h", "conformal-w", "lie-h2-balance",
                             "lie-w0-balance")}
     fitted = []
     applicable = True
     for bp in points:
         p, T = bp.p, bp.nav
-        x = list(p.x)
+        x, n = list(p.x), p.dim
         if float(np.max(np.abs(T.w_up))) < 1e-14:
             applicable = False
             break
@@ -314,7 +313,7 @@ def vector_soliton_checks_nav(nav: NavigationData, v: VectorField, kappa, points
     return _bundle_reports(rows, fitted, 2, tol, applicable)
 
 
-def gradient_soliton_checks_ab(rd: RandersData, kappa, points, tol: float,
+def gradient_soliton_checks_ab(kappa, points, tol: float,
                                sigma=None) -> list[ResidualReport]:
     """(alpha, beta) residuals for the gradient soliton characterization:
 
@@ -326,16 +325,16 @@ def gradient_soliton_checks_ab(rd: RandersData, kappa, points, tol: float,
               + f_{;0j} b^j + (s_0 + 2 sigma beta)(f_i b^i)
       (iv)  the right side of (iii) alone; sigma is constant when it vanishes
 
-    at each `SamplePoint` of rd, whose f table gives the weight f.
+    at each `SamplePoint` (bundle data of alpha, beta), whose f table gives
+    the weight f.
     """
     kappa = as_scalar_field(kappa)
-    n = rd.dim
     rows = {k: [] for k in ("isotropic-s", "alpha-ricci-balance",
                             "sigma-gradient-balance", "sigma-constancy")}
     fitted = []
     for bp in points:
         p, T, bd = bp.p, bp.beta, bp.bd
-        x = list(p.x)
+        x, n = list(p.x), p.dim
         if sigma is None:
             sval, sres = randers.fit_sigma_isotropic_S(T, _directions(n))
             sigma0 = 0.0
@@ -371,7 +370,7 @@ def gradient_soliton_checks_ab(rd: RandersData, kappa, points, tol: float,
     return _bundle_reports(rows, fitted, 1, tol, True)
 
 
-def gradient_soliton_checks_nav(nav: NavigationData, kappa, points, tol: float,
+def gradient_soliton_checks_nav(kappa, points, tol: float,
                                 mu=None, sigma=None) -> list[ResidualReport]:
     """Navigation residuals for the gradient soliton characterization:
 
@@ -381,17 +380,17 @@ def gradient_soliton_checks_nav(nav: NavigationData, kappa, points, tol: float,
       (iv)  (sigma_i - sigma f_i) W^i = kappa - mu + (n-1) sigma^2
       (v)   sigma f_0 - f_k S^k_0 - f_{:0j} W^j alone; sigma is constant when 0
 
-    at each `SamplePoint` of nav, whose f table gives the weight f.
+    at each `SamplePoint` (bundle data of h, W), whose f table gives the
+    weight f.
     """
     kappa = as_scalar_field(kappa)
-    n = nav.dim
     rows = {k: [] for k in ("riemannian-soliton", "conformal-w",
                             "sigma-gradient-balance", "scalar-compatibility",
                             "sigma-constancy")}
     fitted = []
     for bp in points:
         p, T = bp.p, bp.nav
-        x = list(p.x)
+        x, n = list(p.x), p.dim
         h2 = float(p.y @ T.h @ p.y)
         hnorm = math.sqrt(h2)
         if mu is None:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import finsler, generators, randers, riemann, solitons
 from .finsler import FinslerMetric
+from .fixtures import ZERO_FIELD
 from .jets import FlagPoint, fd_derivative, lift
 from .reports import ResidualReport, report_from_values
 from .sampling import sample_flags, unit_direction
@@ -32,6 +33,11 @@ from .sampling import sample_flags, unit_direction
 # -- per-flag rows -----------------------------------------------------------------
 
 FD_FLAT = "fd-flat"     # row key: R is flat within the fd bundle's error estimate
+
+
+def _value(field, x) -> float:
+    """A declared scalar field's value at the chart point x."""
+    return float(riemann.scalar_value(field(list(x))))
 
 
 def _flag_rows(fixture, flags, mode):
@@ -46,12 +52,11 @@ def _flag_rows(fixture, flags, mode):
         F2 = p.F ** 2
         ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p, base=sp.base, mode=mode)
         ric, ric_inf, fit = ev.bundle.ricci, ev.ric_inf, ev.flag_curvature
-        kap = float(riemann.scalar_value(fixture.kappa(list(p.x))))
-        row["infinity-ricci"] = (ric_inf - kap * F2) / F2
-        if fixture.ricci_law is not None:
-            row["ricci-law"] = ric / F2 - float(fixture.ricci_law(p.x))
-        if fixture.flag_curvature_law is not None:
-            row["flag-curvature-law"] = fit.value - float(fixture.flag_curvature_law(p.x))
+        row["infinity-ricci"] = (ric_inf - _value(fixture.kappa, p.x) * F2) / F2
+        if fixture.einstein is not None:
+            row["ricci-law"] = ric / F2 - _value(fixture.einstein, p.x)
+        if fixture.flag_curvature is not None:
+            row["flag-curvature-law"] = fit.value - _value(fixture.flag_curvature, p.x)
             row["flag-curvature-misfit"] = fit.residual
             if fit.within_error:
                 row[FD_FLAT] = True
@@ -90,7 +95,7 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
 
     # the fit points are the first bundle flags
     sigmas, fitres = solitons.fit_sigma([sp.beta for sp in points[:len(fit_points)]])
-    sig_expected = [float(riemann.scalar_value(fixture.sigma(list(x)))) for x in fit_points]
+    sig_expected = [_value(fixture.sigma, x) for x in fit_points]
     reports.append(report_from_values(
         "sigma-fit", np.abs(sigmas - np.array(sig_expected)), tol,
         rel_values=[fitres], detail=f"isotropy fit residual {fitres:.2e}"))
@@ -99,7 +104,7 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
     kap_points = fit_points[:4]
     kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure,
                                       [sp.base for sp in points[:len(kap_points)]])
-    kap_expected = [float(riemann.scalar_value(fixture.kappa(list(x)))) for x in kap_points]
+    kap_expected = [_value(fixture.kappa, x) for x in kap_points]
     reports.append(report_from_values("kappa-fit", np.abs(kappas - np.array(kap_expected)), tol))
     reports.append(report_from_values("kappa-anisotropy", [anis], tol))
 
@@ -113,19 +118,19 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
 
 
 # Each characterization bundle a fixture can declare: its checker, called on
-# the fixture's data and the bundle flags' sample points.  The checker is
-# looked up in `solitons` at call time, so a wrapper installed there (a
-# tracer, a counter) sees every call.
+# the fixture's declared scalars and the bundle flags' sample points.  The
+# vector bundles run with V = 0, so kappa is the Einstein scalar and c = 0.
+# The checker is looked up in `solitons` at call time, so a wrapper installed
+# there (a tracer, a counter) sees every call.
 BUNDLES = {
     "gradient-ab": lambda fx, points, tol: solitons.gradient_soliton_checks_ab(
-        fx.rd, fx.kappa, points, tol, sigma=fx.sigma),
+        fx.kappa, points, tol, sigma=fx.sigma),
     "gradient-nav": lambda fx, points, tol: solitons.gradient_soliton_checks_nav(
-        fx.nav, fx.kappa, points, tol, mu=fx.mu_soliton, sigma=fx.sigma),
+        fx.kappa, points, tol, mu=fx.mu, sigma=fx.sigma),
     "vector-ab": lambda fx, points, tol: solitons.vector_soliton_checks_ab(
-        fx.rd, fx.zero_field, fx.einstein_kappa, points, tol, c=0.0, sigma=fx.sigma),
+        ZERO_FIELD, fx.einstein, points, tol, c=0.0, sigma=fx.sigma),
     "vector-nav": lambda fx, points, tol: solitons.vector_soliton_checks_nav(
-        fx.nav, fx.zero_field, fx.einstein_kappa, points, tol, mu=fx.mu_einstein_h,
-        sigma=fx.sigma),
+        ZERO_FIELD, fx.einstein, points, tol, mu=fx.einstein_h, sigma=fx.sigma),
 }
 
 
@@ -358,20 +363,20 @@ def crosscheck_isotropic_s(count=40, seed=7, tol=1e-8):
 
 
 CROSSCHECK_SUITES = {
-    "randers-ricci": (crosscheck_randers_ricci, {"count": 100, "tol": 1e-8}),
-    "lie-identity": (crosscheck_lie_identities, {"count": 200, "tol": 1e-9}),
-    "navigation": (crosscheck_navigation, {"count": 1000, "tol": 1e-10}),
-    "riemann-reduction": (crosscheck_riemann_reduction, {"count": 60, "tol": 1e-9}),
-    "jets-vs-fd": (crosscheck_jets_vs_fd, {"count": 50, "tol": 1e-4}),
-    "isotropic-s": (crosscheck_isotropic_s, {"count": 40, "tol": 1e-8}),
+    "randers-ricci": crosscheck_randers_ricci,
+    "lie-identity": crosscheck_lie_identities,
+    "navigation": crosscheck_navigation,
+    "riemann-reduction": crosscheck_riemann_reduction,
+    "jets-vs-fd": crosscheck_jets_vs_fd,
+    "isotropic-s": crosscheck_isotropic_s,
 }
 
 
 def run_crosscheck_suite(name, count=None, seed=7, tol=None) -> list[ResidualReport]:
+    """One crosscheck suite; a `count` or `tol` of None keeps the suite's default."""
     if name not in CROSSCHECK_SUITES:
         raise KeyError(f"unknown crosscheck suite {name!r}; "
                        f"available: {', '.join(sorted(CROSSCHECK_SUITES))}")
-    fn, defaults = CROSSCHECK_SUITES[name]
-    kwargs = {"seed": seed, "count": defaults["count"] if count is None else count,
-              "tol": defaults["tol"] if tol is None else tol}
-    return fn(**kwargs)
+    given = {"count": count, "tol": tol}
+    return CROSSCHECK_SUITES[name](seed=seed, **{k: v for k, v in given.items()
+                                                 if v is not None})

@@ -154,19 +154,7 @@ def test_criterion_10_characterization_bundles_and_negative_controls():
         fx = fixtures.get_fixture(name)
         flags = sample_flags(fx, 48, np.random.default_rng(110))
         points = [solitons.sample_point(fx.rd, fx.nav, fx.f, p, True) for p in flags]
-        rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.kappa, points, tol,
-                                                   sigma=fx.sigma)
-        rows += solitons.gradient_soliton_checks_nav(fx.nav, fx.kappa, points,
-                                                     tol, mu=fx.mu_soliton,
-                                                     sigma=fx.sigma)
-        if "vector-ab" in fx.bundles:
-            rows += solitons.vector_soliton_checks_ab(fx.rd, fx.zero_field,
-                                                      fx.einstein_kappa, points, tol,
-                                                      c=0.0, sigma=fx.sigma)
-            rows += solitons.vector_soliton_checks_nav(fx.nav, fx.zero_field,
-                                                       fx.einstein_kappa, points, tol,
-                                                       mu=fx.mu_einstein_h,
-                                                       sigma=fx.sigma)
+        rows = [r for b in fx.bundles for r in suites.BUNDLES[b](fx, points, tol)]
         worst = max(r.max_abs for r in rows)
         all_ok &= _line(10, f"{name} characterization bundles at declared scalars",
                         worst, tol, passed=all_passed(rows))

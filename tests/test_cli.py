@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from finsler_solitons import cli
+from finsler_solitons import cli, suites
 
 
 def run_cli(*argv):
@@ -106,6 +106,24 @@ def test_crosscheck_suite(tmp_path):
     report = json.loads(out.read_text())
     assert report["suite"] == "riemann-reduction"
     assert report["passed"] is True
+
+
+def test_crosscheck_passes_only_the_given_count_and_tol(monkeypatch, capsys):
+    # each suite's defaults live in its signature; the report keeps the given count
+    calls = []
+
+    def suite(count=3, seed=7, tol=1e-9):
+        calls.append((count, seed, tol))
+        return []
+
+    monkeypatch.setitem(suites.CROSSCHECK_SUITES, "riemann-reduction", suite)
+    for extra, want in (((), (3, 7, 1e-9)), (("--count", "5"), (5, 7, 1e-9)),
+                        (("--tol", "1e-3", "--seed", "2"), (3, 2, 1e-3))):
+        capsys.readouterr()
+        assert run_cli("crosscheck", "--suite", "riemann-reduction", *extra) == 0
+        assert calls.pop() == want
+        count = json.loads(capsys.readouterr().out)["count"]
+        assert count == (5 if "--count" in extra else None)
 
 
 def test_crosscheck_unknown_suite(capsys):

@@ -168,7 +168,7 @@ def test_flag_rows_expand_f2_once_per_flag(name, monkeypatch):
     counter = _Counter(monkeypatch)
     rows = suites._flag_rows(fx, points, "jet")
     assert len(rows) == 3
-    if fx.ricci_law is not None:
+    if fx.einstein is not None:
         assert {"ricci-law", "flag-curvature-law"} <= set(rows[0])
     assert counter.orders == [4] * len(points)
     # every row reads its sample point's stage and density table
@@ -213,12 +213,12 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
         row = {"infinity-ricci": (finsler.evaluate_flag(fx.metric, fx.measure, p,
                                                         mode="fd").ric_inf
                                   - kap * F2) / F2}
-        if fx.ricci_law is not None:
+        if fx.einstein is not None:
             row["ricci-law"] = (finsler.curvature_bundle(fx.metric, p, mode="fd").ricci / F2
-                                - float(fx.ricci_law(p.x)))
-        if fx.flag_curvature_law is not None:
+                                - float(fx.einstein(list(p.x))))
+        if fx.flag_curvature is not None:
             fit = finsler._flag_curvature(finsler.curvature_bundle(fx.metric, p, mode="fd"))
-            row["flag-curvature-law"] = fit.value - float(fx.flag_curvature_law(p.x))
+            row["flag-curvature-law"] = fit.value - float(fx.flag_curvature(list(p.x)))
             row["flag-curvature-misfit"] = fit.residual
         expected.append(row)
 

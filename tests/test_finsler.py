@@ -8,12 +8,9 @@ import pytest
 
 from finsler_solitons import finsler, generators, jets, randers, riemann
 from finsler_solitons.finsler import (FinslerMetric, FlagDomainError, Measure,
-                                      ParameterError, cartan_tensor,
-                                      curvature_bundle, distortion,
-                                      flag_curvature_fit, fundamental_tensor,
-                                      lie_F2, ricci, riemann_curvature,
-                                      s_curvature, s_dot, spray,
-                                      weighted_ricci)
+                                      ParameterError, curvature_bundle, distortion,
+                                      flag_curvature_fit, lie_F2, ricci, s_curvature,
+                                      s_dot, weighted_ricci)
 from finsler_solitons.jets import FlagPoint
 from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric
 
@@ -47,7 +44,7 @@ def test_fundamental_tensor_riemannian_reduction():
     x = generators.sample_box_point(RNG, 3)
     for _ in range(3):
         p = FlagPoint(x, RNG.normal(size=3))
-        np.testing.assert_allclose(fundamental_tensor(F, p), h.matrix_at(x),
+        np.testing.assert_allclose(curvature_bundle(F, p).g, h.matrix_at(x),
                                    rtol=1e-11, atol=1e-13)
 
 
@@ -55,7 +52,7 @@ def test_fundamental_tensor_randers_euler_identity():
     rd = generators.random_randers(RNG, 3)
     F = randers.finsler_from_randers(rd)
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
-    g = fundamental_tensor(F, p)
+    g = curvature_bundle(F, p).g
     F2 = F.value(p.x, p.y) ** 2
     assert float(p.y @ g @ p.y) == pytest.approx(F2, rel=1e-11)
 
@@ -63,17 +60,17 @@ def test_fundamental_tensor_randers_euler_identity():
 def test_fundamental_tensor_cigar_positive_definite():
     F = randers.finsler_from_navigation(cigar_navigation())
     p = FlagPoint([1.0, 0.0], [1.0, 0.0])
-    g = fundamental_tensor(F, p)
+    g = curvature_bundle(F, p).g
     assert np.all(np.linalg.eigvalsh(g) > 0.0)
 
 
 def test_cartan_tensor_vanishes_iff_riemannian():
     h = generators.random_riemann_metric(RNG, 2)
     p = euclid_flag(2)
-    C = cartan_tensor(FinslerMetric.from_riemannian(h), p)
+    C = curvature_bundle(FinslerMetric.from_riemannian(h), p).cartan
     assert np.max(np.abs(C)) <= 1e-11
     rd = generators.random_randers(RNG, 2)
-    C2 = cartan_tensor(randers.finsler_from_randers(rd), p)
+    C2 = curvature_bundle(randers.finsler_from_randers(rd), p).cartan
     assert np.max(np.abs(C2)) > 1e-4
 
 
@@ -81,7 +78,7 @@ def test_cartan_contraction_with_y_vanishes():
     rd = generators.random_randers(RNG, 3)
     F = randers.finsler_from_randers(rd)
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
-    C = cartan_tensor(F, p)
+    C = curvature_bundle(F, p).cartan
     assert np.max(np.abs(np.einsum("ijk,i->jk", C, p.y))) <= 1e-10
 
 
@@ -90,7 +87,7 @@ def test_cartan_contraction_with_y_vanishes():
 
 def test_spray_euclidean_zero():
     F = FinslerMetric.from_riemannian(euclidean_metric(2))
-    assert np.max(np.abs(spray(F, euclid_flag(2)))) <= 1e-14
+    assert np.max(np.abs(curvature_bundle(F, euclid_flag(2)).spray)) <= 1e-14
 
 
 def test_spray_riemannian_christoffel_oracle():
@@ -99,7 +96,7 @@ def test_spray_riemannian_christoffel_oracle():
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
     gam = riemann.point_record(h, p.x, 1).gamma
     want = 0.5 * np.einsum("kij,i,j->k", gam, p.y, p.y)
-    np.testing.assert_allclose(spray(F, p), want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(curvature_bundle(F, p).spray, want, rtol=1e-10, atol=1e-12)
 
 
 def test_spray_navigation_correction():
@@ -107,8 +104,8 @@ def test_spray_navigation_correction():
     nav = cigar_navigation()
     rd = randers.from_navigation(nav)
     p = FlagPoint([0.8, 0.4], RNG.normal(size=2))
-    Ga = spray(FinslerMetric.from_riemannian(rd.alpha), p)
-    Gh = spray(FinslerMetric.from_riemannian(nav.h), p)
+    Ga = curvature_bundle(FinslerMetric.from_riemannian(rd.alpha), p).spray
+    Gh = curvature_bundle(FinslerMetric.from_riemannian(nav.h), p).spray
     T = randers.nav_tensors(riemann.point_record(nav.h, p.x, 1), nav.W.table(p.x, order=1))
     zeta = randers.spray_correction(T, 0.0, p.y)
     np.testing.assert_allclose(Ga, Gh + zeta, rtol=1e-9, atol=1e-11)
@@ -119,7 +116,7 @@ def test_spray_navigation_correction():
 
 def test_riemann_curvature_euclidean_zero():
     F = FinslerMetric.from_riemannian(euclidean_metric(3))
-    R = riemann_curvature(F, euclid_flag(3))
+    R = curvature_bundle(F, euclid_flag(3)).riemann
     assert np.max(np.abs(R)) <= 1e-13
 
 
@@ -134,7 +131,7 @@ def test_riemann_curvature_sphere_pattern():
     h0 = h.matrix_at(x)
     h2 = float(y @ h0 @ y)
     want = mu * (h2 * np.eye(3) - np.outer(y, h0 @ y))
-    np.testing.assert_allclose(riemann_curvature(F, p), want, rtol=1e-9, atol=1e-10)
+    np.testing.assert_allclose(curvature_bundle(F, p).riemann, want, rtol=1e-9, atol=1e-10)
     assert ricci(F, p) == pytest.approx(2.0 * mu * h2, rel=1e-10)
 
 
@@ -158,9 +155,9 @@ def test_homogeneity_suite():
     for lam in (0.37, 2.9):
         q = FlagPoint(p.x, lam * p.y)
         assert F.value(q.x, q.y) == pytest.approx(lam * F.value(p.x, p.y), rel=1e-12)
-        np.testing.assert_allclose(spray(F, q), lam * lam * spray(F, p), rtol=1e-10)
-        np.testing.assert_allclose(riemann_curvature(F, q),
-                                   lam * lam * riemann_curvature(F, p), rtol=1e-10)
+        bq, bp = curvature_bundle(F, q), curvature_bundle(F, p)
+        np.testing.assert_allclose(bq.spray, lam * lam * bp.spray, rtol=1e-10)
+        np.testing.assert_allclose(bq.riemann, lam * lam * bp.riemann, rtol=1e-10)
         assert s_curvature(F, measure, q) == pytest.approx(
             lam * s_curvature(F, measure, p), rel=1e-10)
         assert distortion(F, measure, q) == pytest.approx(

@@ -11,6 +11,7 @@ from finsler_solitons.fixtures import (ConstructionError, cigar,
                                        expanding_cylinder, gaussian,
                                        get_fixture, shrinking_cylinder,
                                        sphere_metric)
+from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric
 from finsler_solitons.sampling import sample_flags, unit_direction
 
 RNG = np.random.default_rng(61)
@@ -36,10 +37,10 @@ def test_domain_guards_hold_on_sample_domain(name):
     rng = np.random.default_rng(hash(name) % (2 ** 31))
     for _ in range(1000):
         x = fx.sample_x(rng)
-        lam = jets.scalar_value(fx.nav.lam(list(x)))
-        assert lam > 0.0
-        b2 = jets.scalar_value(fx.rd.b2(list(x)))
-        assert b2 < 1.0
+        lam = randers._lam(fx.nav.h.matrix(list(x)), fx.nav.W.components(list(x)))
+        assert jets.scalar_value(lam) > 0.0
+        ainv = riemann.generic_inverse(fx.rd.alpha.matrix(list(x)))
+        assert jets.scalar_value(randers._b2(ainv, fx.rd.beta.components(list(x)))) < 1.0
         y = unit_direction(rng, fx.dim)
         assert fx.metric.value(x, y) > 1e-6
 
@@ -184,3 +185,53 @@ def test_perturbed_rebuild_keeps_metadata():
     assert (fx.name, fx.bundles, fx.dim) == (base.name, base.bundles, base.dim)
     x = fx.sample_x(RNG)
     assert float(fx.kappa(list(x))) == float(base.kappa(list(x))) + 1e-2
+
+
+# -- the navigation soliton declaration ---------------------------------------------------
+
+DECLARED = ("kappa", "mu", "sigma", "einstein", "einstein_h", "flag_curvature")
+
+
+def _declared(fx, x):
+    """Each declared scalar of fx at x, None where it is not declared."""
+    return {k: None if getattr(fx, k) is None else float(getattr(fx, k)(list(x)))
+            for k in DECLARED}
+
+
+def test_navigation_soliton_bundles_follow_the_declaration():
+    h, f = euclidean_metric(2), ScalarField(lambda x: 0.5 * (x[0] * x[0] + x[1] * x[1]))
+    wind = VectorField(lambda x: [-0.5 * x[1], 0.5 * x[0]])
+    gradient = ("gradient-ab", "gradient-nav")
+    for W, einstein, bundles in ((wind, 0.0, gradient + ("vector-ab", "vector-nav")),
+                                 (wind, None, gradient), (None, 0.0, gradient),
+                                 (None, None, gradient)):
+        fx = fixtures.navigation_soliton("plane", h, W, f, 1.0, fixtures._ball_sampler(2, 0.5),
+                                         einstein=einstein, flag_curvature=einstein)
+        assert fx.bundles == bundles
+        assert fx.dim == 2 and fx.metric.name == fx.nav.name == "plane"
+        assert fx.nav.W is (fixtures.ZERO_FIELD if W is None else W)
+        assert _declared(fx, [0.3, -0.2]) == {
+            "kappa": 1.0, "mu": 1.0, "sigma": 0.0, "einstein": einstein,
+            "einstein_h": einstein, "flag_curvature": einstein}
+    assert [get_fixture(n).bundles == gradient for n in fixtures.FIXTURE_NAMES] == [
+        False, True, False, True, True]
+
+
+@pytest.mark.parametrize("name", ("cigar", "shrinking"))
+@pytest.mark.parametrize("ingredient", ("f", "W", "kappa", "mu", "sigma"))
+def test_each_perturbation_shifts_exactly_its_declared_scalars(name, ingredient):
+    eps = 1e-2
+    base, fx = get_fixture(name), get_fixture(name, perturb=(ingredient, eps))
+    x = base.sample_x(np.random.default_rng(4))
+    want = _declared(base, x)
+    for key in {"kappa": ("kappa",), "mu": ("mu", "einstein_h"),
+                "sigma": ("sigma",)}.get(ingredient, ()):
+        if want[key] is not None:
+            want[key] += eps
+    assert _declared(fx, x) == want
+    assert fx.bundles == base.bundles
+    bump = eps * x[0] * x[0] if ingredient == "f" else 0.0
+    assert float(fx.f(list(x))) == float(base.f(list(x))) + bump
+    w, w0 = fx.nav.W.at(x), base.nav.W.at(x)
+    w0[0] += eps * x[0] if ingredient == "W" else 0.0
+    assert np.array_equal(w, w0)

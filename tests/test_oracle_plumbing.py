@@ -282,7 +282,7 @@ def _s_dot_fd_per_point(metric, measure, p, step=1e-5):
 
     dS = np.array([fd_derivative(S_fn, z0, tuple(1 if i == k else 0 for i in range(2 * n)),
                                  step=step * scale) for k in range(2 * n)])
-    return float(np.dot(p.y, dS[:n]) - 2.0 * np.dot(finsler.spray(metric, p), dS[n:]))
+    return float(np.dot(p.y, dS[:n]) - 2.0 * np.dot(_pointwise_spray(metric, z0), dS[n:]))
 
 
 @pytest.mark.parametrize("name", ("gaussian", "cigar", "shrinking"))
@@ -330,7 +330,7 @@ def _separate_fd_oracles(metric, measure, p, step1=1e-5, step2=3e-4):
     """The fd bundle and the fd S-dot as two separate oracles: the spray at
     each stencil point (p included) from a stage of its own, g and F from
     one more order-2 expansion at p, a base point per stencil x of S, and
-    S-dot from `finsler.spray`.  Returns the bundle's fields and S-dot."""
+    S-dot from `_pointwise_spray` at p.  Returns the bundle's fields and S-dot."""
     n = metric.dim
     x, y = np.asarray(p.x, float), np.asarray(p.y, float)
     z0 = np.concatenate([x, y])

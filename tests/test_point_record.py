@@ -129,7 +129,7 @@ def _beta_tables(rd, x):
         "ij,kj->ki", ainv, np.einsum("ik,ij->kj", db_up, r) + np.einsum("i,kij->kj", b_up, dr))
     return dict(
         x=x, a=a0, ainv=ainv, b_low=b0, b_up=b_up, b2=b2, gamma=gamma, bcov=bcov, r=r, s=s,
-        s_mixed=s_mixed, s_low=s_low, s_up=s_up, r_low=r_low, r_up=r_up,
+        s_mixed=s_mixed, s_low=s_low, s_up=s_up, r_low=r_low,
         r_scalar=float(b_up @ r_low), t=t, t_mixed=t_mixed, t_low=b_up @ t,
         t_trace=float(np.trace(t_mixed)), q=r @ s_mixed,
         e=r + np.outer(b0, s_low) + np.outer(s_low, b0), s_cov=s_cov, r_cov=r_cov,
@@ -151,8 +151,7 @@ def _nav_tensors(nav, x):
     s_low = w0 @ s_asym
     return dict(x=x, h=h0, hinv=hinv, w_up=w0, w_low=h0 @ w0,
                 lam=1.0 - float(w0 @ h0 @ w0), wcov=wcov, r_sym=r_sym, s_asym=s_asym,
-                s_mixed=hinv @ s_asym, s_low=s_low, s_up=hinv @ s_low,
-                r_low=w0 @ r_sym, r_scalar=float(w0 @ r_sym @ w0))
+                s_mixed=hinv @ s_asym, s_low=s_low, s_up=hinv @ s_low)
 
 
 def _fit_sigma_isotropic_S(rd, x, y_samples):

@@ -11,7 +11,7 @@ from finsler_solitons.jets import FlagPoint
 from finsler_solitons.randers import (NavigationData, NavigationDomainError,
                                       RandersData, RandersDomainError,
                                       beta_derivatives, beta_tables,
-                                      bh_density, bh_measure,
+                                      bh_density_fn, bh_measure,
                                       finsler_from_navigation,
                                       finsler_from_randers,
                                       fit_sigma_isotropic_S, from_navigation,
@@ -54,8 +54,9 @@ def test_from_navigation_zero_wind_is_riemannian():
 def test_cigar_lambda_value():
     nav = cigar_navigation()
     t = 1.0
-    assert jets.scalar_value(nav.lam([t, 0.0])) == pytest.approx(
-        1.0 / math.cosh(t) ** 2, rel=1e-13)
+    x = [t, 0.0]
+    lam = randers._lam(nav.h.matrix(x), nav.W.components(x))
+    assert jets.scalar_value(lam) == pytest.approx(1.0 / math.cosh(t) ** 2, rel=1e-13)
 
 
 def test_roundtrip_random_dim3():
@@ -98,6 +99,20 @@ def test_randers_domain_error():
     rd = RandersData(alpha=euclidean_metric(2), beta=VectorField(lambda x: [1.1, 0.0]))
     with pytest.raises(RandersDomainError):
         tables_at(rd, [0.0, 0.0])
+
+
+def test_randers_stage_guard_raises_where_beta_reaches_one():
+    # the stage guards on the values of alpha and beta, at float and at jet x
+    rd = RandersData(alpha=euclidean_metric(2), beta=VectorField(lambda x: [x[0], 0.0]))
+    metric = finsler_from_randers(rd)
+    assert metric.value([0.5, 0.0], [0.0, 1.0]) == pytest.approx(1.0, rel=1e-15)
+    for x in ([1.0, 0.0], [-1.5, 0.3]):
+        with pytest.raises(RandersDomainError):
+            metric.at(x)
+        with pytest.raises(RandersDomainError):
+            metric.at(jets.Jet.variables(x, 2))
+        with pytest.raises(RandersDomainError):
+            finsler.curvature_bundle(metric, FlagPoint(x, [0.0, 1.0]))
 
 
 # -- metric evaluation ------------------------------------------------------------------
@@ -158,7 +173,7 @@ def test_randers_closures_evaluate_alpha_once_per_call():
     x, y = [1.0, 0.4], [0.3, -0.8]
     for got, want in ((lambda: finsler_from_randers(rd).value(x, y),
                        lambda: finsler_from_randers(rd0).value(x, y)),
-                      (lambda: bh_density(rd, x), lambda: bh_density(rd0, x)),
+                      (lambda: bh_density_fn(rd)(x), lambda: bh_density_fn(rd0)(x)),
                       (lambda: nav.h.matrix(x), lambda: want_nav.h.matrix(x)),
                       (lambda: nav.W.components(x), lambda: want_nav.W.components(x))):
         calls.clear()
@@ -191,7 +206,7 @@ def test_bh_density_riemannian():
     rd = RandersData(alpha=generators.random_riemann_metric(RNG, 3),
                      beta=VectorField(lambda x: [0.0] * 3))
     x = generators.sample_box_point(RNG, 3)
-    assert bh_density(rd, x) == pytest.approx(
+    assert bh_density_fn(rd)(x) == pytest.approx(
         math.sqrt(np.linalg.det(rd.alpha.matrix_at(x))), rel=1e-12)
 
 
@@ -203,9 +218,9 @@ def test_bh_density_cigar():
     b2 = math.tanh(t) ** 2
     det_a = np.linalg.det(rd.alpha.matrix_at(x))
     want = (1.0 - b2) ** 1.5 * math.sqrt(det_a)
-    assert bh_density(rd, x) == pytest.approx(want, rel=1e-12)
+    assert bh_density_fn(rd)(x) == pytest.approx(want, rel=1e-12)
     # for navigation data the BH density collapses to sqrt(det h)
-    assert bh_density(rd, x) == pytest.approx(
+    assert bh_density_fn(rd)(x) == pytest.approx(
         math.sqrt(np.linalg.det(nav.h.matrix_at(x))), rel=1e-12)
 
 

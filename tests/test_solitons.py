@@ -6,7 +6,8 @@ import collections
 import numpy as np
 import pytest
 
-from finsler_solitons import finsler, fixtures, generators, randers, riemann, solitons
+from finsler_solitons import (finsler, fixtures, generators, randers, riemann, solitons,
+                              suites)
 from finsler_solitons.finsler import FinslerMetric, Measure
 from finsler_solitons.jets import FlagPoint
 from finsler_solitons.reports import all_passed
@@ -33,8 +34,8 @@ def test_almost_soliton_trivial_einstein():
     # V = 0 on an Einstein metric: the defining equation holds at the Einstein scalar
     fx = fixtures.get_fixture("cigar")
     for p in flags_of(fx, 6):
-        res = solitons.almost_soliton_residual(fx.metric, fx.zero_field,
-                                               fx.einstein_kappa, p)
+        res = solitons.almost_soliton_residual(fx.metric, fixtures.ZERO_FIELD,
+                                               fx.einstein, p)
         assert abs(res) <= 1e-10
 
 
@@ -74,10 +75,9 @@ def test_gradient_residual_affine_in_kappa():
 def test_gradient_bundles_pass(name):
     fx = fixtures.get_fixture(name)
     points = points_of(fx, 10)
-    rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.kappa, points, TOL,
-                                               sigma=fx.sigma)
-    rows += solitons.gradient_soliton_checks_nav(fx.nav, fx.kappa, points, TOL,
-                                                 mu=fx.mu_soliton, sigma=fx.sigma)
+    rows = solitons.gradient_soliton_checks_ab(fx.kappa, points, TOL, sigma=fx.sigma)
+    rows += solitons.gradient_soliton_checks_nav(fx.kappa, points, TOL, mu=fx.mu,
+                                                 sigma=fx.sigma)
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
 
 
@@ -85,10 +85,10 @@ def test_gradient_bundles_pass(name):
 def test_vector_bundles_pass_on_einstein_fixtures(name):
     fx = fixtures.get_fixture(name)
     points = points_of(fx, 10)
-    rows = solitons.vector_soliton_checks_ab(fx.rd, fx.zero_field, fx.einstein_kappa,
+    rows = solitons.vector_soliton_checks_ab(fixtures.ZERO_FIELD, fx.einstein,
                                              points, TOL, c=0.0, sigma=fx.sigma)
-    rows += solitons.vector_soliton_checks_nav(fx.nav, fx.zero_field, fx.einstein_kappa,
-                                               points, TOL, mu=fx.mu_einstein_h,
+    rows += solitons.vector_soliton_checks_nav(fixtures.ZERO_FIELD, fx.einstein,
+                                               points, TOL, mu=fx.einstein_h,
                                                sigma=fx.sigma)
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
 
@@ -96,9 +96,9 @@ def test_vector_bundles_pass_on_einstein_fixtures(name):
 def test_vector_bundles_not_applicable_on_riemannian_data():
     fx = fixtures.get_fixture("gaussian-riemannian")
     points = points_of(fx, 4)
-    rows = solitons.vector_soliton_checks_ab(fx.rd, fx.zero_field, 0.0, points, TOL)
+    rows = solitons.vector_soliton_checks_ab(fixtures.ZERO_FIELD, 0.0, points, TOL)
     assert all(r.verdict == "not-applicable" for r in rows)
-    rows = solitons.vector_soliton_checks_nav(fx.nav, fx.zero_field, 0.0, points, TOL)
+    rows = solitons.vector_soliton_checks_nav(fixtures.ZERO_FIELD, 0.0, points, TOL)
     assert all(r.verdict == "not-applicable" for r in rows)
 
 
@@ -106,9 +106,9 @@ def test_fitted_scalars_match_declared():
     fx = fixtures.get_fixture("cigar")
     points = points_of(fx, 6)
     # run the gradient bundles in fitted mode (no sigma/mu supplied)
-    rows = solitons.gradient_soliton_checks_nav(fx.nav, fx.kappa, points, TOL)
+    rows = solitons.gradient_soliton_checks_nav(fx.kappa, points, TOL)
     assert all_passed(rows)
-    rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.kappa, points, TOL)
+    rows = solitons.gradient_soliton_checks_ab(fx.kappa, points, TOL)
     assert all_passed(rows)
 
 
@@ -117,15 +117,13 @@ def test_constant_weight_reduces_to_einstein_check():
     # must hold with kappa equal to the Einstein scalar of F
     fx = fixtures.get_fixture("cigar")
     points = points_of(fx, 8, f=0.0)
-    rows = solitons.gradient_soliton_checks_ab(fx.rd, fx.einstein_kappa, points,
-                                               TOL, sigma=fx.sigma)
-    rows += solitons.gradient_soliton_checks_nav(fx.nav, fx.einstein_kappa, points,
-                                                 TOL, mu=fx.mu_einstein_h,
-                                                 sigma=fx.sigma)
+    rows = solitons.gradient_soliton_checks_ab(fx.einstein, points, TOL, sigma=fx.sigma)
+    rows += solitons.gradient_soliton_checks_nav(fx.einstein, points, TOL,
+                                                 mu=fx.einstein_h, sigma=fx.sigma)
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
     m_bh = randers.bh_measure(fx.rd)
     for p in [bp.p for bp in points[:4]]:
-        res = solitons.gradient_soliton_residual(fx.metric, m_bh, fx.einstein_kappa, p)
+        res = solitons.gradient_soliton_residual(fx.metric, m_bh, fx.einstein, p)
         assert abs(res) <= 1e-9
 
 
@@ -141,7 +139,7 @@ def test_third_balance_equation_consistency():
             T = randers.beta_tables(riemann.point_record(fx.rd.alpha, p.x, 2),
                                     fx.rd.beta.table(p.x, order=2))
             bd = randers.beta_derivatives(fx.rd, p, tables=T)
-            kap = float(riemann.scalar_value(fx.einstein_kappa(list(p.x))))
+            kap = float(riemann.scalar_value(fx.einstein(list(p.x))))
             want = kap * bd.beta + (n - 1) * bd.t0
             assert bd.si0i == pytest.approx(want, rel=1e-9, abs=1e-11)
 
@@ -214,7 +212,7 @@ def test_fit_riemann_soliton_scalar_fixtures(name, mu):
         fitted, res = solitons.fit_riemann_soliton_scalar(
             riemann.point_record(fx.nav.h, p.x, 2), fx.f.table(p.x, order=2))
         assert fitted == pytest.approx(mu, abs=1e-12)
-        assert float(fx.mu_soliton(list(p.x))) == mu
+        assert float(fx.mu(list(p.x))) == mu
         assert res <= 1e-12
 
 
@@ -235,8 +233,6 @@ def test_negative_controls_cigar(ingredient):
 def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
     # The table looks each checker up at call time, so a wrapper on
     # `solitons` sees every bundle call with that bundle's arguments.
-    from finsler_solitons import suites
-
     fx = fixtures.get_fixture("cigar")
     seen = []
     checkers = {"gradient-ab": "gradient_soliton_checks_ab",
@@ -251,15 +247,17 @@ def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
         monkeypatch.setattr(solitons, attr, wrapped)
     reports = suites.run_fixture_suite(fx, samples=2, seed=3)
     assert [a for a, _, _ in seen] == [checkers[b] for b in fx.bundles]
-    assert seen[0][1][:2] == (fx.rd, fx.kappa)
-    assert seen[1][1][:2] == (fx.nav, fx.kappa)
-    assert seen[2][1][:3] == (fx.rd, fx.zero_field, fx.einstein_kappa)
+    # the gradient bundles read kappa, mu and sigma; the vector bundles V = 0
+    # with the Einstein scalars and c = 0
+    assert seen[0][1][0] is fx.kappa and ("sigma", fx.sigma) in seen[0][2]
+    assert seen[1][1][0] is fx.kappa and ("mu", fx.mu) in seen[1][2]
+    assert seen[2][1][:2] == (fixtures.ZERO_FIELD, fx.einstein)
     assert ("c", 0.0) in seen[2][2]
-    assert seen[3][1][:3] == (fx.nav, fx.zero_field, fx.einstein_kappa)
-    assert ("mu", fx.mu_einstein_h) in seen[3][2]
+    assert seen[3][1][:2] == (fixtures.ZERO_FIELD, fx.einstein)
+    assert ("mu", fx.einstein_h) in seen[3][2]
     # all four read one list of bundle points
-    points = seen[0][1][2]
-    assert seen[1][1][2] is points and seen[2][1][3] is points and seen[3][1][3] is points
+    points = seen[0][1][1]
+    assert seen[1][1][1] is points and seen[2][1][2] is points and seen[3][1][2] is points
     for bundle in fx.bundles:
         assert any(r.name.startswith(f"{bundle}/") for r in reports)
 
@@ -272,7 +270,6 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     # only jet passes of table functions are V's vector_table in each vector
     # bundle and one sigma table per flag, which every bundle reads; and no
     # float evaluation of a metric or a field
-    from finsler_solitons import suites
     from finsler_solitons.jets import Jet
 
     fx = fixtures.get_fixture(name)
@@ -329,20 +326,10 @@ def test_characterizations_consistent_on_fixtures():
         for p in flags[:4]:
             assert abs(solitons.gradient_soliton_residual(
                 fx.metric, fx.measure, fx.kappa, p)) <= 1e-7
-        rows = solitons.gradient_soliton_checks_ab(
-            fx.rd, fx.kappa, points, 1e-7, sigma=fx.sigma)
-        rows += solitons.gradient_soliton_checks_nav(
-            fx.nav, fx.kappa, points, 1e-7, mu=fx.mu_soliton, sigma=fx.sigma)
-        if fx.einstein_kappa is not None:
+        rows = [r for b in fx.bundles for r in suites.BUNDLES[b](fx, points, 1e-7)]
+        if fx.einstein is not None:
             for p in flags[:4]:
                 assert abs(solitons.almost_soliton_residual(
-                    fx.metric, fx.zero_field, fx.einstein_kappa, p)) <= 1e-7
-        if "vector-ab" in fx.bundles:
-            rows += solitons.vector_soliton_checks_ab(
-                fx.rd, fx.zero_field, fx.einstein_kappa, points, 1e-7,
-                c=0.0, sigma=fx.sigma)
-            rows += solitons.vector_soliton_checks_nav(
-                fx.nav, fx.zero_field, fx.einstein_kappa, points, 1e-7,
-                mu=fx.mu_einstein_h, sigma=fx.sigma)
+                    fx.metric, fixtures.ZERO_FIELD, fx.einstein, p)) <= 1e-7
         assert all_passed(rows), (name, [(r.name, r.max_abs)
                                          for r in rows if not r.passed])
