@@ -7,7 +7,8 @@ Each SRC is a directory that holds the `finsler_solitons` package (the `src/`
 of a checkout).  Every invocation in INVOCATIONS runs
 `python3 -m finsler_solitons.cli` once against each tree.  The script prints,
 per invocation, whether the outputs are byte-identical ("same"), differ only
-in residuals ("near") or differ otherwise ("DIFF"), and the largest absolute
+in residuals ("near") or differ otherwise ("DIFF"; a csv or text report that
+is not byte-identical is a DIFF), and the largest absolute
 drift of each residual field (`max_abs`, `mean_abs`, `max_rel`); at the end,
 the overall largest drift and its ratio to the bound max(1e-12, 1e-12 |old|).
 
@@ -44,6 +45,8 @@ INVOCATIONS = (
     + (("crosscheck", "--suite", "jets-vs-fd", "--count", "5", "--seed", "11"),)
     + tuple(("verify", "--fixture", name, "--samples", "2", "--perturb", f"{ing}:1e-2")
             for ing in ("kappa", "mu", "sigma") for name in FIXTURES)
+    + tuple(("verify", "--fixture", "cigar", "--samples", "4", "--format", fmt)
+            for fmt in ("csv", "text"))
 )
 
 

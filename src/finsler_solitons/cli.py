@@ -85,8 +85,11 @@ def _render(report, fmt) -> str:
                              repr(row["mean_abs"]), repr(row["max_rel"]),
                              repr(row["tol"]), row["verdict"], row["detail"]])
         return buf.getvalue()
-    lines = [f"{report.get('fixture') or report.get('suite')}: "
-             f"seed={report['seed']} samples={report.get('samples', report.get('count'))}"]
+    if report["command"] == "verify":
+        size = f"samples={report['samples']}"
+    else:
+        size = f"count={'default' if report['count'] is None else report['count']}"
+    lines = [f"{report.get('fixture') or report.get('suite')}: seed={report['seed']} {size}"]
     for row in report["checks"]:
         lines.append(f"  {row['verdict']:>14s}  {row['name']:<40s} "
                      f"max={row['max_abs']:.3e} mean={row['mean_abs']:.3e} "

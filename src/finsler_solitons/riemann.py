@@ -134,6 +134,12 @@ def as_scalar_field(obj) -> ScalarField:
     return ScalarField(obj)
 
 
+def field_value(field, x) -> float:
+    """The float value at the chart point x of a scalar field (a `ScalarField`,
+    a function of x or a constant)."""
+    return float(scalar_value(as_scalar_field(field)(list(x))))
+
+
 class VectorField:
     """Vector (or 1-form) components as a function of x, jet-evaluable.
 

@@ -12,15 +12,15 @@ Four equivalent descriptions are implemented and cross-checked:
 
 Each sample flag of a fixture (navigation data and a weight f) is one
 `SamplePoint`, gathered from one jet evaluation of h, W and f at x; the
-flag rows, the fits and the four bundles read it.  The vector bundles table
-V once per flag and feed its covariant derivative to the table formulas of
-`riemann` (Lie derivatives, conformal residual) and to the trace fits,
-which read h and h^-1 from the point record.
+flag rows, the kappa and sigma fits and the four bundles read it.  The
+vector bundles table V once per flag and feed its covariant derivative to
+the table formulas of `riemann` (Lie derivatives, conformal residual).
 
-All 2-homogeneous residuals are normalized by F^2 (or h^2) and 1-homogeneous
-ones by F (or h), so tolerances are scale-free.  Scalars kappa, sigma, c, mu
-may be supplied as fields or fitted by least squares; fitted runs report the
-fit residual in the check detail.
+All 2-homogeneous residuals are normalized by F^2 (or h^2), 1-homogeneous
+ones by F (or h) and matrix residuals by max(1, max |a_ij|) (or h_ij), so
+tolerances are scale-free.  The bundles check the scalars kappa, sigma, c and mu that
+the caller declares (fields or constants); kappa and sigma are also fitted
+by least squares (`fit_kappa`, `fit_sigma`) for the fixture suite's fit rows.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .finsler import FinslerMetric, Measure
 from .jets import FlagPoint, Jet, scalar_value
 from .randers import NavigationData, RandersData
 from .reports import ResidualReport, report_from_values
-from .riemann import VectorField, as_scalar_field
+from .riemann import VectorField, as_scalar_field, field_value
 
 
 def _directions(dim):
@@ -58,67 +58,33 @@ def _directions(dim):
 def almost_soliton_residual(metric: FinslerMetric, v: VectorField, kappa,
                             p: FlagPoint) -> float:
     """(2 Ric + L_V(F^2) - 2 kappa F^2) / F^2 at one flag."""
-    kappa = as_scalar_field(kappa)
     b = finsler.curvature_bundle(metric, p)
     lie = finsler.lie_F2(metric, v, p)
-    kap = float(riemann.scalar_value(kappa(list(p.x))))
-    return (2.0 * b.ricci + lie - 2.0 * kap * b.F2) / b.F2
+    return (2.0 * b.ricci + lie - 2.0 * field_value(kappa, p.x) * b.F2) / b.F2
 
 
 def gradient_soliton_residual(metric: FinslerMetric, measure: Measure, kappa,
                               p: FlagPoint) -> float:
     """(Ric_inf - kappa F^2) / F^2 at one flag (one `evaluate_flag`)."""
-    kappa = as_scalar_field(kappa)
     ric_inf = finsler.weighted_ricci(metric, measure, p)
     F2 = metric.value(p.x, p.y) ** 2
-    kap = float(riemann.scalar_value(kappa(list(p.x))))
-    return (ric_inf - kap * F2) / F2
+    return (ric_inf - field_value(kappa, p.x) * F2) / F2
 
 
 # -- least-squares scalar fits ------------------------------------------------------
 
 
-def _trace_fit(rec, tensor):
-    """(mu, residual) for tensor_ij = mu h_ij at the record's point: mu =
-    tr(h^-1 tensor)/n, and the largest entry of tensor - mu h relative to
-    max(1, max |h_ij|), with the record's h and h^-1."""
-    h0 = rec.h0
-    mu = float(np.trace(rec.hinv @ tensor)) / rec.metric.dim
-    resid = float(np.max(np.abs(tensor - mu * h0))) / max(1.0, float(np.max(np.abs(h0))))
-    return mu, resid
-
-
-def fit_conformal_factor(rec, vcov):
-    """(c, residual): least-squares c in V_{i:j} + V_{j:i} = 4 c h_ij, from
-    vcov[i,j] = V_{i:j} at the record's point."""
-    mu, resid = _trace_fit(rec, vcov + vcov.T)
-    return mu / 4.0, resid
-
-
-def fit_einstein_scalar(rec):
-    """(mu, residual): least-squares mu in Ric_h = mu h^2 (an order-2 record)."""
-    return _trace_fit(rec, rec.ricci)
-
-
-def fit_riemann_soliton_scalar(rec, ftab):
-    """(mu, residual): least-squares mu in Ric_h + Hess_h(f) = mu h^2, from an
-    order-2 record and f's order-2 table."""
-    return _trace_fit(rec, rec.ricci + riemann.hessian_tensor(rec, ftab))
-
-
-def fit_kappa(metric: FinslerMetric, measure: Measure, bases, directions=None):
+def fit_kappa(metric: FinslerMetric, measure: Measure, bases):
     """Pointwise least-squares kappa(x) from Ric_inf = kappa F^2 at each of
     the `finsler.BasePoint`s `bases` of (metric, measure).
 
     Returns (kappa array over the points, anisotropy), where anisotropy is
-    the largest spread of Ric_inf/F^2 over the direction set at a single x; it
+    the largest spread of Ric_inf/F^2 over `_directions(n)` at a single x; it
     must vanish for a true gradient soliton because kappa depends on x only.
     Every direction at a point reads the point's stage and density table, so
     the fit builds neither, and the F^2 normalisers one float stage.
     """
-    dirs = directions if directions is not None else _directions(metric.dim)
-    if len(dirs) < 2:
-        raise ValueError("need at least two directions per point to fit kappa")
+    dirs = _directions(metric.dim)
     kappas = []
     anisotropy = 0.0
     for base in bases:
@@ -197,16 +163,13 @@ def sample_point(rd: RandersData, nav: NavigationData, f, p, bundle) -> SamplePo
                        riemann.scalar_gather(fval, space, 2))
 
 
-def _bundle_reports(rows, fitted, shown, tol, applicable):
-    """One report per row; the detail names the first `shown` fitted scalars."""
-    detail = "; ".join(f"fitted {k}={val:.3e} (resid {res:.1e})"
-                       for k, val, res in fitted[:shown])
-    return [report_from_values(name, vals, tol, detail=detail, applicable=applicable)
-            for name, vals in rows.items()]
+def _matrix_residual(res, scale) -> float:
+    """max |res_ij| relative to max(1, max |scale_ij|)."""
+    return float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(scale))))
 
 
-def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float,
-                             c=None, sigma=None) -> list[ResidualReport]:
+def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float, *,
+                             c, sigma) -> list[ResidualReport]:
     """(alpha, beta) residuals for the vector-field soliton characterization:
 
       (i)   V_{i;j} + V_{j;i} = 4 c a_ij
@@ -219,37 +182,25 @@ def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float,
     at each `SamplePoint` (bundle data of alpha, beta), with V tabled once
     per point.
     """
-    kappa = as_scalar_field(kappa)
     rows = {k: [] for k in ("conformal-v", "isotropic-s", "alpha-ricci-balance",
                             "sigma-lie-balance")}
-    fitted = []
     applicable = True
     for bp in points:
         p, T, bd, A = bp.p, bp.beta, bp.bd, bp.alpha
-        x, n = list(p.x), p.dim
+        n = p.dim
         if float(np.max(np.abs(T.b_low))) < 1e-14:
             applicable = False
             break
         v0, dv = v.table(p.x, order=1)
         vcov = riemann.lowered_covariant_derivative(A.h0, A.dh, A.gamma, v0, dv)
-        if c is None:
-            cval, cres = fit_conformal_factor(A, vcov)
-            fitted.append(("c", cval, cres))
-        else:
-            cval = float(riemann.scalar_value(as_scalar_field(c)(x)))
-        if sigma is None:
-            sval, sres = randers.fit_sigma_isotropic_S(T, _directions(n))
-            sigma0 = 0.0
-            fitted.append(("sigma", sval, sres))
-        else:
-            sval, sigma0, _, _ = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.b_up)
-        kap = float(riemann.scalar_value(kappa(x)))
+        cval = field_value(c, p.x)
+        sval, sigma0, _, _ = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.b_up)
+        kap = field_value(kappa, p.x)
         a2 = bd.alpha ** 2
         beta = bd.beta
 
-        res_conf = riemann.conformal_residual(A, vcov, cval)
-        rows["conformal-v"].append(np.max(np.abs(res_conf))
-                                   / max(1.0, float(np.max(np.abs(T.a)))))
+        rows["conformal-v"].append(
+            _matrix_residual(riemann.conformal_residual(A, vcov, cval), T.a))
         rows["isotropic-s"].append((bd.e00 - 2.0 * sval * (a2 - beta ** 2)) / a2)
         aric = float(p.y @ T.alpha_ricci @ p.y)
         rhs = ((kap - 2.0 * cval) * (a2 + beta ** 2) + T.t_trace * a2 + 2.0 * bd.t00
@@ -260,11 +211,12 @@ def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float,
         lie_beta = riemann.lie_1form(v0, vcov, T.b_up, T.bcov, p.y)
         rows["sigma-lie-balance"].append(
             (3.0 * (n - 1) * sigma0 - (2.0 * cval * beta - lie_beta)) / bd.alpha)
-    return _bundle_reports(rows, fitted, 2, tol, applicable)
+    return [report_from_values(name, vals, tol, applicable=applicable)
+            for name, vals in rows.items()]
 
 
-def vector_soliton_checks_nav(v: VectorField, kappa, points, tol: float,
-                              mu=None, sigma=None) -> list[ResidualReport]:
+def vector_soliton_checks_nav(v: VectorField, kappa, points, tol: float, *,
+                              mu, sigma) -> list[ResidualReport]:
     """Navigation residuals for the vector-field soliton characterization:
 
       (i)   hRic = mu h^2                       (h Einstein)
@@ -275,14 +227,12 @@ def vector_soliton_checks_nav(v: VectorField, kappa, points, tol: float,
     with c = kappa - mu + (n-1) sigma^2 + 2(n-1) sigma_i W^i, at each
     `SamplePoint` (bundle data of h, W), with V tabled once per point.
     """
-    kappa = as_scalar_field(kappa)
     rows = {k: [] for k in ("einstein-h", "conformal-w", "lie-h2-balance",
                             "lie-w0-balance")}
-    fitted = []
     applicable = True
     for bp in points:
         p, T = bp.p, bp.nav
-        x, n = list(p.x), p.dim
+        n = p.dim
         if float(np.max(np.abs(T.w_up))) < 1e-14:
             applicable = False
             break
@@ -290,31 +240,26 @@ def vector_soliton_checks_nav(v: VectorField, kappa, points, tol: float,
         w0 = float(T.w_low @ p.y)
         v0, dv = v.table(p.x, order=1)
         vcov = riemann.lowered_covariant_derivative(bp.h.h0, bp.h.dh, bp.h.gamma, v0, dv)
-        if mu is None:
-            mval, mres = fit_einstein_scalar(bp.h)
-            fitted.append(("mu", mval, mres))
-        else:
-            mval = float(riemann.scalar_value(as_scalar_field(mu)(x)))
-        sval, sigma0, sigw, _ = randers.sigma_terms(
-            bp.sigma_table(sigma if sigma is not None else 0.0), p.y, T.w_up)
-        kap = float(riemann.scalar_value(kappa(x)))
+        mval = field_value(mu, p.x)
+        sval, sigma0, sigw, _ = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.w_up)
+        kap = field_value(kappa, p.x)
         cval = kap - mval + (n - 1) * sval ** 2 + 2.0 * (n - 1) * sigw
 
         rows["einstein-h"].append((float(p.y @ bp.h.ricci @ p.y) - mval * h2) / h2)
-        res_conf = T.wcov + T.wcov.T + 4.0 * sval * T.h
-        rows["conformal-w"].append(np.max(np.abs(res_conf))
-                                   / max(1.0, float(np.max(np.abs(T.h)))))
+        rows["conformal-w"].append(
+            _matrix_residual(riemann.conformal_residual(bp.h, T.wcov, -sval), T.h))
         lie_h2 = riemann.lie_h2(vcov, p.y)
         rhs3 = 2.0 * cval * h2 - 6.0 * (n - 1) * (sigw * h2 + sigma0 * w0)
         rows["lie-h2-balance"].append((lie_h2 - rhs3) / h2)
         lie_w0 = riemann.lie_1form(v0, vcov, T.w_up, T.wcov, p.y)
         rhs4 = cval * w0 - 3.0 * (n - 1) * (2.0 * sigw * w0 - T.lam * sigma0)
         rows["lie-w0-balance"].append((lie_w0 - rhs4) / math.sqrt(h2))
-    return _bundle_reports(rows, fitted, 2, tol, applicable)
+    return [report_from_values(name, vals, tol, applicable=applicable)
+            for name, vals in rows.items()]
 
 
-def gradient_soliton_checks_ab(kappa, points, tol: float,
-                               sigma=None) -> list[ResidualReport]:
+def gradient_soliton_checks_ab(kappa, points, tol: float, *,
+                               sigma) -> list[ResidualReport]:
     """(alpha, beta) residuals for the gradient soliton characterization:
 
       (i)   e_00 = 2 sigma (alpha^2 - beta^2)
@@ -328,20 +273,13 @@ def gradient_soliton_checks_ab(kappa, points, tol: float,
     at each `SamplePoint` (bundle data of alpha, beta), whose f table gives
     the weight f.
     """
-    kappa = as_scalar_field(kappa)
     rows = {k: [] for k in ("isotropic-s", "alpha-ricci-balance",
                             "sigma-gradient-balance", "sigma-constancy")}
-    fitted = []
     for bp in points:
         p, T, bd = bp.p, bp.beta, bp.bd
-        x, n = list(p.x), p.dim
-        if sigma is None:
-            sval, sres = randers.fit_sigma_isotropic_S(T, _directions(n))
-            sigma0 = 0.0
-            fitted.append(("sigma", sval, sres))
-        else:
-            sval, sigma0, _, _ = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.b_up)
-        kap = float(riemann.scalar_value(kappa(x)))
+        n = p.dim
+        sval, sigma0, _, _ = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.b_up)
+        kap = field_value(kappa, p.x)
         df = bp.f[1]
         f0 = float(df @ p.y)
         fb = float(df @ T.b_up)
@@ -367,11 +305,11 @@ def gradient_soliton_checks_ab(kappa, points, tol: float,
         rows["sigma-gradient-balance"].append(
             ((2.0 * n - 1.0) * (1.0 - b2) * sigma0 - grad_terms) / bd.alpha)
         rows["sigma-constancy"].append(grad_terms / bd.alpha)
-    return _bundle_reports(rows, fitted, 1, tol, True)
+    return [report_from_values(name, vals, tol) for name, vals in rows.items()]
 
 
-def gradient_soliton_checks_nav(kappa, points, tol: float,
-                                mu=None, sigma=None) -> list[ResidualReport]:
+def gradient_soliton_checks_nav(kappa, points, tol: float, *,
+                                mu, sigma) -> list[ResidualReport]:
     """Navigation residuals for the gradient soliton characterization:
 
       (i)   hRic + Hess_h(f) = mu h^2          ((h, f) Riemannian gradient soliton)
@@ -383,33 +321,25 @@ def gradient_soliton_checks_nav(kappa, points, tol: float,
     at each `SamplePoint` (bundle data of h, W), whose f table gives the
     weight f.
     """
-    kappa = as_scalar_field(kappa)
     rows = {k: [] for k in ("riemannian-soliton", "conformal-w",
                             "sigma-gradient-balance", "scalar-compatibility",
                             "sigma-constancy")}
-    fitted = []
     for bp in points:
         p, T = bp.p, bp.nav
-        x, n = list(p.x), p.dim
+        n = p.dim
         h2 = float(p.y @ T.h @ p.y)
         hnorm = math.sqrt(h2)
-        if mu is None:
-            mval, mres = fit_riemann_soliton_scalar(bp.h, bp.f)
-            fitted.append(("mu", mval, mres))
-        else:
-            mval = float(riemann.scalar_value(as_scalar_field(mu)(x)))
-        sval, sigma0, sigw, dsig = randers.sigma_terms(
-            bp.sigma_table(sigma if sigma is not None else 0.0), p.y, T.w_up)
-        kap = float(riemann.scalar_value(kappa(x)))
+        mval = field_value(mu, p.x)
+        sval, sigma0, sigw, dsig = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.w_up)
+        kap = field_value(kappa, p.x)
         df = bp.f[1]
         hess_h = riemann.hessian_tensor(bp.h, bp.f)
         f0 = float(df @ p.y)
 
         rows["riemannian-soliton"].append(
             (float(p.y @ (bp.h.ricci + hess_h) @ p.y) - mval * h2) / h2)
-        res_conf = T.wcov + T.wcov.T + 4.0 * sval * T.h
-        rows["conformal-w"].append(np.max(np.abs(res_conf))
-                                   / max(1.0, float(np.max(np.abs(T.h)))))
+        rows["conformal-w"].append(
+            _matrix_residual(riemann.conformal_residual(bp.h, T.wcov, -sval), T.h))
         fS0 = float(df @ T.s_mixed @ p.y)
         fW_hess = float(p.y @ hess_h @ T.w_up)
         compat = sval * f0 - fS0 - fW_hess
@@ -418,7 +348,7 @@ def gradient_soliton_checks_nav(kappa, points, tol: float,
         rows["scalar-compatibility"].append(
             float((dsig - sval * df) @ T.w_up) - (kap - mval + (n - 1) * sval ** 2))
         rows["sigma-constancy"].append(compat / hnorm)
-    return _bundle_reports(rows, fitted, 1, tol, True)
+    return [report_from_values(name, vals, tol) for name, vals in rows.items()]
 
 
 # -- navigation closed form for the S-curvature rate -----------------------------------

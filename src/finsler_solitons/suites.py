@@ -28,16 +28,12 @@ from .finsler import FinslerMetric
 from .fixtures import ZERO_FIELD
 from .jets import FlagPoint, fd_derivative, lift
 from .reports import ResidualReport, report_from_values
+from .riemann import field_value
 from .sampling import sample_flags, unit_direction
 
 # -- per-flag rows -----------------------------------------------------------------
 
 FD_FLAT = "fd-flat"     # row key: R is flat within the fd bundle's error estimate
-
-
-def _value(field, x) -> float:
-    """A declared scalar field's value at the chart point x."""
-    return float(riemann.scalar_value(field(list(x))))
 
 
 def _flag_rows(fixture, flags, mode):
@@ -52,11 +48,11 @@ def _flag_rows(fixture, flags, mode):
         F2 = p.F ** 2
         ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p, base=sp.base, mode=mode)
         ric, ric_inf, fit = ev.bundle.ricci, ev.ric_inf, ev.flag_curvature
-        row["infinity-ricci"] = (ric_inf - _value(fixture.kappa, p.x) * F2) / F2
+        row["infinity-ricci"] = (ric_inf - field_value(fixture.kappa, p.x) * F2) / F2
         if fixture.einstein is not None:
-            row["ricci-law"] = ric / F2 - _value(fixture.einstein, p.x)
+            row["ricci-law"] = ric / F2 - field_value(fixture.einstein, p.x)
         if fixture.flag_curvature is not None:
-            row["flag-curvature-law"] = fit.value - _value(fixture.flag_curvature, p.x)
+            row["flag-curvature-law"] = fit.value - field_value(fixture.flag_curvature, p.x)
             row["flag-curvature-misfit"] = fit.residual
             if fit.within_error:
                 row[FD_FLAT] = True
@@ -95,7 +91,7 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
 
     # the fit points are the first bundle flags
     sigmas, fitres = solitons.fit_sigma([sp.beta for sp in points[:len(fit_points)]])
-    sig_expected = [_value(fixture.sigma, x) for x in fit_points]
+    sig_expected = [field_value(fixture.sigma, x) for x in fit_points]
     reports.append(report_from_values(
         "sigma-fit", np.abs(sigmas - np.array(sig_expected)), tol,
         rel_values=[fitres], detail=f"isotropy fit residual {fitres:.2e}"))
@@ -104,7 +100,7 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
     kap_points = fit_points[:4]
     kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure,
                                       [sp.base for sp in points[:len(kap_points)]])
-    kap_expected = [_value(fixture.kappa, x) for x in kap_points]
+    kap_expected = [field_value(fixture.kappa, x) for x in kap_points]
     reports.append(report_from_values("kappa-fit", np.abs(kappas - np.array(kap_expected)), tol))
     reports.append(report_from_values("kappa-anisotropy", [anis], tol))
 
@@ -340,7 +336,7 @@ def crosscheck_isotropic_s(count=40, seed=7, tol=1e-8):
         T, N = sp.beta, sp.nav
 
         fitted, _res = randers.fit_sigma_isotropic_S(T, solitons._directions(dim))
-        sig_fit.append(fitted - float(riemann.scalar_value(sigma(list(x)))))
+        sig_fit.append(fitted - field_value(sigma, x))
 
         mu_t = float(rng.uniform(-1.0, 1.0))
         ev = finsler.evaluate_flag(metric, measure, p, base=sp.base)

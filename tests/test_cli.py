@@ -126,6 +126,17 @@ def test_crosscheck_passes_only_the_given_count_and_tol(monkeypatch, capsys):
         assert count == (5 if "--count" in extra else None)
 
 
+def test_crosscheck_text_header_names_the_count(monkeypatch, capsys):
+    # a crosscheck has a count, not samples; without --count the suite's default runs
+    monkeypatch.setitem(suites.CROSSCHECK_SUITES, "riemann-reduction",
+                        lambda count=3, seed=7, tol=1e-9: [])
+    for extra, want in (((), "count=default"), (("--count", "5"), "count=5")):
+        capsys.readouterr()
+        assert run_cli("crosscheck", "--suite", "riemann-reduction", "--format", "text",
+                       *extra) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"riemann-reduction: seed=7 {want}"
+
+
 def test_crosscheck_unknown_suite(capsys):
     assert run_cli("crosscheck", "--suite", "nosuch") == 2
 

@@ -183,9 +183,9 @@ def test_fixture_suite_stages_each_flag_once_and_fits_kappa_on_its_base_points(
     fitted = []
     fit_kappa = solitons.fit_kappa
 
-    def record_fit(metric, measure, bases, directions=None):
+    def record_fit(metric, measure, bases):
         fitted.extend(bases)
-        return fit_kappa(metric, measure, bases, directions)
+        return fit_kappa(metric, measure, bases)
 
     monkeypatch.setattr(solitons, "fit_kappa", record_fit)
     counter = _Counter(monkeypatch)
@@ -287,7 +287,7 @@ def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(mo
     one = dict(counts)
     counts.clear()
     base = finsler.BasePoint(x=p.x, stage=finsler._stage(fx.metric, p.x, 4), logs=logs)
-    solitons.fit_kappa(fx.metric, fx.measure, [base], dirs)
+    solitons.fit_kappa(fx.metric, fx.measure, [base])
     x_space, flag_space = jets.jet_space(4, 2), jets.flag_space(4, 4)
     assert set(counts) == set(one) == {x_space, flag_space}
     assert 0 < counts[x_space] <= one[x_space]
