@@ -7,10 +7,11 @@ Each SRC is a directory that holds the `finsler_solitons` package (the `src/`
 of a checkout).  Every invocation in INVOCATIONS runs
 `python3 -m finsler_solitons.cli` once against each tree.  The script prints,
 per invocation, whether the outputs are byte-identical ("same"), differ only
-in residuals ("near") or differ otherwise ("DIFF"; a csv or text report that
-is not byte-identical is a DIFF), and the largest absolute
+in residuals ("near") or differ otherwise ("DIFF"), and the largest absolute
 drift of each residual field (`max_abs`, `mean_abs`, `max_rel`); at the end,
 the overall largest drift and its ratio to the bound max(1e-12, 1e-12 |old|).
+A csv or text report is read check by check into the fields of a JSON check
+(a text row has verdict, name, max_abs, mean_abs and tol, as printed).
 
 It exits 1 if any invocation differs in anything but those residuals: exit
 code, report header, check name, sample count, verdict, tol or detail.
@@ -18,8 +19,10 @@ code, report header, check name, sample count, verdict, tol or detail.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -27,6 +30,9 @@ FIXTURES = ("gaussian", "gaussian-riemannian", "cigar", "shrinking", "expanding"
 SUITES = ("isotropic-s", "jets-vs-fd", "lie-identity", "navigation",
           "randers-ricci", "riemann-reduction")
 RESIDUAL_FIELDS = ("max_abs", "mean_abs", "max_rel")
+CSV_HEADER = "name,samples,max_abs,mean_abs,max_rel,tol,verdict,detail"
+TEXT_ROW = re.compile(r" *(?P<verdict>\S+)  (?P<name>\S+) +max=(?P<max_abs>\S+) "
+                      r"mean=(?P<mean_abs>\S+) tol=(?P<tol>\S+)")
 
 INVOCATIONS = (
     tuple(("verify", "--fixture", name, "--seed", str(seed))
@@ -50,16 +56,39 @@ INVOCATIONS = (
 )
 
 
+def parse_report(text):
+    """The report a CLI call printed (JSON, csv or text), or None.
+
+    A csv or text report becomes {header lines..., "checks": [rows]}, each
+    row holding the fields of a JSON check that the format prints.
+    """
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    lines = text.splitlines()
+    floats = RESIDUAL_FIELDS + ("tol",)
+    if lines[:1] == [CSV_HEADER]:
+        checks = list(csv.DictReader(lines))
+        for row in checks:
+            row.update({k: float(row[k]) for k in floats}, samples=int(row["samples"]))
+        return {"checks": checks}
+    if len(lines) >= 2 and lines[-1].startswith("RESULT: "):
+        rows = [TEXT_ROW.fullmatch(line) for line in lines[1:-1]]
+        if None in rows:
+            return None
+        checks = [{k: float(v) if k in floats else v for k, v in row.groupdict().items()}
+                  for row in rows]
+        return {"title": lines[0], "result": lines[-1], "checks": checks}
+    return None
+
+
 def run_cli(src, args):
-    """(exit code, parsed JSON report or None, raw stdout) of one CLI call."""
+    """(exit code, parsed report or None, raw stdout) of one CLI call."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-m", "finsler_solitons.cli", *args],
                           env=env, capture_output=True, text=True)
-    try:
-        report = json.loads(proc.stdout)
-    except ValueError:
-        report = None
-    return proc.returncode, report, proc.stdout
+    return proc.returncode, parse_report(proc.stdout), proc.stdout
 
 
 def compare_one(old, new):
@@ -70,7 +99,7 @@ def compare_one(old, new):
         diffs.append(f"exit code {code_a} != {code_b}")
     if rep_a is None or rep_b is None:
         if out_a != out_b:
-            diffs.append("non-JSON output differs")
+            diffs.append("unparsed output differs")
         return diffs, {}
     head_a = {k: v for k, v in rep_a.items() if k != "checks"}
     head_b = {k: v for k, v in rep_b.items() if k != "checks"}

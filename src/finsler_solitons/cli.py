@@ -128,8 +128,8 @@ def _cmd_verify(args) -> int:
     except fixtures.ConstructionError as exc:
         print(f"bad fixture configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.samples < 1 or not 0 < args.tol < math.inf:
-        print("need samples >= 1 and a finite tol > 0", file=sys.stderr)
+    if args.samples < 1 or args.seed < 0 or not 0 < args.tol < math.inf:
+        print("need samples >= 1, seed >= 0 and a finite tol > 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         checks = suites.run_fixture_suite(fixture, samples=args.samples, seed=args.seed,
@@ -152,9 +152,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    if (args.count is not None and args.count < 1) or (args.tol is not None
-                                                       and not 0 < args.tol < math.inf):
-        print("need count >= 1 and a finite tol > 0", file=sys.stderr)
+    if ((args.count is not None and args.count < 1) or args.seed < 0
+            or (args.tol is not None and not 0 < args.tol < math.inf)):
+        print("need count >= 1, seed >= 0 and a finite tol > 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         checks = suites.run_crosscheck_suite(args.suite, count=args.count,

@@ -275,7 +275,6 @@ class PointRecord:
     Ricci tensor ricci[j,k]; at order 1 these three are None.
     """
 
-    metric: RiemannMetric
     x: np.ndarray
     h0: np.ndarray
     dh: np.ndarray
@@ -298,7 +297,8 @@ def point_record(h: RiemannMetric, x, order: int) -> PointRecord:
 
 
 def record_from_tables(h: RiemannMetric, x, tables) -> PointRecord:
-    """The record of h at x from its tables there, (h, dh) or (h, dh, d2h)."""
+    """The record of h at x from its tables there, (h, dh) or (h, dh, d2h);
+    h names the metric in the guard messages."""
     h0, dh = tables[0], tables[1]
     what = h.name or "metric"
     check_positive_definite(h0, what)
@@ -310,7 +310,7 @@ def record_from_tables(h: RiemannMetric, x, tables) -> PointRecord:
         d2h = tables[2]
         dgamma = christoffel_derivative(hinv, dhinv, dh, d2h)
         ricci = ricci_contraction(gamma, dgamma)
-    return PointRecord(h, x, h0, dh, hinv, dhinv, gamma, d2h, dgamma, ricci)
+    return PointRecord(x, h0, dh, hinv, dhinv, gamma, d2h, dgamma, ricci)
 
 
 def riemann_ricci(rec: PointRecord, y) -> float:

@@ -50,6 +50,14 @@ def test_bad_samples_exit_two(capsys):
     assert run_cli("verify", "--fixture", "cigar", "--samples", "0") == 2
 
 
+def test_negative_seed_exit_two(capsys):
+    # numpy refuses a negative seed: a usage error, not a failed check
+    assert run_cli("verify", "--fixture", "cigar", "--samples", "2", "--seed", "-1") == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "seed >= 0" in out.err
+
+
 def test_usage_error_exit_two():
     assert run_cli("verify") == 2          # missing --fixture
     assert run_cli("bogus-command") == 2
@@ -145,11 +153,12 @@ def test_crosscheck_bad_count_or_tol_exit_two(capsys):
     for extra in (["--suite", "randers-ricci", "--count", "0"],
                   ["--suite", "navigation", "--count", "-3"],
                   ["--suite", "navigation", "--tol", "0"],
-                  ["--suite", "jets-vs-fd", "--tol", "-0.5"]):
+                  ["--suite", "jets-vs-fd", "--tol", "-0.5"],
+                  ["--suite", "navigation", "--seed", "-1"]):
         assert run_cli("crosscheck", *extra) == 2, extra
         out = capsys.readouterr()
         assert out.out == ""
-        assert "count >= 1" in out.err
+        assert out.err.count("\n") == 1 and "count >= 1" in out.err
 
 
 def test_non_finite_tol_or_perturbation_exit_two(capsys):

@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+from finsler_solitons import cli
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -37,7 +39,8 @@ def _report(**check):
     row = {"name": "ricci-law", "samples": 4, "max_abs": 1e-14, "mean_abs": 1e-15,
            "max_rel": 1e-14, "tol": 1e-6, "verdict": "pass", "detail": ""}
     row.update(check)
-    return {"command": "verify", "passed": True, "checks": [row]}
+    return {"command": "verify", "fixture": "cigar", "seed": 0, "samples": 4,
+            "passed": True, "checks": [row]}
 
 
 def test_residual_drift_is_measured_and_other_fields_must_match(compare_reports):
@@ -52,3 +55,18 @@ def test_residual_drift_is_measured_and_other_fields_must_match(compare_reports)
         assert len(diffs) == 1, changed
     diffs, _ = compare_reports.compare_one(base, (1, _report(), "a"))
     assert diffs == ["exit code 0 != 1"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_csv_and_text_reports_are_compared_check_by_check(compare_reports, fmt):
+    def run(**check):
+        out = cli._render(_report(**check), fmt)
+        return 0, compare_reports.parse_report(out), out
+
+    base = run()
+    assert base[1]["checks"][0]["max_abs"] == 1e-14
+    diffs, drift = compare_reports.compare_one(base, run(max_abs=3e-14))
+    assert diffs == []
+    assert drift["max_abs"][0] == pytest.approx(2e-14)
+    diffs, _ = compare_reports.compare_one(base, run(verdict="fail"))
+    assert len(diffs) == 1 and "verdict" in diffs[0]
