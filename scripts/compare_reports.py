@@ -48,7 +48,9 @@ INVOCATIONS = (
        ("verify", "--fixture", "cigar", "--diff-mode", "fd", "--samples", "2",
         "--perturb", "f:1e-2"))
     + tuple(("crosscheck", "--suite", name) for name in SUITES)
-    + (("crosscheck", "--suite", "jets-vs-fd", "--count", "5", "--seed", "11"),)
+    + (("crosscheck", "--suite", "jets-vs-fd", "--count", "5", "--seed", "11"),
+       ("crosscheck", "--suite", "randers-ricci", "--count", "3", "--seed", "11"),
+       ("crosscheck", "--suite", "riemann-reduction", "--count", "20", "--seed", "11"))
     + tuple(("verify", "--fixture", name, "--samples", "2", "--perturb", f"{ing}:1e-2")
             for ing in ("kappa", "mu", "sigma") for name in FIXTURES)
     + tuple(("verify", "--fixture", "cigar", "--samples", "4", "--format", fmt)

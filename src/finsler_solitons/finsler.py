@@ -6,13 +6,14 @@ R^i_k, Ricci and weighted Ricci curvatures, distortion, S-curvature and its
 rate of change along the geodesic flow, Lie derivatives of F^2, and a
 least-squares scalar flag-curvature fit.
 
-`evaluate_flag` is the one evaluation per flag: a single fourth-order
-expansion of F^2 yields Ric, S, S-dot, Ric_inf and the flag-curvature fit
-together.  Its x-only work is a `BasePoint`: the metric's stage at x and
-the log-density table, built once per sample point (`base_point`, or a
-fixture's `solitons.sample_point`) and shared by every direction evaluated
-there.  The single-quantity functions (`ricci`, `s_dot`, `weighted_ricci`,
-`flag_curvature_fit`) read the same evaluation.
+`evaluate_flag` is the one evaluation per flag and the one way to read a
+flag's quantities: a single fourth-order expansion of F^2 yields Ric, S,
+S-dot, Ric_inf (Ric_N through `FlagEvaluation.ric_n`) and the
+flag-curvature fit together.  Without a measure, `curvature_bundle` gives
+the spray, R and Ric alone.  A flag evaluation's x-only work is a
+`BasePoint`: the metric's stage at x and the log-density table, built once
+per sample point (`base_point`, or a fixture's `solitons.sample_point`) and
+shared by every direction evaluated there.
 
 `evaluate_flag` is also the one place a flag evaluation chooses jet or
 finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are
@@ -395,11 +396,7 @@ def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint, stage_at) -> Curva
                            r_error=r_error)
 
 
-# -- single-quantity operations ----------------------------------------------
-
-
-def ricci(metric: FinslerMetric, p: FlagPoint) -> float:
-    return curvature_bundle(metric, p).ricci
+# -- distortion, S and Lie derivatives ------------------------------------------
 
 
 def distortion(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
@@ -427,27 +424,6 @@ def _s_order3(stage, logs, y) -> float:
     T = _f2_tables(stage, y, order=3)
     D = _spray_derivatives(T, y, order=3)
     return _s_value(D["dG_dy"], y, logs)
-
-
-def s_curvature(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
-    """S(x, y) = dG^i/dy^i - y^i d_i log sigma."""
-    base = base_point(metric, measure, p.x)
-    return _s_order3(base.stage, base.logs, p.y)
-
-
-def s_dot(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
-    """Rate of change of S along the geodesic flow: y.dS/dx - 2G.dS/dy."""
-    return evaluate_flag(metric, measure, p).s_dot
-
-
-def weighted_ricci(metric: FinslerMetric, measure: Measure, p: FlagPoint,
-                   N: float = math.inf) -> float:
-    """Ric_N = Ric + S-dot - S^2/(N - n); Ric_inf drops the last term."""
-    n = metric.dim
-    if N <= n:
-        raise ParameterError(f"effective dimension N must exceed n = {n}")
-    ev = evaluate_flag(metric, measure, p)
-    return ev.ric_inf if math.isinf(N) else ev.ric_inf - ev.S * ev.S / (N - n)
 
 
 def lie_scalar(fn2n, v: VectorField, p: FlagPoint) -> float:
@@ -500,11 +476,6 @@ def _flag_curvature(b: CurvatureBundle) -> FlagCurvature:
     return FlagCurvature(K, residual, False)
 
 
-def flag_curvature_fit(metric: FinslerMetric, p: FlagPoint) -> FlagCurvature:
-    """Scalar flag-curvature fit at one flag (see `_flag_curvature`)."""
-    return _flag_curvature(curvature_bundle(metric, p))
-
-
 # -- one evaluation per flag ------------------------------------------------------
 
 
@@ -537,6 +508,13 @@ class FlagEvaluation:
     s_dot: float
     ric_inf: float
     flag_curvature: FlagCurvature
+
+    def ric_n(self, N: float) -> float:
+        """Ric_N = Ric + S-dot - S^2/(N - n) (Ohta); N = inf gives Ric_inf."""
+        n = self.bundle.y.size
+        if N <= n:
+            raise ParameterError(f"effective dimension N must exceed n = {n}")
+        return self.ric_inf if math.isinf(N) else self.ric_inf - self.S * self.S / (N - n)
 
 
 def evaluate_flag(metric: FinslerMetric, measure: Measure, p: FlagPoint,

@@ -105,42 +105,37 @@ def random_scalar_field(rng, dim, amp=0.2, name="random-f") -> ScalarField:
     return ScalarField(lambda x: _poly2(coeffs, x)[0], name=name)
 
 
+def _calibrated_field(rng, metric: RiemannMetric, bound, name, inverse=False) -> VectorField:
+    """A random quadratic field v rescaled so that v.M.v < bound^2 on the box,
+    with M the metric's matrix, or its inverse for a 1-form (`inverse`).
+
+    The field and M are evaluated at every grid point at once (arrays
+    through the scalar loop); a stacked inverse is bit-equal to the
+    per-point ones.
+    """
+    raw = _draw_stacked(rng, metric.dim, 0.3, metric.dim)
+    grid = _box_grid(metric.dim)
+    mats = _grid_stack(metric.matrix(grid))
+    if inverse:
+        mats = np.linalg.inv(mats)
+    worst = 0.0
+    for v, m in zip(_grid_stack(_poly2(raw, grid)), mats):
+        worst = max(worst, float(v @ m @ v))
+    scale = bound / max(np.sqrt(worst), 1e-9)
+    return VectorField(lambda x: [scale * v for v in _poly2(raw, x)], name=name)
+
+
 def random_randers(rng, dim, amp=0.1, max_b=0.45, name="random-randers") -> RandersData:
     """Random valid Randers data on the box: b is rescaled below max_b."""
     alpha = random_riemann_metric(rng, dim, amp=amp, name=f"alpha({name})")
-    raw = _draw_stacked(rng, dim, 0.3, dim)
-
-    # the fields at every grid point at once (arrays through the scalar loop);
-    # a stacked inverse is bit-equal to the per-point ones
-    grid = _box_grid(dim)
-    bs = _grid_stack(_poly2(raw, grid))
-    ainvs = np.linalg.inv(_grid_stack(alpha.matrix(grid)))
-    worst = 0.0
-    for b, ainv in zip(bs, ainvs):
-        worst = max(worst, float(b @ ainv @ b))
-    scale = max_b / max(np.sqrt(worst), 1e-9)
-
-    def b_fn(x):
-        return [scale * v for v in _poly2(raw, x)]
-
-    return RandersData(alpha=alpha, beta=VectorField(b_fn, name=f"beta({name})"), name=name)
+    beta = _calibrated_field(rng, alpha, max_b, f"beta({name})", inverse=True)
+    return RandersData(alpha=alpha, beta=beta, name=name)
 
 
 def random_navigation(rng, dim, amp=0.1, max_w=0.5, name="random-nav") -> NavigationData:
     """Random valid navigation data: ||W||_h is rescaled below max_w on the box."""
     h = random_riemann_metric(rng, dim, amp=amp, name=f"h({name})")
-    raw = _draw_stacked(rng, dim, 0.3, dim)
-
-    grid = _box_grid(dim)
-    worst = 0.0
-    for w, rows in zip(_grid_stack(_poly2(raw, grid)), _grid_stack(h.matrix(grid))):
-        worst = max(worst, float(w @ rows @ w))
-    scale = max_w / max(np.sqrt(worst), 1e-9)
-
-    def w_fn(x):
-        return [scale * v for v in _poly2(raw, x)]
-
-    return NavigationData(h=h, W=VectorField(w_fn, name=f"W({name})"), name=name)
+    return NavigationData(h=h, W=_calibrated_field(rng, h, max_w, f"W({name})"), name=name)
 
 
 def conformal_euclidean_navigation(rng, dim, scale=0.15):

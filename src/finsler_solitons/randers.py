@@ -220,7 +220,6 @@ class BetaTables:
     b_low: np.ndarray          # b_i
     b_up: np.ndarray           # b^i
     b2: float
-    gamma: np.ndarray          # Gamma^k_ij of alpha
     bcov: np.ndarray           # b_{i;j}
     r: np.ndarray              # r_ij
     s: np.ndarray              # s_ij
@@ -230,7 +229,6 @@ class BetaTables:
     r_low: np.ndarray          # r_j
     r_scalar: float            # r = b^j r_j
     t: np.ndarray              # t_ij
-    t_mixed: np.ndarray
     t_low: np.ndarray          # t_j
     t_trace: float             # t^i_i
     q: np.ndarray              # q_ij
@@ -300,11 +298,10 @@ def beta_tables(A: riemann.PointRecord, btab) -> BetaTables:
                                                              + np.einsum("i,kij->kj", b_up, dr))
     div_r_up = float(np.einsum("kk->", dr_up) + np.einsum("iip,p->", gamma, r_up))
 
-    return BetaTables(x=x, a=a0, ainv=ainv, b_low=b0, b_up=b_up, b2=b2, gamma=gamma,
-                      bcov=bcov, r=r, s=s, s_mixed=s_mixed, s_low=s_low, s_up=s_up,
-                      r_low=r_low, r_scalar=r_scalar, t=t, t_mixed=t_mixed,
-                      t_low=t_low, t_trace=t_trace, q=q, e=e, s_cov=s_cov, r_cov=r_cov,
-                      div_mixed_s=div_mixed_s,
+    return BetaTables(x=x, a=a0, ainv=ainv, b_low=b0, b_up=b_up, b2=b2, bcov=bcov,
+                      r=r, s=s, s_mixed=s_mixed, s_low=s_low, s_up=s_up,
+                      r_low=r_low, r_scalar=r_scalar, t=t, t_low=t_low, t_trace=t_trace,
+                      q=q, e=e, s_cov=s_cov, r_cov=r_cov, div_mixed_s=div_mixed_s,
                       d_rtrace=d_rtrace, div_s_up=div_s_up, div_r_up=div_r_up,
                       alpha_ricci=A.ricci)
 
@@ -463,13 +460,10 @@ class NavTensors:
 
     x: np.ndarray
     h: np.ndarray
-    hinv: np.ndarray
     w_up: np.ndarray          # W^i
     w_low: np.ndarray         # W_i
     lam: float
     wcov: np.ndarray          # W_{i:j}
-    r_sym: np.ndarray         # (W_{i:j} + W_{j:i})/2
-    s_asym: np.ndarray        # (W_{i:j} - W_{j:i})/2
     s_mixed: np.ndarray       # h^ik S_kj
     s_low: np.ndarray         # S_j = W^i S_ij
     s_up: np.ndarray          # h^ij S_j
@@ -484,11 +478,9 @@ def nav_tensors(H: riemann.PointRecord, wtab) -> NavTensors:
     if lam <= 0.0:
         raise NavigationDomainError(f"lambda = {lam:.6f} <= 0 at {x.tolist()}")
     wcov = riemann.lowered_covariant_derivative(h0, H.dh, H.gamma, w0, dw)
-    r_sym = 0.5 * (wcov + wcov.T)
     s_asym = 0.5 * (wcov - wcov.T)
     s_low = w0 @ s_asym
-    return NavTensors(x=x, h=h0, hinv=hinv, w_up=w0, w_low=h0 @ w0, lam=lam,
-                      wcov=wcov, r_sym=r_sym, s_asym=s_asym,
+    return NavTensors(x=x, h=h0, w_up=w0, w_low=h0 @ w0, lam=lam, wcov=wcov,
                       s_mixed=hinv @ s_asym, s_low=s_low, s_up=hinv @ s_low)
 
 

@@ -4,7 +4,8 @@ Four equivalent descriptions are implemented and cross-checked:
 
   * the defining equation  2 Ric + L_V(F^2) = 2 kappa F^2  for an explicit
     vector field V (`almost_soliton_residual`);
-  * the measure form  Ric_inf = kappa F^2  (`gradient_soliton_residual`);
+  * the measure form  Ric_inf = kappa F^2, read off `finsler.evaluate_flag`
+    (the fixture suite's `infinity-ricci` row, `suites._flag_rows`);
   * (alpha, beta) characterizations: V-form (`vector_soliton_checks_ab`) and
     gradient form (`gradient_soliton_checks_ab`);
   * navigation characterizations: V-form (`vector_soliton_checks_nav`) and
@@ -61,14 +62,6 @@ def almost_soliton_residual(metric: FinslerMetric, v: VectorField, kappa,
     b = finsler.curvature_bundle(metric, p)
     lie = finsler.lie_F2(metric, v, p)
     return (2.0 * b.ricci + lie - 2.0 * field_value(kappa, p.x) * b.F2) / b.F2
-
-
-def gradient_soliton_residual(metric: FinslerMetric, measure: Measure, kappa,
-                              p: FlagPoint) -> float:
-    """(Ric_inf - kappa F^2) / F^2 at one flag (one `evaluate_flag`)."""
-    ric_inf = finsler.weighted_ricci(metric, measure, p)
-    F2 = metric.value(p.x, p.y) ** 2
-    return (ric_inf - field_value(kappa, p.x) * F2) / F2
 
 
 # -- least-squares scalar fits ------------------------------------------------------

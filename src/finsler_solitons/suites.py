@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from . import finsler, generators, randers, riemann, solitons
+from . import finsler, generators, jets, randers, riemann, solitons
 from .finsler import FinslerMetric
 from .fixtures import ZERO_FIELD
 from .jets import FlagPoint, fd_derivative, lift
@@ -144,7 +144,7 @@ def crosscheck_randers_ricci(count=100, seed=7, tol=1e-8):
         for _ in range(flags_per):
             p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
             closed = randers.randers_ricci_closed_form(rd, p)
-            spray_val = finsler.ricci(metric, p)
+            spray_val = finsler.curvature_bundle(metric, p).ricci
             F2 = metric.value(p.x, p.y) ** 2
             rel.append((closed - spray_val) / max(abs(spray_val), F2))
     return [report_from_values("closed-form-vs-spray-ricci", rel, tol,
@@ -202,31 +202,25 @@ def crosscheck_navigation(count=1000, seed=7, tol=1e-10):
     block = 0
     while taken < count:
         dim = 2 + (block % 2)
-        randers_first = block % 2 == 0
-        if randers_first:
+        # the (metric, field) pairs before and after the round trip
+        if block % 2 == 0:
             rd = generators.random_randers(rng, dim)
             nav = randers.to_navigation(rd)
             rd2 = randers.from_navigation(nav)
+            pairs = ((rd.alpha, rd.beta), (rd2.alpha, rd2.beta))
         else:
             nav = generators.random_navigation(rng, dim)
-            rd2 = randers.from_navigation(nav)
-            nav2 = randers.to_navigation(rd2)
+            nav2 = randers.to_navigation(randers.from_navigation(nav))
+            pairs = ((nav.h, nav.W), (nav2.h, nav2.W))
         metric = randers.finsler_from_navigation(nav)
         block += 1
         for _ in range(min(points_per_metric, count - taken)):
             taken += 1
             x = generators.sample_box_point(rng, dim)
             y = unit_direction(rng, dim)
-            if randers_first:
-                a1 = rd.alpha.matrix_at(x)
-                a2 = rd2.alpha.matrix_at(x)
-                roundtrip.append(max(float(np.max(np.abs(a1 - a2))),
-                                     float(np.max(np.abs(rd.beta.at(x) - rd2.beta.at(x))))))
-            else:
-                h1 = nav.h.matrix_at(x)
-                h2m = nav2.h.matrix_at(x)
-                roundtrip.append(max(float(np.max(np.abs(h1 - h2m))),
-                                     float(np.max(np.abs(nav.W.at(x) - nav2.W.at(x))))))
+            (m1, v1), (m2, v2) = pairs
+            roundtrip.append(max(float(np.max(np.abs(m1.matrix_at(x) - m2.matrix_at(x)))),
+                                 float(np.max(np.abs(v1.at(x) - v2.at(x))))))
             T = randers.nav_tensors(riemann.point_record(nav.h, x, 1), nav.W.table(x, order=1))
             F = metric.value(x, y)
             h2 = float(y @ T.h @ y)
@@ -248,7 +242,7 @@ def crosscheck_riemann_reduction(count=60, seed=7, tol=1e-9):
         h = generators.random_riemann_metric(rng, dim)
         metric = FinslerMetric.from_riemannian(h)
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
-        spray_ric = finsler.ricci(metric, p)
+        spray_ric = finsler.curvature_bundle(metric, p).ricci
         chris_ric = riemann.riemann_ricci(riemann.point_record(h, p.x, 2), p.y)
         h2 = float(p.y @ h.matrix_at(p.x) @ p.y)
         rel.append((spray_ric - chris_ric) / max(abs(chris_ric), h2))
@@ -263,13 +257,11 @@ def crosscheck_jets_vs_fd(count=50, seed=7, tol=1e-4):
     S-dot and Ric_inf), both on one base point."""
     rng = np.random.default_rng(seed)
     plain = []
-    from . import jets as J
-
     compositions = [
-        lambda a, b: J.exp(0.3 * a) * J.sin(b) + J.tanh(a * b),
-        lambda a, b: J.sqrt(1.2 + a * a + b * b) + J.cos(a - 2.0 * b),
-        lambda a, b: J.log(2.0 + J.sinh(a) * 0.4 + b * b) - J.arcsinh(a + 0.2 * b),
-        lambda a, b: J.power(1.5 + a * a, 1.7) + J.tan(0.3 * b),
+        lambda a, b: jets.exp(0.3 * a) * jets.sin(b) + jets.tanh(a * b),
+        lambda a, b: jets.sqrt(1.2 + a * a + b * b) + jets.cos(a - 2.0 * b),
+        lambda a, b: jets.log(2.0 + jets.sinh(a) * 0.4 + b * b) - jets.arcsinh(a + 0.2 * b),
+        lambda a, b: jets.power(1.5 + a * a, 1.7) + jets.tan(0.3 * b),
     ]
     steps = {1: 1e-5, 2: 1e-4, 3: 5e-3}
     multis = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 3)]

@@ -20,19 +20,19 @@ def compare_reports():
 
 
 def test_invocation_list(compare_reports):
-    assert len(compare_reports.INVOCATIONS) == 43
-    assert len(set(compare_reports.INVOCATIONS)) == 43
+    assert len(compare_reports.INVOCATIONS) == 45
+    assert len(set(compare_reports.INVOCATIONS)) == 45
 
 
 def test_tree_against_itself_has_zero_drift(compare_reports, capsys):
     cheap = [args for args in compare_reports.INVOCATIONS
              if "riemann-reduction" in args
              or ("gaussian-riemannian" in args and "fd" in args)]
-    assert len(cheap) == 2
+    assert len(cheap) == 3
     src = ROOT / "src"
     ok, identical, worst, ratio = compare_reports.compare(src, src, cheap)
-    assert (ok, identical, worst, ratio) == (True, 2, 0.0, 0.0)
-    assert capsys.readouterr().out.count("same  ") == 2
+    assert (ok, identical, worst, ratio) == (True, 3, 0.0, 0.0)
+    assert capsys.readouterr().out.count("same  ") == 3
 
 
 def _report(**check):

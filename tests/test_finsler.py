@@ -9,8 +9,7 @@ import pytest
 from finsler_solitons import finsler, generators, jets, randers, riemann
 from finsler_solitons.finsler import (FinslerMetric, FlagDomainError, Measure,
                                       ParameterError, curvature_bundle, distortion,
-                                      flag_curvature_fit, lie_F2, ricci, s_curvature,
-                                      s_dot, weighted_ricci)
+                                      evaluate_flag, lie_F2)
 from finsler_solitons.jets import FlagPoint
 from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric
 
@@ -132,14 +131,14 @@ def test_riemann_curvature_sphere_pattern():
     h2 = float(y @ h0 @ y)
     want = mu * (h2 * np.eye(3) - np.outer(y, h0 @ y))
     np.testing.assert_allclose(curvature_bundle(F, p).riemann, want, rtol=1e-9, atol=1e-10)
-    assert ricci(F, p) == pytest.approx(2.0 * mu * h2, rel=1e-10)
+    assert curvature_bundle(F, p).ricci == pytest.approx(2.0 * mu * h2, rel=1e-10)
 
 
 def test_ricci_cigar_randers_law():
     F = randers.finsler_from_navigation(cigar_navigation())
     t = 1.0
     p = FlagPoint([t, 0.3], RNG.normal(size=2))
-    ratio = ricci(F, p) / F.value(p.x, p.y) ** 2
+    ratio = curvature_bundle(F, p).ricci / F.value(p.x, p.y) ** 2
     assert ratio == pytest.approx(2.0 / math.cosh(t) ** 2, rel=1e-10)
     assert ratio == pytest.approx(0.8399486832280522, rel=1e-10)
 
@@ -158,8 +157,8 @@ def test_homogeneity_suite():
         bq, bp = curvature_bundle(F, q), curvature_bundle(F, p)
         np.testing.assert_allclose(bq.spray, lam * lam * bp.spray, rtol=1e-10)
         np.testing.assert_allclose(bq.riemann, lam * lam * bp.riemann, rtol=1e-10)
-        assert s_curvature(F, measure, q) == pytest.approx(
-            lam * s_curvature(F, measure, p), rel=1e-10)
+        assert evaluate_flag(F, measure, q).S == pytest.approx(
+            lam * evaluate_flag(F, measure, p).S, rel=1e-10)
         assert distortion(F, measure, q) == pytest.approx(
             distortion(F, measure, p), rel=1e-10)
 
@@ -189,7 +188,7 @@ def test_s_curvature_riemannian_zero():
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
-    assert s_curvature(F, m, p) == pytest.approx(0.0, abs=1e-11)
+    assert evaluate_flag(F, m, p).S == pytest.approx(0.0, abs=1e-11)
 
 
 def test_s_curvature_weighted_is_df():
@@ -199,7 +198,7 @@ def test_s_curvature_weighted_is_df():
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(2)
     _, grad, _ = f.table(p.x, order=2)
-    assert s_curvature(F, m, p) == pytest.approx(float(grad @ p.y), rel=1e-10)
+    assert evaluate_flag(F, m, p).S == pytest.approx(float(grad @ p.y), rel=1e-10)
 
 
 def test_s_curvature_cigar_bh_vanishes():
@@ -208,7 +207,7 @@ def test_s_curvature_cigar_bh_vanishes():
     F = randers.finsler_from_navigation(nav)
     m = randers.bh_measure(rd)
     p = FlagPoint([0.7, 0.2], RNG.normal(size=2))
-    assert s_curvature(F, m, p) == pytest.approx(0.0, abs=1e-11)
+    assert evaluate_flag(F, m, p).S == pytest.approx(0.0, abs=1e-11)
 
 
 def test_s_dot_riemannian_zero():
@@ -216,7 +215,7 @@ def test_s_dot_riemannian_zero():
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
     p = euclid_flag(2)
-    assert s_dot(F, m, p) == pytest.approx(0.0, abs=1e-10)
+    assert evaluate_flag(F, m, p).s_dot == pytest.approx(0.0, abs=1e-10)
 
 
 def test_s_dot_weighted_is_hessian():
@@ -226,7 +225,7 @@ def test_s_dot_weighted_is_hessian():
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(2)
     want = riemann.hessian(riemann.point_record(h, p.x, 1), f.table(p.x, order=2), p.y)
-    assert s_dot(F, m, p) == pytest.approx(want, rel=1e-9, abs=1e-11)
+    assert evaluate_flag(F, m, p).s_dot == pytest.approx(want, rel=1e-9, abs=1e-11)
 
 
 def test_s_dot_navigation_closed_form():
@@ -244,7 +243,7 @@ def test_s_dot_navigation_closed_form():
     closed = s_dot_closed_form_nav(H, T, F.value(p.x, p.y),
                                    randers.field_sigma_terms(sigma, p.x, p.y, T.w_up),
                                    f.table(p.x, order=2), p.y)
-    assert s_dot(F, m, p) == pytest.approx(closed, rel=1e-8, abs=1e-10)
+    assert evaluate_flag(F, m, p).s_dot == pytest.approx(closed, rel=1e-8, abs=1e-10)
 
 
 # -- weighted Ricci --------------------------------------------------------------------
@@ -258,15 +257,17 @@ def test_weighted_ricci_gaussian():
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(2)
     F2 = F.value(p.x, p.y) ** 2
-    assert weighted_ricci(F, m, p) == pytest.approx(rho * F2, rel=1e-12)
+    assert evaluate_flag(F, m, p).ric_inf == pytest.approx(rho * F2, rel=1e-12)
 
 
 def test_weighted_ricci_rejects_small_N():
     h = euclidean_metric(2)
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
-    with pytest.raises(ParameterError):
-        weighted_ricci(F, m, euclid_flag(2), N=2.0)
+    ev = evaluate_flag(F, m, euclid_flag(2))
+    for N in (2.0, 1.5):
+        with pytest.raises(ParameterError):
+            ev.ric_n(N)
 
 
 def test_weighted_ricci_monotone_in_N():
@@ -275,8 +276,10 @@ def test_weighted_ricci_monotone_in_N():
     f = ScalarField(lambda x: 0.4 * x[0] + 0.7 * x[1])
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(2)
-    vals = [weighted_ricci(F, m, p, N=N) for N in (2.5, 4.0, 11.0, math.inf)]
+    ev = evaluate_flag(F, m, p)
+    vals = [ev.ric_n(N) for N in (2.5, 4.0, 11.0, math.inf)]
     assert all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
+    assert vals[-1] == ev.ric_inf
 
 
 # -- Lie derivative of F^2 --------------------------------------------------------------
@@ -318,14 +321,14 @@ def test_lie_F2_randers_split():
 
 def test_flag_curvature_flat():
     F = FinslerMetric.from_riemannian(euclidean_metric(2))
-    fit = flag_curvature_fit(F, euclid_flag(2))
+    fit = finsler._flag_curvature(curvature_bundle(F, euclid_flag(2)))
     assert fit.flat and fit.value == 0.0 and fit.residual == 0.0
 
 
 def test_flag_curvature_sphere():
     F = FinslerMetric.from_riemannian(sphere_metric(1.0, 3))
     p = FlagPoint(RNG.uniform(-0.5, 0.5, size=3), RNG.normal(size=3))
-    fit = flag_curvature_fit(F, p)
+    fit = finsler._flag_curvature(curvature_bundle(F, p))
     assert fit.value == pytest.approx(1.0, abs=1e-8)
     assert fit.residual <= 1e-8
 
@@ -334,15 +337,15 @@ def test_flag_curvature_cigar():
     F = randers.finsler_from_navigation(cigar_navigation())
     t = 1.3
     p = FlagPoint([t, 0.1], RNG.normal(size=2))
-    fit = flag_curvature_fit(F, p)
+    fit = finsler._flag_curvature(curvature_bundle(F, p))
     assert fit.value == pytest.approx(2.0 / math.cosh(t) ** 2, abs=1e-7)
     assert fit.residual <= 1e-7
 
 
 def test_flag_curvature_monotone_along_axis():
     F = randers.finsler_from_navigation(cigar_navigation())
-    k1 = flag_curvature_fit(F, FlagPoint([1.0, 0.0], [0.3, 0.8])).value
-    k2 = flag_curvature_fit(F, FlagPoint([2.0, 0.0], [0.3, 0.8])).value
+    k1, k2 = (finsler._flag_curvature(curvature_bundle(F, FlagPoint([t, 0.0], [0.3, 0.8]))).value
+              for t in (1.0, 2.0))
     assert k2 < k1
 
 
@@ -357,7 +360,7 @@ def test_riemannian_reduction_against_christoffel():
             p = FlagPoint(generators.sample_box_point(RNG, dim), RNG.normal(size=dim))
             want = riemann.riemann_ricci(riemann.point_record(h, p.x, 2), p.y)
             h2 = float(p.y @ h.matrix_at(p.x) @ p.y)
-            assert ricci(F, p) == pytest.approx(want, rel=1e-9, abs=1e-9 * h2)
+            assert curvature_bundle(F, p).ricci == pytest.approx(want, rel=1e-9, abs=1e-9 * h2)
 
 
 def test_fd_mode_matches_jet_mode():

@@ -391,7 +391,7 @@ def test_fd_evaluation_equals_the_separate_fd_oracles(case):
             got, w = getattr(ev.bundle, f.name), getattr(want, f.name)
             assert got == w if np.isscalar(w) or w is None else np.array_equal(got, w), (
                 name, f.name)
-        assert ev.S == finsler.s_curvature(metric, measure, p)
+        assert ev.S == finsler.evaluate_flag(metric, measure, p).S
         assert ev.s_dot == want_sdot
         assert ev.ric_inf == want.ricci + want_sdot
         assert ev.flag_curvature == finsler._flag_curvature(want)

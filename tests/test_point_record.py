@@ -9,6 +9,8 @@ characterization bundles build it, and at order 1, as the crosscheck suites
 do.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,9 +123,9 @@ def _beta_tables(rd, x):
     dr_up = np.einsum("kij,j->ki", dainv, r_low) + np.einsum(
         "ij,kj->ki", ainv, np.einsum("ik,ij->kj", db_up, r) + np.einsum("i,kij->kj", b_up, dr))
     return dict(
-        x=x, a=a0, ainv=ainv, b_low=b0, b_up=b_up, b2=b2, gamma=gamma, bcov=bcov, r=r, s=s,
+        x=x, a=a0, ainv=ainv, b_low=b0, b_up=b_up, b2=b2, bcov=bcov, r=r, s=s,
         s_mixed=s_mixed, s_low=s_low, s_up=s_up, r_low=r_low,
-        r_scalar=float(b_up @ r_low), t=t, t_mixed=t_mixed, t_low=b_up @ t,
+        r_scalar=float(b_up @ r_low), t=t, t_low=b_up @ t,
         t_trace=float(np.trace(t_mixed)), q=r @ s_mixed,
         e=r + np.outer(b0, s_low) + np.outer(s_low, b0), s_cov=s_cov, r_cov=r_cov,
         div_mixed_s=(np.einsum("iij->j", ds_mixed) + np.einsum("iip,pj->j", gamma, s_mixed)
@@ -139,11 +141,9 @@ def _nav_tensors(nav, x):
     hinv, gamma = _levi_civita(h0, dh, None, "h")
     w0, dw = nav.W.table(x, order=1)
     wcov = riemann.lowered_covariant_derivative(h0, dh, gamma, w0, dw)
-    r_sym = 0.5 * (wcov + wcov.T)
     s_asym = 0.5 * (wcov - wcov.T)
     s_low = w0 @ s_asym
-    return dict(x=x, h=h0, hinv=hinv, w_up=w0, w_low=h0 @ w0,
-                lam=1.0 - float(w0 @ h0 @ w0), wcov=wcov, r_sym=r_sym, s_asym=s_asym,
+    return dict(x=x, h=h0, w_up=w0, w_low=h0 @ w0, lam=1.0 - float(w0 @ h0 @ w0), wcov=wcov,
                 s_mixed=hinv @ s_asym, s_low=s_low, s_up=hinv @ s_low)
 
 
@@ -237,14 +237,17 @@ def test_record_randers_tensors_equal_the_per_call_passes(name):
         T = randers.beta_tables(riemann.point_record(fx.rd.alpha, p.x, 2),
                                 fx.rd.beta.table(p.x, order=2))
         tables.append(T)
-        for key, want in _beta_tables(fx.rd, p.x).items():
-            _same(getattr(T, key), want, f"beta_tables {key}")
+        want = _beta_tables(fx.rd, p.x)
+        assert list(want) == [f.name for f in dataclasses.fields(T)]
+        for key in want:
+            _same(getattr(T, key), want[key], f"beta_tables {key}")
         _same(randers.fit_sigma_isotropic_S(T, dirs),
               _fit_sigma_isotropic_S(fx.rd, p.x, dirs), "fit_sigma_isotropic_S")
         want = _nav_tensors(fx.nav, p.x)
         for order in (1, 2):
             N = randers.nav_tensors(riemann.point_record(fx.nav.h, p.x, order),
                                     fx.nav.W.table(p.x, order=1))
+            assert list(want) == [f.name for f in dataclasses.fields(N)]
             for key in want:
                 _same(getattr(N, key), want[key], f"nav_tensors order {order} {key}")
     sigmas, worst = solitons.fit_sigma(tables)

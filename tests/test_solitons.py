@@ -2,6 +2,7 @@
 scalar fitting, and falsifiability via negative controls."""
 
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from finsler_solitons import (finsler, fixtures, generators, randers, riemann, s
 from finsler_solitons.finsler import FinslerMetric, Measure
 from finsler_solitons.jets import FlagPoint
 from finsler_solitons.reports import all_passed
-from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric
+from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric, field_value
 from finsler_solitons.sampling import sample_flags
 
 RNG = np.random.default_rng(47)
@@ -54,18 +55,18 @@ def test_gradient_soliton_residual_fixtures():
     for name, tol in (("cigar", 1e-8), ("shrinking", 1e-7), ("expanding", 1e-7)):
         fx = fixtures.get_fixture(name)
         for p in flags_of(fx, 4):
-            res = solitons.gradient_soliton_residual(fx.metric, fx.measure, fx.kappa, p)
-            assert abs(res) <= tol, name
+            ric_inf = finsler.evaluate_flag(fx.metric, fx.measure, p).ric_inf
+            assert abs(ric_inf / p.F ** 2 - field_value(fx.kappa, p.x)) <= tol, name
 
 
 def test_gradient_residual_affine_in_kappa():
     fx = fixtures.get_fixture("cigar")
-    p = flags_of(fx, 1)[0]
+    points = [solitons.sample_point(fx.rd, fx.nav, fx.f, p, False) for p in flags_of(fx, 1)]
     delta = 0.123
-    base = solitons.gradient_soliton_residual(fx.metric, fx.measure, fx.kappa, p)
-    shifted = solitons.gradient_soliton_residual(
-        fx.metric, fx.measure, ScalarField(lambda x: float(fx.kappa(x)) + delta), p)
-    assert shifted == pytest.approx(base - delta, abs=1e-12)
+    shifted_fx = dataclasses.replace(fx, kappa=ScalarField(lambda x: float(fx.kappa(x)) + delta))
+    [base] = suites._flag_rows(fx, points, "jet")
+    [shifted] = suites._flag_rows(shifted_fx, points, "jet")
+    assert shifted["infinity-ricci"] == pytest.approx(base["infinity-ricci"] - delta, abs=1e-12)
 
 
 # -- characterization bundles on fixtures ---------------------------------------------
@@ -115,8 +116,8 @@ def test_constant_weight_reduces_to_einstein_check():
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
     m_bh = randers.bh_measure(fx.rd)
     for p in [bp.p for bp in points[:4]]:
-        res = solitons.gradient_soliton_residual(fx.metric, m_bh, fx.einstein, p)
-        assert abs(res) <= 1e-9
+        ric_inf = finsler.evaluate_flag(fx.metric, m_bh, p).ric_inf
+        assert abs(ric_inf / p.F ** 2 - field_value(fx.einstein, p.x)) <= 1e-9
 
 
 def test_third_balance_equation_consistency():
@@ -310,8 +311,8 @@ def test_characterizations_consistent_on_fixtures():
         flags = flags_of(fx, 8)
         points = [solitons.sample_point(fx.rd, fx.nav, fx.f, p, True) for p in flags]
         for p in flags[:4]:
-            assert abs(solitons.gradient_soliton_residual(
-                fx.metric, fx.measure, fx.kappa, p)) <= 1e-7
+            ric_inf = finsler.evaluate_flag(fx.metric, fx.measure, p).ric_inf
+            assert abs(ric_inf / p.F ** 2 - field_value(fx.kappa, p.x)) <= 1e-7
         rows = [r for b in fx.bundles for r in suites.BUNDLES[b](fx, points, 1e-7)]
         if fx.einstein is not None:
             for p in flags[:4]:
