@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run every fixture suite and every crosscheck suite at default counts and
-print a one-line summary per suite.  Exits nonzero if anything fails.
+print a one-line summary per suite.  Exits 1 if anything fails, and 2 with
+one line on stderr if the sample count or seed is out of range.
 
 Usage:  python3 scripts/run_all_checks.py [--samples 64] [--seed 0]
 """
@@ -10,6 +11,7 @@ import sys
 import time
 
 from finsler_solitons import fixtures, suites
+from finsler_solitons.finsler import ParameterError
 from finsler_solitons.reports import all_passed, worst
 
 
@@ -18,7 +20,14 @@ def main():
     ap.add_argument("--samples", type=int, default=64)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:
+        return run(args)
+    except ParameterError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
+
+def run(args):
     failed = False
     for name in fixtures.FIXTURE_NAMES:
         t0 = time.time()

@@ -18,6 +18,7 @@ import math
 import sys
 
 from . import fixtures, suites
+from .finsler import ParameterError
 from .reports import all_passed
 
 EXIT_PASS = 0
@@ -78,12 +79,12 @@ def _render(report, fmt) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "samples", "max_abs", "mean_abs", "max_rel",
-                         "tol", "verdict", "detail"])
+        writer.writerow(["name", "samples", "max_abs", "mean_abs", "tol", "verdict",
+                         "detail"])
         for row in report["checks"]:
             writer.writerow([row["name"], row["samples"], repr(row["max_abs"]),
-                             repr(row["mean_abs"]), repr(row["max_rel"]),
-                             repr(row["tol"]), row["verdict"], row["detail"]])
+                             repr(row["mean_abs"]), repr(row["tol"]), row["verdict"],
+                             row["detail"]])
         return buf.getvalue()
     if report["command"] == "verify":
         size = f"samples={report['samples']}"
@@ -117,7 +118,7 @@ def _cmd_verify(args) -> int:
     try:
         perturb = _parse_perturb(args.perturb)
     except argparse.ArgumentTypeError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     try:
         fixture = fixtures.get_fixture(args.fixture, perturb=perturb)
@@ -128,12 +129,12 @@ def _cmd_verify(args) -> int:
     except fixtures.ConstructionError as exc:
         print(f"bad fixture configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.samples < 1 or args.seed < 0 or not 0 < args.tol < math.inf:
-        print("need samples >= 1, seed >= 0 and a finite tol > 0", file=sys.stderr)
-        return EXIT_USAGE
     try:
         checks = suites.run_fixture_suite(fixture, samples=args.samples, seed=args.seed,
                                           tol=args.tol, mode=args.diff_mode)
+    except ParameterError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except (ArithmeticError, RuntimeError) as exc:
         print(f"evaluation error on fixture {args.fixture!r}: {exc}", file=sys.stderr)
         return EXIT_EVAL
@@ -152,13 +153,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    if ((args.count is not None and args.count < 1) or args.seed < 0
-            or (args.tol is not None and not 0 < args.tol < math.inf)):
-        print("need count >= 1, seed >= 0 and a finite tol > 0", file=sys.stderr)
-        return EXIT_USAGE
     try:
         checks = suites.run_crosscheck_suite(args.suite, count=args.count,
                                              seed=args.seed, tol=args.tol)
+    except ParameterError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except KeyError:
         print(f"unknown suite {args.suite!r}; available: "
               f"{', '.join(sorted(suites.CROSSCHECK_SUITES))}", file=sys.stderr)

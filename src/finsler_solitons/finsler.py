@@ -106,14 +106,14 @@ class FinslerMetric:
         return float(scalar_value(self.at(list(x))(list(y))))
 
     @classmethod
-    def from_riemannian(cls, h: RiemannMetric, name="") -> "FinslerMetric":
+    def from_riemannian(cls, h: RiemannMetric) -> "FinslerMetric":
         n = h.dim
 
         def at(x):
             forms = jets.YForms(h.matrix(x))
             return lambda y: jets.sqrt(forms(y)[0])
 
-        return cls.from_stage(n, at, name or f"riemannian({h.name or 'h'})")
+        return cls.from_stage(n, at, f"riemannian({h.name or 'h'})")
 
 
 class Measure:
@@ -126,8 +126,8 @@ class Measure:
     def density(self, x):
         return self._fn(x)
 
-    def log_density_table(self, x, order=2):
-        return riemann.scalar_table(lambda xs: jets.log(self._fn(xs)), x, order)
+    def log_density_table(self, x):
+        return riemann.scalar_table(lambda xs: jets.log(self._fn(xs)), x, 2)
 
     @classmethod
     def riemannian(cls, h: RiemannMetric) -> "Measure":
@@ -215,7 +215,7 @@ def _spray_derivatives(T, y, order: int):
     Order 4 uses the product rule on g G = N/4; dG_dy does not (module notes).
     """
     g, ginv = _fundamental(T)
-    out = {"g": g, "ginv": ginv}
+    out = {"g": g}
     N = np.einsum("m,ml->l", y, T["Q11"]) - T["Q10"]
     G = out["G"] = 0.25 * ginv @ N
     if order < 3:
@@ -265,7 +265,6 @@ class CurvatureBundle:
     F: float
     dF2_dy: np.ndarray
     g: np.ndarray
-    ginv: np.ndarray
     cartan: np.ndarray | None
     spray: np.ndarray
     dG_dx: np.ndarray
@@ -309,8 +308,7 @@ def curvature_bundle(metric: FinslerMetric, p: FlagPoint, mode: str = "jet",
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
     return CurvatureBundle(x=np.asarray(x, float), y=np.asarray(y, float),
-                           F=T["F"], dF2_dy=T["Q01"], g=D["g"], ginv=D["ginv"],
-                           cartan=0.25 * T["Q03"],
+                           F=T["F"], dF2_dy=T["Q01"], g=D["g"], cartan=0.25 * T["Q03"],
                            spray=D["G"], dG_dx=D["dG_dx"], dG_dy=D["dG_dy"],
                            d2G_dxdy=D["d2G_dxdy"], d2G_dydy=D["d2G_dydy"],
                            riemann=R, ricci=float(np.trace(R)))
@@ -389,9 +387,8 @@ def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint, stage_at) -> Curva
 
     R = _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy)
     r_error = float(np.linalg.norm(_riemann_error(y, G, dG_dy, (e_dx, e_dy, e_dxdy, e_dydy))))
-    return CurvatureBundle(x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=D["g"], ginv=D["ginv"],
-                           cartan=None, spray=G,
-                           dG_dx=dG_dx, dG_dy=dG_dy, d2G_dxdy=d2G_dxdy,
+    return CurvatureBundle(x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=D["g"], cartan=None,
+                           spray=G, dG_dx=dG_dx, dG_dy=dG_dy, d2G_dxdy=d2G_dxdy,
                            d2G_dydy=d2G_dydy, riemann=R, ricci=float(np.trace(R)),
                            r_error=r_error)
 
@@ -493,7 +490,7 @@ class BasePoint:
 def base_point(metric: FinslerMetric, measure: Measure, x) -> BasePoint:
     """The base point of (metric, measure) at x."""
     return BasePoint(x=np.asarray(x, float), stage=_stage(metric, x, 4),
-                     logs=measure.log_density_table(x, order=2))
+                     logs=measure.log_density_table(x))
 
 
 @dataclass(frozen=True)
@@ -543,7 +540,7 @@ def evaluate_flag(metric: FinslerMetric, measure: Measure, p: FlagPoint,
         dS_dy = np.einsum("kii->k", b.d2G_dydy) - base.logs[1]
     else:
         n = metric.dim
-        logs_at = _memo(lambda x: measure.log_density_table(x, order=2), (p.x, base.logs))
+        logs_at = _memo(measure.log_density_table, (p.x, base.logs))
         S = _s_order3(base.stage, base.logs, y)
         dS = _fd_table(lambda *z: _s_order3(stage_at(z[:n]), logs_at(z[:n]), z[n:]),
                        np.concatenate([b.x, y]), range(2 * n), step=FD_STEP1)[0]

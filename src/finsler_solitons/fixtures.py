@@ -146,7 +146,7 @@ def _bump_w(w: VectorField, eps):
 # -- flat Gaussian-type fixtures -------------------------------------------------------
 
 
-def gaussian(rho=1.0, Q=None, C=None, n=2, radius=0.9, perturb=None) -> Fixture:
+def gaussian(rho=1.0, Q=None, C=None, n=2, perturb=None) -> Fixture:
     """Euclidean navigation fixture: W = Q x + C with Q antisymmetric.
 
     The measure e^{-rho |x|^2 / 2} dx makes this a gradient soliton with
@@ -162,6 +162,7 @@ def gaussian(rho=1.0, Q=None, C=None, n=2, radius=0.9, perturb=None) -> Fixture:
         raise ConstructionError("Q must be antisymmetric: Q + Q^T != 0")
     if rho != 0.0 and np.max(np.abs(C)) != 0.0:
         raise ConstructionError("a drift C != 0 is only allowed in the steady case rho = 0")
+    radius = 0.9  # of the sample ball, which must lie where ||W|| < 1
     wmax = radius * float(np.linalg.norm(Q, 2)) + float(np.linalg.norm(C))
     if wmax >= 1.0:
         raise ConstructionError(
@@ -179,21 +180,21 @@ def gaussian(rho=1.0, Q=None, C=None, n=2, radius=0.9, perturb=None) -> Fixture:
         _ball_sampler(n, radius), einstein=0.0, flag_curvature=0.0, perturb=perturb)
 
 
-def _default_rotation(n, scale=0.5):
+def _default_rotation(n):
     Q = np.zeros((n, n))
-    Q[0, 1], Q[1, 0] = scale, -scale
+    Q[0, 1], Q[1, 0] = 0.5, -0.5
     return Q
 
 
 # -- steady soliton on the plane --------------------------------------------------------
 
 
-def cigar(t_range=(0.2, 2.0), perturb=None) -> Fixture:
+def cigar(perturb=None) -> Fixture:
     """Rotationally symmetric steady gradient soliton on the (t, theta) half plane.
 
     h = dt^2 + tanh^2(t) dtheta^2, W = d/dtheta, f = -2 log cosh t.  The
     metric is Einstein with scalar 2/cosh^2 t, which in dimension 2 is also
-    its flag curvature.
+    its flag curvature.  Samples take t in [0.2, 2.0).
     """
     from . import jets
 
@@ -204,7 +205,7 @@ def cigar(t_range=(0.2, 2.0), perturb=None) -> Fixture:
     law = ScalarField(lambda x: 2.0 / math.cosh(float(x[0])) ** 2, name="2/cosh^2 t")
 
     def sample_x(rng):
-        return np.array([rng.uniform(*t_range), rng.uniform(0.0, 2.0 * math.pi)])
+        return np.array([rng.uniform(0.2, 2.0), rng.uniform(0.0, 2.0 * math.pi)])
 
     return navigation_soliton(
         "cigar", RiemannMetric(2, h_fn, name="cigar-h"),
@@ -282,10 +283,10 @@ def _validate_cylinder_data(Q, d, mu):
     return Q, d, checks
 
 
-def _default_cylinder_qd(m, mu, l=0.5):
-    # d along e_1; Q = sqrt(mu) l J with J an antisymmetric complex structure
-    # on the 2(m-1)-dimensional complement, so Q^T Q + mu d d^T = mu l^2 E
-    k = 2 * m - 1
+def _default_cylinder_qd(m, mu):
+    # d = l e_1 with l = 1/2; Q = sqrt(mu) l J with J an antisymmetric complex
+    # structure on the 2(m-1)-dimensional complement, so Q^T Q + mu d d^T = mu l^2 E
+    k, l = 2 * m - 1, 0.5
     Q = np.zeros((k, k))
     s = math.sqrt(mu) * l
     for b in range(m - 1):
@@ -328,17 +329,16 @@ def _cylinder(name, h_name, m, mu, Q, d, t_range, radius, warp, f, kap, perturb)
         f, kap, sample_x, constraints=checks, perturb=perturb)
 
 
-def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None, t_range=(-1.2, 1.2),
-                       perturb=None) -> Fixture:
+def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None, perturb=None) -> Fixture:
     """Product cylinder over an odd sphere of curvature mu: a gradient shrinker.
 
     h^2 = dt^2 + hat-h^2 on R x S^{2m-1} in the upper-hemisphere projective
     chart, W the sphere Killing field built from (Q, d) subject to
     Q^T Q + mu d d^T = mu |d|^2 E and Q d = 0, and f = (m-1) mu t^2, giving
-    soliton constant 2 (m-1) mu.
+    soliton constant 2 (m-1) mu.  Samples take t in [-1.2, 1.2).
     """
     f = ScalarField(lambda z: (m - 1) * mu * z[0] * z[0], name="(m-1) mu t^2")
-    return _cylinder("shrinking", "cylinder-h", m, mu, Q, d, t_range,
+    return _cylinder("shrinking", "cylinder-h", m, mu, Q, d, (-1.2, 1.2),
                      radius=2.0 / math.sqrt(mu), warp=None, f=f,
                      kap=2.0 * (m - 1) * mu, perturb=perturb)
 

@@ -2,7 +2,7 @@
 
 Random Riemannian metrics are small polynomial perturbations of the identity
 so positive definiteness is guaranteed on the sampling box; random 1-forms are
-rescaled so the Randers bound ||beta||_alpha < max_b holds on the whole box.
+rescaled so the Randers bound ||beta||_alpha < 0.45 holds on the whole box.
 Everything is driven by a caller-supplied numpy Generator, so suites are
 reproducible from a seed.
 """
@@ -67,10 +67,10 @@ def _draw_stacked(rng, dim, amp, entries):
     return tuple(np.array([d[k] for d in draws]) for k in range(3))
 
 
-def _box_grid(dim, per_axis=5):
-    """The calibration grid as one array per coordinate (points in
-    `itertools.product` order)."""
-    axes = [np.linspace(-BOX, BOX, per_axis)] * dim
+def _box_grid(dim):
+    """The calibration grid, 5 points per axis, as one array per coordinate
+    (points in `itertools.product` order)."""
+    axes = [np.linspace(-BOX, BOX, 5)] * dim
     return list(np.array(list(itertools.product(*axes))).T)
 
 
@@ -81,10 +81,10 @@ def _grid_stack(values):
     return np.ascontiguousarray(np.moveaxis(np.array(values, float), -1, 0))
 
 
-def random_riemann_metric(rng, dim, amp=0.1, name="random-h") -> RiemannMetric:
+def random_riemann_metric(rng, dim, name="random-h") -> RiemannMetric:
     """Identity plus a symmetric quadratic-polynomial perturbation."""
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    coeffs = _draw_stacked(rng, dim, amp / (dim * dim), len(pairs))
+    coeffs = _draw_stacked(rng, dim, 0.1 / (dim * dim), len(pairs))
 
     def fn(x):
         rows = [[None] * dim for _ in range(dim)]
@@ -95,14 +95,14 @@ def random_riemann_metric(rng, dim, amp=0.1, name="random-h") -> RiemannMetric:
     return RiemannMetric(dim, fn, name=name)
 
 
-def random_vector_field(rng, dim, amp=0.2, name="random-v") -> VectorField:
-    coeffs = _draw_stacked(rng, dim, amp, dim)
-    return VectorField(lambda x: _poly2(coeffs, x), name=name)
+def random_vector_field(rng, dim) -> VectorField:
+    coeffs = _draw_stacked(rng, dim, 0.2, dim)
+    return VectorField(lambda x: _poly2(coeffs, x), name="random-v")
 
 
-def random_scalar_field(rng, dim, amp=0.2, name="random-f") -> ScalarField:
-    coeffs = _draw_stacked(rng, dim, amp, 1)
-    return ScalarField(lambda x: _poly2(coeffs, x)[0], name=name)
+def random_scalar_field(rng, dim) -> ScalarField:
+    coeffs = _draw_stacked(rng, dim, 0.2, 1)
+    return ScalarField(lambda x: _poly2(coeffs, x)[0], name="random-f")
 
 
 def _calibrated_field(rng, metric: RiemannMetric, bound, name, inverse=False) -> VectorField:
@@ -125,20 +125,21 @@ def _calibrated_field(rng, metric: RiemannMetric, bound, name, inverse=False) ->
     return VectorField(lambda x: [scale * v for v in _poly2(raw, x)], name=name)
 
 
-def random_randers(rng, dim, amp=0.1, max_b=0.45, name="random-randers") -> RandersData:
-    """Random valid Randers data on the box: b is rescaled below max_b."""
-    alpha = random_riemann_metric(rng, dim, amp=amp, name=f"alpha({name})")
-    beta = _calibrated_field(rng, alpha, max_b, f"beta({name})", inverse=True)
-    return RandersData(alpha=alpha, beta=beta, name=name)
+def random_randers(rng, dim) -> RandersData:
+    """Random valid Randers data on the box: b is rescaled below 0.45."""
+    alpha = random_riemann_metric(rng, dim, name="alpha(random-randers)")
+    beta = _calibrated_field(rng, alpha, 0.45, "beta(random-randers)", inverse=True)
+    return RandersData(alpha=alpha, beta=beta, name="random-randers")
 
 
-def random_navigation(rng, dim, amp=0.1, max_w=0.5, name="random-nav") -> NavigationData:
-    """Random valid navigation data: ||W||_h is rescaled below max_w on the box."""
-    h = random_riemann_metric(rng, dim, amp=amp, name=f"h({name})")
-    return NavigationData(h=h, W=_calibrated_field(rng, h, max_w, f"W({name})"), name=name)
+def random_navigation(rng, dim) -> NavigationData:
+    """Random valid navigation data: ||W||_h is rescaled below 0.5 on the box."""
+    h = random_riemann_metric(rng, dim, name="h(random-nav)")
+    W = _calibrated_field(rng, h, 0.5, "W(random-nav)")
+    return NavigationData(h=h, W=W, name="random-nav")
 
 
-def conformal_euclidean_navigation(rng, dim, scale=0.15):
+def conformal_euclidean_navigation(rng, dim):
     """Euclidean navigation data whose W is an exact conformal field.
 
     W = a + (lam I + A) x + 2<x,k> x - |x|^2 k with A antisymmetric is
@@ -146,6 +147,7 @@ def conformal_euclidean_navigation(rng, dim, scale=0.15):
     isotropic S-curvature function is sigma(x) = -(lam + 2<k,x>)/2 exactly.
     Returns (nav, sigma_field, c_field).
     """
+    scale = 0.15
     a = rng.uniform(-scale, scale, size=dim)
     lam = float(rng.uniform(-scale, scale))
     A = rng.uniform(-scale, scale, size=(dim, dim))
@@ -179,5 +181,5 @@ def conformal_euclidean_navigation(rng, dim, scale=0.15):
     return nav, sigma, c
 
 
-def sample_box_point(rng, dim, radius=BOX) -> np.ndarray:
-    return rng.uniform(-radius, radius, size=dim)
+def sample_box_point(rng, dim) -> np.ndarray:
+    return rng.uniform(-BOX, BOX, size=dim)

@@ -15,16 +15,14 @@ NOT_APPLICABLE = "not-applicable"
 class ResidualReport:
     """Summary statistics of one residual check over a sample set.
 
-    max_abs and mean_abs refer to the (scale-normalized) residual magnitudes;
-    max_rel tracks a separately supplied relative measure when one exists and
-    mirrors max_abs otherwise.  The verdict gates on max_abs <= tol.
+    max_abs and mean_abs refer to the (scale-normalized) residual magnitudes.
+    The verdict gates on max_abs <= tol.
     """
 
     name: str
     samples: int
     max_abs: float
     mean_abs: float
-    max_rel: float
     tol: float
     verdict: str
     detail: str = ""
@@ -39,30 +37,23 @@ class ResidualReport:
             "samples": self.samples,
             "max_abs": self.max_abs,
             "mean_abs": self.mean_abs,
-            "max_rel": self.max_rel,
             "tol": self.tol,
             "verdict": self.verdict,
             "detail": self.detail,
         }
 
 
-def report_from_values(name, values, tol, rel_values=None, detail="",
-                       applicable=True) -> ResidualReport:
+def report_from_values(name, values, tol, detail="", applicable=True) -> ResidualReport:
     values = np.abs(np.asarray(list(values), float))
     if values.size == 0 or not applicable:
         return ResidualReport(name=name, samples=int(values.size), max_abs=0.0,
-                              mean_abs=0.0, max_rel=0.0, tol=tol,
+                              mean_abs=0.0, tol=tol,
                               verdict=NOT_APPLICABLE, detail=detail)
     max_abs = float(np.max(values))
     mean_abs = float(np.mean(values))
-    if rel_values is not None:
-        rel = np.abs(np.asarray(list(rel_values), float))
-        max_rel = float(np.max(rel)) if rel.size else max_abs
-    else:
-        max_rel = max_abs
     verdict = PASS if max_abs <= tol else FAIL
     return ResidualReport(name=name, samples=int(values.size), max_abs=max_abs,
-                          mean_abs=mean_abs, max_rel=max_rel, tol=tol,
+                          mean_abs=mean_abs, tol=tol,
                           verdict=verdict, detail=detail)
 
 

@@ -271,8 +271,8 @@ class PointRecord:
 
     At every order: h0[i,j] = h_ij, dh[k,i,j] = d_k h_ij, hinv = h^-1,
     dhinv[m,k,l] = d_m h^kl and gamma[k,i,j] = Gamma^k_ij.  At order 2 also
-    d2h[m,k,i,j] = d_m d_k h_ij, dgamma[m,k,i,j] = d_m Gamma^k_ij and the
-    Ricci tensor ricci[j,k]; at order 1 these three are None.
+    dgamma[m,k,i,j] = d_m Gamma^k_ij and the Ricci tensor ricci[j,k]; at
+    order 1 these two are None.
     """
 
     x: np.ndarray
@@ -281,7 +281,6 @@ class PointRecord:
     hinv: np.ndarray
     dhinv: np.ndarray
     gamma: np.ndarray
-    d2h: np.ndarray | None
     dgamma: np.ndarray | None
     ricci: np.ndarray | None
 
@@ -305,12 +304,11 @@ def record_from_tables(h: RiemannMetric, x, tables) -> PointRecord:
     hinv = _inv_with_guard(h0, what)
     dhinv = -np.einsum("ka,mab,bl->mkl", hinv, dh, hinv)
     gamma = christoffel(hinv, dh)
-    d2h = dgamma = ricci = None
+    dgamma = ricci = None
     if len(tables) > 2:
-        d2h = tables[2]
-        dgamma = christoffel_derivative(hinv, dhinv, dh, d2h)
+        dgamma = christoffel_derivative(hinv, dhinv, dh, tables[2])
         ricci = ricci_contraction(gamma, dgamma)
-    return PointRecord(x, h0, dh, hinv, dhinv, gamma, d2h, dgamma, ricci)
+    return PointRecord(x, h0, dh, hinv, dhinv, gamma, dgamma, ricci)
 
 
 def riemann_ricci(rec: PointRecord, y) -> float:

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from . import finsler, generators, jets, randers, riemann, solitons
-from .finsler import FinslerMetric
+from .finsler import FinslerMetric, ParameterError
 from .fixtures import ZERO_FIELD
 from .jets import FlagPoint, fd_derivative, lift
 from .reports import ResidualReport, report_from_values
@@ -63,9 +63,18 @@ def _flag_rows(fixture, flags, mode):
 # -- fixture suite ------------------------------------------------------------------
 
 
+def _check_run(what, size, seed, tol):
+    """Refuse a run of fewer than one sample, a negative seed or a tol that is
+    not finite and > 0 (a size or tol of None keeps a suite's default)."""
+    if ((size is not None and size < 1) or seed < 0
+            or (tol is not None and not 0 < tol < math.inf)):
+        raise ParameterError(f"need {what} >= 1, seed >= 0 and a finite tol > 0")
+
+
 def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
                       mode="jet") -> list[ResidualReport]:
     """Every applicable check of one fixture at the given sample count."""
+    _check_run("samples", samples, seed, tol)
     rng = np.random.default_rng(seed)
     flags = sample_flags(fixture, samples, rng)
     fit_points = [f.x for f in flags[:max(2, min(8, samples))]]
@@ -94,7 +103,7 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
     sig_expected = [field_value(fixture.sigma, x) for x in fit_points]
     reports.append(report_from_values(
         "sigma-fit", np.abs(sigmas - np.array(sig_expected)), tol,
-        rel_values=[fitres], detail=f"isotropy fit residual {fitres:.2e}"))
+        detail=f"isotropy fit residual {fitres:.2e}"))
 
     # the kappa points are the first flags' x, read on those flags' base points
     kap_points = fit_points[:4]
@@ -133,7 +142,7 @@ BUNDLES = {
 # -- crosscheck suites ----------------------------------------------------------------
 
 
-def crosscheck_randers_ricci(count=100, seed=7, tol=1e-8):
+def crosscheck_randers_ricci(seed, count=100, tol=1e-8):
     """Closed-form Randers Ricci against the generic spray-trace Ricci."""
     rng = np.random.default_rng(seed)
     rel = []
@@ -151,7 +160,7 @@ def crosscheck_randers_ricci(count=100, seed=7, tol=1e-8):
                                detail=f"{count} random metrics x {flags_per} flags, dim {dim}")]
 
 
-def crosscheck_lie_identities(count=200, seed=7, tol=1e-9):
+def crosscheck_lie_identities(seed, count=200, tol=1e-9):
     """Both Lie-derivative identities on random data:
 
     split form   L_V(F^2) = (F/alpha) L_V(alpha^2) + 2 F L_V(beta)
@@ -187,7 +196,7 @@ def crosscheck_lie_identities(count=200, seed=7, tol=1e-9):
             report_from_values("navigation-h2-lift", lifted, tol)]
 
 
-def crosscheck_navigation(count=1000, seed=7, tol=1e-10):
+def crosscheck_navigation(seed, count=1000, tol=1e-10):
     """Navigation algebra at `count` random sample flags: round trips and
 
         h^2 - 2 F W_0 = lam F^2      and      h(x, y - F W) = F(x, y),
@@ -233,7 +242,7 @@ def crosscheck_navigation(count=1000, seed=7, tol=1e-10):
             report_from_values("unit-speed-transfer", transfer, tol)]
 
 
-def crosscheck_riemann_reduction(count=60, seed=7, tol=1e-9):
+def crosscheck_riemann_reduction(seed, count=60, tol=1e-9):
     """Spray-trace Ricci against Christoffel-path Ricci on Riemannian inputs."""
     rng = np.random.default_rng(seed)
     rel = []
@@ -249,7 +258,7 @@ def crosscheck_riemann_reduction(count=60, seed=7, tol=1e-9):
     return [report_from_values("spray-vs-christoffel-ricci", rel, tol)]
 
 
-def crosscheck_jets_vs_fd(count=50, seed=7, tol=1e-4):
+def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
     """Jet-mode curvature pipeline against the finite-difference mode, plus
     plain jet partials against fd_derivative on transcendental compositions.
 
@@ -301,7 +310,7 @@ def crosscheck_jets_vs_fd(count=50, seed=7, tol=1e-4):
             report_from_values("pipeline-infinity-ricci", pipe_winf, tol)]
 
 
-def crosscheck_isotropic_s(count=40, seed=7, tol=1e-8):
+def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
     """Exact-conformal Euclidean navigation data with nonconstant sigma:
 
     fitted sigma against the conformal factor, the curvature-transfer
@@ -360,8 +369,9 @@ CROSSCHECK_SUITES = {
 }
 
 
-def run_crosscheck_suite(name, count=None, seed=7, tol=None) -> list[ResidualReport]:
+def run_crosscheck_suite(name, seed, count=None, tol=None) -> list[ResidualReport]:
     """One crosscheck suite; a `count` or `tol` of None keeps the suite's default."""
+    _check_run("count", count, seed, tol)
     if name not in CROSSCHECK_SUITES:
         raise KeyError(f"unknown crosscheck suite {name!r}; "
                        f"available: {', '.join(sorted(CROSSCHECK_SUITES))}")

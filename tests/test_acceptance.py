@@ -8,7 +8,6 @@ stated criterion.
 import math
 
 import numpy as np
-import pytest
 
 import _poly_oracle as po
 from finsler_solitons import finsler, fixtures, randers, riemann, solitons, suites

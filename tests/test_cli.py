@@ -1,10 +1,14 @@
 """Command-line harness: exit-code contract, formats, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
-from finsler_solitons import cli, suites
+import pytest
+
+from finsler_solitons import cli, fixtures, suites
+from finsler_solitons.finsler import ParameterError
 
 
 def run_cli(*argv):
@@ -58,6 +62,21 @@ def test_negative_seed_exit_two(capsys):
     assert out.err.count("\n") == 1 and "seed >= 0" in out.err
 
 
+def test_suites_refuse_an_empty_or_invalid_run():
+    # one guard in the suites: no run of zero samples passes on
+    # not-applicable rows, and numpy never sees a negative seed
+    cigar = fixtures.get_fixture("cigar")
+    runs = [lambda: suites.run_fixture_suite(cigar, samples=0),
+            lambda: suites.run_fixture_suite(cigar, samples=2, seed=-1),
+            lambda: suites.run_fixture_suite(cigar, samples=2, tol=math.nan),
+            lambda: suites.run_crosscheck_suite("navigation", count=0, seed=1),
+            lambda: suites.run_crosscheck_suite("navigation", seed=-1),
+            lambda: suites.run_crosscheck_suite("navigation", seed=1, tol=math.inf)]
+    for run in runs:
+        with pytest.raises(ParameterError, match="seed >= 0"):
+            run()
+
+
 def test_usage_error_exit_two():
     assert run_cli("verify") == 2          # missing --fixture
     assert run_cli("bogus-command") == 2
@@ -97,6 +116,17 @@ def test_csv_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("name,samples,max_abs")
     assert len(lines) > 3
+
+
+def test_report_rows_have_exactly_the_schema_columns(capsys):
+    columns = ["name", "samples", "max_abs", "mean_abs", "tol", "verdict", "detail"]
+    for argv in (["verify", "--fixture", "cigar", "--samples", "2"],
+                 ["crosscheck", "--suite", "riemann-reduction", "--count", "2"]):
+        assert run_cli(*argv) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks and all(sorted(row) == sorted(columns) for row in checks), argv
+        assert run_cli(*argv, "--format", "csv") == 0
+        assert capsys.readouterr().out.splitlines()[0] == ",".join(columns), argv
 
 
 def test_text_format(capsys):

@@ -31,7 +31,7 @@ def _separate_formulas(metric, measure, p, N):
     R = finsler._assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"],
                                   D["d2G_dydy"])
     ric = float(np.trace(R))
-    logs = measure.log_density_table(p.x, order=2)
+    logs = measure.log_density_table(p.x)
     dS_dx = np.einsum("kii->k", D["d2G_dxdy"]) - np.einsum("i,ki->k", y, logs[2])
     dS_dy = np.einsum("kii->k", D["d2G_dydy"]) - logs[1]
     sdot = float(np.dot(p.y, dS_dx) - 2.0 * np.dot(D["G"], dS_dy))
@@ -135,9 +135,9 @@ class _Counter:
             self.orders.append(order)
             return tables(stage, y, order)
 
-        def count_density(measure, x, order=2):
+        def count_density(measure, x):
             self.density_tables += 1
-            return density(measure, x, order)
+            return density(measure, x)
 
         def count_at(metric, x):
             if isinstance(x[0], Jet):
@@ -267,7 +267,7 @@ def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(mo
     p = _flags(fx, count=1)[0]
     dirs = solitons._directions(fx.dim)
     assert len(dirs) == 16
-    logs = fx.measure.log_density_table(p.x, order=2)
+    logs = fx.measure.log_density_table(p.x)
     counts = collections.Counter()
     mul = Jet.__mul__
 

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from finsler_solitons import finsler, fixtures, jets, randers, riemann
-from finsler_solitons.fixtures import (ConstructionError, cigar,
-                                       expanding_cylinder, gaussian,
-                                       get_fixture, shrinking_cylinder,
+from finsler_solitons.fixtures import (ConstructionError, expanding_cylinder,
+                                       gaussian, get_fixture, shrinking_cylinder,
                                        sphere_metric)
 from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric
 from finsler_solitons.sampling import sample_flags, unit_direction

@@ -15,3 +15,14 @@ def test_cigar_profile_runs():
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "fitted soliton scalar kappa" in proc.stdout
+
+
+def test_run_all_checks_refuses_a_bad_sample_count_or_seed():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for args in (["--samples", "0"], ["--seed", "-1"]):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_all_checks.py"),
+                               *args], cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "seed >= 0" in proc.stderr, args

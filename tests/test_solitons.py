@@ -294,6 +294,14 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
          "vector_table": vector_bundles * samples, "scalar_table": samples})
 
 
+def test_sigma_fit_detail_carries_the_fit_residual():
+    fx = fixtures.get_fixture("cigar")
+    rows = {r.name: r for r in suites.run_fixture_suite(fx, samples=2, seed=3)}
+    _sigmas, fitres = solitons.fit_sigma(
+        [sp.beta for sp in points_of(fx, n=2, seed=3)])
+    assert rows["sigma-fit"].detail == f"isotropy fit residual {fitres:.2e}"
+
+
 def test_perturbed_unknown_ingredient_raises():
     with pytest.raises(fixtures.ConstructionError):
         fixtures.get_fixture("cigar", perturb=("nonsense", 1e-2))

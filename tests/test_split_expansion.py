@@ -99,7 +99,7 @@ def test_shrinking_expansions_compose_each_divisor_once(monkeypatch):
     finsler._f2_jet(finsler._stage(fx.metric, p.x, 4), p.y, 4)
     assert len(calls) <= 4
     calls.clear()
-    fx.measure.log_density_table(p.x, order=2)
+    fx.measure.log_density_table(p.x)
     assert len(calls) <= 19
 
 
