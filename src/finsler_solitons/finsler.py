@@ -151,8 +151,9 @@ def weighted_density(f_value, density):
 
 def _stage(metric: FinslerMetric, x, order: int):
     """The metric's stage at x for an order-`order` expansion: x enters as
-    jets of order min(order, 2) over the n x-variables (see the module notes)."""
-    return metric.at(Jet.variables([float(v) for v in x], min(order, 2)))
+    jets of order min(order, jets.X_ORDER) over the n x-variables, the
+    x-degree of the flag space (see the module notes)."""
+    return metric.at(Jet.variables([float(v) for v in x], min(order, jets.X_ORDER)))
 
 
 def _f2_jet(stage, y, order: int) -> Jet:

@@ -8,9 +8,12 @@ out with no truncation error beyond float rounding.  A central-difference
 fallback (`fd_derivative`) provides an independent cross-check.
 
 A space holds a downward-closed set of monomials: total degree <= order,
-and degree <= x_order in its first x_vars variables (`flag_space` builds the
-bigraded set of F^2; `jet_space` the plain one).  The monomials cut off form
-an ideal, so products and Taylor composition are exact on the kept ones.
+and, when it bounds x_vars > 0 variables, degree <= X_ORDER in those first
+variables (`flag_space` builds this bigraded set of F^2; `jet_space` the
+plain one).  The monomials cut off form an ideal, so products and Taylor
+composition are exact on the kept ones.  Orders run from 0 to MAX_ORDER,
+the engine's working order (the spray's second derivatives read F^2 to
+total degree 4 and x-degree 2); a space of any other order is refused.
 
 Jets combine across spaces by prefix embedding: a jet over a space of k
 variables is read as a jet over the first k variables of a larger space,
@@ -63,6 +66,10 @@ from functools import lru_cache
 import numpy as np
 
 
+MAX_ORDER = 4       # the largest jet order, that of F^2 for the spray's second derivatives
+X_ORDER = 2         # the x-degree bound of a flag space, the most a spray formula reads
+
+
 class EvaluationError(ArithmeticError):
     """A primitive was evaluated outside its domain (message names it)."""
 
@@ -90,8 +97,9 @@ def _multi_factorial(multi):
 class JetSpace:
     """Multi-index bookkeeping shared by all jets of one monomial set.
 
-    The set is every multi-index of total degree <= order whose degree in
-    the first `x_vars` variables is <= `x_order` (by default no such bound).
+    The set is every multi-index of total degree <= order (0..MAX_ORDER)
+    whose degree in the first `x_vars` variables is <= X_ORDER (with the
+    default x_vars = 0, or order <= X_ORDER, no such bound).
     Storage is dense: one coefficient per kept multi-index, graded by degree.
     The multiplication table (ia, ib, ic) lists every coefficient pair whose
     product is kept.  A bigraded set restricts the plain (nvars, order)
@@ -100,22 +108,21 @@ class JetSpace:
     sums the same products in the same order as in the plain space.
     """
 
-    def __init__(self, nvars: int, order: int, x_vars: int = 0, x_order: int | None = None):
+    def __init__(self, nvars: int, order: int, x_vars: int = 0):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if not 0 <= x_vars <= nvars or (x_order is not None and x_order < 0):
-            raise ValueError("need 0 <= x_vars <= nvars and x_order >= 0")
-        if x_vars == 0 or x_order is None or x_order >= order:
-            x_vars, x_order = 0, order
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"jet order must be 0..{MAX_ORDER} (MAX_ORDER), got {order}")
+        if not 0 <= x_vars <= nvars:
+            raise ValueError("need 0 <= x_vars <= nvars")
+        if order <= X_ORDER:
+            x_vars = 0
         self.nvars = nvars
         self.order = order
         self.x_vars = x_vars
-        self.x_order = x_order
         if x_vars:
             plain = jet_space(nvars, order)
-            keep = np.array([sum(m[:x_vars]) <= x_order for m in plain.multis])
+            keep = np.array([sum(m[:x_vars]) <= X_ORDER for m in plain.multis])
             self._set_multis(m for m, k in zip(plain.multis, keep) if k)
             back = np.full(plain.nterms, -1, dtype=np.intp)
             back[keep] = np.arange(self.nterms)
@@ -145,7 +152,7 @@ class JetSpace:
         self.factorials = np.array([_multi_factorial(m) for m in self.multis], float)
 
     def __repr__(self):
-        bound = f", x_vars={self.x_vars}, x_order={self.x_order}" if self.x_vars else ""
+        bound = f", x_vars={self.x_vars}" if self.x_vars else ""
         return f"JetSpace(nvars={self.nvars}, order={self.order}{bound})"
 
 
@@ -157,11 +164,12 @@ def jet_space(nvars: int, order: int) -> JetSpace:
 @lru_cache(maxsize=None)
 def flag_space(n: int, order: int) -> JetSpace:
     """The space of F^2 at a flag: 2n variables (x first, then y), total
-    degree <= order and x-degree <= 2, the most any spray formula reads.
-    Up to order 2 that is the plain (2n, order) space."""
-    if order <= 2:
+    degree <= order and x-degree <= X_ORDER, the most any spray formula
+    reads.  Up to order X_ORDER that is the plain (2n, order) space, the
+    same cached object as `jet_space(2n, order)`."""
+    if order <= X_ORDER:
         return jet_space(2 * n, order)
-    return JetSpace(2 * n, order, x_vars=n, x_order=2)
+    return JetSpace(2 * n, order, x_vars=n)
 
 
 @lru_cache(maxsize=None)
@@ -489,39 +497,13 @@ def _cos_derivs(u0, K, name):
     return [cycle[k % 4] for k in range(K + 1)]
 
 
-def _with_tail(head, K, series):
-    """Closed-form derivatives `head`, continued to order K.
-
-    series(K) returns the Taylor coefficients a_0..a_K of the primitive at
-    the point, from a recurrence that holds at every order; derivative k is
-    k! a_k.  The closed forms are kept where they exist (through order 4,
-    the engine's working order), so its reports do not depend on the
-    recurrences.
-    """
-    if K < len(head):
-        return head[: K + 1]
-    a = series(K)
-    return head + [math.factorial(k) * a[k] for k in range(len(head), K + 1)]
-
-
-def _tangent_series(t, K, sign):
-    """Taylor coefficients of tan (sign +1) or tanh (sign -1) where it equals t,
-    from u' = 1 + sign u^2: (k + 1) a_{k+1} = [k == 0] + sign sum_j a_j a_{k-j}."""
-    a = [t]
-    for k in range(K):
-        conv = sum(a[j] * a[k - j] for j in range(k + 1))
-        a.append(((1.0 if k == 0 else 0.0) + sign * conv) / (k + 1))
-    return a
-
-
 def _tan_derivs(u0, K, name):
     c = math.cos(u0)
     if abs(c) < 1e-300:
         raise EvaluationError("tan at a pole of the tangent")
     t = math.tan(u0)
-    head = [t, 1 + t * t, 2 * t * (1 + t * t), 2 * (1 + t * t) * (1 + 3 * t * t),
-            8 * t * (1 + t * t) * (2 + 3 * t * t)]
-    return _with_tail(head, K, lambda K: _tangent_series(t, K, 1.0))
+    return [t, 1 + t * t, 2 * t * (1 + t * t), 2 * (1 + t * t) * (1 + 3 * t * t),
+            8 * t * (1 + t * t) * (2 + 3 * t * t)][: K + 1]
 
 
 def _sinh_derivs(u0, K, name):
@@ -536,28 +518,14 @@ def _cosh_derivs(u0, K, name):
 
 def _tanh_derivs(u0, K, name):
     t = math.tanh(u0)
-    head = [t, 1 - t * t, -2 * t * (1 - t * t), -2 * (1 - t * t) * (1 - 3 * t * t),
-            8 * t * (1 - t * t) * (2 - 3 * t * t)]
-    return _with_tail(head, K, lambda K: _tangent_series(t, K, -1.0))
-
-
-def _arcsinh_series(u0, K):
-    """Taylor coefficients of asinh at u0.  Its derivative r = w^(-1/2), with
-    w = 1 + (u0 + s)^2, solves 2 w r' + w' r = 0, so
-    r_{k+1} = -((2k + 1) 2 u0 r_k + 2k r_{k-1}) / (2 (k + 1) w(u0))."""
-    w0 = 1.0 + u0 * u0
-    r = [w0 ** -0.5]
-    for k in range(K - 1):
-        prev = r[k - 1] if k else 0.0
-        r.append(-((2 * k + 1) * 2.0 * u0 * r[k] + 2 * k * prev) / (2.0 * (k + 1) * w0))
-    return [math.asinh(u0)] + [r[k] / (k + 1) for k in range(K)]
+    return [t, 1 - t * t, -2 * t * (1 - t * t), -2 * (1 - t * t) * (1 - 3 * t * t),
+            8 * t * (1 - t * t) * (2 - 3 * t * t)][: K + 1]
 
 
 def _arcsinh_derivs(u0, K, name):
     w = 1.0 + u0 * u0
-    head = [math.asinh(u0), w ** -0.5, -u0 * w ** -1.5, (2 * u0 * u0 - 1) * w ** -2.5,
-            3 * u0 * (3 - 2 * u0 * u0) * w ** -3.5]
-    return _with_tail(head, K, lambda K: _arcsinh_series(u0, K))
+    return [math.asinh(u0), w ** -0.5, -u0 * w ** -1.5, (2 * u0 * u0 - 1) * w ** -2.5,
+            3 * u0 * (3 - 2 * u0 * u0) * w ** -3.5][: K + 1]
 
 
 sqrt = _jet_fn("sqrt", math.sqrt, _sqrt_derivs)

@@ -77,7 +77,6 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
     _check_run("samples", samples, seed, tol)
     rng = np.random.default_rng(seed)
     flags = sample_flags(fixture, samples, rng)
-    fit_points = [f.x for f in flags[:max(2, min(8, samples))]]
     reports: list[ResidualReport] = []
 
     for cname, value in sorted(fixture.constraints.items()):
@@ -85,10 +84,9 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
                                           detail="structural identity, exact"))
 
     # one sample point per flag; the first (at most 32) are the bundle flags
-    bundled = min(len(flags), 32)
-    points = [solitons.sample_point(fixture.rd, fixture.nav, fixture.f, p, k < bundled)
+    points = [solitons.sample_point(fixture.rd, fixture.nav, fixture.f, p, k < 32)
               for k, p in enumerate(flags)]
-    bundle_points = points[:bundled]
+    bundle_points = points[:32]
     rows = _flag_rows(fixture, points, mode)
     flat = sum(FD_FLAT in row for row in rows)
     names = sorted({k for row in rows for k in row} - {FD_FLAT})
@@ -98,18 +96,16 @@ def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
                   "error estimate" if flat and name.startswith("flag-curvature") else "")
         reports.append(report_from_values(name, vals, tol, detail=detail))
 
-    # the fit points are the first bundle flags
-    sigmas, fitres = solitons.fit_sigma([sp.beta for sp in points[:len(fit_points)]])
-    sig_expected = [field_value(fixture.sigma, x) for x in fit_points]
+    # the sigma fit reads the first 8 bundle flags, the kappa fit the first 4
+    sigmas, fitres = solitons.fit_sigma([sp.beta for sp in points[:8]])
+    sig_expected = [field_value(fixture.sigma, sp.p.x) for sp in points[:8]]
     reports.append(report_from_values(
         "sigma-fit", np.abs(sigmas - np.array(sig_expected)), tol,
         detail=f"isotropy fit residual {fitres:.2e}"))
 
-    # the kappa points are the first flags' x, read on those flags' base points
-    kap_points = fit_points[:4]
     kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure,
-                                      [sp.base for sp in points[:len(kap_points)]])
-    kap_expected = [field_value(fixture.kappa, x) for x in kap_points]
+                                      [sp.base for sp in points[:4]])
+    kap_expected = [field_value(fixture.kappa, sp.p.x) for sp in points[:4]]
     reports.append(report_from_values("kappa-fit", np.abs(kappas - np.array(kap_expected)), tol))
     reports.append(report_from_values("kappa-anisotropy", [anis], tol))
 

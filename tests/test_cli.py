@@ -36,6 +36,14 @@ def test_verify_perturbed_exit_one(tmp_path):
     assert failing, "perturbed run must name at least one failing check"
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP open item 8: the fd oracle's infinity-ricci reads max_abs 2.44e-6 "
+    "against tol 1e-6 on this run (0.27 s); it passes once the fd bundle is mended"))
+def test_expanding_fd_verify_passes(capsys):
+    assert run_cli("verify", "--fixture", "expanding", "--diff-mode", "fd",
+                   "--samples", "3", "--seed", "3") == 0
+
+
 def test_removed_workers_option_exit_two():
     assert run_cli("verify", "--fixture", "cigar", "--samples", "2", "--workers", "2") == 2
 

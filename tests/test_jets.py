@@ -126,7 +126,12 @@ _PRIMITIVES = ("sqrt", "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh"
 def test_every_primitive_exact_to_its_order_vs_symbolic(name, order):
     # Each primitive composed with a quadratic inner map, so both the
     # primitive's own derivatives and the truncated composition are checked
-    # at every degree up to the jet order (no silent zeros above order 4).
+    # at every degree up to the jet order; above MAX_ORDER no jet is built,
+    # so no primitive can return a silent zero there.
+    if order > jets.MAX_ORDER:
+        with pytest.raises(ValueError, match="MAX_ORDER"):
+            Jet.variables([0.25], order)
+        return
     sympy = pytest.importorskip("sympy")
     v = sympy.Symbol("v")
     inner = sympy.Rational(7, 10) + sympy.Rational(3, 5) * v + sympy.Rational(1, 5) * v ** 2
@@ -141,6 +146,19 @@ def test_every_primitive_exact_to_its_order_vs_symbolic(name, order):
     for k in range(order + 1):
         want = float(sympy.diff(expr, v, k).subs(v, v0))
         assert jet.partial((k,)) == pytest.approx(want, rel=1e-11, abs=1e-11), (name, k)
+
+
+def test_jet_orders_above_the_working_order_are_refused():
+    assert jets.MAX_ORDER == 4
+    for build in (lambda: jet_space(2, 5), lambda: jets.JetSpace(3, 5),
+                  lambda: jets.flag_space(2, 5), lambda: jets.JetSpace(2, -1),
+                  lambda: lift(lambda x: x, [0.1], order=5)):
+        with pytest.raises(ValueError):
+            build()
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        jets.JetSpace(3, 5)
+    space = jet_space(8, 4)
+    assert (space.nvars, space.order, space.nterms) == (8, 4, math.comb(12, 4))
 
 
 def test_jets_vs_fd_on_random_compositions():
@@ -274,7 +292,7 @@ def test_jets_of_different_orders_do_not_combine():
         high.embedded(low.space)
 
 
-# -- bigraded flag spaces: x-degree <= 2, total degree <= order ---------------------
+# -- bigraded flag spaces: x-degree <= X_ORDER, total degree <= order ---------------
 
 
 def _flag_pair(rng, n, value):
@@ -298,8 +316,8 @@ def test_flag_space_arithmetic_equals_the_plain_arithmetic_at_the_kept_monomials
     rng = np.random.default_rng(80 + n)
     flag, plain = jets.flag_space(n, 4), jet_space(2 * n, 4)
     assert flag.nvars == 2 * n and flag.order == 4
-    assert all(sum(m[:n]) <= 2 for m in flag.multis)
-    assert [m for m in plain.multis if sum(m[:n]) <= 2] == list(flag.multis)
+    assert all(sum(m[:n]) <= jets.X_ORDER for m in flag.multis)
+    assert [m for m in plain.multis if sum(m[:n]) <= jets.X_ORDER] == list(flag.multis)
     ops = {"*": lambda u, v: u * v, "+": lambda u, v: u + v,
            "-": lambda u, v: u - v, "/": lambda u, v: u / v,
            "sqrt": lambda u, v: jets.sqrt(u), "exp": lambda u, v: jets.exp(u),
