@@ -25,9 +25,10 @@ def main():
     rng = np.random.default_rng(args.seed)
     print(f"{'t':>6} {'K fit':>12} {'2/cosh^2 t':>12} {'|diff|':>10} "
           f"{'Ric_inf/F^2':>12} {'S_BH':>10}")
-    for t in np.linspace(0.2, 2.0, args.points):
-        p = FlagPoint([t, rng.uniform(0, 2 * math.pi)], unit_direction(rng, 2))
-        ev = finsler.evaluate_flag(fx.metric, fx.measure, p)
+    flags = [FlagPoint([t, rng.uniform(0, 2 * math.pi)], unit_direction(rng, 2))
+             for t in np.linspace(0.2, 2.0, args.points)]
+    for p, ev in zip(flags, finsler.evaluate_flags(fx.metric, fx.measure, flags)):
+        t = p.x[0]
         fit = ev.flag_curvature
         law = 2.0 / math.cosh(t) ** 2
         ratio = ev.ric_inf / fx.metric.value(p.x, p.y) ** 2

@@ -6,22 +6,25 @@ R^i_k, Ricci and weighted Ricci curvatures, distortion, S-curvature and its
 rate of change along the geodesic flow, Lie derivatives of F^2, and a
 least-squares scalar flag-curvature fit.
 
-`evaluate_flag` is the one evaluation per flag and the one way to read a
-flag's quantities: a single fourth-order expansion of F^2 yields Ric, S,
-S-dot, Ric_inf (Ric_N through `FlagEvaluation.ric_n`) and the
+`evaluate_flags` is the one evaluation per flag and the one way to read
+flags' quantities: a single fourth-order expansion of F^2 per flag yields
+Ric, S, S-dot, Ric_inf (Ric_N through `FlagEvaluation.ric_n`) and the
 flag-curvature fit together.  Without a measure, `curvature_bundle` gives
-the spray, R and Ric alone.  A flag evaluation's x-only work is a
-`BasePoint`: the metric's stage at x and the log-density table, built once
-per sample point (`base_point`, or a fixture's `solitons.sample_point`) and
-shared by every direction evaluated there.
+the spray, R and Ric alone.  Both take a sequence of flags: each flag gets
+its own expansion, and the float tables of all of them are stacked, so the
+spray derivatives and R run once per stack (one pass of numpy calls over
+arrays with a leading flag axis), not once per flag.  A flag evaluation's
+x-only work is a `BasePoint`: the metric's stage at x and the log-density
+table, built once per sample point (`base_point`, or a fixture's
+`solitons.sample_point`) and shared by every direction evaluated there.
 
-`evaluate_flag` is also the one place a flag evaluation chooses jet or
+`evaluate_flags` is also the one place a flag evaluation chooses jet or
 finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are
 written there once for both.  The fd oracle differentiates G (the fd bundle)
-and the order-3 S by Richardson central differences.  Both stencils read one
-memo of stages (`_memo`), one per distinct stencil x and seeded with the
-base point's at p.x, so an fd flag on a passed base point builds 8n stages
-and 4n log-density tables.
+and the order-3 S by Richardson central differences, flag by flag.  Both
+stencils read one memo of stages (`_memo`), one per distinct stencil x and
+seeded with the base points' at each p.x, so an fd flag on a passed base
+point builds 8n stages and 4n log-density tables.
 
 Curvature comes exclusively from the spray,
 
@@ -201,6 +204,8 @@ def _f2_tables(stage, y, order: int) -> dict:
 
 
 def _fundamental(T):
+    """g and g^-1 from the Q02 table, over any leading stack axes; a stack
+    with one g that is not positive definite raises."""
     g = 0.5 * T["Q02"]
     try:
         np.linalg.cholesky(g)
@@ -212,38 +217,44 @@ def _fundamental(T):
 def _spray_derivatives(T, y, order: int):
     """Spray G and its first (order >= 3) and second (order >= 4) derivatives.
 
-    Index layout: dG_dx[k, i] = dG^i/dx^k, d2G_dxdy[k, p, i] = d2 G^i/dx^k dy^p.
+    T and y may carry leading stack axes (one row per flag, see
+    `curvature_bundle`); every index below follows them.  Index layout:
+    dG_dx[k, i] = dG^i/dx^k, d2G_dxdy[k, p, i] = d2 G^i/dx^k dy^p.
     Order 4 uses the product rule on g G = N/4; dG_dy does not (module notes).
     """
     g, ginv = _fundamental(T)
     out = {"g": g}
-    N = np.einsum("m,ml->l", y, T["Q11"]) - T["Q10"]
-    G = out["G"] = 0.25 * ginv @ N
+    N = np.einsum("...m,...ml->...l", y, T["Q11"]) - T["Q10"]
+    G = out["G"] = (0.25 * ginv @ N[..., None])[..., 0]
     if order < 3:
         return out
 
-    dg_dy = 0.5 * np.einsum("ijp->pij", T["Q03"])         # [p,i,j]
-    dginv_dy = -np.einsum("ia,pab,bj->pij", ginv, dg_dy, ginv)
-    dN_dy = np.einsum("m,mlp->pl", y, T["Q12"]) + T["Q11"] - T["Q11"].T
-    dG_dy = out["dG_dy"] = 0.25 * (np.einsum("pil,l->pi", dginv_dy, N)
-                                   + np.einsum("il,pl->pi", ginv, dN_dy))
+    dg_dy = 0.5 * np.einsum("...ijp->...pij", T["Q03"])         # [p,i,j]
+    dginv_dy = -np.einsum("...ia,...pab,...bj->...pij", ginv, dg_dy, ginv)
+    dN_dy = (np.einsum("...m,...mlp->...pl", y, T["Q12"]) + T["Q11"]
+             - np.swapaxes(T["Q11"], -1, -2))
+    dG_dy = out["dG_dy"] = 0.25 * (np.einsum("...pil,...l->...pi", dginv_dy, N)
+                                   + np.einsum("...il,...pl->...pi", ginv, dN_dy))
     if order < 4:
         return out
 
-    dN_dx = np.einsum("m,kml->kl", y, T["Q21"]) - T["Q20"]
-    d2N_dxdy = (np.einsum("m,kmlp->kpl", y, T["Q22"]) + T["Q21"]
-                - np.einsum("klp->kpl", T["Q21"]))
-    d2N_dydy = (np.einsum("m,mlpq->pql", y, T["Q13"])
-                + np.einsum("plq->pql", T["Q12"])
-                + np.einsum("qlp->pql", T["Q12"])
-                - np.einsum("lpq->pql", T["Q12"]))
-    dG_dx = out["dG_dx"] = (0.25 * dN_dx - 0.5 * np.einsum("kij,j->ki", T["Q12"], G)) @ ginv.T
-    out["d2G_dxdy"] = (0.25 * d2N_dxdy - 0.5 * np.einsum("kpij,j->kpi", T["Q13"], G)
-                       - np.einsum("pij,kj->kpi", dg_dy, dG_dx)
-                       - 0.5 * np.einsum("kij,pj->kpi", T["Q12"], dG_dy)) @ ginv.T
-    dg_dG = np.einsum("pij,qj->pqi", dg_dy, dG_dy)
-    out["d2G_dydy"] = (0.25 * d2N_dydy - 0.5 * np.einsum("pqij,j->pqi", T["Q04"], G)
-                       - dg_dG - dg_dG.transpose(1, 0, 2)) @ ginv.T
+    dN_dx = np.einsum("...m,...kml->...kl", y, T["Q21"]) - T["Q20"]
+    d2N_dxdy = (np.einsum("...m,...kmlp->...kpl", y, T["Q22"]) + T["Q21"]
+                - np.einsum("...klp->...kpl", T["Q21"]))
+    d2N_dydy = (np.einsum("...m,...mlpq->...pql", y, T["Q13"])
+                + np.einsum("...plq->...pql", T["Q12"])
+                + np.einsum("...qlp->...pql", T["Q12"])
+                - np.einsum("...lpq->...pql", T["Q12"]))
+    ginv_t = np.swapaxes(ginv, -1, -2)
+    dG_dx = out["dG_dx"] = ((0.25 * dN_dx - 0.5 * np.einsum("...kij,...j->...ki", T["Q12"], G))
+                            @ ginv_t)
+    ginv_t = ginv_t[..., None, :, :]        # broadcast over the first index
+    out["d2G_dxdy"] = (0.25 * d2N_dxdy - 0.5 * np.einsum("...kpij,...j->...kpi", T["Q13"], G)
+                       - np.einsum("...pij,...kj->...kpi", dg_dy, dG_dx)
+                       - 0.5 * np.einsum("...kij,...pj->...kpi", T["Q12"], dG_dy)) @ ginv_t
+    dg_dG = np.einsum("...pij,...qj->...pqi", dg_dy, dG_dy)
+    out["d2G_dydy"] = (0.25 * d2N_dydy - 0.5 * np.einsum("...pqij,...j->...pqi", T["Q04"], G)
+                       - dg_dG - np.swapaxes(dg_dG, -3, -2)) @ ginv_t
     return out
 
 
@@ -282,37 +293,44 @@ class CurvatureBundle:
 
 
 def _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy):
-    return (2.0 * dG_dx.T
-            - np.einsum("jki,j->ik", d2G_dxdy, y)
-            + 2.0 * np.einsum("j,jki->ik", G, d2G_dydy)
-            - np.einsum("ji,kj->ik", dG_dy, dG_dy))
+    """R^i_k from the spray derivatives, over any leading stack axes."""
+    return (2.0 * np.swapaxes(dG_dx, -1, -2)
+            - np.einsum("...jki,...j->...ik", d2G_dxdy, y)
+            + 2.0 * np.einsum("...j,...jki->...ik", G, d2G_dydy)
+            - np.einsum("...ji,...kj->...ik", dG_dy, dG_dy))
 
 
-def curvature_bundle(metric: FinslerMetric, p: FlagPoint, mode: str = "jet",
-                     stage_at=None) -> CurvatureBundle:
-    """Spray, curvature operator and Ricci at one flag.
+def curvature_bundle(metric: FinslerMetric, points, mode: str = "jet",
+                     stage_at=None) -> list[CurvatureBundle]:
+    """Spray, curvature operator and Ricci at each flag of `points`.
 
     `stage_at(x)` is the metric's stage at x (an `_memo` of `_stage`; by
-    default one built here), read at p.x and, in fd mode, at every stencil x.
-    mode="jet" assembles everything from one fourth-order expansion of F^2;
-    mode="fd" recomputes the outer spray derivatives by Richardson central
-    differences of the pointwise spray, as an independent cross-check.
+    default one built here), read at each p.x and, in fd mode, at every
+    stencil x.  mode="jet" expands F^2 to fourth order once per flag, stacks
+    the flags' tables and runs the spray and Riemann formulas once over the
+    stack; each bundle's arrays are its rows of the stacked results.
+    mode="fd" builds each flag's bundle alone, recomputing the outer spray
+    derivatives by Richardson central differences of the pointwise spray, as
+    an independent cross-check.
     """
     if stage_at is None:
         stage_at = _memo(lambda x: _stage(metric, x, 4))
     if mode == "fd":
-        return _curvature_bundle_fd(metric, p, stage_at)
+        return [_curvature_bundle_fd(metric, p, stage_at) for p in points]
     if mode != "jet":
         raise ParameterError(f"unknown differentiation mode {mode!r}")
-    x, y = p.x, p.y
-    T = _f2_tables(stage_at(x), y, order=4)
+    tables = [_f2_tables(stage_at(p.x), p.y, order=4) for p in points]
+    T = {k: np.stack([t[k] for t in tables]) for k in tables[0] if k != "F"}
+    y = np.array([p.y for p in points], float)
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
-    return CurvatureBundle(x=np.asarray(x, float), y=np.asarray(y, float),
-                           F=T["F"], dF2_dy=T["Q01"], g=D["g"], cartan=0.25 * T["Q03"],
-                           spray=D["G"], dG_dx=D["dG_dx"], dG_dy=D["dG_dy"],
-                           d2G_dxdy=D["d2G_dxdy"], d2G_dydy=D["d2G_dydy"],
-                           riemann=R, ricci=float(np.trace(R)))
+    cartan = 0.25 * T["Q03"]
+    return [CurvatureBundle(x=np.asarray(p.x, float), y=y[i], F=tables[i]["F"],
+                            dF2_dy=T["Q01"][i], g=D["g"][i], cartan=cartan[i],
+                            spray=D["G"][i], dG_dx=D["dG_dx"][i], dG_dy=D["dG_dy"][i],
+                            d2G_dxdy=D["d2G_dxdy"][i], d2G_dydy=D["d2G_dydy"][i],
+                            riemann=R[i], ricci=float(np.trace(R[i])))
+            for i, p in enumerate(points)]
 
 
 # -- finite-difference cross-check path --------------------------------------
@@ -515,37 +533,44 @@ class FlagEvaluation:
         return self.ric_inf if math.isinf(N) else self.ric_inf - self.S * self.S / (N - n)
 
 
-def evaluate_flag(metric: FinslerMetric, measure: Measure, p: FlagPoint,
-                  base: BasePoint | None = None, mode: str = "jet") -> FlagEvaluation:
-    """Bundle, S, its derivatives, S-dot, Ric_inf and the K-fit at one flag.
+def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
+                   bases=None, mode: str = "jet") -> list[FlagEvaluation]:
+    """Bundle, S, its derivatives, S-dot, Ric_inf and the K-fit at each flag
+    of `points`.
 
-    mode="jet" reads them all off one order-4 expansion of F^2.  mode="fd"
-    takes the fd bundle, S from an order-3 expansion, and dS by central
-    differences of that S; every x the two fd stencils visit is staged once,
-    and tabled once where S reads its density (see the module notes).
+    mode="jet" reads them all off one order-4 expansion of F^2 per flag, with
+    the spray and curvature of all the flags in one stacked pass
+    (`curvature_bundle`).  mode="fd" takes each flag's fd bundle, S from an
+    order-3 expansion, and dS by central differences of that S; every x the
+    two fd stencils visit is staged once, and tabled once where S reads its
+    density (see the module notes).
 
-    `base` is `base_point(metric, measure, p.x)`; it depends on x only, so
-    callers evaluating several flags at one point build it once and pass it
-    in.  Without it, the flag builds its own.
+    `bases[k]` is `base_point(metric, measure, points[k].x)`; it depends on x
+    only, so callers evaluating several flags at one point build it once and
+    pass it for each of them.  Without `bases`, each flag builds its own.
     """
-    if base is None:
-        base = base_point(metric, measure, p.x)
-    elif not np.array_equal(base.x, p.x):
+    if bases is None:
+        bases = [base_point(metric, measure, p.x) for p in points]
+    pairs = list(zip(points, bases, strict=True))
+    if any(not np.array_equal(base.x, p.x) for p, base in pairs):
         raise ValueError("base point and flag are at different x")
-    stage_at = _memo(lambda x: _stage(metric, x, 4), (p.x, base.stage))
-    b = curvature_bundle(metric, p, mode, stage_at)
-    y = b.y
-    if mode == "jet":
-        S = _s_value(b.dG_dy, y, base.logs)
-        dS_dx = np.einsum("kii->k", b.d2G_dxdy) - np.einsum("i,ki->k", y, base.logs[2])
-        dS_dy = np.einsum("kii->k", b.d2G_dydy) - base.logs[1]
-    else:
-        n = metric.dim
-        logs_at = _memo(measure.log_density_table, (p.x, base.logs))
-        S = _s_order3(base.stage, base.logs, y)
-        dS = _fd_table(lambda *z: _s_order3(stage_at(z[:n]), logs_at(z[:n]), z[n:]),
-                       np.concatenate([b.x, y]), range(2 * n), step=FD_STEP1)[0]
-        dS_dx, dS_dy = dS[:n], dS[n:]
-    sdot = float(np.dot(y, dS_dx) - 2.0 * np.dot(b.spray, dS_dy))
-    return FlagEvaluation(bundle=b, S=S, dS_dx=dS_dx, dS_dy=dS_dy, s_dot=sdot,
-                          ric_inf=b.ricci + sdot, flag_curvature=_flag_curvature(b))
+    stage_at = _memo(lambda x: _stage(metric, x, 4), *((p.x, base.stage) for p, base in pairs))
+    bundles = curvature_bundle(metric, points, mode, stage_at)
+    n = metric.dim
+    out = []
+    for (p, base), b in zip(pairs, bundles):
+        y = b.y
+        if mode == "jet":
+            S = _s_value(b.dG_dy, y, base.logs)
+            dS_dx = np.einsum("kii->k", b.d2G_dxdy) - np.einsum("i,ki->k", y, base.logs[2])
+            dS_dy = np.einsum("kii->k", b.d2G_dydy) - base.logs[1]
+        else:
+            logs_at = _memo(measure.log_density_table, (p.x, base.logs))
+            S = _s_order3(base.stage, base.logs, y)
+            dS = _fd_table(lambda *z: _s_order3(stage_at(z[:n]), logs_at(z[:n]), z[n:]),
+                           np.concatenate([b.x, y]), range(2 * n), step=FD_STEP1)[0]
+            dS_dx, dS_dy = dS[:n], dS[n:]
+        sdot = float(np.dot(y, dS_dx) - 2.0 * np.dot(b.spray, dS_dy))
+        out.append(FlagEvaluation(bundle=b, S=S, dS_dx=dS_dx, dS_dy=dS_dy, s_dot=sdot,
+                                  ric_inf=b.ricci + sdot, flag_curvature=_flag_curvature(b)))
+    return out

@@ -419,10 +419,11 @@ class Jet:
     # -- truncated composition -----------------------------------------
 
     def _compose(self, derivs):
-        """Sum_k derivs[k]/k! * (self - value)^k, truncated at the jet order."""
+        """Sum_k derivs[k]/k! * (self - value)^k over the jet order; `derivs`
+        holds the order + 1 derivatives of the outer function."""
         du = Jet(self.space, self.coeffs.copy())
         du.coeffs[0] = 0.0
-        order = min(self.space.order, len(derivs) - 1)
+        order = self.space.order
         acc = Jet.constant(derivs[order] / math.factorial(order), self.space)
         for k in range(order - 1, -1, -1):
             acc = acc * du + derivs[k] / math.factorial(k)

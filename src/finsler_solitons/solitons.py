@@ -4,7 +4,7 @@ Four equivalent descriptions are implemented and cross-checked:
 
   * the defining equation  2 Ric + L_V(F^2) = 2 kappa F^2  for an explicit
     vector field V (`almost_soliton_residual`);
-  * the measure form  Ric_inf = kappa F^2, read off `finsler.evaluate_flag`
+  * the measure form  Ric_inf = kappa F^2, read off `finsler.evaluate_flags`
     (the fixture suite's `infinity-ricci` row, `suites._flag_rows`);
   * (alpha, beta) characterizations: V-form (`vector_soliton_checks_ab`) and
     gradient form (`gradient_soliton_checks_ab`);
@@ -59,7 +59,7 @@ def _directions(dim):
 def almost_soliton_residual(metric: FinslerMetric, v: VectorField, kappa,
                             p: FlagPoint) -> float:
     """(2 Ric + L_V(F^2) - 2 kappa F^2) / F^2 at one flag."""
-    b = finsler.curvature_bundle(metric, p)
+    b = finsler.curvature_bundle(metric, [p])[0]
     lie = finsler.lie_F2(metric, v, p)
     return (2.0 * b.ricci + lie - 2.0 * field_value(kappa, p.x) * b.F2) / b.F2
 
@@ -75,19 +75,18 @@ def fit_kappa(metric: FinslerMetric, measure: Measure, bases):
     the largest spread of Ric_inf/F^2 over `_directions(n)` at a single x; it
     must vanish for a true gradient soliton because kappa depends on x only.
     Every direction at a point reads the point's stage and density table, so
-    the fit builds neither, and the F^2 normalisers one float stage.
+    the fit builds neither, and the F^2 normalisers one float stage; the
+    directions at a point are one `finsler.evaluate_flags` call.
     """
     dirs = _directions(metric.dim)
     kappas = []
     anisotropy = 0.0
     for base in bases:
         at = metric.at(list(base.x))
-        vals = []
-        for d in dirs:
-            p = FlagPoint(base.x, d)
-            ric_inf = finsler.evaluate_flag(metric, measure, p, base=base).ric_inf
-            vals.append(ric_inf / float(scalar_value(at(list(p.y)))) ** 2)
-        vals = np.array(vals)
+        points = [FlagPoint(base.x, d) for d in dirs]
+        evs = finsler.evaluate_flags(metric, measure, points, [base] * len(dirs))
+        vals = np.array([ev.ric_inf / float(scalar_value(at(list(p.y)))) ** 2
+                         for p, ev in zip(points, evs)])
         kappas.append(float(np.mean(vals)))
         anisotropy = max(anisotropy, float(np.max(vals) - np.min(vals)))
     return np.array(kappas), anisotropy

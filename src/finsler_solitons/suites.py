@@ -8,13 +8,15 @@ other on random seeded data: closed-form vs spray Ricci, jet vs finite
 difference, Christoffel vs spray, both sides of the Lie-derivative and
 curvature-transfer identities, and the navigation algebra.
 
-Each fixture flag is evaluated once (`finsler.evaluate_flag`, which picks
-the jet or fd differentiation mode): one fourth-order expansion of F^2 (one
-finite-difference bundle and S-dot in fd mode) feeds the Ricci law,
-infinity-Ricci and flag curvature rows.  Each sample flag's x-only work runs
-once, in its `solitons.SamplePoint`: the flag rows and the kappa fit (on the
-first flags) read its base point, and the bundles and the sigma fit the
-bundle data of the first (at most 32) flags.
+Each fixture flag is evaluated once, and all of a suite's flags in one
+`finsler.evaluate_flags` call (which picks the jet or fd differentiation
+mode): one fourth-order expansion of F^2 per flag, with one spray and
+Riemann pass over the stack of flags (one finite-difference bundle and S-dot
+per flag in fd mode), feeds the Ricci law, infinity-Ricci and flag
+curvature rows.  Each sample flag's x-only work runs once, in its
+`solitons.SamplePoint`: the flag rows and the kappa fit (on the first flags)
+read its base point, and the bundles and the sigma fit the bundle data of
+the first (at most 32) flags.
 """
 
 from __future__ import annotations
@@ -39,14 +41,15 @@ FD_FLAT = "fd-flat"     # row key: R is flat within the fd bundle's error estima
 def _flag_rows(fixture, flags, mode):
     """Pointwise law residuals at each flag (a `solitons.SamplePoint` of a
     `sampling.SampledFlag`, whose F normalises): one row dict per flag, read
-    off the one `finsler.evaluate_flag` in `mode` on the flag's base point.
-    A flag whose fd R is flat only within the bundle's error estimate also
-    carries the key `FD_FLAT`."""
+    off its evaluation on its base point, all flags in one
+    `finsler.evaluate_flags` call in `mode`.  A flag whose fd R is flat only
+    within the bundle's error estimate also carries the key `FD_FLAT`."""
+    evs = finsler.evaluate_flags(fixture.metric, fixture.measure, [sp.p for sp in flags],
+                                 [sp.base for sp in flags], mode)
     out = []
-    for sp in flags:
+    for sp, ev in zip(flags, evs):
         p, row = sp.p, {}
         F2 = p.F ** 2
-        ev = finsler.evaluate_flag(fixture.metric, fixture.measure, p, base=sp.base, mode=mode)
         ric, ric_inf, fit = ev.bundle.ricci, ev.ric_inf, ev.flag_curvature
         row["infinity-ricci"] = (ric_inf - field_value(fixture.kappa, p.x) * F2) / F2
         if fixture.einstein is not None:
@@ -139,17 +142,19 @@ BUNDLES = {
 
 
 def crosscheck_randers_ricci(seed, count=100, tol=1e-8):
-    """Closed-form Randers Ricci against the generic spray-trace Ricci."""
+    """Closed-form Randers Ricci against the generic spray-trace Ricci; each
+    metric's flags are drawn first and share one `finsler.curvature_bundle`."""
     rng = np.random.default_rng(seed)
     rel = []
     flags_per, dim = 16, 3
     for _ in range(count):
         rd = generators.random_randers(rng, dim)
         metric = randers.finsler_from_randers(rd)
-        for _ in range(flags_per):
-            p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
+        flags = [FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
+                 for _ in range(flags_per)]
+        for p, b in zip(flags, finsler.curvature_bundle(metric, flags)):
             closed = randers.randers_ricci_closed_form(rd, p)
-            spray_val = finsler.curvature_bundle(metric, p).ricci
+            spray_val = b.ricci
             F2 = metric.value(p.x, p.y) ** 2
             rel.append((closed - spray_val) / max(abs(spray_val), F2))
     return [report_from_values("closed-form-vs-spray-ricci", rel, tol,
@@ -247,7 +252,7 @@ def crosscheck_riemann_reduction(seed, count=60, tol=1e-9):
         h = generators.random_riemann_metric(rng, dim)
         metric = FinslerMetric.from_riemannian(h)
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
-        spray_ric = finsler.curvature_bundle(metric, p).ricci
+        spray_ric = finsler.curvature_bundle(metric, [p])[0].ricci
         chris_ric = riemann.riemann_ricci(riemann.point_record(h, p.x, 2), p.y)
         h2 = float(p.y @ h.matrix_at(p.x) @ p.y)
         rel.append((spray_ric - chris_ric) / max(abs(chris_ric), h2))
@@ -258,7 +263,7 @@ def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
     """Jet-mode curvature pipeline against the finite-difference mode, plus
     plain jet partials against fd_derivative on transcendental compositions.
 
-    Each pipeline flag makes one `finsler.evaluate_flag` per mode (Ric,
+    Each pipeline flag makes one `finsler.evaluate_flags` per mode (Ric,
     S-dot and Ric_inf), both on one base point."""
     rng = np.random.default_rng(seed)
     plain = []
@@ -294,8 +299,8 @@ def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
         F2 = metric.value(p.x, p.y) ** 2
         base = finsler.base_point(metric, measure, p.x)
-        jet = finsler.evaluate_flag(metric, measure, p, base=base)
-        fd = finsler.evaluate_flag(metric, measure, p, base=base, mode="fd")
+        jet = finsler.evaluate_flags(metric, measure, [p], [base])[0]
+        fd = finsler.evaluate_flags(metric, measure, [p], [base], mode="fd")[0]
         for rows, j, f in ((pipe_ric, jet.bundle.ricci, fd.bundle.ricci),
                            (pipe_sdot, jet.s_dot, fd.s_dot),
                            (pipe_winf, jet.ric_inf, fd.ric_inf)):
@@ -313,7 +318,7 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
     identity, the beta/navigation s-tensor transfers s_0 = S_0/lam and
     s^i_j = -S^i_j + S^i W_j / lam, and the closed form for S-dot.
 
-    Each point reads one `solitons.SamplePoint`, one `evaluate_flag` (Ric
+    Each point reads one `solitons.SamplePoint`, one `evaluate_flags` (Ric
     and S-dot) on its base point and one float F.
     """
     rng = np.random.default_rng(seed)
@@ -336,7 +341,7 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
         sig_fit.append(fitted - field_value(sigma, x))
 
         mu_t = float(rng.uniform(-1.0, 1.0))
-        ev = finsler.evaluate_flag(metric, measure, p, base=sp.base)
+        ev = finsler.evaluate_flags(metric, measure, [p], [sp.base])[0]
         F = metric.value(x, y)
         sig = randers.sigma_terms(sp.sigma_table(sigma), y, N.w_up)
         lhs, rhs = randers.ricci_transfer_sides(ev.bundle.ricci, F, sp.h, N, sig, mu_t, y)

@@ -3,7 +3,7 @@
 The library metrics do their x-only work once per stage
 (`FinslerMetric.at`); here each is held against a copy of the inline
 F(x, y) formula it replaced, given as a plain `FinslerMetric(dim, fn)`, and
-`evaluate_flag` on a shared `BasePoint` against `evaluate_flag` alone.
+`evaluate_flags` on a shared `BasePoint` against `evaluate_flags` alone.
 """
 
 import dataclasses
@@ -142,17 +142,17 @@ def test_evaluate_flag_on_a_base_point_equals_evaluate_flag(name):
         base = finsler.base_point(metric, measure, x)
         for y in dirs:
             p = FlagPoint(x, y)
-            shared = finsler.evaluate_flag(metric, measure, p, base=base)
-            _assert_same_evaluation(shared, finsler.evaluate_flag(metric, measure, p), name)
-            _assert_same_evaluation(shared, finsler.evaluate_flag(ref, measure, p), name)
+            shared = finsler.evaluate_flags(metric, measure, [p], [base])[0]
+            _assert_same_evaluation(shared, finsler.evaluate_flags(metric, measure, [p])[0], name)
+            _assert_same_evaluation(shared, finsler.evaluate_flags(ref, measure, [p])[0], name)
 
 
 def test_evaluate_flag_refuses_a_base_point_at_another_x():
     fx = fixtures.get_fixture("cigar")
     base = finsler.base_point(fx.metric, fx.measure, [1.0, 0.3])
     with pytest.raises(ValueError, match="different x"):
-        finsler.evaluate_flag(fx.metric, fx.measure, FlagPoint([1.0, 0.4], [0.4, -0.7]),
-                              base=base)
+        finsler.evaluate_flags(fx.metric, fx.measure, [FlagPoint([1.0, 0.4], [0.4, -0.7])],
+                               [base])
 
 
 def test_a_stage_raises_the_domain_guard_of_its_point():

@@ -1,6 +1,7 @@
-"""One evaluation per flag: `finsler.evaluate_flag` against the separate
-per-quantity formulas, and counters on the F^2 expansions and density tables
-the suites make."""
+"""One evaluation per flag: `finsler.evaluate_flags` against the separate
+per-quantity formulas, a stack of flags against each flag alone, and
+counters on the F^2 expansions, spray passes and density tables the suites
+make."""
 
 import collections
 import itertools
@@ -23,8 +24,8 @@ def _points(fx, flags):
 
 
 def _separate_formulas(metric, measure, p, N):
-    """Each quantity from its own expansion, as the engine computed them
-    before `evaluate_flag` existed."""
+    """Each quantity from its own expansion and an unstacked spray, as the
+    engine computed them before one evaluation per flag existed."""
     y = np.asarray(p.y, float)
     T = finsler._f2_tables(finsler._stage(metric, p.x, 4), y, order=4)
     D = finsler._spray_derivatives(T, y, order=4)
@@ -58,9 +59,9 @@ def _separate_formulas(metric, measure, p, N):
 def test_evaluate_flag_equals_the_separate_formulas(name):
     fx = fixtures.get_fixture(name)
     N = fx.dim + 2.5
-    for p in _flags(fx):
+    flags = _flags(fx)
+    for p, ev in zip(flags, finsler.evaluate_flags(fx.metric, fx.measure, flags), strict=True):
         want = _separate_formulas(fx.metric, fx.measure, p, N)
-        ev = finsler.evaluate_flag(fx.metric, fx.measure, p)
         assert ev.bundle.ricci == want["ricci"]
         assert ev.S == want["S"]
         assert np.array_equal(ev.dS_dx, want["dS_dx"])
@@ -77,9 +78,9 @@ def test_evaluate_flag_reuses_a_passed_density_table(monkeypatch):
     fx = fixtures.get_fixture("cigar")
     p = _flags(fx, count=1)[0]
     base = finsler.base_point(fx.metric, fx.measure, p.x)
-    a = finsler.evaluate_flag(fx.metric, fx.measure, p)
+    a = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
     counter = _Counter(monkeypatch)
-    b = finsler.evaluate_flag(fx.metric, fx.measure, p, base=base)
+    b = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
     assert (counter.orders, counter.density_tables, counter.stages) == ([4], 0, 0)
     assert (a.S, a.s_dot, a.ric_inf) == (b.S, b.s_dot, b.ric_inf)
 
@@ -205,14 +206,13 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
     for p in flags:
         F2 = fx.metric.value(p.x, p.y) ** 2
         kap = float(fx.kappa(list(p.x)))
-        row = {"infinity-ricci": (finsler.evaluate_flag(fx.metric, fx.measure, p,
-                                                        mode="fd").ric_inf
-                                  - kap * F2) / F2}
+        ev = finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd")[0]
+        row = {"infinity-ricci": (ev.ric_inf - kap * F2) / F2}
+        b = finsler.curvature_bundle(fx.metric, [p], mode="fd")[0]
         if fx.einstein is not None:
-            row["ricci-law"] = (finsler.curvature_bundle(fx.metric, p, mode="fd").ricci / F2
-                                - float(fx.einstein(list(p.x))))
+            row["ricci-law"] = b.ricci / F2 - float(fx.einstein(list(p.x)))
         if fx.flag_curvature is not None:
-            fit = finsler._flag_curvature(finsler.curvature_bundle(fx.metric, p, mode="fd"))
+            fit = finsler._flag_curvature(b)
             row["flag-curvature-law"] = fit.value - float(fx.flag_curvature(list(p.x)))
             row["flag-curvature-misfit"] = fit.residual
         expected.append(row)
@@ -220,13 +220,14 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
     calls = []
     bundle = finsler.curvature_bundle
 
-    def count_bundle(metric, p, mode="jet", stage_at=None):
-        calls.append(mode)
-        return bundle(metric, p, mode, stage_at)
+    def count_bundle(metric, points, mode="jet", stage_at=None):
+        calls.append((mode, len(points)))
+        return bundle(metric, points, mode, stage_at)
 
     monkeypatch.setattr(finsler, "curvature_bundle", count_bundle)
     rows = suites._flag_rows(fx, _points(fx, flags), "fd")
-    assert calls == ["fd"] * len(flags)
+    # one call for the stack; inside it, one fd bundle per flag
+    assert calls == [("fd", len(flags))]
     assert rows == expected
 
 
@@ -240,7 +241,7 @@ def test_fd_flag_on_its_sample_point_stages_each_stencil_x_once(name, monkeypatc
     p = _flags(fx, count=1)[0]
     sp = _points(fx, [p])[0]
     counter = _Counter(monkeypatch)
-    finsler.evaluate_flag(fx.metric, fx.measure, p, base=sp.base, mode="fd")
+    finsler.evaluate_flags(fx.metric, fx.measure, [p], [sp.base], mode="fd")
     assert counter.stages == 8 * n
     assert counter.density_tables == 4 * n
     # order 2: the flag and the other spray stencil points; order 3: S at the
@@ -293,7 +294,7 @@ def test_gradient_soliton_residual_expands_f2_once(monkeypatch):
     fx = fixtures.get_fixture("cigar")
     p = _flags(fx, count=1)[0]
     counter = _Counter(monkeypatch)
-    ric_inf = finsler.evaluate_flag(fx.metric, fx.measure, p).ric_inf
+    ric_inf = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf
     assert abs(ric_inf / p.F ** 2 - float(fx.kappa(list(p.x)))) < 1e-9
     assert counter.orders == [4]
 
@@ -301,9 +302,9 @@ def test_gradient_soliton_residual_expands_f2_once(monkeypatch):
 def test_fd_bundle_reports_no_cartan_tensor():
     fx = fixtures.get_fixture("cigar")
     p = FlagPoint([1.0, 0.3], [0.4, -0.7])
-    fd = finsler.curvature_bundle(fx.metric, p, mode="fd")
+    fd = finsler.curvature_bundle(fx.metric, [p], mode="fd")[0]
     assert fd.cartan is None
-    jet = finsler.curvature_bundle(fx.metric, p)
+    jet = finsler.curvature_bundle(fx.metric, [p])[0]
     assert jet.cartan is not None and jet.cartan.shape == (2, 2, 2)
     np.testing.assert_array_equal(fd.dF2_dy, jet.dF2_dy)
     assert math.isclose(fd.ricci, jet.ricci, rel_tol=1e-6)

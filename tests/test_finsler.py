@@ -9,7 +9,7 @@ import pytest
 from finsler_solitons import finsler, generators, jets, randers, riemann
 from finsler_solitons.finsler import (FinslerMetric, FlagDomainError, Measure,
                                       ParameterError, curvature_bundle, distortion,
-                                      evaluate_flag, lie_F2)
+                                      evaluate_flags, lie_F2)
 from finsler_solitons.jets import FlagPoint
 from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric
 
@@ -43,7 +43,7 @@ def test_fundamental_tensor_riemannian_reduction():
     x = generators.sample_box_point(RNG, 3)
     for _ in range(3):
         p = FlagPoint(x, RNG.normal(size=3))
-        np.testing.assert_allclose(curvature_bundle(F, p).g, h.matrix_at(x),
+        np.testing.assert_allclose(curvature_bundle(F, [p])[0].g, h.matrix_at(x),
                                    rtol=1e-11, atol=1e-13)
 
 
@@ -51,7 +51,7 @@ def test_fundamental_tensor_randers_euler_identity():
     rd = generators.random_randers(RNG, 3)
     F = randers.finsler_from_randers(rd)
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
-    g = curvature_bundle(F, p).g
+    g = curvature_bundle(F, [p])[0].g
     F2 = F.value(p.x, p.y) ** 2
     assert float(p.y @ g @ p.y) == pytest.approx(F2, rel=1e-11)
 
@@ -59,17 +59,17 @@ def test_fundamental_tensor_randers_euler_identity():
 def test_fundamental_tensor_cigar_positive_definite():
     F = randers.finsler_from_navigation(cigar_navigation())
     p = FlagPoint([1.0, 0.0], [1.0, 0.0])
-    g = curvature_bundle(F, p).g
+    g = curvature_bundle(F, [p])[0].g
     assert np.all(np.linalg.eigvalsh(g) > 0.0)
 
 
 def test_cartan_tensor_vanishes_iff_riemannian():
     h = generators.random_riemann_metric(RNG, 2)
     p = euclid_flag(2)
-    C = curvature_bundle(FinslerMetric.from_riemannian(h), p).cartan
+    C = curvature_bundle(FinslerMetric.from_riemannian(h), [p])[0].cartan
     assert np.max(np.abs(C)) <= 1e-11
     rd = generators.random_randers(RNG, 2)
-    C2 = curvature_bundle(randers.finsler_from_randers(rd), p).cartan
+    C2 = curvature_bundle(randers.finsler_from_randers(rd), [p])[0].cartan
     assert np.max(np.abs(C2)) > 1e-4
 
 
@@ -77,7 +77,7 @@ def test_cartan_contraction_with_y_vanishes():
     rd = generators.random_randers(RNG, 3)
     F = randers.finsler_from_randers(rd)
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
-    C = curvature_bundle(F, p).cartan
+    C = curvature_bundle(F, [p])[0].cartan
     assert np.max(np.abs(np.einsum("ijk,i->jk", C, p.y))) <= 1e-10
 
 
@@ -86,7 +86,7 @@ def test_cartan_contraction_with_y_vanishes():
 
 def test_spray_euclidean_zero():
     F = FinslerMetric.from_riemannian(euclidean_metric(2))
-    assert np.max(np.abs(curvature_bundle(F, euclid_flag(2)).spray)) <= 1e-14
+    assert np.max(np.abs(curvature_bundle(F, [euclid_flag(2)])[0].spray)) <= 1e-14
 
 
 def test_spray_riemannian_christoffel_oracle():
@@ -95,7 +95,7 @@ def test_spray_riemannian_christoffel_oracle():
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
     gam = riemann.point_record(h, p.x, 1).gamma
     want = 0.5 * np.einsum("kij,i,j->k", gam, p.y, p.y)
-    np.testing.assert_allclose(curvature_bundle(F, p).spray, want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(curvature_bundle(F, [p])[0].spray, want, rtol=1e-10, atol=1e-12)
 
 
 def test_spray_navigation_correction():
@@ -103,8 +103,8 @@ def test_spray_navigation_correction():
     nav = cigar_navigation()
     rd = randers.from_navigation(nav)
     p = FlagPoint([0.8, 0.4], RNG.normal(size=2))
-    Ga = curvature_bundle(FinslerMetric.from_riemannian(rd.alpha), p).spray
-    Gh = curvature_bundle(FinslerMetric.from_riemannian(nav.h), p).spray
+    Ga = curvature_bundle(FinslerMetric.from_riemannian(rd.alpha), [p])[0].spray
+    Gh = curvature_bundle(FinslerMetric.from_riemannian(nav.h), [p])[0].spray
     T = randers.nav_tensors(riemann.point_record(nav.h, p.x, 1), nav.W.table(p.x, order=1))
     zeta = randers.spray_correction(T, 0.0, p.y)
     np.testing.assert_allclose(Ga, Gh + zeta, rtol=1e-9, atol=1e-11)
@@ -115,7 +115,7 @@ def test_spray_navigation_correction():
 
 def test_riemann_curvature_euclidean_zero():
     F = FinslerMetric.from_riemannian(euclidean_metric(3))
-    R = curvature_bundle(F, euclid_flag(3)).riemann
+    R = curvature_bundle(F, [euclid_flag(3)])[0].riemann
     assert np.max(np.abs(R)) <= 1e-13
 
 
@@ -130,15 +130,15 @@ def test_riemann_curvature_sphere_pattern():
     h0 = h.matrix_at(x)
     h2 = float(y @ h0 @ y)
     want = mu * (h2 * np.eye(3) - np.outer(y, h0 @ y))
-    np.testing.assert_allclose(curvature_bundle(F, p).riemann, want, rtol=1e-9, atol=1e-10)
-    assert curvature_bundle(F, p).ricci == pytest.approx(2.0 * mu * h2, rel=1e-10)
+    np.testing.assert_allclose(curvature_bundle(F, [p])[0].riemann, want, rtol=1e-9, atol=1e-10)
+    assert curvature_bundle(F, [p])[0].ricci == pytest.approx(2.0 * mu * h2, rel=1e-10)
 
 
 def test_ricci_cigar_randers_law():
     F = randers.finsler_from_navigation(cigar_navigation())
     t = 1.0
     p = FlagPoint([t, 0.3], RNG.normal(size=2))
-    ratio = curvature_bundle(F, p).ricci / F.value(p.x, p.y) ** 2
+    ratio = curvature_bundle(F, [p])[0].ricci / F.value(p.x, p.y) ** 2
     assert ratio == pytest.approx(2.0 / math.cosh(t) ** 2, rel=1e-10)
     assert ratio == pytest.approx(0.8399486832280522, rel=1e-10)
 
@@ -154,11 +154,11 @@ def test_homogeneity_suite():
     for lam in (0.37, 2.9):
         q = FlagPoint(p.x, lam * p.y)
         assert F.value(q.x, q.y) == pytest.approx(lam * F.value(p.x, p.y), rel=1e-12)
-        bq, bp = curvature_bundle(F, q), curvature_bundle(F, p)
+        bq, bp = curvature_bundle(F, [q])[0], curvature_bundle(F, [p])[0]
         np.testing.assert_allclose(bq.spray, lam * lam * bp.spray, rtol=1e-10)
         np.testing.assert_allclose(bq.riemann, lam * lam * bp.riemann, rtol=1e-10)
-        assert evaluate_flag(F, measure, q).S == pytest.approx(
-            lam * evaluate_flag(F, measure, p).S, rel=1e-10)
+        assert evaluate_flags(F, measure, [q])[0].S == pytest.approx(
+            lam * evaluate_flags(F, measure, [p])[0].S, rel=1e-10)
         assert distortion(F, measure, q) == pytest.approx(
             distortion(F, measure, p), rel=1e-10)
 
@@ -188,7 +188,7 @@ def test_s_curvature_riemannian_zero():
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
     p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
-    assert evaluate_flag(F, m, p).S == pytest.approx(0.0, abs=1e-11)
+    assert evaluate_flags(F, m, [p])[0].S == pytest.approx(0.0, abs=1e-11)
 
 
 def test_s_curvature_weighted_is_df():
@@ -198,7 +198,7 @@ def test_s_curvature_weighted_is_df():
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(2)
     _, grad, _ = f.table(p.x, order=2)
-    assert evaluate_flag(F, m, p).S == pytest.approx(float(grad @ p.y), rel=1e-10)
+    assert evaluate_flags(F, m, [p])[0].S == pytest.approx(float(grad @ p.y), rel=1e-10)
 
 
 def test_s_curvature_cigar_bh_vanishes():
@@ -207,7 +207,7 @@ def test_s_curvature_cigar_bh_vanishes():
     F = randers.finsler_from_navigation(nav)
     m = randers.bh_measure(rd)
     p = FlagPoint([0.7, 0.2], RNG.normal(size=2))
-    assert evaluate_flag(F, m, p).S == pytest.approx(0.0, abs=1e-11)
+    assert evaluate_flags(F, m, [p])[0].S == pytest.approx(0.0, abs=1e-11)
 
 
 def test_s_dot_riemannian_zero():
@@ -215,7 +215,7 @@ def test_s_dot_riemannian_zero():
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
     p = euclid_flag(2)
-    assert evaluate_flag(F, m, p).s_dot == pytest.approx(0.0, abs=1e-10)
+    assert evaluate_flags(F, m, [p])[0].s_dot == pytest.approx(0.0, abs=1e-10)
 
 
 def test_s_dot_weighted_is_hessian():
@@ -225,7 +225,7 @@ def test_s_dot_weighted_is_hessian():
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(2)
     want = riemann.hessian(riemann.point_record(h, p.x, 1), f.table(p.x, order=2), p.y)
-    assert evaluate_flag(F, m, p).s_dot == pytest.approx(want, rel=1e-9, abs=1e-11)
+    assert evaluate_flags(F, m, [p])[0].s_dot == pytest.approx(want, rel=1e-9, abs=1e-11)
 
 
 def test_s_dot_navigation_closed_form():
@@ -243,7 +243,7 @@ def test_s_dot_navigation_closed_form():
     closed = s_dot_closed_form_nav(H, T, F.value(p.x, p.y),
                                    randers.field_sigma_terms(sigma, p.x, p.y, T.w_up),
                                    f.table(p.x, order=2), p.y)
-    assert evaluate_flag(F, m, p).s_dot == pytest.approx(closed, rel=1e-8, abs=1e-10)
+    assert evaluate_flags(F, m, [p])[0].s_dot == pytest.approx(closed, rel=1e-8, abs=1e-10)
 
 
 # -- weighted Ricci --------------------------------------------------------------------
@@ -257,14 +257,14 @@ def test_weighted_ricci_gaussian():
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(2)
     F2 = F.value(p.x, p.y) ** 2
-    assert evaluate_flag(F, m, p).ric_inf == pytest.approx(rho * F2, rel=1e-12)
+    assert evaluate_flags(F, m, [p])[0].ric_inf == pytest.approx(rho * F2, rel=1e-12)
 
 
 def test_weighted_ricci_rejects_small_N():
     h = euclidean_metric(2)
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
-    ev = evaluate_flag(F, m, euclid_flag(2))
+    ev = evaluate_flags(F, m, [euclid_flag(2)])[0]
     for N in (2.0, 1.5):
         with pytest.raises(ParameterError):
             ev.ric_n(N)
@@ -276,7 +276,7 @@ def test_weighted_ricci_monotone_in_N():
     f = ScalarField(lambda x: 0.4 * x[0] + 0.7 * x[1])
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(2)
-    ev = evaluate_flag(F, m, p)
+    ev = evaluate_flags(F, m, [p])[0]
     vals = [ev.ric_n(N) for N in (2.5, 4.0, 11.0, math.inf)]
     assert all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == ev.ric_inf
@@ -321,14 +321,14 @@ def test_lie_F2_randers_split():
 
 def test_flag_curvature_flat():
     F = FinslerMetric.from_riemannian(euclidean_metric(2))
-    fit = finsler._flag_curvature(curvature_bundle(F, euclid_flag(2)))
+    fit = finsler._flag_curvature(curvature_bundle(F, [euclid_flag(2)])[0])
     assert fit.flat and fit.value == 0.0 and fit.residual == 0.0
 
 
 def test_flag_curvature_sphere():
     F = FinslerMetric.from_riemannian(sphere_metric(1.0, 3))
     p = FlagPoint(RNG.uniform(-0.5, 0.5, size=3), RNG.normal(size=3))
-    fit = finsler._flag_curvature(curvature_bundle(F, p))
+    fit = finsler._flag_curvature(curvature_bundle(F, [p])[0])
     assert fit.value == pytest.approx(1.0, abs=1e-8)
     assert fit.residual <= 1e-8
 
@@ -337,15 +337,15 @@ def test_flag_curvature_cigar():
     F = randers.finsler_from_navigation(cigar_navigation())
     t = 1.3
     p = FlagPoint([t, 0.1], RNG.normal(size=2))
-    fit = finsler._flag_curvature(curvature_bundle(F, p))
+    fit = finsler._flag_curvature(curvature_bundle(F, [p])[0])
     assert fit.value == pytest.approx(2.0 / math.cosh(t) ** 2, abs=1e-7)
     assert fit.residual <= 1e-7
 
 
 def test_flag_curvature_monotone_along_axis():
     F = randers.finsler_from_navigation(cigar_navigation())
-    k1, k2 = (finsler._flag_curvature(curvature_bundle(F, FlagPoint([t, 0.0], [0.3, 0.8]))).value
-              for t in (1.0, 2.0))
+    flags = [FlagPoint([t, 0.0], [0.3, 0.8]) for t in (1.0, 2.0)]
+    k1, k2 = (finsler._flag_curvature(b).value for b in curvature_bundle(F, flags))
     assert k2 < k1
 
 
@@ -360,15 +360,15 @@ def test_riemannian_reduction_against_christoffel():
             p = FlagPoint(generators.sample_box_point(RNG, dim), RNG.normal(size=dim))
             want = riemann.riemann_ricci(riemann.point_record(h, p.x, 2), p.y)
             h2 = float(p.y @ h.matrix_at(p.x) @ p.y)
-            assert curvature_bundle(F, p).ricci == pytest.approx(want, rel=1e-9, abs=1e-9 * h2)
+            assert curvature_bundle(F, [p])[0].ricci == pytest.approx(want, rel=1e-9, abs=1e-9 * h2)
 
 
 def test_fd_mode_matches_jet_mode():
     rd = generators.random_randers(RNG, 2)
     F = randers.finsler_from_randers(rd)
     p = euclid_flag(2)
-    r_jet = curvature_bundle(F, p, mode="jet").ricci
-    r_fd = curvature_bundle(F, p, mode="fd").ricci
+    r_jet = curvature_bundle(F, [p], mode="jet")[0].ricci
+    r_fd = curvature_bundle(F, [p], mode="fd")[0].ricci
     F2 = F.value(p.x, p.y) ** 2
     assert abs(r_jet - r_fd) / max(abs(r_jet), F2) <= 1e-5
 
@@ -379,4 +379,4 @@ def test_flag_domain_error_on_invalid_metric():
 
     F = FinslerMetric(2, bad_fn)
     with pytest.raises(FlagDomainError):
-        curvature_bundle(F, FlagPoint([0.0, 0.0], [-1.0, 0.2]))
+        curvature_bundle(F, [FlagPoint([0.0, 0.0], [-1.0, 0.2])])

@@ -1,0 +1,108 @@
+"""Stacked flags: one F^2 expansion per flag, one spray and Riemann pass per
+stack.  A stack evaluates bit for bit as each of its flags alone, the suites
+make one order-4 spray pass per stack, and one bad flag refuses the stack."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from finsler_solitons import finsler, fixtures, jets, solitons, suites
+from finsler_solitons.finsler import FinslerMetric, FlagDomainError, Measure
+from finsler_solitons.jets import FlagPoint
+from finsler_solitons.sampling import sample_flags
+
+
+def _same(a, b):
+    return a == b if a is None or np.isscalar(a) else np.array_equal(a, b)
+
+
+def _assert_same_evaluation(a, b, what):
+    for f in dataclasses.fields(a.bundle):
+        assert _same(getattr(a.bundle, f.name), getattr(b.bundle, f.name)), (what, f.name)
+    for f in dataclasses.fields(a):
+        if f.name != "bundle":
+            assert _same(getattr(a, f.name), getattr(b, f.name)), (what, f.name)
+
+
+def _stack(fx, count=3, seed=7):
+    """Sampled flags (each at its own x, on its sample point's base) and then
+    every `solitons._directions` flag at the first flag's x, on that base."""
+    flags = sample_flags(fx, count, np.random.default_rng(seed))
+    bases = [solitons.sample_point(fx.rd, fx.nav, fx.f, p, False).base for p in flags]
+    dirs = solitons._directions(fx.dim)
+    points = list(flags) + [FlagPoint(flags[0].x, d) for d in dirs]
+    return points, bases + [bases[0]] * len(dirs)
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_a_stack_of_flags_evaluates_as_each_flag_alone(name):
+    fx = fixtures.get_fixture(name)
+    points, bases = _stack(fx)
+    assert len({np.asarray(p.x, float).tobytes() for p in points}) == 3
+    stacked = finsler.evaluate_flags(fx.metric, fx.measure, points, bases)
+    bundles = finsler.curvature_bundle(fx.metric, points)
+    assert len(stacked) == len(bundles) == len(points)
+    for k, (p, base) in enumerate(zip(points, bases)):
+        alone = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
+        _assert_same_evaluation(stacked[k], alone, (name, k))
+        b = finsler.curvature_bundle(fx.metric, [p])[0]
+        for f in dataclasses.fields(b):
+            assert _same(getattr(bundles[k], f.name), getattr(b, f.name)), (name, k, f.name)
+
+
+def test_an_fd_stack_evaluates_as_each_flag_alone():
+    fx = fixtures.get_fixture("cigar")
+    flags = sample_flags(fx, 2, np.random.default_rng(7))
+    stacked = finsler.evaluate_flags(fx.metric, fx.measure, flags, mode="fd")
+    for k, p in enumerate(flags):
+        alone = finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd")[0]
+        _assert_same_evaluation(stacked[k], alone, k)
+
+
+def _count_sprays(monkeypatch):
+    orders = []
+    spray = finsler._spray_derivatives
+
+    def counted(T, y, order):
+        orders.append(order)
+        return spray(T, y, order)
+
+    monkeypatch.setattr(finsler, "_spray_derivatives", counted)
+    return orders
+
+
+@pytest.mark.parametrize("name", ["cigar", "shrinking"])
+def test_jet_flag_rows_make_one_spray_pass(name, monkeypatch):
+    fx = fixtures.get_fixture(name)
+    flags = sample_flags(fx, 3, np.random.default_rng(5))
+    points = [solitons.sample_point(fx.rd, fx.nav, fx.f, p, False) for p in flags]
+    orders = _count_sprays(monkeypatch)
+    assert len(suites._flag_rows(fx, points, "jet")) == 3
+    assert orders == [4]
+
+
+def test_fit_kappa_makes_one_spray_pass_per_point(monkeypatch):
+    fx = fixtures.get_fixture("shrinking")
+    flags = sample_flags(fx, 2, np.random.default_rng(5))
+    bases = [finsler.base_point(fx.metric, fx.measure, p.x) for p in flags]
+    assert len(solitons._directions(fx.dim)) == 16
+    orders = _count_sprays(monkeypatch)
+    solitons.fit_kappa(fx.metric, fx.measure, bases)
+    assert orders == [4] * len(bases)
+
+
+def test_a_stack_with_one_indefinite_g_raises():
+    # F^2 = y0^2 + x0 y1^2: g is positive definite at x0 > 0 and indefinite
+    # at x0 < 0, where F is still positive for these y
+    metric = FinslerMetric(2, lambda x, y: jets.sqrt(y[0] * y[0] + x[0] * y[1] * y[1]))
+    measure = Measure(lambda x: jets.exp(0.1 * x[0]))
+    good = [FlagPoint([0.5, 0.0], [1.0, 0.3]), FlagPoint([1.0, 0.2], [0.6, -0.8])]
+    bad = FlagPoint([-0.5, 0.0], [1.0, 0.3])
+    assert metric.value(bad.x, bad.y) > 0.0
+    assert len(finsler.evaluate_flags(metric, measure, good)) == 2
+    for stack in (good + [bad], [good[0], bad, good[1]], [bad]):
+        with pytest.raises(FlagDomainError, match="positive definite"):
+            finsler.curvature_bundle(metric, stack)
+        with pytest.raises(FlagDomainError, match="positive definite"):
+            finsler.evaluate_flags(metric, measure, stack)

@@ -76,13 +76,13 @@ def _isotropic_s_reference(count, seed):
         N = randers.nav_tensors(H1, nav.W.table(x, order=1))
         sig = randers.field_sigma_terms(sigma, x, y, N.w_up)
         lhs, rhs = randers.ricci_transfer_sides(
-            finsler.curvature_bundle(metric, p).ricci, metric.value(x, y),
+            finsler.curvature_bundle(metric, [p])[0].ricci, metric.value(x, y),
             riemann.point_record(nav.h, x, 2), N, sig, mu_t, y)
         rows[1].append((lhs - rhs) / metric.value(x, y) ** 2)
         rows[2].append(float(T.s_low @ y) - float(N.s_low @ y) / N.lam)
         smix = -N.s_mixed + np.outer(N.s_up, N.w_low) / N.lam
         rows[3].append(float(np.max(np.abs(T.s_mixed - smix))))
-        sd = finsler.evaluate_flag(metric, measure, p).s_dot
+        sd = finsler.evaluate_flags(metric, measure, [p])[0].s_dot
         closed = solitons.s_dot_closed_form_nav(H1, N, metric.value(x, y), sig,
                                                 f.table(x, order=2), y)
         rows[4].append((sd - closed) / max(1.0, abs(sd)))

@@ -6,7 +6,7 @@ replaced, bit for bit:
   `random_randers` / `random_navigation` against the per-point loop;
 * the finite-difference bundle, which computes the spray once per distinct
   stencil point for all components, against the per-component path;
-* the fd `evaluate_flag`, whose two stencils share one stage per distinct
+* the fd `evaluate_flags`, whose two stencils share one stage per distinct
   stencil x, against the fd bundle and fd S-dot as separate oracles with a
   stage per stencil point;
 * `crosscheck_jets_vs_fd`, which makes one evaluation per flag on each side;
@@ -252,7 +252,7 @@ def test_fd_bundle_computes_one_spray_per_distinct_stencil_point(name, count, mo
     n = fx.dim
     for p, (want, visited) in zip(flags, refs):
         del calls[:], stages[:]
-        b = finsler.curvature_bundle(fx.metric, p, mode="fd")
+        b = finsler.curvature_bundle(fx.metric, [p], mode="fd")[0]
         # G at p is read off the flag's own order-2 table, which the second
         # y-derivatives' stencils visit again
         assert len(calls) == len(set(calls)) == 1 + 8 * n + 12 * n * n
@@ -265,7 +265,7 @@ def test_fd_bundle_computes_one_spray_per_distinct_stencil_point(name, count, mo
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
         assert b.ricci == float(np.trace(want[-1]))
         assert math.isfinite(b.r_error) and b.r_error > 0.0
-    assert finsler.curvature_bundle(fx.metric, flags[0]).r_error == 0.0
+    assert finsler.curvature_bundle(fx.metric, [flags[0]])[0].r_error == 0.0
 
 
 def _s_dot_fd_per_point(metric, measure, p, step=1e-5):
@@ -299,7 +299,7 @@ def test_fd_s_dot_builds_one_base_point_per_stencil_x(name, monkeypatch):
         return density(measure, x)
 
     monkeypatch.setattr(finsler.Measure, "log_density_table", recording)
-    assert finsler.evaluate_flag(fx.metric, fx.measure, p, mode="fd").s_dot == want
+    assert finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd")[0].s_dot == want
     # the 4n points along y share the flag's x; each step along x has its own,
     # and the spray stencil steps x by the same first-derivative steps
     n = fx.dim
@@ -317,8 +317,8 @@ def test_fd_weighted_ricci_is_the_sum_of_fd_ricci_and_fd_s_dot():
     fx = fixtures.get_fixture("cigar")
     cases.append((fx.metric, fx.measure, FlagPoint([1.0, 0.3], [0.4, -0.7])))
     for metric, measure, p in cases:
-        ev = finsler.evaluate_flag(metric, measure, p, mode="fd")
-        assert ev.bundle.ricci == finsler.curvature_bundle(metric, p, mode="fd").ricci
+        ev = finsler.evaluate_flags(metric, measure, [p], mode="fd")[0]
+        assert ev.bundle.ricci == finsler.curvature_bundle(metric, [p], mode="fd")[0].ricci
         assert ev.s_dot == _s_dot_fd_per_point(metric, measure, p)
         assert ev.ric_inf == ev.bundle.ricci + ev.s_dot
 
@@ -365,9 +365,9 @@ def _separate_fd_oracles(metric, measure, p, step1=1e-5, step2=3e-4):
 
 
 def _fd_cases():
-    """(metric, measure, flags, base of each flag or None) on three fixtures
+    """(metric, measure, flags, the flags' bases or None) on three fixtures
     (their sample points' bases) and a random Randers metric with a weighted
-    Busemann-Hausdorff measure (no base)."""
+    Busemann-Hausdorff measure (no bases)."""
     for name, count in (("gaussian", 2), ("cigar", 2), ("shrinking", 1)):
         fx = fixtures.get_fixture(name)
         flags = sample_flags(fx, count, np.random.default_rng(17))
@@ -378,20 +378,20 @@ def _fd_cases():
     measure = randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))
     flags = [FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
              for _ in range(2)]
-    yield "randers", randers.finsler_from_randers(rd), measure, flags, [None, None]
+    yield "randers", randers.finsler_from_randers(rd), measure, flags, None
 
 
 @pytest.mark.parametrize("case", list(_fd_cases()), ids=lambda c: c[0])
 def test_fd_evaluation_equals_the_separate_fd_oracles(case):
     name, metric, measure, flags, bases = case
-    for p, base in zip(flags, bases, strict=True):
+    evs = finsler.evaluate_flags(metric, measure, flags, bases, mode="fd")
+    for p, ev in zip(flags, evs, strict=True):
         want, want_sdot = _separate_fd_oracles(metric, measure, p)
-        ev = finsler.evaluate_flag(metric, measure, p, base=base, mode="fd")
         for f in dataclasses.fields(want):
             got, w = getattr(ev.bundle, f.name), getattr(want, f.name)
             assert got == w if np.isscalar(w) or w is None else np.array_equal(got, w), (
                 name, f.name)
-        assert ev.S == finsler.evaluate_flag(metric, measure, p).S
+        assert ev.S == finsler.evaluate_flags(metric, measure, [p])[0].S
         assert ev.s_dot == want_sdot
         assert ev.ric_inf == want.ricci + want_sdot
         assert ev.flag_curvature == finsler._flag_curvature(want)
@@ -400,8 +400,8 @@ def test_fd_evaluation_equals_the_separate_fd_oracles(case):
 def test_evaluate_flag_refuses_an_unknown_mode():
     fx = fixtures.get_fixture("cigar")
     with pytest.raises(finsler.ParameterError, match="bogus"):
-        finsler.evaluate_flag(fx.metric, fx.measure, FlagPoint([1.0, 0.3], [0.4, -0.7]),
-                              mode="bogus")
+        finsler.evaluate_flags(fx.metric, fx.measure, [FlagPoint([1.0, 0.3], [0.4, -0.7])],
+                               mode="bogus")
 
 
 # -- jets-vs-fd: one evaluation per flag on each side -------------------------------------
@@ -426,9 +426,9 @@ def _pipeline_reference(count, seed):
         p = FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
         F2 = metric.value(p.x, p.y) ** 2
         for out, fn in zip(rows, (
-                lambda mode: finsler.curvature_bundle(metric, p, mode=mode).ricci,
-                lambda mode: finsler.evaluate_flag(metric, measure, p, mode=mode).s_dot,
-                lambda mode: finsler.evaluate_flag(metric, measure, p, mode=mode).ric_inf)):
+                lambda mode: finsler.curvature_bundle(metric, [p], mode=mode)[0].ricci,
+                lambda mode: finsler.evaluate_flags(metric, measure, [p], mode=mode)[0].s_dot,
+                lambda mode: finsler.evaluate_flags(metric, measure, [p], mode=mode)[0].ric_inf)):
             j, f = fn("jet"), fn("fd")
             out.append((j - f) / max(abs(j), F2))
     return rows
@@ -437,20 +437,22 @@ def _pipeline_reference(count, seed):
 def test_jets_vs_fd_evaluates_each_flag_once_per_side(monkeypatch):
     count, seed = 3, 5
     want = _pipeline_reference(count, seed)
-    modes = {"evaluate_flag": [], "curvature_bundle": []}
-    evaluate, bundle, base_point = (finsler.evaluate_flag, finsler.curvature_bundle,
+    modes = {"evaluate_flags": [], "curvature_bundle": []}
+    evaluate, bundle, base_point = (finsler.evaluate_flags, finsler.curvature_bundle,
                                     finsler.base_point)
 
-    def counted_evaluate(metric, measure, p, base=None, mode="jet"):
-        modes["evaluate_flag"].append(mode)
-        return evaluate(metric, measure, p, base, mode)
+    def counted_evaluate(metric, measure, points, bases=None, mode="jet"):
+        assert len(points) == 1
+        modes["evaluate_flags"].append(mode)
+        return evaluate(metric, measure, points, bases, mode)
 
-    def counted_bundle(metric, p, mode="jet", stage_at=None):
+    def counted_bundle(metric, points, mode="jet", stage_at=None):
+        assert len(points) == 1
         modes["curvature_bundle"].append(mode)
-        return bundle(metric, p, mode, stage_at)
+        return bundle(metric, points, mode, stage_at)
 
     bases = []
-    monkeypatch.setattr(finsler, "evaluate_flag", counted_evaluate)
+    monkeypatch.setattr(finsler, "evaluate_flags", counted_evaluate)
     monkeypatch.setattr(finsler, "curvature_bundle", counted_bundle)
     monkeypatch.setattr(finsler, "base_point", lambda *a: bases.append(1) or base_point(*a))
     sprays, _stages = _recording_sprays(monkeypatch)
@@ -498,7 +500,7 @@ def test_fd_flat_fixture_controls_still_fail(perturb):
 def test_flat_within_error_only_on_a_bundle_with_an_error_bound():
     fx = fixtures.get_fixture("cigar")
     p = FlagPoint([1.0, 0.3], [0.4, -0.7])
-    b = finsler.curvature_bundle(fx.metric, p)
+    b = finsler.curvature_bundle(fx.metric, [p])[0]
     fit = finsler._flag_curvature(b)
     assert not fit.flat and not fit.within_error
     norm = float(np.linalg.norm(b.riemann))

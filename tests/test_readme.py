@@ -22,7 +22,7 @@ def test_readme_example_runs(index, monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
-    if "finsler.evaluate_flag(" in BLOCKS[index]:
+    if "finsler.evaluate_flags(" in BLOCKS[index]:
         # the cigar example: Ric / F^2 against the law 2 / cosh^2 t at t = 1,
         # then the steady soliton's residual Ric_inf / F^2 - kappa
         ratio, residual = (float(line) for line in out.getvalue().split())

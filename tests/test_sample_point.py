@@ -80,8 +80,8 @@ def test_a_flag_on_its_sample_point_evaluates_as_alone(name):
     for p in sample_flags(fx, 2, np.random.default_rng(29)):
         sp = solitons.sample_point(fx.rd, fx.nav, fx.f, p, False)
         assert (sp.alpha, sp.beta, sp.bd, sp.h, sp.nav, sp.f) == (None,) * 6
-        shared = finsler.evaluate_flag(fx.metric, fx.measure, p, base=sp.base)
-        alone = finsler.evaluate_flag(fx.metric, fx.measure, p)
+        shared = finsler.evaluate_flags(fx.metric, fx.measure, [p], [sp.base])[0]
+        alone = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
         for f in dataclasses.fields(alone.bundle):
             assert np.array_equal(getattr(shared.bundle, f.name), getattr(alone.bundle, f.name))
         assert (shared.S, shared.s_dot, shared.ric_inf, shared.flag_curvature) == (
@@ -109,22 +109,22 @@ def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
     xs, fd_xs = [], []
     inside_fd = [0]
     nav_point = randers._navigation_point
-    evaluate = finsler.evaluate_flag
+    evaluate = finsler.evaluate_flags
 
     def count(nav, x, *args):
         if isinstance(x[0], Jet):
             (fd_xs if inside_fd[0] else xs).append([v.value for v in x])
         return nav_point(nav, x, *args)
 
-    def evaluate_flag(metric, measure, p, base=None, mode="jet"):
+    def evaluate_flags(metric, measure, points, bases=None, mode="jet"):
         inside_fd[0] += mode == "fd"
         try:
-            return evaluate(metric, measure, p, base, mode)
+            return evaluate(metric, measure, points, bases, mode)
         finally:
             inside_fd[0] -= mode == "fd"
 
     monkeypatch.setattr(randers, "_navigation_point", count)
-    monkeypatch.setattr(finsler, "evaluate_flag", evaluate_flag)
+    monkeypatch.setattr(finsler, "evaluate_flags", evaluate_flags)
     reports = suites.run_fixture_suite(fx, samples=samples, seed=5, mode=mode)
     assert any(r.name == "kappa-fit" for r in reports)
     flags = sample_flags(fx, samples, np.random.default_rng(5))

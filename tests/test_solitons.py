@@ -55,7 +55,7 @@ def test_gradient_soliton_residual_fixtures():
     for name, tol in (("cigar", 1e-8), ("shrinking", 1e-7), ("expanding", 1e-7)):
         fx = fixtures.get_fixture(name)
         for p in flags_of(fx, 4):
-            ric_inf = finsler.evaluate_flag(fx.metric, fx.measure, p).ric_inf
+            ric_inf = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf
             assert abs(ric_inf / p.F ** 2 - field_value(fx.kappa, p.x)) <= tol, name
 
 
@@ -116,7 +116,7 @@ def test_constant_weight_reduces_to_einstein_check():
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
     m_bh = randers.bh_measure(fx.rd)
     for p in [bp.p for bp in points[:4]]:
-        ric_inf = finsler.evaluate_flag(fx.metric, m_bh, p).ric_inf
+        ric_inf = finsler.evaluate_flags(fx.metric, m_bh, [p])[0].ric_inf
         assert abs(ric_inf / p.F ** 2 - field_value(fx.einstein, p.x)) <= 1e-9
 
 
@@ -319,7 +319,7 @@ def test_characterizations_consistent_on_fixtures():
         flags = flags_of(fx, 8)
         points = [solitons.sample_point(fx.rd, fx.nav, fx.f, p, True) for p in flags]
         for p in flags[:4]:
-            ric_inf = finsler.evaluate_flag(fx.metric, fx.measure, p).ric_inf
+            ric_inf = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf
             assert abs(ric_inf / p.F ** 2 - field_value(fx.kappa, p.x)) <= 1e-7
         rows = [r for b in fx.bundles for r in suites.BUNDLES[b](fx, points, 1e-7)]
         if fx.einstein is not None:
