@@ -7,7 +7,9 @@ Riemannian gradient soliton (h, f, kappa), Ric_h + Hess_h f = kappa h, and a
 Killing field W of h with W(f) = 0 and |W|_h < 1 on the sample domain give
 the Randers metric F of (h, W), which with the measure e^{-f} dm_BH is a
 gradient soliton with the same kappa and isotropic S-curvature sigma = 0;
-F is Einstein exactly when h is, with the same Einstein scalar.  A fixture
+F is Einstein exactly when h is, with the same Einstein scalar.  The
+Busemann-Hausdorff volume of F is the Riemannian volume of h (Xing 2005), so
+the measure is e^{-f} dm_BH = e^{-f} vol_h.  A fixture
 declares (h, W, f, kappa), a sampler and, where they hold, the Einstein
 scalar and the flag curvature; `navigation_soliton` derives the rest.  To add
 a fixture, build those and call `navigation_soliton`, then add it to
@@ -48,7 +50,7 @@ class Fixture:
     nav: NavigationData
     rd: RandersData
     metric: FinslerMetric
-    measure: Measure                    # e^{-f} dm_BH
+    measure: Measure                    # e^{-f} dm_BH = e^{-f} vol_h
     f: ScalarField
     kappa: ScalarField                  # soliton scalar of (F, measure)
     mu: ScalarField                     # soliton scalar of the Riemannian pair (h, f)
@@ -69,7 +71,8 @@ def navigation_soliton(name, h: RiemannMetric, W: VectorField | None, f: ScalarF
                        kappa, sample_x, *, einstein=None, flag_curvature=None,
                        constraints=None, perturb=None) -> Fixture:
     """The fixture of a navigation soliton: F from (h, W) (W=None: no wind),
-    the measure e^{-f} dm_BH and the soliton scalar kappa of (h, f).
+    the measure e^{-f} dm_BH = e^{-f} vol_h and the soliton scalar kappa of
+    (h, f).
 
     It fixes sigma = 0 and mu = kappa; `einstein`, when h (and so F) is
     Einstein, is the Einstein scalar of both.  `flag_curvature` is declared
@@ -108,7 +111,7 @@ def navigation_soliton(name, h: RiemannMetric, W: VectorField | None, f: ScalarF
     metric = randers.finsler_from_navigation(nav)
     metric.name = name
     return Fixture(name=name, nav=nav, rd=rd, metric=metric,
-                   measure=randers.bh_measure(rd).weighted(f), f=f, kappa=kappa, mu=mu,
+                   measure=Measure.riemannian(h).weighted(f), f=f, kappa=kappa, mu=mu,
                    sigma=sigma, einstein=einstein, einstein_h=einstein_h,
                    flag_curvature=flag_curvature, sample_x=sample_x, bundles=bundles,
                    constraints=constraints or {})

@@ -1,6 +1,6 @@
 """Randers layer: (alpha, beta) <-> navigation data, the beta-derivative
-tensor family, Busemann-Hausdorff density, isotropic-S fitting, and the
-closed-form Ricci curvature.
+tensor family, the Busemann-Hausdorff density of Randers data, isotropic-S
+fitting, and the closed-form Ricci curvature.
 
 Conventions (all indices raised/lowered with a_ij unless noted):
 
@@ -13,12 +13,15 @@ and on the navigation side (indices via h_ij):
 
     R_ij = (W_{i:j} + W_{j:i})/2      S_ij = (W_{i:j} - W_{j:i})/2
 
-The alpha rows, b, the stage of F and sigma_BH(a rows, b) are each one
-function of a guarded `_navigation_point` (h rows, W, lambda, h W); the
-closures and `solitons.sample_point` all call them.  The tensors of one
-point read a `riemann.PointRecord` of alpha or h and the table of beta or W,
-and the navigation identities read those tensors and the flag's F from the
-caller, with xi = y - F W on the tabled W (`NavTensors.w_up`).
+The alpha rows, b and the stage of F are each one function of a guarded
+`_navigation_point` (h rows, W, lambda, h W); the closures and
+`solitons.sample_point` all call them.  sigma_BH(a rows, b) (`_bh_density`)
+serves `RandersData` callers (`bh_measure`, the `jets-vs-fd` suite); on
+navigation data sigma_BH = sqrt(det h) (Xing 2005), which the fixtures and
+sample points read, and `_bh_density` is the oracle a test holds it to.
+The tensors of one point read a `riemann.PointRecord` of alpha or h and the
+table of beta or W, and the navigation identities read those tensors and the
+flag's F from the caller, with xi = y - F W on the tabled W (`NavTensors.w_up`).
 """
 
 from __future__ import annotations

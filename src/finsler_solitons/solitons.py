@@ -136,17 +136,20 @@ class SamplePoint:
 def sample_point(rd: RandersData, nav: NavigationData, f, p, bundle) -> SamplePoint:
     """The sample point at p of nav, rd = from_navigation(nav) and f (bundle
     data if `bundle`): every table is gathered (W's to order 1) from one
-    guarded evaluation of h rows, W, lambda, h W and f at order-2 x jets."""
+    guarded evaluation of h rows, W, lambda, h W and f at order-2 x jets.
+
+    The density of dm_BH is sqrt(det h) (Xing 2005), so a point builds the
+    (alpha, beta) rows from that evaluation only if it is a bundle point."""
     xs = Jet.variables([float(v) for v in p.x], 2)
     space = xs[0].space
     point = randers._navigation_point(nav, xs)
     fval = as_scalar_field(f)(xs)
-    a_rows, b = randers._alpha_rows(point), randers._beta_low(point)
-    density = finsler.weighted_density(fval, randers._bh_density(a_rows, b))
+    density = finsler.weighted_density(fval, jets.sqrt(riemann.generic_det(point[0])))
     base = finsler.BasePoint(p.x, randers._navigation_stage(point),
                              riemann.scalar_gather(jets.log(density), space, 2))
     if not bundle:
         return SamplePoint(p, base, None, None, None, None, None, None)
+    a_rows, b = randers._alpha_rows(point), randers._beta_low(point)
     A = riemann.record_from_tables(rd.alpha, p.x, riemann.matrix_gather(a_rows, space, 2))
     H = riemann.record_from_tables(nav.h, p.x, riemann.matrix_gather(point[0], space, 2))
     T = randers.beta_tables(A, riemann.vector_gather(b, space, 2))

@@ -31,8 +31,17 @@ def test_tree_against_itself_has_zero_drift(compare_reports, capsys):
     assert len(cheap) == 3
     src = ROOT / "src"
     ok, identical, worst, ratio = compare_reports.compare(src, src, cheap)
-    assert (ok, identical, worst, ratio) == (True, 3, 0.0, 0.0)
+    assert (ok, identical, worst, ratio) == (True, 3, {"jet": 0.0, "fd": 0.0}, 0.0)
     assert capsys.readouterr().out.count("same  ") == 3
+
+
+def test_drift_is_kept_per_differentiation_mode(compare_reports):
+    # every --diff-mode invocation is an fd one; the jets-vs-fd suite is jet
+    invocations = compare_reports.INVOCATIONS
+    fd = [args for args in invocations if compare_reports.mode(args) == "fd"]
+    assert fd == [args for args in invocations if "--diff-mode" in args]
+    assert len(fd) == 6
+    assert compare_reports.mode(("crosscheck", "--suite", "jets-vs-fd")) == "jet"
 
 
 def _report(**check):

@@ -64,7 +64,7 @@ def _isotropic_s_reference(count, seed):
         rd = randers.from_navigation(nav)
         metric = randers.finsler_from_navigation(nav)
         f = generators.random_scalar_field(rng, dim)
-        measure = randers.bh_measure(rd).weighted(f)
+        measure = finsler.Measure.riemannian(nav.h).weighted(f)
         x = generators.sample_box_point(rng, dim)
         y = unit_direction(rng, dim)
         p = FlagPoint(x, y)

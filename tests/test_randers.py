@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from finsler_solitons import finsler, generators, jets, randers, riemann
+from finsler_solitons import finsler, fixtures, generators, jets, randers, riemann
 from finsler_solitons.jets import FlagPoint
 from finsler_solitons.randers import (NavigationData, NavigationDomainError,
                                       RandersData, RandersDomainError,
@@ -21,6 +21,7 @@ from finsler_solitons.randers import (NavigationData, NavigationDomainError,
                                       ricci_transfer_sides, to_navigation)
 from finsler_solitons.riemann import (RiemannMetric, VectorField,
                                       euclidean_metric)
+from finsler_solitons.sampling import sample_flags
 
 RNG = np.random.default_rng(31)
 
@@ -222,6 +223,36 @@ def test_bh_density_cigar():
     # for navigation data the BH density collapses to sqrt(det h)
     assert bh_density_fn(rd)(x) == pytest.approx(
         math.sqrt(np.linalg.det(nav.h.matrix_at(x))), rel=1e-12)
+
+
+def _bh_density_drift(nav, x):
+    """max |coefficient| of sigma_BH(alpha, beta) - sqrt(det h) at order-2 x
+    jets, relative to max(1, max |coefficient| of sigma_BH(alpha, beta))."""
+    xs = jets.Jet.variables([float(v) for v in x], 2)
+    point = randers._navigation_point(nav, xs)
+    # a constant h (flat fixtures) gives a float det: compare it as a constant jet
+    want, got = (riemann.scalar_gather(v, xs[0].space, 2) for v in (
+        randers._bh_density(randers._alpha_rows(point), randers._beta_low(point)),
+        jets.sqrt(riemann.generic_det(point[0]))))
+    scale = max(1.0, max(float(np.max(np.abs(t))) for t in want))
+    return max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) / scale
+
+
+def test_bh_density_of_navigation_data_is_the_volume_of_h():
+    # the fixtures and sample points read sigma_BH as sqrt(det h) (Xing 2005);
+    # the (alpha, beta) formula is the oracle, on every registry fixture's
+    # sample points and on random navigation data of dim 2 and 3
+    worst = 0.0
+    for name in fixtures.FIXTURE_NAMES:
+        fx = fixtures.get_fixture(name)
+        for p in sample_flags(fx, 64, np.random.default_rng(0)):
+            worst = max(worst, _bh_density_drift(fx.nav, p.x))
+    rng = np.random.default_rng(41)
+    for i in range(200):
+        dim = 2 + (i % 2)
+        nav = generators.random_navigation(rng, dim)
+        worst = max(worst, _bh_density_drift(nav, generators.sample_box_point(rng, dim)))
+    assert worst <= 1e-12
 
 
 def test_bh_measure_s_curvature_cigar():

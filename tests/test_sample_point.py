@@ -8,7 +8,9 @@ from that evaluation.  Each consumer of the closure path expands x as the
 same order-2 jets, so every table must come out equal: the stage (through
 `finsler._f2_jet`) and the log-density table of `finsler.base_point`, the
 records of `riemann.point_record`, `randers.beta_tables` on beta's table,
-`randers.nav_tensors` on W's order-1 table and f's table.
+`randers.nav_tensors` on W's order-1 table and f's table.  The density is
+e^{-f} sqrt(det h), the fixture measure's own formula, and only bundle points
+build the (alpha, beta) rows.
 """
 
 import dataclasses
@@ -131,3 +133,43 @@ def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
     assert np.array_equal(np.array(xs), np.array([p.x for p in flags]))
     assert bool(fd_xs) == (mode == "fd")
     assert not any(np.array_equal(x, p.x) for x in fd_xs for p in flags)
+
+
+@pytest.mark.parametrize("name,perturb", CASES)
+def test_the_fixture_measure_and_its_sample_points_read_one_density(name, perturb):
+    # the fd stencils read `fixture.measure`, the base point its sample
+    # point's table: both are e^{-f} sqrt(det h), so they agree bit for bit
+    fx = fixtures.get_fixture(name, perturb=perturb)
+    for p in sample_flags(fx, 3, np.random.default_rng(31)):
+        got = solitons.sample_point(fx.rd, fx.nav, fx.f, p, False).base.logs
+        want = fx.measure.log_density_table(p.x)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_fixture_suite_builds_alpha_and_beta_at_bundle_points_only(name, monkeypatch):
+    # sigma_BH is sqrt(det h): no jet inverse or (alpha, beta) density runs,
+    # and the alpha rows are built once per bundle point (the first 32 flags)
+    calls = {"_bh_density": 0, "generic_inverse": 0, "_alpha_rows": 0}
+
+    def counted(module, fname):
+        fn = getattr(module, fname)
+
+        def wrapper(*args, **kwargs):
+            calls[fname] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, fname, wrapper)
+
+    for module, fname in ((randers, "_bh_density"), (randers, "_alpha_rows"),
+                          (randers, "generic_inverse"), (riemann, "generic_inverse")):
+        counted(module, fname)
+    fx = fixtures.get_fixture(name)
+    for mode, samples, bundle_points in (("jet", 64, 32), ("fd", 2, 2)):
+        for key in calls:
+            calls[key] = 0
+        suites.run_fixture_suite(fx, samples=samples, seed=0, mode=mode)
+        assert calls == {"_bh_density": 0, "generic_inverse": 0,
+                         "_alpha_rows": bundle_points}, (name, mode)
