@@ -11,7 +11,8 @@ in residuals ("near") or differ otherwise ("DIFF"), and the largest absolute
 drift of each residual field (`max_abs`, `mean_abs`); at the end, the
 largest drift over the jet invocations and over the `--diff-mode fd` ones
 (finite differences amplify last-bit changes, so the two are bounded apart),
-and the largest ratio of a drift to the bound max(1e-12, 1e-12 |old|).
+each with the invocation and check it came from, and the largest ratio of a
+drift to the bound max(1e-12, 1e-12 |old|).
 A csv or text report is read check by check into the fields of a JSON check
 (a text row has verdict, name, max_abs, mean_abs and tol, as printed).
 
@@ -99,7 +100,8 @@ def run_cli(src, args):
 
 
 def compare_one(old, new):
-    """(list of discrete differences, {field: (largest drift, its bound ratio)})."""
+    """(list of discrete differences, {field: (largest drift, largest bound
+    ratio, name of the check with the largest drift)})."""
     (code_a, rep_a, out_a), (code_b, rep_b, out_b) = old, new
     diffs = []
     if code_a != code_b:
@@ -115,13 +117,14 @@ def compare_one(old, new):
     checks_a, checks_b = rep_a.get("checks", []), rep_b.get("checks", [])
     if len(checks_a) != len(checks_b):
         diffs.append(f"{len(checks_a)} checks != {len(checks_b)}")
-    drift = {f: (0.0, 0.0) for f in RESIDUAL_FIELDS}
+    drift = {f: (0.0, 0.0, None) for f in RESIDUAL_FIELDS}
     for ca, cb in zip(checks_a, checks_b):
         for key in sorted(set(ca) | set(cb)):
             if key in RESIDUAL_FIELDS:
                 d = abs(cb[key] - ca[key])
-                ratio = d / max(1e-12, 1e-12 * abs(ca[key]))
-                drift[key] = (max(drift[key][0], d), max(drift[key][1], ratio))
+                worst, ratio, name = drift[key]
+                ratio = max(ratio, d / max(1e-12, 1e-12 * abs(ca[key])))
+                drift[key] = (d, ratio, ca.get("name")) if d > worst else (worst, ratio, name)
             elif ca.get(key) != cb.get(key):
                 diffs.append(f"{ca.get('name')}: {key} {ca.get(key)!r} != {cb.get(key)!r}")
     return diffs, drift
@@ -136,24 +139,34 @@ def compare(old_src, new_src, invocations):
     """Run and compare every invocation.
 
     Returns (discrete fields all equal, number of byte-identical outputs,
-    {mode: largest residual drift over that mode's invocations}, the largest
-    ratio of a drift to the bound).
+    {mode: (largest residual drift over that mode's invocations, its
+    invocation, its check name), or (0.0, None, None) with no drift}, the
+    largest ratio of a drift to the bound).
     """
-    ok, identical, worst, worst_ratio = True, 0, {"jet": 0.0, "fd": 0.0}, 0.0
+    ok, identical, worst_ratio = True, 0, 0.0
+    worst = {"jet": (0.0, None, None), "fd": (0.0, None, None)}
     for args in invocations:
         old, new = run_cli(old_src, args), run_cli(new_src, args)
         diffs, drift = compare_one(old, new)
         same_bytes = old[0] == new[0] and old[2] == new[2]
         status = "DIFF" if diffs else "same" if same_bytes else "near"
-        cells = "  ".join(f"{f} {d:.1e}" for f, (d, _) in drift.items())
+        cells = "  ".join(f"{f} {d:.1e}" for f, (d, _, _) in drift.items())
         print(f"{status}  {' '.join(args):62s} {cells}")
         for line in diffs:
             print(f"      {line}")
         ok = ok and not diffs
         identical += same_bytes
-        worst[mode(args)] = max([worst[mode(args)]] + [d for d, _ in drift.values()])
-        worst_ratio = max([worst_ratio] + [r for _, r in drift.values()])
+        for d, ratio, name in drift.values():
+            if d > worst[mode(args)][0]:
+                worst[mode(args)] = (d, args, name)
+            worst_ratio = max(worst_ratio, ratio)
     return ok, identical, worst, worst_ratio
+
+
+def where(drift):
+    """A mode's largest drift, with the invocation and check it came from."""
+    d, args, name = drift
+    return f"{d:.2e}" + (f" ({' '.join(args)}: {name})" if args else "")
 
 
 def main(argv=None):
@@ -164,8 +177,8 @@ def main(argv=None):
     ok, identical, worst, ratio = compare(argv[0], argv[1], INVOCATIONS)
     print(f"{len(INVOCATIONS)} invocations, {identical} byte-identical; discrete fields "
           f"{'identical' if ok else 'DIFFER'}; largest residual drift: jet "
-          f"{worst['jet']:.2e}, fd {worst['fd']:.2e} (at most {ratio:.3g} x the bound "
-          f"max(1e-12, 1e-12 |old|))")
+          f"{where(worst['jet'])}, fd {where(worst['fd'])} (at most {ratio:.3g} x the "
+          f"bound max(1e-12, 1e-12 |old|))")
     return 0 if ok else 1
 
 

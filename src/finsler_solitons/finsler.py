@@ -204,14 +204,10 @@ def _f2_tables(stage, y, order: int) -> dict:
 
 
 def _fundamental(T):
-    """g and g^-1 from the Q02 table, over any leading stack axes; a stack
-    with one g that is not positive definite raises."""
+    """g and g^-1 from the Q02 table, over any leading stack axes, by
+    `riemann.spd_inverse`: one g that is not positive definite raises."""
     g = 0.5 * T["Q02"]
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise FlagDomainError("fundamental tensor not positive definite at flag") from exc
-    return g, np.linalg.inv(g)
+    return g, riemann.spd_inverse(g, FlagDomainError, "fundamental tensor")
 
 
 def _spray_derivatives(T, y, order: int):
@@ -418,10 +414,7 @@ def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint, stage_at) -> Curva
 def distortion(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
     """tau = log( sqrt(det g(x, y)) / sigma(x) )."""
     T = _f2_tables(_stage(metric, p.x, 2), p.y, order=2)
-    g, _ = _fundamental(T)
-    det = float(np.linalg.det(g))
-    if det <= 0.0:
-        raise FlagDomainError("det g <= 0 at flag")
+    det = float(np.linalg.det(_fundamental(T)[0]))
     sigma = float(scalar_value(measure.density([float(v) for v in p.x])))
     if sigma <= 0.0:
         raise jets.EvaluationError(f"measure density must be positive, got {sigma!r}")

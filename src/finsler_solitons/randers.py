@@ -15,10 +15,12 @@ and on the navigation side (indices via h_ij):
 
 The alpha rows, b and the stage of F are each one function of a guarded
 `_navigation_point` (h rows, W, lambda, h W); the closures and
-`solitons.sample_point` all call them.  sigma_BH(a rows, b) (`_bh_density`)
-serves `RandersData` callers (`bh_measure`, the `jets-vs-fd` suite); on
-navigation data sigma_BH = sqrt(det h) (Xing 2005), which the fixtures and
-sample points read, and `_bh_density` is the oracle a test holds it to.
+`solitons.sample_point` all call them; the Randers side reads det a and
+det(a - b b^T) of one guarded `_randers_point`, and no inverse of alpha.
+sigma_BH(a rows, b) (`_bh_density`) serves `RandersData` callers
+(`bh_measure`, the `jets-vs-fd` suite); on navigation data sigma_BH =
+sqrt(det h) (Xing 2005), which the fixtures and sample points read, and
+`_bh_density` is the oracle a test holds it to.
 The tensors of one point read a `riemann.PointRecord` of alpha or h and the
 table of beta or W, and the navigation identities read those tensors and the
 flag's F from the caller, with xi = y - F W on the tabled W (`NavTensors.w_up`).
@@ -34,8 +36,7 @@ import numpy as np
 from . import jets, riemann
 from .finsler import FinslerMetric, Measure, lie_scalar
 from .jets import FlagPoint, scalar_value
-from .riemann import (RiemannMetric, VectorField, as_scalar_field, generic_det,
-                      generic_inverse)
+from .riemann import MetricDomainError, RiemannMetric, VectorField, as_scalar_field, generic_det
 
 
 class RandersDomainError(ArithmeticError):
@@ -57,11 +58,6 @@ class RandersData:
     @property
     def dim(self) -> int:
         return self.alpha.dim
-
-
-def _b2(ainv, b):
-    """||beta||^2_alpha = a^ij b_i b_j from the inverse rows of a and the b_i."""
-    return jets.YForms(ainv)(b)[0]
 
 
 def _lam(rows, w):
@@ -125,14 +121,17 @@ def _navigation_stage(point):
     return F
 
 
-def _randers_point(rows, b, message="||beta||_alpha >= 1 while converting Randers data"):
-    """(a^-1 rows, lambda = 1 - b^2) from the rows of a and the b_i at one
-    point, guarded: with them, the data of h, W, sigma_BH and F = alpha + beta."""
-    ainv = generic_inverse(rows)
-    lam = 1.0 - _b2(ainv, b)
-    if scalar_value(lam) <= 0.0:
+def _randers_point(rows, b, message):
+    """(det a, det(a - b b^T)) from the rows of a and the b_i at one point, whose
+    quotient is lambda = 1 - b^2 (matrix determinant lemma); det a <= 0 raises
+    `MetricDomainError` and lambda <= 0 `RandersDomainError(message)`."""
+    det_a = generic_det(rows)
+    if scalar_value(det_a) <= 0.0:
+        raise MetricDomainError("alpha not positive definite (det a <= 0)")
+    det_m = generic_det([[a - bi * bj for a, bj in zip(row, b)] for row, bi in zip(rows, b)])
+    if scalar_value(det_m) <= 0.0:
         raise RandersDomainError(message)
-    return ainv, lam
+    return det_a, det_m
 
 
 def from_navigation(nav: NavigationData) -> RandersData:
@@ -146,19 +145,22 @@ def from_navigation(nav: NavigationData) -> RandersData:
 
 
 def to_navigation(rd: RandersData) -> NavigationData:
-    """(h_ij, W^i) with h_ij = lam (a_ij - b_i b_j), W^i = -b^i/lam, lam = 1 - b^2."""
+    """(h_ij, W^i) with h_ij = lam (a_ij - b_i b_j), lam = 1 - b^2, and, by
+    Cramer's rule, W^i = -b^i/lam = -det(a, column i := b)/det(a - b b^T)."""
     n = rd.dim
+    message = "||beta||_alpha >= 1 while converting Randers data"
 
     def h_fn(x):
         rows, b = rd.alpha.matrix(x), rd.beta.components(x)
-        lam = _randers_point(rows, b)[1]
+        det_a, det_m = _randers_point(rows, b, message)
+        lam = det_m / det_a
         return [[lam * (rows[i][j] - b[i] * b[j]) for j in range(n)] for i in range(n)]
 
     def w_fn(x):
-        b = rd.beta.components(x)
-        ainv, lam = _randers_point(rd.alpha.matrix(x), b)
-        bup = [sum(ainv[i][j] * b[j] for j in range(n)) for i in range(n)]
-        return [-bup[i] / lam for i in range(n)]
+        rows, b = rd.alpha.matrix(x), rd.beta.components(x)
+        det_m = _randers_point(rows, b, message)[1]
+        return [-generic_det([[b[r] if c == i else rows[r][c] for c in range(n)]
+                              for r in range(n)]) / det_m for i in range(n)]
 
     return NavigationData(h=RiemannMetric(n, h_fn, name=f"h({rd.name})"),
                           W=VectorField(w_fn, name=f"W({rd.name})"),
@@ -173,7 +175,7 @@ def finsler_from_randers(rd: RandersData) -> FinslerMetric:
 
     def at(x):
         rows, b = rd.alpha.matrix(x), rd.beta.components(x)
-        # the guard reads values only: a float inverse, not one of x jets
+        # the guard reads values only: float determinants, not ones of x jets
         _randers_point([[scalar_value(v) for v in row] for row in rows],
                        [scalar_value(v) for v in b], "||beta||_alpha >= 1 at evaluated point")
         forms = jets.YForms(rows, [[v] for v in b])
@@ -196,18 +198,15 @@ def finsler_from_navigation(nav: NavigationData) -> FinslerMetric:
 
 
 def _bh_density(rows, b):
-    """sigma_BH = (1 - b^2)^{(n+1)/2} sqrt(det a) from the rows of a and the b_i."""
-    lam = _randers_point(rows, b, "||beta||_alpha >= 1 in Busemann-Hausdorff density")[1]
-    return jets.power(lam, 0.5 * (len(b) + 1)) * jets.sqrt(generic_det(rows))
-
-
-def bh_density_fn(rd: RandersData):
-    """sigma_BH(x), evaluable on Jets (`_bh_density` of rd at x)."""
-    return lambda x: _bh_density(rd.alpha.matrix(x), rd.beta.components(x))
+    """sigma_BH = lam^{(n+1)/2} sqrt(det a) from the rows of a and the b_i."""
+    det_a, det_m = _randers_point(rows, b, "||beta||_alpha >= 1 in Busemann-Hausdorff density")
+    return jets.power(det_m / det_a, 0.5 * (len(b) + 1)) * jets.sqrt(det_a)
 
 
 def bh_measure(rd: RandersData) -> Measure:
-    return Measure(bh_density_fn(rd), name=f"BH({rd.name or 'randers'})")
+    """dm_BH of Randers data: its density at x, on floats or Jets, is `_bh_density`."""
+    return Measure(lambda x: _bh_density(rd.alpha.matrix(x), rd.beta.components(x)),
+                   name=f"BH({rd.name or 'randers'})")
 
 
 # -- beta derivative tables --------------------------------------------------------

@@ -21,12 +21,14 @@ Fields enter as their tables at the record's point, never as closures:
 `lowered_covariant_derivative` (W_{i:j}) turn a table into a covariant
 derivative, and the Lie derivatives `lie_h2` and `lie_1form` contract those
 tensors with the field values.  A caller tables each field once per point.
+
+Jets meet linear algebra only through `generic_det` and `sqrt_det`; every float
+positive-definiteness test and inverse is one Cholesky guard, `spd_inverse`.
 """
 
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +36,12 @@ import numpy as np
 from . import jets
 from .jets import Jet, scalar_value
 
-COND_WARN_THRESHOLD = 1e10
-
 
 class MetricDomainError(ArithmeticError):
     """Metric matrix is singular or not positive definite at a point."""
 
 
-# -- linear algebra over plain scalars or Jets -----------------------------
+# -- linear algebra: determinants over floats or Jets, SPD inverses of floats
 
 
 def generic_det(rows):
@@ -59,50 +59,19 @@ def generic_det(rows):
     return out
 
 
-def generic_inverse(rows):
-    """Gauss-Jordan inverse with value-based pivoting over floats or Jets."""
-    n = len(rows)
-    a = [[rows[i][j] for j in range(n)] for i in range(n)]
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(scalar_value(a[r][col])))
-        if abs(scalar_value(a[pivot][col])) == 0.0:
-            raise MetricDomainError("singular matrix in generic inversion")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        piv = a[col][col]
-        a[col] = [v / piv for v in a[col]]
-        inv[col] = [v / piv for v in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if isinstance(factor, numbers.Real) and factor == 0.0:
-                continue
-            a[r] = [av - factor * cv for av, cv in zip(a[r], a[col])]
-            inv[r] = [av - factor * cv for av, cv in zip(inv[r], inv[col])]
-    return inv
+def sqrt_det(rows):
+    """sqrt(det) of a metric's rows at a point, on floats or Jets: its volume density."""
+    return jets.sqrt(generic_det(rows))
 
 
-def _inv_with_guard(mat, what="metric"):
+def spd_inverse(mat, error, what):
+    """The inverse of an SPD matrix or of each of a stack (leading axes pass through),
+    guarded by a Cholesky factorisation: where it fails, error(f"{what} not positive definite")."""
     try:
-        out = np.linalg.inv(mat)
+        np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
-        raise MetricDomainError(f"singular {what} matrix") from exc
-    cond = np.linalg.cond(mat)
-    if cond > COND_WARN_THRESHOLD:
-        warnings.warn(f"{what} matrix nearly singular (cond ~ {cond:.2e})",
-                      RuntimeWarning, stacklevel=3)
-    return out
-
-
-def check_positive_definite(mat, what="metric"):
-    """Leading-principal-minor test; raises MetricDomainError on failure."""
-    mat = np.asarray(mat, float)
-    n = mat.shape[0]
-    for k in range(1, n + 1):
-        if np.linalg.det(mat[:k, :k]) <= 0.0:
-            raise MetricDomainError(f"{what} matrix not positive definite")
+        raise error(f"{what} not positive definite") from exc
+    return np.linalg.inv(mat)
 
 
 # -- field specs ------------------------------------------------------------
@@ -175,7 +144,7 @@ class RiemannMetric:
 
     def matrix_at(self, x) -> np.ndarray:
         m = np.array([[scalar_value(v) for v in row] for row in self._fn(x)], float)
-        check_positive_definite(m, self.name or "metric")
+        spd_inverse(m, MetricDomainError, f"{self.name or 'metric'} matrix")
         return m
 
     def tables(self, x, order=2):
@@ -183,7 +152,7 @@ class RiemannMetric:
 
     def sqrt_det(self, x):
         """sqrt(det h) at x, usable on Jets (the Riemannian volume density)."""
-        return jets.sqrt(generic_det(self._fn(x)))
+        return sqrt_det(self._fn(x))
 
 
 def euclidean_metric(dim: int) -> RiemannMetric:
@@ -299,9 +268,7 @@ def record_from_tables(h: RiemannMetric, x, tables) -> PointRecord:
     """The record of h at x from its tables there, (h, dh) or (h, dh, d2h);
     h names the metric in the guard messages."""
     h0, dh = tables[0], tables[1]
-    what = h.name or "metric"
-    check_positive_definite(h0, what)
-    hinv = _inv_with_guard(h0, what)
+    hinv = spd_inverse(h0, MetricDomainError, f"{h.name or 'metric'} matrix")
     dhinv = -np.einsum("ka,mab,bl->mkl", hinv, dh, hinv)
     gamma = christoffel(hinv, dh)
     dgamma = ricci = None

@@ -144,7 +144,7 @@ def sample_point(rd: RandersData, nav: NavigationData, f, p, bundle) -> SamplePo
     space = xs[0].space
     point = randers._navigation_point(nav, xs)
     fval = as_scalar_field(f)(xs)
-    density = finsler.weighted_density(fval, jets.sqrt(riemann.generic_det(point[0])))
+    density = finsler.weighted_density(fval, riemann.sqrt_det(point[0]))
     base = finsler.BasePoint(p.x, randers._navigation_stage(point),
                              riemann.scalar_gather(jets.log(density), space, 2))
     if not bundle:

@@ -1,6 +1,7 @@
 """scripts/compare_reports.py: the tree against itself, and its field rules."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -31,7 +32,8 @@ def test_tree_against_itself_has_zero_drift(compare_reports, capsys):
     assert len(cheap) == 3
     src = ROOT / "src"
     ok, identical, worst, ratio = compare_reports.compare(src, src, cheap)
-    assert (ok, identical, worst, ratio) == (True, 3, {"jet": 0.0, "fd": 0.0}, 0.0)
+    assert (ok, identical, ratio) == (True, 3, 0.0)
+    assert worst == {"jet": (0.0, None, None), "fd": (0.0, None, None)}
     assert capsys.readouterr().out.count("same  ") == 3
 
 
@@ -58,12 +60,36 @@ def test_residual_drift_is_measured_and_other_fields_must_match(compare_reports)
     assert diffs == []
     assert drift["max_abs"][0] == pytest.approx(2e-14)
     assert drift["max_abs"][1] == pytest.approx(0.02)
+    assert drift["max_abs"][2] == "ricci-law"
     for changed in ({"verdict": "fail"}, {"samples": 5}, {"tol": 1e-7},
                     {"detail": "x"}, {"name": "other"}):
         diffs, _ = compare_reports.compare_one(base, (0, _report(**changed), "b"))
         assert len(diffs) == 1, changed
     diffs, _ = compare_reports.compare_one(base, (1, _report(), "a"))
     assert diffs == ["exit code 0 != 1"]
+
+
+def test_summary_names_the_invocation_and_check_of_each_largest_drift(
+        compare_reports, monkeypatch, capsys):
+    # (invocation, {check: drift of max_abs in the new tree})
+    drifts = {("crosscheck", "--suite", "navigation"): {"roundtrip": 3e-16},
+              ("crosscheck", "--suite", "jets-vs-fd"): {"pipeline-s": 1e-12,
+                                                        "pipeline-s-dot": 4e-11},
+              ("verify", "--fixture", "cigar", "--diff-mode", "fd"): {"ricci-law": 2e-9}}
+
+    def run_cli(src, args):
+        rep = {"command": args[0], "checks": [
+            dict(_report()["checks"][0], name=name, max_abs=1e-10 + (d if src == "new" else 0.0))
+            for name, d in drifts[args].items()]}
+        return 0, rep, json.dumps(rep)
+
+    monkeypatch.setattr(compare_reports, "run_cli", run_cli)
+    monkeypatch.setattr(compare_reports, "INVOCATIONS", tuple(drifts))
+    assert compare_reports.main(["old", "new"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("3 invocations, 0 byte-identical; discrete fields identical")
+    assert "jet 4.00e-11 (crosscheck --suite jets-vs-fd: pipeline-s-dot)" in summary
+    assert "fd 2.00e-09 (verify --fixture cigar --diff-mode fd: ricci-law)" in summary
 
 
 @pytest.mark.parametrize("fmt", ["csv", "text"])

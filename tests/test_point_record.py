@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from finsler_solitons import fixtures, generators, randers, riemann, solitons
-from finsler_solitons.riemann import _inv_with_guard, check_positive_definite
+from finsler_solitons.riemann import MetricDomainError, spd_inverse
 from finsler_solitons.sampling import sample_flags
 
 
@@ -23,8 +23,7 @@ from finsler_solitons.sampling import sample_flags
 
 
 def _levi_civita(h0, dh, d2h, what):
-    check_positive_definite(h0, what)
-    hinv = _inv_with_guard(h0, what)
+    hinv = spd_inverse(h0, MetricDomainError, f"{what} matrix")
     bracket = np.einsum("ijl->lij", dh) + np.einsum("jil->lij", dh) - dh
     gamma = 0.5 * np.einsum("kl,lij->kij", hinv, bracket)
     if d2h is None:
@@ -79,7 +78,7 @@ def _lie_W0(h, w, v, x, y):
 
 
 def _lie_1form(h, b, v, x, y):
-    hinv = _inv_with_guard(h.tables(x, 1)[0], h.name or "metric")
+    hinv = spd_inverse(h.tables(x, 1)[0], MetricDomainError, f"{h.name or 'metric'} matrix")
     bcov = _covariant_derivative_1form(h, b, x)
     vcov = _vector_covariant_lowered(h, v, x)
     bup = hinv @ b.table(x, 1)[0]

@@ -11,7 +11,7 @@ from finsler_solitons.jets import FlagPoint
 from finsler_solitons.randers import (NavigationData, NavigationDomainError,
                                       RandersData, RandersDomainError,
                                       beta_derivatives, beta_tables,
-                                      bh_density_fn, bh_measure,
+                                      bh_measure,
                                       finsler_from_navigation,
                                       finsler_from_randers,
                                       fit_sigma_isotropic_S, from_navigation,
@@ -19,8 +19,8 @@ from finsler_solitons.randers import (NavigationData, NavigationDomainError,
                                       lie_nav_h2_sides, nav_tensors,
                                       randers_ricci_closed_form,
                                       ricci_transfer_sides, to_navigation)
-from finsler_solitons.riemann import (RiemannMetric, VectorField,
-                                      euclidean_metric)
+from finsler_solitons.riemann import (MetricDomainError, RiemannMetric,
+                                      VectorField, euclidean_metric)
 from finsler_solitons.sampling import sample_flags
 
 RNG = np.random.default_rng(31)
@@ -102,6 +102,46 @@ def test_randers_domain_error():
         tables_at(rd, [0.0, 0.0])
 
 
+def test_alpha_of_nonpositive_determinant_raises_metric_domain_error():
+    # the Randers side refuses det a <= 0 (`_randers_point`) wherever it runs;
+    # b >= 1 is test_randers_domain_error's case
+    for rows in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]):
+        rd = RandersData(alpha=RiemannMetric(2, lambda x, rows=rows: rows),
+                         beta=VectorField(lambda x: [0.1, 0.0]))
+        nav = to_navigation(rd)
+        for x in ([0.0, 0.0], jets.Jet.variables([0.0, 0.0], 2)):
+            for call in (lambda: nav.h.matrix(x), lambda: nav.W.components(x),
+                         lambda: bh_measure(rd).density(x)):
+                with pytest.raises(MetricDomainError):
+                    call()
+        with pytest.raises(MetricDomainError):
+            finsler_from_randers(rd).value([0.0, 0.0], [1.0, 0.0])
+
+
+def _coeffs(entries, space):
+    """The coefficient rows of float-or-Jet entries over `space`."""
+    return np.array([v.coeffs if isinstance(v, jets.Jet) else
+                     jets.Jet.constant(float(v), space).coeffs for v in entries])
+
+
+def test_navigation_roundtrip_holds_on_jet_coefficients():
+    # h and W of to_navigation(from_navigation(nav)) at order-2 x jets
+    rng = np.random.default_rng(47)
+    worst = 0.0
+    for i in range(100):
+        dim = 2 + (i % 2)
+        nav = generators.random_navigation(rng, dim)
+        back = to_navigation(from_navigation(nav))
+        xs = jets.Jet.variables(list(generators.sample_box_point(rng, dim)), 2)
+        space = xs[0].space
+        for want, got in ((sum(nav.h.matrix(xs), []), sum(back.h.matrix(xs), [])),
+                          (nav.W.components(xs), back.W.components(xs))):
+            want, got = _coeffs(want, space), _coeffs(got, space)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+    assert worst <= 1e-13
+
+
 def test_randers_stage_guard_raises_where_beta_reaches_one():
     # the stage guards on the values of alpha and beta, at float and at jet x
     rd = RandersData(alpha=euclidean_metric(2), beta=VectorField(lambda x: [x[0], 0.0]))
@@ -174,7 +214,7 @@ def test_randers_closures_evaluate_alpha_once_per_call():
     x, y = [1.0, 0.4], [0.3, -0.8]
     for got, want in ((lambda: finsler_from_randers(rd).value(x, y),
                        lambda: finsler_from_randers(rd0).value(x, y)),
-                      (lambda: bh_density_fn(rd)(x), lambda: bh_density_fn(rd0)(x)),
+                      (lambda: bh_measure(rd).density(x), lambda: bh_measure(rd0).density(x)),
                       (lambda: nav.h.matrix(x), lambda: want_nav.h.matrix(x)),
                       (lambda: nav.W.components(x), lambda: want_nav.W.components(x))):
         calls.clear()
@@ -207,7 +247,7 @@ def test_bh_density_riemannian():
     rd = RandersData(alpha=generators.random_riemann_metric(RNG, 3),
                      beta=VectorField(lambda x: [0.0] * 3))
     x = generators.sample_box_point(RNG, 3)
-    assert bh_density_fn(rd)(x) == pytest.approx(
+    assert bh_measure(rd).density(x) == pytest.approx(
         math.sqrt(np.linalg.det(rd.alpha.matrix_at(x))), rel=1e-12)
 
 
@@ -219,9 +259,9 @@ def test_bh_density_cigar():
     b2 = math.tanh(t) ** 2
     det_a = np.linalg.det(rd.alpha.matrix_at(x))
     want = (1.0 - b2) ** 1.5 * math.sqrt(det_a)
-    assert bh_density_fn(rd)(x) == pytest.approx(want, rel=1e-12)
+    assert bh_measure(rd).density(x) == pytest.approx(want, rel=1e-12)
     # for navigation data the BH density collapses to sqrt(det h)
-    assert bh_density_fn(rd)(x) == pytest.approx(
+    assert bh_measure(rd).density(x) == pytest.approx(
         math.sqrt(np.linalg.det(nav.h.matrix_at(x))), rel=1e-12)
 
 
@@ -233,7 +273,7 @@ def _bh_density_drift(nav, x):
     # a constant h (flat fixtures) gives a float det: compare it as a constant jet
     want, got = (riemann.scalar_gather(v, xs[0].space, 2) for v in (
         randers._bh_density(randers._alpha_rows(point), randers._beta_low(point)),
-        jets.sqrt(riemann.generic_det(point[0]))))
+        riemann.sqrt_det(point[0])))
     scale = max(1.0, max(float(np.max(np.abs(t))) for t in want))
     return max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) / scale
 

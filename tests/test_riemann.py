@@ -109,9 +109,13 @@ def test_christoffel_symmetric_lower_indices():
 
 
 def test_singular_metric_raises():
-    bad = RiemannMetric(2, lambda x: [[1.0, 1.0], [1.0, 1.0]], name="degenerate")
-    with pytest.raises(MetricDomainError):
-        christoffel(bad, [0.0, 0.0])
+    # singular, indefinite, and -I, whose determinant is positive: only a
+    # positive-definiteness test refuses the last
+    for rows in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]):
+        bad = RiemannMetric(2, lambda x, rows=rows: rows, name="degenerate")
+        for call in (lambda: point_record(bad, [0.0, 0.0], 1), lambda: bad.matrix_at([0.0, 0.0])):
+            with pytest.raises(MetricDomainError, match="degenerate matrix not positive definite"):
+                call()
 
 
 # -- ricci ------------------------------------------------------------------------
