@@ -58,7 +58,7 @@ INVOCATIONS = (
        ("crosscheck", "--suite", "navigation", "--count", "100", "--seed", "11"),
        ("crosscheck", "--suite", "isotropic-s", "--count", "8", "--seed", "11"))
     + tuple(("verify", "--fixture", name, "--samples", "2", "--perturb", f"{ing}:1e-2")
-            for ing in ("kappa", "mu", "sigma") for name in FIXTURES)
+            for ing in ("kappa", "mu", "sigma", "f", "W") for name in FIXTURES)
     + tuple(("verify", "--fixture", "cigar", "--samples", "4", "--format", fmt)
             for fmt in ("csv", "text"))
 )

@@ -11,16 +11,18 @@ F is Einstein exactly when h is, with the same Einstein scalar.  The
 Busemann-Hausdorff volume of F is the Riemannian volume of h (Xing 2005), so
 the measure is e^{-f} dm_BH = e^{-f} vol_h.  A fixture
 declares (h, W, f, kappa), a sampler and, where they hold, the Einstein
-scalar and the flag curvature; `navigation_soliton` derives the rest.  To add
-a fixture, build those and call `navigation_soliton`, then add it to
-`_registry`.  Sample domains avoid chart singularities (the t > 0 axis on the
-plane, the cone point of the warped cylinder, the hemisphere chart boundary).
+scalar and the flag curvature; a `Fixture` is that declaration and derives
+the Randers data, F and the measure.  A negative control re-declares one
+ingredient (`perturbed`).  To add a fixture, build those and call
+`navigation_soliton`, then add a builder to `_REGISTRY`.  Sample domains avoid
+chart singularities (the t > 0 axis on the plane, the cone point of the warped
+cylinder, the hemisphere chart boundary).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,13 +46,11 @@ ZERO_FIELD = VectorField(lambda x: [v - v for v in x], name="zero")
 
 @dataclass
 class Fixture:
-    """A navigation soliton declaration and what it fixes, for the check suites."""
+    """A navigation soliton declaration (the init fields) and what it fixes; `rd`,
+    `metric` and `measure` derive from `nav` and `f` at each build or `replace`."""
 
     name: str
     nav: NavigationData
-    rd: RandersData
-    metric: FinslerMetric
-    measure: Measure                    # e^{-f} dm_BH = e^{-f} vol_h
     f: ScalarField
     kappa: ScalarField                  # soliton scalar of (F, measure)
     mu: ScalarField                     # soliton scalar of the Riemannian pair (h, f)
@@ -61,6 +61,14 @@ class Fixture:
     sample_x: object                    # callable rng -> chart point
     bundles: tuple
     constraints: dict                   # structural identity -> its float residual
+    rd: RandersData = field(init=False)
+    metric: FinslerMetric = field(init=False)
+    measure: Measure = field(init=False)  # e^{-f} dm_BH = e^{-f} vol_h
+
+    def __post_init__(self):
+        self.rd = randers.from_navigation(self.nav)
+        self.metric = randers.finsler_from_navigation(self.nav)
+        self.measure = Measure.riemannian(self.nav.h).weighted(self.f)
 
     @property
     def dim(self) -> int:
@@ -69,7 +77,7 @@ class Fixture:
 
 def navigation_soliton(name, h: RiemannMetric, W: VectorField | None, f: ScalarField,
                        kappa, sample_x, *, einstein=None, flag_curvature=None,
-                       constraints=None, perturb=None) -> Fixture:
+                       constraints=None) -> Fixture:
     """The fixture of a navigation soliton: F from (h, W) (W=None: no wind),
     the measure e^{-f} dm_BH = e^{-f} vol_h and the soliton scalar kappa of
     (h, f).
@@ -78,43 +86,37 @@ def navigation_soliton(name, h: RiemannMetric, W: VectorField | None, f: ScalarF
     Einstein, is the Einstein scalar of both.  `flag_curvature` is declared
     apart: an Einstein F of dim >= 3 need not have scalar flag curvature.
     Every fixture gets the two gradient bundles, and an Einstein one with
-    wind the two vector bundles (with V = 0).  `perturb` = (ingredient, eps)
-    bumps f or W, or shifts kappa, mu (with einstein_h) or sigma by eps.
+    wind the two vector bundles (with V = 0).
     """
     bundles = ("gradient-ab", "gradient-nav")
     if einstein is not None and W is not None:
         bundles += ("vector-ab", "vector-nav")
     W = ZERO_FIELD if W is None else W
-    kappa = mu = as_scalar_field(kappa)
-    sigma = ScalarField(0.0)
-    einstein = einstein_h = None if einstein is None else as_scalar_field(einstein)
+    kappa = as_scalar_field(kappa)
+    einstein = None if einstein is None else as_scalar_field(einstein)
     if flag_curvature is not None:
         flag_curvature = as_scalar_field(flag_curvature)
-    if perturb is not None:
-        ingredient, eps = perturb
-        if ingredient == "f":
-            f = _bump_f(f, eps)
-        elif ingredient == "W":
-            W = _bump_w(W, eps)
-        elif ingredient == "kappa":
-            kappa = _shift(kappa, eps)
-        elif ingredient == "mu":
-            mu = _shift(mu, eps)
-            if einstein_h is not None:
-                einstein_h = _shift(einstein_h, eps)
-        elif ingredient == "sigma":
-            sigma = _shift(sigma, eps)
-        else:
-            raise ConstructionError(f"unknown perturbation ingredient {ingredient!r}")
-    nav = NavigationData(h, W, name=name)
-    rd = randers.from_navigation(nav)
-    metric = randers.finsler_from_navigation(nav)
-    metric.name = name
-    return Fixture(name=name, nav=nav, rd=rd, metric=metric,
-                   measure=Measure.riemannian(h).weighted(f), f=f, kappa=kappa, mu=mu,
-                   sigma=sigma, einstein=einstein, einstein_h=einstein_h,
+    return Fixture(name=name, nav=NavigationData(h, W, name=name), f=f, kappa=kappa,
+                   mu=kappa, sigma=ScalarField(0.0), einstein=einstein, einstein_h=einstein,
                    flag_curvature=flag_curvature, sample_x=sample_x, bundles=bundles,
                    constraints=constraints or {})
+
+
+def perturbed(fx: Fixture, ingredient, eps) -> Fixture:
+    """fx with f or W bumped (f + eps x0^2, W^0 + eps x0), or kappa, mu (with
+    einstein_h) or sigma shifted by eps: a negative control, re-derived."""
+    if ingredient == "f":
+        return replace(fx, f=_bump_f(fx.f, eps))
+    if ingredient == "W":
+        return replace(fx, nav=replace(fx.nav, W=_bump_w(fx.nav.W, eps)))
+    if ingredient == "kappa":
+        return replace(fx, kappa=_shift(fx.kappa, eps))
+    if ingredient == "mu":
+        einstein_h = None if fx.einstein_h is None else _shift(fx.einstein_h, eps)
+        return replace(fx, mu=_shift(fx.mu, eps), einstein_h=einstein_h)
+    if ingredient == "sigma":
+        return replace(fx, sigma=_shift(fx.sigma, eps))
+    raise ConstructionError(f"unknown perturbation ingredient {ingredient!r}")
 
 
 def _ball_sampler(dim, radius, offset=None):
@@ -130,16 +132,16 @@ def _ball_sampler(dim, radius, offset=None):
 
 
 def _shift(f: ScalarField, eps):
-    return ScalarField(lambda x, _f=f: _f(x) + eps, name=f"{f.name}+{eps}")
+    return ScalarField(lambda x: f(x) + eps, name=f"{f.name}+{eps}")
 
 
 def _bump_f(f: ScalarField, eps):
-    return ScalarField(lambda x, _f=f: _f(x) + eps * x[0] * x[0], name=f"{f.name}+bump")
+    return ScalarField(lambda x: f(x) + eps * x[0] * x[0], name=f"{f.name}+bump")
 
 
 def _bump_w(w: VectorField, eps):
-    def fn(x, _w=w):
-        comps = list(_w.components(x))
+    def fn(x):
+        comps = list(w.components(x))
         comps[0] = comps[0] + eps * x[0]
         return comps
 
@@ -149,7 +151,7 @@ def _bump_w(w: VectorField, eps):
 # -- flat Gaussian-type fixtures -------------------------------------------------------
 
 
-def gaussian(rho=1.0, Q=None, C=None, n=2, perturb=None) -> Fixture:
+def gaussian(rho=1.0, Q=None, C=None, n=2) -> Fixture:
     """Euclidean navigation fixture: W = Q x + C with Q antisymmetric.
 
     The measure e^{-rho |x|^2 / 2} dx makes this a gradient soliton with
@@ -180,7 +182,7 @@ def gaussian(rho=1.0, Q=None, C=None, n=2, perturb=None) -> Fixture:
     return navigation_soliton(
         "gaussian" if wind else "gaussian-riemannian", euclidean_metric(n),
         VectorField(w_fn, name="Qx+C") if wind else None, f, float(rho),
-        _ball_sampler(n, radius), einstein=0.0, flag_curvature=0.0, perturb=perturb)
+        _ball_sampler(n, radius), einstein=0.0, flag_curvature=0.0)
 
 
 def _default_rotation(n):
@@ -192,7 +194,7 @@ def _default_rotation(n):
 # -- steady soliton on the plane --------------------------------------------------------
 
 
-def cigar(perturb=None) -> Fixture:
+def cigar() -> Fixture:
     """Rotationally symmetric steady gradient soliton on the (t, theta) half plane.
 
     h = dt^2 + tanh^2(t) dtheta^2, W = d/dtheta, f = -2 log cosh t.  The
@@ -213,7 +215,7 @@ def cigar(perturb=None) -> Fixture:
     return navigation_soliton(
         "cigar", RiemannMetric(2, h_fn, name="cigar-h"),
         VectorField(lambda x: [0.0, 1.0], name="dtheta"), f, 0.0, sample_x,
-        einstein=law, flag_curvature=law, perturb=perturb)
+        einstein=law, flag_curvature=law)
 
 
 # -- cylinders over odd spheres ----------------------------------------------------------
@@ -300,7 +302,7 @@ def _default_cylinder_qd(m, mu):
     return Q, d
 
 
-def _cylinder(name, h_name, m, mu, Q, d, t_range, radius, warp, f, kap, perturb):
+def _cylinder(name, h_name, m, mu, Q, d, t_range, radius, warp, f, kap):
     """The cylinder R x S^{2m-1} (or its warped t-range) with h^2 = dt^2 +
     warp(t) hat-h^2 (warp None: the product), W the sphere Killing field of
     (Q, d), samples t in t_range and the sphere point in a ball of `radius`."""
@@ -329,10 +331,10 @@ def _cylinder(name, h_name, m, mu, Q, d, t_range, radius, warp, f, kap, perturb)
     sample_x = _ball_sampler(k, radius, offset=lambda rng: rng.uniform(*t_range))
     return navigation_soliton(
         name, RiemannMetric(k + 1, h_fn, name=h_name), VectorField(w_fn, name="(0,What)"),
-        f, kap, sample_x, constraints=checks, perturb=perturb)
+        f, kap, sample_x, constraints=checks)
 
 
-def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None, perturb=None) -> Fixture:
+def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None) -> Fixture:
     """Product cylinder over an odd sphere of curvature mu: a gradient shrinker.
 
     h^2 = dt^2 + hat-h^2 on R x S^{2m-1} in the upper-hemisphere projective
@@ -343,10 +345,10 @@ def shrinking_cylinder(m=2, mu=1.0, Q=None, d=None, perturb=None) -> Fixture:
     f = ScalarField(lambda z: (m - 1) * mu * z[0] * z[0], name="(m-1) mu t^2")
     return _cylinder("shrinking", "cylinder-h", m, mu, Q, d, (-1.2, 1.2),
                      radius=2.0 / math.sqrt(mu), warp=None, f=f,
-                     kap=2.0 * (m - 1) * mu, perturb=perturb)
+                     kap=2.0 * (m - 1) * mu)
 
 
-def expanding_cylinder(m=2, Q=None, d=None, t_range=(0.21, 0.89), perturb=None) -> Fixture:
+def expanding_cylinder(m=2, Q=None, d=None, t_range=(0.21, 0.89)) -> Fixture:
     """Warped cylinder (0,1) x S^{2m-1} with h^2 = dt^2 + t^2 hat-h^2: an expander.
 
     Requires unit sphere curvature (so h is Ricci-flat); with f = -(m-1) t^2
@@ -358,29 +360,26 @@ def expanding_cylinder(m=2, Q=None, d=None, t_range=(0.21, 0.89), perturb=None) 
         raise ConstructionError("t-range must stay inside (0, 1)")
     f = ScalarField(lambda z: -(m - 1) * mu * z[0] * z[0], name="-(m-1) t^2")
     return _cylinder("expanding", "warped-cylinder-h", m, mu, Q, d, t_range,
-                     radius=2.0, warp=lambda t: t * t, f=f, kap=-2.0 * (m - 1),
-                     perturb=perturb)
+                     radius=2.0, warp=lambda t: t * t, f=f, kap=-2.0 * (m - 1))
 
 
 # -- registry ---------------------------------------------------------------------------
 
 
-def _registry():
-    return {
-        "gaussian": lambda perturb=None: gaussian(rho=1.0, Q=_default_rotation(2),
-                                                  n=2, perturb=perturb),
-        "gaussian-riemannian": lambda perturb=None: gaussian(rho=1.0, n=2, perturb=perturb),
-        "cigar": lambda perturb=None: cigar(perturb=perturb),
-        "shrinking": lambda perturb=None: shrinking_cylinder(perturb=perturb),
-        "expanding": lambda perturb=None: expanding_cylinder(perturb=perturb),
-    }
+_REGISTRY = {
+    "gaussian": lambda: gaussian(rho=1.0, Q=_default_rotation(2), n=2),
+    "gaussian-riemannian": lambda: gaussian(rho=1.0, n=2),
+    "cigar": cigar,
+    "shrinking": shrinking_cylinder,
+    "expanding": expanding_cylinder,
+}
 
-
-FIXTURE_NAMES = tuple(_registry().keys())
+FIXTURE_NAMES = tuple(_REGISTRY)
 
 
 def get_fixture(name: str, perturb=None) -> Fixture:
-    reg = _registry()
-    if name not in reg:
+    """The registry fixture `name`, `perturbed` by `perturb` = (ingredient, eps) if given."""
+    if name not in _REGISTRY:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    return reg[name](perturb=perturb)
+    fx = _REGISTRY[name]()
+    return fx if perturb is None else perturbed(fx, *perturb)

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from . import jets
+from . import jets, riemann
 from .jets import Jet
 from .randers import NavigationData, RandersData
 from .riemann import RiemannMetric, ScalarField, VectorField, euclidean_metric
@@ -117,7 +117,7 @@ def _calibrated_field(rng, metric: RiemannMetric, bound, name, inverse=False) ->
     grid = _box_grid(metric.dim)
     mats = _grid_stack(metric.matrix(grid))
     if inverse:
-        mats = np.linalg.inv(mats)
+        mats = riemann.spd_inverse(mats, riemann.MetricDomainError, f"{metric.name} matrix")
     worst = 0.0
     for v, m in zip(_grid_stack(_poly2(raw, grid)), mats):
         worst = max(worst, float(v @ m @ v))

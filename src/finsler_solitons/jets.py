@@ -737,28 +737,19 @@ class FlagPoint:
 # -- lifting and finite differences ---------------------------------------
 
 
-def lift(f, point, order: int, active=None) -> Jet:
-    """Jet of the scalar map f at `point`, tracking the `active` variables.
+def lift(f, point, order: int) -> Jet:
+    """Jet of the scalar map f at `point` in all its variables.
 
-    f is called as f(*args) with one argument per coordinate of `point`;
-    active variables arrive as Jets, the rest as plain floats.  The returned
-    Jet's coefficient at multi-index m is (1/m!) d^m f over the active
-    variables.
+    f is called as f(*args) with one Jet argument per coordinate of `point`.
+    The returned Jet's coefficient at multi-index m is (1/m!) d^m f.
     """
     if not 1 <= order <= 3:
         raise ValueError("lift supports orders 1 through 3")
-    point = [float(p) for p in point]
-    if active is None:
-        active = range(len(point))
-    active = list(active)
-    space = jet_space(len(active), order)
-    args = list(point)
-    for slot, var in enumerate(active):
-        args[var] = Jet.variable(point[var], slot, space)
+    args = Jet.variables([float(p) for p in point], order)
     out = f(*args)
     if isinstance(out, Jet):
         return out
-    return Jet.constant(float(out), space)
+    return Jet.constant(float(out), args[0].space)
 
 
 _CENTRAL_STENCILS = {
@@ -787,7 +778,7 @@ def _stencil_estimate(f, point, multi_index, h):
     return total
 
 
-def fd_derivative(f, point, multi_index, step: float | None = None) -> float:
+def fd_derivative(f, point, multi_index, step: float) -> float:
     """Central-difference estimate of d^multi_index f at `point`.
 
     Composes per-variable central stencils (each with O(h^2) truncation) and
@@ -799,7 +790,7 @@ def fd_derivative(f, point, multi_index, step: float | None = None) -> float:
     return fd_estimate(f, point, multi_index, step)[0]
 
 
-def fd_estimate(f, point, multi_index, step: float | None = None):
+def fd_estimate(f, point, multi_index, step: float):
     """(`fd_derivative`, an estimate of its error) from the two stencil
     estimates it combines, coarse (step h) and fine (h/2).  The value is
     fine + (fine - coarse)/3, and the error of the fine estimate is taken
@@ -813,8 +804,7 @@ def fd_estimate(f, point, multi_index, step: float | None = None):
     total = sum(multi_index)
     if total > 3 or any(k < 0 for k in multi_index):
         raise ValueError("fd_derivative supports total derivative order <= 3")
-    scale = max([1.0] + [abs(p) for p in point])
-    h = float(step) if step is not None else 1e-5 * scale
+    h = float(step)
     if h <= 0:
         raise ValueError("step must be positive")
     involved = [p for p, k in zip(point, multi_index) if k > 0]

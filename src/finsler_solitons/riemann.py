@@ -23,7 +23,7 @@ derivative, and the Lie derivatives `lie_h2` and `lie_1form` contract those
 tensors with the field values.  A caller tables each field once per point.
 
 Jets meet linear algebra only through `generic_det` and `sqrt_det`; every float
-positive-definiteness test and inverse is one Cholesky guard, `spd_inverse`.
+positive-definiteness test is one Cholesky guard, `spd_guard`, run by `spd_inverse` too.
 """
 
 from __future__ import annotations
@@ -64,13 +64,18 @@ def sqrt_det(rows):
     return jets.sqrt(generic_det(rows))
 
 
-def spd_inverse(mat, error, what):
-    """The inverse of an SPD matrix or of each of a stack (leading axes pass through),
-    guarded by a Cholesky factorisation: where it fails, error(f"{what} not positive definite")."""
+def spd_guard(mat, error, what):
+    """Cholesky check that a matrix, or each of a stack (leading axes pass through),
+    is positive definite: where it fails, error(f"{what} not positive definite")."""
     try:
         np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise error(f"{what} not positive definite") from exc
+
+
+def spd_inverse(mat, error, what):
+    """The inverse of an SPD matrix or of each of a stack, behind `spd_guard`."""
+    spd_guard(mat, error, what)
     return np.linalg.inv(mat)
 
 
@@ -92,7 +97,7 @@ class ScalarField:
     def __call__(self, x):
         return self._fn(x)
 
-    def table(self, x, order=2):
+    def table(self, x, order):
         """(value, gradient, hessian) of the field at x; hessian only if order >= 2."""
         return scalar_table(self._fn, x, order)
 
@@ -127,7 +132,7 @@ class VectorField:
         """The components at x as floats."""
         return np.array([scalar_value(c) for c in self.components(list(x))], float)
 
-    def table(self, x, order=1):
+    def table(self, x, order):
         return vector_table(self._fn, x, order)
 
 
@@ -144,10 +149,10 @@ class RiemannMetric:
 
     def matrix_at(self, x) -> np.ndarray:
         m = np.array([[scalar_value(v) for v in row] for row in self._fn(x)], float)
-        spd_inverse(m, MetricDomainError, f"{self.name or 'metric'} matrix")
+        spd_guard(m, MetricDomainError, f"{self.name or 'metric'} matrix")
         return m
 
-    def tables(self, x, order=2):
+    def tables(self, x, order):
         return matrix_table(self._fn, x, order)
 
     def sqrt_det(self, x):
@@ -192,17 +197,17 @@ def _jet_pass(fn, x, order):
     return fn(xs), xs[0].space, order
 
 
-def scalar_table(fn, x, order=2):
+def scalar_table(fn, x, order):
     """`scalar_gather` of one jet pass of fn at x."""
     return scalar_gather(*_jet_pass(fn, x, order))
 
 
-def vector_table(fn, x, order=1):
+def vector_table(fn, x, order):
     """`vector_gather` of one jet pass of fn at x."""
     return vector_gather(*_jet_pass(fn, x, order))
 
 
-def matrix_table(fn, x, order=2):
+def matrix_table(fn, x, order):
     """`matrix_gather` of one jet pass of fn (n x n rows) at x."""
     return matrix_gather(*_jet_pass(fn, x, order))
 

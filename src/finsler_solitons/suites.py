@@ -74,7 +74,7 @@ def _check_run(what, size, seed, tol):
         raise ParameterError(f"need {what} >= 1, seed >= 0 and a finite tol > 0")
 
 
-def run_fixture_suite(fixture, samples=64, seed=0, tol=1e-6,
+def run_fixture_suite(fixture, samples, seed, tol=1e-6,
                       mode="jet") -> list[ResidualReport]:
     """Every applicable check of one fixture at the given sample count."""
     _check_run("samples", samples, seed, tol)
@@ -253,8 +253,9 @@ def crosscheck_riemann_reduction(seed, count=60, tol=1e-9):
         metric = FinslerMetric.from_riemannian(h)
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
         spray_ric = finsler.curvature_bundle(metric, [p])[0].ricci
-        chris_ric = riemann.riemann_ricci(riemann.point_record(h, p.x, 2), p.y)
-        h2 = float(p.y @ h.matrix_at(p.x) @ p.y)
+        rec = riemann.point_record(h, p.x, 2)
+        chris_ric = riemann.riemann_ricci(rec, p.y)
+        h2 = float(p.y @ rec.h0 @ p.y)
         rel.append((spray_ric - chris_ric) / max(abs(chris_ric), h2))
     return [report_from_values("spray-vs-christoffel-ricci", rel, tol)]
 

@@ -74,9 +74,9 @@ def test_suites_refuse_an_empty_or_invalid_run():
     # one guard in the suites: no run of zero samples passes on
     # not-applicable rows, and numpy never sees a negative seed
     cigar = fixtures.get_fixture("cigar")
-    runs = [lambda: suites.run_fixture_suite(cigar, samples=0),
+    runs = [lambda: suites.run_fixture_suite(cigar, samples=0, seed=0),
             lambda: suites.run_fixture_suite(cigar, samples=2, seed=-1),
-            lambda: suites.run_fixture_suite(cigar, samples=2, tol=math.nan),
+            lambda: suites.run_fixture_suite(cigar, samples=2, seed=0, tol=math.nan),
             lambda: suites.run_crosscheck_suite("navigation", count=0, seed=1),
             lambda: suites.run_crosscheck_suite("navigation", seed=-1),
             lambda: suites.run_crosscheck_suite("navigation", seed=1, tol=math.inf)]

@@ -233,3 +233,23 @@ def test_each_perturbation_shifts_exactly_its_declared_scalars(name, ingredient)
     w, w0 = fx.nav.W.at(x), base.nav.W.at(x)
     w0[0] += eps * x[0] if ingredient == "W" else 0.0
     assert np.array_equal(w, w0)
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+@pytest.mark.parametrize("ingredient", ("f", "W", "kappa", "mu", "sigma"))
+def test_a_perturbation_rederives_the_metric_measure_and_randers_data(name, ingredient):
+    base = get_fixture(name)
+    fx = fixtures.perturbed(base, ingredient, 1e-2)
+    measure = finsler.Measure.riemannian(fx.nav.h).weighted(fx.f)
+    metric, rd = randers.finsler_from_navigation(fx.nav), randers.from_navigation(fx.nav)
+    for p in sample_flags(base, 3, np.random.default_rng(7)):
+        x, y = list(p.x), list(p.y)
+        assert fx.metric.value(x, y) == metric.value(x, y)
+        assert fx.measure.density(x) == measure.density(x)
+        assert np.array_equal(fx.rd.alpha.matrix_at(x), rd.alpha.matrix_at(x))
+        assert np.array_equal(fx.rd.beta.at(x), rd.beta.at(x))
+        if ingredient == "f":
+            assert fx.measure.density(x) != base.measure.density(x)
+        if ingredient == "W":
+            assert fx.metric.value(x, y) != base.metric.value(x, y)
+            assert not np.array_equal(fx.rd.beta.at(x), base.rd.beta.at(x))

@@ -218,7 +218,7 @@ def test_fd_estimate_bounds_the_richardson_error_and_works_entrywise():
         for i in range(2):
             alone = fd_derivative(lambda a, b: f(a, b)[i], [0.3, -0.2], multi, step=0.05)
             assert value[i] == alone
-    assert jets.fd_estimate(f, [0.3, -0.2], (0, 0))[1] == 0.0
+    assert jets.fd_estimate(f, [0.3, -0.2], (0, 0), step=0.05)[1] == 0.0
 
 
 def _recording_sprays(monkeypatch):

@@ -118,6 +118,24 @@ def test_singular_metric_raises():
                 call()
 
 
+def test_matrix_at_guards_without_inverting(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append(a) or inv(*a))
+    h = generators.random_riemann_metric(np.random.default_rng(2), 3)
+    x = generators.sample_box_point(RNG, 3)
+    assert np.array_equal(h.matrix_at(x), np.array(h.matrix(list(x)), float))
+    assert calls == []
+
+
+def test_calibration_refuses_an_indefinite_metric():
+    # rows of grid-shaped arrays, as a polynomial metric gives at the grid
+    bad = RiemannMetric(2, lambda x: [[1.0 + 0.0 * x[0], 2.0 + 0.0 * x[0]],
+                                      [2.0 + 0.0 * x[0], 1.0 + 0.0 * x[1]]], name="indefinite")
+    with pytest.raises(MetricDomainError, match="indefinite matrix not positive definite"):
+        generators._calibrated_field(np.random.default_rng(0), bad, 0.45, "b", inverse=True)
+
+
 # -- ricci ------------------------------------------------------------------------
 
 
