@@ -1,16 +1,15 @@
 """Generic Finsler engine built on the spray.
 
-From any jet-evaluable F(x, y) this module produces the fundamental and
-Cartan tensors, geodesic spray coefficients, the Riemann curvature operator
-R^i_k, Ricci and weighted Ricci curvatures, distortion, S-curvature and its
-rate of change along the geodesic flow, Lie derivatives of F^2, and a
-least-squares scalar flag-curvature fit.
+From any jet-evaluable F(x, y) this module produces the fundamental
+tensor, geodesic spray coefficients, the Riemann curvature operator R^i_k,
+the Ricci curvature and the weighted Ricci curvature Ric_inf, S-curvature
+and its rate of change along the geodesic flow, Lie derivatives of F^2, and
+a least-squares scalar flag-curvature fit.
 
 `evaluate_flags` is the one evaluation per flag and the one way to read
 flags' quantities: a single fourth-order expansion of F^2 per flag yields
-Ric, S, S-dot, Ric_inf (Ric_N through `FlagEvaluation.ric_n`) and the
-flag-curvature fit together.  Without a measure, `curvature_bundle` gives
-the spray, R and Ric alone.  Both take a sequence of flags: each flag gets
+Ric, S, S-dot, Ric_inf and the flag-curvature fit together.  Without a
+measure, `curvature_bundle` gives the spray, R and Ric alone.  Both take a sequence of flags: each flag gets
 its own expansion, and the float tables of all of them are stacked, so the
 spray derivatives and R run once per stack (one pass of numpy calls over
 arrays with a leading flag axis), not once per flag.  A flag evaluation's
@@ -261,11 +260,10 @@ def _spray_derivatives(T, y, order: int):
 class CurvatureBundle:
     """All spray-level data of one flag; indices follow dG_dx[k, i] = dG^i/dx^k.
 
-    `dF2_dy` is the y-gradient of F^2.  `cartan` is None on the
-    finite-difference path, which never expands F^2 to third order.
-    `r_error` estimates the error of `riemann` (Frobenius norm): 0 on the
-    jet path, which is exact to rounding, and on the finite-difference path
-    the Richardson error estimates carried through `_assemble_riemann`.
+    `dF2_dy` is the y-gradient of F^2.  `r_error` estimates the error of
+    `riemann` (Frobenius norm): 0 on the jet path, which is exact to
+    rounding, and on the finite-difference path the Richardson error
+    estimates carried through `_assemble_riemann`.
     """
 
     x: np.ndarray
@@ -273,7 +271,6 @@ class CurvatureBundle:
     F: float
     dF2_dy: np.ndarray
     g: np.ndarray
-    cartan: np.ndarray | None
     spray: np.ndarray
     dG_dx: np.ndarray
     dG_dy: np.ndarray
@@ -320,9 +317,8 @@ def curvature_bundle(metric: FinslerMetric, points, mode: str = "jet",
     y = np.array([p.y for p in points], float)
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
-    cartan = 0.25 * T["Q03"]
     return [CurvatureBundle(x=np.asarray(p.x, float), y=y[i], F=tables[i]["F"],
-                            dF2_dy=T["Q01"][i], g=D["g"][i], cartan=cartan[i],
+                            dF2_dy=T["Q01"][i], g=D["g"][i],
                             spray=D["G"][i], dG_dx=D["dG_dx"][i], dG_dy=D["dG_dy"][i],
                             d2G_dxdy=D["d2G_dxdy"][i], d2G_dydy=D["d2G_dydy"][i],
                             riemann=R[i], ricci=float(np.trace(R[i])))
@@ -402,23 +398,13 @@ def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint, stage_at) -> Curva
 
     R = _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy)
     r_error = float(np.linalg.norm(_riemann_error(y, G, dG_dy, (e_dx, e_dy, e_dxdy, e_dydy))))
-    return CurvatureBundle(x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=D["g"], cartan=None,
+    return CurvatureBundle(x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=D["g"],
                            spray=G, dG_dx=dG_dx, dG_dy=dG_dy, d2G_dxdy=d2G_dxdy,
                            d2G_dydy=d2G_dydy, riemann=R, ricci=float(np.trace(R)),
                            r_error=r_error)
 
 
-# -- distortion, S and Lie derivatives ------------------------------------------
-
-
-def distortion(metric: FinslerMetric, measure: Measure, p: FlagPoint) -> float:
-    """tau = log( sqrt(det g(x, y)) / sigma(x) )."""
-    T = _f2_tables(_stage(metric, p.x, 2), p.y, order=2)
-    det = float(np.linalg.det(_fundamental(T)[0]))
-    sigma = float(scalar_value(measure.density([float(v) for v in p.x])))
-    if sigma <= 0.0:
-        raise jets.EvaluationError(f"measure density must be positive, got {sigma!r}")
-    return 0.5 * math.log(det) - math.log(sigma)
+# -- S and Lie derivatives ----------------------------------------------------
 
 
 def _s_value(dG_dy, y, logs) -> float:
@@ -517,13 +503,6 @@ class FlagEvaluation:
     s_dot: float
     ric_inf: float
     flag_curvature: FlagCurvature
-
-    def ric_n(self, N: float) -> float:
-        """Ric_N = Ric + S-dot - S^2/(N - n) (Ohta); N = inf gives Ric_inf."""
-        n = self.bundle.y.size
-        if N <= n:
-            raise ParameterError(f"effective dimension N must exceed n = {n}")
-        return self.ric_inf if math.isinf(N) else self.ric_inf - self.S * self.S / (N - n)
 
 
 def evaluate_flags(metric: FinslerMetric, measure: Measure, points,

@@ -36,7 +36,7 @@ import numpy as np
 from . import jets, riemann
 from .finsler import FinslerMetric, Measure, lie_scalar
 from .jets import FlagPoint, scalar_value
-from .riemann import MetricDomainError, RiemannMetric, VectorField, as_scalar_field, generic_det
+from .riemann import MetricDomainError, RiemannMetric, VectorField, generic_det
 
 
 class RandersDomainError(ArithmeticError):
@@ -228,8 +228,6 @@ class BetaTables:
     s_mixed: np.ndarray        # s^i_j
     s_low: np.ndarray          # s_j
     s_up: np.ndarray           # s^j
-    r_low: np.ndarray          # r_j
-    r_scalar: float            # r = b^j r_j
     t: np.ndarray              # t_ij
     t_low: np.ndarray          # t_j
     t_trace: float             # t^i_i
@@ -238,9 +236,6 @@ class BetaTables:
     s_cov: np.ndarray          # (s_j)_{;k}
     r_cov: np.ndarray          # r_{ij;k}
     div_mixed_s: np.ndarray    # (s^i_j)_{;i} as a covector in j
-    d_rtrace: np.ndarray       # d_k (r^i_i)
-    div_s_up: float            # s^i_{;i}
-    div_r_up: float            # r^i_{;i}
     alpha_ricci: np.ndarray    # Ricci tensor of alpha
 
 
@@ -269,9 +264,6 @@ def beta_tables(A: riemann.PointRecord, btab) -> BetaTables:
     s_mixed = ainv @ s
     s_low = b_up @ s
     s_up = ainv @ s_low
-    r_low = b_up @ r
-    r_up = ainv @ r_low
-    r_scalar = float(b_up @ r_low)
     t = s @ s_mixed
     t_mixed = ainv @ t
     t_low = b_up @ t
@@ -291,29 +283,16 @@ def beta_tables(A: riemann.PointRecord, btab) -> BetaTables:
                    + np.einsum("iip,pj->j", gamma, s_mixed)
                    - np.einsum("pji,ip->j", gamma, s_mixed))
 
-    d_rtrace = np.einsum("kij,ji->k", dainv, r) + np.einsum("ij,kji->k", ainv, dr)
-
-    ds_up = np.einsum("kij,j->ki", dainv, s_low) + np.einsum("ij,kj->ki", ainv, ds_low)
-    div_s_up = float(np.einsum("kk->", ds_up) + np.einsum("iip,p->", gamma, s_up))
-    dr_up = np.einsum("kij,j->ki", dainv, r_low) + np.einsum("ij,kj->ki", ainv,
-                                                             np.einsum("ik,ij->kj", db_up, r)
-                                                             + np.einsum("i,kij->kj", b_up, dr))
-    div_r_up = float(np.einsum("kk->", dr_up) + np.einsum("iip,p->", gamma, r_up))
-
     return BetaTables(x=x, a=a0, ainv=ainv, b_low=b0, b_up=b_up, b2=b2, bcov=bcov,
                       r=r, s=s, s_mixed=s_mixed, s_low=s_low, s_up=s_up,
-                      r_low=r_low, r_scalar=r_scalar, t=t, t_low=t_low, t_trace=t_trace,
-                      q=q, e=e, s_cov=s_cov, r_cov=r_cov, div_mixed_s=div_mixed_s,
-                      d_rtrace=d_rtrace, div_s_up=div_s_up, div_r_up=div_r_up,
-                      alpha_ricci=A.ricci)
+                      t=t, t_low=t_low, t_trace=t_trace, q=q, e=e, s_cov=s_cov,
+                      r_cov=r_cov, div_mixed_s=div_mixed_s, alpha_ricci=A.ricci)
 
 
 @dataclass
 class BetaDerivatives:
     """Flag-level contractions of the beta tensors at one (x, y)."""
 
-    tables: BetaTables
-    y: np.ndarray
     alpha: float
     beta: float
     F: float
@@ -326,23 +305,21 @@ class BetaDerivatives:
     s00: float        # (s_0)_{;0} = (s_j)_{;k} y^j y^k
     r000: float       # r_{00;0}
     si0i: float       # (s^i_0)_{;i}
-    rtrace0: float    # (r^i_i)_{;0}
 
 
-def beta_derivatives(rd: RandersData, p: FlagPoint, tables: BetaTables | None = None) -> BetaDerivatives:
-    T = tables if tables is not None else beta_tables(
-        riemann.point_record(rd.alpha, p.x, 2), rd.beta.table(p.x, order=2))
-    y = np.asarray(p.y, float)
+def beta_derivatives(T: BetaTables, y) -> BetaDerivatives:
+    """The contractions of the beta tensors T with the direction y."""
+    y = np.asarray(y, float)
     alpha2 = float(y @ T.a @ y)
     alpha = math.sqrt(alpha2)
     beta = float(T.b_low @ y)
     return BetaDerivatives(
-        tables=T, y=y, alpha=alpha, beta=beta, F=alpha + beta,
+        alpha=alpha, beta=beta, F=alpha + beta,
         r00=float(y @ T.r @ y), s0=float(T.s_low @ y), e00=float(y @ T.e @ y),
         t00=float(y @ T.t @ y), t0=float(T.t_low @ y), q00=float(y @ T.q @ y),
         s00=float(np.einsum("jk,j,k->", T.s_cov, y, y)),
         r000=float(np.einsum("ijk,i,j,k->", T.r_cov, y, y, y)),
-        si0i=float(T.div_mixed_s @ y), rtrace0=float(T.d_rtrace @ y))
+        si0i=float(T.div_mixed_s @ y))
 
 
 # -- isotropic S fitting and closed-form Ricci ---------------------------------------
@@ -353,11 +330,6 @@ def sigma_terms(stab, y, v):
     table (value, gradient) of a sigma field at a point."""
     sval, dsig = stab
     return float(sval), float(dsig @ np.asarray(y, float)), float(dsig @ v), dsig
-
-
-def field_sigma_terms(sigma, x, y, v):
-    """`sigma_terms` of a sigma field at x."""
-    return sigma_terms(as_scalar_field(sigma).table(x, order=1)[:2], y, v)
 
 
 def fit_sigma_isotropic_S(T: BetaTables, y_samples):
@@ -392,9 +364,9 @@ def randers_ricci_closed_form(rd: RandersData, p: FlagPoint) -> float:
               - 1/(2F) (r_{00;0} - 2 alpha s_{0;0}).
     """
     n = rd.dim
-    bd = beta_derivatives(rd, p)
-    T = bd.tables
-    y = bd.y
+    T = beta_tables(riemann.point_record(rd.alpha, p.x, 2), rd.beta.table(p.x, order=2))
+    y = np.asarray(p.y, float)
+    bd = beta_derivatives(T, y)
     aric = float(np.einsum("jk,j,k->", T.alpha_ricci, y, y))
     alpha, F = bd.alpha, bd.F
     if F <= 0.0 or alpha <= 0.0:
@@ -404,53 +376,6 @@ def randers_ricci_closed_form(rd: RandersData, p: FlagPoint) -> float:
           - 0.5 / F * (bd.r000 - 2.0 * alpha * bd.s00))
     return aric + 2.0 * alpha * bd.si0i - 2.0 * bd.t00 - alpha * alpha * T.t_trace \
         + (n - 1) * xi
-
-
-def isotropic_s_identity_residuals(rd: RandersData, p: FlagPoint, sigma) -> dict:
-    """Residuals of the tensor identities implied by e_00 = 2 sigma (alpha^2 - beta^2).
-
-    Keys are identity names; values are absolute residuals, with 2-homogeneous
-    scalars normalized by alpha^2 and 1-homogeneous ones by alpha.
-    """
-    n = rd.dim
-    bd = beta_derivatives(rd, p)
-    T = bd.tables
-    y = bd.y
-    sig, sigma0, sigma_b, _ = field_sigma_terms(sigma, T.x, y, T.b_up)
-    alpha, beta, b2 = bd.alpha, bd.beta, T.b2
-    alpha2 = alpha * alpha
-    a_scale = max(1.0, float(np.max(np.abs(T.a))))
-
-    out = {}
-    out["e00-isotropy"] = abs(bd.e00 - 2.0 * sig * (alpha2 - beta * beta)) / alpha2
-    m = T.r + np.outer(T.s_low, T.b_low) + np.outer(T.b_low, T.s_low) \
-        - 2.0 * sig * (T.a - np.outer(T.b_low, T.b_low))
-    out["r-matrix"] = float(np.max(np.abs(m))) / a_scale
-    mm = T.ainv @ T.r + np.outer(T.s_up, T.b_low) + np.outer(T.b_up, T.s_low) \
-        - 2.0 * sig * (np.eye(n) - np.outer(T.b_up, T.b_low))
-    out["r-mixed"] = float(np.max(np.abs(mm)))
-    out["r-trace"] = abs(float(np.trace(T.ainv @ T.r)) - 2.0 * sig * (n - b2))
-    v = T.r_low + b2 * T.s_low - 2.0 * sig * (1.0 - b2) * T.b_low
-    out["r-covector"] = float(np.max(np.abs(v)))
-    out["r-scalar"] = abs(T.r_scalar - 2.0 * sig * b2 * (1.0 - b2))
-    vec = T.ainv @ T.r @ y + beta * T.s_up + T.b_up * bd.s0 - 2.0 * sig * (y - beta * T.b_up)
-    out["r-mixed-flag"] = float(np.max(np.abs(vec))) / alpha
-    out["r00"] = abs(bd.r00 + 2.0 * beta * bd.s0 - 2.0 * sig * (alpha2 - beta * beta)) / alpha2
-    out["r-trace-derivative"] = abs(
-        bd.rtrace0 - (2.0 * sigma0 * (n - b2)
-                      - 4.0 * sig * (1.0 - b2) * (2.0 * sig * beta + bd.s0))) / alpha
-    ss = float(T.s_low @ T.s_up)
-    out["r-divergence"] = abs(
-        T.div_r_up - (-2.0 * (1.0 - b2) * (ss - sigma_b - 2.0 * n * sig ** 2
-                                           + 6.0 * sig ** 2 * b2)
-                      - b2 * T.div_s_up))
-    out["q00"] = abs(bd.q00 + (bd.s0 ** 2 + bd.t0 * beta + 2.0 * sig * beta * bd.s0)) / alpha2
-    out["r00-derivative"] = abs(
-        bd.r000 - (-2.0 * bd.s00 * beta + 4.0 * bd.s0 ** 2 * beta
-                   + 8.0 * sig * bd.s0 * beta * beta
-                   + 2.0 * (sigma0 - 2.0 * sig * bd.s0 - 4.0 * sig ** 2 * beta)
-                   * (alpha2 - beta * beta))) / (alpha2 * alpha)
-    return out
 
 
 # -- navigation-side tensors ---------------------------------------------------------

@@ -153,7 +153,7 @@ def sample_point(rd: RandersData, nav: NavigationData, f, p, bundle) -> SamplePo
     A = riemann.record_from_tables(rd.alpha, p.x, riemann.matrix_gather(a_rows, space, 2))
     H = riemann.record_from_tables(nav.h, p.x, riemann.matrix_gather(point[0], space, 2))
     T = randers.beta_tables(A, riemann.vector_gather(b, space, 2))
-    return SamplePoint(p, base, A, T, randers.beta_derivatives(rd, p, tables=T), H,
+    return SamplePoint(p, base, A, T, randers.beta_derivatives(T, p.y), H,
                        randers.nav_tensors(H, riemann.vector_gather(point[1], space, 1)),
                        riemann.scalar_gather(fval, space, 2))
 
@@ -161,6 +161,17 @@ def sample_point(rd: RandersData, nav: NavigationData, f, p, bundle) -> SamplePo
 def _matrix_residual(res, scale) -> float:
     """max |res_ij| relative to max(1, max |scale_ij|)."""
     return float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(scale))))
+
+
+def _isotropic_s_row(bd: randers.BetaDerivatives, sval: float) -> float:
+    """The `isotropic-s` row: (e_00 - 2 sigma (alpha^2 - beta^2)) / alpha^2."""
+    a2 = bd.alpha ** 2
+    return (bd.e00 - 2.0 * sval * (a2 - bd.beta ** 2)) / a2
+
+
+def _conformal_w_row(bp: SamplePoint, sval: float) -> float:
+    """The `conformal-w` row: W_{i:j} + W_{j:i} + 4 sigma h_ij relative to h."""
+    return _matrix_residual(riemann.conformal_residual(bp.h, bp.nav.wcov, -sval), bp.nav.h)
 
 
 def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float, *,
@@ -196,7 +207,7 @@ def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float, *,
 
         rows["conformal-v"].append(
             _matrix_residual(riemann.conformal_residual(A, vcov, cval), T.a))
-        rows["isotropic-s"].append((bd.e00 - 2.0 * sval * (a2 - beta ** 2)) / a2)
+        rows["isotropic-s"].append(_isotropic_s_row(bd, sval))
         aric = float(p.y @ T.alpha_ricci @ p.y)
         rhs = ((kap - 2.0 * cval) * (a2 + beta ** 2) + T.t_trace * a2 + 2.0 * bd.t00
                - (n - 1) * sval ** 2 * (3.0 * a2 - beta ** 2)
@@ -241,8 +252,7 @@ def vector_soliton_checks_nav(v: VectorField, kappa, points, tol: float, *,
         cval = kap - mval + (n - 1) * sval ** 2 + 2.0 * (n - 1) * sigw
 
         rows["einstein-h"].append((float(p.y @ bp.h.ricci @ p.y) - mval * h2) / h2)
-        rows["conformal-w"].append(
-            _matrix_residual(riemann.conformal_residual(bp.h, T.wcov, -sval), T.h))
+        rows["conformal-w"].append(_conformal_w_row(bp, sval))
         lie_h2 = riemann.lie_h2(vcov, p.y)
         rhs3 = 2.0 * cval * h2 - 6.0 * (n - 1) * (sigw * h2 + sigma0 * w0)
         rows["lie-h2-balance"].append((lie_h2 - rhs3) / h2)
@@ -283,7 +293,7 @@ def gradient_soliton_checks_ab(kappa, points, tol: float, *,
         beta = bd.beta
         b2 = T.b2
 
-        rows["isotropic-s"].append((bd.e00 - 2.0 * sval * (a2 - beta ** 2)) / a2)
+        rows["isotropic-s"].append(_isotropic_s_row(bd, sval))
         aric = float(p.y @ T.alpha_ricci @ p.y)
         rhs = (kap * (a2 + beta ** 2) + 2.0 * bd.t00 + T.t_trace * a2
                - 2.0 * n * sigma0 * beta
@@ -333,8 +343,7 @@ def gradient_soliton_checks_nav(kappa, points, tol: float, *,
 
         rows["riemannian-soliton"].append(
             (float(p.y @ (bp.h.ricci + hess_h) @ p.y) - mval * h2) / h2)
-        rows["conformal-w"].append(
-            _matrix_residual(riemann.conformal_residual(bp.h, T.wcov, -sval), T.h))
+        rows["conformal-w"].append(_conformal_w_row(bp, sval))
         fS0 = float(df @ T.s_mixed @ p.y)
         fW_hess = float(p.y @ hess_h @ T.w_up)
         compat = sval * f0 - fS0 - fW_hess

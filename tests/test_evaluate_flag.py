@@ -23,7 +23,7 @@ def _points(fx, flags):
     return [solitons.sample_point(fx.rd, fx.nav, fx.f, p, False) for p in flags]
 
 
-def _separate_formulas(metric, measure, p, N):
+def _separate_formulas(metric, measure, p):
     """Each quantity from its own expansion and an unstacked spray, as the
     engine computed them before one evaluation per flag existed."""
     y = np.asarray(p.y, float)
@@ -50,18 +50,16 @@ def _separate_formulas(metric, measure, p, N):
     else:
         K = float(np.sum(R * A) / np.sum(A * A))
         fit = finsler.FlagCurvature(K, float(np.linalg.norm(R - K * A) / normR), False)
-    n = metric.dim
     return {"ricci": ric, "S": S, "dS_dx": dS_dx, "dS_dy": dS_dy, "s_dot": sdot,
-            "ric_inf": ric + sdot, "ric_N": ric + sdot - S * S / (N - n), "fit": fit}
+            "ric_inf": ric + sdot, "fit": fit}
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
 def test_evaluate_flag_equals_the_separate_formulas(name):
     fx = fixtures.get_fixture(name)
-    N = fx.dim + 2.5
     flags = _flags(fx)
     for p, ev in zip(flags, finsler.evaluate_flags(fx.metric, fx.measure, flags), strict=True):
-        want = _separate_formulas(fx.metric, fx.measure, p, N)
+        want = _separate_formulas(fx.metric, fx.measure, p)
         assert ev.bundle.ricci == want["ricci"]
         assert ev.S == want["S"]
         assert np.array_equal(ev.dS_dx, want["dS_dx"])
@@ -69,8 +67,6 @@ def test_evaluate_flag_equals_the_separate_formulas(name):
         assert ev.s_dot == want["s_dot"]
         assert ev.ric_inf == want["ric_inf"]
         assert ev.flag_curvature == want["fit"]
-        assert ev.ric_n(N) == want["ric_N"]
-        assert ev.ric_n(math.inf) == want["ric_inf"]
 
 
 def test_evaluate_flag_reuses_a_passed_density_table(monkeypatch):
@@ -299,12 +295,10 @@ def test_gradient_soliton_residual_expands_f2_once(monkeypatch):
     assert counter.orders == [4]
 
 
-def test_fd_bundle_reports_no_cartan_tensor():
+def test_fd_bundle_matches_the_jet_bundle():
     fx = fixtures.get_fixture("cigar")
     p = FlagPoint([1.0, 0.3], [0.4, -0.7])
     fd = finsler.curvature_bundle(fx.metric, [p], mode="fd")[0]
-    assert fd.cartan is None
     jet = finsler.curvature_bundle(fx.metric, [p])[0]
-    assert jet.cartan is not None and jet.cartan.shape == (2, 2, 2)
     np.testing.assert_array_equal(fd.dF2_dy, jet.dF2_dy)
     assert math.isclose(fd.ricci, jet.ricci, rel_tol=1e-6)

@@ -8,8 +8,7 @@ import pytest
 
 from finsler_solitons import finsler, generators, jets, randers, riemann
 from finsler_solitons.finsler import (FinslerMetric, FlagDomainError, Measure,
-                                      ParameterError, curvature_bundle, distortion,
-                                      evaluate_flags, lie_F2)
+                                      curvature_bundle, evaluate_flags, lie_F2)
 from finsler_solitons.jets import FlagPoint
 from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric
 
@@ -34,7 +33,7 @@ def sphere_metric(mu, k):
     return sm(mu, k)
 
 
-# -- fundamental and Cartan tensors -----------------------------------------------
+# -- fundamental tensor ------------------------------------------------------------
 
 
 def test_fundamental_tensor_riemannian_reduction():
@@ -61,24 +60,6 @@ def test_fundamental_tensor_cigar_positive_definite():
     p = FlagPoint([1.0, 0.0], [1.0, 0.0])
     g = curvature_bundle(F, [p])[0].g
     assert np.all(np.linalg.eigvalsh(g) > 0.0)
-
-
-def test_cartan_tensor_vanishes_iff_riemannian():
-    h = generators.random_riemann_metric(RNG, 2)
-    p = euclid_flag(2)
-    C = curvature_bundle(FinslerMetric.from_riemannian(h), [p])[0].cartan
-    assert np.max(np.abs(C)) <= 1e-11
-    rd = generators.random_randers(RNG, 2)
-    C2 = curvature_bundle(randers.finsler_from_randers(rd), [p])[0].cartan
-    assert np.max(np.abs(C2)) > 1e-4
-
-
-def test_cartan_contraction_with_y_vanishes():
-    rd = generators.random_randers(RNG, 3)
-    F = randers.finsler_from_randers(rd)
-    p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
-    C = curvature_bundle(F, [p])[0].cartan
-    assert np.max(np.abs(np.einsum("ijk,i->jk", C, p.y))) <= 1e-10
 
 
 # -- spray -------------------------------------------------------------------------
@@ -159,28 +140,9 @@ def test_homogeneity_suite():
         np.testing.assert_allclose(bq.riemann, lam * lam * bp.riemann, rtol=1e-10)
         assert evaluate_flags(F, measure, [q])[0].S == pytest.approx(
             lam * evaluate_flags(F, measure, [p])[0].S, rel=1e-10)
-        assert distortion(F, measure, q) == pytest.approx(
-            distortion(F, measure, p), rel=1e-10)
 
 
-# -- distortion and S-curvature -------------------------------------------------------
-
-
-def test_distortion_riemannian_zero():
-    h = generators.random_riemann_metric(RNG, 2)
-    F = FinslerMetric.from_riemannian(h)
-    m = Measure.riemannian(h)
-    p = euclid_flag(2)
-    assert distortion(F, m, p) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_distortion_weighted_equals_weight():
-    h = generators.random_riemann_metric(RNG, 2)
-    f = generators.random_scalar_field(RNG, 2)
-    F = FinslerMetric.from_riemannian(h)
-    m = Measure.riemannian(h).weighted(f)
-    p = euclid_flag(2)
-    assert distortion(F, m, p) == pytest.approx(float(f(list(p.x))), rel=1e-10)
+# -- S-curvature ---------------------------------------------------------------------
 
 
 def test_s_curvature_riemannian_zero():
@@ -240,9 +202,8 @@ def test_s_dot_navigation_closed_form():
     p = FlagPoint(generators.sample_box_point(RNG, 2), RNG.normal(size=2))
     H = riemann.point_record(nav.h, p.x, 1)
     T = randers.nav_tensors(H, nav.W.table(p.x, order=1))
-    closed = s_dot_closed_form_nav(H, T, F.value(p.x, p.y),
-                                   randers.field_sigma_terms(sigma, p.x, p.y, T.w_up),
-                                   f.table(p.x, order=2), p.y)
+    sig = randers.sigma_terms(sigma.table(p.x, order=1), p.y, T.w_up)
+    closed = s_dot_closed_form_nav(H, T, F.value(p.x, p.y), sig, f.table(p.x, order=2), p.y)
     assert evaluate_flags(F, m, [p])[0].s_dot == pytest.approx(closed, rel=1e-8, abs=1e-10)
 
 
@@ -258,28 +219,6 @@ def test_weighted_ricci_gaussian():
     p = euclid_flag(2)
     F2 = F.value(p.x, p.y) ** 2
     assert evaluate_flags(F, m, [p])[0].ric_inf == pytest.approx(rho * F2, rel=1e-12)
-
-
-def test_weighted_ricci_rejects_small_N():
-    h = euclidean_metric(2)
-    F = FinslerMetric.from_riemannian(h)
-    m = Measure.riemannian(h)
-    ev = evaluate_flags(F, m, [euclid_flag(2)])[0]
-    for N in (2.0, 1.5):
-        with pytest.raises(ParameterError):
-            ev.ric_n(N)
-
-
-def test_weighted_ricci_monotone_in_N():
-    h = euclidean_metric(2)
-    F = FinslerMetric.from_riemannian(h)
-    f = ScalarField(lambda x: 0.4 * x[0] + 0.7 * x[1])
-    m = Measure.riemannian(h).weighted(f)
-    p = euclid_flag(2)
-    ev = evaluate_flags(F, m, [p])[0]
-    vals = [ev.ric_n(N) for N in (2.5, 4.0, 11.0, math.inf)]
-    assert all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == ev.ric_inf
 
 
 # -- Lie derivative of F^2 --------------------------------------------------------------

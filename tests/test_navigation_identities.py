@@ -74,7 +74,7 @@ def _isotropic_s_reference(count, seed):
         mu_t = float(rng.uniform(-1.0, 1.0))
         H1 = riemann.point_record(nav.h, x, 1)
         N = randers.nav_tensors(H1, nav.W.table(x, order=1))
-        sig = randers.field_sigma_terms(sigma, x, y, N.w_up)
+        sig = randers.sigma_terms(sigma.table(x, order=1), y, N.w_up)
         lhs, rhs = randers.ricci_transfer_sides(
             finsler.curvature_bundle(metric, [p])[0].ricci, metric.value(x, y),
             riemann.point_record(nav.h, x, 2), N, sig, mu_t, y)

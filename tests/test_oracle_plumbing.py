@@ -358,7 +358,7 @@ def _separate_fd_oracles(metric, measure, p, step1=1e-5, step2=3e-4):
     R = finsler._assemble_riemann(y, G, dx, dy, dxdy, dydy)
     err = finsler._riemann_error(y, G, dy, (e_dx, e_dy, e_dxdy, e_dydy))
     bundle = finsler.CurvatureBundle(
-        x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=g, cartan=None, spray=G,
+        x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=g, spray=G,
         dG_dx=dx, dG_dy=dy, d2G_dxdy=dxdy, d2G_dydy=dydy, riemann=R,
         ricci=float(np.trace(R)), r_error=float(np.linalg.norm(err)))
     return bundle, _s_dot_fd_per_point(metric, measure, p, step=step1)

@@ -107,8 +107,6 @@ def _beta_tables(rd, x):
     s_mixed = ainv @ s
     s_low = b_up @ s
     s_up = ainv @ s_low
-    r_low = b_up @ r
-    r_up = ainv @ r_low
     t = s @ s_mixed
     t_mixed = ainv @ t
     db_up = np.einsum("kij,j->ik", dainv, b0) + np.einsum("ij,jk->ik", ainv, db)
@@ -118,20 +116,13 @@ def _beta_tables(rd, x):
     r_cov = dr.transpose(1, 2, 0) - np.einsum("pik,pj->ijk", gamma, r) \
         - np.einsum("pjk,ip->ijk", gamma, r)
     ds_mixed = np.einsum("kip,pj->kij", dainv, s) + np.einsum("ip,kpj->kij", ainv, ds)
-    ds_up = np.einsum("kij,j->ki", dainv, s_low) + np.einsum("ij,kj->ki", ainv, ds_low)
-    dr_up = np.einsum("kij,j->ki", dainv, r_low) + np.einsum(
-        "ij,kj->ki", ainv, np.einsum("ik,ij->kj", db_up, r) + np.einsum("i,kij->kj", b_up, dr))
     return dict(
         x=x, a=a0, ainv=ainv, b_low=b0, b_up=b_up, b2=b2, bcov=bcov, r=r, s=s,
-        s_mixed=s_mixed, s_low=s_low, s_up=s_up, r_low=r_low,
-        r_scalar=float(b_up @ r_low), t=t, t_low=b_up @ t,
+        s_mixed=s_mixed, s_low=s_low, s_up=s_up, t=t, t_low=b_up @ t,
         t_trace=float(np.trace(t_mixed)), q=r @ s_mixed,
         e=r + np.outer(b0, s_low) + np.outer(s_low, b0), s_cov=s_cov, r_cov=r_cov,
         div_mixed_s=(np.einsum("iij->j", ds_mixed) + np.einsum("iip,pj->j", gamma, s_mixed)
                      - np.einsum("pji,ip->j", gamma, s_mixed)),
-        d_rtrace=np.einsum("kij,ji->k", dainv, r) + np.einsum("ij,kji->k", ainv, dr),
-        div_s_up=float(np.einsum("kk->", ds_up) + np.einsum("iip,p->", gamma, s_up)),
-        div_r_up=float(np.einsum("kk->", dr_up) + np.einsum("iip,p->", gamma, r_up)),
         alpha_ricci=riemann.ricci_contraction(gamma, dgamma))
 
 

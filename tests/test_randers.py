@@ -15,7 +15,6 @@ from finsler_solitons.randers import (NavigationData, NavigationDomainError,
                                       finsler_from_navigation,
                                       finsler_from_randers,
                                       fit_sigma_isotropic_S, from_navigation,
-                                      isotropic_s_identity_residuals,
                                       lie_nav_h2_sides, nav_tensors,
                                       randers_ricci_closed_form,
                                       ricci_transfer_sides, to_navigation)
@@ -323,7 +322,7 @@ def test_closed_form_beta_has_no_curl():
 def test_cigar_e00_vanishes():
     rd = from_navigation(cigar_navigation())
     p = FlagPoint([0.7, 0.1], RNG.normal(size=2))
-    bd = beta_derivatives(rd, p)
+    bd = beta_derivatives(tables_at(rd, p.x), p.y)
     assert abs(bd.e00) <= 1e-13
 
 
@@ -420,41 +419,6 @@ def test_closed_form_vs_spray_on_random_metrics():
         assert abs(closed - spray_val) / max(abs(spray_val), F2) <= 1e-8
 
 
-# -- identities implied by isotropic S ---------------------------------------------------------
-
-
-def test_isotropic_identities_cigar():
-    rd = from_navigation(cigar_navigation())
-    p = FlagPoint([0.8, 0.4], RNG.normal(size=2))
-    res = isotropic_s_identity_residuals(rd, p, 0.0)
-    assert max(res.values()) <= 1e-9
-
-
-def test_isotropic_identities_riemannian_trivial():
-    rd = RandersData(alpha=generators.random_riemann_metric(RNG, 2),
-                     beta=VectorField(lambda x: [0.0, 0.0]))
-    p = FlagPoint(generators.sample_box_point(RNG, 2), RNG.normal(size=2))
-    res = isotropic_s_identity_residuals(rd, p, 0.0)
-    assert max(res.values()) <= 1e-12
-
-
-def test_isotropic_identities_cylinder():
-    from finsler_solitons.fixtures import shrinking_cylinder
-
-    fx = shrinking_cylinder()
-    p = FlagPoint(fx.sample_x(RNG), RNG.normal(size=4))
-    res = isotropic_s_identity_residuals(fx.rd, p, 0.0)
-    assert max(res.values()) <= 1e-9
-
-
-def test_isotropic_identities_nonconstant_sigma():
-    nav, sigma, _ = generators.conformal_euclidean_navigation(RNG, 2)
-    rd = from_navigation(nav)
-    p = FlagPoint(generators.sample_box_point(RNG, 2), RNG.normal(size=2))
-    res = isotropic_s_identity_residuals(rd, p, sigma)
-    assert max(res.values()) <= 1e-9
-
-
 # -- navigation Lie and curvature-transfer identities ---------------------------------------------
 
 
@@ -524,7 +488,7 @@ def test_navigation_xi_uses_the_tabled_value_of_w():
         raise AssertionError("no point where the two values of W reach both right sides")
     # Both identities build xi on the jet value of W, never the float one.
     assert lie_nav_h2_sides(nav, v, p, F)[1] == _lie_rhs(nav, v, p, F, T.w_up)
-    sig = randers.field_sigma_terms(0.3, p.x, p.y, T.w_up)
+    sig = randers.sigma_terms(riemann.as_scalar_field(0.3).table(p.x, order=1), p.y, T.w_up)
     ric = finsler.curvature_bundle(metric, [p])[0].ricci
     rhs = ricci_transfer_sides(ric, F, H, T, sig, 0.0, p.y)[1]
     assert rhs == _transfer_rhs(H, p, F, T.w_up, 0.0)
@@ -537,7 +501,7 @@ def test_curvature_transfer_identity():
     F = metric.value(p.x, p.y)
     H = riemann.point_record(nav.h, p.x, 2)
     T = nav_tensors(H, nav.W.table(p.x, order=1))
-    sig = randers.field_sigma_terms(sigma, p.x, p.y, T.w_up)
+    sig = randers.sigma_terms(sigma.table(p.x, order=1), p.y, T.w_up)
     ric = finsler.curvature_bundle(metric, [p])[0].ricci
     for mu_t in (0.0, -0.6, 1.4):
         lhs, rhs = ricci_transfer_sides(ric, F, H, T, sig, mu_t, p.y)

@@ -131,7 +131,7 @@ def test_third_balance_equation_consistency():
         for p in flags_of(fx, 6):
             T = randers.beta_tables(riemann.point_record(fx.rd.alpha, p.x, 2),
                                     fx.rd.beta.table(p.x, order=2))
-            bd = randers.beta_derivatives(fx.rd, p, tables=T)
+            bd = randers.beta_derivatives(T, p.y)
             kap = float(riemann.scalar_value(fx.einstein(list(p.x))))
             want = kap * bd.beta + (n - 1) * bd.t0
             assert bd.si0i == pytest.approx(want, rel=1e-9, abs=1e-11)
