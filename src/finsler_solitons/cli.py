@@ -120,12 +120,12 @@ def _cmd_verify(args) -> int:
     except argparse.ArgumentTypeError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    try:
-        fixture = fixtures.get_fixture(args.fixture, perturb=perturb)
-    except KeyError:
+    if args.fixture not in fixtures.FIXTURE_NAMES:
         print(f"unknown fixture {args.fixture!r}; available: "
               f"{', '.join(fixtures.FIXTURE_NAMES)}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        fixture = fixtures.get_fixture(args.fixture, perturb=perturb)
     except fixtures.ConstructionError as exc:
         print(f"bad fixture configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -153,15 +153,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    if args.suite not in suites.CROSSCHECK_SUITES:
+        print(f"unknown suite {args.suite!r}; available: "
+              f"{', '.join(sorted(suites.CROSSCHECK_SUITES))}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         checks = suites.run_crosscheck_suite(args.suite, count=args.count,
                                              seed=args.seed, tol=args.tol)
     except ParameterError as exc:
         print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError:
-        print(f"unknown suite {args.suite!r}; available: "
-              f"{', '.join(sorted(suites.CROSSCHECK_SUITES))}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, RuntimeError) as exc:
         print(f"evaluation error in suite {args.suite!r}: {exc}", file=sys.stderr)

@@ -151,16 +151,16 @@ def weighted_density(f_value, density):
 # -- F^2 partial tables -------------------------------------------------------
 
 
-def _stage(metric: FinslerMetric, x, order: int):
-    """The metric's stage at x for an order-`order` expansion: x enters as
-    jets of order min(order, jets.X_ORDER) over the n x-variables, the
-    x-degree of the flag space (see the module notes)."""
-    return metric.at(Jet.variables([float(v) for v in x], min(order, jets.X_ORDER)))
+def _stage(metric: FinslerMetric, x):
+    """The metric's stage at x: x enters as jets of order jets.X_ORDER over
+    the n x-variables, the x-degree of the flag space (see the module
+    notes), so the stage serves expansions of order 2 to 4."""
+    return metric.at(Jet.variables([float(v) for v in x], jets.X_ORDER))
 
 
 def _f2_jet(stage, y, order: int) -> Jet:
     """F^2 as a jet over `jets.flag_space(n, order)` from the stage at x
-    (`_stage` at this order, or a `BasePoint`'s for orders 2 to 4)."""
+    (`_stage` or a `BasePoint`'s, for orders 2 to 4)."""
     n = len(y)
     flag_space = jets.flag_space(n, order)
     ys = [Jet.variable(float(v), n + k, flag_space) for k, v in enumerate(y)]
@@ -307,7 +307,7 @@ def curvature_bundle(metric: FinslerMetric, points, mode: str = "jet",
     an independent cross-check.
     """
     if stage_at is None:
-        stage_at = _memo(lambda x: _stage(metric, x, 4))
+        stage_at = _memo(lambda x: _stage(metric, x))
     if mode == "fd":
         return [_curvature_bundle_fd(metric, p, stage_at) for p in points]
     if mode != "jet":
@@ -487,7 +487,7 @@ class BasePoint:
 
 def base_point(metric: FinslerMetric, measure: Measure, x) -> BasePoint:
     """The base point of (metric, measure) at x."""
-    return BasePoint(x=np.asarray(x, float), stage=_stage(metric, x, 4),
+    return BasePoint(x=np.asarray(x, float), stage=_stage(metric, x),
                      logs=measure.log_density_table(x))
 
 
@@ -526,7 +526,7 @@ def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
     pairs = list(zip(points, bases, strict=True))
     if any(not np.array_equal(base.x, p.x) for p, base in pairs):
         raise ValueError("base point and flag are at different x")
-    stage_at = _memo(lambda x: _stage(metric, x, 4), *((p.x, base.stage) for p, base in pairs))
+    stage_at = _memo(lambda x: _stage(metric, x), *((p.x, base.stage) for p, base in pairs))
     bundles = curvature_bundle(metric, points, mode, stage_at)
     n = metric.dim
     out = []

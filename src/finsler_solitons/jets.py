@@ -101,11 +101,12 @@ class JetSpace:
     whose degree in the first `x_vars` variables is <= X_ORDER (with the
     default x_vars = 0, or order <= X_ORDER, no such bound).
     Storage is dense: one coefficient per kept multi-index, graded by degree.
-    The multiplication table (ia, ib, ic) lists every coefficient pair whose
-    product is kept.  A bigraded set restricts the plain (nvars, order)
-    table, in its order, to the pairs whose output is kept: the kept
-    multi-indices are a graded-lex subsequence, so every kept coefficient
-    sums the same products in the same order as in the plain space.
+    The multiplication table (ia, ib, ic) lists, in the multi-indices'
+    order, every coefficient pair whose product is kept.  The kept set is
+    downward closed and a graded-lex subsequence of the plain (nvars,
+    order) set, so a bigraded table is the plain one restricted to the
+    pairs whose output is kept, and every kept coefficient sums the same
+    products in the same order as in the plain space.
     """
 
     def __init__(self, nvars: int, order: int, x_vars: int = 0):
@@ -120,17 +121,11 @@ class JetSpace:
         self.nvars = nvars
         self.order = order
         self.x_vars = x_vars
-        if x_vars:
-            plain = jet_space(nvars, order)
-            keep = np.array([sum(m[:x_vars]) <= X_ORDER for m in plain.multis])
-            self._set_multis(m for m, k in zip(plain.multis, keep) if k)
-            back = np.full(plain.nterms, -1, dtype=np.intp)
-            back[keep] = np.arange(self.nterms)
-            pairs = keep[plain.mul_ic]
-            self.mul_ia, self.mul_ib, self.mul_ic = (
-                back[t[pairs]] for t in (plain.mul_ia, plain.mul_ib, plain.mul_ic))
-            return
-        self._set_multis(m for deg in range(order + 1) for m in _multis_of_degree(nvars, deg))
+        self.multis = tuple(m for deg in range(order + 1) for m in _multis_of_degree(nvars, deg)
+                            if sum(m[:x_vars]) <= X_ORDER)
+        self.index = {m: i for i, m in enumerate(self.multis)}
+        self.nterms = len(self.multis)
+        self.factorials = np.array([_multi_factorial(m) for m in self.multis], float)
         ia, ib, ic = [], [], []
         degs = [sum(m) for m in self.multis]
         for i, ma in enumerate(self.multis):
@@ -138,18 +133,14 @@ class JetSpace:
             for j, mb in enumerate(self.multis):
                 if da + degs[j] > order:
                     continue
-                ia.append(i)
-                ib.append(j)
-                ic.append(self.index[tuple(a + b for a, b in zip(ma, mb))])
+                k = self.index.get(tuple(a + b for a, b in zip(ma, mb)))
+                if k is not None:
+                    ia.append(i)
+                    ib.append(j)
+                    ic.append(k)
         self.mul_ia = np.asarray(ia, dtype=np.intp)
         self.mul_ib = np.asarray(ib, dtype=np.intp)
         self.mul_ic = np.asarray(ic, dtype=np.intp)
-
-    def _set_multis(self, multis):
-        self.multis = tuple(multis)
-        self.index = {m: i for i, m in enumerate(self.multis)}
-        self.nterms = len(self.multis)
-        self.factorials = np.array([_multi_factorial(m) for m in self.multis], float)
 
     def __repr__(self):
         bound = f", x_vars={self.x_vars}" if self.x_vars else ""

@@ -404,7 +404,7 @@ def nav_tensors(H: riemann.PointRecord, wtab) -> NavTensors:
     lam = 1.0 - float(w0 @ h0 @ w0)
     if lam <= 0.0:
         raise NavigationDomainError(f"lambda = {lam:.6f} <= 0 at {x.tolist()}")
-    wcov = riemann.lowered_covariant_derivative(h0, H.dh, H.gamma, w0, dw)
+    wcov = riemann.lowered_covariant_derivative(H, w0, dw)
     s_asym = 0.5 * (wcov - wcov.T)
     s_low = w0 @ s_asym
     return NavTensors(x=x, h=h0, w_up=w0, w_low=h0 @ w0, lam=lam, wcov=wcov,
@@ -453,7 +453,7 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint, F: float
     htilde = math.sqrt(float(xi @ T.h @ xi))
     wt0 = float(T.w_low @ xi)
     v0, dv = v.table(p.x, order=1)
-    vcov = riemann.lowered_covariant_derivative(H.h0, H.dh, H.gamma, v0, dv)
+    vcov = riemann.lowered_covariant_derivative(H, v0, dv)
     v00 = float(xi @ vcov @ xi)
     mixed = float((vcov @ T.w_up - T.wcov @ v0) @ xi)
     rhs = 2.0 / (htilde + wt0) * (htilde * v00 + htilde * htilde * mixed)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 PASS = "pass"
 FAIL = "fail"
-NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass
@@ -32,23 +31,12 @@ class ResidualReport:
         return self.verdict != FAIL
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-            "tol": self.tol,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
-def report_from_values(name, values, tol, detail="", applicable=True) -> ResidualReport:
+def report_from_values(name, values, tol, detail="") -> ResidualReport:
+    """The report of a non-empty sequence of residuals."""
     values = np.abs(np.asarray(list(values), float))
-    if values.size == 0 or not applicable:
-        return ResidualReport(name=name, samples=int(values.size), max_abs=0.0,
-                              mean_abs=0.0, tol=tol,
-                              verdict=NOT_APPLICABLE, detail=detail)
     max_abs = float(np.max(values))
     mean_abs = float(np.mean(values))
     verdict = PASS if max_abs <= tol else FAIL

@@ -298,10 +298,11 @@ def covariant_1form(gamma, b0, db) -> np.ndarray:
     return db - np.einsum("kij,k->ij", gamma, b0)
 
 
-def lowered_covariant_derivative(h0, dh, gamma, w0, dw) -> np.ndarray:
-    """W_{i:j} = d_j (h_ik W^k) - Gamma^k_ij h_kl W^l from the tables of h and W."""
-    dwl = np.einsum("jik,k->ij", dh, w0) + np.einsum("ik,kj->ij", h0, dw)
-    return covariant_1form(gamma, h0 @ w0, dwl)
+def lowered_covariant_derivative(rec: PointRecord, w0, dw) -> np.ndarray:
+    """W_{i:j} = d_j (h_ik W^k) - Gamma^k_ij h_kl W^l from a record of h and
+    W's order-1 table (W^i, d_j W^i) at its point."""
+    dwl = np.einsum("jik,k->ij", rec.dh, w0) + np.einsum("ik,kj->ij", rec.h0, dw)
+    return covariant_1form(rec.gamma, rec.h0 @ w0, dwl)
 
 
 def hessian_tensor(rec: PointRecord, ftab) -> np.ndarray:

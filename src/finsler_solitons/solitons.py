@@ -11,23 +11,27 @@ Four equivalent descriptions are implemented and cross-checked:
   * navigation characterizations: V-form (`vector_soliton_checks_nav`) and
     gradient form (`gradient_soliton_checks_nav`).
 
-Each sample flag of a fixture (navigation data and a weight f) is one
-`SamplePoint`, gathered from one jet evaluation of h, W and f at x; the
-flag rows, the kappa and sigma fits and the four bundles read it.  The
-vector bundles table V once per flag and feed its covariant derivative to
-the table formulas of `riemann` (Lie derivatives, conformal residual).
+Each sample flag of a fixture (navigation data, a weight f and the
+isotropic S-curvature sigma) is one `SamplePoint`, gathered from one jet
+evaluation of h, W and f at x, with sigma's order-1 table at a bundle
+point; the flag rows, the kappa and sigma fits and the four bundles read
+it.  A bundle is its row formulas: at each point it appends one tuple of
+row values, and `_bundle_reports` makes one report per row.  The vector
+bundles table V once per flag and feed its covariant derivative to the
+table formulas of `riemann` (Lie derivatives, conformal residual).
 
 All 2-homogeneous residuals are normalized by F^2 (or h^2), 1-homogeneous
 ones by F (or h) and matrix residuals by max(1, max |a_ij|) (or h_ij), so
-tolerances are scale-free.  The bundles check the scalars kappa, sigma, c and mu that
-the caller declares (fields or constants); kappa and sigma are also fitted
-by least squares (`fit_kappa`, `fit_sigma`) for the fixture suite's fit rows.
+tolerances are scale-free.  The bundles check the scalars kappa, c and mu
+that the caller declares (fields or constants) and the sample points' sigma;
+kappa and sigma are also fitted by least squares (`fit_kappa`, `fit_sigma`)
+for the fixture suite's fit rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,9 +115,8 @@ class SamplePoint:
     """A sample flag p and what every check reads there: `base`, the stage of
     F and the log-density table of e^{-f} dm_BH at x; at a bundle flag (else
     None) also the order-2 records of alpha and h, the beta tensors and their
-    y-contractions, the W tensors and f's order-2 table (value, grad, hess).
-    The bundles read a sigma field's order-1 table through `sigma_table`,
-    which tables it once per point."""
+    y-contractions, the W tensors, f's order-2 table (value, grad, hess) and
+    sigma's order-1 table (value, grad)."""
 
     p: FlagPoint
     base: finsler.BasePoint
@@ -123,23 +126,18 @@ class SamplePoint:
     h: riemann.PointRecord | None
     nav: randers.NavTensors | None
     f: tuple | None
-    _sigma: tuple | None = field(default=None, repr=False)     # (field, its table)
-
-    def sigma_table(self, sigma):
-        """(value, gradient) of the sigma field `sigma` at x: one jet pass
-        per point, kept for the next caller with the same field object."""
-        if self._sigma is None or self._sigma[0] is not sigma:
-            self._sigma = (sigma, as_scalar_field(sigma).table(self.p.x, order=1)[:2])
-        return self._sigma[1]
+    sigma: tuple | None
 
 
-def sample_point(rd: RandersData, nav: NavigationData, f, p, bundle) -> SamplePoint:
-    """The sample point at p of nav, rd = from_navigation(nav) and f (bundle
-    data if `bundle`): every table is gathered (W's to order 1) from one
-    guarded evaluation of h rows, W, lambda, h W and f at order-2 x jets.
+def sample_point(rd: RandersData, nav: NavigationData, f, sigma, p, bundle) -> SamplePoint:
+    """The sample point at p of nav, rd = from_navigation(nav), the weight f
+    and the S-curvature field sigma (bundle data if `bundle`): every table
+    but sigma's is gathered (W's to order 1) from one guarded evaluation of
+    h rows, W, lambda, h W and f at order-2 x jets.
 
     The density of dm_BH is sqrt(det h) (Xing 2005), so a point builds the
-    (alpha, beta) rows from that evaluation only if it is a bundle point."""
+    (alpha, beta) rows from that evaluation, and tables sigma, only if it is
+    a bundle point."""
     xs = Jet.variables([float(v) for v in p.x], 2)
     space = xs[0].space
     point = randers._navigation_point(nav, xs)
@@ -148,14 +146,15 @@ def sample_point(rd: RandersData, nav: NavigationData, f, p, bundle) -> SamplePo
     base = finsler.BasePoint(p.x, randers._navigation_stage(point),
                              riemann.scalar_gather(jets.log(density), space, 2))
     if not bundle:
-        return SamplePoint(p, base, None, None, None, None, None, None)
+        return SamplePoint(p, base, None, None, None, None, None, None, None)
     a_rows, b = randers._alpha_rows(point), randers._beta_low(point)
     A = riemann.record_from_tables(rd.alpha, p.x, riemann.matrix_gather(a_rows, space, 2))
     H = riemann.record_from_tables(nav.h, p.x, riemann.matrix_gather(point[0], space, 2))
     T = randers.beta_tables(A, riemann.vector_gather(b, space, 2))
     return SamplePoint(p, base, A, T, randers.beta_derivatives(T, p.y), H,
                        randers.nav_tensors(H, riemann.vector_gather(point[1], space, 1)),
-                       riemann.scalar_gather(fval, space, 2))
+                       riemann.scalar_gather(fval, space, 2),
+                       as_scalar_field(sigma).table(p.x, order=1))
 
 
 def _matrix_residual(res, scale) -> float:
@@ -174,8 +173,15 @@ def _conformal_w_row(bp: SamplePoint, sval: float) -> float:
     return _matrix_residual(riemann.conformal_residual(bp.h, bp.nav.wcov, -sval), bp.nav.h)
 
 
+def _bundle_reports(names, rows, tol) -> list[ResidualReport]:
+    """One report per row name, in order, over the matching entry of every
+    point's tuple of row values."""
+    return [report_from_values(name, [row[k] for row in rows], tol)
+            for k, name in enumerate(names)]
+
+
 def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float, *,
-                             c, sigma) -> list[ResidualReport]:
+                             c) -> list[ResidualReport]:
     """(alpha, beta) residuals for the vector-field soliton characterization:
 
       (i)   V_{i;j} + V_{j;i} = 4 c a_ij
@@ -185,44 +191,36 @@ def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float, *,
               - (n-1)(s_0^2 + s_{0;0})
       (iv)  3(n-1) sigma_0 = 2 c beta - L_V(beta)
 
-    at each `SamplePoint` (bundle data of alpha, beta), with V tabled once
-    per point.
+    at each `SamplePoint` (bundle data of alpha, beta and sigma), with V
+    tabled once per point.
     """
-    rows = {k: [] for k in ("conformal-v", "isotropic-s", "alpha-ricci-balance",
-                            "sigma-lie-balance")}
-    applicable = True
+    rows = []
     for bp in points:
         p, T, bd, A = bp.p, bp.beta, bp.bd, bp.alpha
         n = p.dim
-        if float(np.max(np.abs(T.b_low))) < 1e-14:
-            applicable = False
-            break
         v0, dv = v.table(p.x, order=1)
-        vcov = riemann.lowered_covariant_derivative(A.h0, A.dh, A.gamma, v0, dv)
+        vcov = riemann.lowered_covariant_derivative(A, v0, dv)
         cval = field_value(c, p.x)
-        sval, sigma0, _, _ = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.b_up)
+        sval, sigma0, _, _ = randers.sigma_terms(bp.sigma, p.y, T.b_up)
         kap = field_value(kappa, p.x)
         a2 = bd.alpha ** 2
         beta = bd.beta
-
-        rows["conformal-v"].append(
-            _matrix_residual(riemann.conformal_residual(A, vcov, cval), T.a))
-        rows["isotropic-s"].append(_isotropic_s_row(bd, sval))
         aric = float(p.y @ T.alpha_ricci @ p.y)
         rhs = ((kap - 2.0 * cval) * (a2 + beta ** 2) + T.t_trace * a2 + 2.0 * bd.t00
                - (n - 1) * sval ** 2 * (3.0 * a2 - beta ** 2)
                + 2.0 * (n - 1) * sigma0 * beta
                - (n - 1) * (bd.s0 ** 2 + bd.s00))
-        rows["alpha-ricci-balance"].append((aric - rhs) / a2)
         lie_beta = riemann.lie_1form(v0, vcov, T.b_up, T.bcov, p.y)
-        rows["sigma-lie-balance"].append(
-            (3.0 * (n - 1) * sigma0 - (2.0 * cval * beta - lie_beta)) / bd.alpha)
-    return [report_from_values(name, vals, tol, applicable=applicable)
-            for name, vals in rows.items()]
+        rows.append((_matrix_residual(riemann.conformal_residual(A, vcov, cval), T.a),
+                     _isotropic_s_row(bd, sval),
+                     (aric - rhs) / a2,
+                     (3.0 * (n - 1) * sigma0 - (2.0 * cval * beta - lie_beta)) / bd.alpha))
+    return _bundle_reports(("conformal-v", "isotropic-s", "alpha-ricci-balance",
+                            "sigma-lie-balance"), rows, tol)
 
 
 def vector_soliton_checks_nav(v: VectorField, kappa, points, tol: float, *,
-                              mu, sigma) -> list[ResidualReport]:
+                              mu) -> list[ResidualReport]:
     """Navigation residuals for the vector-field soliton characterization:
 
       (i)   hRic = mu h^2                       (h Einstein)
@@ -231,40 +229,33 @@ def vector_soliton_checks_nav(v: VectorField, kappa, points, tol: float, *,
       (iv)  L_V(W_0) = c W_0 - 3(n-1){ 2 (sigma_i W^i) W_0 - lam sigma_0 }
 
     with c = kappa - mu + (n-1) sigma^2 + 2(n-1) sigma_i W^i, at each
-    `SamplePoint` (bundle data of h, W), with V tabled once per point.
+    `SamplePoint` (bundle data of h, W and sigma), with V tabled once per
+    point.
     """
-    rows = {k: [] for k in ("einstein-h", "conformal-w", "lie-h2-balance",
-                            "lie-w0-balance")}
-    applicable = True
+    rows = []
     for bp in points:
         p, T = bp.p, bp.nav
         n = p.dim
-        if float(np.max(np.abs(T.w_up))) < 1e-14:
-            applicable = False
-            break
         h2 = float(p.y @ T.h @ p.y)
         w0 = float(T.w_low @ p.y)
         v0, dv = v.table(p.x, order=1)
-        vcov = riemann.lowered_covariant_derivative(bp.h.h0, bp.h.dh, bp.h.gamma, v0, dv)
+        vcov = riemann.lowered_covariant_derivative(bp.h, v0, dv)
         mval = field_value(mu, p.x)
-        sval, sigma0, sigw, _ = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.w_up)
+        sval, sigma0, sigw, _ = randers.sigma_terms(bp.sigma, p.y, T.w_up)
         kap = field_value(kappa, p.x)
         cval = kap - mval + (n - 1) * sval ** 2 + 2.0 * (n - 1) * sigw
-
-        rows["einstein-h"].append((float(p.y @ bp.h.ricci @ p.y) - mval * h2) / h2)
-        rows["conformal-w"].append(_conformal_w_row(bp, sval))
-        lie_h2 = riemann.lie_h2(vcov, p.y)
         rhs3 = 2.0 * cval * h2 - 6.0 * (n - 1) * (sigw * h2 + sigma0 * w0)
-        rows["lie-h2-balance"].append((lie_h2 - rhs3) / h2)
         lie_w0 = riemann.lie_1form(v0, vcov, T.w_up, T.wcov, p.y)
         rhs4 = cval * w0 - 3.0 * (n - 1) * (2.0 * sigw * w0 - T.lam * sigma0)
-        rows["lie-w0-balance"].append((lie_w0 - rhs4) / math.sqrt(h2))
-    return [report_from_values(name, vals, tol, applicable=applicable)
-            for name, vals in rows.items()]
+        rows.append(((float(p.y @ bp.h.ricci @ p.y) - mval * h2) / h2,
+                     _conformal_w_row(bp, sval),
+                     (riemann.lie_h2(vcov, p.y) - rhs3) / h2,
+                     (lie_w0 - rhs4) / math.sqrt(h2)))
+    return _bundle_reports(("einstein-h", "conformal-w", "lie-h2-balance",
+                            "lie-w0-balance"), rows, tol)
 
 
-def gradient_soliton_checks_ab(kappa, points, tol: float, *,
-                               sigma) -> list[ResidualReport]:
+def gradient_soliton_checks_ab(kappa, points, tol: float) -> list[ResidualReport]:
     """(alpha, beta) residuals for the gradient soliton characterization:
 
       (i)   e_00 = 2 sigma (alpha^2 - beta^2)
@@ -275,15 +266,14 @@ def gradient_soliton_checks_ab(kappa, points, tol: float, *,
               + f_{;0j} b^j + (s_0 + 2 sigma beta)(f_i b^i)
       (iv)  the right side of (iii) alone; sigma is constant when it vanishes
 
-    at each `SamplePoint` (bundle data of alpha, beta), whose f table gives
-    the weight f.
+    at each `SamplePoint` (bundle data of alpha, beta and sigma), whose f
+    table gives the weight f.
     """
-    rows = {k: [] for k in ("isotropic-s", "alpha-ricci-balance",
-                            "sigma-gradient-balance", "sigma-constancy")}
+    rows = []
     for bp in points:
         p, T, bd = bp.p, bp.beta, bp.bd
         n = p.dim
-        sval, sigma0, _, _ = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.b_up)
+        sval, sigma0, _, _ = randers.sigma_terms(bp.sigma, p.y, T.b_up)
         kap = field_value(kappa, p.x)
         df = bp.f[1]
         f0 = float(df @ p.y)
@@ -292,8 +282,6 @@ def gradient_soliton_checks_ab(kappa, points, tol: float, *,
         a2 = bd.alpha ** 2
         beta = bd.beta
         b2 = T.b2
-
-        rows["isotropic-s"].append(_isotropic_s_row(bd, sval))
         aric = float(p.y @ T.alpha_ricci @ p.y)
         rhs = (kap * (a2 + beta ** 2) + 2.0 * bd.t00 + T.t_trace * a2
                - 2.0 * n * sigma0 * beta
@@ -301,20 +289,20 @@ def gradient_soliton_checks_ab(kappa, points, tol: float, *,
                             - sval ** 2 * beta ** 2)
                - 2.0 * (bd.s0 + sval * beta) * f0
                - float(p.y @ hess_a @ p.y))
-        rows["alpha-ricci-balance"].append((aric - rhs) / a2)
         s_mixed_y = T.s_mixed @ p.y
         grad_terms = (sval * (1.0 + b2) * f0
                       + float(df @ (s_mixed_y - T.s_up * beta))
                       + float(p.y @ hess_a @ T.b_up)
                       + (bd.s0 + 2.0 * sval * beta) * fb)
-        rows["sigma-gradient-balance"].append(
-            ((2.0 * n - 1.0) * (1.0 - b2) * sigma0 - grad_terms) / bd.alpha)
-        rows["sigma-constancy"].append(grad_terms / bd.alpha)
-    return [report_from_values(name, vals, tol) for name, vals in rows.items()]
+        rows.append((_isotropic_s_row(bd, sval),
+                     (aric - rhs) / a2,
+                     ((2.0 * n - 1.0) * (1.0 - b2) * sigma0 - grad_terms) / bd.alpha,
+                     grad_terms / bd.alpha))
+    return _bundle_reports(("isotropic-s", "alpha-ricci-balance", "sigma-gradient-balance",
+                            "sigma-constancy"), rows, tol)
 
 
-def gradient_soliton_checks_nav(kappa, points, tol: float, *,
-                                mu, sigma) -> list[ResidualReport]:
+def gradient_soliton_checks_nav(kappa, points, tol: float, *, mu) -> list[ResidualReport]:
     """Navigation residuals for the gradient soliton characterization:
 
       (i)   hRic + Hess_h(f) = mu h^2          ((h, f) Riemannian gradient soliton)
@@ -323,36 +311,31 @@ def gradient_soliton_checks_nav(kappa, points, tol: float, *,
       (iv)  (sigma_i - sigma f_i) W^i = kappa - mu + (n-1) sigma^2
       (v)   sigma f_0 - f_k S^k_0 - f_{:0j} W^j alone; sigma is constant when 0
 
-    at each `SamplePoint` (bundle data of h, W), whose f table gives the
-    weight f.
+    at each `SamplePoint` (bundle data of h, W and sigma), whose f table
+    gives the weight f.
     """
-    rows = {k: [] for k in ("riemannian-soliton", "conformal-w",
-                            "sigma-gradient-balance", "scalar-compatibility",
-                            "sigma-constancy")}
+    rows = []
     for bp in points:
         p, T = bp.p, bp.nav
         n = p.dim
         h2 = float(p.y @ T.h @ p.y)
         hnorm = math.sqrt(h2)
         mval = field_value(mu, p.x)
-        sval, sigma0, sigw, dsig = randers.sigma_terms(bp.sigma_table(sigma), p.y, T.w_up)
+        sval, sigma0, sigw, dsig = randers.sigma_terms(bp.sigma, p.y, T.w_up)
         kap = field_value(kappa, p.x)
         df = bp.f[1]
         hess_h = riemann.hessian_tensor(bp.h, bp.f)
         f0 = float(df @ p.y)
-
-        rows["riemannian-soliton"].append(
-            (float(p.y @ (bp.h.ricci + hess_h) @ p.y) - mval * h2) / h2)
-        rows["conformal-w"].append(_conformal_w_row(bp, sval))
         fS0 = float(df @ T.s_mixed @ p.y)
         fW_hess = float(p.y @ hess_h @ T.w_up)
         compat = sval * f0 - fS0 - fW_hess
-        rows["sigma-gradient-balance"].append(
-            ((2.0 * n - 1.0) * sigma0 - compat) / hnorm)
-        rows["scalar-compatibility"].append(
-            float((dsig - sval * df) @ T.w_up) - (kap - mval + (n - 1) * sval ** 2))
-        rows["sigma-constancy"].append(compat / hnorm)
-    return [report_from_values(name, vals, tol) for name, vals in rows.items()]
+        rows.append(((float(p.y @ (bp.h.ricci + hess_h) @ p.y) - mval * h2) / h2,
+                     _conformal_w_row(bp, sval),
+                     ((2.0 * n - 1.0) * sigma0 - compat) / hnorm,
+                     float((dsig - sval * df) @ T.w_up) - (kap - mval + (n - 1) * sval ** 2),
+                     compat / hnorm))
+    return _bundle_reports(("riemannian-soliton", "conformal-w", "sigma-gradient-balance",
+                            "scalar-compatibility", "sigma-constancy"), rows, tol)
 
 
 # -- navigation closed form for the S-curvature rate -----------------------------------

@@ -87,8 +87,8 @@ def run_fixture_suite(fixture, samples, seed, tol=1e-6,
                                           detail="structural identity, exact"))
 
     # one sample point per flag; the first (at most 32) are the bundle flags
-    points = [solitons.sample_point(fixture.rd, fixture.nav, fixture.f, p, k < 32)
-              for k, p in enumerate(flags)]
+    points = [solitons.sample_point(fixture.rd, fixture.nav, fixture.f, fixture.sigma, p,
+                                    k < 32) for k, p in enumerate(flags)]
     bundle_points = points[:32]
     rows = _flag_rows(fixture, points, mode)
     flat = sum(FD_FLAT in row for row in rows)
@@ -122,19 +122,20 @@ def run_fixture_suite(fixture, samples, seed, tol=1e-6,
 
 
 # Each characterization bundle a fixture can declare: its checker, called on
-# the fixture's declared scalars and the bundle flags' sample points.  The
-# vector bundles run with V = 0, so kappa is the Einstein scalar and c = 0.
+# the fixture's declared scalars and the bundle flags' sample points (which
+# table the fixture's sigma).  The vector bundles run with V = 0, so kappa is
+# the Einstein scalar and c = 0.
 # The checker is looked up in `solitons` at call time, so a wrapper installed
 # there (a tracer, a counter) sees every call.
 BUNDLES = {
     "gradient-ab": lambda fx, points, tol: solitons.gradient_soliton_checks_ab(
-        fx.kappa, points, tol, sigma=fx.sigma),
+        fx.kappa, points, tol),
     "gradient-nav": lambda fx, points, tol: solitons.gradient_soliton_checks_nav(
-        fx.kappa, points, tol, mu=fx.mu, sigma=fx.sigma),
+        fx.kappa, points, tol, mu=fx.mu),
     "vector-ab": lambda fx, points, tol: solitons.vector_soliton_checks_ab(
-        ZERO_FIELD, fx.einstein, points, tol, c=0.0, sigma=fx.sigma),
+        ZERO_FIELD, fx.einstein, points, tol, c=0.0),
     "vector-nav": lambda fx, points, tol: solitons.vector_soliton_checks_nav(
-        ZERO_FIELD, fx.einstein, points, tol, mu=fx.einstein_h, sigma=fx.sigma),
+        ZERO_FIELD, fx.einstein, points, tol, mu=fx.einstein_h),
 }
 
 
@@ -181,7 +182,7 @@ def crosscheck_lie_identities(seed, count=200, tol=1e-9):
         alpha = math.sqrt(float(p.y @ A.h0 @ p.y))
         v0, dv = v.table(p.x, order=1)
         b0, db = rd.beta.table(p.x, order=1)
-        vcov = riemann.lowered_covariant_derivative(A.h0, A.dh, A.gamma, v0, dv)
+        vcov = riemann.lowered_covariant_derivative(A, v0, dv)
         la2 = riemann.lie_h2(vcov, p.y)
         lb = riemann.lie_1form(v0, vcov, A.hinv @ b0, riemann.covariant_1form(A.gamma, b0, db),
                                p.y)
@@ -335,7 +336,7 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
         y = unit_direction(rng, dim)
         p = FlagPoint(x, y)
 
-        sp = solitons.sample_point(rd, nav, f, p, True)
+        sp = solitons.sample_point(rd, nav, f, sigma, p, True)
         T, N = sp.beta, sp.nav
 
         fitted, _res = randers.fit_sigma_isotropic_S(T, solitons._directions(dim))
@@ -344,7 +345,7 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
         mu_t = float(rng.uniform(-1.0, 1.0))
         ev = finsler.evaluate_flags(metric, measure, [p], [sp.base])[0]
         F = metric.value(x, y)
-        sig = randers.sigma_terms(sp.sigma_table(sigma), y, N.w_up)
+        sig = randers.sigma_terms(sp.sigma, y, N.w_up)
         lhs, rhs = randers.ricci_transfer_sides(ev.bundle.ricci, F, sp.h, N, sig, mu_t, y)
         transfer.append((lhs - rhs) / F ** 2)
 

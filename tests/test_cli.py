@@ -23,7 +23,7 @@ def test_verify_pass_exit_zero(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert report["fixture"] == "cigar"
-    assert all(row["verdict"] in ("pass", "not-applicable") for row in report["checks"])
+    assert all(row["verdict"] == "pass" for row in report["checks"])
 
 
 def test_verify_perturbed_exit_one(tmp_path):
@@ -71,8 +71,8 @@ def test_negative_seed_exit_two(capsys):
 
 
 def test_suites_refuse_an_empty_or_invalid_run():
-    # one guard in the suites: no run of zero samples passes on
-    # not-applicable rows, and numpy never sees a negative seed
+    # one guard in the suites: no run of zero samples reports rows of no
+    # residuals, and numpy never sees a negative seed
     cigar = fixtures.get_fixture("cigar")
     runs = [lambda: suites.run_fixture_suite(cigar, samples=0, seed=0),
             lambda: suites.run_fixture_suite(cigar, samples=2, seed=-1),
@@ -185,6 +185,27 @@ def test_crosscheck_text_header_names_the_count(monkeypatch, capsys):
 
 def test_crosscheck_unknown_suite(capsys):
     assert run_cli("crosscheck", "--suite", "nosuch") == 2
+    assert capsys.readouterr().err == (
+        "unknown suite 'nosuch'; available: "
+        f"{', '.join(sorted(suites.CROSSCHECK_SUITES))}\n")
+
+
+def test_a_key_error_inside_a_run_is_not_a_usage_error(monkeypatch, capsys):
+    # only a name the registry lacks is a usage error; a KeyError raised while
+    # a known suite or fixture runs propagates as the fault it is
+    def broken(**kwargs):
+        raise KeyError("inner")
+
+    def broken_fixture():
+        raise KeyError("inner")
+
+    monkeypatch.setitem(suites.CROSSCHECK_SUITES, "navigation", broken)
+    monkeypatch.setitem(fixtures._REGISTRY, "cigar", broken_fixture)
+    for argv in (["crosscheck", "--suite", "navigation"],
+                 ["verify", "--fixture", "cigar", "--samples", "2"]):
+        with pytest.raises(KeyError, match="inner"):
+            run_cli(*argv)
+        assert "unknown" not in capsys.readouterr().err, argv
 
 
 def test_crosscheck_bad_count_or_tol_exit_two(capsys):

@@ -20,14 +20,14 @@ def _flags(fx, count=3, seed=5):
 
 
 def _points(fx, flags):
-    return [solitons.sample_point(fx.rd, fx.nav, fx.f, p, False) for p in flags]
+    return [solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, False) for p in flags]
 
 
 def _separate_formulas(metric, measure, p):
     """Each quantity from its own expansion and an unstacked spray, as the
     engine computed them before one evaluation per flag existed."""
     y = np.asarray(p.y, float)
-    T = finsler._f2_tables(finsler._stage(metric, p.x, 4), y, order=4)
+    T = finsler._f2_tables(finsler._stage(metric, p.x), y, order=4)
     D = finsler._spray_derivatives(T, y, order=4)
     R = finsler._assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"],
                                   D["d2G_dydy"])
@@ -37,11 +37,11 @@ def _separate_formulas(metric, measure, p):
     dS_dy = np.einsum("kii->k", D["d2G_dydy"]) - logs[1]
     sdot = float(np.dot(p.y, dS_dx) - 2.0 * np.dot(D["G"], dS_dy))
 
-    T3 = finsler._f2_tables(finsler._stage(metric, p.x, 3), y, order=3)
+    T3 = finsler._f2_tables(finsler._stage(metric, p.x), y, order=3)
     D3 = finsler._spray_derivatives(T3, y, order=3)
     S = float(np.trace(D3["dG_dy"]) - np.dot(y, logs[1]))
 
-    T1 = finsler._f2_tables(finsler._stage(metric, p.x, 1), p.y, order=1)
+    T1 = finsler._f2_tables(metric.at(Jet.variables(list(p.x), 1)), p.y, order=1)
     F2 = T["F"] * T["F"]
     A = F2 * np.eye(metric.dim) - 0.5 * np.outer(p.y, T1["Q01"])
     normR = float(np.linalg.norm(R))
@@ -87,7 +87,7 @@ def test_f2_tables_gather_equals_partials(name, order):
     fx = fixtures.get_fixture(name)
     p = _flags(fx, count=1)[0]
     n = fx.dim
-    stage = finsler._stage(fx.metric, p.x, order)
+    stage = fx.metric.at(Jet.variables(list(p.x), min(order, jets.X_ORDER)))
     T = finsler._f2_tables(stage, p.y, order)
     f2 = finsler._f2_jet(stage, p.y, order)
     names = [k for k in T if k.startswith("Q")]
@@ -275,10 +275,10 @@ def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(mo
         return out
 
     monkeypatch.setattr(Jet, "__mul__", counting_mul)
-    finsler._f2_jet(finsler._stage(fx.metric, p.x, 4), p.y, 4)
+    finsler._f2_jet(finsler._stage(fx.metric, p.x), p.y, 4)
     one = dict(counts)
     counts.clear()
-    base = finsler.BasePoint(x=p.x, stage=finsler._stage(fx.metric, p.x, 4), logs=logs)
+    base = finsler.BasePoint(x=p.x, stage=finsler._stage(fx.metric, p.x), logs=logs)
     solitons.fit_kappa(fx.metric, fx.measure, [base])
     x_space, flag_space = jets.jet_space(4, 2), jets.flag_space(4, 4)
     assert set(counts) == set(one) == {x_space, flag_space}

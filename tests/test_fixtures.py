@@ -14,8 +14,6 @@ from finsler_solitons.fixtures import (ConstructionError, expanding_cylinder,
 from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric
 from finsler_solitons.sampling import sample_flags, unit_direction
 
-RNG = np.random.default_rng(61)
-
 
 def test_registry_names():
     for name in ("gaussian", "cigar", "shrinking", "expanding"):
@@ -45,11 +43,11 @@ def test_domain_guards_hold_on_sample_domain(name):
         assert fx.metric.value(x, y) > 1e-6
 
 
-def test_sphere_chart_inverse_identity():
+def test_sphere_chart_inverse_identity(rng):
     mu = 1.0
     sm = sphere_metric(mu, 3)
     for _ in range(20):
-        x = RNG.uniform(-2.0, 2.0, size=3)
+        x = rng.uniform(-2.0, 2.0, size=3)
         H = sm.matrix_at(x)
         D = 1.0 + mu * float(x @ x)
         Hinv = D * (np.eye(3) + mu * np.outer(x, x))
@@ -57,10 +55,10 @@ def test_sphere_chart_inverse_identity():
 
 
 @pytest.mark.parametrize("name", ("shrinking", "expanding"))
-def test_cylinder_f_condition(name):
+def test_cylinder_f_condition(name, rng):
     """f_k S^k_0 + f_{:0k} W^k = 0 at sampled flags."""
     fx = get_fixture(name)
-    for p in sample_flags(fx, 12, RNG):
+    for p in sample_flags(fx, 12, rng):
         H = riemann.point_record(fx.nav.h, p.x, 1)
         T = randers.nav_tensors(H, fx.nav.W.table(p.x, order=1))
         ftab = fx.f.table(p.x, order=2)
@@ -77,7 +75,7 @@ def test_cylinder_constraints_exact():
     assert fx.constraints["Qd-zero"] == 0.0
 
 
-def test_shrinking_parameter_family():
+def test_shrinking_parameter_family(rng):
     # the 3-d family: Q from (p, q, l), d = (l, -q, p); exact constraints
     mu = 1.0
     p_, q_, l_ = 0.25, -0.125, 0.5
@@ -85,7 +83,7 @@ def test_shrinking_parameter_family():
     d = np.array([l_, -q_, p_])
     fx = shrinking_cylinder(m=2, mu=mu, Q=Q, d=d)
     assert fx.kappa([0.0] * 4) == 2.0
-    p = sample_flags(fx, 2, RNG)[0]
+    p = sample_flags(fx, 2, rng)[0]
     T = randers.nav_tensors(riemann.point_record(fx.nav.h, p.x, 1), fx.nav.W.table(p.x, order=1))
     assert np.max(np.abs(T.wcov + T.wcov.T)) <= 1e-12
 
@@ -103,11 +101,11 @@ def test_cylinder_larger_m_parameterization():
     assert abs(ric_inf / p.F ** 2 - riemann.field_value(fx.kappa, p.x)) <= 1e-10
 
 
-def test_shrinking_riemannian_reduction():
+def test_shrinking_riemannian_reduction(rng):
     # Q = 0, d = 0: the wind vanishes and the product soliton is Riemannian
     k = 3
     fx = shrinking_cylinder(m=2, mu=1.0, Q=np.zeros((k, k)), d=np.zeros(k))
-    x = fx.sample_x(RNG)
+    x = fx.sample_x(rng)
     assert np.max(np.abs(fx.nav.W.components(list(x)))) == 0.0
     assert float(fx.kappa(list(x))) == 2.0
 
@@ -134,9 +132,9 @@ def test_expanding_t_range_guard():
         expanding_cylinder(t_range=(0.2, 1.1))
 
 
-def test_expanding_lowered_wind_scales_with_t2():
+def test_expanding_lowered_wind_scales_with_t2(rng):
     fx = get_fixture("expanding")
-    x = fx.sample_x(RNG)
+    x = fx.sample_x(rng)
     t = x[0]
     T = randers.nav_tensors(riemann.point_record(fx.nav.h, x, 1), fx.nav.W.table(x, order=1))
     hat = sphere_metric(1.0, 3).matrix_at(x[1:])
@@ -145,10 +143,10 @@ def test_expanding_lowered_wind_scales_with_t2():
     assert T.w_low[0] == 0.0
 
 
-def test_expanding_hessian_law():
+def test_expanding_hessian_law(rng):
     fx = get_fixture("expanding")
-    x = fx.sample_x(RNG)
-    y = RNG.normal(size=4)
+    x = fx.sample_x(rng)
+    y = rng.normal(size=4)
     h2 = float(y @ fx.nav.h.matrix_at(x) @ y)
     got = riemann.hessian(riemann.point_record(fx.nav.h, x, 1), fx.f.table(x, order=2), y)
     assert got == pytest.approx(-2.0 * h2, rel=1e-10)
@@ -172,17 +170,17 @@ def test_gaussian_construction_errors():
         gaussian(rho=1.0, Q=big_q, n=2)  # ||W|| reaches 1 on the ball
 
 
-def test_gaussian_steady_with_drift_is_allowed():
+def test_gaussian_steady_with_drift_is_allowed(rng):
     fx = gaussian(rho=0.0, C=np.array([0.3, 0.0]), n=2)
-    x = fx.sample_x(RNG)
+    x = fx.sample_x(rng)
     assert float(fx.kappa(list(x))) == 0.0
 
 
-def test_perturbed_rebuild_keeps_metadata():
+def test_perturbed_rebuild_keeps_metadata(rng):
     base = get_fixture("cigar")
     fx = get_fixture("cigar", perturb=("kappa", 1e-2))
     assert (fx.name, fx.bundles, fx.dim) == (base.name, base.bundles, base.dim)
-    x = fx.sample_x(RNG)
+    x = fx.sample_x(rng)
     assert float(fx.kappa(list(x))) == float(base.kappa(list(x))) + 1e-2
 
 

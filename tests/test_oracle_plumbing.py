@@ -166,7 +166,7 @@ def _pointwise_spray(metric, z):
     """G at the point z = (x, y), from a stage of the metric at x of its own."""
     n = metric.dim
     y = np.asarray(z[n:], float)
-    T = finsler._f2_tables(finsler._stage(metric, z[:n], 2), y, order=2)
+    T = finsler._f2_tables(finsler._stage(metric, z[:n]), y, order=2)
     return finsler._spray_derivatives(T, y, order=2)["G"]
 
 
@@ -227,8 +227,8 @@ def _recording_sprays(monkeypatch):
     sprays, stages, at = [], [], {}
     stage, tables = finsler._stage, finsler._f2_tables
 
-    def recording_stage(metric, x, order):
-        out = stage(metric, x, order)
+    def recording_stage(metric, x):
+        out = stage(metric, x)
         at[id(out)] = np.asarray(x, float).tobytes()
         stages.append(at[id(out)])
         return out
@@ -349,7 +349,7 @@ def _separate_fd_oracles(metric, measure, p, step1=1e-5, step2=3e-4):
         shape = tuple(len(a) for a in axes) + (n,)
         return tuple(np.array([e[k] for e in est]).reshape(shape) for k in (0, 1))
 
-    T = finsler._f2_tables(finsler._stage(metric, x, 2), y, order=2)
+    T = finsler._f2_tables(finsler._stage(metric, x), y, order=2)
     g = finsler._fundamental(T)[0]
     G = G_at(*z0)
     xs, ys = range(n), range(n, 2 * n)
@@ -372,7 +372,7 @@ def _fd_cases():
         fx = fixtures.get_fixture(name)
         flags = sample_flags(fx, count, np.random.default_rng(17))
         yield name, fx.metric, fx.measure, flags, [
-            solitons.sample_point(fx.rd, fx.nav, fx.f, p, False).base for p in flags]
+            solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, False).base for p in flags]
     rng = np.random.default_rng(19)
     rd = generators.random_randers(rng, 2)
     measure = randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))

@@ -54,11 +54,17 @@ def _covariant_derivative_1form(h, b, x):
     return db - np.einsum("kij,k->ij", _christoffel(h, x), b0)
 
 
+def _lowered(h0, dh, gamma, w0, dw):
+    """W_{i:j} = d_j (h_ik W^k) - Gamma^k_ij h_kl W^l from the tables of h and W."""
+    dwl = np.einsum("jik,k->ij", dh, w0) + np.einsum("ik,kj->ij", h0, dw)
+    return dwl - np.einsum("kij,k->ij", gamma, h0 @ w0)
+
+
 def _vector_covariant_lowered(h, w, x):
     h0, dh = h.tables(x, order=1)
     w0, dw = w.table(x, order=1)
     gamma = _levi_civita(h0, dh, None, h.name or "metric")[1]
-    return riemann.lowered_covariant_derivative(h0, dh, gamma, w0, dw)
+    return _lowered(h0, dh, gamma, w0, dw)
 
 
 def _hessian_tensor(h, f, x):
@@ -130,7 +136,7 @@ def _nav_tensors(nav, x):
     h0, dh = nav.h.tables(x, order=1)
     hinv, gamma = _levi_civita(h0, dh, None, "h")
     w0, dw = nav.W.table(x, order=1)
-    wcov = riemann.lowered_covariant_derivative(h0, dh, gamma, w0, dw)
+    wcov = _lowered(h0, dh, gamma, w0, dw)
     s_asym = 0.5 * (wcov - wcov.T)
     s_low = w0 @ s_asym
     return dict(x=x, h=h0, w_up=w0, w_low=h0 @ w0, lam=1.0 - float(w0 @ h0 @ w0), wcov=wcov,
@@ -200,12 +206,11 @@ def test_record_covariant_calculus_equals_the_per_call_passes(name):
                 _same(riemann.hessian(rec, ftab, p.y),
                       float(np.einsum("ij,i,j->", _hessian_tensor(h, fx.f, p.x), p.y, p.y)),
                       f"{what} hessian")
-                vcov = riemann.lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, v0, dv)
+                vcov = riemann.lowered_covariant_derivative(rec, v0, dv)
                 for fname, w in fields.items():
                     w0, dw = w.table(p.x, order=1)
                     bcov = riemann.covariant_1form(rec.gamma, w0, dw)
-                    wcov = riemann.lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma,
-                                                                w0, dw)
+                    wcov = riemann.lowered_covariant_derivative(rec, w0, dw)
                     _same(bcov, _covariant_derivative_1form(h, w, p.x), f"{what} {fname};")
                     _same(wcov, _vector_covariant_lowered(h, w, p.x), f"{what} {fname}:")
                     _same(riemann.lie_h2(wcov, p.y), _lie_h2(h, w, p.x, p.y),
@@ -258,6 +263,6 @@ def test_conformal_formulas_read_the_record_where_the_float_metric_differs():
     else:
         pytest.fail("no sampled point where the float and jet values of alpha differ")
     v0, dv = generators.random_vector_field(np.random.default_rng(3), fx.dim).table(p.x, 1)
-    vcov = riemann.lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, v0, dv)
+    vcov = riemann.lowered_covariant_derivative(rec, v0, dv)
     _same(riemann.conformal_residual(rec, vcov, 0.3), vcov + vcov.T - 4.0 * 0.3 * rec.h0,
           "conformal_residual")

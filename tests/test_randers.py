@@ -22,8 +22,6 @@ from finsler_solitons.riemann import (MetricDomainError, RiemannMetric,
                                       VectorField, euclidean_metric)
 from finsler_solitons.sampling import sample_flags
 
-RNG = np.random.default_rng(31)
-
 
 def tables_at(rd, x):
     return beta_tables(riemann.point_record(rd.alpha, x, 2), rd.beta.table(x, order=2))
@@ -35,18 +33,18 @@ def cigar_navigation():
     return NavigationData(h, VectorField(lambda x: [0.0, 1.0]), name="cigar")
 
 
-def _directions(dim, count=8):
-    return [RNG.normal(size=dim) / 1.0 for _ in range(count)]
+def _directions(rng, dim, count=8):
+    return [rng.normal(size=dim) / 1.0 for _ in range(count)]
 
 
 # -- conversions ---------------------------------------------------------------------
 
 
-def test_from_navigation_zero_wind_is_riemannian():
-    h = generators.random_riemann_metric(RNG, 3)
+def test_from_navigation_zero_wind_is_riemannian(rng):
+    h = generators.random_riemann_metric(rng, 3)
     nav = NavigationData(h, VectorField(lambda x: [0.0] * 3))
     rd = from_navigation(nav)
-    x = generators.sample_box_point(RNG, 3)
+    x = generators.sample_box_point(rng, 3)
     np.testing.assert_allclose(rd.alpha.matrix_at(x), h.matrix_at(x), atol=1e-14)
     assert np.max(np.abs(rd.beta.components(list(x)))) == 0.0
 
@@ -59,11 +57,11 @@ def test_cigar_lambda_value():
     assert jets.scalar_value(lam) == pytest.approx(1.0 / math.cosh(t) ** 2, rel=1e-13)
 
 
-def test_roundtrip_random_dim3():
-    rd = generators.random_randers(RNG, 3)
+def test_roundtrip_random_dim3(rng):
+    rd = generators.random_randers(rng, 3)
     rd2 = from_navigation(to_navigation(rd))
     for _ in range(5):
-        x = generators.sample_box_point(RNG, 3)
+        x = generators.sample_box_point(rng, 3)
         np.testing.assert_allclose(rd2.alpha.matrix_at(x), rd.alpha.matrix_at(x),
                                    atol=1e-12)
         b1 = [jets.scalar_value(c) for c in rd.beta.components(list(x))]
@@ -80,11 +78,11 @@ def test_to_navigation_recovers_cigar_wind():
         [jets.scalar_value(c) for c in back.W.components(x)], [0.0, 1.0], atol=1e-12)
 
 
-def test_riemannian_reduction_b_zero():
-    rd = RandersData(alpha=generators.random_riemann_metric(RNG, 2),
+def test_riemannian_reduction_b_zero(rng):
+    rd = RandersData(alpha=generators.random_riemann_metric(rng, 2),
                      beta=VectorField(lambda x: [0.0, 0.0]))
     nav = to_navigation(rd)
-    x = generators.sample_box_point(RNG, 2)
+    x = generators.sample_box_point(rng, 2)
     assert np.max(np.abs(nav.W.components(list(x)))) == 0.0
     np.testing.assert_allclose(nav.h.matrix_at(x), rd.alpha.matrix_at(x), atol=1e-14)
 
@@ -158,10 +156,10 @@ def test_randers_stage_guard_raises_where_beta_reaches_one():
 # -- metric evaluation ------------------------------------------------------------------
 
 
-def test_eval_F_matches_both_paths():
+def test_eval_F_matches_both_paths(rng):
     nav = cigar_navigation()
     rd = from_navigation(nav)
-    p = FlagPoint([1.0, 0.4], RNG.normal(size=2))
+    p = FlagPoint([1.0, 0.4], rng.normal(size=2))
     assert finsler_from_navigation(nav).value(p.x, p.y) == pytest.approx(
         finsler_from_randers(rd).value(p.x, p.y), rel=1e-12)
 
@@ -221,13 +219,13 @@ def test_randers_closures_evaluate_alpha_once_per_call():
         assert len(calls) == 1
 
 
-def test_norm_identity_and_xi_transfer():
-    nav = generators.random_navigation(RNG, 3)
+def test_norm_identity_and_xi_transfer(rng):
+    nav = generators.random_navigation(rng, 3)
     metric = finsler_from_navigation(nav)
     T_fn = nav.h.matrix_at
     for _ in range(10):
-        x = generators.sample_box_point(RNG, 3)
-        y = RNG.normal(size=3)
+        x = generators.sample_box_point(rng, 3)
+        y = rng.normal(size=3)
         F = metric.value(x, y)
         hm = T_fn(x)
         w = np.array([jets.scalar_value(c) for c in nav.W.components(list(x))])
@@ -242,10 +240,10 @@ def test_norm_identity_and_xi_transfer():
 # -- Busemann-Hausdorff density ------------------------------------------------------------
 
 
-def test_bh_density_riemannian():
-    rd = RandersData(alpha=generators.random_riemann_metric(RNG, 3),
+def test_bh_density_riemannian(rng):
+    rd = RandersData(alpha=generators.random_riemann_metric(rng, 3),
                      beta=VectorField(lambda x: [0.0] * 3))
-    x = generators.sample_box_point(RNG, 3)
+    x = generators.sample_box_point(rng, 3)
     assert bh_measure(rd).density(x) == pytest.approx(
         math.sqrt(np.linalg.det(rd.alpha.matrix_at(x))), rel=1e-12)
 
@@ -294,44 +292,44 @@ def test_bh_density_of_navigation_data_is_the_volume_of_h():
     assert worst <= 1e-12
 
 
-def test_bh_measure_s_curvature_cigar():
+def test_bh_measure_s_curvature_cigar(rng):
     nav = cigar_navigation()
     rd = from_navigation(nav)
     F = finsler_from_navigation(nav)
-    p = FlagPoint([1.1, 0.5], RNG.normal(size=2))
+    p = FlagPoint([1.1, 0.5], rng.normal(size=2))
     assert finsler.evaluate_flags(F, bh_measure(rd), [p])[0].S == pytest.approx(0.0, abs=1e-11)
 
 
 # -- beta derivative tensors ------------------------------------------------------------------
 
 
-def test_closed_form_beta_has_no_curl():
+def test_closed_form_beta_has_no_curl(rng):
     # b = df: the antisymmetric part s vanishes and r equals the Hessian
-    a = generators.random_riemann_metric(RNG, 2)
+    a = generators.random_riemann_metric(rng, 2)
     df = VectorField(lambda x: [jets.cos(x[0]) * x[1], jets.sin(x[0])])
     f = riemann.ScalarField(lambda x: jets.sin(x[0]) * x[1])
     rd = RandersData(alpha=a, beta=VectorField(
         lambda x: [0.3 * c for c in df.components(x)]))
-    x = generators.sample_box_point(RNG, 2)
+    x = generators.sample_box_point(rng, 2)
     T = tables_at(rd, x)
     assert np.max(np.abs(T.s)) <= 1e-13
     hess = riemann.hessian_tensor(riemann.point_record(a, x, 1), f.table(x, order=2))
     np.testing.assert_allclose(T.r, 0.3 * hess, atol=1e-12)
 
 
-def test_cigar_e00_vanishes():
+def test_cigar_e00_vanishes(rng):
     rd = from_navigation(cigar_navigation())
-    p = FlagPoint([0.7, 0.1], RNG.normal(size=2))
+    p = FlagPoint([0.7, 0.1], rng.normal(size=2))
     bd = beta_derivatives(tables_at(rd, p.x), p.y)
     assert abs(bd.e00) <= 1e-13
 
 
-def test_navigation_s_tensor_transfer():
+def test_navigation_s_tensor_transfer(rng):
     # under isotropic S-curvature: s_0 = S_0/lam and s^i_j = -S^i_j + S^i W_j/lam
-    nav, sigma, _ = generators.conformal_euclidean_navigation(RNG, 3)
+    nav, sigma, _ = generators.conformal_euclidean_navigation(rng, 3)
     rd = from_navigation(nav)
-    x = generators.sample_box_point(RNG, 3)
-    y = RNG.normal(size=3)
+    x = generators.sample_box_point(rng, 3)
+    y = rng.normal(size=3)
     T = tables_at(rd, x)
     N = nav_tensors(riemann.point_record(nav.h, x, 1), nav.W.table(x, order=1))
     assert float(T.s_low @ y) == pytest.approx(float(N.s_low @ y) / N.lam,
@@ -340,25 +338,25 @@ def test_navigation_s_tensor_transfer():
     np.testing.assert_allclose(T.s_mixed, want, atol=1e-12)
 
 
-def test_s_orthogonality_identity():
+def test_s_orthogonality_identity(rng):
     # s_j b^j = 0 holds identically
-    rd = generators.random_randers(RNG, 3)
+    rd = generators.random_randers(rng, 3)
     for _ in range(5):
-        T = tables_at(rd, generators.sample_box_point(RNG, 3))
+        T = tables_at(rd, generators.sample_box_point(rng, 3))
         assert abs(float(T.s_low @ T.b_up)) <= 1e-13
 
 
 # -- isotropic-S fitting -------------------------------------------------------------------
 
 
-def test_fit_sigma_cigar_zero():
+def test_fit_sigma_cigar_zero(rng):
     rd = from_navigation(cigar_navigation())
-    sig, res = fit_sigma_isotropic_S(tables_at(rd, [0.9, 0.3]), _directions(2))
+    sig, res = fit_sigma_isotropic_S(tables_at(rd, [0.9, 0.3]), _directions(rng, 2))
     assert abs(sig) <= 1e-9
     assert res <= 1e-9
 
 
-def test_fit_sigma_flat_family_recovers_sigma():
+def test_fit_sigma_flat_family_recovers_sigma(rng):
     sigma0 = 0.23
     Q = np.array([[0.0, 0.4], [-0.4, 0.0]])
     C = np.array([0.05, -0.1])
@@ -367,22 +365,22 @@ def test_fit_sigma_flat_family_recovers_sigma():
                                for i in range(2)])
     nav = NavigationData(euclidean_metric(2), w)
     rd = from_navigation(nav)
-    sig, res = fit_sigma_isotropic_S(tables_at(rd, [0.2, -0.1]), _directions(2))
+    sig, res = fit_sigma_isotropic_S(tables_at(rd, [0.2, -0.1]), _directions(rng, 2))
     assert sig == pytest.approx(sigma0, rel=1e-9)
     assert res <= 1e-9
 
 
-def test_fit_sigma_nonconformal_has_residual():
+def test_fit_sigma_nonconformal_has_residual(rng):
     # symmetric part not proportional to h: the isotropy fit cannot be clean
     w = VectorField(lambda x: [0.4 * x[0], -0.1 * x[1]])
     nav = NavigationData(euclidean_metric(2), w)
     rd = from_navigation(nav)
-    sig, res = fit_sigma_isotropic_S(tables_at(rd, [0.3, 0.2]), _directions(2, count=12))
+    sig, res = fit_sigma_isotropic_S(tables_at(rd, [0.3, 0.2]), _directions(rng, 2, count=12))
     assert res > 1e-2
 
 
-def test_fit_sigma_rejects_degenerate_samples():
-    T = tables_at(generators.random_randers(RNG, 3), [0.0, 0.0, 0.0])
+def test_fit_sigma_rejects_degenerate_samples(rng):
+    T = tables_at(generators.random_randers(rng, 3), [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         fit_sigma_isotropic_S(T, [np.array([1.0, 0.0, 0.0])])
 
@@ -390,29 +388,29 @@ def test_fit_sigma_rejects_degenerate_samples():
 # -- closed-form Ricci --------------------------------------------------------------------
 
 
-def test_closed_form_reduces_to_alpha_ricci():
-    a = generators.random_riemann_metric(RNG, 3)
+def test_closed_form_reduces_to_alpha_ricci(rng):
+    a = generators.random_riemann_metric(rng, 3)
     rd = RandersData(alpha=a, beta=VectorField(lambda x: [0.0] * 3))
-    p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
+    p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
     assert randers_ricci_closed_form(rd, p) == pytest.approx(
         riemann.riemann_ricci(riemann.point_record(a, p.x, 2), p.y), rel=1e-10, abs=1e-12)
 
 
-def test_closed_form_cigar_law():
+def test_closed_form_cigar_law(rng):
     nav = cigar_navigation()
     rd = from_navigation(nav)
     t = 1.4
-    p = FlagPoint([t, 0.2], RNG.normal(size=2))
+    p = FlagPoint([t, 0.2], rng.normal(size=2))
     F = finsler_from_navigation(nav).value(p.x, p.y)
     assert randers_ricci_closed_form(rd, p) == pytest.approx(
         2.0 / math.cosh(t) ** 2 * F * F, rel=1e-8)
 
 
-def test_closed_form_vs_spray_on_random_metrics():
+def test_closed_form_vs_spray_on_random_metrics(rng):
     for _ in range(10):
-        rd = generators.random_randers(RNG, 3)
+        rd = generators.random_randers(rng, 3)
         metric = finsler_from_randers(rd)
-        p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
+        p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
         closed = randers_ricci_closed_form(rd, p)
         spray_val = finsler.curvature_bundle(metric, [p])[0].ricci
         F2 = metric.value(p.x, p.y) ** 2
@@ -422,21 +420,21 @@ def test_closed_form_vs_spray_on_random_metrics():
 # -- navigation Lie and curvature-transfer identities ---------------------------------------------
 
 
-def test_lifted_lie_identity_random():
+def test_lifted_lie_identity_random(rng):
     for _ in range(5):
-        nav = generators.random_navigation(RNG, 2)
-        v = generators.random_vector_field(RNG, 2)
-        p = FlagPoint(generators.sample_box_point(RNG, 2), RNG.normal(size=2))
+        nav = generators.random_navigation(rng, 2)
+        v = generators.random_vector_field(rng, 2)
+        p = FlagPoint(generators.sample_box_point(rng, 2), rng.normal(size=2))
         F = finsler_from_navigation(nav).value(p.x, p.y)
         lhs, rhs = lie_nav_h2_sides(nav, v, p, F)
         assert abs(lhs - rhs) / (F * F) <= 1e-9
 
 
-def test_sigma_equals_minus_conformal_factor():
-    nav, sigma, c = generators.conformal_euclidean_navigation(RNG, 2)
+def test_sigma_equals_minus_conformal_factor(rng):
+    nav, sigma, c = generators.conformal_euclidean_navigation(rng, 2)
     rd = from_navigation(nav)
-    x = generators.sample_box_point(RNG, 2)
-    fitted, res = fit_sigma_isotropic_S(tables_at(rd, x), _directions(2))
+    x = generators.sample_box_point(rng, 2)
+    fitted, res = fit_sigma_isotropic_S(tables_at(rd, x), _directions(rng, 2))
     assert res <= 1e-10
     assert fitted == pytest.approx(-float(c(list(x))), rel=1e-10, abs=1e-12)
 
@@ -460,7 +458,7 @@ def _lie_rhs(nav, v, p, F, w):
     xi = p.y - F * w
     htilde = math.sqrt(float(xi @ T.h @ xi))
     v0, dv = v.table(p.x, order=1)
-    vcov = riemann.lowered_covariant_derivative(H.h0, H.dh, H.gamma, v0, dv)
+    vcov = riemann.lowered_covariant_derivative(H, v0, dv)
     mixed = float((vcov @ T.w_up - T.wcov @ v0) @ xi)
     return 2.0 / (htilde + float(T.w_low @ xi)) * (htilde * float(xi @ vcov @ xi)
                                                    + htilde * htilde * mixed)
@@ -472,9 +470,9 @@ def _transfer_rhs(H, p, F, w, mu_t):
     return float(xi @ H.ricci @ xi) - (p.dim - 1) * mu_t * F * F
 
 
-def test_navigation_xi_uses_the_tabled_value_of_w():
+def test_navigation_xi_uses_the_tabled_value_of_w(rng):
     # A point where the float value of W would change both right sides.
-    v = generators.random_vector_field(RNG, 2)
+    v = generators.random_vector_field(rng, 2)
     for nav, p in _points_where_w_values_differ():
         H = riemann.point_record(nav.h, p.x, 2)
         T = nav_tensors(H, nav.W.table(p.x, order=1))
@@ -494,9 +492,9 @@ def test_navigation_xi_uses_the_tabled_value_of_w():
     assert rhs == _transfer_rhs(H, p, F, T.w_up, 0.0)
 
 
-def test_curvature_transfer_identity():
-    nav, sigma, _ = generators.conformal_euclidean_navigation(RNG, 3)
-    p = FlagPoint(generators.sample_box_point(RNG, 3), RNG.normal(size=3))
+def test_curvature_transfer_identity(rng):
+    nav, sigma, _ = generators.conformal_euclidean_navigation(rng, 3)
+    p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
     metric = finsler_from_navigation(nav)
     F = metric.value(p.x, p.y)
     H = riemann.point_record(nav.h, p.x, 2)

@@ -14,8 +14,6 @@ from finsler_solitons.riemann import (MetricDomainError, RiemannMetric,
                                       lowered_covariant_derivative,
                                       point_record, riemann_ricci)
 
-RNG = np.random.default_rng(11)
-
 
 def christoffel(h, x):
     return point_record(h, x, 1).gamma
@@ -32,7 +30,7 @@ def hessian(h, f, x, y):
 def vcov_of(rec, v):
     """(V^k, V_{i:j}) at the record's point from one table of v."""
     v0, dv = v.table(rec.x, order=1)
-    return v0, lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, v0, dv)
+    return v0, lowered_covariant_derivative(rec, v0, dv)
 
 
 def gradient_tables(rec, f):
@@ -88,9 +86,9 @@ def test_christoffel_cigar_closed_form():
     assert gam[0, 0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_christoffel_projective_sphere_closed_form():
+def test_christoffel_projective_sphere_closed_form(rng):
     mu = 1.3
-    x = RNG.uniform(-0.7, 0.7, size=3)
+    x = rng.uniform(-0.7, 0.7, size=3)
     gam = christoffel(sphere_metric(mu, 3), x)
     D = 1.0 + mu * float(x @ x)
     want = np.zeros((3, 3, 3))
@@ -101,9 +99,9 @@ def test_christoffel_projective_sphere_closed_form():
     np.testing.assert_allclose(gam, want, atol=1e-12)
 
 
-def test_christoffel_symmetric_lower_indices():
-    h = generators.random_riemann_metric(RNG, 3)
-    x = generators.sample_box_point(RNG, 3)
+def test_christoffel_symmetric_lower_indices(rng):
+    h = generators.random_riemann_metric(rng, 3)
+    x = generators.sample_box_point(rng, 3)
     gam = christoffel(h, x)
     np.testing.assert_allclose(gam, np.swapaxes(gam, 1, 2), atol=0.0)
 
@@ -118,12 +116,12 @@ def test_singular_metric_raises():
                 call()
 
 
-def test_matrix_at_guards_without_inverting(monkeypatch):
+def test_matrix_at_guards_without_inverting(monkeypatch, rng):
     calls = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append(a) or inv(*a))
     h = generators.random_riemann_metric(np.random.default_rng(2), 3)
-    x = generators.sample_box_point(RNG, 3)
+    x = generators.sample_box_point(rng, 3)
     assert np.array_equal(h.matrix_at(x), np.array(h.matrix(list(x)), float))
     assert calls == []
 
@@ -139,35 +137,35 @@ def test_calibration_refuses_an_indefinite_metric():
 # -- ricci ------------------------------------------------------------------------
 
 
-def test_ricci_euclidean_zero():
-    y = RNG.normal(size=3)
+def test_ricci_euclidean_zero(rng):
+    y = rng.normal(size=3)
     assert ricci(euclidean_metric(3), [0.1, 0.2, 0.3], y) == 0.0
 
 
-def test_ricci_sphere_constant_curvature():
+def test_ricci_sphere_constant_curvature(rng):
     # round sphere of curvature mu in dimension 3 = 2m-1 with m = 2
     mu = 1.0
     h = sphere_metric(mu, 3)
-    x = RNG.uniform(-0.6, 0.6, size=3)
-    y = RNG.normal(size=3)
+    x = rng.uniform(-0.6, 0.6, size=3)
+    y = rng.normal(size=3)
     h2 = float(y @ h.matrix_at(x) @ y)
     assert ricci(h, x, y) == pytest.approx(2.0 * mu * h2, rel=1e-10)
 
 
-def test_ricci_cigar_law():
+def test_ricci_cigar_law(rng):
     h = cigar_metric()
     for t in (0.4, 1.0, 1.7):
         x = [t, 0.2]
-        y = RNG.normal(size=2)
+        y = rng.normal(size=2)
         h2 = float(y @ h.matrix_at(x) @ y)
         assert ricci(h, x, y) == pytest.approx(2.0 / math.cosh(t) ** 2 * h2,
                                                        rel=1e-10)
 
 
-def test_ricci_quadratic_in_y():
-    h = generators.random_riemann_metric(RNG, 3)
-    x = generators.sample_box_point(RNG, 3)
-    y = RNG.normal(size=3)
+def test_ricci_quadratic_in_y(rng):
+    h = generators.random_riemann_metric(rng, 3)
+    x = generators.sample_box_point(rng, 3)
+    y = rng.normal(size=3)
     base = ricci(h, x, y)
     for lam in (0.3, 2.7):
         assert ricci(h, x, lam * y) == pytest.approx(lam * lam * base,
@@ -184,19 +182,19 @@ def test_covariant_derivative_constant_form_flat():
     assert np.max(np.abs(out)) == 0.0
 
 
-def test_gradient_form_covariant_derivative_is_symmetric():
-    h = generators.random_riemann_metric(RNG, 3)
+def test_gradient_form_covariant_derivative_is_symmetric(rng):
+    h = generators.random_riemann_metric(rng, 3)
     f = ScalarField(lambda x: jets.sin(x[0]) * x[1] + jets.exp(0.3 * x[2]))
     df = VectorField(lambda x: [jets.cos(x[0]) * x[1], jets.sin(x[0]),
                                 0.3 * jets.exp(0.3 * x[2])])
-    x = generators.sample_box_point(RNG, 3)
+    x = generators.sample_box_point(rng, 3)
     rec = point_record(h, x, 1)
     bcov = covariant_1form(rec.gamma, *df.table(x, order=1))
     np.testing.assert_allclose(bcov, bcov.T, atol=1e-12)
     np.testing.assert_allclose(bcov, hessian_tensor(rec, f.table(x, order=2)), atol=1e-12)
 
 
-def test_killing_field_covariant_derivative_antisymmetric():
+def test_killing_field_covariant_derivative_antisymmetric(rng):
     # sphere Killing field from antisymmetric Q with Qd = 0
     mu = 1.0
     h = sphere_metric(mu, 3)
@@ -208,7 +206,7 @@ def test_killing_field_covariant_derivative_antisymmetric():
         return [d[i] + mu * xd * x[i] + sum(Q[i, j] * x[j] for j in range(3))
                 for i in range(3)]
 
-    x = RNG.uniform(-0.5, 0.5, size=3)
+    x = rng.uniform(-0.5, 0.5, size=3)
     rec = point_record(h, x, 1)
     wcov = vcov_of(rec, VectorField(w_fn))[1]
     np.testing.assert_allclose(wcov, -wcov.T, atol=1e-12)
@@ -219,19 +217,19 @@ def test_killing_field_covariant_derivative_antisymmetric():
 # -- hessian ---------------------------------------------------------------------------
 
 
-def test_hessian_flat_quadratic():
+def test_hessian_flat_quadratic(rng):
     rho = 0.8
     f = ScalarField(lambda x: 0.5 * rho * (x[0] * x[0] + x[1] * x[1]))
-    y = RNG.normal(size=2)
+    y = rng.normal(size=2)
     got = hessian(euclidean_metric(2), f, [0.4, -0.2], y)
     assert got == pytest.approx(rho * float(y @ y), rel=1e-12)
 
 
-def test_hessian_cigar_weight():
+def test_hessian_cigar_weight(rng):
     h = cigar_metric()
     f = ScalarField(lambda x: -2.0 * jets.log(jets.cosh(x[0])))
     t = 0.9
-    y = RNG.normal(size=2)
+    y = rng.normal(size=2)
     h2 = float(y @ h.matrix_at([t, 0.1]) @ y)
     assert hessian(h, f, [t, 0.1], y) == pytest.approx(-2.0 / math.cosh(t) ** 2 * h2,
                                                        rel=1e-10)
@@ -241,11 +239,11 @@ def test_hessian_constant_zero():
     assert hessian(euclidean_metric(2), 3.0, [0.1, 0.2], [1.0, 2.0]) == 0.0
 
 
-def test_hessian_polarization_symmetry():
-    h = generators.random_riemann_metric(RNG, 3)
-    f = generators.random_scalar_field(RNG, 3)
-    x = generators.sample_box_point(RNG, 3)
-    y, z = RNG.normal(size=3), RNG.normal(size=3)
+def test_hessian_polarization_symmetry(rng):
+    h = generators.random_riemann_metric(rng, 3)
+    f = generators.random_scalar_field(rng, 3)
+    x = generators.sample_box_point(rng, 3)
+    y, z = rng.normal(size=3), rng.normal(size=3)
     hy = hessian(h, f, x, y)
     hz = hessian(h, f, x, z)
     assert hessian(h, f, x, y + z) + hessian(h, f, x, y - z) == pytest.approx(
@@ -255,58 +253,58 @@ def test_hessian_polarization_symmetry():
 # -- Lie derivatives -------------------------------------------------------------------
 
 
-def test_lie_zero_field():
-    h = generators.random_riemann_metric(RNG, 2)
+def test_lie_zero_field(rng):
+    h = generators.random_riemann_metric(rng, 2)
     zero = VectorField(lambda x: [0.0, 0.0])
-    x = generators.sample_box_point(RNG, 2)
-    y = RNG.normal(size=2)
+    x = generators.sample_box_point(rng, 2)
+    y = rng.normal(size=2)
     rec = point_record(h, x, 1)
     z0, zcov = vcov_of(rec, zero)
     assert lie_h2(zcov, y) == 0.0
-    w0, wcov = vcov_of(rec, generators.random_vector_field(RNG, 2))
+    w0, wcov = vcov_of(rec, generators.random_vector_field(rng, 2))
     assert lie_1form(z0, zcov, w0, wcov, y) == 0.0
 
 
-def test_lie_killing_rotation_flat():
+def test_lie_killing_rotation_flat(rng):
     h = euclidean_metric(2)
     v = VectorField(lambda x: [-x[1], x[0]])
     for _ in range(5):
-        x = generators.sample_box_point(RNG, 2)
-        y = RNG.normal(size=2)
+        x = generators.sample_box_point(rng, 2)
+        y = rng.normal(size=2)
         assert lie_h2(vcov_of(point_record(h, x, 1), v)[1], y) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_lie_radial_homothety_flat():
+def test_lie_radial_homothety_flat(rng):
     h = euclidean_metric(2)
     v = VectorField(lambda x: [x[0], x[1]])
-    x = generators.sample_box_point(RNG, 2)
-    y = RNG.normal(size=2)
+    x = generators.sample_box_point(rng, 2)
+    y = rng.normal(size=2)
     assert lie_h2(vcov_of(point_record(h, x, 1), v)[1], y) == pytest.approx(2.0 * float(y @ y),
                                                                          rel=1e-13)
 
 
-def test_lie_h2_of_gradient_is_twice_hessian():
-    h = generators.random_riemann_metric(RNG, 3)
-    f = generators.random_scalar_field(RNG, 3)
+def test_lie_h2_of_gradient_is_twice_hessian(rng):
+    h = generators.random_riemann_metric(rng, 3)
+    f = generators.random_scalar_field(rng, 3)
     for _ in range(5):
-        x = generators.sample_box_point(RNG, 3)
-        y = RNG.normal(size=3)
+        x = generators.sample_box_point(rng, 3)
+        y = rng.normal(size=3)
         rec = point_record(h, x, 1)
-        vcov = lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, *gradient_tables(rec, f))
+        vcov = lowered_covariant_derivative(rec, *gradient_tables(rec, f))
         assert lie_h2(vcov, y) == pytest.approx(2.0 * hessian(h, f, x, y), rel=1e-10, abs=1e-10)
 
 
 # -- conformal residuals ----------------------------------------------------------------
 
 
-def test_conformal_residual_flat_family():
+def test_conformal_residual_flat_family(rng):
     # W = -2 sigma x + Q x + C is conformal for the flat metric with factor -sigma
     sigma = 0.35
     Q = np.array([[0.0, 0.7], [-0.7, 0.0]])
     C = np.array([0.2, -0.1])
     w = VectorField(lambda x: [-2.0 * sigma * x[i] + Q[i, 0] * x[0] + Q[i, 1] * x[1] + C[i]
                                for i in range(2)])
-    x = generators.sample_box_point(RNG, 2)
+    x = generators.sample_box_point(rng, 2)
     rec = point_record(euclidean_metric(2), x, 1)
     res = conformal_residual(rec, vcov_of(rec, w)[1], -sigma)
     np.testing.assert_allclose(res, np.zeros((2, 2)), atol=1e-13)
@@ -321,22 +319,22 @@ def test_conformal_residual_zero_field_unit_factor():
 # -- structural identities ---------------------------------------------------------------
 
 
-def test_metric_compatibility():
+def test_metric_compatibility(rng):
     for dim in (2, 3):
-        h = generators.random_riemann_metric(RNG, dim)
+        h = generators.random_riemann_metric(rng, dim)
         for _ in range(5):
-            x = generators.sample_box_point(RNG, dim)
+            x = generators.sample_box_point(rng, dim)
             res = metric_compatibility_residual(point_record(h, x, 1))
             assert np.max(np.abs(res)) <= 1e-10
 
 
-def test_lie_1form_matches_direct_lift():
+def test_lie_1form_matches_direct_lift(rng):
     # L_V(beta) via covariant formula vs the raw coordinate formula
-    h = generators.random_riemann_metric(RNG, 2)
-    b = generators.random_vector_field(RNG, 2)
-    v = generators.random_vector_field(RNG, 2)
-    x = generators.sample_box_point(RNG, 2)
-    y = RNG.normal(size=2)
+    h = generators.random_riemann_metric(rng, 2)
+    b = generators.random_vector_field(rng, 2)
+    v = generators.random_vector_field(rng, 2)
+    x = generators.sample_box_point(rng, 2)
+    y = rng.normal(size=2)
     rec = point_record(h, x, 1)
     b0, db = b.table(x, order=1)
     v0, vcov = vcov_of(rec, v)

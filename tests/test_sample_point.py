@@ -8,9 +8,10 @@ from that evaluation.  Each consumer of the closure path expands x as the
 same order-2 jets, so every table must come out equal: the stage (through
 `finsler._f2_jet`) and the log-density table of `finsler.base_point`, the
 records of `riemann.point_record`, `randers.beta_tables` on beta's table,
-`randers.nav_tensors` on W's order-1 table and f's table.  The density is
-e^{-f} sqrt(det h), the fixture measure's own formula, and only bundle points
-build the (alpha, beta) rows.
+`randers.nav_tensors` on W's order-1 table and f's table; sigma's order-1
+table is the field's own.  The density is e^{-f} sqrt(det h), the fixture
+measure's own formula, and only bundle points build the (alpha, beta) rows
+and table sigma.
 """
 
 import dataclasses
@@ -45,7 +46,7 @@ def _same_fields(got, want, what):
 def test_sample_point_equals_the_closure_path(name, perturb):
     fx = fixtures.get_fixture(name, perturb=perturb)
     for p in sample_flags(fx, 3, np.random.default_rng(23)):
-        sp = solitons.sample_point(fx.rd, fx.nav, fx.f, p, True)
+        sp = solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, True)
         assert sp.p is p
         base = finsler.base_point(fx.metric, fx.measure, p.x)
         assert np.array_equal(sp.base.x, base.x)
@@ -72,14 +73,17 @@ def test_sample_point_equals_the_closure_path(name, perturb):
         assert len(sp.f) == 3
         for got, want in zip(sp.f, fx.f.table(p.x, order=2)):
             assert np.array_equal(got, want), (name, "f table")
+        assert len(sp.sigma) == 2
+        for got, want in zip(sp.sigma, fx.sigma.table(p.x, order=1)):
+            assert np.array_equal(got, want), (name, "sigma table")
 
 
 @pytest.mark.parametrize("name", ["cigar", "expanding"])
 def test_a_flag_on_its_sample_point_evaluates_as_alone(name):
     fx = fixtures.get_fixture(name)
     for p in sample_flags(fx, 2, np.random.default_rng(29)):
-        sp = solitons.sample_point(fx.rd, fx.nav, fx.f, p, False)
-        assert (sp.alpha, sp.beta, sp.bd, sp.h, sp.nav, sp.f) == (None,) * 6
+        sp = solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, False)
+        assert (sp.alpha, sp.beta, sp.bd, sp.h, sp.nav, sp.f, sp.sigma) == (None,) * 7
         shared = finsler.evaluate_flags(fx.metric, fx.measure, [p], [sp.base])[0]
         alone = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
         for f in dataclasses.fields(alone.bundle):
@@ -91,10 +95,10 @@ def test_a_flag_on_its_sample_point_evaluates_as_alone(name):
 def test_a_sample_point_raises_the_navigation_guard_of_its_point():
     nav = randers.NavigationData(euclidean_metric(2), VectorField(lambda x: [x[0], 0.0]))
     rd = randers.from_navigation(nav)
-    solitons.sample_point(rd, nav, 0.0, FlagPoint([0.5, 0.0], [1.0, 0.0]), True)
+    solitons.sample_point(rd, nav, 0.0, 0.0, FlagPoint([0.5, 0.0], [1.0, 0.0]), True)
     for bundle in (False, True):
         with pytest.raises(randers.NavigationDomainError):
-            solitons.sample_point(rd, nav, 0.0, FlagPoint([1.5, 0.0], [1.0, 0.0]), bundle)
+            solitons.sample_point(rd, nav, 0.0, 0.0, FlagPoint([1.5, 0.0], [1.0, 0.0]), bundle)
 
 
 @pytest.mark.parametrize("name,mode,samples", [("cigar", "jet", 40), ("shrinking", "jet", 2),
@@ -139,7 +143,7 @@ def test_the_fixture_measure_and_its_sample_points_read_one_density(name, pertur
     # point's table: both are e^{-f} sqrt(det h), so they agree bit for bit
     fx = fixtures.get_fixture(name, perturb=perturb)
     for p in sample_flags(fx, 3, np.random.default_rng(31)):
-        got = solitons.sample_point(fx.rd, fx.nav, fx.f, p, False).base.logs
+        got = solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, False).base.logs
         want = fx.measure.log_density_table(p.x)
         assert len(got) == len(want) == 3
         for g, w in zip(got, want):

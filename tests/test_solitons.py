@@ -15,7 +15,6 @@ from finsler_solitons.reports import all_passed
 from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric, field_value
 from finsler_solitons.sampling import sample_flags
 
-RNG = np.random.default_rng(47)
 TOL = 1e-7
 
 
@@ -24,7 +23,8 @@ def flags_of(fx, n=12, seed=5):
 
 
 def points_of(fx, n=12, seed=5, f=None):
-    return [solitons.sample_point(fx.rd, fx.nav, fx.f if f is None else f, p, True)
+    return [solitons.sample_point(fx.rd, fx.nav, fx.f if f is None else f, fx.sigma, p,
+                                  True)
             for p in flags_of(fx, n, seed)]
 
 
@@ -40,13 +40,13 @@ def test_almost_soliton_trivial_einstein():
         assert abs(res) <= 1e-10
 
 
-def test_almost_soliton_gradient_field_riemannian():
+def test_almost_soliton_gradient_field_riemannian(rng):
     # flat space, V = rho x = grad(rho |x|^2 / 2): soliton at kappa = rho
     rho = 1.0
     F = FinslerMetric.from_riemannian(euclidean_metric(2))
     v = VectorField(lambda x: [rho * x[0], rho * x[1]])
     for _ in range(6):
-        p = FlagPoint(generators.sample_box_point(RNG, 2), RNG.normal(size=2))
+        p = FlagPoint(generators.sample_box_point(rng, 2), rng.normal(size=2))
         res = solitons.almost_soliton_residual(F, v, rho, p)
         assert abs(res) <= 1e-12
 
@@ -61,7 +61,8 @@ def test_gradient_soliton_residual_fixtures():
 
 def test_gradient_residual_affine_in_kappa():
     fx = fixtures.get_fixture("cigar")
-    points = [solitons.sample_point(fx.rd, fx.nav, fx.f, p, False) for p in flags_of(fx, 1)]
+    points = [solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, False)
+              for p in flags_of(fx, 1)]
     delta = 0.123
     shifted_fx = dataclasses.replace(fx, kappa=ScalarField(lambda x: float(fx.kappa(x)) + delta))
     [base] = suites._flag_rows(fx, points, "jet")
@@ -76,9 +77,8 @@ def test_gradient_residual_affine_in_kappa():
 def test_gradient_bundles_pass(name):
     fx = fixtures.get_fixture(name)
     points = points_of(fx, 10)
-    rows = solitons.gradient_soliton_checks_ab(fx.kappa, points, TOL, sigma=fx.sigma)
-    rows += solitons.gradient_soliton_checks_nav(fx.kappa, points, TOL, mu=fx.mu,
-                                                 sigma=fx.sigma)
+    rows = solitons.gradient_soliton_checks_ab(fx.kappa, points, TOL)
+    rows += solitons.gradient_soliton_checks_nav(fx.kappa, points, TOL, mu=fx.mu)
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
 
 
@@ -87,22 +87,24 @@ def test_vector_bundles_pass_on_einstein_fixtures(name):
     fx = fixtures.get_fixture(name)
     points = points_of(fx, 10)
     rows = solitons.vector_soliton_checks_ab(fixtures.ZERO_FIELD, fx.einstein,
-                                             points, TOL, c=0.0, sigma=fx.sigma)
+                                             points, TOL, c=0.0)
     rows += solitons.vector_soliton_checks_nav(fixtures.ZERO_FIELD, fx.einstein,
-                                               points, TOL, mu=fx.einstein_h,
-                                               sigma=fx.sigma)
+                                               points, TOL, mu=fx.einstein_h)
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
 
 
-def test_vector_bundles_not_applicable_on_riemannian_data():
+def test_vector_bundles_pass_on_windless_data():
+    # W = 0 and beta = 0: the vector rows are the Riemannian case of the same
+    # identities, and on flat h with V = 0 each reads exactly zero
     fx = fixtures.get_fixture("gaussian-riemannian")
     points = points_of(fx, 4)
-    rows = solitons.vector_soliton_checks_ab(fixtures.ZERO_FIELD, 0.0, points, TOL,
-                                             c=0.0, sigma=0.0)
-    assert all(r.verdict == "not-applicable" for r in rows)
-    rows = solitons.vector_soliton_checks_nav(fixtures.ZERO_FIELD, 0.0, points, TOL,
-                                              mu=0.0, sigma=0.0)
-    assert all(r.verdict == "not-applicable" for r in rows)
+    rows = solitons.vector_soliton_checks_ab(fixtures.ZERO_FIELD, 0.0, points, TOL, c=0.0)
+    rows += solitons.vector_soliton_checks_nav(fixtures.ZERO_FIELD, 0.0, points, TOL, mu=0.0)
+    assert [r.name for r in rows] == ["conformal-v", "isotropic-s", "alpha-ricci-balance",
+                                      "sigma-lie-balance", "einstein-h", "conformal-w",
+                                      "lie-h2-balance", "lie-w0-balance"]
+    assert all(r.verdict == "pass" and r.samples == 4 and r.max_abs == 0.0 for r in rows), [
+        (r.name, r.max_abs) for r in rows]
 
 
 def test_constant_weight_reduces_to_einstein_check():
@@ -110,9 +112,8 @@ def test_constant_weight_reduces_to_einstein_check():
     # must hold with kappa equal to the Einstein scalar of F
     fx = fixtures.get_fixture("cigar")
     points = points_of(fx, 8, f=0.0)
-    rows = solitons.gradient_soliton_checks_ab(fx.einstein, points, TOL, sigma=fx.sigma)
-    rows += solitons.gradient_soliton_checks_nav(fx.einstein, points, TOL,
-                                                 mu=fx.einstein_h, sigma=fx.sigma)
+    rows = solitons.gradient_soliton_checks_ab(fx.einstein, points, TOL)
+    rows += solitons.gradient_soliton_checks_nav(fx.einstein, points, TOL, mu=fx.einstein_h)
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
     m_bh = randers.bh_measure(fx.rd)
     for p in [bp.p for bp in points[:4]]:
@@ -144,29 +145,29 @@ def _bases(metric, measure, xs):
     return [finsler.base_point(metric, measure, x) for x in xs]
 
 
-def test_fit_kappa_cigar():
+def test_fit_kappa_cigar(rng):
     fx = fixtures.get_fixture("cigar")
-    xs = [fx.sample_x(RNG) for _ in range(3)]
+    xs = [fx.sample_x(rng) for _ in range(3)]
     kappas, anis = solitons.fit_kappa(fx.metric, fx.measure, _bases(fx.metric, fx.measure, xs))
     assert np.max(np.abs(kappas)) <= 1e-8
     assert anis <= 1e-8
 
 
-def test_fit_kappa_shrinking():
+def test_fit_kappa_shrinking(rng):
     fx = fixtures.get_fixture("shrinking")
-    xs = [fx.sample_x(RNG) for _ in range(2)]
+    xs = [fx.sample_x(rng) for _ in range(2)]
     kappas, anis = solitons.fit_kappa(fx.metric, fx.measure, _bases(fx.metric, fx.measure, xs))
     np.testing.assert_allclose(kappas, 2.0, atol=1e-8)
     assert anis <= 1e-8
 
 
-def test_fit_kappa_einstein_sphere_trivial_soliton():
+def test_fit_kappa_einstein_sphere_trivial_soliton(rng):
     # round sphere with its own volume: Ric_inf = Ric = (n-1) mu h^2
     mu = 1.0
     h = fixtures.sphere_metric(mu, 3)
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
-    xs = [RNG.uniform(-0.5, 0.5, size=3) for _ in range(2)]
+    xs = [rng.uniform(-0.5, 0.5, size=3) for _ in range(2)]
     kappas, anis = solitons.fit_kappa(F, m, _bases(F, m, xs))
     np.testing.assert_allclose(kappas, 2.0 * mu, atol=1e-9)
     assert anis <= 1e-9
@@ -181,14 +182,14 @@ def test_fit_conformal_factor_flat_homothety():
     v = VectorField(lambda x: [0.7 * x[0], 0.7 * x[1]])
     rec = riemann.point_record(euclidean_metric(2), [0.2, 0.1], 1)
     v0, dv = v.table(rec.x, order=1)
-    vcov = riemann.lowered_covariant_derivative(rec.h0, rec.dh, rec.gamma, v0, dv)
+    vcov = riemann.lowered_covariant_derivative(rec, v0, dv)
     assert np.max(np.abs(riemann.conformal_residual(rec, vcov, 0.35))) <= 1e-13
 
 
-def test_fit_einstein_scalar_sphere():
+def test_fit_einstein_scalar_sphere(rng):
     # the unit 3-sphere is Einstein with Ric_h = 2 h
     h = fixtures.sphere_metric(1.0, 3)
-    rec = riemann.point_record(h, RNG.uniform(-0.4, 0.4, size=3), 2)
+    rec = riemann.point_record(h, rng.uniform(-0.4, 0.4, size=3), 2)
     assert np.max(np.abs(rec.ricci - 2.0 * rec.h0)) <= 1e-10
 
 
@@ -234,9 +235,9 @@ def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
         monkeypatch.setattr(solitons, attr, wrapped)
     reports = suites.run_fixture_suite(fx, samples=2, seed=3)
     assert [a for a, _, _ in seen] == [checkers[b] for b in fx.bundles]
-    # the gradient bundles read kappa, mu and sigma; the vector bundles V = 0
-    # with the Einstein scalars and c = 0
-    assert seen[0][1][0] is fx.kappa and ("sigma", fx.sigma) in seen[0][2]
+    # the gradient bundles read kappa and mu; the vector bundles V = 0 with
+    # the Einstein scalars and c = 0
+    assert seen[0][1][0] is fx.kappa and seen[0][2] == []
     assert seen[1][1][0] is fx.kappa and ("mu", fx.mu) in seen[1][2]
     assert seen[2][1][:2] == (fixtures.ZERO_FIELD, fx.einstein)
     assert ("c", 0.0) in seen[2][2]
@@ -245,6 +246,10 @@ def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
     # all four read one list of bundle points
     points = seen[0][1][1]
     assert seen[1][1][1] is points and seen[2][1][2] is points and seen[3][1][2] is points
+    # and the fixture's sigma as the bundle points table it
+    for bp in points:
+        for got, want in zip(bp.sigma, fx.sigma.table(bp.p.x, order=1), strict=True):
+            assert np.array_equal(got, want)
     for bundle in fx.bundles:
         assert any(r.name.startswith(f"{bundle}/") for r in reports)
 
@@ -255,7 +260,7 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     # the alpha and beta closures never; the records of alpha and h, the beta
     # and W tensors are built once per bundle flag from that evaluation; the
     # only jet passes of table functions are V's vector_table in each vector
-    # bundle and one sigma table per flag, which every bundle reads; and no
+    # bundle and the sample point's sigma table, which every bundle reads; and no
     # float evaluation of a metric or a field
     from finsler_solitons.jets import Jet
 
@@ -317,7 +322,7 @@ def test_characterizations_consistent_on_fixtures():
     for name in fixtures.FIXTURE_NAMES:
         fx = fixtures.get_fixture(name)
         flags = flags_of(fx, 8)
-        points = [solitons.sample_point(fx.rd, fx.nav, fx.f, p, True) for p in flags]
+        points = [solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, True) for p in flags]
         for p in flags[:4]:
             ric_inf = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf
             assert abs(ric_inf / p.F ** 2 - field_value(fx.kappa, p.x)) <= 1e-7
