@@ -14,8 +14,9 @@ its own expansion, and the float tables of all of them are stacked, so the
 spray derivatives and R run once per stack (one pass of numpy calls over
 arrays with a leading flag axis), not once per flag.  A flag evaluation's
 x-only work is a `BasePoint`: the metric's stage at x and the log-density
-table, built once per sample point (`base_point`, or a fixture's
-`solitons.sample_point`) and shared by every direction evaluated there.
+table, built once per sample point (`base_point`, or for all of a fixture
+run's flags at once `solitons.sample_points`) and shared by every direction
+evaluated there.
 
 `evaluate_flags` is also the one place a flag evaluation chooses jet or
 finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are

@@ -35,12 +35,14 @@ def _poly2(coeffs, x):
     n = len(x)
     space = x[0].space if isinstance(x[0], Jet) else None
     if space is not None and all(isinstance(v, Jet) and v.space is space for v in x):
-        X = np.array([v.coeffs for v in x])                     # [k, coefficient]
-        prods = jets.mul_rows(c2[..., None] * X[None, :, None, :], X, space)
-        out = np.zeros((c0.size, space.nterms))
-        out[:, 0] = c0
+        X = np.array([v.coeffs for v in x])                     # [k, lanes..., coefficient]
+        lanes = (1,) * (X.ndim - 2)                             # entry axes over the lanes
+        prods = jets.mul_rows(c2.reshape(c2.shape + lanes + (1,)) * X[None, :, None], X, space)
+        c1x = c1.reshape(c1.shape + lanes + (1,))
+        out = np.zeros((c0.size,) + X.shape[1:])
+        out[..., 0] = c0.reshape(c0.shape + lanes)
         for k in range(n):
-            out = out + c1[:, k, None] * X[k]
+            out = out + c1x[:, k] * X[k]
             for l in range(n):
                 out = out + prods[:, k, l]
         return [Jet(space, row) for row in out]

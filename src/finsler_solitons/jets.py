@@ -35,6 +35,22 @@ Derivative tensors come from one place: d^m f is the coefficient of m times
 m! (Griewank-Utke-Walther), so a tensor of k-th partials is one gather from
 the positions `tensor_index` caches per index tuple (`derivative_tensors`).
 
+A jet's coefficients may carry leading lane axes, shape (...lanes, nterms):
+one jet per lane, the expansions of one function at a stack of points
+(Taylor arithmetic vectorised over points, Griewank-Walther), so x-only work
+at every sample point of a run is one pass of numpy calls.  Each lane is
+bit-equal to the unlaned jet at its point, signs of zero included: sums,
+differences and products or quotients by a scalar are elementwise, and a
+scalar operand broadcasts as the constant jet it is unlaned; a product with
+a laned jet is `mul_rows`, which sums each lane's pairs in table order; and
+`_compose` takes per-lane derivative arrays, which the derivative builders
+make with `math` on each lane's float (`_per_lane`), not with numpy ufuncs,
+whose last bit can differ.  `value` and `partial` of a laned jet are lane
+arrays, never lane 0, and every guard checks all lanes and names the ones it
+refuses (`refuse`).  An unlaned jet keeps the one-point code path.
+Lanes stay in x-only work: a flag's stage is built from its lane's slice
+(`lane`), so the flag-space jets of F^2 and `YForms` are never laned.
+
 The metric stages' forms in y, sum_ij r_ij y_i y_j and sum_i sum_k c_ik y_i,
 come from one kernel, `YForms`.  When the y are the variables n..2n-1 of
 their space and the coefficients x-jets (or floats, as constant jets), every
@@ -237,8 +253,7 @@ def _mul_table(sa: JetSpace, sb: JetSpace):
 def _lane_bins(space: JetSpace, lanes: int) -> np.ndarray:
     """The output bins of `lanes` stacked products over `space`: lane j's
     table `ic` offset by j * nterms, flattened lane-major (read-only)."""
-    ic = _mul_table(space, space)[2]
-    bins = (ic + space.nterms * np.arange(lanes, dtype=np.intp)[:, None]).ravel()
+    bins = (space.mul_ic + space.nterms * np.arange(lanes, dtype=np.intp)[:, None]).ravel()
     bins.setflags(write=False)
     return bins
 
@@ -249,13 +264,11 @@ def mul_rows(a, b, space: JetSpace) -> np.ndarray:
     broadcast), all in one `bincount`.  Lanes never share a bin and each
     bin sums its lane's pairs in table order, so every row is bit-equal to
     `Jet.__mul__` of the two rows."""
-    ia, ib, _, _ = _mul_table(space, space)
-    prod = a[..., ia] * b[..., ib]
-    lanes = prod.shape[:-1]
-    count = math.prod(lanes)
-    out = np.bincount(_lane_bins(space, count), weights=prod.reshape(-1),
+    prod = a.take(space.mul_ia, axis=-1) * b.take(space.mul_ib, axis=-1)
+    count = prod.size // space.mul_ia.size
+    out = np.bincount(_lane_bins(space, count), weights=prod.ravel(),
                       minlength=count * space.nterms)
-    return out.reshape(*lanes, space.nterms)
+    return out.reshape(prod.shape[:-1] + (space.nterms,))
 
 
 def _common(a: "Jet", b: "Jet"):
@@ -276,9 +289,11 @@ class Jet:
     of its space.
 
     The coefficient stored for multi-index m is the Taylor coefficient
-    (1/m!) d^m f, so `partial` multiplies the factorial back in.  Jets are
-    immutable after construction, so the reciprocal is computed once per jet
-    and kept (`_reciprocal`), and repeated division by one jet composes once.
+    (1/m!) d^m f, so `partial` multiplies the factorial back in; `coeffs`
+    has shape (nterms,), or (...lanes, nterms) for a laned jet (module
+    notes).  Jets are immutable after construction, so the reciprocal is
+    computed once per jet and kept (`_reciprocal`), and repeated division by
+    one jet composes once.
     A product of jets over two spaces, one embedding in the other, runs the
     cross-space table of the module notes and lands in the larger space.
     """
@@ -293,28 +308,35 @@ class Jet:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def constant(value: float, space: JetSpace) -> "Jet":
-        c = np.zeros(space.nterms)
-        c[0] = value
+    def constant(value, space: JetSpace) -> "Jet":
+        """The constant `value`: a float, or an array of lane values."""
+        if not isinstance(value, np.ndarray):
+            c = np.zeros(space.nterms)
+            c[0] = value
+            return Jet(space, c)
+        c = np.zeros(value.shape + (space.nterms,))
+        c[..., 0] = value
         return Jet(space, c)
 
     @staticmethod
-    def variable(value: float, position: int, space: JetSpace) -> "Jet":
-        c = np.zeros(space.nterms)
-        c[0] = value
-        c[tensor_index(space, 1)[position]] = 1.0
-        return Jet(space, c)
+    def variable(value, position: int, space: JetSpace) -> "Jet":
+        """Variable `position` of `space` at `value`, a float or lane values."""
+        jet = Jet.constant(value, space)
+        jet.coeffs[..., tensor_index(space, 1)[position]] = 1.0
+        return jet
 
     @staticmethod
     def variables(values, order: int) -> list["Jet"]:
+        """One variable per entry of `values`: floats, or arrays of lane values."""
         space = jet_space(len(values), order)
-        return [Jet.variable(float(v), k, space) for k, v in enumerate(values)]
+        return [Jet.variable(v, k, space) for k, v in enumerate(values)]
 
     # -- inspection ---------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        """The value: a float, or the array of lane values of a laned jet."""
+        return float(self.coeffs[0]) if self.coeffs.ndim == 1 else self.coeffs[..., 0]
 
     @property
     def dim(self) -> int:
@@ -324,10 +346,11 @@ class Jet:
     def order(self) -> int:
         return self.space.order
 
-    def partial(self, multi) -> float:
-        """d^multi f at the expansion point (coefficient times multi!)."""
+    def partial(self, multi):
+        """d^multi f at the expansion point (coefficient times multi!), per lane."""
         idx = self.space.index[tuple(multi)]
-        return float(self.coeffs[idx] * self.space.factorials[idx])
+        d = self.coeffs[..., idx] * self.space.factorials[idx]
+        return float(d) if self.coeffs.ndim == 1 else d
 
     def gradient(self) -> np.ndarray:
         return derivative_tensors(self.coeffs, self.space, 1)[1]
@@ -339,8 +362,8 @@ class Jet:
         """This jet as a jet over the first `self.dim` variables of `space`."""
         if space is self.space:
             return self
-        c = np.zeros(space.nterms)
-        c[_prefix_positions(self.space, space)] = self.coeffs
+        c = np.zeros(self.coeffs.shape[:-1] + (space.nterms,))
+        c[..., _prefix_positions(self.space, space)] = self.coeffs
         return Jet(space, c)
 
     # -- ring operations ----------------------------------------------
@@ -381,6 +404,9 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
+            if self.coeffs.ndim > 1 or other.coeffs.ndim > 1:
+                a, b = _common(self, other)
+                return Jet(a.space, mul_rows(a.coeffs, b.coeffs, a.space))
             ia, ib, ic, sp = _mul_table(self.space, other.space)
             prod = self.coeffs[ia] * other.coeffs[ib]
             return Jet(sp, np.bincount(ic, weights=prod, minlength=sp.nterms))
@@ -411,25 +437,74 @@ class Jet:
 
     def _compose(self, derivs):
         """Sum_k derivs[k]/k! * (self - value)^k over the jet order; `derivs`
-        holds the order + 1 derivatives of the outer function."""
+        holds the order + 1 derivatives of the outer function (floats, or
+        arrays of lane values, `_per_lane`)."""
         du = Jet(self.space, self.coeffs.copy())
-        du.coeffs[0] = 0.0
+        du.coeffs[..., 0] = 0.0
         order = self.space.order
         acc = Jet.constant(derivs[order] / math.factorial(order), self.space)
         for k in range(order - 1, -1, -1):
-            acc = acc * du + derivs[k] / math.factorial(k)
+            acc = acc * du + Jet.constant(derivs[k] / math.factorial(k), self.space)
         return acc
 
     def _reciprocal(self):
         """1/self, composed on the first call and kept (jets are immutable)."""
         if self._recip is None:
-            u0 = self.value
-            if u0 == 0.0:
-                raise EvaluationError("division by a jet with zero value")
             K = self.space.order
-            derivs = [((-1.0) ** k) * math.factorial(k) / u0 ** (k + 1) for k in range(K + 1)]
-            self._recip = self._compose(derivs)
+
+            def derivs(u0):
+                if u0 == 0.0:
+                    raise EvaluationError("division by a jet with zero value")
+                return [((-1.0) ** k) * math.factorial(k) / u0 ** (k + 1) for k in range(K + 1)]
+
+            self._recip = self._compose(_per_lane(derivs, self.value))
         return self._recip
+
+
+def refuse(bad, error, message):
+    """The one guard of a value or of its lanes: where the mask `bad` holds,
+    raise error(message(k)), k the first refused lane (() for the 0-d mask
+    of an unlaned value), followed for a laned one by ' at lane i' or ' at
+    lanes i, j' naming every refused lane."""
+    if np.ndim(bad) == 0:
+        if bad:
+            raise error(message(()))
+        return
+    if not bad.any():
+        return
+    where = np.argwhere(bad)
+    lanes = [str(int(i[0]) if bad.ndim == 1 else tuple(map(int, i))) for i in where]
+    raise error(f"{message(tuple(where[0]))} at lane{'s' if len(lanes) > 1 else ''} "
+                f"{', '.join(lanes)}")
+
+
+def _per_lane(build, u0):
+    """The derivatives build(u0) at a float value u0.  At an array of lane
+    values, each derivative as an array over the lanes, with build run on
+    every lane's float, so each lane has the bits of its unlaned call; the
+    lanes build refuses raise one EvaluationError (`refuse`), with the first
+    one's message."""
+    if isinstance(u0, float):
+        return build(u0)
+    rows, errors = [], []
+    for u in np.ravel(u0).tolist():
+        try:
+            rows.append(build(u))
+        except EvaluationError as exc:
+            errors.append(exc)
+            rows.append(None)
+    if errors:
+        refuse(np.array([row is None for row in rows]).reshape(np.shape(u0)), EvaluationError,
+               lambda k: str(errors[0]))
+    return list(np.array(rows).T.reshape((-1,) + np.shape(u0)))
+
+
+def lane(v, k):
+    """Lane k (an index, or a slice that keeps the lane axis) of a laned jet;
+    an unlaned jet or a float, the same in every lane, passes through."""
+    if isinstance(v, Jet) and v.coeffs.ndim > 1:
+        return Jet(v.space, v.coeffs[k])
+    return v
 
 
 # -- elementary functions, dispatching on Jet vs plain scalar -----------
@@ -438,7 +513,8 @@ class Jet:
 def _jet_fn(name, float_fn, deriv_builder):
     def fn(v):
         if isinstance(v, Jet):
-            return v._compose(deriv_builder(v.value, v.space.order, name))
+            order = v.space.order
+            return v._compose(_per_lane(lambda u: deriv_builder(u, order, name), v.value))
         try:
             return float_fn(float(v))
         except ValueError as exc:
@@ -549,16 +625,19 @@ def power(v, p):
             return out
         return float(v) ** p
     if isinstance(v, Jet):
-        if v.value <= 0.0:
-            raise EvaluationError(f"power with non-integer exponent at base {v.value!r}")
-        return v._compose(_power_derivs(v.value, float(p), v.space.order))
+        def derivs(u0):
+            if u0 <= 0.0:
+                raise EvaluationError(f"power with non-integer exponent at base {u0!r}")
+            return _power_derivs(u0, float(p), v.space.order)
+
+        return v._compose(_per_lane(derivs, v.value))
     if float(v) <= 0.0:
         raise EvaluationError(f"power with non-integer exponent at base {v!r}")
     return float(v) ** float(p)
 
 
-def scalar_value(v) -> float:
-    """Value part of a Jet, or the number itself."""
+def scalar_value(v):
+    """Value part of a Jet (its lane values if laned), or the number itself."""
     return v.value if isinstance(v, Jet) else float(v)
 
 

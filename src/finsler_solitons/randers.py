@@ -15,14 +15,17 @@ and on the navigation side (indices via h_ij):
 
 The alpha rows, b and the stage of F are each one function of a guarded
 `_navigation_point` (h rows, W, lambda, h W); the closures and
-`solitons.sample_point` all call them; the Randers side reads det a and
+`solitons.sample_points` all call them, the latter on one point laned over a
+run's flags (`_point_lane` slices it); the Randers side reads det a and
 det(a - b b^T) of one guarded `_randers_point`, and no inverse of alpha.
 sigma_BH(a rows, b) (`_bh_density`) serves `RandersData` callers
 (`bh_measure`, the `jets-vs-fd` suite); on navigation data sigma_BH =
 sqrt(det h) (Xing 2005), which the fixtures and sample points read, and
 `_bh_density` is the oracle a test holds it to.
 The tensors of one point read a `riemann.PointRecord` of alpha or h and the
-table of beta or W, and the navigation identities read those tensors and the
+table of beta or W (`beta_tables`, `nav_tensors`; with leading lane axes,
+the tensors of a stack of points, each lane bit-equal to its point alone),
+and the navigation identities read those tensors and the
 flag's F from the caller, with xi = y - F W on the tabled W (`NavTensors.w_up`).
 """
 
@@ -82,15 +85,24 @@ class NavigationData:
 
 
 def _navigation_point(nav: NavigationData, x):
-    """(rows of h, W^i, lambda, h_ij W^j per (i, j)) at x, guarded: the data of
-    alpha, beta and F; W_i = h_ij W^j is the sum of row i of the last."""
+    """(rows of h, W^i, lambda, h_ij W^j per (i, j)) at x, guarded in every
+    lane of laned x: the data of alpha, beta and F; W_i = h_ij W^j is the
+    sum of row i of the last."""
     rows = nav.h.matrix(x)
     w = nav.W.components(x)
     lam = _lam(rows, w)
-    if scalar_value(lam) <= 0.0:
-        raise NavigationDomainError("||W||_h >= 1 at evaluated point")
+    jets.refuse(scalar_value(lam) <= 0.0, NavigationDomainError,
+                lambda k: "||W||_h >= 1 at evaluated point")
     n = len(w)
     return rows, w, lam, [[rows[i][j] * w[j] for j in range(n)] for i in range(n)]
+
+
+def _point_lane(point, k):
+    """Lane k (an index, or a slice that keeps the lane axis, `jets.lane`) of
+    a `_navigation_point` at laned x."""
+    rows, w, lam, hw = point
+    return ([[jets.lane(v, k) for v in row] for row in rows], [jets.lane(v, k) for v in w],
+            jets.lane(lam, k), [[jets.lane(v, k) for v in row] for row in hw])
 
 
 def _alpha_rows(point):
@@ -214,7 +226,8 @@ def bh_measure(rd: RandersData) -> Measure:
 
 @dataclass
 class BetaTables:
-    """Point-level tensors of (alpha, beta) at one x."""
+    """Point-level tensors of (alpha, beta) at one x (every field with the
+    leading lane axes of a stack of points, the floats lane arrays)."""
 
     x: np.ndarray
     a: np.ndarray
@@ -241,47 +254,56 @@ class BetaTables:
 
 def beta_tables(A: riemann.PointRecord, btab) -> BetaTables:
     """The beta tensors at the point of A, an order-2 record of alpha, from
-    beta's order-2 table (b_i, d_j b_i, d_j d_k b_i) there."""
+    beta's order-2 table (b_i, d_j b_i, d_j d_k b_i) there.  The record and
+    table may carry leading lane axes (one lane per point of a stack); every
+    contraction keeps its one-point order, so each lane is bit-equal to its
+    one-point call."""
     x = A.x
     a0, ainv, gamma, dainv, dgamma = A.h0, A.hinv, A.gamma, A.dhinv, A.dgamma
     b0, db, d2b = btab
 
-    b2 = float(b0 @ ainv @ b0)
-    if b2 >= 1.0:
-        raise RandersDomainError(f"||beta||_alpha^2 = {b2:.6f} >= 1 at {x.tolist()}")
-    b_up = ainv @ b0
+    b_up = riemann.mat_vec(ainv, b0)
+    b2 = riemann.bilinear(b0, ainv, b0)
+    jets.refuse(b2 >= 1.0, RandersDomainError,
+                lambda k: f"||beta||_alpha^2 = {b2[k]:.6f} >= 1 at {x[k].tolist()}")
 
     bcov = riemann.covariant_1form(gamma, b0, db)
-    dbcov = (np.einsum("ijm->mij", d2b)
-             - np.einsum("mkij,k->mij", dgamma, b0)
-             - np.einsum("kij,km->mij", gamma, db))
+    dbcov = (np.einsum("...ijm->...mij", d2b)
+             - np.einsum("...mkij,...k->...mij", dgamma, b0)
+             - np.einsum("...kij,...km->...mij", gamma, db))
 
-    r = 0.5 * (bcov + bcov.T)
-    s = 0.5 * (bcov - bcov.T)
-    dr = 0.5 * (dbcov + np.einsum("mij->mji", dbcov))
-    ds = 0.5 * (dbcov - np.einsum("mij->mji", dbcov))
+    bcov_t = bcov.swapaxes(-1, -2)
+    dbcov_t = np.einsum("...mij->...mji", dbcov)
+    r = 0.5 * (bcov + bcov_t)
+    s = 0.5 * (bcov - bcov_t)
+    dr = 0.5 * (dbcov + dbcov_t)
+    ds = 0.5 * (dbcov - dbcov_t)
 
     s_mixed = ainv @ s
-    s_low = b_up @ s
-    s_up = ainv @ s_low
+    s_low = riemann.vec_mat(b_up, s)
+    s_up = riemann.mat_vec(ainv, s_low)
     t = s @ s_mixed
     t_mixed = ainv @ t
-    t_low = b_up @ t
-    t_trace = float(np.trace(t_mixed))
+    t_low = riemann.vec_mat(b_up, t)
+    t_trace = t_mixed.trace(axis1=-2, axis2=-1)
     q = r @ s_mixed
-    e = r + np.outer(b0, s_low) + np.outer(s_low, b0)
+    e = r + b0[..., :, None] * s_low[..., None, :] + s_low[..., :, None] * b0[..., None, :]
 
-    db_up = np.einsum("kij,j->ik", dainv, b0) + np.einsum("ij,jk->ik", ainv, db)
-    ds_low = np.einsum("ik,ij->kj", db_up, s) + np.einsum("i,kij->kj", b_up, ds)
-    s_cov = riemann.covariant_1form(gamma, s_low, ds_low.T)
+    db_up = np.einsum("...kij,...j->...ik", dainv, b0) + np.einsum("...ij,...jk->...ik", ainv, db)
+    ds_low = np.einsum("...ik,...ij->...kj", db_up, s) + np.einsum("...i,...kij->...kj", b_up, ds)
+    s_cov = riemann.covariant_1form(gamma, s_low, ds_low.swapaxes(-1, -2))
 
-    r_cov = dr.transpose(1, 2, 0) - np.einsum("pik,pj->ijk", gamma, r) \
-        - np.einsum("pjk,ip->ijk", gamma, r)
+    r_cov = np.einsum("...mij->...ijm", dr) - np.einsum("...pik,...pj->...ijk", gamma, r) \
+        - np.einsum("...pjk,...ip->...ijk", gamma, r)
 
-    ds_mixed = np.einsum("kip,pj->kij", dainv, s) + np.einsum("ip,kpj->kij", ainv, ds)
-    div_mixed_s = (np.einsum("iij->j", ds_mixed)
-                   + np.einsum("iip,pj->j", gamma, s_mixed)
-                   - np.einsum("pji,ip->j", gamma, s_mixed))
+    ds_mixed = (np.einsum("...kip,...pj->...kij", dainv, s)
+                + np.einsum("...ip,...kpj->...kij", ainv, ds))
+    # Gamma^p_ji s^i_p sums over p for each i, then over i from 0.0: the
+    # order of the one-point einsum "pji,ip->j", which a stacked one does not keep
+    gamma_s = np.add.reduce(np.einsum("...pji,...ip->...ij", gamma, s_mixed), axis=-2,
+                            initial=0.0)
+    div_mixed_s = (np.einsum("...iij->...j", ds_mixed)
+                   + np.einsum("...iip,...pj->...j", gamma, s_mixed) - gamma_s)
 
     return BetaTables(x=x, a=a0, ainv=ainv, b_low=b0, b_up=b_up, b2=b2, bcov=bcov,
                       r=r, s=s, s_mixed=s_mixed, s_low=s_low, s_up=s_up,
@@ -383,7 +405,8 @@ def randers_ricci_closed_form(rd: RandersData, p: FlagPoint) -> float:
 
 @dataclass
 class NavTensors:
-    """W-derivative tensors of a navigation pair at one x (indices via h)."""
+    """W-derivative tensors of a navigation pair at one x (indices via h;
+    with leading lane axes at a stack of points, as `BetaTables`)."""
 
     x: np.ndarray
     h: np.ndarray
@@ -398,17 +421,18 @@ class NavTensors:
 
 def nav_tensors(H: riemann.PointRecord, wtab) -> NavTensors:
     """The W tensors at the point of H, a record of h (any order), from W's
-    order-1 table (W^i, d_j W^i) there."""
+    order-1 table (W^i, d_j W^i) there; leading lane axes pass through, as
+    in `beta_tables`."""
     x, h0, hinv = H.x, H.h0, H.hinv
     w0, dw = wtab
-    lam = 1.0 - float(w0 @ h0 @ w0)
-    if lam <= 0.0:
-        raise NavigationDomainError(f"lambda = {lam:.6f} <= 0 at {x.tolist()}")
+    lam = 1.0 - riemann.bilinear(w0, h0, w0)
+    jets.refuse(lam <= 0.0, NavigationDomainError,
+                lambda k: f"lambda = {lam[k]:.6f} <= 0 at {x[k].tolist()}")
     wcov = riemann.lowered_covariant_derivative(H, w0, dw)
-    s_asym = 0.5 * (wcov - wcov.T)
-    s_low = w0 @ s_asym
-    return NavTensors(x=x, h=h0, w_up=w0, w_low=h0 @ w0, lam=lam, wcov=wcov,
-                      s_mixed=hinv @ s_asym, s_low=s_low, s_up=hinv @ s_low)
+    s_asym = 0.5 * (wcov - wcov.swapaxes(-1, -2))
+    s_low = riemann.vec_mat(w0, s_asym)
+    return NavTensors(x=x, h=h0, w_up=w0, w_low=riemann.mat_vec(h0, w0), lam=lam, wcov=wcov,
+                      s_mixed=hinv @ s_asym, s_low=s_low, s_up=riemann.mat_vec(hinv, s_low))
 
 
 def spray_correction(T: NavTensors, sigma: float, y) -> np.ndarray:

@@ -24,6 +24,12 @@ tensors with the field values.  A caller tables each field once per point.
 
 Jets meet linear algebra only through `generic_det` and `sqrt_det`; every float
 positive-definiteness test is one Cholesky guard, `spd_guard`, run by `spd_inverse` too.
+
+The gathers take the lane shape of laned jets (`jets` module notes), and a
+table of a stack of points x has it as leading axes, which `record_from_tables`,
+the connection formulas and the covariant derivatives pass through; `mat_vec`,
+`vec_mat` and `bilinear` are the stacked forms of `@` with a vector, each row
+bit-equal to its one-point product.
 """
 
 from __future__ import annotations
@@ -66,11 +72,18 @@ def sqrt_det(rows):
 
 def spd_guard(mat, error, what):
     """Cholesky check that a matrix, or each of a stack (leading axes pass through),
-    is positive definite: where it fails, error(f"{what} not positive definite")."""
+    is positive definite: where it fails, error(f"{what} not positive definite"),
+    naming the refused lanes of a stack (`jets.refuse`)."""
     try:
         np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise error(f"{what} not positive definite") from exc
+    except np.linalg.LinAlgError:
+        bad = np.zeros(np.shape(mat)[:-2], bool)
+        for i in np.ndindex(bad.shape):
+            try:
+                np.linalg.cholesky(mat[i])
+            except np.linalg.LinAlgError:
+                bad[i] = True
+        jets.refuse(bad, error, lambda k: f"{what} not positive definite")
 
 
 def spd_inverse(mat, error, what):
@@ -168,33 +181,45 @@ def euclidean_metric(dim: int) -> RiemannMetric:
 # -- partial-derivative tables ----------------------------------------------
 
 
-def vector_gather(v, space, order):
+def vector_gather(v, space, order, lanes):
     """(v[i], dv[i,j]=d_j v^i, d2v[i,j,k]=d_j d_k v^i, ...) of scalar-or-Jet
-    components over `space`, one gather (a float enters as a constant jet)."""
-    coeffs = np.array([c.coeffs if isinstance(c, Jet) else Jet.constant(float(c), space).coeffs
-                       for c in v])
+    components over `space` with the lane shape `lanes` (() at one point),
+    one gather: a float or unlaned jet, the same in every lane, is broadcast
+    (a float as a constant jet), and the lane axes lead every table."""
+    rows = [c.coeffs if isinstance(c, Jet) else Jet.constant(float(c), space).coeffs for c in v]
+    if lanes:
+        coeffs = np.empty(lanes + (len(v), space.nterms))
+        for i, row in enumerate(rows):
+            coeffs[..., i, :] = row
+    else:
+        coeffs = np.array(rows)
     return tuple(jets.derivative_tensors(coeffs, space, order))
 
 
-def scalar_gather(v, space, order):
-    """(value, grad, hess, ...) up to `order` of a scalar-or-Jet over `space`."""
-    value, *derivs = vector_gather([v], space, order)
-    return (float(value[0]), *(d[0] for d in derivs))
+def scalar_gather(v, space, order, lanes):
+    """(value, grad, hess, ...) up to `order` of a scalar-or-Jet over `space`
+    (`vector_gather`); the value is a float at one point."""
+    value, *derivs = vector_gather([v], space, order, lanes)
+    at = (slice(None),) * len(lanes) + (0,)         # the one component, after the lanes
+    return (value[at] if lanes else float(value[at]), *(d[at] for d in derivs))
 
 
-def matrix_gather(rows, space, order):
-    """(m[i,j], dm[k,i,j]=d_k m_ij, d2m[k,l,i,j]) of matrix rows over `space`."""
-    n = len(rows)
-    value, *derivs = vector_gather([v for row in rows for v in row], space, order)
+def matrix_gather(rows, space, order, lanes):
+    """(m[i,j], dm[k,i,j]=d_k m_ij, d2m[k,l,i,j]) of matrix rows over `space`
+    (`vector_gather`)."""
+    n, k = len(rows), len(lanes)
+    value, *derivs = vector_gather([v for row in rows for v in row], space, order, lanes)
     # the gather puts the derivative axes last; the layout puts them first
-    return (value.reshape(n, n), *(np.ascontiguousarray(
-        np.moveaxis(d.reshape(n, n, *d.shape[1:]), (0, 1), (-2, -1))) for d in derivs))
+    return (value.reshape(*lanes, n, n), *(np.ascontiguousarray(np.moveaxis(
+        d.reshape(*lanes, n, n, *d.shape[k + 1:]), (k, k + 1), (-2, -1))) for d in derivs))
 
 
 def _jet_pass(fn, x, order):
-    """(fn at x as order-`order` jets, their space, order): one jet pass."""
-    xs = Jet.variables([float(v) for v in x], order)
-    return fn(xs), xs[0].space, order
+    """(fn at x as order-`order` jets, their space, order, the lane shape):
+    one jet pass at a point x, or at each row of a stack of points (lanes)."""
+    x = np.asarray(x, float)
+    xs = Jet.variables(list(x.T), order)
+    return fn(xs), xs[0].space, order, x.shape[:-1]
 
 
 def scalar_table(fn, x, order):
@@ -222,21 +247,23 @@ def _bracket(dh):
 
 def christoffel(hinv, dh) -> np.ndarray:
     """Gamma[k,i,j] = Gamma^k_ij = 1/2 h^kl (d_i h_jl + d_j h_il - d_l h_ij)
-    from h^-1 and dh[k,i,j] = d_k h_ij."""
-    return 0.5 * np.einsum("kl,lij->kij", hinv, _bracket(dh))
+    from h^-1 and dh[k,i,j] = d_k h_ij; leading axes pass through."""
+    return 0.5 * np.einsum("...kl,...lij->...kij", hinv, _bracket(dh))
 
 
 def christoffel_derivative(hinv, dhinv, dh, d2h) -> np.ndarray:
     """dGamma[m,k,i,j] = d_m Gamma^k_ij from h^-1, dhinv[m,k,l] = d_m h^kl, dh
-    and d2h[m,k,i,j] = d_m d_k h_ij."""
-    return 0.5 * (np.einsum("mkl,lij->mkij", dhinv, _bracket(dh))
-                  + np.einsum("kl,mlij->mkij", hinv, _bracket(d2h)))
+    and d2h[m,k,i,j] = d_m d_k h_ij; leading axes pass through."""
+    return 0.5 * (np.einsum("...mkl,...lij->...mkij", dhinv, _bracket(dh))
+                  + np.einsum("...kl,...mlij->...mkij", hinv, _bracket(d2h)))
 
 
 def ricci_contraction(gamma, dgamma) -> np.ndarray:
-    """Ric_jk = d_i Gamma^i_jk - d_j Gamma^i_ik + Gamma^i_ip Gamma^p_jk - Gamma^i_jp Gamma^p_ik."""
-    return (np.einsum("iijk->jk", dgamma) - np.einsum("jiik->jk", dgamma)
-            + np.einsum("iip,pjk->jk", gamma, gamma) - np.einsum("ijp,pik->jk", gamma, gamma))
+    """Ric_jk = d_i Gamma^i_jk - d_j Gamma^i_ik + Gamma^i_ip Gamma^p_jk - Gamma^i_jp Gamma^p_ik;
+    leading axes pass through."""
+    return (np.einsum("...iijk->...jk", dgamma) - np.einsum("...jiik->...jk", dgamma)
+            + np.einsum("...iip,...pjk->...jk", gamma, gamma)
+            - np.einsum("...ijp,...pik->...jk", gamma, gamma))
 
 
 @dataclass
@@ -271,10 +298,12 @@ def point_record(h: RiemannMetric, x, order: int) -> PointRecord:
 
 def record_from_tables(h: RiemannMetric, x, tables) -> PointRecord:
     """The record of h at x from its tables there, (h, dh) or (h, dh, d2h);
-    h names the metric in the guard messages."""
+    h names the metric in the guard messages.  The tables may carry leading
+    lane axes, one lane per row of a stack of points x (`matrix_gather`);
+    every field then carries them too."""
     h0, dh = tables[0], tables[1]
     hinv = spd_inverse(h0, MetricDomainError, f"{h.name or 'metric'} matrix")
-    dhinv = -np.einsum("ka,mab,bl->mkl", hinv, dh, hinv)
+    dhinv = -np.einsum("...ka,...mab,...bl->...mkl", hinv, dh, hinv)
     gamma = christoffel(hinv, dh)
     dgamma = ricci = None
     if len(tables) > 2:
@@ -294,15 +323,30 @@ def riemann_ricci(rec: PointRecord, y) -> float:
 
 def covariant_1form(gamma, b0, db) -> np.ndarray:
     """b_{i;j} = d_j b_i - Gamma^k_ij b_k from the values b0[i] = b_i and the
-    derivatives db[i,j] = d_j b_i of a 1-form."""
-    return db - np.einsum("kij,k->ij", gamma, b0)
+    derivatives db[i,j] = d_j b_i of a 1-form; leading axes pass through."""
+    return db - np.einsum("...kij,...k->...ij", gamma, b0)
+
+
+def mat_vec(m, v):
+    """m @ v over leading axes: each row the product of its matrix and vector."""
+    return (m @ v[..., None])[..., 0]
+
+
+def vec_mat(v, m):
+    """v @ m over leading axes: each row the product of its vector and matrix."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+def bilinear(v, m, w):
+    """(v @ m) @ w over leading axes, one float per row."""
+    return (v[..., None, :] @ m @ w[..., :, None])[..., 0, 0]
 
 
 def lowered_covariant_derivative(rec: PointRecord, w0, dw) -> np.ndarray:
     """W_{i:j} = d_j (h_ik W^k) - Gamma^k_ij h_kl W^l from a record of h and
-    W's order-1 table (W^i, d_j W^i) at its point."""
-    dwl = np.einsum("jik,k->ij", rec.dh, w0) + np.einsum("ik,kj->ij", rec.h0, dw)
-    return covariant_1form(rec.gamma, rec.h0 @ w0, dwl)
+    W's order-1 table (W^i, d_j W^i) at its point; leading axes pass through."""
+    dwl = np.einsum("...jik,...k->...ij", rec.dh, w0) + np.einsum("...ik,...kj->...ij", rec.h0, dw)
+    return covariant_1form(rec.gamma, mat_vec(rec.h0, w0), dwl)
 
 
 def hessian_tensor(rec: PointRecord, ftab) -> np.ndarray:

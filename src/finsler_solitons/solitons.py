@@ -12,10 +12,11 @@ Four equivalent descriptions are implemented and cross-checked:
     gradient form (`gradient_soliton_checks_nav`).
 
 Each sample flag of a fixture (navigation data, a weight f and the
-isotropic S-curvature sigma) is one `SamplePoint`, gathered from one jet
-evaluation of h, W and f at x, with sigma's order-1 table at a bundle
-point; the flag rows, the kappa and sigma fits and the four bundles read
-it.  A bundle is its row formulas: at each point it appends one tuple of
+isotropic S-curvature sigma) is one `SamplePoint`.  A run's sample points
+come from one jet evaluation of h, W and f laned over the flags' x
+(`sample_points`), and the tables at its bundle flags from one stacked pass
+of the records, beta and W tensors, with sigma's order-1 table; the flag
+rows, the kappa and sigma fits and the four bundles read them.  A bundle is its row formulas: at each point it appends one tuple of
 row values, and `_bundle_reports` makes one report per row.  The vector
 bundles table V once per flag and feed its covariant derivative to the
 table formulas of `riemann` (Lie derivatives, conformal residual).
@@ -30,6 +31,7 @@ for the fixture suite's fit rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -116,7 +118,8 @@ class SamplePoint:
     F and the log-density table of e^{-f} dm_BH at x; at a bundle flag (else
     None) also the order-2 records of alpha and h, the beta tensors and their
     y-contractions, the W tensors, f's order-2 table (value, grad, hess) and
-    sigma's order-1 table (value, grad)."""
+    sigma's order-1 table (value, grad).  Each table is the flag's row of
+    its run's stack (`sample_points`)."""
 
     p: FlagPoint
     base: finsler.BasePoint
@@ -129,32 +132,55 @@ class SamplePoint:
     sigma: tuple | None
 
 
-def sample_point(rd: RandersData, nav: NavigationData, f, sigma, p, bundle) -> SamplePoint:
-    """The sample point at p of nav, rd = from_navigation(nav), the weight f
-    and the S-curvature field sigma (bundle data if `bundle`): every table
-    but sigma's is gathered (W's to order 1) from one guarded evaluation of
-    h rows, W, lambda, h W and f at order-2 x jets.
+def _rows(stack):
+    """The rows of a stack, one per lane: of an array (a float where a row
+    is one number), of each entry of a tuple, or of each field of a record,
+    a dataclass whose fields are its attributes in order (None stays None)."""
+    if isinstance(stack, np.ndarray):
+        return stack.tolist() if stack.ndim == 1 else list(stack)
+    if isinstance(stack, tuple):
+        return list(zip(*map(_rows, stack)))
+    if stack is None:
+        return itertools.repeat(None)
+    return [type(stack)(*row) for row in zip(*map(_rows, vars(stack).values()))]
 
-    The density of dm_BH is sqrt(det h) (Xing 2005), so a point builds the
-    (alpha, beta) rows from that evaluation, and tables sigma, only if it is
-    a bundle point."""
-    xs = Jet.variables([float(v) for v in p.x], 2)
+
+def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
+                  bundle) -> list[SamplePoint]:
+    """The sample points at `flags` of nav, rd = from_navigation(nav), the
+    weight f and the S-curvature field sigma, the first `bundle` with bundle
+    data.  The flags' x are the lanes of one set of order-2 x jets: one
+    guarded evaluation of h rows, W, lambda, h W and f, one density and log
+    and one gather serve every flag, and each flag's stage is built from its
+    lane of that evaluation.
+
+    The density of dm_BH is sqrt(det h) (Xing 2005), so only the bundle
+    lanes build the (alpha, beta) rows from that evaluation, and their
+    records, beta and W tensors are one stacked pass (sigma's order-1
+    table one jet pass over their x)."""
+    X = np.array([p.x for p in flags], float)
+    xs = Jet.variables(list(X.T), 2)
     space = xs[0].space
     point = randers._navigation_point(nav, xs)
     fval = as_scalar_field(f)(xs)
     density = finsler.weighted_density(fval, riemann.sqrt_det(point[0]))
-    base = finsler.BasePoint(p.x, randers._navigation_stage(point),
-                             riemann.scalar_gather(jets.log(density), space, 2))
+    logs = riemann.scalar_gather(jets.log(density), space, 2, X.shape[:1])
+    stages = [randers._navigation_stage(randers._point_lane(point, k)) for k in range(len(flags))]
+    points = [SamplePoint(p, finsler.BasePoint(p.x, stage, row), *(None,) * 7)
+              for p, stage, row in zip(flags, stages, _rows(logs))]
     if not bundle:
-        return SamplePoint(p, base, None, None, None, None, None, None, None)
-    a_rows, b = randers._alpha_rows(point), randers._beta_low(point)
-    A = riemann.record_from_tables(rd.alpha, p.x, riemann.matrix_gather(a_rows, space, 2))
-    H = riemann.record_from_tables(nav.h, p.x, riemann.matrix_gather(point[0], space, 2))
-    T = randers.beta_tables(A, riemann.vector_gather(b, space, 2))
-    return SamplePoint(p, base, A, T, randers.beta_derivatives(T, p.y), H,
-                       randers.nav_tensors(H, riemann.vector_gather(point[1], space, 1)),
-                       riemann.scalar_gather(fval, space, 2),
-                       as_scalar_field(sigma).table(p.x, order=1))
+        return points
+    xb = X[:bundle]
+    lanes, bpoint = xb.shape[:1], randers._point_lane(point, slice(0, bundle))
+    A = riemann.record_from_tables(
+        rd.alpha, xb, riemann.matrix_gather(randers._alpha_rows(bpoint), space, 2, lanes))
+    H = riemann.record_from_tables(nav.h, xb, riemann.matrix_gather(bpoint[0], space, 2, lanes))
+    T = randers.beta_tables(A, riemann.vector_gather(randers._beta_low(bpoint), space, 2, lanes))
+    N = randers.nav_tensors(H, riemann.vector_gather(bpoint[1], space, 1, lanes))
+    ftab = riemann.scalar_gather(jets.lane(fval, slice(0, bundle)), space, 2, lanes)
+    rows = zip(*map(_rows, (A, T, H, N, ftab, as_scalar_field(sigma).table(xb, order=1))))
+    return [SamplePoint(sp.p, sp.base, a, t, randers.beta_derivatives(t, sp.p.y), h, n, ft, st)
+            for sp, (a, t, h, n, ft, st) in zip(points, rows)] + points[bundle:]
 
 
 def _matrix_residual(res, scale) -> float:

@@ -13,10 +13,11 @@ Each fixture flag is evaluated once, and all of a suite's flags in one
 mode): one fourth-order expansion of F^2 per flag, with one spray and
 Riemann pass over the stack of flags (one finite-difference bundle and S-dot
 per flag in fd mode), feeds the Ricci law, infinity-Ricci and flag
-curvature rows.  Each sample flag's x-only work runs once, in its
-`solitons.SamplePoint`: the flag rows and the kappa fit (on the first flags)
-read its base point, and the bundles and the sigma fit the bundle data of
-the first (at most 32) flags.
+curvature rows.  A run's x-only work runs once for all its flags, in
+`solitons.sample_points` (one laned closure evaluation and one stacked pass
+of the bundle flags' records), and each flag reads its `solitons.SamplePoint`:
+the flag rows and the kappa fit (on the first flags) its base point, and the
+bundles and the sigma fit the bundle data of the first (at most 32) flags.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ def run_fixture_suite(fixture, samples, seed, tol=1e-6,
         reports.append(report_from_values(f"constraint/{cname}", [value], tol=0.0,
                                           detail="structural identity, exact"))
 
-    # one sample point per flag; the first (at most 32) are the bundle flags
-    points = [solitons.sample_point(fixture.rd, fixture.nav, fixture.f, fixture.sigma, p,
-                                    k < 32) for k, p in enumerate(flags)]
+    # one sample point per flag, all from one laned evaluation; the first (at
+    # most 32) are the bundle flags
+    points = solitons.sample_points(fixture.rd, fixture.nav, fixture.f, fixture.sigma, flags, 32)
     bundle_points = points[:32]
     rows = _flag_rows(fixture, points, mode)
     flat = sum(FD_FLAT in row for row in rows)
@@ -320,8 +321,9 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
     identity, the beta/navigation s-tensor transfers s_0 = S_0/lam and
     s^i_j = -S^i_j + S^i W_j / lam, and the closed form for S-dot.
 
-    Each point reads one `solitons.SamplePoint`, one `evaluate_flags` (Ric
-    and S-dot) on its base point and one float F.
+    Each point reads one `solitons.SamplePoint` (`sample_points` on its one
+    flag), one `evaluate_flags` (Ric and S-dot) on its base point and one
+    float F.
     """
     rng = np.random.default_rng(seed)
     sig_fit, transfer, s0_row, smix_row, sdot_row = [], [], [], [], []
@@ -336,7 +338,7 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
         y = unit_direction(rng, dim)
         p = FlagPoint(x, y)
 
-        sp = solitons.sample_point(rd, nav, f, sigma, p, True)
+        sp = solitons.sample_points(rd, nav, f, sigma, [p], 1)[0]
         T, N = sp.beta, sp.nav
 
         fitted, _res = randers.fit_sigma_isotropic_S(T, solitons._directions(dim))

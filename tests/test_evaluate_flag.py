@@ -20,7 +20,7 @@ def _flags(fx, count=3, seed=5):
 
 
 def _points(fx, flags):
-    return [solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, False) for p in flags]
+    return solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
 
 
 def _separate_formulas(metric, measure, p):
@@ -112,9 +112,10 @@ class _Counter:
     `stages` counts `FinslerMetric.at` at jet x: the x-only work an expansion
     reads.  `value` stages at float x (`float_stages`); it stays a float
     evaluation, so the F^2 normalisers keep the bits of the float formula.
-    `nav_points` counts `randers._navigation_point` at jet x: a sample
-    point's one evaluation of the navigation data, from which it gathers its
-    stage and density table without `FinslerMetric.at` or `log_density_table`.
+    `nav_xs` holds the x of each `randers._navigation_point` call at jet x
+    (a row per lane): the sample points' one laned evaluation of the
+    navigation data, from which each gathers its stage and density table
+    without `FinslerMetric.at` or `log_density_table`.
     """
 
     def __init__(self, monkeypatch):
@@ -122,7 +123,7 @@ class _Counter:
         self.density_tables = 0
         self.stages = 0
         self.float_stages = 0
-        self.nav_points = 0
+        self.nav_xs = []
         tables = finsler._f2_tables
         density = finsler.Measure.log_density_table
         at = finsler.FinslerMetric.at
@@ -144,7 +145,8 @@ class _Counter:
             return at(metric, x)
 
         def count_nav_point(nav, x, *args):
-            self.nav_points += isinstance(x[0], Jet)
+            if isinstance(x[0], Jet):
+                self.nav_xs.append(np.array([v.value for v in x]).T)
             return nav_point(nav, x, *args)
 
         monkeypatch.setattr(randers, "_navigation_point", count_nav_point)
@@ -164,7 +166,7 @@ def test_flag_rows_expand_f2_once_per_flag(name, monkeypatch):
         assert {"ricci-law", "flag-curvature-law"} <= set(rows[0])
     assert counter.orders == [4] * len(points)
     # every row reads its sample point's stage and density table
-    assert counter.density_tables == counter.stages == counter.nav_points == 0
+    assert counter.density_tables == counter.stages == len(counter.nav_xs) == 0
 
 
 @pytest.mark.parametrize("name", ["cigar", "shrinking"])
@@ -183,13 +185,15 @@ def test_fixture_suite_stages_each_flag_once_and_fits_kappa_on_its_base_points(
     counter = _Counter(monkeypatch)
     reports = suites.run_fixture_suite(fx, samples=samples, seed=5)
     assert {r.name for r in reports} >= {"infinity-ricci", "kappa-fit", "kappa-anisotropy"}
-    # one navigation point per flag gives its stage and density table; the
-    # kappa fit adds none, and nothing stages or tables the density again
-    assert counter.nav_points == samples
+    # one navigation point laned over the flags' x, in flag order, gives
+    # every flag its stage and density table; the kappa fit adds none, and
+    # nothing stages or tables the density again
+    flags = _flags(fx, count=samples)
+    assert len(counter.nav_xs) == 1
+    assert np.array_equal(counter.nav_xs[0], np.array([p.x for p in flags]))
     assert counter.stages == counter.density_tables == 0
     dirs = solitons._directions(fx.dim)
     assert counter.orders == [4] * (samples + len(fitted) * len(dirs))
-    flags = _flags(fx, count=samples)
     assert len(fitted) == samples
     assert all(np.array_equal(b.x, p.x) for b, p in zip(fitted, flags, strict=True))
 

@@ -368,6 +368,48 @@ def test_flag_and_x_space_table_sizes(n, flag_terms, flag_pairs, x_terms, x_pair
 # -- product and chain rules (property tests) --------------------------------------
 
 
+# -- lanes: a stack of points in one jet ------------------------------------
+
+
+def _lane_ops(xs):
+    """Every laned operation the lanes must keep bit-equal, on the variables xs."""
+    u = xs[0] * xs[1] + 1.0 + xs[-1] * xs[-1]          # > 0 on the sample box
+    v = xs[0] - 0.3 * xs[1] + 1.5
+    return {"jet +": u + v, "jet -": u - v, "jet *": u * v, "jet /": u / v,
+            "+ scalar": u + 2.5, "scalar -": 2.5 - u, "* scalar": u * -1.5,
+            "/ scalar": u / 3.0, "scalar /": 1.0 / u, "neg": -u,
+            "power 3": jets.power(u, 3), "power -2": jets.power(u, -2),
+            "sqrt": jets.sqrt(u), "log": jets.log(u), "exp": jets.exp(u),
+            "tanh": jets.tanh(u), "cosh": jets.cosh(u)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("lanes", [1, 2, 17])
+def test_each_lane_of_a_laned_jet_equals_its_unlaned_jet(n, lanes):
+    X = np.random.default_rng(10 * n + lanes).uniform(-0.9, 0.9, size=(lanes, n))
+    laned = _lane_ops(Jet.variables(list(X.T), 2))
+    for k, x in enumerate(X):
+        alone = _lane_ops(Jet.variables(list(x), 2))
+        for name, got in laned.items():
+            want = alone[name]
+            assert got.coeffs.shape == (lanes, want.space.nterms) and got.space is want.space
+            assert np.array_equal(got.coeffs[k], want.coeffs), (name, k)
+            assert np.array_equal(np.signbit(got.coeffs[k]), np.signbit(want.coeffs)), (name, k)
+            assert isinstance(got.value, np.ndarray) and got.value.shape == (lanes,)
+            assert isinstance(want.value, float)
+
+
+def test_a_laned_guard_names_the_lanes_it_refuses():
+    u = Jet.variables([np.array([0.5, -0.5, 2.0, -1.0])], 2)[0]
+    with pytest.raises(EvaluationError, match=r"^sqrt of a non-positive value \(-0\.5\) "
+                                              r"at lanes 1, 3$"):
+        jets.sqrt(u)
+    with pytest.raises(EvaluationError, match=r"^division by a jet with zero value at lane 1$"):
+        1.0 / (u + 0.5)
+    with pytest.raises(EvaluationError, match=r"at lanes 1, 3$"):
+        jets.power(u, 0.5)
+
+
 def _truncate(jet, order):
     sp = jet_space(jet.dim, order)
     return Jet(sp, jet.coeffs[: sp.nterms])

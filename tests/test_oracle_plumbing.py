@@ -372,7 +372,7 @@ def _fd_cases():
         fx = fixtures.get_fixture(name)
         flags = sample_flags(fx, count, np.random.default_rng(17))
         yield name, fx.metric, fx.measure, flags, [
-            solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, False).base for p in flags]
+            sp.base for sp in solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)]
     rng = np.random.default_rng(19)
     rd = generators.random_randers(rng, 2)
     measure = randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))

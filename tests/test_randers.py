@@ -268,7 +268,7 @@ def _bh_density_drift(nav, x):
     xs = jets.Jet.variables([float(v) for v in x], 2)
     point = randers._navigation_point(nav, xs)
     # a constant h (flat fixtures) gives a float det: compare it as a constant jet
-    want, got = (riemann.scalar_gather(v, xs[0].space, 2) for v in (
+    want, got = (riemann.scalar_gather(v, xs[0].space, 2, ()) for v in (
         randers._bh_density(randers._alpha_rows(point), randers._beta_low(point)),
         riemann.sqrt_det(point[0])))
     scale = max(1.0, max(float(np.max(np.abs(t))) for t in want))

@@ -1,17 +1,17 @@
-"""One evaluation per sample point: `solitons.sample_point` against the
-closure path it replaces, and a counter on the navigation evaluations a
-fixture suite makes.
+"""One evaluation per run: `solitons.sample_points` against the closure
+path it replaces, the stacked tables against their one-point calls, and
+counters on the navigation evaluations a fixture suite makes.
 
-A sample point evaluates a fixture's navigation data (h rows, W, lambda,
-h W) and its weight f once at x, as order-2 jets, and gathers every table
-from that evaluation.  Each consumer of the closure path expands x as the
-same order-2 jets, so every table must come out equal: the stage (through
-`finsler._f2_jet`) and the log-density table of `finsler.base_point`, the
-records of `riemann.point_record`, `randers.beta_tables` on beta's table,
-`randers.nav_tensors` on W's order-1 table and f's table; sigma's order-1
-table is the field's own.  The density is e^{-f} sqrt(det h), the fixture
-measure's own formula, and only bundle points build the (alpha, beta) rows
-and table sigma.
+A run's sample points evaluate a fixture's navigation data (h rows, W,
+lambda, h W) and its weight f once, at order-2 x jets whose lanes are the
+flags' x, and gather every table from that evaluation.  Each consumer of the
+closure path expands one x as the same order-2 jets, so every table must
+come out equal: the stage (through `finsler._f2_jet`) and the log-density
+table of `finsler.base_point`, the records of `riemann.point_record`,
+`randers.beta_tables` on beta's table, `randers.nav_tensors` on W's order-1
+table and f's table; sigma's order-1 table is the field's own.  The density
+is e^{-f} sqrt(det h), the fixture measure's own formula, and only the
+bundle lanes build the (alpha, beta) rows and table sigma.
 """
 
 import dataclasses
@@ -19,9 +19,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from finsler_solitons import finsler, fixtures, randers, riemann, solitons, suites
+from finsler_solitons import finsler, fixtures, jets, randers, riemann, solitons, suites
 from finsler_solitons.jets import FlagPoint, Jet
-from finsler_solitons.riemann import VectorField, euclidean_metric
+from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric
 from finsler_solitons.sampling import sample_flags
 
 CASES = [(name, None) for name in fixtures.FIXTURE_NAMES] + [("cigar", ("W", 1e-2))]
@@ -45,8 +45,9 @@ def _same_fields(got, want, what):
 @pytest.mark.parametrize("name,perturb", CASES)
 def test_sample_point_equals_the_closure_path(name, perturb):
     fx = fixtures.get_fixture(name, perturb=perturb)
-    for p in sample_flags(fx, 3, np.random.default_rng(23)):
-        sp = solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, True)
+    flags = sample_flags(fx, 3, np.random.default_rng(23))
+    for p, sp in zip(flags, solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 3),
+                     strict=True):
         assert sp.p is p
         base = finsler.base_point(fx.metric, fx.measure, p.x)
         assert np.array_equal(sp.base.x, base.x)
@@ -81,8 +82,8 @@ def test_sample_point_equals_the_closure_path(name, perturb):
 @pytest.mark.parametrize("name", ["cigar", "expanding"])
 def test_a_flag_on_its_sample_point_evaluates_as_alone(name):
     fx = fixtures.get_fixture(name)
-    for p in sample_flags(fx, 2, np.random.default_rng(29)):
-        sp = solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, False)
+    flags = sample_flags(fx, 2, np.random.default_rng(29))
+    for p, sp in zip(flags, solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)):
         assert (sp.alpha, sp.beta, sp.bd, sp.h, sp.nav, sp.f, sp.sigma) == (None,) * 7
         shared = finsler.evaluate_flags(fx.metric, fx.measure, [p], [sp.base])[0]
         alone = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
@@ -93,22 +94,38 @@ def test_a_flag_on_its_sample_point_evaluates_as_alone(name):
 
 
 def test_a_sample_point_raises_the_navigation_guard_of_its_point():
+    # a run of two flags whose second x has ||W||_h >= 1: the guard checks
+    # every lane and names the one it refuses
     nav = randers.NavigationData(euclidean_metric(2), VectorField(lambda x: [x[0], 0.0]))
     rd = randers.from_navigation(nav)
-    solitons.sample_point(rd, nav, 0.0, 0.0, FlagPoint([0.5, 0.0], [1.0, 0.0]), True)
-    for bundle in (False, True):
-        with pytest.raises(randers.NavigationDomainError):
-            solitons.sample_point(rd, nav, 0.0, 0.0, FlagPoint([1.5, 0.0], [1.0, 0.0]), bundle)
+    good, bad = FlagPoint([0.5, 0.0], [1.0, 0.0]), FlagPoint([1.5, 0.0], [1.0, 0.0])
+    solitons.sample_points(rd, nav, 0.0, 0.0, [good, good], 2)
+    for bundle in (0, 2):
+        with pytest.raises(randers.NavigationDomainError, match=r"at lane 1$"):
+            solitons.sample_points(rd, nav, 0.0, 0.0, [good, bad], bundle)
+
+
+def test_a_sample_point_raises_the_evaluation_error_of_its_lane():
+    # a weight f composed outside its domain at the second flag only
+    nav = randers.NavigationData(euclidean_metric(2), fixtures.ZERO_FIELD)
+    rd = randers.from_navigation(nav)
+    f = ScalarField(lambda x: jets.sqrt(1.0 - x[0]))
+    good, bad = FlagPoint([0.5, 0.0], [1.0, 0.0]), FlagPoint([1.5, 0.0], [1.0, 0.0])
+    solitons.sample_points(rd, nav, f, 0.0, [good, good], 2)
+    for bundle in (0, 2):
+        with pytest.raises(jets.EvaluationError,
+                           match=r"^sqrt of a non-positive value \(-0\.5\) at lane 1$"):
+            solitons.sample_points(rd, nav, f, 0.0, [good, bad], bundle)
 
 
 @pytest.mark.parametrize("name,mode,samples", [("cigar", "jet", 40), ("shrinking", "jet", 2),
                                                ("gaussian", "fd", 2), ("cigar", "fd", 2)])
 def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
         name, mode, samples, monkeypatch):
-    # every navigation evaluation at jet x outside the finite-difference
-    # oracle (which stages the metric at its own stencil x) is a sample
-    # point's, at that flag's x, in flag order; the oracle reads the sample
-    # point's base at the flag's own x
+    # the one navigation evaluation at jet x outside the finite-difference
+    # oracle (which stages the metric at its own stencil x) is the sample
+    # points', laned over the flags' x in flag order; the oracle reads each
+    # sample point's base at the flag's own x
     fx = fixtures.get_fixture(name)
     xs, fd_xs = [], []
     inside_fd = [0]
@@ -117,7 +134,7 @@ def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
 
     def count(nav, x, *args):
         if isinstance(x[0], Jet):
-            (fd_xs if inside_fd[0] else xs).append([v.value for v in x])
+            (fd_xs if inside_fd[0] else xs).append(np.array([v.value for v in x]).T)
         return nav_point(nav, x, *args)
 
     def evaluate_flags(metric, measure, points, bases=None, mode="jet"):
@@ -132,7 +149,8 @@ def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
     reports = suites.run_fixture_suite(fx, samples=samples, seed=5, mode=mode)
     assert any(r.name == "kappa-fit" for r in reports)
     flags = sample_flags(fx, samples, np.random.default_rng(5))
-    assert np.array_equal(np.array(xs), np.array([p.x for p in flags]))
+    assert len(xs) == 1
+    assert np.array_equal(xs[0], np.array([p.x for p in flags]))
     assert bool(fd_xs) == (mode == "fd")
     assert not any(np.array_equal(x, p.x) for x in fd_xs for p in flags)
 
@@ -142,8 +160,9 @@ def test_the_fixture_measure_and_its_sample_points_read_one_density(name, pertur
     # the fd stencils read `fixture.measure`, the base point its sample
     # point's table: both are e^{-f} sqrt(det h), so they agree bit for bit
     fx = fixtures.get_fixture(name, perturb=perturb)
-    for p in sample_flags(fx, 3, np.random.default_rng(31)):
-        got = solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, False).base.logs
+    flags = sample_flags(fx, 3, np.random.default_rng(31))
+    for p, sp in zip(flags, solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)):
+        got = sp.base.logs
         want = fx.measure.log_density_table(p.x)
         assert len(got) == len(want) == 3
         for g, w in zip(got, want):
@@ -153,25 +172,86 @@ def test_the_fixture_measure_and_its_sample_points_read_one_density(name, pertur
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
 def test_fixture_suite_builds_alpha_and_beta_at_bundle_points_only(name, monkeypatch):
     # sigma_BH is sqrt(det h): no Randers-side conversion or (alpha, beta)
-    # density runs, and the alpha rows are built once per bundle point (the
-    # first 32 flags)
+    # density runs, and the alpha rows are built once per run, laned over the
+    # bundle flags (the first 32): their lambda lanes are the first lanes of
+    # the run's one laned navigation point
     calls = {"_bh_density": 0, "_randers_point": 0, "_alpha_rows": 0}
+    nav_lams, alpha_lams = [], []
 
     def counted(fname):
         fn = getattr(randers, fname)
 
         def wrapper(*args, **kwargs):
             calls[fname] += 1
+            if fname == "_alpha_rows":
+                alpha_lams.append(args[0][2].value)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(randers, fname, wrapper)
 
     for fname in calls:
         counted(fname)
+    nav_point = randers._navigation_point
+
+    def laned_nav_point(nav, x):
+        point = nav_point(nav, x)
+        if isinstance(x[0], Jet) and x[0].coeffs.ndim > 1:
+            nav_lams.append(point[2].value)
+        return point
+
+    monkeypatch.setattr(randers, "_navigation_point", laned_nav_point)
     fx = fixtures.get_fixture(name)
     for mode, samples, bundle_points in (("jet", 64, 32), ("fd", 2, 2)):
         for key in calls:
             calls[key] = 0
+        nav_lams.clear()
+        alpha_lams.clear()
         suites.run_fixture_suite(fx, samples=samples, seed=0, mode=mode)
-        assert calls == {"_bh_density": 0, "_randers_point": 0,
-                         "_alpha_rows": bundle_points}, (name, mode)
+        assert calls == {"_bh_density": 0, "_randers_point": 0, "_alpha_rows": 1}, (name, mode)
+        assert len(nav_lams) == 1 and nav_lams[0].shape == (samples,)
+        assert np.array_equal(alpha_lams[0], nav_lams[0][:bundle_points]), (name, mode)
+
+
+def _one_point_tables(fx, x):
+    """The gathers, records, beta and W tensors of the fixture at one x."""
+    xs = Jet.variables(list(x), 2)
+    space = xs[0].space
+    point = randers._navigation_point(fx.nav, xs)
+    gathers = (riemann.matrix_gather(randers._alpha_rows(point), space, 2, ()),
+               riemann.matrix_gather(point[0], space, 2, ()),
+               riemann.vector_gather(randers._beta_low(point), space, 2, ()),
+               riemann.vector_gather(point[1], space, 1, ()),
+               riemann.scalar_gather(fx.f(xs), space, 2, ()))
+    return gathers, _records(fx, x, gathers)
+
+
+def _records(fx, x, gathers):
+    A = riemann.record_from_tables(fx.rd.alpha, x, gathers[0])
+    H = riemann.record_from_tables(fx.nav.h, x, gathers[1])
+    return A, H, randers.beta_tables(A, gathers[2]), randers.nav_tensors(H, gathers[3])
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_stacked_tables_equal_their_one_point_calls(name):
+    # row k of every laned gather and of the stacked record_from_tables,
+    # beta_tables and nav_tensors is bit-equal to the call at flag k's x alone
+    fx = fixtures.get_fixture(name)
+    X = np.array([p.x for p in sample_flags(fx, 64, np.random.default_rng(0))])
+    xs = Jet.variables(list(X.T), 2)
+    space, lanes = xs[0].space, X.shape[:1]
+    point = randers._navigation_point(fx.nav, xs)
+    gathers = (riemann.matrix_gather(randers._alpha_rows(point), space, 2, lanes),
+               riemann.matrix_gather(point[0], space, 2, lanes),
+               riemann.vector_gather(randers._beta_low(point), space, 2, lanes),
+               riemann.vector_gather(point[1], space, 1, lanes),
+               riemann.scalar_gather(fx.f(xs), space, 2, lanes))
+    stacks = _records(fx, X, gathers)
+    for k, x in enumerate(X):
+        want_gathers, want_records = _one_point_tables(fx, x)
+        for got, want in zip(gathers, want_gathers, strict=True):
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g[k], w), (name, k, "gather")
+        for stack, want in zip(stacks, want_records, strict=True):
+            for f in dataclasses.fields(want):
+                g, w = getattr(stack, f.name), getattr(want, f.name)
+                assert (g is None and w is None) or np.array_equal(g[k], w), (name, k, f.name)

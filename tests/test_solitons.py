@@ -23,9 +23,8 @@ def flags_of(fx, n=12, seed=5):
 
 
 def points_of(fx, n=12, seed=5, f=None):
-    return [solitons.sample_point(fx.rd, fx.nav, fx.f if f is None else f, fx.sigma, p,
-                                  True)
-            for p in flags_of(fx, n, seed)]
+    return solitons.sample_points(fx.rd, fx.nav, fx.f if f is None else f, fx.sigma,
+                                  flags_of(fx, n, seed), n)
 
 
 # -- pointwise residuals -----------------------------------------------------------
@@ -61,8 +60,7 @@ def test_gradient_soliton_residual_fixtures():
 
 def test_gradient_residual_affine_in_kappa():
     fx = fixtures.get_fixture("cigar")
-    points = [solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, False)
-              for p in flags_of(fx, 1)]
+    points = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags_of(fx, 1), 0)
     delta = 0.123
     shifted_fx = dataclasses.replace(fx, kappa=ScalarField(lambda x: float(fx.kappa(x)) + delta))
     [base] = suites._flag_rows(fx, points, "jet")
@@ -256,16 +254,19 @@ def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
 
 @pytest.mark.parametrize("name", ("cigar", "shrinking"))
 def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name, monkeypatch):
-    # h, W and f are evaluated at jet x once per flag (the sample point) and
-    # the alpha and beta closures never; the records of alpha and h, the beta
-    # and W tensors are built once per bundle flag from that evaluation; the
-    # only jet passes of table functions are V's vector_table in each vector
-    # bundle and the sample point's sigma table, which every bundle reads; and no
-    # float evaluation of a metric or a field
+    # h, W and f are evaluated at jet x once per run, laned over the flags' x
+    # in flag order (the sample points), and the alpha and beta closures
+    # never; the records of alpha and h, the beta and W tensors are one
+    # stacked pass over the bundle flags' x from that evaluation, and so is
+    # sigma's table, which every bundle reads; the only other jet passes of
+    # table functions are V's vector_table in each vector bundle, and
+    # beta_derivatives runs once per bundle flag; and no float evaluation of
+    # a metric or a field
     from finsler_solitons.jets import Jet
 
     fx = fixtures.get_fixture(name)
     counts = collections.Counter()
+    lanes = collections.defaultdict(list)       # key -> the x of each laned call
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -274,14 +275,28 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
         return wrapped
 
     def at_jet_x(key):
-        return lambda x: key if isinstance(x[0], Jet) else "float x"
+        def which(x):
+            if not isinstance(x[0], Jet):
+                return "float x"
+            lanes[key].append(np.array([v.value for v in x]).T)
+            return key
+        return which
+
+    def stacked_x(key, x_of):
+        def which(*args):
+            lanes[key].append(x_of(*args))
+            return key
+        return which
 
     for field, key in ((fx.nav.h, "h"), (fx.nav.W, "W"), (fx.f, "f"),
                        (fx.rd.alpha, "alpha"), (fx.rd.beta, "beta closure")):
         monkeypatch.setattr(field, "_fn", counting(at_jet_x(key), field._fn))
-    for module, attr in ((riemann, "record_from_tables"), (riemann, "matrix_table"),
-                         (riemann, "vector_table"), (riemann, "scalar_table"),
-                         (randers, "beta_tables"), (randers, "nav_tensors"),
+    for module, attr, x_of in ((riemann, "record_from_tables", lambda h, x, t: x),
+                               (riemann, "scalar_table", lambda fn, x, order: x),
+                               (randers, "beta_tables", lambda A, btab: A.x),
+                               (randers, "nav_tensors", lambda H, wtab: H.x)):
+        monkeypatch.setattr(module, attr, counting(stacked_x(attr, x_of), getattr(module, attr)))
+    for module, attr in ((riemann, "matrix_table"), (riemann, "vector_table"),
                          (randers, "beta_derivatives")):
         monkeypatch.setattr(module, attr, counting(lambda *a, _k=attr: _k,
                                                    getattr(module, attr)))
@@ -294,9 +309,15 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     del counts["float x"]       # the float F^2 normalisers and the sampler
     vector_bundles = sum(b.startswith("vector-") for b in fx.bundles)
     assert counts == collections.Counter(
-        {"h": samples, "W": samples, "f": samples, "record_from_tables": 2 * samples,
-         "beta_tables": samples, "nav_tensors": samples, "beta_derivatives": samples,
-         "vector_table": vector_bundles * samples, "scalar_table": samples})
+        {"h": 1, "W": 1, "f": 1, "record_from_tables": 2, "beta_tables": 1, "nav_tensors": 1,
+         "beta_derivatives": samples, "vector_table": vector_bundles * samples,
+         "scalar_table": 1})
+    # with fewer than 32 samples every flag is a bundle flag
+    xs = np.array([p.x for p in flags_of(fx, samples, seed=3)])
+    assert set(lanes) == {"h", "W", "f", "record_from_tables", "beta_tables", "nav_tensors",
+                          "scalar_table"}
+    for key, calls in lanes.items():
+        assert all(np.array_equal(x, xs) for x in calls), key
 
 
 def test_sigma_fit_detail_carries_the_fit_residual():
@@ -322,7 +343,7 @@ def test_characterizations_consistent_on_fixtures():
     for name in fixtures.FIXTURE_NAMES:
         fx = fixtures.get_fixture(name)
         flags = flags_of(fx, 8)
-        points = [solitons.sample_point(fx.rd, fx.nav, fx.f, fx.sigma, p, True) for p in flags]
+        points = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, len(flags))
         for p in flags[:4]:
             ric_inf = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf
             assert abs(ric_inf / p.F ** 2 - field_value(fx.kappa, p.x)) <= 1e-7
