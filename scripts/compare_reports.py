@@ -56,6 +56,7 @@ INVOCATIONS = (
        ("crosscheck", "--suite", "riemann-reduction", "--count", "20", "--seed", "11"),
        ("crosscheck", "--suite", "lie-identity", "--count", "10", "--seed", "11"),
        ("crosscheck", "--suite", "navigation", "--count", "100", "--seed", "11"),
+       ("crosscheck", "--suite", "navigation", "--count", "37", "--seed", "2"),
        ("crosscheck", "--suite", "isotropic-s", "--count", "8", "--seed", "11"))
     + tuple(("verify", "--fixture", name, "--samples", "2", "--perturb", f"{ing}:1e-2")
             for ing in ("kappa", "mu", "sigma", "f", "W") for name in FIXTURES)

@@ -53,6 +53,8 @@ per stage, and F^2 comes out over all 2n.  The library stages form their
 quadratic and linear forms in y with `jets.YForms`, which for these y
 scatters closed-form terms instead of running n^2 jet products; an order-4
 F^2 of a navigation metric then takes 8 jet products per flag.
+`FinslerMetric.value` reads a float F, or one per flag of a stack from one
+stage at float lanes (`riemann.coordinates`).
 """
 
 from __future__ import annotations
@@ -105,8 +107,10 @@ class FinslerMetric:
     def F(self, x, y):
         return self.at(x)(y)
 
-    def value(self, x, y) -> float:
-        return float(scalar_value(self.at(list(x))(list(y))))
+    def value(self, x, y):
+        """F(x, y) as a float; at a stack of flags (x and y of shape (..., n)),
+        one float per flag, from one stage laned over the stack's x."""
+        return scalar_value(self.at(riemann.coordinates(x))(riemann.coordinates(y)))
 
     @classmethod
     def from_riemannian(cls, h: RiemannMetric) -> "FinslerMetric":

@@ -50,6 +50,9 @@ arrays, never lane 0, and every guard checks all lanes and names the ones it
 refuses (`refuse`).  An unlaned jet keeps the one-point code path.
 Lanes stay in x-only work: a flag's stage is built from its lane's slice
 (`lane`), so the flag-space jets of F^2 and `YForms` are never laned.
+Floats have lanes the same way: an array of lane values through a `jets`
+function (`sqrt`, `exp`, ..., `power`) maps each lane's float as the scalar
+call does (`_on_floats`), and `scalar_value` passes it through.
 
 The metric stages' forms in y, sum_ij r_ij y_i y_j and sum_i sum_k c_ik y_i,
 come from one kernel, `YForms`.  When the y are the variables n..2n-1 of
@@ -510,15 +513,29 @@ def lane(v, k):
 # -- elementary functions, dispatching on Jet vs plain scalar -----------
 
 
+def _on_floats(fn, v):
+    """fn(v) at a number v; at an array of lane values, the array of fn at
+    each lane's float, so each lane has the bits of its float call (the lanes
+    fn refuses raise one EvaluationError, `_per_lane`)."""
+    if isinstance(v, np.ndarray) and v.ndim:
+        return _per_lane(lambda u: [fn(u)], v)[0]
+    return fn(float(v))
+
+
 def _jet_fn(name, float_fn, deriv_builder):
+    def at_float(u):
+        try:
+            return float_fn(u)
+        except ValueError as exc:
+            raise EvaluationError(f"{name} evaluated outside its domain: {exc}") from exc
+
     def fn(v):
+        if isinstance(v, float):
+            return at_float(v)
         if isinstance(v, Jet):
             order = v.space.order
             return v._compose(_per_lane(lambda u: deriv_builder(u, order, name), v.value))
-        try:
-            return float_fn(float(v))
-        except ValueError as exc:
-            raise EvaluationError(f"{name} evaluated outside its domain: {exc}") from exc
+        return _on_floats(at_float, v)
 
     fn.__name__ = name
     return fn
@@ -609,7 +626,8 @@ arcsinh = _jet_fn("arcsinh", math.asinh, _arcsinh_derivs)
 
 
 def power(v, p):
-    """v**p for a real exponent p; integer exponents stay domain-free."""
+    """v**p for a real exponent p; integer exponents stay domain-free.  An
+    array of lane values gives each lane its float's power (`_on_floats`)."""
     if isinstance(p, numbers.Integral) and not isinstance(p, bool):
         p = int(p)
         if isinstance(v, Jet):
@@ -623,22 +641,25 @@ def power(v, p):
                 base = base * base
                 p >>= 1
             return out
-        return float(v) ** p
-    if isinstance(v, Jet):
-        def derivs(u0):
-            if u0 <= 0.0:
-                raise EvaluationError(f"power with non-integer exponent at base {u0!r}")
-            return _power_derivs(u0, float(p), v.space.order)
+        return _on_floats(lambda u: u ** p, v)
 
-        return v._compose(_per_lane(derivs, v.value))
-    if float(v) <= 0.0:
-        raise EvaluationError(f"power with non-integer exponent at base {v!r}")
-    return float(v) ** float(p)
+    def base(u):
+        if u <= 0.0:
+            raise EvaluationError(f"power with non-integer exponent at base {u!r}")
+        return u
+
+    if isinstance(v, Jet):
+        return v._compose(_per_lane(lambda u: _power_derivs(base(u), float(p), v.space.order),
+                                    v.value))
+    return _on_floats(lambda u: base(u) ** float(p), v)
 
 
 def scalar_value(v):
-    """Value part of a Jet (its lane values if laned), or the number itself."""
-    return v.value if isinstance(v, Jet) else float(v)
+    """Value part of a Jet (its lane values if laned), or the number itself
+    (an array of lane values stays that array)."""
+    if isinstance(v, Jet):
+        return v.value
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
 
 
 # -- quadratic and linear forms in y ---------------------------------------

@@ -24,8 +24,9 @@ sqrt(det h) (Xing 2005), which the fixtures and sample points read, and
 `_bh_density` is the oracle a test holds it to.
 The tensors of one point read a `riemann.PointRecord` of alpha or h and the
 table of beta or W (`beta_tables`, `nav_tensors`; with leading lane axes,
-the tensors of a stack of points, each lane bit-equal to its point alone),
-and the navigation identities read those tensors and the
+the tensors of a stack of points, each lane bit-equal to its point alone;
+`beta_derivatives` and `randers_ricci_closed_form` take a stack of flags the
+same way), and the navigation identities read those tensors and the
 flag's F from the caller, with xi = y - F W on the tabled W (`NavTensors.w_up`).
 """
 
@@ -134,15 +135,15 @@ def _navigation_stage(point):
 
 
 def _randers_point(rows, b, message):
-    """(det a, det(a - b b^T)) from the rows of a and the b_i at one point, whose
-    quotient is lambda = 1 - b^2 (matrix determinant lemma); det a <= 0 raises
-    `MetricDomainError` and lambda <= 0 `RandersDomainError(message)`."""
+    """(det a, det(a - b b^T)) from the rows of a and the b_i at one point, or
+    at each lane of laned values, whose quotient is lambda = 1 - b^2 (matrix
+    determinant lemma); det a <= 0 raises `MetricDomainError` and lambda <= 0
+    `RandersDomainError(message)`, naming the refused lanes (`jets.refuse`)."""
     det_a = generic_det(rows)
-    if scalar_value(det_a) <= 0.0:
-        raise MetricDomainError("alpha not positive definite (det a <= 0)")
+    jets.refuse(scalar_value(det_a) <= 0.0, MetricDomainError,
+                lambda k: "alpha not positive definite (det a <= 0)")
     det_m = generic_det([[a - bi * bj for a, bj in zip(row, b)] for row, bi in zip(rows, b)])
-    if scalar_value(det_m) <= 0.0:
-        raise RandersDomainError(message)
+    jets.refuse(scalar_value(det_m) <= 0.0, RandersDomainError, lambda k: message)
     return det_a, det_m
 
 
@@ -313,7 +314,8 @@ def beta_tables(A: riemann.PointRecord, btab) -> BetaTables:
 
 @dataclass
 class BetaDerivatives:
-    """Flag-level contractions of the beta tensors at one (x, y)."""
+    """Flag-level contractions of the beta tensors at one (x, y) (every field
+    an array over the lanes at a stack of flags)."""
 
     alpha: float
     beta: float
@@ -329,19 +331,34 @@ class BetaDerivatives:
     si0i: float       # (s^i_0)_{;i}
 
 
+def _einsum_rows(spec, *operands):
+    """np.einsum(spec, *operands) as a float at one point; with one leading
+    lane axis on every operand, that one-point einsum at each lane (a stacked
+    einsum can sum in another order: "jk,j,k->" does)."""
+    if operands[-1].ndim == 1:
+        return float(np.einsum(spec, *operands))
+    return np.array([np.einsum(spec, *row) for row in zip(*operands)])
+
+
 def beta_derivatives(T: BetaTables, y) -> BetaDerivatives:
-    """The contractions of the beta tensors T with the direction y."""
+    """The contractions of the beta tensors T with the direction y; tables of
+    a stack of points with one direction per point (leading lane axes) give
+    one row per lane, each bit-equal to its one-point call."""
     y = np.asarray(y, float)
-    alpha2 = float(y @ T.a @ y)
-    alpha = math.sqrt(alpha2)
-    beta = float(T.b_low @ y)
-    return BetaDerivatives(
-        alpha=alpha, beta=beta, F=alpha + beta,
-        r00=float(y @ T.r @ y), s0=float(T.s_low @ y), e00=float(y @ T.e @ y),
-        t00=float(y @ T.t @ y), t0=float(T.t_low @ y), q00=float(y @ T.q @ y),
-        s00=float(np.einsum("jk,j,k->", T.s_cov, y, y)),
-        r000=float(np.einsum("ijk,i,j,k->", T.r_cov, y, y, y)),
-        si0i=float(T.div_mixed_s @ y))
+
+    def quad(m):
+        return riemann.bilinear(y, m, y)
+
+    def lin(v):
+        return riemann.dot(v, y)
+
+    alpha = jets.sqrt(quad(T.a))
+    beta = lin(T.b_low)
+    rows = dict(alpha=alpha, beta=beta, F=alpha + beta, r00=quad(T.r), s0=lin(T.s_low),
+                e00=quad(T.e), t00=quad(T.t), t0=lin(T.t_low), q00=quad(T.q),
+                s00=_einsum_rows("jk,j,k->", T.s_cov, y, y),
+                r000=_einsum_rows("ijk,i,j,k->", T.r_cov, y, y, y), si0i=lin(T.div_mixed_s))
+    return BetaDerivatives(**{k: v if np.ndim(v) else float(v) for k, v in rows.items()})
 
 
 # -- isotropic S fitting and closed-form Ricci ---------------------------------------
@@ -378,23 +395,27 @@ def fit_sigma_isotropic_S(T: BetaTables, y_samples):
     return sigma, residual
 
 
-def randers_ricci_closed_form(rd: RandersData, p: FlagPoint) -> float:
-    """Ricci curvature of F = alpha + beta assembled term by term:
+def randers_ricci_closed_form(rd: RandersData, x, y):
+    """Ricci curvature of F = alpha + beta at the flag (x, y) assembled term by term:
 
         Ric = aRic + 2 alpha s^i_{0;i} - 2 t_00 - alpha^2 t^i_i + (n-1) Xi,
         Xi  = (2 alpha/F)(q_00 - alpha t_0) + 3/(4F^2) (r_00 - 2 alpha s_0)^2
               - 1/(2F) (r_{00;0} - 2 alpha s_{0;0}).
+
+    At a stack of flags (x and y of shape (P, n)) one order-2 record, one
+    `beta_tables` and one `beta_derivatives` serve them all, and the result
+    is one Ricci curvature per flag, each bit-equal to its one-flag call.
     """
     n = rd.dim
-    T = beta_tables(riemann.point_record(rd.alpha, p.x, 2), rd.beta.table(p.x, order=2))
-    y = np.asarray(p.y, float)
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    T = beta_tables(riemann.point_record(rd.alpha, x, 2), rd.beta.table(x, order=2))
     bd = beta_derivatives(T, y)
-    aric = float(np.einsum("jk,j,k->", T.alpha_ricci, y, y))
+    aric = _einsum_rows("jk,j,k->", T.alpha_ricci, y, y)
     alpha, F = bd.alpha, bd.F
-    if F <= 0.0 or alpha <= 0.0:
-        raise RandersDomainError("flag outside the Randers domain (F or alpha <= 0)")
+    jets.refuse(np.logical_or(F <= 0.0, alpha <= 0.0), RandersDomainError,
+                lambda k: "flag outside the Randers domain (F or alpha <= 0)")
     xi = (2.0 * alpha / F * (bd.q00 - alpha * bd.t0)
-          + 0.75 / (F * F) * (bd.r00 - 2.0 * alpha * bd.s0) ** 2
+          + 0.75 / (F * F) * jets.power(bd.r00 - 2.0 * alpha * bd.s0, 2)
           - 0.5 / F * (bd.r000 - 2.0 * alpha * bd.s00))
     return aric + 2.0 * alpha * bd.si0i - 2.0 * bd.t00 - alpha * alpha * T.t_trace \
         + (n - 1) * xi

@@ -28,8 +28,13 @@ positive-definiteness test is one Cholesky guard, `spd_guard`, run by `spd_inver
 The gathers take the lane shape of laned jets (`jets` module notes), and a
 table of a stack of points x has it as leading axes, which `record_from_tables`,
 the connection formulas and the covariant derivatives pass through; `mat_vec`,
-`vec_mat` and `bilinear` are the stacked forms of `@` with a vector, each row
-bit-equal to its one-point product.
+`vec_mat`, `bilinear` and `dot` are the stacked forms of `@` with a vector, each row
+bit-equal to its one-point product.  The float readers `RiemannMetric.matrix_at`
+and `VectorField.at` take a stack of points too, one row per point: the
+closure runs once with each coordinate an array of lane values
+(`coordinates`), so a row is bit-equal to its point's call when the closure
+uses only + - * / and the `jets` functions (`jets.power` for a power: numpy's
+`**` on an array need not match a float's).
 """
 
 from __future__ import annotations
@@ -121,6 +126,24 @@ def as_scalar_field(obj) -> ScalarField:
     return ScalarField(obj)
 
 
+def coordinates(x):
+    """The coordinates of a point x, shape (n,), as the list a field's
+    closure takes; of a stack of points, shape (..., n), each coordinate the
+    array of its lane values."""
+    x = np.asarray(x, float)
+    return list(x.transpose(-1, *range(x.ndim - 1)))
+
+
+def _float_stack(values, lanes):
+    """Float values, each a number or an array of lane values, as one array
+    of shape lanes + (len(values),): a number, the same in every lane, is
+    broadcast."""
+    out = np.empty(lanes + (len(values),))
+    for i, v in enumerate(values):
+        out[..., i] = scalar_value(v)
+    return out
+
+
 def field_value(field, x) -> float:
     """The float value at the chart point x of a scalar field (a `ScalarField`,
     a function of x or a constant)."""
@@ -142,8 +165,9 @@ class VectorField:
         return list(self._fn(x))
 
     def at(self, x) -> np.ndarray:
-        """The components at x as floats."""
-        return np.array([scalar_value(c) for c in self.components(list(x))], float)
+        """The components at x as floats; at a stack of points x, one row per point."""
+        x = np.asarray(x, float)
+        return _float_stack(self.components(coordinates(x)), x.shape[:-1])
 
     def table(self, x, order):
         return vector_table(self._fn, x, order)
@@ -161,7 +185,11 @@ class RiemannMetric:
         return self._fn(x)
 
     def matrix_at(self, x) -> np.ndarray:
-        m = np.array([[scalar_value(v) for v in row] for row in self._fn(x)], float)
+        """The matrix at x as floats, guarded; at a stack of points x, one
+        matrix per point."""
+        x, n = np.asarray(x, float), self.dim
+        m = _float_stack([v for row in self._fn(coordinates(x)) for v in row], x.shape[:-1])
+        m = m.reshape(x.shape[:-1] + (n, n))
         spd_guard(m, MetricDomainError, f"{self.name or 'metric'} matrix")
         return m
 
@@ -218,7 +246,7 @@ def _jet_pass(fn, x, order):
     """(fn at x as order-`order` jets, their space, order, the lane shape):
     one jet pass at a point x, or at each row of a stack of points (lanes)."""
     x = np.asarray(x, float)
-    xs = Jet.variables(list(x.T), order)
+    xs = Jet.variables(coordinates(x), order)
     return fn(xs), xs[0].space, order, x.shape[:-1]
 
 
@@ -340,6 +368,11 @@ def vec_mat(v, m):
 def bilinear(v, m, w):
     """(v @ m) @ w over leading axes, one float per row."""
     return (v[..., None, :] @ m @ w[..., :, None])[..., 0, 0]
+
+
+def dot(v, w):
+    """v @ w over leading axes, one float per row."""
+    return (v[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
 def lowered_covariant_derivative(rec: PointRecord, w0, dw) -> np.ndarray:

@@ -15,8 +15,9 @@ Each sample flag of a fixture (navigation data, a weight f and the
 isotropic S-curvature sigma) is one `SamplePoint`.  A run's sample points
 come from one jet evaluation of h, W and f laned over the flags' x
 (`sample_points`), and the tables at its bundle flags from one stacked pass
-of the records, beta and W tensors, with sigma's order-1 table; the flag
-rows, the kappa and sigma fits and the four bundles read them.  A bundle is its row formulas: at each point it appends one tuple of
+of the records, beta and W tensors and the beta tensors' contractions with
+the flags' y, with sigma's order-1 table; the flag rows, the kappa and sigma
+fits and the four bundles read them.  A bundle is its row formulas: at each point it appends one tuple of
 row values, and `_bundle_reports` makes one report per row.  The vector
 bundles table V once per flag and feed its covariant derivative to the
 table formulas of `riemann` (Lie derivatives, conformal residual).
@@ -156,8 +157,8 @@ def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
 
     The density of dm_BH is sqrt(det h) (Xing 2005), so only the bundle
     lanes build the (alpha, beta) rows from that evaluation, and their
-    records, beta and W tensors are one stacked pass (sigma's order-1
-    table one jet pass over their x)."""
+    records, beta and W tensors and `beta_derivatives` are one stacked pass
+    (sigma's order-1 table one jet pass over their x)."""
     X = np.array([p.x for p in flags], float)
     xs = Jet.variables(list(X.T), 2)
     space = xs[0].space
@@ -178,9 +179,9 @@ def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
     T = randers.beta_tables(A, riemann.vector_gather(randers._beta_low(bpoint), space, 2, lanes))
     N = randers.nav_tensors(H, riemann.vector_gather(bpoint[1], space, 1, lanes))
     ftab = riemann.scalar_gather(jets.lane(fval, slice(0, bundle)), space, 2, lanes)
-    rows = zip(*map(_rows, (A, T, H, N, ftab, as_scalar_field(sigma).table(xb, order=1))))
-    return [SamplePoint(sp.p, sp.base, a, t, randers.beta_derivatives(t, sp.p.y), h, n, ft, st)
-            for sp, (a, t, h, n, ft, st) in zip(points, rows)] + points[bundle:]
+    bd = randers.beta_derivatives(T, np.array([p.y for p in flags[:bundle]], float))
+    rows = zip(*map(_rows, (A, T, bd, H, N, ftab, as_scalar_field(sigma).table(xb, order=1))))
+    return [SamplePoint(sp.p, sp.base, *row) for sp, row in zip(points, rows)] + points[bundle:]
 
 
 def _matrix_residual(res, scale) -> float:

@@ -18,6 +18,15 @@ curvature rows.  A run's x-only work runs once for all its flags, in
 of the bundle flags' records), and each flag reads its `solitons.SamplePoint`:
 the flag rows and the kappa fit (on the first flags) its base point, and the
 bundles and the sigma fit the bundle data of the first (at most 32) flags.
+
+A crosscheck suite that draws many flags of one random metric evaluates the
+metric once over their stack (Taylor arithmetic vectorised over points,
+Griewank-Walther): `navigation` takes one record of h, one table of W, one
+`randers.nav_tensors`, one float evaluation of each round-trip side and one
+float F per block of (at most 20) flags, and `randers-ricci` one
+`randers.randers_ricci_closed_form` and one float F per metric's 16 flags.
+Only the plumbing is stacked: the oracle formulas are the one-point ones,
+and each row is bit-equal to its flag's own evaluation.
 """
 
 from __future__ import annotations
@@ -145,7 +154,8 @@ BUNDLES = {
 
 def crosscheck_randers_ricci(seed, count=100, tol=1e-8):
     """Closed-form Randers Ricci against the generic spray-trace Ricci; each
-    metric's flags are drawn first and share one `finsler.curvature_bundle`."""
+    metric's flags are drawn first and share one `finsler.curvature_bundle`,
+    and their stack one `randers.randers_ricci_closed_form` and one float F."""
     rng = np.random.default_rng(seed)
     rel = []
     flags_per, dim = 16, 3
@@ -154,11 +164,11 @@ def crosscheck_randers_ricci(seed, count=100, tol=1e-8):
         metric = randers.finsler_from_randers(rd)
         flags = [FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
                  for _ in range(flags_per)]
-        for p, b in zip(flags, finsler.curvature_bundle(metric, flags)):
-            closed = randers.randers_ricci_closed_form(rd, p)
-            spray_val = b.ricci
-            F2 = metric.value(p.x, p.y) ** 2
-            rel.append((closed - spray_val) / max(abs(spray_val), F2))
+        X, Y = np.array([p.x for p in flags]), np.array([p.y for p in flags])
+        closed = randers.randers_ricci_closed_form(rd, X, Y).tolist()
+        F = metric.value(X, Y).tolist()
+        for c, b, f in zip(closed, finsler.curvature_bundle(metric, flags), F):
+            rel.append((c - b.ricci) / max(abs(b.ricci), f ** 2))
     return [report_from_values("closed-form-vs-spray-ricci", rel, tol,
                                detail=f"{count} random metrics x {flags_per} flags, dim {dim}")]
 
@@ -206,6 +216,11 @@ def crosscheck_navigation(seed, count=1000, tol=1e-10):
 
     with a fresh random metric every 20 samples, alternating between
     Randers-first and navigation-first round trips.
+
+    A metric's block of flags is drawn first (x, then y, per flag), and the
+    block is one stack: one record of h and one table of W laned over its x,
+    one `randers.nav_tensors`, one float evaluation of each round-trip side
+    and one float F, each row bit-equal to its flag's own evaluation.
     """
     rng = np.random.default_rng(seed)
     points_per_metric = 20
@@ -226,20 +241,21 @@ def crosscheck_navigation(seed, count=1000, tol=1e-10):
             pairs = ((nav.h, nav.W), (nav2.h, nav2.W))
         metric = randers.finsler_from_navigation(nav)
         block += 1
-        for _ in range(min(points_per_metric, count - taken)):
-            taken += 1
-            x = generators.sample_box_point(rng, dim)
-            y = unit_direction(rng, dim)
-            (m1, v1), (m2, v2) = pairs
-            roundtrip.append(max(float(np.max(np.abs(m1.matrix_at(x) - m2.matrix_at(x)))),
-                                 float(np.max(np.abs(v1.at(x) - v2.at(x))))))
-            T = randers.nav_tensors(riemann.point_record(nav.h, x, 1), nav.W.table(x, order=1))
-            F = metric.value(x, y)
-            h2 = float(y @ T.h @ y)
-            w0 = float(T.w_low @ y)
-            norm_identity.append((h2 - 2.0 * F * w0 - T.lam * F * F) / (F * F))
-            xi = y - F * T.w_up
-            transfer.append((math.sqrt(float(xi @ T.h @ xi)) - F) / F)
+        size = min(points_per_metric, count - taken)
+        taken += size
+        flags = [(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
+                 for _ in range(size)]
+        X, Y = np.array([x for x, _ in flags]), np.array([y for _, y in flags])
+        (m1, v1), (m2, v2) = pairs
+        roundtrip.extend(np.maximum(np.abs(m1.matrix_at(X) - m2.matrix_at(X)).max(axis=(1, 2)),
+                                    np.abs(v1.at(X) - v2.at(X)).max(axis=1)).tolist())
+        T = randers.nav_tensors(riemann.point_record(nav.h, X, 1), nav.W.table(X, order=1))
+        F = metric.value(X, Y)
+        h2 = riemann.bilinear(Y, T.h, Y)
+        w0 = riemann.dot(T.w_low, Y)
+        norm_identity.extend(((h2 - 2.0 * F * w0 - T.lam * F * F) / (F * F)).tolist())
+        xi = Y - F[:, None] * T.w_up
+        transfer.extend(((jets.sqrt(riemann.bilinear(xi, T.h, xi)) - F) / F).tolist())
     return [report_from_values("roundtrip", roundtrip, 1e-12),
             report_from_values("norm-identity", norm_identity, tol),
             report_from_values("unit-speed-transfer", transfer, tol)]

@@ -410,6 +410,24 @@ def test_a_laned_guard_names_the_lanes_it_refuses():
         jets.power(u, 0.5)
 
 
+def test_a_function_of_float_lane_values_maps_each_lane_as_its_float():
+    # each lane has the bits of the float call: math at each lane, and `**`
+    # by lane (1.8903560604397107 ** 2 is one ulp off its square u * u)
+    u = np.array([0.5, 2.0, 1.8903560604397107, 7.25])
+    for fn, f in ((jets.sqrt, math.sqrt), (jets.exp, math.exp), (jets.log, math.log),
+                  (jets.tanh, math.tanh), (jets.cosh, math.cosh)):
+        assert fn(u).tolist() == [f(v) for v in u.tolist()], fn.__name__
+    for p in (2, -1, 1.7):
+        assert jets.power(u, p).tolist() == [v ** p for v in u.tolist()], p
+    assert jets.power(u, 2)[2] != u[2] * u[2]
+    assert jets.scalar_value(u) is u and jets.scalar_value(np.float64(0.5)) == 0.5
+    with pytest.raises(EvaluationError, match=r"^log evaluated outside its domain: .* "
+                                              r"at lanes 1, 3$"):
+        jets.log(np.array([1.0, -1.0, 2.0, 0.0]))
+    with pytest.raises(EvaluationError, match=r"at lane 1$"):
+        jets.power(np.array([1.0, -1.0]), 0.5)
+
+
 def _truncate(jet, order):
     sp = jet_space(jet.dim, order)
     return Jet(sp, jet.coeffs[: sp.nterms])

@@ -115,6 +115,50 @@ def test_alpha_of_nonpositive_determinant_raises_metric_domain_error():
             finsler_from_randers(rd).value([0.0, 0.0], [1.0, 0.0])
 
 
+def test_a_laned_record_of_to_navigation_h_equals_its_per_point_records():
+    # `_randers_point` guards every lane (`jets.refuse`), so to_navigation's h
+    # runs at laned x, each lane bit-equal to its point alone
+    rng = np.random.default_rng(5)
+    for dim in (2, 3):
+        nav = to_navigation(generators.random_randers(rng, dim))
+        X = np.array([generators.sample_box_point(rng, dim) for _ in range(4)])
+        for order in (1, 2):
+            stacked = riemann.point_record(nav.h, X, order)
+            for k, x in enumerate(X):
+                for name, want in vars(riemann.point_record(nav.h, x, order)).items():
+                    if want is not None:
+                        assert np.array_equal(getattr(stacked, name)[k], want), (order, name)
+
+
+def test_a_laned_randers_guard_names_the_lane_where_beta_reaches_unit_length():
+    # b = (x_0, 0) on Euclidean alpha has ||beta||_alpha >= 1 at lane 1 only
+    rd = RandersData(alpha=euclidean_metric(2), beta=VectorField(lambda x: [x[0], 0.0]))
+    X = np.array([[0.2, 0.0], [1.5, 0.0], [-0.3, 0.1]])
+    h = to_navigation(rd).h
+    for call in (lambda: riemann.point_record(h, X, 1), lambda: h.matrix_at(X)):
+        with pytest.raises(RandersDomainError, match=r"converting Randers data at lane 1$"):
+            call()
+    riemann.point_record(h, X[[0, 2]], 1)
+
+
+def test_the_float_readers_give_one_row_per_point_of_a_stack():
+    # matrix_at, at and value at a stack of points: each row bit-equal to
+    # its point's call
+    rng = np.random.default_rng(9)
+    for dim in (2, 3):
+        rd = generators.random_randers(rng, dim)
+        nav = to_navigation(rd)
+        X = np.array([generators.sample_box_point(rng, dim) for _ in range(5)])
+        Y = rng.normal(size=(5, dim))
+        for h in (rd.alpha, nav.h, from_navigation(nav).alpha, euclidean_metric(dim)):
+            assert np.array_equal(h.matrix_at(X), [h.matrix_at(x) for x in X]), h.name
+        for v in (rd.beta, nav.W, from_navigation(nav).beta):
+            assert np.array_equal(v.at(X), [v.at(x) for x in X]), v.name
+        for F in (finsler_from_randers(rd), finsler_from_navigation(nav),
+                  finsler.FinslerMetric.from_riemannian(nav.h)):
+            assert F.value(X, Y).tolist() == [F.value(x, y) for x, y in zip(X, Y)], F.name
+
+
 def _coeffs(entries, space):
     """The coefficient rows of float-or-Jet entries over `space`."""
     return np.array([v.coeffs if isinstance(v, jets.Jet) else
@@ -392,7 +436,7 @@ def test_closed_form_reduces_to_alpha_ricci(rng):
     a = generators.random_riemann_metric(rng, 3)
     rd = RandersData(alpha=a, beta=VectorField(lambda x: [0.0] * 3))
     p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
-    assert randers_ricci_closed_form(rd, p) == pytest.approx(
+    assert randers_ricci_closed_form(rd, p.x, p.y) == pytest.approx(
         riemann.riemann_ricci(riemann.point_record(a, p.x, 2), p.y), rel=1e-10, abs=1e-12)
 
 
@@ -402,7 +446,7 @@ def test_closed_form_cigar_law(rng):
     t = 1.4
     p = FlagPoint([t, 0.2], rng.normal(size=2))
     F = finsler_from_navigation(nav).value(p.x, p.y)
-    assert randers_ricci_closed_form(rd, p) == pytest.approx(
+    assert randers_ricci_closed_form(rd, p.x, p.y) == pytest.approx(
         2.0 / math.cosh(t) ** 2 * F * F, rel=1e-8)
 
 
@@ -411,10 +455,27 @@ def test_closed_form_vs_spray_on_random_metrics(rng):
         rd = generators.random_randers(rng, 3)
         metric = finsler_from_randers(rd)
         p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
-        closed = randers_ricci_closed_form(rd, p)
+        closed = randers_ricci_closed_form(rd, p.x, p.y)
         spray_val = finsler.curvature_bundle(metric, [p])[0].ricci
         F2 = metric.value(p.x, p.y) ** 2
         assert abs(closed - spray_val) / max(abs(spray_val), F2) <= 1e-8
+
+
+def test_stacked_closed_form_rows_equal_their_one_flag_calls():
+    # one record, beta_tables and beta_derivatives per stack of flags; each
+    # Ricci and each contraction bit-equal to the flag's own call
+    rng = np.random.default_rng(13)
+    for dim in (2, 3):
+        for _ in range(4):
+            rd = generators.random_randers(rng, dim)
+            X = np.array([generators.sample_box_point(rng, dim) for _ in range(16)])
+            Y = rng.normal(size=(16, dim))
+            stacked = randers_ricci_closed_form(rd, X, Y)
+            bd = beta_derivatives(tables_at(rd, X), Y)
+            for k, (x, y) in enumerate(zip(X, Y)):
+                assert stacked[k] == randers_ricci_closed_form(rd, x, y), (dim, k)
+                for name, want in vars(beta_derivatives(tables_at(rd, x), y)).items():
+                    assert getattr(bd, name)[k] == want, (dim, k, name)
 
 
 # -- navigation Lie and curvature-transfer identities ---------------------------------------------

@@ -212,8 +212,9 @@ def test_fixture_suite_builds_alpha_and_beta_at_bundle_points_only(name, monkeyp
         assert np.array_equal(alpha_lams[0], nav_lams[0][:bundle_points]), (name, mode)
 
 
-def _one_point_tables(fx, x):
-    """The gathers, records, beta and W tensors of the fixture at one x."""
+def _one_point_tables(fx, x, y):
+    """The gathers, records, beta and W tensors of the fixture at one x, and
+    the beta tensors' contractions with y."""
     xs = Jet.variables(list(x), 2)
     space = xs[0].space
     point = randers._navigation_point(fx.nav, xs)
@@ -222,21 +223,24 @@ def _one_point_tables(fx, x):
                riemann.vector_gather(randers._beta_low(point), space, 2, ()),
                riemann.vector_gather(point[1], space, 1, ()),
                riemann.scalar_gather(fx.f(xs), space, 2, ()))
-    return gathers, _records(fx, x, gathers)
+    return gathers, _records(fx, x, y, gathers)
 
 
-def _records(fx, x, gathers):
+def _records(fx, x, y, gathers):
     A = riemann.record_from_tables(fx.rd.alpha, x, gathers[0])
     H = riemann.record_from_tables(fx.nav.h, x, gathers[1])
-    return A, H, randers.beta_tables(A, gathers[2]), randers.nav_tensors(H, gathers[3])
+    T = randers.beta_tables(A, gathers[2])
+    return A, H, T, randers.beta_derivatives(T, y), randers.nav_tensors(H, gathers[3])
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
 def test_stacked_tables_equal_their_one_point_calls(name):
     # row k of every laned gather and of the stacked record_from_tables,
-    # beta_tables and nav_tensors is bit-equal to the call at flag k's x alone
+    # beta_tables, beta_derivatives and nav_tensors is bit-equal to the call
+    # at flag k alone
     fx = fixtures.get_fixture(name)
-    X = np.array([p.x for p in sample_flags(fx, 64, np.random.default_rng(0))])
+    flags = sample_flags(fx, 64, np.random.default_rng(0))
+    X, Y = np.array([p.x for p in flags]), np.array([p.y for p in flags])
     xs = Jet.variables(list(X.T), 2)
     space, lanes = xs[0].space, X.shape[:1]
     point = randers._navigation_point(fx.nav, xs)
@@ -245,9 +249,9 @@ def test_stacked_tables_equal_their_one_point_calls(name):
                riemann.vector_gather(randers._beta_low(point), space, 2, lanes),
                riemann.vector_gather(point[1], space, 1, lanes),
                riemann.scalar_gather(fx.f(xs), space, 2, lanes))
-    stacks = _records(fx, X, gathers)
-    for k, x in enumerate(X):
-        want_gathers, want_records = _one_point_tables(fx, x)
+    stacks = _records(fx, X, Y, gathers)
+    for k, (x, y) in enumerate(zip(X, Y)):
+        want_gathers, want_records = _one_point_tables(fx, x, y)
         for got, want in zip(gathers, want_gathers, strict=True):
             for g, w in zip(got, want, strict=True):
                 assert np.array_equal(g[k], w), (name, k, "gather")

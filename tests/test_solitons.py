@@ -257,11 +257,11 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     # h, W and f are evaluated at jet x once per run, laned over the flags' x
     # in flag order (the sample points), and the alpha and beta closures
     # never; the records of alpha and h, the beta and W tensors are one
-    # stacked pass over the bundle flags' x from that evaluation, and so is
-    # sigma's table, which every bundle reads; the only other jet passes of
-    # table functions are V's vector_table in each vector bundle, and
-    # beta_derivatives runs once per bundle flag; and no float evaluation of
-    # a metric or a field
+    # stacked pass over the bundle flags' x from that evaluation, and so are
+    # sigma's table, which every bundle reads, and the beta tensors'
+    # contractions with the flags' y (beta_derivatives); the only other jet
+    # passes of table functions are V's vector_table in each vector bundle;
+    # and no float evaluation of a metric or a field
     from finsler_solitons.jets import Jet
 
     fx = fixtures.get_fixture(name)
@@ -294,10 +294,10 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     for module, attr, x_of in ((riemann, "record_from_tables", lambda h, x, t: x),
                                (riemann, "scalar_table", lambda fn, x, order: x),
                                (randers, "beta_tables", lambda A, btab: A.x),
+                               (randers, "beta_derivatives", lambda T, y: T.x),
                                (randers, "nav_tensors", lambda H, wtab: H.x)):
         monkeypatch.setattr(module, attr, counting(stacked_x(attr, x_of), getattr(module, attr)))
-    for module, attr in ((riemann, "matrix_table"), (riemann, "vector_table"),
-                         (randers, "beta_derivatives")):
+    for module, attr in ((riemann, "matrix_table"), (riemann, "vector_table")):
         monkeypatch.setattr(module, attr, counting(lambda *a, _k=attr: _k,
                                                    getattr(module, attr)))
     monkeypatch.setattr(riemann.RiemannMetric, "matrix_at",
@@ -310,12 +310,12 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     vector_bundles = sum(b.startswith("vector-") for b in fx.bundles)
     assert counts == collections.Counter(
         {"h": 1, "W": 1, "f": 1, "record_from_tables": 2, "beta_tables": 1, "nav_tensors": 1,
-         "beta_derivatives": samples, "vector_table": vector_bundles * samples,
+         "beta_derivatives": 1, "vector_table": vector_bundles * samples,
          "scalar_table": 1})
     # with fewer than 32 samples every flag is a bundle flag
     xs = np.array([p.x for p in flags_of(fx, samples, seed=3)])
-    assert set(lanes) == {"h", "W", "f", "record_from_tables", "beta_tables", "nav_tensors",
-                          "scalar_table"}
+    assert set(lanes) == {"h", "W", "f", "record_from_tables", "beta_tables",
+                          "beta_derivatives", "nav_tensors", "scalar_table"}
     for key, calls in lanes.items():
         assert all(np.array_equal(x, xs) for x in calls), key
 
