@@ -29,7 +29,7 @@ def main():
              for t in np.linspace(0.2, 2.0, args.points)]
     for p, ev in zip(flags, finsler.evaluate_flags(fx.metric, fx.measure, flags)):
         t = p.x[0]
-        fit = ev.flag_curvature
+        fit = finsler._flag_curvature(ev.bundle)
         law = 2.0 / math.cosh(t) ** 2
         ratio = ev.ric_inf / fx.metric.value(p.x, p.y) ** 2
         # the measure is e^{-f} dm_BH, so S = S_BH + df(y)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -27,7 +28,10 @@ EXIT_USAGE = 2
 EXIT_EVAL = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    `main` of the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="finsler-solitons",
         description="Curvature and Ricci-soliton residual checks for Finsler metrics")

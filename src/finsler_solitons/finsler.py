@@ -8,15 +8,18 @@ a least-squares scalar flag-curvature fit.
 
 `evaluate_flags` is the one evaluation per flag and the one way to read
 flags' quantities: a single fourth-order expansion of F^2 per flag yields
-Ric, S, S-dot, Ric_inf and the flag-curvature fit together.  Without a
-measure, `curvature_bundle` gives the spray, R and Ric alone.  Both take a sequence of flags: each flag gets
-its own expansion, and the float tables of all of them are stacked, so the
-spray derivatives and R run once per stack (one pass of numpy calls over
-arrays with a leading flag axis), not once per flag.  A flag evaluation's
-x-only work is a `BasePoint`: the metric's stage at x and the log-density
-table, built once per sample point (`base_point`, or for all of a fixture
-run's flags at once `solitons.sample_points`) and shared by every direction
-evaluated there.
+Ric, S, S-dot and Ric_inf together; the flag-curvature fit is read off a
+bundle by the callers that want it (`_flag_curvature`).  Without a measure,
+`curvature_bundle` gives the spray, R and Ric alone.  Both take a sequence
+of flags: each flag gets its own expansion, and the expansions' coefficient
+rows are stacked, so the Q-table gathers, the spray derivatives, R, Ric and
+dS run once per stack (one pass of numpy calls over arrays with a leading
+flag axis), not once per flag, each row bit-equal to the flag evaluated
+alone.  A kappa fit (`solitons.fit_kappa`) is one such stack.  A flag
+evaluation's x-only work is a `BasePoint`: the metric's stage at x and the
+log-density table, built once per sample point (`base_point`, or for all of
+a fixture run's flags at once `solitons.sample_points`) and shared by every
+direction evaluated there.
 
 `evaluate_flags` is also the one place a flag evaluation chooses jet or
 finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are
@@ -60,7 +63,6 @@ stage at float lanes (`riemann.coordinates`).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -199,11 +201,23 @@ def _f2_index(n: int, order: int) -> dict:
 
 def _f2_tables(stage, y, order: int) -> dict:
     """Partial derivatives of F^2 at (x, y), grouped by (x-degree, y-degree),
-    from the stage at x (see `_f2_jet`)."""
-    f2 = _f2_jet(stage, y, order)
-    partials = f2.coeffs * f2.space.factorials
-    T = {name: partials[pos] for name, pos in _f2_index(len(y), order).items()}
-    T["F"] = math.sqrt(f2.value)
+    and "F", from the stage at x (see `_f2_jet`).
+
+    At a stack of flags, y of shape (P, n) and `stage` the sequence of their
+    stages, each flag is expanded alone and each table gathered once over the
+    stack, one row per flag ("F" a list): the coefficient rows times the
+    factorials, then one `take`.  `take` keeps the flag axis first and every
+    table C-contiguous; an index `[:, pos]` would leave the flag axis
+    innermost in memory, and the stacked einsums of the spray would then sum
+    in another order.
+    """
+    y = np.asarray(y, float)
+    stages, ys = (stage, y) if y.ndim == 2 else ([stage], [y])
+    f2 = [_f2_jet(st, v, order) for st, v in zip(stages, ys)]
+    coeffs = np.array([j.coeffs for j in f2]).reshape(y.shape[:-1] + (-1,))
+    partials = coeffs * f2[0].space.factorials
+    T = {name: partials.take(pos, axis=-1) for name, pos in _f2_index(y.shape[-1], order).items()}
+    T["F"] = np.sqrt(coeffs[..., 0]).tolist()
     return T
 
 
@@ -304,9 +318,10 @@ def curvature_bundle(metric: FinslerMetric, points, mode: str = "jet",
 
     `stage_at(x)` is the metric's stage at x (an `_memo` of `_stage`; by
     default one built here), read at each p.x and, in fd mode, at every
-    stencil x.  mode="jet" expands F^2 to fourth order once per flag, stacks
-    the flags' tables and runs the spray and Riemann formulas once over the
-    stack; each bundle's arrays are its rows of the stacked results.
+    stencil x.  mode="jet" expands F^2 to fourth order once per flag, gathers
+    each table once over the stack of flags (`_f2_tables`) and runs the spray
+    and Riemann formulas and the trace once over it; each bundle's arrays are
+    its rows of the stacked results.
     mode="fd" builds each flag's bundle alone, recomputing the outer spray
     derivatives by Richardson central differences of the pointwise spray, as
     an independent cross-check.
@@ -317,16 +332,16 @@ def curvature_bundle(metric: FinslerMetric, points, mode: str = "jet",
         return [_curvature_bundle_fd(metric, p, stage_at) for p in points]
     if mode != "jet":
         raise ParameterError(f"unknown differentiation mode {mode!r}")
-    tables = [_f2_tables(stage_at(p.x), p.y, order=4) for p in points]
-    T = {k: np.stack([t[k] for t in tables]) for k in tables[0] if k != "F"}
     y = np.array([p.y for p in points], float)
+    T = _f2_tables([stage_at(p.x) for p in points], y, order=4)
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
-    return [CurvatureBundle(x=np.asarray(p.x, float), y=y[i], F=tables[i]["F"],
+    ricci = np.trace(R, axis1=-2, axis2=-1).tolist()
+    return [CurvatureBundle(x=np.asarray(p.x, float), y=y[i], F=T["F"][i],
                             dF2_dy=T["Q01"][i], g=D["g"][i],
                             spray=D["G"][i], dG_dx=D["dG_dx"][i], dG_dy=D["dG_dy"][i],
                             d2G_dxdy=D["d2G_dxdy"][i], d2G_dydy=D["d2G_dydy"][i],
-                            riemann=R[i], ricci=float(np.trace(R[i])))
+                            riemann=R[i], ricci=ricci[i])
             for i, p in enumerate(points)]
 
 
@@ -499,7 +514,9 @@ def base_point(metric: FinslerMetric, measure: Measure, x) -> BasePoint:
 @dataclass(frozen=True)
 class FlagEvaluation:
     """Every per-flag quantity of the soliton laws: in jet mode from one
-    order-4 expansion, in fd mode from the fd bundle and the fd S."""
+    order-4 expansion, in fd mode from the fd bundle and the fd S.  The
+    flag-curvature fit is not one of them: a reader that wants it calls
+    `_flag_curvature(bundle)`."""
 
     bundle: CurvatureBundle
     S: float
@@ -507,20 +524,19 @@ class FlagEvaluation:
     dS_dy: np.ndarray
     s_dot: float
     ric_inf: float
-    flag_curvature: FlagCurvature
 
 
 def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
                    bases=None, mode: str = "jet") -> list[FlagEvaluation]:
-    """Bundle, S, its derivatives, S-dot, Ric_inf and the K-fit at each flag
-    of `points`.
+    """Bundle, S, its derivatives, S-dot and Ric_inf at each flag of `points`.
 
     mode="jet" reads them all off one order-4 expansion of F^2 per flag, with
     the spray and curvature of all the flags in one stacked pass
-    (`curvature_bundle`).  mode="fd" takes each flag's fd bundle, S from an
-    order-3 expansion, and dS by central differences of that S; every x the
-    two fd stencils visit is staged once, and tabled once where S reads its
-    density (see the module notes).
+    (`curvature_bundle`) and dS in one more (its einsums over the stacked
+    rows of the bundles and density tables).  mode="fd" takes each flag's fd
+    bundle, S from an order-3 expansion, and dS by central differences of
+    that S; every x the two fd stencils visit is staged once, and tabled once
+    where S reads its density (see the module notes).
 
     `bases[k]` is `base_point(metric, measure, points[k].x)`; it depends on x
     only, so callers evaluating several flags at one point build it once and
@@ -533,21 +549,31 @@ def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
         raise ValueError("base point and flag are at different x")
     stage_at = _memo(lambda x: _stage(metric, x), *((p.x, base.stage) for p, base in pairs))
     bundles = curvature_bundle(metric, points, mode, stage_at)
-    n = metric.dim
+    if mode == "jet":
+        y = np.array([b.y for b in bundles])
+        dS_dx = (np.einsum("...kii->...k", np.array([b.d2G_dxdy for b in bundles]))
+                 - np.einsum("...i,...ki->...k", y, np.array([base.logs[2] for base in bases])))
+        dS_dy = (np.einsum("...kii->...k", np.array([b.d2G_dydy for b in bundles]))
+                 - np.array([base.logs[1] for base in bases]))
+        tails = [(_s_value(b.dG_dy, b.y, base.logs), dx, dy)
+                 for b, base, dx, dy in zip(bundles, bases, dS_dx, dS_dy)]
+    else:
+        tails = [_fd_s(measure, stage_at, base, b) for base, b in zip(bases, bundles)]
     out = []
-    for (p, base), b in zip(pairs, bundles):
-        y = b.y
-        if mode == "jet":
-            S = _s_value(b.dG_dy, y, base.logs)
-            dS_dx = np.einsum("kii->k", b.d2G_dxdy) - np.einsum("i,ki->k", y, base.logs[2])
-            dS_dy = np.einsum("kii->k", b.d2G_dydy) - base.logs[1]
-        else:
-            logs_at = _memo(measure.log_density_table, (p.x, base.logs))
-            S = _s_order3(base.stage, base.logs, y)
-            dS = _fd_table(lambda *z: _s_order3(stage_at(z[:n]), logs_at(z[:n]), z[n:]),
-                           np.concatenate([b.x, y]), range(2 * n), step=FD_STEP1)[0]
-            dS_dx, dS_dy = dS[:n], dS[n:]
-        sdot = float(np.dot(y, dS_dx) - 2.0 * np.dot(b.spray, dS_dy))
+    for b, (S, dS_dx, dS_dy) in zip(bundles, tails):
+        sdot = float(np.dot(b.y, dS_dx) - 2.0 * np.dot(b.spray, dS_dy))
         out.append(FlagEvaluation(bundle=b, S=S, dS_dx=dS_dx, dS_dy=dS_dy, s_dot=sdot,
-                                  ric_inf=b.ricci + sdot, flag_curvature=_flag_curvature(b)))
+                                  ric_inf=b.ricci + sdot))
     return out
+
+
+def _fd_s(measure: Measure, stage_at, base: BasePoint, b: CurvatureBundle):
+    """(S, dS_dx, dS_dy) at the flag of the fd bundle b: S from an order-3
+    expansion on the base point, dS by central differences of that S, each
+    stencil x staged by `stage_at` and its density tabled once."""
+    n = b.y.size
+    S = _s_order3(base.stage, base.logs, b.y)
+    logs_at = _memo(measure.log_density_table, (b.x, base.logs))
+    dS = _fd_table(lambda *z: _s_order3(stage_at(z[:n]), logs_at(z[:n]), z[n:]),
+                   np.concatenate([b.x, b.y]), range(2 * n), step=FD_STEP1)[0]
+    return S, dS[:n], dS[n:]

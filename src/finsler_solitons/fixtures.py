@@ -204,7 +204,7 @@ def cigar() -> Fixture:
     from . import jets
 
     def h_fn(x):
-        return [[1.0, 0.0], [0.0, jets.tanh(x[0]) ** 2]]
+        return [[1.0, 0.0], [0.0, jets.power(jets.tanh(x[0]), 2)]]
 
     f = ScalarField(lambda x: -2.0 * jets.log(jets.cosh(x[0])), name="-2 log cosh t")
     law = ScalarField(lambda x: 2.0 / math.cosh(float(x[0])) ** 2, name="2/cosh^2 t")

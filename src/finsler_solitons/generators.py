@@ -112,17 +112,17 @@ def _calibrated_field(rng, metric: RiemannMetric, bound, name, inverse=False) ->
     with M the metric's matrix, or its inverse for a 1-form (`inverse`).
 
     The field and M are evaluated at every grid point at once (arrays
-    through the scalar loop); a stacked inverse is bit-equal to the
-    per-point ones.
+    through the scalar loop), and v.M.v is one stacked `riemann.bilinear`;
+    a stacked inverse and each bilinear row are bit-equal to the per-point
+    ones.
     """
     raw = _draw_stacked(rng, metric.dim, 0.3, metric.dim)
     grid = _box_grid(metric.dim)
     mats = _grid_stack(metric.matrix(grid))
     if inverse:
         mats = riemann.spd_inverse(mats, riemann.MetricDomainError, f"{metric.name} matrix")
-    worst = 0.0
-    for v, m in zip(_grid_stack(_poly2(raw, grid)), mats):
-        worst = max(worst, float(v @ m @ v))
+    V = _grid_stack(_poly2(raw, grid))
+    worst = max([0.0] + riemann.bilinear(V, mats, V).tolist())
     scale = bound / max(np.sqrt(worst), 1e-9)
     return VectorField(lambda x: [scale * v for v in _poly2(raw, x)], name=name)
 

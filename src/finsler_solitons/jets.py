@@ -441,12 +441,25 @@ class Jet:
     def _compose(self, derivs):
         """Sum_k derivs[k]/k! * (self - value)^k over the jet order; `derivs`
         holds the order + 1 derivatives of the outer function (floats, or
-        arrays of lane values, `_per_lane`)."""
+        arrays of lane values, `_per_lane`).
+
+        Horner's first product, of the constant derivs[order]/order! with du,
+        is a scalar multiply.  For finite data it has the bits of the jet
+        product: that product sums c du_k with terms that are all +-0, from
+        +0.0, so each nonzero entry is exact and a zero one +0.0; the scalar
+        product's -0.0 entries turn +0.0 in the sum with the next constant,
+        whose zero entries are +0.0, except at the constant term, which is
+        therefore set to +0.0 first."""
+        order = self.space.order
+        top = derivs[order] / math.factorial(order)
+        if order == 0:
+            return Jet.constant(top, self.space)
         du = Jet(self.space, self.coeffs.copy())
         du.coeffs[..., 0] = 0.0
-        order = self.space.order
-        acc = Jet.constant(derivs[order] / math.factorial(order), self.space)
-        for k in range(order - 1, -1, -1):
+        acc = Jet(self.space, du.coeffs * np.asarray(top)[..., None])
+        acc.coeffs[..., 0] = 0.0
+        acc = acc + Jet.constant(derivs[order - 1] / math.factorial(order - 1), self.space)
+        for k in range(order - 2, -1, -1):
             acc = acc * du + Jet.constant(derivs[k] / math.factorial(k), self.space)
         return acc
 

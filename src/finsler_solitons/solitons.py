@@ -40,7 +40,7 @@ import numpy as np
 
 from . import finsler, jets, randers, riemann
 from .finsler import FinslerMetric, Measure
-from .jets import FlagPoint, Jet, scalar_value
+from .jets import FlagPoint, Jet
 from .randers import NavigationData, RandersData
 from .reports import ResidualReport, report_from_values
 from .riemann import VectorField, as_scalar_field, field_value
@@ -82,20 +82,21 @@ def fit_kappa(metric: FinslerMetric, measure: Measure, bases):
     the largest spread of Ric_inf/F^2 over `_directions(n)` at a single x; it
     must vanish for a true gradient soliton because kappa depends on x only.
     Every direction at a point reads the point's stage and density table, so
-    the fit builds neither, and the F^2 normalisers one float stage; the
-    directions at a point are one `finsler.evaluate_flags` call.
+    the fit builds neither.  The flags of every point, base-major, are one
+    `finsler.evaluate_flags` call (one spray and Riemann pass per fit), and
+    their F^2 normalisers one stacked float `value`.
     """
     dirs = _directions(metric.dim)
+    points = [FlagPoint(base.x, d) for base in bases for d in dirs]
+    evs = finsler.evaluate_flags(metric, measure, points,
+                                 [base for base in bases for _ in dirs])
+    F = metric.value(np.array([p.x for p in points]), np.array([p.y for p in points]))
+    vals = np.array([ev.ric_inf / f ** 2 for ev, f in zip(evs, F.tolist())])
     kappas = []
     anisotropy = 0.0
-    for base in bases:
-        at = metric.at(list(base.x))
-        points = [FlagPoint(base.x, d) for d in dirs]
-        evs = finsler.evaluate_flags(metric, measure, points, [base] * len(dirs))
-        vals = np.array([ev.ric_inf / float(scalar_value(at(list(p.y)))) ** 2
-                         for p, ev in zip(points, evs)])
-        kappas.append(float(np.mean(vals)))
-        anisotropy = max(anisotropy, float(np.max(vals) - np.min(vals)))
+    for row in vals.reshape(len(bases), len(dirs)):
+        kappas.append(float(np.mean(row)))
+        anisotropy = max(anisotropy, float(np.max(row) - np.min(row)))
     return np.array(kappas), anisotropy
 
 

@@ -12,9 +12,11 @@ Each fixture flag is evaluated once, and all of a suite's flags in one
 `finsler.evaluate_flags` call (which picks the jet or fd differentiation
 mode): one fourth-order expansion of F^2 per flag, with one spray and
 Riemann pass over the stack of flags (one finite-difference bundle and S-dot
-per flag in fd mode), feeds the Ricci law, infinity-Ricci and flag
-curvature rows.  A run's x-only work runs once for all its flags, in
-`solitons.sample_points` (one laned closure evaluation and one stacked pass
+per flag in fd mode), feeds the Ricci law, infinity-Ricci and, where the
+fixture declares a flag curvature, the flag-curvature rows (a fit read off
+each flag's bundle).  The kappa fit is one more such call, over the
+directions at its base points.  A run's x-only work runs once for all its
+flags, in `solitons.sample_points` (one laned closure evaluation and one stacked pass
 of the bundle flags' records), and each flag reads its `solitons.SamplePoint`:
 the flag rows and the kappa fit (on the first flags) its base point, and the
 bundles and the sigma fit the bundle data of the first (at most 32) flags.
@@ -60,11 +62,11 @@ def _flag_rows(fixture, flags, mode):
     for sp, ev in zip(flags, evs):
         p, row = sp.p, {}
         F2 = p.F ** 2
-        ric, ric_inf, fit = ev.bundle.ricci, ev.ric_inf, ev.flag_curvature
-        row["infinity-ricci"] = (ric_inf - field_value(fixture.kappa, p.x) * F2) / F2
+        row["infinity-ricci"] = (ev.ric_inf - field_value(fixture.kappa, p.x) * F2) / F2
         if fixture.einstein is not None:
-            row["ricci-law"] = ric / F2 - field_value(fixture.einstein, p.x)
+            row["ricci-law"] = ev.bundle.ricci / F2 - field_value(fixture.einstein, p.x)
         if fixture.flag_curvature is not None:
+            fit = finsler._flag_curvature(ev.bundle)
             row["flag-curvature-law"] = fit.value - field_value(fixture.flag_curvature, p.x)
             row["flag-curvature-misfit"] = fit.residual
             if fit.within_error:

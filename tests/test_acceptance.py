@@ -54,7 +54,8 @@ def test_criterion_03_cigar_flag_curvature():
     flags = sample_flags(fx, 256, np.random.default_rng(103))
     worst_law, worst_fit = 0.0, 0.0
     for p in flags:
-        fit = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].flag_curvature
+        ev = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
+        fit = finsler._flag_curvature(ev.bundle)
         worst_law = max(worst_law, abs(fit.value - 2.0 / math.cosh(p.x[0]) ** 2))
         worst_fit = max(worst_fit, fit.residual)
     ok1 = _line(3, "cigar fitted K vs 2/cosh^2 t", worst_law, 1e-6)

@@ -128,13 +128,11 @@ def test_f2_jet_on_a_shared_base_point_equals_the_inline_formula(name):
 
 def _assert_same_evaluation(a, b, what):
     scalars = ("S", "dS_dx", "dS_dy", "s_dot", "ric_inf")
-    assert [f.name for f in dataclasses.fields(a)] == ["bundle", *scalars, "flag_curvature"]
+    assert [f.name for f in dataclasses.fields(a)] == ["bundle", *scalars]
     for f in dataclasses.fields(a.bundle):
         _assert_bitwise(getattr(a.bundle, f.name), getattr(b.bundle, f.name), (what, f.name))
     for name in scalars:
         _assert_bitwise(getattr(a, name), getattr(b, name), (what, name))
-    _assert_bitwise(dataclasses.astuple(a.flag_curvature), dataclasses.astuple(b.flag_curvature),
-                    (what, "flag_curvature"))
 
 
 @pytest.mark.parametrize("name", CASES)

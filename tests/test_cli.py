@@ -262,3 +262,25 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "cigar" in proc.stdout
+
+
+def test_one_parser_per_process_parses_as_a_fresh_one(capsys):
+    # usage errors (a missing option, an unknown command, a bad choice, a bad
+    # int) and --help run before valid calls on the process's one parser;
+    # each call's exit code and bytes equal those of a freshly built parser
+    argvs = (["verify"], ["bogus"], ["verify", "--fixture", "cigar", "--format", "xml"],
+             ["verify", "--fixture", "cigar", "--samples", "two"], ["list", "--help"],
+             ["verify", "--fixture", "cigar", "--samples", "1", "--seed", "3"],
+             ["crosscheck", "--suite", "riemann-reduction", "--count", "1"],
+             ["list", "--suites", "--format", "json"], ["verify"])
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+    shared = []
+    for argv in argvs:
+        shared.append((cli.main(argv), capsys.readouterr()))
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append((cli.main(argv), capsys.readouterr()))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [2, 2, 2, 2, 0, 0, 0, 0, 2]

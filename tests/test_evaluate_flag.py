@@ -66,7 +66,7 @@ def test_evaluate_flag_equals_the_separate_formulas(name):
         assert np.array_equal(ev.dS_dy, want["dS_dy"])
         assert ev.s_dot == want["s_dot"]
         assert ev.ric_inf == want["ric_inf"]
-        assert ev.flag_curvature == want["fit"]
+        assert finsler._flag_curvature(ev.bundle) == want["fit"]
 
 
 def test_evaluate_flag_reuses_a_passed_density_table(monkeypatch):
@@ -106,8 +106,8 @@ def test_f2_tables_gather_equals_partials(name, order):
 
 
 class _Counter:
-    """Counts F^2 expansions (by order), log-density tables, metric stages
-    and navigation points.
+    """Counts F^2 expansions (`_f2_jet`, by order), log-density tables,
+    metric stages and navigation points.
 
     `stages` counts `FinslerMetric.at` at jet x: the x-only work an expansion
     reads.  `value` stages at float x (`float_stages`); it stays a float
@@ -124,14 +124,14 @@ class _Counter:
         self.stages = 0
         self.float_stages = 0
         self.nav_xs = []
-        tables = finsler._f2_tables
+        expand = finsler._f2_jet
         density = finsler.Measure.log_density_table
         at = finsler.FinslerMetric.at
         nav_point = randers._navigation_point
 
-        def count_tables(stage, y, order):
+        def count_expansions(stage, y, order):
             self.orders.append(order)
-            return tables(stage, y, order)
+            return expand(stage, y, order)
 
         def count_density(measure, x):
             self.density_tables += 1
@@ -150,7 +150,7 @@ class _Counter:
             return nav_point(nav, x, *args)
 
         monkeypatch.setattr(randers, "_navigation_point", count_nav_point)
-        monkeypatch.setattr(finsler, "_f2_tables", count_tables)
+        monkeypatch.setattr(finsler, "_f2_jet", count_expansions)
         monkeypatch.setattr(finsler.Measure, "log_density_table", count_density)
         monkeypatch.setattr(finsler.FinslerMetric, "at", count_at)
 
@@ -260,7 +260,7 @@ def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monke
     # the fit builds no stage at jet x and no density table of its own
     assert (counter.stages, counter.density_tables) == (len(xs), len(xs))
     assert counter.orders == [4] * (len(xs) * len(dirs))
-    assert counter.float_stages == len(xs)      # the F^2 normalisers: one per point
+    assert counter.float_stages == 1            # the F^2 normalisers: one stacked value
 
 
 def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(monkeypatch):

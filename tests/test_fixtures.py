@@ -252,3 +252,18 @@ def test_a_perturbation_rederives_the_metric_measure_and_randers_data(name, ingr
         if ingredient == "W":
             assert fx.metric.value(x, y) != base.metric.value(x, y)
             assert not np.array_equal(fx.rd.beta.at(x), base.rd.beta.at(x))
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_stacked_h_rows_and_f_values_equal_the_per_point_ones(name):
+    # the float readers at a stack of 4000 seed-0 sample points, one row per
+    # point, each bit-equal to its per-point call (cigar's tanh^2 squares
+    # each lane as a Python float, as the per-point call does)
+    fx = get_fixture(name)
+    rng = np.random.default_rng(0)
+    X = np.array([fx.sample_x(rng) for _ in range(4000)])
+    Y = np.array([unit_direction(rng, fx.dim) for _ in range(len(X))])
+    H, F = fx.nav.h.matrix_at(X), fx.metric.value(X, Y)
+    for x, y, h, f in zip(X, Y, H, F.tolist()):
+        assert np.array_equal(h, fx.nav.h.matrix_at(x))
+        assert f == fx.metric.value(x, y)

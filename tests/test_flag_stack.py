@@ -82,14 +82,68 @@ def test_jet_flag_rows_make_one_spray_pass(name, monkeypatch):
     assert orders == [4]
 
 
-def test_fit_kappa_makes_one_spray_pass_per_point(monkeypatch):
+def test_fit_kappa_makes_one_spray_pass_per_fit(monkeypatch):
     fx = fixtures.get_fixture("shrinking")
     flags = sample_flags(fx, 2, np.random.default_rng(5))
     bases = [finsler.base_point(fx.metric, fx.measure, p.x) for p in flags]
     assert len(solitons._directions(fx.dim)) == 16
     orders = _count_sprays(monkeypatch)
     solitons.fit_kappa(fx.metric, fx.measure, bases)
-    assert orders == [4] * len(bases)
+    assert len(bases) == 2 and orders == [4]
+
+
+def _fit_kappa_per_base(metric, measure, bases):
+    """The kappa fit one base at a time, as `solitons.fit_kappa` computed it
+    before one stack per fit: one `evaluate_flags` call per base and the F^2
+    normalisers from a float stage per base."""
+    dirs = solitons._directions(metric.dim)
+    kappas, anisotropy = [], 0.0
+    for base in bases:
+        at = metric.at(list(base.x))
+        points = [FlagPoint(base.x, d) for d in dirs]
+        evs = finsler.evaluate_flags(metric, measure, points, [base] * len(dirs))
+        vals = np.array([ev.ric_inf / float(jets.scalar_value(at(list(p.y)))) ** 2
+                         for p, ev in zip(points, evs)])
+        kappas.append(float(np.mean(vals)))
+        anisotropy = max(anisotropy, float(np.max(vals) - np.min(vals)))
+    return np.array(kappas), anisotropy
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+@pytest.mark.parametrize("seed", [0, 42])
+def test_fit_kappa_equals_the_per_base_fit(name, seed):
+    # the fixture suite's fit: the base points of its first 4 flags
+    fx = fixtures.get_fixture(name)
+    flags = sample_flags(fx, 4, np.random.default_rng(seed))
+    bases = [sp.base for sp in solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)]
+    kappas, anisotropy = solitons.fit_kappa(fx.metric, fx.measure, bases)
+    want_kappas, want_anisotropy = _fit_kappa_per_base(fx.metric, fx.measure, bases)
+    assert np.array_equal(kappas, want_kappas)
+    assert np.array_equal(np.signbit(kappas), np.signbit(want_kappas))
+    assert anisotropy == want_anisotropy
+
+
+def test_a_fit_stack_on_shrinking_evaluates_as_each_flag_alone():
+    # the shrinking fit of `verify --fixture shrinking --samples 2 --seed 42`:
+    # 2 bases x 16 directions in one stack, each Q table one C-contiguous
+    # gather, flag axis first (a lane-last gather changes dG_dx and the
+    # second derivatives of G in the last bit)
+    fx = fixtures.get_fixture("shrinking")
+    flags = sample_flags(fx, 2, np.random.default_rng(42))
+    dirs = solitons._directions(fx.dim)
+    points = [FlagPoint(p.x, d) for p in flags for d in dirs]
+    stacked = finsler.curvature_bundle(fx.metric, points)
+    T = finsler._f2_tables([finsler._stage(fx.metric, p.x) for p in points],
+                           np.array([p.y for p in points]), 4)
+    assert len(T.pop("F")) == len(points)
+    for key, table in T.items():
+        assert table.flags.c_contiguous and table.shape[0] == len(points), key
+    for k, p in enumerate(points):
+        alone = finsler.curvature_bundle(fx.metric, [p])[0]
+        for f in dataclasses.fields(alone):
+            got, want = getattr(stacked[k], f.name), getattr(alone, f.name)
+            assert _same(got, want), (k, f.name)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (k, f.name)
 
 
 def test_a_stack_with_one_indefinite_g_raises():

@@ -271,6 +271,40 @@ def test_division_by_one_jet_composes_its_reciprocal_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _horner(u, derivs):
+    """Taylor composition with Horner's first step a jet product, as
+    `Jet._compose` computed it before that step became a scalar multiply."""
+    du = Jet(u.space, u.coeffs.copy())
+    du.coeffs[..., 0] = 0.0
+    order = u.space.order
+    acc = Jet.constant(derivs[order] / math.factorial(order), u.space)
+    for k in range(order - 1, -1, -1):
+        acc = acc * du + Jet.constant(derivs[k] / math.factorial(k), u.space)
+    return acc
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("lanes", [(), (5,), (2, 3)])
+def test_compose_equals_the_horner_of_jet_products(order, lanes):
+    # signed zeros everywhere: in the jet's coefficients, in the outer
+    # derivatives and in their products, which the first step makes -0.0
+    rng = np.random.default_rng(order)
+    for space in (jet_space(3, order), jets.flag_space(2, order)):
+        for _ in range(20):
+            coeffs = rng.choice([-1.5, -0.25, -0.0, 0.0, 0.5, 2.0], size=lanes + (space.nterms,))
+            coeffs = coeffs * rng.uniform(0.5, 1.5, size=coeffs.shape)
+            shape = (order + 1,) + lanes
+            derivs = list(rng.choice([-2.0, -0.75, -0.0, 0.0, 1.25, 3.0], size=shape)
+                          * rng.uniform(0.5, 1.5, size=shape))
+            if not lanes:
+                derivs = [float(d) for d in derivs]
+            u = Jet(space, coeffs)
+            got, want = u._compose(derivs), _horner(u, derivs)
+            assert got.space is want.space is space
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert np.array_equal(np.signbit(got.coeffs), np.signbit(want.coeffs))
+
+
 def test_jets_of_different_orders_do_not_combine():
     low = Jet.variables([0.3, -0.6], 3)[0]
     high = Jet.variables([0.3, -0.6, 0.8, 0.45], 4)[2]

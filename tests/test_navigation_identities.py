@@ -16,25 +16,25 @@ from finsler_solitons.sampling import unit_direction
 
 
 def _counting(monkeypatch):
-    """Counts of `_navigation_point` calls, order-4 `_f2_tables` and float F values."""
+    """Counts of `_navigation_point` calls, order-4 `_f2_jet` and float F values."""
     calls = {"navigation_point": 0, "order4": 0, "value": 0}
-    point, tables, value = (randers._navigation_point, finsler._f2_tables,
+    point, expand, value = (randers._navigation_point, finsler._f2_jet,
                             finsler.FinslerMetric.value)
 
     def counted_point(nav, x):
         calls["navigation_point"] += 1
         return point(nav, x)
 
-    def counted_tables(stage, y, order):
+    def counted_expansion(stage, y, order):
         calls["order4"] += order == 4
-        return tables(stage, y, order)
+        return expand(stage, y, order)
 
     def counted_value(self, x, y):
         calls["value"] += 1
         return value(self, x, y)
 
     monkeypatch.setattr(randers, "_navigation_point", counted_point)
-    monkeypatch.setattr(finsler, "_f2_tables", counted_tables)
+    monkeypatch.setattr(finsler, "_f2_jet", counted_expansion)
     monkeypatch.setattr(finsler.FinslerMetric, "value", counted_value)
     return calls
 

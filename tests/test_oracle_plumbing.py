@@ -20,7 +20,8 @@ import math
 import numpy as np
 import pytest
 
-from finsler_solitons import finsler, fixtures, generators, jets, randers, solitons, suites
+from finsler_solitons import (finsler, fixtures, generators, jets, randers, riemann,
+                              solitons, suites)
 from finsler_solitons.jets import FlagPoint, Jet, fd_derivative
 from finsler_solitons.sampling import sample_flags, unit_direction
 
@@ -138,6 +139,21 @@ def test_random_fields_equal_the_scalar_fields(dim):
         for got, c in zip(v.components(x), v_ref):
             _assert_same(got, _scalar_poly2(c, x))
         _assert_same(f(x), _scalar_poly2(f_ref, x))
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_calibration_rows_equal_the_per_point_products(dim):
+    # the grid's v.M.v, M the metric's matrix or its inverse, as the rows of
+    # one stacked `riemann.bilinear`, against the one-point products it replaced
+    rng = np.random.default_rng(dim)
+    grid = generators._box_grid(dim)
+    for _ in range(50):
+        h = generators.random_riemann_metric(rng, dim)
+        V = generators._grid_stack(generators._poly2(generators._draw_stacked(rng, dim, 0.3, dim),
+                                                     grid))
+        mats = generators._grid_stack(h.matrix(grid))
+        for M in (mats, riemann.spd_inverse(mats, riemann.MetricDomainError, "h")):
+            assert riemann.bilinear(V, M, V).tolist() == [float(v @ m @ v) for v, m in zip(V, M)]
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4))
@@ -394,7 +410,7 @@ def test_fd_evaluation_equals_the_separate_fd_oracles(case):
         assert ev.S == finsler.evaluate_flags(metric, measure, [p])[0].S
         assert ev.s_dot == want_sdot
         assert ev.ric_inf == want.ricci + want_sdot
-        assert ev.flag_curvature == finsler._flag_curvature(want)
+        assert finsler._flag_curvature(ev.bundle) == finsler._flag_curvature(want)
 
 
 def test_evaluate_flag_refuses_an_unknown_mode():
@@ -519,13 +535,15 @@ def test_fixture_suite_computes_each_flag_f_once(monkeypatch):
     sample_x, value = fx.sample_x, finsler.FinslerMetric.value
 
     def counted_value(self, x, y):
-        values.append(1)
+        values.append(np.ndim(x))
         return value(self, x, y)
 
     monkeypatch.setattr(fx, "sample_x", lambda rng: draws.append(1) or sample_x(rng))
     monkeypatch.setattr(finsler.FinslerMetric, "value", counted_value)
     suites.run_fixture_suite(fx, samples=6, seed=3)
-    assert len(values) == len(draws) >= 6
+    # one F per draw, and the kappa fit's normalisers one stacked value
+    assert values.count(1) == len(draws) >= 6
+    assert values.count(2) == 1 and len(values) == len(draws) + 1
     monkeypatch.undo()
     for p in sample_flags(fx, 6, np.random.default_rng(3)):
         assert p.F == fx.metric.value(p.x, p.y)

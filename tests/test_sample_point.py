@@ -89,8 +89,7 @@ def test_a_flag_on_its_sample_point_evaluates_as_alone(name):
         alone = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
         for f in dataclasses.fields(alone.bundle):
             assert np.array_equal(getattr(shared.bundle, f.name), getattr(alone.bundle, f.name))
-        assert (shared.S, shared.s_dot, shared.ric_inf, shared.flag_curvature) == (
-            alone.S, alone.s_dot, alone.ric_inf, alone.flag_curvature)
+        assert (shared.S, shared.s_dot, shared.ric_inf) == (alone.S, alone.s_dot, alone.ric_inf)
 
 
 def test_a_sample_point_raises_the_navigation_guard_of_its_point():
