@@ -7,19 +7,22 @@ and its rate of change along the geodesic flow, Lie derivatives of F^2, and
 a least-squares scalar flag-curvature fit.
 
 `evaluate_flags` is the one evaluation per flag and the one way to read
-flags' quantities: a single fourth-order expansion of F^2 per flag yields
-Ric, S, S-dot and Ric_inf together; the flag-curvature fit is read off a
-bundle by the callers that want it (`_flag_curvature`).  Without a measure,
+flags' quantities: a single fourth-order expansion of F^2 yields Ric, S,
+S-dot and Ric_inf together; the flag-curvature fit is read off a bundle by
+the callers that want it (`_flag_curvature`).  Without a measure,
 `curvature_bundle` gives the spray, R and Ric alone.  Both take a sequence
-of flags: each flag gets its own expansion, and the expansions' coefficient
-rows are stacked, so the Q-table gathers, the spray derivatives, R, Ric and
-dS run once per stack (one pass of numpy calls over arrays with a leading
-flag axis), not once per flag, each row bit-equal to the flag evaluated
-alone.  A kappa fit (`solitons.fit_kappa`) is one such stack.  A flag
-evaluation's x-only work is a `BasePoint`: the metric's stage at x and the
-log-density table, built once per sample point (`base_point`, or for all of
-a fixture run's flags at once `solitons.sample_points`) and shared by every
-direction evaluated there.
+of flags and expand F^2 once per stack: one jet laned over the flags, from
+one stage laned over their x (Taylor arithmetic vectorised over points,
+Griewank-Walther), so the expansion, the Q-table gathers, the spray
+derivatives, R, Ric and dS each run once per stack (one pass of numpy calls
+over arrays with a leading flag axis), each row bit-equal to the flag
+evaluated alone.  A stack of one flag expands unlaned.  A kappa fit
+(`solitons.fit_kappa`) is one such stack.  A flag evaluation's x-only work
+is a `BasePoint`: the metric's stage at x and the log-density table, built
+once per sample point (`base_point`), or for all of a fixture run's flags at
+once (`solitons.sample_points`, whose stages are lanes of one `LaneStage`),
+and shared by every direction evaluated there; `_stack_stage` makes a
+stack's stage from its flags'.
 
 `evaluate_flags` is also the one place a flag evaluation chooses jet or
 finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are
@@ -49,13 +52,14 @@ an ideal, so the kept coefficients are exact.
 
 A metric is staged: `FinslerMetric.at(x)` does the x-only work and returns
 F(x, .) as a function of y.  The engine passes x as order-2 jets over the n
-x-variables and y as the variables n..2n-1 of the flag space; jet
+x-variables and y as the variables n..2n-1 of the flag space, both laned
+over the flags of a stack (`_stage`, `_f2_jet`); jet
 arithmetic prefix-embeds the x-only intermediate results where they meet y
 (see `jets`), so fields of x alone cost n-variable products at order 2, once
 per stage, and F^2 comes out over all 2n.  The library stages form their
 quadratic and linear forms in y with `jets.YForms`, which for these y
 scatters closed-form terms instead of running n^2 jet products; an order-4
-F^2 of a navigation metric then takes 8 jet products per flag.
+F^2 of a navigation metric then takes 8 jet products per stack of flags.
 `FinslerMetric.value` reads a float F, or one per flag of a stack from one
 stage at float lanes (`riemann.coordinates`).
 """
@@ -161,21 +165,67 @@ def weighted_density(f_value, density):
 def _stage(metric: FinslerMetric, x):
     """The metric's stage at x: x enters as jets of order jets.X_ORDER over
     the n x-variables, the x-degree of the flag space (see the module
-    notes), so the stage serves expansions of order 2 to 4."""
-    return metric.at(Jet.variables([float(v) for v in x], jets.X_ORDER))
+    notes), so the stage serves expansions of order 2 to 4.  At a stack of
+    points x, shape (P, n), one stage laned over them."""
+    return metric.at(Jet.variables(riemann.coordinates(x), jets.X_ORDER))
+
+
+class LaneStage:
+    """The stage at lanes `idx` of x-only data laned over `lanes` points:
+    `build(data)` is the stage at every lane, and `data` holds laned jets in
+    nested lists and tuples (`jets.lane` takes its lanes).  idx is None for
+    every lane, an int for one point's unlaned stage, or an index array.
+    The stage is built on the first call and kept; `lane(k)` shares the
+    data, so the flags of a stack that are lanes of one data expand as one
+    stage (`_stack_stage`)."""
+
+    __slots__ = ("build", "data", "lanes", "idx", "_stage")
+
+    def __init__(self, build, data, lanes: int, idx):
+        self.build, self.data, self.lanes, self.idx = build, data, lanes, idx
+        self._stage = None
+
+    def lane(self, idx) -> "LaneStage":
+        return LaneStage(self.build, self.data, self.lanes, idx)
+
+    def __call__(self, y):
+        if self._stage is None:
+            data = self.data if self.idx is None else jets.lane(self.data, self.idx)
+            self._stage = self.build(data)
+        return self._stage(y)
+
+
+def _stack_stage(metric: FinslerMetric, points, stages):
+    """One stage for the stack of flags `points` from their stages: one
+    flag's, or one shared by every flag, as it is (at a stack, an unlaned
+    stage serves every lane's y); lanes of one `LaneStage` data as the stage
+    at those lanes, in flag order (the data as it is when they are all its
+    lanes in order); otherwise one stage laned over the points' x."""
+    first = stages[0]
+    if all(s is first for s in stages):
+        return first
+    if all(isinstance(s, LaneStage) and s.data is first.data and isinstance(s.idx, int)
+           for s in stages):
+        idx = [s.idx for s in stages]
+        return first.lane(None if idx == list(range(first.lanes)) else np.array(idx))
+    return _stage(metric, np.array([p.x for p in points], float))
 
 
 def _f2_jet(stage, y, order: int) -> Jet:
     """F^2 as a jet over `jets.flag_space(n, order)` from the stage at x
-    (`_stage` or a `BasePoint`'s, for orders 2 to 4)."""
-    n = len(y)
+    (`_stage` or a `BasePoint`'s, for orders 2 to 4).  At a stack of
+    directions y, shape (P, n), and the stage at their P points (or at one
+    point), one jet laned over the flags: y enters as flag variables laned
+    over the stack, and each lane is bit-equal to its flag's expansion."""
+    y = np.asarray(y, float)
+    n = y.shape[-1]
     flag_space = jets.flag_space(n, order)
-    ys = [Jet.variable(float(v), n + k, flag_space) for k, v in enumerate(y)]
+    ys = [Jet.variable(v, n + k, flag_space) for k, v in enumerate(y.T)]
     F = stage(ys)
     if not isinstance(F, Jet):
         raise FlagDomainError("metric does not depend on the flag coordinates")
-    if F.value <= 0.0:
-        raise FlagDomainError(f"F = {F.value!r} <= 0 at the requested flag")
+    jets.refuse(F.value <= 0.0, FlagDomainError,
+                lambda k: f"F = {float(np.asarray(F.value)[k])!r} <= 0 at the requested flag")
     F = F.embedded(flag_space)
     return F * F
 
@@ -203,19 +253,19 @@ def _f2_tables(stage, y, order: int) -> dict:
     """Partial derivatives of F^2 at (x, y), grouped by (x-degree, y-degree),
     and "F", from the stage at x (see `_f2_jet`).
 
-    At a stack of flags, y of shape (P, n) and `stage` the sequence of their
-    stages, each flag is expanded alone and each table gathered once over the
-    stack, one row per flag ("F" a list): the coefficient rows times the
-    factorials, then one `take`.  `take` keeps the flag axis first and every
-    table C-contiguous; an index `[:, pos]` would leave the flag axis
-    innermost in memory, and the stacked einsums of the spray would then sum
-    in another order.
+    At a stack of flags, y of shape (P, n) and `stage` their stage laned over
+    the stack (`_stack_stage`), the expansion is one jet laned over the
+    flags, and each table is gathered once over it, one row per flag ("F" a
+    list); a stack of one flag expands it unlaned, by an unlaned stage.  The
+    gather is the coefficient rows times the factorials, then one `take`,
+    which keeps the flag axis first and every table C-contiguous; an index
+    `[:, pos]` would leave the flag axis innermost in memory, and the
+    stacked einsums of the spray would then sum in another order.
     """
     y = np.asarray(y, float)
-    stages, ys = (stage, y) if y.ndim == 2 else ([stage], [y])
-    f2 = [_f2_jet(st, v, order) for st, v in zip(stages, ys)]
-    coeffs = np.array([j.coeffs for j in f2]).reshape(y.shape[:-1] + (-1,))
-    partials = coeffs * f2[0].space.factorials
+    f2 = _f2_jet(stage, y[0] if y.shape[:-1] == (1,) else y, order)
+    coeffs = f2.coeffs.reshape(y.shape[:-1] + (-1,))
+    partials = coeffs * f2.space.factorials
     T = {name: partials.take(pos, axis=-1) for name, pos in _f2_index(y.shape[-1], order).items()}
     T["F"] = np.sqrt(coeffs[..., 0]).tolist()
     return T
@@ -316,33 +366,37 @@ def curvature_bundle(metric: FinslerMetric, points, mode: str = "jet",
                      stage_at=None) -> list[CurvatureBundle]:
     """Spray, curvature operator and Ricci at each flag of `points`.
 
-    `stage_at(x)` is the metric's stage at x (an `_memo` of `_stage`; by
-    default one built here), read at each p.x and, in fd mode, at every
-    stencil x.  mode="jet" expands F^2 to fourth order once per flag, gathers
-    each table once over the stack of flags (`_f2_tables`) and runs the spray
-    and Riemann formulas and the trace once over it; each bundle's arrays are
-    its rows of the stacked results.
+    `stage_at(x)` is the metric's stage at x (by default one built here, an
+    `_memo` of `_stage` in fd mode).  mode="jet" reads it once, at the
+    points' x, shape (P, n): a stage laned over them (one point's x, shape
+    (n,), for one flag: an unlaned stage), and expands F^2 to fourth order
+    once for the stack, laned over its flags; the Q tables are gathered once
+    over the stack (`_f2_tables`), the spray and Riemann formulas and the
+    trace run once over it, and each bundle's arrays are its rows of the
+    stacked results.
     mode="fd" builds each flag's bundle alone, recomputing the outer spray
     derivatives by Richardson central differences of the pointwise spray, as
-    an independent cross-check.
+    an independent cross-check; it reads `stage_at` at each p.x and at every
+    stencil x.
     """
-    if stage_at is None:
-        stage_at = _memo(lambda x: _stage(metric, x))
     if mode == "fd":
+        stage_at = stage_at or _memo(lambda x: _stage(metric, x))
         return [_curvature_bundle_fd(metric, p, stage_at) for p in points]
     if mode != "jet":
         raise ParameterError(f"unknown differentiation mode {mode!r}")
+    x = np.array([p.x for p in points], float)
     y = np.array([p.y for p in points], float)
-    T = _f2_tables([stage_at(p.x) for p in points], y, order=4)
+    stage = (stage_at or (lambda x: _stage(metric, x)))(x[0] if len(points) == 1 else x)
+    T = _f2_tables(stage, y, order=4)
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
     ricci = np.trace(R, axis1=-2, axis2=-1).tolist()
-    return [CurvatureBundle(x=np.asarray(p.x, float), y=y[i], F=T["F"][i],
+    return [CurvatureBundle(x=x[i], y=y[i], F=T["F"][i],
                             dF2_dy=T["Q01"][i], g=D["g"][i],
                             spray=D["G"][i], dG_dx=D["dG_dx"][i], dG_dy=D["dG_dy"][i],
                             d2G_dxdy=D["d2G_dxdy"][i], d2G_dydy=D["d2G_dydy"][i],
                             riemann=R[i], ricci=ricci[i])
-            for i, p in enumerate(points)]
+            for i in range(len(points))]
 
 
 # -- finite-difference cross-check path --------------------------------------
@@ -530,9 +584,10 @@ def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
                    bases=None, mode: str = "jet") -> list[FlagEvaluation]:
     """Bundle, S, its derivatives, S-dot and Ric_inf at each flag of `points`.
 
-    mode="jet" reads them all off one order-4 expansion of F^2 per flag, with
-    the spray and curvature of all the flags in one stacked pass
-    (`curvature_bundle`) and dS in one more (its einsums over the stacked
+    mode="jet" reads them all off one order-4 expansion of F^2 laned over the
+    flags, from their bases' stages made one (`_stack_stage`), with the spray
+    and curvature of all the flags in one stacked pass (`curvature_bundle`)
+    and dS in one more (its einsums over the stacked
     rows of the bundles and density tables).  mode="fd" takes each flag's fd
     bundle, S from an order-3 expansion, and dS by central differences of
     that S; every x the two fd stencils visit is staged once, and tabled once
@@ -547,9 +602,9 @@ def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
     pairs = list(zip(points, bases, strict=True))
     if any(not np.array_equal(base.x, p.x) for p, base in pairs):
         raise ValueError("base point and flag are at different x")
-    stage_at = _memo(lambda x: _stage(metric, x), *((p.x, base.stage) for p, base in pairs))
-    bundles = curvature_bundle(metric, points, mode, stage_at)
     if mode == "jet":
+        stack = _stack_stage(metric, points, [base.stage for base in bases])
+        bundles = curvature_bundle(metric, points, mode, lambda x: stack)
         y = np.array([b.y for b in bundles])
         dS_dx = (np.einsum("...kii->...k", np.array([b.d2G_dxdy for b in bundles]))
                  - np.einsum("...i,...ki->...k", y, np.array([base.logs[2] for base in bases])))
@@ -558,6 +613,8 @@ def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
         tails = [(_s_value(b.dG_dy, b.y, base.logs), dx, dy)
                  for b, base, dx, dy in zip(bundles, bases, dS_dx, dS_dy)]
     else:
+        stage_at = _memo(lambda x: _stage(metric, x), *((p.x, base.stage) for p, base in pairs))
+        bundles = curvature_bundle(metric, points, mode, stage_at)
         tails = [_fd_s(measure, stage_at, base, b) for base, b in zip(bases, bundles)]
     out = []
     for b, (S, dS_dx, dS_dy) in zip(bundles, tails):

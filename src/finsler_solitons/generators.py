@@ -37,7 +37,8 @@ def _poly2(coeffs, x):
     if space is not None and all(isinstance(v, Jet) and v.space is space for v in x):
         X = np.array([v.coeffs for v in x])                     # [k, lanes..., coefficient]
         lanes = (1,) * (X.ndim - 2)                             # entry axes over the lanes
-        prods = jets.mul_rows(c2.reshape(c2.shape + lanes + (1,)) * X[None, :, None], X, space)
+        prods = jets.mul_rows(c2.reshape(c2.shape + lanes + (1,)) * X[None, :, None], X,
+                              space, space)
         c1x = c1.reshape(c1.shape + lanes + (1,))
         out = np.zeros((c0.size,) + X.shape[1:])
         out[..., 0] = c0.reshape(c0.shape + lanes)

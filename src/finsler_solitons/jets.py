@@ -42,14 +42,17 @@ at every sample point of a run is one pass of numpy calls.  Each lane is
 bit-equal to the unlaned jet at its point, signs of zero included: sums,
 differences and products or quotients by a scalar are elementwise, and a
 scalar operand broadcasts as the constant jet it is unlaned; a product with
-a laned jet is `mul_rows`, which sums each lane's pairs in table order; and
-`_compose` takes per-lane derivative arrays, which the derivative builders
-make with `math` on each lane's float (`_per_lane`), not with numpy ufuncs,
-whose last bit can differ.  `value` and `partial` of a laned jet are lane
-arrays, never lane 0, and every guard checks all lanes and names the ones it
-refuses (`refuse`).  An unlaned jet keeps the one-point code path.
-Lanes stay in x-only work: a flag's stage is built from its lane's slice
-(`lane`), so the flag-space jets of F^2 and `YForms` are never laned.
+a laned jet is `mul_rows`, which runs the table an unlaned product runs
+(the cross-space one across spaces) and sums each lane's pairs in table
+order, one block of lanes at a time (`MUL_BLOCK`); and `_compose` takes
+per-lane derivative arrays, which the derivative builders make with `math`
+on each lane's float (`_per_lane`), not with numpy ufuncs, whose last bit
+can differ.  `value` and `partial` of a laned jet are lane arrays, never
+lane 0, and every guard checks all lanes and names the ones it refuses
+(`refuse`).  An unlaned jet keeps the one-point code path.
+Lanes reach the flag space: a stack of flags is one stage laned over their
+x and flag variables laned over their y, so F^2 and its `YForms` are laned
+jets over the flag space, one lane per flag; `lane` slices lanes out.
 Floats have lanes the same way: an array of lane values through a `jets`
 function (`sqrt`, `exp`, ..., `power`) maps each lane's float as the scalar
 call does (`_on_floats`), and `scalar_value` passes it through.
@@ -227,9 +230,16 @@ def derivative_tensors(coeffs, space: JetSpace, order: int) -> list:
         for k in range(1, order + 1)]
 
 
+# Products per block of lanes of a laned product (`mul_rows`) or `YForms`
+# scatter: past about 2^14 products, 128 KiB per float temporary, the arrays
+# leave the allocator's reused memory and a product slows 2-4x per lane.
+MUL_BLOCK = 16384
+
+
 @lru_cache(maxsize=None)
 def _mul_table(sa: JetSpace, sb: JetSpace):
-    """(ia, ib, ic, space) of the product of a jet over `sa` with one over `sb`.
+    """(ia, ib, ic, space, block) of the product of a jet over `sa` with one
+    over `sb`; `block` is the lanes a laned product runs at once (`MUL_BLOCK`).
 
     Pair p multiplies coefficient ia[p] of the `sa` jet with coefficient
     ib[p] of the `sb` jet into coefficient ic[p] of the product over
@@ -239,37 +249,68 @@ def _mul_table(sa: JetSpace, sb: JetSpace):
     mapped back into the smaller space.
     """
     if sa is sb:
-        return sa.mul_ia, sa.mul_ib, sa.mul_ic, sa
-    big, small = (sa, sb) if sa.nvars >= sb.nvars else (sb, sa)
-    back = np.full(big.nterms, -1, dtype=np.intp)
-    back[_prefix_positions(small, big)] = np.arange(small.nterms)
-    ia = back[big.mul_ia] if small is sa else big.mul_ia
-    ib = back[big.mul_ib] if small is sb else big.mul_ib
-    keep = (ia >= 0) & (ib >= 0)
-    table = (ia[keep], ib[keep], big.mul_ic[keep])
-    for arr in table:
-        arr.setflags(write=False)       # shared by every caller of the cache
-    return table + (big,)
+        table, big = (sa.mul_ia, sa.mul_ib, sa.mul_ic), sa
+    else:
+        big, small = (sa, sb) if sa.nvars >= sb.nvars else (sb, sa)
+        back = np.full(big.nterms, -1, dtype=np.intp)
+        back[_prefix_positions(small, big)] = np.arange(small.nterms)
+        ia = back[big.mul_ia] if small is sa else big.mul_ia
+        ib = back[big.mul_ib] if small is sb else big.mul_ib
+        keep = (ia >= 0) & (ib >= 0)
+        table = (ia[keep], ib[keep], big.mul_ic[keep])
+        for arr in table:
+            arr.setflags(write=False)   # shared by every caller of the cache
+    return table + (big, max(1, MUL_BLOCK // table[0].size))
 
 
-@lru_cache(maxsize=None)
-def _lane_bins(space: JetSpace, lanes: int) -> np.ndarray:
-    """The output bins of `lanes` stacked products over `space`: lane j's
-    table `ic` offset by j * nterms, flattened lane-major (read-only)."""
-    bins = (space.mul_ic + space.nterms * np.arange(lanes, dtype=np.intp)[:, None]).ravel()
-    bins.setflags(write=False)
-    return bins
+_LANED = {}         # key -> the laned bins of the most lanes asked for so far
 
 
-def mul_rows(a, b, space: JetSpace) -> np.ndarray:
-    """Lane-wise products of jets over `space` given as coefficient rows:
-    out[..., :] is the product of a[..., :] with b[..., :] (the lane axes
-    broadcast), all in one `bincount`.  Lanes never share a bin and each
-    bin sums its lane's pairs in table order, so every row is bit-equal to
-    `Jet.__mul__` of the two rows."""
-    prod = a.take(space.mul_ia, axis=-1) * b.take(space.mul_ib, axis=-1)
-    count = prod.size // space.mul_ia.size
-    out = np.bincount(_lane_bins(space, count), weights=prod.ravel(),
+def _laned(key, bins, size, lanes):
+    """`bins` of `lanes` stacked rows of `size` bins each: lane j's bins
+    offset by j * size, flattened lane-major.  Kept per key (a table, a
+    scatter plan) at the most lanes asked for so far, so fewer lanes read
+    its prefix (read-only)."""
+    have = _LANED.get(key)
+    if have is None or have.size < lanes * bins.size:
+        have = _LANED[key] = (bins + size * np.arange(lanes, dtype=np.intp)[:, None]).ravel()
+        have.setflags(write=False)
+    return have[:lanes * bins.size]
+
+
+def _in_blocks(fn, block, size, *args):
+    """fn over blocks of at most `block` lanes, as one array lanes + (size,):
+    each arg is (array, core), its last `core` axes one lane's data and its
+    lane axes broadcast against the others'; fn takes each block's arrays,
+    one flat lane axis first, and returns their rows of `size`."""
+    lanes = np.broadcast_shapes(*(a.shape[:a.ndim - core] for a, core in args))
+    flat = [np.broadcast_to(a, lanes + a.shape[a.ndim - core:]).reshape(
+        (-1,) + a.shape[a.ndim - core:]) for a, core in args]
+    out = np.empty((len(flat[0]), size))
+    for k in range(0, len(out), block):
+        out[k:k + block] = fn(*(a[k:k + block] for a in flat))
+    return out.reshape(lanes + (size,))
+
+
+def mul_rows(a, b, sa: JetSpace, sb: JetSpace) -> np.ndarray:
+    """Lane-wise products of jets over `sa` and `sb` given as coefficient
+    rows: out[..., :] is the product of a[..., :] with b[..., :] (the lane
+    axes broadcast) over the larger space, by the table `_mul_table`, one
+    `bincount` per block of lanes.  Lanes never share a bin and each bin
+    sums its lane's pairs in table order, so every row is bit-equal to
+    `Jet.__mul__` of the two rows.  The block test reads the lanes of the
+    larger operand, one integer compare for a product that fits a block."""
+    ia, ib, ic, space, block = _mul_table(sa, sb)
+    if max(a.size // a.shape[-1], b.size // b.shape[-1]) > block:
+        return _in_blocks(lambda a, b: mul_rows(a, b, sa, sb), block, space.nterms,
+                          (a, 1), (b, 1))
+    prod, other = a.take(ia, axis=-1), b.take(ib, axis=-1)
+    if prod.shape == other.shape:
+        prod *= other                   # in place: one temporary fewer
+    else:
+        prod = prod * other
+    count = prod.size // ia.size
+    out = np.bincount(_laned((sa, sb), ic, space.nterms, count), weights=prod.ravel(),
                       minlength=count * space.nterms)
     return out.reshape(prod.shape[:-1] + (space.nterms,))
 
@@ -408,9 +449,9 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             if self.coeffs.ndim > 1 or other.coeffs.ndim > 1:
-                a, b = _common(self, other)
-                return Jet(a.space, mul_rows(a.coeffs, b.coeffs, a.space))
-            ia, ib, ic, sp = _mul_table(self.space, other.space)
+                return Jet(_mul_table(self.space, other.space)[3],
+                           mul_rows(self.coeffs, other.coeffs, self.space, other.space))
+            ia, ib, ic, sp, _ = _mul_table(self.space, other.space)
             prod = self.coeffs[ia] * other.coeffs[ib]
             return Jet(sp, np.bincount(ic, weights=prod, minlength=sp.nterms))
         if _is_scalar(other):
@@ -482,7 +523,7 @@ def refuse(bad, error, message):
     raise error(message(k)), k the first refused lane (() for the 0-d mask
     of an unlaned value), followed for a laned one by ' at lane i' or ' at
     lanes i, j' naming every refused lane."""
-    if np.ndim(bad) == 0:
+    if not isinstance(bad, np.ndarray) or not bad.ndim:
         if bad:
             raise error(message(()))
         return
@@ -516,10 +557,13 @@ def _per_lane(build, u0):
 
 
 def lane(v, k):
-    """Lane k (an index, or a slice that keeps the lane axis) of a laned jet;
+    """Lane k (an index, or a slice or index array that keeps the lane axis)
+    of a laned jet, or of each laned jet in nested lists and tuples of them;
     an unlaned jet or a float, the same in every lane, passes through."""
     if isinstance(v, Jet) and v.coeffs.ndim > 1:
         return Jet(v.space, v.coeffs[k])
+    if isinstance(v, (list, tuple)):
+        return type(v)(lane(e, k) for e in v)
     return v
 
 
@@ -696,13 +740,13 @@ class YForms:
     def __init__(self, quad, lin=None):
         self.quad = quad
         self.lin = [()] * len(quad) if lin is None else lin
-        self._rows = None               # (x space, width, slot rows), or False
+        self._rows = None               # (x space, width, term rows), or False
 
     def __call__(self, y):
         flag = _flag_values(y, len(self.quad))
         if flag is not None:
             if self._rows is None:
-                self._rows = _slot_rows(self.quad, self.lin) or False
+                self._rows = _term_rows(self.quad, self.lin) or False
             if self._rows:
                 return _scatter(*flag, *self._rows)
         n = len(y)
@@ -716,50 +760,54 @@ class YForms:
 
 
 def _flag_values(y, n):
-    """(values y_k, space) when y are the n variables n..2n-1 of one space."""
+    """(values y_k, space) when y are the n variables n..2n-1 of one space;
+    at laned variables the values of a lane are its row (lane axes first)."""
     space = getattr(y[0], "space", None) if n and len(y) == n else None
     if (space is None or space.nvars != 2 * n
             or not all(isinstance(v, Jet) and v.space is space for v in y)):
         return None
-    coeffs = np.array([v.coeffs for v in y])
-    coeffs[np.arange(n), tensor_index(space, 1)[n:]] -= 1.0
-    if coeffs[:, 1:].any():                     # a unit other than 1, or a term more
+    coeffs = np.array([v.coeffs for v in y]).swapaxes(0, -2)     # [lanes..., k, coefficient]
+    coeffs[..., np.arange(n), tensor_index(space, 1)[n:]] -= 1.0
+    if coeffs[..., 1:].any():                   # a unit other than 1, or a term more
         return None
-    return coeffs[:, 0], space
+    return coeffs[..., 0].copy(), space         # a copy frees the coefficients
 
 
-def _slot_rows(quad, lin):
+def _term_rows(quad, lin):
     """(x space, width, rows) of the coefficients when they are floats (as
     constant rows) and jets over one space of n variables, in an n x n quad
-    and an n x width lin: each term's row once per slot of the scatter
-    (`_form_plan`).  None otherwise; floats alone take the constant space
+    and an n x width lin: each term's row, in loop order, after the lane
+    axes of laned coefficients (a float or unlaned jet is the same in every
+    lane).  None otherwise; floats alone take the constant space
     `jet_space(n, 0)`."""
     n = len(quad)
     width = len(lin[0]) if n and len(lin) == n else -1
     if any(len(row) != n for row in quad) or any(len(row) != width for row in lin):
         return None
     entries = [e for row in quad for e in row] + [e for row in lin for e in row]
-    spaces = {e.space for e in entries if isinstance(e, Jet)}
-    if len(spaces) > 1:
+    jet_entries = [e for e in entries if isinstance(e, Jet)]
+    if len({e.space for e in jet_entries}) > 1:
         return None
-    space = spaces.pop() if spaces else jet_space(n, 0)
+    space = jet_entries[0].space if jet_entries else jet_space(n, 0)
     if space.nvars != n:
         return None
-    rows = np.zeros((len(entries), space.nterms))
+    shapes = {e.coeffs.shape[:-1] for e in jet_entries}
+    lanes = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    rows = np.zeros((len(entries),) + lanes + (space.nterms,))     # term first
     for k, e in enumerate(entries):
         if isinstance(e, Jet):
             rows[k] = e.coeffs
         elif _is_scalar(e):
-            rows[k, 0] = float(e)
+            rows[k][..., 0] = float(e)
         else:
             return None
-    return space, width, np.repeat(rows, [4] * (n * n) + [2] * (n * width), axis=0)
+    return space, width, np.moveaxis(rows, 0, -2) if lanes else rows
 
 
 @lru_cache(maxsize=None)
 def _form_plan(xspace: JetSpace, flag: JetSpace, width: int):
-    """(bins, u, v) of the `YForms` scatter over `flag` of coefficient rows
-    over `xspace`, `width` linear coefficients per y_i (read-only).
+    """(bins, u, v, terms) of the `YForms` scatter over `flag` of coefficient
+    rows over `xspace`, `width` linear coefficients per y_i (read-only).
 
     With f = (1, 2, y0_0, ..., y0_{n-1}), the value of a slot at x^a is
     (r_a f[u]) f[v] (u and v one per slot), and the slots of the quadratic
@@ -769,7 +817,8 @@ def _form_plan(xspace: JetSpace, flag: JetSpace, width: int):
         x^a dy_j: r_a y_i      x^a dy_i dy_j: r_a,
 
     those of the linear term (i, k) x^a: c_a y_i and x^a dy_i: c_a, offset
-    by nterms + 1; terms in loop order, then slots, then a.  A monomial the
+    by nterms + 1; terms in loop order, then slots, then a, and `terms` the
+    term of each slot.  A monomial the
     flag space cuts off, and x^a dy_j when i = j, go to the sink bin nterms
     of its form.
     """
@@ -797,19 +846,42 @@ def _form_plan(xspace: JetSpace, flag: JetSpace, width: int):
         slots += [(at(offset=sink + 1), ys[i], one), (at(i, offset=sink + 1), one, one)] * width
     plan = (np.array([b for s in slots for b in s[0]], dtype=np.intp),
             np.array([s[1] for s in slots], dtype=np.intp)[:, None],
-            np.array([s[2] for s in slots], dtype=np.intp)[:, None])
+            np.array([s[2] for s in slots], dtype=np.intp)[:, None],
+            np.repeat(np.arange(n * n + n * width), [4] * (n * n) + [2] * (n * width)))
     for arr in plan:
         arr.setflags(write=False)               # shared by every caller of the cache
     return plan
 
 
 def _scatter(y0, flag, xspace, width, rows):
-    """The forms of `YForms` from its slot rows at flag variables of values y0."""
-    bins, u, v = _form_plan(xspace, flag, width)
-    f = np.concatenate(([1.0, 2.0], y0))
+    """The forms of `YForms` from its term rows at flag variables of values
+    y0; lanes of the rows or of y0 broadcast, each lane's scatter adding to
+    bins of its own (`_laned`), in its slot order."""
+    f = np.empty(y0.shape[:-1] + (y0.shape[-1] + 2,))
+    f[..., 0] = 1.0
+    f[..., 1] = 2.0
+    f[..., 2:] = y0
+    out = _form_bincount(rows, f, xspace, flag, width)
     sink = flag.nterms
-    out = np.bincount(bins, weights=((rows * f[u]) * f[v]).ravel(), minlength=2 * sink + 2)
-    return Jet(flag, out[:sink]), Jet(flag, out[sink + 1:-1]) if width else 0.0
+    return Jet(flag, out[..., :sink]), Jet(flag, out[..., sink + 1:-1]) if width else 0.0
+
+
+def _form_bincount(rows, f, xspace, flag, width):
+    """The bins of the `YForms` scatter, 2 nterms + 2 per lane, from the term
+    rows and f = (1, 2, y0) (`_form_plan`), one `bincount` per block of
+    lanes, as `mul_rows` blocks them."""
+    bins, u, v, terms = _form_plan(xspace, flag, width)
+    size, block = 2 * flag.nterms + 2, max(1, MUL_BLOCK // bins.size)
+    if max(rows.size // (rows.shape[-2] * rows.shape[-1]), f.size // f.shape[-1]) > block:
+        return _in_blocks(lambda r, g: _form_bincount(r, g, xspace, flag, width),
+                          block, size, (rows, 2), (f, 1))
+    weights = rows.take(terms, axis=-2) * f.take(u, axis=-1)
+    weights *= f.take(v, axis=-1)               # in place: one temporary of the slots
+    count = weights.size // bins.size
+    if count > 1:
+        bins = _laned((xspace, flag, width), bins, size, count)
+    return np.bincount(bins, weights=weights.ravel(), minlength=count * size).reshape(
+        weights.shape[:-2] + (size,))
 
 
 # -- flags ---------------------------------------------------------------

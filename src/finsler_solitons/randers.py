@@ -16,7 +16,7 @@ and on the navigation side (indices via h_ij):
 The alpha rows, b and the stage of F are each one function of a guarded
 `_navigation_point` (h rows, W, lambda, h W); the closures and
 `solitons.sample_points` all call them, the latter on one point laned over a
-run's flags (`_point_lane` slices it); the Randers side reads det a and
+run's flags (`jets.lane` slices it); the Randers side reads det a and
 det(a - b b^T) of one guarded `_randers_point`, and no inverse of alpha.
 sigma_BH(a rows, b) (`_bh_density`) serves `RandersData` callers
 (`bh_measure`, the `jets-vs-fd` suite); on navigation data sigma_BH =
@@ -96,14 +96,6 @@ def _navigation_point(nav: NavigationData, x):
                 lambda k: "||W||_h >= 1 at evaluated point")
     n = len(w)
     return rows, w, lam, [[rows[i][j] * w[j] for j in range(n)] for i in range(n)]
-
-
-def _point_lane(point, k):
-    """Lane k (an index, or a slice that keeps the lane axis, `jets.lane`) of
-    a `_navigation_point` at laned x."""
-    rows, w, lam, hw = point
-    return ([[jets.lane(v, k) for v in row] for row in rows], [jets.lane(v, k) for v in w],
-            jets.lane(lam, k), [[jets.lane(v, k) for v in row] for row in hw])
 
 
 def _alpha_rows(point):

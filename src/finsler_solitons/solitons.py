@@ -14,7 +14,8 @@ Four equivalent descriptions are implemented and cross-checked:
 Each sample flag of a fixture (navigation data, a weight f and the
 isotropic S-curvature sigma) is one `SamplePoint`.  A run's sample points
 come from one jet evaluation of h, W and f laned over the flags' x
-(`sample_points`), and the tables at its bundle flags from one stacked pass
+(`sample_points`), whose stage of F is the run's stage (a flag's is its
+lane), and the tables at its bundle flags from one stacked pass
 of the records, beta and W tensors and the beta tensors' contractions with
 the flags' y, with sigma's order-1 table; the flag rows, the kappa and sigma
 fits and the four bundles read them.  A bundle is its row formulas: at each point it appends one tuple of
@@ -82,9 +83,11 @@ def fit_kappa(metric: FinslerMetric, measure: Measure, bases):
     the largest spread of Ric_inf/F^2 over `_directions(n)` at a single x; it
     must vanish for a true gradient soliton because kappa depends on x only.
     Every direction at a point reads the point's stage and density table, so
-    the fit builds neither.  The flags of every point, base-major, are one
-    `finsler.evaluate_flags` call (one spray and Riemann pass per fit), and
-    their F^2 normalisers one stacked float `value`.
+    the fit builds no density table, and no stage when the bases are lanes
+    of one run's stage (it repeats each base's lanes across the directions).
+    The flags of every point, base-major, are one `finsler.evaluate_flags`
+    call (one laned F^2 expansion and one spray and Riemann pass per fit),
+    and their F^2 normalisers one stacked float `value`.
     """
     dirs = _directions(metric.dim)
     points = [FlagPoint(base.x, d) for base in bases for d in dirs]
@@ -153,27 +156,28 @@ def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
     weight f and the S-curvature field sigma, the first `bundle` with bundle
     data.  The flags' x are the lanes of one set of order-2 x jets: one
     guarded evaluation of h rows, W, lambda, h W and f, one density and log
-    and one gather serve every flag, and each flag's stage is built from its
-    lane of that evaluation.
+    and one gather serve every flag, and that evaluation is the run's stage
+    (`finsler.LaneStage`), each flag's its lane; a stack of the run's flags
+    expands as one stage.  One flag runs unlaned.
 
     The density of dm_BH is sqrt(det h) (Xing 2005), so only the bundle
     lanes build the (alpha, beta) rows from that evaluation, and their
     records, beta and W tensors and `beta_derivatives` are one stacked pass
     (sigma's order-1 table one jet pass over their x)."""
     X = np.array([p.x for p in flags], float)
-    xs = Jet.variables(list(X.T), 2)
+    xs = Jet.variables(riemann.coordinates(X[0] if len(flags) == 1 else X), 2)
     space = xs[0].space
     point = randers._navigation_point(nav, xs)
     fval = as_scalar_field(f)(xs)
     density = finsler.weighted_density(fval, riemann.sqrt_det(point[0]))
     logs = riemann.scalar_gather(jets.log(density), space, 2, X.shape[:1])
-    stages = [randers._navigation_stage(randers._point_lane(point, k)) for k in range(len(flags))]
-    points = [SamplePoint(p, finsler.BasePoint(p.x, stage, row), *(None,) * 7)
-              for p, stage, row in zip(flags, stages, _rows(logs))]
+    run = finsler.LaneStage(randers._navigation_stage, point, len(flags), None)
+    points = [SamplePoint(p, finsler.BasePoint(p.x, run.lane(k), row), *(None,) * 7)
+              for k, (p, row) in enumerate(zip(flags, _rows(logs)))]
     if not bundle:
         return points
     xb = X[:bundle]
-    lanes, bpoint = xb.shape[:1], randers._point_lane(point, slice(0, bundle))
+    lanes, bpoint = xb.shape[:1], jets.lane(point, slice(0, bundle))
     A = riemann.record_from_tables(
         rd.alpha, xb, riemann.matrix_gather(randers._alpha_rows(bpoint), space, 2, lanes))
     H = riemann.record_from_tables(nav.h, xb, riemann.matrix_gather(bpoint[0], space, 2, lanes))

@@ -10,23 +10,26 @@ curvature-transfer identities, and the navigation algebra.
 
 Each fixture flag is evaluated once, and all of a suite's flags in one
 `finsler.evaluate_flags` call (which picks the jet or fd differentiation
-mode): one fourth-order expansion of F^2 per flag, with one spray and
-Riemann pass over the stack of flags (one finite-difference bundle and S-dot
-per flag in fd mode), feeds the Ricci law, infinity-Ricci and, where the
-fixture declares a flag curvature, the flag-curvature rows (a fit read off
-each flag's bundle).  The kappa fit is one more such call, over the
-directions at its base points.  A run's x-only work runs once for all its
-flags, in `solitons.sample_points` (one laned closure evaluation and one stacked pass
-of the bundle flags' records), and each flag reads its `solitons.SamplePoint`:
-the flag rows and the kappa fit (on the first flags) its base point, and the
-bundles and the sigma fit the bundle data of the first (at most 32) flags.
+mode): one fourth-order expansion of F^2 laned over the stack of flags,
+from the run's laned stage, with one spray and Riemann pass over the stack
+(one finite-difference bundle and S-dot per flag in fd mode), feeds the
+Ricci law, infinity-Ricci and, where the fixture declares a flag curvature,
+the flag-curvature rows (a fit read off each flag's bundle).  The kappa fit
+is one more such call, over the directions at its base points.  A run's
+x-only work runs once for all its flags, in `solitons.sample_points` (one
+laned closure evaluation, which is also the run's stage, and one stacked
+pass of the bundle flags' records), and each flag reads its
+`solitons.SamplePoint`: the flag rows and the kappa fit (on the first flags)
+its base point, and the bundles and the sigma fit the bundle data of the
+first (at most 32) flags.
 
 A crosscheck suite that draws many flags of one random metric evaluates the
 metric once over their stack (Taylor arithmetic vectorised over points,
 Griewank-Walther): `navigation` takes one record of h, one table of W, one
 `randers.nav_tensors`, one float evaluation of each round-trip side and one
 float F per block of (at most 20) flags, and `randers-ricci` one
-`randers.randers_ricci_closed_form` and one float F per metric's 16 flags.
+`randers.randers_ricci_closed_form`, one float F and one laned
+`finsler.curvature_bundle` per metric's 16 flags.
 Only the plumbing is stacked: the oracle formulas are the one-point ones,
 and each row is bit-equal to its flag's own evaluation.
 """

@@ -4,6 +4,8 @@ The library metrics do their x-only work once per stage
 (`FinslerMetric.at`); here each is held against a copy of the inline
 F(x, y) formula it replaced, given as a plain `FinslerMetric(dim, fn)`, and
 `evaluate_flags` on a shared `BasePoint` against `evaluate_flags` alone.
+The inline formulas are lane-safe (their guards read every lane), so a
+stack of their flags runs one stage laned over the flags' x.
 """
 
 import dataclasses
@@ -29,8 +31,8 @@ def _navigation_fn(nav):
         rows = nav.h.matrix(x)
         w = nav.W.components(x)
         lam = _lam(rows, w)
-        if scalar_value(lam) <= 0.0:
-            raise randers.NavigationDomainError("||W||_h >= 1 at evaluated point")
+        jets.refuse(scalar_value(lam) <= 0.0, randers.NavigationDomainError,
+                    lambda k: "||W||_h >= 1 at evaluated point")
         h2 = 0.0
         for i in range(n):
             for j in range(n):
@@ -50,10 +52,9 @@ def _randers_fn(rd):
     def fn(x, y):
         rows = rd.alpha.matrix(x)
         b = rd.beta.components(x)
-        a = np.array([[scalar_value(v) for v in row] for row in rows])
-        bv = np.array([scalar_value(v) for v in b])
-        if float(bv @ np.linalg.solve(a, bv)) >= 1.0:
-            raise randers.RandersDomainError("||beta||_alpha >= 1 at evaluated point")
+        randers._randers_point([[scalar_value(v) for v in row] for row in rows],
+                               [scalar_value(v) for v in b],
+                               "||beta||_alpha >= 1 at evaluated point")
         quad = 0.0
         lin = 0.0
         for i in range(n):
@@ -145,6 +146,17 @@ def test_evaluate_flag_on_a_base_point_equals_evaluate_flag(name):
             shared = finsler.evaluate_flags(metric, measure, [p], [base])[0]
             _assert_same_evaluation(shared, finsler.evaluate_flags(metric, measure, [p])[0], name)
             _assert_same_evaluation(shared, finsler.evaluate_flags(ref, measure, [p])[0], name)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_a_stack_of_the_inline_formula_equals_each_flag_alone(name):
+    # one stage of each metric laned over the stack's x, against every flag
+    # of the staged metric evaluated alone
+    metric, measure, ref, xs, dirs = _case(name)
+    points = [FlagPoint(x, y) for x in xs for y in dirs]
+    for m in (metric, ref):
+        for a, p in zip(finsler.evaluate_flags(m, measure, points), points, strict=True):
+            _assert_same_evaluation(a, finsler.evaluate_flags(metric, measure, [p])[0], name)
 
 
 def test_evaluate_flag_refuses_a_base_point_at_another_x():

@@ -106,8 +106,9 @@ def test_f2_tables_gather_equals_partials(name, order):
 
 
 class _Counter:
-    """Counts F^2 expansions (`_f2_jet`, by order), log-density tables,
-    metric stages and navigation points.
+    """Counts F^2 expansions (`_f2_jet`: `orders` by order, `ys` the
+    directions of each, one row per lane), log-density tables, metric stages
+    and navigation points.
 
     `stages` counts `FinslerMetric.at` at jet x: the x-only work an expansion
     reads.  `value` stages at float x (`float_stages`); it stays a float
@@ -120,6 +121,7 @@ class _Counter:
 
     def __init__(self, monkeypatch):
         self.orders = []
+        self.ys = []
         self.density_tables = 0
         self.stages = 0
         self.float_stages = 0
@@ -131,6 +133,7 @@ class _Counter:
 
         def count_expansions(stage, y, order):
             self.orders.append(order)
+            self.ys.append(np.array(y, float).reshape(-1, np.shape(y)[-1]))
             return expand(stage, y, order)
 
         def count_density(measure, x):
@@ -164,7 +167,9 @@ def test_flag_rows_expand_f2_once_per_flag(name, monkeypatch):
     assert len(rows) == 3
     if fx.einstein is not None:
         assert {"ricci-law", "flag-curvature-law"} <= set(rows[0])
-    assert counter.orders == [4] * len(points)
+    # one order-4 expansion for the stack, whose lanes are its flags in order
+    assert counter.orders == [4]
+    assert np.array_equal(counter.ys[0], np.array([sp.p.y for sp in points]))
     # every row reads its sample point's stage and density table
     assert counter.density_tables == counter.stages == len(counter.nav_xs) == 0
 
@@ -193,7 +198,11 @@ def test_fixture_suite_stages_each_flag_once_and_fits_kappa_on_its_base_points(
     assert np.array_equal(counter.nav_xs[0], np.array([p.x for p in flags]))
     assert counter.stages == counter.density_tables == 0
     dirs = solitons._directions(fx.dim)
-    assert counter.orders == [4] * (samples + len(fitted) * len(dirs))
+    # one order-4 expansion per stack: the flags in order, then the kappa
+    # fit's directions at each fitted base, base-major
+    assert counter.orders == [4, 4]
+    assert np.array_equal(counter.ys[0], np.array([p.y for p in flags]))
+    assert np.array_equal(counter.ys[1], np.array([d for _ in fitted for d in dirs]))
     assert len(fitted) == samples
     assert all(np.array_equal(b.x, p.x) for b, p in zip(fitted, flags, strict=True))
 
@@ -257,9 +266,12 @@ def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monke
     bases = [finsler.base_point(fx.metric, fx.measure, x) for x in xs]
     assert (counter.stages, counter.density_tables) == (len(xs), len(xs))
     solitons.fit_kappa(fx.metric, fx.measure, bases)
-    # the fit builds no stage at jet x and no density table of its own
-    assert (counter.stages, counter.density_tables) == (len(xs), len(xs))
-    assert counter.orders == [4] * (len(xs) * len(dirs))
+    # the fit builds no density table of its own; its bases' stages are not
+    # lanes of one laned stage, so it stages once, laned over its flags' x
+    # (a fixture run's bases are: `test_fixture_suite_stages_each_flag_once...`)
+    assert (counter.stages, counter.density_tables) == (len(xs) + 1, len(xs))
+    assert counter.orders == [4]
+    assert np.array_equal(counter.ys[0], np.array([d for _ in xs for d in dirs]))
     assert counter.float_stages == 1            # the F^2 normalisers: one stacked value
 
 
@@ -287,7 +299,9 @@ def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(mo
     x_space, flag_space = jets.jet_space(4, 2), jets.flag_space(4, 4)
     assert set(counts) == set(one) == {x_space, flag_space}
     assert 0 < counts[x_space] <= one[x_space]
-    assert counts[flag_space] == len(dirs) * one[flag_space]
+    # the 16 directions share the base's unlaned stage and expand as one
+    # laned jet: the flag-space products of one expansion
+    assert counts[flag_space] == one[flag_space]
 
 
 def test_gradient_soliton_residual_expands_f2_once(monkeypatch):

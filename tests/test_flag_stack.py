@@ -133,8 +133,8 @@ def test_a_fit_stack_on_shrinking_evaluates_as_each_flag_alone():
     dirs = solitons._directions(fx.dim)
     points = [FlagPoint(p.x, d) for p in flags for d in dirs]
     stacked = finsler.curvature_bundle(fx.metric, points)
-    T = finsler._f2_tables([finsler._stage(fx.metric, p.x) for p in points],
-                           np.array([p.y for p in points]), 4)
+    X = np.array([p.x for p in points])
+    T = finsler._f2_tables(finsler._stage(fx.metric, X), np.array([p.y for p in points]), 4)
     assert len(T.pop("F")) == len(points)
     for key, table in T.items():
         assert table.flags.c_contiguous and table.shape[0] == len(points), key

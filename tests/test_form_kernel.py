@@ -121,9 +121,10 @@ def test_form_plan_is_cached_read_only_and_checks_the_embedding():
     plan = jets._form_plan(x2, flag, 2)
     assert plan is jets._form_plan(x2, flag, 2)
     slots = 2 * 2 * 4 + 2 * 2 * 2
-    assert [arr.size for arr in plan] == [slots * x2.nterms, slots, slots]
+    assert [arr.size for arr in plan] == [slots * x2.nterms, slots, slots, slots]
     assert not any(arr.flags.writeable for arr in plan)
-    bins, u, v = plan
+    bins, u, v, terms = plan
+    assert list(np.bincount(terms)) == [4] * 4 + [2] * 4
     assert bins.max() <= 2 * flag.nterms + 1 and max(u.max(), v.max()) <= 2 + 1
     y = _flag_y(np.random.default_rng(0), 2, 2)
     rows = [[Jet.variables([0.1, 0.2], 3)[0]] * 2] * 2       # order 3 does not embed

@@ -114,7 +114,7 @@ def test_mul_rows_equals_jet_products():
     for space in (jets.jet_space(2, 1), jets.jet_space(3, 4), jets.flag_space(2, 4)):
         a = rng.normal(size=(3, 2, space.nterms))
         b = rng.normal(size=(2, space.nterms))
-        got = jets.mul_rows(a, b, space)
+        got = jets.mul_rows(a, b, space, space)
         assert got.shape == a.shape
         for i in range(3):
             for j in range(2):

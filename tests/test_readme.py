@@ -1,6 +1,9 @@
-"""The Python examples of README.md run as written and print what they say."""
+"""The Python examples of README.md run as written and print what they say,
+and the names it cites exist."""
 
+import ast
 import contextlib
+import importlib
 import io
 import math
 import pathlib
@@ -28,3 +31,47 @@ def test_readme_example_runs(index, monkeypatch):
         ratio, residual = (float(line) for line in out.getvalue().split())
         assert abs(ratio - 2.0 / math.cosh(1.0) ** 2) < 1e-12
         assert abs(residual) < 1e-12
+
+
+# -- the names README cites --------------------------------------------------------------
+
+SRC = ROOT / "src" / "finsler_solitons"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+PROSE = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+SPANS = re.findall(r"`([^`\n]+)`", PROSE)
+
+
+def _defined_names():
+    """Every name the package binds: defs, classes, assigned names and
+    attributes, in any scope."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+    return names
+
+
+def test_readme_names_resolve_in_the_source(monkeypatch):
+    # every backticked private name is bound somewhere in src/, and every
+    # backticked module.attr of a package module resolves by getattr
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    defined = _defined_names()
+    private = {m for span in SPANS for m in re.findall(r"(?<![\w.*])(_\w+)", span)}
+    qualified = {m for span in SPANS for m in re.findall(
+        rf"(?<![\w.])((?:{'|'.join(MODULES)})(?:\.[A-Za-z_]\w*)+)", span)}
+    assert len(private) > 10 and len(qualified) > 10
+    missing = sorted(name for name in private if name not in defined)
+    for name in sorted(qualified):
+        module, *path = name.split(".")
+        owner = importlib.import_module(f"finsler_solitons.{module}")
+        for part in path:
+            owner = getattr(owner, part, missing)
+            if owner is missing:
+                missing.append(name)
+                break
+    assert missing == []
