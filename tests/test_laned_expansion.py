@@ -8,6 +8,8 @@ pieces the laned expansion is built from: the laned cross-space product
 laned `jets.YForms` scatter.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,23 @@ def test_a_stack_of_one_flag_expands_unlaned(monkeypatch):
     _assert_bitwise(ev.bundle.riemann, finsler.curvature_bundle(fx.metric, [p])[0].riemann, "R")
 
 
+@pytest.mark.parametrize("name", ["cigar", "shrinking"])
+def test_directions_on_one_shared_stage_evaluate_as_each_flag_alone(name):
+    # one base's unlaned stage serves every lane's y (the kappa fit of one
+    # point); at n = 4 its 16 directions are two blocks of the scatter
+    fx = fixtures.get_fixture(name)
+    p = sample_flags(fx, 1, np.random.default_rng(2))[0]
+    base = finsler.base_point(fx.metric, fx.measure, p.x)
+    points = [FlagPoint(p.x, d) for d in solitons._directions(fx.dim)]
+    stacked = finsler.evaluate_flags(fx.metric, fx.measure, points, [base] * len(points))
+    for k, q in enumerate(points):
+        alone = finsler.evaluate_flags(fx.metric, fx.measure, [q], [base])[0]
+        for f in dataclasses.fields(alone.bundle):
+            _assert_bitwise(getattr(stacked[k].bundle, f.name), getattr(alone.bundle, f.name),
+                            (name, k, f.name))
+        _assert_bitwise(stacked[k].ric_inf, alone.ric_inf, (name, k))
+
+
 # -- the laned products and forms -----------------------------------------------------
 
 
@@ -129,37 +148,38 @@ def _loop(quad, lin, y):
     return q, l
 
 
-@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("n", (2, 3, 4))
 def test_the_laned_yforms_scatter_equals_its_loop(n, rng):
-    lanes = 5
     flag = jets.flag_space(n, 4)
-    X = rng.uniform(-0.5, 0.5, size=(lanes, n))
-    Y = rng.normal(size=(lanes, n))
-    xs = Jet.variables(list(X.T), 2)
+    plan_bins = jets._form_plan(jets.jet_space(n, 2), flag, 1)[0]
+    for lanes in (5, jets.MUL_BLOCK // plan_bins.size + 1):       # one block, two blocks
+        X = rng.uniform(-0.5, 0.5, size=(lanes, n))
+        Y = rng.normal(size=(lanes, n))
+        xs = Jet.variables(list(X.T), 2)
 
-    def entry(i, j):
-        # x jets over one space, and floats as constant rows
-        if (i + j) % 3 == 0:
-            return 0.5 + i - j
-        return xs[i] * xs[j] + xs[(i + 1) % n] * float(j + 1)
+        def entry(i, j):
+            # x jets over one space, and floats as constant rows
+            if (i + j) % 3 == 0:
+                return 0.5 + i - j
+            return xs[i] * xs[j] + xs[(i + 1) % n] * float(j + 1)
 
-    quad = [[entry(i, j) for j in range(n)] for i in range(n)]
-    lin = [[entry(i, n - 1 - i) * 2.0] for i in range(n)]
-    ys = [Jet.variable(Y[:, k], n + k, flag) for k in range(n)]
-    forms = jets.YForms(quad, lin)
-    q, l = forms(ys)
-    assert forms._rows                      # the scatter ran, not the loop
-    assert q.coeffs.shape == l.coeffs.shape == (lanes, flag.nterms)
-    for k in range(lanes):
-        yk = [Jet.variable(float(v), n + i, flag) for i, v in enumerate(Y[k])]
-        want_q, want_l = _loop(jets.lane(quad, k), jets.lane(lin, k), yk)
-        _assert_bitwise(q.coeffs[k], want_q.coeffs, ("quad", k))
-        _assert_bitwise(l.coeffs[k], want_l.coeffs, ("lin", k))
-    # unlaned coefficients against laned y: each lane is the one-x forms
-    q0, _ = jets.YForms(jets.lane(quad, 0), jets.lane(lin, 0))(ys)
-    for k in range(lanes):
-        yk = [Jet.variable(float(v), n + i, flag) for i, v in enumerate(Y[k])]
-        _assert_bitwise(q0.coeffs[k], _loop(jets.lane(quad, 0), [()] * n, yk)[0].coeffs, k)
+        quad = [[entry(i, j) for j in range(n)] for i in range(n)]
+        lin = [[entry(i, n - 1 - i) * 2.0] for i in range(n)]
+        ys = [Jet.variable(Y[:, k], n + k, flag) for k in range(n)]
+        forms = jets.YForms(quad, lin)
+        q, l = forms(ys)
+        assert forms._rows                  # the scatter ran, not the loop
+        assert q.coeffs.shape == l.coeffs.shape == (lanes, flag.nterms)
+        # unlaned coefficients against laned y: each lane is the one-x forms
+        q0, l0 = jets.YForms(jets.lane(quad, 0), jets.lane(lin, 0))(ys)
+        for k in range(lanes):
+            yk = [Jet.variable(float(v), n + i, flag) for i, v in enumerate(Y[k])]
+            want_q, want_l = _loop(jets.lane(quad, k), jets.lane(lin, k), yk)
+            _assert_bitwise(q.coeffs[k], want_q.coeffs, ("quad", lanes, k))
+            _assert_bitwise(l.coeffs[k], want_l.coeffs, ("lin", lanes, k))
+            want_q, want_l = _loop(jets.lane(quad, 0), jets.lane(lin, 0), yk)
+            _assert_bitwise(q0.coeffs[k], want_q.coeffs, ("one x", lanes, k))
+            _assert_bitwise(l0.coeffs[k], want_l.coeffs, ("one x", lanes, k))
 
 
 def test_a_laned_f_guard_names_its_lanes():
