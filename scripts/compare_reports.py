@@ -62,6 +62,11 @@ INVOCATIONS = (
             for ing in ("kappa", "mu", "sigma", "f", "W") for name in FIXTURES)
     + tuple(("verify", "--fixture", "cigar", "--samples", "4", "--format", fmt)
             for fmt in ("csv", "text"))
+    # every registry fixture has sigma = 0: these make the sigma, kappa and
+    # mu terms of the bundle rows non-zero at the full bundle size
+    + (("verify", "--fixture", "gaussian", "--perturb", "sigma:1e-2"),
+       ("verify", "--fixture", "cigar", "--perturb", "kappa:1e-2"),
+       ("verify", "--fixture", "shrinking", "--perturb", "mu:1e-2", "--samples", "4"))
 )
 
 

@@ -13,7 +13,7 @@ from finsler_solitons.finsler import FinslerMetric, Measure
 from finsler_solitons.jets import FlagPoint
 from finsler_solitons.reports import all_passed
 from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric, field_value
-from finsler_solitons.sampling import sample_flags
+from finsler_solitons.sampling import sample_flags, unit_direction
 
 TOL = 1e-7
 
@@ -103,6 +103,35 @@ def test_vector_bundles_pass_on_windless_data():
                                       "lie-h2-balance", "lie-w0-balance"]
     assert all(r.verdict == "pass" and r.samples == 4 and r.max_abs == 0.0 for r in rows), [
         (r.name, r.max_abs) for r in rows]
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_vector_bundles_read_a_nonzero_field(dim):
+    # Euclidean h, constant wind W = C and V = x: F is Minkowski, V is
+    # homothetic with c = 1/2, so the vector form holds at kappa = 1 (mu = 0
+    # for h); at kappa = 0.9 the rows whose V terms balance kappa fail
+    C = (0.3, -0.2, 0.1)[:dim]
+    nav = randers.NavigationData(euclidean_metric(dim),
+                                 VectorField(lambda x: [v - v + c for v, c in zip(x, C)]))
+    v = VectorField(lambda x: list(x))
+    rng = np.random.default_rng(7)
+    flags = [FlagPoint(rng.uniform(-1.0, 1.0, dim), unit_direction(rng, dim)) for _ in range(8)]
+    points = solitons.sample_points(randers.from_navigation(nav), nav, 0.0, 0.0, flags, 8)
+
+    def rows(kappa):
+        out = solitons.vector_soliton_checks_ab(v, kappa, points, TOL, c=0.5)
+        out += solitons.vector_soliton_checks_nav(v, kappa, points, TOL, mu=0.0)
+        return {r.name: r for r in out}
+
+    held = rows(1.0)
+    assert all_passed(held.values()), [(r.name, r.max_abs) for r in held.values()]
+    assert held["lie-h2-balance"].samples == 8
+    off = rows(0.9)
+    assert {name for name, r in off.items() if not r.passed} == {
+        "alpha-ricci-balance", "lie-h2-balance", "lie-w0-balance"}
+    assert off["alpha-ricci-balance"].max_abs > 0.1
+    assert off["lie-h2-balance"].max_abs == pytest.approx(0.2)
+    assert off["lie-w0-balance"].max_abs > 0.03
 
 
 def test_constant_weight_reduces_to_einstein_check():
