@@ -323,15 +323,6 @@ class BetaDerivatives:
     si0i: float       # (s^i_0)_{;i}
 
 
-def _einsum_rows(spec, *operands):
-    """np.einsum(spec, *operands) as a float at one point; with one leading
-    lane axis on every operand, that one-point einsum at each lane (a stacked
-    einsum can sum in another order: "jk,j,k->" does)."""
-    if operands[-1].ndim == 1:
-        return float(np.einsum(spec, *operands))
-    return np.array([np.einsum(spec, *row) for row in zip(*operands)])
-
-
 def beta_derivatives(T: BetaTables, y) -> BetaDerivatives:
     """The contractions of the beta tensors T with the direction y; tables of
     a stack of points with one direction per point (leading lane axes) give
@@ -348,8 +339,8 @@ def beta_derivatives(T: BetaTables, y) -> BetaDerivatives:
     beta = lin(T.b_low)
     rows = dict(alpha=alpha, beta=beta, F=alpha + beta, r00=quad(T.r), s0=lin(T.s_low),
                 e00=quad(T.e), t00=quad(T.t), t0=lin(T.t_low), q00=quad(T.q),
-                s00=_einsum_rows("jk,j,k->", T.s_cov, y, y),
-                r000=_einsum_rows("ijk,i,j,k->", T.r_cov, y, y, y), si0i=lin(T.div_mixed_s))
+                s00=riemann.einsum_rows("jk,j,k->", T.s_cov, y, y),
+                r000=riemann.einsum_rows("ijk,i,j,k->", T.r_cov, y, y, y), si0i=lin(T.div_mixed_s))
     return BetaDerivatives(**{k: v if np.ndim(v) else float(v) for k, v in rows.items()})
 
 
@@ -358,9 +349,10 @@ def beta_derivatives(T: BetaTables, y) -> BetaDerivatives:
 
 def sigma_terms(stab, y, v):
     """(sigma, sigma_0 = sigma_i y^i, sigma_i v^i, d sigma) from the order-1
-    table (value, gradient) of a sigma field at a point."""
+    table (value, gradient) of a sigma field at a point, or one row per lane
+    of the tables and vectors of a stack of points."""
     sval, dsig = stab
-    return float(sval), float(dsig @ np.asarray(y, float)), float(dsig @ v), dsig
+    return sval, riemann.dot(dsig, np.asarray(y, float)), riemann.dot(dsig, v), dsig
 
 
 def fit_sigma_isotropic_S(T: BetaTables, y_samples):
@@ -368,23 +360,30 @@ def fit_sigma_isotropic_S(T: BetaTables, y_samples):
     at the point of the beta tables T.
 
     Returns (sigma, residual) where residual is the rms misfit relative to the
-    rms of 2(alpha^2 - beta^2).
+    rms of 2(alpha^2 - beta^2); tables of a stack of points (leading lane
+    axes) give one of each per lane, each bit-equal to its one-point call.
     """
-    n = T.x.size
+    n = T.x.shape[-1]
     lhs, rhs = [], []
     for y in y_samples:
         y = np.asarray(y, float)
-        alpha2 = float(y @ T.a @ y)
-        beta = float(T.b_low @ y)
-        lhs.append(float(y @ T.e @ y))
-        rhs.append(2.0 * (alpha2 - beta * beta))
-    lhs, rhs = np.array(lhs), np.array(rhs)
-    denom = float(rhs @ rhs)
-    if denom <= 0.0 or len(lhs) < n * (n + 1) // 2:
+        beta = riemann.dot(T.b_low, y)
+        lhs.append(riemann.bilinear(y, T.e, y))
+        rhs.append(2.0 * (riemann.bilinear(y, T.a, y) - beta * beta))
+    # one C-contiguous row of samples per lane (one row at a point): a dot
+    # along a strided row can sum in another order
+    count = len(y_samples)
+    lhs, rhs = (np.ascontiguousarray(np.moveaxis(np.array(v), 0, -1)).reshape(-1, count)
+                for v in (lhs, rhs))
+    num, denom = np.array([(a @ r, r @ r) for a, r in zip(lhs, rhs)]).T
+    if np.any(denom <= 0.0) or count < n * (n + 1) // 2:
         raise ValueError("degenerate y-sample set for sigma fit")
-    sigma = float(lhs @ rhs) / denom
-    residual = float(np.sqrt(np.mean((lhs - sigma * rhs) ** 2) / np.mean(rhs ** 2)))
-    return sigma, residual
+    sigma = num / denom
+    residual = np.sqrt(np.mean((lhs - sigma[:, None] * rhs) ** 2, axis=-1)
+                       / np.mean(rhs ** 2, axis=-1))
+    lanes = T.x.shape[:-1]
+    return (sigma.reshape(lanes), residual.reshape(lanes)) if lanes else (
+        float(sigma[0]), float(residual[0]))
 
 
 def randers_ricci_closed_form(rd: RandersData, x, y):
@@ -402,7 +401,7 @@ def randers_ricci_closed_form(rd: RandersData, x, y):
     x, y = np.asarray(x, float), np.asarray(y, float)
     T = beta_tables(riemann.point_record(rd.alpha, x, 2), rd.beta.table(x, order=2))
     bd = beta_derivatives(T, y)
-    aric = _einsum_rows("jk,j,k->", T.alpha_ricci, y, y)
+    aric = riemann.einsum_rows("jk,j,k->", T.alpha_ricci, y, y)
     alpha, F = bd.alpha, bd.F
     jets.refuse(np.logical_or(F <= 0.0, alpha <= 0.0), RandersDomainError,
                 lambda k: "flag outside the Randers domain (F or alpha <= 0)")
@@ -497,7 +496,7 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint, F: float
     return lhs, rhs
 
 
-def ricci_transfer_sides(ric: float, F: float, H: riemann.PointRecord, T: NavTensors,
+def ricci_transfer_sides(ric, F, H: riemann.PointRecord, T: NavTensors,
                          sigma_terms, mu_tilde: float, y):
     """Both sides of the isotropic-S curvature transfer identity
 
@@ -506,11 +505,12 @@ def ricci_transfer_sides(ric: float, F: float, H: riemann.PointRecord, T: NavTen
 
     for an arbitrary test scalar mu, from the flag's Ricci curvature and F,
     an order-2 record H of h and the W tensors T at its point, and the
-    `sigma_terms` of sigma there against W.  Returns (lhs, rhs).
+    `sigma_terms` of sigma there against W; at a stack of flags (leading
+    lane axes, Ric and F one per flag) one pair of rows.  Returns (lhs, rhs).
     """
-    n = T.x.size
+    n = T.x.shape[-1]
     sval, sigma0, sigw, _ = sigma_terms
-    lhs = ric - (n - 1) * (3.0 * sigma0 / F + mu_tilde - sval ** 2 - 2.0 * sigw) * F * F
-    xi = y - F * T.w_up
-    rhs = float(xi @ H.ricci @ xi) - (n - 1) * mu_tilde * F * F
+    lhs = ric - (n - 1) * (3.0 * sigma0 / F + mu_tilde - jets.power(sval, 2) - 2.0 * sigw) * F * F
+    xi = y - np.asarray(F)[..., None] * T.w_up
+    rhs = riemann.bilinear(xi, H.ricci, xi) - (n - 1) * mu_tilde * F * F
     return lhs, rhs

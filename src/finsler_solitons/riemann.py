@@ -375,6 +375,15 @@ def dot(v, w):
     return (v[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
+def einsum_rows(spec, *operands):
+    """np.einsum(spec, *operands) as a float at one point; with one leading
+    lane axis on every operand, that one-point einsum at each lane (a stacked
+    einsum can sum in another order: "jk,j,k->" does)."""
+    if operands[-1].ndim == 1:
+        return float(np.einsum(spec, *operands))
+    return np.array([np.einsum(spec, *row) for row in zip(*operands)])
+
+
 def lowered_covariant_derivative(rec: PointRecord, w0, dw) -> np.ndarray:
     """W_{i:j} = d_j (h_ik W^k) - Gamma^k_ij h_kl W^l from a record of h and
     W's order-1 table (W^i, d_j W^i) at its point; leading axes pass through."""
@@ -389,32 +398,35 @@ def hessian_tensor(rec: PointRecord, ftab) -> np.ndarray:
     return covariant_1form(rec.gamma, grad, hess)
 
 
-def hessian(rec: PointRecord, ftab, y) -> float:
-    y = np.asarray(y, float)
-    return float(np.einsum("ij,i,j->", hessian_tensor(rec, ftab), y, y))
+def hessian(rec: PointRecord, ftab, y):
+    """Hess(f)(y, y) at the record's point, or one per lane of a stack (`einsum_rows`)."""
+    return einsum_rows("ij,i,j->", hessian_tensor(rec, ftab), np.asarray(y, float),
+                       np.asarray(y, float))
 
 
 # -- Lie derivatives and conformal residuals ----------------------------------
 #
 # V enters through vcov[i,j] = V_{i:j}, the lowered covariant derivative of
-# its table at the record's point (`lowered_covariant_derivative`).
+# its table at the record's point (`lowered_covariant_derivative`).  At a
+# stack of points (leading lane axes) each gives one row per lane, and the
+# contractions with y run per lane (`einsum_rows`).
 
 
-def lie_h2(vcov, y) -> float:
+def lie_h2(vcov, y):
     """Lie derivative of h^2 along the complete lift: 2 V_{i:j} y^i y^j."""
     y = np.asarray(y, float)
-    return float(2.0 * np.einsum("ij,i,j->", vcov, y, y))
+    return 2.0 * einsum_rows("ij,i,j->", vcov, y, y)
 
 
-def lie_1form(v0, vcov, x_up, xcov, y) -> float:
+def lie_1form(v0, vcov, x_up, xcov, y):
     """Lie derivative of the 1-form X_i y^i: (V^k X_{j;k} + X^k V_{k;j}) y^j,
     from V^k, V_{k:j}, X^k and xcov[j,k] = X_{j;k}.  X is beta (its b^k and
     b_{j;k}) or, for L_V(W_0), the lowered W (its W^k and W_{j:k})."""
     y = np.asarray(y, float)
-    return float(np.einsum("k,jk,j->", v0, xcov, y) + np.einsum("k,kj,j->", x_up, vcov, y))
+    return einsum_rows("k,jk,j->", v0, xcov, y) + einsum_rows("k,kj,j->", x_up, vcov, y)
 
 
-def conformal_residual(rec: PointRecord, vcov, c: float) -> np.ndarray:
-    """V_{i:j} + V_{j:i} - 4 c h_ij; the zero matrix iff V is conformal with factor c."""
-    return vcov + vcov.T - 4.0 * c * rec.h0
-
+def conformal_residual(rec: PointRecord, vcov, c) -> np.ndarray:
+    """V_{i:j} + V_{j:i} - 4 c h_ij; the zero matrix iff V is conformal with
+    factor c (one c per lane at a stack)."""
+    return vcov + vcov.swapaxes(-1, -2) - 4.0 * np.asarray(c)[..., None, None] * rec.h0

@@ -33,7 +33,6 @@ for the fixture suite's fit rows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,62 +102,43 @@ def fit_kappa(metric: FinslerMetric, measure: Measure, bases):
     return np.array(kappas), anisotropy
 
 
-def fit_sigma(tables):
-    """Pointwise isotropic-S sigma at the points of a list of beta tables;
-    returns (sigmas, worst fit)."""
-    sigmas, worst = [], 0.0
-    for T in tables:
-        s, r = randers.fit_sigma_isotropic_S(T, _directions(T.x.size))
-        sigmas.append(s)
-        worst = max(worst, r)
-    return np.array(sigmas), worst
+def fit_sigma(T: randers.BetaTables):
+    """Pointwise isotropic-S sigma at each lane of a stack of beta tables;
+    returns (sigmas, fit residuals), one per lane."""
+    return randers.fit_sigma_isotropic_S(T, _directions(T.x.shape[-1]))
 
 
 # -- characterization bundles ---------------------------------------------------------
 
 
 @dataclass
-class SamplePoint:
-    """A sample flag p and what every check reads there: `base`, the stage of
-    F and the log-density table of e^{-f} dm_BH at x; at a bundle flag (else
-    None) also the order-2 records of alpha and h, the beta tensors and their
-    y-contractions, the W tensors, f's order-2 table (value, grad, hess) and
-    sigma's order-1 table (value, grad).  Each table is the flag's row of
-    its run's stack (`sample_points`)."""
+class BundleStack:
+    """What the bundles and the sigma fit read at a run's bundle flags, every
+    field a stack with one lane per flag (leading axis): the flags' x and y,
+    the order-2 records of alpha and h, the beta tensors and their
+    contractions with y, the W tensors, f's order-2 table (value, grad,
+    hess) and sigma's order-1 table (value, grad)."""
 
-    p: FlagPoint
-    base: finsler.BasePoint
-    alpha: riemann.PointRecord | None
-    beta: randers.BetaTables | None
-    bd: randers.BetaDerivatives | None
-    h: riemann.PointRecord | None
-    nav: randers.NavTensors | None
-    f: tuple | None
-    sigma: tuple | None
-
-
-def _rows(stack):
-    """The rows of a stack, one per lane: of an array (a float where a row
-    is one number), of each entry of a tuple, or of each field of a record,
-    a dataclass whose fields are its attributes in order (None stays None)."""
-    if isinstance(stack, np.ndarray):
-        return stack.tolist() if stack.ndim == 1 else list(stack)
-    if isinstance(stack, tuple):
-        return list(zip(*map(_rows, stack)))
-    if stack is None:
-        return itertools.repeat(None)
-    return [type(stack)(*row) for row in zip(*map(_rows, vars(stack).values()))]
+    x: np.ndarray
+    y: np.ndarray
+    alpha: riemann.PointRecord
+    h: riemann.PointRecord
+    beta: randers.BetaTables
+    bd: randers.BetaDerivatives
+    nav: randers.NavTensors
+    f: tuple
+    sigma: tuple
 
 
-def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
-                  bundle) -> list[SamplePoint]:
-    """The sample points at `flags` of nav, rd = from_navigation(nav), the
-    weight f and the S-curvature field sigma, the first `bundle` with bundle
-    data.  The flags' x are the lanes of one set of order-2 x jets: one
-    guarded evaluation of h rows, W, lambda, h W and f, one density and log
-    and one gather serve every flag, and that evaluation is the run's stage
-    (`finsler.LaneStage`), each flag's its lane; a stack of the run's flags
-    expands as one stage.  One flag runs unlaned.
+def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags, bundle):
+    """(the `finsler.BasePoint` of each flag, the `BundleStack` of the first
+    `bundle` flags or None) of nav, rd = from_navigation(nav), the weight f
+    and the S-curvature field sigma.  The flags' x are the lanes of one set
+    of order-2 x jets: one guarded evaluation of h rows, W, lambda, h W and
+    f, one density and log and one gather serve every flag, and that
+    evaluation is the run's stage (`finsler.LaneStage`), each base point's
+    its lane; a stack of the run's flags expands as one stage.  One flag
+    runs unlaned.
 
     The density of dm_BH is sqrt(det h) (Xing 2005), so only the bundle
     lanes build the (alpha, beta) rows from that evaluation, and their
@@ -172,10 +152,10 @@ def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
     density = finsler.weighted_density(fval, riemann.sqrt_det(point[0]))
     logs = riemann.scalar_gather(jets.log(density), space, 2, X.shape[:1])
     run = finsler.LaneStage(randers._navigation_stage, point, len(flags), None)
-    points = [SamplePoint(p, finsler.BasePoint(p.x, run.lane(k), row), *(None,) * 7)
-              for k, (p, row) in enumerate(zip(flags, _rows(logs)))]
+    bases = [finsler.BasePoint(p.x, run.lane(k), tuple(t[k] for t in logs))
+             for k, p in enumerate(flags)]
     if not bundle:
-        return points
+        return bases, None
     xb = X[:bundle]
     lanes, bpoint = xb.shape[:1], jets.lane(point, slice(0, bundle))
     A = riemann.record_from_tables(
@@ -184,35 +164,40 @@ def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
     T = randers.beta_tables(A, riemann.vector_gather(randers._beta_low(bpoint), space, 2, lanes))
     N = randers.nav_tensors(H, riemann.vector_gather(bpoint[1], space, 1, lanes))
     ftab = riemann.scalar_gather(jets.lane(fval, slice(0, bundle)), space, 2, lanes)
-    bd = randers.beta_derivatives(T, np.array([p.y for p in flags[:bundle]], float))
-    rows = zip(*map(_rows, (A, T, bd, H, N, ftab, as_scalar_field(sigma).table(xb, order=1))))
-    return [SamplePoint(sp.p, sp.base, *row) for sp, row in zip(points, rows)] + points[bundle:]
+    y = np.array([p.y for p in flags[:bundle]], float)
+    return bases, BundleStack(xb, y, A, H, T, randers.beta_derivatives(T, y), N, ftab,
+                              as_scalar_field(sigma).table(xb, order=1))
 
 
-def _matrix_residual(res, scale) -> float:
-    """max |res_ij| relative to max(1, max |scale_ij|)."""
-    return float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(scale))))
+def _declared(field, X) -> np.ndarray:
+    """A declared scalar (a field or a constant) at each lane's x, read by
+    `field_value` at the lane's point: a fixture's closures need not be
+    lane-safe (cigar's calls math.cosh on a float)."""
+    return np.array([field_value(field, x) for x in X])
 
 
-def _isotropic_s_row(bd: randers.BetaDerivatives, sval: float) -> float:
+def _matrix_residual(res, scale):
+    """max |res_ij| relative to max(1, max |scale_ij|), one per lane."""
+    return np.abs(res).max(axis=(-2, -1)) / np.maximum(1.0, np.abs(scale).max(axis=(-2, -1)))
+
+
+def _isotropic_s_row(bd: randers.BetaDerivatives, sval):
     """The `isotropic-s` row: (e_00 - 2 sigma (alpha^2 - beta^2)) / alpha^2."""
-    a2 = bd.alpha ** 2
-    return (bd.e00 - 2.0 * sval * (a2 - bd.beta ** 2)) / a2
+    a2 = jets.power(bd.alpha, 2)
+    return (bd.e00 - 2.0 * sval * (a2 - jets.power(bd.beta, 2))) / a2
 
 
-def _conformal_w_row(bp: SamplePoint, sval: float) -> float:
+def _conformal_w_row(S: BundleStack, sval):
     """The `conformal-w` row: W_{i:j} + W_{j:i} + 4 sigma h_ij relative to h."""
-    return _matrix_residual(riemann.conformal_residual(bp.h, bp.nav.wcov, -sval), bp.nav.h)
+    return _matrix_residual(riemann.conformal_residual(S.h, S.nav.wcov, -sval), S.nav.h)
 
 
 def _bundle_reports(names, rows, tol) -> list[ResidualReport]:
-    """One report per row name, in order, over the matching entry of every
-    point's tuple of row values."""
-    return [report_from_values(name, [row[k] for row in rows], tol)
-            for k, name in enumerate(names)]
+    """One report per row name, in order, over its row: one value per lane."""
+    return [report_from_values(name, row, tol) for name, row in zip(names, rows, strict=True)]
 
 
-def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float, *,
+def vector_soliton_checks_ab(v: VectorField, kappa, S: BundleStack, tol: float, *,
                              c) -> list[ResidualReport]:
     """(alpha, beta) residuals for the vector-field soliton characterization:
 
@@ -223,35 +208,34 @@ def vector_soliton_checks_ab(v: VectorField, kappa, points, tol: float, *,
               - (n-1)(s_0^2 + s_{0;0})
       (iv)  3(n-1) sigma_0 = 2 c beta - L_V(beta)
 
-    at each `SamplePoint` (bundle data of alpha, beta and sigma), with V
-    tabled once per point.
+    at each lane of the `BundleStack` S (bundle data of alpha, beta and
+    sigma), with V tabled once over the lanes' x.
     """
-    rows = []
-    for bp in points:
-        p, T, bd, A = bp.p, bp.beta, bp.bd, bp.alpha
-        n = p.dim
-        v0, dv = v.table(p.x, order=1)
-        vcov = riemann.lowered_covariant_derivative(A, v0, dv)
-        cval = field_value(c, p.x)
-        sval, sigma0, _, _ = randers.sigma_terms(bp.sigma, p.y, T.b_up)
-        kap = field_value(kappa, p.x)
-        a2 = bd.alpha ** 2
-        beta = bd.beta
-        aric = float(p.y @ T.alpha_ricci @ p.y)
-        rhs = ((kap - 2.0 * cval) * (a2 + beta ** 2) + T.t_trace * a2 + 2.0 * bd.t00
-               - (n - 1) * sval ** 2 * (3.0 * a2 - beta ** 2)
-               + 2.0 * (n - 1) * sigma0 * beta
-               - (n - 1) * (bd.s0 ** 2 + bd.s00))
-        lie_beta = riemann.lie_1form(v0, vcov, T.b_up, T.bcov, p.y)
-        rows.append((_matrix_residual(riemann.conformal_residual(A, vcov, cval), T.a),
-                     _isotropic_s_row(bd, sval),
-                     (aric - rhs) / a2,
-                     (3.0 * (n - 1) * sigma0 - (2.0 * cval * beta - lie_beta)) / bd.alpha))
+    T, bd, A, y = S.beta, S.bd, S.alpha, S.y
+    n = y.shape[-1]
+    v0, dv = v.table(S.x, order=1)
+    vcov = riemann.lowered_covariant_derivative(A, v0, dv)
+    cval = _declared(c, S.x)
+    sval, sigma0, _, _ = randers.sigma_terms(S.sigma, y, T.b_up)
+    kap = _declared(kappa, S.x)
+    a2 = jets.power(bd.alpha, 2)
+    beta = bd.beta
+    aric = riemann.bilinear(y, T.alpha_ricci, y)
+    rhs = ((kap - 2.0 * cval) * (a2 + jets.power(beta, 2)) + T.t_trace * a2 + 2.0 * bd.t00
+           - (n - 1) * jets.power(sval, 2) * (3.0 * a2 - jets.power(beta, 2))
+           + 2.0 * (n - 1) * sigma0 * beta
+           - (n - 1) * (jets.power(bd.s0, 2) + bd.s00))
+    lie_beta = riemann.lie_1form(v0, vcov, T.b_up, T.bcov, y)
     return _bundle_reports(("conformal-v", "isotropic-s", "alpha-ricci-balance",
-                            "sigma-lie-balance"), rows, tol)
+                            "sigma-lie-balance"),
+                           (_matrix_residual(riemann.conformal_residual(A, vcov, cval), T.a),
+                            _isotropic_s_row(bd, sval),
+                            (aric - rhs) / a2,
+                            (3.0 * (n - 1) * sigma0 - (2.0 * cval * beta - lie_beta)) / bd.alpha),
+                           tol)
 
 
-def vector_soliton_checks_nav(v: VectorField, kappa, points, tol: float, *,
+def vector_soliton_checks_nav(v: VectorField, kappa, S: BundleStack, tol: float, *,
                               mu) -> list[ResidualReport]:
     """Navigation residuals for the vector-field soliton characterization:
 
@@ -260,34 +244,32 @@ def vector_soliton_checks_nav(v: VectorField, kappa, points, tol: float, *,
       (iii) L_V(h^2) = 2 c h^2 - 6(n-1){ (sigma_i W^i) h^2 + sigma_0 W_0 }
       (iv)  L_V(W_0) = c W_0 - 3(n-1){ 2 (sigma_i W^i) W_0 - lam sigma_0 }
 
-    with c = kappa - mu + (n-1) sigma^2 + 2(n-1) sigma_i W^i, at each
-    `SamplePoint` (bundle data of h, W and sigma), with V tabled once per
-    point.
+    with c = kappa - mu + (n-1) sigma^2 + 2(n-1) sigma_i W^i, at each lane
+    of the `BundleStack` S (bundle data of h, W and sigma), with V tabled
+    once over the lanes' x.
     """
-    rows = []
-    for bp in points:
-        p, T = bp.p, bp.nav
-        n = p.dim
-        h2 = float(p.y @ T.h @ p.y)
-        w0 = float(T.w_low @ p.y)
-        v0, dv = v.table(p.x, order=1)
-        vcov = riemann.lowered_covariant_derivative(bp.h, v0, dv)
-        mval = field_value(mu, p.x)
-        sval, sigma0, sigw, _ = randers.sigma_terms(bp.sigma, p.y, T.w_up)
-        kap = field_value(kappa, p.x)
-        cval = kap - mval + (n - 1) * sval ** 2 + 2.0 * (n - 1) * sigw
-        rhs3 = 2.0 * cval * h2 - 6.0 * (n - 1) * (sigw * h2 + sigma0 * w0)
-        lie_w0 = riemann.lie_1form(v0, vcov, T.w_up, T.wcov, p.y)
-        rhs4 = cval * w0 - 3.0 * (n - 1) * (2.0 * sigw * w0 - T.lam * sigma0)
-        rows.append(((float(p.y @ bp.h.ricci @ p.y) - mval * h2) / h2,
-                     _conformal_w_row(bp, sval),
-                     (riemann.lie_h2(vcov, p.y) - rhs3) / h2,
-                     (lie_w0 - rhs4) / math.sqrt(h2)))
-    return _bundle_reports(("einstein-h", "conformal-w", "lie-h2-balance",
-                            "lie-w0-balance"), rows, tol)
+    T, y = S.nav, S.y
+    n = y.shape[-1]
+    h2 = riemann.bilinear(y, T.h, y)
+    w0 = riemann.dot(T.w_low, y)
+    v0, dv = v.table(S.x, order=1)
+    vcov = riemann.lowered_covariant_derivative(S.h, v0, dv)
+    mval = _declared(mu, S.x)
+    sval, sigma0, sigw, _ = randers.sigma_terms(S.sigma, y, T.w_up)
+    kap = _declared(kappa, S.x)
+    cval = kap - mval + (n - 1) * jets.power(sval, 2) + 2.0 * (n - 1) * sigw
+    rhs3 = 2.0 * cval * h2 - 6.0 * (n - 1) * (sigw * h2 + sigma0 * w0)
+    lie_w0 = riemann.lie_1form(v0, vcov, T.w_up, T.wcov, y)
+    rhs4 = cval * w0 - 3.0 * (n - 1) * (2.0 * sigw * w0 - T.lam * sigma0)
+    return _bundle_reports(("einstein-h", "conformal-w", "lie-h2-balance", "lie-w0-balance"),
+                           ((riemann.bilinear(y, S.h.ricci, y) - mval * h2) / h2,
+                            _conformal_w_row(S, sval),
+                            (riemann.lie_h2(vcov, y) - rhs3) / h2,
+                            (lie_w0 - rhs4) / np.sqrt(h2)),
+                           tol)
 
 
-def gradient_soliton_checks_ab(kappa, points, tol: float) -> list[ResidualReport]:
+def gradient_soliton_checks_ab(kappa, S: BundleStack, tol: float) -> list[ResidualReport]:
     """(alpha, beta) residuals for the gradient soliton characterization:
 
       (i)   e_00 = 2 sigma (alpha^2 - beta^2)
@@ -298,43 +280,43 @@ def gradient_soliton_checks_ab(kappa, points, tol: float) -> list[ResidualReport
               + f_{;0j} b^j + (s_0 + 2 sigma beta)(f_i b^i)
       (iv)  the right side of (iii) alone; sigma is constant when it vanishes
 
-    at each `SamplePoint` (bundle data of alpha, beta and sigma), whose f
-    table gives the weight f.
+    at each lane of the `BundleStack` S (bundle data of alpha, beta and
+    sigma), whose f table gives the weight f.
     """
-    rows = []
-    for bp in points:
-        p, T, bd = bp.p, bp.beta, bp.bd
-        n = p.dim
-        sval, sigma0, _, _ = randers.sigma_terms(bp.sigma, p.y, T.b_up)
-        kap = field_value(kappa, p.x)
-        df = bp.f[1]
-        f0 = float(df @ p.y)
-        fb = float(df @ T.b_up)
-        hess_a = riemann.hessian_tensor(bp.alpha, bp.f)
-        a2 = bd.alpha ** 2
-        beta = bd.beta
-        b2 = T.b2
-        aric = float(p.y @ T.alpha_ricci @ p.y)
-        rhs = (kap * (a2 + beta ** 2) + 2.0 * bd.t00 + T.t_trace * a2
-               - 2.0 * n * sigma0 * beta
-               - (n - 1) * (bd.s0 ** 2 + bd.s00 + 3.0 * sval ** 2 * a2
-                            - sval ** 2 * beta ** 2)
-               - 2.0 * (bd.s0 + sval * beta) * f0
-               - float(p.y @ hess_a @ p.y))
-        s_mixed_y = T.s_mixed @ p.y
-        grad_terms = (sval * (1.0 + b2) * f0
-                      + float(df @ (s_mixed_y - T.s_up * beta))
-                      + float(p.y @ hess_a @ T.b_up)
-                      + (bd.s0 + 2.0 * sval * beta) * fb)
-        rows.append((_isotropic_s_row(bd, sval),
-                     (aric - rhs) / a2,
-                     ((2.0 * n - 1.0) * (1.0 - b2) * sigma0 - grad_terms) / bd.alpha,
-                     grad_terms / bd.alpha))
+    T, bd, y = S.beta, S.bd, S.y
+    n = y.shape[-1]
+    sval, sigma0, _, _ = randers.sigma_terms(S.sigma, y, T.b_up)
+    kap = _declared(kappa, S.x)
+    df = S.f[1]
+    f0 = riemann.dot(df, y)
+    fb = riemann.dot(df, T.b_up)
+    hess_a = riemann.hessian_tensor(S.alpha, S.f)
+    a2 = jets.power(bd.alpha, 2)
+    beta = bd.beta
+    b2 = T.b2
+    aric = riemann.bilinear(y, T.alpha_ricci, y)
+    s2 = jets.power(sval, 2)
+    rhs = (kap * (a2 + jets.power(beta, 2)) + 2.0 * bd.t00 + T.t_trace * a2
+           - 2.0 * n * sigma0 * beta
+           - (n - 1) * (jets.power(bd.s0, 2) + bd.s00 + 3.0 * s2 * a2 - s2 * jets.power(beta, 2))
+           - 2.0 * (bd.s0 + sval * beta) * f0
+           - riemann.bilinear(y, hess_a, y))
+    s_mixed_y = riemann.mat_vec(T.s_mixed, y)
+    grad_terms = (sval * (1.0 + b2) * f0
+                  + riemann.dot(df, s_mixed_y - T.s_up * beta[:, None])
+                  + riemann.bilinear(y, hess_a, T.b_up)
+                  + (bd.s0 + 2.0 * sval * beta) * fb)
     return _bundle_reports(("isotropic-s", "alpha-ricci-balance", "sigma-gradient-balance",
-                            "sigma-constancy"), rows, tol)
+                            "sigma-constancy"),
+                           (_isotropic_s_row(bd, sval),
+                            (aric - rhs) / a2,
+                            ((2.0 * n - 1.0) * (1.0 - b2) * sigma0 - grad_terms) / bd.alpha,
+                            grad_terms / bd.alpha),
+                           tol)
 
 
-def gradient_soliton_checks_nav(kappa, points, tol: float, *, mu) -> list[ResidualReport]:
+def gradient_soliton_checks_nav(kappa, S: BundleStack, tol: float, *,
+                                mu) -> list[ResidualReport]:
     """Navigation residuals for the gradient soliton characterization:
 
       (i)   hRic + Hess_h(f) = mu h^2          ((h, f) Riemannian gradient soliton)
@@ -343,38 +325,38 @@ def gradient_soliton_checks_nav(kappa, points, tol: float, *, mu) -> list[Residu
       (iv)  (sigma_i - sigma f_i) W^i = kappa - mu + (n-1) sigma^2
       (v)   sigma f_0 - f_k S^k_0 - f_{:0j} W^j alone; sigma is constant when 0
 
-    at each `SamplePoint` (bundle data of h, W and sigma), whose f table
-    gives the weight f.
+    at each lane of the `BundleStack` S (bundle data of h, W and sigma),
+    whose f table gives the weight f.
     """
-    rows = []
-    for bp in points:
-        p, T = bp.p, bp.nav
-        n = p.dim
-        h2 = float(p.y @ T.h @ p.y)
-        hnorm = math.sqrt(h2)
-        mval = field_value(mu, p.x)
-        sval, sigma0, sigw, dsig = randers.sigma_terms(bp.sigma, p.y, T.w_up)
-        kap = field_value(kappa, p.x)
-        df = bp.f[1]
-        hess_h = riemann.hessian_tensor(bp.h, bp.f)
-        f0 = float(df @ p.y)
-        fS0 = float(df @ T.s_mixed @ p.y)
-        fW_hess = float(p.y @ hess_h @ T.w_up)
-        compat = sval * f0 - fS0 - fW_hess
-        rows.append(((float(p.y @ (bp.h.ricci + hess_h) @ p.y) - mval * h2) / h2,
-                     _conformal_w_row(bp, sval),
-                     ((2.0 * n - 1.0) * sigma0 - compat) / hnorm,
-                     float((dsig - sval * df) @ T.w_up) - (kap - mval + (n - 1) * sval ** 2),
-                     compat / hnorm))
+    T, y = S.nav, S.y
+    n = y.shape[-1]
+    h2 = riemann.bilinear(y, T.h, y)
+    hnorm = np.sqrt(h2)
+    mval = _declared(mu, S.x)
+    sval, sigma0, sigw, dsig = randers.sigma_terms(S.sigma, y, T.w_up)
+    kap = _declared(kappa, S.x)
+    df = S.f[1]
+    hess_h = riemann.hessian_tensor(S.h, S.f)
+    f0 = riemann.dot(df, y)
+    fS0 = riemann.bilinear(df, T.s_mixed, y)
+    fW_hess = riemann.bilinear(y, hess_h, T.w_up)
+    compat = sval * f0 - fS0 - fW_hess
     return _bundle_reports(("riemannian-soliton", "conformal-w", "sigma-gradient-balance",
-                            "scalar-compatibility", "sigma-constancy"), rows, tol)
+                            "scalar-compatibility", "sigma-constancy"),
+                           ((riemann.bilinear(y, S.h.ricci + hess_h, y) - mval * h2) / h2,
+                            _conformal_w_row(S, sval),
+                            ((2.0 * n - 1.0) * sigma0 - compat) / hnorm,
+                            riemann.dot(dsig - sval[:, None] * df, T.w_up)
+                            - (kap - mval + (n - 1) * jets.power(sval, 2)),
+                            compat / hnorm),
+                           tol)
 
 
 # -- navigation closed form for the S-curvature rate -----------------------------------
 
 
-def s_dot_closed_form_nav(H: riemann.PointRecord, T: randers.NavTensors, F: float,
-                          sigma_terms, ftab, y) -> float:
+def s_dot_closed_form_nav(H: riemann.PointRecord, T: randers.NavTensors, F,
+                          sigma_terms, ftab, y):
     """S-dot of (F, e^{-f} dm_BH) under isotropic S-curvature sigma:
 
         S-dot = (n+1) sigma_0 F - 2 sigma f_0 F + 2 (f_k S^k_0) F
@@ -382,14 +364,15 @@ def s_dot_closed_form_nav(H: riemann.PointRecord, T: randers.NavTensors, F: floa
 
     at the flag (x, y) with float F(x, y), from a record H of h and the W
     tensors T at x, the `sigma_terms` of sigma there against W and f's
-    order-2 table.
+    order-2 table; at a stack of flags (leading lane axes, F one per flag)
+    one value per lane, each bit-equal to its one-flag call.
     """
-    n = T.x.size
+    n = T.x.shape[-1]
     sval, sigma0, _, _ = sigma_terms
     df = ftab[1]
-    f0 = float(df @ y)
-    fS0 = float(df @ T.s_mixed @ y)
-    fS = float(df @ T.s_up)
+    f0 = riemann.dot(df, y)
+    fS0 = riemann.bilinear(df, T.s_mixed, y)
+    fS = riemann.dot(df, T.s_up)
     hess = riemann.hessian(H, ftab, y)
     return ((n + 1) * sigma0 * F - 2.0 * sval * f0 * F + 2.0 * fS0 * F
             + fS * F * F + hess)

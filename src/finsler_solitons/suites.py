@@ -53,17 +53,16 @@ from .sampling import sample_flags, unit_direction
 FD_FLAT = "fd-flat"     # row key: R is flat within the fd bundle's error estimate
 
 
-def _flag_rows(fixture, flags, mode):
-    """Pointwise law residuals at each flag (a `solitons.SamplePoint` of a
-    `sampling.SampledFlag`, whose F normalises): one row dict per flag, read
-    off its evaluation on its base point, all flags in one
-    `finsler.evaluate_flags` call in `mode`.  A flag whose fd R is flat only
-    within the bundle's error estimate also carries the key `FD_FLAT`."""
-    evs = finsler.evaluate_flags(fixture.metric, fixture.measure, [sp.p for sp in flags],
-                                 [sp.base for sp in flags], mode)
+def _flag_rows(fixture, flags, bases, mode):
+    """Pointwise law residuals at each flag (a `sampling.SampledFlag`, whose
+    F normalises): one row dict per flag, read off its evaluation on its
+    `finsler.BasePoint` in `bases`, all flags in one `finsler.evaluate_flags`
+    call in `mode`.  A flag whose fd R is flat only within the bundle's
+    error estimate also carries the key `FD_FLAT`."""
+    evs = finsler.evaluate_flags(fixture.metric, fixture.measure, flags, bases, mode)
     out = []
-    for sp, ev in zip(flags, evs):
-        p, row = sp.p, {}
+    for p, ev in zip(flags, evs):
+        row = {}
         F2 = p.F ** 2
         row["infinity-ricci"] = (ev.ric_inf - field_value(fixture.kappa, p.x) * F2) / F2
         if fixture.einstein is not None:
@@ -101,11 +100,11 @@ def run_fixture_suite(fixture, samples, seed, tol=1e-6,
         reports.append(report_from_values(f"constraint/{cname}", [value], tol=0.0,
                                           detail="structural identity, exact"))
 
-    # one sample point per flag, all from one laned evaluation; the first (at
-    # most 32) are the bundle flags
-    points = solitons.sample_points(fixture.rd, fixture.nav, fixture.f, fixture.sigma, flags, 32)
-    bundle_points = points[:32]
-    rows = _flag_rows(fixture, points, mode)
+    # one base point per flag, all from one laned evaluation, and the stacked
+    # tables of the first (at most 32) flags, the bundle flags
+    bases, stack = solitons.sample_points(fixture.rd, fixture.nav, fixture.f, fixture.sigma,
+                                          flags, 32)
+    rows = _flag_rows(fixture, flags, bases, mode)
     flat = sum(FD_FLAT in row for row in rows)
     names = sorted({k for row in rows for k in row} - {FD_FLAT})
     for name in names:
@@ -115,42 +114,41 @@ def run_fixture_suite(fixture, samples, seed, tol=1e-6,
         reports.append(report_from_values(name, vals, tol, detail=detail))
 
     # the sigma fit reads the first 8 bundle flags, the kappa fit the first 4
-    sigmas, fitres = solitons.fit_sigma([sp.beta for sp in points[:8]])
-    sig_expected = [field_value(fixture.sigma, sp.p.x) for sp in points[:8]]
+    sigmas, fitres = solitons.fit_sigma(stack.beta)
+    sig_expected = [field_value(fixture.sigma, p.x) for p in flags[:8]]
     reports.append(report_from_values(
-        "sigma-fit", np.abs(sigmas - np.array(sig_expected)), tol,
-        detail=f"isotropy fit residual {fitres:.2e}"))
+        "sigma-fit", np.abs(sigmas[:8] - np.array(sig_expected)), tol,
+        detail=f"isotropy fit residual {max(0.0, *fitres[:8].tolist()):.2e}"))
 
-    kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure,
-                                      [sp.base for sp in points[:4]])
-    kap_expected = [field_value(fixture.kappa, sp.p.x) for sp in points[:4]]
+    kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure, bases[:4])
+    kap_expected = [field_value(fixture.kappa, p.x) for p in flags[:4]]
     reports.append(report_from_values("kappa-fit", np.abs(kappas - np.array(kap_expected)), tol))
     reports.append(report_from_values("kappa-anisotropy", [anis], tol))
 
     for bundle in fixture.bundles:
         if bundle not in BUNDLES:
             raise ValueError(f"unknown bundle {bundle!r} on fixture {fixture.name!r}")
-        for r in BUNDLES[bundle](fixture, bundle_points, tol):
+        for r in BUNDLES[bundle](fixture, stack, tol):
             r.name = f"{bundle}/{r.name}"
             reports.append(r)
     return reports
 
 
 # Each characterization bundle a fixture can declare: its checker, called on
-# the fixture's declared scalars and the bundle flags' sample points (which
+# the fixture's declared scalars and the bundle flags' stacked tables (which
 # table the fixture's sigma).  The vector bundles run with V = 0, so kappa is
 # the Einstein scalar and c = 0.
 # The checker is looked up in `solitons` at call time, so a wrapper installed
 # there (a tracer, a counter) sees every call.
 BUNDLES = {
-    "gradient-ab": lambda fx, points, tol: solitons.gradient_soliton_checks_ab(
-        fx.kappa, points, tol),
-    "gradient-nav": lambda fx, points, tol: solitons.gradient_soliton_checks_nav(
-        fx.kappa, points, tol, mu=fx.mu),
-    "vector-ab": lambda fx, points, tol: solitons.vector_soliton_checks_ab(
-        ZERO_FIELD, fx.einstein, points, tol, c=0.0),
-    "vector-nav": lambda fx, points, tol: solitons.vector_soliton_checks_nav(
-        ZERO_FIELD, fx.einstein, points, tol, mu=fx.einstein_h),
+    "gradient-ab": lambda fx, stack, tol: solitons.gradient_soliton_checks_ab(
+        fx.kappa, stack, tol),
+    "gradient-nav": lambda fx, stack, tol: solitons.gradient_soliton_checks_nav(
+        fx.kappa, stack, tol, mu=fx.mu),
+    "vector-ab": lambda fx, stack, tol: solitons.vector_soliton_checks_ab(
+        ZERO_FIELD, fx.einstein, stack, tol, c=0.0),
+    "vector-nav": lambda fx, stack, tol: solitons.vector_soliton_checks_nav(
+        ZERO_FIELD, fx.einstein, stack, tol, mu=fx.einstein_h),
 }
 
 
@@ -342,9 +340,9 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
     identity, the beta/navigation s-tensor transfers s_0 = S_0/lam and
     s^i_j = -S^i_j + S^i W_j / lam, and the closed form for S-dot.
 
-    Each point reads one `solitons.SamplePoint` (`sample_points` on its one
-    flag), one `evaluate_flags` (Ric and S-dot) on its base point and one
-    float F.
+    Each point reads the base point and the one-flag `solitons.BundleStack`
+    of `sample_points` on its one flag, one `evaluate_flags` (Ric and S-dot)
+    on that base point and one float F; every row is a row of the stack.
     """
     rng = np.random.default_rng(seed)
     sig_fit, transfer, s0_row, smix_row, sdot_row = [], [], [], [], []
@@ -359,25 +357,25 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
         y = unit_direction(rng, dim)
         p = FlagPoint(x, y)
 
-        sp = solitons.sample_points(rd, nav, f, sigma, [p], 1)[0]
-        T, N = sp.beta, sp.nav
+        [base], S = solitons.sample_points(rd, nav, f, sigma, [p], 1)
+        T, N, Y = S.beta, S.nav, S.y
 
         fitted, _res = randers.fit_sigma_isotropic_S(T, solitons._directions(dim))
-        sig_fit.append(fitted - field_value(sigma, x))
+        sig_fit.extend((fitted - field_value(sigma, x)).tolist())
 
         mu_t = float(rng.uniform(-1.0, 1.0))
-        ev = finsler.evaluate_flags(metric, measure, [p], [sp.base])[0]
+        ev = finsler.evaluate_flags(metric, measure, [p], [base])[0]
         F = metric.value(x, y)
-        sig = randers.sigma_terms(sp.sigma, y, N.w_up)
-        lhs, rhs = randers.ricci_transfer_sides(ev.bundle.ricci, F, sp.h, N, sig, mu_t, y)
-        transfer.append((lhs - rhs) / F ** 2)
+        sig = randers.sigma_terms(S.sigma, Y, N.w_up)
+        lhs, rhs = randers.ricci_transfer_sides(ev.bundle.ricci, F, S.h, N, sig, mu_t, Y)
+        transfer.extend(((lhs - rhs) / F ** 2).tolist())
 
-        s0_row.append(float(T.s_low @ y) - float(N.s_low @ y) / N.lam)
-        smix = -N.s_mixed + np.outer(N.s_up, N.w_low) / N.lam
-        smix_row.append(float(np.max(np.abs(T.s_mixed - smix))))
+        s0_row.extend((riemann.dot(T.s_low, Y) - riemann.dot(N.s_low, Y) / N.lam).tolist())
+        smix = -N.s_mixed + N.s_up[..., :, None] * N.w_low[..., None, :] / N.lam[..., None, None]
+        smix_row.extend(np.abs(T.s_mixed - smix).max(axis=(-2, -1)).tolist())
 
-        sd_closed = solitons.s_dot_closed_form_nav(sp.h, N, F, sig, sp.f, y)
-        sdot_row.append((ev.s_dot - sd_closed) / max(1.0, abs(ev.s_dot)))
+        sd_closed = solitons.s_dot_closed_form_nav(S.h, N, F, sig, S.f, Y)
+        sdot_row.extend(((ev.s_dot - sd_closed) / max(1.0, abs(ev.s_dot))).tolist())
     return [report_from_values("sigma-vs-conformal-factor", sig_fit, tol),
             report_from_values("curvature-transfer", transfer, tol),
             report_from_values("s-covector-transfer", s0_row, tol),

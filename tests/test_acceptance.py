@@ -43,7 +43,7 @@ def test_criterion_02_cigar_steady_soliton():
                 for p in flags)
     ok1 = _line(2, "cigar |Ric_inf / F^2| (steady, kappa = 0)", worst, 1e-7)
     sigmas, _ = solitons.fit_sigma(
-        [sp.beta for sp in solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags[:8], 8)])
+        solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags[:8], 8)[1].beta)
     worst_sigma = float(np.max(np.abs(sigmas)))
     ok2 = _line(2, "cigar fitted isotropic-S sigma", worst_sigma, 1e-8)
     assert ok1 and ok2
@@ -154,8 +154,8 @@ def test_criterion_10_characterization_bundles_and_negative_controls():
     for name in fixtures.FIXTURE_NAMES:
         fx = fixtures.get_fixture(name)
         flags = sample_flags(fx, 48, np.random.default_rng(110))
-        points = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, len(flags))
-        rows = [r for b in fx.bundles for r in suites.BUNDLES[b](fx, points, tol)]
+        _, stack = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, len(flags))
+        rows = [r for b in fx.bundles for r in suites.BUNDLES[b](fx, stack, tol)]
         worst = max(r.max_abs for r in rows)
         all_ok &= _line(10, f"{name} characterization bundles at declared scalars",
                         worst, tol, passed=all_passed(rows))

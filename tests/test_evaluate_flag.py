@@ -19,8 +19,8 @@ def _flags(fx, count=3, seed=5):
     return sample_flags(fx, count, np.random.default_rng(seed))
 
 
-def _points(fx, flags):
-    return solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
+def _bases(fx, flags):
+    return solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)[0]
 
 
 def _separate_formulas(metric, measure, p):
@@ -161,15 +161,16 @@ class _Counter:
 @pytest.mark.parametrize("name", ["cigar", "shrinking"])
 def test_flag_rows_expand_f2_once_per_flag(name, monkeypatch):
     fx = fixtures.get_fixture(name)
-    points = _points(fx, _flags(fx, count=3))
+    flags = _flags(fx, count=3)
+    bases = _bases(fx, flags)
     counter = _Counter(monkeypatch)
-    rows = suites._flag_rows(fx, points, "jet")
+    rows = suites._flag_rows(fx, flags, bases, "jet")
     assert len(rows) == 3
     if fx.einstein is not None:
         assert {"ricci-law", "flag-curvature-law"} <= set(rows[0])
     # one order-4 expansion for the stack, whose lanes are its flags in order
     assert counter.orders == [4]
-    assert np.array_equal(counter.ys[0], np.array([sp.p.y for sp in points]))
+    assert np.array_equal(counter.ys[0], np.array([p.y for p in flags]))
     # every row reads its sample point's stage and density table
     assert counter.density_tables == counter.stages == len(counter.nav_xs) == 0
 
@@ -234,7 +235,7 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
         return bundle(metric, points, mode, stage_at)
 
     monkeypatch.setattr(finsler, "curvature_bundle", count_bundle)
-    rows = suites._flag_rows(fx, _points(fx, flags), "fd")
+    rows = suites._flag_rows(fx, flags, _bases(fx, flags), "fd")
     # one call for the stack; inside it, one fd bundle per flag
     assert calls == [("fd", len(flags))]
     assert rows == expected
@@ -248,9 +249,9 @@ def test_fd_flag_on_its_sample_point_stages_each_stencil_x_once(name, monkeypatc
     fx = fixtures.get_fixture(name)
     n = fx.dim
     p = _flags(fx, count=1)[0]
-    sp = _points(fx, [p])[0]
+    base = _bases(fx, [p])[0]
     counter = _Counter(monkeypatch)
-    finsler.evaluate_flags(fx.metric, fx.measure, [p], [sp.base], mode="fd")
+    finsler.evaluate_flags(fx.metric, fx.measure, [p], [base], mode="fd")
     assert counter.stages == 8 * n
     assert counter.density_tables == 4 * n
     # order 2: the flag and the other spray stencil points; order 3: S at the

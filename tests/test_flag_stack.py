@@ -29,7 +29,7 @@ def _stack(fx, count=3, seed=7):
     """Sampled flags (each at its own x, on its sample point's base) and then
     every `solitons._directions` flag at the first flag's x, on that base."""
     flags = sample_flags(fx, count, np.random.default_rng(seed))
-    bases = [sp.base for sp in solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)]
+    bases, _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
     dirs = solitons._directions(fx.dim)
     points = list(flags) + [FlagPoint(flags[0].x, d) for d in dirs]
     return points, bases + [bases[0]] * len(dirs)
@@ -76,9 +76,9 @@ def _count_sprays(monkeypatch):
 def test_jet_flag_rows_make_one_spray_pass(name, monkeypatch):
     fx = fixtures.get_fixture(name)
     flags = sample_flags(fx, 3, np.random.default_rng(5))
-    points = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
+    bases, _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
     orders = _count_sprays(monkeypatch)
-    assert len(suites._flag_rows(fx, points, "jet")) == 3
+    assert len(suites._flag_rows(fx, flags, bases, "jet")) == 3
     assert orders == [4]
 
 
@@ -115,7 +115,7 @@ def test_fit_kappa_equals_the_per_base_fit(name, seed):
     # the fixture suite's fit: the base points of its first 4 flags
     fx = fixtures.get_fixture(name)
     flags = sample_flags(fx, 4, np.random.default_rng(seed))
-    bases = [sp.base for sp in solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)]
+    bases, _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
     kappas, anisotropy = solitons.fit_kappa(fx.metric, fx.measure, bases)
     want_kappas, want_anisotropy = _fit_kappa_per_base(fx.metric, fx.measure, bases)
     assert np.array_equal(kappas, want_kappas)

@@ -42,11 +42,11 @@ def test_a_fixture_run_expands_as_each_flag_alone(name):
     # the run's stage: the lanes of the sample points' one navigation point
     fx = fixtures.get_fixture(name)
     flags = sample_flags(fx, 64, np.random.default_rng(0))
-    points = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
+    bases, _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
     X = np.array([p.x for p in flags])
     Y = np.array([p.y for p in flags])
-    stage = finsler._stack_stage(fx.metric, flags, [sp.base.stage for sp in points])
-    assert stage.data is points[0].base.stage.data and stage.idx is None
+    stage = finsler._stack_stage(fx.metric, flags, [base.stage for base in bases])
+    assert stage.data is bases[0].stage.data and stage.idx is None
     for order in (2, 3, 4):
         laned = finsler._f2_jet(stage, Y, order)
         for k, p in enumerate(flags):
@@ -78,7 +78,7 @@ def test_random_randers_stacks_expand_as_each_flag_alone(dim, rng):
 def test_a_stack_of_one_flag_expands_unlaned(monkeypatch):
     fx = fixtures.get_fixture("cigar")
     p = sample_flags(fx, 1, np.random.default_rng(3))[0]
-    sp = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, [p], 0)[0]
+    [base], _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, [p], 0)
     laned = []
     mul = Jet.__mul__
 
@@ -87,10 +87,10 @@ def test_a_stack_of_one_flag_expands_unlaned(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(Jet, "__mul__", recording_mul)
-    T = finsler._f2_tables(sp.base.stage, np.array([p.y]), 4)
+    T = finsler._f2_tables(base.stage, np.array([p.y]), 4)
     assert laned and not any(laned)
     assert T["Q02"].shape == (1, 2, 2) and isinstance(T["F"], list)
-    ev = finsler.evaluate_flags(fx.metric, fx.measure, [p], [sp.base])[0]
+    ev = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
     assert not any(laned)
     _assert_bitwise(ev.bundle.riemann, finsler.curvature_bundle(fx.metric, [p])[0].riemann, "R")
 

@@ -387,8 +387,8 @@ def _fd_cases():
     for name, count in (("gaussian", 2), ("cigar", 2), ("shrinking", 1)):
         fx = fixtures.get_fixture(name)
         flags = sample_flags(fx, count, np.random.default_rng(17))
-        yield name, fx.metric, fx.measure, flags, [
-            sp.base for sp in solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)]
+        yield name, fx.metric, fx.measure, flags, solitons.sample_points(
+            fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)[0]
     rng = np.random.default_rng(19)
     rd = generators.random_randers(rng, 2)
     measure = randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))

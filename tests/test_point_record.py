@@ -227,11 +227,9 @@ def test_record_covariant_calculus_equals_the_per_call_passes(name):
 def test_record_randers_tensors_equal_the_per_call_passes(name):
     fx, flags, _ = _cases(name)
     dirs = solitons._directions(fx.dim)
-    tables = []
     for p in flags:
         T = randers.beta_tables(riemann.point_record(fx.rd.alpha, p.x, 2),
                                 fx.rd.beta.table(p.x, order=2))
-        tables.append(T)
         want = _beta_tables(fx.rd, p.x)
         assert list(want) == [f.name for f in dataclasses.fields(T)]
         for key in want:
@@ -245,10 +243,13 @@ def test_record_randers_tensors_equal_the_per_call_passes(name):
             assert list(want) == [f.name for f in dataclasses.fields(N)]
             for key in want:
                 _same(getattr(N, key), want[key], f"nav_tensors order {order} {key}")
-    sigmas, worst = solitons.fit_sigma(tables)
+    # the fit of the flags' stacked tables: one sigma and residual per lane
+    X = np.array([p.x for p in flags])
+    sigmas, residuals = solitons.fit_sigma(randers.beta_tables(
+        riemann.point_record(fx.rd.alpha, X, 2), fx.rd.beta.table(X, order=2)))
     want = [_fit_sigma_isotropic_S(fx.rd, p.x, dirs) for p in flags]
     _same(sigmas, [s for s, _ in want], "fit_sigma sigmas")
-    assert worst == max(0.0, *[r for _, r in want])
+    _same(residuals, [r for _, r in want], "fit_sigma residuals")
 
 
 def test_conformal_formulas_read_the_record_where_the_float_metric_differs():

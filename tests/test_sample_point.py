@@ -27,65 +27,58 @@ from finsler_solitons.sampling import sample_flags
 CASES = [(name, None) for name in fixtures.FIXTURE_NAMES] + [("cigar", ("W", 1e-2))]
 
 
-def _equal(got, want, what):
-    if isinstance(want, riemann.RiemannMetric):
-        assert got is want, what
-    elif want is None:
-        assert got is None, what
-    else:
-        assert np.array_equal(got, want), what
-
-
-def _same_fields(got, want, what):
-    assert type(got) is type(want), what
+def _same_row(stack, k, want, what):
+    # row k of a stacked record against the one-point record
+    assert type(stack) is type(want), what
     for f in dataclasses.fields(want):
-        _equal(getattr(got, f.name), getattr(want, f.name), (what, f.name))
+        got, w = getattr(stack, f.name), getattr(want, f.name)
+        assert (got is None and w is None) or np.array_equal(got[k], w), (what, f.name)
 
 
 @pytest.mark.parametrize("name,perturb", CASES)
 def test_sample_point_equals_the_closure_path(name, perturb):
     fx = fixtures.get_fixture(name, perturb=perturb)
     flags = sample_flags(fx, 3, np.random.default_rng(23))
-    for p, sp in zip(flags, solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 3),
-                     strict=True):
-        assert sp.p is p
+    bases, S = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 3)
+    assert len(bases) == len(flags) and S.x.shape == S.y.shape == (3, fx.dim)
+    for k, (p, sp) in enumerate(zip(flags, bases, strict=True)):
         base = finsler.base_point(fx.metric, fx.measure, p.x)
-        assert np.array_equal(sp.base.x, base.x)
+        assert np.array_equal(sp.x, base.x)
         for order in (2, 3, 4):
-            got = finsler._f2_jet(sp.base.stage, p.y, order)
+            got = finsler._f2_jet(sp.stage, p.y, order)
             want = finsler._f2_jet(base.stage, p.y, order)
             assert got.space is want.space
             assert np.array_equal(got.coeffs, want.coeffs), (name, order)
-        assert len(sp.base.logs) == len(base.logs) == 3
-        for got, want in zip(sp.base.logs, base.logs):
+        assert len(sp.logs) == len(base.logs) == 3
+        for got, want in zip(sp.logs, base.logs):
             assert np.array_equal(got, want), (name, "logs")
 
+        assert np.array_equal(S.x[k], p.x) and np.array_equal(S.y[k], p.y)
         alpha = riemann.point_record(fx.rd.alpha, p.x, 2)
         h = riemann.point_record(fx.nav.h, p.x, 2)
-        _same_fields(sp.alpha, alpha, (name, "alpha record"))
-        _same_fields(sp.h, h, (name, "h record"))
+        _same_row(S.alpha, k, alpha, (name, "alpha record"))
+        _same_row(S.h, k, h, (name, "h record"))
         T = randers.beta_tables(alpha, fx.rd.beta.table(p.x, order=2))
-        _same_fields(sp.beta, T, (name, "beta tables"))
-        bd = randers.beta_derivatives(T, p.y)
-        for f in dataclasses.fields(bd):
-            _equal(getattr(sp.bd, f.name), getattr(bd, f.name), (name, "bd", f.name))
-        _same_fields(sp.nav, randers.nav_tensors(h, fx.nav.W.table(p.x, order=1)),
-                     (name, "nav tensors"))
-        assert len(sp.f) == 3
-        for got, want in zip(sp.f, fx.f.table(p.x, order=2)):
-            assert np.array_equal(got, want), (name, "f table")
-        assert len(sp.sigma) == 2
-        for got, want in zip(sp.sigma, fx.sigma.table(p.x, order=1)):
-            assert np.array_equal(got, want), (name, "sigma table")
+        _same_row(S.beta, k, T, (name, "beta tables"))
+        _same_row(S.bd, k, randers.beta_derivatives(T, p.y), (name, "bd"))
+        _same_row(S.nav, k, randers.nav_tensors(h, fx.nav.W.table(p.x, order=1)),
+                  (name, "nav tensors"))
+        assert len(S.f) == 3
+        for got, want in zip(S.f, fx.f.table(p.x, order=2)):
+            assert np.array_equal(got[k], want), (name, "f table")
+        assert len(S.sigma) == 2
+        for got, want in zip(S.sigma, fx.sigma.table(p.x, order=1)):
+            assert np.array_equal(got[k], want), (name, "sigma table")
 
 
 @pytest.mark.parametrize("name", ["cigar", "expanding"])
 def test_a_flag_on_its_sample_point_evaluates_as_alone(name):
     fx = fixtures.get_fixture(name)
     flags = sample_flags(fx, 2, np.random.default_rng(29))
-    for p, sp in zip(flags, solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)):
-        assert (sp.alpha, sp.beta, sp.bd, sp.h, sp.nav, sp.f, sp.sigma) == (None,) * 7
-        shared = finsler.evaluate_flags(fx.metric, fx.measure, [p], [sp.base])[0]
+    bases, stack = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
+    assert stack is None
+    for p, base in zip(flags, bases, strict=True):
+        shared = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
         alone = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
         for f in dataclasses.fields(alone.bundle):
             assert np.array_equal(getattr(shared.bundle, f.name), getattr(alone.bundle, f.name))
@@ -160,8 +153,8 @@ def test_the_fixture_measure_and_its_sample_points_read_one_density(name, pertur
     # point's table: both are e^{-f} sqrt(det h), so they agree bit for bit
     fx = fixtures.get_fixture(name, perturb=perturb)
     flags = sample_flags(fx, 3, np.random.default_rng(31))
-    for p, sp in zip(flags, solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)):
-        got = sp.base.logs
+    for p, base in zip(flags, solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)[0]):
+        got = base.logs
         want = fx.measure.log_density_table(p.x)
         assert len(got) == len(want) == 3
         for g, w in zip(got, want):

@@ -23,8 +23,9 @@ def flags_of(fx, n=12, seed=5):
 
 
 def points_of(fx, n=12, seed=5, f=None):
+    """The bundle stack of the first n flags of `flags_of`."""
     return solitons.sample_points(fx.rd, fx.nav, fx.f if f is None else f, fx.sigma,
-                                  flags_of(fx, n, seed), n)
+                                  flags_of(fx, n, seed), n)[1]
 
 
 # -- pointwise residuals -----------------------------------------------------------
@@ -60,11 +61,12 @@ def test_gradient_soliton_residual_fixtures():
 
 def test_gradient_residual_affine_in_kappa():
     fx = fixtures.get_fixture("cigar")
-    points = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags_of(fx, 1), 0)
+    flags = flags_of(fx, 1)
+    bases, _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
     delta = 0.123
     shifted_fx = dataclasses.replace(fx, kappa=ScalarField(lambda x: float(fx.kappa(x)) + delta))
-    [base] = suites._flag_rows(fx, points, "jet")
-    [shifted] = suites._flag_rows(shifted_fx, points, "jet")
+    [base] = suites._flag_rows(fx, flags, bases, "jet")
+    [shifted] = suites._flag_rows(shifted_fx, flags, bases, "jet")
     assert shifted["infinity-ricci"] == pytest.approx(base["infinity-ricci"] - delta, abs=1e-12)
 
 
@@ -116,7 +118,7 @@ def test_vector_bundles_read_a_nonzero_field(dim):
     v = VectorField(lambda x: list(x))
     rng = np.random.default_rng(7)
     flags = [FlagPoint(rng.uniform(-1.0, 1.0, dim), unit_direction(rng, dim)) for _ in range(8)]
-    points = solitons.sample_points(randers.from_navigation(nav), nav, 0.0, 0.0, flags, 8)
+    _, points = solitons.sample_points(randers.from_navigation(nav), nav, 0.0, 0.0, flags, 8)
 
     def rows(kappa):
         out = solitons.vector_soliton_checks_ab(v, kappa, points, TOL, c=0.5)
@@ -143,7 +145,7 @@ def test_constant_weight_reduces_to_einstein_check():
     rows += solitons.gradient_soliton_checks_nav(fx.einstein, points, TOL, mu=fx.einstein_h)
     assert all_passed(rows), [(r.name, r.max_abs) for r in rows if not r.passed]
     m_bh = randers.bh_measure(fx.rd)
-    for p in [bp.p for bp in points[:4]]:
+    for p in flags_of(fx, 4):
         ric_inf = finsler.evaluate_flags(fx.metric, m_bh, [p])[0].ric_inf
         assert abs(ric_inf / p.F ** 2 - field_value(fx.einstein, p.x)) <= 1e-9
 
@@ -270,13 +272,13 @@ def test_fixture_suite_dispatches_each_bundle_to_its_checker(monkeypatch):
     assert ("c", 0.0) in seen[2][2]
     assert seen[3][1][:2] == (fixtures.ZERO_FIELD, fx.einstein)
     assert ("mu", fx.einstein_h) in seen[3][2]
-    # all four read one list of bundle points
-    points = seen[0][1][1]
-    assert seen[1][1][1] is points and seen[2][1][2] is points and seen[3][1][2] is points
-    # and the fixture's sigma as the bundle points table it
-    for bp in points:
-        for got, want in zip(bp.sigma, fx.sigma.table(bp.p.x, order=1), strict=True):
-            assert np.array_equal(got, want)
+    # all four read one stack of the bundle flags' tables
+    stack = seen[0][1][1]
+    assert isinstance(stack, solitons.BundleStack)
+    assert seen[1][1][1] is stack and seen[2][1][2] is stack and seen[3][1][2] is stack
+    # and the fixture's sigma as the stack tables it
+    for got, want in zip(stack.sigma, fx.sigma.table(stack.x, order=1), strict=True):
+        assert np.array_equal(got, want)
     for bundle in fx.bundles:
         assert any(r.name.startswith(f"{bundle}/") for r in reports)
 
@@ -289,8 +291,8 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     # stacked pass over the bundle flags' x from that evaluation, and so are
     # sigma's table, which every bundle reads, and the beta tensors'
     # contractions with the flags' y (beta_derivatives); the only other jet
-    # passes of table functions are V's vector_table in each vector bundle;
-    # and no float evaluation of a metric or a field
+    # passes of table functions are V's vector_table, one per vector bundle
+    # over the same x; and no float evaluation of a metric or a field
     from finsler_solitons.jets import Jet
 
     fx = fixtures.get_fixture(name)
@@ -322,13 +324,13 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
         monkeypatch.setattr(field, "_fn", counting(at_jet_x(key), field._fn))
     for module, attr, x_of in ((riemann, "record_from_tables", lambda h, x, t: x),
                                (riemann, "scalar_table", lambda fn, x, order: x),
+                               (riemann, "vector_table", lambda fn, x, order: x),
                                (randers, "beta_tables", lambda A, btab: A.x),
                                (randers, "beta_derivatives", lambda T, y: T.x),
                                (randers, "nav_tensors", lambda H, wtab: H.x)):
         monkeypatch.setattr(module, attr, counting(stacked_x(attr, x_of), getattr(module, attr)))
-    for module, attr in ((riemann, "matrix_table"), (riemann, "vector_table")):
-        monkeypatch.setattr(module, attr, counting(lambda *a, _k=attr: _k,
-                                                   getattr(module, attr)))
+    monkeypatch.setattr(riemann, "matrix_table",
+                        counting(lambda *a: "matrix_table", riemann.matrix_table))
     monkeypatch.setattr(riemann.RiemannMetric, "matrix_at",
                         counting(lambda *a: "matrix_at", riemann.RiemannMetric.matrix_at))
     monkeypatch.setattr(riemann.VectorField, "at",
@@ -339,12 +341,13 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
     vector_bundles = sum(b.startswith("vector-") for b in fx.bundles)
     assert counts == collections.Counter(
         {"h": 1, "W": 1, "f": 1, "record_from_tables": 2, "beta_tables": 1, "nav_tensors": 1,
-         "beta_derivatives": 1, "vector_table": vector_bundles * samples,
+         "beta_derivatives": 1, "vector_table": vector_bundles,
          "scalar_table": 1})
     # with fewer than 32 samples every flag is a bundle flag
     xs = np.array([p.x for p in flags_of(fx, samples, seed=3)])
     assert set(lanes) == {"h", "W", "f", "record_from_tables", "beta_tables",
-                          "beta_derivatives", "nav_tensors", "scalar_table"}
+                          "beta_derivatives", "nav_tensors", "scalar_table"} | (
+        {"vector_table"} if vector_bundles else set())
     for key, calls in lanes.items():
         assert all(np.array_equal(x, xs) for x in calls), key
 
@@ -352,9 +355,8 @@ def test_fixture_suite_makes_one_pass_per_metric_and_field_per_bundle_flag(name,
 def test_sigma_fit_detail_carries_the_fit_residual():
     fx = fixtures.get_fixture("cigar")
     rows = {r.name: r for r in suites.run_fixture_suite(fx, samples=2, seed=3)}
-    _sigmas, fitres = solitons.fit_sigma(
-        [sp.beta for sp in points_of(fx, n=2, seed=3)])
-    assert rows["sigma-fit"].detail == f"isotropy fit residual {fitres:.2e}"
+    _sigmas, fitres = solitons.fit_sigma(points_of(fx, n=2, seed=3).beta)
+    assert rows["sigma-fit"].detail == f"isotropy fit residual {max(fitres):.2e}"
 
 
 def test_perturbed_unknown_ingredient_raises():
@@ -372,7 +374,7 @@ def test_characterizations_consistent_on_fixtures():
     for name in fixtures.FIXTURE_NAMES:
         fx = fixtures.get_fixture(name)
         flags = flags_of(fx, 8)
-        points = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, len(flags))
+        _, points = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, len(flags))
         for p in flags[:4]:
             ric_inf = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf
             assert abs(ric_inf / p.F ** 2 - field_value(fx.kappa, p.x)) <= 1e-7
