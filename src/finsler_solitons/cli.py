@@ -118,6 +118,23 @@ def _emit(report, fmt, output) -> int:
     return EXIT_PASS if report["passed"] else EXIT_FAIL
 
 
+def _report(args, what, run, header) -> int:
+    """The one path from a run to its report and exit code: `run()` makes the
+    checks, a `ParameterError` is a usage error and a tripped domain guard
+    (or a runtime error) an evaluation error in `what`; otherwise the report,
+    `header` with the checks and the verdict, is written by `_emit`."""
+    try:
+        checks = run()
+    except ParameterError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    except (ArithmeticError, RuntimeError) as exc:
+        print(f"evaluation error {what}: {exc}", file=sys.stderr)
+        return EXIT_EVAL
+    report = dict(header, checks=[r.to_dict() for r in checks], passed=all_passed(checks))
+    return _emit(report, args.format, args.output)
+
+
 def _cmd_verify(args) -> int:
     try:
         perturb = _parse_perturb(args.perturb)
@@ -133,27 +150,12 @@ def _cmd_verify(args) -> int:
     except fixtures.ConstructionError as exc:
         print(f"bad fixture configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        checks = suites.run_fixture_suite(fixture, samples=args.samples, seed=args.seed,
-                                          tol=args.tol, mode=args.diff_mode)
-    except ParameterError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (ArithmeticError, RuntimeError) as exc:
-        print(f"evaluation error on fixture {args.fixture!r}: {exc}", file=sys.stderr)
-        return EXIT_EVAL
-    report = {
-        "command": "verify",
-        "fixture": args.fixture,
-        "perturb": args.perturb,
-        "seed": args.seed,
-        "samples": args.samples,
-        "tol": args.tol,
-        "diff_mode": args.diff_mode,
-        "checks": [r.to_dict() for r in checks],
-        "passed": all_passed(checks),
-    }
-    return _emit(report, args.format, args.output)
+    return _report(args, f"on fixture {args.fixture!r}", functools.partial(
+        suites.run_fixture_suite, fixture, samples=args.samples, seed=args.seed, tol=args.tol,
+        mode=args.diff_mode), {"command": "verify", "fixture": args.fixture,
+                               "perturb": args.perturb, "seed": args.seed,
+                               "samples": args.samples, "tol": args.tol,
+                               "diff_mode": args.diff_mode})
 
 
 def _cmd_crosscheck(args) -> int:
@@ -161,24 +163,10 @@ def _cmd_crosscheck(args) -> int:
         print(f"unknown suite {args.suite!r}; available: "
               f"{', '.join(sorted(suites.CROSSCHECK_SUITES))}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        checks = suites.run_crosscheck_suite(args.suite, count=args.count,
-                                             seed=args.seed, tol=args.tol)
-    except ParameterError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (ArithmeticError, RuntimeError) as exc:
-        print(f"evaluation error in suite {args.suite!r}: {exc}", file=sys.stderr)
-        return EXIT_EVAL
-    report = {
-        "command": "crosscheck",
-        "suite": args.suite,
-        "seed": args.seed,
-        "count": args.count,
-        "checks": [r.to_dict() for r in checks],
-        "passed": all_passed(checks),
-    }
-    return _emit(report, args.format, args.output)
+    return _report(args, f"in suite {args.suite!r}", functools.partial(
+        suites.run_crosscheck_suite, args.suite, count=args.count, seed=args.seed,
+        tol=args.tol), {"command": "crosscheck", "suite": args.suite, "seed": args.seed,
+                        "count": args.count})
 
 
 def _cmd_list(args) -> int:

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -173,8 +173,9 @@ def _stage(metric: FinslerMetric, x):
 class LaneStage:
     """The stage at lanes `idx` of x-only data laned over `lanes` points:
     `build(data)` is the stage at every lane, and `data` holds laned jets in
-    nested lists and tuples (`jets.lane` takes its lanes).  idx is None for
-    every lane, an int for one point's unlaned stage, or an index array.
+    nested lists and tuples (`jets.lane` takes its lanes), or is one point's
+    x (`base_point`, one lane).  idx is None for every lane, an int for one
+    point's unlaned stage, or an index array.
     The stage is built on the first call and kept; `lane(k)` shares the
     data, so the flags of a stack that are lanes of one data expand as one
     stage (`_stack_stage`)."""
@@ -560,8 +561,11 @@ class BasePoint:
 
 
 def base_point(metric: FinslerMetric, measure: Measure, x) -> BasePoint:
-    """The base point of (metric, measure) at x."""
-    return BasePoint(x=np.asarray(x, float), stage=_stage(metric, x),
+    """The base point of (metric, measure) at x.  Its stage is a `LaneStage`
+    over x, built on first use: base points whose flags meet in one stack
+    build none of theirs, the stack stages once (`_stack_stage`)."""
+    x = np.asarray(x, float)
+    return BasePoint(x=x, stage=LaneStage(partial(_stage, metric), x, 1, None),
                      logs=measure.log_density_table(x))
 
 

@@ -109,13 +109,6 @@ def _multis_of_degree(nvars, deg):
             yield (head,) + tail
 
 
-def _multi_factorial(multi):
-    out = 1
-    for e in multi:
-        out *= math.factorial(e)
-    return out
-
-
 class JetSpace:
     """Multi-index bookkeeping shared by all jets of one monomial set.
 
@@ -147,7 +140,8 @@ class JetSpace:
                             if sum(m[:x_vars]) <= X_ORDER)
         self.index = {m: i for i, m in enumerate(self.multis)}
         self.nterms = len(self.multis)
-        self.factorials = np.array([_multi_factorial(m) for m in self.multis], float)
+        self.factorials = np.array([math.prod(map(math.factorial, m)) for m in self.multis],
+                                   float)
         ia, ib, ic = [], [], []
         degs = [sum(m) for m in self.multis]
         for i, ma in enumerate(self.multis):

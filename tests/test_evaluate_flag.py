@@ -70,15 +70,18 @@ def test_evaluate_flag_equals_the_separate_formulas(name):
 
 
 def test_evaluate_flag_reuses_a_passed_density_table(monkeypatch):
-    # The base point's density table and stage: the flag builds neither.
+    # The base point's density table and stage: the flag builds no density
+    # table, and the stage once, on its first use, and never again.
     fx = fixtures.get_fixture("cigar")
     p = _flags(fx, count=1)[0]
     base = finsler.base_point(fx.metric, fx.measure, p.x)
     a = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
     counter = _Counter(monkeypatch)
     b = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
-    assert (counter.orders, counter.density_tables, counter.stages) == ([4], 0, 0)
-    assert (a.S, a.s_dot, a.ric_inf) == (b.S, b.s_dot, b.ric_inf)
+    assert (counter.orders, counter.density_tables, counter.stages) == ([4], 0, 1)
+    c = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
+    assert (counter.orders, counter.density_tables, counter.stages) == ([4, 4], 0, 1)
+    assert (a.S, a.s_dot, a.ric_inf) == (b.S, b.s_dot, b.ric_inf) == (c.S, c.s_dot, c.ric_inf)
 
 
 @pytest.mark.parametrize("name,order", [("cigar", 4), ("shrinking", 4), ("cigar", 2),
@@ -265,12 +268,14 @@ def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monke
     dirs = solitons._directions(fx.dim)
     counter = _Counter(monkeypatch)
     bases = [finsler.base_point(fx.metric, fx.measure, x) for x in xs]
-    assert (counter.stages, counter.density_tables) == (len(xs), len(xs))
+    # a base point builds its stage on first use, not before
+    assert (counter.stages, counter.density_tables) == (0, len(xs))
     solitons.fit_kappa(fx.metric, fx.measure, bases)
     # the fit builds no density table of its own; its bases' stages are not
-    # lanes of one laned stage, so it stages once, laned over its flags' x
-    # (a fixture run's bases are: `test_fixture_suite_stages_each_flag_once...`)
-    assert (counter.stages, counter.density_tables) == (len(xs) + 1, len(xs))
+    # lanes of one laned stage, so it stages once, laned over its flags' x,
+    # and builds none of theirs (a fixture run's bases are lanes of one:
+    # `test_fixture_suite_stages_each_flag_once...`)
+    assert (counter.stages, counter.density_tables) == (1, len(xs))
     assert counter.orders == [4]
     assert np.array_equal(counter.ys[0], np.array([d for _ in xs for d in dirs]))
     assert counter.float_stages == 1            # the F^2 normalisers: one stacked value

@@ -251,7 +251,9 @@ def _recording_sprays(monkeypatch):
 
     def recording_tables(st, y, order):
         if order == 2:
-            sprays.append(at[id(st)] + np.asarray(y, float).tobytes())
+            # a base point's stage is a LaneStage over its x, built on first use
+            x = st.data.tobytes() if isinstance(st, finsler.LaneStage) else at[id(st)]
+            sprays.append(x + np.asarray(y, float).tobytes())
         return tables(st, y, order)
 
     monkeypatch.setattr(finsler, "_stage", recording_stage)
