@@ -150,12 +150,12 @@ def _cmd_verify(args) -> int:
     except fixtures.ConstructionError as exc:
         print(f"bad fixture configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return _report(args, f"on fixture {args.fixture!r}", functools.partial(
-        suites.run_fixture_suite, fixture, samples=args.samples, seed=args.seed, tol=args.tol,
-        mode=args.diff_mode), {"command": "verify", "fixture": args.fixture,
-                               "perturb": args.perturb, "seed": args.seed,
-                               "samples": args.samples, "tol": args.tol,
-                               "diff_mode": args.diff_mode})
+    run = functools.partial(suites.run_fixture_suite, fixture, samples=args.samples,
+                            seed=args.seed, tol=args.tol, mode=args.diff_mode)
+    header = {"command": "verify", "fixture": args.fixture, "perturb": args.perturb,
+              "seed": args.seed, "samples": args.samples, "tol": args.tol,
+              "diff_mode": args.diff_mode}
+    return _report(args, f"on fixture {args.fixture!r}", run, header)
 
 
 def _cmd_crosscheck(args) -> int:
@@ -163,10 +163,11 @@ def _cmd_crosscheck(args) -> int:
         print(f"unknown suite {args.suite!r}; available: "
               f"{', '.join(sorted(suites.CROSSCHECK_SUITES))}", file=sys.stderr)
         return EXIT_USAGE
-    return _report(args, f"in suite {args.suite!r}", functools.partial(
-        suites.run_crosscheck_suite, args.suite, count=args.count, seed=args.seed,
-        tol=args.tol), {"command": "crosscheck", "suite": args.suite, "seed": args.seed,
-                        "count": args.count})
+    run = functools.partial(suites.run_crosscheck_suite, args.suite, count=args.count,
+                            seed=args.seed, tol=args.tol)
+    header = {"command": "crosscheck", "suite": args.suite, "seed": args.seed,
+              "count": args.count}
+    return _report(args, f"in suite {args.suite!r}", run, header)
 
 
 def _cmd_list(args) -> int:

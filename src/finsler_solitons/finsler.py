@@ -19,10 +19,10 @@ over arrays with a leading flag axis), each row bit-equal to the flag
 evaluated alone.  A stack of one flag expands unlaned.  A kappa fit
 (`solitons.fit_kappa`) is one such stack.  A flag evaluation's x-only work
 is a `BasePoint`: the metric's stage at x and the log-density table, built
-once per sample point (`base_point`), or for all of a fixture run's flags at
-once (`solitons.sample_points`, whose stages are lanes of one `LaneStage`),
-and shared by every direction evaluated there; `_stack_stage` makes a
-stack's stage from its flags'.
+once per sample point (`base_point`, whose stage is built on first use),
+or for all of a fixture run's flags at once (`solitons.sample_points`, whose
+stages are lanes of one `LaneStage`), and shared by every direction
+evaluated there; `_stack_stage` makes a stack's stage from its flags'.
 
 `evaluate_flags` is also the one place a flag evaluation chooses jet or
 finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are

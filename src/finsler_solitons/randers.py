@@ -25,7 +25,8 @@ sqrt(det h) (Xing 2005), which the fixtures and sample points read, and
 The tensors of one point read a `riemann.PointRecord` of alpha or h and the
 table of beta or W (`beta_tables`, `nav_tensors`; with leading lane axes,
 the tensors of a stack of points, each lane bit-equal to its point alone;
-`beta_derivatives` and `randers_ricci_closed_form` take a stack of flags the
+`beta_derivatives`, `randers_ricci_closed_form`, `sigma_terms`,
+`fit_sigma_isotropic_S` and `ricci_transfer_sides` take a stack of flags the
 same way), and the navigation identities read those tensors and the
 flag's F from the caller, with xi = y - F W on the tabled W (`NavTensors.w_up`).
 """

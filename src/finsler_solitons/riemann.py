@@ -400,8 +400,8 @@ def hessian_tensor(rec: PointRecord, ftab) -> np.ndarray:
 
 def hessian(rec: PointRecord, ftab, y):
     """Hess(f)(y, y) at the record's point, or one per lane of a stack (`einsum_rows`)."""
-    return einsum_rows("ij,i,j->", hessian_tensor(rec, ftab), np.asarray(y, float),
-                       np.asarray(y, float))
+    y = np.asarray(y, float)
+    return einsum_rows("ij,i,j->", hessian_tensor(rec, ftab), y, y)
 
 
 # -- Lie derivatives and conformal residuals ----------------------------------

@@ -11,22 +11,23 @@ Four equivalent descriptions are implemented and cross-checked:
   * navigation characterizations: V-form (`vector_soliton_checks_nav`) and
     gradient form (`gradient_soliton_checks_nav`).
 
-Each sample flag of a fixture (navigation data, a weight f and the
-isotropic S-curvature sigma) is one `SamplePoint`.  A run's sample points
-come from one jet evaluation of h, W and f laned over the flags' x
-(`sample_points`), whose stage of F is the run's stage (a flag's is its
-lane), and the tables at its bundle flags from one stacked pass
-of the records, beta and W tensors and the beta tensors' contractions with
-the flags' y, with sigma's order-1 table; the flag rows, the kappa and sigma
-fits and the four bundles read them.  A bundle is its row formulas: at each point it appends one tuple of
-row values, and `_bundle_reports` makes one report per row.  The vector
-bundles table V once per flag and feed its covariant derivative to the
-table formulas of `riemann` (Lie derivatives, conformal residual).
+A fixture run (navigation data, a weight f and the isotropic S-curvature
+sigma at its sample flags) is one jet evaluation of h, W and f laned over
+the flags' x (`sample_points`): each flag's `finsler.BasePoint`, whose stage
+is its lane of the run's stage, for the flag rows and the kappa fit, and at
+the bundle flags one `BundleStack`, a stacked pass of the records, beta and
+W tensors and the beta tensors' contractions with the flags' y, with
+sigma's order-1 table, for the sigma fit and the four bundles.  A bundle is
+its row formulas, each row one array over the stack's lanes (each lane
+bit-equal to its flag alone), and `_bundle_reports` makes one report per
+row.  The vector bundles table V once, laned over the stack's x, and feed
+its covariant derivative to the table formulas of `riemann` (Lie
+derivatives, conformal residual).
 
 All 2-homogeneous residuals are normalized by F^2 (or h^2), 1-homogeneous
 ones by F (or h) and matrix residuals by max(1, max |a_ij|) (or h_ij), so
 tolerances are scale-free.  The bundles check the scalars kappa, c and mu
-that the caller declares (fields or constants) and the sample points' sigma;
+that the caller declares (fields or constants) and the stack's sigma;
 kappa and sigma are also fitted by least squares (`fit_kappa`, `fit_sigma`)
 for the fixture suite's fit rows.
 """
@@ -172,7 +173,7 @@ def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags, bundle)
 def _declared(field, X) -> np.ndarray:
     """A declared scalar (a field or a constant) at each lane's x, read by
     `field_value` at the lane's point: a fixture's closures need not be
-    lane-safe (cigar's calls math.cosh on a float)."""
+    lane-safe (cigar's curvature law calls math.cosh on a float)."""
     return np.array([field_value(field, x) for x in X])
 
 

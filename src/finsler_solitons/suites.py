@@ -18,10 +18,9 @@ the flag-curvature rows (a fit read off each flag's bundle).  The kappa fit
 is one more such call, over the directions at its base points.  A run's
 x-only work runs once for all its flags, in `solitons.sample_points` (one
 laned closure evaluation, which is also the run's stage, and one stacked
-pass of the bundle flags' records), and each flag reads its
-`solitons.SamplePoint`: the flag rows and the kappa fit (on the first flags)
-its base point, and the bundles and the sigma fit the bundle data of the
-first (at most 32) flags.
+pass of the bundle flags' records): the flag rows and the kappa fit (on the
+first flags) read each flag's base point, and the bundles and the sigma fit
+the `solitons.BundleStack` of the first (at most 32) flags, as it is.
 
 A crosscheck suite that draws many flags of one random metric evaluates the
 metric once over their stack (Taylor arithmetic vectorised over points,
