@@ -131,7 +131,8 @@ class BundleStack:
     sigma: tuple
 
 
-def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags, bundle):
+def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
+                  bundle) -> tuple[list[finsler.BasePoint], BundleStack | None]:
     """(the `finsler.BasePoint` of each flag, the `BundleStack` of the first
     `bundle` flags or None) of nav, rd = from_navigation(nav), the weight f
     and the S-curvature field sigma.  The flags' x are the lanes of one set
