@@ -365,17 +365,13 @@ def fit_sigma_isotropic_S(T: BetaTables, y_samples):
     axes) give one of each per lane, each bit-equal to its one-point call.
     """
     n = T.x.shape[-1]
-    lhs, rhs = [], []
-    for y in y_samples:
-        y = np.asarray(y, float)
-        beta = riemann.dot(T.b_low, y)
-        lhs.append(riemann.bilinear(y, T.e, y))
-        rhs.append(2.0 * (riemann.bilinear(y, T.a, y) - beta * beta))
     # one C-contiguous row of samples per lane (one row at a point): a dot
     # along a strided row can sum in another order
-    count = len(y_samples)
-    lhs, rhs = (np.ascontiguousarray(np.moveaxis(np.array(v), 0, -1)).reshape(-1, count)
-                for v in (lhs, rhs))
+    Y = np.array(y_samples, float)
+    count = len(Y)
+    beta = riemann.dot(T.b_low[..., None, :], Y)
+    lhs = riemann.bilinear(Y, T.e[..., None, :, :], Y).reshape(-1, count)
+    rhs = (2.0 * (riemann.bilinear(Y, T.a[..., None, :, :], Y) - beta * beta)).reshape(-1, count)
     num, denom = np.array([(a @ r, r @ r) for a, r in zip(lhs, rhs)]).T
     if np.any(denom <= 0.0) or count < n * (n + 1) // 2:
         raise ValueError("degenerate y-sample set for sigma fit")
