@@ -359,7 +359,7 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
         [base], S = solitons.sample_points(rd, nav, f, sigma, [p], 1)
         T, N, Y = S.beta, S.nav, S.y
 
-        fitted, _res = randers.fit_sigma_isotropic_S(T, solitons._directions(dim))
+        fitted, _res = solitons.fit_sigma(T)
         sig_fit.extend((fitted - field_value(sigma, x)).tolist())
 
         mu_t = float(rng.uniform(-1.0, 1.0))
