@@ -20,7 +20,7 @@ CASES = ([(name, None) for name in fixtures.FIXTURE_NAMES]
          + [("gaussian", ("sigma", 1e-2)), ("cigar", ("W", 1e-2))])
 
 
-def _rows(fx, flags, v, monkeypatch):
+def _bundle_rows(fx, flags, v, monkeypatch):
     """{(checker, row name): row values} of every bundle on the stack of
     `flags`, and the sigma fit's (sigmas, residuals)."""
     _, stack = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, len(flags))
@@ -45,10 +45,10 @@ def test_every_lane_of_a_run_equals_its_flag_alone(name, perturb, monkeypatch):
     fx = fixtures.get_fixture(name, perturb=perturb)
     flags = sample_flags(fx, 6, np.random.default_rng(41))
     v = generators.random_vector_field(np.random.default_rng(43), fx.dim)
-    run, (sigmas, residuals) = _rows(fx, flags, v, monkeypatch)
+    run, (sigmas, residuals) = _bundle_rows(fx, flags, v, monkeypatch)
     assert {name for _, name in run} >= {"isotropic-s", "conformal-w", "lie-h2-balance"}
     for k, p in enumerate(flags):
-        alone, (sigma, residual) = _rows(fx, [p], v, monkeypatch)
+        alone, (sigma, residual) = _bundle_rows(fx, [p], v, monkeypatch)
         assert run.keys() == alone.keys()
         for key, row in run.items():
             assert row.shape == (len(flags),) and alone[key].shape == (1,), key
