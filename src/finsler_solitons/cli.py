@@ -79,7 +79,11 @@ def _parse_perturb(text):
 
 def _render(report, fmt) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        # RFC 8259 has no token for inf or nan: a residual that is not finite is null
+        checks = [dict(row, **{k: row[k] if math.isfinite(row[k]) else None
+                               for k in ("max_abs", "mean_abs")}) for row in report["checks"]]
+        return json.dumps(dict(report, checks=checks), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

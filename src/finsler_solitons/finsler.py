@@ -10,27 +10,30 @@ a least-squares scalar flag-curvature fit.
 flags' quantities: a single fourth-order expansion of F^2 yields Ric, S,
 S-dot and Ric_inf together; the flag-curvature fit is read off a bundle by
 the callers that want it (`_flag_curvature`).  Without a measure,
-`curvature_bundle` gives the spray, R and Ric alone.  Both take a sequence
-of flags and expand F^2 once per stack: one jet laned over the flags, from
-one stage laned over their x (Taylor arithmetic vectorised over points,
-Griewank-Walther), so the expansion, the Q-table gathers, the spray
-derivatives, R, Ric and dS each run once per stack (one pass of numpy calls
-over arrays with a leading flag axis), each row bit-equal to the flag
-evaluated alone.  A stack of one flag expands unlaned.  A kappa fit
-(`solitons.fit_kappa`) is one such stack.  A flag evaluation's x-only work
-is a `BasePoint`: the metric's stage at x and the log-density table, built
-once per sample point (`base_point`, whose stage is built on first use),
-or for all of a fixture run's flags at once (`solitons.sample_points`, whose
-stages are lanes of one `LaneStage`), and shared by every direction
-evaluated there; `_stack_stage` makes a stack's stage from its flags'.
+`curvature_bundle` gives the spray, R and Ric alone.  Both take a stack of
+flags and return one record whose fields carry a leading flag axis; F^2 is
+expanded once per stack: one jet laned over the flags, from one stage laned
+over their x (Taylor arithmetic vectorised over points, Griewank-Walther),
+so the expansion, the Q-table gathers, the spray derivatives, R, Ric, S, dS
+and S-dot each run once per stack (one pass of numpy calls over arrays with
+a leading flag axis), each lane bit-equal to the flag evaluated alone.  A
+stack of one flag expands unlaned.  A kappa fit (`solitons.fit_kappa`) is
+one such stack.  The x-only work of a stack is one `Bases` record: the
+metric's stage laned over the points (a `LaneStage`, built on first use)
+and the log-density tables, one lane per point, built by `base_points` for
+any metric and measure, or for all of a fixture run's flags at once by
+`solitons.sample_points`; `Bases.lanes` takes lanes of it (a kappa fit
+repeats each point's lane across its directions), and lanes of one stage's
+data expand as one stage.
 
 `evaluate_flags` is also the one place a flag evaluation chooses jet or
 finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are
 written there once for both.  The fd oracle differentiates G (the fd bundle)
-and the order-3 S by Richardson central differences, flag by flag.  Both
-stencils read one memo of stages (`_memo`), one per distinct stencil x and
-seeded with the base points' at each p.x, so an fd flag on a passed base
-point builds 8n stages and 4n log-density tables.
+and the order-3 S by Richardson central differences, flag by flag, and
+stacks the flags' results once.  Both stencils read one memo of stages
+(`_memo`), one per distinct stencil x and seeded with the bases' stage at
+each p.x, so an fd flag on passed bases builds 8n stages and 4n log-density
+tables.
 
 Curvature comes exclusively from the spray,
 
@@ -171,23 +174,23 @@ def _stage(metric: FinslerMetric, x):
 
 
 class LaneStage:
-    """The stage at lanes `idx` of x-only data laned over `lanes` points:
-    `build(data)` is the stage at every lane, and `data` holds laned jets in
-    nested lists and tuples (`jets.lane` takes its lanes), or is one point's
-    x (`base_point`, one lane).  idx is None for every lane, an int for one
-    point's unlaned stage, or an index array.
-    The stage is built on the first call and kept; `lane(k)` shares the
-    data, so the flags of a stack that are lanes of one data expand as one
-    stage (`_stack_stage`)."""
+    """The stage at lanes `idx` of laned x-only data: `build(data)` is the
+    stage at every lane, and `data` holds laned jets in nested lists and
+    tuples (`jets.lane` takes its lanes; one point's unlaned data passes
+    through, so its stage is unlaned at every idx).  idx is None for every
+    lane, an int for one lane's unlaned stage, or an index array.
+    The stage is built on the first call and kept; `lane(idx)` shares the
+    data, so any lanes of one data expand as one stage."""
 
-    __slots__ = ("build", "data", "lanes", "idx", "_stage")
+    __slots__ = ("build", "data", "idx", "_stage")
 
-    def __init__(self, build, data, lanes: int, idx):
-        self.build, self.data, self.lanes, self.idx = build, data, lanes, idx
+    def __init__(self, build, data, idx):
+        self.build, self.data, self.idx = build, data, idx
         self._stage = None
 
     def lane(self, idx) -> "LaneStage":
-        return LaneStage(self.build, self.data, self.lanes, idx)
+        """The stage at lanes idx of this one's lanes."""
+        return LaneStage(self.build, self.data, idx if self.idx is None else self.idx[idx])
 
     def __call__(self, y):
         if self._stage is None:
@@ -196,25 +199,9 @@ class LaneStage:
         return self._stage(y)
 
 
-def _stack_stage(metric: FinslerMetric, points, stages):
-    """One stage for the stack of flags `points` from their stages: one
-    flag's, or one shared by every flag, as it is (at a stack, an unlaned
-    stage serves every lane's y); lanes of one `LaneStage` data as the stage
-    at those lanes, in flag order (the data as it is when they are all its
-    lanes in order); otherwise one stage laned over the points' x."""
-    first = stages[0]
-    if all(s is first for s in stages):
-        return first
-    if all(isinstance(s, LaneStage) and s.data is first.data and isinstance(s.idx, int)
-           for s in stages):
-        idx = [s.idx for s in stages]
-        return first.lane(None if idx == list(range(first.lanes)) else np.array(idx))
-    return _stage(metric, np.array([p.x for p in points], float))
-
-
 def _f2_jet(stage, y, order: int) -> Jet:
     """F^2 as a jet over `jets.flag_space(n, order)` from the stage at x
-    (`_stage` or a `BasePoint`'s, for orders 2 to 4).  At a stack of
+    (`_stage` or a `Bases`' stage, for orders 2 to 4).  At a stack of
     directions y, shape (P, n), and the stage at their P points (or at one
     point), one jet laned over the flags: y enters as flag variables laned
     over the stack, and each lane is bit-equal to its flag's expansion."""
@@ -255,9 +242,9 @@ def _f2_tables(stage, y, order: int) -> dict:
     and "F", from the stage at x (see `_f2_jet`).
 
     At a stack of flags, y of shape (P, n) and `stage` their stage laned over
-    the stack (`_stack_stage`), the expansion is one jet laned over the
-    flags, and each table is gathered once over it, one row per flag ("F" a
-    list); a stack of one flag expands it unlaned, by an unlaned stage.  The
+    the stack (or one stage every flag shares), the expansion is one jet
+    laned over the flags, and each table is gathered once over it, one row
+    per flag; a stack of one flag expands it unlaned, by an unlaned stage.  The
     gather is the coefficient rows times the factorials, then one `take`,
     which keeps the flag axis first and every table C-contiguous; an index
     `[:, pos]` would leave the flag axis innermost in memory, and the
@@ -268,7 +255,7 @@ def _f2_tables(stage, y, order: int) -> dict:
     coeffs = f2.coeffs.reshape(y.shape[:-1] + (-1,))
     partials = coeffs * f2.space.factorials
     T = {name: partials.take(pos, axis=-1) for name, pos in _f2_index(y.shape[-1], order).items()}
-    T["F"] = np.sqrt(coeffs[..., 0]).tolist()
+    T["F"] = np.sqrt(coeffs[..., 0])
     return T
 
 
@@ -328,7 +315,9 @@ def _spray_derivatives(T, y, order: int):
 
 @dataclass
 class CurvatureBundle:
-    """All spray-level data of one flag; indices follow dG_dx[k, i] = dG^i/dx^k.
+    """All spray-level data of a stack of flags, every field with a leading
+    flag axis (F, ricci and r_error one float per flag); indices follow
+    dG_dx[..., k, i] = dG^i/dx^k.
 
     `dF2_dy` is the y-gradient of F^2.  `r_error` estimates the error of
     `riemann` (Frobenius norm): 0 on the jet path, which is exact to
@@ -338,7 +327,7 @@ class CurvatureBundle:
 
     x: np.ndarray
     y: np.ndarray
-    F: float
+    F: np.ndarray
     dF2_dy: np.ndarray
     g: np.ndarray
     spray: np.ndarray
@@ -347,11 +336,11 @@ class CurvatureBundle:
     d2G_dxdy: np.ndarray
     d2G_dydy: np.ndarray
     riemann: np.ndarray
-    ricci: float
-    r_error: float = 0.0
+    ricci: np.ndarray
+    r_error: np.ndarray
 
     @property
-    def F2(self) -> float:
+    def F2(self) -> np.ndarray:
         return self.F * self.F
 
 
@@ -364,40 +353,38 @@ def _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy):
 
 
 def curvature_bundle(metric: FinslerMetric, points, mode: str = "jet",
-                     stage_at=None) -> list[CurvatureBundle]:
-    """Spray, curvature operator and Ricci at each flag of `points`.
+                     stage_at=None) -> CurvatureBundle:
+    """Spray, curvature operator and Ricci at the flags `points`, one bundle
+    whose fields stack them.
 
     `stage_at(x)` is the metric's stage at x (by default one built here, an
     `_memo` of `_stage` in fd mode).  mode="jet" reads it once, at the
     points' x, shape (P, n): a stage laned over them (one point's x, shape
     (n,), for one flag: an unlaned stage), and expands F^2 to fourth order
     once for the stack, laned over its flags; the Q tables are gathered once
-    over the stack (`_f2_tables`), the spray and Riemann formulas and the
-    trace run once over it, and each bundle's arrays are its rows of the
-    stacked results.
+    over the stack (`_f2_tables`), and the spray and Riemann formulas and the
+    trace run once over it.
     mode="fd" builds each flag's bundle alone, recomputing the outer spray
     derivatives by Richardson central differences of the pointwise spray, as
-    an independent cross-check; it reads `stage_at` at each p.x and at every
-    stencil x.
+    an independent cross-check, and stacks them; it reads `stage_at` at each
+    p.x and at every stencil x.
     """
     if mode == "fd":
-        stage_at = stage_at or _memo(lambda x: _stage(metric, x))
-        return [_curvature_bundle_fd(metric, p, stage_at) for p in points]
+        stage_at = stage_at or _memo(partial(_stage, metric))
+        flags = [_curvature_bundle_fd(metric, p, stage_at) for p in points]
+        return CurvatureBundle(*(np.array(field) for field in zip(*flags)))
     if mode != "jet":
         raise ParameterError(f"unknown differentiation mode {mode!r}")
     x = np.array([p.x for p in points], float)
     y = np.array([p.y for p in points], float)
-    stage = (stage_at or (lambda x: _stage(metric, x)))(x[0] if len(points) == 1 else x)
+    stage = (stage_at or partial(_stage, metric))(x[0] if len(points) == 1 else x)
     T = _f2_tables(stage, y, order=4)
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
-    ricci = np.trace(R, axis1=-2, axis2=-1).tolist()
-    return [CurvatureBundle(x=x[i], y=y[i], F=T["F"][i],
-                            dF2_dy=T["Q01"][i], g=D["g"][i],
-                            spray=D["G"][i], dG_dx=D["dG_dx"][i], dG_dy=D["dG_dy"][i],
-                            d2G_dxdy=D["d2G_dxdy"][i], d2G_dydy=D["d2G_dydy"][i],
-                            riemann=R[i], ricci=ricci[i])
-            for i in range(len(points))]
+    return CurvatureBundle(x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=D["g"], spray=D["G"],
+                           dG_dx=D["dG_dx"], dG_dy=D["dG_dy"], d2G_dxdy=D["d2G_dxdy"],
+                           d2G_dydy=D["d2G_dydy"], riemann=R,
+                           ricci=np.trace(R, axis1=-2, axis2=-1), r_error=np.zeros(len(points)))
 
 
 # -- finite-difference cross-check path --------------------------------------
@@ -446,10 +433,11 @@ def _riemann_error(y, G, dG_dy, errors):
             + np.einsum("ji,kj->ik", e_dy, d_dy) + np.einsum("ji,kj->ik", d_dy, e_dy))
 
 
-def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint, stage_at) -> CurvatureBundle:
-    """The finite-difference bundle: G and g from the order-2 expansion at p,
-    the spray derivatives Richardson central differences of the pointwise
-    spray, all components at once, with G once per distinct stencil point.
+def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint, stage_at) -> tuple:
+    """The fields of the finite-difference bundle at one flag, in
+    `CurvatureBundle` order: G and g from the order-2 expansion at p, the
+    spray derivatives Richardson central differences of the pointwise spray,
+    all components at once, with G once per distinct stencil point.
     `r_error` is the Frobenius norm of `_riemann_error` on the derivatives'
     `fd_estimate` errors."""
     n = metric.dim
@@ -472,22 +460,21 @@ def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint, stage_at) -> Curva
     d2G_dydy, e_dydy = _fd_table(G_fn, z0, ys, ys, step=FD_STEP2)
 
     R = _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy)
-    r_error = float(np.linalg.norm(_riemann_error(y, G, dG_dy, (e_dx, e_dy, e_dxdy, e_dydy))))
-    return CurvatureBundle(x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=D["g"],
-                           spray=G, dG_dx=dG_dx, dG_dy=dG_dy, d2G_dxdy=d2G_dxdy,
-                           d2G_dydy=d2G_dydy, riemann=R, ricci=float(np.trace(R)),
-                           r_error=r_error)
+    r_error = np.linalg.norm(_riemann_error(y, G, dG_dy, (e_dx, e_dy, e_dxdy, e_dydy)))
+    return (x, y, T["F"], T["Q01"], D["g"], G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy, R,
+            np.trace(R), r_error)
 
 
 # -- S and Lie derivatives ----------------------------------------------------
 
 
-def _s_value(dG_dy, y, logs) -> float:
-    """S = dG^i/dy^i - y^i d_i log sigma, from the spray's y-derivative."""
-    return float(np.trace(dG_dy) - np.dot(y, logs[1]))
+def _s_value(dG_dy, y, logs):
+    """S = dG^i/dy^i - y^i d_i log sigma, from the spray's y-derivative and
+    the log-density table, over any leading stack axes."""
+    return np.trace(dG_dy, axis1=-2, axis2=-1) - riemann.dot(y, logs[1])
 
 
-def _s_order3(stage, logs, y) -> float:
+def _s_order3(stage, logs, y):
     """S alone at (x, y) from the stage and log-density table at x, by a
     third-order expansion of F^2."""
     y = np.asarray(y, float)
@@ -525,21 +512,23 @@ class FlagCurvature:
     within_error: bool = False      # flat only because |R| <= the bundle's r_error
 
 
-def _flag_curvature(b: CurvatureBundle) -> FlagCurvature:
-    """Least-squares K with R^i_k ~ K (F^2 delta^i_k - F F_{y^k} y^i).
+def _flag_curvature(b: CurvatureBundle, k: int) -> FlagCurvature:
+    """Least-squares K with R^i_k ~ K (F^2 delta^i_k - F F_{y^k} y^i) at
+    flag k of the bundle b.
 
     The residual is the Frobenius misfit relative to |R|; a vanishing R is
     reported as flat with K = 0 and residual 0, and so is an R no larger
     than the bundle's error estimate `r_error` (a finite-difference R that
-    is noise), marked `within_error`.
+    is noise), marked `within_error`.  The fit reads one flag at a time: a
+    norm over a stack of R sums in another order.
     """
-    F2 = b.F2
-    A = F2 * np.eye(b.y.size) - 0.5 * np.outer(b.y, b.dF2_dy)
-    R = b.riemann
+    F2, y = b.F2[k], b.y[k]
+    A = F2 * np.eye(y.size) - 0.5 * np.outer(y, b.dF2_dy[k])
+    R = b.riemann[k]
     normR = float(np.linalg.norm(R))
     if normR <= 1e-11 * F2 * F2 + 1e-300:
         return FlagCurvature(0.0, 0.0, True)
-    if normR <= b.r_error:
+    if normR <= b.r_error[k]:
         return FlagCurvature(0.0, 0.0, True, within_error=True)
     K = float(np.sum(R * A) / np.sum(A * A))
     residual = float(np.linalg.norm(R - K * A) / normR)
@@ -550,91 +539,103 @@ def _flag_curvature(b: CurvatureBundle) -> FlagCurvature:
 
 
 @dataclass(frozen=True)
-class BasePoint:
-    """The x-only work at one sample point, shared by every flag there: the
-    metric's stage at x as order-2 jets (serves expansions of order 2 to 4)
-    and the order-2 log-density table of the measure."""
+class Bases:
+    """The x-only work at a stack of sample points, shared by every flag
+    there: the points x, shape (P, n); the metric's stage at x as order-2
+    jets (serves expansions of order 2 to 4), a `LaneStage` laned over the
+    points (unlaned at one point); and the order-2 log-density tables of the
+    measure, each with a leading lane axis."""
 
     x: np.ndarray
-    stage: object
+    stage: LaneStage
     logs: tuple
 
+    def lanes(self, idx) -> "Bases":
+        """The bases at lanes idx, an index array (in its order, repeats
+        allowed), or at one lane k, an int (that point's x, unlaned stage and
+        tables).  One point's unlaned stage serves every lane as it is."""
+        stage = self.stage if len(self.x) == 1 else self.stage.lane(idx)
+        return Bases(self.x[idx], stage, tuple(t[idx] for t in self.logs))
 
-def base_point(metric: FinslerMetric, measure: Measure, x) -> BasePoint:
-    """The base point of (metric, measure) at x.  Its stage is a `LaneStage`
-    over x, built on first use: base points whose flags meet in one stack
-    build none of theirs, the stack stages once (`_stack_stage`)."""
-    x = np.asarray(x, float)
-    return BasePoint(x=x, stage=LaneStage(partial(_stage, metric), x, 1, None),
-                     logs=measure.log_density_table(x))
+
+def base_points(metric: FinslerMetric, measure: Measure, X) -> Bases:
+    """The bases of (metric, measure) at the points X, shape (P, n): one
+    stage laned over them, built on first use, and one log-density table
+    laned over them.  One point runs unlaned (a laned op at one lane costs
+    more than the unlaned op), and its tables take a lane axis of one."""
+    X = np.asarray(X, float)
+    x = X[0] if len(X) == 1 else X
+    logs = measure.log_density_table(x)
+    if len(X) == 1:
+        logs = tuple(np.asarray(t)[None] for t in logs)
+    xs = Jet.variables(riemann.coordinates(x), jets.X_ORDER)
+    return Bases(X, LaneStage(metric.at, xs, None), logs)
 
 
 @dataclass(frozen=True)
 class FlagEvaluation:
-    """Every per-flag quantity of the soliton laws: in jet mode from one
-    order-4 expansion, in fd mode from the fd bundle and the fd S.  The
-    flag-curvature fit is not one of them: a reader that wants it calls
-    `_flag_curvature(bundle)`."""
+    """Every quantity of the soliton laws at a stack of flags, each with a
+    leading flag axis: in jet mode from one order-4 expansion, in fd mode
+    from the fd bundles and the fd S.  The flag-curvature fit is not one of
+    them: a reader that wants it calls `_flag_curvature(bundle, k)`."""
 
     bundle: CurvatureBundle
-    S: float
+    S: np.ndarray
     dS_dx: np.ndarray
     dS_dy: np.ndarray
-    s_dot: float
-    ric_inf: float
+    s_dot: np.ndarray
+    ric_inf: np.ndarray
 
 
 def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
-                   bases=None, mode: str = "jet") -> list[FlagEvaluation]:
-    """Bundle, S, its derivatives, S-dot and Ric_inf at each flag of `points`.
+                   bases: Bases | None = None, mode: str = "jet") -> FlagEvaluation:
+    """Bundle, S, its derivatives, S-dot and Ric_inf at the flags `points`,
+    one evaluation whose fields stack them.
 
     mode="jet" reads them all off one order-4 expansion of F^2 laned over the
-    flags, from their bases' stages made one (`_stack_stage`), with the spray
-    and curvature of all the flags in one stacked pass (`curvature_bundle`)
-    and dS in one more (its einsums over the stacked
-    rows of the bundles and density tables).  mode="fd" takes each flag's fd
-    bundle, S from an order-3 expansion, and dS by central differences of
-    that S; every x the two fd stencils visit is staged once, and tabled once
-    where S reads its density (see the module notes).
+    flags, from the bases' stage, with the spray and curvature of all the
+    flags in one stacked pass (`curvature_bundle`) and S and dS in one more
+    (over the stacked bundle and density tables).  mode="fd" takes each
+    flag's fd bundle, S from an order-3 expansion, and dS by central
+    differences of that S; every x the two fd stencils visit is staged once,
+    and tabled once where S reads its density (see the module notes).
+    S-dot and Ric_inf are one stacked pass in both modes.
 
-    `bases[k]` is `base_point(metric, measure, points[k].x)`; it depends on x
-    only, so callers evaluating several flags at one point build it once and
-    pass it for each of them.  Without `bases`, each flag builds its own.
+    `bases` is `base_points(metric, measure, X)` at the points' x; it
+    depends on x only, so callers evaluating several flags at one point
+    build it once and take its lanes (`Bases.lanes`).  Without `bases`, the
+    flags' x build theirs.
     """
+    X = np.array([p.x for p in points], float)
     if bases is None:
-        bases = [base_point(metric, measure, p.x) for p in points]
-    pairs = list(zip(points, bases, strict=True))
-    if any(not np.array_equal(base.x, p.x) for p, base in pairs):
-        raise ValueError("base point and flag are at different x")
+        bases = base_points(metric, measure, X)
+    if not np.array_equal(bases.x, X):
+        raise ValueError("bases and flags are at different x")
     if mode == "jet":
-        stack = _stack_stage(metric, points, [base.stage for base in bases])
-        bundles = curvature_bundle(metric, points, mode, lambda x: stack)
-        y = np.array([b.y for b in bundles])
-        dS_dx = (np.einsum("...kii->...k", np.array([b.d2G_dxdy for b in bundles]))
-                 - np.einsum("...i,...ki->...k", y, np.array([base.logs[2] for base in bases])))
-        dS_dy = (np.einsum("...kii->...k", np.array([b.d2G_dydy for b in bundles]))
-                 - np.array([base.logs[1] for base in bases]))
-        tails = [(_s_value(b.dG_dy, b.y, base.logs), dx, dy)
-                 for b, base, dx, dy in zip(bundles, bases, dS_dx, dS_dy)]
+        b = curvature_bundle(metric, points, mode, lambda x: bases.stage)
+        logs = bases.logs
+        S = _s_value(b.dG_dy, b.y, logs)
+        dS_dx = (np.einsum("...kii->...k", b.d2G_dxdy)
+                 - np.einsum("...i,...ki->...k", b.y, logs[2]))
+        dS_dy = np.einsum("...kii->...k", b.d2G_dydy) - logs[1]
     else:
-        stage_at = _memo(lambda x: _stage(metric, x), *((p.x, base.stage) for p, base in pairs))
-        bundles = curvature_bundle(metric, points, mode, stage_at)
-        tails = [_fd_s(measure, stage_at, base, b) for base, b in zip(bases, bundles)]
-    out = []
-    for b, (S, dS_dx, dS_dy) in zip(bundles, tails):
-        sdot = float(np.dot(b.y, dS_dx) - 2.0 * np.dot(b.spray, dS_dy))
-        out.append(FlagEvaluation(bundle=b, S=S, dS_dx=dS_dx, dS_dy=dS_dy, s_dot=sdot,
-                                  ric_inf=b.ricci + sdot))
-    return out
+        lanes = [bases.lanes(k) for k in range(len(points))]
+        stage_at = _memo(partial(_stage, metric), *((base.x, base.stage) for base in lanes))
+        b = curvature_bundle(metric, points, mode, stage_at)
+        S, dS_dx, dS_dy = (np.array(v) for v in zip(
+            *(_fd_s(measure, stage_at, base, y) for base, y in zip(lanes, b.y))))
+    s_dot = riemann.dot(b.y, dS_dx) - 2.0 * riemann.dot(b.spray, dS_dy)
+    return FlagEvaluation(bundle=b, S=S, dS_dx=dS_dx, dS_dy=dS_dy, s_dot=s_dot,
+                          ric_inf=b.ricci + s_dot)
 
 
-def _fd_s(measure: Measure, stage_at, base: BasePoint, b: CurvatureBundle):
-    """(S, dS_dx, dS_dy) at the flag of the fd bundle b: S from an order-3
-    expansion on the base point, dS by central differences of that S, each
-    stencil x staged by `stage_at` and its density tabled once."""
-    n = b.y.size
-    S = _s_order3(base.stage, base.logs, b.y)
-    logs_at = _memo(measure.log_density_table, (b.x, base.logs))
+def _fd_s(measure: Measure, stage_at, base: Bases, y):
+    """(S, dS_dx, dS_dy) at the flag (base.x, y) of one lane of the bases:
+    S from an order-3 expansion on the base, dS by central differences of
+    that S, each stencil x staged by `stage_at` and its density tabled once."""
+    n = y.size
+    S = _s_order3(base.stage, base.logs, y)
+    logs_at = _memo(measure.log_density_table, (base.x, base.logs))
     dS = _fd_table(lambda *z: _s_order3(stage_at(z[:n]), logs_at(z[:n]), z[n:]),
-                   np.concatenate([b.x, b.y]), range(2 * n), step=FD_STEP1)[0]
+                   np.concatenate([base.x, y]), range(2 * n), step=FD_STEP1)[0]
     return S, dS[:n], dS[n:]

@@ -150,6 +150,13 @@ def field_value(field, x) -> float:
     return float(scalar_value(as_scalar_field(field)(list(x))))
 
 
+def field_values(field, X) -> np.ndarray:
+    """`field_value` at each row of a stack of points X, one float per lane:
+    read at each lane's point, a fixture's closures need not be lane-safe
+    (cigar's curvature law calls math.cosh on a float)."""
+    return np.array([field_value(field, x) for x in X])
+
+
 class VectorField:
     """Vector (or 1-form) components as a function of x, jet-evaluable.
 

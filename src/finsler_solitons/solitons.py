@@ -13,8 +13,8 @@ Four equivalent descriptions are implemented and cross-checked:
 
 A fixture run (navigation data, a weight f and the isotropic S-curvature
 sigma at its sample flags) is one jet evaluation of h, W and f laned over
-the flags' x (`sample_points`): each flag's `finsler.BasePoint`, whose stage
-is its lane of the run's stage, for the flag rows and the kappa fit, and at
+the flags' x (`sample_points`): the flags' `finsler.Bases`, whose stage is
+the run's stage laned over them, for the flag rows and the kappa fit, and at
 the bundle flags one `BundleStack`, a stacked pass of the records, beta and
 W tensors and the beta tensors' contractions with the flags' y, with
 sigma's order-1 table, for the sigma fit and the four bundles.  A bundle is
@@ -44,7 +44,7 @@ from .finsler import FinslerMetric, Measure
 from .jets import FlagPoint, Jet
 from .randers import NavigationData, RandersData
 from .reports import ResidualReport, report_from_values
-from .riemann import VectorField, as_scalar_field, field_value
+from .riemann import VectorField, as_scalar_field, field_value, field_values
 
 
 def _directions(dim):
@@ -67,37 +67,40 @@ def _directions(dim):
 def almost_soliton_residual(metric: FinslerMetric, v: VectorField, kappa,
                             p: FlagPoint) -> float:
     """(2 Ric + L_V(F^2) - 2 kappa F^2) / F^2 at one flag."""
-    b = finsler.curvature_bundle(metric, [p])[0]
+    b = finsler.curvature_bundle(metric, [p])
+    F2 = float(b.F2[0])
     lie = finsler.lie_F2(metric, v, p)
-    return (2.0 * b.ricci + lie - 2.0 * field_value(kappa, p.x) * b.F2) / b.F2
+    return (2.0 * float(b.ricci[0]) + lie - 2.0 * field_value(kappa, p.x) * F2) / F2
 
 
 # -- least-squares scalar fits ------------------------------------------------------
 
 
-def fit_kappa(metric: FinslerMetric, measure: Measure, bases):
-    """Pointwise least-squares kappa(x) from Ric_inf = kappa F^2 at each of
-    the `finsler.BasePoint`s `bases` of (metric, measure).
+def fit_kappa(metric: FinslerMetric, measure: Measure, bases: finsler.Bases):
+    """Pointwise least-squares kappa(x) from Ric_inf = kappa F^2 at each
+    point of the `finsler.Bases` `bases` of (metric, measure).
 
     Returns (kappa array over the points, anisotropy), where anisotropy is
     the largest spread of Ric_inf/F^2 over `_directions(n)` at a single x; it
     must vanish for a true gradient soliton because kappa depends on x only.
     Every direction at a point reads the point's stage and density table, so
-    the fit builds no density table, and no stage when the bases are lanes
-    of one run's stage (it repeats each base's lanes across the directions).
-    The flags of every point, base-major, are one `finsler.evaluate_flags`
+    the fit builds no density table (it repeats each point's lanes across
+    the directions, `Bases.lanes`), and its stage is the bases' data at
+    those lanes (one point's unlaned stage as it is).
+    The flags of every point, point-major, are one `finsler.evaluate_flags`
     call (one laned F^2 expansion and one spray and Riemann pass per fit),
     and their F^2 normalisers one stacked float `value`.
     """
     dirs = _directions(metric.dim)
-    points = [FlagPoint(base.x, d) for base in bases for d in dirs]
-    evs = finsler.evaluate_flags(metric, measure, points,
-                                 [base for base in bases for _ in dirs])
-    F = metric.value(np.array([p.x for p in points]), np.array([p.y for p in points]))
-    vals = np.array([ev.ric_inf / f ** 2 for ev, f in zip(evs, F.tolist())])
+    count = len(bases.x)
+    fit = bases.lanes(np.repeat(np.arange(count), len(dirs)))
+    Y = np.tile(dirs, (count, 1))
+    ev = finsler.evaluate_flags(metric, measure, [FlagPoint(x, y) for x, y in zip(fit.x, Y)],
+                                fit)
+    vals = ev.ric_inf / jets.power(metric.value(fit.x, Y), 2)
     kappas = []
     anisotropy = 0.0
-    for row in vals.reshape(len(bases), len(dirs)):
+    for row in vals.reshape(count, len(dirs)):
         kappas.append(float(np.mean(row)))
         anisotropy = max(anisotropy, float(np.max(row) - np.min(row)))
     return np.array(kappas), anisotropy
@@ -132,15 +135,14 @@ class BundleStack:
 
 
 def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
-                  bundle) -> tuple[list[finsler.BasePoint], BundleStack | None]:
-    """(the `finsler.BasePoint` of each flag, the `BundleStack` of the first
+                  bundle) -> tuple[finsler.Bases, BundleStack | None]:
+    """(the `finsler.Bases` of the flags, the `BundleStack` of the first
     `bundle` flags or None) of nav, rd = from_navigation(nav), the weight f
     and the S-curvature field sigma.  The flags' x are the lanes of one set
     of order-2 x jets: one guarded evaluation of h rows, W, lambda, h W and
     f, one density and log and one gather serve every flag, and that
-    evaluation is the run's stage (`finsler.LaneStage`), each base point's
-    its lane; a stack of the run's flags expands as one stage.  One flag
-    runs unlaned.
+    evaluation is the run's stage (`finsler.LaneStage`), laned over the
+    flags; any lanes of it expand as one stage.  One flag runs unlaned.
 
     The density of dm_BH is sqrt(det h) (Xing 2005), so only the bundle
     lanes build the (alpha, beta) rows from that evaluation, and their
@@ -153,9 +155,7 @@ def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
     fval = as_scalar_field(f)(xs)
     density = finsler.weighted_density(fval, riemann.sqrt_det(point[0]))
     logs = riemann.scalar_gather(jets.log(density), space, 2, X.shape[:1])
-    run = finsler.LaneStage(randers._navigation_stage, point, len(flags), None)
-    bases = [finsler.BasePoint(p.x, run.lane(k), tuple(t[k] for t in logs))
-             for k, p in enumerate(flags)]
+    bases = finsler.Bases(X, finsler.LaneStage(randers._navigation_stage, point, None), logs)
     if not bundle:
         return bases, None
     xb = X[:bundle]
@@ -169,13 +169,6 @@ def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
     y = np.array([p.y for p in flags[:bundle]], float)
     return bases, BundleStack(xb, y, A, H, T, randers.beta_derivatives(T, y), N, ftab,
                               as_scalar_field(sigma).table(xb, order=1))
-
-
-def _declared(field, X) -> np.ndarray:
-    """A declared scalar (a field or a constant) at each lane's x, read by
-    `field_value` at the lane's point: a fixture's closures need not be
-    lane-safe (cigar's curvature law calls math.cosh on a float)."""
-    return np.array([field_value(field, x) for x in X])
 
 
 def _matrix_residual(res, scale):
@@ -217,9 +210,9 @@ def vector_soliton_checks_ab(v: VectorField, kappa, S: BundleStack, tol: float, 
     n = y.shape[-1]
     v0, dv = v.table(S.x, order=1)
     vcov = riemann.lowered_covariant_derivative(A, v0, dv)
-    cval = _declared(c, S.x)
+    cval = field_values(c, S.x)
     sval, sigma0, _, _ = randers.sigma_terms(S.sigma, y, T.b_up)
-    kap = _declared(kappa, S.x)
+    kap = field_values(kappa, S.x)
     a2 = jets.power(bd.alpha, 2)
     beta = bd.beta
     aric = riemann.bilinear(y, T.alpha_ricci, y)
@@ -256,9 +249,9 @@ def vector_soliton_checks_nav(v: VectorField, kappa, S: BundleStack, tol: float,
     w0 = riemann.dot(T.w_low, y)
     v0, dv = v.table(S.x, order=1)
     vcov = riemann.lowered_covariant_derivative(S.h, v0, dv)
-    mval = _declared(mu, S.x)
+    mval = field_values(mu, S.x)
     sval, sigma0, sigw, _ = randers.sigma_terms(S.sigma, y, T.w_up)
-    kap = _declared(kappa, S.x)
+    kap = field_values(kappa, S.x)
     cval = kap - mval + (n - 1) * jets.power(sval, 2) + 2.0 * (n - 1) * sigw
     rhs3 = 2.0 * cval * h2 - 6.0 * (n - 1) * (sigw * h2 + sigma0 * w0)
     lie_w0 = riemann.lie_1form(v0, vcov, T.w_up, T.wcov, y)
@@ -288,7 +281,7 @@ def gradient_soliton_checks_ab(kappa, S: BundleStack, tol: float) -> list[Residu
     T, bd, y = S.beta, S.bd, S.y
     n = y.shape[-1]
     sval, sigma0, _, _ = randers.sigma_terms(S.sigma, y, T.b_up)
-    kap = _declared(kappa, S.x)
+    kap = field_values(kappa, S.x)
     df = S.f[1]
     f0 = riemann.dot(df, y)
     fb = riemann.dot(df, T.b_up)
@@ -334,9 +327,9 @@ def gradient_soliton_checks_nav(kappa, S: BundleStack, tol: float, *,
     n = y.shape[-1]
     h2 = riemann.bilinear(y, T.h, y)
     hnorm = np.sqrt(h2)
-    mval = _declared(mu, S.x)
+    mval = field_values(mu, S.x)
     sval, sigma0, sigw, dsig = randers.sigma_terms(S.sigma, y, T.w_up)
-    kap = _declared(kappa, S.x)
+    kap = field_values(kappa, S.x)
     df = S.f[1]
     hess_h = riemann.hessian_tensor(S.h, S.f)
     f0 = riemann.dot(df, y)

@@ -12,15 +12,16 @@ Each fixture flag is evaluated once, and all of a suite's flags in one
 `finsler.evaluate_flags` call (which picks the jet or fd differentiation
 mode): one fourth-order expansion of F^2 laned over the stack of flags,
 from the run's laned stage, with one spray and Riemann pass over the stack
-(one finite-difference bundle and S-dot per flag in fd mode), feeds the
-Ricci law, infinity-Ricci and, where the fixture declares a flag curvature,
-the flag-curvature rows (a fit read off each flag's bundle).  The kappa fit
-is one more such call, over the directions at its base points.  A run's
-x-only work runs once for all its flags, in `solitons.sample_points` (one
-laned closure evaluation, which is also the run's stage, and one stacked
-pass of the bundle flags' records): the flag rows and the kappa fit (on the
-first flags) read each flag's base point, and the bundles and the sigma fit
-the `solitons.BundleStack` of the first (at most 32) flags, as it is.
+(one finite-difference bundle and S per flag in fd mode), feeds the Ricci
+law, infinity-Ricci and, where the fixture declares a flag curvature, the
+flag-curvature rows (a fit read off each flag's lane of the bundle); each
+row is one array over the flags.  The kappa fit is one more such call, over
+the directions at its points.  A run's x-only work runs once for all its
+flags, in `solitons.sample_points` (one laned closure evaluation, which is
+also the run's stage, and one stacked pass of the bundle flags' records):
+the flag rows and the kappa fit (on the first 4 lanes) read the run's
+`finsler.Bases`, and the bundles and the sigma fit the
+`solitons.BundleStack` of the first (at most 32) flags, as it is.
 
 A crosscheck suite that draws many flags of one random metric evaluates the
 metric once over their stack (Taylor arithmetic vectorised over points,
@@ -44,36 +45,29 @@ from .finsler import FinslerMetric, ParameterError
 from .fixtures import ZERO_FIELD
 from .jets import FlagPoint, fd_derivative, lift
 from .reports import ResidualReport, report_from_values
-from .riemann import field_value
+from .riemann import field_value, field_values
 from .sampling import sample_flags, unit_direction
 
 # -- per-flag rows -----------------------------------------------------------------
 
-FD_FLAT = "fd-flat"     # row key: R is flat within the fd bundle's error estimate
-
 
 def _flag_rows(fixture, flags, bases, mode):
-    """Pointwise law residuals at each flag (a `sampling.SampledFlag`, whose
-    F normalises): one row dict per flag, read off its evaluation on its
-    `finsler.BasePoint` in `bases`, all flags in one `finsler.evaluate_flags`
-    call in `mode`.  A flag whose fd R is flat only within the bundle's
-    error estimate also carries the key `FD_FLAT`."""
-    evs = finsler.evaluate_flags(fixture.metric, fixture.measure, flags, bases, mode)
-    out = []
-    for p, ev in zip(flags, evs):
-        row = {}
-        F2 = p.F ** 2
-        row["infinity-ricci"] = (ev.ric_inf - field_value(fixture.kappa, p.x) * F2) / F2
-        if fixture.einstein is not None:
-            row["ricci-law"] = ev.bundle.ricci / F2 - field_value(fixture.einstein, p.x)
-        if fixture.flag_curvature is not None:
-            fit = finsler._flag_curvature(ev.bundle)
-            row["flag-curvature-law"] = fit.value - field_value(fixture.flag_curvature, p.x)
-            row["flag-curvature-misfit"] = fit.residual
-            if fit.within_error:
-                row[FD_FLAT] = True
-        out.append(row)
-    return out
+    """Pointwise law residuals at the flags (`sampling.SampledFlag`s, whose F
+    normalises), read off one `finsler.evaluate_flags` call in `mode` on
+    their `finsler.Bases`: ({row name: one residual per flag}, the number of
+    flags whose fd R is flat only within the bundle's error estimate)."""
+    ev = finsler.evaluate_flags(fixture.metric, fixture.measure, flags, bases, mode)
+    F2 = jets.power(np.array([p.F for p in flags]), 2)
+    rows = {"infinity-ricci": (ev.ric_inf - field_values(fixture.kappa, bases.x) * F2) / F2}
+    if fixture.einstein is not None:
+        rows["ricci-law"] = ev.bundle.ricci / F2 - field_values(fixture.einstein, bases.x)
+    if fixture.flag_curvature is None:
+        return rows, 0
+    fits = [finsler._flag_curvature(ev.bundle, k) for k in range(len(flags))]
+    rows["flag-curvature-law"] = (np.array([fit.value for fit in fits])
+                                  - field_values(fixture.flag_curvature, bases.x))
+    rows["flag-curvature-misfit"] = np.array([fit.residual for fit in fits])
+    return rows, sum(fit.within_error for fit in fits)
 
 
 # -- fixture suite ------------------------------------------------------------------
@@ -99,18 +93,15 @@ def run_fixture_suite(fixture, samples, seed, tol=1e-6,
         reports.append(report_from_values(f"constraint/{cname}", [value], tol=0.0,
                                           detail="structural identity, exact"))
 
-    # one base point per flag, all from one laned evaluation, and the stacked
+    # the bases of the flags, all from one laned evaluation, and the stacked
     # tables of the first (at most 32) flags, the bundle flags
     bases, stack = solitons.sample_points(fixture.rd, fixture.nav, fixture.f, fixture.sigma,
                                           flags, 32)
-    rows = _flag_rows(fixture, flags, bases, mode)
-    flat = sum(FD_FLAT in row for row in rows)
-    names = sorted({k for row in rows for k in row} - {FD_FLAT})
-    for name in names:
-        vals = [row[name] for row in rows if name in row]
-        detail = (f"{flat} of {len(rows)} flags flat: |R| within the finite-difference "
+    rows, flat = _flag_rows(fixture, flags, bases, mode)
+    for name in sorted(rows):
+        detail = (f"{flat} of {len(flags)} flags flat: |R| within the finite-difference "
                   "error estimate" if flat and name.startswith("flag-curvature") else "")
-        reports.append(report_from_values(name, vals, tol, detail=detail))
+        reports.append(report_from_values(name, rows[name], tol, detail=detail))
 
     # the sigma fit reads the first 8 bundle flags, the kappa fit the first 4
     sigmas, fitres = solitons.fit_sigma(stack.beta)
@@ -119,7 +110,8 @@ def run_fixture_suite(fixture, samples, seed, tol=1e-6,
         "sigma-fit", np.abs(sigmas[:8] - np.array(sig_expected)), tol,
         detail=f"isotropy fit residual {max(0.0, *fitres[:8].tolist()):.2e}"))
 
-    kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure, bases[:4])
+    kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure,
+                                      bases.lanes(np.arange(min(4, len(flags)))))
     kap_expected = [field_value(fixture.kappa, p.x) for p in flags[:4]]
     reports.append(report_from_values("kappa-fit", np.abs(kappas - np.array(kap_expected)), tol))
     reports.append(report_from_values("kappa-anisotropy", [anis], tol))
@@ -169,8 +161,9 @@ def crosscheck_randers_ricci(seed, count=100, tol=1e-8):
         X, Y = np.array([p.x for p in flags]), np.array([p.y for p in flags])
         closed = randers.randers_ricci_closed_form(rd, X, Y).tolist()
         F = metric.value(X, Y).tolist()
-        for c, b, f in zip(closed, finsler.curvature_bundle(metric, flags), F):
-            rel.append((c - b.ricci) / max(abs(b.ricci), f ** 2))
+        ricci = finsler.curvature_bundle(metric, flags).ricci.tolist()
+        for c, ric, f in zip(closed, ricci, F):
+            rel.append((c - ric) / max(abs(ric), f ** 2))
     return [report_from_values("closed-form-vs-spray-ricci", rel, tol,
                                detail=f"{count} random metrics x {flags_per} flags, dim {dim}")]
 
@@ -272,7 +265,7 @@ def crosscheck_riemann_reduction(seed, count=60, tol=1e-9):
         h = generators.random_riemann_metric(rng, dim)
         metric = FinslerMetric.from_riemannian(h)
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
-        spray_ric = finsler.curvature_bundle(metric, [p])[0].ricci
+        spray_ric = float(finsler.curvature_bundle(metric, [p]).ricci[0])
         rec = riemann.point_record(h, p.x, 2)
         chris_ric = riemann.riemann_ricci(rec, p.y)
         h2 = float(p.y @ rec.h0 @ p.y)
@@ -285,7 +278,7 @@ def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
     plain jet partials against fd_derivative on transcendental compositions.
 
     Each pipeline flag makes one `finsler.evaluate_flags` per mode (Ric,
-    S-dot and Ric_inf), both on one base point."""
+    S-dot and Ric_inf), both on its one-point `finsler.Bases`."""
     rng = np.random.default_rng(seed)
     plain = []
     compositions = [
@@ -319,13 +312,13 @@ def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
                 generators.random_scalar_field(rng, dim))
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
         F2 = metric.value(p.x, p.y) ** 2
-        base = finsler.base_point(metric, measure, p.x)
-        jet = finsler.evaluate_flags(metric, measure, [p], [base])[0]
-        fd = finsler.evaluate_flags(metric, measure, [p], [base], mode="fd")[0]
+        base = finsler.base_points(metric, measure, [p.x])
+        jet = finsler.evaluate_flags(metric, measure, [p], base)
+        fd = finsler.evaluate_flags(metric, measure, [p], base, mode="fd")
         for rows, j, f in ((pipe_ric, jet.bundle.ricci, fd.bundle.ricci),
                            (pipe_sdot, jet.s_dot, fd.s_dot),
                            (pipe_winf, jet.ric_inf, fd.ric_inf)):
-            rows.append((j - f) / max(abs(j), F2))
+            rows.extend(((j - f) / np.maximum(np.abs(j), F2)).tolist())
     return [report_from_values("plain-derivatives", plain, tol),
             report_from_values("pipeline-ricci", pipe_ric, tol),
             report_from_values("pipeline-s-dot", pipe_sdot, tol),
@@ -339,9 +332,9 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
     identity, the beta/navigation s-tensor transfers s_0 = S_0/lam and
     s^i_j = -S^i_j + S^i W_j / lam, and the closed form for S-dot.
 
-    Each point reads the base point and the one-flag `solitons.BundleStack`
+    Each point reads the one-flag `finsler.Bases` and `solitons.BundleStack`
     of `sample_points` on its one flag, one `evaluate_flags` (Ric and S-dot)
-    on that base point and one float F; every row is a row of the stack.
+    on those bases and one float F; every row is a row of the stack.
     """
     rng = np.random.default_rng(seed)
     sig_fit, transfer, s0_row, smix_row, sdot_row = [], [], [], [], []
@@ -356,14 +349,14 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
         y = unit_direction(rng, dim)
         p = FlagPoint(x, y)
 
-        [base], S = solitons.sample_points(rd, nav, f, sigma, [p], 1)
+        bases, S = solitons.sample_points(rd, nav, f, sigma, [p], 1)
         T, N, Y = S.beta, S.nav, S.y
 
         fitted, _res = solitons.fit_sigma(T)
         sig_fit.extend((fitted - field_value(sigma, x)).tolist())
 
         mu_t = float(rng.uniform(-1.0, 1.0))
-        ev = finsler.evaluate_flags(metric, measure, [p], [base])[0]
+        ev = finsler.evaluate_flags(metric, measure, [p], bases)
         F = metric.value(x, y)
         sig = randers.sigma_terms(S.sigma, Y, N.w_up)
         lhs, rhs = randers.ricci_transfer_sides(ev.bundle.ricci, F, S.h, N, sig, mu_t, Y)
@@ -374,7 +367,7 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
         smix_row.extend(np.abs(T.s_mixed - smix).max(axis=(-2, -1)).tolist())
 
         sd_closed = solitons.s_dot_closed_form_nav(S.h, N, F, sig, S.f, Y)
-        sdot_row.extend(((ev.s_dot - sd_closed) / max(1.0, abs(ev.s_dot))).tolist())
+        sdot_row.extend(((ev.s_dot - sd_closed) / np.maximum(1.0, np.abs(ev.s_dot))).tolist())
     return [report_from_values("sigma-vs-conformal-factor", sig_fit, tol),
             report_from_values("curvature-transfer", transfer, tol),
             report_from_values("s-covector-transfer", s0_row, tol),

@@ -29,7 +29,7 @@ def test_criterion_01_cigar_ricci_law():
     flags = sample_flags(fx, 256, np.random.default_rng(101))
     worst = 0.0
     for p in flags:
-        ratio = finsler.curvature_bundle(fx.metric, [p])[0].ricci / fx.metric.value(p.x, p.y) ** 2
+        ratio = finsler.curvature_bundle(fx.metric, [p]).ricci[0] / fx.metric.value(p.x, p.y) ** 2
         worst = max(worst, abs(ratio - 2.0 / math.cosh(p.x[0]) ** 2))
     assert _line(1, "cigar Ricci / F^2 vs 2/cosh^2 t over 256 flags", worst, 1e-7)
 
@@ -38,7 +38,7 @@ def test_criterion_02_cigar_steady_soliton():
     fx = fixtures.get_fixture("cigar")
     rng = np.random.default_rng(102)
     flags = sample_flags(fx, 256, rng)
-    worst = max(abs(finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf / p.F ** 2
+    worst = max(abs(finsler.evaluate_flags(fx.metric, fx.measure, [p]).ric_inf[0] / p.F ** 2
                     - field_value(fx.kappa, p.x))
                 for p in flags)
     ok1 = _line(2, "cigar |Ric_inf / F^2| (steady, kappa = 0)", worst, 1e-7)
@@ -54,8 +54,8 @@ def test_criterion_03_cigar_flag_curvature():
     flags = sample_flags(fx, 256, np.random.default_rng(103))
     worst_law, worst_fit = 0.0, 0.0
     for p in flags:
-        ev = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
-        fit = finsler._flag_curvature(ev.bundle)
+        ev = finsler.evaluate_flags(fx.metric, fx.measure, [p])
+        fit = finsler._flag_curvature(ev.bundle, 0)
         worst_law = max(worst_law, abs(fit.value - 2.0 / math.cosh(p.x[0]) ** 2))
         worst_fit = max(worst_fit, fit.residual)
     ok1 = _line(3, "cigar fitted K vs 2/cosh^2 t", worst_law, 1e-6)
@@ -67,7 +67,7 @@ def test_criterion_04_shrinking_cylinder():
     fx = fixtures.get_fixture("shrinking")
     rng = np.random.default_rng(104)
     flags = sample_flags(fx, 256, rng)
-    worst = max(abs(finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf / p.F ** 2
+    worst = max(abs(finsler.evaluate_flags(fx.metric, fx.measure, [p]).ric_inf[0] / p.F ** 2
                     - field_value(fx.kappa, p.x))
                 for p in flags)
     ok1 = _line(4, "shrinking cylinder |Ric_inf / F^2 - 2| over 256 flags", worst, 1e-6)
@@ -87,7 +87,7 @@ def test_criterion_05_expanding_cylinder():
     fx = fixtures.get_fixture("expanding")
     rng = np.random.default_rng(105)
     flags = sample_flags(fx, 256, rng)
-    worst = max(abs(finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf / p.F ** 2
+    worst = max(abs(finsler.evaluate_flags(fx.metric, fx.measure, [p]).ric_inf[0] / p.F ** 2
                     - field_value(fx.kappa, p.x))
                 for p in flags)
     ok1 = _line(5, "expanding cylinder |Ric_inf / F^2 + 2| over 256 flags", worst, 1e-6)
@@ -107,12 +107,12 @@ def test_criterion_05_expanding_cylinder():
 def test_criterion_06_gaussian_fixtures():
     rng = np.random.default_rng(106)
     fx_r = fixtures.get_fixture("gaussian-riemannian")
-    worst_r = max(abs(finsler.evaluate_flags(fx_r.metric, fx_r.measure, [p])[0].ric_inf / p.F ** 2
+    worst_r = max(abs(finsler.evaluate_flags(fx_r.metric, fx_r.measure, [p]).ric_inf[0] / p.F ** 2
                       - field_value(fx_r.kappa, p.x))
                   for p in sample_flags(fx_r, 256, rng))
     ok1 = _line(6, "Riemannian Gaussian |Ric_inf / F^2 - 1|", worst_r, 1e-8)
     fx = fixtures.get_fixture("gaussian")
-    worst = max(abs(finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf / p.F ** 2
+    worst = max(abs(finsler.evaluate_flags(fx.metric, fx.measure, [p]).ric_inf[0] / p.F ** 2
                     - field_value(fx.kappa, p.x))
                 for p in sample_flags(fx, 256, rng))
     ok2 = _line(6, "Randers Gaussian on the ||W|| < 1 ball |Ric_inf / F^2 - 1|",

@@ -3,7 +3,7 @@
 The library metrics do their x-only work once per stage
 (`FinslerMetric.at`); here each is held against a copy of the inline
 F(x, y) formula it replaced, given as a plain `FinslerMetric(dim, fn)`, and
-`evaluate_flags` on a shared `BasePoint` against `evaluate_flags` alone.
+`evaluate_flags` on shared `Bases` against `evaluate_flags` alone.
 The inline formulas are lane-safe (their guards read every lane), so a
 stack of their flags runs one stage laned over the flags' x.
 """
@@ -12,6 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from _lanes import assert_lane
 
 from finsler_solitons import finsler, fixtures, generators, jets, randers
 from finsler_solitons.finsler import FinslerMetric, Measure
@@ -117,7 +118,7 @@ def _assert_bitwise(got, want, what):
 def test_f2_jet_on_a_shared_base_point_equals_the_inline_formula(name):
     metric, measure, ref, xs, dirs = _case(name)
     for x in xs:
-        base = finsler.base_point(metric, measure, x)
+        base = finsler.base_points(metric, measure, [x])
         for y in dirs:
             assert metric.value(x, y) == ref.value(x, y)
             for order in (2, 3, 4):
@@ -127,25 +128,18 @@ def test_f2_jet_on_a_shared_base_point_equals_the_inline_formula(name):
                 _assert_bitwise(got.coeffs, want.coeffs, (name, order))
 
 
-def _assert_same_evaluation(a, b, what):
-    scalars = ("S", "dS_dx", "dS_dy", "s_dot", "ric_inf")
-    assert [f.name for f in dataclasses.fields(a)] == ["bundle", *scalars]
-    for f in dataclasses.fields(a.bundle):
-        _assert_bitwise(getattr(a.bundle, f.name), getattr(b.bundle, f.name), (what, f.name))
-    for name in scalars:
-        _assert_bitwise(getattr(a, name), getattr(b, name), (what, name))
-
-
 @pytest.mark.parametrize("name", CASES)
 def test_evaluate_flag_on_a_base_point_equals_evaluate_flag(name):
     metric, measure, ref, xs, dirs = _case(name)
     for x in xs:
-        base = finsler.base_point(metric, measure, x)
+        base = finsler.base_points(metric, measure, [x])
         for y in dirs:
             p = FlagPoint(x, y)
-            shared = finsler.evaluate_flags(metric, measure, [p], [base])[0]
-            _assert_same_evaluation(shared, finsler.evaluate_flags(metric, measure, [p])[0], name)
-            _assert_same_evaluation(shared, finsler.evaluate_flags(ref, measure, [p])[0], name)
+            shared = finsler.evaluate_flags(metric, measure, [p], base)
+            assert [f.name for f in dataclasses.fields(shared)] == [
+                "bundle", "S", "dS_dx", "dS_dy", "s_dot", "ric_inf"]
+            assert_lane(shared, 0, finsler.evaluate_flags(metric, measure, [p]), name)
+            assert_lane(shared, 0, finsler.evaluate_flags(ref, measure, [p]), name)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -155,16 +149,17 @@ def test_a_stack_of_the_inline_formula_equals_each_flag_alone(name):
     metric, measure, ref, xs, dirs = _case(name)
     points = [FlagPoint(x, y) for x in xs for y in dirs]
     for m in (metric, ref):
-        for a, p in zip(finsler.evaluate_flags(m, measure, points), points, strict=True):
-            _assert_same_evaluation(a, finsler.evaluate_flags(metric, measure, [p])[0], name)
+        stacked = finsler.evaluate_flags(m, measure, points)
+        for k, p in enumerate(points):
+            assert_lane(stacked, k, finsler.evaluate_flags(metric, measure, [p]), (name, k))
 
 
 def test_evaluate_flag_refuses_a_base_point_at_another_x():
     fx = fixtures.get_fixture("cigar")
-    base = finsler.base_point(fx.metric, fx.measure, [1.0, 0.3])
+    base = finsler.base_points(fx.metric, fx.measure, [[1.0, 0.3]])
     with pytest.raises(ValueError, match="different x"):
         finsler.evaluate_flags(fx.metric, fx.measure, [FlagPoint([1.0, 0.4], [0.4, -0.7])],
-                               [base])
+                               base)
 
 
 def test_a_stage_raises_the_domain_guard_of_its_point():

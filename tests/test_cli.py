@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from finsler_solitons import cli, fixtures, suites
@@ -135,6 +136,28 @@ def test_report_rows_have_exactly_the_schema_columns(capsys):
         assert checks and all(sorted(row) == sorted(columns) for row in checks), argv
         assert run_cli(*argv, "--format", "csv") == 0
         assert capsys.readouterr().out.splitlines()[0] == ",".join(columns), argv
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def test_a_report_with_residuals_that_are_not_finite_is_valid_json(capsys):
+    # kappa perturbed by 1e308 overflows kappa F^2: those residuals are inf,
+    # written as null, and the csv and text formats still print them
+    argv = ["verify", "--fixture", "cigar", "--samples", "2", "--perturb", "kappa:1e308"]
+    with np.errstate(over="ignore"):
+        assert run_cli(*argv) == 1
+        checks = json.loads(capsys.readouterr().out, parse_constant=_no_constant)["checks"]
+        assert run_cli(*argv, "--format", "csv") == 1
+        csv_rows = capsys.readouterr().out.splitlines()[1:]
+        assert run_cli(*argv, "--format", "text") == 1
+        text = capsys.readouterr().out
+    nulls = [row["name"] for row in checks if row["max_abs"] is None]
+    assert "infinity-ricci" in nulls
+    assert all(row["verdict"] == "fail" for row in checks if None in
+               (row["max_abs"], row["mean_abs"]))
+    assert any(",inf,inf," in row for row in csv_rows) and "max=inf" in text
 
 
 def test_text_format(capsys):

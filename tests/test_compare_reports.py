@@ -21,8 +21,8 @@ def compare_reports():
 
 
 def test_invocation_list(compare_reports):
-    assert len(compare_reports.INVOCATIONS) == 62
-    assert len(set(compare_reports.INVOCATIONS)) == 62
+    assert len(compare_reports.INVOCATIONS) == 64
+    assert len(set(compare_reports.INVOCATIONS)) == 64
 
 
 def test_tree_against_itself_has_zero_drift(compare_reports, capsys):
@@ -42,7 +42,7 @@ def test_drift_is_kept_per_differentiation_mode(compare_reports):
     invocations = compare_reports.INVOCATIONS
     fd = [args for args in invocations if compare_reports.mode(args) == "fd"]
     assert fd == [args for args in invocations if "--diff-mode" in args]
-    assert len(fd) == 6
+    assert len(fd) == 8
     assert compare_reports.mode(("crosscheck", "--suite", "jets-vs-fd")) == "jet"
 
 
@@ -67,6 +67,16 @@ def test_residual_drift_is_measured_and_other_fields_must_match(compare_reports)
         assert len(diffs) == 1, changed
     diffs, _ = compare_reports.compare_one(base, (1, _report(), "a"))
     assert diffs == ["exit code 0 != 1"]
+
+
+def test_a_null_residual_compares_as_it_is(compare_reports):
+    # a report writes a residual that is not finite as null
+    null = (1, _report(max_abs=None, verdict="fail"), "a")
+    diffs, drift = compare_reports.compare_one(null, (1, _report(max_abs=None, verdict="fail"),
+                                                      "a"))
+    assert diffs == [] and drift["max_abs"] == (0.0, 0.0, None)
+    diffs, _ = compare_reports.compare_one(null, (1, _report(verdict="fail"), "b"))
+    assert diffs == ["ricci-law: max_abs None != 1e-14"]
 
 
 def test_summary_names_the_invocation_and_check_of_each_largest_drift(

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from _lanes import assert_lane
 
 from finsler_solitons import finsler, fixtures, jets, randers, solitons, suites
 from finsler_solitons.jets import FlagPoint, Jet
@@ -58,30 +59,34 @@ def _separate_formulas(metric, measure, p):
 def test_evaluate_flag_equals_the_separate_formulas(name):
     fx = fixtures.get_fixture(name)
     flags = _flags(fx)
-    for p, ev in zip(flags, finsler.evaluate_flags(fx.metric, fx.measure, flags), strict=True):
+    ev = finsler.evaluate_flags(fx.metric, fx.measure, flags)
+    assert ev.S.shape == (len(flags),)
+    for k, p in enumerate(flags):
         want = _separate_formulas(fx.metric, fx.measure, p)
-        assert ev.bundle.ricci == want["ricci"]
-        assert ev.S == want["S"]
-        assert np.array_equal(ev.dS_dx, want["dS_dx"])
-        assert np.array_equal(ev.dS_dy, want["dS_dy"])
-        assert ev.s_dot == want["s_dot"]
-        assert ev.ric_inf == want["ric_inf"]
-        assert finsler._flag_curvature(ev.bundle) == want["fit"]
+        assert ev.bundle.ricci[k] == want["ricci"]
+        assert ev.S[k] == want["S"]
+        assert np.array_equal(ev.dS_dx[k], want["dS_dx"])
+        assert np.array_equal(ev.dS_dy[k], want["dS_dy"])
+        assert ev.s_dot[k] == want["s_dot"]
+        assert ev.ric_inf[k] == want["ric_inf"]
+        assert finsler._flag_curvature(ev.bundle, k) == want["fit"]
 
 
 def test_evaluate_flag_reuses_a_passed_density_table(monkeypatch):
-    # The base point's density table and stage: the flag builds no density
+    # The bases' density table and stage: the flag builds no density
     # table, and the stage once, on its first use, and never again.
     fx = fixtures.get_fixture("cigar")
     p = _flags(fx, count=1)[0]
-    base = finsler.base_point(fx.metric, fx.measure, p.x)
-    a = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
+    a = finsler.evaluate_flags(fx.metric, fx.measure, [p])
     counter = _Counter(monkeypatch)
-    b = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
-    assert (counter.orders, counter.density_tables, counter.stages) == ([4], 0, 1)
-    c = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
-    assert (counter.orders, counter.density_tables, counter.stages) == ([4, 4], 0, 1)
-    assert (a.S, a.s_dot, a.ric_inf) == (b.S, b.s_dot, b.ric_inf) == (c.S, c.s_dot, c.ric_inf)
+    base = finsler.base_points(fx.metric, fx.measure, [p.x])
+    assert (counter.density_tables, counter.stages) == (1, 0)
+    b = finsler.evaluate_flags(fx.metric, fx.measure, [p], base)
+    assert (counter.orders, counter.density_tables, counter.stages) == ([4], 1, 1)
+    c = finsler.evaluate_flags(fx.metric, fx.measure, [p], base)
+    assert (counter.orders, counter.density_tables, counter.stages) == ([4, 4], 1, 1)
+    assert_lane(b, 0, a, "b")
+    assert_lane(c, 0, a, "c")
 
 
 @pytest.mark.parametrize("name,order", [("cigar", 4), ("shrinking", 4), ("cigar", 2),
@@ -167,10 +172,10 @@ def test_flag_rows_expand_f2_once_per_flag(name, monkeypatch):
     flags = _flags(fx, count=3)
     bases = _bases(fx, flags)
     counter = _Counter(monkeypatch)
-    rows = suites._flag_rows(fx, flags, bases, "jet")
-    assert len(rows) == 3
+    rows, flat = suites._flag_rows(fx, flags, bases, "jet")
+    assert flat == 0 and all(row.shape == (3,) for row in rows.values())
     if fx.einstein is not None:
-        assert {"ricci-law", "flag-curvature-law"} <= set(rows[0])
+        assert {"ricci-law", "flag-curvature-law"} <= set(rows)
     # one order-4 expansion for the stack, whose lanes are its flags in order
     assert counter.orders == [4]
     assert np.array_equal(counter.ys[0], np.array([p.y for p in flags]))
@@ -187,7 +192,7 @@ def test_fixture_suite_stages_each_flag_once_and_fits_kappa_on_its_base_points(
     fit_kappa = solitons.fit_kappa
 
     def record_fit(metric, measure, bases):
-        fitted.extend(bases)
+        fitted.append(bases)
         return fit_kappa(metric, measure, bases)
 
     monkeypatch.setattr(solitons, "fit_kappa", record_fit)
@@ -203,32 +208,34 @@ def test_fixture_suite_stages_each_flag_once_and_fits_kappa_on_its_base_points(
     assert counter.stages == counter.density_tables == 0
     dirs = solitons._directions(fx.dim)
     # one order-4 expansion per stack: the flags in order, then the kappa
-    # fit's directions at each fitted base, base-major
+    # fit's directions at each fitted point, point-major
     assert counter.orders == [4, 4]
     assert np.array_equal(counter.ys[0], np.array([p.y for p in flags]))
-    assert np.array_equal(counter.ys[1], np.array([d for _ in fitted for d in dirs]))
-    assert len(fitted) == samples
-    assert all(np.array_equal(b.x, p.x) for b, p in zip(fitted, flags, strict=True))
+    [bases] = fitted
+    assert np.array_equal(counter.ys[1], np.array([d for _ in bases.x for d in dirs]))
+    assert np.array_equal(bases.x, np.array([p.x for p in flags]))
 
 
 @pytest.mark.parametrize("name", ["gaussian-riemannian", "cigar"])
 def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
     fx = fixtures.get_fixture(name)
     flags = _flags(fx, count=2)
-    expected = []
+    expected, flat = {}, 0
     for p in flags:
         F2 = fx.metric.value(p.x, p.y) ** 2
         kap = float(fx.kappa(list(p.x)))
-        ev = finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd")[0]
-        row = {"infinity-ricci": (ev.ric_inf - kap * F2) / F2}
-        b = finsler.curvature_bundle(fx.metric, [p], mode="fd")[0]
+        ev = finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd")
+        row = {"infinity-ricci": (ev.ric_inf[0] - kap * F2) / F2}
+        b = finsler.curvature_bundle(fx.metric, [p], mode="fd")
         if fx.einstein is not None:
-            row["ricci-law"] = b.ricci / F2 - float(fx.einstein(list(p.x)))
+            row["ricci-law"] = b.ricci[0] / F2 - float(fx.einstein(list(p.x)))
         if fx.flag_curvature is not None:
-            fit = finsler._flag_curvature(b)
+            fit = finsler._flag_curvature(b, 0)
             row["flag-curvature-law"] = fit.value - float(fx.flag_curvature(list(p.x)))
             row["flag-curvature-misfit"] = fit.residual
-        expected.append(row)
+            flat += fit.within_error
+        for key, value in row.items():
+            expected.setdefault(key, []).append(value)
 
     calls = []
     bundle = finsler.curvature_bundle
@@ -238,10 +245,12 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
         return bundle(metric, points, mode, stage_at)
 
     monkeypatch.setattr(finsler, "curvature_bundle", count_bundle)
-    rows = suites._flag_rows(fx, flags, _bases(fx, flags), "fd")
+    rows, got_flat = suites._flag_rows(fx, flags, _bases(fx, flags), "fd")
     # one call for the stack; inside it, one fd bundle per flag
     assert calls == [("fd", len(flags))]
-    assert rows == expected
+    assert rows.keys() == expected.keys() and got_flat == flat
+    for key, want in expected.items():
+        assert np.array_equal(rows[key], want), key
 
 
 @pytest.mark.parametrize("name", ["cigar", "shrinking"])
@@ -252,9 +261,9 @@ def test_fd_flag_on_its_sample_point_stages_each_stencil_x_once(name, monkeypatc
     fx = fixtures.get_fixture(name)
     n = fx.dim
     p = _flags(fx, count=1)[0]
-    base = _bases(fx, [p])[0]
+    base = _bases(fx, [p])
     counter = _Counter(monkeypatch)
-    finsler.evaluate_flags(fx.metric, fx.measure, [p], [base], mode="fd")
+    finsler.evaluate_flags(fx.metric, fx.measure, [p], base, mode="fd")
     assert counter.stages == 8 * n
     assert counter.density_tables == 4 * n
     # order 2: the flag and the other spray stencil points; order 3: S at the
@@ -267,15 +276,16 @@ def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monke
     xs = [f.x for f in _flags(fx, count=2)]
     dirs = solitons._directions(fx.dim)
     counter = _Counter(monkeypatch)
-    bases = [finsler.base_point(fx.metric, fx.measure, x) for x in xs]
-    # a base point builds its stage on first use, not before
-    assert (counter.stages, counter.density_tables) == (0, len(xs))
+    bases = finsler.base_points(fx.metric, fx.measure, xs)
+    # the bases build their stage on first use, not before, and one density
+    # table laned over the points, a lane per point
+    assert (counter.stages, counter.density_tables) == (0, 1)
+    assert bases.logs[2].shape == (len(xs), fx.dim, fx.dim)
     solitons.fit_kappa(fx.metric, fx.measure, bases)
-    # the fit builds no density table of its own; its bases' stages are not
-    # lanes of one laned stage, so it stages once, laned over its flags' x,
-    # and builds none of theirs (a fixture run's bases are lanes of one:
-    # `test_fixture_suite_stages_each_flag_once...`)
-    assert (counter.stages, counter.density_tables) == (1, len(xs))
+    # the fit builds no density table of its own, and stages once: its
+    # flags' lanes of the bases' x jets (a fixture run's bases are lanes of
+    # its navigation point: `test_fixture_suite_stages_each_flag_once...`)
+    assert (counter.stages, counter.density_tables) == (1, 1)
     assert counter.orders == [4]
     assert np.array_equal(counter.ys[0], np.array([d for _ in xs for d in dirs]))
     assert counter.float_stages == 1            # the F^2 normalisers: one stacked value
@@ -286,7 +296,7 @@ def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(mo
     p = _flags(fx, count=1)[0]
     dirs = solitons._directions(fx.dim)
     assert len(dirs) == 16
-    logs = fx.measure.log_density_table(p.x)
+    base = finsler.base_points(fx.metric, fx.measure, [p.x])
     counts = collections.Counter()
     mul = Jet.__mul__
 
@@ -300,8 +310,7 @@ def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(mo
     finsler._f2_jet(finsler._stage(fx.metric, p.x), p.y, 4)
     one = dict(counts)
     counts.clear()
-    base = finsler.BasePoint(x=p.x, stage=finsler._stage(fx.metric, p.x), logs=logs)
-    solitons.fit_kappa(fx.metric, fx.measure, [base])
+    solitons.fit_kappa(fx.metric, fx.measure, base)
     x_space, flag_space = jets.jet_space(4, 2), jets.flag_space(4, 4)
     assert set(counts) == set(one) == {x_space, flag_space}
     assert 0 < counts[x_space] <= one[x_space]
@@ -314,7 +323,7 @@ def test_gradient_soliton_residual_expands_f2_once(monkeypatch):
     fx = fixtures.get_fixture("cigar")
     p = _flags(fx, count=1)[0]
     counter = _Counter(monkeypatch)
-    ric_inf = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf
+    ric_inf = finsler.evaluate_flags(fx.metric, fx.measure, [p]).ric_inf[0]
     assert abs(ric_inf / p.F ** 2 - float(fx.kappa(list(p.x)))) < 1e-9
     assert counter.orders == [4]
 
@@ -322,7 +331,7 @@ def test_gradient_soliton_residual_expands_f2_once(monkeypatch):
 def test_fd_bundle_matches_the_jet_bundle():
     fx = fixtures.get_fixture("cigar")
     p = FlagPoint([1.0, 0.3], [0.4, -0.7])
-    fd = finsler.curvature_bundle(fx.metric, [p], mode="fd")[0]
-    jet = finsler.curvature_bundle(fx.metric, [p])[0]
+    fd = finsler.curvature_bundle(fx.metric, [p], mode="fd")
+    jet = finsler.curvature_bundle(fx.metric, [p])
     np.testing.assert_array_equal(fd.dF2_dy, jet.dF2_dy)
-    assert math.isclose(fd.ricci, jet.ricci, rel_tol=1e-6)
+    assert math.isclose(fd.ricci[0], jet.ricci[0], rel_tol=1e-6)

@@ -40,7 +40,7 @@ def test_fundamental_tensor_riemannian_reduction(rng):
     x = generators.sample_box_point(rng, 3)
     for _ in range(3):
         p = FlagPoint(x, rng.normal(size=3))
-        np.testing.assert_allclose(curvature_bundle(F, [p])[0].g, h.matrix_at(x),
+        np.testing.assert_allclose(curvature_bundle(F, [p]).g[0], h.matrix_at(x),
                                    rtol=1e-11, atol=1e-13)
 
 
@@ -48,7 +48,7 @@ def test_fundamental_tensor_randers_euler_identity(rng):
     rd = generators.random_randers(rng, 3)
     F = randers.finsler_from_randers(rd)
     p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
-    g = curvature_bundle(F, [p])[0].g
+    g = curvature_bundle(F, [p]).g[0]
     F2 = F.value(p.x, p.y) ** 2
     assert float(p.y @ g @ p.y) == pytest.approx(F2, rel=1e-11)
 
@@ -56,7 +56,7 @@ def test_fundamental_tensor_randers_euler_identity(rng):
 def test_fundamental_tensor_cigar_positive_definite():
     F = randers.finsler_from_navigation(cigar_navigation())
     p = FlagPoint([1.0, 0.0], [1.0, 0.0])
-    g = curvature_bundle(F, [p])[0].g
+    g = curvature_bundle(F, [p]).g[0]
     assert np.all(np.linalg.eigvalsh(g) > 0.0)
 
 
@@ -65,7 +65,7 @@ def test_fundamental_tensor_cigar_positive_definite():
 
 def test_spray_euclidean_zero(rng):
     F = FinslerMetric.from_riemannian(euclidean_metric(2))
-    assert np.max(np.abs(curvature_bundle(F, [euclid_flag(rng, 2)])[0].spray)) <= 1e-14
+    assert np.max(np.abs(curvature_bundle(F, [euclid_flag(rng, 2)]).spray[0])) <= 1e-14
 
 
 def test_spray_riemannian_christoffel_oracle(rng):
@@ -74,7 +74,7 @@ def test_spray_riemannian_christoffel_oracle(rng):
     p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
     gam = riemann.point_record(h, p.x, 1).gamma
     want = 0.5 * np.einsum("kij,i,j->k", gam, p.y, p.y)
-    np.testing.assert_allclose(curvature_bundle(F, [p])[0].spray, want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(curvature_bundle(F, [p]).spray[0], want, rtol=1e-10, atol=1e-12)
 
 
 def test_spray_navigation_correction(rng):
@@ -82,8 +82,8 @@ def test_spray_navigation_correction(rng):
     nav = cigar_navigation()
     rd = randers.from_navigation(nav)
     p = FlagPoint([0.8, 0.4], rng.normal(size=2))
-    Ga = curvature_bundle(FinslerMetric.from_riemannian(rd.alpha), [p])[0].spray
-    Gh = curvature_bundle(FinslerMetric.from_riemannian(nav.h), [p])[0].spray
+    Ga = curvature_bundle(FinslerMetric.from_riemannian(rd.alpha), [p]).spray[0]
+    Gh = curvature_bundle(FinslerMetric.from_riemannian(nav.h), [p]).spray[0]
     T = randers.nav_tensors(riemann.point_record(nav.h, p.x, 1), nav.W.table(p.x, order=1))
     zeta = randers.spray_correction(T, 0.0, p.y)
     np.testing.assert_allclose(Ga, Gh + zeta, rtol=1e-9, atol=1e-11)
@@ -94,7 +94,7 @@ def test_spray_navigation_correction(rng):
 
 def test_riemann_curvature_euclidean_zero(rng):
     F = FinslerMetric.from_riemannian(euclidean_metric(3))
-    R = curvature_bundle(F, [euclid_flag(rng, 3)])[0].riemann
+    R = curvature_bundle(F, [euclid_flag(rng, 3)]).riemann[0]
     assert np.max(np.abs(R)) <= 1e-13
 
 
@@ -109,15 +109,15 @@ def test_riemann_curvature_sphere_pattern(rng):
     h0 = h.matrix_at(x)
     h2 = float(y @ h0 @ y)
     want = mu * (h2 * np.eye(3) - np.outer(y, h0 @ y))
-    np.testing.assert_allclose(curvature_bundle(F, [p])[0].riemann, want, rtol=1e-9, atol=1e-10)
-    assert curvature_bundle(F, [p])[0].ricci == pytest.approx(2.0 * mu * h2, rel=1e-10)
+    np.testing.assert_allclose(curvature_bundle(F, [p]).riemann[0], want, rtol=1e-9, atol=1e-10)
+    assert curvature_bundle(F, [p]).ricci[0] == pytest.approx(2.0 * mu * h2, rel=1e-10)
 
 
 def test_ricci_cigar_randers_law(rng):
     F = randers.finsler_from_navigation(cigar_navigation())
     t = 1.0
     p = FlagPoint([t, 0.3], rng.normal(size=2))
-    ratio = curvature_bundle(F, [p])[0].ricci / F.value(p.x, p.y) ** 2
+    ratio = curvature_bundle(F, [p]).ricci[0] / F.value(p.x, p.y) ** 2
     assert ratio == pytest.approx(2.0 / math.cosh(t) ** 2, rel=1e-10)
     assert ratio == pytest.approx(0.8399486832280522, rel=1e-10)
 
@@ -133,11 +133,11 @@ def test_homogeneity_suite(rng):
     for lam in (0.37, 2.9):
         q = FlagPoint(p.x, lam * p.y)
         assert F.value(q.x, q.y) == pytest.approx(lam * F.value(p.x, p.y), rel=1e-12)
-        bq, bp = curvature_bundle(F, [q])[0], curvature_bundle(F, [p])[0]
+        bq, bp = curvature_bundle(F, [q]), curvature_bundle(F, [p])
         np.testing.assert_allclose(bq.spray, lam * lam * bp.spray, rtol=1e-10)
         np.testing.assert_allclose(bq.riemann, lam * lam * bp.riemann, rtol=1e-10)
-        assert evaluate_flags(F, measure, [q])[0].S == pytest.approx(
-            lam * evaluate_flags(F, measure, [p])[0].S, rel=1e-10)
+        assert evaluate_flags(F, measure, [q]).S[0] == pytest.approx(
+            lam * evaluate_flags(F, measure, [p]).S[0], rel=1e-10)
 
 
 # -- S-curvature ---------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_s_curvature_riemannian_zero(rng):
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
     p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
-    assert evaluate_flags(F, m, [p])[0].S == pytest.approx(0.0, abs=1e-11)
+    assert evaluate_flags(F, m, [p]).S[0] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_s_curvature_weighted_is_df(rng):
@@ -158,7 +158,7 @@ def test_s_curvature_weighted_is_df(rng):
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(rng, 2)
     _, grad, _ = f.table(p.x, order=2)
-    assert evaluate_flags(F, m, [p])[0].S == pytest.approx(float(grad @ p.y), rel=1e-10)
+    assert evaluate_flags(F, m, [p]).S[0] == pytest.approx(float(grad @ p.y), rel=1e-10)
 
 
 def test_s_curvature_cigar_bh_vanishes(rng):
@@ -167,7 +167,7 @@ def test_s_curvature_cigar_bh_vanishes(rng):
     F = randers.finsler_from_navigation(nav)
     m = randers.bh_measure(rd)
     p = FlagPoint([0.7, 0.2], rng.normal(size=2))
-    assert evaluate_flags(F, m, [p])[0].S == pytest.approx(0.0, abs=1e-11)
+    assert evaluate_flags(F, m, [p]).S[0] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_s_dot_riemannian_zero(rng):
@@ -175,7 +175,7 @@ def test_s_dot_riemannian_zero(rng):
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
     p = euclid_flag(rng, 2)
-    assert evaluate_flags(F, m, [p])[0].s_dot == pytest.approx(0.0, abs=1e-10)
+    assert evaluate_flags(F, m, [p]).s_dot[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_s_dot_weighted_is_hessian(rng):
@@ -185,7 +185,7 @@ def test_s_dot_weighted_is_hessian(rng):
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(rng, 2)
     want = riemann.hessian(riemann.point_record(h, p.x, 1), f.table(p.x, order=2), p.y)
-    assert evaluate_flags(F, m, [p])[0].s_dot == pytest.approx(want, rel=1e-9, abs=1e-11)
+    assert evaluate_flags(F, m, [p]).s_dot[0] == pytest.approx(want, rel=1e-9, abs=1e-11)
 
 
 def test_s_dot_navigation_closed_form(rng):
@@ -202,7 +202,7 @@ def test_s_dot_navigation_closed_form(rng):
     T = randers.nav_tensors(H, nav.W.table(p.x, order=1))
     sig = randers.sigma_terms(sigma.table(p.x, order=1), p.y, T.w_up)
     closed = s_dot_closed_form_nav(H, T, F.value(p.x, p.y), sig, f.table(p.x, order=2), p.y)
-    assert evaluate_flags(F, m, [p])[0].s_dot == pytest.approx(closed, rel=1e-8, abs=1e-10)
+    assert evaluate_flags(F, m, [p]).s_dot[0] == pytest.approx(closed, rel=1e-8, abs=1e-10)
 
 
 # -- weighted Ricci --------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_weighted_ricci_gaussian(rng):
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(rng, 2)
     F2 = F.value(p.x, p.y) ** 2
-    assert evaluate_flags(F, m, [p])[0].ric_inf == pytest.approx(rho * F2, rel=1e-12)
+    assert evaluate_flags(F, m, [p]).ric_inf[0] == pytest.approx(rho * F2, rel=1e-12)
 
 
 # -- Lie derivative of F^2 --------------------------------------------------------------
@@ -258,14 +258,14 @@ def test_lie_F2_randers_split(rng):
 
 def test_flag_curvature_flat(rng):
     F = FinslerMetric.from_riemannian(euclidean_metric(2))
-    fit = finsler._flag_curvature(curvature_bundle(F, [euclid_flag(rng, 2)])[0])
+    fit = finsler._flag_curvature(curvature_bundle(F, [euclid_flag(rng, 2)]), 0)
     assert fit.flat and fit.value == 0.0 and fit.residual == 0.0
 
 
 def test_flag_curvature_sphere(rng):
     F = FinslerMetric.from_riemannian(sphere_metric(1.0, 3))
     p = FlagPoint(rng.uniform(-0.5, 0.5, size=3), rng.normal(size=3))
-    fit = finsler._flag_curvature(curvature_bundle(F, [p])[0])
+    fit = finsler._flag_curvature(curvature_bundle(F, [p]), 0)
     assert fit.value == pytest.approx(1.0, abs=1e-8)
     assert fit.residual <= 1e-8
 
@@ -274,7 +274,7 @@ def test_flag_curvature_cigar(rng):
     F = randers.finsler_from_navigation(cigar_navigation())
     t = 1.3
     p = FlagPoint([t, 0.1], rng.normal(size=2))
-    fit = finsler._flag_curvature(curvature_bundle(F, [p])[0])
+    fit = finsler._flag_curvature(curvature_bundle(F, [p]), 0)
     assert fit.value == pytest.approx(2.0 / math.cosh(t) ** 2, abs=1e-7)
     assert fit.residual <= 1e-7
 
@@ -282,7 +282,8 @@ def test_flag_curvature_cigar(rng):
 def test_flag_curvature_monotone_along_axis():
     F = randers.finsler_from_navigation(cigar_navigation())
     flags = [FlagPoint([t, 0.0], [0.3, 0.8]) for t in (1.0, 2.0)]
-    k1, k2 = (finsler._flag_curvature(b).value for b in curvature_bundle(F, flags))
+    b = curvature_bundle(F, flags)
+    k1, k2 = (finsler._flag_curvature(b, k).value for k in range(len(flags)))
     assert k2 < k1
 
 
@@ -297,15 +298,15 @@ def test_riemannian_reduction_against_christoffel(rng):
             p = FlagPoint(generators.sample_box_point(rng, dim), rng.normal(size=dim))
             want = riemann.riemann_ricci(riemann.point_record(h, p.x, 2), p.y)
             h2 = float(p.y @ h.matrix_at(p.x) @ p.y)
-            assert curvature_bundle(F, [p])[0].ricci == pytest.approx(want, rel=1e-9, abs=1e-9 * h2)
+            assert curvature_bundle(F, [p]).ricci[0] == pytest.approx(want, rel=1e-9, abs=1e-9 * h2)
 
 
 def test_fd_mode_matches_jet_mode(rng):
     rd = generators.random_randers(rng, 2)
     F = randers.finsler_from_randers(rd)
     p = euclid_flag(rng, 2)
-    r_jet = curvature_bundle(F, [p], mode="jet")[0].ricci
-    r_fd = curvature_bundle(F, [p], mode="fd")[0].ricci
+    r_jet = curvature_bundle(F, [p], mode="jet").ricci[0]
+    r_fd = curvature_bundle(F, [p], mode="fd").ricci[0]
     F2 = F.value(p.x, p.y) ** 2
     assert abs(r_jet - r_fd) / max(abs(r_jet), F2) <= 1e-5
 

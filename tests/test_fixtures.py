@@ -97,7 +97,7 @@ def test_cylinder_larger_m_parameterization():
     assert float(fx.kappa([0.0] * 6)) == 4.0
     assert max(fx.constraints.values()) == 0.0
     p = sf(fx, 1, np.random.default_rng(0))[0]
-    ric_inf = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0].ric_inf
+    ric_inf = finsler.evaluate_flags(fx.metric, fx.measure, [p]).ric_inf[0]
     assert abs(ric_inf / p.F ** 2 - riemann.field_value(fx.kappa, p.x)) <= 1e-10
 
 

@@ -2,10 +2,9 @@
 stack.  A stack evaluates bit for bit as each of its flags alone, the suites
 make one order-4 spray pass per stack, and one bad flag refuses the stack."""
 
-import dataclasses
-
 import numpy as np
 import pytest
+from _lanes import assert_lane
 
 from finsler_solitons import finsler, fixtures, jets, solitons, suites
 from finsler_solitons.finsler import FinslerMetric, FlagDomainError, Measure
@@ -13,26 +12,15 @@ from finsler_solitons.jets import FlagPoint
 from finsler_solitons.sampling import sample_flags
 
 
-def _same(a, b):
-    return a == b if a is None or np.isscalar(a) else np.array_equal(a, b)
-
-
-def _assert_same_evaluation(a, b, what):
-    for f in dataclasses.fields(a.bundle):
-        assert _same(getattr(a.bundle, f.name), getattr(b.bundle, f.name)), (what, f.name)
-    for f in dataclasses.fields(a):
-        if f.name != "bundle":
-            assert _same(getattr(a, f.name), getattr(b, f.name)), (what, f.name)
-
-
 def _stack(fx, count=3, seed=7):
-    """Sampled flags (each at its own x, on its sample point's base) and then
-    every `solitons._directions` flag at the first flag's x, on that base."""
+    """Sampled flags (each at its own x, on its lane of the run's bases) and
+    then every `solitons._directions` flag at the first flag's x, on that
+    lane."""
     flags = sample_flags(fx, count, np.random.default_rng(seed))
     bases, _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
     dirs = solitons._directions(fx.dim)
     points = list(flags) + [FlagPoint(flags[0].x, d) for d in dirs]
-    return points, bases + [bases[0]] * len(dirs)
+    return points, bases.lanes(np.r_[np.arange(count), np.zeros(len(dirs), int)])
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
@@ -41,14 +29,12 @@ def test_a_stack_of_flags_evaluates_as_each_flag_alone(name):
     points, bases = _stack(fx)
     assert len({np.asarray(p.x, float).tobytes() for p in points}) == 3
     stacked = finsler.evaluate_flags(fx.metric, fx.measure, points, bases)
-    bundles = finsler.curvature_bundle(fx.metric, points)
-    assert len(stacked) == len(bundles) == len(points)
-    for k, (p, base) in enumerate(zip(points, bases)):
-        alone = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
-        _assert_same_evaluation(stacked[k], alone, (name, k))
-        b = finsler.curvature_bundle(fx.metric, [p])[0]
-        for f in dataclasses.fields(b):
-            assert _same(getattr(bundles[k], f.name), getattr(b, f.name)), (name, k, f.name)
+    bundle = finsler.curvature_bundle(fx.metric, points)
+    assert stacked.S.shape == bundle.ricci.shape == (len(points),)
+    for k, p in enumerate(points):
+        alone = finsler.evaluate_flags(fx.metric, fx.measure, [p], bases.lanes([k]))
+        assert_lane(stacked, k, alone, (name, k))
+        assert_lane(bundle, k, finsler.curvature_bundle(fx.metric, [p]), (name, k))
 
 
 def test_an_fd_stack_evaluates_as_each_flag_alone():
@@ -56,8 +42,8 @@ def test_an_fd_stack_evaluates_as_each_flag_alone():
     flags = sample_flags(fx, 2, np.random.default_rng(7))
     stacked = finsler.evaluate_flags(fx.metric, fx.measure, flags, mode="fd")
     for k, p in enumerate(flags):
-        alone = finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd")[0]
-        _assert_same_evaluation(stacked[k], alone, k)
+        alone = finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd")
+        assert_lane(stacked, k, alone, k)
 
 
 def _count_sprays(monkeypatch):
@@ -78,32 +64,34 @@ def test_jet_flag_rows_make_one_spray_pass(name, monkeypatch):
     flags = sample_flags(fx, 3, np.random.default_rng(5))
     bases, _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
     orders = _count_sprays(monkeypatch)
-    assert len(suites._flag_rows(fx, flags, bases, "jet")) == 3
+    rows, flat = suites._flag_rows(fx, flags, bases, "jet")
+    assert flat == 0 and rows and all(row.shape == (3,) for row in rows.values())
     assert orders == [4]
 
 
 def test_fit_kappa_makes_one_spray_pass_per_fit(monkeypatch):
     fx = fixtures.get_fixture("shrinking")
     flags = sample_flags(fx, 2, np.random.default_rng(5))
-    bases = [finsler.base_point(fx.metric, fx.measure, p.x) for p in flags]
+    bases = finsler.base_points(fx.metric, fx.measure, [p.x for p in flags])
     assert len(solitons._directions(fx.dim)) == 16
     orders = _count_sprays(monkeypatch)
     solitons.fit_kappa(fx.metric, fx.measure, bases)
-    assert len(bases) == 2 and orders == [4]
+    assert len(bases.x) == 2 and orders == [4]
 
 
 def _fit_kappa_per_base(metric, measure, bases):
     """The kappa fit one base at a time, as `solitons.fit_kappa` computed it
-    before one stack per fit: one `evaluate_flags` call per base and the F^2
-    normalisers from a float stage per base."""
+    before one stack per fit: one `evaluate_flags` call per base (its lane
+    repeated across the directions) and the F^2 normalisers from a float
+    stage per base."""
     dirs = solitons._directions(metric.dim)
     kappas, anisotropy = [], 0.0
-    for base in bases:
-        at = metric.at(list(base.x))
-        points = [FlagPoint(base.x, d) for d in dirs]
-        evs = finsler.evaluate_flags(metric, measure, points, [base] * len(dirs))
-        vals = np.array([ev.ric_inf / float(jets.scalar_value(at(list(p.y)))) ** 2
-                         for p, ev in zip(points, evs)])
+    for k, x in enumerate(bases.x):
+        at = metric.at(list(x))
+        points = [FlagPoint(x, d) for d in dirs]
+        ev = finsler.evaluate_flags(metric, measure, points, bases.lanes(np.full(len(dirs), k)))
+        vals = np.array([ric / float(jets.scalar_value(at(list(p.y)))) ** 2
+                         for p, ric in zip(points, ev.ric_inf)])
         kappas.append(float(np.mean(vals)))
         anisotropy = max(anisotropy, float(np.max(vals) - np.min(vals)))
     return np.array(kappas), anisotropy
@@ -139,11 +127,7 @@ def test_a_fit_stack_on_shrinking_evaluates_as_each_flag_alone():
     for key, table in T.items():
         assert table.flags.c_contiguous and table.shape[0] == len(points), key
     for k, p in enumerate(points):
-        alone = finsler.curvature_bundle(fx.metric, [p])[0]
-        for f in dataclasses.fields(alone):
-            got, want = getattr(stacked[k], f.name), getattr(alone, f.name)
-            assert _same(got, want), (k, f.name)
-            assert np.array_equal(np.signbit(got), np.signbit(want)), (k, f.name)
+        assert_lane(stacked, k, finsler.curvature_bundle(fx.metric, [p]), k)
 
 
 def test_a_stack_with_one_indefinite_g_raises():
@@ -154,7 +138,7 @@ def test_a_stack_with_one_indefinite_g_raises():
     good = [FlagPoint([0.5, 0.0], [1.0, 0.3]), FlagPoint([1.0, 0.2], [0.6, -0.8])]
     bad = FlagPoint([-0.5, 0.0], [1.0, 0.3])
     assert metric.value(bad.x, bad.y) > 0.0
-    assert len(finsler.evaluate_flags(metric, measure, good)) == 2
+    assert finsler.evaluate_flags(metric, measure, good).S.shape == (2,)
     for stack in (good + [bad], [good[0], bad, good[1]], [bad]):
         with pytest.raises(FlagDomainError, match="positive definite"):
             finsler.curvature_bundle(metric, stack)

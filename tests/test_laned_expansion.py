@@ -8,10 +8,9 @@ pieces the laned expansion is built from: the laned cross-space product
 laned `jets.YForms` scatter.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
+from _lanes import assert_lane
 
 from finsler_solitons import finsler, fixtures, generators, jets, randers, solitons
 from finsler_solitons.finsler import FinslerMetric, FlagDomainError
@@ -45,8 +44,8 @@ def test_a_fixture_run_expands_as_each_flag_alone(name):
     bases, _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
     X = np.array([p.x for p in flags])
     Y = np.array([p.y for p in flags])
-    stage = finsler._stack_stage(fx.metric, flags, [base.stage for base in bases])
-    assert stage.data is bases[0].stage.data and stage.idx is None
+    stage = bases.stage
+    assert isinstance(stage, finsler.LaneStage) and stage.idx is None
     for order in (2, 3, 4):
         laned = finsler._f2_jet(stage, Y, order)
         for k, p in enumerate(flags):
@@ -78,7 +77,7 @@ def test_random_randers_stacks_expand_as_each_flag_alone(dim, rng):
 def test_a_stack_of_one_flag_expands_unlaned(monkeypatch):
     fx = fixtures.get_fixture("cigar")
     p = sample_flags(fx, 1, np.random.default_rng(3))[0]
-    [base], _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, [p], 0)
+    base, _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, [p], 0)
     laned = []
     mul = Jet.__mul__
 
@@ -89,10 +88,10 @@ def test_a_stack_of_one_flag_expands_unlaned(monkeypatch):
     monkeypatch.setattr(Jet, "__mul__", recording_mul)
     T = finsler._f2_tables(base.stage, np.array([p.y]), 4)
     assert laned and not any(laned)
-    assert T["Q02"].shape == (1, 2, 2) and isinstance(T["F"], list)
-    ev = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
+    assert T["Q02"].shape == (1, 2, 2) and T["F"].shape == (1,)
+    ev = finsler.evaluate_flags(fx.metric, fx.measure, [p], base)
     assert not any(laned)
-    _assert_bitwise(ev.bundle.riemann, finsler.curvature_bundle(fx.metric, [p])[0].riemann, "R")
+    _assert_bitwise(ev.bundle.riemann, finsler.curvature_bundle(fx.metric, [p]).riemann, "R")
 
 
 @pytest.mark.parametrize("name", ["cigar", "shrinking"])
@@ -101,15 +100,14 @@ def test_directions_on_one_shared_stage_evaluate_as_each_flag_alone(name):
     # point); at n = 4 its 16 directions are two blocks of the scatter
     fx = fixtures.get_fixture(name)
     p = sample_flags(fx, 1, np.random.default_rng(2))[0]
-    base = finsler.base_point(fx.metric, fx.measure, p.x)
+    base = finsler.base_points(fx.metric, fx.measure, [p.x])
     points = [FlagPoint(p.x, d) for d in solitons._directions(fx.dim)]
-    stacked = finsler.evaluate_flags(fx.metric, fx.measure, points, [base] * len(points))
+    shared = base.lanes(np.zeros(len(points), int))
+    assert shared.stage is base.stage
+    stacked = finsler.evaluate_flags(fx.metric, fx.measure, points, shared)
     for k, q in enumerate(points):
-        alone = finsler.evaluate_flags(fx.metric, fx.measure, [q], [base])[0]
-        for f in dataclasses.fields(alone.bundle):
-            _assert_bitwise(getattr(stacked[k].bundle, f.name), getattr(alone.bundle, f.name),
-                            (name, k, f.name))
-        _assert_bitwise(stacked[k].ric_inf, alone.ric_inf, (name, k))
+        alone = finsler.evaluate_flags(fx.metric, fx.measure, [q], base)
+        assert_lane(stacked, k, alone, (name, k))
 
 
 # -- the laned products and forms -----------------------------------------------------

@@ -142,9 +142,10 @@ def _randers_ricci_reference(count, seed):
         metric = randers.finsler_from_randers(rd)
         flags = [FlagPoint(generators.sample_box_point(rng, 3), unit_direction(rng, 3))
                  for _ in range(16)]
-        for p, b in zip(flags, finsler.curvature_bundle(metric, flags)):
+        ricci = finsler.curvature_bundle(metric, flags).ricci
+        for p, ric in zip(flags, ricci):
             closed = randers.randers_ricci_closed_form(rd, p.x, p.y)
-            rows.append((closed - b.ricci) / max(abs(b.ricci), metric.value(p.x, p.y) ** 2))
+            rows.append((closed - ric) / max(abs(ric), metric.value(p.x, p.y) ** 2))
     return [rows]
 
 
@@ -187,13 +188,13 @@ def _isotropic_s_reference(count, seed):
         N = randers.nav_tensors(H1, nav.W.table(x, order=1))
         sig = randers.sigma_terms(sigma.table(x, order=1), y, N.w_up)
         lhs, rhs = randers.ricci_transfer_sides(
-            finsler.curvature_bundle(metric, [p])[0].ricci, metric.value(x, y),
+            finsler.curvature_bundle(metric, [p]).ricci[0], metric.value(x, y),
             riemann.point_record(nav.h, x, 2), N, sig, mu_t, y)
         rows[1].append((lhs - rhs) / metric.value(x, y) ** 2)
         rows[2].append(float(T.s_low @ y) - float(N.s_low @ y) / N.lam)
         smix = -N.s_mixed + np.outer(N.s_up, N.w_low) / N.lam
         rows[3].append(float(np.max(np.abs(T.s_mixed - smix))))
-        sd = finsler.evaluate_flags(metric, measure, [p])[0].s_dot
+        sd = finsler.evaluate_flags(metric, measure, [p]).s_dot[0]
         closed = solitons.s_dot_closed_form_nav(H1, N, metric.value(x, y), sig,
                                                 f.table(x, order=2), y)
         rows[4].append((sd - closed) / max(1.0, abs(sd)))

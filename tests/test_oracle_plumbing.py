@@ -13,12 +13,12 @@ replaced, bit for bit:
 * the fd flat test (`r_error`) and the sampled F that `_flag_rows` reads.
 """
 
-import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from _lanes import assert_lane
 
 from finsler_solitons import (finsler, fixtures, generators, jets, randers, riemann,
                               solitons, suites)
@@ -238,25 +238,28 @@ def test_fd_estimate_bounds_the_richardson_error_and_works_entrywise():
 
 
 def _recording_sprays(monkeypatch):
-    """Record, from now on, the x of every stage built and the point (x, y)
-    of every order-2 expansion of F^2 (a spray at that point)."""
+    """Record, from now on, the x of every stage built (`FinslerMetric.at`
+    at jet x) and the point (x, y) of every order-2 expansion of F^2 (a spray
+    at that point)."""
     sprays, stages, at = [], [], {}
-    stage, tables = finsler._stage, finsler._f2_tables
+    stage_at, tables = finsler.FinslerMetric.at, finsler._f2_tables
 
-    def recording_stage(metric, x):
-        out = stage(metric, x)
-        at[id(out)] = np.asarray(x, float).tobytes()
-        stages.append(at[id(out)])
+    def recording_at(metric, x):
+        out = stage_at(metric, x)
+        if isinstance(x[0], Jet):
+            at[id(out)] = np.array([v.value for v in x], float).tobytes()
+            stages.append(at[id(out)])
         return out
 
     def recording_tables(st, y, order):
+        out = tables(st, y, order)
         if order == 2:
-            # a base point's stage is a LaneStage over its x, built on first use
-            x = st.data.tobytes() if isinstance(st, finsler.LaneStage) else at[id(st)]
+            # the bases' stage is a LaneStage, built on first use
+            x = at[id(st._stage if isinstance(st, finsler.LaneStage) else st)]
             sprays.append(x + np.asarray(y, float).tobytes())
-        return tables(st, y, order)
+        return out
 
-    monkeypatch.setattr(finsler, "_stage", recording_stage)
+    monkeypatch.setattr(finsler.FinslerMetric, "at", recording_at)
     monkeypatch.setattr(finsler, "_f2_tables", recording_tables)
     return sprays, stages
 
@@ -270,7 +273,7 @@ def test_fd_bundle_computes_one_spray_per_distinct_stencil_point(name, count, mo
     n = fx.dim
     for p, (want, visited) in zip(flags, refs):
         del calls[:], stages[:]
-        b = finsler.curvature_bundle(fx.metric, [p], mode="fd")[0]
+        b = finsler.curvature_bundle(fx.metric, [p], mode="fd")
         # G at p is read off the flag's own order-2 table, which the second
         # y-derivatives' stencils visit again
         assert len(calls) == len(set(calls)) == 1 + 8 * n + 12 * n * n
@@ -280,21 +283,21 @@ def test_fd_bundle_computes_one_spray_per_distinct_stencil_point(name, count, mo
         assert len(stages) == len(set(stages)) == 1 + 8 * n
         got = (b.spray, b.dG_dx, b.dG_dy, b.d2G_dxdy, b.d2G_dydy, b.riemann)
         for g, w in zip(got, want, strict=True):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
-        assert b.ricci == float(np.trace(want[-1]))
-        assert math.isfinite(b.r_error) and b.r_error > 0.0
-    assert finsler.curvature_bundle(fx.metric, [flags[0]])[0].r_error == 0.0
+            assert g.shape == (1,) + w.shape and g[0].tobytes() == w.tobytes(), name
+        assert b.ricci.tolist() == [float(np.trace(want[-1]))]
+        assert math.isfinite(b.r_error[0]) and b.r_error[0] > 0.0
+    assert finsler.curvature_bundle(fx.metric, [flags[0]]).r_error[0] == 0.0
 
 
 def _s_dot_fd_per_point(metric, measure, p, step=1e-5):
-    """fd S-dot with a base point built at every stencil point."""
+    """fd S-dot with the bases built at every stencil point."""
     n = metric.dim
     z0 = np.concatenate([p.x, p.y])
     scale = max(1.0, float(np.max(np.abs(z0))))
 
     def S_fn(*z):
         y = np.asarray(z[n:], float)
-        base = finsler.base_point(metric, measure, z[:n])
+        base = finsler.base_points(metric, measure, [z[:n]]).lanes(0)
         D = finsler._spray_derivatives(finsler._f2_tables(base.stage, y, order=3), y, order=3)
         return finsler._s_value(D["dG_dy"], y, base.logs)
 
@@ -317,7 +320,7 @@ def test_fd_s_dot_builds_one_base_point_per_stencil_x(name, monkeypatch):
         return density(measure, x)
 
     monkeypatch.setattr(finsler.Measure, "log_density_table", recording)
-    assert finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd")[0].s_dot == want
+    assert finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd").s_dot[0] == want
     # the 4n points along y share the flag's x; each step along x has its own,
     # and the spray stencil steps x by the same first-derivative steps
     n = fx.dim
@@ -335,10 +338,10 @@ def test_fd_weighted_ricci_is_the_sum_of_fd_ricci_and_fd_s_dot():
     fx = fixtures.get_fixture("cigar")
     cases.append((fx.metric, fx.measure, FlagPoint([1.0, 0.3], [0.4, -0.7])))
     for metric, measure, p in cases:
-        ev = finsler.evaluate_flags(metric, measure, [p], mode="fd")[0]
-        assert ev.bundle.ricci == finsler.curvature_bundle(metric, [p], mode="fd")[0].ricci
-        assert ev.s_dot == _s_dot_fd_per_point(metric, measure, p)
-        assert ev.ric_inf == ev.bundle.ricci + ev.s_dot
+        ev = finsler.evaluate_flags(metric, measure, [p], mode="fd")
+        assert ev.bundle.ricci[0] == finsler.curvature_bundle(metric, [p], mode="fd").ricci[0]
+        assert ev.s_dot[0] == _s_dot_fd_per_point(metric, measure, p)
+        assert ev.ric_inf[0] == ev.bundle.ricci[0] + ev.s_dot[0]
 
 
 # -- the fd evaluation: one stage per distinct stencil x --------------------------------
@@ -347,8 +350,8 @@ def test_fd_weighted_ricci_is_the_sum_of_fd_ricci_and_fd_s_dot():
 def _separate_fd_oracles(metric, measure, p, step1=1e-5, step2=3e-4):
     """The fd bundle and the fd S-dot as two separate oracles: the spray at
     each stencil point (p included) from a stage of its own, g and F from
-    one more order-2 expansion at p, a base point per stencil x of S, and
-    S-dot from `_pointwise_spray` at p.  Returns the bundle's fields and S-dot."""
+    one more order-2 expansion at p, bases per stencil x of S, and S-dot
+    from `_pointwise_spray` at p.  Returns the one-flag bundle and S-dot."""
     n = metric.dim
     x, y = np.asarray(p.x, float), np.asarray(p.y, float)
     z0 = np.concatenate([x, y])
@@ -375,17 +378,15 @@ def _separate_fd_oracles(metric, measure, p, step1=1e-5, step2=3e-4):
     (dxdy, e_dxdy), (dydy, e_dydy) = table(xs, ys, step=step2), table(ys, ys, step=step2)
     R = finsler._assemble_riemann(y, G, dx, dy, dxdy, dydy)
     err = finsler._riemann_error(y, G, dy, (e_dx, e_dy, e_dxdy, e_dydy))
-    bundle = finsler.CurvatureBundle(
-        x=x, y=y, F=T["F"], dF2_dy=T["Q01"], g=g, spray=G,
-        dG_dx=dx, dG_dy=dy, d2G_dxdy=dxdy, d2G_dydy=dydy, riemann=R,
-        ricci=float(np.trace(R)), r_error=float(np.linalg.norm(err)))
+    bundle = finsler.CurvatureBundle(*(np.array([v]) for v in (
+        x, y, T["F"], T["Q01"], g, G, dx, dy, dxdy, dydy, R, np.trace(R), np.linalg.norm(err))))
     return bundle, _s_dot_fd_per_point(metric, measure, p, step=step1)
 
 
 def _fd_cases():
     """(metric, measure, flags, the flags' bases or None) on three fixtures
-    (their sample points' bases) and a random Randers metric with a weighted
-    Busemann-Hausdorff measure (no bases)."""
+    (their sample points' `finsler.Bases`) and a random Randers metric with a
+    weighted Busemann-Hausdorff measure (no bases)."""
     for name, count in (("gaussian", 2), ("cigar", 2), ("shrinking", 1)):
         fx = fixtures.get_fixture(name)
         flags = sample_flags(fx, count, np.random.default_rng(17))
@@ -402,17 +403,15 @@ def _fd_cases():
 @pytest.mark.parametrize("case", list(_fd_cases()), ids=lambda c: c[0])
 def test_fd_evaluation_equals_the_separate_fd_oracles(case):
     name, metric, measure, flags, bases = case
-    evs = finsler.evaluate_flags(metric, measure, flags, bases, mode="fd")
-    for p, ev in zip(flags, evs, strict=True):
+    ev = finsler.evaluate_flags(metric, measure, flags, bases, mode="fd")
+    assert ev.S.shape == (len(flags),)
+    for k, p in enumerate(flags):
         want, want_sdot = _separate_fd_oracles(metric, measure, p)
-        for f in dataclasses.fields(want):
-            got, w = getattr(ev.bundle, f.name), getattr(want, f.name)
-            assert got == w if np.isscalar(w) or w is None else np.array_equal(got, w), (
-                name, f.name)
-        assert ev.S == finsler.evaluate_flags(metric, measure, [p])[0].S
-        assert ev.s_dot == want_sdot
-        assert ev.ric_inf == want.ricci + want_sdot
-        assert finsler._flag_curvature(ev.bundle) == finsler._flag_curvature(want)
+        assert_lane(ev.bundle, k, want, (name, k))
+        assert ev.S[k] == finsler.evaluate_flags(metric, measure, [p]).S[0]
+        assert ev.s_dot[k] == want_sdot
+        assert ev.ric_inf[k] == want.ricci[0] + want_sdot
+        assert finsler._flag_curvature(ev.bundle, k) == finsler._flag_curvature(want, 0)
 
 
 def test_evaluate_flag_refuses_an_unknown_mode():
@@ -444,9 +443,9 @@ def _pipeline_reference(count, seed):
         p = FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
         F2 = metric.value(p.x, p.y) ** 2
         for out, fn in zip(rows, (
-                lambda mode: finsler.curvature_bundle(metric, [p], mode=mode)[0].ricci,
-                lambda mode: finsler.evaluate_flags(metric, measure, [p], mode=mode)[0].s_dot,
-                lambda mode: finsler.evaluate_flags(metric, measure, [p], mode=mode)[0].ric_inf)):
+                lambda mode: finsler.curvature_bundle(metric, [p], mode=mode).ricci[0],
+                lambda mode: finsler.evaluate_flags(metric, measure, [p], mode=mode).s_dot[0],
+                lambda mode: finsler.evaluate_flags(metric, measure, [p], mode=mode).ric_inf[0])):
             j, f = fn("jet"), fn("fd")
             out.append((j - f) / max(abs(j), F2))
     return rows
@@ -456,8 +455,8 @@ def test_jets_vs_fd_evaluates_each_flag_once_per_side(monkeypatch):
     count, seed = 3, 5
     want = _pipeline_reference(count, seed)
     modes = {"evaluate_flags": [], "curvature_bundle": []}
-    evaluate, bundle, base_point = (finsler.evaluate_flags, finsler.curvature_bundle,
-                                    finsler.base_point)
+    evaluate, bundle, base_points = (finsler.evaluate_flags, finsler.curvature_bundle,
+                                     finsler.base_points)
 
     def counted_evaluate(metric, measure, points, bases=None, mode="jet"):
         assert len(points) == 1
@@ -472,12 +471,12 @@ def test_jets_vs_fd_evaluates_each_flag_once_per_side(monkeypatch):
     bases = []
     monkeypatch.setattr(finsler, "evaluate_flags", counted_evaluate)
     monkeypatch.setattr(finsler, "curvature_bundle", counted_bundle)
-    monkeypatch.setattr(finsler, "base_point", lambda *a: bases.append(1) or base_point(*a))
+    monkeypatch.setattr(finsler, "base_points", lambda *a: bases.append(1) or base_points(*a))
     sprays, _stages = _recording_sprays(monkeypatch)
     reports = {r.name: r for r in suites.crosscheck_jets_vs_fd(count=count, seed=seed)}
     for calls in modes.values():
         assert calls == ["jet", "fd"] * count
-    assert len(bases) == count         # one base point per flag, shared by both sides
+    assert len(bases) == count         # one one-point Bases per flag, shared by both sides
     assert len(sprays) == count * (1 + 8 * 2 + 12 * 2 * 2) <= 198
     for name, rows in zip(("pipeline-ricci", "pipeline-s-dot", "pipeline-infinity-ricci"),
                           want):
@@ -518,14 +517,14 @@ def test_fd_flat_fixture_controls_still_fail(perturb):
 def test_flat_within_error_only_on_a_bundle_with_an_error_bound():
     fx = fixtures.get_fixture("cigar")
     p = FlagPoint([1.0, 0.3], [0.4, -0.7])
-    b = finsler.curvature_bundle(fx.metric, [p])[0]
-    fit = finsler._flag_curvature(b)
+    b = finsler.curvature_bundle(fx.metric, [p])
+    fit = finsler._flag_curvature(b, 0)
     assert not fit.flat and not fit.within_error
-    norm = float(np.linalg.norm(b.riemann))
-    b.r_error = norm
-    assert finsler._flag_curvature(b) == finsler.FlagCurvature(0.0, 0.0, True, True)
-    b.r_error = 0.5 * norm
-    assert finsler._flag_curvature(b) == fit
+    norm = float(np.linalg.norm(b.riemann[0]))
+    b.r_error = np.array([norm])
+    assert finsler._flag_curvature(b, 0) == finsler.FlagCurvature(0.0, 0.0, True, True)
+    b.r_error = np.array([0.5 * norm])
+    assert finsler._flag_curvature(b, 0) == fit
 
 
 # -- one F per sampled flag -----------------------------------------------------------------

@@ -341,7 +341,7 @@ def test_bh_measure_s_curvature_cigar(rng):
     rd = from_navigation(nav)
     F = finsler_from_navigation(nav)
     p = FlagPoint([1.1, 0.5], rng.normal(size=2))
-    assert finsler.evaluate_flags(F, bh_measure(rd), [p])[0].S == pytest.approx(0.0, abs=1e-11)
+    assert finsler.evaluate_flags(F, bh_measure(rd), [p]).S[0] == pytest.approx(0.0, abs=1e-11)
 
 
 # -- beta derivative tensors ------------------------------------------------------------------
@@ -456,7 +456,7 @@ def test_closed_form_vs_spray_on_random_metrics(rng):
         metric = finsler_from_randers(rd)
         p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
         closed = randers_ricci_closed_form(rd, p.x, p.y)
-        spray_val = finsler.curvature_bundle(metric, [p])[0].ricci
+        spray_val = finsler.curvature_bundle(metric, [p]).ricci[0]
         F2 = metric.value(p.x, p.y) ** 2
         assert abs(closed - spray_val) / max(abs(spray_val), F2) <= 1e-8
 
@@ -548,7 +548,7 @@ def test_navigation_xi_uses_the_tabled_value_of_w(rng):
     # Both identities build xi on the jet value of W, never the float one.
     assert lie_nav_h2_sides(nav, v, p, F)[1] == _lie_rhs(nav, v, p, F, T.w_up)
     sig = randers.sigma_terms(riemann.as_scalar_field(0.3).table(p.x, order=1), p.y, T.w_up)
-    ric = finsler.curvature_bundle(metric, [p])[0].ricci
+    ric = finsler.curvature_bundle(metric, [p]).ricci[0]
     rhs = ricci_transfer_sides(ric, F, H, T, sig, 0.0, p.y)[1]
     assert rhs == _transfer_rhs(H, p, F, T.w_up, 0.0)
 
@@ -561,7 +561,7 @@ def test_curvature_transfer_identity(rng):
     H = riemann.point_record(nav.h, p.x, 2)
     T = nav_tensors(H, nav.W.table(p.x, order=1))
     sig = randers.sigma_terms(sigma.table(p.x, order=1), p.y, T.w_up)
-    ric = finsler.curvature_bundle(metric, [p])[0].ricci
+    ric = finsler.curvature_bundle(metric, [p]).ricci[0]
     for mu_t in (0.0, -0.6, 1.4):
         lhs, rhs = ricci_transfer_sides(ric, F, H, T, sig, mu_t, p.y)
         assert abs(lhs - rhs) / (F * F) <= 1e-8

@@ -75,3 +75,34 @@ def test_readme_names_resolve_in_the_source(monkeypatch):
                 missing.append(name)
                 break
     assert missing == []
+
+
+# -- the claims map ------------------------------------------------------------------------
+
+CLAIMS = re.search(r"^## Claims map\n(.*?)^## ", (ROOT / "README.md").read_text(),
+                   re.S | re.M).group(1)
+CLAIM_ROWS = [line.split(" | ") for line in CLAIMS.splitlines()
+              if line.startswith("| ") and not line.startswith(("| claim", "| ---"))]
+
+
+def test_every_row_of_the_claims_map_is_in_a_report():
+    from test_vacuous_rows import VACUOUS
+
+    from finsler_solitons import fixtures, suites
+
+    verify_rows = {r.name for name in fixtures.FIXTURE_NAMES
+                   for r in suites.run_fixture_suite(fixtures.get_fixture(name), samples=2,
+                                                     seed=0)}
+    assert len(CLAIM_ROWS) == 6
+    cited, vacuous = set(), set()
+    for _, rows, checks in CLAIM_ROWS:
+        names = set(re.findall(r"`([^`]+)`", rows)) - set(fixtures.FIXTURE_NAMES)
+        assert names <= verify_rows, sorted(names - verify_rows)
+        cited |= names
+        vacuous |= set(re.findall(r"`([^`]+)` \*\(vacuous\)\*", rows))
+        for suite, suite_rows in re.findall(r"`([\w-]+)` \(([^)]*)\)", checks):
+            got = {r.name for r in suites.run_crosscheck_suite(suite, seed=0, count=2)}
+            want = set(re.findall(r"`([^`]+)`", suite_rows))
+            assert want and want <= got, (suite, sorted(want - got))
+    # every vacuous bundle row is cited, and marked as such
+    assert vacuous == set(VACUOUS) <= cited

@@ -7,17 +7,16 @@ lambda, h W) and its weight f once, at order-2 x jets whose lanes are the
 flags' x, and gather every table from that evaluation.  Each consumer of the
 closure path expands one x as the same order-2 jets, so every table must
 come out equal: the stage (through `finsler._f2_jet`) and the log-density
-table of `finsler.base_point`, the records of `riemann.point_record`,
+table of `finsler.base_points`, the records of `riemann.point_record`,
 `randers.beta_tables` on beta's table, `randers.nav_tensors` on W's order-1
 table and f's table; sigma's order-1 table is the field's own.  The density
 is e^{-f} sqrt(det h), the fixture measure's own formula, and only the
 bundle lanes build the (alpha, beta) rows and table sigma.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
+from _lanes import assert_lane
 
 from finsler_solitons import finsler, fixtures, jets, randers, riemann, solitons, suites
 from finsler_solitons.jets import FlagPoint, Jet
@@ -27,48 +26,36 @@ from finsler_solitons.sampling import sample_flags
 CASES = [(name, None) for name in fixtures.FIXTURE_NAMES] + [("cigar", ("W", 1e-2))]
 
 
-def _same_row(stack, k, want, what):
-    # row k of a stacked record against the one-point record
-    assert type(stack) is type(want), what
-    for f in dataclasses.fields(want):
-        got, w = getattr(stack, f.name), getattr(want, f.name)
-        assert (got is None and w is None) or np.array_equal(got[k], w), (what, f.name)
-
-
 @pytest.mark.parametrize("name,perturb", CASES)
 def test_sample_point_equals_the_closure_path(name, perturb):
     fx = fixtures.get_fixture(name, perturb=perturb)
     flags = sample_flags(fx, 3, np.random.default_rng(23))
     bases, S = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 3)
-    assert len(bases) == len(flags) and S.x.shape == S.y.shape == (3, fx.dim)
-    for k, (p, sp) in enumerate(zip(flags, bases, strict=True)):
-        base = finsler.base_point(fx.metric, fx.measure, p.x)
-        assert np.array_equal(sp.x, base.x)
+    assert bases.x.shape == S.x.shape == S.y.shape == (3, fx.dim)
+    for k, p in enumerate(flags):
+        base = finsler.base_points(fx.metric, fx.measure, [p.x])
+        assert len(bases.logs) == len(base.logs) == 3
+        assert_lane(bases, k, base, (name, "bases"))
         for order in (2, 3, 4):
-            got = finsler._f2_jet(sp.stage, p.y, order)
+            got = finsler._f2_jet(bases.lanes(k).stage, p.y, order)
             want = finsler._f2_jet(base.stage, p.y, order)
             assert got.space is want.space
             assert np.array_equal(got.coeffs, want.coeffs), (name, order)
-        assert len(sp.logs) == len(base.logs) == 3
-        for got, want in zip(sp.logs, base.logs):
-            assert np.array_equal(got, want), (name, "logs")
 
         assert np.array_equal(S.x[k], p.x) and np.array_equal(S.y[k], p.y)
         alpha = riemann.point_record(fx.rd.alpha, p.x, 2)
         h = riemann.point_record(fx.nav.h, p.x, 2)
-        _same_row(S.alpha, k, alpha, (name, "alpha record"))
-        _same_row(S.h, k, h, (name, "h record"))
+        assert_lane(S.alpha, k, alpha, (name, "alpha record"), lane=None)
+        assert_lane(S.h, k, h, (name, "h record"), lane=None)
         T = randers.beta_tables(alpha, fx.rd.beta.table(p.x, order=2))
-        _same_row(S.beta, k, T, (name, "beta tables"))
-        _same_row(S.bd, k, randers.beta_derivatives(T, p.y), (name, "bd"))
-        _same_row(S.nav, k, randers.nav_tensors(h, fx.nav.W.table(p.x, order=1)),
-                  (name, "nav tensors"))
-        assert len(S.f) == 3
-        for got, want in zip(S.f, fx.f.table(p.x, order=2)):
-            assert np.array_equal(got[k], want), (name, "f table")
-        assert len(S.sigma) == 2
-        for got, want in zip(S.sigma, fx.sigma.table(p.x, order=1)):
-            assert np.array_equal(got[k], want), (name, "sigma table")
+        assert_lane(S.beta, k, T, (name, "beta tables"), lane=None)
+        assert_lane(S.bd, k, randers.beta_derivatives(T, p.y), (name, "bd"), lane=None)
+        assert_lane(S.nav, k, randers.nav_tensors(h, fx.nav.W.table(p.x, order=1)),
+                    (name, "nav tensors"), lane=None)
+        assert len(S.f) == 3 and len(S.sigma) == 2
+        assert_lane(S.f, k, fx.f.table(p.x, order=2), (name, "f table"), lane=None)
+        assert_lane(S.sigma, k, fx.sigma.table(p.x, order=1), (name, "sigma table"),
+                    lane=None)
 
 
 @pytest.mark.parametrize("name", ["cigar", "expanding"])
@@ -77,12 +64,10 @@ def test_a_flag_on_its_sample_point_evaluates_as_alone(name):
     flags = sample_flags(fx, 2, np.random.default_rng(29))
     bases, stack = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)
     assert stack is None
-    for p, base in zip(flags, bases, strict=True):
-        shared = finsler.evaluate_flags(fx.metric, fx.measure, [p], [base])[0]
-        alone = finsler.evaluate_flags(fx.metric, fx.measure, [p])[0]
-        for f in dataclasses.fields(alone.bundle):
-            assert np.array_equal(getattr(shared.bundle, f.name), getattr(alone.bundle, f.name))
-        assert (shared.S, shared.s_dot, shared.ric_inf) == (alone.S, alone.s_dot, alone.ric_inf)
+    for k, p in enumerate(flags):
+        shared = finsler.evaluate_flags(fx.metric, fx.measure, [p], bases.lanes([k]))
+        alone = finsler.evaluate_flags(fx.metric, fx.measure, [p])
+        assert_lane(shared, 0, alone, (name, k))
 
 
 def test_a_sample_point_raises_the_navigation_guard_of_its_point():
@@ -153,8 +138,9 @@ def test_the_fixture_measure_and_its_sample_points_read_one_density(name, pertur
     # point's table: both are e^{-f} sqrt(det h), so they agree bit for bit
     fx = fixtures.get_fixture(name, perturb=perturb)
     flags = sample_flags(fx, 3, np.random.default_rng(31))
-    for p, base in zip(flags, solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)[0]):
-        got = base.logs
+    bases = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)[0]
+    for k, p in enumerate(flags):
+        got = bases.lanes(k).logs
         want = fx.measure.log_density_table(p.x)
         assert len(got) == len(want) == 3
         for g, w in zip(got, want):
@@ -244,10 +230,5 @@ def test_stacked_tables_equal_their_one_point_calls(name):
     stacks = _records(fx, X, Y, gathers)
     for k, (x, y) in enumerate(zip(X, Y)):
         want_gathers, want_records = _one_point_tables(fx, x, y)
-        for got, want in zip(gathers, want_gathers, strict=True):
-            for g, w in zip(got, want, strict=True):
-                assert np.array_equal(g[k], w), (name, k, "gather")
-        for stack, want in zip(stacks, want_records, strict=True):
-            for f in dataclasses.fields(want):
-                g, w = getattr(stack, f.name), getattr(want, f.name)
-                assert (g is None and w is None) or np.array_equal(g[k], w), (name, k, f.name)
+        assert_lane(gathers, k, want_gathers, (name, k, "gather"), lane=None)
+        assert_lane(stacks, k, want_records, (name, k), lane=None)
