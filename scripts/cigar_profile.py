@@ -28,14 +28,14 @@ def main():
     flags = [FlagPoint([t, rng.uniform(0, 2 * math.pi)], unit_direction(rng, 2))
              for t in np.linspace(0.2, 2.0, args.points)]
     ev = finsler.evaluate_flags(fx.metric, fx.measure, flags)
+    fit = finsler.flag_curvature(ev.bundle)
     for k, p in enumerate(flags):
         t = p.x[0]
-        fit = finsler._flag_curvature(ev.bundle, k)
         law = 2.0 / math.cosh(t) ** 2
         ratio = ev.ric_inf[k] / fx.metric.value(p.x, p.y) ** 2
         # the measure is e^{-f} dm_BH, so S = S_BH + df(y)
         s_bh = ev.S[k] - float(fx.f.table(p.x, order=1)[1] @ p.y)
-        print(f"{t:6.3f} {fit.value:12.8f} {law:12.8f} {abs(fit.value - law):10.2e} "
+        print(f"{t:6.3f} {fit.value[k]:12.8f} {law:12.8f} {abs(fit.value[k] - law):10.2e} "
               f"{ratio:12.3e} {s_bh:10.2e}")
     bases = finsler.base_points(fx.metric, fx.measure, [[t, 0.0] for t in (0.3, 1.0, 1.8)])
     kappas, anis = solitons.fit_kappa(fx.metric, fx.measure, bases)

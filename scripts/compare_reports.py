@@ -70,6 +70,8 @@ INVOCATIONS = (
     + (("verify", "--fixture", "gaussian", "--perturb", "sigma:1e-2"),
        ("verify", "--fixture", "cigar", "--perturb", "kappa:1e-2"),
        ("verify", "--fixture", "shrinking", "--perturb", "mu:1e-2", "--samples", "4"))
+    # a run that refuses draws (43 of 107 at seed 0): flags sampled in batches
+    + (("verify", "--fixture", "cigar", "--perturb", "W:0.3"),)
 )
 
 

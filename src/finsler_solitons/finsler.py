@@ -9,7 +9,7 @@ a least-squares scalar flag-curvature fit.
 `evaluate_flags` is the one evaluation per flag and the one way to read
 flags' quantities: a single fourth-order expansion of F^2 yields Ric, S,
 S-dot and Ric_inf together; the flag-curvature fit is read off a bundle by
-the callers that want it (`_flag_curvature`).  Without a measure,
+the callers that want it (`flag_curvature`).  Without a measure,
 `curvature_bundle` gives the spray, R and Ric alone.  Both take a stack of
 flags and return one record whose fields carry a leading flag axis; F^2 is
 expanded once per stack: one jet laned over the flags, from one stage laned
@@ -96,12 +96,15 @@ class FinslerMetric:
     products of x-only factors) once per stage, so every direction at one
     point shares it; `FinslerMetric(dim, fn)` with `fn(x, y)` stages as
     `lambda y: fn(x, y)`.  `F` and `value` both go through the stage.
+    `lane_safe` is False for such an fn, which need not take arrays of lane
+    values: `sampling.sample_flags` reads it one draw at a time.
     """
 
     def __init__(self, dim: int, fn, name=""):
         self.dim = dim
         self._at = lambda x: lambda y: fn(x, y)
         self.name = name
+        self.lane_safe = fn is None
 
     @classmethod
     def from_stage(cls, dim: int, at, name="") -> "FinslerMetric":
@@ -504,35 +507,54 @@ def lie_F2(metric: FinslerMetric, v: VectorField, p: FlagPoint) -> float:
     return lie_scalar(lambda xs, ys: metric.F(xs, ys) ** 2, v, p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlagCurvature:
-    value: float
-    residual: float
-    flat: bool
-    within_error: bool = False      # flat only because |R| <= the bundle's r_error
+    """The flag-curvature fit of a stack of flags, one entry per flag."""
+
+    value: np.ndarray
+    residual: np.ndarray
+    flat: np.ndarray
+    within_error: np.ndarray        # flat only because |R| <= the bundle's r_error
 
 
-def _flag_curvature(b: CurvatureBundle, k: int) -> FlagCurvature:
+def _memory_rows(M):
+    """Each matrix of a stack as one C-contiguous row, its entries in the
+    order the matrix lies in memory: the order in which `np.linalg.norm`
+    sums a lane (`ravel(order='K')`)."""
+    if M.strides[-2] < M.strides[-1]:
+        M = np.swapaxes(M, -1, -2)
+    return np.ascontiguousarray(M.reshape(M.shape[0], -1))
+
+
+def flag_curvature(b: CurvatureBundle) -> FlagCurvature:
     """Least-squares K with R^i_k ~ K (F^2 delta^i_k - F F_{y^k} y^i) at
-    flag k of the bundle b.
+    every flag of the bundle b, in one stacked pass.
 
     The residual is the Frobenius misfit relative to |R|; a vanishing R is
     reported as flat with K = 0 and residual 0, and so is an R no larger
     than the bundle's error estimate `r_error` (a finite-difference R that
-    is noise), marked `within_error`.  The fit reads one flag at a time: a
-    norm over a stack of R sums in another order.
+    is noise), marked `within_error`.  Each lane is bit-equal to the fit of
+    its flag alone (a lane's `np.linalg.norm` and `np.sum`): a squared norm
+    is `riemann.dot` of rows, the BLAS dot `np.linalg.norm` takes, over R's
+    lanes in their memory order (`_memory_rows`) and over the misfit's in C
+    order, as R - K A lies; the sums of products are `np.sum` over C-order
+    rows.  Flat lanes divide by nothing.
     """
-    F2, y = b.F2[k], b.y[k]
-    A = F2 * np.eye(y.size) - 0.5 * np.outer(y, b.dF2_dy[k])
-    R = b.riemann[k]
-    normR = float(np.linalg.norm(R))
-    if normR <= 1e-11 * F2 * F2 + 1e-300:
-        return FlagCurvature(0.0, 0.0, True)
-    if normR <= b.r_error[k]:
-        return FlagCurvature(0.0, 0.0, True, within_error=True)
-    K = float(np.sum(R * A) / np.sum(A * A))
-    residual = float(np.linalg.norm(R - K * A) / normR)
-    return FlagCurvature(K, residual, False)
+    F2, y = b.F2, b.y
+    P, n = y.shape
+    A = F2[:, None, None] * np.eye(n) - 0.5 * (y[:, :, None] * b.dF2_dy[:, None, :])
+    R = b.riemann
+    rows = _memory_rows(R)
+    normR = np.sqrt(riemann.dot(rows, rows))
+    tiny = normR <= 1e-11 * F2 * F2 + 1e-300
+    within_error = ~tiny & (normR <= b.r_error)
+    live = ~(tiny | within_error)
+    K = np.divide(np.sum((R * A).reshape(P, -1), axis=-1),
+                  np.sum((A * A).reshape(P, -1), axis=-1), out=np.zeros(P), where=live)
+    misfit = (R - K[:, None, None] * A).reshape(P, -1)
+    residual = np.divide(np.sqrt(riemann.dot(misfit, misfit)), normR,
+                         out=np.zeros(P), where=live)
+    return FlagCurvature(K, residual, ~live, within_error)
 
 
 # -- one evaluation per flag ------------------------------------------------------
@@ -577,7 +599,7 @@ class FlagEvaluation:
     """Every quantity of the soliton laws at a stack of flags, each with a
     leading flag axis: in jet mode from one order-4 expansion, in fd mode
     from the fd bundles and the fd S.  The flag-curvature fit is not one of
-    them: a reader that wants it calls `_flag_curvature(bundle, k)`."""
+    them: a reader that wants it calls `flag_curvature(bundle)`."""
 
     bundle: CurvatureBundle
     S: np.ndarray

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,10 +36,16 @@ class ResidualReport:
 
 
 def report_from_values(name, values, tol, detail="") -> ResidualReport:
-    """The report of a non-empty sequence of residuals."""
+    """The report of a non-empty sequence of residuals.  The mean of finite
+    residuals whose sum overflows is taken of the residuals scaled down by a
+    power of two no smaller than their count (an exact scaling), so it is
+    finite; every other mean is `np.mean`'s."""
     values = np.abs(np.asarray(list(values), float))
     max_abs = float(np.max(values))
     mean_abs = float(np.mean(values))
+    if not math.isfinite(mean_abs) and np.isfinite(values).all():
+        scale = 2.0 ** math.ceil(math.log2(values.size))
+        mean_abs = float(np.mean(values / scale) * scale)
     verdict = PASS if max_abs <= tol else FAIL
     return ResidualReport(name=name, samples=int(values.size), max_abs=max_abs,
                           mean_abs=mean_abs, tol=tol,

@@ -101,14 +101,16 @@ def spd_inverse(mat, error, what):
 
 
 class ScalarField:
-    """Scalar function of chart coordinates, evaluable on floats or Jets."""
+    """Scalar function of chart coordinates, evaluable on floats or Jets.
+    A field built from a number keeps it as `const` (None for a function)."""
 
     def __init__(self, fn, name=""):
         if isinstance(fn, numbers.Real):
-            const = float(fn)
+            const = self.const = float(fn)
             self._fn = lambda x: const
             self.name = name or f"const({const})"
         else:
+            self.const = None
             self._fn = fn
             self.name = name
 
@@ -152,8 +154,12 @@ def field_value(field, x) -> float:
 
 def field_values(field, X) -> np.ndarray:
     """`field_value` at each row of a stack of points X, one float per lane:
-    read at each lane's point, a fixture's closures need not be lane-safe
-    (cigar's curvature law calls math.cosh on a float)."""
+    a constant field's number in every lane, and a function read at each
+    lane's point, so a fixture's closures need not be lane-safe (cigar's
+    curvature law calls math.cosh on a float)."""
+    field = as_scalar_field(field)
+    if field.const is not None:
+        return np.full(len(X), field.const)
     return np.array([field_value(field, x) for x in X])
 
 

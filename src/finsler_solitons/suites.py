@@ -14,11 +14,15 @@ mode): one fourth-order expansion of F^2 laned over the stack of flags,
 from the run's laned stage, with one spray and Riemann pass over the stack
 (one finite-difference bundle and S per flag in fd mode), feeds the Ricci
 law, infinity-Ricci and, where the fixture declares a flag curvature, the
-flag-curvature rows (a fit read off each flag's lane of the bundle); each
-row is one array over the flags.  The kappa fit is one more such call, over
-the directions at its points.  A run's x-only work runs once for all its
-flags, in `solitons.sample_points` (one laned closure evaluation, which is
-also the run's stage, and one stacked pass of the bundle flags' records):
+flag-curvature rows (one stacked fit over the bundle's flags,
+`finsler.flag_curvature`); each row is one array over the flags, and a
+declared scalar that is a constant is read once for all of them
+(`riemann.field_values`).  The flags' F normalisers are the F that accepted
+them in `sampling.sample_flags`, one stacked F per batch of draws.  The
+kappa fit is one more `evaluate_flags` call, over the directions at its
+points.  A run's x-only work runs once for all its flags, in
+`solitons.sample_points` (one laned closure evaluation, which is also the
+run's stage, and one stacked pass of the bundle flags' records):
 the flag rows and the kappa fit (on the first 4 lanes) read the run's
 `finsler.Bases`, and the bundles and the sigma fit the
 `solitons.BundleStack` of the first (at most 32) flags, as it is.
@@ -63,11 +67,10 @@ def _flag_rows(fixture, flags, bases, mode):
         rows["ricci-law"] = ev.bundle.ricci / F2 - field_values(fixture.einstein, bases.x)
     if fixture.flag_curvature is None:
         return rows, 0
-    fits = [finsler._flag_curvature(ev.bundle, k) for k in range(len(flags))]
-    rows["flag-curvature-law"] = (np.array([fit.value for fit in fits])
-                                  - field_values(fixture.flag_curvature, bases.x))
-    rows["flag-curvature-misfit"] = np.array([fit.residual for fit in fits])
-    return rows, sum(fit.within_error for fit in fits)
+    fit = finsler.flag_curvature(ev.bundle)
+    rows["flag-curvature-law"] = fit.value - field_values(fixture.flag_curvature, bases.x)
+    rows["flag-curvature-misfit"] = fit.residual
+    return rows, int(np.count_nonzero(fit.within_error))
 
 
 # -- fixture suite ------------------------------------------------------------------

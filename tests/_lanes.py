@@ -3,7 +3,9 @@
 A stacked record (`finsler.FlagEvaluation`, `finsler.CurvatureBundle`,
 `finsler.Bases`, `solitons.BundleStack`) holds a stack of flags or points,
 every array with a leading lane axis.  Its lane k must equal the record of
-that one flag or point alone, in values, shape and signs of zero.
+that one flag or point alone, in values, shape and signs of zero.  The
+stacked flag-curvature fit is checked lane by lane against the one-point
+formula it replaced (`one_flag_fit`).
 """
 
 import dataclasses
@@ -54,3 +56,29 @@ def assert_lane(stack, k, one, what, lane=0):
     flag or point alone: at its lane `lane` (a one-flag stack), or as it is
     for lane=None (a one-point record with no lane axis)."""
     _assert_same(_lane(stack, k), _lane(one, lane), what)
+
+
+def one_flag_fit(b, k):
+    """The flag-curvature fit of flag k of the bundle b alone, by the
+    one-point formula: (K, residual, flat, within_error).  The reference for
+    the stacked `finsler.flag_curvature`."""
+    F2, y = b.F2[k], b.y[k]
+    A = F2 * np.eye(y.size) - 0.5 * np.outer(y, b.dF2_dy[k])
+    R = b.riemann[k]
+    normR = float(np.linalg.norm(R))
+    if normR <= 1e-11 * F2 * F2 + 1e-300:
+        return 0.0, 0.0, True, False
+    if normR <= b.r_error[k]:
+        return 0.0, 0.0, True, True
+    K = float(np.sum(R * A) / np.sum(A * A))
+    return K, float(np.linalg.norm(R - K * A) / normR), False, False
+
+
+def assert_fit_lanes(fit, b, what):
+    """Every lane of the stacked fit `fit` of the bundle b equals
+    `one_flag_fit` of its flag, bit for bit and in signs of zero."""
+    assert all(len(v) == len(b.y) for v in dataclasses.astuple(fit)), what
+    for k in range(len(b.y)):
+        K, residual, flat, within_error = one_flag_fit(b, k)
+        _assert_same([fit.value[k], fit.residual[k]], [K, residual], (what, k))
+        assert (fit.flat[k], fit.within_error[k]) == (flat, within_error), (what, k)

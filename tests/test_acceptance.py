@@ -55,9 +55,9 @@ def test_criterion_03_cigar_flag_curvature():
     worst_law, worst_fit = 0.0, 0.0
     for p in flags:
         ev = finsler.evaluate_flags(fx.metric, fx.measure, [p])
-        fit = finsler._flag_curvature(ev.bundle, 0)
-        worst_law = max(worst_law, abs(fit.value - 2.0 / math.cosh(p.x[0]) ** 2))
-        worst_fit = max(worst_fit, fit.residual)
+        fit = finsler.flag_curvature(ev.bundle)
+        worst_law = max(worst_law, abs(fit.value[0] - 2.0 / math.cosh(p.x[0]) ** 2))
+        worst_fit = max(worst_fit, fit.residual[0])
     ok1 = _line(3, "cigar fitted K vs 2/cosh^2 t", worst_law, 1e-6)
     ok2 = _line(3, "cigar flag-curvature anisotropy residual", worst_fit, 1e-6)
     assert ok1 and ok2

@@ -10,6 +10,7 @@ import pytest
 
 from finsler_solitons import cli, fixtures, suites
 from finsler_solitons.finsler import ParameterError
+from finsler_solitons.reports import report_from_values
 
 
 def run_cli(*argv):
@@ -146,18 +147,42 @@ def test_a_report_with_residuals_that_are_not_finite_is_valid_json(capsys):
     # kappa perturbed by 1e308 overflows kappa F^2: those residuals are inf,
     # written as null, and the csv and text formats still print them
     argv = ["verify", "--fixture", "cigar", "--samples", "2", "--perturb", "kappa:1e308"]
-    with np.errstate(over="ignore"):
-        assert run_cli(*argv) == 1
-        checks = json.loads(capsys.readouterr().out, parse_constant=_no_constant)["checks"]
-        assert run_cli(*argv, "--format", "csv") == 1
-        csv_rows = capsys.readouterr().out.splitlines()[1:]
-        assert run_cli(*argv, "--format", "text") == 1
-        text = capsys.readouterr().out
+    assert run_cli(*argv) == 1
+    checks = json.loads(capsys.readouterr().out, parse_constant=_no_constant)["checks"]
+    assert run_cli(*argv, "--format", "csv") == 1
+    csv_rows = capsys.readouterr().out.splitlines()[1:]
+    assert run_cli(*argv, "--format", "text") == 1
+    text = capsys.readouterr().out
     nulls = [row["name"] for row in checks if row["max_abs"] is None]
     assert "infinity-ricci" in nulls
     assert all(row["verdict"] == "fail" for row in checks if None in
                (row["max_abs"], row["mean_abs"]))
     assert any(",inf,inf," in row for row in csv_rows) and "max=inf" in text
+    # the kappa-fit residuals are finite, about 1e308 each: so is their mean
+    kappa_fit = next(row for row in checks if row["name"] == "kappa-fit")
+    assert kappa_fit["mean_abs"] == pytest.approx(1e308) and kappa_fit["verdict"] == "fail"
+
+
+def test_the_mean_of_finite_residuals_is_finite():
+    for values in ([1e308] * 64, [1.7e308, 1.7e308, 3.0], [1e308, 1e308]):
+        with np.errstate(over="ignore"):
+            report = report_from_values("r", values, tol=1.0)
+            want = math.fsum(v / 64 for v in values) / len(values) * 64
+        assert math.isfinite(report.mean_abs) and report.mean_abs == pytest.approx(want)
+    # a mean that does not overflow keeps np.mean's bits
+    values = np.random.default_rng(0).uniform(0.0, 1e300, size=33)
+    assert report_from_values("r", values, tol=1.0).mean_abs == float(np.mean(values))
+
+
+def test_a_run_whose_residuals_overflow_prints_no_warning():
+    proc = subprocess.run([sys.executable, "-c",
+                           "from finsler_solitons.cli import main; import sys; "
+                           "sys.exit(main(['verify', '--fixture', 'cigar', '--samples', '2', "
+                           "'--perturb', 'kappa:1e308']))"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["passed"] is False
 
 
 def test_text_format(capsys):

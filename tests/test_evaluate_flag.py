@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from _lanes import assert_lane
+from _lanes import assert_lane, one_flag_fit
 
 from finsler_solitons import finsler, fixtures, jets, randers, solitons, suites
 from finsler_solitons.jets import FlagPoint, Jet
@@ -47,10 +47,10 @@ def _separate_formulas(metric, measure, p):
     A = F2 * np.eye(metric.dim) - 0.5 * np.outer(p.y, T1["Q01"])
     normR = float(np.linalg.norm(R))
     if normR <= 1e-11 * F2 * F2 + 1e-300:
-        fit = finsler.FlagCurvature(0.0, 0.0, True)
+        fit = (0.0, 0.0, True, False)
     else:
         K = float(np.sum(R * A) / np.sum(A * A))
-        fit = finsler.FlagCurvature(K, float(np.linalg.norm(R - K * A) / normR), False)
+        fit = (K, float(np.linalg.norm(R - K * A) / normR), False, False)
     return {"ricci": ric, "S": S, "dS_dx": dS_dx, "dS_dy": dS_dy, "s_dot": sdot,
             "ric_inf": ric + sdot, "fit": fit}
 
@@ -60,6 +60,7 @@ def test_evaluate_flag_equals_the_separate_formulas(name):
     fx = fixtures.get_fixture(name)
     flags = _flags(fx)
     ev = finsler.evaluate_flags(fx.metric, fx.measure, flags)
+    fit = finsler.flag_curvature(ev.bundle)
     assert ev.S.shape == (len(flags),)
     for k, p in enumerate(flags):
         want = _separate_formulas(fx.metric, fx.measure, p)
@@ -69,7 +70,7 @@ def test_evaluate_flag_equals_the_separate_formulas(name):
         assert np.array_equal(ev.dS_dy[k], want["dS_dy"])
         assert ev.s_dot[k] == want["s_dot"]
         assert ev.ric_inf[k] == want["ric_inf"]
-        assert finsler._flag_curvature(ev.bundle, k) == want["fit"]
+        assert (fit.value[k], fit.residual[k], fit.flat[k], fit.within_error[k]) == want["fit"]
 
 
 def test_evaluate_flag_reuses_a_passed_density_table(monkeypatch):
@@ -230,10 +231,10 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
         if fx.einstein is not None:
             row["ricci-law"] = b.ricci[0] / F2 - float(fx.einstein(list(p.x)))
         if fx.flag_curvature is not None:
-            fit = finsler._flag_curvature(b, 0)
-            row["flag-curvature-law"] = fit.value - float(fx.flag_curvature(list(p.x)))
-            row["flag-curvature-misfit"] = fit.residual
-            flat += fit.within_error
+            K, residual, _, within_error = one_flag_fit(b, 0)
+            row["flag-curvature-law"] = K - float(fx.flag_curvature(list(p.x)))
+            row["flag-curvature-misfit"] = residual
+            flat += within_error
         for key, value in row.items():
             expected.setdefault(key, []).append(value)
 

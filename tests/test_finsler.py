@@ -1,16 +1,19 @@
 """Spray-based Finsler engine: homogeneity, Euler identities, curvature laws,
 measure quantities, and agreement with the Christoffel backend."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from _lanes import assert_fit_lanes
 
-from finsler_solitons import finsler, generators, jets, randers, riemann
+from finsler_solitons import finsler, fixtures, generators, jets, randers, riemann
 from finsler_solitons.finsler import (FinslerMetric, FlagDomainError, Measure,
                                       curvature_bundle, evaluate_flags, lie_F2)
 from finsler_solitons.jets import FlagPoint
 from finsler_solitons.riemann import ScalarField, VectorField, euclidean_metric
+from finsler_solitons.sampling import sample_flags
 
 
 def euclid_flag(rng, dim=2):
@@ -258,33 +261,70 @@ def test_lie_F2_randers_split(rng):
 
 def test_flag_curvature_flat(rng):
     F = FinslerMetric.from_riemannian(euclidean_metric(2))
-    fit = finsler._flag_curvature(curvature_bundle(F, [euclid_flag(rng, 2)]), 0)
-    assert fit.flat and fit.value == 0.0 and fit.residual == 0.0
+    fit = finsler.flag_curvature(curvature_bundle(F, [euclid_flag(rng, 2)]))
+    assert fit.flat[0] and fit.value[0] == 0.0 and fit.residual[0] == 0.0
+    assert not fit.within_error[0]
 
 
 def test_flag_curvature_sphere(rng):
     F = FinslerMetric.from_riemannian(sphere_metric(1.0, 3))
     p = FlagPoint(rng.uniform(-0.5, 0.5, size=3), rng.normal(size=3))
-    fit = finsler._flag_curvature(curvature_bundle(F, [p]), 0)
-    assert fit.value == pytest.approx(1.0, abs=1e-8)
-    assert fit.residual <= 1e-8
+    fit = finsler.flag_curvature(curvature_bundle(F, [p]))
+    assert fit.value[0] == pytest.approx(1.0, abs=1e-8)
+    assert fit.residual[0] <= 1e-8
 
 
 def test_flag_curvature_cigar(rng):
     F = randers.finsler_from_navigation(cigar_navigation())
     t = 1.3
     p = FlagPoint([t, 0.1], rng.normal(size=2))
-    fit = finsler._flag_curvature(curvature_bundle(F, [p]), 0)
-    assert fit.value == pytest.approx(2.0 / math.cosh(t) ** 2, abs=1e-7)
-    assert fit.residual <= 1e-7
+    fit = finsler.flag_curvature(curvature_bundle(F, [p]))
+    assert fit.value[0] == pytest.approx(2.0 / math.cosh(t) ** 2, abs=1e-7)
+    assert fit.residual[0] <= 1e-7
 
 
 def test_flag_curvature_monotone_along_axis():
     F = randers.finsler_from_navigation(cigar_navigation())
     flags = [FlagPoint([t, 0.0], [0.3, 0.8]) for t in (1.0, 2.0)]
-    b = curvature_bundle(F, flags)
-    k1, k2 = (finsler._flag_curvature(b, k).value for k in range(len(flags)))
+    k1, k2 = finsler.flag_curvature(curvature_bundle(F, flags)).value
     assert k2 < k1
+
+
+def _fit_cases():
+    """(what, bundle) in both modes, on every fixture and its W:1e-2 control:
+    the stacks a fixture run fits (flat lanes on gaussian, fd lanes flat
+    within their error estimate), one-flag stacks, and a stack whose lanes
+    mix flat and curved flags."""
+    for name in fixtures.FIXTURE_NAMES:
+        for perturb in (None, ("W", 1e-2)):
+            fx = fixtures.get_fixture(name, perturb=perturb)
+            for mode, count in (("jet", 16), ("jet", 1), ("fd", 2)):
+                flags = sample_flags(fx, count, np.random.default_rng(3))
+                yield ((name, perturb, mode, count),
+                       curvature_bundle(fx.metric, flags, mode))
+    flat = FinslerMetric.from_riemannian(euclidean_metric(2))
+    curved = randers.finsler_from_navigation(cigar_navigation())
+    rng = np.random.default_rng(4)
+    b = [curvature_bundle(m, [euclid_flag(rng, 2)]) for m in (flat, curved, flat)]
+    yield "mixed", finsler.CurvatureBundle(*(np.concatenate(v) for v in zip(
+        *(dataclasses.astuple(one) for one in b))))
+
+
+@pytest.mark.parametrize("case", list(_fit_cases()), ids=lambda c: str(c[0]))
+def test_stacked_flag_curvature_equals_each_flag_alone(case):
+    what, b = case
+    with np.errstate(all="raise"):      # flat lanes divide by nothing
+        fit = finsler.flag_curvature(b)
+    assert_fit_lanes(fit, b, what)
+
+
+def test_fd_lanes_flat_within_error_are_fitted_as_each_flag_alone():
+    fx = fixtures.get_fixture("gaussian")
+    flags = sample_flags(fx, 3, np.random.default_rng(3))
+    b = curvature_bundle(fx.metric, flags, mode="fd")
+    fit = finsler.flag_curvature(b)
+    assert fit.within_error.all() and fit.flat.all()
+    assert_fit_lanes(fit, b, "gaussian fd")
 
 
 # -- reductions and degenerate flags ------------------------------------------------------

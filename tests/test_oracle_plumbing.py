@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from _lanes import assert_lane
+from _lanes import assert_fit_lanes, assert_lane, one_flag_fit
 
 from finsler_solitons import (finsler, fixtures, generators, jets, randers, riemann,
                               solitons, suites)
@@ -404,6 +404,7 @@ def _fd_cases():
 def test_fd_evaluation_equals_the_separate_fd_oracles(case):
     name, metric, measure, flags, bases = case
     ev = finsler.evaluate_flags(metric, measure, flags, bases, mode="fd")
+    fit = finsler.flag_curvature(ev.bundle)
     assert ev.S.shape == (len(flags),)
     for k, p in enumerate(flags):
         want, want_sdot = _separate_fd_oracles(metric, measure, p)
@@ -411,7 +412,8 @@ def test_fd_evaluation_equals_the_separate_fd_oracles(case):
         assert ev.S[k] == finsler.evaluate_flags(metric, measure, [p]).S[0]
         assert ev.s_dot[k] == want_sdot
         assert ev.ric_inf[k] == want.ricci[0] + want_sdot
-        assert finsler._flag_curvature(ev.bundle, k) == finsler._flag_curvature(want, 0)
+        assert (fit.value[k], fit.residual[k], fit.flat[k], fit.within_error[k]) == \
+            one_flag_fit(want, 0)
 
 
 def test_evaluate_flag_refuses_an_unknown_mode():
@@ -516,35 +518,51 @@ def test_fd_flat_fixture_controls_still_fail(perturb):
 
 def test_flat_within_error_only_on_a_bundle_with_an_error_bound():
     fx = fixtures.get_fixture("cigar")
-    p = FlagPoint([1.0, 0.3], [0.4, -0.7])
-    b = finsler.curvature_bundle(fx.metric, [p])
-    fit = finsler._flag_curvature(b, 0)
-    assert not fit.flat and not fit.within_error
-    norm = float(np.linalg.norm(b.riemann[0]))
-    b.r_error = np.array([norm])
-    assert finsler._flag_curvature(b, 0) == finsler.FlagCurvature(0.0, 0.0, True, True)
-    b.r_error = np.array([0.5 * norm])
-    assert finsler._flag_curvature(b, 0) == fit
+    flags = [FlagPoint([t, 0.3], [0.4, -0.7]) for t in (1.0, 1.5, 2.0)]
+    b = finsler.curvature_bundle(fx.metric, flags)
+    fit = finsler.flag_curvature(b)
+    assert not fit.flat.any() and not fit.within_error.any()
+    norm = np.array([float(np.linalg.norm(R)) for R in b.riemann])
+    # lane 0 within its error bound, lane 1 above it, lane 2 with none
+    b.r_error = norm * [1.0, 0.5, 0.0]
+    within = finsler.flag_curvature(b)
+    assert within.within_error.tolist() == within.flat.tolist() == [True, False, False]
+    assert (within.value[0], within.residual[0]) == (0.0, 0.0)
+    assert np.array_equal(within.value[1:], fit.value[1:])
+    assert np.array_equal(within.residual[1:], fit.residual[1:])
+    assert_fit_lanes(within, b, "cigar")
 
 
-# -- one F per sampled flag -----------------------------------------------------------------
+# -- one stacked F per batch of sampled flags -------------------------------------------------
 
 
-def test_fixture_suite_computes_each_flag_f_once(monkeypatch):
-    fx = fixtures.get_fixture("cigar")
-    draws, values = [], []
-    sample_x, value = fx.sample_x, finsler.FinslerMetric.value
+@pytest.mark.parametrize("perturb", [None, ("W", 0.3)], ids=["cigar", "cigar-W:0.3"])
+def test_fixture_suite_reads_one_stacked_f_per_batch_of_draws(perturb, monkeypatch):
+    # The sampler reads one stacked F per batch of draws; a batch with a
+    # rejected draw reads one `value` per draw again, so only the last
+    # batch is accepted from its stack.  W:0.3 refuses draws on cigar.
+    fx = fixtures.get_fixture("cigar", perturb=perturb)
+    draws, values, stacks = [], [], []
+    sample_x, value, F = fx.sample_x, finsler.FinslerMetric.value, finsler.FinslerMetric.F
 
     def counted_value(self, x, y):
         values.append(np.ndim(x))
         return value(self, x, y)
 
+    def counted_F(self, x, y):
+        stacks.append(len(x[0]))
+        return F(self, x, y)
+
     monkeypatch.setattr(fx, "sample_x", lambda rng: draws.append(1) or sample_x(rng))
     monkeypatch.setattr(finsler.FinslerMetric, "value", counted_value)
-    suites.run_fixture_suite(fx, samples=6, seed=3)
-    # one F per draw, and the kappa fit's normalisers one stacked value
-    assert values.count(1) == len(draws) >= 6
-    assert values.count(2) == 1 and len(values) == len(draws) + 1
+    monkeypatch.setattr(finsler.FinslerMetric, "F", counted_F)
+    suites.run_fixture_suite(fx, samples=8, seed=3)
+    assert stacks[0] == 8 and sum(stacks) == len(draws)
+    assert (len(stacks) > 1) == (perturb is not None)
+    # a value per draw of every batch but the last, and the kappa fit's
+    # normalisers one stacked value
+    assert values.count(1) == len(draws) - stacks[-1]
+    assert values.count(2) == 1 and len(values) == values.count(1) + 1
     monkeypatch.undo()
-    for p in sample_flags(fx, 6, np.random.default_rng(3)):
+    for p in sample_flags(fx, 8, np.random.default_rng(3)):
         assert p.F == fx.metric.value(p.x, p.y)

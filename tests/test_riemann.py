@@ -343,3 +343,19 @@ def test_lie_1form_matches_direct_lift(rng):
     # direct lift: V^k d_k(b_j) y^j + b_i dV^i/dx^j y^j
     want = float(np.einsum("k,jk,j->", v0, db, y) + np.einsum("i,ij,j->", b0, dv, y))
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def test_field_values_reads_a_constant_once_and_a_function_per_lane(monkeypatch):
+    X = np.random.default_rng(9).uniform(-1.0, 1.0, size=(5, 2))
+    law = riemann.ScalarField(lambda x: 2.0 / math.cosh(float(x[0])) ** 2)   # not lane-safe
+    want = {0.25: [0.25] * 5, riemann.ScalarField(-1.5): [-1.5] * 5,
+            law: [riemann.field_value(law, x) for x in X]}
+    calls = []
+    field_value = riemann.field_value
+    monkeypatch.setattr(riemann, "field_value", lambda f, x: calls.append(1) or field_value(f, x))
+    for field, values in want.items():
+        calls.clear()
+        got = riemann.field_values(field, X)
+        assert got.dtype == float and np.array_equal(got, values)
+        assert len(calls) == (5 if field is law else 0)
+    assert riemann.ScalarField(3).const == 3.0 and law.const is None
