@@ -71,7 +71,10 @@ INVOCATIONS = (
        ("verify", "--fixture", "cigar", "--perturb", "kappa:1e-2"),
        ("verify", "--fixture", "shrinking", "--perturb", "mu:1e-2", "--samples", "4"))
     # a run that refuses draws (43 of 107 at seed 0): flags sampled in batches
-    + (("verify", "--fixture", "cigar", "--perturb", "W:0.3"),)
+    + (("verify", "--fixture", "cigar", "--perturb", "W:0.3"),
+       # the fd stack of a metric that refuses draws
+       ("verify", "--fixture", "cigar", "--diff-mode", "fd", "--samples", "4",
+        "--perturb", "W:0.3"))
 )
 
 

@@ -30,22 +30,22 @@ def main():
 def run(args):
     failed = False
     for name in fixtures.FIXTURE_NAMES:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rows = suites.run_fixture_suite(fixtures.get_fixture(name),
                                         samples=args.samples, seed=args.seed)
         ok = all_passed(rows)
         failed |= not ok
         extra = "" if ok else f"  worst: {worst(rows).name} = {worst(rows).max_abs:.2e}"
         print(f"fixture    {name:22s} {len(rows):3d} checks "
-              f"{'PASS' if ok else 'FAIL'} ({time.time() - t0:5.1f}s){extra}")
+              f"{'PASS' if ok else 'FAIL'} ({time.perf_counter() - t0:5.1f}s){extra}")
     for name in sorted(suites.CROSSCHECK_SUITES):
-        t0 = time.time()
+        t0 = time.perf_counter()
         rows = suites.run_crosscheck_suite(name, seed=args.seed + 7)
         ok = all_passed(rows)
         failed |= not ok
         extra = "" if ok else f"  worst: {worst(rows).name} = {worst(rows).max_abs:.2e}"
         print(f"crosscheck {name:22s} {len(rows):3d} checks "
-              f"{'PASS' if ok else 'FAIL'} ({time.time() - t0:5.1f}s){extra}")
+              f"{'PASS' if ok else 'FAIL'} ({time.perf_counter() - t0:5.1f}s){extra}")
     return 1 if failed else 0
 
 

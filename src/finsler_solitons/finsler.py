@@ -29,11 +29,13 @@ data expand as one stage.
 `evaluate_flags` is also the one place a flag evaluation chooses jet or
 finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are
 written there once for both.  The fd oracle differentiates G (the fd bundle)
-and the order-3 S by Richardson central differences, flag by flag, and
-stacks the flags' results once.  Both stencils read one memo of stages
-(`_memo`), one per distinct stencil x and seeded with the bases' stage at
-each p.x, so an fd flag on passed bases builds 8n stages and 4n log-density
-tables.
+and the order-3 S by Richardson central differences (`_fd_evaluation`).
+Only its evaluation of G and S is stacked: every distinct stencil point of
+the stack's flags (1 + 8n + 12n^2 spray points and 1 + 8n S points per flag,
+each flag's own point among them) is one lane of one order-2 pass or one
+order-3 pass with one log-density table, both from lanes of one stage laned
+over the distinct stencil x; each flag's stencil sums, in the order and
+with the weights of `jets.fd_stencils`, then read those lanes.
 
 Curvature comes exclusively from the spray,
 
@@ -71,12 +73,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from . import jets, riemann
-from .jets import FlagPoint, Jet, fd_estimate, scalar_value
+from .jets import FlagPoint, Jet, fd_stencils, scalar_value
 from .riemann import RiemannMetric, VectorField, as_scalar_field
 
 
@@ -200,6 +202,13 @@ class LaneStage:
             data = self.data if self.idx is None else jets.lane(self.data, self.idx)
             self._stage = self.build(data)
         return self._stage(y)
+
+
+def _lane_stage(metric: FinslerMetric, x) -> LaneStage:
+    """The metric's stage at the points x, shape (P, n), as a `LaneStage`
+    laned over them and built on first use; at one point x, shape (n,),
+    unlaned."""
+    return LaneStage(metric.at, Jet.variables(riemann.coordinates(x), jets.X_ORDER), None)
 
 
 def _f2_jet(stage, y, order: int) -> Jet:
@@ -356,31 +365,28 @@ def _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy):
 
 
 def curvature_bundle(metric: FinslerMetric, points, mode: str = "jet",
-                     stage_at=None) -> CurvatureBundle:
+                     stage=None) -> CurvatureBundle:
     """Spray, curvature operator and Ricci at the flags `points`, one bundle
     whose fields stack them.
 
-    `stage_at(x)` is the metric's stage at x (by default one built here, an
-    `_memo` of `_stage` in fd mode).  mode="jet" reads it once, at the
-    points' x, shape (P, n): a stage laned over them (one point's x, shape
-    (n,), for one flag: an unlaned stage), and expands F^2 to fourth order
-    once for the stack, laned over its flags; the Q tables are gathered once
-    over the stack (`_f2_tables`), and the spray and Riemann formulas and the
-    trace run once over it.
-    mode="fd" builds each flag's bundle alone, recomputing the outer spray
-    derivatives by Richardson central differences of the pointwise spray, as
-    an independent cross-check, and stacks them; it reads `stage_at` at each
-    p.x and at every stencil x.
+    mode="jet" reads `stage`, the metric's stage at the points' x (by
+    default one built here, laned over them, or unlaned for one flag), and
+    expands F^2 to fourth order once for the stack, laned over its flags;
+    the Q tables are gathered once over the stack (`_f2_tables`), and the
+    spray and Riemann formulas and the trace run once over it.
+    mode="fd" recomputes the outer spray derivatives by Richardson central
+    differences of the pointwise spray, as an independent cross-check: one
+    laned spray pass at every distinct stencil point of the stack, then each
+    flag's differences and R alone (`_fd_evaluation`).
     """
     if mode == "fd":
-        stage_at = stage_at or _memo(partial(_stage, metric))
-        flags = [_curvature_bundle_fd(metric, p, stage_at) for p in points]
-        return CurvatureBundle(*(np.array(field) for field in zip(*flags)))
+        return _fd_evaluation(metric, points, None)
     if mode != "jet":
         raise ParameterError(f"unknown differentiation mode {mode!r}")
     x = np.array([p.x for p in points], float)
     y = np.array([p.y for p in points], float)
-    stage = (stage_at or partial(_stage, metric))(x[0] if len(points) == 1 else x)
+    if stage is None:
+        stage = _stage(metric, x[0] if len(points) == 1 else x)
     T = _f2_tables(stage, y, order=4)
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
@@ -398,29 +404,40 @@ def curvature_bundle(metric: FinslerMetric, points, mode: str = "jet",
 FD_STEP1, FD_STEP2 = 1e-5, 3e-4
 
 
-def _memo(build, *seeds):
-    """x -> build(x), built once per distinct x (by its float64 bytes) and
-    seeded with the (x, value) pairs `seeds`."""
-    table = {np.asarray(x, float).tobytes(): v for x, v in seeds}
-
-    def at(x):
-        x = np.asarray(x, float)
-        key = x.tobytes()
-        if key not in table:
-            table[key] = build(x)
-        return table[key]
-
-    return at
+def _visit(lanes, z):
+    """The lane of the point z in `lanes`, a dict of distinct points by their
+    float64 bytes in order of first visit, each with its lane; added if new."""
+    z = np.asarray(z, float)
+    return lanes.setdefault(z.tobytes(), (len(lanes), z))[0]
 
 
-def _fd_table(f, z0, *axes, step):
-    """(values, error estimates) of d f / dz_t1 .. dz_tk at z0 for each index
-    tuple (t1, .., tk) of the axes' product, by `fd_estimate` at `step` times
-    max(1, |z0|), shaped [t1, .., tk] followed by the shape of f's value."""
+def _points(lanes):
+    """The points of `lanes` (see `_visit`) in lane order, shape (P, size)."""
+    return np.array([z for _lane, z in lanes.values()])
+
+
+def _fd_stencils(lanes, z0, *axes, step):
+    """The stencils of the table of d f / dz_t1 .. dz_tk at z0, one entry per
+    index tuple (t1, .., tk) of the axes' product: the table's shape, and
+    each entry's coarse and fine stencils (`jets.fd_stencils` at `step`
+    times max(1, |z0|)) as (lanes, weights), every stencil point visited in
+    `lanes`."""
     h = step * max(1.0, float(np.max(np.abs(z0))))
-    est = [fd_estimate(f, z0, tuple(t.count(v) for v in range(z0.size)), step=h)
-           for t in itertools.product(*axes)]
-    shape = tuple(len(a) for a in axes) + np.shape(est[0][0])
+    entries = [tuple(([_visit(lanes, z) for z, _w in terms], [w for _z, w in terms])
+                     for terms in fd_stencils(z0, tuple(t.count(v) for v in range(z0.size)), h))
+               for t in itertools.product(*axes)]
+    return tuple(len(a) for a in axes), entries
+
+
+def _fd_table(values, stencils):
+    """(values, error estimates) of the fd table whose `_fd_stencils` are
+    `stencils`, from f's values at their lanes (leading lane axis): each
+    entry's `jets.richardson` of its two stencil sums, shaped as the table
+    followed by the shape of f's value."""
+    shape, entries = stencils
+    est = [jets.richardson(*(jets.stencil_sum(weights, values[lanes])
+                             for lanes, weights in pair)) for pair in entries]
+    shape += np.shape(est[0][0])
     return tuple(np.array([e[k] for e in est]).reshape(shape) for k in (0, 1))
 
 
@@ -436,36 +453,69 @@ def _riemann_error(y, G, dG_dy, errors):
             + np.einsum("ji,kj->ik", e_dy, d_dy) + np.einsum("ji,kj->ik", d_dy, e_dy))
 
 
-def _curvature_bundle_fd(metric: FinslerMetric, p: FlagPoint, stage_at) -> tuple:
-    """The fields of the finite-difference bundle at one flag, in
-    `CurvatureBundle` order: G and g from the order-2 expansion at p, the
-    spray derivatives Richardson central differences of the pointwise spray,
-    all components at once, with G once per distinct stencil point.
-    `r_error` is the Frobenius norm of `_riemann_error` on the derivatives'
-    `fd_estimate` errors."""
+def _fd_evaluation(metric: FinslerMetric, points, measure: Measure | None):
+    """The fd bundle of the flags `points` and, given a measure, their fd
+    (S, dS_dx, dS_dy), each with a leading flag axis.
+
+    Every stencil point of every flag is evaluated once, in two laned
+    passes: one order-2 expansion of F^2 and spray at all the spray stencil
+    points (the flags' own points among them: G, g, F and dF2_dy at a flag
+    are its lane), and, with a measure, one order-3 expansion, S and one
+    log-density table at all the S stencil points (the flags' own points
+    among them: S at a flag is its lane).  Both read lanes of one stage
+    laned over the distinct stencil x.  Then each flag, alone: the spray
+    derivatives and dS are Richardson central differences of those lanes
+    (`_fd_table`), R is assembled from them, and `r_error` is the Frobenius
+    norm of `_riemann_error` on their error estimates.
+    """
     n = metric.dim
-    x, y = np.asarray(p.x, float), np.asarray(p.y, float)
-    z0 = np.concatenate([x, y])
-    T = _f2_tables(stage_at(x), y, order=2)
-    D = _spray_derivatives(T, y, order=2)
+    x = np.array([p.x for p in points], float)
+    y = np.array([p.y for p in points], float)
+    Z = np.concatenate([x, y], axis=1)
+    xs, ys, zs = range(n), range(n, 2 * n), range(2 * n)
+    g_lanes, s_lanes, x_lanes = {}, {}, {}
+    g_center = [_visit(g_lanes, z0) for z0 in Z]
+    g_stencils = [[_fd_stencils(g_lanes, z0, *axes, step=step)
+                   for axes, step in (((xs,), FD_STEP1), ((ys,), FD_STEP1),
+                                      ((xs, ys), FD_STEP2), ((ys, ys), FD_STEP2))]
+                  for z0 in Z]
+    if measure is not None:
+        s_center = [_visit(s_lanes, z0) for z0 in Z]
+        s_stencils = [_fd_stencils(s_lanes, z0, zs, step=FD_STEP1) for z0 in Z]
+    # the S stencil x first: they are the first lanes of the stage's x, and
+    # the density tables are laned over them alone
+    s_points, g_points = _points(s_lanes).reshape(-1, 2 * n), _points(g_lanes)
+    s_x = np.array([_visit(x_lanes, z[:n]) for z in s_points], int)
+    n_sx = len(x_lanes)
+    g_x = np.array([_visit(x_lanes, z[:n]) for z in g_points])
+    X = _points(x_lanes)
+    stage = _lane_stage(metric, X)
+
+    T = _f2_tables(stage.lane(g_x), g_points[:, n:], order=2)
+    D = _spray_derivatives(T, g_points[:, n:], order=2)
     G = D["G"]
+    fields = []
+    for y0, c, stencils in zip(y, g_center, g_stencils):
+        (dG_dx, e_dx), (dG_dy, e_dy), (d2G_dxdy, e_dxdy), (d2G_dydy, e_dydy) = (
+            _fd_table(G, table) for table in stencils)
+        R = _assemble_riemann(y0, G[c], dG_dx, dG_dy, d2G_dxdy, d2G_dydy)
+        r_error = np.linalg.norm(_riemann_error(y0, G[c], dG_dy, (e_dx, e_dy, e_dxdy, e_dydy)))
+        fields.append((dG_dx, dG_dy, d2G_dxdy, d2G_dydy, R, np.trace(R), r_error))
+    dG_dx, dG_dy, d2G_dxdy, d2G_dydy, R, ricci, r_error = (np.array(f) for f in zip(*fields))
+    bundle = CurvatureBundle(x=x, y=y, F=T["F"][g_center],
+                             dF2_dy=T["Q01"][g_center], g=D["g"][g_center],
+                             spray=G[g_center], dG_dx=dG_dx, dG_dy=dG_dy,
+                             d2G_dxdy=d2G_dxdy, d2G_dydy=d2G_dydy, riemann=R, ricci=ricci,
+                             r_error=r_error)
+    if measure is None:
+        return bundle
 
-    def spray_at(z):
-        return _spray_derivatives(_f2_tables(stage_at(z[:n]), z[n:], order=2),
-                                  z[n:], order=2)["G"]
-
-    G_at = _memo(spray_at, (z0, G))
-    G_fn = lambda *z: G_at(z)
-    xs, ys = range(n), range(n, 2 * n)
-    dG_dx, e_dx = _fd_table(G_fn, z0, xs, step=FD_STEP1)
-    dG_dy, e_dy = _fd_table(G_fn, z0, ys, step=FD_STEP1)
-    d2G_dxdy, e_dxdy = _fd_table(G_fn, z0, xs, ys, step=FD_STEP2)
-    d2G_dydy, e_dydy = _fd_table(G_fn, z0, ys, ys, step=FD_STEP2)
-
-    R = _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy)
-    r_error = np.linalg.norm(_riemann_error(y, G, dG_dy, (e_dx, e_dy, e_dxdy, e_dydy)))
-    return (x, y, T["F"], T["Q01"], D["g"], G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy, R,
-            np.trace(R), r_error)
+    logs = measure.log_density_table(X[:n_sx])
+    y = s_points[:, n:]
+    T = _f2_tables(stage.lane(s_x), y, order=3)
+    S = _s_value(_spray_derivatives(T, y, order=3)["dG_dy"], y, tuple(t[s_x] for t in logs))
+    dS = [_fd_table(S, table)[0] for table in s_stencils]
+    return bundle, S[s_center], np.array([d[:n] for d in dS]), np.array([d[n:] for d in dS])
 
 
 # -- S and Lie derivatives ----------------------------------------------------
@@ -475,15 +525,6 @@ def _s_value(dG_dy, y, logs):
     """S = dG^i/dy^i - y^i d_i log sigma, from the spray's y-derivative and
     the log-density table, over any leading stack axes."""
     return np.trace(dG_dy, axis1=-2, axis2=-1) - riemann.dot(y, logs[1])
-
-
-def _s_order3(stage, logs, y):
-    """S alone at (x, y) from the stage and log-density table at x, by a
-    third-order expansion of F^2."""
-    y = np.asarray(y, float)
-    T = _f2_tables(stage, y, order=3)
-    D = _spray_derivatives(T, y, order=3)
-    return _s_value(D["dG_dy"], y, logs)
 
 
 def lie_scalar(fn2n, v: VectorField, p: FlagPoint) -> float:
@@ -590,8 +631,7 @@ def base_points(metric: FinslerMetric, measure: Measure, X) -> Bases:
     logs = measure.log_density_table(x)
     if len(X) == 1:
         logs = tuple(np.asarray(t)[None] for t in logs)
-    xs = Jet.variables(riemann.coordinates(x), jets.X_ORDER)
-    return Bases(X, LaneStage(metric.at, xs, None), logs)
+    return Bases(X, _lane_stage(metric, x), logs)
 
 
 @dataclass(frozen=True)
@@ -617,47 +657,34 @@ def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
     mode="jet" reads them all off one order-4 expansion of F^2 laned over the
     flags, from the bases' stage, with the spray and curvature of all the
     flags in one stacked pass (`curvature_bundle`) and S and dS in one more
-    (over the stacked bundle and density tables).  mode="fd" takes each
-    flag's fd bundle, S from an order-3 expansion, and dS by central
-    differences of that S; every x the two fd stencils visit is staged once,
-    and tabled once where S reads its density (see the module notes).
-    S-dot and Ric_inf are one stacked pass in both modes.
+    (over the stacked bundle and density tables).  mode="fd" takes the fd
+    bundle, S from an order-3 expansion and dS by central differences of
+    that S, from one laned order-2 pass at every spray stencil point of the
+    stack and one laned order-3 pass and density table at every S stencil
+    point (`_fd_evaluation`); it reads no bases.  S-dot and Ric_inf are one
+    stacked pass in both modes.
 
     `bases` is `base_points(metric, measure, X)` at the points' x; it
     depends on x only, so callers evaluating several flags at one point
     build it once and take its lanes (`Bases.lanes`).  Without `bases`, the
-    flags' x build theirs.
+    jet mode builds the flags' own.
     """
     X = np.array([p.x for p in points], float)
-    if bases is None:
-        bases = base_points(metric, measure, X)
-    if not np.array_equal(bases.x, X):
+    if bases is not None and not np.array_equal(bases.x, X):
         raise ValueError("bases and flags are at different x")
     if mode == "jet":
-        b = curvature_bundle(metric, points, mode, lambda x: bases.stage)
+        if bases is None:
+            bases = base_points(metric, measure, X)
+        b = curvature_bundle(metric, points, mode, bases.stage)
         logs = bases.logs
         S = _s_value(b.dG_dy, b.y, logs)
         dS_dx = (np.einsum("...kii->...k", b.d2G_dxdy)
                  - np.einsum("...i,...ki->...k", b.y, logs[2]))
         dS_dy = np.einsum("...kii->...k", b.d2G_dydy) - logs[1]
+    elif mode == "fd":
+        b, S, dS_dx, dS_dy = _fd_evaluation(metric, points, measure)
     else:
-        lanes = [bases.lanes(k) for k in range(len(points))]
-        stage_at = _memo(partial(_stage, metric), *((base.x, base.stage) for base in lanes))
-        b = curvature_bundle(metric, points, mode, stage_at)
-        S, dS_dx, dS_dy = (np.array(v) for v in zip(
-            *(_fd_s(measure, stage_at, base, y) for base, y in zip(lanes, b.y))))
+        raise ParameterError(f"unknown differentiation mode {mode!r}")
     s_dot = riemann.dot(b.y, dS_dx) - 2.0 * riemann.dot(b.spray, dS_dy)
     return FlagEvaluation(bundle=b, S=S, dS_dx=dS_dx, dS_dy=dS_dy, s_dot=s_dot,
                           ric_inf=b.ricci + s_dot)
-
-
-def _fd_s(measure: Measure, stage_at, base: Bases, y):
-    """(S, dS_dx, dS_dy) at the flag (base.x, y) of one lane of the bases:
-    S from an order-3 expansion on the base, dS by central differences of
-    that S, each stencil x staged by `stage_at` and its density tabled once."""
-    n = y.size
-    S = _s_order3(base.stage, base.logs, y)
-    logs_at = _memo(measure.log_density_table, (base.x, base.logs))
-    dS = _fd_table(lambda *z: _s_order3(stage_at(z[:n]), logs_at(z[:n]), z[n:]),
-                   np.concatenate([base.x, y]), range(2 * n), step=FD_STEP1)[0]
-    return S, dS[:n], dS[n:]

@@ -930,7 +930,10 @@ _CENTRAL_STENCILS = {
 }
 
 
-def _stencil_estimate(f, point, multi_index, h):
+def _stencil_terms(point, multi_index, h):
+    """The central stencil of d^multi_index at `point` with step h, the
+    per-variable stencils composed: its (shifted point, weight) terms in
+    summation order."""
     terms = {(0,) * len(point): 1.0}
     for var, k in enumerate(multi_index):
         if k == 0:
@@ -941,10 +944,15 @@ def _stencil_estimate(f, point, multi_index, h):
                 key = tuple(o + (step if i == var else 0) for i, o in enumerate(offs))
                 new[key] = new.get(key, 0.0) + w * sw / h ** k
         terms = new
+    return [([p + o * h for p, o in zip(point, offs)], w) for offs, w in terms.items()]
+
+
+def stencil_sum(weights, values):
+    """The stencil estimate: sum of w * f(z) over a stencil's terms, in
+    their order, from their weights and the values of f at their points."""
     total = 0.0
-    for offs, w in terms.items():
-        shifted = [p + o * h for p, o in zip(point, offs)]
-        total += w * f(*shifted)
+    for w, v in zip(weights, values, strict=True):
+        total += w * v
     return total
 
 
@@ -960,13 +968,12 @@ def fd_derivative(f, point, multi_index, step: float) -> float:
     return fd_estimate(f, point, multi_index, step)[0]
 
 
-def fd_estimate(f, point, multi_index, step: float):
-    """(`fd_derivative`, an estimate of its error) from the two stencil
-    estimates it combines, coarse (step h) and fine (h/2).  The value is
-    fine + (fine - coarse)/3, and the error of the fine estimate is taken
-    as |fine - coarse| (two estimates differ by at least the error of the
-    better one), so the value's error is estimated as 4/3 |fine - coarse|;
-    0 for the zeroth derivative."""
+def fd_stencils(point, multi_index, step: float):
+    """The two stencils `fd_estimate` combines, coarse (step h) and fine
+    (h/2), each a list of (shifted point, weight) terms (`stencil_sum`);
+    None for the zeroth derivative, which is f at `point`.  Checks the
+    multi-index and the step, and warns (`FdStepWarning`) when the step
+    underflows a coordinate it moves."""
     point = [float(p) for p in point]
     multi_index = tuple(int(k) for k in multi_index)
     if len(multi_index) != len(point):
@@ -980,9 +987,26 @@ def fd_estimate(f, point, multi_index, step: float):
     involved = [p for p, k in zip(point, multi_index) if k > 0]
     if any(p + h == p for p in involved):
         warnings.warn("finite-difference step underflows the coordinate magnitude",
-                      FdStepWarning, stacklevel=3)      # the caller of fd_derivative
+                      FdStepWarning, stacklevel=4)      # the caller of fd_derivative
     if total == 0:
-        return f(*point), 0.0
-    coarse = _stencil_estimate(f, point, multi_index, h)
-    fine = _stencil_estimate(f, point, multi_index, h / 2.0)
+        return None
+    return _stencil_terms(point, multi_index, h), _stencil_terms(point, multi_index, h / 2.0)
+
+
+def richardson(coarse, fine):
+    """(value, error estimate) of one Richardson level from the coarse and
+    fine stencil estimates: the value is fine + (fine - coarse)/3, and the
+    error of the fine estimate is taken as |fine - coarse| (two estimates
+    differ by at least the error of the better one), so the value's error
+    is estimated as 4/3 |fine - coarse|."""
     return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) * (4.0 / 3.0)
+
+
+def fd_estimate(f, point, multi_index, step: float):
+    """(`fd_derivative`, an estimate of its error) from the two stencil
+    estimates of `fd_stencils` (`richardson`); 0 for the zeroth derivative."""
+    stencils = fd_stencils(point, multi_index, step)
+    if stencils is None:
+        return f(*(float(p) for p in point)), 0.0
+    return richardson(*(stencil_sum([w for _z, w in terms], [f(*z) for z, _w in terms])
+                        for terms in stencils))

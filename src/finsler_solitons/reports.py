@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,10 @@ class ResidualReport:
         return self.verdict != FAIL
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in field order: the instance's attributes are
+        exactly its fields, and each is a str or a number, so no deep copy
+        (`dataclasses.asdict`) is needed."""
+        return dict(vars(self))
 
 
 def report_from_values(name, values, tol, detail="") -> ResidualReport:

@@ -12,12 +12,12 @@ Each fixture flag is evaluated once, and all of a suite's flags in one
 `finsler.evaluate_flags` call (which picks the jet or fd differentiation
 mode): one fourth-order expansion of F^2 laned over the stack of flags,
 from the run's laned stage, with one spray and Riemann pass over the stack
-(one finite-difference bundle and S per flag in fd mode), feeds the Ricci
-law, infinity-Ricci and, where the fixture declares a flag curvature, the
-flag-curvature rows (one stacked fit over the bundle's flags,
-`finsler.flag_curvature`); each row is one array over the flags, and a
-declared scalar that is a constant is read once for all of them
-(`riemann.field_values`).  The flags' F normalisers are the F that accepted
+(in fd mode one laned pass per expansion order over every stencil point of
+the stack, `finsler._fd_evaluation`), feeds the Ricci law, infinity-Ricci
+and, where the fixture declares a flag curvature, the flag-curvature rows
+(one stacked fit over the bundle's flags, `finsler.flag_curvature`); each
+row is one array over the flags, and a declared scalar that is a constant
+is read once for all of them (`riemann.field_values`).  The flags' F normalisers are the F that accepted
 them in `sampling.sample_flags`, one stacked F per batch of draws.  The
 kappa fit is one more `evaluate_flags` call, over the directions at its
 points.  A run's x-only work runs once for all its flags, in
@@ -281,7 +281,7 @@ def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
     plain jet partials against fd_derivative on transcendental compositions.
 
     Each pipeline flag makes one `finsler.evaluate_flags` per mode (Ric,
-    S-dot and Ric_inf), both on its one-point `finsler.Bases`."""
+    S-dot and Ric_inf), the jet one on its one-point `finsler.Bases`."""
     rng = np.random.default_rng(seed)
     plain = []
     compositions = [
@@ -315,9 +315,8 @@ def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
                 generators.random_scalar_field(rng, dim))
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
         F2 = metric.value(p.x, p.y) ** 2
-        base = finsler.base_points(metric, measure, [p.x])
-        jet = finsler.evaluate_flags(metric, measure, [p], base)
-        fd = finsler.evaluate_flags(metric, measure, [p], base, mode="fd")
+        jet = finsler.evaluate_flags(metric, measure, [p])
+        fd = finsler.evaluate_flags(metric, measure, [p], mode="fd")
         for rows, j, f in ((pipe_ric, jet.bundle.ricci, fd.bundle.ricci),
                            (pipe_sdot, jet.s_dot, fd.s_dot),
                            (pipe_winf, jet.ric_inf, fd.ric_inf)):

@@ -5,14 +5,16 @@ A stacked record (`finsler.FlagEvaluation`, `finsler.CurvatureBundle`,
 every array with a leading lane axis.  Its lane k must equal the record of
 that one flag or point alone, in values, shape and signs of zero.  The
 stacked flag-curvature fit is checked lane by lane against the one-point
-formula it replaced (`one_flag_fit`).
+formula it replaced (`one_flag_fit`), and the stacked finite-difference
+evaluation against the per-point one it replaced (`fd_flag_alone`).
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 
-from finsler_solitons import finsler
+from finsler_solitons import finsler, jets, riemann
 
 
 def _lane(record, k):
@@ -82,3 +84,87 @@ def assert_fit_lanes(fit, b, what):
         K, residual, flat, within_error = one_flag_fit(b, k)
         _assert_same([fit.value[k], fit.residual[k]], [K, residual], (what, k))
         assert (fit.flat[k], fit.within_error[k]) == (flat, within_error), (what, k)
+
+
+# -- the per-point fd evaluation: the reference of the stacked fd oracle -----------------
+
+
+def _memo(build, *seeds):
+    """x -> build(x), built once per distinct x (by its float64 bytes) and
+    seeded with the (x, value) pairs `seeds`."""
+    table = {np.asarray(x, float).tobytes(): v for x, v in seeds}
+
+    def at(x):
+        x = np.asarray(x, float)
+        key = x.tobytes()
+        if key not in table:
+            table[key] = build(x)
+        return table[key]
+
+    return at
+
+
+def _fd_table(f, z0, *axes, step):
+    """(values, error estimates) of d f / dz_t1 .. dz_tk at z0 for each index
+    tuple of the axes' product, one `jets.fd_estimate` (f called at each
+    stencil point) at `step` times max(1, |z0|)."""
+    h = step * max(1.0, float(np.max(np.abs(z0))))
+    est = [jets.fd_estimate(f, z0, tuple(t.count(v) for v in range(z0.size)), step=h)
+           for t in itertools.product(*axes)]
+    shape = tuple(len(a) for a in axes) + np.shape(est[0][0])
+    return tuple(np.array([e[k] for e in est]).reshape(shape) for k in (0, 1))
+
+
+def _s_order3(stage, logs, y):
+    y = np.asarray(y, float)
+    T = finsler._f2_tables(stage, y, order=3)
+    return finsler._s_value(finsler._spray_derivatives(T, y, order=3)["dG_dy"], y, logs)
+
+
+def fd_flag_alone(metric, measure, p):
+    """The fd evaluation of the one flag p, point by point, as the engine
+    made it before the stacked oracle: an unlaned stage and order-2 spray
+    at each distinct stencil point (`_memo`, seeded with the flag's spray
+    and, given a measure, with the stage of the flag's one-point bases),
+    and S by an unlaned order-3 expansion and density table at each S
+    stencil point (seeded with the bases' at the flag's x).  A one-flag
+    `finsler.FlagEvaluation`; with measure None, the one-flag fd bundle of
+    `curvature_bundle`."""
+    n = metric.dim
+    stage_at = _memo(lambda x: finsler._stage(metric, x))
+    if measure is not None:
+        base = finsler.base_points(metric, measure, [p.x]).lanes(0)
+        stage_at = _memo(lambda x: finsler._stage(metric, x), (base.x, base.stage))
+    x, y = np.asarray(p.x, float), np.asarray(p.y, float)
+    z0 = np.concatenate([x, y])
+    T = finsler._f2_tables(stage_at(x), y, order=2)
+    D = finsler._spray_derivatives(T, y, order=2)
+    G = D["G"]
+
+    def spray_at(z):
+        return finsler._spray_derivatives(finsler._f2_tables(stage_at(z[:n]), z[n:], order=2),
+                                          z[n:], order=2)["G"]
+
+    G_at = _memo(spray_at, (z0, G))
+    G_fn = lambda *z: G_at(z)
+    xs, ys = range(n), range(n, 2 * n)
+    dG_dx, e_dx = _fd_table(G_fn, z0, xs, step=finsler.FD_STEP1)
+    dG_dy, e_dy = _fd_table(G_fn, z0, ys, step=finsler.FD_STEP1)
+    d2G_dxdy, e_dxdy = _fd_table(G_fn, z0, xs, ys, step=finsler.FD_STEP2)
+    d2G_dydy, e_dydy = _fd_table(G_fn, z0, ys, ys, step=finsler.FD_STEP2)
+    R = finsler._assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy)
+    r_error = np.linalg.norm(finsler._riemann_error(y, G, dG_dy, (e_dx, e_dy, e_dxdy, e_dydy)))
+    bundle = finsler.CurvatureBundle(*(np.array([v]) for v in (
+        x, y, T["F"], T["Q01"], D["g"], G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy, R, np.trace(R),
+        r_error)))
+    if measure is None:
+        return bundle
+
+    S = _s_order3(base.stage, base.logs, y)
+    logs_at = _memo(measure.log_density_table, (base.x, base.logs))
+    dS = _fd_table(lambda *z: _s_order3(stage_at(z[:n]), logs_at(z[:n]), z[n:]),
+                   z0, range(2 * n), step=finsler.FD_STEP1)[0]
+    dS_dx, dS_dy = np.array([dS[:n]]), np.array([dS[n:]])
+    s_dot = riemann.dot(bundle.y, dS_dx) - 2.0 * riemann.dot(bundle.spray, dS_dy)
+    return finsler.FlagEvaluation(bundle=bundle, S=np.array([S]), dS_dx=dS_dx, dS_dy=dS_dy,
+                                  s_dot=s_dot, ric_inf=bundle.ricci + s_dot)

@@ -21,8 +21,8 @@ def compare_reports():
 
 
 def test_invocation_list(compare_reports):
-    assert len(compare_reports.INVOCATIONS) == 65
-    assert len(set(compare_reports.INVOCATIONS)) == 65
+    assert len(compare_reports.INVOCATIONS) == 66
+    assert len(set(compare_reports.INVOCATIONS)) == 66
 
 
 def test_tree_against_itself_has_zero_drift(compare_reports, capsys):
@@ -42,7 +42,7 @@ def test_drift_is_kept_per_differentiation_mode(compare_reports):
     invocations = compare_reports.INVOCATIONS
     fd = [args for args in invocations if compare_reports.mode(args) == "fd"]
     assert fd == [args for args in invocations if "--diff-mode" in args]
-    assert len(fd) == 8
+    assert len(fd) == 9
     assert compare_reports.mode(("crosscheck", "--suite", "jets-vs-fd")) == "jet"
 
 

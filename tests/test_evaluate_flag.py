@@ -239,16 +239,22 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
             expected.setdefault(key, []).append(value)
 
     calls = []
-    bundle = finsler.curvature_bundle
+    bundle, fd_evaluation = finsler.curvature_bundle, finsler._fd_evaluation
 
-    def count_bundle(metric, points, mode="jet", stage_at=None):
-        calls.append((mode, len(points)))
-        return bundle(metric, points, mode, stage_at)
+    def count_bundle(metric, points, mode="jet", stage=None):
+        calls.append(("bundle", mode, len(points)))
+        return bundle(metric, points, mode, stage)
+
+    def count_fd(metric, points, measure):
+        calls.append(("fd", measure is not None, len(points)))
+        return fd_evaluation(metric, points, measure)
 
     monkeypatch.setattr(finsler, "curvature_bundle", count_bundle)
+    monkeypatch.setattr(finsler, "_fd_evaluation", count_fd)
     rows, got_flat = suites._flag_rows(fx, flags, _bases(fx, flags), "fd")
-    # one call for the stack; inside it, one fd bundle per flag
-    assert calls == [("fd", len(flags))]
+    # one fd evaluation for the stack, bundle and S together: each flag's
+    # rows read one fd bundle, and no bundle is built apart
+    assert calls == [("fd", True, len(flags))]
     assert rows.keys() == expected.keys() and got_flat == flat
     for key, want in expected.items():
         assert np.array_equal(rows[key], want), key
@@ -257,19 +263,23 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
 @pytest.mark.parametrize("name", ["cigar", "shrinking"])
 def test_fd_flag_on_its_sample_point_stages_each_stencil_x_once(name, monkeypatch):
     # The spray stencil steps x by 4n points at each of its two step sizes,
-    # the S stencil by the 4n of the first; both read one stage per x, and
-    # the sample point's base at p.x.
+    # the S stencil by the 4n of the first.  Both read lanes of one stage
+    # laned over the distinct stencil x, the flag's own x among them, and
+    # not the sample point's base: one stage per laned pass.
     fx = fixtures.get_fixture(name)
     n = fx.dim
     p = _flags(fx, count=1)[0]
     base = _bases(fx, [p])
     counter = _Counter(monkeypatch)
     finsler.evaluate_flags(fx.metric, fx.measure, [p], base, mode="fd")
-    assert counter.stages == 8 * n
-    assert counter.density_tables == 4 * n
+    assert counter.stages == 2
+    # one density table, laned over the S stencil x
+    assert counter.density_tables == 1
     # order 2: the flag and the other spray stencil points; order 3: S at the
-    # flag and its stencil points
-    assert collections.Counter(counter.orders) == {2: 1 + 8 * n + 12 * n * n, 3: 1 + 8 * n}
+    # flag and its stencil points; one laned expansion each
+    assert counter.orders == [2, 3]
+    assert [len(ys) for ys in counter.ys] == [1 + 8 * n + 12 * n * n, 1 + 8 * n]
+    assert all(np.array_equal(ys[0], p.y) for ys in counter.ys)
 
 
 def test_fit_kappa_one_expansion_per_direction_one_density_table_per_point(monkeypatch):

@@ -4,12 +4,12 @@ make one order-4 spray pass per stack, and one bad flag refuses the stack."""
 
 import numpy as np
 import pytest
-from _lanes import assert_lane
+from _lanes import assert_lane, fd_flag_alone
 
-from finsler_solitons import finsler, fixtures, jets, solitons, suites
+from finsler_solitons import finsler, fixtures, generators, jets, randers, solitons, suites
 from finsler_solitons.finsler import FinslerMetric, FlagDomainError, Measure
 from finsler_solitons.jets import FlagPoint
-from finsler_solitons.sampling import sample_flags
+from finsler_solitons.sampling import sample_flags, unit_direction
 
 
 def _stack(fx, count=3, seed=7):
@@ -44,6 +44,45 @@ def test_an_fd_stack_evaluates_as_each_flag_alone():
     for k, p in enumerate(flags):
         alone = finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd")
         assert_lane(stacked, k, alone, k)
+
+
+def _fd_cases():
+    """(name, metric, measure, 3 flags): every registry fixture at sampled
+    flags, cigar at flags with signed zeros (a stencil point that moves
+    another coordinate has +0.0 where the flag has -0.0, so the flag's own
+    point and its neighbours are told apart by their bytes), and the two
+    random metric kinds of `jets-vs-fd` with their weighted measures."""
+    for name in fixtures.FIXTURE_NAMES:
+        fx = fixtures.get_fixture(name)
+        yield name, fx.metric, fx.measure, sample_flags(fx, 3, np.random.default_rng(23))
+    fx = fixtures.get_fixture("cigar")
+    yield "cigar-signed-zeros", fx.metric, fx.measure, [
+        FlagPoint([1.0, -0.0], [0.6, -0.0]), FlagPoint([1.0, 0.0], [-0.0, 0.8]),
+        FlagPoint([0.7, -0.0], [-0.6, 0.8])]
+    rng = np.random.default_rng(29)
+    rd = generators.random_randers(rng, 2)
+    h = generators.random_riemann_metric(rng, 2)
+    for name, metric, measure in (
+            ("random-randers", randers.finsler_from_randers(rd),
+             randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))),
+            ("random-riemannian", FinslerMetric.from_riemannian(h),
+             Measure.riemannian(h).weighted(generators.random_scalar_field(rng, 2)))):
+        yield name, metric, measure, [FlagPoint(generators.sample_box_point(rng, 2),
+                                                unit_direction(rng, 2)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("case", list(_fd_cases()), ids=lambda c: c[0])
+def test_an_fd_stack_equals_the_per_point_fd_evaluation(case, count):
+    # bundle, S, dS, S-dot, Ric_inf and r_error: values, shapes and signs of zero
+    name, metric, measure, flags = case
+    flags = flags[:count]
+    stacked = finsler.evaluate_flags(metric, measure, flags, mode="fd")
+    bundle = finsler.curvature_bundle(metric, flags, mode="fd")
+    assert stacked.S.shape == bundle.r_error.shape == (count,)
+    for k, p in enumerate(flags):
+        assert_lane(stacked, k, fd_flag_alone(metric, measure, p), (name, k))
+        assert_lane(bundle, k, fd_flag_alone(metric, None, p), (name, k))
 
 
 def _count_sprays(monkeypatch):

@@ -4,23 +4,26 @@ replaced, bit for bit:
 * the stacked random polynomial fields of `generators` against the scalar
   loop that evaluated one entry at a time, and the box-grid calibration of
   `random_randers` / `random_navigation` against the per-point loop;
-* the finite-difference bundle, which computes the spray once per distinct
-  stencil point for all components, against the per-component path;
-* the fd `evaluate_flags`, whose two stencils share one stage per distinct
-  stencil x, against the fd bundle and fd S-dot as separate oracles with a
-  stage per stencil point;
+* the finite-difference bundle, whose one laned spray pass evaluates each
+  distinct stencil point of a stack once for all components, against the
+  per-component path;
+* the fd `evaluate_flags`, whose two laned passes read lanes of one stage
+  laned over the distinct stencil x, against the fd bundle and fd S-dot as
+  separate oracles with a stage per stencil point, on a stencil point the
+  metric refuses, and at steps that underflow;
 * `crosscheck_jets_vs_fd`, which makes one evaluation per flag on each side;
 * the fd flat test (`r_error`) and the sampled F that `_flag_rows` reads.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from _lanes import assert_fit_lanes, assert_lane, one_flag_fit
+from _lanes import assert_fit_lanes, assert_lane, fd_flag_alone, one_flag_fit
 
-from finsler_solitons import (finsler, fixtures, generators, jets, randers, riemann,
+from finsler_solitons import (cli, finsler, fixtures, generators, jets, randers, riemann,
                               solitons, suites)
 from finsler_solitons.jets import FlagPoint, Jet, fd_derivative
 from finsler_solitons.sampling import sample_flags, unit_direction
@@ -237,31 +240,43 @@ def test_fd_estimate_bounds_the_richardson_error_and_works_entrywise():
     assert jets.fd_estimate(f, [0.3, -0.2], (0, 0), step=0.05)[1] == 0.0
 
 
-def _recording_sprays(monkeypatch):
-    """Record, from now on, the x of every stage built (`FinslerMetric.at`
-    at jet x) and the point (x, y) of every order-2 expansion of F^2 (a spray
-    at that point)."""
-    sprays, stages, at = [], [], {}
-    stage_at, tables = finsler.FinslerMetric.at, finsler._f2_tables
+def _recording_expansions(monkeypatch):
+    """Record, from now on, the F^2 expansions (`_f2_tables`) as (order, the
+    points (x, y) of their lanes, as bytes), the x of every stage built
+    (`FinslerMetric.at` at jet x; one row per lane), and the x of every
+    stage laned by the fd oracle (`_lane_stage`)."""
+    expansions, stages, lane_stages, at = [], [], [], {}
+    stage_at, tables, lane_stage = (finsler.FinslerMetric.at, finsler._f2_tables,
+                                    finsler._lane_stage)
 
     def recording_at(metric, x):
         out = stage_at(metric, x)
         if isinstance(x[0], Jet):
-            at[id(out)] = np.array([v.value for v in x], float).tobytes()
+            at[id(out)] = np.atleast_2d(np.array([v.value for v in x], float).T)
             stages.append(at[id(out)])
         return out
 
     def recording_tables(st, y, order):
         out = tables(st, y, order)
-        if order == 2:
-            # the bases' stage is a LaneStage, built on first use
-            x = at[id(st._stage if isinstance(st, finsler.LaneStage) else st)]
-            sprays.append(x + np.asarray(y, float).tobytes())
+        y = np.atleast_2d(np.asarray(y, float))
+        # a LaneStage is built on first use
+        x = np.broadcast_to(at[id(st._stage if isinstance(st, finsler.LaneStage) else st)],
+                            y.shape)
+        expansions.append((order, [z.tobytes() for z in np.concatenate([x, y], axis=1)]))
         return out
+
+    def recording_lane_stage(metric, x):
+        lane_stages.append(np.array(x, float))
+        return lane_stage(metric, x)
 
     monkeypatch.setattr(finsler.FinslerMetric, "at", recording_at)
     monkeypatch.setattr(finsler, "_f2_tables", recording_tables)
-    return sprays, stages
+    monkeypatch.setattr(finsler, "_lane_stage", recording_lane_stage)
+    return expansions, stages, lane_stages
+
+
+def _rows(a):
+    return {row.tobytes() for row in a}
 
 
 @pytest.mark.parametrize("name,count", [("gaussian", 2), ("cigar", 2), ("shrinking", 1)])
@@ -269,23 +284,30 @@ def test_fd_bundle_computes_one_spray_per_distinct_stencil_point(name, count, mo
     fx = fixtures.get_fixture(name)
     flags = sample_flags(fx, count, np.random.default_rng(11))
     refs = [_per_component_bundle(fx.metric, p) for p in flags]
-    calls, stages = _recording_sprays(monkeypatch)
+    expansions, stages, lane_stages = _recording_expansions(monkeypatch)
     n = fx.dim
-    for p, (want, visited) in zip(flags, refs):
-        del calls[:], stages[:]
-        b = finsler.curvature_bundle(fx.metric, [p], mode="fd")
-        # G at p is read off the flag's own order-2 table, which the second
-        # y-derivatives' stencils visit again
-        assert len(calls) == len(set(calls)) == 1 + 8 * n + 12 * n * n
-        assert set(calls) == set(visited)
+    b = finsler.curvature_bundle(fx.metric, flags, mode="fd")
+    # one order-2 expansion for the stack, a lane per distinct stencil point
+    # of its flags, each flag's own point among them: G, g and F at a flag
+    # are its lane, which the second y-derivatives' stencils visit again
+    [(order, lanes)] = expansions
+    assert order == 2
+    assert len(lanes) == len(set(lanes)) == count * (1 + 8 * n + 12 * n * n)
+    assert set(lanes) == set().union(*(visited for _want, visited in refs))
+    for _want, visited in refs:
         assert len(visited) == 1 + n * (16 * n * n + 6 * n)     # 153 at n = 2
-        # one stage per distinct stencil x: p.x and 4n steps of each step size
-        assert len(stages) == len(set(stages)) == 1 + 8 * n
+    # one stage laned over the distinct stencil x (each flag's x and 4n
+    # steps of each step size), whose lanes the expansion reads
+    [X] = lane_stages
+    assert len(X) == len(_rows(X)) == count * (1 + 8 * n)
+    assert _rows(X) == {np.frombuffer(z, float)[:n].tobytes() for z in lanes}
+    assert len(stages) == 1 and _rows(stages[0]) == _rows(X)
+    for k, (want, _visited) in enumerate(refs):
         got = (b.spray, b.dG_dx, b.dG_dy, b.d2G_dxdy, b.d2G_dydy, b.riemann)
         for g, w in zip(got, want, strict=True):
-            assert g.shape == (1,) + w.shape and g[0].tobytes() == w.tobytes(), name
-        assert b.ricci.tolist() == [float(np.trace(want[-1]))]
-        assert math.isfinite(b.r_error[0]) and b.r_error[0] > 0.0
+            assert g.shape == (count,) + w.shape and g[k].tobytes() == w.tobytes(), name
+        assert b.ricci[k] == float(np.trace(want[-1]))
+        assert math.isfinite(b.r_error[k]) and b.r_error[k] > 0.0
     assert finsler.curvature_bundle(fx.metric, [flags[0]]).r_error[0] == 0.0
 
 
@@ -308,25 +330,39 @@ def _s_dot_fd_per_point(metric, measure, p, step=1e-5):
 
 @pytest.mark.parametrize("name", ("gaussian", "cigar", "shrinking"))
 def test_fd_s_dot_builds_one_base_point_per_stencil_x(name, monkeypatch):
+    # every stencil x is one lane of the stage, and every S stencil x one
+    # lane of the density tables
     fx = fixtures.get_fixture(name)
     p = sample_flags(fx, 1, np.random.default_rng(13))[0]
     want = _s_dot_fd_per_point(fx.metric, fx.measure, p)
-    _calls, stages = _recording_sprays(monkeypatch)
+    expansions, stages, lane_stages = _recording_expansions(monkeypatch)
     tables = []
     density = finsler.Measure.log_density_table
 
     def recording(measure, x):
-        tables.append(np.asarray(x, float).tobytes())
+        tables.append(np.array(x, float))
         return density(measure, x)
 
     monkeypatch.setattr(finsler.Measure, "log_density_table", recording)
     assert finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd").s_dot[0] == want
-    # the 4n points along y share the flag's x; each step along x has its own,
-    # and the spray stencil steps x by the same first-derivative steps
     n = fx.dim
-    assert len(tables) == len(set(tables)) == 1 + 4 * n
-    assert len(stages) == len(set(stages)) == 1 + 8 * n
-    assert set(tables) <= set(stages)
+    # one laned order-2 pass (the spray stencil) and one laned order-3 pass
+    # (S at the flag and its 8n stencil points), each point once
+    assert [order for order, _lanes in expansions] == [2, 3]
+    s_lanes = expansions[1][1]
+    assert len(s_lanes) == len(set(s_lanes)) == 1 + 8 * n
+    # one stage laned over the distinct stencil x: the 4n points along y
+    # share the flag's x, each step along x has its own, and the spray
+    # stencil steps x by the same first-derivative steps and 4n more
+    [X] = lane_stages
+    assert len(X) == len(_rows(X)) == 1 + 8 * n
+    assert [_rows(x) for x in stages] == [
+        {np.frombuffer(z, float)[:n].tobytes() for z in lanes} for _order, lanes in expansions]
+    assert _rows(stages[0]) == _rows(X)
+    # one density table, laned over the S stencil x: the flag's x and 4n steps
+    [T] = tables
+    assert len(T) == len(_rows(T)) == 1 + 4 * n
+    assert _rows(T) == _rows(stages[1]) and _rows(T) <= _rows(X)
 
 
 def test_fd_weighted_ricci_is_the_sum_of_fd_ricci_and_fd_s_dot():
@@ -344,7 +380,7 @@ def test_fd_weighted_ricci_is_the_sum_of_fd_ricci_and_fd_s_dot():
         assert ev.ric_inf[0] == ev.bundle.ricci[0] + ev.s_dot[0]
 
 
-# -- the fd evaluation: one stage per distinct stencil x --------------------------------
+# -- the fd evaluation: one laned stage over the distinct stencil x --------------------
 
 
 def _separate_fd_oracles(metric, measure, p, step1=1e-5, step2=3e-4):
@@ -416,6 +452,79 @@ def test_fd_evaluation_equals_the_separate_fd_oracles(case):
             one_flag_fit(want, 0)
 
 
+def _half_plane():
+    """A lane-safe metric refused on x[0] < 0 (as in `test_sampling.py`, on
+    jet x too) and a measure for it."""
+    def at(x):
+        jets.refuse(np.asarray(jets.scalar_value(x[0])) < 0, jets.EvaluationError,
+                    lambda k: "outside the chart")
+        return lambda y: jets.sqrt(y[0] * y[0] + y[1] * y[1]) * (1.0 + 0.1 * x[0])
+
+    return (finsler.FinslerMetric.from_stage(2, at, "half-plane"),
+            finsler.Measure(lambda x: jets.exp(0.1 * x[0])))
+
+
+def test_a_refused_stencil_point_refuses_the_fd_evaluation(monkeypatch, capsys):
+    # the flag is inside the chart, its x-stencil (step 1e-5) crosses x[0] = 0
+    metric, measure = _half_plane()
+    inside, crossing = FlagPoint([0.5, 0.2], [0.6, 0.8]), FlagPoint([2e-6, 0.2], [0.6, 0.8])
+    assert metric.value(crossing.x, crossing.y) > 0.0
+    finsler.evaluate_flags(metric, measure, [inside], mode="fd")
+    # the stacked stage names the refused lanes; the per-point path named none
+    for stack in ([crossing], [inside, crossing]):
+        with pytest.raises(jets.EvaluationError, match=r"^outside the chart at lanes \d+, "):
+            finsler.evaluate_flags(metric, measure, stack, mode="fd")
+        with pytest.raises(jets.EvaluationError, match=r"^outside the chart at lanes \d+, "):
+            finsler.curvature_bundle(metric, stack, mode="fd")
+    with pytest.raises(jets.EvaluationError, match=r"^outside the chart$"):
+        fd_flag_alone(metric, measure, crossing)
+    # and the CLI reports it as an evaluation error, exit 3
+    monkeypatch.setattr(suites, "run_fixture_suite", lambda *args, **kwargs:
+                        finsler.evaluate_flags(metric, measure, [crossing], mode="fd"))
+    assert cli.main(["verify", "--fixture", "cigar", "--diff-mode", "fd", "--samples", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("evaluation error on fixture 'cigar': outside the chart at lanes ")
+
+
+def _underflowing_stencils(points, n):
+    """How many fd stencils of the flags move a coordinate that their step
+    underflows (z + h == z), at the steps `finsler.FD_STEP1`/`FD_STEP2`."""
+    xs, ys, zs = range(n), range(n, 2 * n), range(2 * n)
+    count = 0
+    for p in points:
+        z = np.concatenate([p.x, p.y])
+        scale = max(1.0, float(np.max(np.abs(z))))
+        for axes, step in (((xs,), finsler.FD_STEP1), ((ys,), finsler.FD_STEP1),
+                           ((xs, ys), finsler.FD_STEP2), ((ys, ys), finsler.FD_STEP2),
+                           ((zs,), finsler.FD_STEP1)):
+            h = step * scale
+            count += sum(any(z[i] + h == z[i] for i in t) for t in itertools.product(*axes))
+    return count
+
+
+def test_fd_step_warnings_fire_for_the_same_stencils(monkeypatch):
+    # steps that underflow the coordinates from 0.25 up (cigar's x0 is in
+    # [0.2, 2)): each stencil that moves such a coordinate warns once, as in
+    # the per-point path, and the values stay bit-equal
+    fx = fixtures.get_fixture("cigar")
+    flags = sample_flags(fx, 3, np.random.default_rng(3))
+    monkeypatch.setattr(finsler, "FD_STEP1", 1e-17)
+    monkeypatch.setattr(finsler, "FD_STEP2", 1e-17)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        ev = finsler.evaluate_flags(fx.metric, fx.measure, flags, mode="fd")
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        alone = [fd_flag_alone(fx.metric, fx.measure, p) for p in flags]
+    expected = _underflowing_stencils(flags, fx.dim)
+    assert 0 < expected < len(flags) * (2 * 2 + 2 * 2 + 2 * 4 + 4)
+    assert len(got) == len(want) == expected
+    assert all(w.category is jets.FdStepWarning for w in got + want)
+    for k, one in enumerate(alone):
+        assert_lane(ev, k, one, k)
+
+
 def test_evaluate_flag_refuses_an_unknown_mode():
     fx = fixtures.get_fixture("cigar")
     with pytest.raises(finsler.ParameterError, match="bogus"):
@@ -456,30 +565,33 @@ def _pipeline_reference(count, seed):
 def test_jets_vs_fd_evaluates_each_flag_once_per_side(monkeypatch):
     count, seed = 3, 5
     want = _pipeline_reference(count, seed)
-    modes = {"evaluate_flags": [], "curvature_bundle": []}
-    evaluate, bundle, base_points = (finsler.evaluate_flags, finsler.curvature_bundle,
-                                     finsler.base_points)
+    modes, fd_flags = [], []
+    evaluate, fd_evaluation, base_points = (finsler.evaluate_flags, finsler._fd_evaluation,
+                                            finsler.base_points)
 
     def counted_evaluate(metric, measure, points, bases=None, mode="jet"):
         assert len(points) == 1
-        modes["evaluate_flags"].append(mode)
+        modes.append(mode)
         return evaluate(metric, measure, points, bases, mode)
 
-    def counted_bundle(metric, points, mode="jet", stage_at=None):
-        assert len(points) == 1
-        modes["curvature_bundle"].append(mode)
-        return bundle(metric, points, mode, stage_at)
+    def counted_fd(metric, points, measure):
+        fd_flags.append((len(points), measure is not None))
+        return fd_evaluation(metric, points, measure)
 
     bases = []
     monkeypatch.setattr(finsler, "evaluate_flags", counted_evaluate)
-    monkeypatch.setattr(finsler, "curvature_bundle", counted_bundle)
+    monkeypatch.setattr(finsler, "_fd_evaluation", counted_fd)
     monkeypatch.setattr(finsler, "base_points", lambda *a: bases.append(1) or base_points(*a))
-    sprays, _stages = _recording_sprays(monkeypatch)
+    expansions, _stages, _lane_stages = _recording_expansions(monkeypatch)
     reports = {r.name: r for r in suites.crosscheck_jets_vs_fd(count=count, seed=seed)}
-    for calls in modes.values():
-        assert calls == ["jet", "fd"] * count
-    assert len(bases) == count         # one one-point Bases per flag, shared by both sides
-    assert len(sprays) == count * (1 + 8 * 2 + 12 * 2 * 2) <= 198
+    assert modes == ["jet", "fd"] * count
+    assert fd_flags == [(1, True)] * count     # the fd side: one fd evaluation per flag
+    assert len(bases) == count         # one one-point Bases per flag, for the jet side
+    # per flag: one order-4 expansion (jet), then one laned order-2 pass at
+    # the 65 distinct spray stencil points and one laned order-3 pass at the
+    # 17 distinct S stencil points (fd)
+    assert [(order, len(set(lanes))) for order, lanes in expansions] == \
+        [(4, 1), (2, 1 + 8 * 2 + 12 * 2 * 2), (3, 1 + 8 * 2)] * count
     for name, rows in zip(("pipeline-ricci", "pipeline-s-dot", "pipeline-infinity-ricci"),
                           want):
         vals = np.abs(rows)

@@ -100,9 +100,9 @@ def test_a_sample_point_raises_the_evaluation_error_of_its_lane():
 def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
         name, mode, samples, monkeypatch):
     # the one navigation evaluation at jet x outside the finite-difference
-    # oracle (which stages the metric at its own stencil x) is the sample
-    # points', laned over the flags' x in flag order; the oracle reads each
-    # sample point's base at the flag's own x
+    # oracle is the sample points', laned over the flags' x in flag order;
+    # the oracle stages the metric at its own stencil x, one laned stage per
+    # pass (spray and S), each flag's own x a lane of both
     fx = fixtures.get_fixture(name)
     xs, fd_xs = [], []
     inside_fd = [0]
@@ -128,8 +128,8 @@ def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
     flags = sample_flags(fx, samples, np.random.default_rng(5))
     assert len(xs) == 1
     assert np.array_equal(xs[0], np.array([p.x for p in flags]))
-    assert bool(fd_xs) == (mode == "fd")
-    assert not any(np.array_equal(x, p.x) for x in fd_xs for p in flags)
+    assert len(fd_xs) == (2 if mode == "fd" else 0)
+    assert all((x == p.x).all(axis=1).any() for x in fd_xs for p in flags)
 
 
 @pytest.mark.parametrize("name,perturb", CASES)
@@ -152,7 +152,8 @@ def test_fixture_suite_builds_alpha_and_beta_at_bundle_points_only(name, monkeyp
     # sigma_BH is sqrt(det h): no Randers-side conversion or (alpha, beta)
     # density runs, and the alpha rows are built once per run, laned over the
     # bundle flags (the first 32): their lambda lanes are the first lanes of
-    # the run's one laned navigation point
+    # the run's laned navigation point, its first; the fd oracle's stage
+    # evaluates two more, one per laned pass (spray and S stencil)
     calls = {"_bh_density": 0, "_randers_point": 0, "_alpha_rows": 0}
     nav_lams, alpha_lams = [], []
 
@@ -186,7 +187,8 @@ def test_fixture_suite_builds_alpha_and_beta_at_bundle_points_only(name, monkeyp
         alpha_lams.clear()
         suites.run_fixture_suite(fx, samples=samples, seed=0, mode=mode)
         assert calls == {"_bh_density": 0, "_randers_point": 0, "_alpha_rows": 1}, (name, mode)
-        assert len(nav_lams) == 1 and nav_lams[0].shape == (samples,)
+        assert len(nav_lams) == (1 if mode == "jet" else 3)
+        assert nav_lams[0].shape == (samples,)
         assert np.array_equal(alpha_lams[0], nav_lams[0][:bundle_points]), (name, mode)
 
 
