@@ -78,7 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jets, riemann
-from .jets import FlagPoint, Jet, fd_stencils, scalar_value
+from .jets import Jet, fd_stencils, scalar_value
 from .riemann import RiemannMetric, VectorField, as_scalar_field
 
 
@@ -527,25 +527,36 @@ def _s_value(dG_dy, y, logs):
     return np.trace(dG_dy, axis1=-2, axis2=-1) - riemann.dot(y, logs[1])
 
 
-def lie_scalar(fn2n, v: VectorField, p: FlagPoint) -> float:
-    """Lie derivative along the complete lift of V of a scalar Phi(x, y):
+def lie_scalar(fn2n, v: VectorField, X, Y) -> np.ndarray:
+    """Lie derivative along the complete lift of V of a scalar Phi(x, y),
 
-        L Phi = V^i dPhi/dx^i + y^j dV^i/dx^j dPhi/dy^i
+        L Phi = V^i dPhi/dx^i + y^j dV^i/dx^j dPhi/dy^i,
+
+    at a stack of flags, X and Y of shape (P, n): one value per flag.  Phi
+    is one order-1 jet pass in the 2n variables laned over the flags, and V
+    one order-1 table laned over their x; each flag's contraction of the
+    gradient is the one-point one (`np.dot` and `np.einsum` on its lane,
+    as `riemann.einsum_rows` runs them, since a stacked product can sum in
+    another order), so each value is bit-equal to its flag's stack of one.
+    A Phi that is not a jet has zero derivative: one zero per flag.
     """
-    n = p.dim
-    zs = Jet.variables(list(p.x) + list(p.y), 1)
+    X, Y = np.asarray(X, float), np.asarray(Y, float)
+    n = X.shape[-1]
+    zs = Jet.variables(riemann.coordinates(np.concatenate([X, Y], axis=-1)), 1)
     phi = fn2n(zs[:n], zs[n:])
     if not isinstance(phi, Jet):
-        return 0.0
+        return np.zeros(len(X))
     grad = phi.gradient()
-    v0, dv = v.table(p.x, order=1)
-    ydv = np.einsum("j,ij->i", p.y, dv)
-    return float(np.dot(v0, grad[:n]) + np.dot(ydv, grad[n:]))
+    v0, dv = v.table(X, order=1)
+    return np.array([np.dot(v0[k], grad[k, :n]) + np.dot(np.einsum("j,ij->i", Y[k], dv[k]),
+                                                          grad[k, n:])
+                     for k in range(len(X))])
 
 
-def lie_F2(metric: FinslerMetric, v: VectorField, p: FlagPoint) -> float:
-    """Lie derivative of F^2 along the complete lift of V."""
-    return lie_scalar(lambda xs, ys: metric.F(xs, ys) ** 2, v, p)
+def lie_F2(metric: FinslerMetric, v: VectorField, X, Y) -> np.ndarray:
+    """Lie derivative of F^2 along the complete lift of V at a stack of
+    flags (`lie_scalar`), one value per flag."""
+    return lie_scalar(lambda xs, ys: metric.F(xs, ys) ** 2, v, X, Y)
 
 
 @dataclass(frozen=True, eq=False)

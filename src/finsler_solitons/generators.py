@@ -5,6 +5,22 @@ so positive definiteness is guaranteed on the sampling box; random 1-forms are
 rescaled so the Randers bound ||beta||_alpha < 0.45 holds on the whole box.
 Everything is driven by a caller-supplied numpy Generator, so suites are
 reproducible from a seed.
+
+Drawing is split from building.  The draws (`draw_calibrated`,
+`draw_vector_field` and the `_draw_*` helpers behind them) consume the rng and return polynomial coefficients; the builders
+(`randers_data`, `navigation_data`, `vector_field`: the closures and the
+box-grid calibration of `_calibrated_field`) consume none.  So a suite can
+draw first, in the rng order of one draw at a time, and build later.
+
+A family is the same builders run on the coefficients of several draws of
+one kind and dimension stacked along a trailing lane axis (`family`): its
+closures take x laned over the draws, one lane per draw (jets or float
+arrays of lane values), and each lane of what they return is bit-equal to
+that draw built alone at its lane's point, signs of zero included (Taylor
+arithmetic vectorised over points, Griewank-Walther).  Unlaned
+coefficients are one draw; there is no other code path.  A family is
+calibrated in one grid pass, with one stacked inverse and `bilinear` over
+its lanes and one scale per lane.
 """
 
 from __future__ import annotations
@@ -30,25 +46,35 @@ def _poly2(coeffs, x):
     jet products run through one `jets.mul_rows`; each entry is bit-equal
     to that scalar loop over its own jets.  Anything else (floats, arrays of
     floats, mixed) runs the scalar loop per entry.
+
+    The coefficients of a family (module notes) carry trailing lane axes,
+    c0 of shape (E, lanes...), c1 (E, n, lanes...), c2 (E, n, n, lanes...),
+    which broadcast against the lane axes of x: in the jet path each
+    coefficient multiplies its lane's coefficient row of x, as a float
+    multiplies a jet, and in the scalar loop numpy broadcasts the arrays.
     """
     c0, c1, c2 = coeffs
     n = len(x)
     space = x[0].space if isinstance(x[0], Jet) else None
     if space is not None and all(isinstance(v, Jet) and v.space is space for v in x):
         X = np.array([v.coeffs for v in x])                     # [k, lanes..., coefficient]
-        lanes = (1,) * (X.ndim - 2)                             # entry axes over the lanes
-        prods = jets.mul_rows(c2.reshape(c2.shape + lanes + (1,)) * X[None, :, None], X,
-                              space, space)
-        c1x = c1.reshape(c1.shape + lanes + (1,))
-        out = np.zeros((c0.size,) + X.shape[1:])
-        out[..., 0] = c0.reshape(c0.shape + lanes)
+        clanes = c0.shape[1:]
+        lanes = (1,) * (X.ndim - 2 - len(clanes)) + clanes      # entry axes over the lanes
+
+        def laned(c):
+            return c.reshape(c.shape[:c.ndim - len(clanes)] + lanes + (1,))
+
+        prods = jets.mul_rows(laned(c2) * X[None, :, None], X, space, space)
+        c1x = laned(c1)
+        out = np.zeros((c0.shape[0],) + X.shape[1:])
+        out[..., 0] = laned(c0)[..., 0]
         for k in range(n):
             out = out + c1x[:, k] * X[k]
             for l in range(n):
                 out = out + prods[:, k, l]
         return [Jet(space, row) for row in out]
     entries = []
-    for e in range(c0.size):
+    for e in range(c0.shape[0]):
         out = c0[e]
         for k in range(n):
             out = out + c1[e, k] * x[k]
@@ -56,6 +82,9 @@ def _poly2(coeffs, x):
                 out = out + c2[e, k, l] * x[k] * x[l]
         entries.append(out)
     return entries
+
+
+# -- drawing: every rng read -----------------------------------------------------------
 
 
 def _draw_poly2(rng, dim, amp):
@@ -70,6 +99,33 @@ def _draw_stacked(rng, dim, amp, entries):
     return tuple(np.array([d[k] for d in draws]) for k in range(3))
 
 
+def _draw_riemann(rng, dim):
+    """The coefficients of `random_riemann_metric`: one entry per i <= j."""
+    return _draw_stacked(rng, dim, 0.1 / (dim * dim), dim * (dim + 1) // 2)
+
+
+def draw_calibrated(rng, dim):
+    """The coefficients of `randers_data` or `navigation_data`: the metric's,
+    then the raw ones of the field `_calibrated_field` rescales on it."""
+    return _draw_riemann(rng, dim), _draw_stacked(rng, dim, 0.3, dim)
+
+
+def draw_vector_field(rng, dim):
+    """The coefficients of a random quadratic `vector_field`."""
+    return _draw_stacked(rng, dim, 0.2, dim)
+
+
+def family(draws):
+    """Draws of one kind and dimension as one family: each coefficient array
+    of the draws stacked along a new trailing lane axis, lane k draw k."""
+    if isinstance(draws[0], tuple):
+        return tuple(family(parts) for parts in zip(*draws))
+    return np.stack(draws, axis=-1)
+
+
+# -- building: no rng read ---------------------------------------------------------------
+
+
 def _box_grid(dim):
     """The calibration grid, 5 points per axis, as one array per coordinate
     (points in `itertools.product` order)."""
@@ -77,17 +133,23 @@ def _box_grid(dim):
     return list(np.array(list(itertools.product(*axes))).T)
 
 
-def _grid_stack(values):
-    """Matrix rows or a vector of per-point arrays as one C-contiguous (G, ...)
-    float stack, grid point first: each point's slice then runs the same
-    products as an array built for that point alone (a strided slice need not)."""
-    return np.ascontiguousarray(np.moveaxis(np.array(values, float), -1, 0))
+def _grid_stack(values, lanes):
+    """Matrix rows or a vector of arrays of shape (G, lanes...), a family's
+    values at the grid points, as one float stack (lanes..., G, ...): each
+    lane's (G, ...) stack is C-contiguous, grid point first, so each point's
+    slice runs the same products as an array built for that point of that
+    draw alone (a strided slice need not)."""
+    values = np.array(values, float)
+    grid = values.ndim - 1 - len(lanes)
+    moved = np.moveaxis(values, [*range(grid + 1, values.ndim), grid], range(len(lanes) + 1))
+    return np.ascontiguousarray(moved)
 
 
-def random_riemann_metric(rng, dim, name="random-h") -> RiemannMetric:
-    """Identity plus a symmetric quadratic-polynomial perturbation."""
+def _riemann_metric(coeffs, name) -> RiemannMetric:
+    """Identity plus the symmetric quadratic perturbation of `_draw_riemann`'s
+    coefficients (one draw or a family)."""
+    dim = coeffs[1].shape[1]
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    coeffs = _draw_stacked(rng, dim, 0.1 / (dim * dim), len(pairs))
 
     def fn(x):
         rows = [[None] * dim for _ in range(dim)]
@@ -98,9 +160,69 @@ def random_riemann_metric(rng, dim, name="random-h") -> RiemannMetric:
     return RiemannMetric(dim, fn, name=name)
 
 
-def random_vector_field(rng, dim) -> VectorField:
-    coeffs = _draw_stacked(rng, dim, 0.2, dim)
+def _calibration(metric: RiemannMetric, raw, bound, inverse):
+    """The scale that brings the raw field v to v.M.v < bound^2 on the box,
+    with M the metric's matrix, or its inverse for a 1-form (`inverse`):
+    a float, or one per lane of a family.
+
+    The field and M are evaluated at every grid point of every lane at once
+    (arrays through the scalar loop), and v.M.v is one stacked
+    `riemann.bilinear`; a stacked inverse and each bilinear row are
+    bit-equal to the per-point ones, and the max over a lane's grid is
+    exact.
+    """
+    lanes = raw[0].shape[1:]
+    grid = [g.reshape(g.shape + (1,) * len(lanes)) for g in _box_grid(metric.dim)]
+    mats = _grid_stack(metric.matrix(grid), lanes)
+    if inverse:
+        mats = riemann.spd_inverse(mats, riemann.MetricDomainError, f"{metric.name} matrix")
+    V = _grid_stack(_poly2(raw, grid), lanes)
+    worst = np.max(riemann.bilinear(V, mats, V), axis=-1, initial=0.0)
+    return bound / np.maximum(np.sqrt(worst), 1e-9)
+
+
+def _scaled(scale, v):
+    """scale * v for a component v of a calibrated field: each lane by its
+    lane's scale, as a float multiplies a jet (its coefficients) or a float."""
+    if isinstance(v, Jet):
+        return Jet(v.space, v.coeffs * np.asarray(scale)[..., None])
+    return scale * v
+
+
+def _calibrated_field(metric: RiemannMetric, raw, bound, name, inverse=False) -> VectorField:
+    """The raw quadratic field rescaled by its `_calibration` on the box."""
+    scale = _calibration(metric, raw, bound, inverse)
+    return VectorField(lambda x: [_scaled(scale, v) for v in _poly2(raw, x)], name=name)
+
+
+def randers_data(coeffs) -> RandersData:
+    """Random valid Randers data from `draw_calibrated` coefficients (one draw
+    or a family): b is rescaled below 0.45."""
+    alpha = _riemann_metric(coeffs[0], "alpha(random-randers)")
+    beta = _calibrated_field(alpha, coeffs[1], 0.45, "beta(random-randers)", inverse=True)
+    return RandersData(alpha=alpha, beta=beta, name="random-randers")
+
+
+def navigation_data(coeffs) -> NavigationData:
+    """Random valid navigation data from `draw_calibrated` coefficients (one
+    draw or a family): ||W||_h is rescaled below 0.5 on the box."""
+    h = _riemann_metric(coeffs[0], "h(random-nav)")
+    W = _calibrated_field(h, coeffs[1], 0.5, "W(random-nav)")
+    return NavigationData(h=h, W=W, name="random-nav")
+
+
+def vector_field(coeffs) -> VectorField:
+    """The random quadratic field of `draw_vector_field` coefficients (one
+    draw or a family)."""
     return VectorField(lambda x: _poly2(coeffs, x), name="random-v")
+
+
+# -- one draw, built -----------------------------------------------------------------------
+
+
+def random_riemann_metric(rng, dim, name="random-h") -> RiemannMetric:
+    """Identity plus a symmetric quadratic-polynomial perturbation."""
+    return _riemann_metric(_draw_riemann(rng, dim), name)
 
 
 def random_scalar_field(rng, dim) -> ScalarField:
@@ -108,38 +230,14 @@ def random_scalar_field(rng, dim) -> ScalarField:
     return ScalarField(lambda x: _poly2(coeffs, x)[0], name="random-f")
 
 
-def _calibrated_field(rng, metric: RiemannMetric, bound, name, inverse=False) -> VectorField:
-    """A random quadratic field v rescaled so that v.M.v < bound^2 on the box,
-    with M the metric's matrix, or its inverse for a 1-form (`inverse`).
-
-    The field and M are evaluated at every grid point at once (arrays
-    through the scalar loop), and v.M.v is one stacked `riemann.bilinear`;
-    a stacked inverse and each bilinear row are bit-equal to the per-point
-    ones.
-    """
-    raw = _draw_stacked(rng, metric.dim, 0.3, metric.dim)
-    grid = _box_grid(metric.dim)
-    mats = _grid_stack(metric.matrix(grid))
-    if inverse:
-        mats = riemann.spd_inverse(mats, riemann.MetricDomainError, f"{metric.name} matrix")
-    V = _grid_stack(_poly2(raw, grid))
-    worst = max([0.0] + riemann.bilinear(V, mats, V).tolist())
-    scale = bound / max(np.sqrt(worst), 1e-9)
-    return VectorField(lambda x: [scale * v for v in _poly2(raw, x)], name=name)
-
-
 def random_randers(rng, dim) -> RandersData:
     """Random valid Randers data on the box: b is rescaled below 0.45."""
-    alpha = random_riemann_metric(rng, dim, name="alpha(random-randers)")
-    beta = _calibrated_field(rng, alpha, 0.45, "beta(random-randers)", inverse=True)
-    return RandersData(alpha=alpha, beta=beta, name="random-randers")
+    return randers_data(draw_calibrated(rng, dim))
 
 
 def random_navigation(rng, dim) -> NavigationData:
     """Random valid navigation data: ||W||_h is rescaled below 0.5 on the box."""
-    h = random_riemann_metric(rng, dim, name="h(random-nav)")
-    W = _calibrated_field(rng, h, 0.5, "W(random-nav)")
-    return NavigationData(h=h, W=W, name="random-nav")
+    return navigation_data(draw_calibrated(rng, dim))
 
 
 def conformal_euclidean_navigation(rng, dim):

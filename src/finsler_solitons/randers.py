@@ -33,14 +33,13 @@ flag's F from the caller, with xi = y - F W on the tabled W (`NavTensors.w_up`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets, riemann
 from .finsler import FinslerMetric, Measure, lie_scalar
-from .jets import FlagPoint, scalar_value
+from .jets import scalar_value
 from .riemann import MetricDomainError, RiemannMetric, VectorField, generic_det
 
 
@@ -460,15 +459,20 @@ def spray_correction(T: NavTensors, sigma: float, y) -> np.ndarray:
             + w0 / T.lam * (T.s_mixed @ y))
 
 
-def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint, F: float):
+def lie_nav_h2_sides(nav: NavigationData, v: VectorField, X, Y, F):
     """Both sides of the navigation Lie-derivative identity
 
         L_V(htilde^2) = 2/(htilde + Wtilde_0) { htilde Vtilde_{0:0}
                           + htilde^2 (V_{j:k} W^k - W_{j:k} V^k) xi^j },
 
-    where htilde(x, xi) = F(x, y) and xi = y - F W, with F the float F(x, y)
-    of the flag.  The jet side reads h, W and the stage from one
-    `_navigation_point` per pass.  Returns (lhs, rhs).
+    where htilde(x, xi) = F(x, y) and xi = y - F W, at a stack of flags (X
+    and Y of shape (P, n)) with F their float F(x, y), one per flag.  The
+    jet side is one `lie_scalar` pass, which reads h, W and the stage from
+    one `_navigation_point` laned over the flags; the float side is one
+    record of h, one table of W and V and one `nav_tensors`, laned over the
+    flags, and each row's products with xi are `riemann.bilinear`,
+    `riemann.mat_vec` and `riemann.dot`, bit-equal to the one-flag `@`.
+    Returns (lhs, rhs), one value per flag each.
     """
     n = nav.dim
 
@@ -478,17 +482,18 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, p: FlagPoint, F: float
         Fv = _navigation_stage(point)(ys)
         return jets.YForms(rows)([ys[i] - Fv * w[i] for i in range(n)])[0]
 
-    lhs = lie_scalar(phi, v, p)
+    X, Y = np.asarray(X, float), np.asarray(Y, float)
+    lhs = lie_scalar(phi, v, X, Y)
 
-    H = riemann.point_record(nav.h, p.x, 1)
-    T = nav_tensors(H, nav.W.table(p.x, order=1))
-    xi = p.y - F * T.w_up
-    htilde = math.sqrt(float(xi @ T.h @ xi))
-    wt0 = float(T.w_low @ xi)
-    v0, dv = v.table(p.x, order=1)
+    H = riemann.point_record(nav.h, X, 1)
+    T = nav_tensors(H, nav.W.table(X, order=1))
+    xi = Y - np.asarray(F)[..., None] * T.w_up
+    htilde = jets.sqrt(riemann.bilinear(xi, T.h, xi))
+    wt0 = riemann.dot(T.w_low, xi)
+    v0, dv = v.table(X, order=1)
     vcov = riemann.lowered_covariant_derivative(H, v0, dv)
-    v00 = float(xi @ vcov @ xi)
-    mixed = float((vcov @ T.w_up - T.wcov @ v0) @ xi)
+    v00 = riemann.bilinear(xi, vcov, xi)
+    mixed = riemann.dot(riemann.mat_vec(vcov, T.w_up) - riemann.mat_vec(T.wcov, v0), xi)
     rhs = 2.0 / (htilde + wt0) * (htilde * v00 + htilde * htilde * mixed)
     return lhs, rhs
 

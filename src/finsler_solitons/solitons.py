@@ -44,7 +44,7 @@ from .finsler import FinslerMetric, Measure
 from .jets import FlagPoint, Jet
 from .randers import NavigationData, RandersData
 from .reports import ResidualReport, report_from_values
-from .riemann import VectorField, as_scalar_field, field_value, field_values
+from .riemann import VectorField, as_scalar_field, field_values
 
 
 def _directions(dim):
@@ -65,12 +65,14 @@ def _directions(dim):
 
 
 def almost_soliton_residual(metric: FinslerMetric, v: VectorField, kappa,
-                            p: FlagPoint) -> float:
-    """(2 Ric + L_V(F^2) - 2 kappa F^2) / F^2 at one flag."""
-    b = finsler.curvature_bundle(metric, [p])
-    F2 = float(b.F2[0])
-    lie = finsler.lie_F2(metric, v, p)
-    return (2.0 * float(b.ricci[0]) + lie - 2.0 * field_value(kappa, p.x) * F2) / F2
+                            points) -> np.ndarray:
+    """(2 Ric + L_V(F^2) - 2 kappa F^2) / F^2 at a stack of flags, one
+    residual per flag: one `finsler.curvature_bundle` and one stacked
+    `finsler.lie_F2` over the stack, kappa read at each flag's x
+    (`riemann.field_values`), each residual bit-equal to its flag alone."""
+    b = finsler.curvature_bundle(metric, points)
+    lie = finsler.lie_F2(metric, v, b.x, b.y)
+    return (2.0 * b.ricci + lie - 2.0 * field_values(kappa, b.x) * b.F2) / b.F2
 
 
 # -- least-squares scalar fits ------------------------------------------------------

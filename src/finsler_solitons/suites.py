@@ -33,7 +33,13 @@ Griewank-Walther): `navigation` takes one record of h, one table of W, one
 `randers.nav_tensors`, one float evaluation of each round-trip side and one
 float F per block of (at most 20) flags, and `randers-ricci` one
 `randers.randers_ricci_closed_form`, one float F and one laned
-`finsler.curvature_bundle` per metric's 16 flags.
+`finsler.curvature_bundle` per metric's 16 flags.  A suite whose every draw
+is a new random metric with one flag stacks across draws instead:
+`lie-identity` draws all its draws first, in the rng order of one draw at a
+time, and runs each dimension's draws as one family (`generators.family`,
+coefficients laned over the draws), so `finsler.lie_F2`, the float F, the
+record of alpha, the Lie terms and both navigation sides are one pass per
+family, and its rows go back in draw order.
 Only the plumbing is stacked: the oracle formulas are the one-point ones,
 and each row is bit-equal to its flag's own evaluation.
 """
@@ -176,35 +182,60 @@ def crosscheck_lie_identities(seed, count=200, tol=1e-9):
 
     split form   L_V(F^2) = (F/alpha) L_V(alpha^2) + 2 F L_V(beta)
     lifted form  L_V(htilde^2) via the navigation tensors (both sides).
+
+    Draw i is a random Randers metric, a random field V and a flag for the
+    split form, and random navigation data and a flag for the lifted form,
+    all of dimension 2 + i % 2.  Every draw is drawn first, in that rng
+    order; then each dimension's draws are one family (`generators.family`)
+    and each quantity one laned pass over the family's flags (`_lie_rows`),
+    and the rows are put back in draw order.
     """
     rng = np.random.default_rng(seed)
-    split, lifted = [], []
+
+    def flag(dim):
+        return generators.sample_box_point(rng, dim), unit_direction(rng, dim)
+
+    draws = []
     for i in range(count):
         dim = 2 + (i % 2)
-        rd = generators.random_randers(rng, dim)
-        metric = randers.finsler_from_randers(rd)
-        v = generators.random_vector_field(rng, dim)
-        p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
-        lhs = finsler.lie_F2(metric, v, p)
-        F = metric.value(p.x, p.y)
-        A = riemann.point_record(rd.alpha, p.x, 1)
-        alpha = math.sqrt(float(p.y @ A.h0 @ p.y))
-        v0, dv = v.table(p.x, order=1)
-        b0, db = rd.beta.table(p.x, order=1)
-        vcov = riemann.lowered_covariant_derivative(A, v0, dv)
-        la2 = riemann.lie_h2(vcov, p.y)
-        lb = riemann.lie_1form(v0, vcov, A.hinv @ b0, riemann.covariant_1form(A.gamma, b0, db),
-                               p.y)
-        rhs = F / alpha * la2 + 2.0 * F * lb
-        split.append((lhs - rhs) / (F * F))
-
-        nav = generators.random_navigation(rng, dim)
-        pn = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
-        Fn = randers.finsler_from_navigation(nav).value(pn.x, pn.y)
-        l2, r2 = randers.lie_nav_h2_sides(nav, v, pn, Fn)
-        lifted.append((l2 - r2) / (Fn * Fn))
+        draws.append((generators.draw_calibrated(rng, dim), generators.draw_vector_field(rng, dim),
+                      flag(dim), generators.draw_calibrated(rng, dim), flag(dim)))
+    split, lifted = np.empty(count), np.empty(count)
+    for first in range(min(2, count)):
+        split[first::2], lifted[first::2] = _lie_rows(*zip(*draws[first::2]))
     return [report_from_values("randers-f2-split", split, tol),
             report_from_values("navigation-h2-lift", lifted, tol)]
+
+
+def _lie_rows(rd_draws, v_draws, flags, nav_draws, nav_flags):
+    """The split and lifted rows of a family of `crosscheck_lie_identities`
+    draws of one dimension, one per draw: the family's Randers data, field
+    and navigation data are each built once (`generators.family`), and
+    `finsler.lie_F2`, the float F, the record of alpha, the tables of V and
+    beta, both Lie terms and both navigation sides are each one pass laned
+    over the family's flags, each row bit-equal to its draw alone."""
+    rd = generators.randers_data(generators.family(rd_draws))
+    v = generators.vector_field(generators.family(v_draws))
+    metric = randers.finsler_from_randers(rd)
+    X, Y = (np.array(a) for a in zip(*flags))
+    lhs = finsler.lie_F2(metric, v, X, Y)
+    F = metric.value(X, Y)
+    A = riemann.point_record(rd.alpha, X, 1)
+    alpha = jets.sqrt(riemann.bilinear(Y, A.h0, Y))
+    v0, dv = v.table(X, order=1)
+    b0, db = rd.beta.table(X, order=1)
+    vcov = riemann.lowered_covariant_derivative(A, v0, dv)
+    la2 = riemann.lie_h2(vcov, Y)
+    lb = riemann.lie_1form(v0, vcov, riemann.mat_vec(A.hinv, b0),
+                           riemann.covariant_1form(A.gamma, b0, db), Y)
+    rhs = F / alpha * la2 + 2.0 * F * lb
+    split = (lhs - rhs) / (F * F)
+
+    nav = generators.navigation_data(generators.family(nav_draws))
+    X, Y = (np.array(a) for a in zip(*nav_flags))
+    Fn = randers.finsler_from_navigation(nav).value(X, Y)
+    l2, r2 = randers.lie_nav_h2_sides(nav, v, X, Y, Fn)
+    return split, (l2 - r2) / (Fn * Fn)
 
 
 def crosscheck_navigation(seed, count=1000, tol=1e-10):

@@ -5,16 +5,21 @@ A stacked record (`finsler.FlagEvaluation`, `finsler.CurvatureBundle`,
 every array with a leading lane axis.  Its lane k must equal the record of
 that one flag or point alone, in values, shape and signs of zero.  The
 stacked flag-curvature fit is checked lane by lane against the one-point
-formula it replaced (`one_flag_fit`), and the stacked finite-difference
-evaluation against the per-point one it replaced (`fd_flag_alone`).
+formula it replaced (`one_flag_fit`), the stacked finite-difference
+evaluation against the per-point one it replaced (`fd_flag_alone`), and
+the `lie-identity` crosscheck, one family of random draws per dimension,
+against the per-draw loop it replaced (`lie_draw_alone`).
 """
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
-from finsler_solitons import finsler, jets, riemann
+from finsler_solitons import finsler, generators, jets, randers, riemann
+from finsler_solitons.jets import FlagPoint, Jet
+from finsler_solitons.sampling import unit_direction
 
 
 def _lane(record, k):
@@ -168,3 +173,75 @@ def fd_flag_alone(metric, measure, p):
     s_dot = riemann.dot(bundle.y, dS_dx) - 2.0 * riemann.dot(bundle.spray, dS_dy)
     return finsler.FlagEvaluation(bundle=bundle, S=np.array([S]), dS_dx=dS_dx, dS_dy=dS_dy,
                                   s_dot=s_dot, ric_inf=bundle.ricci + s_dot)
+
+
+# -- the per-draw lie-identity loop: the reference of the stacked suite --------------------
+
+
+def _lie_scalar_alone(fn2n, v, p):
+    """L Phi = V^i dPhi/dx^i + y^j dV^i/dx^j dPhi/dy^i at the one flag p,
+    from an unlaned order-1 jet pass (the one-flag `finsler.lie_scalar`)."""
+    n = p.dim
+    zs = Jet.variables(list(p.x) + list(p.y), 1)
+    phi = fn2n(zs[:n], zs[n:])
+    if not isinstance(phi, Jet):
+        return 0.0
+    grad = phi.gradient()
+    v0, dv = v.table(p.x, order=1)
+    ydv = np.einsum("j,ij->i", p.y, dv)
+    return float(np.dot(v0, grad[:n]) + np.dot(ydv, grad[n:]))
+
+
+def _lie_nav_h2_sides_alone(nav, v, p, F):
+    """Both sides of the navigation Lie identity at the one flag p, the
+    float side by one-point `@` (the one-flag `randers.lie_nav_h2_sides`)."""
+    n = nav.dim
+
+    def phi(xs, ys):
+        point = randers._navigation_point(nav, xs)
+        rows, w = point[0], point[1]
+        Fv = randers._navigation_stage(point)(ys)
+        return jets.YForms(rows)([ys[i] - Fv * w[i] for i in range(n)])[0]
+
+    lhs = _lie_scalar_alone(phi, v, p)
+
+    H = riemann.point_record(nav.h, p.x, 1)
+    T = randers.nav_tensors(H, nav.W.table(p.x, order=1))
+    xi = p.y - F * T.w_up
+    htilde = math.sqrt(float(xi @ T.h @ xi))
+    wt0 = float(T.w_low @ xi)
+    v0, dv = v.table(p.x, order=1)
+    vcov = riemann.lowered_covariant_derivative(H, v0, dv)
+    v00 = float(xi @ vcov @ xi)
+    mixed = float((vcov @ T.w_up - T.wcov @ v0) @ xi)
+    rhs = 2.0 / (htilde + wt0) * (htilde * v00 + htilde * htilde * mixed)
+    return lhs, rhs
+
+
+def lie_draw_alone(rng, i):
+    """(split row, lifted row) of draw i of `crosscheck_lie_identities`, as
+    the per-draw loop made them: each random object built alone from its own
+    draw, every quantity at the draw's one flag."""
+    dim = 2 + (i % 2)
+    rd = generators.random_randers(rng, dim)
+    metric = randers.finsler_from_randers(rd)
+    v = generators.vector_field(generators.draw_vector_field(rng, dim))
+    p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
+    lhs = _lie_scalar_alone(lambda xs, ys: metric.F(xs, ys) ** 2, v, p)
+    F = metric.value(p.x, p.y)
+    A = riemann.point_record(rd.alpha, p.x, 1)
+    alpha = math.sqrt(float(p.y @ A.h0 @ p.y))
+    v0, dv = v.table(p.x, order=1)
+    b0, db = rd.beta.table(p.x, order=1)
+    vcov = riemann.lowered_covariant_derivative(A, v0, dv)
+    la2 = riemann.lie_h2(vcov, p.y)
+    lb = riemann.lie_1form(v0, vcov, A.hinv @ b0, riemann.covariant_1form(A.gamma, b0, db),
+                           p.y)
+    rhs = F / alpha * la2 + 2.0 * F * lb
+    split = (lhs - rhs) / (F * F)
+
+    nav = generators.random_navigation(rng, dim)
+    pn = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
+    Fn = randers.finsler_from_navigation(nav).value(pn.x, pn.y)
+    l2, r2 = _lie_nav_h2_sides_alone(nav, v, pn, Fn)
+    return split, (l2 - r2) / (Fn * Fn)

@@ -44,7 +44,7 @@ def _bundle_rows(fx, flags, v, monkeypatch):
 def test_every_lane_of_a_run_equals_its_flag_alone(name, perturb, monkeypatch):
     fx = fixtures.get_fixture(name, perturb=perturb)
     flags = sample_flags(fx, 6, np.random.default_rng(41))
-    v = generators.random_vector_field(np.random.default_rng(43), fx.dim)
+    v = generators.vector_field(generators.draw_vector_field(np.random.default_rng(43), fx.dim))
     run, (sigmas, residuals) = _bundle_rows(fx, flags, v, monkeypatch)
     assert {name for _, name in run} >= {"isotropic-s", "conformal-w", "lie-h2-balance"}
     for k, p in enumerate(flags):

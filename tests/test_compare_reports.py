@@ -21,8 +21,8 @@ def compare_reports():
 
 
 def test_invocation_list(compare_reports):
-    assert len(compare_reports.INVOCATIONS) == 66
-    assert len(set(compare_reports.INVOCATIONS)) == 66
+    assert len(compare_reports.INVOCATIONS) == 68
+    assert len(set(compare_reports.INVOCATIONS)) == 68
 
 
 def test_tree_against_itself_has_zero_drift(compare_reports, capsys):

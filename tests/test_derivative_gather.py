@@ -100,7 +100,7 @@ def _fixture_inputs(name):
 def _random_inputs(n):
     rng = np.random.default_rng(100 + n)
     h = generators.random_riemann_metric(rng, n)
-    v = generators.random_vector_field(rng, n)
+    v = generators.vector_field(generators.draw_vector_field(rng, n))
     points = [generators.sample_box_point(rng, n) for _ in range(2)]
     scalars = {"log-density": _log_density(finsler.Measure.riemannian(h))}
     return n, points, {"h": h}, {"V": v}, scalars

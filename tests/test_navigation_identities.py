@@ -1,14 +1,15 @@
 """The navigation identities as table formulas: each point of the
-`isotropic-s` and `lie-identity` crosscheck suites, and each block of
-points of one random metric in the `navigation` and `randers-ricci` suites,
-evaluates its navigation data, its float F and its order-4 expansion of F^2
-once, and the rows are those of the path that evaluated each quantity on its
-own."""
+`isotropic-s` crosscheck suite, each block of points of one random metric in
+the `navigation` and `randers-ricci` suites, and each family of random draws
+of one dimension in the `lie-identity` suite, evaluates its navigation data,
+its float F and its order-4 expansion of F^2 once, and the rows are those of
+the path that evaluated each quantity on its own."""
 
 import math
 
 import numpy as np
 import pytest
+from _lanes import lie_draw_alone
 
 from finsler_solitons import finsler, generators, randers, riemann, solitons, suites
 from finsler_solitons.jets import FlagPoint
@@ -40,8 +41,9 @@ def _counting(monkeypatch):
 
 
 # The counts of the perfbench crosscheck workload.  isotropic-s: one sample
-# point and one float F per point.  lie-identity: the split half's F, and the
-# lifted half's F and one navigation point per jet pass.  navigation: one F
+# point and one float F per point.  lie-identity: per family (one per
+# dimension, so two at any count >= 2) the split half's F, and the lifted
+# half's F and one navigation point for its jet pass.  navigation: one F
 # per block of (at most 20) points of one metric; the rest are the round
 # trip's own conversion closures (alpha and beta of from_navigation at a
 # Randers-first block, h and W of to_navigation, two each, at a
@@ -49,7 +51,7 @@ def _counting(monkeypatch):
 # the 150 points.
 @pytest.mark.parametrize("suite, count, want", (
     ("isotropic-s", 6, {"navigation_point": 6 * 2, "order4": 6, "value": 6}),
-    ("lie-identity", 20, {"navigation_point": 20 * 2, "order4": 0, "value": 20 * 2}),
+    ("lie-identity", 20, {"navigation_point": 2 * 2, "order4": 0, "value": 2 * 2}),
     ("navigation", 150, {"navigation_point": 4 * (1 + 2) + 4 * (1 + 4), "order4": 0,
                          "value": 8}),
 ))
@@ -68,11 +70,18 @@ def test_crosscheck_point_evaluates_each_thing_once(suite, count, want, monkeypa
                           "beta_derivatives": [(16, 3)] * 2, "vector_table": [(16, 3)] * 2,
                           "randers_ricci_closed_form": [(16, 3)] * 2,
                           "value": [(16, 3)] * 2}),
+    ("lie-identity", 20, {"lie_F2": [(10, 2), (10, 3)], "lie_nav_h2_sides": [(10, 2), (10, 3)],
+                          "record_from_tables": [(10, 2)] * 2 + [(10, 3)] * 2,
+                          "nav_tensors": [(10, 2), (10, 3)],
+                          "vector_table": [(10, 2)] * 6 + [(10, 3)] * 6,
+                          "value": [(10, 2)] * 2 + [(10, 3)] * 2}),
 ))
 def test_each_random_metric_is_one_stacked_pass(suite, count, shapes, monkeypatch):
     # every float and table evaluation of a random metric's points runs once,
     # on the stack of its block's x (navigation: 20 points a block, so 37
-    # leaves a partial block; randers-ricci: 16 flags a metric)
+    # leaves a partial block; randers-ricci: 16 flags a metric; lie-identity:
+    # one family of 10 draws per dimension, whose V is tabled by each Lie
+    # derivative's jet pass and table side and beta and W once each)
     seen = {key: [] for key in shapes}
 
     def counting(owner, attr, x_of):
@@ -91,7 +100,9 @@ def test_each_random_metric_is_one_stacked_pass(suite, count, shapes, monkeypatc
                "vector_table": (riemann, lambda fn, x, order: x),
                "matrix_at": (riemann.RiemannMetric, lambda h, x: x),
                "at": (riemann.VectorField, lambda v, x: x),
-               "value": (finsler.FinslerMetric, lambda F, x, y: y)}
+               "value": (finsler.FinslerMetric, lambda F, x, y: y),
+               "lie_F2": (finsler, lambda metric, v, x, y: x),
+               "lie_nav_h2_sides": (randers, lambda nav, v, x, y, F: x)}
     for key in shapes:
         counting(watched[key][0], key, watched[key][1])
     suites.run_crosscheck_suite(suite, count=count, seed=1)
@@ -165,6 +176,27 @@ def test_stacked_suite_rows_equal_the_per_point_path(suite, count, seed, referen
         assert report.mean_abs == float(np.mean(vals)), report.name
 
 
+@pytest.mark.parametrize("count, seed", ((1, 0), (2, 5), (7, 3), (20, 1)))
+def test_lie_identity_rows_equal_each_draw_alone(count, seed, monkeypatch):
+    # count 1 is a family of one lane; an odd count gives families of unequal
+    # size; every row, signs of zero included, in draw order
+    rng = np.random.default_rng(seed)
+    want = np.array([lie_draw_alone(rng, i) for i in range(count)]).T
+    rows = {}
+    report = suites.report_from_values
+
+    def capture(name, values, tol, detail=""):
+        rows[name] = np.asarray(values)
+        return report(name, values, tol, detail)
+
+    monkeypatch.setattr(suites, "report_from_values", capture)
+    suites.run_crosscheck_suite("lie-identity", count=count, seed=seed)
+    assert list(rows) == ["randers-f2-split", "navigation-h2-lift"]
+    for got, ref in zip(rows.values(), want):
+        assert got.shape == (count,)
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def _isotropic_s_reference(count, seed):
     """The rows of `crosscheck_isotropic_s`, every quantity from its own
     evaluation: the records and tables at x, Ric, S-dot and F."""
@@ -219,7 +251,7 @@ def test_lifted_lie_jet_side_equals_separate_evaluations_of_f_h_and_w():
     rng = np.random.default_rng(4)
     for dim in (2, 3):
         nav = generators.random_navigation(rng, dim)
-        v = generators.random_vector_field(rng, dim)
+        v = generators.vector_field(generators.draw_vector_field(rng, dim))
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
         metric = randers.finsler_from_navigation(nav)
 
@@ -234,5 +266,5 @@ def test_lifted_lie_jet_side_equals_separate_evaluations_of_f_h_and_w():
                     out = out + rows[i][j] * xi[i] * xi[j]
             return out
 
-        lhs = randers.lie_nav_h2_sides(nav, v, p, metric.value(p.x, p.y))[0]
-        assert lhs == finsler.lie_scalar(phi, v, p)
+        lhs = randers.lie_nav_h2_sides(nav, v, [p.x], [p.y], [metric.value(p.x, p.y)])[0]
+        assert lhs.tolist() == finsler.lie_scalar(phi, v, [p.x], [p.y]).tolist()

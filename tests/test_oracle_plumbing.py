@@ -2,8 +2,9 @@
 replaced, bit for bit:
 
 * the stacked random polynomial fields of `generators` against the scalar
-  loop that evaluated one entry at a time, and the box-grid calibration of
-  `random_randers` / `random_navigation` against the per-point loop;
+  loop that evaluated one entry at a time, the box-grid calibration of
+  `random_randers` / `random_navigation` against the per-point loop, and a
+  family of draws, laned, against each draw built alone;
 * the finite-difference bundle, whose one laned spray pass evaluates each
   distinct stencil point of a stack once for all components, against the
   per-component path;
@@ -129,7 +130,7 @@ def test_mul_rows_equals_jet_products():
 def test_random_fields_equal_the_scalar_fields(dim):
     rng_a, rng_b = np.random.default_rng(dim), np.random.default_rng(dim)
     h = generators.random_riemann_metric(rng_a, dim)
-    v = generators.random_vector_field(rng_a, dim)
+    v = generators.vector_field(generators.draw_vector_field(rng_a, dim))
     f = generators.random_scalar_field(rng_a, dim)
     h_ref = _scalar_metric(rng_b, dim)
     v_ref = [generators._draw_poly2(rng_b, dim, 0.2) for _ in range(dim)]
@@ -153,8 +154,8 @@ def test_calibration_rows_equal_the_per_point_products(dim):
     for _ in range(50):
         h = generators.random_riemann_metric(rng, dim)
         V = generators._grid_stack(generators._poly2(generators._draw_stacked(rng, dim, 0.3, dim),
-                                                     grid))
-        mats = generators._grid_stack(h.matrix(grid))
+                                                     grid), ())
+        mats = generators._grid_stack(h.matrix(grid), ())
         for M in (mats, riemann.spd_inverse(mats, riemann.MetricDomainError, "h")):
             assert riemann.bilinear(V, M, V).tolist() == [float(v @ m @ v) for v, m in zip(V, M)]
 
@@ -176,6 +177,43 @@ def test_calibration_over_the_grid_equals_the_per_point_loop(dim):
             for got, want in zip(rd.alpha.matrix(x)[0] + nav.h.matrix(x)[-1],
                                  a_ref(x)[0] + h_ref(x)[-1]):
                 _assert_same(got, want)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_a_family_of_draws_equals_each_draw_built_alone(dim):
+    lanes = 4
+    rng_a, rng_b = np.random.default_rng(dim), np.random.default_rng(dim)
+    draws = [(generators.draw_calibrated(rng_a, dim), generators.draw_calibrated(rng_a, dim),
+              generators.draw_vector_field(rng_a, dim)) for _ in range(lanes)]
+    # the rng reads of the per-draw loop: metric, then raw field, then V
+    for _ in range(lanes):
+        _scalar_calibrated(rng_b, dim, 0.45, lambda m, b: 0.0)
+        _scalar_calibrated(rng_b, dim, 0.5, lambda m, w: 0.0)
+        [generators._draw_poly2(rng_b, dim, 0.2) for _ in range(dim)]
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    X = rng_a.uniform(-0.5, 0.5, size=(lanes, dim))
+    X[0, 0] = -0.0
+    rd_c, nav_c, v_c = (generators.family(c) for c in zip(*draws))
+    built = (generators.randers_data(rd_c), generators.navigation_data(nav_c),
+             generators.vector_field(v_c))
+    for k, (rd_k, nav_k, v_k) in enumerate(draws):
+        alone = (generators.randers_data(rd_k), generators.navigation_data(nav_k),
+                 generators.vector_field(v_k))
+        for (metric, field), (m_one, f_one), raw, raw_one, bound, inverse in (
+                ((built[0].alpha, built[0].beta), (alone[0].alpha, alone[0].beta),
+                 rd_c[1], rd_k[1], 0.45, True),
+                ((built[1].h, built[1].W), (alone[1].h, alone[1].W),
+                 nav_c[1], nav_k[1], 0.5, False)):
+            scale = generators._calibration(metric, raw, bound, inverse)
+            assert scale.shape == (lanes,)
+            assert_lane(scale, k, generators._calibration(m_one, raw_one, bound, inverse),
+                        ("scale", k), None)
+            assert_lane(metric.matrix_at(X), k, m_one.matrix_at(X[k]), ("matrix", k), None)
+            assert_lane(metric.tables(X, 1), k, m_one.tables(X[k], 1), ("tables", k), None)
+            assert_lane(field.at(X), k, f_one.at(X[k]), ("field", k), None)
+            assert_lane(field.table(X, 1), k, f_one.table(X[k], 1), ("field table", k), None)
+        assert_lane(built[2].at(X), k, alone[2].at(X[k]), ("V", k), None)
+        assert_lane(built[2].table(X, 1), k, alone[2].table(X[k], 1), ("V table", k), None)
 
 
 # -- the finite-difference bundle ---------------------------------------------------------

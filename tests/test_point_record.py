@@ -169,7 +169,8 @@ def _cases(name):
     """(fixture, flags, a nonzero polynomial field V) for one fixture."""
     fx = fixtures.get_fixture(name)
     flags = sample_flags(fx, 3, np.random.default_rng(17))
-    return fx, flags, generators.random_vector_field(np.random.default_rng(3), fx.dim)
+    v = generators.vector_field(generators.draw_vector_field(np.random.default_rng(3), fx.dim))
+    return fx, flags, v
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
@@ -263,7 +264,8 @@ def test_conformal_formulas_read_the_record_where_the_float_metric_differs():
             break
     else:
         pytest.fail("no sampled point where the float and jet values of alpha differ")
-    v0, dv = generators.random_vector_field(np.random.default_rng(3), fx.dim).table(p.x, 1)
+    v = generators.vector_field(generators.draw_vector_field(np.random.default_rng(3), fx.dim))
+    v0, dv = v.table(p.x, 1)
     vcov = riemann.lowered_covariant_derivative(rec, v0, dv)
     _same(riemann.conformal_residual(rec, vcov, 0.3), vcov + vcov.T - 4.0 * 0.3 * rec.h0,
           "conformal_residual")

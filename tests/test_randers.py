@@ -484,11 +484,11 @@ def test_stacked_closed_form_rows_equal_their_one_flag_calls():
 def test_lifted_lie_identity_random(rng):
     for _ in range(5):
         nav = generators.random_navigation(rng, 2)
-        v = generators.random_vector_field(rng, 2)
+        v = generators.vector_field(generators.draw_vector_field(rng, 2))
         p = FlagPoint(generators.sample_box_point(rng, 2), rng.normal(size=2))
         F = finsler_from_navigation(nav).value(p.x, p.y)
-        lhs, rhs = lie_nav_h2_sides(nav, v, p, F)
-        assert abs(lhs - rhs) / (F * F) <= 1e-9
+        lhs, rhs = lie_nav_h2_sides(nav, v, [p.x], [p.y], [F])
+        assert abs(lhs[0] - rhs[0]) / (F * F) <= 1e-9
 
 
 def test_sigma_equals_minus_conformal_factor(rng):
@@ -533,7 +533,7 @@ def _transfer_rhs(H, p, F, w, mu_t):
 
 def test_navigation_xi_uses_the_tabled_value_of_w(rng):
     # A point where the float value of W would change both right sides.
-    v = generators.random_vector_field(rng, 2)
+    v = generators.vector_field(generators.draw_vector_field(rng, 2))
     for nav, p in _points_where_w_values_differ():
         H = riemann.point_record(nav.h, p.x, 2)
         T = nav_tensors(H, nav.W.table(p.x, order=1))
@@ -546,7 +546,7 @@ def test_navigation_xi_uses_the_tabled_value_of_w(rng):
     else:
         raise AssertionError("no point where the two values of W reach both right sides")
     # Both identities build xi on the jet value of W, never the float one.
-    assert lie_nav_h2_sides(nav, v, p, F)[1] == _lie_rhs(nav, v, p, F, T.w_up)
+    assert lie_nav_h2_sides(nav, v, [p.x], [p.y], [F])[1][0] == _lie_rhs(nav, v, p, F, T.w_up)
     sig = randers.sigma_terms(riemann.as_scalar_field(0.3).table(p.x, order=1), p.y, T.w_up)
     ric = finsler.curvature_bundle(metric, [p]).ricci[0]
     rhs = ricci_transfer_sides(ric, F, H, T, sig, 0.0, p.y)[1]

@@ -130,8 +130,9 @@ def test_calibration_refuses_an_indefinite_metric():
     # rows of grid-shaped arrays, as a polynomial metric gives at the grid
     bad = RiemannMetric(2, lambda x: [[1.0 + 0.0 * x[0], 2.0 + 0.0 * x[0]],
                                       [2.0 + 0.0 * x[0], 1.0 + 0.0 * x[1]]], name="indefinite")
+    raw = generators.draw_calibrated(np.random.default_rng(0), 2)[1]
     with pytest.raises(MetricDomainError, match="indefinite matrix not positive definite"):
-        generators._calibrated_field(np.random.default_rng(0), bad, 0.45, "b", inverse=True)
+        generators._calibrated_field(bad, raw, 0.45, "b", inverse=True)
 
 
 # -- ricci ------------------------------------------------------------------------
@@ -261,7 +262,7 @@ def test_lie_zero_field(rng):
     rec = point_record(h, x, 1)
     z0, zcov = vcov_of(rec, zero)
     assert lie_h2(zcov, y) == 0.0
-    w0, wcov = vcov_of(rec, generators.random_vector_field(rng, 2))
+    w0, wcov = vcov_of(rec, generators.vector_field(generators.draw_vector_field(rng, 2)))
     assert lie_1form(z0, zcov, w0, wcov, y) == 0.0
 
 
@@ -331,8 +332,8 @@ def test_metric_compatibility(rng):
 def test_lie_1form_matches_direct_lift(rng):
     # L_V(beta) via covariant formula vs the raw coordinate formula
     h = generators.random_riemann_metric(rng, 2)
-    b = generators.random_vector_field(rng, 2)
-    v = generators.random_vector_field(rng, 2)
+    b = generators.vector_field(generators.draw_vector_field(rng, 2))
+    v = generators.vector_field(generators.draw_vector_field(rng, 2))
     x = generators.sample_box_point(rng, 2)
     y = rng.normal(size=2)
     rec = point_record(h, x, 1)

@@ -34,10 +34,9 @@ def points_of(fx, n=12, seed=5, f=None):
 def test_almost_soliton_trivial_einstein():
     # V = 0 on an Einstein metric: the defining equation holds at the Einstein scalar
     fx = fixtures.get_fixture("cigar")
-    for p in flags_of(fx, 6):
-        res = solitons.almost_soliton_residual(fx.metric, fixtures.ZERO_FIELD,
-                                               fx.einstein, p)
-        assert abs(res) <= 1e-10
+    res = solitons.almost_soliton_residual(fx.metric, fixtures.ZERO_FIELD, fx.einstein,
+                                           flags_of(fx, 6))
+    assert res.shape == (6,) and np.all(np.abs(res) <= 1e-10)
 
 
 def test_almost_soliton_gradient_field_riemannian(rng):
@@ -45,10 +44,22 @@ def test_almost_soliton_gradient_field_riemannian(rng):
     rho = 1.0
     F = FinslerMetric.from_riemannian(euclidean_metric(2))
     v = VectorField(lambda x: [rho * x[0], rho * x[1]])
-    for _ in range(6):
-        p = FlagPoint(generators.sample_box_point(rng, 2), rng.normal(size=2))
-        res = solitons.almost_soliton_residual(F, v, rho, p)
-        assert abs(res) <= 1e-12
+    flags = [FlagPoint(generators.sample_box_point(rng, 2), rng.normal(size=2))
+             for _ in range(6)]
+    assert np.all(np.abs(solitons.almost_soliton_residual(F, v, rho, flags)) <= 1e-12)
+
+
+@pytest.mark.parametrize("name", ("cigar", "shrinking"))
+def test_almost_soliton_residual_lanes_equal_each_flag_alone(name):
+    # a nonzero V and a nonconstant kappa, so every term of each lane is live
+    fx = fixtures.get_fixture(name)
+    v = generators.vector_field(generators.draw_vector_field(np.random.default_rng(9), fx.dim))
+    kappa = ScalarField(lambda x: 0.3 + 0.1 * x[0])
+    flags = flags_of(fx, 5)
+    res = solitons.almost_soliton_residual(fx.metric, v, kappa, flags)
+    assert res.shape == (5,)
+    for k, p in enumerate(flags):
+        assert res[k] == solitons.almost_soliton_residual(fx.metric, v, kappa, [p])[0], k
 
 
 def test_gradient_soliton_residual_fixtures():
@@ -380,8 +391,7 @@ def test_characterizations_consistent_on_fixtures():
             assert abs(ric_inf / p.F ** 2 - field_value(fx.kappa, p.x)) <= 1e-7
         rows = [r for b in fx.bundles for r in suites.BUNDLES[b](fx, points, 1e-7)]
         if fx.einstein is not None:
-            for p in flags[:4]:
-                assert abs(solitons.almost_soliton_residual(
-                    fx.metric, fixtures.ZERO_FIELD, fx.einstein, p)) <= 1e-7
+            assert np.all(np.abs(solitons.almost_soliton_residual(
+                fx.metric, fixtures.ZERO_FIELD, fx.einstein, flags[:4])) <= 1e-7)
         assert all_passed(rows), (name, [(r.name, r.max_abs)
                                          for r in rows if not r.passed])
