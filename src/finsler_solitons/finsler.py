@@ -3,15 +3,16 @@
 From any jet-evaluable F(x, y) this module produces the fundamental
 tensor, geodesic spray coefficients, the Riemann curvature operator R^i_k,
 the Ricci curvature and the weighted Ricci curvature Ric_inf, S-curvature
-and its rate of change along the geodesic flow, Lie derivatives of F^2, and
+and its rate of change along the geodesic flow, Lie derivatives of F^2
+(from V's order-1 table, which a caller tables once per stack of flags), and
 a least-squares scalar flag-curvature fit.
 
 `evaluate_flags` is the one evaluation per flag and the one way to read
 flags' quantities: a single fourth-order expansion of F^2 yields Ric, S,
 S-dot and Ric_inf together; the flag-curvature fit is read off a bundle by
 the callers that want it (`flag_curvature`).  Without a measure,
-`curvature_bundle` gives the spray, R and Ric alone.  Both take a stack of
-flags and return one record whose fields carry a leading flag axis; F^2 is
+`curvature_bundle` gives the jet spray, R and Ric alone.  Both take a stack
+of flags and return one record whose fields carry a leading flag axis; F^2 is
 expanded once per stack: one jet laned over the flags, from one stage laned
 over their x (Taylor arithmetic vectorised over points, Griewank-Walther),
 so the expansion, the Q-table gathers, the spray derivatives, R, Ric, S, dS
@@ -28,8 +29,9 @@ data expand as one stage.
 
 `evaluate_flags` is also the one place a flag evaluation chooses jet or
 finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are
-written there once for both.  The fd oracle differentiates G (the fd bundle)
-and the order-3 S by Richardson central differences (`_fd_evaluation`).
+written there once for both.  The fd oracle differentiates G (the fd bundle,
+read as `evaluate_flags(..., mode="fd").bundle`) and the order-3 S by
+Richardson central differences (`_fd_evaluation`).
 Only its evaluation of G and S is stacked: every distinct stencil point of
 the stack's flags (1 + 8n + 12n^2 spray points and 1 + 8n S points per flag,
 each flag's own point among them) is one lane of one order-2 pass or one
@@ -58,7 +60,7 @@ an ideal, so the kept coefficients are exact.
 A metric is staged: `FinslerMetric.at(x)` does the x-only work and returns
 F(x, .) as a function of y.  The engine passes x as order-2 jets over the n
 x-variables and y as the variables n..2n-1 of the flag space, both laned
-over the flags of a stack (`_stage`, `_f2_jet`); jet
+over the flags of a stack (`_lane_stage`, `_f2_jet`); jet
 arithmetic prefix-embeds the x-only intermediate results where they meet y
 (see `jets`), so fields of x alone cost n-variable products at order 2, once
 per stage, and F^2 comes out over all 2n.  The library stages form their
@@ -79,7 +81,7 @@ import numpy as np
 
 from . import jets, riemann
 from .jets import Jet, fd_stencils, scalar_value
-from .riemann import RiemannMetric, VectorField, as_scalar_field
+from .riemann import RiemannMetric, as_scalar_field
 
 
 class FlagDomainError(ArithmeticError):
@@ -170,14 +172,6 @@ def weighted_density(f_value, density):
 # -- F^2 partial tables -------------------------------------------------------
 
 
-def _stage(metric: FinslerMetric, x):
-    """The metric's stage at x: x enters as jets of order jets.X_ORDER over
-    the n x-variables, the x-degree of the flag space (see the module
-    notes), so the stage serves expansions of order 2 to 4.  At a stack of
-    points x, shape (P, n), one stage laned over them."""
-    return metric.at(Jet.variables(riemann.coordinates(x), jets.X_ORDER))
-
-
 class LaneStage:
     """The stage at lanes `idx` of laned x-only data: `build(data)` is the
     stage at every lane, and `data` holds laned jets in nested lists and
@@ -206,14 +200,19 @@ class LaneStage:
 
 def _lane_stage(metric: FinslerMetric, x) -> LaneStage:
     """The metric's stage at the points x, shape (P, n), as a `LaneStage`
-    laned over them and built on first use; at one point x, shape (n,),
-    unlaned."""
+    laned over them and built on first use.  x enters as jets of order
+    jets.X_ORDER over the n x-variables, the x-degree of the flag space (see
+    the module notes), so the stage serves expansions of order 2 to 4.  One
+    point, x of shape (n,) or (1, n), stays unlaned (a laned op at one lane
+    costs more than the unlaned op)."""
+    x = np.asarray(x, float)
+    x = x[0] if x.shape[:-1] == (1,) else x
     return LaneStage(metric.at, Jet.variables(riemann.coordinates(x), jets.X_ORDER), None)
 
 
 def _f2_jet(stage, y, order: int) -> Jet:
     """F^2 as a jet over `jets.flag_space(n, order)` from the stage at x
-    (`_stage` or a `Bases`' stage, for orders 2 to 4).  At a stack of
+    (`_lane_stage` or a `Bases`' stage, for orders 2 to 4).  At a stack of
     directions y, shape (P, n), and the stage at their P points (or at one
     point), one jet laned over the flags: y enters as flag variables laned
     over the stack, and each lane is bit-equal to its flag's expansion."""
@@ -364,29 +363,22 @@ def _assemble_riemann(y, G, dG_dx, dG_dy, d2G_dxdy, d2G_dydy):
             - np.einsum("...ji,...kj->...ik", dG_dy, dG_dy))
 
 
-def curvature_bundle(metric: FinslerMetric, points, mode: str = "jet",
-                     stage=None) -> CurvatureBundle:
-    """Spray, curvature operator and Ricci at the flags `points`, one bundle
-    whose fields stack them.
+def curvature_bundle(metric: FinslerMetric, points, stage=None) -> CurvatureBundle:
+    """Spray, curvature operator and Ricci at the flags `points`, one jet
+    bundle whose fields stack them.
 
-    mode="jet" reads `stage`, the metric's stage at the points' x (by
-    default one built here, laned over them, or unlaned for one flag), and
+    Reads `stage`, the metric's stage at the points' x (by default
+    `_lane_stage` at them: laned over the points, unlaned for one flag), and
     expands F^2 to fourth order once for the stack, laned over its flags;
     the Q tables are gathered once over the stack (`_f2_tables`), and the
-    spray and Riemann formulas and the trace run once over it.
-    mode="fd" recomputes the outer spray derivatives by Richardson central
-    differences of the pointwise spray, as an independent cross-check: one
-    laned spray pass at every distinct stencil point of the stack, then each
-    flag's differences and R alone (`_fd_evaluation`).
+    spray and Riemann formulas and the trace run once over it.  The fd
+    bundle, the independent cross-check, is the `bundle` of
+    `evaluate_flags(..., mode="fd")`, the one mode switch.
     """
-    if mode == "fd":
-        return _fd_evaluation(metric, points, None)
-    if mode != "jet":
-        raise ParameterError(f"unknown differentiation mode {mode!r}")
     x = np.array([p.x for p in points], float)
     y = np.array([p.y for p in points], float)
     if stage is None:
-        stage = _stage(metric, x[0] if len(points) == 1 else x)
+        stage = _lane_stage(metric, x)
     T = _f2_tables(stage, y, order=4)
     D = _spray_derivatives(T, y, order=4)
     R = _assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"], D["d2G_dydy"])
@@ -453,20 +445,21 @@ def _riemann_error(y, G, dG_dy, errors):
             + np.einsum("ji,kj->ik", e_dy, d_dy) + np.einsum("ji,kj->ik", d_dy, e_dy))
 
 
-def _fd_evaluation(metric: FinslerMetric, points, measure: Measure | None):
-    """The fd bundle of the flags `points` and, given a measure, their fd
-    (S, dS_dx, dS_dy), each with a leading flag axis.
+def _fd_evaluation(metric: FinslerMetric, points, measure: Measure):
+    """The fd bundle of the flags `points` and their fd (S, dS_dx, dS_dy),
+    each with a leading flag axis: the fd mode of `evaluate_flags`, the one
+    mode switch.
 
     Every stencil point of every flag is evaluated once, in two laned
     passes: one order-2 expansion of F^2 and spray at all the spray stencil
     points (the flags' own points among them: G, g, F and dF2_dy at a flag
-    are its lane), and, with a measure, one order-3 expansion, S and one
-    log-density table at all the S stencil points (the flags' own points
-    among them: S at a flag is its lane).  Both read lanes of one stage
-    laned over the distinct stencil x.  Then each flag, alone: the spray
-    derivatives and dS are Richardson central differences of those lanes
-    (`_fd_table`), R is assembled from them, and `r_error` is the Frobenius
-    norm of `_riemann_error` on their error estimates.
+    are its lane), and one order-3 expansion, S and one log-density table at
+    all the S stencil points (the flags' own points among them: S at a flag
+    is its lane).  Both read lanes of one stage laned over the distinct
+    stencil x.  Then each flag, alone: the spray derivatives and dS are
+    Richardson central differences of those lanes (`_fd_table`), R is
+    assembled from them, and `r_error` is the Frobenius norm of
+    `_riemann_error` on their error estimates.
     """
     n = metric.dim
     x = np.array([p.x for p in points], float)
@@ -479,13 +472,12 @@ def _fd_evaluation(metric: FinslerMetric, points, measure: Measure | None):
                    for axes, step in (((xs,), FD_STEP1), ((ys,), FD_STEP1),
                                       ((xs, ys), FD_STEP2), ((ys, ys), FD_STEP2))]
                   for z0 in Z]
-    if measure is not None:
-        s_center = [_visit(s_lanes, z0) for z0 in Z]
-        s_stencils = [_fd_stencils(s_lanes, z0, zs, step=FD_STEP1) for z0 in Z]
+    s_center = [_visit(s_lanes, z0) for z0 in Z]
+    s_stencils = [_fd_stencils(s_lanes, z0, zs, step=FD_STEP1) for z0 in Z]
     # the S stencil x first: they are the first lanes of the stage's x, and
     # the density tables are laned over them alone
-    s_points, g_points = _points(s_lanes).reshape(-1, 2 * n), _points(g_lanes)
-    s_x = np.array([_visit(x_lanes, z[:n]) for z in s_points], int)
+    s_points, g_points = _points(s_lanes), _points(g_lanes)
+    s_x = np.array([_visit(x_lanes, z[:n]) for z in s_points])
     n_sx = len(x_lanes)
     g_x = np.array([_visit(x_lanes, z[:n]) for z in g_points])
     X = _points(x_lanes)
@@ -507,8 +499,6 @@ def _fd_evaluation(metric: FinslerMetric, points, measure: Measure | None):
                              spray=G[g_center], dG_dx=dG_dx, dG_dy=dG_dy,
                              d2G_dxdy=d2G_dxdy, d2G_dydy=d2G_dydy, riemann=R, ricci=ricci,
                              r_error=r_error)
-    if measure is None:
-        return bundle
 
     logs = measure.log_density_table(X[:n_sx])
     y = s_points[:, n:]
@@ -527,16 +517,18 @@ def _s_value(dG_dy, y, logs):
     return np.trace(dG_dy, axis1=-2, axis2=-1) - riemann.dot(y, logs[1])
 
 
-def lie_scalar(fn2n, v: VectorField, X, Y) -> np.ndarray:
+def lie_scalar(fn2n, vtab, X, Y) -> np.ndarray:
     """Lie derivative along the complete lift of V of a scalar Phi(x, y),
 
         L Phi = V^i dPhi/dx^i + y^j dV^i/dx^j dPhi/dy^i,
 
-    at a stack of flags, X and Y of shape (P, n): one value per flag.  Phi
-    is one order-1 jet pass in the 2n variables laned over the flags, and V
-    one order-1 table laned over their x; each flag's contraction of the
-    gradient is the one-point one (`np.dot` and `np.einsum` on its lane,
-    as `riemann.einsum_rows` runs them, since a stacked product can sum in
+    at a stack of flags, X and Y of shape (P, n): one value per flag.  V
+    enters as its order-1 table (v0, dv) laned over the flags' x
+    (`VectorField.table(X, order=1)`), which the caller tables once and may
+    share with its other readers.  Phi is one order-1 jet pass in the 2n
+    variables laned over the flags; each flag's contraction of the gradient
+    is the one-point one (`np.dot` and `np.einsum` on its lane, as
+    `riemann.einsum_rows` runs them, since a stacked product can sum in
     another order), so each value is bit-equal to its flag's stack of one.
     A Phi that is not a jet has zero derivative: one zero per flag.
     """
@@ -547,16 +539,17 @@ def lie_scalar(fn2n, v: VectorField, X, Y) -> np.ndarray:
     if not isinstance(phi, Jet):
         return np.zeros(len(X))
     grad = phi.gradient()
-    v0, dv = v.table(X, order=1)
+    v0, dv = vtab
     return np.array([np.dot(v0[k], grad[k, :n]) + np.dot(np.einsum("j,ij->i", Y[k], dv[k]),
                                                           grad[k, n:])
                      for k in range(len(X))])
 
 
-def lie_F2(metric: FinslerMetric, v: VectorField, X, Y) -> np.ndarray:
+def lie_F2(metric: FinslerMetric, vtab, X, Y) -> np.ndarray:
     """Lie derivative of F^2 along the complete lift of V at a stack of
-    flags (`lie_scalar`), one value per flag."""
-    return lie_scalar(lambda xs, ys: metric.F(xs, ys) ** 2, v, X, Y)
+    flags, from V's order-1 table at their x (`lie_scalar`), one value per
+    flag."""
+    return lie_scalar(lambda xs, ys: metric.F(xs, ys) ** 2, vtab, X, Y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -686,7 +679,7 @@ def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
     if mode == "jet":
         if bases is None:
             bases = base_points(metric, measure, X)
-        b = curvature_bundle(metric, points, mode, bases.stage)
+        b = curvature_bundle(metric, points, bases.stage)
         logs = bases.logs
         S = _s_value(b.dG_dy, b.y, logs)
         dS_dx = (np.einsum("...kii->...k", b.d2G_dxdy)

@@ -220,9 +220,9 @@ def vector_field(coeffs) -> VectorField:
 # -- one draw, built -----------------------------------------------------------------------
 
 
-def random_riemann_metric(rng, dim, name="random-h") -> RiemannMetric:
+def random_riemann_metric(rng, dim) -> RiemannMetric:
     """Identity plus a symmetric quadratic-polynomial perturbation."""
-    return _riemann_metric(_draw_riemann(rng, dim), name)
+    return _riemann_metric(_draw_riemann(rng, dim), "random-h")
 
 
 def random_scalar_field(rng, dim) -> ScalarField:

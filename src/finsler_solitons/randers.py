@@ -459,18 +459,19 @@ def spray_correction(T: NavTensors, sigma: float, y) -> np.ndarray:
             + w0 / T.lam * (T.s_mixed @ y))
 
 
-def lie_nav_h2_sides(nav: NavigationData, v: VectorField, X, Y, F):
+def lie_nav_h2_sides(nav: NavigationData, vtab, X, Y, F):
     """Both sides of the navigation Lie-derivative identity
 
         L_V(htilde^2) = 2/(htilde + Wtilde_0) { htilde Vtilde_{0:0}
                           + htilde^2 (V_{j:k} W^k - W_{j:k} V^k) xi^j },
 
     where htilde(x, xi) = F(x, y) and xi = y - F W, at a stack of flags (X
-    and Y of shape (P, n)) with F their float F(x, y), one per flag.  The
-    jet side is one `lie_scalar` pass, which reads h, W and the stage from
-    one `_navigation_point` laned over the flags; the float side is one
-    record of h, one table of W and V and one `nav_tensors`, laned over the
-    flags, and each row's products with xi are `riemann.bilinear`,
+    and Y of shape (P, n)) with F their float F(x, y), one per flag, and
+    vtab V's order-1 table (v0, dv) laned over the flags' x, which both
+    sides read.  The jet side is one `lie_scalar` pass, which reads h, W and
+    the stage from one `_navigation_point` laned over the flags; the float
+    side is one record of h, one table of W and one `nav_tensors`, laned
+    over the flags, and each row's products with xi are `riemann.bilinear`,
     `riemann.mat_vec` and `riemann.dot`, bit-equal to the one-flag `@`.
     Returns (lhs, rhs), one value per flag each.
     """
@@ -483,14 +484,14 @@ def lie_nav_h2_sides(nav: NavigationData, v: VectorField, X, Y, F):
         return jets.YForms(rows)([ys[i] - Fv * w[i] for i in range(n)])[0]
 
     X, Y = np.asarray(X, float), np.asarray(Y, float)
-    lhs = lie_scalar(phi, v, X, Y)
+    lhs = lie_scalar(phi, vtab, X, Y)
 
     H = riemann.point_record(nav.h, X, 1)
     T = nav_tensors(H, nav.W.table(X, order=1))
     xi = Y - np.asarray(F)[..., None] * T.w_up
     htilde = jets.sqrt(riemann.bilinear(xi, T.h, xi))
     wt0 = riemann.dot(T.w_low, xi)
-    v0, dv = v.table(X, order=1)
+    v0, dv = vtab
     vcov = riemann.lowered_covariant_derivative(H, v0, dv)
     v00 = riemann.bilinear(xi, vcov, xi)
     mixed = riemann.dot(riemann.mat_vec(vcov, T.w_up) - riemann.mat_vec(T.wcov, v0), xi)

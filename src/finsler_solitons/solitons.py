@@ -67,11 +67,11 @@ def _directions(dim):
 def almost_soliton_residual(metric: FinslerMetric, v: VectorField, kappa,
                             points) -> np.ndarray:
     """(2 Ric + L_V(F^2) - 2 kappa F^2) / F^2 at a stack of flags, one
-    residual per flag: one `finsler.curvature_bundle` and one stacked
-    `finsler.lie_F2` over the stack, kappa read at each flag's x
+    residual per flag: one `finsler.curvature_bundle`, one table of V and
+    one stacked `finsler.lie_F2` on it, kappa read at each flag's x
     (`riemann.field_values`), each residual bit-equal to its flag alone."""
     b = finsler.curvature_bundle(metric, points)
-    lie = finsler.lie_F2(metric, v, b.x, b.y)
+    lie = finsler.lie_F2(metric, v.table(b.x, order=1), b.x, b.y)
     return (2.0 * b.ricci + lie - 2.0 * field_values(kappa, b.x) * b.F2) / b.F2
 
 

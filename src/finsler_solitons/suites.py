@@ -9,17 +9,18 @@ difference, Christoffel vs spray, both sides of the Lie-derivative and
 curvature-transfer identities, and the navigation algebra.
 
 Each fixture flag is evaluated once, and all of a suite's flags in one
-`finsler.evaluate_flags` call (which picks the jet or fd differentiation
-mode): one fourth-order expansion of F^2 laned over the stack of flags,
-from the run's laned stage, with one spray and Riemann pass over the stack
-(in fd mode one laned pass per expansion order over every stencil point of
-the stack, `finsler._fd_evaluation`), feeds the Ricci law, infinity-Ricci
-and, where the fixture declares a flag curvature, the flag-curvature rows
-(one stacked fit over the bundle's flags, `finsler.flag_curvature`); each
-row is one array over the flags, and a declared scalar that is a constant
-is read once for all of them (`riemann.field_values`).  The flags' F normalisers are the F that accepted
-them in `sampling.sample_flags`, one stacked F per batch of draws.  The
-kappa fit is one more `evaluate_flags` call, over the directions at its
+`finsler.evaluate_flags` call (the one switch between the jet and fd
+differentiation modes): one fourth-order expansion of F^2 laned over the
+stack of flags, from the run's laned stage, with one spray and Riemann pass
+over the stack (in fd mode one laned pass per expansion order over every
+stencil point of the stack, `finsler._fd_evaluation`), feeds the Ricci law,
+infinity-Ricci and, where the fixture declares a flag curvature, the
+flag-curvature rows (one stacked fit over the bundle's flags,
+`finsler.flag_curvature`); each row is one array over the flags, and a
+declared scalar that is a constant is read once for all of them
+(`riemann.field_values`).  The flags' F normalisers are the F that
+accepted them in `sampling.sample_flags`, one stacked F per batch of draws.
+The kappa fit is one more `evaluate_flags` call, over the directions at its
 points.  A run's x-only work runs once for all its flags, in
 `solitons.sample_points` (one laned closure evaluation, which is also the
 run's stage, and one stacked pass of the bundle flags' records):
@@ -38,8 +39,9 @@ is a new random metric with one flag stacks across draws instead:
 `lie-identity` draws all its draws first, in the rng order of one draw at a
 time, and runs each dimension's draws as one family (`generators.family`,
 coefficients laned over the draws), so `finsler.lie_F2`, the float F, the
-record of alpha, the Lie terms and both navigation sides are one pass per
-family, and its rows go back in draw order.
+record of alpha, the one table of V that both Lie derivatives at a stack
+take, the Lie terms and both navigation sides are one pass per family, and
+its rows go back in draw order.
 Only the plumbing is stacked: the oracle formulas are the one-point ones,
 and each row is bit-equal to its flag's own evaluation.
 """
@@ -114,15 +116,14 @@ def run_fixture_suite(fixture, samples, seed, tol=1e-6,
 
     # the sigma fit reads the first 8 bundle flags, the kappa fit the first 4
     sigmas, fitres = solitons.fit_sigma(stack.beta)
-    sig_expected = [field_value(fixture.sigma, p.x) for p in flags[:8]]
     reports.append(report_from_values(
-        "sigma-fit", np.abs(sigmas[:8] - np.array(sig_expected)), tol,
+        "sigma-fit", np.abs(sigmas[:8] - field_values(fixture.sigma, bases.x[:8])), tol,
         detail=f"isotropy fit residual {max(0.0, *fitres[:8].tolist()):.2e}"))
 
     kappas, anis = solitons.fit_kappa(fixture.metric, fixture.measure,
                                       bases.lanes(np.arange(min(4, len(flags)))))
-    kap_expected = [field_value(fixture.kappa, p.x) for p in flags[:4]]
-    reports.append(report_from_values("kappa-fit", np.abs(kappas - np.array(kap_expected)), tol))
+    reports.append(report_from_values(
+        "kappa-fit", np.abs(kappas - field_values(fixture.kappa, bases.x[:4])), tol))
     reports.append(report_from_values("kappa-anisotropy", [anis], tol))
 
     for bundle in fixture.bundles:
@@ -213,16 +214,17 @@ def _lie_rows(rd_draws, v_draws, flags, nav_draws, nav_flags):
     and navigation data are each built once (`generators.family`), and
     `finsler.lie_F2`, the float F, the record of alpha, the tables of V and
     beta, both Lie terms and both navigation sides are each one pass laned
-    over the family's flags, each row bit-equal to its draw alone."""
+    over the family's flags, each row bit-equal to its draw alone; V's table
+    at each stack of flags feeds both Lie derivatives there."""
     rd = generators.randers_data(generators.family(rd_draws))
     v = generators.vector_field(generators.family(v_draws))
     metric = randers.finsler_from_randers(rd)
     X, Y = (np.array(a) for a in zip(*flags))
-    lhs = finsler.lie_F2(metric, v, X, Y)
+    v0, dv = vtab = v.table(X, order=1)
+    lhs = finsler.lie_F2(metric, vtab, X, Y)
     F = metric.value(X, Y)
     A = riemann.point_record(rd.alpha, X, 1)
     alpha = jets.sqrt(riemann.bilinear(Y, A.h0, Y))
-    v0, dv = v.table(X, order=1)
     b0, db = rd.beta.table(X, order=1)
     vcov = riemann.lowered_covariant_derivative(A, v0, dv)
     la2 = riemann.lie_h2(vcov, Y)
@@ -234,7 +236,7 @@ def _lie_rows(rd_draws, v_draws, flags, nav_draws, nav_flags):
     nav = generators.navigation_data(generators.family(nav_draws))
     X, Y = (np.array(a) for a in zip(*nav_flags))
     Fn = randers.finsler_from_navigation(nav).value(X, Y)
-    l2, r2 = randers.lie_nav_h2_sides(nav, v, X, Y, Fn)
+    l2, r2 = randers.lie_nav_h2_sides(nav, v.table(X, order=1), X, Y, Fn)
     return split, (l2 - r2) / (Fn * Fn)
 
 

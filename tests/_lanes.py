@@ -133,13 +133,14 @@ def fd_flag_alone(metric, measure, p):
     and, given a measure, with the stage of the flag's one-point bases),
     and S by an unlaned order-3 expansion and density table at each S
     stencil point (seeded with the bases' at the flag's x).  A one-flag
-    `finsler.FlagEvaluation`; with measure None, the one-flag fd bundle of
-    `curvature_bundle`."""
+    `finsler.FlagEvaluation`; with measure None, its fd bundle alone, from
+    stages no bases seed (the bundle of the fd `evaluate_flags` does not
+    depend on the measure)."""
     n = metric.dim
-    stage_at = _memo(lambda x: finsler._stage(metric, x))
+    stage_at = _memo(lambda x: finsler._lane_stage(metric, x))
     if measure is not None:
         base = finsler.base_points(metric, measure, [p.x]).lanes(0)
-        stage_at = _memo(lambda x: finsler._stage(metric, x), (base.x, base.stage))
+        stage_at = _memo(lambda x: finsler._lane_stage(metric, x), (base.x, base.stage))
     x, y = np.asarray(p.x, float), np.asarray(p.y, float)
     z0 = np.concatenate([x, y])
     T = finsler._f2_tables(stage_at(x), y, order=2)

@@ -161,7 +161,7 @@ def test_gradient_equals_partials(name):
     y = rng.normal(size=fx.dim)
     n2 = 2 * fx.dim
     for order in (2, 4):
-        f2 = finsler._f2_jet(finsler._stage(fx.metric, x), y, order)
+        f2 = finsler._f2_jet(finsler._lane_stage(fx.metric, x), y, order)
         grad = f2.gradient()
         want = np.array([f2.partial(tuple(int(i == k) for i in range(n2))) for k in range(n2)])
         assert grad.shape == (n2,) and grad.flags.c_contiguous

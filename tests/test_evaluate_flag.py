@@ -28,7 +28,7 @@ def _separate_formulas(metric, measure, p):
     """Each quantity from its own expansion and an unstacked spray, as the
     engine computed them before one evaluation per flag existed."""
     y = np.asarray(p.y, float)
-    T = finsler._f2_tables(finsler._stage(metric, p.x), y, order=4)
+    T = finsler._f2_tables(finsler._lane_stage(metric, p.x), y, order=4)
     D = finsler._spray_derivatives(T, y, order=4)
     R = finsler._assemble_riemann(y, D["G"], D["dG_dx"], D["dG_dy"], D["d2G_dxdy"],
                                   D["d2G_dydy"])
@@ -38,7 +38,7 @@ def _separate_formulas(metric, measure, p):
     dS_dy = np.einsum("kii->k", D["d2G_dydy"]) - logs[1]
     sdot = float(np.dot(p.y, dS_dx) - 2.0 * np.dot(D["G"], dS_dy))
 
-    T3 = finsler._f2_tables(finsler._stage(metric, p.x), y, order=3)
+    T3 = finsler._f2_tables(finsler._lane_stage(metric, p.x), y, order=3)
     D3 = finsler._spray_derivatives(T3, y, order=3)
     S = float(np.trace(D3["dG_dy"]) - np.dot(y, logs[1]))
 
@@ -227,7 +227,7 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
         kap = float(fx.kappa(list(p.x)))
         ev = finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd")
         row = {"infinity-ricci": (ev.ric_inf[0] - kap * F2) / F2}
-        b = finsler.curvature_bundle(fx.metric, [p], mode="fd")
+        b = ev.bundle
         if fx.einstein is not None:
             row["ricci-law"] = b.ricci[0] / F2 - float(fx.einstein(list(p.x)))
         if fx.flag_curvature is not None:
@@ -241,9 +241,9 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
     calls = []
     bundle, fd_evaluation = finsler.curvature_bundle, finsler._fd_evaluation
 
-    def count_bundle(metric, points, mode="jet", stage=None):
-        calls.append(("bundle", mode, len(points)))
-        return bundle(metric, points, mode, stage)
+    def count_bundle(metric, points, stage=None):
+        calls.append(("bundle", len(points)))
+        return bundle(metric, points, stage)
 
     def count_fd(metric, points, measure):
         calls.append(("fd", measure is not None, len(points)))
@@ -318,7 +318,7 @@ def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(mo
         return out
 
     monkeypatch.setattr(Jet, "__mul__", counting_mul)
-    finsler._f2_jet(finsler._stage(fx.metric, p.x), p.y, 4)
+    finsler._f2_jet(finsler._lane_stage(fx.metric, p.x), p.y, 4)
     one = dict(counts)
     counts.clear()
     solitons.fit_kappa(fx.metric, fx.measure, base)
@@ -342,7 +342,7 @@ def test_gradient_soliton_residual_expands_f2_once(monkeypatch):
 def test_fd_bundle_matches_the_jet_bundle():
     fx = fixtures.get_fixture("cigar")
     p = FlagPoint([1.0, 0.3], [0.4, -0.7])
-    fd = finsler.curvature_bundle(fx.metric, [p], mode="fd")
+    fd = finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd").bundle
     jet = finsler.curvature_bundle(fx.metric, [p])
     np.testing.assert_array_equal(fd.dF2_dy, jet.dF2_dy)
     assert math.isclose(fd.ricci[0], jet.ricci[0], rel_tol=1e-6)

@@ -2,6 +2,7 @@
 measure quantities, and agreement with the Christoffel backend."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -230,14 +231,14 @@ def test_lie_F2_zero_field(rng):
     F = randers.finsler_from_randers(rd)
     zero = VectorField(lambda x: [0.0, 0.0])
     p = euclid_flag(rng, 2)
-    assert lie_F2(F, zero, [p.x], [p.y]).tolist() == [0.0]
+    assert lie_F2(F, zero.table([p.x], order=1), [p.x], [p.y]).tolist() == [0.0]
 
 
 def test_lie_F2_killing_riemannian(rng):
     F = FinslerMetric.from_riemannian(euclidean_metric(2))
     v = VectorField(lambda x: [-x[1], x[0]])
     p = euclid_flag(rng, 2)
-    assert lie_F2(F, v, [p.x], [p.y])[0] == pytest.approx(0.0, abs=1e-12)
+    assert lie_F2(F, v.table([p.x], order=1), [p.x], [p.y])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lie_F2_randers_split(rng):
@@ -245,7 +246,7 @@ def test_lie_F2_randers_split(rng):
     F = randers.finsler_from_randers(rd)
     v = generators.vector_field(generators.draw_vector_field(rng, 2))
     p = euclid_flag(rng, 2)
-    lhs = lie_F2(F, v, [p.x], [p.y])[0]
+    lhs = lie_F2(F, v.table([p.x], order=1), [p.x], [p.y])[0]
     Fv = F.value(p.x, p.y)
     alpha = math.sqrt(float(p.y @ rd.alpha.matrix_at(p.x) @ p.y))
     A = riemann.point_record(rd.alpha, p.x, 1)
@@ -292,29 +293,36 @@ def test_flag_curvature_monotone_along_axis():
     assert k2 < k1
 
 
-def _fit_cases():
-    """(what, bundle) in both modes, on every fixture and its W:1e-2 control:
-    the stacks a fixture run fits (flat lanes on gaussian, fd lanes flat
-    within their error estimate), one-flag stacks, and a stack whose lanes
-    mix flat and curved flags."""
-    for name in fixtures.FIXTURE_NAMES:
-        for perturb in (None, ("W", 1e-2)):
-            fx = fixtures.get_fixture(name, perturb=perturb)
-            for mode, count in (("jet", 16), ("jet", 1), ("fd", 2)):
-                flags = sample_flags(fx, count, np.random.default_rng(3))
-                yield ((name, perturb, mode, count),
-                       curvature_bundle(fx.metric, flags, mode))
-    flat = FinslerMetric.from_riemannian(euclidean_metric(2))
-    curved = randers.finsler_from_navigation(cigar_navigation())
-    rng = np.random.default_rng(4)
-    b = [curvature_bundle(m, [euclid_flag(rng, 2)]) for m in (flat, curved, flat)]
-    yield "mixed", finsler.CurvatureBundle(*(np.concatenate(v) for v in zip(
-        *(dataclasses.astuple(one) for one in b))))
+# the fit cases, in both modes, on every fixture and its W:1e-2 control: the
+# stacks a fixture run fits (flat lanes on gaussian, fd lanes flat within
+# their error estimate), one-flag stacks, and a stack whose lanes mix flat
+# and curved flags
+FIT_CASES = [(name, perturb, mode, count) for name in fixtures.FIXTURE_NAMES
+             for perturb in (None, ("W", 1e-2))
+             for mode, count in (("jet", 16), ("jet", 1), ("fd", 2))] + ["mixed"]
 
 
-@pytest.mark.parametrize("case", list(_fit_cases()), ids=lambda c: str(c[0]))
-def test_stacked_flag_curvature_equals_each_flag_alone(case):
-    what, b = case
+@functools.lru_cache(maxsize=None)
+def _fit_case(what):
+    """The bundle of the fit case `what`, one of `FIT_CASES`."""
+    if what == "mixed":
+        flat = FinslerMetric.from_riemannian(euclidean_metric(2))
+        curved = randers.finsler_from_navigation(cigar_navigation())
+        rng = np.random.default_rng(4)
+        b = [curvature_bundle(m, [euclid_flag(rng, 2)]) for m in (flat, curved, flat)]
+        return finsler.CurvatureBundle(*(np.concatenate(v) for v in zip(
+            *(dataclasses.astuple(one) for one in b))))
+    name, perturb, mode, count = what
+    fx = fixtures.get_fixture(name, perturb=perturb)
+    flags = sample_flags(fx, count, np.random.default_rng(3))
+    if mode == "fd":
+        return evaluate_flags(fx.metric, fx.measure, flags, mode="fd").bundle
+    return curvature_bundle(fx.metric, flags)
+
+
+@pytest.mark.parametrize("what", FIT_CASES, ids=str)
+def test_stacked_flag_curvature_equals_each_flag_alone(what):
+    b = _fit_case(what)
     with np.errstate(all="raise"):      # flat lanes divide by nothing
         fit = finsler.flag_curvature(b)
     assert_fit_lanes(fit, b, what)
@@ -323,7 +331,7 @@ def test_stacked_flag_curvature_equals_each_flag_alone(case):
 def test_fd_lanes_flat_within_error_are_fitted_as_each_flag_alone():
     fx = fixtures.get_fixture("gaussian")
     flags = sample_flags(fx, 3, np.random.default_rng(3))
-    b = curvature_bundle(fx.metric, flags, mode="fd")
+    b = evaluate_flags(fx.metric, fx.measure, flags, mode="fd").bundle
     fit = finsler.flag_curvature(b)
     assert fit.within_error.all() and fit.flat.all()
     assert_fit_lanes(fit, b, "gaussian fd")
@@ -347,8 +355,8 @@ def test_fd_mode_matches_jet_mode(rng):
     rd = generators.random_randers(rng, 2)
     F = randers.finsler_from_randers(rd)
     p = euclid_flag(rng, 2)
-    r_jet = curvature_bundle(F, [p], mode="jet").ricci[0]
-    r_fd = curvature_bundle(F, [p], mode="fd").ricci[0]
+    r_jet = curvature_bundle(F, [p]).ricci[0]
+    r_fd = evaluate_flags(F, Measure.riemannian(rd.alpha), [p], mode="fd").bundle.ricci[0]
     F2 = F.value(p.x, p.y) ** 2
     assert abs(r_jet - r_fd) / max(abs(r_jet), F2) <= 1e-5
 

@@ -2,6 +2,8 @@
 stack.  A stack evaluates bit for bit as each of its flags alone, the suites
 make one order-4 spray pass per stack, and one bad flag refuses the stack."""
 
+import functools
+
 import numpy as np
 import pytest
 from _lanes import assert_lane, fd_flag_alone
@@ -46,43 +48,65 @@ def test_an_fd_stack_evaluates_as_each_flag_alone():
         assert_lane(stacked, k, alone, k)
 
 
-def _fd_cases():
-    """(name, metric, measure, 3 flags): every registry fixture at sampled
-    flags, cigar at flags with signed zeros (a stencil point that moves
-    another coordinate has +0.0 where the flag has -0.0, so the flag's own
-    point and its neighbours are told apart by their bytes), and the two
-    random metric kinds of `jets-vs-fd` with their weighted measures."""
-    for name in fixtures.FIXTURE_NAMES:
+# the fd cases: every registry fixture at sampled flags, cigar at flags with
+# signed zeros (a stencil point that moves another coordinate has +0.0 where
+# the flag has -0.0, so the flag's own point and its neighbours are told
+# apart by their bytes), and the two random metric kinds of `jets-vs-fd`
+# with their weighted measures
+FD_CASES = (*fixtures.FIXTURE_NAMES, "cigar-signed-zeros", "random-randers",
+            "random-riemannian")
+
+
+@functools.lru_cache(maxsize=None)
+def _fd_case(name):
+    """(metric, measure, 3 flags) of the fd case `name`, one of `FD_CASES`."""
+    if name in fixtures.FIXTURE_NAMES:
         fx = fixtures.get_fixture(name)
-        yield name, fx.metric, fx.measure, sample_flags(fx, 3, np.random.default_rng(23))
-    fx = fixtures.get_fixture("cigar")
-    yield "cigar-signed-zeros", fx.metric, fx.measure, [
-        FlagPoint([1.0, -0.0], [0.6, -0.0]), FlagPoint([1.0, 0.0], [-0.0, 0.8]),
-        FlagPoint([0.7, -0.0], [-0.6, 0.8])]
+        return fx.metric, fx.measure, sample_flags(fx, 3, np.random.default_rng(23))
+    if name == "cigar-signed-zeros":
+        fx = fixtures.get_fixture("cigar")
+        return fx.metric, fx.measure, [
+            FlagPoint([1.0, -0.0], [0.6, -0.0]), FlagPoint([1.0, 0.0], [-0.0, 0.8]),
+            FlagPoint([0.7, -0.0], [-0.6, 0.8])]
+    # the two random cases draw from one generator, in this order
     rng = np.random.default_rng(29)
     rd = generators.random_randers(rng, 2)
     h = generators.random_riemann_metric(rng, 2)
-    for name, metric, measure in (
-            ("random-randers", randers.finsler_from_randers(rd),
-             randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))),
-            ("random-riemannian", FinslerMetric.from_riemannian(h),
-             Measure.riemannian(h).weighted(generators.random_scalar_field(rng, 2)))):
-        yield name, metric, measure, [FlagPoint(generators.sample_box_point(rng, 2),
-                                                unit_direction(rng, 2)) for _ in range(3)]
+    f_rd, f_h = (generators.random_scalar_field(rng, 2) for _ in range(2))
+    cases = {"random-randers": (randers.finsler_from_randers(rd),
+                                randers.bh_measure(rd).weighted(f_rd)),
+             "random-riemannian": (FinslerMetric.from_riemannian(h),
+                                   Measure.riemannian(h).weighted(f_h))}
+    flags = {key: [FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
+                   for _ in range(3)] for key in cases}
+    return (*cases[name], flags[name])
 
 
 @pytest.mark.parametrize("count", [1, 3])
-@pytest.mark.parametrize("case", list(_fd_cases()), ids=lambda c: c[0])
-def test_an_fd_stack_equals_the_per_point_fd_evaluation(case, count):
+@pytest.mark.parametrize("name", FD_CASES)
+def test_an_fd_stack_equals_the_per_point_fd_evaluation(name, count):
     # bundle, S, dS, S-dot, Ric_inf and r_error: values, shapes and signs of zero
-    name, metric, measure, flags = case
+    metric, measure, flags = _fd_case(name)
     flags = flags[:count]
     stacked = finsler.evaluate_flags(metric, measure, flags, mode="fd")
-    bundle = finsler.curvature_bundle(metric, flags, mode="fd")
+    bundle = stacked.bundle
     assert stacked.S.shape == bundle.r_error.shape == (count,)
     for k, p in enumerate(flags):
         assert_lane(stacked, k, fd_flag_alone(metric, measure, p), (name, k))
         assert_lane(bundle, k, fd_flag_alone(metric, None, p), (name, k))
+
+
+@pytest.mark.parametrize("name", FD_CASES)
+def test_the_fd_bundle_does_not_depend_on_the_measure(name):
+    # every field of the fd bundle, values, shapes and signs of zero, under
+    # the case's measure and under another one
+    metric, measure, flags = _fd_case(name)
+    other = measure.weighted(lambda x: 0.3 * x[0] - 0.2 * x[1] * x[1])
+    got = finsler.evaluate_flags(metric, measure, flags, mode="fd")
+    want = finsler.evaluate_flags(metric, other, flags, mode="fd")
+    assert got.S.tolist() != want.S.tolist()        # the measures differ
+    for k in range(len(flags)):
+        assert_lane(got.bundle, k, want.bundle, (name, k), k)
 
 
 def _count_sprays(monkeypatch):
@@ -161,7 +185,8 @@ def test_a_fit_stack_on_shrinking_evaluates_as_each_flag_alone():
     points = [FlagPoint(p.x, d) for p in flags for d in dirs]
     stacked = finsler.curvature_bundle(fx.metric, points)
     X = np.array([p.x for p in points])
-    T = finsler._f2_tables(finsler._stage(fx.metric, X), np.array([p.y for p in points]), 4)
+    Y = np.array([p.y for p in points])
+    T = finsler._f2_tables(finsler._lane_stage(fx.metric, X), Y, 4)
     assert len(T.pop("F")) == len(points)
     for key, table in T.items():
         assert table.flags.c_contiguous and table.shape[0] == len(points), key

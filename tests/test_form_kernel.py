@@ -144,7 +144,7 @@ def test_f2_expansion_runs_eight_jet_products(name, monkeypatch):
     # F^2 takes 8: lam h^2, W_0^2, the order-4 sqrt, the division by lam and
     # F * F.
     fx, p = _fixture_flag(name)
-    stage = finsler._stage(fx.metric, p.x)
+    stage = finsler._lane_stage(fx.metric, p.x)
     finsler._f2_jet(stage, p.y, 4)          # lam's reciprocal is composed and kept
     calls = []
     mul = Jet.__mul__
@@ -192,7 +192,7 @@ def test_randers_and_riemannian_stages_equal_their_loops(dim, monkeypatch):
         x = generators.sample_box_point(rng, dim)
         y = rng.normal(size=dim)
         for order in (2, 3, 4):
-            stage = finsler._stage(metric, x)
+            stage = finsler._lane_stage(metric, x)
             got = finsler._f2_jet(stage, y, order)
             want = finsler._f2_jet(loop_at(Jet.variables(list(x), min(order, 2))), y, order)
             _assert_bit_equal(got, want)

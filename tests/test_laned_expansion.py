@@ -49,10 +49,11 @@ def test_a_fixture_run_expands_as_each_flag_alone(name):
     for order in (2, 3, 4):
         laned = finsler._f2_jet(stage, Y, order)
         for k, p in enumerate(flags):
-            alone = finsler._f2_jet(finsler._stage(fx.metric, p.x), p.y, order)
+            alone = finsler._f2_jet(finsler._lane_stage(fx.metric, p.x), p.y, order)
             _assert_bitwise(laned.coeffs[k], alone.coeffs, (name, order, k))
         # and the metric's own stage laned over the stack
-        _assert_lanes_equal_one_point(lambda x: finsler._stage(fx.metric, x), X, Y, order, name)
+        _assert_lanes_equal_one_point(lambda x: finsler._lane_stage(fx.metric, x), X, Y, order,
+                                      name)
 
 
 def _block(n, order):
@@ -70,7 +71,7 @@ def test_random_randers_stacks_expand_as_each_flag_alone(dim, rng):
         for size in (1, block, block + 1):
             X = np.array([generators.sample_box_point(rng, dim) for _ in range(size)])
             Y = np.array([unit_direction(rng, dim) for _ in range(size)])
-            _assert_lanes_equal_one_point(lambda x: finsler._stage(metric, x), X, Y, order,
+            _assert_lanes_equal_one_point(lambda x: finsler._lane_stage(metric, x), X, Y, order,
                                           (dim, size))
 
 
@@ -187,8 +188,8 @@ def test_a_laned_f_guard_names_its_lanes():
     Y = np.array([[1.0, 0.3]] * 4)
     with pytest.raises(FlagDomainError, match=r"^F = -0\.5\d* <= 0 at the requested flag "
                                               r"at lanes 1, 3$"):
-        finsler._f2_jet(finsler._stage(metric, X), Y, 4)
+        finsler._f2_jet(finsler._lane_stage(metric, X), Y, 4)
     with pytest.raises(FlagDomainError, match="at lanes 1, 3$"):
         finsler.curvature_bundle(metric, [FlagPoint(x, y) for x, y in zip(X, Y)])
     with pytest.raises(FlagDomainError, match=r"<= 0 at the requested flag$"):
-        finsler._f2_jet(finsler._stage(metric, X[1]), Y[1], 4)
+        finsler._f2_jet(finsler._lane_stage(metric, X[1]), Y[1], 4)

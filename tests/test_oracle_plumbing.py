@@ -16,6 +16,7 @@ replaced, bit for bit:
 * the fd flat test (`r_error`) and the sampled F that `_flag_rows` reads.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -223,7 +224,7 @@ def _pointwise_spray(metric, z):
     """G at the point z = (x, y), from a stage of the metric at x of its own."""
     n = metric.dim
     y = np.asarray(z[n:], float)
-    T = finsler._f2_tables(finsler._stage(metric, z[:n]), y, order=2)
+    T = finsler._f2_tables(finsler._lane_stage(metric, z[:n]), y, order=2)
     return finsler._spray_derivatives(T, y, order=2)["G"]
 
 
@@ -324,12 +325,13 @@ def test_fd_bundle_computes_one_spray_per_distinct_stencil_point(name, count, mo
     refs = [_per_component_bundle(fx.metric, p) for p in flags]
     expansions, stages, lane_stages = _recording_expansions(monkeypatch)
     n = fx.dim
-    b = finsler.curvature_bundle(fx.metric, flags, mode="fd")
+    b = finsler.evaluate_flags(fx.metric, fx.measure, flags, mode="fd").bundle
     # one order-2 expansion for the stack, a lane per distinct stencil point
     # of its flags, each flag's own point among them: G, g and F at a flag
     # are its lane, which the second y-derivatives' stencils visit again
-    [(order, lanes)] = expansions
-    assert order == 2
+    # (the order-3 expansion after it is S's)
+    (order, lanes), (s_order, _s_lanes) = expansions
+    assert (order, s_order) == (2, 3)
     assert len(lanes) == len(set(lanes)) == count * (1 + 8 * n + 12 * n * n)
     assert set(lanes) == set().union(*(visited for _want, visited in refs))
     for _want, visited in refs:
@@ -339,7 +341,8 @@ def test_fd_bundle_computes_one_spray_per_distinct_stencil_point(name, count, mo
     [X] = lane_stages
     assert len(X) == len(_rows(X)) == count * (1 + 8 * n)
     assert _rows(X) == {np.frombuffer(z, float)[:n].tobytes() for z in lanes}
-    assert len(stages) == 1 and _rows(stages[0]) == _rows(X)
+    # (built once per laned pass: the spray's first, then S's)
+    assert len(stages) == 2 and _rows(stages[0]) == _rows(X)
     for k, (want, _visited) in enumerate(refs):
         got = (b.spray, b.dG_dx, b.dG_dy, b.d2G_dxdy, b.d2G_dydy, b.riemann)
         for g, w in zip(got, want, strict=True):
@@ -413,7 +416,7 @@ def test_fd_weighted_ricci_is_the_sum_of_fd_ricci_and_fd_s_dot():
     cases.append((fx.metric, fx.measure, FlagPoint([1.0, 0.3], [0.4, -0.7])))
     for metric, measure, p in cases:
         ev = finsler.evaluate_flags(metric, measure, [p], mode="fd")
-        assert ev.bundle.ricci[0] == finsler.curvature_bundle(metric, [p], mode="fd").ricci[0]
+        assert ev.bundle.ricci[0] == fd_flag_alone(metric, None, p).ricci[0]
         assert ev.s_dot[0] == _s_dot_fd_per_point(metric, measure, p)
         assert ev.ric_inf[0] == ev.bundle.ricci[0] + ev.s_dot[0]
 
@@ -444,7 +447,7 @@ def _separate_fd_oracles(metric, measure, p, step1=1e-5, step2=3e-4):
         shape = tuple(len(a) for a in axes) + (n,)
         return tuple(np.array([e[k] for e in est]).reshape(shape) for k in (0, 1))
 
-    T = finsler._f2_tables(finsler._stage(metric, x), y, order=2)
+    T = finsler._f2_tables(finsler._lane_stage(metric, x), y, order=2)
     g = finsler._fundamental(T)[0]
     G = G_at(*z0)
     xs, ys = range(n), range(n, 2 * n)
@@ -457,26 +460,32 @@ def _separate_fd_oracles(metric, measure, p, step1=1e-5, step2=3e-4):
     return bundle, _s_dot_fd_per_point(metric, measure, p, step=step1)
 
 
-def _fd_cases():
-    """(metric, measure, flags, the flags' bases or None) on three fixtures
-    (their sample points' `finsler.Bases`) and a random Randers metric with a
-    weighted Busemann-Hausdorff measure (no bases)."""
-    for name, count in (("gaussian", 2), ("cigar", 2), ("shrinking", 1)):
-        fx = fixtures.get_fixture(name)
-        flags = sample_flags(fx, count, np.random.default_rng(17))
-        yield name, fx.metric, fx.measure, flags, solitons.sample_points(
-            fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)[0]
-    rng = np.random.default_rng(19)
-    rd = generators.random_randers(rng, 2)
-    measure = randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))
-    flags = [FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
-             for _ in range(2)]
-    yield "randers", randers.finsler_from_randers(rd), measure, flags, None
+# the fd cases: three fixtures at this many sampled flags, and a random
+# Randers metric
+FD_CASES = {"gaussian": 2, "cigar": 2, "shrinking": 1, "randers": 2}
 
 
-@pytest.mark.parametrize("case", list(_fd_cases()), ids=lambda c: c[0])
-def test_fd_evaluation_equals_the_separate_fd_oracles(case):
-    name, metric, measure, flags, bases = case
+@functools.lru_cache(maxsize=None)
+def _fd_case(name):
+    """(metric, measure, flags, the flags' bases or None) of the fd case
+    `name`: a fixture (its sample points' `finsler.Bases`) or the random
+    Randers metric with a weighted Busemann-Hausdorff measure (no bases)."""
+    if name == "randers":
+        rng = np.random.default_rng(19)
+        rd = generators.random_randers(rng, 2)
+        measure = randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))
+        flags = [FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
+                 for _ in range(FD_CASES[name])]
+        return randers.finsler_from_randers(rd), measure, flags, None
+    fx = fixtures.get_fixture(name)
+    flags = sample_flags(fx, FD_CASES[name], np.random.default_rng(17))
+    return fx.metric, fx.measure, flags, solitons.sample_points(
+        fx.rd, fx.nav, fx.f, fx.sigma, flags, 0)[0]
+
+
+@pytest.mark.parametrize("name", FD_CASES)
+def test_fd_evaluation_equals_the_separate_fd_oracles(name):
+    metric, measure, flags, bases = _fd_case(name)
     ev = finsler.evaluate_flags(metric, measure, flags, bases, mode="fd")
     fit = finsler.flag_curvature(ev.bundle)
     assert ev.S.shape == (len(flags),)
@@ -512,8 +521,6 @@ def test_a_refused_stencil_point_refuses_the_fd_evaluation(monkeypatch, capsys):
     for stack in ([crossing], [inside, crossing]):
         with pytest.raises(jets.EvaluationError, match=r"^outside the chart at lanes \d+, "):
             finsler.evaluate_flags(metric, measure, stack, mode="fd")
-        with pytest.raises(jets.EvaluationError, match=r"^outside the chart at lanes \d+, "):
-            finsler.curvature_bundle(metric, stack, mode="fd")
     with pytest.raises(jets.EvaluationError, match=r"^outside the chart$"):
         fd_flag_alone(metric, measure, crossing)
     # and the CLI reports it as an evaluation error, exit 3
@@ -592,7 +599,8 @@ def _pipeline_reference(count, seed):
         p = FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
         F2 = metric.value(p.x, p.y) ** 2
         for out, fn in zip(rows, (
-                lambda mode: finsler.curvature_bundle(metric, [p], mode=mode).ricci[0],
+                lambda mode: finsler.evaluate_flags(metric, measure, [p],
+                                                    mode=mode).bundle.ricci[0],
                 lambda mode: finsler.evaluate_flags(metric, measure, [p], mode=mode).s_dot[0],
                 lambda mode: finsler.evaluate_flags(metric, measure, [p], mode=mode).ric_inf[0])):
             j, f = fn("jet"), fn("fd")

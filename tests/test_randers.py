@@ -487,7 +487,7 @@ def test_lifted_lie_identity_random(rng):
         v = generators.vector_field(generators.draw_vector_field(rng, 2))
         p = FlagPoint(generators.sample_box_point(rng, 2), rng.normal(size=2))
         F = finsler_from_navigation(nav).value(p.x, p.y)
-        lhs, rhs = lie_nav_h2_sides(nav, v, [p.x], [p.y], [F])
+        lhs, rhs = lie_nav_h2_sides(nav, v.table([p.x], order=1), [p.x], [p.y], [F])
         assert abs(lhs[0] - rhs[0]) / (F * F) <= 1e-9
 
 
@@ -546,7 +546,8 @@ def test_navigation_xi_uses_the_tabled_value_of_w(rng):
     else:
         raise AssertionError("no point where the two values of W reach both right sides")
     # Both identities build xi on the jet value of W, never the float one.
-    assert lie_nav_h2_sides(nav, v, [p.x], [p.y], [F])[1][0] == _lie_rhs(nav, v, p, F, T.w_up)
+    vtab = v.table([p.x], order=1)
+    assert lie_nav_h2_sides(nav, vtab, [p.x], [p.y], [F])[1][0] == _lie_rhs(nav, v, p, F, T.w_up)
     sig = randers.sigma_terms(riemann.as_scalar_field(0.3).table(p.x, order=1), p.y, T.w_up)
     ric = finsler.curvature_bundle(metric, [p]).ricci[0]
     rhs = ricci_transfer_sides(ric, F, H, T, sig, 0.0, p.y)[1]

@@ -41,7 +41,7 @@ def test_split_f2_expansion_equals_the_all_2n_expansion(name, monkeypatch):
     fx = fixtures.get_fixture(name)
     for p in _flags(fx, count=2, seed=11):
         for order in (2, 3, 4):
-            stage = finsler._stage(fx.metric, p.x)
+            stage = finsler._lane_stage(fx.metric, p.x)
             split = finsler._f2_jet(stage, p.y, order)
             full = _f2_jet_all_2n(fx.metric, p.x, p.y, order)
             assert split.space is jets.flag_space(fx.metric.dim, order)
@@ -75,7 +75,7 @@ def test_shrinking_f2_expansion_runs_few_products_in_the_flag_space(monkeypatch)
         return out
 
     monkeypatch.setattr(Jet, "__mul__", counting_mul)
-    finsler._f2_jet(finsler._stage(fx.metric, p.x), p.y, 4)
+    finsler._f2_jet(finsler._lane_stage(fx.metric, p.x), p.y, 4)
     x_space, flag_space = jets.jet_space(4, 2), jets.flag_space(4, 4)
     assert set(counts) == {x_space, flag_space}
     assert counts[flag_space] <= 60
@@ -96,7 +96,7 @@ def test_shrinking_expansions_compose_each_divisor_once(monkeypatch):
         return compose(self, derivs)
 
     monkeypatch.setattr(Jet, "_compose", counting_compose)
-    finsler._f2_jet(finsler._stage(fx.metric, p.x), p.y, 4)
+    finsler._f2_jet(finsler._lane_stage(fx.metric, p.x), p.y, 4)
     assert len(calls) <= 4
     calls.clear()
     fx.measure.log_density_table(p.x)
@@ -183,7 +183,7 @@ def _tables_at(n, rng):
     for metric, flags in metrics:
         for p in flags:
             y = np.asarray(p.y, float)
-            cases.append((finsler._f2_tables(finsler._stage(metric, p.x), y, 4), y))
+            cases.append((finsler._f2_tables(finsler._lane_stage(metric, p.x), y, 4), y))
     return cases
 
 
