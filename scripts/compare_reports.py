@@ -58,9 +58,13 @@ INVOCATIONS = (
        ("crosscheck", "--suite", "randers-ricci", "--count", "3", "--seed", "11"),
        ("crosscheck", "--suite", "riemann-reduction", "--count", "20", "--seed", "11"),
        ("crosscheck", "--suite", "lie-identity", "--count", "10", "--seed", "11"),
-       # families of random draws: of unequal size (7), and of one lane (1)
+       # families of random draws: of unequal size (7; 3 gives sizes 2 and 1), and of one
+       # lane (1)
        ("crosscheck", "--suite", "lie-identity", "--count", "7", "--seed", "3"),
        ("crosscheck", "--suite", "lie-identity", "--count", "1", "--seed", "0"),
+       ("crosscheck", "--suite", "riemann-reduction", "--count", "7", "--seed", "3"),
+       ("crosscheck", "--suite", "isotropic-s", "--count", "3", "--seed", "2"),
+       ("crosscheck", "--suite", "isotropic-s", "--count", "1", "--seed", "0"),
        ("crosscheck", "--suite", "navigation", "--count", "100", "--seed", "11"),
        ("crosscheck", "--suite", "navigation", "--count", "37", "--seed", "2"),
        ("crosscheck", "--suite", "isotropic-s", "--count", "8", "--seed", "11"))

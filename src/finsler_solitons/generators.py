@@ -6,21 +6,26 @@ rescaled so the Randers bound ||beta||_alpha < 0.45 holds on the whole box.
 Everything is driven by a caller-supplied numpy Generator, so suites are
 reproducible from a seed.
 
-Drawing is split from building.  The draws (`draw_calibrated`,
-`draw_vector_field` and the `_draw_*` helpers behind them) consume the rng and return polynomial coefficients; the builders
-(`randers_data`, `navigation_data`, `vector_field`: the closures and the
-box-grid calibration of `_calibrated_field`) consume none.  So a suite can
-draw first, in the rng order of one draw at a time, and build later.
+Drawing is split from building.  The draws (`draw_riemann_metric`,
+`draw_calibrated`, `draw_vector_field`, `draw_scalar_field`,
+`draw_conformal` and the `_draw_*` helpers behind them) consume the rng and
+return coefficients; the builders (`riemann_metric`, `randers_data`,
+`navigation_data`, `vector_field`, `scalar_field`, `conformal_navigation`:
+the closures and the box-grid calibration of `_calibrated_field`) consume
+none.  So a suite can draw first, in the rng order of one draw at a time,
+and build later; a `random_*` function is one draw, built.
 
 A family is the same builders run on the coefficients of several draws of
 one kind and dimension stacked along a trailing lane axis (`family`): its
 closures take x laned over the draws, one lane per draw (jets or float
 arrays of lane values), and each lane of what they return is bit-equal to
 that draw built alone at its lane's point, signs of zero included (Taylor
-arithmetic vectorised over points, Griewank-Walther).  Unlaned
-coefficients are one draw; there is no other code path.  A family is
-calibrated in one grid pass, with one stacked inverse and `bilinear` over
-its lanes and one scale per lane.
+arithmetic vectorised over points, Griewank-Walther): `_poly2` broadcasts
+the coefficients, and the conformal closures multiply and add each one lane
+by lane (`_scaled`, `_shifted`).  Unlaned coefficients are one draw, and a
+family of one draw is that draw, unlaned, as one flag runs unlaned; there
+is no other code path.  A family is calibrated in one grid pass, with one
+stacked inverse and `bilinear` over its lanes and one scale per lane.
 """
 
 from __future__ import annotations
@@ -43,22 +48,24 @@ def _poly2(coeffs, x):
     Each entry adds its terms in one order: c0, then for each k the term
     c1[k] x[k] followed by the terms (c2[k, l] x[k]) x[l] for each l.  With
     x jets over one space, all entries are computed at once, and all E n^2
-    jet products run through one `jets.mul_rows`; each entry is bit-equal
-    to that scalar loop over its own jets.  Anything else (floats, arrays of
-    floats, mixed) runs the scalar loop per entry.
+    jet products run through one `jets.mul_rows`; with x floats or float
+    arrays (a grid, lanes), all entries are one pass of array operations,
+    the entry axis first.  Either way each entry is bit-equal to that scalar
+    loop over its own x.  Anything else (jets mixed with floats, or over
+    several spaces) runs the scalar loop per entry.
 
     The coefficients of a family (module notes) carry trailing lane axes,
     c0 of shape (E, lanes...), c1 (E, n, lanes...), c2 (E, n, n, lanes...),
     which broadcast against the lane axes of x: in the jet path each
     coefficient multiplies its lane's coefficient row of x, as a float
-    multiplies a jet, and in the scalar loop numpy broadcasts the arrays.
+    multiplies a jet, and in the float paths numpy broadcasts the arrays.
     """
     c0, c1, c2 = coeffs
     n = len(x)
+    clanes = c0.shape[1:]
     space = x[0].space if isinstance(x[0], Jet) else None
     if space is not None and all(isinstance(v, Jet) and v.space is space for v in x):
         X = np.array([v.coeffs for v in x])                     # [k, lanes..., coefficient]
-        clanes = c0.shape[1:]
         lanes = (1,) * (X.ndim - 2 - len(clanes)) + clanes      # entry axes over the lanes
 
         def laned(c):
@@ -73,6 +80,19 @@ def _poly2(coeffs, x):
             for l in range(n):
                 out = out + prods[:, k, l]
         return [Jet(space, row) for row in out]
+    if not any(isinstance(v, Jet) for v in x):
+        xs = [np.asarray(v, float) for v in x]
+        pad = (1,) * max(0, max(v.ndim for v in xs) - len(clanes))
+
+        def entries(c):                                         # [entry, x axes..., lanes...]
+            return c.reshape(c.shape[:1] + pad + clanes)
+
+        out = entries(c0)
+        for k in range(n):
+            out = out + entries(c1[:, k]) * xs[k]
+            for l in range(n):
+                out = out + entries(c2[:, k, l]) * xs[k] * xs[l]
+        return list(out)
     entries = []
     for e in range(c0.shape[0]):
         out = c0[e]
@@ -99,15 +119,15 @@ def _draw_stacked(rng, dim, amp, entries):
     return tuple(np.array([d[k] for d in draws]) for k in range(3))
 
 
-def _draw_riemann(rng, dim):
-    """The coefficients of `random_riemann_metric`: one entry per i <= j."""
+def draw_riemann_metric(rng, dim):
+    """The coefficients of a random `riemann_metric`: one entry per i <= j."""
     return _draw_stacked(rng, dim, 0.1 / (dim * dim), dim * (dim + 1) // 2)
 
 
 def draw_calibrated(rng, dim):
     """The coefficients of `randers_data` or `navigation_data`: the metric's,
     then the raw ones of the field `_calibrated_field` rescales on it."""
-    return _draw_riemann(rng, dim), _draw_stacked(rng, dim, 0.3, dim)
+    return draw_riemann_metric(rng, dim), _draw_stacked(rng, dim, 0.3, dim)
 
 
 def draw_vector_field(rng, dim):
@@ -115,9 +135,26 @@ def draw_vector_field(rng, dim):
     return _draw_stacked(rng, dim, 0.2, dim)
 
 
+def draw_scalar_field(rng, dim):
+    """The coefficients of a random quadratic `scalar_field`."""
+    return _draw_stacked(rng, dim, 0.2, 1)
+
+
+def draw_conformal(rng, dim):
+    """The coefficients (a, lam, A, k) of `conformal_navigation`, A not yet
+    antisymmetrised."""
+    scale = 0.15
+    return (rng.uniform(-scale, scale, size=dim), float(rng.uniform(-scale, scale)),
+            rng.uniform(-scale, scale, size=(dim, dim)), rng.uniform(-scale, scale, size=dim))
+
+
 def family(draws):
     """Draws of one kind and dimension as one family: each coefficient array
-    of the draws stacked along a new trailing lane axis, lane k draw k."""
+    of the draws stacked along a new trailing lane axis, lane k draw k.  One
+    draw is its own family, unlaned, as one point runs unlaned
+    (`finsler._lane_stage`)."""
+    if len(draws) == 1:
+        return draws[0]
     if isinstance(draws[0], tuple):
         return tuple(family(parts) for parts in zip(*draws))
     return np.stack(draws, axis=-1)
@@ -146,8 +183,8 @@ def _grid_stack(values, lanes):
 
 
 def _riemann_metric(coeffs, name) -> RiemannMetric:
-    """Identity plus the symmetric quadratic perturbation of `_draw_riemann`'s
-    coefficients (one draw or a family)."""
+    """Identity plus the symmetric quadratic perturbation of
+    `draw_riemann_metric`'s coefficients (one draw or a family)."""
     dim = coeffs[1].shape[1]
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
 
@@ -166,7 +203,7 @@ def _calibration(metric: RiemannMetric, raw, bound, inverse):
     a float, or one per lane of a family.
 
     The field and M are evaluated at every grid point of every lane at once
-    (arrays through the scalar loop), and v.M.v is one stacked
+    (one float pass of `_poly2`), and v.M.v is one stacked
     `riemann.bilinear`; a stacked inverse and each bilinear row are
     bit-equal to the per-point ones, and the max over a lane's grid is
     exact.
@@ -182,11 +219,20 @@ def _calibration(metric: RiemannMetric, raw, bound, inverse):
 
 
 def _scaled(scale, v):
-    """scale * v for a component v of a calibrated field: each lane by its
-    lane's scale, as a float multiplies a jet (its coefficients) or a float."""
+    """scale * v, v a jet, a float or an array of lane values, and scale a
+    float or one per lane of a family: each lane by its lane's scale, as a
+    float multiplies a jet (its coefficients) or a float."""
     if isinstance(v, Jet):
         return Jet(v.space, v.coeffs * np.asarray(scale)[..., None])
     return scale * v
+
+
+def _shifted(shift, v):
+    """shift + v, lane by lane as `_scaled`: a float adds to a jet as its
+    constant jet (every coefficient, zeros included, takes an addition)."""
+    if isinstance(v, Jet):
+        return v + Jet.constant(shift, v.space)
+    return shift + v
 
 
 def _calibrated_field(metric: RiemannMetric, raw, bound, name, inverse=False) -> VectorField:
@@ -217,17 +263,69 @@ def vector_field(coeffs) -> VectorField:
     return VectorField(lambda x: _poly2(coeffs, x), name="random-v")
 
 
+def riemann_metric(coeffs) -> RiemannMetric:
+    """Identity plus the symmetric quadratic perturbation of
+    `draw_riemann_metric` coefficients (one draw or a family)."""
+    return _riemann_metric(coeffs, "random-h")
+
+
+def scalar_field(coeffs) -> ScalarField:
+    """The random quadratic function of `draw_scalar_field` coefficients (one
+    draw or a family)."""
+    return ScalarField(lambda x: _poly2(coeffs, x)[0], name="random-f")
+
+
+def conformal_navigation(coeffs):
+    """Euclidean navigation data whose W is an exact conformal field, from
+    `draw_conformal` coefficients (one draw or a family).
+
+    W = a + (lam I + A) x + 2<x,k> x - |x|^2 k with A antisymmetric is
+    conformal for the flat metric with factor (lam + 2<k,x>)/2, so the
+    isotropic S-curvature function is sigma(x) = -(lam + 2<k,x>)/2 exactly.
+    Each coefficient multiplies (`_scaled`) or adds (`_shifted`) lane by lane.
+    Returns (nav, sigma_field, c_field).
+    """
+    a, lam, A, k = coeffs
+    dim = len(a)
+    A = A - np.swapaxes(A, 0, 1)
+
+    def w_fn(x):
+        xk = 0.0
+        x2 = 0.0
+        for i in range(dim):
+            xk = xk + _scaled(k[i], x[i])
+            x2 = x2 + x[i] * x[i]
+        out = []
+        for i in range(dim):
+            v = _shifted(a[i], _scaled(lam, x[i]))
+            for j in range(dim):
+                v = v + _scaled(A[i, j], x[j])
+            out.append(v + 2.0 * xk * x[i] - _scaled(k[i], x2))
+        return out
+
+    def c_fn(x):
+        xk = 0.0
+        for i in range(dim):
+            xk = xk + _scaled(k[i], x[i])
+        return 0.5 * _shifted(lam, 2.0 * xk)
+
+    nav = NavigationData(h=euclidean_metric(dim), W=VectorField(w_fn, name="conformal-w"),
+                         name="conformal-euclidean")
+    sigma = ScalarField(lambda x: -c_fn(x), name="sigma")
+    c = ScalarField(c_fn, name="c")
+    return nav, sigma, c
+
+
 # -- one draw, built -----------------------------------------------------------------------
 
 
 def random_riemann_metric(rng, dim) -> RiemannMetric:
     """Identity plus a symmetric quadratic-polynomial perturbation."""
-    return _riemann_metric(_draw_riemann(rng, dim), "random-h")
+    return riemann_metric(draw_riemann_metric(rng, dim))
 
 
 def random_scalar_field(rng, dim) -> ScalarField:
-    coeffs = _draw_stacked(rng, dim, 0.2, 1)
-    return ScalarField(lambda x: _poly2(coeffs, x)[0], name="random-f")
+    return scalar_field(draw_scalar_field(rng, dim))
 
 
 def random_randers(rng, dim) -> RandersData:
@@ -238,48 +336,6 @@ def random_randers(rng, dim) -> RandersData:
 def random_navigation(rng, dim) -> NavigationData:
     """Random valid navigation data: ||W||_h is rescaled below 0.5 on the box."""
     return navigation_data(draw_calibrated(rng, dim))
-
-
-def conformal_euclidean_navigation(rng, dim):
-    """Euclidean navigation data whose W is an exact conformal field.
-
-    W = a + (lam I + A) x + 2<x,k> x - |x|^2 k with A antisymmetric is
-    conformal for the flat metric with factor (lam + 2<k,x>)/2, so the
-    isotropic S-curvature function is sigma(x) = -(lam + 2<k,x>)/2 exactly.
-    Returns (nav, sigma_field, c_field).
-    """
-    scale = 0.15
-    a = rng.uniform(-scale, scale, size=dim)
-    lam = float(rng.uniform(-scale, scale))
-    A = rng.uniform(-scale, scale, size=(dim, dim))
-    A = A - A.T
-    k = rng.uniform(-scale, scale, size=dim)
-
-    def w_fn(x):
-        xk = 0.0
-        x2 = 0.0
-        for i in range(dim):
-            xk = xk + k[i] * x[i]
-            x2 = x2 + x[i] * x[i]
-        out = []
-        for i in range(dim):
-            v = a[i] + lam * x[i]
-            for j in range(dim):
-                v = v + A[i, j] * x[j]
-            out.append(v + 2.0 * xk * x[i] - x2 * k[i])
-        return out
-
-    def c_fn(x):
-        xk = 0.0
-        for i in range(dim):
-            xk = xk + k[i] * x[i]
-        return 0.5 * (lam + 2.0 * xk)
-
-    nav = NavigationData(h=euclidean_metric(dim), W=VectorField(w_fn, name="conformal-w"),
-                         name="conformal-euclidean")
-    sigma = ScalarField(lambda x: -c_fn(x), name="sigma")
-    c = ScalarField(c_fn, name="c")
-    return nav, sigma, c
 
 
 def sample_box_point(rng, dim) -> np.ndarray:

@@ -353,10 +353,12 @@ def record_from_tables(h: RiemannMetric, x, tables) -> PointRecord:
     return PointRecord(x, h0, dh, hinv, dhinv, gamma, dgamma, ricci)
 
 
-def riemann_ricci(rec: PointRecord, y) -> float:
-    """Ricci tensor of an order-2 record contracted twice with y."""
+def riemann_ricci(rec: PointRecord, y):
+    """Ricci tensor of an order-2 record contracted twice with y; of a
+    record of a stack of points and one y per point, one float per lane
+    (`einsum_rows`)."""
     y = np.asarray(y, float)
-    return float(np.einsum("jk,j,k->", rec.ricci, y, y))
+    return einsum_rows("jk,j,k->", rec.ricci, y, y)
 
 
 # -- covariant derivatives ----------------------------------------------------

@@ -36,12 +36,18 @@ float F per block of (at most 20) flags, and `randers-ricci` one
 `randers.randers_ricci_closed_form`, one float F and one laned
 `finsler.curvature_bundle` per metric's 16 flags.  A suite whose every draw
 is a new random metric with one flag stacks across draws instead:
-`lie-identity` draws all its draws first, in the rng order of one draw at a
-time, and runs each dimension's draws as one family (`generators.family`,
-coefficients laned over the draws), so `finsler.lie_F2`, the float F, the
-record of alpha, the one table of V that both Lie derivatives at a stack
-take, the Lie terms and both navigation sides are one pass per family, and
-its rows go back in draw order.
+`lie-identity`, `riemann-reduction` and `isotropic-s` draw all their draws
+first, in the rng order of one draw at a time, and run each dimension's
+draws as one family (`generators.family`, coefficients laned over the
+draws), and their rows go back in draw order (`_by_family`).  Per family,
+`lie-identity` makes `finsler.lie_F2`, the float F, the record of alpha, the
+one table of V that both Lie derivatives at a stack take, the Lie terms and
+both navigation sides one pass each; `riemann-reduction` one
+`finsler.curvature_bundle` and one order-2 record of h; `isotropic-s` one
+`solitons.sample_points` whose every flag is a bundle flag, one
+`solitons.fit_sigma`, one `finsler.evaluate_flags` on its bases and one
+float F.  `jets-vs-fd` stays per draw: its fd half is stacked over each
+flag's stencil, whose lanes do not map one-to-one onto draws.
 Only the plumbing is stacked: the oracle formulas are the one-point ones,
 and each row is bit-equal to its flag's own evaluation.
 """
@@ -57,7 +63,7 @@ from .finsler import FinslerMetric, ParameterError
 from .fixtures import ZERO_FIELD
 from .jets import FlagPoint, fd_derivative, lift
 from .reports import ResidualReport, report_from_values
-from .riemann import field_value, field_values
+from .riemann import field_values
 from .sampling import sample_flags, unit_direction
 
 # -- per-flag rows -----------------------------------------------------------------
@@ -156,6 +162,22 @@ BUNDLES = {
 # -- crosscheck suites ----------------------------------------------------------------
 
 
+def _flag(rng, dim):
+    """A random flag on the box: its x, then its y."""
+    return FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
+
+
+def _by_family(rows, draws):
+    """The rows of the draws, one array per row name, each in draw order.
+    Draw i is of dimension 2 + i % 2, so the draws [first::2] are one
+    family, and rows(*zip(*those draws)) gives that family's rows."""
+    parts = [np.asarray(rows(*zip(*draws[first::2]))) for first in range(min(2, len(draws)))]
+    out = np.empty((len(parts[0]), len(draws)))
+    for first, part in enumerate(parts):
+        out[:, first::2] = part
+    return out
+
+
 def crosscheck_randers_ricci(seed, count=100, tol=1e-8):
     """Closed-form Randers Ricci against the generic spray-trace Ricci; each
     metric's flags are drawn first and share one `finsler.curvature_bundle`,
@@ -166,8 +188,7 @@ def crosscheck_randers_ricci(seed, count=100, tol=1e-8):
     for _ in range(count):
         rd = generators.random_randers(rng, dim)
         metric = randers.finsler_from_randers(rd)
-        flags = [FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
-                 for _ in range(flags_per)]
+        flags = [_flag(rng, dim) for _ in range(flags_per)]
         X, Y = np.array([p.x for p in flags]), np.array([p.y for p in flags])
         closed = randers.randers_ricci_closed_form(rd, X, Y).tolist()
         F = metric.value(X, Y).tolist()
@@ -192,18 +213,12 @@ def crosscheck_lie_identities(seed, count=200, tol=1e-9):
     and the rows are put back in draw order.
     """
     rng = np.random.default_rng(seed)
-
-    def flag(dim):
-        return generators.sample_box_point(rng, dim), unit_direction(rng, dim)
-
     draws = []
     for i in range(count):
         dim = 2 + (i % 2)
         draws.append((generators.draw_calibrated(rng, dim), generators.draw_vector_field(rng, dim),
-                      flag(dim), generators.draw_calibrated(rng, dim), flag(dim)))
-    split, lifted = np.empty(count), np.empty(count)
-    for first in range(min(2, count)):
-        split[first::2], lifted[first::2] = _lie_rows(*zip(*draws[first::2]))
+                      _flag(rng, dim), generators.draw_calibrated(rng, dim), _flag(rng, dim)))
+    split, lifted = _by_family(_lie_rows, draws)
     return [report_from_values("randers-f2-split", split, tol),
             report_from_values("navigation-h2-lift", lifted, tol)]
 
@@ -219,7 +234,7 @@ def _lie_rows(rd_draws, v_draws, flags, nav_draws, nav_flags):
     rd = generators.randers_data(generators.family(rd_draws))
     v = generators.vector_field(generators.family(v_draws))
     metric = randers.finsler_from_randers(rd)
-    X, Y = (np.array(a) for a in zip(*flags))
+    X, Y = np.array([p.x for p in flags]), np.array([p.y for p in flags])
     v0, dv = vtab = v.table(X, order=1)
     lhs = finsler.lie_F2(metric, vtab, X, Y)
     F = metric.value(X, Y)
@@ -234,7 +249,7 @@ def _lie_rows(rd_draws, v_draws, flags, nav_draws, nav_flags):
     split = (lhs - rhs) / (F * F)
 
     nav = generators.navigation_data(generators.family(nav_draws))
-    X, Y = (np.array(a) for a in zip(*nav_flags))
+    X, Y = np.array([p.x for p in nav_flags]), np.array([p.y for p in nav_flags])
     Fn = randers.finsler_from_navigation(nav).value(X, Y)
     l2, r2 = randers.lie_nav_h2_sides(nav, v.table(X, order=1), X, Y, Fn)
     return split, (l2 - r2) / (Fn * Fn)
@@ -293,20 +308,34 @@ def crosscheck_navigation(seed, count=1000, tol=1e-10):
 
 
 def crosscheck_riemann_reduction(seed, count=60, tol=1e-9):
-    """Spray-trace Ricci against Christoffel-path Ricci on Riemannian inputs."""
+    """Spray-trace Ricci against Christoffel-path Ricci on Riemannian inputs.
+
+    Draw i is a random metric h and a flag, of dimension 2 + i % 2.  Every
+    draw is drawn first, in that rng order; then each dimension's draws are
+    one family (`generators.family`) and each quantity one laned pass over
+    the family's flags (`_reduction_rows`), and the rows are put back in
+    draw order.
+    """
     rng = np.random.default_rng(seed)
-    rel = []
-    for i in range(count):
-        dim = 2 + (i % 2)
-        h = generators.random_riemann_metric(rng, dim)
-        metric = FinslerMetric.from_riemannian(h)
-        p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
-        spray_ric = float(finsler.curvature_bundle(metric, [p]).ricci[0])
-        rec = riemann.point_record(h, p.x, 2)
-        chris_ric = riemann.riemann_ricci(rec, p.y)
-        h2 = float(p.y @ rec.h0 @ p.y)
-        rel.append((spray_ric - chris_ric) / max(abs(chris_ric), h2))
+    draws = [(generators.draw_riemann_metric(rng, 2 + i % 2), _flag(rng, 2 + i % 2))
+             for i in range(count)]
+    rel, = _by_family(_reduction_rows, draws)
     return [report_from_values("spray-vs-christoffel-ricci", rel, tol)]
+
+
+def _reduction_rows(h_draws, flags):
+    """The rows of a family of `crosscheck_riemann_reduction` draws of one
+    dimension, one per draw: the family's h is built once, and the spray
+    Ricci (one `finsler.curvature_bundle`) and the order-2 record of h are
+    each one pass laned over the family's flags; the Ricci contraction runs
+    per lane, as the one-point code runs it (`riemann.riemann_ricci`), so
+    each row is bit-equal to its draw alone."""
+    h = generators.riemann_metric(generators.family(h_draws))
+    b = finsler.curvature_bundle(FinslerMetric.from_riemannian(h), flags)
+    rec = riemann.point_record(h, b.x, 2)
+    chris_ric = riemann.riemann_ricci(rec, b.y)
+    h2 = riemann.bilinear(b.y, rec.h0, b.y)
+    return [(b.ricci - chris_ric) / np.maximum(np.abs(chris_ric), h2)]
 
 
 def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
@@ -346,7 +375,7 @@ def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
             metric = FinslerMetric.from_riemannian(h)
             measure = finsler.Measure.riemannian(h).weighted(
                 generators.random_scalar_field(rng, dim))
-        p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
+        p = _flag(rng, dim)
         F2 = metric.value(p.x, p.y) ** 2
         jet = finsler.evaluate_flags(metric, measure, [p])
         fd = finsler.evaluate_flags(metric, measure, [p], mode="fd")
@@ -367,47 +396,56 @@ def crosscheck_isotropic_s(seed, count=40, tol=1e-8):
     identity, the beta/navigation s-tensor transfers s_0 = S_0/lam and
     s^i_j = -S^i_j + S^i W_j / lam, and the closed form for S-dot.
 
-    Each point reads the one-flag `finsler.Bases` and `solitons.BundleStack`
-    of `sample_points` on its one flag, one `evaluate_flags` (Ric and S-dot)
-    on those bases and one float F; every row is a row of the stack.
+    Draw i is conformal navigation data, a weight f, a flag and a test
+    scalar mu, of dimension 2 + i % 2.  Every draw is drawn first, in that
+    rng order; then each dimension's draws are one family
+    (`generators.family`) and each quantity one laned pass over the
+    family's flags (`_isotropic_rows`), and the rows are put back in draw
+    order.
     """
     rng = np.random.default_rng(seed)
-    sig_fit, transfer, s0_row, smix_row, sdot_row = [], [], [], [], []
+    draws = []
     for i in range(count):
         dim = 2 + (i % 2)
-        nav, sigma, _c = generators.conformal_euclidean_navigation(rng, dim)
-        rd = randers.from_navigation(nav)
-        metric = randers.finsler_from_navigation(nav)
-        f = generators.random_scalar_field(rng, dim)
-        measure = finsler.Measure.riemannian(nav.h).weighted(f)
-        x = generators.sample_box_point(rng, dim)
-        y = unit_direction(rng, dim)
-        p = FlagPoint(x, y)
+        draws.append((generators.draw_conformal(rng, dim), generators.draw_scalar_field(rng, dim),
+                      _flag(rng, dim), float(rng.uniform(-1.0, 1.0))))
+    rows = _by_family(_isotropic_rows, draws)
+    names = ("sigma-vs-conformal-factor", "curvature-transfer", "s-covector-transfer",
+             "s-mixed-transfer", "s-dot-closed-form")
+    return [report_from_values(name, row, tol) for name, row in zip(names, rows)]
 
-        bases, S = solitons.sample_points(rd, nav, f, sigma, [p], 1)
-        T, N, Y = S.beta, S.nav, S.y
 
-        fitted, _res = solitons.fit_sigma(T)
-        sig_fit.extend((fitted - field_value(sigma, x)).tolist())
+def _isotropic_rows(conformal_draws, f_draws, flags, mus):
+    """The five rows of a family of `crosscheck_isotropic_s` draws of one
+    dimension, one per draw: the family's navigation data, sigma and f are
+    built once, and every flag is a lane of one `solitons.sample_points`
+    (the family's `finsler.Bases` and `solitons.BundleStack`), one
+    `solitons.fit_sigma`, one `finsler.evaluate_flags` (Ric and S-dot) on
+    those bases, one float evaluation of sigma and one of F; every row is
+    a table formula over the stack, each row bit-equal to its draw alone."""
+    nav, sigma, _c = generators.conformal_navigation(generators.family(conformal_draws))
+    f = generators.scalar_field(generators.family(f_draws))
+    metric = randers.finsler_from_navigation(nav)
+    measure = finsler.Measure.riemannian(nav.h).weighted(f)
+    bases, S = solitons.sample_points(randers.from_navigation(nav), nav, f, sigma, flags,
+                                      len(flags))
+    T, N, Y = S.beta, S.nav, S.y
 
-        mu_t = float(rng.uniform(-1.0, 1.0))
-        ev = finsler.evaluate_flags(metric, measure, [p], bases)
-        F = metric.value(x, y)
-        sig = randers.sigma_terms(S.sigma, Y, N.w_up)
-        lhs, rhs = randers.ricci_transfer_sides(ev.bundle.ricci, F, S.h, N, sig, mu_t, Y)
-        transfer.extend(((lhs - rhs) / F ** 2).tolist())
+    fitted, _res = solitons.fit_sigma(T)
+    sig_fit = fitted - jets.scalar_value(sigma(riemann.coordinates(S.x)))
 
-        s0_row.extend((riemann.dot(T.s_low, Y) - riemann.dot(N.s_low, Y) / N.lam).tolist())
-        smix = -N.s_mixed + N.s_up[..., :, None] * N.w_low[..., None, :] / N.lam[..., None, None]
-        smix_row.extend(np.abs(T.s_mixed - smix).max(axis=(-2, -1)).tolist())
+    ev = finsler.evaluate_flags(metric, measure, flags, bases)
+    F = metric.value(S.x, Y)
+    sig = randers.sigma_terms(S.sigma, Y, N.w_up)
+    lhs, rhs = randers.ricci_transfer_sides(ev.bundle.ricci, F, S.h, N, sig, np.array(mus), Y)
 
-        sd_closed = solitons.s_dot_closed_form_nav(S.h, N, F, sig, S.f, Y)
-        sdot_row.extend(((ev.s_dot - sd_closed) / np.maximum(1.0, np.abs(ev.s_dot))).tolist())
-    return [report_from_values("sigma-vs-conformal-factor", sig_fit, tol),
-            report_from_values("curvature-transfer", transfer, tol),
-            report_from_values("s-covector-transfer", s0_row, tol),
-            report_from_values("s-mixed-transfer", smix_row, tol),
-            report_from_values("s-dot-closed-form", sdot_row, tol)]
+    s0 = riemann.dot(T.s_low, Y) - riemann.dot(N.s_low, Y) / N.lam
+    smix = -N.s_mixed + N.s_up[..., :, None] * N.w_low[..., None, :] / N.lam[..., None, None]
+    smix_row = np.abs(T.s_mixed - smix).max(axis=(-2, -1))
+
+    sd_closed = solitons.s_dot_closed_form_nav(S.h, N, F, sig, S.f, Y)
+    return [sig_fit, (lhs - rhs) / jets.power(F, 2), s0, smix_row,
+            (ev.s_dot - sd_closed) / np.maximum(1.0, np.abs(ev.s_dot))]
 
 
 CROSSCHECK_SUITES = {

@@ -7,8 +7,9 @@ that one flag or point alone, in values, shape and signs of zero.  The
 stacked flag-curvature fit is checked lane by lane against the one-point
 formula it replaced (`one_flag_fit`), the stacked finite-difference
 evaluation against the per-point one it replaced (`fd_flag_alone`), and
-the `lie-identity` crosscheck, one family of random draws per dimension,
-against the per-draw loop it replaced (`lie_draw_alone`).
+the `lie-identity`, `riemann-reduction` and `isotropic-s` crosschecks, one
+family of random draws per dimension, against the per-draw loops they
+replaced (`lie_draw_alone`, `reduction_draw_alone`, `isotropic_draw_alone`).
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from finsler_solitons import finsler, generators, jets, randers, riemann
+from finsler_solitons import finsler, generators, jets, randers, riemann, solitons
 from finsler_solitons.jets import FlagPoint, Jet
 from finsler_solitons.sampling import unit_direction
 
@@ -176,7 +177,7 @@ def fd_flag_alone(metric, measure, p):
                                   s_dot=s_dot, ric_inf=bundle.ricci + s_dot)
 
 
-# -- the per-draw lie-identity loop: the reference of the stacked suite --------------------
+# -- the per-draw crosscheck loops: the references of the stacked suites ------------------
 
 
 def _lie_scalar_alone(fn2n, v, p):
@@ -246,3 +247,49 @@ def lie_draw_alone(rng, i):
     Fn = randers.finsler_from_navigation(nav).value(pn.x, pn.y)
     l2, r2 = _lie_nav_h2_sides_alone(nav, v, pn, Fn)
     return split, (l2 - r2) / (Fn * Fn)
+
+
+def reduction_draw_alone(rng, i):
+    """(row,) of draw i of `crosscheck_riemann_reduction`, as the per-draw
+    loop made it: the draw's metric built alone, a one-flag bundle and an
+    unlaned order-2 record at its flag."""
+    dim = 2 + (i % 2)
+    h = generators.random_riemann_metric(rng, dim)
+    metric = finsler.FinslerMetric.from_riemannian(h)
+    p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
+    spray_ric = float(finsler.curvature_bundle(metric, [p]).ricci[0])
+    rec = riemann.point_record(h, p.x, 2)
+    chris_ric = float(np.einsum("jk,j,k->", rec.ricci, p.y, p.y))
+    h2 = float(p.y @ rec.h0 @ p.y)
+    return ((spray_ric - chris_ric) / max(abs(chris_ric), h2),)
+
+
+def isotropic_draw_alone(rng, i):
+    """The five rows of draw i of `crosscheck_isotropic_s`, as the per-draw
+    loop made them: the draw's navigation data, sigma and f built alone, the
+    one-flag bases and bundle stack of `solitons.sample_points`, one
+    one-flag `evaluate_flags` and a float F at its flag."""
+    dim = 2 + (i % 2)
+    nav, sigma, _c = generators.conformal_navigation(generators.draw_conformal(rng, dim))
+    rd = randers.from_navigation(nav)
+    metric = randers.finsler_from_navigation(nav)
+    f = generators.random_scalar_field(rng, dim)
+    measure = finsler.Measure.riemannian(nav.h).weighted(f)
+    x = generators.sample_box_point(rng, dim)
+    y = unit_direction(rng, dim)
+    p = FlagPoint(x, y)
+    bases, S = solitons.sample_points(rd, nav, f, sigma, [p], 1)
+    T, N, Y = S.beta, S.nav, S.y
+    fitted, _res = solitons.fit_sigma(T)
+    sig_fit = fitted - riemann.field_value(sigma, x)
+    mu_t = float(rng.uniform(-1.0, 1.0))
+    ev = finsler.evaluate_flags(metric, measure, [p], bases)
+    F = metric.value(x, y)
+    sig = randers.sigma_terms(S.sigma, Y, N.w_up)
+    lhs, rhs = randers.ricci_transfer_sides(ev.bundle.ricci, F, S.h, N, sig, mu_t, Y)
+    s0 = riemann.dot(T.s_low, Y) - riemann.dot(N.s_low, Y) / N.lam
+    smix = -N.s_mixed + N.s_up[..., :, None] * N.w_low[..., None, :] / N.lam[..., None, None]
+    sd_closed = solitons.s_dot_closed_form_nav(S.h, N, F, sig, S.f, Y)
+    rows = (sig_fit, (lhs - rhs) / F ** 2, s0, np.abs(T.s_mixed - smix).max(axis=(-2, -1)),
+            (ev.s_dot - sd_closed) / np.maximum(1.0, np.abs(ev.s_dot)))
+    return tuple(float(row[0]) for row in rows)

@@ -196,7 +196,7 @@ def test_s_dot_navigation_closed_form(rng):
     # isotropic S-curvature data: engine S-dot equals the closed form
     from finsler_solitons.solitons import s_dot_closed_form_nav
 
-    nav, sigma, _ = generators.conformal_euclidean_navigation(rng, 2)
+    nav, sigma, _ = generators.conformal_navigation(generators.draw_conformal(rng, 2))
     rd = randers.from_navigation(nav)
     f = generators.random_scalar_field(rng, 2)
     F = randers.finsler_from_navigation(nav)

@@ -1,15 +1,16 @@
-"""The navigation identities as table formulas: each point of the
-`isotropic-s` crosscheck suite, each block of points of one random metric in
-the `navigation` and `randers-ricci` suites, and each family of random draws
-of one dimension in the `lie-identity` suite, evaluates its navigation data,
-its float F and its order-4 expansion of F^2 once, and the rows are those of
-the path that evaluated each quantity on its own."""
+"""The navigation identities as table formulas: each block of points of one
+random metric in the `navigation` and `randers-ricci` suites, and each
+family of random draws of one dimension in the `lie-identity`,
+`riemann-reduction` and `isotropic-s` suites, evaluates its navigation
+data, its float F and its order-4 expansion of F^2 once, and the rows are
+those of the path that evaluated each quantity on its own: the per-point
+path, or the per-draw loop a family replaced (`_lanes`)."""
 
 import math
 
 import numpy as np
 import pytest
-from _lanes import lie_draw_alone
+from _lanes import isotropic_draw_alone, lie_draw_alone, reduction_draw_alone
 
 from finsler_solitons import finsler, generators, randers, riemann, solitons, suites
 from finsler_solitons.jets import FlagPoint
@@ -40,17 +41,22 @@ def _counting(monkeypatch):
     return calls
 
 
-# The counts of the perfbench crosscheck workload.  isotropic-s: one sample
-# point and one float F per point.  lie-identity: per family (one per
-# dimension, so two at any count >= 2) the split half's F, and the lifted
-# half's F and one navigation point for its jet pass.  navigation: one F
+def _x(flags):
+    return np.array([p.x for p in flags])
+
+
+# The counts of the perfbench crosscheck workload.  Per family of draws (one
+# per dimension, so two at any count >= 2): isotropic-s, one navigation
+# point for the sample points and one for the float F, and one order-4
+# expansion; lie-identity, the split half's F, and the lifted half's F and
+# one navigation point for its jet pass.  navigation: one F
 # per block of (at most 20) points of one metric; the rest are the round
 # trip's own conversion closures (alpha and beta of from_navigation at a
 # Randers-first block, h and W of to_navigation, two each, at a
 # navigation-first one), each once per block: 4 and 4 of the 8 blocks of
 # the 150 points.
 @pytest.mark.parametrize("suite, count, want", (
-    ("isotropic-s", 6, {"navigation_point": 6 * 2, "order4": 6, "value": 6}),
+    ("isotropic-s", 6, {"navigation_point": 2 * 2, "order4": 2, "value": 2}),
     ("lie-identity", 20, {"navigation_point": 2 * 2, "order4": 0, "value": 2 * 2}),
     ("navigation", 150, {"navigation_point": 4 * (1 + 2) + 4 * (1 + 4), "order4": 0,
                          "value": 8}),
@@ -75,13 +81,22 @@ def test_crosscheck_point_evaluates_each_thing_once(suite, count, want, monkeypa
                           "nav_tensors": [(10, 2), (10, 3)],
                           "vector_table": [(10, 2)] * 4 + [(10, 3)] * 4,
                           "value": [(10, 2)] * 2 + [(10, 3)] * 2}),
+    ("riemann-reduction", 10, {"curvature_bundle": [(5, 2), (5, 3)],
+                               "record_from_tables": [(5, 2), (5, 3)],
+                               "riemann_ricci": [(5, 2), (5, 3)]}),
+    ("isotropic-s", 7, {"sample_points": [(4, 2), (3, 3)], "fit_sigma": [(4, 2), (3, 3)],
+                        "evaluate_flags": [(4, 2), (3, 3)],
+                        "record_from_tables": [(4, 2)] * 2 + [(3, 3)] * 2,
+                        "nav_tensors": [(4, 2), (3, 3)], "value": [(4, 2), (3, 3)]}),
 ))
 def test_each_random_metric_is_one_stacked_pass(suite, count, shapes, monkeypatch):
     # every float and table evaluation of a random metric's points runs once,
     # on the stack of its block's x (navigation: 20 points a block, so 37
     # leaves a partial block; randers-ricci: 16 flags a metric; lie-identity:
     # one family of 10 draws per dimension, whose V is tabled once at each of
-    # its two stacks of flags, for both sides there, and beta and W once each)
+    # its two stacks of flags, for both sides there, and beta and W once each;
+    # riemann-reduction and isotropic-s: one family of draws per dimension,
+    # its flags the lanes of one bundle or one set of sample points)
     seen = {key: [] for key in shapes}
 
     def counting(owner, attr, x_of):
@@ -102,7 +117,12 @@ def test_each_random_metric_is_one_stacked_pass(suite, count, shapes, monkeypatc
                "at": (riemann.VectorField, lambda v, x: x),
                "value": (finsler.FinslerMetric, lambda F, x, y: y),
                "lie_F2": (finsler, lambda metric, vtab, x, y: x),
-               "lie_nav_h2_sides": (randers, lambda nav, vtab, x, y, F: x)}
+               "lie_nav_h2_sides": (randers, lambda nav, vtab, x, y, F: x),
+               "curvature_bundle": (finsler, lambda metric, points: _x(points)),
+               "riemann_ricci": (riemann, lambda rec, y: y),
+               "sample_points": (solitons, lambda rd, nav, f, sigma, flags, bundle: _x(flags)),
+               "fit_sigma": (solitons, lambda T: T.x),
+               "evaluate_flags": (finsler, lambda metric, measure, points, bases: _x(points))}
     for key in shapes:
         counting(watched[key][0], key, watched[key][1])
     suites.run_crosscheck_suite(suite, count=count, seed=1)
@@ -176,12 +196,11 @@ def test_stacked_suite_rows_equal_the_per_point_path(suite, count, seed, referen
         assert report.mean_abs == float(np.mean(vals)), report.name
 
 
-@pytest.mark.parametrize("count, seed", ((1, 0), (2, 5), (7, 3), (20, 1)))
-def test_lie_identity_rows_equal_each_draw_alone(count, seed, monkeypatch):
-    # count 1 is a family of one lane; an odd count gives families of unequal
-    # size; every row, signs of zero included, in draw order
+def _assert_rows_equal_each_draw_alone(suite, count, seed, names, draw_alone, monkeypatch):
+    """Every row of the suite's reports, in draw order, equals the per-draw
+    loop's, signs of zero included."""
     rng = np.random.default_rng(seed)
-    want = np.array([lie_draw_alone(rng, i) for i in range(count)]).T
+    want = np.array([draw_alone(rng, i) for i in range(count)]).T
     rows = {}
     report = suites.report_from_values
 
@@ -190,11 +209,33 @@ def test_lie_identity_rows_equal_each_draw_alone(count, seed, monkeypatch):
         return report(name, values, tol, detail)
 
     monkeypatch.setattr(suites, "report_from_values", capture)
-    suites.run_crosscheck_suite("lie-identity", count=count, seed=seed)
-    assert list(rows) == ["randers-f2-split", "navigation-h2-lift"]
-    for got, ref in zip(rows.values(), want):
+    suites.run_crosscheck_suite(suite, count=count, seed=seed)
+    assert list(rows) == names
+    for got, ref in zip(rows.values(), want, strict=True):
         assert got.shape == (count,)
         assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("count, seed", ((1, 0), (2, 5), (7, 3), (20, 1)))
+def test_lie_identity_rows_equal_each_draw_alone(count, seed, monkeypatch):
+    # count 1 is a family of one lane; an odd count gives families of unequal
+    # size; every row, signs of zero included, in draw order
+    _assert_rows_equal_each_draw_alone("lie-identity", count, seed,
+                                       ["randers-f2-split", "navigation-h2-lift"],
+                                       lie_draw_alone, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", (0, 9))
+@pytest.mark.parametrize("count", (1, 2, 3, 6, 7, 10))
+@pytest.mark.parametrize("suite, names, draw_alone", (
+    ("riemann-reduction", ["spray-vs-christoffel-ricci"], reduction_draw_alone),
+    ("isotropic-s", ["sigma-vs-conformal-factor", "curvature-transfer", "s-covector-transfer",
+                     "s-mixed-transfer", "s-dot-closed-form"], isotropic_draw_alone),
+), ids=("riemann-reduction", "isotropic-s"))
+def test_family_rows_equal_each_draw_alone(suite, names, draw_alone, count, seed, monkeypatch):
+    # counts 1 and 3 make families of one lane (unlaned, `generators.family`),
+    # odd counts families of unequal size
+    _assert_rows_equal_each_draw_alone(suite, count, seed, names, draw_alone, monkeypatch)
 
 
 def _isotropic_s_reference(count, seed):
@@ -204,7 +245,7 @@ def _isotropic_s_reference(count, seed):
     rows = [[] for _ in range(5)]
     for i in range(count):
         dim = 2 + (i % 2)
-        nav, sigma, _c = generators.conformal_euclidean_navigation(rng, dim)
+        nav, sigma, _c = generators.conformal_navigation(generators.draw_conformal(rng, dim))
         rd = randers.from_navigation(nav)
         metric = randers.finsler_from_navigation(nav)
         f = generators.random_scalar_field(rng, dim)

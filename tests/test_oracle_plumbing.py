@@ -114,6 +114,52 @@ def test_stacked_poly2_equals_the_scalar_loop(dim):
             _assert_same(got[e], _scalar_poly2(d, x), (dim, e))
 
 
+@pytest.mark.parametrize("dim", (2, 3))
+def test_float_poly2_equals_the_scalar_loop_of_each_draw(dim):
+    # the one float pass over all entries, for one draw and for a family of
+    # three, at floats, arrays of lane values and grid-shaped x (the
+    # calibration's, with a lane axis for the family): every element, value
+    # and sign bit, is the scalar loop of its entry of its lane's draw at
+    # its point, in Python floats
+    rng = np.random.default_rng(60 + dim)
+    draws = [generators._draw_stacked(rng, dim, 0.3, dim) for _ in range(3)]
+    draws[1][0][0] = -0.0           # an entry -0.0 + 0.0 x + 0.0 x x, whose sign
+    draws[1][1][0] = 0.0            # follows the order of its additions
+    draws[1][2][0] = 0.0
+    x = list(rng.uniform(-0.5, 0.5, size=dim))
+    x[0] = -0.0
+    lanes = list(rng.uniform(-0.5, 0.5, size=(dim, 3)))
+    grid = generators._box_grid(dim)
+    for coeffs, laned in ((draws[0], False), (generators.family(draws), True)):
+        for xs in (x, lanes, [g[:, None] for g in grid] if laned else grid):
+            got = generators._poly2(coeffs, xs)
+            assert len(got) == dim
+            for e, entry in enumerate(got):
+                shape = np.broadcast_shapes(*(np.shape(v) for v in xs),
+                                            (3,) if laned else ())
+                entry = np.asarray(entry)
+                assert entry.shape == shape, (dim, e)
+                for idx in np.ndindex(shape):
+                    draw = draws[idx[-1]] if laned else draws[0]
+                    point = [float(np.broadcast_to(v, shape)[idx]) for v in xs]
+                    want = _scalar_poly2(tuple(c[e] for c in draw), point)
+                    assert entry[idx].tobytes() == np.float64(want).tobytes(), (dim, e, idx)
+
+
+def test_a_family_of_one_draw_is_the_draw_unlaned():
+    # one draw runs unlaned, as one flag does, so its bundle at one flag (an
+    # unlaned stage) meets unlaned coefficients
+    rng = np.random.default_rng(3)
+    d = generators.draw_riemann_metric(rng, 3)
+    assert generators.family([d]) is d
+    p = FlagPoint(generators.sample_box_point(rng, 3), unit_direction(rng, 3))
+    h = generators.riemann_metric(generators.family([d]))
+    got = finsler.curvature_bundle(finsler.FinslerMetric.from_riemannian(h), [p])
+    want = finsler.curvature_bundle(
+        finsler.FinslerMetric.from_riemannian(generators.riemann_metric(d)), [p])
+    assert_lane(got, 0, want, "one-draw family")
+
+
 def test_mul_rows_equals_jet_products():
     rng = np.random.default_rng(7)
     for space in (jets.jet_space(2, 1), jets.jet_space(3, 4), jets.flag_space(2, 4)):
@@ -215,6 +261,67 @@ def test_a_family_of_draws_equals_each_draw_built_alone(dim):
             assert_lane(field.table(X, 1), k, f_one.table(X[k], 1), ("field table", k), None)
         assert_lane(built[2].at(X), k, alone[2].at(X[k]), ("V", k), None)
         assert_lane(built[2].table(X, 1), k, alone[2].table(X[k], 1), ("V table", k), None)
+
+
+def _scalar_conformal(coeffs):
+    """(W, c) closures of one `generators.draw_conformal` draw as the
+    one-draw builder wrote them: float coefficients times and plus x."""
+    a, lam, A, k = coeffs
+    dim = len(a)
+    A = A - A.T
+
+    def w_fn(x):
+        xk = 0.0
+        x2 = 0.0
+        for i in range(dim):
+            xk = xk + k[i] * x[i]
+            x2 = x2 + x[i] * x[i]
+        out = []
+        for i in range(dim):
+            v = a[i] + lam * x[i]
+            for j in range(dim):
+                v = v + A[i, j] * x[j]
+            out.append(v + 2.0 * xk * x[i] - x2 * k[i])
+        return out
+
+    def c_fn(x):
+        xk = 0.0
+        for i in range(dim):
+            xk = xk + k[i] * x[i]
+        return 0.5 * (lam + 2.0 * xk)
+
+    return w_fn, c_fn
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_conformal_navigation_equals_the_scalar_closures(dim):
+    # one draw at every kind of x, and each lane of a family of three at x
+    # laned over it (jets and float lane arrays), against the one-draw
+    # closures, signs of zero included: a negative lam scales the zero
+    # coefficients of an x jet to -0.0, which adding a float's constant jet
+    # makes +0.0
+    rng = np.random.default_rng(70 + dim)
+    draws = [generators.draw_conformal(rng, dim) for _ in range(3)]
+    a, lam, A, k = draws[0]
+    draws[0] = (a, -abs(lam), A, k)
+    nav, sigma, c = generators.conformal_navigation(draws[0])
+    w_ref, c_ref = _scalar_conformal(draws[0])
+    for x in _points(dim, rng):
+        for got, want in zip(nav.W.components(x), w_ref(x), strict=True):
+            _assert_same(got, want)
+        _assert_same(c(x), c_ref(x))
+        _assert_same(sigma(x), -c_ref(x))
+    nav, sigma, c = generators.conformal_navigation(generators.family(draws))
+    X = rng.uniform(-0.5, 0.5, size=(3, dim))
+    X[0, 0] = -0.0
+    for point in (lambda x: Jet.variables(riemann.coordinates(x), 2), riemann.coordinates):
+        got_w, got_c = nav.W.components(point(X)), c(point(X))
+        for lane, d in enumerate(draws):
+            w_ref, c_ref = _scalar_conformal(d)
+            at = (lambda v: jets.lane(v, lane) if isinstance(v, Jet) else v[lane])
+            for got, want in zip(got_w, w_ref(point(X[lane])), strict=True):
+                _assert_same(at(got), want)
+            _assert_same(at(got_c), c_ref(point(X[lane])))
 
 
 # -- the finite-difference bundle ---------------------------------------------------------

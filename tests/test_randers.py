@@ -370,7 +370,7 @@ def test_cigar_e00_vanishes(rng):
 
 def test_navigation_s_tensor_transfer(rng):
     # under isotropic S-curvature: s_0 = S_0/lam and s^i_j = -S^i_j + S^i W_j/lam
-    nav, sigma, _ = generators.conformal_euclidean_navigation(rng, 3)
+    nav, sigma, _ = generators.conformal_navigation(generators.draw_conformal(rng, 3))
     rd = from_navigation(nav)
     x = generators.sample_box_point(rng, 3)
     y = rng.normal(size=3)
@@ -492,7 +492,7 @@ def test_lifted_lie_identity_random(rng):
 
 
 def test_sigma_equals_minus_conformal_factor(rng):
-    nav, sigma, c = generators.conformal_euclidean_navigation(rng, 2)
+    nav, sigma, c = generators.conformal_navigation(generators.draw_conformal(rng, 2))
     rd = from_navigation(nav)
     x = generators.sample_box_point(rng, 2)
     fitted, res = fit_sigma_isotropic_S(tables_at(rd, x), _directions(rng, 2))
@@ -555,7 +555,7 @@ def test_navigation_xi_uses_the_tabled_value_of_w(rng):
 
 
 def test_curvature_transfer_identity(rng):
-    nav, sigma, _ = generators.conformal_euclidean_navigation(rng, 3)
+    nav, sigma, _ = generators.conformal_navigation(generators.draw_conformal(rng, 3))
     p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
     metric = finsler_from_navigation(nav)
     F = metric.value(p.x, p.y)
