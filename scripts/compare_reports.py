@@ -62,7 +62,9 @@ INVOCATIONS = (
        # lane (1)
        ("crosscheck", "--suite", "lie-identity", "--count", "7", "--seed", "3"),
        ("crosscheck", "--suite", "lie-identity", "--count", "1", "--seed", "0"),
+       ("crosscheck", "--suite", "lie-identity", "--count", "3", "--seed", "5"),
        ("crosscheck", "--suite", "riemann-reduction", "--count", "7", "--seed", "3"),
+       ("crosscheck", "--suite", "riemann-reduction", "--count", "1", "--seed", "4"),
        ("crosscheck", "--suite", "isotropic-s", "--count", "3", "--seed", "2"),
        ("crosscheck", "--suite", "isotropic-s", "--count", "1", "--seed", "0"),
        ("crosscheck", "--suite", "navigation", "--count", "100", "--seed", "11"),

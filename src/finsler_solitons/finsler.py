@@ -17,9 +17,9 @@ expanded once per stack: one jet laned over the flags, from one stage laned
 over their x (Taylor arithmetic vectorised over points, Griewank-Walther),
 so the expansion, the Q-table gathers, the spray derivatives, R, Ric, S, dS
 and S-dot each run once per stack (one pass of numpy calls over arrays with
-a leading flag axis), each lane bit-equal to the flag evaluated alone.  A
-stack of one flag expands unlaned.  A kappa fit (`solitons.fit_kappa`) is
-one such stack.  The x-only work of a stack is one `Bases` record: the
+a leading flag axis), each lane bit-equal to the flag evaluated alone; a
+stack of one flag is one lane.  A kappa fit (`solitons.fit_kappa`) is one
+such stack.  The x-only work of a stack is one `Bases` record: the
 metric's stage laned over the points (a `LaneStage`, built on first use)
 and the log-density tables, one lane per point, built by `base_points` for
 any metric and measure, or for all of a fixture run's flags at once by
@@ -175,9 +175,8 @@ def weighted_density(f_value, density):
 class LaneStage:
     """The stage at lanes `idx` of laned x-only data: `build(data)` is the
     stage at every lane, and `data` holds laned jets in nested lists and
-    tuples (`jets.lane` takes its lanes; one point's unlaned data passes
-    through, so its stage is unlaned at every idx).  idx is None for every
-    lane, an int for one lane's unlaned stage, or an index array.
+    tuples (`jets.lane` takes its lanes).  idx is None for every lane, an
+    int for one lane's unlaned stage, or an index array.
     The stage is built on the first call and kept; `lane(idx)` shares the
     data, so any lanes of one data expand as one stage."""
 
@@ -202,11 +201,9 @@ def _lane_stage(metric: FinslerMetric, x) -> LaneStage:
     """The metric's stage at the points x, shape (P, n), as a `LaneStage`
     laned over them and built on first use.  x enters as jets of order
     jets.X_ORDER over the n x-variables, the x-degree of the flag space (see
-    the module notes), so the stage serves expansions of order 2 to 4.  One
-    point, x of shape (n,) or (1, n), stays unlaned (a laned op at one lane
-    costs more than the unlaned op)."""
+    the module notes), so the stage serves expansions of order 2 to 4.  x of
+    shape (1, n) is one lane; one point's x of shape (n,) is unlaned."""
     x = np.asarray(x, float)
-    x = x[0] if x.shape[:-1] == (1,) else x
     return LaneStage(metric.at, Jet.variables(riemann.coordinates(x), jets.X_ORDER), None)
 
 
@@ -255,14 +252,14 @@ def _f2_tables(stage, y, order: int) -> dict:
     At a stack of flags, y of shape (P, n) and `stage` their stage laned over
     the stack (or one stage every flag shares), the expansion is one jet
     laned over the flags, and each table is gathered once over it, one row
-    per flag; a stack of one flag expands it unlaned, by an unlaned stage.  The
-    gather is the coefficient rows times the factorials, then one `take`,
-    which keeps the flag axis first and every table C-contiguous; an index
-    `[:, pos]` would leave the flag axis innermost in memory, and the
-    stacked einsums of the spray would then sum in another order.
+    per flag.  The gather is the coefficient rows times the factorials, then
+    one `take`, which keeps the flag axis first and every table
+    C-contiguous; an index `[:, pos]` would leave the flag axis innermost in
+    memory, and the stacked einsums of the spray would then sum in another
+    order.
     """
     y = np.asarray(y, float)
-    f2 = _f2_jet(stage, y[0] if y.shape[:-1] == (1,) else y, order)
+    f2 = _f2_jet(stage, y, order)
     coeffs = f2.coeffs.reshape(y.shape[:-1] + (-1,))
     partials = coeffs * f2.space.factorials
     T = {name: partials.take(pos, axis=-1) for name, pos in _f2_index(y.shape[-1], order).items()}
@@ -368,8 +365,8 @@ def curvature_bundle(metric: FinslerMetric, points, stage=None) -> CurvatureBund
     bundle whose fields stack them.
 
     Reads `stage`, the metric's stage at the points' x (by default
-    `_lane_stage` at them: laned over the points, unlaned for one flag), and
-    expands F^2 to fourth order once for the stack, laned over its flags;
+    `_lane_stage` laned over the points), and expands F^2 to fourth order
+    once for the stack, laned over its flags;
     the Q tables are gathered once over the stack (`_f2_tables`), and the
     spray and Riemann formulas and the trace run once over it.  The fd
     bundle, the independent cross-check, is the `bundle` of
@@ -610,8 +607,8 @@ class Bases:
     """The x-only work at a stack of sample points, shared by every flag
     there: the points x, shape (P, n); the metric's stage at x as order-2
     jets (serves expansions of order 2 to 4), a `LaneStage` laned over the
-    points (unlaned at one point); and the order-2 log-density tables of the
-    measure, each with a leading lane axis."""
+    points; and the order-2 log-density tables of the measure, each with a
+    leading lane axis."""
 
     x: np.ndarray
     stage: LaneStage
@@ -620,22 +617,16 @@ class Bases:
     def lanes(self, idx) -> "Bases":
         """The bases at lanes idx, an index array (in its order, repeats
         allowed), or at one lane k, an int (that point's x, unlaned stage and
-        tables).  One point's unlaned stage serves every lane as it is."""
-        stage = self.stage if len(self.x) == 1 else self.stage.lane(idx)
-        return Bases(self.x[idx], stage, tuple(t[idx] for t in self.logs))
+        tables)."""
+        return Bases(self.x[idx], self.stage.lane(idx), tuple(t[idx] for t in self.logs))
 
 
 def base_points(metric: FinslerMetric, measure: Measure, X) -> Bases:
     """The bases of (metric, measure) at the points X, shape (P, n): one
     stage laned over them, built on first use, and one log-density table
-    laned over them.  One point runs unlaned (a laned op at one lane costs
-    more than the unlaned op), and its tables take a lane axis of one."""
+    laned over them; one point is one lane."""
     X = np.asarray(X, float)
-    x = X[0] if len(X) == 1 else X
-    logs = measure.log_density_table(x)
-    if len(X) == 1:
-        logs = tuple(np.asarray(t)[None] for t in logs)
-    return Bases(X, _lane_stage(metric, x), logs)
+    return Bases(X, _lane_stage(metric, X), measure.log_density_table(X))
 
 
 @dataclass(frozen=True)

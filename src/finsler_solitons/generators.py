@@ -23,9 +23,9 @@ that draw built alone at its lane's point, signs of zero included (Taylor
 arithmetic vectorised over points, Griewank-Walther): `_poly2` broadcasts
 the coefficients, and the conformal closures multiply and add each one lane
 by lane (`_scaled`, `_shifted`).  Unlaned coefficients are one draw, and a
-family of one draw is that draw, unlaned, as one flag runs unlaned; there
-is no other code path.  A family is calibrated in one grid pass, with one
-stacked inverse and `bilinear` over its lanes and one scale per lane.
+family of one draw is one lane; there is no other code path.  A family is
+calibrated in one grid pass, with one stacked inverse and `bilinear` over
+its lanes and one scale per lane.
 """
 
 from __future__ import annotations
@@ -51,14 +51,14 @@ def _poly2(coeffs, x):
     jet products run through one `jets.mul_rows`; with x floats or float
     arrays (a grid, lanes), all entries are one pass of array operations,
     the entry axis first.  Either way each entry is bit-equal to that scalar
-    loop over its own x.  Anything else (jets mixed with floats, or over
-    several spaces) runs the scalar loop per entry.
+    loop over its own x.  x that mixes jets with floats, or jets over
+    several spaces, raises numpy's TypeError.
 
     The coefficients of a family (module notes) carry trailing lane axes,
     c0 of shape (E, lanes...), c1 (E, n, lanes...), c2 (E, n, n, lanes...),
     which broadcast against the lane axes of x: in the jet path each
     coefficient multiplies its lane's coefficient row of x, as a float
-    multiplies a jet, and in the float paths numpy broadcasts the arrays.
+    multiplies a jet, and in the float path numpy broadcasts the arrays.
     """
     c0, c1, c2 = coeffs
     n = len(x)
@@ -80,43 +80,29 @@ def _poly2(coeffs, x):
             for l in range(n):
                 out = out + prods[:, k, l]
         return [Jet(space, row) for row in out]
-    if not any(isinstance(v, Jet) for v in x):
-        xs = [np.asarray(v, float) for v in x]
-        pad = (1,) * max(0, max(v.ndim for v in xs) - len(clanes))
+    xs = [np.asarray(v, float) for v in x]
+    pad = (1,) * max(0, max(v.ndim for v in xs) - len(clanes))
 
-        def entries(c):                                         # [entry, x axes..., lanes...]
-            return c.reshape(c.shape[:1] + pad + clanes)
+    def entries(c):                                             # [entry, x axes..., lanes...]
+        return c.reshape(c.shape[:1] + pad + clanes)
 
-        out = entries(c0)
-        for k in range(n):
-            out = out + entries(c1[:, k]) * xs[k]
-            for l in range(n):
-                out = out + entries(c2[:, k, l]) * xs[k] * xs[l]
-        return list(out)
-    entries = []
-    for e in range(c0.shape[0]):
-        out = c0[e]
-        for k in range(n):
-            out = out + c1[e, k] * x[k]
-            for l in range(n):
-                out = out + c2[e, k, l] * x[k] * x[l]
-        entries.append(out)
-    return entries
+    out = entries(c0)
+    for k in range(n):
+        out = out + entries(c1[:, k]) * xs[k]
+        for l in range(n):
+            out = out + entries(c2[:, k, l]) * xs[k] * xs[l]
+    return list(out)
 
 
 # -- drawing: every rng read -----------------------------------------------------------
 
 
-def _draw_poly2(rng, dim, amp):
-    return (float(rng.uniform(-amp, amp)),
-            rng.uniform(-amp, amp, size=dim),
-            rng.uniform(-amp, amp, size=(dim, dim)))
-
-
 def _draw_stacked(rng, dim, amp, entries):
-    """`entries` polynomial draws, in order, stacked for `_poly2`."""
-    draws = [_draw_poly2(rng, dim, amp) for _ in range(entries)]
-    return tuple(np.array([d[k] for d in draws]) for k in range(3))
+    """`entries` polynomial draws, stacked for `_poly2`: one block of the
+    rng, a row per entry holding its c0, then c1, then c2 row by row, the
+    order in which one draw of each in turn reads them."""
+    block = rng.uniform(-amp, amp, size=(entries, 1 + dim + dim * dim))
+    return block[:, 0], block[:, 1:1 + dim], block[:, 1 + dim:].reshape(entries, dim, dim)
 
 
 def draw_riemann_metric(rng, dim):
@@ -150,11 +136,8 @@ def draw_conformal(rng, dim):
 
 def family(draws):
     """Draws of one kind and dimension as one family: each coefficient array
-    of the draws stacked along a new trailing lane axis, lane k draw k.  One
-    draw is its own family, unlaned, as one point runs unlaned
-    (`finsler._lane_stage`)."""
-    if len(draws) == 1:
-        return draws[0]
+    of the draws stacked along a new trailing lane axis, lane k draw k (one
+    draw makes a family of one lane)."""
     if isinstance(draws[0], tuple):
         return tuple(family(parts) for parts in zip(*draws))
     return np.stack(draws, axis=-1)

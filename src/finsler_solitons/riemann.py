@@ -228,12 +228,9 @@ def vector_gather(v, space, order, lanes):
     one gather: a float or unlaned jet, the same in every lane, is broadcast
     (a float as a constant jet), and the lane axes lead every table."""
     rows = [c.coeffs if isinstance(c, Jet) else Jet.constant(float(c), space).coeffs for c in v]
-    if lanes:
-        coeffs = np.empty(lanes + (len(v), space.nterms))
-        for i, row in enumerate(rows):
-            coeffs[..., i, :] = row
-    else:
-        coeffs = np.array(rows)
+    coeffs = np.empty(lanes + (len(v), space.nterms))
+    for i, row in enumerate(rows):
+        coeffs[..., i, :] = row
     return tuple(jets.derivative_tensors(coeffs, space, order))
 
 

@@ -88,7 +88,7 @@ def fit_kappa(metric: FinslerMetric, measure: Measure, bases: finsler.Bases):
     Every direction at a point reads the point's stage and density table, so
     the fit builds no density table (it repeats each point's lanes across
     the directions, `Bases.lanes`), and its stage is the bases' data at
-    those lanes (one point's unlaned stage as it is).
+    those lanes.
     The flags of every point, point-major, are one `finsler.evaluate_flags`
     call (one laned F^2 expansion and one spray and Riemann pass per fit),
     and their F^2 normalisers one stacked float `value`.
@@ -144,14 +144,14 @@ def sample_points(rd: RandersData, nav: NavigationData, f, sigma, flags,
     of order-2 x jets: one guarded evaluation of h rows, W, lambda, h W and
     f, one density and log and one gather serve every flag, and that
     evaluation is the run's stage (`finsler.LaneStage`), laned over the
-    flags; any lanes of it expand as one stage.  One flag runs unlaned.
+    flags (one flag is one lane); any lanes of it expand as one stage.
 
     The density of dm_BH is sqrt(det h) (Xing 2005), so only the bundle
     lanes build the (alpha, beta) rows from that evaluation, and their
     records, beta and W tensors and `beta_derivatives` are one stacked pass
     (sigma's order-1 table one jet pass over their x)."""
     X = np.array([p.x for p in flags], float)
-    xs = Jet.variables(riemann.coordinates(X[0] if len(flags) == 1 else X), 2)
+    xs = Jet.variables(riemann.coordinates(X), 2)
     space = xs[0].space
     point = randers._navigation_point(nav, xs)
     fval = as_scalar_field(f)(xs)

@@ -122,10 +122,13 @@ def test_f2_jet_on_a_shared_base_point_equals_the_inline_formula(name):
         for y in dirs:
             assert metric.value(x, y) == ref.value(x, y)
             for order in (2, 3, 4):
+                # lane 0 of the base's stage of one lane against the unlaned
+                # stage of the inline formula
                 got = finsler._f2_jet(base.stage, y, order)
                 want = finsler._f2_jet(finsler._lane_stage(ref, x), y, order)
                 assert got.space is want.space is jets.flag_space(metric.dim, order)
-                _assert_bitwise(got.coeffs, want.coeffs, (name, order))
+                assert got.coeffs.shape == (1,) + want.coeffs.shape, (name, order)
+                _assert_bitwise(got.coeffs[0], want.coeffs, (name, order))
 
 
 @pytest.mark.parametrize("name", CASES)

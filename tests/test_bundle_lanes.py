@@ -4,7 +4,7 @@ The four bundle checkers and the sigma fit compute every row as one array
 over the lanes of a `solitons.BundleStack`.  Every row value and every
 sigma-fit value over a run of P flags must equal, bit for bit, the same
 value computed on the one-flag stack of each flag (which `sample_points`
-builds from unlaned jets).  The vector checkers also run with a random
+builds from jets of one lane).  The vector checkers also run with a random
 polynomial V and nonzero c, so the V terms are compared too.
 """
 

@@ -21,20 +21,20 @@ def compare_reports():
 
 
 def test_invocation_list(compare_reports):
-    assert len(compare_reports.INVOCATIONS) == 71
-    assert len(set(compare_reports.INVOCATIONS)) == 71
+    assert len(compare_reports.INVOCATIONS) == 73
+    assert len(set(compare_reports.INVOCATIONS)) == 73
 
 
 def test_tree_against_itself_has_zero_drift(compare_reports, capsys):
     cheap = [args for args in compare_reports.INVOCATIONS
              if "riemann-reduction" in args
              or ("gaussian-riemannian" in args and "fd" in args)]
-    assert len(cheap) == 4
+    assert len(cheap) == 5
     src = ROOT / "src"
     ok, identical, worst, ratio = compare_reports.compare(src, src, cheap)
-    assert (ok, identical, ratio) == (True, 4, 0.0)
+    assert (ok, identical, ratio) == (True, 5, 0.0)
     assert worst == {"jet": (0.0, None, None), "fd": (0.0, None, None)}
-    assert capsys.readouterr().out.count("same  ") == 4
+    assert capsys.readouterr().out.count("same  ") == 5
 
 
 def test_drift_is_kept_per_differentiation_mode(compare_reports):

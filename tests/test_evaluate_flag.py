@@ -325,7 +325,7 @@ def test_shrinking_fit_kappa_point_runs_the_x_space_products_of_one_expansion(mo
     x_space, flag_space = jets.jet_space(4, 2), jets.flag_space(4, 4)
     assert set(counts) == set(one) == {x_space, flag_space}
     assert 0 < counts[x_space] <= one[x_space]
-    # the 16 directions share the base's unlaned stage and expand as one
+    # the 16 directions share the base's stage of one lane and expand as one
     # laned jet: the flag-space products of one expansion
     assert counts[flag_space] == one[flag_space]
 

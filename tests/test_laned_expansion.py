@@ -75,40 +75,25 @@ def test_random_randers_stacks_expand_as_each_flag_alone(dim, rng):
                                           (dim, size))
 
 
-def test_a_stack_of_one_flag_expands_unlaned(monkeypatch):
-    fx = fixtures.get_fixture("cigar")
-    p = sample_flags(fx, 1, np.random.default_rng(3))[0]
-    base, _ = solitons.sample_points(fx.rd, fx.nav, fx.f, fx.sigma, [p], 0)
-    laned = []
-    mul = Jet.__mul__
-
-    def recording_mul(self, other):
-        laned.append(self.coeffs.ndim > 1 or getattr(other, "coeffs", np.zeros(1)).ndim > 1)
-        return mul(self, other)
-
-    monkeypatch.setattr(Jet, "__mul__", recording_mul)
-    T = finsler._f2_tables(base.stage, np.array([p.y]), 4)
-    assert laned and not any(laned)
-    assert T["Q02"].shape == (1, 2, 2) and T["F"].shape == (1,)
-    ev = finsler.evaluate_flags(fx.metric, fx.measure, [p], base)
-    assert not any(laned)
-    _assert_bitwise(ev.bundle.riemann, finsler.curvature_bundle(fx.metric, [p]).riemann, "R")
-
-
 @pytest.mark.parametrize("name", ["cigar", "shrinking"])
 def test_directions_on_one_shared_stage_evaluate_as_each_flag_alone(name):
-    # one base's unlaned stage serves every lane's y (the kappa fit of one
-    # point); at n = 4 its 16 directions are two blocks of the scatter
+    # the one lane of one base's stage, repeated, serves every lane's y (the
+    # kappa fit of one point); at n = 4 its 16 directions are two blocks of
+    # the scatter
     fx = fixtures.get_fixture(name)
     p = sample_flags(fx, 1, np.random.default_rng(2))[0]
     base = finsler.base_points(fx.metric, fx.measure, [p.x])
     points = [FlagPoint(p.x, d) for d in solitons._directions(fx.dim)]
     shared = base.lanes(np.zeros(len(points), int))
-    assert shared.stage is base.stage
+    assert shared.stage.data is base.stage.data
     stacked = finsler.evaluate_flags(fx.metric, fx.measure, points, shared)
+    laned = finsler._f2_jet(shared.stage, np.array([q.y for q in points]), 4)
     for k, q in enumerate(points):
         alone = finsler.evaluate_flags(fx.metric, fx.measure, [q], base)
         assert_lane(stacked, k, alone, (name, k))
+        # and each lane's expansion against the base's unlaned stage
+        unlaned = finsler._f2_jet(base.lanes(0).stage, q.y, 4)
+        _assert_bitwise(laned.coeffs[k], unlaned.coeffs, (name, k))
 
 
 # -- the laned products and forms -----------------------------------------------------

@@ -233,7 +233,7 @@ def test_lie_identity_rows_equal_each_draw_alone(count, seed, monkeypatch):
                      "s-mixed-transfer", "s-dot-closed-form"], isotropic_draw_alone),
 ), ids=("riemann-reduction", "isotropic-s"))
 def test_family_rows_equal_each_draw_alone(suite, names, draw_alone, count, seed, monkeypatch):
-    # counts 1 and 3 make families of one lane (unlaned, `generators.family`),
+    # counts 1 and 3 make families of one lane (`generators.family`),
     # odd counts families of unequal size
     _assert_rows_equal_each_draw_alone(suite, count, seed, names, draw_alone, monkeypatch)
 

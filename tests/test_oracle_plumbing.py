@@ -1,10 +1,11 @@
 """The plumbing around the oracle paths, against private copies of what it
 replaced, bit for bit:
 
-* the stacked random polynomial fields of `generators` against the scalar
-  loop that evaluated one entry at a time, the box-grid calibration of
-  `random_randers` / `random_navigation` against the per-point loop, and a
-  family of draws, laned, against each draw built alone;
+* the stacked random polynomial fields of `generators`, drawn as one block
+  of the rng, against the draw and the scalar loop of one entry at a time,
+  the box-grid calibration of `random_randers` / `random_navigation`
+  against the per-point loop, and a family of draws, laned, against each
+  draw built alone;
 * the finite-difference bundle, whose one laned spray pass evaluates each
   distinct stencil point of a stack once for all components, against the
   per-component path;
@@ -33,6 +34,13 @@ from finsler_solitons.sampling import sample_flags, unit_direction
 # -- the references: scalar polynomial fields and per-point calibration -----------------
 
 
+def _draw_poly2(rng, dim, amp):
+    """The coefficients (c0, c1, c2) of one entry, one rng call each."""
+    return (float(rng.uniform(-amp, amp)),
+            rng.uniform(-amp, amp, size=dim),
+            rng.uniform(-amp, amp, size=(dim, dim)))
+
+
 def _scalar_poly2(coeffs, x):
     """c0 + c1.x + x.c2.x of one entry, one term at a time."""
     c0, c1, c2 = coeffs
@@ -49,7 +57,7 @@ def _scalar_metric(rng, dim, amp=0.1):
     coeffs = {}
     for i in range(dim):
         for j in range(i, dim):
-            coeffs[(i, j)] = generators._draw_poly2(rng, dim, amp / (dim * dim))
+            coeffs[(i, j)] = _draw_poly2(rng, dim, amp / (dim * dim))
 
     def fn(x):
         rows = [[None] * dim for _ in range(dim)]
@@ -65,7 +73,7 @@ def _scalar_calibrated(rng, dim, bound, form):
     """(matrix fn, field fn) of a random metric and a field rescaled to
     sqrt(max form(matrix, raw)) = bound over the box grid, point by point."""
     matrix = _scalar_metric(rng, dim)
-    raw = [generators._draw_poly2(rng, dim, 0.3) for _ in range(dim)]
+    raw = [_draw_poly2(rng, dim, 0.3) for _ in range(dim)]
     axes = [np.linspace(-generators.BOX, generators.BOX, 5)] * dim
     worst = 0.0
     for pt in itertools.product(*axes):
@@ -88,24 +96,29 @@ def _assert_same(got, want, what=""):
 
 
 def _points(dim, rng):
-    """Coordinates the fields meet: floats, arrays, jets of orders 1-4, the
-    x-half of flag-coordinate jets, and a mix of jets and floats."""
+    """Coordinates the fields meet: floats, arrays, jets of orders 1-4 and
+    the x-half of flag-coordinate jets."""
     x = rng.uniform(-0.5, 0.5, size=dim)
     out = [list(x), [float(v) for v in x], list(rng.uniform(-0.5, 0.5, size=(dim, 7)))]
     out += [Jet.variables(x, order) for order in (1, 2, 3, 4)]
     y = rng.normal(size=dim)
     out += [Jet.variables(list(x) + list(y), order)[:dim] for order in (1, 2)]
-    out.append([Jet.variables(x[:1], 2)[0]] + [float(v) for v in x[1:]])
     return out
 
 
 # -- stacked fields ------------------------------------------------------------------------
 
 
+def test_poly2_refuses_jets_mixed_with_floats():
+    c = generators._draw_stacked(np.random.default_rng(1), 2, 0.3, 2)
+    with pytest.raises(TypeError):
+        generators._poly2(c, [Jet.variables([0.1], 2)[0], 0.2])
+
+
 @pytest.mark.parametrize("dim", (2, 3, 4))
 def test_stacked_poly2_equals_the_scalar_loop(dim):
     rng = np.random.default_rng(40 + dim)
-    draws = [generators._draw_poly2(rng, dim, 0.3) for _ in range(dim * (dim + 1) // 2)]
+    draws = [_draw_poly2(rng, dim, 0.3) for _ in range(dim * (dim + 1) // 2)]
     stacked = tuple(np.array([d[k] for d in draws]) for k in range(3))
     for x in _points(dim, rng):
         got = generators._poly2(stacked, x)
@@ -146,12 +159,12 @@ def test_float_poly2_equals_the_scalar_loop_of_each_draw(dim):
                     assert entry[idx].tobytes() == np.float64(want).tobytes(), (dim, e, idx)
 
 
-def test_a_family_of_one_draw_is_the_draw_unlaned():
-    # one draw runs unlaned, as one flag does, so its bundle at one flag (an
-    # unlaned stage) meets unlaned coefficients
+def test_a_family_of_one_draw_at_one_flag_equals_the_draw_alone():
+    # a family of one draw is one lane, so its bundle at one flag (a stage of
+    # one lane) meets coefficients of one lane
     rng = np.random.default_rng(3)
     d = generators.draw_riemann_metric(rng, 3)
-    assert generators.family([d]) is d
+    assert [c.shape for c in generators.family([d])] == [c.shape + (1,) for c in d]
     p = FlagPoint(generators.sample_box_point(rng, 3), unit_direction(rng, 3))
     h = generators.riemann_metric(generators.family([d]))
     got = finsler.curvature_bundle(finsler.FinslerMetric.from_riemannian(h), [p])
@@ -180,8 +193,8 @@ def test_random_fields_equal_the_scalar_fields(dim):
     v = generators.vector_field(generators.draw_vector_field(rng_a, dim))
     f = generators.random_scalar_field(rng_a, dim)
     h_ref = _scalar_metric(rng_b, dim)
-    v_ref = [generators._draw_poly2(rng_b, dim, 0.2) for _ in range(dim)]
-    f_ref = generators._draw_poly2(rng_b, dim, 0.2)
+    v_ref = [_draw_poly2(rng_b, dim, 0.2) for _ in range(dim)]
+    f_ref = _draw_poly2(rng_b, dim, 0.2)
     assert rng_a.random() == rng_b.random()
     for x in _points(dim, np.random.default_rng(dim)):
         for row, row_ref in zip(h.matrix(x), h_ref(x)):
@@ -236,7 +249,7 @@ def test_a_family_of_draws_equals_each_draw_built_alone(dim):
     for _ in range(lanes):
         _scalar_calibrated(rng_b, dim, 0.45, lambda m, b: 0.0)
         _scalar_calibrated(rng_b, dim, 0.5, lambda m, w: 0.0)
-        [generators._draw_poly2(rng_b, dim, 0.2) for _ in range(dim)]
+        [_draw_poly2(rng_b, dim, 0.2) for _ in range(dim)]
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
     X = rng_a.uniform(-0.5, 0.5, size=(lanes, dim))
     X[0, 0] = -0.0
