@@ -69,6 +69,8 @@ INVOCATIONS = (
        ("crosscheck", "--suite", "isotropic-s", "--count", "1", "--seed", "0"),
        ("crosscheck", "--suite", "navigation", "--count", "100", "--seed", "11"),
        ("crosscheck", "--suite", "navigation", "--count", "37", "--seed", "2"),
+       # navigation families of several blocks and a short last block (147)
+       ("crosscheck", "--suite", "navigation", "--count", "147", "--seed", "4"),
        ("crosscheck", "--suite", "isotropic-s", "--count", "8", "--seed", "11"))
     + tuple(("verify", "--fixture", name, "--samples", "2", "--perturb", f"{ing}:1e-2")
             for ing in ("kappa", "mu", "sigma", "f", "W") for name in FIXTURES)

@@ -316,10 +316,5 @@ def random_randers(rng, dim) -> RandersData:
     return randers_data(draw_calibrated(rng, dim))
 
 
-def random_navigation(rng, dim) -> NavigationData:
-    """Random valid navigation data: ||W||_h is rescaled below 0.5 on the box."""
-    return navigation_data(draw_calibrated(rng, dim))
-
-
 def sample_box_point(rng, dim) -> np.ndarray:
     return rng.uniform(-BOX, BOX, size=dim)

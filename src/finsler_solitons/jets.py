@@ -930,11 +930,14 @@ _CENTRAL_STENCILS = {
 }
 
 
-def _stencil_terms(point, multi_index, h):
-    """The central stencil of d^multi_index at `point` with step h, the
-    per-variable stencils composed: its (shifted point, weight) terms in
-    summation order."""
-    terms = {(0,) * len(point): 1.0}
+@lru_cache(maxsize=1024)
+def _stencil_geometry(multi_index, h):
+    """The central stencil of d^multi_index with step h, the per-variable
+    stencils composed: its (offsets in steps, weight) terms in summation
+    order.  It does not depend on the point, so it is built once per key;
+    the cache is bounded, since `finsler._fd_stencils` scales h by the
+    size of a point beyond the unit box."""
+    terms = {(0,) * len(multi_index): 1.0}
     for var, k in enumerate(multi_index):
         if k == 0:
             continue
@@ -944,7 +947,14 @@ def _stencil_terms(point, multi_index, h):
                 key = tuple(o + (step if i == var else 0) for i, o in enumerate(offs))
                 new[key] = new.get(key, 0.0) + w * sw / h ** k
         terms = new
-    return [([p + o * h for p, o in zip(point, offs)], w) for offs, w in terms.items()]
+    return tuple(terms.items())
+
+
+def _stencil_terms(point, multi_index, h):
+    """The central stencil of d^multi_index at `point` with step h: its
+    (shifted point, weight) terms in summation order (`_stencil_geometry`)."""
+    return [([p + o * h for p, o in zip(point, offs)], w)
+            for offs, w in _stencil_geometry(multi_index, h)]
 
 
 def stencil_sum(weights, values):

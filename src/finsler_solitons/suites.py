@@ -30,24 +30,28 @@ the flag rows and the kappa fit (on the first 4 lanes) read the run's
 
 A crosscheck suite that draws many flags of one random metric evaluates the
 metric once over their stack (Taylor arithmetic vectorised over points,
-Griewank-Walther): `navigation` takes one record of h, one table of W, one
-`randers.nav_tensors`, one float evaluation of each round-trip side and one
-float F per block of (at most 20) flags, and `randers-ricci` one
+Griewank-Walther): `randers-ricci` takes one
 `randers.randers_ricci_closed_form`, one float F and one laned
-`finsler.curvature_bundle` per metric's 16 flags.  A suite whose every draw
-is a new random metric with one flag stacks across draws instead:
-`lie-identity`, `riemann-reduction` and `isotropic-s` draw all their draws
-first, in the rng order of one draw at a time, and run each dimension's
-draws as one family (`generators.family`, coefficients laned over the
-draws), and their rows go back in draw order (`_by_family`).  Per family,
-`lie-identity` makes `finsler.lie_F2`, the float F, the record of alpha, the
-one table of V that both Lie derivatives at a stack take, the Lie terms and
-both navigation sides one pass each; `riemann-reduction` one
-`finsler.curvature_bundle` and one order-2 record of h; `isotropic-s` one
-`solitons.sample_points` whose every flag is a bundle flag, one
-`solitons.fit_sigma`, one `finsler.evaluate_flags` on its bases and one
-float F.  `jets-vs-fd` stays per draw: its fd half is stacked over each
-flag's stencil, whose lanes do not map one-to-one onto draws.
+`finsler.curvature_bundle` per metric's 16 flags.  `navigation`,
+`lie-identity`, `riemann-reduction` and `isotropic-s` draw everything
+first, in the rng order of one draw (or block) at a time, run the draws of
+one kind as one family (`generators.family`, coefficients laned
+over the draws) and put the rows back in draw order (`_by_family`), since
+`np.mean` sums in that order.  In `navigation` a draw is a block of (at
+most 20) flags of one metric, and a family is the blocks of one kind and
+size (Randers-first at dim 2, navigation-first at dim 3, a short last block
+its own), laned (flags, blocks, n): one record of h, one table of W, one
+`randers.nav_tensors`, one float evaluation of each round-trip side and one
+float F per family.  `lie-identity`, `riemann-reduction` and `isotropic-s`
+draw one random metric per flag, and their families are the draws of one
+dimension.  Per family, `lie-identity` makes `finsler.lie_F2`, the float F,
+the record of alpha, the one table of V that both Lie derivatives at a
+stack take, the Lie terms and both navigation sides one pass each;
+`riemann-reduction` one `finsler.curvature_bundle` and one order-2 record
+of h; `isotropic-s` one `solitons.sample_points` whose every flag is a
+bundle flag, one `solitons.fit_sigma`, one `finsler.evaluate_flags` on its
+bases and one float F.  `jets-vs-fd` stays per draw: its fd half is stacked
+over each flag's stencil, whose lanes do not map one-to-one onto draws.
 Only the plumbing is stacked: the oracle formulas are the one-point ones,
 and each row is bit-equal to its flag's own evaluation.
 """
@@ -167,15 +171,21 @@ def _flag(rng, dim):
     return FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
 
 
-def _by_family(rows, draws):
-    """The rows of the draws, one array per row name, each in draw order.
-    Draw i is of dimension 2 + i % 2, so the draws [first::2] are one
-    family, and rows(*zip(*those draws)) gives that family's rows."""
-    parts = [np.asarray(rows(*zip(*draws[first::2]))) for first in range(min(2, len(draws)))]
-    out = np.empty((len(parts[0]), len(draws)))
-    for first, part in enumerate(parts):
-        out[:, first::2] = part
-    return out
+def _by_family(rows, draws, key=lambda i, draw: i % 2):
+    """The rows of the draws, one array per row name, in draw order.  The
+    draws of one key(i, draw i) are one family (by default its dimension,
+    2 + i % 2), and rows(*zip(*its draws)) gives that family's rows, each
+    of shape (flags..., lanes), lane k its k-th draw's flags; a draw's
+    flags stay in their order."""
+    families = {}
+    for i, draw in enumerate(draws):
+        families.setdefault(key(i, draw), []).append(i)
+    per_draw = [None] * len(draws)
+    for members in families.values():
+        part = np.asarray(rows(*zip(*(draws[i] for i in members))))
+        for lane, i in enumerate(members):
+            per_draw[i] = part[..., lane].reshape(len(part), -1)
+    return np.concatenate(per_draw, axis=1)
 
 
 def crosscheck_randers_ricci(seed, count=100, tol=1e-8):
@@ -261,50 +271,56 @@ def crosscheck_navigation(seed, count=1000, tol=1e-10):
         h^2 - 2 F W_0 = lam F^2      and      h(x, y - F W) = F(x, y),
 
     with a fresh random metric every 20 samples, alternating between
-    Randers-first and navigation-first round trips.
+    Randers-first (even blocks, dim 2) and navigation-first (odd blocks,
+    dim 3) round trips.
 
-    A metric's block of flags is drawn first (x, then y, per flag), and the
-    block is one stack: one record of h and one table of W laned over its x,
-    one `randers.nav_tensors`, one float evaluation of each round-trip side
-    and one float F, each row bit-equal to its flag's own evaluation.
+    Every block is drawn first, in the rng order of one block at a time (the
+    metric's coefficients, then x and y per flag); then the blocks of one
+    kind and size are one family (`generators.family`, at most 3 per run:
+    a short last block is its own), each quantity one pass laned over the
+    family's flags (`_navigation_rows`), and the rows are put back in block
+    order.
     """
     rng = np.random.default_rng(seed)
     points_per_metric = 20
-    roundtrip, norm_identity, transfer = [], [], []
-    taken = 0
-    block = 0
-    while taken < count:
-        dim = 2 + (block % 2)
-        # the (metric, field) pairs before and after the round trip
-        if block % 2 == 0:
-            rd = generators.random_randers(rng, dim)
-            nav = randers.to_navigation(rd)
-            rd2 = randers.from_navigation(nav)
-            pairs = ((rd.alpha, rd.beta), (rd2.alpha, rd2.beta))
-        else:
-            nav = generators.random_navigation(rng, dim)
-            nav2 = randers.to_navigation(randers.from_navigation(nav))
-            pairs = ((nav.h, nav.W), (nav2.h, nav2.W))
-        metric = randers.finsler_from_navigation(nav)
-        block += 1
-        size = min(points_per_metric, count - taken)
-        taken += size
-        flags = [(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
-                 for _ in range(size)]
-        X, Y = np.array([x for x, _ in flags]), np.array([y for _, y in flags])
-        (m1, v1), (m2, v2) = pairs
-        roundtrip.extend(np.maximum(np.abs(m1.matrix_at(X) - m2.matrix_at(X)).max(axis=(1, 2)),
-                                    np.abs(v1.at(X) - v2.at(X)).max(axis=1)).tolist())
-        T = randers.nav_tensors(riemann.point_record(nav.h, X, 1), nav.W.table(X, order=1))
-        F = metric.value(X, Y)
-        h2 = riemann.bilinear(Y, T.h, Y)
-        w0 = riemann.dot(T.w_low, Y)
-        norm_identity.extend(((h2 - 2.0 * F * w0 - T.lam * F * F) / (F * F)).tolist())
-        xi = Y - F[:, None] * T.w_up
-        transfer.extend(((jets.sqrt(riemann.bilinear(xi, T.h, xi)) - F) / F).tolist())
-    return [report_from_values("roundtrip", roundtrip, 1e-12),
-            report_from_values("norm-identity", norm_identity, tol),
-            report_from_values("unit-speed-transfer", transfer, tol)]
+    blocks = []
+    for first in range(0, count, points_per_metric):
+        dim = 2 + len(blocks) % 2
+        blocks.append((generators.draw_calibrated(rng, dim),
+                       [_flag(rng, dim) for _ in range(min(points_per_metric, count - first))]))
+    rows = _by_family(_navigation_rows, blocks, key=lambda i, block: (i % 2, len(block[1])))
+    return [report_from_values("roundtrip", rows[0], 1e-12),
+            report_from_values("norm-identity", rows[1], tol),
+            report_from_values("unit-speed-transfer", rows[2], tol)]
+
+
+def _navigation_rows(coeffs, flags):
+    """The three rows of a family of `crosscheck_navigation` blocks of one
+    kind and size, each of shape (flags, blocks): the family's metric is
+    built once, with its round trip, and the round-trip sides, the record of
+    h, the table of W, `randers.nav_tensors` and the float F are each one
+    pass over X and Y of shape (flags, blocks, n), lane k block k, each row
+    bit-equal to its flag's own evaluation."""
+    X = np.stack([[p.x for p in block] for block in flags], axis=1)
+    Y = np.stack([[p.y for p in block] for block in flags], axis=1)
+    if X.shape[-1] == 2:                                   # Randers-first
+        rd = generators.randers_data(generators.family(coeffs))
+        nav = randers.to_navigation(rd)
+        rd2 = randers.from_navigation(nav)
+        (m1, v1), (m2, v2) = (rd.alpha, rd.beta), (rd2.alpha, rd2.beta)
+    else:
+        nav = generators.navigation_data(generators.family(coeffs))
+        nav2 = randers.to_navigation(randers.from_navigation(nav))
+        (m1, v1), (m2, v2) = (nav.h, nav.W), (nav2.h, nav2.W)
+    roundtrip = np.maximum(np.abs(m1.matrix_at(X) - m2.matrix_at(X)).max(axis=(-2, -1)),
+                           np.abs(v1.at(X) - v2.at(X)).max(axis=-1))
+    T = randers.nav_tensors(riemann.point_record(nav.h, X, 1), nav.W.table(X, order=1))
+    F = randers.finsler_from_navigation(nav).value(X, Y)
+    h2 = riemann.bilinear(Y, T.h, Y)
+    w0 = riemann.dot(T.w_low, Y)
+    xi = Y - F[..., None] * T.w_up
+    return [roundtrip, (h2 - 2.0 * F * w0 - T.lam * F * F) / (F * F),
+            (jets.sqrt(riemann.bilinear(xi, T.h, xi)) - F) / F]
 
 
 def crosscheck_riemann_reduction(seed, count=60, tol=1e-9):

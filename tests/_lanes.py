@@ -242,7 +242,7 @@ def lie_draw_alone(rng, i):
     rhs = F / alpha * la2 + 2.0 * F * lb
     split = (lhs - rhs) / (F * F)
 
-    nav = generators.random_navigation(rng, dim)
+    nav = generators.navigation_data(generators.draw_calibrated(rng, dim))
     pn = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
     Fn = randers.finsler_from_navigation(nav).value(pn.x, pn.y)
     l2, r2 = _lie_nav_h2_sides_alone(nav, v, pn, Fn)

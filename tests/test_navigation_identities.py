@@ -1,10 +1,12 @@
-"""The navigation identities as table formulas: each block of points of one
-random metric in the `navigation` and `randers-ricci` suites, and each
-family of random draws of one dimension in the `lie-identity`,
-`riemann-reduction` and `isotropic-s` suites, evaluates its navigation
-data, its float F and its order-4 expansion of F^2 once, and the rows are
-those of the path that evaluated each quantity on its own: the per-point
-path, or the per-draw loop a family replaced (`_lanes`)."""
+"""The navigation identities as table formulas: each random metric's flags
+in the `randers-ricci` suite, each family of blocks of one kind and size in
+the `navigation` suite, and each family of random draws of one dimension in
+the `lie-identity`, `riemann-reduction` and `isotropic-s` suites, evaluate
+their navigation data, their float F and their order-4 expansion of F^2
+once, laned over the flags (and, in a family, over the draws), and the rows
+are those of the path that evaluated each quantity on its own: the
+per-point path, or the per-draw loop a family replaced (`_lanes`), in
+draw order and with the rng state that path leaves."""
 
 import math
 
@@ -49,17 +51,18 @@ def _x(flags):
 # per dimension, so two at any count >= 2): isotropic-s, one navigation
 # point for the sample points and one for the float F, and one order-4
 # expansion; lie-identity, the split half's F, and the lifted half's F and
-# one navigation point for its jet pass.  navigation: one F
-# per block of (at most 20) points of one metric; the rest are the round
-# trip's own conversion closures (alpha and beta of from_navigation at a
-# Randers-first block, h and W of to_navigation, two each, at a
-# navigation-first one), each once per block: 4 and 4 of the 8 blocks of
-# the 150 points.
+# one navigation point for its jet pass.  navigation: per family of blocks
+# of one kind and size (the 150 points are 7 blocks of 20 and one of 10:
+# the 4 Randers-first blocks of 20, the 3 navigation-first blocks of 20
+# and the navigation-first block of 10), one F and the round trip's own
+# conversion closures (alpha and beta of from_navigation in a
+# Randers-first family, h and W of to_navigation, two each, in a
+# navigation-first one), each once.
 @pytest.mark.parametrize("suite, count, want", (
     ("isotropic-s", 6, {"navigation_point": 2 * 2, "order4": 2, "value": 2}),
     ("lie-identity", 20, {"navigation_point": 2 * 2, "order4": 0, "value": 2 * 2}),
-    ("navigation", 150, {"navigation_point": 4 * (1 + 2) + 4 * (1 + 4), "order4": 0,
-                         "value": 8}),
+    ("navigation", 150, {"navigation_point": (1 + 2) + 2 * (1 + 4), "order4": 0,
+                         "value": 3}),
 ))
 def test_crosscheck_point_evaluates_each_thing_once(suite, count, want, monkeypatch):
     calls = _counting(monkeypatch)
@@ -68,10 +71,12 @@ def test_crosscheck_point_evaluates_each_thing_once(suite, count, want, monkeypa
 
 
 @pytest.mark.parametrize("suite, count, shapes", (
-    ("navigation", 37, {"record_from_tables": [(20, 2), (17, 3)],
-                        "nav_tensors": [(20, 2), (17, 3)], "vector_table": [(20, 2), (17, 3)],
-                        "matrix_at": [(20, 2)] * 2 + [(17, 3)] * 2,
-                        "at": [(20, 2)] * 2 + [(17, 3)] * 2, "value": [(20, 2), (17, 3)]}),
+    ("navigation", 37, {"record_from_tables": [(20, 1, 2), (17, 1, 3)],
+                        "nav_tensors": [(20, 1, 2), (17, 1, 3)],
+                        "vector_table": [(20, 1, 2), (17, 1, 3)],
+                        "matrix_at": [(20, 1, 2)] * 2 + [(17, 1, 3)] * 2,
+                        "at": [(20, 1, 2)] * 2 + [(17, 1, 3)] * 2,
+                        "value": [(20, 1, 2), (17, 1, 3)]}),
     ("randers-ricci", 2, {"record_from_tables": [(16, 3)] * 2, "beta_tables": [(16, 3)] * 2,
                           "beta_derivatives": [(16, 3)] * 2, "vector_table": [(16, 3)] * 2,
                           "randers_ricci_closed_form": [(16, 3)] * 2,
@@ -88,11 +93,20 @@ def test_crosscheck_point_evaluates_each_thing_once(suite, count, want, monkeypa
                         "evaluate_flags": [(4, 2), (3, 3)],
                         "record_from_tables": [(4, 2)] * 2 + [(3, 3)] * 2,
                         "nav_tensors": [(4, 2), (3, 3)], "value": [(4, 2), (3, 3)]}),
+    ("navigation", 147, {"record_from_tables": [(20, 4, 2), (20, 3, 3), (7, 1, 3)],
+                         "nav_tensors": [(20, 4, 2), (20, 3, 3), (7, 1, 3)],
+                         "vector_table": [(20, 4, 2), (20, 3, 3), (7, 1, 3)],
+                         "matrix_at": [(20, 4, 2)] * 2 + [(20, 3, 3)] * 2 + [(7, 1, 3)] * 2,
+                         "at": [(20, 4, 2)] * 2 + [(20, 3, 3)] * 2 + [(7, 1, 3)] * 2,
+                         "value": [(20, 4, 2), (20, 3, 3), (7, 1, 3)]}),
 ))
 def test_each_random_metric_is_one_stacked_pass(suite, count, shapes, monkeypatch):
     # every float and table evaluation of a random metric's points runs once,
-    # on the stack of its block's x (navigation: 20 points a block, so 37
-    # leaves a partial block; randers-ricci: 16 flags a metric; lie-identity:
+    # on the stack of its flags' x (navigation: one family per kind and size
+    # of block, laned (flags, blocks, n), 20 points a block, so 37 is two
+    # families of one block, the second short, and 147 a family of 4
+    # Randers-first blocks, one of 3 navigation-first blocks and a short
+    # navigation-first block of 7; randers-ricci: 16 flags a metric; lie-identity:
     # one family of 10 draws per dimension, whose V is tabled once at each of
     # its two stacks of flags, for both sides there, and beta and W once each;
     # riemann-reduction and isotropic-s: one family of draws per dimension,
@@ -130,8 +144,9 @@ def test_each_random_metric_is_one_stacked_pass(suite, count, shapes, monkeypatc
 
 
 def _navigation_reference(count, seed):
-    """The rows of `crosscheck_navigation`, every quantity at each point on
-    its own: the round-trip sides, the record, W table and tensors at x, and F."""
+    """The rows of `crosscheck_navigation`, block by block, every quantity at
+    each point on its own: the round-trip sides, the record, W table and
+    tensors at x, and F; and the rng after the loop."""
     rng = np.random.default_rng(seed)
     rows = [[] for _ in range(3)]
     taken = block = 0
@@ -143,7 +158,7 @@ def _navigation_reference(count, seed):
             rd2 = randers.from_navigation(nav)
             (m1, v1), (m2, v2) = (rd.alpha, rd.beta), (rd2.alpha, rd2.beta)
         else:
-            nav = generators.random_navigation(rng, dim)
+            nav = generators.navigation_data(generators.draw_calibrated(rng, dim))
             nav2 = randers.to_navigation(randers.from_navigation(nav))
             (m1, v1), (m2, v2) = (nav.h, nav.W), (nav2.h, nav2.W)
         metric = randers.finsler_from_navigation(nav)
@@ -160,12 +175,12 @@ def _navigation_reference(count, seed):
             rows[1].append((h2 - 2.0 * F * w0 - T.lam * F * F) / (F * F))
             xi = y - F * T.w_up
             rows[2].append((math.sqrt(float(xi @ T.h @ xi)) - F) / F)
-    return rows
+    return rows, rng
 
 
 def _randers_ricci_reference(count, seed):
     """The rows of `crosscheck_randers_ricci`, the closed form and F at each
-    flag on their own."""
+    flag on their own; and the rng after the loop."""
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(count):
@@ -177,43 +192,96 @@ def _randers_ricci_reference(count, seed):
         for p, ric in zip(flags, ricci):
             closed = randers.randers_ricci_closed_form(rd, p.x, p.y)
             rows.append((closed - ric) / max(abs(ric), metric.value(p.x, p.y) ** 2))
-    return [rows]
+    return [rows], rng
 
 
+def _run_capturing(suite, count, seed, monkeypatch):
+    """The suite's reports, its rows by report name (as the reports took
+    them) and the states of its rng: when its rows are first put together
+    (`suites._by_family`, every draw drawn), if they are, and at the end."""
+    rows, rngs, states = {}, [], []
+    report, default_rng, by_family = (suites.report_from_values, np.random.default_rng,
+                                      suites._by_family)
+
+    def capture(name, values, tol, detail=""):
+        rows[name] = np.asarray(values)
+        return report(name, values, tol, detail)
+
+    def new_rng(seed):
+        rngs.append(default_rng(seed))
+        return rngs[-1]
+
+    def put_together(*args, **kwargs):
+        states.append(rngs[0].bit_generator.state)
+        return by_family(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "report_from_values", capture)
+    monkeypatch.setattr(np.random, "default_rng", new_rng)
+    monkeypatch.setattr(suites, "_by_family", put_together)
+    reports = suites.run_crosscheck_suite(suite, count=count, seed=seed)
+    assert len(rngs) == 1
+    return reports, rows, states + [rngs[0].bit_generator.state]
+
+
+def _assert_bit_equal(got, want):
+    """got equals want entry by entry, signs of zero included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# navigation: count 1 is one flag, 20 one full block, 21 a full block and a
+# one-flag block, 47 two full blocks and a short Randers-first one, and 150
+# families of several blocks and a short navigation-first one
 @pytest.mark.parametrize("suite, count, seed, reference", (
     ("navigation", 37, 2, _navigation_reference),
     ("navigation", 41, 11, _navigation_reference),
     ("randers-ricci", 2, 5, _randers_ricci_reference),
+    *(("navigation", count, seed, _navigation_reference)
+      for count in (1, 20, 21, 47, 150) for seed in (0, 9)),
 ))
-def test_stacked_suite_rows_equal_the_per_point_path(suite, count, seed, reference):
-    want = reference(count, seed)
-    reports = suites.run_crosscheck_suite(suite, count=count, seed=seed)
-    assert len(reports) == len(want)
-    for report, rows in zip(reports, want):
-        vals = np.abs(rows)
-        assert report.samples == len(rows)
+def test_stacked_suite_rows_equal_the_per_point_path(suite, count, seed, reference,
+                                                     monkeypatch):
+    want, rng = reference(count, seed)
+    reports, rows, states = _run_capturing(suite, count, seed, monkeypatch)
+    assert states == [rng.bit_generator.state] * len(states)
+    assert len(reports) == len(want) == len(rows)
+    for report, got, ref in zip(reports, rows.values(), want):
+        _assert_bit_equal(got, ref)
+        vals = np.abs(ref)
+        assert report.samples == len(ref)
         assert report.max_abs == float(np.max(vals)), report.name
         assert report.mean_abs == float(np.mean(vals)), report.name
 
 
 def _assert_rows_equal_each_draw_alone(suite, count, seed, names, draw_alone, monkeypatch):
     """Every row of the suite's reports, in draw order, equals the per-draw
-    loop's, signs of zero included."""
+    loop's, signs of zero included, and the rng is left as that loop
+    leaves it."""
     rng = np.random.default_rng(seed)
     want = np.array([draw_alone(rng, i) for i in range(count)]).T
-    rows = {}
-    report = suites.report_from_values
-
-    def capture(name, values, tol, detail=""):
-        rows[name] = np.asarray(values)
-        return report(name, values, tol, detail)
-
-    monkeypatch.setattr(suites, "report_from_values", capture)
-    suites.run_crosscheck_suite(suite, count=count, seed=seed)
+    _reports, rows, states = _run_capturing(suite, count, seed, monkeypatch)
+    assert states == [rng.bit_generator.state] * len(states)
     assert list(rows) == names
     for got, ref in zip(rows.values(), want, strict=True):
         assert got.shape == (count,)
-        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+        _assert_bit_equal(got, ref)
+
+
+def test_a_refused_lane_of_a_navigation_family_is_named():
+    # a navigation-first family of two blocks whose second block's second
+    # flag lies far outside the box: the family raises what that block
+    # raises alone, naming the refused lane (flag, block)
+    rng = np.random.default_rng(3)
+    coeffs = [generators.draw_calibrated(rng, 3) for _ in range(2)]
+    flags = [[suites._flag(rng, 3) for _ in range(2)] for _ in range(2)]
+    flags[1][1] = FlagPoint(np.full(3, 4.0), flags[1][1].y)
+    with pytest.raises(ArithmeticError) as alone:
+        suites._navigation_rows(coeffs[1:], flags[1:])
+    assert alone.value.args[0].endswith(" at lane (1, 0)")
+    with pytest.raises(type(alone.value)) as family:
+        suites._navigation_rows(coeffs, flags)
+    assert family.value.args[0] == alone.value.args[0].replace("(1, 0)", "(1, 1)")
 
 
 @pytest.mark.parametrize("count, seed", ((1, 0), (2, 5), (7, 3), (20, 1)))
@@ -291,7 +359,7 @@ def test_isotropic_s_rows_equal_the_per_evaluation_path(seed):
 def test_lifted_lie_jet_side_equals_separate_evaluations_of_f_h_and_w():
     rng = np.random.default_rng(4)
     for dim in (2, 3):
-        nav = generators.random_navigation(rng, dim)
+        nav = generators.navigation_data(generators.draw_calibrated(rng, dim))
         v = generators.vector_field(generators.draw_vector_field(rng, dim))
         p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
         metric = randers.finsler_from_navigation(nav)

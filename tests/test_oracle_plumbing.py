@@ -3,7 +3,7 @@ replaced, bit for bit:
 
 * the stacked random polynomial fields of `generators`, drawn as one block
   of the rng, against the draw and the scalar loop of one entry at a time,
-  the box-grid calibration of `random_randers` / `random_navigation`
+  the box-grid calibration of `randers_data` / `navigation_data`
   against the per-point loop, and a family of draws, laned, against each
   draw built alone;
 * the finite-difference bundle, whose one laned spray pass evaluates each
@@ -227,7 +227,7 @@ def test_calibration_over_the_grid_equals_the_per_point_loop(dim):
         rd = generators.random_randers(rng_a, dim)
         a_ref, b_ref = _scalar_calibrated(
             rng_b, dim, 0.45, lambda m, b: float(b @ np.linalg.inv(m) @ b))
-        nav = generators.random_navigation(rng_a, dim)
+        nav = generators.navigation_data(generators.draw_calibrated(rng_a, dim))
         h_ref, w_ref = _scalar_calibrated(rng_b, dim, 0.5, lambda m, w: float(w @ m @ w))
         assert rng_a.random() == rng_b.random()
         for x in _points(dim, np.random.default_rng(seed)):

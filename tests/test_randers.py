@@ -171,7 +171,7 @@ def test_navigation_roundtrip_holds_on_jet_coefficients():
     worst = 0.0
     for i in range(100):
         dim = 2 + (i % 2)
-        nav = generators.random_navigation(rng, dim)
+        nav = generators.navigation_data(generators.draw_calibrated(rng, dim))
         back = to_navigation(from_navigation(nav))
         xs = jets.Jet.variables(list(generators.sample_box_point(rng, dim)), 2)
         space = xs[0].space
@@ -264,7 +264,7 @@ def test_randers_closures_evaluate_alpha_once_per_call():
 
 
 def test_norm_identity_and_xi_transfer(rng):
-    nav = generators.random_navigation(rng, 3)
+    nav = generators.navigation_data(generators.draw_calibrated(rng, 3))
     metric = finsler_from_navigation(nav)
     T_fn = nav.h.matrix_at
     for _ in range(10):
@@ -331,7 +331,7 @@ def test_bh_density_of_navigation_data_is_the_volume_of_h():
     rng = np.random.default_rng(41)
     for i in range(200):
         dim = 2 + (i % 2)
-        nav = generators.random_navigation(rng, dim)
+        nav = generators.navigation_data(generators.draw_calibrated(rng, dim))
         worst = max(worst, _bh_density_drift(nav, generators.sample_box_point(rng, dim)))
     assert worst <= 1e-12
 
@@ -483,7 +483,7 @@ def test_stacked_closed_form_rows_equal_their_one_flag_calls():
 
 def test_lifted_lie_identity_random(rng):
     for _ in range(5):
-        nav = generators.random_navigation(rng, 2)
+        nav = generators.navigation_data(generators.draw_calibrated(rng, 2))
         v = generators.vector_field(generators.draw_vector_field(rng, 2))
         p = FlagPoint(generators.sample_box_point(rng, 2), rng.normal(size=2))
         F = finsler_from_navigation(nav).value(p.x, p.y)
