@@ -71,7 +71,10 @@ INVOCATIONS = (
        ("crosscheck", "--suite", "navigation", "--count", "37", "--seed", "2"),
        # navigation families of several blocks and a short last block (147)
        ("crosscheck", "--suite", "navigation", "--count", "147", "--seed", "4"),
-       ("crosscheck", "--suite", "isotropic-s", "--count", "8", "--seed", "11"))
+       ("crosscheck", "--suite", "isotropic-s", "--count", "8", "--seed", "11"),
+       # jets-vs-fd families: two of 4 draws, and one of one lane
+       ("crosscheck", "--suite", "jets-vs-fd", "--count", "8", "--seed", "3"),
+       ("crosscheck", "--suite", "jets-vs-fd", "--count", "1", "--seed", "2"))
     + tuple(("verify", "--fixture", name, "--samples", "2", "--perturb", f"{ing}:1e-2")
             for ing in ("kappa", "mu", "sigma", "f", "W") for name in FIXTURES)
     + tuple(("verify", "--fixture", "cigar", "--samples", "4", "--format", fmt)

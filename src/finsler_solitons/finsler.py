@@ -31,13 +31,16 @@ data expand as one stage.
 finite-difference (fd) differentiation; S-dot and Ric_inf = Ric + S-dot are
 written there once for both.  The fd oracle differentiates G (the fd bundle,
 read as `evaluate_flags(..., mode="fd").bundle`) and the order-3 S by
-Richardson central differences (`_fd_evaluation`).
-Only its evaluation of G and S is stacked: every distinct stencil point of
-the stack's flags (1 + 8n + 12n^2 spray points and 1 + 8n S points per flag,
-each flag's own point among them) is one lane of one order-2 pass or one
-order-3 pass with one log-density table, both from lanes of one stage laned
-over the distinct stencil x; each flag's stencil sums, in the order and
-with the weights of `jets.fd_stencils`, then read those lanes.
+Richardson central differences (`_fd_evaluation`), laned over (stencil
+point, flag): a plan per dimension (`_fd_plan`) lists each flag's stencil
+points by their structural offsets (1 + 8n + 12n^2 spray points and 1 + 8n
+S points, the flag's own point row 0 of both), each a lane of one order-2
+pass or of one order-3 pass with one log-density table, both from lanes of
+one stage laned over (stencil x, flag); each table's stencil sums, in the
+order of `jets.fd_stencils` and with each flag's weights, then read those
+lanes for every flag at once, and R, r_error, S and dS are one pass over
+the flags.  A metric whose coefficients are a family laned over the flags
+(`generators.family`) broadcasts against those lanes as one metric does.
 
 Curvature comes exclusively from the spray,
 
@@ -74,13 +77,15 @@ stage at float lanes (`riemann.coordinates`).
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import jets, riemann
-from .jets import Jet, fd_stencils, scalar_value
+from .jets import Jet, scalar_value
 from .riemann import RiemannMetric, as_scalar_field
 
 
@@ -210,13 +215,13 @@ def _lane_stage(metric: FinslerMetric, x) -> LaneStage:
 def _f2_jet(stage, y, order: int) -> Jet:
     """F^2 as a jet over `jets.flag_space(n, order)` from the stage at x
     (`_lane_stage` or a `Bases`' stage, for orders 2 to 4).  At a stack of
-    directions y, shape (P, n), and the stage at their P points (or at one
+    directions y, shape (..., n), and the stage at their points (or at one
     point), one jet laned over the flags: y enters as flag variables laned
     over the stack, and each lane is bit-equal to its flag's expansion."""
     y = np.asarray(y, float)
     n = y.shape[-1]
     flag_space = jets.flag_space(n, order)
-    ys = [Jet.variable(v, n + k, flag_space) for k, v in enumerate(y.T)]
+    ys = [Jet.variable(v, n + k, flag_space) for k, v in enumerate(riemann.coordinates(y))]
     F = stage(ys)
     if not isinstance(F, Jet):
         raise FlagDomainError("metric does not depend on the flag coordinates")
@@ -392,54 +397,142 @@ def curvature_bundle(metric: FinslerMetric, points, stage=None) -> CurvatureBund
 # stencils of G and S step x alike, so they share their stencil x.
 FD_STEP1, FD_STEP2 = 1e-5, 3e-4
 
-
-def _visit(lanes, z):
-    """The lane of the point z in `lanes`, a dict of distinct points by their
-    float64 bytes in order of first visit, each with its lane; added if new."""
-    z = np.asarray(z, float)
-    return lanes.setdefault(z.tobytes(), (len(lanes), z))[0]
-
-
-def _points(lanes):
-    """The points of `lanes` (see `_visit`) in lane order, shape (P, size)."""
-    return np.array([z for _lane, z in lanes.values()])
+# The fd tables, in the order `_fd_evaluation` reads them: d/dx, d/dy,
+# d2/dxdy and d2/dydy of G, then d/dz of S; each as its axes (x the n
+# x-coordinates, y the n y-coordinates, z all 2n) and its step (0 for
+# FD_STEP1, 1 for FD_STEP2).
+_FD_TABLES = (("x", 0), ("y", 0), ("xy", 1), ("yy", 1), ("z", 0))
 
 
-def _fd_stencils(lanes, z0, *axes, step):
-    """The stencils of the table of d f / dz_t1 .. dz_tk at z0, one entry per
-    index tuple (t1, .., tk) of the axes' product: the table's shape, and
-    each entry's coarse and fine stencils (`jets.fd_stencils` at `step`
-    times max(1, |z0|)) as (lanes, weights), every stencil point visited in
-    `lanes`."""
-    h = step * max(1.0, float(np.max(np.abs(z0))))
-    entries = [tuple(([_visit(lanes, z) for z, _w in terms], [w for _z, w in terms])
-                     for terms in fd_stencils(z0, tuple(t.count(v) for v in range(z0.size)), h))
-               for t in itertools.product(*axes)]
-    return tuple(len(a) for a in axes), entries
+class _FdTable(NamedTuple):
+    """One fd table of a `_FdPlan`: its index shape, its step (0 or 1), each
+    entry's multi-index in `itertools.product` order, and its entries in
+    groups of one number of terms: (entry positions, coarse lanes, fine
+    lanes), the lanes (spray rows) of shape (terms, entries) in
+    `jets.fd_stencils` order."""
+
+    shape: tuple
+    step: int
+    multis: tuple
+    groups: tuple
 
 
-def _fd_table(values, stencils):
-    """(values, error estimates) of the fd table whose `_fd_stencils` are
-    `stencils`, from f's values at their lanes (leading lane axis): each
-    entry's `jets.richardson` of its two stencil sums, shaped as the table
-    followed by the shape of f's value."""
-    shape, entries = stencils
-    est = [jets.richardson(*(jets.stencil_sum(weights, values[lanes])
-                             for lanes, weights in pair)) for pair in entries]
-    shape += np.shape(est[0][0])
-    return tuple(np.array([e[k] for e in est]).reshape(shape) for k in (0, 1))
+class _FdPlan(NamedTuple):
+    """The stencil points of a flag of dimension n by their structural
+    offsets, every flag of a stack laid out alike.
+
+    The spray points: row 0 is the flag's own point, and every other row an
+    offset in steps and a step: 0 for h1, 1 for h1/2, 2 for h2, 3 for h2/2
+    (h1 and h2 the flag's FD_STEP1 and FD_STEP2 steps).  The first `n_s`
+    rows are the S points (the flag's and FD_STEP1's).  The stencil x are
+    laid out the same way, row 0 the flag's x; `x_rows` gives each spray
+    point's, and the S points' are the first `n_sx`."""
+
+    offsets: np.ndarray
+    steps: np.ndarray
+    x_offsets: np.ndarray
+    x_steps: np.ndarray
+    x_rows: np.ndarray
+    n_s: int
+    n_sx: int
+    tables: tuple
+
+
+@lru_cache(maxsize=None)
+def _fd_plan(n: int) -> _FdPlan:
+    """The `_FdPlan` of dimension n: 1 + 8n + 12n^2 spray points, 1 + 8n of
+    them S points, and 1 + 8n stencil x, rows in order of first visit.  The
+    zero offset is the flag's own point (its row holds z itself, where z +
+    0.0 would drop a -0.0: a sum of stencil terms starts at +0.0, so the
+    sign of a zero term never shows)."""
+    rows = {(0, (0,) * (2 * n)): 0}
+
+    def row(step, offs):
+        return rows.setdefault((step if any(offs) else 0, offs), len(rows))
+
+    axes = {"x": range(n), "y": range(n, 2 * n), "z": range(2 * n)}
+    tables = []
+    for names, step in _FD_TABLES:
+        multis = tuple(tuple(t.count(v) for v in range(2 * n))
+                       for t in itertools.product(*(axes[a] for a in names)))
+        groups = {}
+        for e, multi in enumerate(multis):
+            offs = [o for o, _w in jets._stencil_geometry(multi, 1.0)]
+            groups.setdefault(len(offs), []).append(
+                (e, [row(2 * step, o) for o in offs], [row(2 * step + 1, o) for o in offs]))
+        tables.append(_FdTable(tuple(len(axes[a]) for a in names), step, multis, tuple(
+            (np.array(e), np.array(c).T, np.array(f).T)
+            for e, c, f in (zip(*group) for group in groups.values()))))
+    xs = {(0, (0,) * n): 0}
+    x_rows = [xs.setdefault((step if any(offs[:n]) else 0, offs[:n]), len(xs))
+              for step, offs in rows]
+    n_s = 1 + max(int(lanes.max()) for _e, *pair in tables[-1].groups for lanes in pair)
+    return _FdPlan(np.array([o for _s, o in rows], float), np.array([s for s, _o in rows]),
+                   np.array([o for _s, o in xs], float), np.array([s for s, _o in xs]),
+                   np.array(x_rows), n_s, 1 + max(x_rows[:n_s]), tuple(tables))
+
+
+@lru_cache(maxsize=1024)
+def _fd_weights(n: int, h1: float, h2: float) -> tuple:
+    """The stencil weights of a flag whose steps are h1 and h2: per table of
+    `_fd_plan(n)` and per group, (coarse, fine) of shape (terms,
+    entries), from `jets._stencil_geometry` at the table's step h and at
+    h/2, as `jets.fd_stencils` takes them.  Bounded, as that cache is: h
+    scales with the size of a flag beyond the unit box."""
+    weights = []
+    for table in _fd_plan(n).tables:
+        h = (h1, h2)[table.step]
+        weights.append(tuple(
+            tuple(np.array([[w for _o, w in jets._stencil_geometry(table.multis[e], step)]
+                            for e in entries]).T for step in (h, h / 2.0))
+            for entries, _c, _f in table.groups))
+    return tuple(weights)
+
+
+def _flag_weights(n: int, h1, h2) -> list:
+    """The stencil weights of flags whose steps are h1 and h2 (one each per
+    flag): per table and group, (coarse, fine) of shape (terms, entries,
+    flags), each flag's lane its `_fd_weights`."""
+    per_flag = [_fd_weights(n, *steps) for steps in zip(h1.tolist(), h2.tolist())]
+    return [[tuple(np.stack(w, axis=-1) for w in zip(*pairs)) for pairs in zip(*groups)]
+            for groups in zip(*per_flag)]
+
+
+def _stencil_points(z, offsets, steps, H):
+    """The stencil points z + o h of the flags z, shape (F, m), at the
+    offsets o, shape (K, m), and steps (the rows of H, shape (4, F)): shape
+    (K, F, m), row 0 the flags themselves."""
+    points = z + offsets[:, None, :] * H[steps][:, :, None]
+    points[0] = z
+    return points
+
+
+def _fd_table(values, table: _FdTable, weights):
+    """(values, error estimates) of one fd table from f's values at the
+    table's lanes (leading lane axis, then the flag axis): each entry's
+    `jets.richardson` of its two `jets.stencil_sum`s, every flag at once
+    (weights of shape (terms, entries, flags)), shaped (flags,) + the
+    table's shape + the shape of f's value, C-contiguous."""
+    F, tail = values.shape[1], values.shape[2:]
+    est = np.empty((2, len(table.multis), F) + tail)
+    for (entries, *lanes), pair in zip(table.groups, weights):
+        sums = (jets.stencil_sum(w.reshape(w.shape + (1,) * len(tail)), values[ln])
+                for ln, w in zip(lanes, pair))
+        est[:, entries] = jets.richardson(*sums)
+    return tuple(np.ascontiguousarray(np.moveaxis(est, 2, 1)).reshape((2, F) + table.shape + tail))
 
 
 def _riemann_error(y, G, dG_dy, errors):
     """A first-order bound on the error of `_assemble_riemann` from the
     error estimates (nonnegative) of the four spray derivative arrays
-    (G exact)."""
+    (G exact), over any leading stack axes."""
     e_dx, e_dy, e_dxdy, e_dydy = errors
     d_dy = np.abs(dG_dy)
-    return (2.0 * e_dx.T
-            + np.einsum("jki,j->ik", e_dxdy, np.abs(y))
-            + 2.0 * np.einsum("j,jki->ik", np.abs(G), e_dydy)
-            + np.einsum("ji,kj->ik", e_dy, d_dy) + np.einsum("ji,kj->ik", d_dy, e_dy))
+    return (2.0 * np.swapaxes(e_dx, -1, -2)
+            + np.einsum("...jki,...j->...ik", e_dxdy, np.abs(y))
+            + 2.0 * np.einsum("...j,...jki->...ik", np.abs(G), e_dydy)
+            + np.einsum("...ji,...kj->...ik", e_dy, d_dy)
+            + np.einsum("...ji,...kj->...ik", d_dy, e_dy))
 
 
 def _fd_evaluation(metric: FinslerMetric, points, measure: Measure):
@@ -447,62 +540,63 @@ def _fd_evaluation(metric: FinslerMetric, points, measure: Measure):
     each with a leading flag axis: the fd mode of `evaluate_flags`, the one
     mode switch.
 
-    Every stencil point of every flag is evaluated once, in two laned
-    passes: one order-2 expansion of F^2 and spray at all the spray stencil
-    points (the flags' own points among them: G, g, F and dF2_dy at a flag
-    are its lane), and one order-3 expansion, S and one log-density table at
-    all the S stencil points (the flags' own points among them: S at a flag
-    is its lane).  Both read lanes of one stage laned over the distinct
-    stencil x.  Then each flag, alone: the spray derivatives and dS are
-    Richardson central differences of those lanes (`_fd_table`), R is
-    assembled from them, and `r_error` is the Frobenius norm of
-    `_riemann_error` on their error estimates.
+    Every stencil point is a lane (stencil point, flag) of the flags'
+    `_fd_plan`, at z + o h for its offset o and the flag's step h: one
+    order-2 expansion of F^2 and spray at the spray points (G, g, F and
+    dF2_dy at a flag are its row 0), and one order-3 expansion, S and one
+    log-density table at the S points (S at a flag is its row 0).  Both read
+    lanes of one stage laned over (stencil x, flag); a metric whose
+    coefficients are a family laned over the flags (`generators.family`, one
+    flag per draw) broadcasts against those lanes as one metric does.  Then
+    every table is Richardson central differences of those lanes
+    (`_fd_table`), one stencil sum per group of entries for all the flags,
+    with the weights of each flag's steps (`_fd_weights`); R is assembled
+    from them, and `r_error` is the Frobenius norm of `_riemann_error` on
+    their error estimates, each in one pass over the flags.  A stencil whose
+    step underflows a coordinate it moves warns once per flag, as
+    `jets.fd_stencils` does.
     """
     n = metric.dim
     x = np.array([p.x for p in points], float)
     y = np.array([p.y for p in points], float)
     Z = np.concatenate([x, y], axis=1)
-    xs, ys, zs = range(n), range(n, 2 * n), range(2 * n)
-    g_lanes, s_lanes, x_lanes = {}, {}, {}
-    g_center = [_visit(g_lanes, z0) for z0 in Z]
-    g_stencils = [[_fd_stencils(g_lanes, z0, *axes, step=step)
-                   for axes, step in (((xs,), FD_STEP1), ((ys,), FD_STEP1),
-                                      ((xs, ys), FD_STEP2), ((ys, ys), FD_STEP2))]
-                  for z0 in Z]
-    s_center = [_visit(s_lanes, z0) for z0 in Z]
-    s_stencils = [_fd_stencils(s_lanes, z0, zs, step=FD_STEP1) for z0 in Z]
-    # the S stencil x first: they are the first lanes of the stage's x, and
-    # the density tables are laned over them alone
-    s_points, g_points = _points(s_lanes), _points(g_lanes)
-    s_x = np.array([_visit(x_lanes, z[:n]) for z in s_points])
-    n_sx = len(x_lanes)
-    g_x = np.array([_visit(x_lanes, z[:n]) for z in g_points])
-    X = _points(x_lanes)
+    plan = _fd_plan(n)
+    scale = np.maximum(1.0, np.max(np.abs(Z), axis=1))
+    h1, h2 = FD_STEP1 * scale, FD_STEP2 * scale
+    H = np.array([h1, h1 / 2.0, h2, h2 / 2.0])
+    for table in plan.tables:
+        under = Z + H[2 * table.step][:, None] == Z
+        moves = np.array(table.multis) > 0
+        for _ in range(int(np.count_nonzero((moves[:, None] & under).any(axis=-1)))):
+            warnings.warn(jets.FD_STEP_UNDERFLOW, jets.FdStepWarning, stacklevel=3)
+    weights = _flag_weights(n, h1, h2)
+
+    zs = _stencil_points(Z, plan.offsets, plan.steps, H)
+    X = _stencil_points(x, plan.x_offsets, plan.x_steps, H)
     stage = _lane_stage(metric, X)
-
-    T = _f2_tables(stage.lane(g_x), g_points[:, n:], order=2)
-    D = _spray_derivatives(T, g_points[:, n:], order=2)
+    T = _f2_tables(stage.lane(plan.x_rows), zs[..., n:], order=2)
+    D = _spray_derivatives(T, zs[..., n:], order=2)
     G = D["G"]
-    fields = []
-    for y0, c, stencils in zip(y, g_center, g_stencils):
-        (dG_dx, e_dx), (dG_dy, e_dy), (d2G_dxdy, e_dxdy), (d2G_dydy, e_dydy) = (
-            _fd_table(G, table) for table in stencils)
-        R = _assemble_riemann(y0, G[c], dG_dx, dG_dy, d2G_dxdy, d2G_dydy)
-        r_error = np.linalg.norm(_riemann_error(y0, G[c], dG_dy, (e_dx, e_dy, e_dxdy, e_dydy)))
-        fields.append((dG_dx, dG_dy, d2G_dxdy, d2G_dydy, R, np.trace(R), r_error))
-    dG_dx, dG_dy, d2G_dxdy, d2G_dydy, R, ricci, r_error = (np.array(f) for f in zip(*fields))
-    bundle = CurvatureBundle(x=x, y=y, F=T["F"][g_center],
-                             dF2_dy=T["Q01"][g_center], g=D["g"][g_center],
-                             spray=G[g_center], dG_dx=dG_dx, dG_dy=dG_dy,
-                             d2G_dxdy=d2G_dxdy, d2G_dydy=d2G_dydy, riemann=R, ricci=ricci,
-                             r_error=r_error)
+    (dG_dx, e_dx), (dG_dy, e_dy), (d2G_dxdy, e_dxdy), (d2G_dydy, e_dydy) = (
+        _fd_table(G, table, w) for table, w in zip(plan.tables[:4], weights))
+    # row 0 of a laned array is the flags' own; every field is C-contiguous,
+    # as a stack of per-flag arrays is (`flag_curvature` reads R in memory
+    # order)
+    R = np.ascontiguousarray(_assemble_riemann(y, G[0], dG_dx, dG_dy, d2G_dxdy, d2G_dydy))
+    rows = _memory_rows(_riemann_error(y, G[0], dG_dy, (e_dx, e_dy, e_dxdy, e_dydy)))
+    bundle = CurvatureBundle(x=x, y=y, F=T["F"][0], dF2_dy=T["Q01"][0], g=D["g"][0],
+                             spray=G[0], dG_dx=dG_dx, dG_dy=dG_dy, d2G_dxdy=d2G_dxdy,
+                             d2G_dydy=d2G_dydy, riemann=R,
+                             ricci=np.trace(R, axis1=-2, axis2=-1),
+                             r_error=np.sqrt(riemann.dot(rows, rows)))
 
-    logs = measure.log_density_table(X[:n_sx])
-    y = s_points[:, n:]
-    T = _f2_tables(stage.lane(s_x), y, order=3)
-    S = _s_value(_spray_derivatives(T, y, order=3)["dG_dy"], y, tuple(t[s_x] for t in logs))
-    dS = [_fd_table(S, table)[0] for table in s_stencils]
-    return bundle, S[s_center], np.array([d[:n] for d in dS]), np.array([d[n:] for d in dS])
+    s_x = plan.x_rows[:plan.n_s]
+    logs = measure.log_density_table(X[:plan.n_sx])
+    ys = zs[:plan.n_s, :, n:]
+    T = _f2_tables(stage.lane(s_x), ys, order=3)
+    S = _s_value(_spray_derivatives(T, ys, order=3)["dG_dy"], ys, tuple(t[s_x] for t in logs))
+    dS = _fd_table(S, plan.tables[-1], weights[-1])[0]
+    return bundle, S[0], np.ascontiguousarray(dS[:, :n]), np.ascontiguousarray(dS[:, n:])
 
 
 # -- S and Lie derivatives ----------------------------------------------------
@@ -654,9 +748,9 @@ def evaluate_flags(metric: FinslerMetric, measure: Measure, points,
     flags in one stacked pass (`curvature_bundle`) and S and dS in one more
     (over the stacked bundle and density tables).  mode="fd" takes the fd
     bundle, S from an order-3 expansion and dS by central differences of
-    that S, from one laned order-2 pass at every spray stencil point of the
-    stack and one laned order-3 pass and density table at every S stencil
-    point (`_fd_evaluation`); it reads no bases.  S-dot and Ric_inf are one
+    that S, from one order-2 pass laned (spray stencil point, flag) and one
+    order-3 pass and density table laned (S stencil point, flag)
+    (`_fd_evaluation`); it reads no bases.  S-dot and Ric_inf are one
     stacked pass in both modes.
 
     `bases` is `base_points(metric, measure, X)` at the points' x; it

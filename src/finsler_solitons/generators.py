@@ -13,7 +13,7 @@ return coefficients; the builders (`riemann_metric`, `randers_data`,
 `navigation_data`, `vector_field`, `scalar_field`, `conformal_navigation`:
 the closures and the box-grid calibration of `_calibrated_field`) consume
 none.  So a suite can draw first, in the rng order of one draw at a time,
-and build later; a `random_*` function is one draw, built.
+and build later; `random_randers` is one draw, built.
 
 A family is the same builders run on the coefficients of several draws of
 one kind and dimension stacked along a trailing lane axis (`family`): its
@@ -300,15 +300,6 @@ def conformal_navigation(coeffs):
 
 
 # -- one draw, built -----------------------------------------------------------------------
-
-
-def random_riemann_metric(rng, dim) -> RiemannMetric:
-    """Identity plus a symmetric quadratic-polynomial perturbation."""
-    return riemann_metric(draw_riemann_metric(rng, dim))
-
-
-def random_scalar_field(rng, dim) -> ScalarField:
-    return scalar_field(draw_scalar_field(rng, dim))
 
 
 def random_randers(rng, dim) -> RandersData:

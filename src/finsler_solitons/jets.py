@@ -760,7 +760,7 @@ def _flag_values(y, n):
     if (space is None or space.nvars != 2 * n
             or not all(isinstance(v, Jet) and v.space is space for v in y)):
         return None
-    coeffs = np.array([v.coeffs for v in y]).swapaxes(0, -2)     # [lanes..., k, coefficient]
+    coeffs = np.moveaxis(np.array([v.coeffs for v in y]), 0, -2)  # [lanes..., k, coefficient]
     coeffs[..., np.arange(n), tensor_index(space, 1)[n:]] -= 1.0
     if coeffs[..., 1:].any():                   # a unit other than 1, or a term more
         return None
@@ -935,8 +935,8 @@ def _stencil_geometry(multi_index, h):
     """The central stencil of d^multi_index with step h, the per-variable
     stencils composed: its (offsets in steps, weight) terms in summation
     order.  It does not depend on the point, so it is built once per key;
-    the cache is bounded, since `finsler._fd_stencils` scales h by the
-    size of a point beyond the unit box."""
+    the cache is bounded, since the fd oracle scales h by the size of a
+    point beyond the unit box (`finsler._fd_weights`)."""
     terms = {(0,) * len(multi_index): 1.0}
     for var, k in enumerate(multi_index):
         if k == 0:
@@ -959,7 +959,8 @@ def _stencil_terms(point, multi_index, h):
 
 def stencil_sum(weights, values):
     """The stencil estimate: sum of w * f(z) over a stencil's terms, in
-    their order, from their weights and the values of f at their points."""
+    their order, from their weights and the values of f at their points
+    (each a sequence over the terms; arrays of them sum entry by entry)."""
     total = 0.0
     for w, v in zip(weights, values, strict=True):
         total += w * v
@@ -976,6 +977,9 @@ def fd_derivative(f, point, multi_index, step: float) -> float:
     entry bit-equal to the estimate of that entry alone.
     """
     return fd_estimate(f, point, multi_index, step)[0]
+
+
+FD_STEP_UNDERFLOW = "finite-difference step underflows the coordinate magnitude"
 
 
 def fd_stencils(point, multi_index, step: float):
@@ -996,8 +1000,7 @@ def fd_stencils(point, multi_index, step: float):
         raise ValueError("step must be positive")
     involved = [p for p, k in zip(point, multi_index) if k > 0]
     if any(p + h == p for p in involved):
-        warnings.warn("finite-difference step underflows the coordinate magnitude",
-                      FdStepWarning, stacklevel=4)      # the caller of fd_derivative
+        warnings.warn(FD_STEP_UNDERFLOW, FdStepWarning, stacklevel=4)  # the caller of fd_derivative
     if total == 0:
         return None
     return _stencil_terms(point, multi_index, h), _stencil_terms(point, multi_index, h / 2.0)

@@ -279,8 +279,11 @@ def matrix_table(fn, x, order):
 
 
 def _bracket(dh):
-    """d_i h_jl + d_j h_il - d_l h_ij as [..., l, i, j]; leading axes pass through."""
-    return np.einsum("...ijl->...lij", dh) + np.einsum("...jil->...lij", dh) - dh
+    """d_i h_jl + d_j h_il - d_l h_ij as [..., l, i, j]; leading axes pass
+    through.  C-contiguous: the sum of the two permuted views need not be at
+    many lanes, and the einsums that read it would then sum in another order."""
+    return np.ascontiguousarray(
+        np.einsum("...ijl->...lij", dh) + np.einsum("...jil->...lij", dh) - dh)
 
 
 def christoffel(hinv, dh) -> np.ndarray:

@@ -12,8 +12,8 @@ Each fixture flag is evaluated once, and all of a suite's flags in one
 `finsler.evaluate_flags` call (the one switch between the jet and fd
 differentiation modes): one fourth-order expansion of F^2 laned over the
 stack of flags, from the run's laned stage, with one spray and Riemann pass
-over the stack (in fd mode one laned pass per expansion order over every
-stencil point of the stack, `finsler._fd_evaluation`), feeds the Ricci law,
+over the stack (in fd mode one pass per expansion order laned over
+(stencil point, flag), `finsler._fd_evaluation`), feeds the Ricci law,
 infinity-Ricci and, where the fixture declares a flag curvature, the
 flag-curvature rows (one stacked fit over the bundle's flags,
 `finsler.flag_curvature`); each row is one array over the flags, and a
@@ -33,7 +33,8 @@ metric once over their stack (Taylor arithmetic vectorised over points,
 Griewank-Walther): `randers-ricci` takes one
 `randers.randers_ricci_closed_form`, one float F and one laned
 `finsler.curvature_bundle` per metric's 16 flags.  `navigation`,
-`lie-identity`, `riemann-reduction` and `isotropic-s` draw everything
+`lie-identity`, `riemann-reduction`, `isotropic-s` and the pipeline half of
+`jets-vs-fd` draw everything
 first, in the rng order of one draw (or block) at a time, run the draws of
 one kind as one family (`generators.family`, coefficients laned
 over the draws) and put the rows back in draw order (`_by_family`), since
@@ -50,8 +51,10 @@ stack take, the Lie terms and both navigation sides one pass each;
 `riemann-reduction` one `finsler.curvature_bundle` and one order-2 record
 of h; `isotropic-s` one `solitons.sample_points` whose every flag is a
 bundle flag, one `solitons.fit_sigma`, one `finsler.evaluate_flags` on its
-bases and one float F.  `jets-vs-fd` stays per draw: its fd half is stacked
-over each flag's stencil, whose lanes do not map one-to-one onto draws.
+bases and one float F.  `jets-vs-fd` draws one random metric per flag too,
+and its families are the draws of one metric kind (Randers at even draws,
+Riemannian at odd ones): one float F and one `finsler.evaluate_flags` per
+mode per family, the fd one laned (stencil point, flag), one flag per draw.
 Only the plumbing is stacked: the oracle formulas are the one-point ones,
 and each row is bit-equal to its flag's own evaluation.
 """
@@ -358,8 +361,13 @@ def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
     """Jet-mode curvature pipeline against the finite-difference mode, plus
     plain jet partials against fd_derivative on transcendental compositions.
 
-    Each pipeline flag makes one `finsler.evaluate_flags` per mode (Ric,
-    S-dot and Ric_inf), the jet one on its one-point `finsler.Bases`."""
+    Pipeline draw i, after the plain half's points, is a random dim-2 metric
+    (Randers with a weighted Busemann-Hausdorff measure for even i,
+    Riemannian with a weighted volume for odd i), its weight and a flag.
+    Every draw is drawn first, in that rng order; then each kind's draws are
+    one family (`generators.family`), whose flags make one
+    `finsler.evaluate_flags` per mode (Ric, S-dot and Ric_inf) and one float
+    F (`_pipeline_rows`), and the rows are put back in draw order."""
     rng = np.random.default_rng(seed)
     plain = []
     compositions = [
@@ -379,30 +387,39 @@ def crosscheck_jets_vs_fd(seed, count=50, tol=1e-4):
             est = fd_derivative(f, pt, m, step=steps[sum(m)])
             plain.append((est - exact) / max(1.0, abs(exact)))
 
-    pipe_ric, pipe_sdot, pipe_winf = [], [], []
+    draws = []
     for i in range(count):
-        dim = 2
-        if i % 2 == 0:
-            rd = generators.random_randers(rng, dim)
-            metric = randers.finsler_from_randers(rd)
-            measure = randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, dim))
-        else:
-            h = generators.random_riemann_metric(rng, dim)
-            metric = FinslerMetric.from_riemannian(h)
-            measure = finsler.Measure.riemannian(h).weighted(
-                generators.random_scalar_field(rng, dim))
-        p = _flag(rng, dim)
-        F2 = metric.value(p.x, p.y) ** 2
-        jet = finsler.evaluate_flags(metric, measure, [p])
-        fd = finsler.evaluate_flags(metric, measure, [p], mode="fd")
-        for rows, j, f in ((pipe_ric, jet.bundle.ricci, fd.bundle.ricci),
-                           (pipe_sdot, jet.s_dot, fd.s_dot),
-                           (pipe_winf, jet.ric_inf, fd.ric_inf)):
-            rows.extend(((j - f) / np.maximum(np.abs(j), F2)).tolist())
+        coeffs = (generators.draw_calibrated(rng, 2) if i % 2 == 0
+                  else generators.draw_riemann_metric(rng, 2))
+        draws.append((i % 2, coeffs, generators.draw_scalar_field(rng, 2), _flag(rng, 2)))
+    pipe_ric, pipe_sdot, pipe_winf = _by_family(_pipeline_rows, draws)
     return [report_from_values("plain-derivatives", plain, tol),
             report_from_values("pipeline-ricci", pipe_ric, tol),
             report_from_values("pipeline-s-dot", pipe_sdot, tol),
             report_from_values("pipeline-infinity-ricci", pipe_winf, tol)]
+
+
+def _pipeline_rows(kinds, coeffs, f_draws, flags):
+    """The three pipeline rows of a family of `crosscheck_jets_vs_fd` draws of
+    one kind, one per draw: the family's metric (Randers with a weighted
+    Busemann-Hausdorff measure for kind 0, Riemannian with a weighted volume
+    for kind 1) and weight are built once, and the float F and one
+    `finsler.evaluate_flags` per mode are each one pass laned over the
+    family's flags, each row bit-equal to its draw alone."""
+    if kinds[0] == 0:
+        rd = generators.randers_data(generators.family(coeffs))
+        metric, measure = randers.finsler_from_randers(rd), randers.bh_measure(rd)
+    else:
+        h = generators.riemann_metric(generators.family(coeffs))
+        metric, measure = FinslerMetric.from_riemannian(h), finsler.Measure.riemannian(h)
+    measure = measure.weighted(generators.scalar_field(generators.family(f_draws)))
+    X, Y = np.array([p.x for p in flags]), np.array([p.y for p in flags])
+    F2 = jets.power(metric.value(X, Y), 2)
+    jet = finsler.evaluate_flags(metric, measure, flags)
+    fd = finsler.evaluate_flags(metric, measure, flags, mode="fd")
+    return [(j - d) / np.maximum(np.abs(j), F2)
+            for j, d in ((jet.bundle.ricci, fd.bundle.ricci), (jet.s_dot, fd.s_dot),
+                         (jet.ric_inf, fd.ric_inf))]
 
 
 def crosscheck_isotropic_s(seed, count=40, tol=1e-8):

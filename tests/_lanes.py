@@ -8,8 +8,10 @@ stacked flag-curvature fit is checked lane by lane against the one-point
 formula it replaced (`one_flag_fit`), the stacked finite-difference
 evaluation against the per-point one it replaced (`fd_flag_alone`), and
 the `lie-identity`, `riemann-reduction` and `isotropic-s` crosschecks, one
-family of random draws per dimension, against the per-draw loops they
-replaced (`lie_draw_alone`, `reduction_draw_alone`, `isotropic_draw_alone`).
+family of random draws per dimension, and the pipeline half of
+`jets-vs-fd`, one family per metric kind, against the per-draw loops they
+replaced (`lie_draw_alone`, `reduction_draw_alone`, `isotropic_draw_alone`,
+`pipeline_draw_alone`).
 """
 
 import dataclasses
@@ -254,7 +256,7 @@ def reduction_draw_alone(rng, i):
     loop made it: the draw's metric built alone, a one-flag bundle and an
     unlaned order-2 record at its flag."""
     dim = 2 + (i % 2)
-    h = generators.random_riemann_metric(rng, dim)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, dim))
     metric = finsler.FinslerMetric.from_riemannian(h)
     p = FlagPoint(generators.sample_box_point(rng, dim), unit_direction(rng, dim))
     spray_ric = float(finsler.curvature_bundle(metric, [p]).ricci[0])
@@ -273,7 +275,7 @@ def isotropic_draw_alone(rng, i):
     nav, sigma, _c = generators.conformal_navigation(generators.draw_conformal(rng, dim))
     rd = randers.from_navigation(nav)
     metric = randers.finsler_from_navigation(nav)
-    f = generators.random_scalar_field(rng, dim)
+    f = generators.scalar_field(generators.draw_scalar_field(rng, dim))
     measure = finsler.Measure.riemannian(nav.h).weighted(f)
     x = generators.sample_box_point(rng, dim)
     y = unit_direction(rng, dim)
@@ -293,3 +295,28 @@ def isotropic_draw_alone(rng, i):
     rows = (sig_fit, (lhs - rhs) / F ** 2, s0, np.abs(T.s_mixed - smix).max(axis=(-2, -1)),
             (ev.s_dot - sd_closed) / np.maximum(1.0, np.abs(ev.s_dot)))
     return tuple(float(row[0]) for row in rows)
+
+
+def pipeline_draw_alone(rng, i):
+    """The three pipeline rows (Ric, S-dot, Ric_inf) of draw i of
+    `crosscheck_jets_vs_fd`, as the per-draw loop made them: the draw's
+    metric and weighted measure built alone (Randers with the
+    Busemann-Hausdorff measure for even i, Riemannian for odd i), a float F,
+    a one-flag jet `evaluate_flags` and the per-point fd evaluation
+    (`fd_flag_alone`) at its flag."""
+    if i % 2 == 0:
+        rd = generators.random_randers(rng, 2)
+        metric = randers.finsler_from_randers(rd)
+        measure = randers.bh_measure(rd)
+    else:
+        h = generators.riemann_metric(generators.draw_riemann_metric(rng, 2))
+        metric = finsler.FinslerMetric.from_riemannian(h)
+        measure = finsler.Measure.riemannian(h)
+    measure = measure.weighted(generators.scalar_field(generators.draw_scalar_field(rng, 2)))
+    p = FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
+    F2 = metric.value(p.x, p.y) ** 2
+    jet = finsler.evaluate_flags(metric, measure, [p])
+    fd = fd_flag_alone(metric, measure, p)
+    return tuple(float(((j - f) / np.maximum(np.abs(j), F2))[0])
+                 for j, f in ((jet.bundle.ricci, fd.bundle.ricci), (jet.s_dot, fd.s_dot),
+                              (jet.ric_inf, fd.ric_inf)))

@@ -100,7 +100,7 @@ def _case(name):
         metric, measure = randers.finsler_from_randers(rd), randers.bh_measure(rd)
         ref = FinslerMetric(dim, _randers_fn(rd))
     else:
-        h = generators.random_riemann_metric(rng, dim)
+        h = generators.riemann_metric(generators.draw_riemann_metric(rng, dim))
         metric, measure = FinslerMetric.from_riemannian(h), Measure.riemannian(h)
         ref = FinslerMetric(dim, _riemannian_fn(h))
     xs = [generators.sample_box_point(rng, dim) for _ in range(2)]

@@ -249,12 +249,22 @@ def test_fd_flag_rows_build_one_fd_bundle_per_flag(name, monkeypatch):
         calls.append(("fd", measure is not None, len(points)))
         return fd_evaluation(metric, points, measure)
 
+    bases = _bases(fx, flags)
     monkeypatch.setattr(finsler, "curvature_bundle", count_bundle)
     monkeypatch.setattr(finsler, "_fd_evaluation", count_fd)
-    rows, got_flat = suites._flag_rows(fx, flags, _bases(fx, flags), "fd")
+    counter = _Counter(monkeypatch)
+    rows, got_flat = suites._flag_rows(fx, flags, bases, "fd")
     # one fd evaluation for the stack, bundle and S together: each flag's
     # rows read one fd bundle, and no bundle is built apart
     assert calls == [("fd", True, len(flags))]
+    # its two expansions laned (stencil point, flag), each flag's own point
+    # row 0 of its column
+    n = fx.dim
+    assert counter.orders == [2, 3]
+    assert [ys.shape for ys in counter.ys] == [((1 + 8 * n + 12 * n * n) * len(flags), n),
+                                               ((1 + 8 * n) * len(flags), n)]
+    for ys in counter.ys:
+        assert np.array_equal(ys[:len(flags)], [p.y for p in flags])
     assert rows.keys() == expected.keys() and got_flat == flat
     for key, want in expected.items():
         assert np.array_equal(rows[key], want), key

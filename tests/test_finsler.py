@@ -39,7 +39,7 @@ def sphere_metric(mu, k):
 
 
 def test_fundamental_tensor_riemannian_reduction(rng):
-    h = generators.random_riemann_metric(rng, 3)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
     F = FinslerMetric.from_riemannian(h)
     x = generators.sample_box_point(rng, 3)
     for _ in range(3):
@@ -73,7 +73,7 @@ def test_spray_euclidean_zero(rng):
 
 
 def test_spray_riemannian_christoffel_oracle(rng):
-    h = generators.random_riemann_metric(rng, 3)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
     F = FinslerMetric.from_riemannian(h)
     p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
     gam = riemann.point_record(h, p.x, 1).gamma
@@ -148,7 +148,7 @@ def test_homogeneity_suite(rng):
 
 
 def test_s_curvature_riemannian_zero(rng):
-    h = generators.random_riemann_metric(rng, 3)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
     p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
@@ -156,8 +156,8 @@ def test_s_curvature_riemannian_zero(rng):
 
 
 def test_s_curvature_weighted_is_df(rng):
-    h = generators.random_riemann_metric(rng, 2)
-    f = generators.random_scalar_field(rng, 2)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 2))
+    f = generators.scalar_field(generators.draw_scalar_field(rng, 2))
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(rng, 2)
@@ -175,7 +175,7 @@ def test_s_curvature_cigar_bh_vanishes(rng):
 
 
 def test_s_dot_riemannian_zero(rng):
-    h = generators.random_riemann_metric(rng, 2)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 2))
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h)
     p = euclid_flag(rng, 2)
@@ -183,8 +183,8 @@ def test_s_dot_riemannian_zero(rng):
 
 
 def test_s_dot_weighted_is_hessian(rng):
-    h = generators.random_riemann_metric(rng, 2)
-    f = generators.random_scalar_field(rng, 2)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 2))
+    f = generators.scalar_field(generators.draw_scalar_field(rng, 2))
     F = FinslerMetric.from_riemannian(h)
     m = Measure.riemannian(h).weighted(f)
     p = euclid_flag(rng, 2)
@@ -198,7 +198,7 @@ def test_s_dot_navigation_closed_form(rng):
 
     nav, sigma, _ = generators.conformal_navigation(generators.draw_conformal(rng, 2))
     rd = randers.from_navigation(nav)
-    f = generators.random_scalar_field(rng, 2)
+    f = generators.scalar_field(generators.draw_scalar_field(rng, 2))
     F = randers.finsler_from_navigation(nav)
     m = randers.bh_measure(rd).weighted(f)
     p = FlagPoint(generators.sample_box_point(rng, 2), rng.normal(size=2))
@@ -342,7 +342,7 @@ def test_fd_lanes_flat_within_error_are_fitted_as_each_flag_alone():
 
 def test_riemannian_reduction_against_christoffel(rng):
     for dim in (2, 3):
-        h = generators.random_riemann_metric(rng, dim)
+        h = generators.riemann_metric(generators.draw_riemann_metric(rng, dim))
         F = FinslerMetric.from_riemannian(h)
         for _ in range(3):
             p = FlagPoint(generators.sample_box_point(rng, dim), rng.normal(size=dim))

@@ -71,8 +71,8 @@ def _fd_case(name):
     # the two random cases draw from one generator, in this order
     rng = np.random.default_rng(29)
     rd = generators.random_randers(rng, 2)
-    h = generators.random_riemann_metric(rng, 2)
-    f_rd, f_h = (generators.random_scalar_field(rng, 2) for _ in range(2))
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 2))
+    f_rd, f_h = (generators.scalar_field(generators.draw_scalar_field(rng, 2)) for _ in range(2))
     cases = {"random-randers": (randers.finsler_from_randers(rd),
                                 randers.bh_measure(rd).weighted(f_rd)),
              "random-riemannian": (FinslerMetric.from_riemannian(h),
@@ -80,6 +80,15 @@ def _fd_case(name):
     flags = {key: [FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
                    for _ in range(3)] for key in cases}
     return (*cases[name], flags[name])
+
+
+def _assert_c_layout(ev):
+    """Every array of an evaluation is C-contiguous, as a stack of per-flag
+    arrays is: `flag_curvature` reads R in memory order."""
+    fields = {**vars(ev), **vars(ev.bundle)}
+    del fields["bundle"]
+    for name, value in fields.items():
+        assert value.flags.c_contiguous, name
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -91,6 +100,7 @@ def test_an_fd_stack_equals_the_per_point_fd_evaluation(name, count):
     stacked = finsler.evaluate_flags(metric, measure, flags, mode="fd")
     bundle = stacked.bundle
     assert stacked.S.shape == bundle.r_error.shape == (count,)
+    _assert_c_layout(stacked)
     for k, p in enumerate(flags):
         assert_lane(stacked, k, fd_flag_alone(metric, measure, p), (name, k))
         assert_lane(bundle, k, fd_flag_alone(metric, None, p), (name, k))
@@ -107,6 +117,46 @@ def test_the_fd_bundle_does_not_depend_on_the_measure(name):
     assert got.S.tolist() != want.S.tolist()        # the measures differ
     for k in range(len(flags)):
         assert_lane(got.bundle, k, want.bundle, (name, k), k)
+
+
+def _fd_family(kind, count, seed):
+    """A family of `count` random draws of `jets-vs-fd`'s metric kind (0:
+    Randers with its weighted Busemann-Hausdorff measure, 1: Riemannian with
+    its weighted volume), one flag per draw, whose y are scaled so the flags
+    have different fd steps (|z| > 1 at all but the first): (family metric,
+    family measure, flags, each draw's metric and measure built alone)."""
+    rng = np.random.default_rng(seed)
+    draw = generators.draw_calibrated if kind == 0 else generators.draw_riemann_metric
+    coeffs = [draw(rng, 2) for _ in range(count)]
+    fs = [generators.draw_scalar_field(rng, 2) for _ in range(count)]
+    flags = [FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2) * (1 + k / 2))
+             for k in range(count)]
+
+    def build(c, f):
+        if kind == 0:
+            rd = generators.randers_data(c)
+            return (randers.finsler_from_randers(rd),
+                    randers.bh_measure(rd).weighted(generators.scalar_field(f)))
+        h = generators.riemann_metric(c)
+        return (FinslerMetric.from_riemannian(h),
+                Measure.riemannian(h).weighted(generators.scalar_field(f)))
+
+    return (*build(generators.family(coeffs), generators.family(fs)), flags,
+            [build(c, f) for c, f in zip(coeffs, fs)])
+
+
+@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("kind", [0, 1], ids=["randers", "riemannian"])
+def test_an_fd_family_equals_the_per_point_fd_evaluation(kind, count):
+    # a family laned over its flags, one flag per draw, at steps that differ
+    # from flag to flag: every field of lane k, values, shapes and signs of
+    # zero, is draw k's per-point fd evaluation
+    metric, measure, flags, alone = _fd_family(kind, count, 31 + kind)
+    assert len({max(1.0, float(np.abs(np.r_[p.x, p.y]).max())) for p in flags}) == count
+    stacked = finsler.evaluate_flags(metric, measure, flags, mode="fd")
+    _assert_c_layout(stacked)
+    for k, (p, (metric_k, measure_k)) in enumerate(zip(flags, alone)):
+        assert_lane(stacked, k, fd_flag_alone(metric_k, measure_k, p), (kind, k))
 
 
 def _count_sprays(monkeypatch):

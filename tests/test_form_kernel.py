@@ -185,7 +185,7 @@ def _loop_riemannian_stage(h):
 def test_randers_and_riemannian_stages_equal_their_loops(dim, monkeypatch):
     rng = np.random.default_rng(dim)
     rd = generators.random_randers(rng, dim)
-    h = generators.random_riemann_metric(rng, dim)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, dim))
     cases = ((randers.finsler_from_randers(rd), _loop_randers_stage(rd)),
              (finsler.FinslerMetric.from_riemannian(h), _loop_riemannian_stage(h)))
     for metric, loop_at in cases:

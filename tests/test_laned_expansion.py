@@ -178,3 +178,24 @@ def test_a_laned_f_guard_names_its_lanes():
         finsler.curvature_bundle(metric, [FlagPoint(x, y) for x, y in zip(X, Y)])
     with pytest.raises(FlagDomainError, match=r"<= 0 at the requested flag$"):
         finsler._f2_jet(finsler._lane_stage(metric, X[1]), Y[1], 4)
+
+
+@pytest.mark.parametrize("order", (2, 3))
+def test_tables_and_spray_at_many_lanes_equal_blocks_of_16(order, rng):
+    # the fd passes run many lanes at once (about 1,600 in the order-2 pass
+    # of a default jets-vs-fd run): at 3,000 lanes every Q table and spray
+    # array equals that of 16-lane blocks, bit for bit, so no stacked
+    # einsum sums in another order at many lanes
+    metric = randers.finsler_from_randers(generators.random_randers(rng, 2))
+    X = np.array([generators.sample_box_point(rng, 2) for _ in range(3000)])
+    Y = np.array([unit_direction(rng, 2) for _ in range(3000)])
+    T = finsler._f2_tables(finsler._lane_stage(metric, X), Y, order)
+    D = finsler._spray_derivatives(T, Y, order)
+    for k in range(0, len(X), 16):
+        block = slice(k, k + 16)
+        Tb = finsler._f2_tables(finsler._lane_stage(metric, X[block]), Y[block], order)
+        Db = finsler._spray_derivatives(Tb, Y[block], order)
+        for got, want in ((T, Tb), (D, Db)):
+            assert got.keys() == want.keys()
+            for key in want:
+                _assert_bitwise(got[key][block], want[key], (order, key, k))

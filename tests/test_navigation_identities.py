@@ -1,18 +1,20 @@
 """The navigation identities as table formulas: each random metric's flags
 in the `randers-ricci` suite, each family of blocks of one kind and size in
 the `navigation` suite, and each family of random draws of one dimension in
-the `lie-identity`, `riemann-reduction` and `isotropic-s` suites, evaluate
-their navigation data, their float F and their order-4 expansion of F^2
-once, laned over the flags (and, in a family, over the draws), and the rows
-are those of the path that evaluated each quantity on its own: the
-per-point path, or the per-draw loop a family replaced (`_lanes`), in
-draw order and with the rng state that path leaves."""
+the `lie-identity`, `riemann-reduction` and `isotropic-s` suites (of one
+metric kind in the pipeline half of `jets-vs-fd`), evaluate their
+navigation data, their float F and their order-4 expansion of F^2 once,
+laned over the flags (and, in a family, over the draws), and the rows are
+those of the path that evaluated each quantity on its own: the per-point
+path, or the per-draw loop a family replaced (`_lanes`), in draw order and
+with the rng state that path leaves."""
 
 import math
 
 import numpy as np
 import pytest
-from _lanes import isotropic_draw_alone, lie_draw_alone, reduction_draw_alone
+from _lanes import (isotropic_draw_alone, lie_draw_alone, pipeline_draw_alone,
+                    reduction_draw_alone)
 
 from finsler_solitons import finsler, generators, randers, riemann, solitons, suites
 from finsler_solitons.jets import FlagPoint
@@ -254,16 +256,21 @@ def test_stacked_suite_rows_equal_the_per_point_path(suite, count, seed, referen
         assert report.mean_abs == float(np.mean(vals)), report.name
 
 
-def _assert_rows_equal_each_draw_alone(suite, count, seed, names, draw_alone, monkeypatch):
+def _assert_rows_equal_each_draw_alone(suite, count, seed, names, draw_alone, monkeypatch,
+                                       before=()):
     """Every row of the suite's reports, in draw order, equals the per-draw
     loop's, signs of zero included, and the rng is left as that loop
-    leaves it."""
+    leaves it.  `before` names the leading reports that are not per draw:
+    jets-vs-fd's plain half, which reads one point of the rng per count
+    first."""
     rng = np.random.default_rng(seed)
+    if before:
+        rng.uniform(-0.8, 0.8, size=(count, 2))
     want = np.array([draw_alone(rng, i) for i in range(count)]).T
     _reports, rows, states = _run_capturing(suite, count, seed, monkeypatch)
     assert states == [rng.bit_generator.state] * len(states)
-    assert list(rows) == names
-    for got, ref in zip(rows.values(), want, strict=True):
+    assert list(rows) == [*before, *names]
+    for got, ref in zip((rows[name] for name in names), want, strict=True):
         assert got.shape == (count,)
         _assert_bit_equal(got, ref)
 
@@ -306,6 +313,18 @@ def test_family_rows_equal_each_draw_alone(suite, names, draw_alone, count, seed
     _assert_rows_equal_each_draw_alone(suite, count, seed, names, draw_alone, monkeypatch)
 
 
+@pytest.mark.parametrize("seed", (0, 9))
+@pytest.mark.parametrize("count", (1, 2, 3, 5, 8))
+def test_jets_vs_fd_rows_equal_each_draw_alone(count, seed, monkeypatch):
+    # one family per metric kind (Randers at even draws, Riemannian at odd
+    # ones): counts 1 and 3 make a family of one lane, odd counts families
+    # of unequal size
+    _assert_rows_equal_each_draw_alone(
+        "jets-vs-fd", count, seed,
+        ["pipeline-ricci", "pipeline-s-dot", "pipeline-infinity-ricci"], pipeline_draw_alone,
+        monkeypatch, before=("plain-derivatives",))
+
+
 def _isotropic_s_reference(count, seed):
     """The rows of `crosscheck_isotropic_s`, every quantity from its own
     evaluation: the records and tables at x, Ric, S-dot and F."""
@@ -316,7 +335,7 @@ def _isotropic_s_reference(count, seed):
         nav, sigma, _c = generators.conformal_navigation(generators.draw_conformal(rng, dim))
         rd = randers.from_navigation(nav)
         metric = randers.finsler_from_navigation(nav)
-        f = generators.random_scalar_field(rng, dim)
+        f = generators.scalar_field(generators.draw_scalar_field(rng, dim))
         measure = finsler.Measure.riemannian(nav.h).weighted(f)
         x = generators.sample_box_point(rng, dim)
         y = unit_direction(rng, dim)

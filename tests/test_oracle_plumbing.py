@@ -6,14 +6,15 @@ replaced, bit for bit:
   the box-grid calibration of `randers_data` / `navigation_data`
   against the per-point loop, and a family of draws, laned, against each
   draw built alone;
-* the finite-difference bundle, whose one laned spray pass evaluates each
-  distinct stencil point of a stack once for all components, against the
-  per-component path;
+* the finite-difference bundle, whose one spray pass laned (stencil point,
+  flag) evaluates each distinct stencil point of each flag once for all
+  components, against the per-component path;
 * the fd `evaluate_flags`, whose two laned passes read lanes of one stage
-  laned over the distinct stencil x, against the fd bundle and fd S-dot as
-  separate oracles with a stage per stencil point, on a stencil point the
-  metric refuses, and at steps that underflow;
-* `crosscheck_jets_vs_fd`, which makes one evaluation per flag on each side;
+  laned (stencil x, flag), against the fd bundle and fd S-dot as separate
+  oracles with a stage per stencil point, on a stencil point the metric
+  refuses, and at steps that underflow;
+* `crosscheck_jets_vs_fd`, which makes one evaluation per family of draws
+  on each side, each flag a lane of it;
 * the fd flat test (`r_error`) and the sampled F that `_flag_rows` reads.
 """
 
@@ -24,7 +25,8 @@ import warnings
 
 import numpy as np
 import pytest
-from _lanes import assert_fit_lanes, assert_lane, fd_flag_alone, one_flag_fit
+from _lanes import (assert_fit_lanes, assert_lane, fd_flag_alone, one_flag_fit,
+                    pipeline_draw_alone)
 
 from finsler_solitons import (cli, finsler, fixtures, generators, jets, randers, riemann,
                               solitons, suites)
@@ -189,9 +191,9 @@ def test_mul_rows_equals_jet_products():
 @pytest.mark.parametrize("dim", (2, 3, 4))
 def test_random_fields_equal_the_scalar_fields(dim):
     rng_a, rng_b = np.random.default_rng(dim), np.random.default_rng(dim)
-    h = generators.random_riemann_metric(rng_a, dim)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng_a, dim))
     v = generators.vector_field(generators.draw_vector_field(rng_a, dim))
-    f = generators.random_scalar_field(rng_a, dim)
+    f = generators.scalar_field(generators.draw_scalar_field(rng_a, dim))
     h_ref = _scalar_metric(rng_b, dim)
     v_ref = [_draw_poly2(rng_b, dim, 0.2) for _ in range(dim)]
     f_ref = _draw_poly2(rng_b, dim, 0.2)
@@ -212,7 +214,7 @@ def test_calibration_rows_equal_the_per_point_products(dim):
     rng = np.random.default_rng(dim)
     grid = generators._box_grid(dim)
     for _ in range(50):
-        h = generators.random_riemann_metric(rng, dim)
+        h = generators.riemann_metric(generators.draw_riemann_metric(rng, dim))
         V = generators._grid_stack(generators._poly2(generators._draw_stacked(rng, dim, 0.3, dim),
                                                      grid), ())
         mats = generators._grid_stack(h.matrix(grid), ())
@@ -401,9 +403,9 @@ def test_fd_estimate_bounds_the_richardson_error_and_works_entrywise():
 
 def _recording_expansions(monkeypatch):
     """Record, from now on, the F^2 expansions (`_f2_tables`) as (order, the
-    points (x, y) of their lanes, as bytes), the x of every stage built
-    (`FinslerMetric.at` at jet x; one row per lane), and the x of every
-    stage laned by the fd oracle (`_lane_stage`)."""
+    points (x, y) of their lanes, shape lanes + (2n,)), the x of every stage
+    built (`FinslerMetric.at` at jet x; shape lanes + (n,)), and the x of
+    every stage laned by the fd oracle (`_lane_stage`)."""
     expansions, stages, lane_stages, at = [], [], [], {}
     stage_at, tables, lane_stage = (finsler.FinslerMetric.at, finsler._f2_tables,
                                     finsler._lane_stage)
@@ -411,17 +413,17 @@ def _recording_expansions(monkeypatch):
     def recording_at(metric, x):
         out = stage_at(metric, x)
         if isinstance(x[0], Jet):
-            at[id(out)] = np.atleast_2d(np.array([v.value for v in x], float).T)
+            at[id(out)] = np.moveaxis(np.array([v.value for v in x], float), 0, -1)
             stages.append(at[id(out)])
         return out
 
     def recording_tables(st, y, order):
         out = tables(st, y, order)
-        y = np.atleast_2d(np.asarray(y, float))
+        y = np.asarray(y, float)
         # a LaneStage is built on first use
         x = np.broadcast_to(at[id(st._stage if isinstance(st, finsler.LaneStage) else st)],
                             y.shape)
-        expansions.append((order, [z.tobytes() for z in np.concatenate([x, y], axis=1)]))
+        expansions.append((order, np.concatenate([x, y], axis=-1)))
         return out
 
     def recording_lane_stage(metric, x):
@@ -435,7 +437,9 @@ def _recording_expansions(monkeypatch):
 
 
 def _rows(a):
-    return {row.tobytes() for row in a}
+    """The rows of a (its last axis), as a set of their bytes."""
+    a = np.asarray(a)
+    return {row.tobytes() for row in a.reshape(-1, a.shape[-1])}
 
 
 @pytest.mark.parametrize("name,count", [("gaussian", 2), ("cigar", 2), ("shrinking", 1)])
@@ -446,21 +450,25 @@ def test_fd_bundle_computes_one_spray_per_distinct_stencil_point(name, count, mo
     expansions, stages, lane_stages = _recording_expansions(monkeypatch)
     n = fx.dim
     b = finsler.evaluate_flags(fx.metric, fx.measure, flags, mode="fd").bundle
-    # one order-2 expansion for the stack, a lane per distinct stencil point
-    # of its flags, each flag's own point among them: G, g and F at a flag
-    # are its lane, which the second y-derivatives' stencils visit again
-    # (the order-3 expansion after it is S's)
-    (order, lanes), (s_order, _s_lanes) = expansions
+    # one order-2 expansion for the stack, laned (spray point, flag): a
+    # flag's column holds each distinct stencil point of that flag once, its
+    # own point first (G, g and F at a flag are that lane, which the second
+    # y-derivatives' stencils visit again); the order-3 expansion after it
+    # is S's
+    (order, Z), (s_order, _S) = expansions
     assert (order, s_order) == (2, 3)
-    assert len(lanes) == len(set(lanes)) == count * (1 + 8 * n + 12 * n * n)
-    assert set(lanes) == set().union(*(visited for _want, visited in refs))
-    for _want, visited in refs:
+    assert Z.shape == (1 + 8 * n + 12 * n * n, count, 2 * n)
+    for k, (p, (_want, visited)) in enumerate(zip(flags, refs)):
+        assert Z[0, k].tobytes() == np.concatenate([p.x, p.y]).tobytes()
+        assert len(_rows(Z[:, k])) == len(Z) and _rows(Z[:, k]) == set(visited)
         assert len(visited) == 1 + n * (16 * n * n + 6 * n)     # 153 at n = 2
-    # one stage laned over the distinct stencil x (each flag's x and 4n
-    # steps of each step size), whose lanes the expansion reads
+    # one stage laned (stencil x, flag): a flag's column holds its x and 4n
+    # steps of each step size once, the x its expansion lanes read
     [X] = lane_stages
-    assert len(X) == len(_rows(X)) == count * (1 + 8 * n)
-    assert _rows(X) == {np.frombuffer(z, float)[:n].tobytes() for z in lanes}
+    assert X.shape == (1 + 8 * n, count, n)
+    for k, p in enumerate(flags):
+        assert X[0, k].tobytes() == np.asarray(p.x, float).tobytes()
+        assert len(_rows(X[:, k])) == len(X) and _rows(X[:, k]) == _rows(Z[:, k, :n])
     # (built once per laned pass: the spray's first, then S's)
     assert len(stages) == 2 and _rows(stages[0]) == _rows(X)
     for k, (want, _visited) in enumerate(refs):
@@ -491,8 +499,8 @@ def _s_dot_fd_per_point(metric, measure, p, step=1e-5):
 
 @pytest.mark.parametrize("name", ("gaussian", "cigar", "shrinking"))
 def test_fd_s_dot_builds_one_base_point_per_stencil_x(name, monkeypatch):
-    # every stencil x is one lane of the stage, and every S stencil x one
-    # lane of the density tables
+    # every stencil x of the flag is one lane of the stage, and every S
+    # stencil x one lane of the density tables
     fx = fixtures.get_fixture(name)
     p = sample_flags(fx, 1, np.random.default_rng(13))[0]
     want = _s_dot_fd_per_point(fx.metric, fx.measure, p)
@@ -508,29 +516,30 @@ def test_fd_s_dot_builds_one_base_point_per_stencil_x(name, monkeypatch):
     assert finsler.evaluate_flags(fx.metric, fx.measure, [p], mode="fd").s_dot[0] == want
     n = fx.dim
     # one laned order-2 pass (the spray stencil) and one laned order-3 pass
-    # (S at the flag and its 8n stencil points), each point once
-    assert [order for order, _lanes in expansions] == [2, 3]
-    s_lanes = expansions[1][1]
-    assert len(s_lanes) == len(set(s_lanes)) == 1 + 8 * n
-    # one stage laned over the distinct stencil x: the 4n points along y
-    # share the flag's x, each step along x has its own, and the spray
-    # stencil steps x by the same first-derivative steps and 4n more
+    # (S at the flag and its 8n stencil points), laned (point, flag), each
+    # point once, the flag's own first
+    assert [order for order, _Z in expansions] == [2, 3]
+    S = expansions[1][1]
+    assert S.shape == (1 + 8 * n, 1, 2 * n) and len(_rows(S)) == len(S)
+    assert S[0, 0].tobytes() == np.concatenate([p.x, p.y]).tobytes()
+    # one stage laned (stencil x, flag): the 4n points along y share the
+    # flag's x, each step along x has its own, and the spray stencil steps x
+    # by the same first-derivative steps and 4n more
     [X] = lane_stages
-    assert len(X) == len(_rows(X)) == 1 + 8 * n
-    assert [_rows(x) for x in stages] == [
-        {np.frombuffer(z, float)[:n].tobytes() for z in lanes} for _order, lanes in expansions]
+    assert X.shape == (1 + 8 * n, 1, n) and len(_rows(X)) == len(X)
+    assert [_rows(x) for x in stages] == [_rows(Z[..., :n]) for _order, Z in expansions]
     assert _rows(stages[0]) == _rows(X)
-    # one density table, laned over the S stencil x: the flag's x and 4n steps
+    # one density table, laned (S stencil x, flag): the flag's x and 4n steps
     [T] = tables
-    assert len(T) == len(_rows(T)) == 1 + 4 * n
+    assert T.shape == (1 + 4 * n, 1, n) and len(_rows(T)) == len(T)
     assert _rows(T) == _rows(stages[1]) and _rows(T) <= _rows(X)
 
 
 def test_fd_weighted_ricci_is_the_sum_of_fd_ricci_and_fd_s_dot():
     rng = np.random.default_rng(3)
     rd = generators.random_randers(rng, 2)
-    cases = [(randers.finsler_from_randers(rd),
-              randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2)),
+    f = generators.scalar_field(generators.draw_scalar_field(rng, 2))
+    cases = [(randers.finsler_from_randers(rd), randers.bh_measure(rd).weighted(f),
               FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2)))]
     fx = fixtures.get_fixture("cigar")
     cases.append((fx.metric, fx.measure, FlagPoint([1.0, 0.3], [0.4, -0.7])))
@@ -593,7 +602,8 @@ def _fd_case(name):
     if name == "randers":
         rng = np.random.default_rng(19)
         rd = generators.random_randers(rng, 2)
-        measure = randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))
+        f = generators.scalar_field(generators.draw_scalar_field(rng, 2))
+        measure = randers.bh_measure(rd).weighted(f)
         flags = [FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
                  for _ in range(FD_CASES[name])]
         return randers.finsler_from_randers(rd), measure, flags, None
@@ -637,9 +647,11 @@ def test_a_refused_stencil_point_refuses_the_fd_evaluation(monkeypatch, capsys):
     inside, crossing = FlagPoint([0.5, 0.2], [0.6, 0.8]), FlagPoint([2e-6, 0.2], [0.6, 0.8])
     assert metric.value(crossing.x, crossing.y) > 0.0
     finsler.evaluate_flags(metric, measure, [inside], mode="fd")
-    # the stacked stage names the refused lanes; the per-point path named none
+    # the stacked stage names the refused lanes, as (stencil x, flag) pairs;
+    # the per-point path named none
     for stack in ([crossing], [inside, crossing]):
-        with pytest.raises(jets.EvaluationError, match=r"^outside the chart at lanes \d+, "):
+        with pytest.raises(jets.EvaluationError,
+                           match=rf"^outside the chart at lanes \(\d+, {len(stack) - 1}\), "):
             finsler.evaluate_flags(metric, measure, stack, mode="fd")
     with pytest.raises(jets.EvaluationError, match=r"^outside the chart$"):
         fd_flag_alone(metric, measure, crossing)
@@ -697,67 +709,47 @@ def test_evaluate_flag_refuses_an_unknown_mode():
                                mode="bogus")
 
 
-# -- jets-vs-fd: one evaluation per flag on each side -------------------------------------
-
-
-def _pipeline_reference(count, seed):
-    """The pipeline rows as three separate calls per quantity and mode made them."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        rng.uniform(-0.8, 0.8, size=2)
-    rows = ([], [], [])
-    for i in range(count):
-        if i % 2 == 0:
-            rd = generators.random_randers(rng, 2)
-            metric = randers.finsler_from_randers(rd)
-            measure = randers.bh_measure(rd).weighted(generators.random_scalar_field(rng, 2))
-        else:
-            h = generators.random_riemann_metric(rng, 2)
-            metric = finsler.FinslerMetric.from_riemannian(h)
-            measure = finsler.Measure.riemannian(h).weighted(
-                generators.random_scalar_field(rng, 2))
-        p = FlagPoint(generators.sample_box_point(rng, 2), unit_direction(rng, 2))
-        F2 = metric.value(p.x, p.y) ** 2
-        for out, fn in zip(rows, (
-                lambda mode: finsler.evaluate_flags(metric, measure, [p],
-                                                    mode=mode).bundle.ricci[0],
-                lambda mode: finsler.evaluate_flags(metric, measure, [p], mode=mode).s_dot[0],
-                lambda mode: finsler.evaluate_flags(metric, measure, [p], mode=mode).ric_inf[0])):
-            j, f = fn("jet"), fn("fd")
-            out.append((j - f) / max(abs(j), F2))
-    return rows
+# -- jets-vs-fd: one evaluation per family on each side -----------------------------------
 
 
 def test_jets_vs_fd_evaluates_each_flag_once_per_side(monkeypatch):
-    count, seed = 3, 5
-    want = _pipeline_reference(count, seed)
-    modes, fd_flags = [], []
+    # count 5: a Randers family of draws 0, 2, 4 and a Riemannian one of 1, 3
+    count, seed = 5, 5
+    rng = np.random.default_rng(seed)
+    rng.uniform(-0.8, 0.8, size=(count, 2))         # the plain half's points
+    want = np.array([pipeline_draw_alone(rng, i) for i in range(count)]).T
+    modes, fd_flags, bases = [], [], []
     evaluate, fd_evaluation, base_points = (finsler.evaluate_flags, finsler._fd_evaluation,
                                             finsler.base_points)
 
     def counted_evaluate(metric, measure, points, bases=None, mode="jet"):
-        assert len(points) == 1
-        modes.append(mode)
+        modes.append((mode, len(points)))
         return evaluate(metric, measure, points, bases, mode)
 
     def counted_fd(metric, points, measure):
         fd_flags.append((len(points), measure is not None))
         return fd_evaluation(metric, points, measure)
 
-    bases = []
     monkeypatch.setattr(finsler, "evaluate_flags", counted_evaluate)
     monkeypatch.setattr(finsler, "_fd_evaluation", counted_fd)
-    monkeypatch.setattr(finsler, "base_points", lambda *a: bases.append(1) or base_points(*a))
+    monkeypatch.setattr(finsler, "base_points",
+                        lambda m, mu, X: bases.append(len(X)) or base_points(m, mu, X))
     expansions, _stages, _lane_stages = _recording_expansions(monkeypatch)
     reports = {r.name: r for r in suites.crosscheck_jets_vs_fd(count=count, seed=seed)}
-    assert modes == ["jet", "fd"] * count
-    assert fd_flags == [(1, True)] * count     # the fd side: one fd evaluation per flag
-    assert len(bases) == count         # one one-point Bases per flag, for the jet side
-    # per flag: one order-4 expansion (jet), then one laned order-2 pass at
-    # the 65 distinct spray stencil points and one laned order-3 pass at the
+    # each flag is a lane of one evaluation per side: one per family and mode
+    assert modes == [("jet", 3), ("fd", 3), ("jet", 2), ("fd", 2)]
+    assert fd_flags == [(3, True), (2, True)]   # the fd side: one fd evaluation per family
+    assert bases == [3, 2]      # one Bases per family for the jet side, a lane per flag
+    # per family: one order-4 expansion laned over its flags (jet), then one
+    # order-2 pass laned (spray point, flag) at each flag's 65 distinct
+    # spray stencil points and one order-3 pass laned (S point, flag) at its
     # 17 distinct S stencil points (fd)
-    assert [(order, len(set(lanes))) for order, lanes in expansions] == \
-        [(4, 1), (2, 1 + 8 * 2 + 12 * 2 * 2), (3, 1 + 8 * 2)] * count
+    K2, K3 = 1 + 8 * 2 + 12 * 2 * 2, 1 + 8 * 2
+    assert [(order, Z.shape[:-1]) for order, Z in expansions] == [
+        (4, (3,)), (2, (K2, 3)), (3, (K3, 3)), (4, (2,)), (2, (K2, 2)), (3, (K3, 2))]
+    for order, Z in expansions:
+        for k in range(Z.shape[-2]):
+            assert len(_rows(Z[..., k, :])) == (1 if order == 4 else len(Z))
     for name, rows in zip(("pipeline-ricci", "pipeline-s-dot", "pipeline-infinity-ricci"),
                           want):
         vals = np.abs(rows)

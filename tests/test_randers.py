@@ -41,7 +41,7 @@ def _directions(rng, dim, count=8):
 
 
 def test_from_navigation_zero_wind_is_riemannian(rng):
-    h = generators.random_riemann_metric(rng, 3)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
     nav = NavigationData(h, VectorField(lambda x: [0.0] * 3))
     rd = from_navigation(nav)
     x = generators.sample_box_point(rng, 3)
@@ -79,7 +79,7 @@ def test_to_navigation_recovers_cigar_wind():
 
 
 def test_riemannian_reduction_b_zero(rng):
-    rd = RandersData(alpha=generators.random_riemann_metric(rng, 2),
+    rd = RandersData(alpha=generators.riemann_metric(generators.draw_riemann_metric(rng, 2)),
                      beta=VectorField(lambda x: [0.0, 0.0]))
     nav = to_navigation(rd)
     x = generators.sample_box_point(rng, 2)
@@ -285,7 +285,7 @@ def test_norm_identity_and_xi_transfer(rng):
 
 
 def test_bh_density_riemannian(rng):
-    rd = RandersData(alpha=generators.random_riemann_metric(rng, 3),
+    rd = RandersData(alpha=generators.riemann_metric(generators.draw_riemann_metric(rng, 3)),
                      beta=VectorField(lambda x: [0.0] * 3))
     x = generators.sample_box_point(rng, 3)
     assert bh_measure(rd).density(x) == pytest.approx(
@@ -349,7 +349,7 @@ def test_bh_measure_s_curvature_cigar(rng):
 
 def test_closed_form_beta_has_no_curl(rng):
     # b = df: the antisymmetric part s vanishes and r equals the Hessian
-    a = generators.random_riemann_metric(rng, 2)
+    a = generators.riemann_metric(generators.draw_riemann_metric(rng, 2))
     df = VectorField(lambda x: [jets.cos(x[0]) * x[1], jets.sin(x[0])])
     f = riemann.ScalarField(lambda x: jets.sin(x[0]) * x[1])
     rd = RandersData(alpha=a, beta=VectorField(
@@ -433,7 +433,7 @@ def test_fit_sigma_rejects_degenerate_samples(rng):
 
 
 def test_closed_form_reduces_to_alpha_ricci(rng):
-    a = generators.random_riemann_metric(rng, 3)
+    a = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
     rd = RandersData(alpha=a, beta=VectorField(lambda x: [0.0] * 3))
     p = FlagPoint(generators.sample_box_point(rng, 3), rng.normal(size=3))
     assert randers_ricci_closed_form(rd, p.x, p.y) == pytest.approx(

@@ -100,7 +100,7 @@ def test_christoffel_projective_sphere_closed_form(rng):
 
 
 def test_christoffel_symmetric_lower_indices(rng):
-    h = generators.random_riemann_metric(rng, 3)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
     x = generators.sample_box_point(rng, 3)
     gam = christoffel(h, x)
     np.testing.assert_allclose(gam, np.swapaxes(gam, 1, 2), atol=0.0)
@@ -120,7 +120,7 @@ def test_matrix_at_guards_without_inverting(monkeypatch, rng):
     calls = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append(a) or inv(*a))
-    h = generators.random_riemann_metric(np.random.default_rng(2), 3)
+    h = generators.riemann_metric(generators.draw_riemann_metric(np.random.default_rng(2), 3))
     x = generators.sample_box_point(rng, 3)
     assert np.array_equal(h.matrix_at(x), np.array(h.matrix(list(x)), float))
     assert calls == []
@@ -164,7 +164,7 @@ def test_ricci_cigar_law(rng):
 
 
 def test_ricci_quadratic_in_y(rng):
-    h = generators.random_riemann_metric(rng, 3)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
     x = generators.sample_box_point(rng, 3)
     y = rng.normal(size=3)
     base = ricci(h, x, y)
@@ -184,7 +184,7 @@ def test_covariant_derivative_constant_form_flat():
 
 
 def test_gradient_form_covariant_derivative_is_symmetric(rng):
-    h = generators.random_riemann_metric(rng, 3)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
     f = ScalarField(lambda x: jets.sin(x[0]) * x[1] + jets.exp(0.3 * x[2]))
     df = VectorField(lambda x: [jets.cos(x[0]) * x[1], jets.sin(x[0]),
                                 0.3 * jets.exp(0.3 * x[2])])
@@ -241,8 +241,8 @@ def test_hessian_constant_zero():
 
 
 def test_hessian_polarization_symmetry(rng):
-    h = generators.random_riemann_metric(rng, 3)
-    f = generators.random_scalar_field(rng, 3)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
+    f = generators.scalar_field(generators.draw_scalar_field(rng, 3))
     x = generators.sample_box_point(rng, 3)
     y, z = rng.normal(size=3), rng.normal(size=3)
     hy = hessian(h, f, x, y)
@@ -255,7 +255,7 @@ def test_hessian_polarization_symmetry(rng):
 
 
 def test_lie_zero_field(rng):
-    h = generators.random_riemann_metric(rng, 2)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 2))
     zero = VectorField(lambda x: [0.0, 0.0])
     x = generators.sample_box_point(rng, 2)
     y = rng.normal(size=2)
@@ -285,8 +285,8 @@ def test_lie_radial_homothety_flat(rng):
 
 
 def test_lie_h2_of_gradient_is_twice_hessian(rng):
-    h = generators.random_riemann_metric(rng, 3)
-    f = generators.random_scalar_field(rng, 3)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
+    f = generators.scalar_field(generators.draw_scalar_field(rng, 3))
     for _ in range(5):
         x = generators.sample_box_point(rng, 3)
         y = rng.normal(size=3)
@@ -322,7 +322,7 @@ def test_conformal_residual_zero_field_unit_factor():
 
 def test_metric_compatibility(rng):
     for dim in (2, 3):
-        h = generators.random_riemann_metric(rng, dim)
+        h = generators.riemann_metric(generators.draw_riemann_metric(rng, dim))
         for _ in range(5):
             x = generators.sample_box_point(rng, dim)
             res = metric_compatibility_residual(point_record(h, x, 1))
@@ -331,7 +331,7 @@ def test_metric_compatibility(rng):
 
 def test_lie_1form_matches_direct_lift(rng):
     # L_V(beta) via covariant formula vs the raw coordinate formula
-    h = generators.random_riemann_metric(rng, 2)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 2))
     b = generators.vector_field(generators.draw_vector_field(rng, 2))
     v = generators.vector_field(generators.draw_vector_field(rng, 2))
     x = generators.sample_box_point(rng, 2)
@@ -360,3 +360,19 @@ def test_field_values_reads_a_constant_once_and_a_function_per_lane(monkeypatch)
         assert got.dtype == float and np.array_equal(got, values)
         assert len(calls) == (5 if field is law else 0)
     assert riemann.ScalarField(3).const == 3.0 and law.const is None
+
+
+def test_a_record_of_many_lanes_equals_its_one_point_records():
+    # the Levi-Civita tables of a stack of points read `riemann._bracket`
+    # C-contiguous, so their einsums sum in the one-point order at any lane
+    # count (at 512 lanes and more they did not)
+    rng = np.random.default_rng(5)
+    h = generators.riemann_metric(generators.draw_riemann_metric(rng, 3))
+    X = rng.uniform(-0.5, 0.5, size=(2048, 3))
+    rec = point_record(h, X, 2)
+    for k, x in enumerate(X):
+        one = point_record(h, x, 2)
+        for name in ("h0", "dh", "hinv", "dhinv", "gamma", "dgamma", "ricci"):
+            got, want = getattr(rec, name)[k], getattr(one, name)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                np.signbit(want)), (name, k)

@@ -103,8 +103,10 @@ def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
         name, mode, samples, monkeypatch):
     # the one navigation evaluation at jet x outside the finite-difference
     # oracle is the sample points', laned over the flags' x in flag order;
-    # the oracle stages the metric at its own stencil x, one laned stage per
-    # pass (spray and S), each flag's own x a lane of both
+    # the oracle stages the metric at its own stencil x, one stage per pass
+    # laned (stencil point, flag): the spray's at the 1 + 8n + 12n^2 spray
+    # points of each flag, S's at its 1 + 8n S points, each flag's own x
+    # row 0 of its column in both
     fx = fixtures.get_fixture(name)
     xs, fd_xs = [], []
     inside_fd = [0]
@@ -113,7 +115,8 @@ def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
 
     def count(nav, x, *args):
         if isinstance(x[0], Jet):
-            (fd_xs if inside_fd[0] else xs).append(np.array([v.value for v in x]).T)
+            (fd_xs if inside_fd[0] else xs).append(
+                np.moveaxis(np.array([v.value for v in x]), 0, -1))
         return nav_point(nav, x, *args)
 
     def evaluate_flags(metric, measure, points, bases=None, mode="jet"):
@@ -130,8 +133,10 @@ def test_fixture_suite_evaluates_the_navigation_data_once_per_sample_flag(
     flags = sample_flags(fx, samples, np.random.default_rng(5))
     assert len(xs) == 1
     assert np.array_equal(xs[0], np.array([p.x for p in flags]))
-    assert len(fd_xs) == (2 if mode == "fd" else 0)
-    assert all((x == p.x).all(axis=1).any() for x in fd_xs for p in flags)
+    n = fx.dim
+    assert [x.shape for x in fd_xs] == ([(1 + 8 * n + 12 * n * n, samples, n),
+                                         (1 + 8 * n, samples, n)] if mode == "fd" else [])
+    assert all(np.array_equal(x[0], xs[0]) for x in fd_xs)
 
 
 @pytest.mark.parametrize("name,perturb", CASES)
